@@ -164,11 +164,11 @@ pub trait Mechanism<V: Clone>: Clone + Debug {
 /// output length equals the modeled accounting exactly.
 ///
 /// [`Mechanism::metadata_size`] and [`Mechanism::context_size`] model what
-/// causal metadata *would* cost on the wire; the simulator ships opaque
-/// placeholder blobs of exactly that size. A real network driver must ship
-/// parseable bytes instead — and for the byte ledger to remain ground
-/// truth across drivers, the real encoding must cost **exactly** what the
-/// model charges:
+/// causal metadata costs on the wire, and every driver charges its byte
+/// ledger from that model — the in-process drivers pass message values
+/// through and never serialise them. A network driver ships this codec's
+/// bytes — and for the byte ledger to remain ground truth across
+/// drivers, the encoding must cost **exactly** what the model charges:
 ///
 /// * `encode_state` output length `== metadata_size(state)` plus the sum
 ///   of the values' [`Encode::encoded_len`]s;

@@ -465,171 +465,15 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
         }
     }
 
-    /// Encodes the message: a variant tag byte, then the fields through
-    /// the codecs in [`crate::wire`]. Mechanism states and contexts
-    /// travel as modeled blobs (length prefix + placeholder bytes of the
-    /// modeled size — see the module docs of [`crate::wire`]), so this
-    /// is the byte-accounting ground truth rather than a parseable
-    /// serialisation of mechanism internals.
-    pub fn encode(&self, mech: &M) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.wire_size(mech));
-        buf.push(self.tag());
-        match self {
-            Msg::ClientGet { req, key, digest } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                wire::put_u64(&mut buf, *digest);
-            }
-            Msg::ClientGetResp {
-                req,
-                ok,
-                values,
-                ctx,
-            }
-            | Msg::ClientPutResp {
-                req,
-                ok,
-                values,
-                ctx,
-            } => {
-                wire::put_u64(&mut buf, *req);
-                buf.push(u8::from(*ok));
-                put_varint(&mut buf, values.len() as u64);
-                for v in values {
-                    v.encode(&mut buf);
-                }
-                wire::put_blob(&mut buf, mech.context_size(ctx));
-            }
-            Msg::ClientPut {
-                req,
-                key,
-                value,
-                ctx,
-                digest,
-            } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                value.encode(&mut buf);
-                wire::put_blob(&mut buf, mech.context_size(ctx));
-                wire::put_u64(&mut buf, *digest);
-            }
-            Msg::RepGet { req, key } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-            }
-            Msg::RepGetResp { req, key, state } | Msg::RepWriteResp { req, key, state } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                wire::put_blob(&mut buf, state_wire_size(mech, state));
-            }
-            Msg::RepPut {
-                req,
-                key,
-                state,
-                hint,
-            } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                wire::put_blob(&mut buf, state_wire_size(mech, state));
-                wire::put_hint(&mut buf, *hint);
-            }
-            Msg::RepPutAck { req } => wire::put_u64(&mut buf, *req),
-            Msg::ReadRepair { key, state, hint } => {
-                wire::put_key(&mut buf, key);
-                wire::put_blob(&mut buf, state_wire_size(mech, state));
-                wire::put_hint(&mut buf, *hint);
-            }
-            Msg::AaeRoot { root, digest } => {
-                wire::put_u64(&mut buf, *root);
-                wire::put_u64(&mut buf, *digest);
-            }
-            Msg::AaeArcRoots { arcs, digest } => {
-                wire::put_u64(&mut buf, *digest);
-                wire::put_arc_roots(&mut buf, arcs);
-            }
-            Msg::AaeLeaves {
-                leaves,
-                arcs,
-                digest,
-            } => {
-                wire::put_u64(&mut buf, *digest);
-                match arcs {
-                    None => buf.push(0),
-                    Some(list) => {
-                        buf.push(1);
-                        wire::put_arc_list(&mut buf, list);
-                    }
-                }
-                dvv::encode::put_leaf_set(&mut buf, leaves);
-            }
-            Msg::AaeStates { states, want } => {
-                let items: Vec<(&Key, usize)> = states
-                    .iter()
-                    .map(|(k, s)| (k, state_wire_size(mech, s)))
-                    .collect();
-                wire::put_keyed_blobs(&mut buf, &items);
-                wire::put_key_list(&mut buf, want);
-            }
-            Msg::AaeStatesResp { states } => {
-                let items: Vec<(&Key, usize)> = states
-                    .iter()
-                    .map(|(k, s)| (k, state_wire_size(mech, s)))
-                    .collect();
-                wire::put_keyed_blobs(&mut buf, &items);
-            }
-            Msg::RepWrite {
-                req,
-                key,
-                value,
-                ctx,
-                hint,
-            } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                value.encode(&mut buf);
-                wire::put_blob(&mut buf, mech.context_size(ctx));
-                wire::put_hint(&mut buf, *hint);
-            }
-            Msg::JoinAnnounce { view, who, joining } => {
-                wire::put_view(&mut buf, view);
-                put_varint(&mut buf, u64::from(who.0));
-                buf.push(u8::from(*joining));
-            }
-            Msg::Rejoin { view } | Msg::RingEpoch { view } => {
-                wire::put_view(&mut buf, view);
-            }
-            Msg::RangeTransfer { id, entries } => {
-                wire::put_u64(&mut buf, *id);
-                let items: Vec<(&Key, usize)> = entries
-                    .iter()
-                    .map(|(k, s)| (k, state_wire_size(mech, s)))
-                    .collect();
-                wire::put_keyed_blobs(&mut buf, &items);
-            }
-            Msg::TransferAck { id } => wire::put_u64(&mut buf, *id),
-            Msg::RingSummary { entries } => wire::put_summary(&mut buf, entries),
-            Msg::RingDelta { entries, want } => {
-                wire::put_member_entries(&mut buf, entries);
-                wire::put_replica_ids(&mut buf, want);
-            }
-            Msg::GossipDigest { digest } => wire::put_u64(&mut buf, *digest),
-            Msg::Handoff { entries } => {
-                let items: Vec<(&Key, usize)> = entries
-                    .iter()
-                    .map(|(k, s)| (k, state_wire_size(mech, s)))
-                    .collect();
-                wire::put_keyed_blobs(&mut buf, &items);
-            }
-            Msg::HandoffAck { keys } => wire::put_key_list(&mut buf, keys),
-        }
-        buf
-    }
-
     /// Bytes this message occupies on the wire (plus the fixed envelope
-    /// the caller adds). Computed with the same codec arithmetic
-    /// [`Msg::encode`] uses — `wire_size == encode().len()` for every
-    /// variant (pinned by the wire-parity property test). This is where
-    /// metadata size becomes latency.
+    /// the caller adds), for *every* mechanism: states and contexts are
+    /// charged a length prefix plus their modeled size
+    /// ([`Mechanism::metadata_size`] / [`Mechanism::context_size`]), the
+    /// other fields the `*_len` of their [`crate::wire`] codec. For a
+    /// [`WireMechanism`] this is exactly
+    /// [`encode_transport`](Msg::encode_transport)`().len()` (pinned by
+    /// the wire-parity property test). This is where metadata size
+    /// becomes latency.
     pub fn wire_size(&self, mech: &M) -> usize {
         let u = wire::U64_LEN;
         1 + match self {
@@ -726,10 +570,10 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
     }
 }
 
-/// Appends a state as a *parseable* blob: the same length prefix as the
-/// modeled [`wire::put_blob`], but real bytes behind it. The
-/// [`WireMechanism`] contract makes both forms byte-length-identical, so
-/// [`Msg::wire_size`] stays the accounting ground truth for real frames.
+/// Appends a state: a length prefix, then the mechanism's real bytes.
+/// The [`WireMechanism`] length contract makes that exactly the
+/// [`wire::blob_len`] that [`Msg::wire_size`] charges, so the size
+/// arithmetic stays the accounting ground truth for real frames.
 fn put_state<M: WireMechanism<StampedValue>>(buf: &mut Vec<u8>, mech: &M, state: &M::State) {
     let size = state_wire_size(mech, state);
     put_varint(buf, size as u64);
@@ -784,8 +628,9 @@ fn get_ctx<M: WireMechanism<StampedValue>>(
     Ok(ctx)
 }
 
-/// The parseable counterpart of [`wire::put_keyed_blobs`]: prefix-delta
-/// keys, each followed by a [`put_state`] blob.
+/// Appends a `(key, state)` entry list — transfers, handoffs and AAE
+/// state pushes: shared-prefix-delta keys, each followed by a
+/// [`put_state`] blob. Sized by [`wire::keyed_blobs_len`].
 fn put_keyed_states<M: WireMechanism<StampedValue>>(
     buf: &mut Vec<u8>,
     mech: &M,
@@ -837,12 +682,12 @@ fn get_values(d: &mut Decoder<'_>) -> Result<Vec<StampedValue>, DecodeError> {
 }
 
 impl<M: WireMechanism<StampedValue>> Msg<M> {
-    /// Encodes the message for a *real* transport: identical to
-    /// [`Msg::encode`] except that mechanism states and contexts travel as
-    /// genuine parseable bytes instead of modeled placeholder blobs. The
-    /// [`WireMechanism`] length contract keeps
-    /// `encode_transport().len() == wire_size()`, so byte ledgers charged
-    /// from [`Msg::wire_size`] remain exact for socket frames.
+    /// Encodes the message — the store's one byte codec: a variant tag
+    /// byte, then the fields through the codecs in [`crate::wire`], with
+    /// mechanism states and contexts as length-prefixed
+    /// [`WireMechanism`] bytes. The [`WireMechanism`] length contract
+    /// keeps `encode_transport().len() == wire_size()`, so byte ledgers
+    /// charged from [`Msg::wire_size`] are exact for socket frames.
     #[must_use]
     pub fn encode_transport(&self, mech: &M) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.wire_size(mech));
@@ -1455,8 +1300,8 @@ mod tests {
 
     #[test]
     fn wire_size_matches_encoding_for_sampled_variants() {
-        // Spot parity; the proptest suite in tests/wire_parity.rs walks
-        // every variant.
+        // Spot parity and round trip; the proptest suite in
+        // tests/wire_parity.rs walks every variant.
         let mech = DvvMechanism;
         let st = sample_state();
         let msgs: Vec<Msg<M>> = vec![
@@ -1486,11 +1331,14 @@ mod tests {
             },
         ];
         for m in &msgs {
+            let bytes = m.encode_transport(&mech);
             assert_eq!(
                 m.wire_size(&mech),
-                m.encode(&mech).len(),
+                bytes.len(),
                 "wire_size drifted from the encoder for {m:?}"
             );
+            let back = Msg::<M>::decode_transport(&mech, &bytes).expect("decodes");
+            assert_eq!(back.encode_transport(&mech), bytes, "round trip of {m:?}");
         }
     }
 }

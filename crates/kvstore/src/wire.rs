@@ -2,16 +2,19 @@
 //!
 //! [`crate::messages::Msg::wire_size`] used to be hand-counted constants
 //! that drifted from reality; this module makes the accounting honest by
-//! construction: every composite field has a `put_*` encoder and a
-//! matching `*_len`, and `Msg::encode` / `Msg::wire_size` are built from
-//! the same helpers, so the parity property `wire_size == encode().len()`
-//! holds for every variant.
+//! construction: every composite field has a `put_*` encoder, a `get_*`
+//! decoder and a matching `*_len`, and `Msg::encode_transport` /
+//! `Msg::decode_transport` / `Msg::wire_size` are built from the same
+//! helpers, so the parity property
+//! `wire_size == encode_transport().len()` holds for every variant.
 //!
-//! Mechanism states and contexts are sim-internal Rust values whose wire
-//! form the paper's evaluation *models* via [`Mechanism::metadata_size`]
-//! — those travel as length-prefixed opaque blobs of exactly the modeled
-//! size ([`put_blob`]), keeping byte accounting faithful without forcing
-//! `Encode` onto every mechanism.
+//! Mechanism states and contexts travel length-prefixed. Their bytes
+//! come from the mechanism's own `dvv::mechanisms::WireMechanism` codec
+//! (in `messages.rs`); their *size* is charged here from the model the
+//! paper's evaluation uses (`Mechanism::metadata_size` /
+//! `Mechanism::context_size`) through [`blob_len`] and
+//! [`keyed_blobs_len`] — which every mechanism has, so the simulator
+//! accounts bytes for all eight without needing a codec for each.
 //!
 //! Composite fields reuse the delta codecs in [`dvv::encode`]: sorted-id
 //! gap deltas for member/arc/want lists, bit-packed value runs for
@@ -70,15 +73,8 @@ pub fn get_key(d: &mut Decoder<'_>) -> Result<Key, DecodeError> {
     Ok(d.bytes(len)?.to_vec())
 }
 
-/// Appends a modeled opaque blob: a length prefix and exactly `size`
-/// placeholder bytes. Used for mechanism states and contexts, whose
-/// byte form the sim models rather than serialises.
-pub fn put_blob(buf: &mut Vec<u8>, size: usize) {
-    put_varint(buf, size as u64);
-    buf.resize(buf.len() + size, 0);
-}
-
-/// Exact size of [`put_blob`]'s output.
+/// Wire size of a length-prefixed blob of `size` bytes — what a
+/// mechanism state or context of that modeled size costs.
 #[must_use]
 pub fn blob_len(size: usize) -> usize {
     varint_len(size as u64) + size
@@ -406,23 +402,9 @@ pub fn get_key_list(d: &mut Decoder<'_>) -> Result<Vec<Key>, DecodeError> {
     Ok(out)
 }
 
-/// Appends a `(key, opaque blob)` entry list — transfers, handoffs and
-/// AAE state pushes: shared-prefix-delta keys, each followed by a
-/// modeled state blob of the given size.
-pub fn put_keyed_blobs(buf: &mut Vec<u8>, items: &[(&Key, usize)]) {
-    put_varint(buf, items.len() as u64);
-    let mut prev: &[u8] = &[];
-    for (k, size) in items {
-        let lcp = common_prefix(prev, k);
-        put_varint(buf, lcp as u64);
-        put_varint(buf, (k.len() - lcp) as u64);
-        buf.extend_from_slice(&k[lcp..]);
-        put_blob(buf, *size);
-        prev = k;
-    }
-}
-
-/// Exact size of [`put_keyed_blobs`]'s output.
+/// Wire size of a `(key, state)` entry list — transfers, handoffs and
+/// AAE state pushes: a count, then per entry a shared-prefix-delta key
+/// and a length-prefixed state of the given size.
 #[must_use]
 pub fn keyed_blobs_len(items: &[(&Key, usize)]) -> usize {
     let mut n = varint_len(items.len() as u64);
@@ -526,13 +508,14 @@ mod tests {
     }
 
     #[test]
-    fn keyed_blobs_size_matches_encoding() {
+    fn keyed_blobs_len_counts_prefix_deltas_and_length_prefixes() {
         let k1: Key = b"alpha".to_vec();
         let k2: Key = b"alpine".to_vec();
         let items = vec![(&k1, 30usize), (&k2, 7)];
-        let mut buf = Vec::new();
-        put_keyed_blobs(&mut buf, &items);
-        assert_eq!(buf.len(), keyed_blobs_len(&items));
+        // count, then per entry: lcp, suffix length, suffix, blob prefix,
+        // blob — "alpine" shares "alp" with "alpha".
+        let expect = 1 + (1 + 1 + 5 + 1 + 30) + (1 + 1 + 3 + 1 + 7);
+        assert_eq!(keyed_blobs_len(&items), expect);
     }
 
     #[test]

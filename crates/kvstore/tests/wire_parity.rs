@@ -1,14 +1,10 @@
 //! Wire parity: for **every** `Msg` variant, the hand-derived
-//! `Msg::wire_size` must equal `Msg::encode(..).len()` — the byte
-//! accounting the benchmarks report is exactly what the codecs emit.
-//! The spot checks in `messages.rs` pin a handful of shapes; this suite
-//! walks all of them with arbitrary keys, payloads, states, contexts
-//! and ring views.
-//!
-//! The same walk also pins the *transport* codec: `encode_transport`
-//! (real parseable state/context bytes, as shipped on sockets) must cost
-//! exactly the same bytes as the modeled encoding, and
-//! `decode_transport` must be its inverse.
+//! `Msg::wire_size` must equal `Msg::encode_transport(..).len()` — the
+//! byte accounting the benchmarks report is exactly what the codec
+//! emits and the socket driver ships — and `decode_transport` must be
+//! the encoder's inverse. The spot checks in `messages.rs` pin a
+//! handful of shapes; this suite walks all of them with arbitrary keys,
+//! payloads, states, contexts and ring views.
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
@@ -92,22 +88,15 @@ fn arb_arcs() -> impl Strategy<Value = Vec<(u32, u64)>> {
 }
 
 fn check(mech: &M, msg: &Msg<M>) -> Result<(), TestCaseError> {
-    let encoded = msg.encode(mech);
-    prop_assert_eq!(
-        msg.wire_size(mech),
-        encoded.len(),
-        "wire_size disagrees with encode() for {:?}",
-        msg
-    );
-    // The real-bytes transport form costs exactly what the model charges…
+    // The bytes on the wire cost exactly what the model charges…
     let real = msg.encode_transport(mech);
     prop_assert_eq!(
+        msg.wire_size(mech),
         real.len(),
-        encoded.len(),
-        "encode_transport costs different bytes than the model for {:?}",
+        "wire_size disagrees with encode_transport() for {:?}",
         msg
     );
-    // …and parses back to the same message (compared by re-encoding,
+    // …and parse back to the same message (compared by re-encoding,
     // since Msg doesn't implement PartialEq).
     let back = Msg::<M>::decode_transport(mech, &real);
     prop_assert!(
@@ -126,7 +115,8 @@ fn check(mech: &M, msg: &Msg<M>) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    /// Every variant, arbitrary contents: `wire_size == encode().len()`.
+    /// Every variant, arbitrary contents:
+    /// `wire_size == encode_transport().len()`, and the bytes round-trip.
     #[test]
     fn wire_size_matches_encoding_for_every_variant(
         req in any::<u64>(),

@@ -1,4 +1,5 @@
-//! [`RuntimeFleet`]: hosts the kvstore protocol on real threads.
+//! [`Fleet`]: hosts the kvstore protocol on real threads — the one
+//! threaded fleet, generic over the [`Link`] its messages travel on.
 //!
 //! Layout mirrors [`kvstore::cluster::Cluster`]: node ids `0..servers`
 //! are replica servers, `servers..servers + clients` are closed-loop
@@ -12,15 +13,20 @@
 //! [`RtCtx`](crate::rtctx::RtCtx) is the only runtime-specific layer a
 //! node ever sees.
 //!
-//! Messages route through `std::sync::mpsc` sync channels. A full inbox
+//! A node's outbox goes three ways. Self-sends take the worker's local
+//! queue: reliable, never fault-injected, never on the wire. Everything
+//! else passes the fault router — probabilistic drop, duplicate,
+//! stale replay, and an optional delayer thread holding messages back
+//! for a sampled latency — and then the [`Link`]: [`ChannelLink`] for
+//! [`RuntimeFleet`] (a bounded `std::sync::mpsc` inbox per worker), a
+//! TCP fabric for `transport::SocketFleet`. Either way a full inbox
 //! drops the message (wire loss; the protocol's timeouts, retries and
 //! anti-entropy absorb it), so workers can never deadlock on a send.
-//! An optional delayer thread holds back messages sampled into a
-//! latency window, and a fault plan can drop messages probabilistically
-//! or wedge chosen servers to exercise the stall watchdog.
+//! The crash plane, the storage-engine factory and the fault plan all
+//! sit above the link, so they work the same on every link.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -39,6 +45,7 @@ use ring::{MemberStatus, RingView};
 use simnet::{NodeId, SimRng, SimTime, TimerId};
 use storage::{MemEngine, StorageEngine};
 
+use crate::link::{deliver, ChannelLink, Link, Packet, Wiring};
 use crate::rtctx::RtCtx;
 use crate::watchdog::{self, Progress, StallReport};
 use crate::wheel::TimerWheel;
@@ -100,14 +107,6 @@ enum CrashStage {
     Done,
 }
 
-/// An addressed message in flight between nodes.
-#[derive(Debug)]
-struct Packet<M: Mechanism<StampedValue>> {
-    from: NodeId,
-    to: NodeId,
-    msg: Msg<M>,
-}
-
 /// State shared by every thread of a run (mechanism-independent).
 /// `shutdown` is its own `Arc` so the watchdog can hold the flag
 /// without the rest of the struct.
@@ -115,8 +114,8 @@ struct Packet<M: Mechanism<StampedValue>> {
 struct Shared {
     origin: Instant,
     faults: FaultPlan,
-    faults_on: std::sync::atomic::AtomicBool,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
+    faults_on: AtomicBool,
+    shutdown: Arc<AtomicBool>,
 }
 
 impl Shared {
@@ -130,24 +129,32 @@ impl Shared {
 /// replays resurface recent-ish history without hoarding clones.
 const REPLAY_STASH_CAP: usize = 16;
 
-/// A worker thread's view of the message fabric: per-node inbox senders
-/// plus the fault plan and its RNG stream for loss/latency sampling.
-/// Each worker keeps its own replay stash, so a stale replay resurfaces
-/// traffic this worker's nodes actually sent on that link.
-struct Router<M: Mechanism<StampedValue>> {
+/// A worker thread's way out for its nodes' messages: the local queue
+/// for self-sends, and for the rest the fault plan (with its RNG stream
+/// for loss/latency sampling) in front of the link. Each worker keeps
+/// its own replay stash, so a stale replay resurfaces traffic this
+/// worker's nodes actually sent on that link.
+struct Router<M: Mechanism<StampedValue>, L> {
     shared: Arc<Shared>,
     progress: Arc<Progress>,
-    slots: Vec<SyncSender<Packet<M>>>,
+    link: L,
     delayer: Option<Sender<(u64, Packet<M>)>>,
     rng: SimRng,
     replay_stash: BTreeMap<(NodeId, NodeId), Vec<Msg<M>>>,
+    /// Self-sends awaiting dispatch on this worker, as `(node, msg)`.
+    local: VecDeque<(NodeId, Msg<M>)>,
 }
 
-impl<M: Mechanism<StampedValue>> Router<M> {
+impl<M: Mechanism<StampedValue>, L: Link<M>> Router<M, L> {
     fn route(&mut self, from: NodeId, to: NodeId, msg: Msg<M>) {
-        // Self-sends bypass fault injection, matching the simulator's
-        // reliable zero-delay local delivery.
-        if from != to && self.shared.faults_on.load(Ordering::Relaxed) {
+        // Self-sends are delivered locally — reliable, zero-delay and
+        // exempt from fault injection, like the simulator's.
+        if from == to {
+            self.link.note_self(&msg);
+            self.local.push_back((to, msg));
+            return;
+        }
+        if self.shared.faults_on.load(Ordering::Relaxed) {
             let (drop_p, dup_p, replay_p) = (
                 self.shared.faults.drop_probability,
                 self.shared.faults.duplicate_probability,
@@ -182,7 +189,7 @@ impl<M: Mechanism<StampedValue>> Router<M> {
             self.forward(from, to, msg);
             return;
         }
-        deliver(&self.progress, &self.slots, Packet { from, to, msg });
+        self.link.send(Packet { from, to, msg });
     }
 
     /// Delivers one (possibly injected) inter-node message, routing it
@@ -202,19 +209,7 @@ impl<M: Mechanism<StampedValue>> Router<M> {
                 return;
             }
         }
-        deliver(&self.progress, &self.slots, Packet { from, to, msg });
-    }
-}
-
-/// Enqueues `pkt` at its destination; a full inbox is wire loss.
-fn deliver<M: Mechanism<StampedValue>>(
-    progress: &Progress,
-    slots: &[SyncSender<Packet<M>>],
-    pkt: Packet<M>,
-) {
-    let to = pkt.to.0 as usize;
-    if slots[to].try_send(pkt).is_ok() {
-        progress.inbox_depth[to].fetch_add(1, Ordering::Relaxed);
+        self.link.send(Packet { from, to, msg });
     }
 }
 
@@ -296,8 +291,10 @@ impl FleetStats {
 /// Outcome of a completed (non-stalled) run.
 #[derive(Clone, Debug)]
 pub struct RunReport {
-    /// Wall-clock from worker start to the last client finishing
-    /// (quiesce excluded), at the main loop's polling granularity.
+    /// Wall-clock from the run's time origin (the nodes' time zero,
+    /// taken before the link opens and the workers spawn) to the last
+    /// client finishing (quiesce excluded), at the main loop's polling
+    /// granularity.
     pub elapsed: StdDuration,
     /// Client operations completed fleet-wide.
     pub ops_ok: u64,
@@ -305,11 +302,11 @@ pub struct RunReport {
     pub all_done: bool,
 }
 
-/// The multi-threaded fleet. Build with [`RuntimeFleet::new`], run with
-/// [`RuntimeFleet::run`], then inspect nodes and reports exactly like a
+/// The multi-threaded fleet over link `L`. Build it ([`RuntimeFleet::new`]
+/// for the in-process link, [`Fleet::with_link`] for any other), run
+/// with [`Fleet::run`], then inspect nodes and reports exactly like a
 /// [`Cluster`](kvstore::cluster::Cluster) after a simulated run.
-#[derive(Debug)]
-pub struct RuntimeFleet<M: Mechanism<StampedValue>> {
+pub struct Fleet<M: Mechanism<StampedValue>, L: Link<M>> {
     config: RuntimeConfig,
     mech: M,
     view: RingView<ReplicaId>,
@@ -319,19 +316,32 @@ pub struct RuntimeFleet<M: Mechanism<StampedValue>> {
     snapshots: Arc<Vec<Mutex<NodeSnapshot>>>,
     progress: Arc<Progress>,
     net_root: SimRng,
+    link_spec: L::Spec,
+    link_ledger: Option<L::Ledger>,
+}
+
+/// The threaded fleet over in-process channels ([`ChannelLink`]).
+pub type RuntimeFleet<M> = Fleet<M, ChannelLink<M>>;
+
+impl<M: Mechanism<StampedValue>, L: Link<M>> std::fmt::Debug for Fleet<M, L> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Fleet")
+            .field("config", &self.config)
+            .field("nodes", &self.nodes.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<M> RuntimeFleet<M>
 where
     M: Mechanism<StampedValue> + Send + 'static,
-    M::State: Send,
     M::Context: Send,
 {
     /// Builds a fleet. All protocol randomness derives from `seed`
     /// through the same `fork_indexed("node", i)` scheme the simulator
     /// uses, so a node's RNG stream depends only on `(seed, i)`.
     pub fn new(seed: u64, mech: M, config: RuntimeConfig) -> Self {
-        Self::build(seed, mech, config, None)
+        Self::with_link(seed, mech, config, None, ())
     }
 
     /// Builds a fleet whose servers persist through `factory`-built
@@ -346,10 +356,27 @@ where
         config: RuntimeConfig,
         factory: EngineFactory<M>,
     ) -> Self {
-        Self::build(seed, mech, config, Some(factory))
+        Self::with_link(seed, mech, config, Some(factory), ())
     }
+}
 
-    fn build(seed: u64, mech: M, config: RuntimeConfig, factory: Option<EngineFactory<M>>) -> Self {
+impl<M, L> Fleet<M, L>
+where
+    M: Mechanism<StampedValue> + Send + 'static,
+    M::Context: Send,
+    L: Link<M>,
+{
+    /// Builds a fleet whose messages travel on `L`, opened from
+    /// `link_spec` when the fleet runs. With a `factory` the servers
+    /// persist through its storage engines (see
+    /// [`RuntimeFleet::new_durable`]).
+    pub fn with_link(
+        seed: u64,
+        mech: M,
+        config: RuntimeConfig,
+        factory: Option<EngineFactory<M>>,
+        link_spec: L::Spec,
+    ) -> Self {
         assert!(config.servers > 0, "need at least one server");
         assert!(config.client_workers > 0, "need at least one client worker");
         config.store.validate();
@@ -379,6 +406,15 @@ where
         let view = RingView::from_members(replicas.iter().copied());
         let total = config.servers + config.clients;
 
+        let host = |index: u32, proc_: StoreProc<M>| Hosted {
+            id: NodeId(index),
+            proc_,
+            rng: root.fork_indexed("node", u64::from(index)),
+            wheel: TimerWheel::new(),
+            next_timer: 0,
+            was_done: false,
+            last_ops: 0,
+        };
         let mut nodes = Vec::with_capacity(total);
         for r in &replicas {
             let node = match &factory {
@@ -391,40 +427,25 @@ where
                 ),
                 None => StoreNode::new(*r, mech.clone(), config.store, view.clone()),
             };
-            nodes.push(Hosted {
-                id: NodeId(r.0),
-                proc_: StoreProc::Server(node),
-                rng: root.fork_indexed("node", r.0 as u64),
-                wheel: TimerWheel::new(),
-                next_timer: 0,
-                was_done: false,
-                last_ops: 0,
-            });
+            nodes.push(host(r.0, StoreProc::Server(node)));
         }
         for j in 0..config.clients {
             let node_index = (config.servers + j) as u32;
             let mut client_cfg = config.client.clone();
             client_cfg.cycles = config.cycles_per_client;
-            nodes.push(Hosted {
-                id: NodeId(node_index),
-                proc_: StoreProc::Client(ClientNode::new(
-                    ClientId(j as u64),
-                    node_index,
-                    mech.clone(),
-                    client_cfg,
-                    config.store.n,
-                    config.store.header_bytes,
-                    view.clone(),
-                    config.store.vnodes,
-                )),
-                rng: root.fork_indexed("node", node_index as u64),
-                wheel: TimerWheel::new(),
-                next_timer: 0,
-                was_done: false,
-                last_ops: 0,
-            });
+            let client = ClientNode::new(
+                ClientId(j as u64),
+                node_index,
+                mech.clone(),
+                client_cfg,
+                config.store.n,
+                config.store.header_bytes,
+                view.clone(),
+                config.store.vnodes,
+            );
+            nodes.push(host(node_index, StoreProc::Client(client)));
         }
-        RuntimeFleet {
+        Fleet {
             config,
             mech,
             view: view.clone(),
@@ -438,7 +459,14 @@ where
             ),
             progress: Arc::new(Progress::new(total)),
             net_root: root.fork("rtnet"),
+            link_spec,
+            link_ledger: None,
         }
+    }
+
+    /// The link's ledger from the completed run; `None` before it.
+    pub fn link_ledger(&self) -> Option<&L::Ledger> {
+        self.link_ledger.as_ref()
     }
 
     /// A clonable handle for observing the fleet while (or after) it
@@ -449,22 +477,22 @@ where
         }
     }
 
-    /// Runs the fleet to completion: spawns per-server and client-worker
-    /// threads (plus the optional delayer and the stall watchdog), waits
-    /// for every client to finish, lets the fleet quiesce with faults
-    /// disabled, then joins all threads and reassembles the nodes for
-    /// inspection.
+    /// Runs the fleet to completion: opens the link, spawns per-server
+    /// and client-worker threads (plus the optional delayer and the
+    /// stall watchdog), waits for every client to finish, lets the fleet
+    /// quiesce with faults disabled, then joins all threads, closes the
+    /// link and reassembles the nodes for inspection.
     ///
     /// Returns `Err` with per-node diagnostics if the watchdog declares
     /// a stall or the run budget expires first.
     pub fn run(&mut self) -> Result<RunReport, StallReport> {
         let cfg = self.config.clone();
         let total = cfg.servers + cfg.clients;
-        let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
             origin: Instant::now(),
             faults: cfg.faults.clone(),
-            faults_on: std::sync::atomic::AtomicBool::new(!cfg.faults.is_noop()),
+            faults_on: AtomicBool::new(!cfg.faults.is_noop()),
             shutdown: Arc::clone(&shutdown),
         });
 
@@ -483,30 +511,36 @@ where
         }
         groups.extend(client_groups.into_iter().filter(|g| !g.is_empty()));
 
-        // One bounded inbox per worker; slot j routes to the worker
-        // hosting node j.
-        type Inbox<M> = (SyncSender<Packet<M>>, Option<Receiver<Packet<M>>>);
-        let mut worker_chans: Vec<Inbox<M>> = groups
-            .iter()
-            .map(|g| {
-                let (tx, rx) = mpsc::sync_channel(cfg.inbox_capacity * g.len());
-                (tx, Some(rx))
-            })
-            .collect();
-        let mut slots: Vec<SyncSender<Packet<M>>> = vec![worker_chans[0].0.clone(); total];
-        for (w, g) in groups.iter().enumerate() {
+        // One bounded inbox per worker; `inboxes[j]` routes to the
+        // worker hosting node j.
+        let mut receivers = Vec::with_capacity(groups.len());
+        let mut inboxes: Vec<Option<SyncSender<L::Inbound>>> = vec![None; total];
+        for g in &groups {
+            let (tx, rx) = mpsc::sync_channel(cfg.inbox_capacity * g.len());
+            receivers.push(rx);
             for h in g {
-                slots[h.id.0 as usize] = worker_chans[w].0.clone();
+                inboxes[h.id.0 as usize] = Some(tx.clone());
             }
         }
+        let inboxes: Vec<SyncSender<L::Inbound>> = inboxes
+            .into_iter()
+            .map(|tx| tx.expect("every node is hosted by a worker"))
+            .collect();
+        let mut link = L::open(
+            &self.link_spec,
+            Wiring {
+                inboxes: inboxes.clone(),
+                progress: Arc::clone(&self.progress),
+                shutdown: Arc::clone(&shutdown),
+            },
+        );
 
         // Optional delayer thread holding back latency-sampled packets.
         let (delayer_tx, delayer_handle) = if cfg.faults.delay_micros.is_some() {
             let (tx, rx) = mpsc::channel::<(u64, Packet<M>)>();
             let d_shared = Arc::clone(&shared);
-            let d_progress = Arc::clone(&self.progress);
-            let d_slots = slots.clone();
-            let h = thread::spawn(move || delayer_loop(rx, d_shared, d_progress, d_slots));
+            let d_link = link.clone();
+            let h = thread::spawn(move || delayer_loop(rx, d_shared, d_link));
             (Some(tx), Some(h))
         } else {
             (None, None)
@@ -522,17 +556,18 @@ where
 
         // Worker threads.
         let mut handles: Vec<JoinHandle<Vec<Hosted<M>>>> = Vec::new();
-        for (w, group) in groups.into_iter().enumerate() {
+        for (w, (group, rx)) in groups.into_iter().zip(receivers).enumerate() {
             let router = Router {
                 shared: Arc::clone(&shared),
                 progress: Arc::clone(&self.progress),
-                slots: slots.clone(),
+                link: link.clone(),
                 delayer: delayer_tx.clone(),
                 rng: self.net_root.fork_indexed("worker", w as u64),
                 replay_stash: BTreeMap::new(),
+                local: VecDeque::new(),
             };
-            let rx = worker_chans[w].1.take().expect("receiver taken once");
             let snapshots = Arc::clone(&self.snapshots);
+            let inbox_capacity = cfg.inbox_capacity * group.len();
             let hang = group
                 .iter()
                 .any(|h| cfg.faults.hang_servers.contains(&(h.id.0 as usize)));
@@ -552,7 +587,7 @@ where
                     },
                 });
             handles.push(thread::spawn(move || {
-                worker_loop(group, rx, router, snapshots, hang, crash)
+                worker_loop(group, rx, inbox_capacity, router, snapshots, hang, crash)
             }));
         }
 
@@ -572,20 +607,26 @@ where
         };
 
         // Wait for completion, a stall, or the run budget, driving the
-        // crash schedule as its deadlines come due.
-        let started = Instant::now();
+        // crash schedule and the link's own schedule as their deadlines
+        // come due. `schedules` returns whether both are finished.
+        let started = shared.origin;
         let mut stages = vec![CrashStage::Pending; cfg.crashes.len()];
-        let mut elapsed = None;
-        loop {
-            drive_crash_schedule(
+        let mut schedules = |view: &mut RingView<ReplicaId>| {
+            let crashes_done = drive_crash_schedule::<M, L>(
                 &cfg.crashes,
                 &mut stages,
                 started,
                 &plane,
                 &self.progress,
-                &slots,
-                &mut self.view,
+                &inboxes,
+                view,
             );
+            let link_done = link.tick(started.elapsed());
+            crashes_done && link_done
+        };
+        let mut elapsed = None;
+        loop {
+            schedules(&mut self.view);
             if self.progress.stalled.load(Ordering::Relaxed) {
                 break;
             }
@@ -610,38 +651,22 @@ where
             let settle_started = Instant::now();
             let (mut last_sig, mut rounds_floor) = self.settle_probe();
             let mut still_since = Instant::now();
-            // A crash schedule still in flight (a respawn landing after
-            // the last client finished) keeps the quiesce open past its
-            // nominal budget — the respawned node must rejoin and be
+            // A schedule still in flight (a respawn or a connection cut
+            // landing after the last client finished) keeps the quiesce
+            // open past its nominal budget — the fault must land and be
             // repaired before the fleet is inspected.
-            let mut schedule_done = drive_crash_schedule(
-                &cfg.crashes,
-                &mut stages,
-                started,
-                &plane,
-                &self.progress,
-                &slots,
-                &mut self.view,
-            );
-            while (settle_started.elapsed() < cfg.quiesce || !schedule_done)
+            let mut schedules_done = schedules(&mut self.view);
+            while (settle_started.elapsed() < cfg.quiesce || !schedules_done)
                 && started.elapsed() <= cfg.run_budget
             {
                 thread::sleep(StdDuration::from_millis(50));
-                schedule_done = drive_crash_schedule(
-                    &cfg.crashes,
-                    &mut stages,
-                    started,
-                    &plane,
-                    &self.progress,
-                    &slots,
-                    &mut self.view,
-                );
+                schedules_done = schedules(&mut self.view);
                 let (sig, rounds) = self.settle_probe();
                 if sig != last_sig {
                     last_sig = sig;
                     rounds_floor = rounds;
                     still_since = Instant::now();
-                } else if schedule_done
+                } else if schedules_done
                     && still_since.elapsed() >= cfg.settle_window
                     && rounds >= rounds_floor + SETTLE_CLEAN_ROUNDS
                 {
@@ -661,6 +686,7 @@ where
         if let Some(h) = delayer_handle {
             h.join().expect("delayer thread panicked");
         }
+        self.link_ledger = Some(link.close());
         wd_handle.join().expect("watchdog thread panicked");
         returned.sort_by_key(|h| h.id.0);
         self.nodes = returned;
@@ -770,15 +796,15 @@ where
 /// The post-run measurement surface — `oracle` / `converge` /
 /// `anomaly_report` / `residual_copies` / `latency_report` /
 /// `wire_report` — comes from [`FleetHarness`]'s provided methods, the
-/// same implementation the simulator's `Cluster` and the socket driver
-/// run. ([`FleetStats::wire_report`] remains the *live* snapshot fold;
+/// same implementation the simulator's `Cluster` runs.
+/// ([`FleetStats::wire_report`] remains the *live* snapshot fold;
 /// the trait's is the post-run authoritative one from the node
 /// ledgers.)
-impl<M> FleetHarness<M> for RuntimeFleet<M>
+impl<M, L> FleetHarness<M> for Fleet<M, L>
 where
     M: Mechanism<StampedValue> + Send + 'static,
-    M::State: Send,
     M::Context: Send,
+    L: Link<M>,
 {
     fn mechanism(&self) -> &M {
         &self.mech
@@ -809,10 +835,59 @@ where
     }
 }
 
-fn worker_loop<M: Mechanism<StampedValue>>(
+impl<M: Mechanism<StampedValue>> WorkerCrash<M> {
+    /// Executes any pending crash-schedule order on this worker's
+    /// server (server groups host exactly one node) and returns whether
+    /// the server is down. The kill drops the node — in-memory state,
+    /// queued self-sends and the engine's unsynced buffer are gone, like
+    /// a power cut — and parks an inert husk in the slot; the respawn
+    /// rebuilds from the kit in this same thread.
+    fn apply(&self, h: &mut Hosted<M>, local: &mut VecDeque<(NodeId, Msg<M>)>) -> bool {
+        let phase = &self.plane.phases[self.server];
+        let kit = &self.kit;
+        match phase.load(Ordering::Acquire) {
+            PHASE_KILL => {
+                h.proc_ = StoreProc::Server(StoreNode::dormant(
+                    kit.replica,
+                    kit.mech.clone(),
+                    kit.store,
+                    kit.genesis_view.clone(),
+                ));
+                h.wheel = TimerWheel::new();
+                local.clear();
+                phase.store(PHASE_DOWN, Ordering::Release);
+                true
+            }
+            PHASE_DOWN => true,
+            PHASE_RESPAWN => {
+                let engine: Box<dyn StorageEngine<M::State>> = match &kit.factory {
+                    Some(f) => f.build(self.server),
+                    None => Box::new(MemEngine::new()),
+                };
+                h.proc_ = StoreProc::Server(StoreNode::with_engine(
+                    kit.replica,
+                    kit.mech.clone(),
+                    kit.store,
+                    kit.genesis_view.clone(),
+                    engine,
+                ));
+                h.wheel = TimerWheel::new();
+                phase.store(PHASE_RUNNING, Ordering::Release);
+                false
+            }
+            _ => false,
+        }
+    }
+}
+
+/// One worker thread's event loop over the nodes it hosts: messages
+/// from its inbox and its local self-send queue, timers from each
+/// node's wheel.
+fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     mut hosted: Vec<Hosted<M>>,
-    rx: Receiver<Packet<M>>,
-    mut router: Router<M>,
+    rx: Receiver<L::Inbound>,
+    inbox_capacity: usize,
+    mut router: Router<M, L>,
     snapshots: Arc<Vec<Mutex<NodeSnapshot>>>,
     hang: bool,
     crash: Option<WorkerCrash<M>>,
@@ -834,110 +909,83 @@ fn worker_loop<M: Mechanism<StampedValue>>(
         if router.shared.shutdown.load(Ordering::Relaxed) {
             return hosted;
         }
+        let down = crash
+            .as_ref()
+            .is_some_and(|c| c.apply(&mut hosted[0], &mut router.local));
 
-        // Execute any pending crash-schedule order for this worker's
-        // server (server groups host exactly one node). The kill drops
-        // the node — in-memory state and the engine's unsynced buffer
-        // are gone, like a power cut — and parks an inert husk in the
-        // slot; the respawn rebuilds from the kit in this same thread.
-        let mut down = false;
-        if let Some(c) = &crash {
-            match c.plane.phases[c.server].load(Ordering::Acquire) {
-                PHASE_KILL => {
-                    let h = &mut hosted[0];
-                    h.proc_ = StoreProc::Server(StoreNode::dormant(
-                        c.kit.replica,
-                        c.kit.mech.clone(),
-                        c.kit.store,
-                        c.kit.genesis_view.clone(),
-                    ));
-                    h.wheel = TimerWheel::new();
-                    c.plane.phases[c.server].store(PHASE_DOWN, Ordering::Release);
-                    down = true;
-                }
-                PHASE_DOWN => down = true,
-                PHASE_RESPAWN => {
-                    let engine: Box<dyn StorageEngine<M::State>> = match &c.kit.factory {
-                        Some(f) => f.build(c.server),
-                        None => Box::new(MemEngine::new()),
-                    };
-                    let h = &mut hosted[0];
-                    h.proc_ = StoreProc::Server(StoreNode::with_engine(
-                        c.kit.replica,
-                        c.kit.mech.clone(),
-                        c.kit.store,
-                        c.kit.genesis_view.clone(),
-                        engine,
-                    ));
-                    h.wheel = TimerWheel::new();
-                    c.plane.phases[c.server].store(PHASE_RUNNING, Ordering::Release);
-                }
-                _ => {}
-            }
+        // What is already queued goes before what is already due — the
+        // simulator's order, where an earlier-delivered message precedes
+        // a later-due timer: after a host freeze a request timer and
+        // the replies that answer it are both pending, and firing the
+        // timer first would fail a request whose replies had arrived.
+        // An inbox holds at most its capacity at any instant, so that
+        // bounds the drain and timers cannot starve under load.
+        for _ in 0..inbox_capacity {
+            let Ok(item) = rx.try_recv() else { break };
+            receive(&mut hosted, item, down, &mut router, &snapshots);
         }
 
-        // Fire everything due, repeatedly: a timer handler may arm
-        // another timer already due.
-        let mut fired = true;
-        while fired {
-            fired = false;
-            let now_us = router.shared.now_us();
-            for h in &mut hosted {
-                while let Some(t) = h.wheel.pop_due(now_us) {
-                    dispatch(h, Ev::Timer(t), &mut router, &snapshots);
-                    fired = true;
-                }
-            }
-        }
-
-        // Sleep until the next timer or the next packet, whichever
-        // comes first (capped so shutdown is noticed promptly).
+        // Fire what is due now and deliver the self-sends. A handler
+        // may arm another timer already due, self-send, or take long
+        // enough for replies to arrive: go round again, inbox first.
         let now_us = router.shared.now_us();
-        let mut next: Option<u64> = None;
+        let mut worked = false;
         for h in &mut hosted {
-            if let Some(d) = h.wheel.next_due() {
-                next = Some(next.map_or(d, |n| n.min(d)));
+            while let Some(t) = h.wheel.pop_due(now_us) {
+                dispatch(h, Ev::Timer(t), &mut router, &snapshots);
+                worked = true;
             }
         }
-        let wait = match next {
-            Some(d) if d <= now_us => StdDuration::ZERO,
-            Some(d) => StdDuration::from_micros((d - now_us).min(20_000)),
-            None => StdDuration::from_millis(20),
-        };
+        while let Some((to, msg)) = router.local.pop_front() {
+            hand_to(&mut hosted, to, to, msg, &mut router, &snapshots);
+            worked = true;
+        }
+        if worked {
+            continue;
+        }
 
-        let first = if wait.is_zero() {
-            rx.try_recv().ok()
-        } else {
-            match rx.recv_timeout(wait) {
-                Ok(p) => Some(p),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => return hosted,
-            }
-        };
-        if let Some(first) = first {
-            if down {
-                // A dead server's inbox drains onto the floor: the
-                // depth accounting stays honest, the packets are lost
-                // (a crashed box answers nothing).
-                discard_packet(&router, &first);
-                while let Ok(p) = rx.try_recv() {
-                    discard_packet(&router, &p);
-                }
-            } else {
-                dispatch_packet(&mut hosted, first, &mut router, &snapshots);
-                // Drain whatever else arrived while we worked.
-                while let Ok(p) = rx.try_recv() {
-                    dispatch_packet(&mut hosted, p, &mut router, &snapshots);
-                }
-            }
+        // Nothing is due at `now_us` any more: sleep until the next
+        // timer or the next packet, whichever comes first (capped so
+        // shutdown is noticed promptly).
+        let next = hosted.iter_mut().filter_map(|h| h.wheel.next_due()).min();
+        let wait_us = next.map_or(20_000, |d| d.saturating_sub(now_us).min(20_000));
+        match rx.recv_timeout(StdDuration::from_micros(wait_us)) {
+            Ok(item) => receive(&mut hosted, item, down, &mut router, &snapshots),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return hosted,
         }
     }
 }
 
-/// Drops a packet addressed to a crashed server, keeping the inbox
-/// depth counter honest.
-fn discard_packet<M: Mechanism<StampedValue>>(router: &Router<M>, pkt: &Packet<M>) {
-    router.progress.inbox_depth[pkt.to.0 as usize].fetch_sub(1, Ordering::Relaxed);
+/// Takes one item off the inbox. A dead server's inbox drains onto the
+/// floor: the depth accounting stays honest, the packet is lost (a
+/// crashed box answers nothing).
+fn receive<M: Mechanism<StampedValue>, L: Link<M>>(
+    hosted: &mut [Hosted<M>],
+    item: L::Inbound,
+    down: bool,
+    router: &mut Router<M, L>,
+    snapshots: &Arc<Vec<Mutex<NodeSnapshot>>>,
+) {
+    let Packet { from, to, msg } = L::unpack(hosted[0].id, item);
+    router.progress.inbox_depth[to.0 as usize].fetch_sub(1, Ordering::Relaxed);
+    if !down {
+        hand_to(hosted, from, to, msg, router, snapshots);
+    }
+}
+
+/// Dispatches a message into the hosted node it is addressed to.
+fn hand_to<M: Mechanism<StampedValue>, L: Link<M>>(
+    hosted: &mut [Hosted<M>],
+    from: NodeId,
+    to: NodeId,
+    msg: Msg<M>,
+    router: &mut Router<M, L>,
+    snapshots: &Arc<Vec<Mutex<NodeSnapshot>>>,
+) {
+    if let Some(h) = hosted.iter_mut().find(|h| h.id == to) {
+        dispatch(h, Ev::Message { from, msg }, router, snapshots);
+    }
 }
 
 /// Advances every scheduled crash through its
@@ -946,17 +994,18 @@ fn discard_packet<M: Mechanism<StampedValue>>(router: &Router<M>, pkt: &Packet<M
 /// phase cells); what happens *here* is the control-plane half: the
 /// expected-down flag for the watchdog, and — once the worker reports
 /// the rebuilt node running — the fresh `Up` incarnation and the
-/// in-band [`Msg::Rejoin`] that re-arms its timers and lets gossip
-/// spread the re-admission. No harness view synchronisation.
+/// in-band [`Msg::Rejoin`], posted straight into the node's inbox, that
+/// re-arms its timers and lets gossip spread the re-admission. No
+/// harness view synchronisation.
 /// Returns whether every event has completed.
 #[allow(clippy::too_many_arguments)]
-fn drive_crash_schedule<M: Mechanism<StampedValue>>(
+fn drive_crash_schedule<M: Mechanism<StampedValue>, L: Link<M>>(
     crashes: &[CrashEvent],
     stages: &mut [CrashStage],
     started: Instant,
     plane: &CrashPlane,
     progress: &Progress,
-    slots: &[SyncSender<Packet<M>>],
+    inboxes: &[SyncSender<L::Inbound>],
     view: &mut RingView<ReplicaId>,
 ) -> bool {
     let elapsed = started.elapsed();
@@ -987,12 +1036,13 @@ fn drive_crash_schedule<M: Mechanism<StampedValue>>(
                 if plane.phases[c.server].load(Ordering::Acquire) == PHASE_RUNNING =>
             {
                 view.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
-                let rejoin = Packet {
-                    from: NodeId(c.server as u32),
-                    to: NodeId(c.server as u32),
+                let node = NodeId(c.server as u32);
+                let rejoin = L::pack(Packet {
+                    from: node,
+                    to: node,
                     msg: Msg::Rejoin { view: view.clone() },
-                };
-                deliver(progress, slots, rejoin);
+                });
+                deliver(inboxes, progress, node, rejoin);
                 progress.set_expected_down(c.server, false);
                 *stage = CrashStage::Done;
             }
@@ -1002,35 +1052,14 @@ fn drive_crash_schedule<M: Mechanism<StampedValue>>(
     stages.iter().all(|s| *s == CrashStage::Done)
 }
 
-fn dispatch_packet<M: Mechanism<StampedValue>>(
-    hosted: &mut [Hosted<M>],
-    pkt: Packet<M>,
-    router: &mut Router<M>,
-    snapshots: &Arc<Vec<Mutex<NodeSnapshot>>>,
-) {
-    router.progress.inbox_depth[pkt.to.0 as usize].fetch_sub(1, Ordering::Relaxed);
-    let Some(h) = hosted.iter_mut().find(|h| h.id == pkt.to) else {
-        return;
-    };
-    dispatch(
-        h,
-        Ev::Message {
-            from: pkt.from,
-            msg: pkt.msg,
-        },
-        router,
-        snapshots,
-    );
-}
-
 /// Runs one event through a hosted node and applies its effects: armed
 /// timers to the wheel, cancelled timers out of it, outbound messages
-/// into the fabric, fresh counters into the progress atomics and the
+/// to the router, fresh counters into the progress atomics and the
 /// node's snapshot.
-fn dispatch<M: Mechanism<StampedValue>>(
+fn dispatch<M: Mechanism<StampedValue>, L: Link<M>>(
     h: &mut Hosted<M>,
     ev: Ev<M>,
-    router: &mut Router<M>,
+    router: &mut Router<M, L>,
     snapshots: &Arc<Vec<Mutex<NodeSnapshot>>>,
 ) {
     let now = SimTime::from_micros(router.shared.now_us());
@@ -1097,13 +1126,12 @@ fn dispatch<M: Mechanism<StampedValue>>(
 }
 
 /// Holds back latency-sampled packets until their due instant, then
-/// delivers them. Runs on its own thread whenever the fault plan has a
+/// sends them. Runs on its own thread whenever the fault plan has a
 /// delay window.
-fn delayer_loop<M: Mechanism<StampedValue>>(
+fn delayer_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     rx: Receiver<(u64, Packet<M>)>,
     shared: Arc<Shared>,
-    progress: Arc<Progress>,
-    slots: Vec<SyncSender<Packet<M>>>,
+    link: L,
 ) {
     let mut wheel: TimerWheel<u64> = TimerWheel::new();
     let mut parked: BTreeMap<u64, Packet<M>> = BTreeMap::new();
@@ -1115,7 +1143,7 @@ fn delayer_loop<M: Mechanism<StampedValue>>(
         let now = shared.now_us();
         while let Some(s) = wheel.pop_due(now) {
             if let Some(p) = parked.remove(&s) {
-                deliver(&progress, &slots, p);
+                link.send(p);
             }
         }
         let wait_us = wheel

@@ -4,8 +4,26 @@
 //! protocol logic; this crate is the other. The *same*
 //! [`StoreNode`](kvstore::node::StoreNode) and
 //! [`ClientNode`](kvstore::client::ClientNode) code — written against
-//! [`kvstore::ctx::NodeCtx`] — runs here on std threads and mpsc
-//! channels (no async runtime, nothing vendored beyond std):
+//! [`kvstore::ctx::NodeCtx`] — runs here on std threads (no async
+//! runtime, nothing vendored beyond std).
+//!
+//! **One threaded fleet.** Everything about hosting a node on a thread
+//! lives in [`fleet`], once: node construction, the worker event loop
+//! and its dispatch bookkeeping, the crash plane, the fault router and
+//! delayer, the settle/quiesce main loop, the watchdog wiring and the
+//! post-run [`FleetHarness`](kvstore::harness::FleetHarness) surface.
+//! [`Fleet`] is generic over a [`Link`] ([`link`]), whose whole job is
+//! where a node's outbox goes and where its inbox comes from. A link
+//! must provide: `open` at run start (it is handed the per-node inbox
+//! senders, the [`Progress`] counters and the shutdown flag), a
+//! non-blocking `send` of an addressed message, `pack`/`unpack` between
+//! its inbox item and a [`Packet`], `close` returning its ledger, and
+//! optionally a per-tick schedule hook and a note of self-sends (which
+//! the loop delivers locally and never hands to `send`). Two links
+//! exist: [`ChannelLink`] here ([`RuntimeFleet`]), and the TCP fabric
+//! link in `transport` (`SocketFleet`).
+//!
+//! What the fleet gives every link:
 //!
 //! * one event-loop thread per server, clients partitioned across a
 //!   configurable number of worker threads (the bench's 1/4/8 knob);
@@ -14,11 +32,14 @@
 //!   backpressure deadlock is possible;
 //! * a per-node [`TimerWheel`](wheel::TimerWheel) on the monotonic
 //!   clock, with the simulator's same-instant FIFO semantics (and real
-//!   cancellation, which the simulator approximates by ignoring fires);
+//!   cancellation, which the simulator approximates by ignoring fires),
+//!   and the simulator's order between the two event sources: what is
+//!   already queued is handled before what is already due;
 //! * per-node seeded [`SimRng`](simnet::SimRng) streams forked exactly
 //!   like the simulator forks them;
-//! * an optional loss/latency-injecting channel layer ([`FaultPlan`])
-//!   so fault scenarios carry over from the simulated suites;
+//! * an optional loss/latency/duplicate/replay-injecting layer
+//!   ([`FaultPlan`]) and scheduled crash/respawn ([`CrashEvent`]) so
+//!   fault scenarios carry over from the simulated suites;
 //! * a stall watchdog ([`watchdog`]) that fails a wedged run fast with
 //!   per-node inbox depths and last-event timestamps.
 //!
@@ -27,19 +48,23 @@
 //! clients (`crates/bench/benches/runtime.rs`), while the simulator
 //! remains the conformance oracle — `tests/conformance.rs` runs a
 //! seeded workload on both drivers and asserts both fleets converge to
-//! AAE-equivalent, residual-audit-clean, anomaly-free states.
+//! AAE-equivalent, residual-audit-clean, anomaly-free states, and
+//! `tests/link_loop.rs` drives the worker loop message by message
+//! through a scripted link.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod fleet;
+pub mod link;
 pub mod rtctx;
 pub mod watchdog;
 pub mod wheel;
 
-pub use fleet::{FleetStats, NodeSnapshot, RunReport, RuntimeFleet};
+pub use fleet::{Fleet, FleetStats, NodeSnapshot, RunReport, RuntimeFleet};
 pub use kvstore::cluster::EngineFactory;
+pub use link::{ChannelLink, ChannelStats, Link, Packet, Wiring};
 pub use rtctx::RtCtx;
 pub use watchdog::{NodeDiag, Progress, StallReport};
 pub use wheel::TimerWheel;

@@ -1,0 +1,170 @@
+//! The [`Link`] seam: where a hosted node's outbox goes and where its
+//! inbox comes from.
+//!
+//! The threaded fleet ([`crate::fleet`]) owns everything about hosting
+//! a node — the event loop, timers, crash plane, fault router, settle
+//! probe, watchdog — and is generic over this one trait for the part
+//! that differs between drivers: how an addressed message travels from
+//! one worker thread to another. [`ChannelLink`] moves the `Msg` value
+//! itself into the destination worker's bounded inbox; the socket
+//! driver's link (`transport::FabricLink`) encodes it, frames it and
+//! writes it to a TCP connection whose reader feeds the same kind of
+//! inbox. A test can substitute a scripted link and drive the loop
+//! message by message.
+//!
+//! Self-sends never reach [`Link::send`]: the loop delivers them through
+//! its own local queue and only tells the link what it skipped
+//! ([`Link::note_self`]), so a link that keeps a byte ledger can still
+//! balance it.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
+use std::sync::Arc;
+use std::time::Duration as StdDuration;
+
+use dvv::mechanisms::Mechanism;
+use kvstore::messages::Msg;
+use kvstore::value::StampedValue;
+use simnet::NodeId;
+
+use crate::watchdog::Progress;
+
+/// An addressed message in flight between nodes.
+#[derive(Debug)]
+pub struct Packet<M: Mechanism<StampedValue>> {
+    /// Sending node.
+    pub from: NodeId,
+    /// Destination node.
+    pub to: NodeId,
+    /// The message.
+    pub msg: Msg<M>,
+}
+
+/// What a fleet run hands its link at [`Link::open`].
+#[derive(Debug)]
+pub struct Wiring<T> {
+    /// `inboxes[i]` feeds the worker hosting node `i` (bounded; nodes
+    /// of one worker share a channel).
+    pub inboxes: Vec<SyncSender<T>>,
+    /// The run's progress counters; whoever enqueues into `inboxes[i]`
+    /// also increments `inbox_depth[i]` (see [`deliver`]).
+    pub progress: Arc<Progress>,
+    /// Set once by the fleet when the run is over.
+    pub shutdown: Arc<AtomicBool>,
+}
+
+/// The transport between worker threads of one fleet run.
+///
+/// A link is a cheap handle: the fleet opens one, keeps it for the main
+/// loop ([`tick`](Link::tick), [`close`](Link::close)) and gives every
+/// worker and the delayer a clone to [`send`](Link::send) on, so no
+/// sender state is shared between threads that the link does not
+/// choose to share. It is a generic parameter of the fleet, so `send`
+/// is a direct call.
+pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
+    /// What a worker's inbox carries. A link whose item does not name
+    /// its destination (see [`unpack`](Link::unpack)) needs a fleet
+    /// with one node per worker.
+    type Inbound: Send + 'static;
+    /// What the fleet keeps from construction until `open`.
+    type Spec;
+    /// The link's own accounting of a run.
+    type Ledger;
+
+    /// Opens the link at run start.
+    fn open(spec: &Self::Spec, wiring: Wiring<Self::Inbound>) -> Self;
+
+    /// Wraps a packet the fleet itself posts into an inbox, bypassing
+    /// the wire (the crash schedule's `Rejoin`).
+    fn pack(pkt: Packet<M>) -> Self::Inbound;
+
+    /// Opens an inbox item received by the worker whose first hosted
+    /// node is `owner`.
+    fn unpack(owner: NodeId, item: Self::Inbound) -> Packet<M>;
+
+    /// Ships one message to another node. Must not block: a full queue
+    /// or inbox is wire loss, which the protocol's timeouts, retries
+    /// and anti-entropy absorb.
+    fn send(&self, pkt: Packet<M>);
+
+    /// A self-send the loop delivered locally instead of sending.
+    fn note_self(&self, _msg: &Msg<M>) {}
+
+    /// Called on the fleet's own handle from its main loop, on every
+    /// pass, with the time since run start: fires whatever schedule the
+    /// link carries. Returns whether that schedule is finished — the
+    /// quiesce phase does not end before it is.
+    fn tick(&mut self, _elapsed: StdDuration) -> bool {
+        true
+    }
+
+    /// Tears the link down after every worker has exited (and dropped
+    /// its handle) and returns the ledger of the whole run.
+    fn close(self) -> Self::Ledger;
+}
+
+/// Enqueues `item` for node `to` and accounts its inbox depth. Returns
+/// `false` when the inbox is full (or its worker gone): wire loss.
+pub fn deliver<T>(inboxes: &[SyncSender<T>], progress: &Progress, to: NodeId, item: T) -> bool {
+    let to = to.0 as usize;
+    let ok = inboxes[to].try_send(item).is_ok();
+    if ok {
+        progress.inbox_depth[to].fetch_add(1, Ordering::Relaxed);
+    }
+    ok
+}
+
+/// The in-process link: the `Msg` value moves through the destination
+/// worker's bounded `std::sync::mpsc` channel, nothing is serialised.
+#[derive(Clone, Debug)]
+pub struct ChannelLink<M: Mechanism<StampedValue>> {
+    inboxes: Vec<SyncSender<Packet<M>>>,
+    progress: Arc<Progress>,
+    /// Shared by every clone, so `close` reports the whole run.
+    inbox_drops: Arc<AtomicU64>,
+}
+
+/// [`ChannelLink`]'s ledger.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ChannelStats {
+    /// Messages dropped because the destination inbox was full.
+    pub inbox_drops: u64,
+}
+
+impl<M> Link<M> for ChannelLink<M>
+where
+    M: Mechanism<StampedValue> + Send + 'static,
+    M::Context: Send,
+{
+    type Inbound = Packet<M>;
+    type Spec = ();
+    type Ledger = ChannelStats;
+
+    fn open(_spec: &(), wiring: Wiring<Packet<M>>) -> Self {
+        ChannelLink {
+            inboxes: wiring.inboxes,
+            progress: wiring.progress,
+            inbox_drops: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    fn pack(pkt: Packet<M>) -> Packet<M> {
+        pkt
+    }
+
+    fn unpack(_owner: NodeId, item: Packet<M>) -> Packet<M> {
+        item
+    }
+
+    fn send(&self, pkt: Packet<M>) {
+        if !deliver(&self.inboxes, &self.progress, pkt.to, pkt) {
+            self.inbox_drops.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn close(self) -> ChannelStats {
+        ChannelStats {
+            inbox_drops: self.inbox_drops.load(Ordering::Relaxed),
+        }
+    }
+}

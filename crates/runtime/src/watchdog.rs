@@ -76,7 +76,7 @@ pub struct NodeDiag {
 }
 
 /// Why and where a run stalled: returned as the `Err` of
-/// [`RuntimeFleet::run`](crate::fleet::RuntimeFleet::run).
+/// [`Fleet::run`](crate::fleet::Fleet::run).
 #[derive(Clone, Debug)]
 pub struct StallReport {
     /// How long the op counter sat still before the watchdog fired.

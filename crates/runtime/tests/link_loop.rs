@@ -1,0 +1,355 @@
+//! The worker loop, driven message by message through a scripted
+//! [`Link`].
+//!
+//! Whole-fleet runs exercise the loop only statistically; here an
+//! in-memory link records what the hosted nodes send, delivers nothing
+//! on its own, and lets each test post exactly the packets it wants —
+//! from the link's `send` (on the worker thread, so the worker is
+//! provably not looking at its inbox meanwhile) or from its `tick` (on
+//! the fleet's main thread, sequenced after the crash schedule).
+//! Interleavings are forced through the inbox channel and the progress
+//! counters, never through sleeps longer than the loop's 20 ms wait cap.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration as StdDuration, Instant};
+
+use dvv::mechanisms::DvvMechanism;
+use kvstore::config::{ClientConfig, StoreConfig};
+use kvstore::messages::Msg;
+use runtime::link::deliver;
+use runtime::{ChannelLink, CrashEvent, Fleet, Link, Packet, Progress, RuntimeConfig, Wiring};
+use simnet::{Duration, NodeId};
+
+type M = DvvMechanism;
+
+const SERVER: NodeId = NodeId(0);
+/// A sender id no worker hosts: replies to it reach only the link.
+const STRANGER: NodeId = NodeId(7);
+
+/// What a test configures and reads back; shared with the opened link.
+#[derive(Default)]
+struct Script {
+    /// Runs inside `send`, on the sending worker's thread.
+    on_send: Option<fn(&ScriptLink, &Packet<M>)>,
+    /// Runs inside the first `tick`, on the fleet's main thread.
+    on_tick: Option<fn(&ScriptLink)>,
+    /// `(from, to)` of everything the loop handed to `send`.
+    sent: Mutex<Vec<(NodeId, NodeId)>>,
+    self_sends: AtomicU64,
+    /// Numbers a script wants the test body to assert on.
+    notes: Mutex<Vec<u64>>,
+}
+
+#[derive(Clone)]
+struct ScriptLink {
+    inboxes: Vec<SyncSender<Packet<M>>>,
+    progress: Arc<Progress>,
+    script: Arc<Script>,
+    ticked: bool,
+}
+
+impl ScriptLink {
+    /// Posts a packet into `to`'s inbox the way a real link does.
+    fn inject(&self, from: NodeId, to: NodeId, msg: Msg<M>) {
+        let pkt = Packet { from, to, msg };
+        assert!(deliver(&self.inboxes, &self.progress, to, pkt));
+    }
+
+    fn probe(&self, req: u64) {
+        let key = b"probe".to_vec();
+        self.inject(STRANGER, SERVER, Msg::RepGet { req, key });
+    }
+
+    fn events(&self, node: NodeId) -> u64 {
+        self.progress.events[node.0 as usize].load(Ordering::Relaxed)
+    }
+
+    fn depth(&self, node: NodeId) -> i64 {
+        self.progress.inbox_depth[node.0 as usize].load(Ordering::Relaxed)
+    }
+
+    fn sent_count(&self) -> u64 {
+        self.script.sent.lock().unwrap().len() as u64
+    }
+
+    fn note(&self, n: u64) {
+        self.script.notes.lock().unwrap().push(n);
+    }
+}
+
+/// Polls `cond` (1 ms naps) until it holds; a script that waits on the
+/// worker must not be able to hang the test.
+fn await_that(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + StdDuration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(StdDuration::from_millis(1));
+    }
+}
+
+impl Link<M> for ScriptLink {
+    type Inbound = Packet<M>;
+    type Spec = Arc<Script>;
+    type Ledger = ();
+
+    fn open(spec: &Arc<Script>, wiring: Wiring<Packet<M>>) -> Self {
+        ScriptLink {
+            inboxes: wiring.inboxes,
+            progress: wiring.progress,
+            script: Arc::clone(spec),
+            ticked: false,
+        }
+    }
+
+    fn pack(pkt: Packet<M>) -> Packet<M> {
+        pkt
+    }
+
+    fn unpack(_owner: NodeId, item: Packet<M>) -> Packet<M> {
+        item
+    }
+
+    fn send(&self, pkt: Packet<M>) {
+        self.script.sent.lock().unwrap().push((pkt.from, pkt.to));
+        if let Some(f) = self.script.on_send {
+            f(self, &pkt);
+        }
+    }
+
+    fn note_self(&self, _msg: &Msg<M>) {
+        self.script.self_sends.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn tick(&mut self, _elapsed: StdDuration) -> bool {
+        if !std::mem::replace(&mut self.ticked, true) {
+            if let Some(f) = self.script.on_tick {
+                f(self);
+            }
+        }
+        true
+    }
+
+    fn close(self) {}
+}
+
+/// One server (N=R=W=1) whose periodic timers lie beyond any test, so
+/// every event it dispatches is one the test caused.
+fn quiet_config(clients: usize) -> RuntimeConfig {
+    let far = Duration::from_secs(600);
+    RuntimeConfig {
+        servers: 1,
+        clients,
+        client_workers: 1,
+        cycles_per_client: 1,
+        store: StoreConfig {
+            n: 1,
+            r: 1,
+            w: 1,
+            anti_entropy_interval: far,
+            gossip_interval: far,
+            handoff_interval: far,
+            ..StoreConfig::default()
+        },
+        watchdog_poll: StdDuration::from_millis(1),
+        quiesce: StdDuration::ZERO,
+        ..RuntimeConfig::default()
+    }
+}
+
+fn fleet(config: RuntimeConfig, script: &Arc<Script>) -> Fleet<M, ScriptLink> {
+    Fleet::with_link(0x11AC, DvvMechanism, config, None, Arc::clone(script))
+}
+
+const CLIENT_TIMEOUT: StdDuration = StdDuration::from_millis(2);
+
+/// Answers a client request the way a coordinator would — but only
+/// after the request's timer has come due, and while the client's
+/// worker is still inside `send`: when the worker next looks, the due
+/// timer and the queued reply are both pending, as after a host freeze.
+fn reply_after_timeout(link: &ScriptLink, pkt: &Packet<M>) {
+    let reply = match &pkt.msg {
+        Msg::ClientGet { req, .. } => Msg::ClientGetResp {
+            req: *req,
+            ok: true,
+            values: Vec::new(),
+            ctx: Default::default(),
+        },
+        Msg::ClientPut { req, .. } => Msg::ClientPutResp {
+            req: *req,
+            ok: true,
+            values: Vec::new(),
+            ctx: Default::default(),
+        },
+        _ => return,
+    };
+    std::thread::sleep(2 * CLIENT_TIMEOUT);
+    link.inject(pkt.to, pkt.from, reply);
+}
+
+/// Regression (found by the benchmark PR): the loop fired due timers
+/// before it drained its inbox, so a request whose reply was already
+/// queued timed out and was retried.
+#[test]
+fn queued_reply_is_handled_before_a_due_timer() {
+    let script = Arc::new(Script {
+        on_send: Some(reply_after_timeout),
+        ..Script::default()
+    });
+    let mut config = quiet_config(1);
+    config.client = ClientConfig {
+        request_timeout: Duration::from_micros(CLIENT_TIMEOUT.as_micros() as u64),
+        think_time: Duration::from_micros(0),
+        ..ClientConfig::default()
+    };
+    let mut fleet = fleet(config, &script);
+    let report = fleet.run().expect("no stall");
+    assert!(report.all_done);
+    assert_eq!(report.ops_ok, 2, "one GET and one PUT");
+    let stats = fleet.client(0).stats();
+    assert_eq!(
+        (stats.retries, stats.failed_cycles),
+        (0, 0),
+        "a queued reply must win over the timer it answers"
+    );
+}
+
+/// A message a node addresses to itself goes through the worker's
+/// local queue: the link is told, never asked to carry it, and the
+/// node handles it once.
+#[test]
+fn self_send_is_delivered_locally_exactly_once() {
+    fn script(link: &ScriptLink) {
+        await_that("the server to start", || link.events(SERVER) >= 1);
+        let base = link.events(SERVER);
+        // A replica read "from itself": the server answers its sender.
+        let key = b"k".to_vec();
+        link.inject(SERVER, SERVER, Msg::RepGet { req: 1, key });
+        await_that("the request and its self-sent answer", || {
+            link.events(SERVER) >= base + 2
+        });
+        link.note(base);
+        link.note(link.depth(SERVER) as u64);
+    }
+    let script = Arc::new(Script {
+        on_tick: Some(script),
+        ..Script::default()
+    });
+    let mut fleet = fleet(quiet_config(0), &script);
+    fleet.run().expect("no stall");
+
+    let notes = script.notes.lock().unwrap().clone();
+    let (base, depth) = (notes[0], notes[1]);
+    assert_eq!(script.self_sends.load(Ordering::Relaxed), 1);
+    assert_eq!(*script.sent.lock().unwrap(), vec![], "nothing on the link");
+    assert_eq!(depth, 0, "a self-send does not count as inbox depth");
+    assert_eq!(
+        fleet.stats().snapshot(0).events,
+        base + 2,
+        "the request, then the self-sent answer once"
+    );
+}
+
+/// A server the crash schedule has taken down drains its inbox onto
+/// the floor: nothing is dispatched or answered, and `inbox_depth`
+/// returns to zero.
+#[test]
+fn down_server_discards_inbound_and_keeps_depth_honest() {
+    fn script(link: &ScriptLink) {
+        // `tick` follows the crash schedule on the main thread, so the
+        // kill is already ordered; the worker executes it the next time
+        // it comes round its loop — at the latest after one more packet.
+        assert!(link.progress.expected_down[0].load(Ordering::Relaxed));
+        link.probe(1);
+        await_that("the first probe to be taken", || link.depth(SERVER) == 0);
+        // The second probe is taken only after the first was handled
+        // and the kill executed, so counters read now are final.
+        link.probe(2);
+        await_that("the second probe to be taken", || link.depth(SERVER) == 0);
+        let (events, answers) = (link.events(SERVER), link.sent_count());
+        for req in 3..8 {
+            link.probe(req);
+        }
+        await_that("the inbox to drain", || link.depth(SERVER) == 0);
+        link.note(link.events(SERVER) - events);
+        link.note(link.sent_count() - answers);
+    }
+    let script = Arc::new(Script {
+        on_tick: Some(script),
+        ..Script::default()
+    });
+    let mut config = quiet_config(0);
+    config.crashes = vec![CrashEvent {
+        server: 0,
+        kill_after: StdDuration::ZERO,
+        respawn_after: StdDuration::from_millis(5),
+    }];
+    let mut fleet = fleet(config, &script);
+    fleet.run().expect("no stall");
+
+    let notes = script.notes.lock().unwrap().clone();
+    assert_eq!(notes, vec![0, 0], "a down server dispatched or answered");
+    assert!(
+        script.sent_to(STRANGER) <= 1,
+        "only the probe that raced the kill may have been answered"
+    );
+}
+
+impl Script {
+    fn sent_to(&self, to: NodeId) -> usize {
+        let sent = self.sent.lock().unwrap();
+        sent.iter().filter(|(_, t)| *t == to).count()
+    }
+}
+
+/// The in-process link never blocks a sender: a full inbox drops the
+/// message and counts it.
+#[test]
+fn full_inbox_is_counted_as_loss_not_a_hang() {
+    let (tx, rx) = mpsc::sync_channel(1);
+    let progress = Arc::new(Progress::new(1));
+    let link = <ChannelLink<M> as Link<M>>::open(
+        &(),
+        Wiring {
+            inboxes: vec![tx],
+            progress: Arc::clone(&progress),
+            shutdown: Arc::new(AtomicBool::new(false)),
+        },
+    );
+    for req in 0..3 {
+        link.send(Packet {
+            from: STRANGER,
+            to: SERVER,
+            msg: Msg::RepPutAck { req },
+        });
+    }
+    assert_eq!(link.close().inbox_drops, 2);
+    assert_eq!(progress.inbox_depth[0].load(Ordering::Relaxed), 1);
+    assert!(matches!(
+        rx.try_recv().map(|p| p.msg),
+        Ok(Msg::RepPutAck { req: 0 })
+    ));
+    assert!(rx.try_recv().is_err(), "dropped means dropped");
+}
+
+/// An idle worker sleeps at most the loop's 20 ms wait cap, so a fleet
+/// with nothing to do shuts down within about one cap.
+#[test]
+fn shutdown_is_observed_within_one_wait_cap() {
+    // A frozen host can stretch any single attempt; one prompt
+    // shutdown in three shows the cap holds.
+    let fastest = (0..3)
+        .map(|_| {
+            let mut fleet = fleet(quiet_config(0), &Arc::new(Script::default()));
+            let started = Instant::now();
+            fleet.run().expect("no stall");
+            started.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < StdDuration::from_millis(100),
+        "an idle fleet took {fastest:?} to stop"
+    );
+}

@@ -4,22 +4,31 @@
 //! stack. Where the simulator's `Cluster` models the network and the
 //! threaded `RuntimeFleet` passes `Msg` values through in-process
 //! channels, this crate serialises every inter-node message with the
-//! real wire codec ([`kvstore::messages::Msg::encode_transport`]),
-//! frames it ([`frame`]) and ships it over loopback TCP connections
-//! managed by a reconnecting connection layer ([`fabric`]). The
-//! protocol code is byte-for-byte the same in all three drivers; only
-//! the [`kvstore::ctx::NodeCtx`] effects interpreter differs.
+//! wire codec ([`kvstore::messages::Msg::encode_transport`]), frames it
+//! ([`frame`]) and ships it over loopback TCP connections managed by a
+//! reconnecting connection layer ([`fabric`]). The protocol code is
+//! byte-for-byte the same in all three drivers.
 //!
-//! Failure semantics deliberately mirror the in-process drivers: a full
+//! There is no node loop here. Hosting nodes on threads — event loop,
+//! timers, self-send queue, settle/quiesce, watchdog, post-run
+//! inspection — is [`runtime::Fleet`], the one threaded fleet, and this
+//! crate plugs into its [`runtime::Link`] seam: [`fleet::FabricLink`]
+//! sends by encoding onto the [`Fabric`], receives through the fabric's
+//! reader threads, charges self-sends to the fabric's ledger, fires the
+//! [`ConnKill`] schedule from the fleet's tick and returns
+//! [`FabricStats`] at close. [`SocketFleet`] is that fleet plus the
+//! configuration mapping (one worker per node, `header_bytes` forced to
+//! the frame header's real size).
+//!
+//! Failure semantics deliberately mirror the in-process link: a full
 //! outbound queue or full inbox drops the message (wire loss the
 //! protocol already tolerates), a torn/corrupt frame kills the
 //! connection and the dialer reconnects with jittered backoff, and
-//! anti-entropy repairs whatever an outage cost. The
-//! [`fleet::SocketFleet`] harness implements
-//! [`kvstore::harness::FleetHarness`], so the identical audit stack
-//! (single view, AAE equivalence, residual audit, oracle-clean
-//! converge) that gates the simulator and the threaded runtime gates
-//! the socket driver too.
+//! anti-entropy repairs whatever an outage cost. [`SocketFleet`]
+//! implements [`kvstore::harness::FleetHarness`], so the identical
+//! audit stack (single view, AAE equivalence, residual audit,
+//! oracle-clean converge) that gates the simulator and the threaded
+//! runtime gates the socket driver too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,5 +39,5 @@ pub mod fleet;
 pub mod frame;
 
 pub use fabric::{hello_body, Fabric, FabricStats};
-pub use fleet::{ConnKill, SocketConfig, SocketFleet};
+pub use fleet::{ConnKill, FabricLink, SocketConfig, SocketFleet};
 pub use frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME, HEADER_BYTES};

@@ -3,15 +3,16 @@
 # waiting on (or having access to) the hosted runners.
 #
 #   scripts/ci_local.sh              # the PR gate: build-test, elastic,
-#                                    #   examples, runtime, socket, storage,
-#                                    #   bench lanes
+#                                    #   examples, runtime, perfbench,
+#                                    #   socket, storage, bench lanes
 #   scripts/ci_local.sh --soak       # additionally the nightly soak lane
 #                                    #   (PROPTEST_CASES=1024 + extra
 #                                    #   churn seeds)
 #   scripts/ci_local.sh --lane elastic   # just one lane
 #
-# Lanes: build-test, elastic, examples, runtime, socket, storage, faults,
-# bench, soak.
+# Lanes: build-test, elastic, examples, runtime, perfbench, socket,
+# storage, faults, bench, soak. (`perfbench` is the tail of CI's
+# runtime lane, split out because it builds a second target directory.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,7 +77,17 @@ if runs_lane runtime; then
     banner "runtime"
     cargo test -p runtime --test timer_order -- --nocapture
     cargo test -p runtime --test watchdog -- --nocapture
+    cargo test -p runtime --test link_loop -- --nocapture
     cargo test -p runtime --test conformance -- --nocapture
+fi
+
+if runs_lane perfbench; then
+    banner "perfbench"
+    # The repo benchmark (BENCHMARK.json -> perfbench/) is outside the
+    # workspace: compile it against the fleets' public API and run its
+    # own unit tests. Builds into perfbench/target (git-ignored).
+    cargo build --release --manifest-path perfbench/Cargo.toml
+    cargo test --release --manifest-path perfbench/Cargo.toml
 fi
 
 if runs_lane socket; then
