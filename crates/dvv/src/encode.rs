@@ -5,8 +5,9 @@
 //! the wire and stores per key. To keep that comparison honest and
 //! dependency-free, every clock type implements [`Encode`]: a simple
 //! LEB128-varint format (counters and lengths are varints, actors encode
-//! themselves). [`Encode::encoded_len`] gives the exact size in bytes
-//! without allocating.
+//! themselves). Every encoder writes into a [`Sink`], so each byte layout
+//! is written once: bytes come from running it over a `Vec<u8>`, sizes
+//! ([`Encode::encoded_len`]) from running the same code over a [`Count`].
 //!
 //! # Examples
 //!
@@ -111,17 +112,63 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Appends a LEB128 varint to `buf`.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
+/// Where encoders write. `Vec<u8>` keeps the bytes; [`Count`] keeps only
+/// how many there were — so the size of any encoding is the encoder
+/// itself run over a `Count`, never a second hand-kept formula.
+pub trait Sink {
+    /// Appends raw bytes.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends one byte.
+    fn byte(&mut self, b: u8);
+
+    /// Appends a LEB128 varint.
+    fn varint(&mut self, v: u64);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
+
+    fn byte(&mut self, b: u8) {
+        self.push(b);
+    }
+
+    fn varint(&mut self, mut v: u64) {
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                self.push(byte);
+                return;
+            }
+            self.push(byte | 0x80);
+        }
+    }
+}
+
+/// The counting [`Sink`]: discards the bytes, keeps their number.
+#[derive(Debug)]
+pub struct Count(pub usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn byte(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn varint(&mut self, v: u64) {
+        self.0 += varint_len(v);
+    }
+}
+
+/// Appends a LEB128 varint to `buf`.
+pub fn put_varint<S: Sink>(buf: &mut S, v: u64) {
+    buf.varint(v);
 }
 
 /// Number of bytes [`put_varint`] writes for `v`.
@@ -135,15 +182,20 @@ pub fn varint_len(v: u64) -> usize {
 
 /// Types with a canonical compact binary encoding.
 ///
-/// Implementations must round-trip: `decode(encode(x)) == x`, and
-/// [`Encode::encoded_len`] must equal the number of bytes
-/// [`Encode::encode`] appends.
+/// Implementations must round-trip: `decode(encode(x)) == x`. Only
+/// [`encode`](Encode::encode) describes the layout; the size is derived
+/// from it.
 pub trait Encode: Sized {
     /// Appends the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
+    fn encode<S: Sink>(&self, buf: &mut S);
 
-    /// Exact size of the encoding in bytes.
-    fn encoded_len(&self) -> usize;
+    /// Exact size of the encoding in bytes: [`encode`](Encode::encode)
+    /// run over a [`Count`], without allocating.
+    fn encoded_len(&self) -> usize {
+        let mut n = Count(0);
+        self.encode(&mut n);
+        n.0
+    }
 
     /// Reads a value back from `d`.
     ///
@@ -179,12 +231,8 @@ pub fn from_bytes<T: Encode>(bytes: &[u8]) -> Result<T, DecodeError> {
 }
 
 impl Encode for u64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         put_varint(buf, *self);
-    }
-
-    fn encoded_len(&self) -> usize {
-        varint_len(*self)
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -193,12 +241,8 @@ impl Encode for u64 {
 }
 
 impl Encode for u32 {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         put_varint(buf, u64::from(*self));
-    }
-
-    fn encoded_len(&self) -> usize {
-        varint_len(u64::from(*self))
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -210,13 +254,9 @@ impl Encode for u32 {
 }
 
 impl Encode for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         put_varint(buf, self.len() as u64);
-        buf.extend_from_slice(self.as_bytes());
-    }
-
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.len()
+        buf.put(self.as_bytes());
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -227,13 +267,9 @@ impl Encode for String {
 }
 
 impl Encode for Vec<u8> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         put_varint(buf, self.len() as u64);
-        buf.extend_from_slice(self);
-    }
-
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.len()
+        buf.put(self);
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -243,12 +279,8 @@ impl Encode for Vec<u8> {
 }
 
 impl Encode for ReplicaId {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         self.0.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -257,12 +289,8 @@ impl Encode for ReplicaId {
 }
 
 impl Encode for ClientId {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         self.0.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -271,23 +299,16 @@ impl Encode for ClientId {
 }
 
 impl Encode for WriterId {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         match self {
             WriterId::Replica(r) => {
-                buf.push(0);
+                buf.byte(0);
                 r.encode(buf);
             }
             WriterId::Client(c) => {
-                buf.push(1);
+                buf.byte(1);
                 c.encode(buf);
             }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            WriterId::Replica(r) => r.encoded_len(),
-            WriterId::Client(c) => c.encoded_len(),
         }
     }
 
@@ -303,13 +324,9 @@ impl Encode for WriterId {
 }
 
 impl<A: Actor + Encode> Encode for Dot<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         self.actor().encode(buf);
         put_varint(buf, self.counter());
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.actor().encoded_len() + varint_len(self.counter())
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -325,20 +342,12 @@ impl<A: Actor + Encode> Encode for Dot<A> {
 }
 
 impl<A: Actor + Encode> Encode for VersionVector<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         put_varint(buf, self.len() as u64);
         for (a, c) in self.iter() {
             a.encode(buf);
             put_varint(buf, c);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64)
-            + self
-                .iter()
-                .map(|(a, c)| a.encoded_len() + varint_len(c))
-                .sum::<usize>()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -359,13 +368,9 @@ impl<A: Actor + Encode> Encode for VersionVector<A> {
 }
 
 impl<A: Actor + Encode> Encode for Dvv<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         self.dot().encode(buf);
         self.past().encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.dot().encoded_len() + self.past().encoded_len()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -381,15 +386,11 @@ impl<A: Actor + Encode> Encode for Dvv<A> {
 }
 
 impl<A: Actor + Encode> Encode for CausalHistory<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         put_varint(buf, self.len() as u64);
         for dot in self.iter() {
             dot.encode(buf);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -403,7 +404,7 @@ impl<A: Actor + Encode> Encode for CausalHistory<A> {
 }
 
 impl<A: Actor + Encode, V: Encode + Clone> Encode for DvvSet<A, V> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         // context entries, then per live value: (dot, value)
         self.context().encode(buf);
         put_varint(buf, self.sibling_count() as u64);
@@ -411,15 +412,6 @@ impl<A: Actor + Encode, V: Encode + Clone> Encode for DvvSet<A, V> {
             dot.encode(buf);
             v.encode(buf);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.context().encoded_len()
-            + varint_len(self.sibling_count() as u64)
-            + self
-                .dotted_values()
-                .map(|(dot, v)| dot.encoded_len() + v.encoded_len())
-                .sum::<usize>()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -477,13 +469,9 @@ fn rebuild_dvvset<A: Actor, V>(
 }
 
 impl<A: Actor + Encode, V: Encode + Clone> Encode for Tagged<A, V> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         self.clock.encode(buf);
         self.value.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.clock.encoded_len() + self.value.encoded_len()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -497,15 +485,11 @@ impl<A: Actor + Encode, V: Encode + Clone> Encode for Tagged<A, V> {
 // storage engines persist it. A count prefix keeps the list
 // self-delimiting inside a larger record.
 impl<A: Actor + Encode, V: Encode + Clone> Encode for Vec<Tagged<A, V>> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         put_varint(buf, self.len() as u64);
         for t in self {
             t.encode(buf);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.iter().map(Encode::encoded_len).sum::<usize>()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -528,7 +512,7 @@ impl<A: Actor + Encode, V: Encode + Clone> Encode for Vec<Tagged<A, V>> {
 }
 
 impl<A: Actor + Encode> Encode for Vve<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         let base = self.to_version_vector();
         base.encode(buf);
         let exceptions: Vec<Dot<A>> = collect_exceptions(self);
@@ -536,14 +520,6 @@ impl<A: Actor + Encode> Encode for Vve<A> {
         for e in &exceptions {
             e.encode(buf);
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        let base = self.to_version_vector();
-        let exceptions: Vec<Dot<A>> = collect_exceptions(self);
-        base.encoded_len()
-            + varint_len(exceptions.len() as u64)
-            + exceptions.iter().map(Encode::encoded_len).sum::<usize>()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -606,23 +582,17 @@ pub fn bit_width(v: u64) -> u32 {
     64 - v.leading_zeros()
 }
 
-/// Bytes a bit-packed run of `count` values at `width` bits occupies.
-#[must_use]
-pub fn bitpacked_len(count: usize, width: u32) -> usize {
-    (count * width as usize).div_ceil(8)
-}
-
 /// Packs fixed-width values into a byte stream, LSB first.
 #[derive(Debug)]
-pub struct BitWriter<'a> {
-    out: &'a mut Vec<u8>,
+pub struct BitWriter<'a, S: Sink> {
+    out: &'a mut S,
     cur: u128,
     filled: u32,
 }
 
-impl<'a> BitWriter<'a> {
+impl<'a, S: Sink> BitWriter<'a, S> {
     /// Starts a packed run appended to `out`.
-    pub fn new(out: &'a mut Vec<u8>) -> Self {
+    pub fn new(out: &'a mut S) -> Self {
         BitWriter {
             out,
             cur: 0,
@@ -641,7 +611,7 @@ impl<'a> BitWriter<'a> {
         self.cur |= u128::from(masked) << self.filled;
         self.filled += width;
         while self.filled >= 8 {
-            self.out.push((self.cur & 0xff) as u8);
+            self.out.byte((self.cur & 0xff) as u8);
             self.cur >>= 8;
             self.filled -= 8;
         }
@@ -650,7 +620,7 @@ impl<'a> BitWriter<'a> {
     /// Flushes the final partial byte (zero-padded high bits).
     pub fn finish(self) {
         if self.filled > 0 {
-            self.out.push((self.cur & 0xff) as u8);
+            self.out.byte((self.cur & 0xff) as u8);
         }
     }
 }
@@ -699,7 +669,7 @@ impl<'d, 'a> BitReader<'d, 'a> {
 /// # Panics
 ///
 /// Debug-asserts that `ids` is strictly increasing.
-pub fn put_sorted_ids(buf: &mut Vec<u8>, ids: &[u64]) {
+pub fn put_sorted_ids<S: Sink>(buf: &mut S, ids: &[u64]) {
     put_varint(buf, ids.len() as u64);
     let mut prev = 0u64;
     for (i, &id) in ids.iter().enumerate() {
@@ -711,22 +681,6 @@ pub fn put_sorted_ids(buf: &mut Vec<u8>, ids: &[u64]) {
         }
         prev = id;
     }
-}
-
-/// Exact size of [`put_sorted_ids`]'s output.
-#[must_use]
-pub fn sorted_ids_len(ids: &[u64]) -> usize {
-    let mut n = varint_len(ids.len() as u64);
-    let mut prev = 0u64;
-    for (i, &id) in ids.iter().enumerate() {
-        n += if i == 0 {
-            varint_len(id)
-        } else {
-            varint_len(id - prev - 1)
-        };
-        prev = id;
-    }
-    n
 }
 
 /// Reads back a [`put_sorted_ids`] sequence.
@@ -759,31 +713,19 @@ pub fn get_sorted_ids(d: &mut Decoder<'_>) -> Result<Vec<u64>, DecodeError> {
 /// Appends sorted `(id, value)` pairs: ids as gap deltas, values as a
 /// one-byte bit width followed by a bit-packed run at that width — the
 /// pcodec chunk-metadata shape. An empty slice writes only the count.
-pub fn put_id_value_pairs(buf: &mut Vec<u8>, pairs: &[(u64, u64)]) {
+pub fn put_id_value_pairs<S: Sink>(buf: &mut S, pairs: &[(u64, u64)]) {
     let ids: Vec<u64> = pairs.iter().map(|p| p.0).collect();
     put_sorted_ids(buf, &ids);
     if pairs.is_empty() {
         return;
     }
     let width = pairs.iter().map(|p| bit_width(p.1)).max().unwrap_or(0);
-    buf.push(width as u8);
+    buf.byte(width as u8);
     let mut w = BitWriter::new(buf);
     for &(_, v) in pairs {
         w.write(v, width);
     }
     w.finish();
-}
-
-/// Exact size of [`put_id_value_pairs`]'s output.
-#[must_use]
-pub fn id_value_pairs_len(pairs: &[(u64, u64)]) -> usize {
-    let ids: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-    let mut n = sorted_ids_len(&ids);
-    if !pairs.is_empty() {
-        let width = pairs.iter().map(|p| bit_width(p.1)).max().unwrap_or(0);
-        n += 1 + bitpacked_len(pairs.len(), width);
-    }
-    n
 }
 
 /// Reads back a [`put_id_value_pairs`] sequence.
@@ -814,7 +756,7 @@ pub fn get_id_value_pairs(d: &mut Decoder<'_>) -> Result<Vec<(u64, u64)>, Decode
 /// actors: actor ids as sorted gap deltas, counters as a raw first value
 /// followed by zigzag-varint deltas (replicas of one key tend to hold
 /// nearby counters, so deltas stay within a byte or two).
-pub fn put_vv_delta(buf: &mut Vec<u8>, vv: &VersionVector<ReplicaId>) {
+pub fn put_vv_delta<S: Sink>(buf: &mut S, vv: &VersionVector<ReplicaId>) {
     let ids: Vec<u64> = vv.iter().map(|(a, _)| u64::from(a.0)).collect();
     put_sorted_ids(buf, &ids);
     let mut prev: Option<u64> = None;
@@ -825,22 +767,6 @@ pub fn put_vv_delta(buf: &mut Vec<u8>, vv: &VersionVector<ReplicaId>) {
         }
         prev = Some(c);
     }
-}
-
-/// Exact size of [`put_vv_delta`]'s output.
-#[must_use]
-pub fn vv_delta_len(vv: &VersionVector<ReplicaId>) -> usize {
-    let ids: Vec<u64> = vv.iter().map(|(a, _)| u64::from(a.0)).collect();
-    let mut n = sorted_ids_len(&ids);
-    let mut prev: Option<u64> = None;
-    for (_, c) in vv.iter() {
-        n += match prev {
-            None => varint_len(c),
-            Some(p) => varint_len(zigzag(c.wrapping_sub(p) as i64)),
-        };
-        prev = Some(c);
-    }
-    n
 }
 
 /// Reads back a [`put_vv_delta`] version vector.
@@ -873,51 +799,59 @@ pub fn get_vv_delta(d: &mut Decoder<'_>) -> Result<VersionVector<ReplicaId>, Dec
     Ok(vv)
 }
 
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+/// Appends `key` as a shared-prefix delta against `prev`, the key before
+/// it in its list (empty for the first): the length of their common
+/// prefix, then the remaining suffix length-prefixed. The one key-list
+/// layout — leaf sets, want lists and keyed state lists all use it.
+pub fn put_key_delta<S: Sink>(buf: &mut S, prev: &[u8], key: &[u8]) {
+    let lcp = prev.iter().zip(key).take_while(|(x, y)| x == y).count();
+    put_varint(buf, lcp as u64);
+    put_varint(buf, (key.len() - lcp) as u64);
+    buf.put(&key[lcp..]);
+}
+
+/// Reads back a [`put_key_delta`] key into `prev`, which must hold the
+/// previously decoded key of the list (empty before the first).
+///
+/// # Errors
+///
+/// Any [`DecodeError`] on malformed input, including a prefix length
+/// exceeding the previous key.
+pub fn get_key_delta(d: &mut Decoder<'_>, prev: &mut Vec<u8>) -> Result<(), DecodeError> {
+    let lcp = d.varint()? as usize;
+    if lcp > prev.len() {
+        return Err(DecodeError::InvalidValue {
+            reason: "key prefix longer than previous key",
+        });
+    }
+    let suffix_len = d.varint()? as usize;
+    let suffix = d.bytes(suffix_len)?;
+    prev.truncate(lcp);
+    prev.extend_from_slice(suffix);
+    Ok(())
 }
 
 /// Appends a Merkle leaf set — `(key, hash)` pairs — with keys as
 /// shared-prefix deltas against the previous key (prefix length +
 /// suffix) and hashes bit-packed at the run's maximum width. Any key
 /// order round-trips; sorted keys compress best.
-pub fn put_leaf_set(buf: &mut Vec<u8>, leaves: &[(Vec<u8>, u64)]) {
+pub fn put_leaf_set<S: Sink>(buf: &mut S, leaves: &[(Vec<u8>, u64)]) {
     put_varint(buf, leaves.len() as u64);
     let mut prev: &[u8] = &[];
     for (k, _) in leaves {
-        let lcp = common_prefix(prev, k);
-        put_varint(buf, lcp as u64);
-        put_varint(buf, (k.len() - lcp) as u64);
-        buf.extend_from_slice(&k[lcp..]);
+        put_key_delta(buf, prev, k);
         prev = k;
     }
     if leaves.is_empty() {
         return;
     }
     let width = leaves.iter().map(|(_, h)| bit_width(*h)).max().unwrap_or(0);
-    buf.push(width as u8);
+    buf.byte(width as u8);
     let mut w = BitWriter::new(buf);
     for &(_, h) in leaves {
         w.write(h, width);
     }
     w.finish();
-}
-
-/// Exact size of [`put_leaf_set`]'s output.
-#[must_use]
-pub fn leaf_set_len(leaves: &[(Vec<u8>, u64)]) -> usize {
-    let mut n = varint_len(leaves.len() as u64);
-    let mut prev: &[u8] = &[];
-    for (k, _) in leaves {
-        let lcp = common_prefix(prev, k);
-        n += varint_len(lcp as u64) + varint_len((k.len() - lcp) as u64) + (k.len() - lcp);
-        prev = k;
-    }
-    if !leaves.is_empty() {
-        let width = leaves.iter().map(|(_, h)| bit_width(*h)).max().unwrap_or(0);
-        n += 1 + bitpacked_len(leaves.len(), width);
-    }
-    n
 }
 
 /// Reads back a [`put_leaf_set`] leaf set.
@@ -931,18 +865,8 @@ pub fn get_leaf_set(d: &mut Decoder<'_>) -> Result<Vec<(Vec<u8>, u64)>, DecodeEr
     let mut keys: Vec<Vec<u8>> = Vec::with_capacity(n.min(d.remaining() / 2 + 1));
     let mut prev: Vec<u8> = Vec::new();
     for _ in 0..n {
-        let lcp = d.varint()? as usize;
-        if lcp > prev.len() {
-            return Err(DecodeError::InvalidValue {
-                reason: "leaf key prefix longer than previous key",
-            });
-        }
-        let suffix_len = d.varint()? as usize;
-        let suffix = d.bytes(suffix_len)?;
-        let mut k = prev[..lcp].to_vec();
-        k.extend_from_slice(suffix);
-        keys.push(k.clone());
-        prev = k;
+        get_key_delta(d, &mut prev)?;
+        keys.push(prev.clone());
     }
     if n == 0 {
         return Ok(Vec::new());
@@ -1166,7 +1090,7 @@ mod tests {
                 w.write(v, width);
             }
             w.finish();
-            assert_eq!(buf.len(), bitpacked_len(values.len(), width));
+            assert_eq!(buf.len(), (values.len() * width as usize).div_ceil(8));
             let mut d = Decoder::new(&buf);
             let mut r = BitReader::new(&mut d);
             for &v in &values {
@@ -1188,14 +1112,15 @@ mod tests {
         for ids in [vec![], vec![0], vec![5, 6, 7, 9, 1000], vec![u64::MAX]] {
             let mut buf = Vec::new();
             put_sorted_ids(&mut buf, &ids);
-            assert_eq!(buf.len(), sorted_ids_len(&ids));
             let mut d = Decoder::new(&buf);
             assert_eq!(get_sorted_ids(&mut d).unwrap(), ids);
             assert_eq!(d.remaining(), 0);
         }
         // dense runs cost one byte per element after the first
         let dense: Vec<u64> = (1000..1100).collect();
-        assert_eq!(sorted_ids_len(&dense), 1 + 2 + 99);
+        let mut n = Count(0);
+        put_sorted_ids(&mut n, &dense);
+        assert_eq!(n.0, 1 + 2 + 99);
     }
 
     #[test]
@@ -1221,7 +1146,6 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             put_id_value_pairs(&mut buf, &pairs);
-            assert_eq!(buf.len(), id_value_pairs_len(&pairs));
             let mut d = Decoder::new(&buf);
             assert_eq!(get_id_value_pairs(&mut d).unwrap(), pairs);
             assert_eq!(d.remaining(), 0);
@@ -1232,7 +1156,9 @@ mod tests {
     fn id_value_pairs_zero_width_has_no_packed_payload() {
         let pairs = vec![(1u64, 0u64), (2, 0), (3, 0)];
         // count + first + 2 gaps + width byte, no packed payload
-        assert_eq!(id_value_pairs_len(&pairs), 5);
+        let mut buf = Vec::new();
+        put_id_value_pairs(&mut buf, &pairs);
+        assert_eq!(buf.len(), 5);
     }
 
     #[test]
@@ -1243,14 +1169,13 @@ mod tests {
         }
         let mut buf = Vec::new();
         put_vv_delta(&mut buf, &vv);
-        assert_eq!(buf.len(), vv_delta_len(&vv));
         let mut d = Decoder::new(&buf);
         assert_eq!(get_vv_delta(&mut d).unwrap(), vv);
         assert_eq!(d.remaining(), 0);
         assert!(
-            vv_delta_len(&vv) < vv.encoded_len(),
+            buf.len() < vv.encoded_len(),
             "delta form must beat the plain encoding on dense nearby counters: {} vs {}",
-            vv_delta_len(&vv),
+            buf.len(),
             vv.encoded_len()
         );
 
@@ -1280,15 +1205,14 @@ mod tests {
             .collect();
         let mut buf = Vec::new();
         put_leaf_set(&mut buf, &leaves);
-        assert_eq!(buf.len(), leaf_set_len(&leaves));
         let mut d = Decoder::new(&buf);
         assert_eq!(get_leaf_set(&mut d).unwrap(), leaves);
         assert_eq!(d.remaining(), 0);
         // flat cost would be ≥ (9-byte key + 8-byte hash) each
         assert!(
-            leaf_set_len(&leaves) < leaves.len() * 17 / 2,
+            buf.len() < leaves.len() * 17 / 2,
             "prefix+bitpack must at least halve the flat cost, got {}",
-            leaf_set_len(&leaves)
+            buf.len()
         );
 
         let empty: Vec<(Vec<u8>, u64)> = Vec::new();

@@ -165,21 +165,30 @@ pub trait Mechanism<V: Clone>: Clone + Debug {
 ///
 /// [`Mechanism::metadata_size`] and [`Mechanism::context_size`] model what
 /// causal metadata costs on the wire, and every driver charges its byte
-/// ledger from that model — the in-process drivers pass message values
-/// through and never serialise them. A network driver ships this codec's
-/// bytes — and for the byte ledger to remain ground truth across
-/// drivers, the encoding must cost **exactly** what the model charges:
+/// ledger from that model: the store sizes a message by walking its
+/// fields over a counting [`Sink`](crate::encode::Sink), where a state or
+/// context counts as a length prefix plus its modeled size. That works
+/// for all mechanisms, codec or not — the in-process drivers pass message
+/// values through and never serialise them. A network driver walks the
+/// same fields over a byte buffer and ships this codec's bytes — and for
+/// the byte ledger to remain ground truth across drivers, the encoding
+/// must cost **exactly** what the model charges:
 ///
 /// * `encode_state` output length `== metadata_size(state)` plus the sum
 ///   of the values' [`Encode::encoded_len`]s;
 /// * `encode_context` output length `== context_size(ctx)`.
 ///
+/// The message encoder debug-asserts both on every state and context it
+/// writes; they are the only two places where a size and a byte layout
+/// are still stated separately.
+///
 /// Implement this only where the equality is exact. [`DvvMechanism`]
 /// qualifies (its metadata model *is* the sum of per-sibling clock
 /// encodings). [`DvvSetMechanism`] does not: its model treats live dots as
 /// positional (context + one varint), but a parseable codec needs the
-/// per-actor value partition, which costs bytes the model excludes — a
-/// real driver for it would need a model revision first.
+/// per-actor live-value count to partition the values, which costs bytes
+/// the model excludes — a real driver for it would need a model revision
+/// first.
 ///
 /// `decode_state` consumes the decoder's entire remaining input: states
 /// travel length-prefixed, so the caller scopes the decoder to the state's

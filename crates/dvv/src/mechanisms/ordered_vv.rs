@@ -16,7 +16,7 @@ use core::fmt;
 
 use crate::actor::Actor;
 use crate::dot::Dot;
-use crate::encode::{Decoder, Encode};
+use crate::encode::{Decoder, Encode, Sink};
 use crate::error::DecodeError;
 use crate::ids::ReplicaId;
 use crate::order::CausalOrder;
@@ -141,19 +141,15 @@ impl<A: Actor + fmt::Display> fmt::Display for OrderedVv<A> {
 }
 
 impl<A: Actor + Encode> Encode for OrderedVv<A> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         self.vv.encode(buf);
         match &self.latest {
             Some(d) => {
-                buf.push(1);
+                buf.byte(1);
                 d.encode(buf);
             }
-            None => buf.push(0),
+            None => buf.byte(0),
         }
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.vv.encoded_len() + 1 + self.latest.as_ref().map(Encode::encoded_len).unwrap_or(0)
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {

@@ -147,13 +147,6 @@ impl MerkleSummary {
         }
         out
     }
-
-    /// Wire size of a leaf exchange: 8 bytes of hash plus the key bytes
-    /// and a small length prefix per key.
-    #[must_use]
-    pub fn leaves_wire_size(&self) -> usize {
-        self.leaves.keys().map(|k| k.len() + 10).sum()
-    }
 }
 
 #[cfg(test)]
@@ -292,14 +285,5 @@ mod tests {
         assert_eq!(fingerprint(&42u64), fingerprint(&42u64));
         assert_ne!(fingerprint(&42u64), fingerprint(&43u64));
         assert_eq!(fingerprint(&vec![1u8, 2]), fingerprint(&vec![1u8, 2]));
-    }
-
-    #[test]
-    fn leaves_wire_size_scales_with_keys() {
-        let mut a = MerkleSummary::new();
-        a.set(b"abc".to_vec(), 1);
-        let one = a.leaves_wire_size();
-        a.set(b"defg".to_vec(), 2);
-        assert!(a.leaves_wire_size() > one);
     }
 }

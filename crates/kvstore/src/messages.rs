@@ -1,6 +1,6 @@
 //! The store's wire protocol, generic over the causality mechanism.
 
-use dvv::encode::{put_varint, varint_len, Decoder, Encode};
+use dvv::encode::{get_key_delta, put_key_delta, put_varint, Count, Decoder, Encode, Sink};
 use dvv::mechanisms::{Mechanism, WireMechanism};
 use dvv::{DecodeError, ReplicaId};
 use ring::{MemberEntry, RingView};
@@ -291,7 +291,7 @@ pub enum Msg<M: Mechanism<StampedValue>> {
 /// Wire size of a full per-key state: causal metadata plus the values.
 pub fn state_wire_size<M: Mechanism<StampedValue>>(mech: &M, state: &M::State) -> usize {
     let (values, _) = mech.read(state);
-    mech.metadata_size(state) + values.iter().map(StampedValue::wire_size).sum::<usize>()
+    mech.metadata_size(state) + values.iter().map(Encode::encoded_len).sum::<usize>()
 }
 
 /// Coarse classification of the wire protocol, for per-class byte
@@ -466,124 +466,110 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
     }
 
     /// Bytes this message occupies on the wire (plus the fixed envelope
-    /// the caller adds), for *every* mechanism: states and contexts are
-    /// charged a length prefix plus their modeled size
-    /// ([`Mechanism::metadata_size`] / [`Mechanism::context_size`]), the
-    /// other fields the `*_len` of their [`crate::wire`] codec. For a
-    /// [`WireMechanism`] this is exactly
-    /// [`encode_transport`](Msg::encode_transport)`().len()` (pinned by
-    /// the wire-parity property test). This is where metadata size
-    /// becomes latency.
+    /// the caller adds), for *every* mechanism: the one field walk
+    /// (`Msg::walk`) run over the counting sink, which charges states and
+    /// contexts a length prefix plus their modeled size
+    /// ([`Mechanism::metadata_size`] / [`Mechanism::context_size`]) and
+    /// every other field whatever its [`crate::wire`] encoder writes. For
+    /// a [`WireMechanism`] this equals
+    /// [`encode_transport`](Msg::encode_transport)`().len()` by
+    /// construction — the same walk produces both. This is where metadata
+    /// size becomes latency.
     pub fn wire_size(&self, mech: &M) -> usize {
-        let u = wire::U64_LEN;
-        1 + match self {
-            Msg::ClientGet { key, .. } => u + wire::key_len(key) + u,
-            Msg::ClientGetResp { values, ctx, .. } | Msg::ClientPutResp { values, ctx, .. } => {
-                u + 1
-                    + varint_len(values.len() as u64)
-                    + values.iter().map(StampedValue::wire_size).sum::<usize>()
-                    + wire::blob_len(mech.context_size(ctx))
-            }
-            Msg::ClientPut {
-                key, value, ctx, ..
-            } => {
-                u + wire::key_len(key)
-                    + value.wire_size()
-                    + wire::blob_len(mech.context_size(ctx))
-                    + u
-            }
-            Msg::RepGet { key, .. } => u + wire::key_len(key),
-            Msg::RepGetResp { key, state, .. } | Msg::RepWriteResp { key, state, .. } => {
-                u + wire::key_len(key) + wire::blob_len(state_wire_size(mech, state))
-            }
-            Msg::RepPut {
-                key, state, hint, ..
-            } => {
-                u + wire::key_len(key)
-                    + wire::blob_len(state_wire_size(mech, state))
-                    + wire::hint_len(*hint)
-            }
-            Msg::RepPutAck { .. } | Msg::TransferAck { .. } | Msg::GossipDigest { .. } => u,
-            Msg::ReadRepair { key, state, hint } => {
-                wire::key_len(key)
-                    + wire::blob_len(state_wire_size(mech, state))
-                    + wire::hint_len(*hint)
-            }
-            Msg::AaeRoot { .. } => u + u,
-            Msg::AaeArcRoots { arcs, .. } => u + wire::arc_roots_len(arcs),
-            Msg::AaeLeaves { leaves, arcs, .. } => {
-                u + match arcs {
-                    None => 1,
-                    Some(list) => 1 + wire::arc_list_len(list),
-                } + dvv::encode::leaf_set_len(leaves)
-            }
-            Msg::AaeStates { states, want } => {
-                let items: Vec<(&Key, usize)> = states
-                    .iter()
-                    .map(|(k, s)| (k, state_wire_size(mech, s)))
-                    .collect();
-                wire::keyed_blobs_len(&items) + wire::key_list_len(want)
-            }
-            Msg::AaeStatesResp { states } => {
-                let items: Vec<(&Key, usize)> = states
-                    .iter()
-                    .map(|(k, s)| (k, state_wire_size(mech, s)))
-                    .collect();
-                wire::keyed_blobs_len(&items)
-            }
-            Msg::RepWrite {
-                key,
-                value,
-                ctx,
-                hint,
-                ..
-            } => {
-                u + wire::key_len(key)
-                    + value.wire_size()
-                    + wire::blob_len(mech.context_size(ctx))
-                    + wire::hint_len(*hint)
-            }
-            Msg::JoinAnnounce { view, who, .. } => {
-                wire::view_len(view) + varint_len(u64::from(who.0)) + 1
-            }
-            Msg::Rejoin { view } | Msg::RingEpoch { view } => wire::view_len(view),
-            Msg::RangeTransfer { entries, .. } => {
-                let items: Vec<(&Key, usize)> = entries
-                    .iter()
-                    .map(|(k, s)| (k, state_wire_size(mech, s)))
-                    .collect();
-                u + wire::keyed_blobs_len(&items)
-            }
-            Msg::RingSummary { entries } => wire::summary_len(entries),
-            Msg::RingDelta { entries, want } => {
-                wire::member_entries_len(entries) + wire::replica_ids_len(want)
-            }
-            Msg::Handoff { entries } => {
-                let items: Vec<(&Key, usize)> = entries
-                    .iter()
-                    .map(|(k, s)| (k, state_wire_size(mech, s)))
-                    .collect();
-                wire::keyed_blobs_len(&items)
-            }
-            Msg::HandoffAck { keys } => wire::key_list_len(keys),
-        }
+        let mut out = CountSink { n: Count(0), mech };
+        self.walk(&mut out);
+        out.n.0
     }
 }
 
-/// Appends a state: a length prefix, then the mechanism's real bytes.
-/// The [`WireMechanism`] length contract makes that exactly the
-/// [`wire::blob_len`] that [`Msg::wire_size`] charges, so the size
-/// arithmetic stays the accounting ground truth for real frames.
-fn put_state<M: WireMechanism<StampedValue>>(buf: &mut Vec<u8>, mech: &M, state: &M::State) {
-    let size = state_wire_size(mech, state);
-    put_varint(buf, size as u64);
-    let start = buf.len();
-    mech.encode_state(state, buf);
-    debug_assert_eq!(
-        buf.len() - start,
-        size,
-        "WireMechanism encoding drifted from the modeled state size"
-    );
+/// Where [`Msg::walk`] writes: a raw [`Sink`] for every field with a
+/// [`crate::wire`] codec, plus the two fields whose bytes only some
+/// mechanisms can produce. The split between "real bytes" and "modeled
+/// size" for states and contexts lives in the two impls below and
+/// nowhere else.
+trait MsgSink<M: Mechanism<StampedValue>> {
+    type Raw: Sink;
+
+    fn raw(&mut self) -> &mut Self::Raw;
+
+    /// Appends a length-prefixed per-key state.
+    fn state(&mut self, state: &M::State);
+
+    /// Appends a length-prefixed read context.
+    fn ctx(&mut self, ctx: &M::Context);
+}
+
+/// The counting sink, for every [`Mechanism`]: a state or context costs
+/// a length prefix plus its modeled size, so the simulator charges all
+/// eight mechanisms without a codec for each.
+struct CountSink<'a, M> {
+    n: Count,
+    mech: &'a M,
+}
+
+impl<M> CountSink<'_, M> {
+    fn blob(&mut self, size: usize) {
+        self.n.varint(size as u64);
+        self.n.0 += size;
+    }
+}
+
+impl<M: Mechanism<StampedValue>> MsgSink<M> for CountSink<'_, M> {
+    type Raw = Count;
+
+    fn raw(&mut self) -> &mut Count {
+        &mut self.n
+    }
+
+    fn state(&mut self, state: &M::State) {
+        self.blob(state_wire_size(self.mech, state));
+    }
+
+    fn ctx(&mut self, ctx: &M::Context) {
+        self.blob(self.mech.context_size(ctx));
+    }
+}
+
+/// The byte sink, for a [`WireMechanism`]: the length prefix is the
+/// modeled size and the body the mechanism's real codec. The
+/// [`WireMechanism`] length contract says the two agree; the
+/// `debug_assert`s are where that contract is checked, so ledgers
+/// charged from [`Msg::wire_size`] are exact for socket frames.
+struct ByteSink<'a, M> {
+    buf: Vec<u8>,
+    mech: &'a M,
+}
+
+impl<M: WireMechanism<StampedValue>> MsgSink<M> for ByteSink<'_, M> {
+    type Raw = Vec<u8>;
+
+    fn raw(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    fn state(&mut self, state: &M::State) {
+        let size = state_wire_size(self.mech, state);
+        put_varint(&mut self.buf, size as u64);
+        let start = self.buf.len();
+        self.mech.encode_state(state, &mut self.buf);
+        debug_assert_eq!(
+            self.buf.len() - start,
+            size,
+            "WireMechanism encoding drifted from the modeled state size"
+        );
+    }
+
+    fn ctx(&mut self, ctx: &M::Context) {
+        let size = self.mech.context_size(ctx);
+        put_varint(&mut self.buf, size as u64);
+        let start = self.buf.len();
+        self.mech.encode_context(ctx, &mut self.buf);
+        debug_assert_eq!(
+            self.buf.len() - start,
+            size,
+            "WireMechanism encoding drifted from the modeled context size"
+        );
+    }
 }
 
 fn get_state<M: WireMechanism<StampedValue>>(
@@ -599,18 +585,6 @@ fn get_state<M: WireMechanism<StampedValue>>(
         });
     }
     Ok(state)
-}
-
-fn put_ctx<M: WireMechanism<StampedValue>>(buf: &mut Vec<u8>, mech: &M, ctx: &M::Context) {
-    let size = mech.context_size(ctx);
-    put_varint(buf, size as u64);
-    let start = buf.len();
-    mech.encode_context(ctx, buf);
-    debug_assert_eq!(
-        buf.len() - start,
-        size,
-        "WireMechanism encoding drifted from the modeled context size"
-    );
 }
 
 fn get_ctx<M: WireMechanism<StampedValue>>(
@@ -629,21 +603,17 @@ fn get_ctx<M: WireMechanism<StampedValue>>(
 }
 
 /// Appends a `(key, state)` entry list — transfers, handoffs and AAE
-/// state pushes: shared-prefix-delta keys, each followed by a
-/// [`put_state`] blob. Sized by [`wire::keyed_blobs_len`].
-fn put_keyed_states<M: WireMechanism<StampedValue>>(
-    buf: &mut Vec<u8>,
-    mech: &M,
+/// state pushes: a count, then per entry a shared-prefix-delta key
+/// followed by the length-prefixed state.
+fn put_keyed_states<M: Mechanism<StampedValue>>(
+    out: &mut impl MsgSink<M>,
     entries: &[(Key, M::State)],
 ) {
-    put_varint(buf, entries.len() as u64);
+    put_varint(out.raw(), entries.len() as u64);
     let mut prev: &[u8] = &[];
     for (k, s) in entries {
-        let lcp = wire::common_prefix(prev, k);
-        put_varint(buf, lcp as u64);
-        put_varint(buf, (k.len() - lcp) as u64);
-        buf.extend_from_slice(&k[lcp..]);
-        put_state(buf, mech, s);
+        put_key_delta(out.raw(), prev, k);
+        out.state(s);
         prev = k;
     }
 }
@@ -656,18 +626,8 @@ fn get_keyed_states<M: WireMechanism<StampedValue>>(
     let mut out: Vec<(Key, M::State)> = Vec::with_capacity(n.min(d.remaining() / 2 + 1));
     let mut prev: Vec<u8> = Vec::new();
     for _ in 0..n {
-        let lcp = d.varint()? as usize;
-        if lcp > prev.len() {
-            return Err(DecodeError::InvalidValue {
-                reason: "key prefix longer than previous key",
-            });
-        }
-        let suffix_len = d.varint()? as usize;
-        let suffix = d.bytes(suffix_len)?;
-        let mut k = prev[..lcp].to_vec();
-        k.extend_from_slice(suffix);
-        prev.clone_from(&k);
-        out.push((k, get_state(mech, d)?));
+        get_key_delta(d, &mut prev)?;
+        out.push((prev.clone(), get_state(mech, d)?));
     }
     Ok(out)
 }
@@ -681,22 +641,19 @@ fn get_values(d: &mut Decoder<'_>) -> Result<Vec<StampedValue>, DecodeError> {
     Ok(values)
 }
 
-impl<M: WireMechanism<StampedValue>> Msg<M> {
-    /// Encodes the message — the store's one byte codec: a variant tag
-    /// byte, then the fields through the codecs in [`crate::wire`], with
-    /// mechanism states and contexts as length-prefixed
-    /// [`WireMechanism`] bytes. The [`WireMechanism`] length contract
-    /// keeps `encode_transport().len() == wire_size()`, so byte ledgers
-    /// charged from [`Msg::wire_size`] are exact for socket frames.
-    #[must_use]
-    pub fn encode_transport(&self, mech: &M) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.wire_size(mech));
-        buf.push(self.tag());
+impl<M: Mechanism<StampedValue>> Msg<M> {
+    /// The wire layout of every variant, written once: the tag byte, then
+    /// the fields in order. [`encode_transport`](Msg::encode_transport)
+    /// walks it into bytes, [`wire_size`](Msg::wire_size) into a count;
+    /// [`decode_transport`](Msg::decode_transport) is its inverse.
+    fn walk<K: MsgSink<M>>(&self, out: &mut K) {
+        let buf = out.raw();
+        buf.byte(self.tag());
         match self {
             Msg::ClientGet { req, key, digest } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                wire::put_u64(&mut buf, *digest);
+                wire::put_u64(buf, *req);
+                wire::put_key(buf, key);
+                wire::put_u64(buf, *digest);
             }
             Msg::ClientGetResp {
                 req,
@@ -710,13 +667,13 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 values,
                 ctx,
             } => {
-                wire::put_u64(&mut buf, *req);
-                buf.push(u8::from(*ok));
-                put_varint(&mut buf, values.len() as u64);
+                wire::put_u64(buf, *req);
+                buf.byte(u8::from(*ok));
+                put_varint(buf, values.len() as u64);
                 for v in values {
-                    v.encode(&mut buf);
+                    v.encode(buf);
                 }
-                put_ctx(&mut buf, mech, ctx);
+                out.ctx(ctx);
             }
             Msg::ClientPut {
                 req,
@@ -725,20 +682,20 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 ctx,
                 digest,
             } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                value.encode(&mut buf);
-                put_ctx(&mut buf, mech, ctx);
-                wire::put_u64(&mut buf, *digest);
+                wire::put_u64(buf, *req);
+                wire::put_key(buf, key);
+                value.encode(buf);
+                out.ctx(ctx);
+                wire::put_u64(out.raw(), *digest);
             }
             Msg::RepGet { req, key } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
+                wire::put_u64(buf, *req);
+                wire::put_key(buf, key);
             }
             Msg::RepGetResp { req, key, state } | Msg::RepWriteResp { req, key, state } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                put_state(&mut buf, mech, state);
+                wire::put_u64(buf, *req);
+                wire::put_key(buf, key);
+                out.state(state);
             }
             Msg::RepPut {
                 req,
@@ -746,47 +703,45 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 state,
                 hint,
             } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                put_state(&mut buf, mech, state);
-                wire::put_hint(&mut buf, *hint);
+                wire::put_u64(buf, *req);
+                wire::put_key(buf, key);
+                out.state(state);
+                wire::put_hint(out.raw(), *hint);
             }
-            Msg::RepPutAck { req } => wire::put_u64(&mut buf, *req),
+            Msg::RepPutAck { req } => wire::put_u64(buf, *req),
             Msg::ReadRepair { key, state, hint } => {
-                wire::put_key(&mut buf, key);
-                put_state(&mut buf, mech, state);
-                wire::put_hint(&mut buf, *hint);
+                wire::put_key(buf, key);
+                out.state(state);
+                wire::put_hint(out.raw(), *hint);
             }
             Msg::AaeRoot { root, digest } => {
-                wire::put_u64(&mut buf, *root);
-                wire::put_u64(&mut buf, *digest);
+                wire::put_u64(buf, *root);
+                wire::put_u64(buf, *digest);
             }
             Msg::AaeArcRoots { arcs, digest } => {
-                wire::put_u64(&mut buf, *digest);
-                wire::put_arc_roots(&mut buf, arcs);
+                wire::put_u64(buf, *digest);
+                wire::put_arc_roots(buf, arcs);
             }
             Msg::AaeLeaves {
                 leaves,
                 arcs,
                 digest,
             } => {
-                wire::put_u64(&mut buf, *digest);
+                wire::put_u64(buf, *digest);
                 match arcs {
-                    None => buf.push(0),
+                    None => buf.byte(0),
                     Some(list) => {
-                        buf.push(1);
-                        wire::put_arc_list(&mut buf, list);
+                        buf.byte(1);
+                        wire::put_arc_list(buf, list);
                     }
                 }
-                dvv::encode::put_leaf_set(&mut buf, leaves);
+                dvv::encode::put_leaf_set(buf, leaves);
             }
             Msg::AaeStates { states, want } => {
-                put_keyed_states(&mut buf, mech, states);
-                wire::put_key_list(&mut buf, want);
+                put_keyed_states(out, states);
+                wire::put_key_list(out.raw(), want);
             }
-            Msg::AaeStatesResp { states } => {
-                put_keyed_states(&mut buf, mech, states);
-            }
+            Msg::AaeStatesResp { states } => put_keyed_states(out, states),
             Msg::RepWrite {
                 req,
                 key,
@@ -794,42 +749,47 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 ctx,
                 hint,
             } => {
-                wire::put_u64(&mut buf, *req);
-                wire::put_key(&mut buf, key);
-                value.encode(&mut buf);
-                put_ctx(&mut buf, mech, ctx);
-                wire::put_hint(&mut buf, *hint);
+                wire::put_u64(buf, *req);
+                wire::put_key(buf, key);
+                value.encode(buf);
+                out.ctx(ctx);
+                wire::put_hint(out.raw(), *hint);
             }
             Msg::JoinAnnounce { view, who, joining } => {
-                wire::put_view(&mut buf, view);
-                put_varint(&mut buf, u64::from(who.0));
-                buf.push(u8::from(*joining));
+                wire::put_view(buf, view);
+                put_varint(buf, u64::from(who.0));
+                buf.byte(u8::from(*joining));
             }
-            Msg::Rejoin { view } | Msg::RingEpoch { view } => {
-                wire::put_view(&mut buf, view);
-            }
+            Msg::Rejoin { view } | Msg::RingEpoch { view } => wire::put_view(buf, view),
             Msg::RangeTransfer { id, entries } => {
-                wire::put_u64(&mut buf, *id);
-                put_keyed_states(&mut buf, mech, entries);
+                wire::put_u64(buf, *id);
+                put_keyed_states(out, entries);
             }
-            Msg::TransferAck { id } => wire::put_u64(&mut buf, *id),
-            Msg::RingSummary { entries } => wire::put_summary(&mut buf, entries),
+            Msg::TransferAck { id } => wire::put_u64(buf, *id),
+            Msg::RingSummary { entries } => wire::put_summary(buf, entries),
             Msg::RingDelta { entries, want } => {
-                wire::put_member_entries(&mut buf, entries);
-                wire::put_replica_ids(&mut buf, want);
+                wire::put_member_entries(buf, entries);
+                wire::put_replica_ids(buf, want);
             }
-            Msg::GossipDigest { digest } => wire::put_u64(&mut buf, *digest),
-            Msg::Handoff { entries } => {
-                put_keyed_states(&mut buf, mech, entries);
-            }
-            Msg::HandoffAck { keys } => wire::put_key_list(&mut buf, keys),
+            Msg::GossipDigest { digest } => wire::put_u64(buf, *digest),
+            Msg::Handoff { entries } => put_keyed_states(out, entries),
+            Msg::HandoffAck { keys } => wire::put_key_list(buf, keys),
         }
-        debug_assert_eq!(
-            buf.len(),
-            self.wire_size(mech),
-            "transport encoding drifted from wire_size"
-        );
-        buf
+    }
+}
+
+impl<M: WireMechanism<StampedValue>> Msg<M> {
+    /// Encodes the message — the store's one byte codec: a variant tag
+    /// byte, then the fields through the codecs in [`crate::wire`], with
+    /// mechanism states and contexts as length-prefixed
+    /// [`WireMechanism`] bytes. It is `Msg::walk` run over a byte buffer,
+    /// exactly as [`Msg::wire_size`] is the same walk run over a counter.
+    #[must_use]
+    pub fn encode_transport(&self, mech: &M) -> Vec<u8> {
+        let buf = Vec::with_capacity(self.wire_size(mech));
+        let mut out = ByteSink { buf, mech };
+        self.walk(&mut out);
+        out.buf
     }
 
     /// Parses a message produced by [`Msg::encode_transport`]. Strict:
@@ -1102,7 +1062,9 @@ mod tests {
         assert_eq!(ack.wire_size(&mech), 9);
         let two = RingView::from_members([ReplicaId(0), ReplicaId(1)]);
         let push: Msg<M> = Msg::RingEpoch { view: two.clone() };
-        assert_eq!(push.wire_size(&mech), 1 + wire::view_len(&two));
+        // tag, then ids (count + first + gap), two one-byte incarnations
+        // and both 2-bit statuses in one byte
+        assert_eq!(push.wire_size(&mech), 1 + 3 + 2 + 1);
         assert!(
             push.wire_size(&mech) < 26,
             "delta-coded view must beat the old 13-bytes-per-entry format, got {}",
@@ -1136,7 +1098,8 @@ mod tests {
         assert!(digest.wire_size(&mech) < push.wire_size(&mech));
         let two = RingView::from_members([ReplicaId(0), ReplicaId(1)]);
         let rejoin: Msg<M> = Msg::Rejoin { view: two.clone() };
-        assert_eq!(rejoin.wire_size(&mech), 1 + wire::view_len(&two));
+        let epoch: Msg<M> = Msg::RingEpoch { view: two };
+        assert_eq!(rejoin.wire_size(&mech), epoch.wire_size(&mech));
     }
 
     #[test]
@@ -1296,6 +1259,31 @@ mod tests {
                 "torn message parsed at cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn codec_less_mechanisms_are_charged_their_modeled_size() {
+        // DvvSetMechanism has no WireMechanism codec: the counting walk
+        // must charge each state a length prefix plus the modeled size,
+        // next to the real prefix-delta key bytes.
+        use dvv::mechanisms::DvvSetMechanism;
+        let mech = DvvSetMechanism;
+        let mut st = <DvvSetMechanism as Mechanism<StampedValue>>::State::default();
+        mech.write(
+            &mut st,
+            WriteOrigin::new(ReplicaId(0), ClientId(1)),
+            &VersionVector::new(),
+            StampedValue::new(WriteId::new(ClientId(1), 1), vec![0u8; 200]),
+        );
+        let size = state_wire_size(&mech, &st);
+        assert!(size > 200, "two-byte length prefix regime, got {size}");
+        let ho: Msg<DvvSetMechanism> = Msg::Handoff {
+            entries: vec![(b"alpha".to_vec(), st.clone()), (b"alpine".to_vec(), st)],
+        };
+        // tag, count, then per entry: lcp, suffix length, suffix, state
+        // prefix, state — "alpine" shares "alp" with "alpha".
+        let expect = 1 + 1 + (1 + 1 + 5 + 2 + size) + (1 + 1 + 3 + 2 + size);
+        assert_eq!(ho.wire_size(&mech), expect);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use dvv::encode::Count;
 use dvv::mechanisms::{Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
 use ring::{HashRing, MemberStatus, Membership, RingView};
@@ -888,10 +889,11 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if entries.is_empty() && want.is_empty() {
             return; // summaries matched: views already identical
         }
-        let delta_bytes = wire::member_entries_len(&entries) + wire::replica_ids_len(&want);
-        if self.config.delta_views != DeltaPolicy::Force
-            && delta_bytes >= wire::view_len(&self.view)
-        {
+        let (mut delta_bytes, mut view_bytes) = (Count(0), Count(0));
+        wire::put_member_entries(&mut delta_bytes, &entries);
+        wire::put_replica_ids(&mut delta_bytes, &want);
+        wire::put_view(&mut view_bytes, &self.view);
+        if self.config.delta_views != DeltaPolicy::Force && delta_bytes.0 >= view_bytes.0 {
             let view = self.view.clone();
             self.send(ctx, from, Msg::RingEpoch { view });
         } else {

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use dvv::encode::{varint_len, Decoder, Encode};
+use dvv::encode::{Decoder, Encode, Sink};
 use dvv::{ClientId, DecodeError};
 
 /// Key names are raw bytes, as in Riak.
@@ -80,24 +80,14 @@ impl StampedValue {
     pub fn is_live(&self) -> bool {
         !self.tombstone
     }
-
-    /// Wire size in bytes (id + flag + length-prefixed payload).
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 impl Encode for StampedValue {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, buf: &mut S) {
         self.id.client.encode(buf);
         dvv::encode::put_varint(buf, self.id.seq);
-        buf.push(u8::from(self.tombstone));
+        buf.byte(u8::from(self.tombstone));
         self.payload.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.id.client.encoded_len() + varint_len(self.id.seq) + 1 + self.payload.encoded_len()
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -148,7 +138,7 @@ mod tests {
     fn stamped_value_roundtrip() {
         let v = StampedValue::new(WriteId::new(ClientId(7), 3), vec![1, 2, 3]);
         let bytes = dvv::encode::to_bytes(&v);
-        assert_eq!(bytes.len(), v.wire_size());
+        assert_eq!(bytes.len(), v.encoded_len());
         let back: StampedValue = dvv::encode::from_bytes(&bytes).unwrap();
         assert_eq!(back, v);
     }

@@ -1,20 +1,19 @@
 //! Byte-level codecs for the store's wire protocol.
 //!
-//! [`crate::messages::Msg::wire_size`] used to be hand-counted constants
-//! that drifted from reality; this module makes the accounting honest by
-//! construction: every composite field has a `put_*` encoder, a `get_*`
-//! decoder and a matching `*_len`, and `Msg::encode_transport` /
-//! `Msg::decode_transport` / `Msg::wire_size` are built from the same
-//! helpers, so the parity property
-//! `wire_size == encode_transport().len()` holds for every variant.
+//! Every composite field has one `put_*` encoder, generic over
+//! [`dvv::encode::Sink`], and one `get_*` decoder — nothing else knows
+//! its layout. `Msg::encode_transport` runs the encoders over a
+//! `Vec<u8>`; `Msg::wire_size` runs the *same* walk over the counting
+//! sink [`dvv::encode::Count`], so `wire_size == encode_transport().len()`
+//! holds by construction and there is no size formula to keep in step.
 //!
 //! Mechanism states and contexts travel length-prefixed. Their bytes
-//! come from the mechanism's own `dvv::mechanisms::WireMechanism` codec
-//! (in `messages.rs`); their *size* is charged here from the model the
-//! paper's evaluation uses (`Mechanism::metadata_size` /
-//! `Mechanism::context_size`) through [`blob_len`] and
-//! [`keyed_blobs_len`] — which every mechanism has, so the simulator
-//! accounts bytes for all eight without needing a codec for each.
+//! come from the mechanism's own `dvv::mechanisms::WireMechanism` codec;
+//! their *size* is charged from the model the paper's evaluation uses
+//! (`Mechanism::metadata_size` / `Mechanism::context_size`) — which
+//! every mechanism has, so the simulator accounts bytes for all eight
+//! without needing a codec for each. That one split lives in
+//! `messages.rs`, next to the message walk.
 //!
 //! Composite fields reuse the delta codecs in [`dvv::encode`]: sorted-id
 //! gap deltas for member/arc/want lists, bit-packed value runs for
@@ -22,8 +21,8 @@
 //! lists.
 
 use dvv::encode::{
-    get_id_value_pairs, get_sorted_ids, id_value_pairs_len, put_id_value_pairs, put_sorted_ids,
-    put_varint, sorted_ids_len, varint_len, Decoder,
+    get_id_value_pairs, get_key_delta, get_sorted_ids, put_id_value_pairs, put_key_delta,
+    put_sorted_ids, put_varint, Decoder, Sink,
 };
 use dvv::DecodeError;
 use dvv::ReplicaId;
@@ -37,8 +36,8 @@ use crate::value::Key;
 pub const U64_LEN: usize = 8;
 
 /// Appends a fixed-width little-endian u64.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+pub fn put_u64<S: Sink>(buf: &mut S, v: u64) {
+    buf.put(&v.to_le_bytes());
 }
 
 /// Reads back a [`put_u64`] value.
@@ -52,15 +51,9 @@ pub fn get_u64(d: &mut Decoder<'_>) -> Result<u64, DecodeError> {
 }
 
 /// Appends a length-prefixed key.
-pub fn put_key(buf: &mut Vec<u8>, key: &[u8]) {
+pub fn put_key<S: Sink>(buf: &mut S, key: &[u8]) {
     put_varint(buf, key.len() as u64);
-    buf.extend_from_slice(key);
-}
-
-/// Exact size of [`put_key`]'s output.
-#[must_use]
-pub fn key_len(key: &[u8]) -> usize {
-    varint_len(key.len() as u64) + key.len()
+    buf.put(key);
 }
 
 /// Reads back a [`put_key`] key.
@@ -73,29 +66,16 @@ pub fn get_key(d: &mut Decoder<'_>) -> Result<Key, DecodeError> {
     Ok(d.bytes(len)?.to_vec())
 }
 
-/// Wire size of a length-prefixed blob of `size` bytes — what a
-/// mechanism state or context of that modeled size costs.
-#[must_use]
-pub fn blob_len(size: usize) -> usize {
-    varint_len(size as u64) + size
-}
-
 /// Appends an optional hinted-handoff target: a presence byte, then the
 /// replica id as a varint.
-pub fn put_hint(buf: &mut Vec<u8>, hint: Option<ReplicaId>) {
+pub fn put_hint<S: Sink>(buf: &mut S, hint: Option<ReplicaId>) {
     match hint {
-        None => buf.push(0),
+        None => buf.byte(0),
         Some(r) => {
-            buf.push(1);
+            buf.byte(1);
             put_varint(buf, u64::from(r.0));
         }
     }
-}
-
-/// Exact size of [`put_hint`]'s output.
-#[must_use]
-pub fn hint_len(hint: Option<ReplicaId>) -> usize {
-    1 + hint.map_or(0, |r| varint_len(u64::from(r.0)))
 }
 
 /// Reads back a [`put_hint`] target.
@@ -137,16 +117,9 @@ pub fn get_bool(d: &mut Decoder<'_>) -> Result<bool, DecodeError> {
 }
 
 /// Appends a sorted replica-id list as gap deltas.
-pub fn put_replica_ids(buf: &mut Vec<u8>, ids: &[ReplicaId]) {
+pub fn put_replica_ids<S: Sink>(buf: &mut S, ids: &[ReplicaId]) {
     let raw: Vec<u64> = ids.iter().map(|r| u64::from(r.0)).collect();
     put_sorted_ids(buf, &raw);
-}
-
-/// Exact size of [`put_replica_ids`]'s output.
-#[must_use]
-pub fn replica_ids_len(ids: &[ReplicaId]) -> usize {
-    let raw: Vec<u64> = ids.iter().map(|r| u64::from(r.0)).collect();
-    sorted_ids_len(&raw)
 }
 
 /// Reads back a [`put_replica_ids`] list.
@@ -168,16 +141,9 @@ pub fn get_replica_ids(d: &mut Decoder<'_>) -> Result<Vec<ReplicaId>, DecodeErro
 }
 
 /// Appends a sorted arc-index list as gap deltas.
-pub fn put_arc_list(buf: &mut Vec<u8>, arcs: &[u32]) {
+pub fn put_arc_list<S: Sink>(buf: &mut S, arcs: &[u32]) {
     let raw: Vec<u64> = arcs.iter().map(|a| u64::from(*a)).collect();
     put_sorted_ids(buf, &raw);
-}
-
-/// Exact size of [`put_arc_list`]'s output.
-#[must_use]
-pub fn arc_list_len(arcs: &[u32]) -> usize {
-    let raw: Vec<u64> = arcs.iter().map(|a| u64::from(*a)).collect();
-    sorted_ids_len(&raw)
 }
 
 /// Reads back a [`put_arc_list`] list.
@@ -198,16 +164,9 @@ pub fn get_arc_list(d: &mut Decoder<'_>) -> Result<Vec<u32>, DecodeError> {
 
 /// Appends sorted `(replica, summary-key)` pairs — a view summary — as
 /// gap-delta ids plus a bit-packed key run.
-pub fn put_summary(buf: &mut Vec<u8>, summary: &[(ReplicaId, u64)]) {
+pub fn put_summary<S: Sink>(buf: &mut S, summary: &[(ReplicaId, u64)]) {
     let pairs: Vec<(u64, u64)> = summary.iter().map(|(r, k)| (u64::from(r.0), *k)).collect();
     put_id_value_pairs(buf, &pairs);
-}
-
-/// Exact size of [`put_summary`]'s output.
-#[must_use]
-pub fn summary_len(summary: &[(ReplicaId, u64)]) -> usize {
-    let pairs: Vec<(u64, u64)> = summary.iter().map(|(r, k)| (u64::from(r.0), *k)).collect();
-    id_value_pairs_len(&pairs)
 }
 
 /// Reads back a [`put_summary`] summary.
@@ -230,16 +189,9 @@ pub fn get_summary(d: &mut Decoder<'_>) -> Result<Vec<(ReplicaId, u64)>, DecodeE
 
 /// Appends sorted `(arc, root)` pairs as gap-delta indices plus a
 /// bit-packed root run.
-pub fn put_arc_roots(buf: &mut Vec<u8>, arcs: &[(u32, u64)]) {
+pub fn put_arc_roots<S: Sink>(buf: &mut S, arcs: &[(u32, u64)]) {
     let pairs: Vec<(u64, u64)> = arcs.iter().map(|(a, r)| (u64::from(*a), *r)).collect();
     put_id_value_pairs(buf, &pairs);
-}
-
-/// Exact size of [`put_arc_roots`]'s output.
-#[must_use]
-pub fn arc_roots_len(arcs: &[(u32, u64)]) -> usize {
-    let pairs: Vec<(u64, u64)> = arcs.iter().map(|(a, r)| (u64::from(*a), *r)).collect();
-    id_value_pairs_len(&pairs)
 }
 
 /// Reads back a [`put_arc_roots`] list.
@@ -263,7 +215,7 @@ pub fn get_arc_roots(d: &mut Decoder<'_>) -> Result<Vec<(u32, u64)>, DecodeError
 /// Appends member entries — the ring-view body and the `RingDelta`
 /// payload share this form: gap-delta member ids, per-member varint
 /// incarnations, and 2-bit-packed statuses.
-pub fn put_member_entries(buf: &mut Vec<u8>, entries: &[(ReplicaId, MemberEntry)]) {
+pub fn put_member_entries<S: Sink>(buf: &mut S, entries: &[(ReplicaId, MemberEntry)]) {
     let ids: Vec<u64> = entries.iter().map(|(r, _)| u64::from(r.0)).collect();
     put_sorted_ids(buf, &ids);
     for (_, e) in entries {
@@ -274,18 +226,6 @@ pub fn put_member_entries(buf: &mut Vec<u8>, entries: &[(ReplicaId, MemberEntry)
         w.write(u64::from(e.status.wire_tag()), 2);
     }
     w.finish();
-}
-
-/// Exact size of [`put_member_entries`]'s output.
-#[must_use]
-pub fn member_entries_len(entries: &[(ReplicaId, MemberEntry)]) -> usize {
-    let ids: Vec<u64> = entries.iter().map(|(r, _)| u64::from(r.0)).collect();
-    sorted_ids_len(&ids)
-        + entries
-            .iter()
-            .map(|(_, e)| varint_len(e.incarnation))
-            .sum::<usize>()
-        + dvv::encode::bitpacked_len(entries.len(), 2)
 }
 
 /// Reads back a [`put_member_entries`] list.
@@ -324,16 +264,9 @@ pub fn get_member_entries(
 }
 
 /// Appends a full ring view (its entry map, tombstones included).
-pub fn put_view(buf: &mut Vec<u8>, view: &RingView<ReplicaId>) {
+pub fn put_view<S: Sink>(buf: &mut S, view: &RingView<ReplicaId>) {
     let entries: Vec<(ReplicaId, MemberEntry)> = view.iter().map(|(n, e)| (*n, *e)).collect();
     put_member_entries(buf, &entries);
-}
-
-/// Exact size of [`put_view`]'s output.
-#[must_use]
-pub fn view_len(view: &RingView<ReplicaId>) -> usize {
-    let entries: Vec<(ReplicaId, MemberEntry)> = view.iter().map(|(n, e)| (*n, *e)).collect();
-    member_entries_len(&entries)
 }
 
 /// Reads back a [`put_view`] ring view.
@@ -351,29 +284,13 @@ pub fn get_view(d: &mut Decoder<'_>) -> Result<RingView<ReplicaId>, DecodeError>
 
 /// Appends a bare key list (want lists, batched handoff acks) as
 /// shared-prefix deltas.
-pub fn put_key_list(buf: &mut Vec<u8>, keys: &[Key]) {
+pub fn put_key_list<S: Sink>(buf: &mut S, keys: &[Key]) {
     put_varint(buf, keys.len() as u64);
     let mut prev: &[u8] = &[];
     for k in keys {
-        let lcp = common_prefix(prev, k);
-        put_varint(buf, lcp as u64);
-        put_varint(buf, (k.len() - lcp) as u64);
-        buf.extend_from_slice(&k[lcp..]);
+        put_key_delta(buf, prev, k);
         prev = k;
     }
-}
-
-/// Exact size of [`put_key_list`]'s output.
-#[must_use]
-pub fn key_list_len(keys: &[Key]) -> usize {
-    let mut n = varint_len(keys.len() as u64);
-    let mut prev: &[u8] = &[];
-    for k in keys {
-        let lcp = common_prefix(prev, k);
-        n += varint_len(lcp as u64) + varint_len((k.len() - lcp) as u64) + (k.len() - lcp);
-        prev = k;
-    }
-    n
 }
 
 /// Reads back a [`put_key_list`] list.
@@ -386,42 +303,10 @@ pub fn get_key_list(d: &mut Decoder<'_>) -> Result<Vec<Key>, DecodeError> {
     let mut out: Vec<Key> = Vec::with_capacity(n.min(d.remaining() / 2 + 1));
     let mut prev: Vec<u8> = Vec::new();
     for _ in 0..n {
-        let lcp = d.varint()? as usize;
-        if lcp > prev.len() {
-            return Err(DecodeError::InvalidValue {
-                reason: "key prefix longer than previous key",
-            });
-        }
-        let suffix_len = d.varint()? as usize;
-        let suffix = d.bytes(suffix_len)?;
-        let mut k = prev[..lcp].to_vec();
-        k.extend_from_slice(suffix);
-        out.push(k.clone());
-        prev = k;
+        get_key_delta(d, &mut prev)?;
+        out.push(prev.clone());
     }
     Ok(out)
-}
-
-/// Wire size of a `(key, state)` entry list — transfers, handoffs and
-/// AAE state pushes: a count, then per entry a shared-prefix-delta key
-/// and a length-prefixed state of the given size.
-#[must_use]
-pub fn keyed_blobs_len(items: &[(&Key, usize)]) -> usize {
-    let mut n = varint_len(items.len() as u64);
-    let mut prev: &[u8] = &[];
-    for (k, size) in items {
-        let lcp = common_prefix(prev, k);
-        n += varint_len(lcp as u64)
-            + varint_len((k.len() - lcp) as u64)
-            + (k.len() - lcp)
-            + blob_len(*size);
-        prev = k;
-    }
-    n
-}
-
-pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 #[cfg(test)]
@@ -436,7 +321,6 @@ mod tests {
         view.bump(&ReplicaId(7), MemberStatus::Joining);
         let mut buf = Vec::new();
         put_view(&mut buf, &view);
-        assert_eq!(buf.len(), view_len(&view));
         let mut d = Decoder::new(&buf);
         let back = get_view(&mut d).unwrap();
         assert_eq!(d.remaining(), 0);
@@ -479,14 +363,12 @@ mod tests {
         let summary = vec![(ReplicaId(0), 5u64), (ReplicaId(2), 9), (ReplicaId(9), 4)];
         let mut buf = Vec::new();
         put_summary(&mut buf, &summary);
-        assert_eq!(buf.len(), summary_len(&summary));
         let mut d = Decoder::new(&buf);
         assert_eq!(get_summary(&mut d).unwrap(), summary);
 
         let arcs = vec![(3u32, 0xdead_beef_u64), (17, 42), (900, u64::MAX)];
         let mut buf = Vec::new();
         put_arc_roots(&mut buf, &arcs);
-        assert_eq!(buf.len(), arc_roots_len(&arcs));
         let mut d = Decoder::new(&buf);
         assert_eq!(get_arc_roots(&mut d).unwrap(), arcs);
     }
@@ -498,7 +380,6 @@ mod tests {
             .collect();
         let mut buf = Vec::new();
         put_key_list(&mut buf, &keys);
-        assert_eq!(buf.len(), key_list_len(&keys));
         let mut d = Decoder::new(&buf);
         assert_eq!(get_key_list(&mut d).unwrap(), keys);
         assert!(
@@ -508,27 +389,15 @@ mod tests {
     }
 
     #[test]
-    fn keyed_blobs_len_counts_prefix_deltas_and_length_prefixes() {
-        let k1: Key = b"alpha".to_vec();
-        let k2: Key = b"alpine".to_vec();
-        let items = vec![(&k1, 30usize), (&k2, 7)];
-        // count, then per entry: lcp, suffix length, suffix, blob prefix,
-        // blob — "alpine" shares "alp" with "alpha".
-        let expect = 1 + (1 + 1 + 5 + 1 + 30) + (1 + 1 + 3 + 1 + 7);
-        assert_eq!(keyed_blobs_len(&items), expect);
-    }
-
-    #[test]
     fn fixed_and_hint_fields_roundtrip() {
         let mut buf = Vec::new();
         put_u64(&mut buf, u64::MAX - 3);
         put_hint(&mut buf, None);
         put_hint(&mut buf, Some(ReplicaId(300)));
         put_key(&mut buf, b"k1");
-        assert_eq!(
-            buf.len(),
-            U64_LEN + hint_len(None) + hint_len(Some(ReplicaId(300))) + key_len(b"k1")
-        );
+        // absent hint: presence byte; present: presence + 2-byte varint;
+        // key: length byte + 2 bytes
+        assert_eq!(buf.len(), U64_LEN + 1 + (1 + 2) + (1 + 2));
         let mut d = Decoder::new(&buf);
         assert_eq!(get_u64(&mut d).unwrap(), u64::MAX - 3);
         assert_eq!(d.byte().unwrap(), 0);

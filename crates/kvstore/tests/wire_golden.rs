@@ -1,0 +1,341 @@
+//! Golden bytes: a fixed corpus covering every `Msg` variant, with the
+//! hex of `encode_transport` committed. The round-trip and size-parity
+//! suites would pass a *symmetric* format drift (encoder and decoder
+//! changed together); this one does not. The table was generated at the
+//! commit before the sink refactor and must only ever change together
+//! with a deliberate, documented wire-format change — the failure
+//! message prints the fresh table to paste.
+
+use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
+use dvv::{ClientId, ReplicaId, VersionVector};
+use kvstore::messages::Msg;
+use kvstore::value::{Key, StampedValue, WriteId};
+use ring::{MemberStatus, RingView};
+
+type M = DvvMechanism;
+type State = <M as Mechanism<StampedValue>>::State;
+type Ctx = <M as Mechanism<StampedValue>>::Context;
+
+fn value(client: u64, seq: u64, payload: &[u8]) -> StampedValue {
+    StampedValue::new(WriteId::new(ClientId(client), seq), payload.to_vec())
+}
+
+/// Three siblings: two concurrent writes at different replicas and a
+/// concurrent tombstone, one of them on top of a non-empty past.
+fn siblings() -> State {
+    let mech = DvvMechanism;
+    let mut st = State::default();
+    let blind = VersionVector::new();
+    let w = |r, c| WriteOrigin::new(ReplicaId(r), ClientId(c));
+    mech.write(&mut st, w(0, 7), &blind, value(7, 1, b"first"));
+    let (_, seen) = mech.read(&st);
+    mech.write(&mut st, w(300, 7), &seen, value(7, 2, b"second"));
+    mech.write(&mut st, w(2, 9), &blind, value(9, 1 << 20, &[0xa5; 40]));
+    mech.write(
+        &mut st,
+        w(0, 11),
+        &blind,
+        StampedValue::tombstone(WriteId::new(ClientId(11), 3)),
+    );
+    assert_eq!(st.len(), 3, "corpus state must be multi-sibling");
+    st
+}
+
+fn single() -> State {
+    let mech = DvvMechanism;
+    let mut st = State::default();
+    let origin = WriteOrigin::new(ReplicaId(5), ClientId(1));
+    mech.write(&mut st, origin, &ctx(), value(1, 200, &[0x11; 12]));
+    st
+}
+
+fn ctx() -> Ctx {
+    [(0u32, 3u64), (2, 1 << 33), (300, 129)]
+        .into_iter()
+        .map(|(r, c)| (ReplicaId(r), c))
+        .collect()
+}
+
+/// Every status, uneven incarnations, a gap in the ids and a tombstone.
+fn view() -> RingView<ReplicaId> {
+    let mut view = RingView::from_members([ReplicaId(0), ReplicaId(1)]);
+    view.set(ReplicaId(2), 5, MemberStatus::Joining);
+    view.set(ReplicaId(9), 1 << 21, MemberStatus::Leaving);
+    view.set(ReplicaId(10), 3, MemberStatus::Removed);
+    view.set(ReplicaId(400), 130, MemberStatus::Up);
+    view
+}
+
+fn keyed() -> Vec<(Key, State)> {
+    vec![
+        (b"user:0001".to_vec(), single()),
+        (b"user:0002".to_vec(), siblings()),
+        (b"user:01".to_vec(), State::default()),
+        (b"zebra".to_vec(), single()),
+    ]
+}
+
+fn keys() -> Vec<Key> {
+    [&b""[..], b"cart:17", b"cart:170", b"cart:2", b"dog"]
+        .iter()
+        .map(|k| k.to_vec())
+        .collect()
+}
+
+fn leaves() -> Vec<(Key, u64)> {
+    vec![
+        (b"user:0001".to_vec(), 0xdead_beef),
+        (b"user:0002".to_vec(), 1),
+        (b"user:1".to_vec(), u64::MAX - 6),
+        (b"v".to_vec(), 0),
+    ]
+}
+
+fn corpus() -> Vec<(&'static str, Msg<M>)> {
+    let key: Key = b"user:0042".to_vec();
+    let req = 0x0102_0304_0506_0708;
+    let digest = 0xfeed_face_cafe_f00d;
+    let hint = Some(ReplicaId(300));
+    let tomb = StampedValue::tombstone(WriteId::new(ClientId(1 << 40), 77));
+    let values = vec![value(7, 1, b"first"), tomb.clone()];
+    let view = view();
+    let delta: Vec<_> = view.iter().skip(2).map(|(r, e)| (*r, *e)).collect();
+    vec![
+        (
+            "ClientGet",
+            Msg::ClientGet {
+                req,
+                key: key.clone(),
+                digest,
+            },
+        ),
+        (
+            "ClientGetResp",
+            Msg::ClientGetResp {
+                req,
+                ok: true,
+                values: values.clone(),
+                ctx: ctx(),
+            },
+        ),
+        (
+            "ClientPut",
+            Msg::ClientPut {
+                req,
+                key: key.clone(),
+                value: value(3, 9, &[0x5a; 130]),
+                ctx: ctx(),
+                digest,
+            },
+        ),
+        (
+            "ClientPutResp",
+            Msg::ClientPutResp {
+                req,
+                ok: false,
+                values,
+                ctx: Ctx::default(),
+            },
+        ),
+        (
+            "RepGet",
+            Msg::RepGet {
+                req,
+                key: key.clone(),
+            },
+        ),
+        (
+            "RepGetResp",
+            Msg::RepGetResp {
+                req,
+                key: key.clone(),
+                state: siblings(),
+            },
+        ),
+        (
+            "RepPut",
+            Msg::RepPut {
+                req,
+                key: key.clone(),
+                state: siblings(),
+                hint,
+            },
+        ),
+        ("RepPutAck", Msg::RepPutAck { req }),
+        (
+            "ReadRepair",
+            Msg::ReadRepair {
+                key: key.clone(),
+                state: single(),
+                hint: None,
+            },
+        ),
+        (
+            "AaeRoot",
+            Msg::AaeRoot {
+                root: 0x1122_3344_5566_7788,
+                digest,
+            },
+        ),
+        (
+            "AaeArcRoots",
+            Msg::AaeArcRoots {
+                arcs: vec![(0, 17), (3, 0xdead_beef_0bad_cafe), (64, 1), (900, 0)],
+                digest,
+            },
+        ),
+        (
+            "AaeLeaves/unscoped",
+            Msg::AaeLeaves {
+                leaves: leaves(),
+                arcs: None,
+                digest,
+            },
+        ),
+        (
+            "AaeLeaves/scoped",
+            Msg::AaeLeaves {
+                leaves: leaves(),
+                arcs: Some(vec![1, 2, 40, 511]),
+                digest,
+            },
+        ),
+        (
+            "AaeStates",
+            Msg::AaeStates {
+                states: keyed(),
+                want: keys(),
+            },
+        ),
+        ("AaeStatesResp", Msg::AaeStatesResp { states: keyed() }),
+        (
+            "RepWrite",
+            Msg::RepWrite {
+                req,
+                key: key.clone(),
+                value: tomb,
+                ctx: ctx(),
+                hint,
+            },
+        ),
+        (
+            "RepWriteResp",
+            Msg::RepWriteResp {
+                req,
+                key,
+                state: single(),
+            },
+        ),
+        (
+            "JoinAnnounce",
+            Msg::JoinAnnounce {
+                view: view.clone(),
+                who: ReplicaId(400),
+                joining: true,
+            },
+        ),
+        ("Rejoin", Msg::Rejoin { view: view.clone() }),
+        (
+            "RangeTransfer",
+            Msg::RangeTransfer {
+                id: u64::MAX - 1,
+                entries: keyed(),
+            },
+        ),
+        ("TransferAck", Msg::TransferAck { id: 3 }),
+        ("RingEpoch", Msg::RingEpoch { view: view.clone() }),
+        (
+            "RingSummary",
+            Msg::RingSummary {
+                entries: view.summary(),
+            },
+        ),
+        (
+            "RingDelta",
+            Msg::RingDelta {
+                entries: delta,
+                want: vec![ReplicaId(1), ReplicaId(2), ReplicaId(77)],
+            },
+        ),
+        ("GossipDigest", Msg::GossipDigest { digest }),
+        (
+            "Handoff",
+            Msg::Handoff {
+                entries: keyed()[..2].to_vec(),
+            },
+        ),
+        ("HandoffAck", Msg::HandoffAck { keys: keys() }),
+    ]
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+const GOLDEN: &[(&str, &str)] = &[
+    ("ClientGet", "00080706050403020109757365723a303034320df0fecacefaedfe"),
+    ("ClientGetResp", "01080706050403020101020701000566697273748080808080204d01000d030003028080808020ac028101"),
+    ("ClientPut", "02080706050403020109757365723a3030343203090082015a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a0d030003028080808020ac0281010df0fecacefaedfe"),
+    ("ClientPutResp", "03080706050403020100020701000566697273748080808080204d01000100"),
+    ("RepGet", "04080706050403020109757365723a30303432"),
+    ("RepGetResp", "05080706050403020109757365723a30303432480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e64"),
+    ("RepPut", "06080706050403020109757365723a30303432480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e6401ac02"),
+    ("RepPutAck", "070807060504030201"),
+    ("ReadRepair", "0809757365723a30303432200501030003028080808020ac02810101c801000c11111111111111111111111100"),
+    ("AaeRoot", "0988776655443322110df0fecacefaedfe"),
+    ("AaeArcRoots", "0a0df0fecacefaedfe0400023cc306401100000000000000fecaad0befbeadde01000000000000000000000000000000"),
+    ("AaeLeaves/unscoped", "0b0df0fecacefaedfe00040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
+    ("AaeLeaves/scoped", "0b0df0fecacefaedfe0104010025d603040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
+    ("AaeStates", "0c040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c1111111111111111111111110500000007636172743a31370701300501320003646f67"),
+    ("AaeStatesResp", "0d040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c111111111111111111111111"),
+    ("RepWrite", "0e080706050403020109757365723a303034328080808080204d01000d030003028080808020ac02810101ac02"),
+    ("RepWriteResp", "0f080706050403020109757365723a30303432200501030003028080808020ac02810101c801000c111111111111111111111111"),
+    ("JoinAnnounce", "100600000006008503010105808080010382019003900301"),
+    ("Rejoin", "110600000006008503010105808080010382019003"),
+    ("RangeTransfer", "12feffffffffffffff040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c111111111111111111111111"),
+    ("TransferAck", "130300000000000000"),
+    ("RingEpoch", "140600000006008503010105808080010382019003"),
+    ("RingSummary", "150600000006008503180400000400001500000200800f0000080200"),
+    ("RingDelta", "160402060085030580808001038201390301004a"),
+    ("GossipDigest", "170df0fecacefaedfe"),
+    ("Handoff", "18020009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e64"),
+    ("HandoffAck", "190500000007636172743a31370701300501320003646f67"),
+];
+
+#[test]
+fn encode_transport_matches_committed_bytes() {
+    let mech = DvvMechanism;
+    let fresh: Vec<(&str, String)> = corpus()
+        .iter()
+        .map(|(name, msg)| (*name, hex(&msg.encode_transport(&mech))))
+        .collect();
+    let table: String = fresh
+        .iter()
+        .map(|(name, h)| format!("    ({name:?}, {h:?}),\n"))
+        .collect();
+    assert_eq!(fresh.len(), GOLDEN.len(), "corpus changed:\n{table}");
+    for ((name, got), (gold_name, gold)) in fresh.iter().zip(GOLDEN) {
+        assert_eq!(name, gold_name, "corpus reordered:\n{table}");
+        assert_eq!(got, gold, "wire format of {name} changed:\n{table}");
+    }
+}
+
+/// The corpus is only a format pin if it really spans the protocol:
+/// all 26 variant tags appear, and every message decodes back.
+#[test]
+fn corpus_covers_every_variant_and_roundtrips() {
+    let mech = DvvMechanism;
+    let mut tags = std::collections::BTreeSet::new();
+    for (name, msg) in corpus() {
+        let bytes = msg.encode_transport(&mech);
+        tags.insert(bytes[0]);
+        let back = Msg::<M>::decode_transport(&mech, &bytes)
+            .unwrap_or_else(|e| panic!("{name} does not decode: {e:?}"));
+        assert_eq!(back.encode_transport(&mech), bytes, "{name} round trip");
+        assert_eq!(msg.wire_size(&mech), bytes.len(), "{name} size");
+    }
+    assert_eq!(
+        tags.into_iter().collect::<Vec<u8>>(),
+        (0..26).collect::<Vec<u8>>()
+    );
+}

@@ -1,10 +1,12 @@
-//! Wire parity: for **every** `Msg` variant, the hand-derived
-//! `Msg::wire_size` must equal `Msg::encode_transport(..).len()` — the
-//! byte accounting the benchmarks report is exactly what the codec
-//! emits and the socket driver ships — and `decode_transport` must be
-//! the encoder's inverse. The spot checks in `messages.rs` pin a
-//! handful of shapes; this suite walks all of them with arbitrary keys,
-//! payloads, states, contexts and ring views.
+//! The message codec seam, for **every** `Msg` variant with arbitrary
+//! keys, payloads, states, contexts and ring views: `decode_transport`
+//! is the encoder's inverse, and over hostile input — truncated,
+//! bit-flipped, spliced or plain arbitrary bytes — it never panics and
+//! whatever it accepts is a message that round-trips. `Msg::wire_size`
+//! is the encoder's own field walk run over a counting sink, so its
+//! agreement with `encode_transport(..).len()` is one smoke assertion
+//! here (it still pins the mechanism's modeled sizes against its real
+//! codec), not a property of its own.
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
@@ -87,64 +89,43 @@ fn arb_arcs() -> impl Strategy<Value = Vec<(u32, u64)>> {
         .prop_map(|m| m.into_iter().map(|(a, r)| (a as u32, r)).collect())
 }
 
-fn check(mech: &M, msg: &Msg<M>) -> Result<(), TestCaseError> {
-    // The bytes on the wire cost exactly what the model charges…
-    let real = msg.encode_transport(mech);
-    prop_assert_eq!(
-        msg.wire_size(mech),
-        real.len(),
-        "wire_size disagrees with encode_transport() for {:?}",
-        msg
+/// One message of every variant (both `AaeLeaves` scopes), sharing a
+/// pool of generated parts.
+fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
+    let scalars = (
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        (any::<bool>(), any::<bool>()),
+        (any::<bool>(), 0u64..64),
     );
-    // …and parse back to the same message (compared by re-encoding,
-    // since Msg doesn't implement PartialEq).
-    let back = Msg::<M>::decode_transport(mech, &real);
-    prop_assert!(
-        back.is_ok(),
-        "decode_transport failed for {:?}: {:?}",
-        msg,
-        back.err()
+    let parts = (
+        arb_key(),
+        arb_value(),
+        vec(arb_value(), 0..4),
+        arb_state(),
+        arb_ctx(),
+        arb_view(),
     );
-    prop_assert_eq!(
-        back.unwrap().encode_transport(mech),
-        real,
-        "transport roundtrip is not the identity for {:?}",
-        msg
+    let lists = (
+        arb_entries(),
+        arb_leaves(),
+        arb_arcs(),
+        btree_map(arb_key(), Just(()), 0..5),
+        btree_map(0u64..64, any::<u64>(), 0..10),
+        btree_map(0u64..64, Just(()), 0..6),
     );
-    Ok(())
-}
-
-proptest! {
-    /// Every variant, arbitrary contents:
-    /// `wire_size == encode_transport().len()`, and the bytes round-trip.
-    #[test]
-    fn wire_size_matches_encoding_for_every_variant(
-        req in any::<u64>(),
-        key in arb_key(),
-        digest in any::<u64>(),
-        root in any::<u64>(),
-        id in any::<u64>(),
-        ok in any::<bool>(),
-        joining in any::<bool>(),
-        value in arb_value(),
-        values in vec(arb_value(), 0..4),
-        state in arb_state(),
-        ctx in arb_ctx(),
-        view in arb_view(),
-        entries in arb_entries(),
-        leaves in arb_leaves(),
-        arcs in arb_arcs(),
-        hinted in any::<bool>(),
-        hint_id in 0u64..64,
-        want_keys in btree_map(arb_key(), Just(()), 0..5),
-        summary in btree_map(0u64..64, any::<u64>(), 0..10),
-        want_members in btree_map(0u64..64, Just(()), 0..6),
-    ) {
-        let mech = DvvMechanism;
+    (scalars, parts, lists).prop_map(|(scalars, parts, lists)| {
+        let (req, digest, root, id, (ok, joining), (hinted, hint_id)) = scalars;
+        let (key, value, values, state, ctx, view) = parts;
+        let (entries, leaves, arcs, want_keys, summary, want_members) = lists;
         let hint = hinted.then_some(ReplicaId(hint_id as u32));
         let who = view.members().first().copied().unwrap_or(ReplicaId(0));
-        let summary: Vec<(ReplicaId, u64)> =
-            summary.into_iter().map(|(r, k)| (ReplicaId(r as u32), k)).collect();
+        let summary: Vec<(ReplicaId, u64)> = summary
+            .into_iter()
+            .map(|(r, k)| (ReplicaId(r as u32), k))
+            .collect();
         let delta_entries: Vec<(ReplicaId, ring::MemberEntry)> = view
             .members()
             .into_iter()
@@ -154,13 +135,23 @@ proptest! {
         // (like every call site in the protocol) require sorted,
         // duplicate-free input
         let want_keys: Vec<Key> = want_keys.into_keys().collect();
-        let want_members: Vec<ReplicaId> =
-            want_members.into_keys().map(|r| ReplicaId(r as u32)).collect();
+        let want_members: Vec<ReplicaId> = want_members
+            .into_keys()
+            .map(|r| ReplicaId(r as u32))
+            .collect();
         let scoped_arcs: Vec<u32> = arcs.iter().map(|&(a, _)| a).collect();
-
-        let msgs: Vec<Msg<M>> = vec![
-            Msg::ClientGet { req, key: key.clone(), digest },
-            Msg::ClientGetResp { req, ok, values: values.clone(), ctx: ctx.clone() },
+        vec![
+            Msg::ClientGet {
+                req,
+                key: key.clone(),
+                digest,
+            },
+            Msg::ClientGetResp {
+                req,
+                ok,
+                values: values.clone(),
+                ctx: ctx.clone(),
+            },
             Msg::ClientPut {
                 req,
                 key: key.clone(),
@@ -168,18 +159,52 @@ proptest! {
                 ctx: ctx.clone(),
                 digest,
             },
-            Msg::ClientPutResp { req, ok, values, ctx: ctx.clone() },
-            Msg::RepGet { req, key: key.clone() },
-            Msg::RepGetResp { req, key: key.clone(), state: state.clone() },
-            Msg::RepPut { req, key: key.clone(), state: state.clone(), hint },
+            Msg::ClientPutResp {
+                req,
+                ok,
+                values,
+                ctx: ctx.clone(),
+            },
+            Msg::RepGet {
+                req,
+                key: key.clone(),
+            },
+            Msg::RepGetResp {
+                req,
+                key: key.clone(),
+                state: state.clone(),
+            },
+            Msg::RepPut {
+                req,
+                key: key.clone(),
+                state: state.clone(),
+                hint,
+            },
             Msg::RepPutAck { req },
-            Msg::ReadRepair { key: key.clone(), state: state.clone(), hint },
+            Msg::ReadRepair {
+                key: key.clone(),
+                state: state.clone(),
+                hint,
+            },
             Msg::AaeRoot { root, digest },
             Msg::AaeArcRoots { arcs, digest },
-            Msg::AaeLeaves { leaves: leaves.clone(), arcs: None, digest },
-            Msg::AaeLeaves { leaves, arcs: Some(scoped_arcs), digest },
-            Msg::AaeStates { states: entries.clone(), want: want_keys.clone() },
-            Msg::AaeStatesResp { states: entries.clone() },
+            Msg::AaeLeaves {
+                leaves: leaves.clone(),
+                arcs: None,
+                digest,
+            },
+            Msg::AaeLeaves {
+                leaves,
+                arcs: Some(scoped_arcs),
+                digest,
+            },
+            Msg::AaeStates {
+                states: entries.clone(),
+                want: want_keys.clone(),
+            },
+            Msg::AaeStatesResp {
+                states: entries.clone(),
+            },
             Msg::RepWrite {
                 req,
                 key: key.clone(),
@@ -187,20 +212,105 @@ proptest! {
                 ctx,
                 hint,
             },
-            Msg::RepWriteResp { req, key: key.clone(), state },
-            Msg::JoinAnnounce { view: view.clone(), who, joining },
+            Msg::RepWriteResp { req, key, state },
+            Msg::JoinAnnounce {
+                view: view.clone(),
+                who,
+                joining,
+            },
             Msg::Rejoin { view: view.clone() },
-            Msg::RangeTransfer { id, entries: entries.clone() },
+            Msg::RangeTransfer {
+                id,
+                entries: entries.clone(),
+            },
             Msg::TransferAck { id },
             Msg::RingEpoch { view },
             Msg::RingSummary { entries: summary },
-            Msg::RingDelta { entries: delta_entries, want: want_members },
+            Msg::RingDelta {
+                entries: delta_entries,
+                want: want_members,
+            },
             Msg::GossipDigest { digest },
             Msg::Handoff { entries },
             Msg::HandoffAck { keys: want_keys },
-        ];
+        ]
+    })
+}
+
+/// `msg` encodes to bytes that cost what the ledger charges and parse
+/// back to an equal message (`Msg` has no `PartialEq`; its canonical
+/// bytes and `Debug` form stand in).
+fn check(mech: &M, msg: &Msg<M>) -> Result<(), TestCaseError> {
+    let real = msg.encode_transport(mech);
+    prop_assert_eq!(msg.wire_size(mech), real.len(), "size of {:?}", msg);
+    let back = Msg::<M>::decode_transport(mech, &real);
+    prop_assert!(
+        back.is_ok(),
+        "decode_transport failed for {:?}: {:?}",
+        msg,
+        back.err()
+    );
+    let back = back.unwrap();
+    prop_assert_eq!(format!("{back:?}"), format!("{msg:?}"));
+    prop_assert_eq!(
+        back.encode_transport(mech),
+        real,
+        "transport roundtrip is not the identity for {:?}",
+        msg
+    );
+    Ok(())
+}
+
+/// Hostile input may be rejected, but never panics — and anything the
+/// decoder accepts is a well-formed message in the sense of [`check`].
+fn survives(mech: &M, bytes: &[u8]) -> Result<(), TestCaseError> {
+    match Msg::<M>::decode_transport(mech, bytes) {
+        Ok(msg) => check(mech, &msg),
+        Err(_) => Ok(()),
+    }
+}
+
+proptest! {
+    /// Every variant, arbitrary contents: the bytes round-trip.
+    #[test]
+    fn every_variant_roundtrips(msgs in arb_msgs()) {
+        let mech = DvvMechanism;
         for msg in &msgs {
             check(&mech, msg)?;
+        }
+    }
+
+    /// Fuzzing the seam a socket peer controls: valid encodings
+    /// truncated, bit-flipped and spliced into each other, plus
+    /// arbitrary bytes behind every variant tag.
+    #[test]
+    fn hostile_bytes_never_panic_and_accepted_ones_roundtrip(
+        msgs in arb_msgs(),
+        cut in any::<u64>(),
+        flip in any::<u64>(),
+        noise in vec(any::<u8>(), 0..96),
+    ) {
+        let mech = DvvMechanism;
+        let encoded: Vec<Vec<u8>> = msgs.iter().map(|m| m.encode_transport(&mech)).collect();
+        for (i, bytes) in encoded.iter().enumerate() {
+            let at = (cut % bytes.len() as u64) as usize;
+            survives(&mech, &bytes[..at])?;
+
+            let mut flipped = bytes.clone();
+            let bit = flip % (bytes.len() as u64 * 8);
+            flipped[(bit / 8) as usize] ^= 1 << (bit % 8);
+            survives(&mech, &flipped)?;
+
+            let donor = &encoded[(i + 1 + (flip % 7) as usize) % encoded.len()];
+            let mut spliced = bytes[..at].to_vec();
+            spliced.extend_from_slice(&donor[(cut % donor.len() as u64) as usize..]);
+            survives(&mech, &spliced)?;
+        }
+        survives(&mech, &noise)?;
+        for tag in 0..=26u8 {
+            let mut tagged = vec![tag];
+            tagged.extend_from_slice(&noise);
+            survives(&mech, &tagged)?;
         }
     }
 }

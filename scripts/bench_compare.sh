@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Diffs fresh BENCH_*.json files (produced by the bench-baseline lane)
 # against the committed baselines in bench-baselines/, printing a
-# per-bench mean delta. Warn-only: hardware differs across machines and
-# hosted runners, so a regression never fails the lane — the point is a
-# visible, comparable perf trajectory from PR to PR.
+# per-bench mean delta. Timings are warn-only: hardware differs across
+# machines and hosted runners, so a regression never fails the lane —
+# the point is a visible, comparable perf trajectory from PR to PR.
+# Ids ending in `_bytes` are deterministic simulator byte counts: any
+# difference (or a baseline id gone missing) is a wire-format or
+# protocol change and exits non-zero — refresh bench-baselines/ in the
+# same PR if the change is deliberate.
 #
 #   scripts/bench_compare.sh                      # all BENCH_*.json in cwd/repo root
 #   scripts/bench_compare.sh BENCH_aae.json ...   # specific files
@@ -34,6 +38,7 @@ import sys
 
 threshold = float(sys.argv[1])
 warned = 0
+byte_drift = 0
 for fresh_path in sys.argv[2:]:
     base_path = os.path.join("bench-baselines", os.path.basename(fresh_path))
     if not os.path.exists(fresh_path):
@@ -54,6 +59,12 @@ for fresh_path in sys.argv[2:]:
             print(f"  NEW  {bid}: {mean:,.0f} ns")
             continue
         ref = base[bid]
+        if bid.endswith("_bytes"):
+            if mean != ref:
+                byte_drift += 1
+            flag = "ok  " if mean == ref else "FAIL"
+            print(f"  {flag} {bid}: {ref:,.0f} -> {mean:,.0f} bytes")
+            continue
         delta = (mean - ref) / ref * 100.0 if ref else 0.0
         flag = "WARN" if delta > threshold else "ok  "
         if delta > threshold:
@@ -61,8 +72,12 @@ for fresh_path in sys.argv[2:]:
         print(f"  {flag} {bid}: {ref:,.0f} -> {mean:,.0f} ns ({delta:+.1f}%)")
     for bid in sorted(set(base) - set(fresh)):
         print(f"  GONE {bid} (in baseline, not in fresh run)")
+        byte_drift += bid.endswith("_bytes")
 if warned:
     print(f"[bench-compare] {warned} bench(es) regressed past "
           f"{threshold:.0f}% (warn-only)")
+if byte_drift:
+    sys.exit(f"[bench-compare] {byte_drift} _bytes id(s) differ from the "
+             f"committed baseline: deterministic byte counts must match exactly")
 PYEOF
-echo "[bench-compare] done (warn-only; threshold ${threshold}%)"
+echo "[bench-compare] done (timings warn-only at ${threshold}%; _bytes ids exact)"

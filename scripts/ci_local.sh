@@ -157,6 +157,8 @@ if runs_lane soak; then
         cargo test -p kvstore --test overlap -- --nocapture
         cargo test -p kvstore --test aae_oracle -- --nocapture
         cargo test -p kvstore --test wire -- --nocapture
+        cargo test -p kvstore --test wire_parity -- --nocapture
+        cargo test -p kvstore --test wire_golden -- --nocapture
         cargo test -p kvstore --test recovery -- --nocapture
         cargo test -p storage -- --nocapture
         cargo test -p kvstore --test crash_burst -- --nocapture
