@@ -16,8 +16,10 @@ pub type ReqId = u64;
 ///
 /// The client-facing messages carry mechanism *contexts*; the replica
 /// traffic carries whole per-key *states* (Riak ships full objects on
-/// write replication and read repair). Anti-entropy exchanges Merkle
-/// summaries before any state.
+/// write replication and read repair) — except on the read leg, where a
+/// replica that holds what the coordinator holds says so in nine bytes
+/// ([`Msg::RepGetIf`] / [`Msg::RepGetSame`]). Anti-entropy exchanges
+/// Merkle summaries before any state.
 #[derive(Clone, Debug)]
 pub enum Msg<M: Mechanism<StampedValue>> {
     /// Client → coordinator: read `key`.
@@ -69,7 +71,8 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         /// Post-write causal context.
         ctx: M::Context,
     },
-    /// Coordinator → replica: read `key`'s full state.
+    /// Coordinator → replica: read `key`'s full state. Answered in full;
+    /// coordinators send [`Msg::RepGetIf`] instead.
     RepGet {
         /// Request id.
         req: ReqId,
@@ -84,6 +87,26 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         key: Key,
         /// Full per-key state.
         state: M::State,
+    },
+    /// Coordinator → replica: conditional read — send `key`'s state only
+    /// if it differs from the one the coordinator starts the quorum with.
+    /// The replica leg of every GET: a replica in sync answers
+    /// [`Msg::RepGetSame`], any other one [`Msg::RepGetResp`].
+    RepGetIf {
+        /// Request id.
+        req: ReqId,
+        /// Key to read.
+        key: Key,
+        /// Fingerprint ([`crate::merkle::fingerprint`]) of the state the
+        /// coordinator already holds: its own copy, or the empty state
+        /// when it is not one of the key's replicas.
+        have: u64,
+    },
+    /// Replica → coordinator: the replica's state for the key hashes to
+    /// the `have` of the [`Msg::RepGetIf`] it answers — nothing to ship.
+    RepGetSame {
+        /// Request id.
+        req: ReqId,
     },
     /// Coordinator → replica: replicate the updated state of `key`.
     RepPut {
@@ -431,6 +454,8 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             Msg::GossipDigest { .. } => 23,
             Msg::Handoff { .. } => 24,
             Msg::HandoffAck { .. } => 25,
+            Msg::RepGetIf { .. } => 26,
+            Msg::RepGetSame { .. } => 27,
         }
     }
 
@@ -444,6 +469,8 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             | Msg::ClientPutResp { .. } => MsgClass::Client,
             Msg::RepGet { .. }
             | Msg::RepGetResp { .. }
+            | Msg::RepGetIf { .. }
+            | Msg::RepGetSame { .. }
             | Msg::RepPut { .. }
             | Msg::RepPutAck { .. }
             | Msg::ReadRepair { .. }
@@ -708,7 +735,12 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 out.state(state);
                 wire::put_hint(out.raw(), *hint);
             }
-            Msg::RepPutAck { req } => wire::put_u64(buf, *req),
+            Msg::RepGetIf { req, key, have } => {
+                wire::put_u64(buf, *req);
+                wire::put_key(buf, key);
+                wire::put_u64(buf, *have);
+            }
+            Msg::RepPutAck { req } | Msg::RepGetSame { req } => wire::put_u64(buf, *req),
             Msg::ReadRepair { key, state, hint } => {
                 wire::put_key(buf, key);
                 out.state(state);
@@ -946,6 +978,14 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
             },
             25 => Msg::HandoffAck {
                 keys: wire::get_key_list(&mut d)?,
+            },
+            26 => Msg::RepGetIf {
+                req: wire::get_u64(&mut d)?,
+                key: wire::get_key(&mut d)?,
+                have: wire::get_u64(&mut d)?,
+            },
+            27 => Msg::RepGetSame {
+                req: wire::get_u64(&mut d)?,
             },
             _ => {
                 return Err(DecodeError::InvalidValue {

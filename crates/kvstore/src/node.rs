@@ -44,6 +44,11 @@ pub struct NodeStats {
     pub quorum_timeouts: u64,
     /// Read repairs pushed.
     pub read_repairs: u64,
+    /// Replica reads ([`Msg::RepGetIf`]) this node answered with
+    /// [`Msg::RepGetSame`]: it held what the coordinator held.
+    pub rep_reads_same: u64,
+    /// Replica reads this node answered with its full state.
+    pub rep_reads_full: u64,
     /// Anti-entropy exchanges initiated.
     pub aae_rounds: u64,
     /// Initiated anti-entropy exchanges that found divergent keys.
@@ -75,13 +80,20 @@ enum Pending<M: Mechanism<StampedValue>> {
         key: Key,
         client: NodeId,
         acc: M::State,
-        responses: usize,
+        /// Fingerprint of the state `acc` started from, sent to the
+        /// replicas in [`Msg::RepGetIf`]. `acc` only ever grows from
+        /// that snapshot, so a replica that holds exactly it has nothing
+        /// to add.
+        have: u64,
         expected: usize,
         replied: bool,
         /// Whether this coordinator is in the key's active preference
         /// list (and therefore counted its local read as a response).
         owner: bool,
-        /// replica → fingerprint of the state it returned (for repair)
+        /// replica → fingerprint of the state it returned (for repair):
+        /// this coordinator's local read when it is an owner, then one
+        /// entry per distinct replica that answered — its length is the
+        /// response count R is checked against.
         seen: Vec<(ReplicaId, u64)>,
         /// The sloppy-quorum substitutions at coordination time:
         /// `(intended, fallback)` pairs, so read repair pushed to a
@@ -91,7 +103,9 @@ enum Pending<M: Mechanism<StampedValue>> {
     Put {
         key: Key,
         client: NodeId,
-        acks: usize,
+        /// The replicas whose write is in: this coordinator when it is an
+        /// owner, then one entry per distinct acknowledging replica.
+        acked: Vec<ReplicaId>,
         expected: usize,
         replied: bool,
         /// See [`Pending::Get::owner`].
@@ -784,6 +798,15 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         self.owns_point(self.key_point(key))
     }
 
+    /// Fingerprint of what this node holds for `key`, an absent key
+    /// reading as the empty state — what a conditional replica read
+    /// ([`Msg::RepGetIf`]) compares on both ends.
+    fn leaf_or_empty(&self, key: &[u8]) -> u64 {
+        self.data
+            .leaf_of(key)
+            .unwrap_or_else(|| fingerprint(&M::State::default()))
+    }
+
     /// Post-merge hook: a leaving node owes every newly merged key to the
     /// new owners, even if it was queued (or acked) before.
     fn note_data_merged(&mut self, key: &[u8]) {
@@ -1181,13 +1204,15 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         // The coordinator's own store participates only when it is an
         // active replica of the key; a non-owner assembles the quorum
         // purely from real owners.
-        let (acc, responses, seen) = if owner {
+        let (acc, have, seen) = if owner {
             let local = self.data.get(&key).cloned().unwrap_or_default();
-            let fp = fingerprint(&local);
-            (local, 1, vec![(self.replica, fp)])
+            let have = self.leaf_or_empty(&key);
+            (local, have, vec![(self.replica, have)])
         } else {
             self.stats.remote_coordinations += 1;
-            (M::State::default(), 0, Vec::new())
+            let empty = M::State::default();
+            let have = fingerprint(&empty);
+            (empty, have, Vec::new())
         };
         self.pending.insert(
             req,
@@ -1195,7 +1220,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 key: key.clone(),
                 client: from,
                 acc,
-                responses,
+                have,
                 expected: active.len(),
                 replied: false,
                 owner,
@@ -1208,14 +1233,48 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 self.send(
                     ctx,
                     NodeId(peer.0),
-                    Msg::RepGet {
+                    Msg::RepGetIf {
                         req,
                         key: key.clone(),
+                        have,
                     },
                 );
             }
         }
         self.arm_request_timer(ctx, req);
+        self.try_complete_get(ctx, req);
+    }
+
+    /// One replica's answer to a coordinated read: its full state
+    /// ([`Msg::RepGetResp`]), or `None` for [`Msg::RepGetSame`] — the
+    /// replica holds exactly the snapshot `acc` grew from, so there is
+    /// nothing to merge and its fingerprint is `have`. A replica counts
+    /// once toward R however often the network delivers its answer.
+    fn handle_replica_read(
+        &mut self,
+        ctx: &mut impl NodeCtx<M>,
+        from: NodeId,
+        req: ReqId,
+        state: Option<&M::State>,
+    ) {
+        let Some(Pending::Get {
+            acc, have, seen, ..
+        }) = self.pending.get_mut(&req)
+        else {
+            return;
+        };
+        let replica = ReplicaId(from.0);
+        if seen.iter().any(|(r, _)| *r == replica) {
+            return;
+        }
+        let fp = match state {
+            Some(state) => {
+                self.mech.merge(acc, state);
+                fingerprint(state)
+            }
+            None => *have,
+        };
+        seen.push((replica, fp));
         self.try_complete_get(ctx, req);
     }
 
@@ -1225,13 +1284,13 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if let Some(Pending::Get {
             client,
             acc,
-            responses,
+            seen,
             expected,
             replied,
             ..
         }) = self.pending.get_mut(&req)
         {
-            if !*replied && *responses >= self.config.r.min(*expected) {
+            if !*replied && seen.len() >= self.config.r.min(*expected) {
                 *replied = true;
                 let (values, read_ctx) = self.mech.read(acc);
                 reply = Some((*client, values, read_ctx));
@@ -1253,8 +1312,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         // phase 2: once every replica answered, retire and read-repair
         let done = matches!(
             self.pending.get(&req),
-            Some(Pending::Get { responses, expected, replied, .. })
-                if *responses >= *expected && *replied
+            Some(Pending::Get { seen, expected, replied, .. })
+                if seen.len() >= *expected && *replied
         );
         if done {
             let Some(Pending::Get {
@@ -1374,7 +1433,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 Pending::Put {
                     key: key.clone(),
                     client: from,
-                    acks: 1,
+                    acked: vec![self.replica],
                     expected,
                     replied: false,
                     owner: true,
@@ -1414,7 +1473,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 Pending::Put {
                     key: key.clone(),
                     client: from,
-                    acks: 0,
+                    acked: Vec::new(),
                     expected,
                     replied: false,
                     owner: false,
@@ -1442,7 +1501,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         let Some(Pending::Put {
             key,
             client,
-            acks,
+            acked,
             expected,
             replied,
             owner,
@@ -1452,7 +1511,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         else {
             return;
         };
-        if !*replied && *acks >= self.config.w.min(*expected) {
+        if !*replied && acked.len() >= self.config.w.min(*expected) {
             *replied = true;
             let key = key.clone();
             let client = *client;
@@ -1479,8 +1538,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
         let retire = matches!(
             self.pending.get(&req),
-            Some(Pending::Put { acks, expected, replied, .. })
-                if *acks >= *expected && *replied
+            Some(Pending::Put { acked, expected, replied, .. })
+                if acked.len() >= *expected && *replied
         );
         if retire {
             self.pending.remove(&req);
@@ -1864,25 +1923,19 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 ctx: put_ctx,
                 digest,
             } => self.handle_client_put(ctx, from, req, key, value, put_ctx, digest),
-            Msg::RepGet { req, key } => {
+            Msg::RepGetIf { req, key, have } if self.leaf_or_empty(&key) == have => {
+                self.stats.rep_reads_same += 1;
+                self.send(ctx, from, Msg::RepGetSame { req });
+            }
+            Msg::RepGet { req, key } | Msg::RepGetIf { req, key, .. } => {
+                self.stats.rep_reads_full += 1;
                 let state = self.data.get(&key).cloned().unwrap_or_default();
                 self.send(ctx, from, Msg::RepGetResp { req, key, state });
             }
             Msg::RepGetResp { req, key: _, state } => {
-                if let Some(Pending::Get {
-                    acc,
-                    responses,
-                    seen,
-                    ..
-                }) = self.pending.get_mut(&req)
-                {
-                    let fp = fingerprint(&state);
-                    seen.push((ReplicaId(from.0), fp));
-                    self.mech.merge(acc, &state);
-                    *responses += 1;
-                    self.try_complete_get(ctx, req);
-                }
+                self.handle_replica_read(ctx, from, req, Some(&state));
             }
+            Msg::RepGetSame { req } => self.handle_replica_read(ctx, from, req, None),
             Msg::RepPut {
                 req,
                 key,
@@ -1893,9 +1946,12 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 self.send(ctx, from, Msg::RepPutAck { req });
             }
             Msg::RepPutAck { req } => {
-                if let Some(Pending::Put { acks, .. }) = self.pending.get_mut(&req) {
-                    *acks += 1;
-                    self.try_complete_put(ctx, req);
+                if let Some(Pending::Put { acked, .. }) = self.pending.get_mut(&req) {
+                    let replica = ReplicaId(from.0);
+                    if !acked.contains(&replica) {
+                        acked.push(replica);
+                        self.try_complete_put(ctx, req);
+                    }
                 }
             }
             Msg::RepWrite {
@@ -1924,14 +1980,18 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 let mut fan_key: Key = Vec::new();
                 if let Some(Pending::Put {
                     key,
-                    acks,
+                    acked,
                     state: pstate,
                     fanout,
                     ..
                 }) = self.pending.get_mut(&req)
                 {
+                    let writer = ReplicaId(from.0);
+                    if acked.contains(&writer) {
+                        return; // the delegated write's answer, delivered twice
+                    }
+                    acked.push(writer);
                     *pstate = state.clone();
-                    *acks += 1;
                     fan_key.clone_from(key);
                     sends.append(fanout);
                 }

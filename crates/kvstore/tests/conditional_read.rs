@@ -1,0 +1,428 @@
+//! The conditional replica read (`RepGetIf` / `RepGetSame`), handler by
+//! handler: single `StoreNode`s driven through a scripted [`NodeCtx`]
+//! that records what they send — no simulator, no fleet, every message
+//! delivered by hand in the order the test wants.
+
+use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
+use dvv::{ClientId, ReplicaId};
+use kvstore::config::StoreConfig;
+use kvstore::ctx::NodeCtx;
+use kvstore::merkle::fingerprint;
+use kvstore::messages::Msg;
+use kvstore::node::StoreNode;
+use kvstore::value::{Key, StampedValue, WriteId};
+use ring::RingView;
+use simnet::{Duration, NodeId, SimRng, SimTime, TimerId};
+
+type M = DvvMechanism;
+type State = <M as Mechanism<StampedValue>>::State;
+type Ctx = <M as Mechanism<StampedValue>>::Context;
+
+const CLIENT: NodeId = NodeId(9);
+const REQ: u64 = 77;
+
+/// Records sends and hands out timer ids; delivers nothing.
+struct Script {
+    id: NodeId,
+    rng: SimRng,
+    sent: Vec<(NodeId, Msg<M>)>,
+    timers: u64,
+}
+
+impl NodeCtx<M> for Script {
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+
+    fn rng(&mut self) -> &mut SimRng {
+        &mut self.rng
+    }
+
+    fn send(&mut self, to: NodeId, msg: Msg<M>) -> usize {
+        let bytes = msg.wire_size(&DvvMechanism);
+        self.sent.push((to, msg));
+        bytes
+    }
+
+    fn set_timer(&mut self, _delay: Duration) -> TimerId {
+        self.timers += 1;
+        TimerId::from_raw(self.timers)
+    }
+
+    fn cancel_timer(&mut self, _timer: TimerId) {}
+
+    fn note(&mut self, _text: String) {}
+}
+
+/// One server of a four-member ring (N=3, R=W=2) and its script.
+struct Server {
+    node: StoreNode<M>,
+    ctx: Script,
+}
+
+fn members() -> RingView<ReplicaId> {
+    RingView::from_members((0..4).map(ReplicaId))
+}
+
+impl Server {
+    fn new(replica: ReplicaId) -> Self {
+        Server {
+            node: StoreNode::new(replica, DvvMechanism, StoreConfig::default(), members()),
+            ctx: Script {
+                id: NodeId(replica.0),
+                rng: SimRng::new(u64::from(replica.0)),
+                sent: Vec::new(),
+                timers: 0,
+            },
+        }
+    }
+
+    fn holding(replica: ReplicaId, key: &Key, state: &State) -> Self {
+        let mut s = Server::new(replica);
+        s.node.merge_state_direct(key, state);
+        s
+    }
+
+    fn id(&self) -> NodeId {
+        self.ctx.id
+    }
+
+    /// Delivers `msg` and returns what the node sent while handling it.
+    fn deliver(&mut self, from: NodeId, msg: Msg<M>) -> Vec<(NodeId, Msg<M>)> {
+        self.node.on_message(&mut self.ctx, from, msg);
+        std::mem::take(&mut self.ctx.sent)
+    }
+
+    /// Starts coordinating a GET of `key` for [`CLIENT`].
+    fn client_get(&mut self, key: &Key) -> Vec<(NodeId, Msg<M>)> {
+        let digest = self.node.view_digest();
+        let get = Msg::ClientGet {
+            req: REQ,
+            key: key.clone(),
+            digest,
+        };
+        self.deliver(CLIENT, get)
+    }
+
+    fn stored(&self, key: &Key) -> State {
+        self.node.data().get(key).cloned().unwrap_or_default()
+    }
+}
+
+/// A key, its three owners in preference order, and the one member
+/// that does not replicate it.
+fn placement() -> (Key, [ReplicaId; 3], ReplicaId) {
+    let ring = members().to_ring(StoreConfig::default().vnodes);
+    let key: Key = b"cart:17".to_vec();
+    let prefs = ring.preference_list(&key, 3);
+    let outsider = (0..4)
+        .map(ReplicaId)
+        .find(|r| !prefs.contains(r))
+        .expect("four members, three owners");
+    (key, [prefs[0], prefs[1], prefs[2]], outsider)
+}
+
+/// `base` with one more write on top that has seen all of it.
+fn written(base: &State, replica: ReplicaId, seq: u64, payload: &[u8]) -> State {
+    let mech = DvvMechanism;
+    let mut st = base.clone();
+    let (_, seen) = mech.read(base);
+    let client = ClientId(5);
+    mech.write(
+        &mut st,
+        WriteOrigin::new(replica, client),
+        &seen,
+        StampedValue::new(WriteId::new(client, seq), payload.to_vec()),
+    );
+    st
+}
+
+fn old_and_new(owner: ReplicaId) -> (State, State) {
+    let old = written(&State::default(), owner, 1, b"old");
+    let new = written(&old, owner, 2, b"new");
+    (old, new)
+}
+
+/// The `RepGetIf`s in `sent`, as `(replica, req, have)`.
+fn conditional_reads(sent: &[(NodeId, Msg<M>)], key: &Key) -> Vec<(NodeId, u64, u64)> {
+    sent.iter()
+        .map(|(to, msg)| match msg {
+            Msg::RepGetIf { req, key: k, have } => {
+                assert_eq!(k, key);
+                (*to, *req, *have)
+            }
+            other => panic!("a GET fans out conditional reads only, got {other:?}"),
+        })
+        .collect()
+}
+
+fn same(req: u64) -> Msg<M> {
+    Msg::RepGetSame { req }
+}
+
+fn full(key: &Key, state: &State) -> Msg<M> {
+    Msg::RepGetResp {
+        req: REQ,
+        key: key.clone(),
+        state: state.clone(),
+    }
+}
+
+/// The one message in `sent`, which must be the client's read result.
+fn client_reply(sent: &[(NodeId, Msg<M>)]) -> (bool, Vec<StampedValue>, Ctx) {
+    match sent {
+        [(
+            to,
+            Msg::ClientGetResp {
+                req,
+                ok,
+                values,
+                ctx,
+            },
+        )] => {
+            assert_eq!((*to, *req), (CLIENT, REQ));
+            (*ok, values.clone(), ctx.clone())
+        }
+        other => panic!("expected exactly the client reply, got {other:?}"),
+    }
+}
+
+/// The replicas `sent` pushes a read repair of `state` to.
+fn repaired(sent: &[(NodeId, Msg<M>)], key: &Key, state: &State) -> Vec<NodeId> {
+    sent.iter()
+        .map(|(to, msg)| match msg {
+            Msg::ReadRepair {
+                key: k,
+                state: s,
+                hint: None,
+            } => {
+                assert_eq!((k, s), (key, state));
+                *to
+            }
+            other => panic!("expected read repairs only, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn replica_in_sync_answers_same_and_the_client_sees_what_a_full_read_gives() {
+    let (key, [a, b, c], _) = placement();
+    let (_, state) = old_and_new(a);
+    let mut coord = Server::holding(a, &key, &state);
+    let mut replicas = [
+        Server::holding(b, &key, &state),
+        Server::holding(c, &key, &state),
+    ];
+
+    let reads = conditional_reads(&coord.client_get(&key), &key);
+    assert_eq!(
+        reads,
+        vec![
+            (NodeId(b.0), REQ, fingerprint(&state)),
+            (NodeId(c.0), REQ, fingerprint(&state))
+        ]
+    );
+    for (replica, (to, req, have)) in replicas.iter_mut().zip(&reads) {
+        assert_eq!(replica.id(), *to);
+        let get = Msg::RepGetIf {
+            req: *req,
+            key: key.clone(),
+            have: *have,
+        };
+        let sent = replica.deliver(coord.id(), get);
+        assert!(
+            matches!(sent[..], [(to, Msg::RepGetSame { req: REQ })] if to == coord.id()),
+            "an in-sync replica ships nothing, got {sent:?}"
+        );
+        let stats = replica.node.stats();
+        assert_eq!((stats.rep_reads_same, stats.rep_reads_full), (1, 0));
+    }
+    let reply = client_reply(&coord.deliver(replicas[0].id(), same(REQ)));
+    assert!(coord.deliver(replicas[1].id(), same(REQ)).is_empty());
+
+    // the same read with both replicas answering in full
+    let mut twin = Server::holding(a, &key, &state);
+    twin.client_get(&key);
+    let full_reply = client_reply(&twin.deliver(replicas[0].id(), full(&key, &state)));
+    assert!(twin
+        .deliver(replicas[1].id(), full(&key, &state))
+        .is_empty());
+
+    assert_eq!(reply, full_reply);
+    let (ok, values, _) = reply;
+    assert!(ok);
+    assert_eq!(values.len(), 1);
+    assert_eq!(values[0].payload, b"new".to_vec());
+}
+
+#[test]
+fn replica_ahead_answers_in_full_and_is_merged_and_folded() {
+    let (key, [a, b, c], _) = placement();
+    let (old, new) = old_and_new(a);
+    let mut coord = Server::holding(a, &key, &old);
+    let mut ahead = Server::holding(b, &key, &new);
+
+    let reads = conditional_reads(&coord.client_get(&key), &key);
+    let get = Msg::RepGetIf {
+        req: REQ,
+        key: key.clone(),
+        have: reads[0].2,
+    };
+    let sent = ahead.deliver(coord.id(), get);
+    match &sent[..] {
+        [(to, Msg::RepGetResp { req, key: k, state })] => {
+            assert_eq!((*to, *req, k, state), (coord.id(), REQ, &key, &new));
+        }
+        other => panic!("a replica that differs answers in full, got {other:?}"),
+    }
+    let stats = ahead.node.stats();
+    assert_eq!((stats.rep_reads_same, stats.rep_reads_full), (0, 1));
+
+    let (_, answer) = sent.into_iter().next().unwrap();
+    let (ok, values, _) = client_reply(&coord.deliver(ahead.id(), answer));
+    assert!(ok);
+    assert_eq!(values.len(), 1, "the newer write supersedes the older");
+    assert_eq!(values[0].payload, b"new".to_vec());
+
+    // the third replica holds what the coordinator started from: it is
+    // the stale one now, and the coordinator folds the merge into itself
+    let sent = coord.deliver(NodeId(c.0), same(REQ));
+    assert_eq!(repaired(&sent, &key, &new), vec![NodeId(c.0)]);
+    assert_eq!(coord.stored(&key), new);
+}
+
+#[test]
+fn replica_behind_never_answers_same_and_is_the_only_one_repaired() {
+    let (key, [a, b, c], _) = placement();
+    let (old, new) = old_and_new(a);
+    let mut coord = Server::holding(a, &key, &new);
+    let mut behind = Server::holding(b, &key, &old);
+    let mut level = Server::holding(c, &key, &new);
+
+    let reads = conditional_reads(&coord.client_get(&key), &key);
+    let mut answers = Vec::new();
+    for (replica, (_, req, have)) in [&mut behind, &mut level].into_iter().zip(&reads) {
+        let get = Msg::RepGetIf {
+            req: *req,
+            key: key.clone(),
+            have: *have,
+        };
+        let mut sent = replica.deliver(coord.id(), get);
+        assert_eq!(sent.len(), 1);
+        answers.push(sent.remove(0).1);
+    }
+    assert!(
+        matches!(&answers[0], Msg::RepGetResp { state, .. } if *state == old),
+        "a replica behind the coordinator answers in full, got {:?}",
+        answers[0]
+    );
+    assert!(matches!(answers[1], Msg::RepGetSame { req: REQ }));
+
+    let mut answers = answers.into_iter();
+    let (ok, values, _) = client_reply(&coord.deliver(behind.id(), answers.next().unwrap()));
+    assert!(ok);
+    assert_eq!(values[0].payload, b"new".to_vec());
+    let sent = coord.deliver(level.id(), answers.next().unwrap());
+    assert_eq!(repaired(&sent, &key, &new), vec![behind.id()]);
+}
+
+#[test]
+fn coordinator_copy_moving_mid_read_changes_nothing_about_the_read() {
+    // Between the fan-out and the answers a replicated write lands on
+    // the coordinator. `have` names the snapshot the quorum started
+    // from, not the live copy: the accumulated state, the client reply
+    // and the repair targets must equal those of a full-state read.
+    let (key, [a, b, c], _) = placement();
+    let (old, new) = old_and_new(b);
+    let run = |answer: &dyn Fn() -> Msg<M>| {
+        let mut coord = Server::holding(a, &key, &old);
+        let reads = conditional_reads(&coord.client_get(&key), &key);
+        assert_eq!(reads[0].2, fingerprint(&old));
+        let put = Msg::RepPut {
+            req: 1,
+            key: key.clone(),
+            state: new.clone(),
+            hint: None,
+        };
+        let acked = coord.deliver(NodeId(b.0), put);
+        assert!(matches!(acked[..], [(_, Msg::RepPutAck { req: 1 })]));
+        let reply = client_reply(&coord.deliver(NodeId(b.0), answer()));
+        let repairs = coord.deliver(NodeId(c.0), answer());
+        (reply, repaired(&repairs, &key, &new), coord.stored(&key))
+    };
+    let conditional = run(&|| same(REQ));
+    let full_state = run(&|| full(&key, &old));
+    assert_eq!(conditional, full_state);
+
+    let ((ok, values, _), repairs, stored) = conditional;
+    assert!(ok);
+    assert_eq!(
+        values[0].payload,
+        b"old".to_vec(),
+        "the read is of the snapshot"
+    );
+    assert_eq!(
+        repairs,
+        vec![NodeId(b.0), NodeId(c.0)],
+        "both replicas reported the snapshot, which the folded copy has left behind"
+    );
+    assert_eq!(stored, new);
+}
+
+#[test]
+fn outsider_coordinator_reads_an_empty_key_from_two_sames() {
+    let (key, owners, outsider) = placement();
+    let mut coord = Server::new(outsider);
+    let empty = fingerprint(&State::default());
+
+    let reads = conditional_reads(&coord.client_get(&key), &key);
+    assert_eq!(
+        reads,
+        owners.map(|r| (NodeId(r.0), REQ, empty)).to_vec(),
+        "a non-owner starts from the empty state and asks every owner"
+    );
+    for (to, req, have) in &reads {
+        let mut replica = Server::new(ReplicaId(to.0));
+        let get = Msg::RepGetIf {
+            req: *req,
+            key: key.clone(),
+            have: *have,
+        };
+        let sent = replica.deliver(coord.id(), get);
+        assert!(matches!(sent[..], [(_, Msg::RepGetSame { req: REQ })]));
+    }
+
+    assert!(
+        coord.deliver(reads[0].0, same(REQ)).is_empty(),
+        "one answer is not a read quorum for a coordinator that holds no copy"
+    );
+    let (ok, values, ctx) = client_reply(&coord.deliver(reads[1].0, same(REQ)));
+    assert!(ok);
+    assert!(values.is_empty());
+    assert_eq!(ctx, Ctx::default());
+    assert!(coord.deliver(reads[2].0, same(REQ)).is_empty());
+    assert!(coord.node.data().is_empty(), "a non-owner keeps no state");
+    assert_eq!(coord.node.stats().read_repairs, 0);
+}
+
+#[test]
+fn same_for_a_retired_or_unknown_request_is_ignored() {
+    let (key, [a, b, c], _) = placement();
+    let (_, state) = old_and_new(a);
+    let mut coord = Server::holding(a, &key, &state);
+    coord.client_get(&key);
+    client_reply(&coord.deliver(NodeId(b.0), same(REQ)));
+    assert!(coord.deliver(NodeId(c.0), same(REQ)).is_empty());
+    let before = coord.node.stats();
+
+    for from in [b, c] {
+        assert!(coord.deliver(NodeId(from.0), same(REQ)).is_empty());
+    }
+    assert!(coord.deliver(NodeId(b.0), same(REQ + 1)).is_empty());
+    assert_eq!(coord.node.stats(), before);
+    assert_eq!(coord.stored(&key), state);
+}

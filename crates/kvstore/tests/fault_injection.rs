@@ -193,3 +193,75 @@ fn quorum_timeouts_surface_as_failed_or_retried_requests() {
     c.converge();
     assert!(c.anomaly_report().is_clean());
 }
+
+/// One replica counts once toward R and W, however often the network
+/// delivers its reply. A coordinator outside the key's preference list
+/// starts both counts at zero; with two of the three owners silently
+/// unreachable and every delivered message duplicated, the one
+/// reachable owner's reply arrives twice — which must not pass for a
+/// quorum of two.
+#[test]
+fn a_duplicated_reply_is_not_a_quorum() {
+    use dvv::ClientId;
+    use kvstore::messages::Msg;
+    use kvstore::value::{StampedValue, WriteId};
+    use simnet::LinkFaults;
+
+    let mut cfg = ClusterConfig {
+        servers: 4,
+        clients: 0,
+        cycles_per_client: 0,
+        ..ClusterConfig::default()
+    };
+    cfg.network.default_link.faults = LinkFaults {
+        duplicate_probability: 1.0,
+        ..LinkFaults::default()
+    };
+    let mut c = Cluster::new(77, DvvMechanism, cfg);
+
+    let key = b"cart:17".to_vec();
+    let ring = c.view().to_ring(Cluster::<DvvMechanism>::VNODES);
+    let owners = ring.preference_list(&key, 3);
+    let outsider = (0..4)
+        .find(|i| !owners.contains(&ReplicaId(*i)))
+        .expect("four servers, three owners");
+    let coordinator = NodeId(outsider);
+    // failure-detector lag: nobody is told, the replies just never come
+    for lost in &owners[1..] {
+        c.sim_mut()
+            .network_mut()
+            .block_link(NodeId(lost.0), coordinator);
+    }
+
+    let digest = c.view_digest();
+    let get = Msg::ClientGet {
+        req: 1,
+        key: key.clone(),
+        digest,
+    };
+    c.sim_mut().post(coordinator, get);
+    c.run_for(Duration::from_millis(200));
+    let stats = c.server(outsider as usize).stats();
+    assert_eq!(
+        (stats.gets_ok, stats.quorum_timeouts),
+        (0, 1),
+        "R=2 was assembled from one replica's answer"
+    );
+
+    let put = Msg::ClientPut {
+        req: 2,
+        key,
+        value: StampedValue::new(WriteId::new(ClientId(0), 1), b"v".to_vec()),
+        ctx: Default::default(),
+        digest,
+    };
+    c.sim_mut().post(coordinator, put);
+    c.run_for(Duration::from_millis(200));
+    let stats = c.server(outsider as usize).stats();
+    assert_eq!(
+        (stats.puts_ok, stats.quorum_timeouts),
+        (0, 2),
+        "W=2 was assembled from one replica's acknowledgement"
+    );
+    assert!(c.sim().network().stats().duplicated > 0);
+}

@@ -282,3 +282,114 @@ fn wire_report_attributes_bytes_per_class() {
     let sum: u64 = MsgClass::ALL.iter().map(|c| report.bytes(*c)).sum();
     assert_eq!(report.total_bytes(), sum);
 }
+
+/// What a GET's replica leg costs, counted rather than timed: on a
+/// three-server cluster with every periodic protocol off, a GET posted
+/// to server 0 is the only Replication-class traffic there is.
+#[test]
+fn conditional_read_charges_nine_bytes_per_replica_in_sync() {
+    use kvstore::messages::{Msg, MsgClass};
+
+    let mech = DvvMechanism;
+    let store = StoreConfig {
+        anti_entropy_interval: Duration::ZERO,
+        gossip_interval: Duration::ZERO,
+        handoff_interval: Duration::ZERO,
+        ..StoreConfig::default()
+    };
+    let header = store.header_bytes;
+    let cfg = ClusterConfig {
+        servers: 3,
+        clients: 0,
+        cycles_per_client: 0,
+        store,
+        ..ClusterConfig::default()
+    };
+    let mut c = Cluster::new(5, DvvMechanism, cfg);
+    let merge = |c: &mut Cluster<M>, slot: usize, key: &Key, st: &State| {
+        if let StoreProc::Server(s) = c.sim_mut().process_mut(slot) {
+            s.merge_state_direct(key, st);
+        }
+    };
+    let get = |c: &mut Cluster<M>, req: u64, key: &Key| -> u64 {
+        let before = c.wire_report().bytes(MsgClass::Replication);
+        let digest = c.view_digest();
+        let key = key.clone();
+        c.sim_mut()
+            .post(NodeId(0), Msg::ClientGet { req, key, digest });
+        c.run_for(Duration::from_millis(20));
+        c.wire_report().bytes(MsgClass::Replication) - before
+    };
+    let size = |msg: Msg<M>| (msg.wire_size(&mech) + header) as u64;
+    let fp = kvstore::merkle::fingerprint::<State>;
+
+    // every replica holds the same 512-byte value
+    let level: Key = b"user:level".to_vec();
+    let mut held = State::default();
+    mech.write(
+        &mut held,
+        WriteOrigin::new(ReplicaId(0), ClientId(1)),
+        &VersionVector::new(),
+        StampedValue::new(WriteId::new(ClientId(1), 1), vec![0x33; 512]),
+    );
+    for slot in 0..3 {
+        merge(&mut c, slot, &level, &held);
+    }
+    let ask = |key: &Key, st: &State| {
+        size(Msg::RepGetIf {
+            req: 1,
+            key: key.clone(),
+            have: fp(st),
+        })
+    };
+    let same = size(Msg::RepGetSame { req: 1 });
+    assert_eq!(same, 9 + header as u64);
+    assert_eq!(get(&mut c, 1, &level), 2 * (ask(&level, &held) + same));
+    // what the full-state read this replaces would have moved
+    let full = |key: &Key, st: &State| {
+        size(Msg::RepGetResp {
+            req: 1,
+            key: key.clone(),
+            state: st.clone(),
+        })
+    };
+    let plain = size(Msg::RepGet {
+        req: 1,
+        key: level.clone(),
+    });
+    assert!(5 * 2 * (ask(&level, &held) + same) < 2 * (plain + full(&level, &held)));
+
+    // server 2 is one write behind: it answers in full and is repaired
+    let stale: Key = b"user:stale".to_vec();
+    let old = preload_state(ReplicaId(1), 0);
+    let mut new = old.clone();
+    let (_, seen) = mech.read(&old);
+    mech.write(
+        &mut new,
+        WriteOrigin::new(ReplicaId(1), ClientId(2)),
+        &seen,
+        StampedValue::new(WriteId::new(ClientId(2), 1), vec![0x44; 64]),
+    );
+    merge(&mut c, 0, &stale, &new);
+    merge(&mut c, 1, &stale, &new);
+    merge(&mut c, 2, &stale, &old);
+    let repair = size(Msg::ReadRepair {
+        key: stale.clone(),
+        state: new.clone(),
+        hint: None,
+    });
+    assert_eq!(
+        get(&mut c, 2, &stale),
+        2 * ask(&stale, &new) + same + full(&stale, &old) + repair
+    );
+    assert_eq!(c.server(2).data().get(&stale), Some(&new));
+
+    let (same_count, full_count) = (0..3)
+        .map(|i| c.server(i).stats())
+        .fold((0, 0), |(s, f), st| {
+            (s + st.rep_reads_same, f + st.rep_reads_full)
+        });
+    assert_eq!((same_count, full_count), (3, 1));
+    let read_repairs: u64 = (0..3).map(|i| c.server(i).stats().read_repairs).sum();
+    assert_eq!(read_repairs, 1);
+}

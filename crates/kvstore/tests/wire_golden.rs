@@ -2,9 +2,10 @@
 //! hex of `encode_transport` committed. The round-trip and size-parity
 //! suites would pass a *symmetric* format drift (encoder and decoder
 //! changed together); this one does not. The table was generated at the
-//! commit before the sink refactor and must only ever change together
-//! with a deliberate, documented wire-format change — the failure
-//! message prints the fresh table to paste.
+//! commit before the sink refactor (tags 0–25; the conditional-read pair,
+//! tags 26 and 27, was appended when it was introduced) and must only
+//! ever change together with a deliberate, documented wire-format change
+//! — the failure message prints the fresh table to paste.
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
@@ -265,6 +266,15 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
             },
         ),
         ("HandoffAck", Msg::HandoffAck { keys: keys() }),
+        (
+            "RepGetIf",
+            Msg::RepGetIf {
+                req,
+                key: b"user:0042".to_vec(),
+                have: 0x0123_4567_89ab_cdef,
+            },
+        ),
+        ("RepGetSame", Msg::RepGetSame { req }),
     ]
 }
 
@@ -300,6 +310,8 @@ const GOLDEN: &[(&str, &str)] = &[
     ("GossipDigest", "170df0fecacefaedfe"),
     ("Handoff", "18020009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e64"),
     ("HandoffAck", "190500000007636172743a31370701300501320003646f67"),
+    ("RepGetIf", "1a080706050403020109757365723a30303432efcdab8967452301"),
+    ("RepGetSame", "1b0807060504030201"),
 ];
 
 #[test]
@@ -321,7 +333,7 @@ fn encode_transport_matches_committed_bytes() {
 }
 
 /// The corpus is only a format pin if it really spans the protocol:
-/// all 26 variant tags appear, and every message decodes back.
+/// all 28 variant tags appear, and every message decodes back.
 #[test]
 fn corpus_covers_every_variant_and_roundtrips() {
     let mech = DvvMechanism;
@@ -336,6 +348,6 @@ fn corpus_covers_every_variant_and_roundtrips() {
     }
     assert_eq!(
         tags.into_iter().collect::<Vec<u8>>(),
-        (0..26).collect::<Vec<u8>>()
+        (0..28).collect::<Vec<u8>>()
     );
 }

@@ -174,6 +174,12 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
                 key: key.clone(),
                 state: state.clone(),
             },
+            Msg::RepGetIf {
+                req,
+                key: key.clone(),
+                have: root,
+            },
+            Msg::RepGetSame { req },
             Msg::RepPut {
                 req,
                 key: key.clone(),
@@ -307,7 +313,7 @@ proptest! {
             survives(&mech, &spliced)?;
         }
         survives(&mech, &noise)?;
-        for tag in 0..=26u8 {
+        for tag in 0..=28u8 {
             let mut tagged = vec![tag];
             tagged.extend_from_slice(&noise);
             survives(&mech, &tagged)?;

@@ -16,8 +16,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
 use dvv::mechanisms::DvvMechanism;
+use dvv::{ClientId, ReplicaId};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::messages::Msg;
+use kvstore::value::{Key, StampedValue, WriteId};
+use ring::RingView;
 use runtime::link::deliver;
 use runtime::{ChannelLink, CrashEvent, Fleet, Link, Packet, Progress, RuntimeConfig, Wiring};
 use simnet::{Duration, NodeId};
@@ -301,6 +304,96 @@ impl Script {
         let sent = self.sent.lock().unwrap();
         sent.iter().filter(|(_, t)| *t == to).count()
     }
+}
+
+/// A key on a four-server fleet: its first owner, and the one server
+/// outside its preference list.
+fn cart_placement() -> (Key, NodeId, NodeId, u64) {
+    let view = RingView::from_members((0..4).map(ReplicaId));
+    let key: Key = b"cart:17".to_vec();
+    let owners = view
+        .to_ring(StoreConfig::default().vnodes)
+        .preference_list(&key, 3);
+    let outsider = (0..4).find(|i| !owners.contains(&ReplicaId(*i))).unwrap();
+    (key, NodeId(owners[0].0), NodeId(outsider), view.digest())
+}
+
+/// Regression: replies were counted, not attributed, so a link that
+/// delivers one replica's answer twice handed a coordinator outside the
+/// preference list (which starts at zero) its R=2 or W=2 from a single
+/// replica. Here only the first owner ever answers, always twice; both
+/// requests must time out.
+#[test]
+fn a_reply_delivered_twice_counts_once_toward_the_quorum() {
+    fn first_owner_answers_twice(link: &ScriptLink, pkt: &Packet<M>) {
+        let reply = match &pkt.msg {
+            Msg::RepGetIf { req, .. } => Msg::RepGetSame { req: *req },
+            Msg::RepWrite { req, key, .. } => Msg::RepWriteResp {
+                req: *req,
+                key: key.clone(),
+                state: Default::default(),
+            },
+            Msg::ClientGetResp { ok, .. } | Msg::ClientPutResp { ok, .. } => {
+                return link.note(u64::from(*ok));
+            }
+            _ => return,
+        };
+        if pkt.to == cart_placement().1 {
+            link.inject(pkt.to, pkt.from, reply.clone());
+            link.inject(pkt.to, pkt.from, reply);
+        }
+    }
+    fn script(link: &ScriptLink) {
+        let (key, _, outsider, digest) = cart_placement();
+        let get = Msg::ClientGet {
+            req: 1,
+            key: key.clone(),
+            digest,
+        };
+        link.inject(STRANGER, outsider, get);
+        await_that("the GET to be answered", || {
+            link.script.sent_to(STRANGER) >= 1
+        });
+        let put = Msg::ClientPut {
+            req: 2,
+            key,
+            value: StampedValue::new(WriteId::new(ClientId(0), 1), b"v".to_vec()),
+            ctx: Default::default(),
+            digest,
+        };
+        link.inject(STRANGER, outsider, put);
+        await_that("the PUT to be answered", || {
+            link.script.sent_to(STRANGER) >= 2
+        });
+    }
+    let script = Arc::new(Script {
+        on_send: Some(first_owner_answers_twice),
+        on_tick: Some(script),
+        ..Script::default()
+    });
+    let mut config = quiet_config(0);
+    config.servers = 4;
+    config.store = StoreConfig {
+        n: 3,
+        r: 2,
+        w: 2,
+        request_timeout: Duration::from_millis(10),
+        ..config.store
+    };
+    let mut fleet = fleet(config, &script);
+    fleet.run().expect("no stall");
+
+    assert_eq!(
+        *script.notes.lock().unwrap(),
+        vec![0, 0],
+        "one replica's answer, delivered twice, passed for a quorum of two"
+    );
+    let stats = fleet.server(cart_placement().2 .0 as usize).stats();
+    assert_eq!(stats.remote_coordinations, 2);
+    assert_eq!(
+        (stats.gets_ok, stats.puts_ok, stats.quorum_timeouts),
+        (0, 0, 2)
+    );
 }
 
 /// The in-process link never blocks a sender: a full inbox drops the
