@@ -21,6 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvv::{DvvSet, ReplicaId};
+use kvstore::node::DOT_HEADROOM;
 use std::hint::black_box;
 use storage::{LogConfig, LogEngine, StorageEngine};
 
@@ -119,13 +120,11 @@ fn write_through_config() -> LogConfig {
 
 /// The append path with the node's minting discipline laid over it:
 /// one dot per write, and before a mint may pass the durably reserved
-/// ceiling a fresh reservation with `StoreConfig::dot_headroom`-sized
-/// slack (1024, the default) is fsynced. Four rows: each durability
+/// ceiling a fresh reservation with [`DOT_HEADROOM`]-sized slack is
+/// fsynced. Four rows: each durability
 /// mode, guarded and bare — the guarded/bare ratio *is* the guard's
 /// write-path overhead.
 fn bench_guard(c: &mut Criterion) {
-    // Mirrors `StoreConfig::default().dot_headroom`.
-    const HEADROOM: u64 = 1024;
     let mut group = c.benchmark_group("storage_log/guard");
     group.sample_size(10);
     type Variant = (&'static str, fn() -> LogConfig, bool);
@@ -150,7 +149,7 @@ fn bench_guard(c: &mut Criterion) {
                         if guarded {
                             counter += 1;
                             if counter > ceiling {
-                                ceiling = counter + HEADROOM;
+                                ceiling = counter + DOT_HEADROOM;
                                 engine.store_reservation(1, ceiling);
                             }
                         }

@@ -58,9 +58,6 @@ pub struct StoreConfig {
     /// intended owner would receive a duplicate `Handoff` on every
     /// handoff tick.
     pub handoff_retry_interval: Duration,
-    /// Retry period for unacknowledged range transfers during a
-    /// join/leave.
-    pub transfer_retry_interval: Duration,
     /// Period of the ring-view gossip timer on each server (0 disables
     /// the periodic timer; view digests still piggyback on anti-entropy
     /// roots and adopting a new view still pushes eagerly).
@@ -79,8 +76,6 @@ pub struct StoreConfig {
     pub delta_aae: DeltaPolicy,
     /// Maximum keys per range-transfer batch.
     pub transfer_batch_keys: usize,
-    /// Maximum keys per hinted-handoff batch.
-    pub handoff_batch_keys: usize,
     /// Whether the dot-reuse epoch guard is active: before minting a dot
     /// counter past its durably reserved ceiling, a node fsyncs a new
     /// reservation, and after a crash-recovery minting resumes strictly
@@ -89,9 +84,6 @@ pub struct StoreConfig {
     /// counters back below dots peers already hold, and a post-recovery
     /// write re-mints an escaped dot for a different value.
     pub dot_guard: bool,
-    /// Counter headroom each dot reservation covers: one reservation
-    /// fsync amortises over this many mints.
-    pub dot_headroom: u64,
 }
 
 impl Default for StoreConfig {
@@ -106,16 +98,13 @@ impl Default for StoreConfig {
             read_repair: true,
             handoff_interval: Duration::from_millis(200),
             handoff_retry_interval: Duration::from_millis(600),
-            transfer_retry_interval: Duration::from_millis(25),
             gossip_interval: Duration::from_millis(100),
             header_bytes: 16,
             vnodes: 32,
             delta_views: DeltaPolicy::default(),
             delta_aae: DeltaPolicy::default(),
             transfer_batch_keys: 64,
-            handoff_batch_keys: 32,
             dot_guard: true,
-            dot_headroom: 1024,
         }
     }
 }
@@ -140,14 +129,6 @@ impl StoreConfig {
         assert!(
             self.transfer_batch_keys > 0,
             "transfer batches must hold at least one key"
-        );
-        assert!(
-            self.handoff_batch_keys > 0,
-            "handoff batches must hold at least one key"
-        );
-        assert!(
-            !self.dot_guard || self.dot_headroom > 0,
-            "the dot guard needs positive counter headroom"
         );
     }
 

@@ -19,6 +19,20 @@ use crate::messages::{Msg, ReqId, WireStats};
 use crate::value::{Key, StampedValue};
 use crate::wire;
 
+/// Retry period for unacknowledged range transfers during a join/leave.
+const TRANSFER_RETRY_INTERVAL: simnet::Duration = simnet::Duration::from_millis(25);
+
+/// Maximum keys per hinted-handoff batch.
+const HANDOFF_BATCH_KEYS: usize = 32;
+
+/// Counter headroom each dot reservation covers: one reservation fsync
+/// amortises over this many mints.
+pub const DOT_HEADROOM: u64 = 1024;
+const _: () = assert!(
+    DOT_HEADROOM > 0,
+    "the dot guard needs positive counter headroom"
+);
+
 /// Dedupe window per donor, in *keys* (not transfer ids): batching makes
 /// ids coarser, so an id-count window would shrink the covered key
 /// horizon by the batch factor.
@@ -444,7 +458,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if self.config.dot_guard {
             if let Some(counter) = minted {
                 if counter > self.dot_ceiling {
-                    self.dot_ceiling = counter + self.config.dot_headroom;
+                    self.dot_ceiling = counter + DOT_HEADROOM;
                     self.data
                         .store_reservation(self.dot_epoch, self.dot_ceiling);
                 }
@@ -1672,10 +1686,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 }
             }
         }
-        let batch = self.config.handoff_batch_keys.max(1);
         for (intended, mut entries) in per_target {
             while !entries.is_empty() {
-                let rest = entries.split_off(entries.len().min(batch));
+                let rest = entries.split_off(entries.len().min(HANDOFF_BATCH_KEYS));
                 let chunk = std::mem::replace(&mut entries, rest);
                 self.send(ctx, NodeId(intended.0), Msg::Handoff { entries: chunk });
             }
@@ -1730,7 +1743,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if self.timers.values().any(|k| *k == TimerKind::Transfer) {
             return;
         }
-        let t = ctx.set_timer(self.config.transfer_retry_interval);
+        let t = ctx.set_timer(TRANSFER_RETRY_INTERVAL);
         self.timers.insert(t, TimerKind::Transfer);
     }
 
@@ -1877,7 +1890,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             self.send_transfer(ctx, id);
         }
         if !self.outbound.is_empty() || !self.drain_dirty.is_empty() {
-            let t = ctx.set_timer(self.config.transfer_retry_interval);
+            let t = ctx.set_timer(TRANSFER_RETRY_INTERVAL);
             self.timers.insert(t, TimerKind::Transfer);
         }
     }

@@ -51,6 +51,9 @@ use crate::watchdog::{self, Progress, StallReport};
 use crate::wheel::TimerWheel;
 use crate::{CrashEvent, FaultPlan, RuntimeConfig};
 
+/// Inbox slots per hosted node; a full inbox drops (wire loss).
+const INBOX_CAPACITY: usize = 1024;
+
 /// Clean AAE rounds every server must initiate, after the last observed
 /// repair activity, before the quiesce phase may end early (with 3+
 /// servers and random peer choice this gives each pair several chances
@@ -516,7 +519,7 @@ where
         let mut receivers = Vec::with_capacity(groups.len());
         let mut inboxes: Vec<Option<SyncSender<L::Inbound>>> = vec![None; total];
         for g in &groups {
-            let (tx, rx) = mpsc::sync_channel(cfg.inbox_capacity * g.len());
+            let (tx, rx) = mpsc::sync_channel(INBOX_CAPACITY * g.len());
             receivers.push(rx);
             for h in g {
                 inboxes[h.id.0 as usize] = Some(tx.clone());
@@ -567,7 +570,7 @@ where
                 local: VecDeque::new(),
             };
             let snapshots = Arc::clone(&self.snapshots);
-            let inbox_capacity = cfg.inbox_capacity * group.len();
+            let inbox_capacity = INBOX_CAPACITY * group.len();
             let hang = group
                 .iter()
                 .any(|h| cfg.faults.hang_servers.contains(&(h.id.0 as usize)));

@@ -15,18 +15,19 @@
 //! [`Fleet`] is generic over a [`Link`] ([`link`]), whose whole job is
 //! where a node's outbox goes and where its inbox comes from. A link
 //! must provide: `open` at run start (it is handed the per-node inbox
-//! senders, the [`Progress`] counters and the shutdown flag), a
-//! non-blocking `send` of an addressed message, `pack`/`unpack` between
-//! its inbox item and a [`Packet`], `close` returning its ledger, and
-//! optionally a per-tick schedule hook and a note of self-sends (which
-//! the loop delivers locally and never hands to `send`). Two links
+//! senders, the [`Progress`] counters and the shutdown flag), a `send`
+//! of an addressed message that never waits on the destination node
+//! (see [`Link::send`]), `pack`/`unpack` between its inbox item and a
+//! [`Packet`], `close` returning its ledger, and optionally a per-tick
+//! schedule hook and a note of self-sends (which the loop delivers
+//! locally and never hands to `send`). Two links
 //! exist: [`ChannelLink`] here ([`RuntimeFleet`]), and the TCP fabric
 //! link in `transport` (`SocketFleet`).
 //!
 //! What the fleet gives every link:
 //!
 //! * one event-loop thread per server, clients partitioned across a
-//!   configurable number of worker threads (the bench's 1/4/8 knob);
+//!   configurable number of worker threads;
 //! * bounded inboxes — a full inbox is wire loss, which the protocol's
 //!   timeouts, retries and anti-entropy already absorb, so no
 //!   backpressure deadlock is possible;
@@ -45,12 +46,12 @@
 //!
 //! What this buys over the simulator is *real* concurrency: sustained
 //! throughput and tail latency under hundreds of concurrent closed-loop
-//! clients (`crates/bench/benches/runtime.rs`), while the simulator
-//! remains the conformance oracle — `tests/conformance.rs` runs a
-//! seeded workload on both drivers and asserts both fleets converge to
-//! AAE-equivalent, residual-audit-clean, anomaly-free states, and
-//! `tests/link_loop.rs` drives the worker loop message by message
-//! through a scripted link.
+//! clients (measured by the repo benchmark, `perfbench/`), while the
+//! simulator remains the conformance oracle — `tests/conformance.rs`
+//! runs a seeded workload on both drivers and asserts both fleets
+//! converge to AAE-equivalent, residual-audit-clean, anomaly-free
+//! states, and `tests/link_loop.rs` drives the worker loop message by
+//! message through a scripted link.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -159,8 +160,6 @@ pub struct RuntimeConfig {
     /// Client session parameters (its `cycles` field is overridden by
     /// `cycles_per_client`).
     pub client: ClientConfig,
-    /// Inbox slots per hosted node; a full inbox drops (wire loss).
-    pub inbox_capacity: usize,
     /// Network fault injection while the run is active.
     pub faults: FaultPlan,
     /// The watchdog declares a stall after this long without a single
@@ -211,7 +210,6 @@ impl Default for RuntimeConfig {
             cycles_per_client: 20,
             store: StoreConfig::default(),
             client: ClientConfig::default(),
-            inbox_capacity: 1024,
             faults: FaultPlan::default(),
             stall_budget: StdDuration::from_secs(10),
             watchdog_poll: StdDuration::from_millis(25),

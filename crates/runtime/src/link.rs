@@ -8,8 +8,8 @@
 //! one worker thread to another. [`ChannelLink`] moves the `Msg` value
 //! itself into the destination worker's bounded inbox; the socket
 //! driver's link (`transport::FabricLink`) encodes it, frames it and
-//! writes it to a TCP connection whose reader feeds the same kind of
-//! inbox. A test can substitute a scripted link and drive the loop
+//! writes it — on the sending worker's own thread — to a TCP connection
+//! whose reader feeds the same kind of inbox. A test can substitute a scripted link and drive the loop
 //! message by message.
 //!
 //! Self-sends never reach [`Link::send`]: the loop delivers them through
@@ -82,9 +82,13 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// node is `owner`.
     fn unpack(owner: NodeId, item: Self::Inbound) -> Packet<M>;
 
-    /// Ships one message to another node. Must not block: a full queue
-    /// or inbox is wire loss, which the protocol's timeouts, retries
-    /// and anti-entropy absorb.
+    /// Ships one message to another node, on the calling worker's
+    /// thread. A link never waits on the destination *node*: a full
+    /// inbox is wire loss, which the protocol's timeouts, retries and
+    /// anti-entropy absorb — two workers sending to each other with
+    /// full inboxes must both return. It may wait on the kernel (a full
+    /// socket buffer), because whatever drains the other end obeys the
+    /// same rule and so always relieves it.
     fn send(&self, pkt: Packet<M>);
 
     /// A self-send the loop delivered locally instead of sending.

@@ -69,7 +69,7 @@ const TAG_META: u8 = 4;
 /// dots up to the new ceiling and let them escape to peers — a
 /// reservation lost to a crash would defeat the epoch guard entirely.
 /// The store amortises that cost by reserving counter *headroom*
-/// (`StoreConfig::dot_headroom` upstream), so one reservation fsync
+/// (`kvstore::node::DOT_HEADROOM` upstream), so one reservation fsync
 /// covers many mints and the group-sync write path stays within a few
 /// percent of its unguarded cost (see `bench-baselines/BENCH_storage.json`).
 #[derive(Clone, Copy, Debug)]

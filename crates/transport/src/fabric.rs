@@ -4,43 +4,48 @@
 //! Every node owns a loopback TCP listener; messages between distinct
 //! nodes travel as [`frame`](crate::frame)-encoded
 //! `Msg::encode_transport` bodies over per-`(sender, receiver)`
-//! connections dialed lazily on first send. Each link has:
+//! connections dialed lazily on first send.
 //!
-//! * a bounded outbound queue — a full queue drops the frame, exactly
-//!   the threaded runtime's full-inbox wire-loss semantics, so a slow
-//!   or dead peer can never deadlock a sender;
-//! * a writer thread that dials, introduces itself with an
-//!   *authenticated* hello frame — its node id plus a keyed FNV-1a tag
-//!   over the fleet's shared cluster secret ([`hello_body`]) — and
-//!   reconnects with jittered exponential backoff whenever the
-//!   connection breaks (the frames lost in between are wire loss the
-//!   protocol's retries and anti-entropy absorb). The accept side
-//!   verifies the tag in constant time and terminally rejects the
-//!   connection on any mismatch, so a stray process dialing a
-//!   listener's port cannot inject frames attributed to a cluster
-//!   member.
+//! **Outbound there is no thread and no queue.**
+//! [`send_bytes`](Fabric::send_bytes) writes the frame on the thread
+//! that called it, under that link's own lock. A link without a
+//! connection dials on the same thread and introduces itself with an
+//! *authenticated* hello frame — its node id plus a keyed FNV-1a tag
+//! over the fleet's shared cluster secret ([`hello_body`]). A failed
+//! dial arms a jittered, doubling backoff as a *deadline*: until it
+//! passes, sends on that link are dropped without touching the network,
+//! so a dead peer costs its callers a clock read, never a sleep. A
+//! failed write loses that frame and closes the connection; the next
+//! send redials. Both are wire loss the protocol's retries and
+//! anti-entropy absorb. A sender may wait on the kernel (a full socket
+//! buffer) but never on the destination *node*: the reader at the far
+//! end `try_send`s into the node's inbox and drops on full — wire loss
+//! again, matching the runtime — so it always drains the socket. Lock
+//! order is link → `conns`; nothing takes them the other way round.
 //!
 //! Inbound, an accept thread per listener spawns a reader per
-//! connection; a malformed frame (torn, oversized, bad checksum) or an
-//! undecodable body kills that connection — a stream decoder cannot
-//! resync after corruption — and the dialer's backoff takes it from
-//! there. A full node inbox drops the message, matching the runtime.
+//! connection. The reader verifies the hello tag in constant time and
+//! terminally rejects the connection on any mismatch, so a stray
+//! process dialing a listener's port cannot inject frames attributed to
+//! a cluster member. A malformed frame (torn, oversized, bad checksum)
+//! or an undecodable body kills that connection — a stream decoder
+//! cannot resync after corruption — and the dialer's next send takes it
+//! from there.
 //!
 //! The fabric keeps an atomic ledger of every byte it handles, split by
-//! fate (written / queued / dropped / self-delivered / hello), so the
+//! fate (written / dropped / lost / self-delivered / hello), so the
 //! conformance suite can assert *charge parity*: the bytes the nodes'
 //! wire ledgers charged equal the bytes the fabric accepted, to the
 //! byte — the accounting the simulator models is the accounting the
 //! socket driver measures.
 
 use std::collections::HashMap;
-use std::io::BufWriter;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant};
 
 use dvv::mechanisms::WireMechanism;
 use kvstore::messages::Msg;
@@ -55,8 +60,6 @@ use crate::frame::{self, HEADER_BYTES};
 const BACKOFF_BASE_MS: u64 = 1;
 /// Backoff cap (before jitter).
 const BACKOFF_CAP_MS: u64 = 128;
-/// Writer queue poll interval while idle (bounds shutdown latency).
-const WRITER_POLL: StdDuration = StdDuration::from_millis(25);
 
 /// Bytes in an authenticated hello body: 4-byte node id + 8-byte tag.
 const HELLO_LEN: usize = 12;
@@ -101,27 +104,27 @@ pub type InPacket<M> = (NodeId, Msg<M>);
 
 /// Snapshot of the fabric's byte/frame ledger.
 ///
-/// Invariant (asserted by the conformance suite): every byte a node's
+/// Invariants (asserted by the conformance suite): every byte a node's
 /// `ctx.send` charged is accounted exactly once as `enqueued`,
-/// `dropped` or `self_delivered`, so
-/// `enqueued_bytes + dropped_bytes + self_bytes` equals the fleet's
-/// summed wire ledgers. `written` trails `enqueued` only by frames
-/// still queued (or lost to a broken connection) at snapshot time.
+/// `dropped` or `self_delivered`, so `enqueued_bytes + dropped_bytes +
+/// self_bytes` equals the fleet's summed wire ledgers; and a frame
+/// handed to a connection is written or lost before `send_bytes`
+/// returns, so at rest `enqueued == written + io_lost` in frames.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
-    /// Frames accepted into an outbound queue.
+    /// Frames handed to a live connection.
     pub enqueued_frames: u64,
-    /// Bytes (header included) accepted into an outbound queue.
+    /// Bytes (header included) handed to a live connection.
     pub enqueued_bytes: u64,
-    /// Frames actually written to a socket.
+    /// Frames the socket took in full.
     pub written_frames: u64,
-    /// Bytes (header included) actually written to a socket.
+    /// Bytes (header included) the socket took in full.
     pub written_bytes: u64,
-    /// Frames dropped at enqueue: queue full or link torn down.
+    /// Frames dropped unwritten: link in redial backoff, or shutdown.
     pub dropped_frames: u64,
-    /// Bytes dropped at enqueue.
+    /// Bytes dropped unwritten.
     pub dropped_bytes: u64,
-    /// Frames lost after dequeue to a failed socket write.
+    /// Frames lost to a failed socket write.
     pub io_lost_frames: u64,
     /// Self-sends delivered locally, bypassing the sockets.
     pub self_frames: u64,
@@ -174,8 +177,17 @@ struct Counters {
     inbox_drops: AtomicU64,
 }
 
-/// Outbound link registry: `(from, to)` → that link's frame queue.
-type Links = HashMap<(usize, usize), SyncSender<Vec<u8>>>;
+/// The sending end of one `from → to` link.
+struct OutLink {
+    /// The dialed connection, after its [`Conn`] registry token.
+    conn: Option<(Option<u64>, TcpStream)>,
+    /// No dial before this instant: a deadline for sends, not a sleep.
+    next_dial: Instant,
+    backoff_ms: u64,
+    connected_before: bool,
+    /// This link's backoff jitter stream.
+    rng: SimRng,
+}
 
 /// Live socket registry entry: enough to sever the connection from
 /// outside (fault injection, shutdown).
@@ -194,12 +206,12 @@ pub struct Fabric<M: WireMechanism<StampedValue>> {
     progress: Arc<Progress>,
     shutdown: Arc<AtomicBool>,
     counters: Counters,
-    links: Mutex<Links>,
+    /// Link `from → to` sits at `from * nodes + to`; a send locks only
+    /// its own.
+    links: Vec<Mutex<OutLink>>,
     conns: Mutex<HashMap<u64, Conn>>,
     next_conn: AtomicU64,
     threads: Mutex<Vec<JoinHandle<()>>>,
-    rng_root: SimRng,
-    queue_capacity: usize,
     max_frame: usize,
     secret: u64,
 }
@@ -259,7 +271,8 @@ where
     /// and returns the shared fabric. `inboxes[i]` receives decoded
     /// messages addressed to node `i`; `rng_root` seeds the per-link
     /// backoff jitter streams; `secret` keys the hello challenge every
-    /// inbound connection must pass.
+    /// inbound connection must pass. `_queue_capacity` is ignored (no
+    /// queue exists); it stays until the repo benchmark can drop it.
     #[allow(clippy::too_many_arguments)] // the fleet's one construction site
     pub fn start(
         mech: M,
@@ -268,7 +281,7 @@ where
         progress: Arc<Progress>,
         shutdown: Arc<AtomicBool>,
         rng_root: SimRng,
-        queue_capacity: usize,
+        _queue_capacity: usize,
         max_frame: usize,
         secret: u64,
     ) -> std::io::Result<Arc<Self>> {
@@ -280,6 +293,18 @@ where
             addrs.push(l.local_addr()?);
             listeners.push(l);
         }
+        let now = Instant::now();
+        let links = (0..nodes * nodes)
+            .map(|i| {
+                Mutex::new(OutLink {
+                    conn: None,
+                    next_dial: now,
+                    backoff_ms: BACKOFF_BASE_MS,
+                    connected_before: false,
+                    rng: rng_root.fork_indexed("link", i as u64),
+                })
+            })
+            .collect();
         let fabric = Arc::new(Fabric {
             mech,
             addrs,
@@ -287,12 +312,10 @@ where
             progress,
             shutdown,
             counters: Counters::default(),
-            links: Mutex::new(HashMap::new()),
+            links,
             conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             threads: Mutex::new(Vec::new()),
-            rng_root,
-            queue_capacity,
             max_frame,
             secret,
         });
@@ -304,41 +327,69 @@ where
         Ok(fabric)
     }
 
-    /// Queues an encoded message body for transmission `from → to`,
-    /// dialing the link on first use. A full (or torn-down) queue drops
-    /// the frame — wire loss, charged to the ledger as `dropped`.
-    pub fn send_bytes(self: &Arc<Self>, from: usize, to: usize, body: Vec<u8>) {
+    /// Writes an encoded message body to the `from → to` connection on
+    /// the calling thread, dialing first if the link is down and its
+    /// backoff has passed. A link that may not dial yet, or a fabric
+    /// shutting down, drops the frame — wire loss, charged as `dropped`;
+    /// a write the socket refuses is `io_lost` and closes the connection.
+    pub fn send_bytes(&self, from: usize, to: usize, body: Vec<u8>) {
         let bytes = (body.len() + HEADER_BYTES) as u64;
-        let tx = {
-            let mut links = self.links.lock().expect("links lock");
-            if self.shutdown.load(Ordering::Relaxed) {
-                self.counters.dropped_frames.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .dropped_bytes
-                    .fetch_add(bytes, Ordering::Relaxed);
-                return;
-            }
-            links
-                .entry((from, to))
-                .or_insert_with(|| self.spawn_writer(from, to))
-                .clone()
-        };
-        match tx.try_send(body) {
-            Ok(()) => {
-                self.counters
-                    .enqueued_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .enqueued_bytes
-                    .fetch_add(bytes, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.counters.dropped_frames.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .dropped_bytes
-                    .fetch_add(bytes, Ordering::Relaxed);
-            }
+        let c = &self.counters;
+        let mut link = self.links[from * self.addrs.len() + to]
+            .lock()
+            .expect("link lock");
+        if self.shutdown.load(Ordering::Relaxed)
+            || (link.conn.is_none() && !self.dial(from, to, &mut link))
+        {
+            c.dropped_frames.fetch_add(1, Ordering::Relaxed);
+            c.dropped_bytes.fetch_add(bytes, Ordering::Relaxed);
+            return;
         }
+        c.enqueued_frames.fetch_add(1, Ordering::Relaxed);
+        c.enqueued_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let (token, stream) = link.conn.as_mut().expect("live or just dialed");
+        if frame::write_frame(stream, &body).is_ok() {
+            c.written_frames.fetch_add(1, Ordering::Relaxed);
+            c.written_bytes.fetch_add(bytes, Ordering::Relaxed);
+        } else {
+            c.io_lost_frames.fetch_add(1, Ordering::Relaxed);
+            self.unregister_conn(*token);
+            link.conn = None;
+        }
+    }
+
+    /// Dials `from → to` and sends the hello — id plus keyed tag, so the
+    /// reader can attribute and *authenticate* every later frame —
+    /// unless the link is inside its backoff. A failure pushes the next
+    /// attempt out by the backoff plus jitter and doubles the backoff.
+    /// Returns whether `link.conn` is now live.
+    fn dial(&self, from: usize, to: usize, link: &mut OutLink) -> bool {
+        let now = Instant::now();
+        if now < link.next_dial {
+            return false;
+        }
+        let hello = hello_body(from as u32, self.secret);
+        let dialed = TcpStream::connect(self.addrs[to]).and_then(|mut stream| {
+            let _ = stream.set_nodelay(true);
+            frame::write_frame(&mut stream, &hello).map(|()| stream)
+        });
+        let Ok(stream) = dialed else {
+            let jitter = link.rng.range_u64(0, link.backoff_ms + 1);
+            link.next_dial = now + StdDuration::from_millis(link.backoff_ms + jitter);
+            link.backoff_ms = (link.backoff_ms * 2).min(BACKOFF_CAP_MS);
+            return false;
+        };
+        let c = &self.counters;
+        c.hello_bytes
+            .fetch_add((HEADER_BYTES + HELLO_LEN) as u64, Ordering::Relaxed);
+        c.connects.fetch_add(1, Ordering::Relaxed);
+        if link.connected_before {
+            c.reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        link.connected_before = true;
+        link.backoff_ms = BACKOFF_BASE_MS;
+        link.conn = Some((self.register_conn((from, to), &stream), stream));
+        true
     }
 
     /// Records a self-send delivered locally (self-traffic never
@@ -351,9 +402,9 @@ where
             .fetch_add(wire_bytes as u64, Ordering::Relaxed);
     }
 
-    /// Severs every live connection touching `node` (both directions).
-    /// Readers see a torn stream and exit; dialers reconnect with
-    /// backoff. Returns how many connections were killed.
+    /// Severs every live connection touching `node`, both directions:
+    /// readers see a torn stream and exit, a dialing link's next write
+    /// fails and the send after it redials. Returns how many it killed.
     pub fn kill_node_connections(&self, node: usize) -> usize {
         let conns = self.conns.lock().expect("conns lock");
         let mut killed = 0;
@@ -367,26 +418,21 @@ where
     }
 
     /// Tears the fabric down: requires the shared shutdown flag to be
-    /// set, severs every connection, unblocks the accept loops, drops
-    /// the outbound queues and joins every fabric thread.
+    /// set, severs every connection, unblocks the accept loops and
+    /// joins every fabric thread.
     pub fn stop(&self) {
         assert!(
             self.shutdown.load(Ordering::Relaxed),
             "set the shared shutdown flag before Fabric::stop"
         );
-        // Sever live connections so blocked readers/writers error out.
-        {
-            let conns = self.conns.lock().expect("conns lock");
-            for c in conns.values() {
-                let _ = c.stream.shutdown(Shutdown::Both);
-            }
+        // Sever live connections so blocked readers error out.
+        for node in 0..self.addrs.len() {
+            self.kill_node_connections(node);
         }
         // Unblock each accept loop with a throwaway connection.
         for addr in &self.addrs {
             let _ = TcpStream::connect(*addr);
         }
-        // Drop the queue senders so writer threads see Disconnected.
-        self.links.lock().expect("links lock").clear();
         // Threads may still be spawning readers while we join; drain
         // until the registry stays empty.
         loop {
@@ -417,114 +463,6 @@ where
     fn unregister_conn(&self, token: Option<u64>) {
         if let Some(t) = token {
             self.conns.lock().expect("conns lock").remove(&t);
-        }
-    }
-
-    /// Spawns the writer thread for link `from → to` and returns its
-    /// queue sender.
-    fn spawn_writer(self: &Arc<Self>, from: usize, to: usize) -> SyncSender<Vec<u8>> {
-        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(self.queue_capacity);
-        let f = Arc::clone(self);
-        let n = self.addrs.len() as u64;
-        let rng = self
-            .rng_root
-            .fork_indexed("link", from as u64 * n + to as u64);
-        let h = thread::spawn(move || f.writer_loop(from, to, rx, rng));
-        self.threads.lock().expect("threads lock").push(h);
-        tx
-    }
-
-    /// Dial → hello → drain queue → (on error) reconnect with jittered
-    /// exponential backoff. Frames dequeued onto a dying connection are
-    /// lost (`io_lost`); frames that cannot even be enqueued were
-    /// already dropped at the sender.
-    fn writer_loop(&self, from: usize, to: usize, rx: Receiver<Vec<u8>>, mut rng: SimRng) {
-        let addr = self.addrs[to];
-        let mut backoff_ms = BACKOFF_BASE_MS;
-        let mut connected_before = false;
-        'dial: loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let stream = match TcpStream::connect(addr) {
-                Ok(s) => s,
-                Err(_) => {
-                    let jitter = rng.range_u64(0, backoff_ms + 1);
-                    thread::sleep(StdDuration::from_millis(backoff_ms + jitter));
-                    backoff_ms = (backoff_ms * 2).min(BACKOFF_CAP_MS);
-                    continue 'dial;
-                }
-            };
-            let _ = stream.set_nodelay(true);
-            let token = self.register_conn((from, to), &stream);
-            let mut w = BufWriter::new(stream);
-            // Hello: introduce ourselves — id plus keyed tag — so the
-            // reader can both attribute and *authenticate* every
-            // subsequent frame on this connection.
-            let hello = hello_body(from as u32, self.secret);
-            if frame::write_frame(&mut w, &hello).is_err() || std::io::Write::flush(&mut w).is_err()
-            {
-                self.unregister_conn(token);
-                continue 'dial;
-            }
-            self.counters
-                .hello_bytes
-                .fetch_add((HEADER_BYTES + hello.len()) as u64, Ordering::Relaxed);
-            self.counters.connects.fetch_add(1, Ordering::Relaxed);
-            if connected_before {
-                self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-            }
-            connected_before = true;
-            backoff_ms = BACKOFF_BASE_MS;
-
-            loop {
-                let body = match rx.recv_timeout(WRITER_POLL) {
-                    Ok(b) => b,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if self.shutdown.load(Ordering::Relaxed) {
-                            self.unregister_conn(token);
-                            return;
-                        }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.unregister_conn(token);
-                        return;
-                    }
-                };
-                if self.write_one(&mut w, body).is_err() {
-                    self.unregister_conn(token);
-                    continue 'dial;
-                }
-                // Batch whatever else is queued, then flush once.
-                let mut ok = true;
-                while let Ok(b) = rx.try_recv() {
-                    if self.write_one(&mut w, b).is_err() {
-                        ok = false;
-                        break;
-                    }
-                }
-                if !ok || std::io::Write::flush(&mut w).is_err() {
-                    self.unregister_conn(token);
-                    continue 'dial;
-                }
-            }
-        }
-    }
-
-    fn write_one(&self, w: &mut BufWriter<TcpStream>, body: Vec<u8>) -> std::io::Result<()> {
-        match frame::write_frame(w, &body) {
-            Ok(()) => {
-                self.counters.written_frames.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .written_bytes
-                    .fetch_add((body.len() + HEADER_BYTES) as u64, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                self.counters.io_lost_frames.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
         }
     }
 
@@ -567,7 +505,7 @@ where
     /// first, then message bodies. A bad hello — like any frame or
     /// decode error — is terminal for the connection: no retry
     /// negotiation, the socket is shut down and the (legitimate)
-    /// dialer's backoff owns recovery.
+    /// dialer's next send owns recovery.
     fn reader_loop(&self, to: usize, mut stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         // The hello attributes the connection to its dialer.
@@ -629,5 +567,65 @@ where
             }
         }
         self.unregister_conn(token);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dvv::mechanisms::DvvMechanism;
+
+    /// A peer that refuses connections costs its callers one `connect`
+    /// per backoff window and never a sleep; every frame meanwhile is
+    /// `dropped`, so the charge identity still balances.
+    #[test]
+    fn dead_peer_drops_without_dialing_inside_the_backoff() {
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (tx, _rx) = std::sync::mpsc::sync_channel(1);
+        let fabric = Fabric::start(
+            DvvMechanism,
+            2,
+            vec![tx.clone(), tx],
+            Arc::new(Progress::new(2)),
+            Arc::clone(&shutdown),
+            SimRng::new(7),
+            0,
+            1 << 20,
+            1,
+        )
+        .expect("bind loopback listeners");
+        // Bound and dropped: the accept loops own the listeners, so once
+        // `stop` has joined them both addresses refuse connections.
+        shutdown.store(true, Ordering::Relaxed);
+        fabric.stop();
+        shutdown.store(false, Ordering::Relaxed);
+
+        let body = vec![0xAB; 10];
+        let link = || fabric.links[1].lock().expect("link lock");
+        fabric.send_bytes(0, 1, body.clone());
+        assert_eq!(link().backoff_ms, 2, "one refused connect, backoff doubled");
+
+        // Hold the window open: a dial inside it would re-arm the
+        // deadline, a sleep per send would take 10 s.
+        let far = Instant::now() + StdDuration::from_secs(3600);
+        link().next_dial = far;
+        let t0 = Instant::now();
+        for _ in 0..10_000 {
+            fabric.send_bytes(0, 1, body.clone());
+        }
+        assert!(t0.elapsed() < StdDuration::from_secs(5), "sender slept");
+        assert_eq!(link().next_dial, far, "dialed inside the backoff window");
+
+        // The deadline passing is all it takes to try again.
+        link().next_dial = Instant::now();
+        fabric.send_bytes(0, 1, body.clone());
+        assert_eq!(link().backoff_ms, 4);
+
+        let want = FabricStats {
+            dropped_frames: 10_002,
+            dropped_bytes: 10_002 * (body.len() + HEADER_BYTES) as u64,
+            ..FabricStats::default()
+        };
+        assert_eq!(fabric.stats(), want, "every frame dropped, nothing else");
     }
 }

@@ -5,11 +5,12 @@
 //! inspection) is [`runtime::Fleet`], the one threaded fleet. This
 //! module supplies the part that differs, a [`Link`] backed by the
 //! [`Fabric`]: every inter-node message is *actually serialised*
-//! ([`Msg::encode_transport`]), framed ([`crate::frame`]) and sent
-//! through a loopback TCP connection, and the fabric's reader threads
-//! feed the decoded messages into the loop's inboxes. Self-sends are
-//! delivered locally by the loop (a node does not dial itself) and only
-//! charged to the fabric's ledger.
+//! ([`Msg::encode_transport`]), framed ([`crate::frame`]) and written
+//! to a loopback TCP connection by the node's own worker thread — the
+//! send side has no thread or queue of its own — and the fabric's
+//! reader threads feed the decoded messages into the loop's inboxes.
+//! Self-sends are delivered locally by the loop (a node does not dial
+//! itself) and only charged to the fabric's ledger.
 //!
 //! `StoreConfig::header_bytes` is forced to the frame codec's real
 //! [`HEADER_BYTES`](crate::frame::HEADER_BYTES), so the per-class wire
@@ -45,9 +46,9 @@ use crate::frame;
 
 /// A scheduled connection fault: at `after` (wall clock from run
 /// start), every live TCP connection touching `node` is severed. The
-/// frames in flight are wire loss; dialers reconnect with backoff and
-/// anti-entropy repairs whatever the outage cost — the run must still
-/// audit clean.
+/// frames in flight are wire loss; each link redials on a later send
+/// and anti-entropy repairs whatever the outage cost — the run must
+/// still audit clean.
 #[derive(Clone, Copy, Debug)]
 pub struct ConnKill {
     /// Wall clock from run start to the cut.
@@ -71,13 +72,6 @@ pub struct SocketConfig {
     /// Client session parameters (`cycles` overridden by
     /// `cycles_per_client`).
     pub client: ClientConfig,
-    /// Inbox slots per node; a full inbox drops (wire loss).
-    pub inbox_capacity: usize,
-    /// Outbound frames queued per link; a full queue drops (wire loss).
-    pub queue_capacity: usize,
-    /// Frame body cap; an announced length beyond this kills the
-    /// connection.
-    pub max_frame: usize,
     /// The watchdog declares a stall after this long without a client
     /// op completing.
     pub stall_budget: StdDuration,
@@ -108,9 +102,6 @@ impl Default for SocketConfig {
             cycles_per_client: 20,
             store: StoreConfig::default(),
             client: ClientConfig::default(),
-            inbox_capacity: 1024,
-            queue_capacity: 256,
-            max_frame: frame::DEFAULT_MAX_FRAME,
             stall_budget: StdDuration::from_secs(10),
             watchdog_poll: StdDuration::from_millis(25),
             run_budget: StdDuration::from_secs(120),
@@ -123,8 +114,8 @@ impl Default for SocketConfig {
 }
 
 /// What a [`FabricLink`] is opened from: the mechanism whose codec the
-/// frames use, the RNG stream seeding the dialers' backoff jitter, and
-/// the fleet's configuration (for the fabric's knobs and the
+/// frames use, the RNG stream seeding the links' backoff jitter, and
+/// the fleet's configuration (for the cluster secret and the
 /// connection-kill schedule).
 #[derive(Debug)]
 pub struct FabricSpec<M> {
@@ -162,8 +153,8 @@ where
             wiring.progress,
             wiring.shutdown,
             spec.rng.clone(),
-            spec.config.queue_capacity,
-            spec.config.max_frame,
+            0, // the ignored `_queue_capacity`
+            frame::DEFAULT_MAX_FRAME,
             spec.config.cluster_secret,
         )
         .expect("bind loopback listeners");
@@ -259,7 +250,6 @@ where
                 ..config.store
             },
             client: config.client.clone(),
-            inbox_capacity: config.inbox_capacity,
             faults: FaultPlan::default(),
             stall_budget: config.stall_budget,
             watchdog_poll: config.watchdog_poll,

@@ -20,10 +20,11 @@
 //! configuration mapping (one worker per node, `header_bytes` forced to
 //! the frame header's real size).
 //!
-//! Failure semantics deliberately mirror the in-process link: a full
-//! outbound queue or full inbox drops the message (wire loss the
+//! Failure semantics deliberately mirror the in-process link: a link
+//! that is down or a full inbox drops the message (wire loss the
 //! protocol already tolerates), a torn/corrupt frame kills the
-//! connection and the dialer reconnects with jittered backoff, and
+//! connection and the sender redials it — at once after a break, behind
+//! a jittered backoff deadline while the peer refuses — and
 //! anti-entropy repairs whatever an outage cost. [`SocketFleet`]
 //! implements [`kvstore::harness::FleetHarness`], so the identical
 //! audit stack (single view, AAE equivalence, residual audit,

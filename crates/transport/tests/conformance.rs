@@ -114,6 +114,16 @@ fn audit_socket(seed: u64) {
     );
 
     audit_fleet(&mut fleet, &format!("seed {seed} (socket)"));
+
+    // The write ledger closes: with the fabric stopped, every frame
+    // handed to a connection was either taken by the socket in full or
+    // lost with it — none is still counted as written after its write
+    // failed, and none is anywhere else.
+    assert_eq!(
+        fabric.enqueued_frames,
+        fabric.written_frames + fabric.io_lost_frames,
+        "seed {seed}: write ledger does not close\n{fabric:#?}"
+    );
 }
 
 /// Runs the same seeded workload shape on the simulator — the baseline

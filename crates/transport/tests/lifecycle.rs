@@ -14,6 +14,7 @@ use std::time::Duration as StdDuration;
 use dvv::mechanisms::DvvMechanism;
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::audit_fleet;
+use kvstore::messages::Msg;
 use runtime::Progress;
 use simnet::{Duration, SimRng};
 use transport::{hello_body, write_frame, ConnKill, Fabric, SocketConfig, SocketFleet};
@@ -79,6 +80,78 @@ fn severed_connections_reconnect_and_converge() {
     assert_eq!(
         fabric.hello_rejects, 0,
         "legitimate reconnects must pass the hello challenge"
+    );
+
+    // The write ledger closes across the kills: a frame whose write
+    // the severed socket refused is `io_lost`, never `written`.
+    assert_eq!(
+        fabric.enqueued_frames,
+        fabric.written_frames + fabric.io_lost_frames,
+        "write ledger does not close\n{fabric:#?}"
+    );
+}
+
+/// The sender is its own dialer: after a link's connection is severed,
+/// a later `send_bytes` from the same thread redials it, and what gets
+/// through afterwards is in send order — lost frames leave gaps, never
+/// a reordering.
+#[test]
+fn severed_link_redials_on_a_later_send_from_the_same_thread() {
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let (tx0, _rx0) = mpsc::sync_channel(64);
+    let (tx1, rx1) = mpsc::sync_channel(64);
+    let fabric = Fabric::<DvvMechanism>::start(
+        DvvMechanism,
+        2,
+        vec![tx0, tx1],
+        Arc::new(Progress::new(2)),
+        Arc::clone(&shutdown),
+        SimRng::new(0x5E7E),
+        16,
+        1 << 20,
+        0x5E7E,
+    )
+    .expect("bind loopback listeners");
+    let send = |req: u64| {
+        let ack = Msg::<DvvMechanism>::RepPutAck { req };
+        fabric.send_bytes(0, 1, ack.encode_transport(&DvvMechanism));
+    };
+    let recv = || match rx1.recv_timeout(StdDuration::from_secs(10)) {
+        Ok((_, Msg::RepPutAck { req })) => req,
+        other => panic!("expected an ack from node 0, got {other:?}"),
+    };
+
+    send(0);
+    assert_eq!(recv(), 0);
+    assert_eq!(fabric.kill_node_connections(1), 2, "both ends of 0 → 1");
+
+    // No other thread exists to repair the link: the sends themselves
+    // must find it broken and dial again.
+    let mut sent = 0;
+    while fabric.stats().reconnects == 0 {
+        sent += 1;
+        assert!(sent < 100, "link never redialed\n{:#?}", fabric.stats());
+        send(sent);
+    }
+    // The send that redialed also wrote its frame on the new connection.
+    let mut last = 0;
+    while last < sent {
+        let req = recv();
+        assert!(req > last, "delivery out of order: {req} after {last}");
+        last = req;
+    }
+
+    shutdown.store(true, Ordering::Relaxed);
+    fabric.stop();
+    let stats = fabric.stats();
+    assert!(
+        stats.io_lost_frames >= 1,
+        "the kill cost no frame?\n{stats:#?}"
+    );
+    assert_eq!(
+        stats.enqueued_frames,
+        stats.written_frames + stats.io_lost_frames,
+        "write ledger does not close\n{stats:#?}"
     );
 }
 

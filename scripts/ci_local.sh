@@ -96,6 +96,7 @@ if runs_lane socket; then
     cargo test -p transport --test charge_parity -- --nocapture
     cargo test -p transport --test conformance -- --nocapture
     cargo test -p transport --test lifecycle -- --nocapture
+    cargo test -p transport --test thread_census -- --nocapture
 fi
 
 if runs_lane storage; then
@@ -132,15 +133,10 @@ if runs_lane bench; then
         cargo bench --bench aae -- --quick
     CRITERION_JSON_OUT="$PWD/BENCH_wire.json" \
         cargo bench --bench wire -- --quick
-    CRITERION_JSON_OUT="$PWD/BENCH_runtime.json" \
-        cargo bench --bench runtime -- --quick
-    CRITERION_JSON_OUT="$PWD/BENCH_socket.json" \
-        cargo bench --bench socket -- --quick
     CRITERION_JSON_OUT="$PWD/BENCH_storage.json" \
         cargo bench --bench storage -- --quick
     echo "baselines written to BENCH_membership.json / BENCH_store.json /" \
-         "BENCH_aae.json / BENCH_wire.json / BENCH_runtime.json /" \
-         "BENCH_socket.json / BENCH_storage.json"
+         "BENCH_aae.json / BENCH_wire.json / BENCH_storage.json"
     ./scripts/bench_compare.sh
 fi
 
