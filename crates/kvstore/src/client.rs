@@ -160,11 +160,6 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         self.cycles_done
     }
 
-    /// This session's client id.
-    pub fn client_id(&self) -> ClientId {
-        self.client
-    }
-
     /// The causality mechanism this client runs (drivers clone it into
     /// their [`NodeCtx`] impls for message sizing).
     pub fn mech(&self) -> &M {

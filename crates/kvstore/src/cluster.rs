@@ -188,13 +188,6 @@ pub struct ClusterConfig {
     /// How long a live membership change is supervised before it is
     /// declared unsettled.
     pub membership_settle_budget: Duration,
-    /// Safety valve: when `true`, [`Cluster::await_membership`]
-    /// force-merges the control plane's view into every process after a
-    /// change (the pre-gossip behaviour). The default leaves
-    /// dissemination entirely to gossip — including the recovery from a
-    /// timed-out drain, which is re-admitted in band ([`Msg::Rejoin`])
-    /// — and only debug-asserts that settled views converged.
-    pub force_view_sync: bool,
 }
 
 impl Default for ClusterConfig {
@@ -210,7 +203,6 @@ impl Default for ClusterConfig {
             fault_schedule: Vec::new(),
             deadline: Duration::from_secs(600),
             membership_settle_budget: Duration::from_secs(30),
-            force_view_sync: false,
         }
     }
 }
@@ -278,9 +270,8 @@ pub struct MetadataReport {
 /// by gossip (periodic digests, AAE piggybacks, eager pushes, and
 /// request-digest mismatches). A leave whose drain cannot complete
 /// within the supervision budget is re-admitted **in band**
-/// ([`Msg::Rejoin`] under a fresh incarnation); force-synchronising the
-/// views is a configurable safety valve
-/// ([`ClusterConfig::force_view_sync`]), not a correctness step.
+/// ([`Msg::Rejoin`] under a fresh incarnation); the harness never
+/// force-synchronises views.
 /// [`Cluster::add_node_live`] / [`Cluster::remove_node_live`] remain as
 /// single-change conveniences (begin + await).
 #[derive(Debug)]
@@ -303,7 +294,6 @@ pub struct Cluster<M: Mechanism<StampedValue>> {
     store_config: StoreConfig,
     deadline: SimTime,
     settle_budget: Duration,
-    force_view_sync: bool,
     /// The view servers boot with — what a crash-recovered node knows
     /// before its in-band [`Msg::Rejoin`] catches it up.
     genesis_view: RingView<ReplicaId>,
@@ -417,7 +407,6 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
             store_config: config.store,
             deadline: SimTime::ZERO + config.deadline,
             settle_budget: config.membership_settle_budget,
-            force_view_sync: config.force_view_sync,
             genesis_view,
             engine_factory,
             crashed: BTreeSet::new(),
@@ -466,11 +455,6 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         self.servers
     }
 
-    /// Total hosted server slots, including dormant spares.
-    pub fn server_slot_count(&self) -> usize {
-        self.server_slots
-    }
-
     /// The server slots currently in the ring, in ascending order.
     pub fn member_slots(&self) -> Vec<usize> {
         self.members.iter().copied().collect()
@@ -510,25 +494,9 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         }
     }
 
-    /// Force-merges the control plane's canonical view into every
-    /// process. With gossip dissemination and in-band re-admission this
-    /// is a **safety valve**, not part of any membership change's path:
-    /// it runs only when [`ClusterConfig::force_view_sync`] is set.
-    fn sync_all_views(&mut self) {
-        let view = self.view.clone();
-        for i in 0..(self.server_slots + self.clients) {
-            match self.sim.process_mut(i) {
-                StoreProc::Server(s) => s.force_view(&view),
-                StoreProc::Client(c) => {
-                    c.force_view(&view);
-                }
-            }
-        }
-    }
-
     /// Debug assertion that gossip alone already converged every member
-    /// server's ring view — what `sync_all_views` used to force. Called
-    /// on the happy path of a settled membership change.
+    /// server's ring view. Called on the happy path of a settled
+    /// membership change.
     fn debug_assert_views_converged(&self) {
         for &i in &self.members {
             if self.crashed.contains(&i) {
@@ -650,8 +618,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// drain did **not** complete is re-admitted *in band*: the control
     /// plane mints a fresh `Up` incarnation and posts [`Msg::Rejoin`] to
     /// the subject, whose gossip spreads the re-admission once
-    /// connectivity allows — there is no forced view synchronisation
-    /// (unless [`ClusterConfig::force_view_sync`] opts in).
+    /// connectivity allows — there is no forced view synchronisation.
     ///
     /// Returns whether everything settled and converged within budget.
     pub fn await_membership(&mut self) -> bool {
@@ -745,9 +712,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
                 all_ok = converged;
             }
         }
-        if self.force_view_sync {
-            self.sync_all_views();
-        } else if all_ok {
+        if all_ok {
             self.debug_assert_views_converged();
         }
         all_ok

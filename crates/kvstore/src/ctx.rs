@@ -65,9 +65,6 @@ pub trait NodeCtx<M: Mechanism<StampedValue>> {
     /// unschedule (the simulator) may still deliver the fire; nodes must
     /// treat an unknown id as a no-op.
     fn cancel_timer(&mut self, timer: TimerId);
-
-    /// Adds a free-form annotation (trace note on the simulator).
-    fn note(&mut self, text: String);
 }
 
 /// [`NodeCtx`] implementation over the discrete-event simulator's
@@ -121,10 +118,6 @@ impl<M: Mechanism<StampedValue>> NodeCtx<M> for SimCtx<'_, '_, M> {
         // The simulator's event queue has no removal; the fire is
         // delivered and ignored by the node's own timer map. Keeping the
         // event preserves bit-for-bit determinism of existing runs.
-    }
-
-    fn note(&mut self, text: String) {
-        self.inner.note(text);
     }
 }
 

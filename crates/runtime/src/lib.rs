@@ -9,25 +9,29 @@
 //!
 //! **One threaded fleet.** Everything about hosting a node on a thread
 //! lives in [`fleet`], once: node construction, the worker event loop
-//! and its dispatch bookkeeping, the crash plane, the fault router and
-//! delayer, the settle/quiesce main loop, the watchdog wiring and the
-//! post-run [`FleetHarness`](kvstore::harness::FleetHarness) surface.
+//! and its dispatch bookkeeping, the crash plane, the fault router with
+//! its held-back packets, the main loop that watches over a run (crash
+//! and link schedules, stall check, settle/quiesce) and the post-run
+//! [`FleetHarness`](kvstore::harness::FleetHarness) surface.
 //! [`Fleet`] is generic over a [`Link`] ([`link`]), whose whole job is
-//! where a node's outbox goes and where its inbox comes from. A link
-//! must provide: `open` at run start (it is handed the per-node inbox
-//! senders, the [`Progress`] counters and the shutdown flag), a `send`
-//! of an addressed message that never waits on the destination node
-//! (see [`Link::send`]), `pack`/`unpack` between its inbox item and a
-//! [`Packet`], `close` returning its ledger, and optionally a per-tick
-//! schedule hook and a note of self-sends (which the loop delivers
-//! locally and never hands to `send`). Two links
-//! exist: [`ChannelLink`] here ([`RuntimeFleet`]), and the TCP fabric
-//! link in `transport` (`SocketFleet`).
+//! how an addressed message gets from one worker to another worker's
+//! inbox. A link must provide: `open` at run start (it is handed the
+//! per-node inbox senders — every inbox carries [`Packet`]s — the
+//! [`Progress`] counters and the shutdown flag), a `send` of an
+//! addressed message that never waits on the destination node (see
+//! [`Link::send`]), `close` returning its ledger, and optionally a
+//! per-tick schedule hook and a note of self-sends (which the loop
+//! delivers locally and never hands to `send`). Two links exist:
+//! [`ChannelLink`] here ([`RuntimeFleet`]), and the TCP fabric link in
+//! `transport` (`SocketFleet`).
 //!
 //! What the fleet gives every link:
 //!
 //! * one event-loop thread per server, clients partitioned across a
-//!   configurable number of worker threads;
+//!   configurable number of worker threads — and no other thread: the
+//!   caller of [`Fleet::run`] is the supervisor, [`Progress`] is the
+//!   one live carrier between it and the workers, and nothing on the
+//!   dispatch path takes a lock;
 //! * bounded inboxes — a full inbox is wire loss, which the protocol's
 //!   timeouts, retries and anti-entropy already absorb, so no
 //!   backpressure deadlock is possible;
@@ -41,8 +45,8 @@
 //! * an optional loss/latency/duplicate/replay-injecting layer
 //!   ([`FaultPlan`]) and scheduled crash/respawn ([`CrashEvent`]) so
 //!   fault scenarios carry over from the simulated suites;
-//! * a stall watchdog ([`watchdog`]) that fails a wedged run fast with
-//!   per-node inbox depths and last-event timestamps.
+//! * a stall check in the main loop that fails a wedged run fast with
+//!   per-node inbox depths and last-event timestamps ([`watchdog`]).
 //!
 //! What this buys over the simulator is *real* concurrency: sustained
 //! throughput and tail latency under hundreds of concurrent closed-loop
@@ -95,7 +99,7 @@ pub struct FaultPlan {
     /// `simnet::LinkFaults::replay_probability`).
     pub replay_probability: f64,
     /// Server node indices whose worker threads wedge on purpose —
-    /// never start, never drain their inbox. For watchdog tests.
+    /// never start, never drain their inbox. For stall-report tests.
     pub hang_servers: Vec<usize>,
 }
 
@@ -162,11 +166,9 @@ pub struct RuntimeConfig {
     pub client: ClientConfig,
     /// Network fault injection while the run is active.
     pub faults: FaultPlan,
-    /// The watchdog declares a stall after this long without a single
+    /// The run is declared stalled after this long without a single
     /// client op completing.
     pub stall_budget: StdDuration,
-    /// Watchdog polling interval.
-    pub watchdog_poll: StdDuration,
     /// Hard wall-clock stop for the whole run.
     pub run_budget: StdDuration,
     /// Fault-free settling budget after the last client finishes,
@@ -212,7 +214,6 @@ impl Default for RuntimeConfig {
             client: ClientConfig::default(),
             faults: FaultPlan::default(),
             stall_budget: StdDuration::from_secs(10),
-            watchdog_poll: StdDuration::from_millis(25),
             run_budget: StdDuration::from_secs(120),
             quiesce: StdDuration::from_millis(500),
             settle_window: StdDuration::from_millis(400),

@@ -3,14 +3,16 @@
 //!
 //! The threaded fleet ([`crate::fleet`]) owns everything about hosting
 //! a node — the event loop, timers, crash plane, fault router, settle
-//! probe, watchdog — and is generic over this one trait for the part
+//! probe, stall check — and is generic over this one trait for the part
 //! that differs between drivers: how an addressed message travels from
-//! one worker thread to another. [`ChannelLink`] moves the `Msg` value
-//! itself into the destination worker's bounded inbox; the socket
-//! driver's link (`transport::FabricLink`) encodes it, frames it and
-//! writes it — on the sending worker's own thread — to a TCP connection
-//! whose reader feeds the same kind of inbox. A test can substitute a scripted link and drive the loop
-//! message by message.
+//! one worker thread to another. Every link ends the same way: a
+//! [`Packet`] — the one inbox item — [`deliver`]ed into the destination
+//! worker's bounded inbox. [`ChannelLink`] does just that with the `Msg`
+//! value itself; the socket driver's link (`transport::FabricLink`)
+//! encodes it, frames it and writes it — on the sending worker's own
+//! thread — to a TCP connection whose reader decodes it and delivers
+//! it. A test can substitute a scripted link and drive the loop message
+//! by message.
 //!
 //! Self-sends never reach [`Link::send`]: the loop delivers them through
 //! its own local queue and only tells the link what it skipped
@@ -42,10 +44,11 @@ pub struct Packet<M: Mechanism<StampedValue>> {
 
 /// What a fleet run hands its link at [`Link::open`].
 #[derive(Debug)]
-pub struct Wiring<T> {
+pub struct Wiring<M: Mechanism<StampedValue>> {
     /// `inboxes[i]` feeds the worker hosting node `i` (bounded; nodes
-    /// of one worker share a channel).
-    pub inboxes: Vec<SyncSender<T>>,
+    /// of one worker share a channel, and the packet's `to` tells them
+    /// apart).
+    pub inboxes: Vec<SyncSender<Packet<M>>>,
     /// The run's progress counters; whoever enqueues into `inboxes[i]`
     /// also increments `inbox_depth[i]` (see [`deliver`]).
     pub progress: Arc<Progress>,
@@ -57,30 +60,17 @@ pub struct Wiring<T> {
 ///
 /// A link is a cheap handle: the fleet opens one, keeps it for the main
 /// loop ([`tick`](Link::tick), [`close`](Link::close)) and gives every
-/// worker and the delayer a clone to [`send`](Link::send) on, so no
-/// sender state is shared between threads that the link does not
-/// choose to share. It is a generic parameter of the fleet, so `send`
-/// is a direct call.
+/// worker a clone to [`send`](Link::send) on, so no sender state is
+/// shared between threads that the link does not choose to share. It is
+/// a generic parameter of the fleet, so `send` is a direct call.
 pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
-    /// What a worker's inbox carries. A link whose item does not name
-    /// its destination (see [`unpack`](Link::unpack)) needs a fleet
-    /// with one node per worker.
-    type Inbound: Send + 'static;
     /// What the fleet keeps from construction until `open`.
     type Spec;
     /// The link's own accounting of a run.
     type Ledger;
 
     /// Opens the link at run start.
-    fn open(spec: &Self::Spec, wiring: Wiring<Self::Inbound>) -> Self;
-
-    /// Wraps a packet the fleet itself posts into an inbox, bypassing
-    /// the wire (the crash schedule's `Rejoin`).
-    fn pack(pkt: Packet<M>) -> Self::Inbound;
-
-    /// Opens an inbox item received by the worker whose first hosted
-    /// node is `owner`.
-    fn unpack(owner: NodeId, item: Self::Inbound) -> Packet<M>;
+    fn open(spec: &Self::Spec, wiring: Wiring<M>) -> Self;
 
     /// Ships one message to another node, on the calling worker's
     /// thread. A link never waits on the destination *node*: a full
@@ -140,24 +130,15 @@ where
     M: Mechanism<StampedValue> + Send + 'static,
     M::Context: Send,
 {
-    type Inbound = Packet<M>;
     type Spec = ();
     type Ledger = ChannelStats;
 
-    fn open(_spec: &(), wiring: Wiring<Packet<M>>) -> Self {
+    fn open(_spec: &(), wiring: Wiring<M>) -> Self {
         ChannelLink {
             inboxes: wiring.inboxes,
             progress: wiring.progress,
             inbox_drops: Arc::new(AtomicU64::new(0)),
         }
-    }
-
-    fn pack(pkt: Packet<M>) -> Packet<M> {
-        pkt
-    }
-
-    fn unpack(_owner: NodeId, item: Packet<M>) -> Packet<M> {
-        item
     }
 
     fn send(&self, pkt: Packet<M>) {

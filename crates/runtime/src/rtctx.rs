@@ -91,9 +91,4 @@ impl<M: Mechanism<StampedValue>> NodeCtx<M> for RtCtx<'_, M> {
     fn cancel_timer(&mut self, timer: TimerId) {
         self.timer_cancels.push(timer);
     }
-
-    fn note(&mut self, _text: String) {
-        // The runtime keeps no trace log; notes are a simulator
-        // debugging aid.
-    }
 }

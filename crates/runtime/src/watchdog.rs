@@ -1,23 +1,25 @@
-//! Stall watchdog: a supervisor thread that fails a runtime run fast —
-//! with per-node diagnostics — instead of letting a deadlocked or wedged
-//! fleet hang until the run budget expires.
+//! Stall diagnostics: what lets a runtime run fail fast — with per-node
+//! detail — instead of letting a deadlocked or wedged fleet hang until
+//! the run budget expires.
 //!
 //! Progress is defined as *completed client operations* (GETs + PUTs
 //! acknowledged to a client). While any client is still working, the
-//! watchdog requires the fleet-wide op counter to move at least once per
-//! `stall_budget`; if it does not, the watchdog snapshots every node's
-//! inbox depth, event count and last-event timestamp into a
-//! [`StallReport`], marks the run stalled and pulls the global shutdown
-//! flag so worker threads exit promptly.
+//! fleet's main loop ([`Fleet::run`](crate::fleet::Fleet::run), the one
+//! supervisor of a run) requires the fleet-wide op counter to move at
+//! least once per `stall_budget`; if it does not, it snapshots every
+//! node's inbox depth, event count and last-event timestamp into a
+//! [`StallReport`] ([`diagnose`]) and ends the run with it. This module
+//! holds the two halves of that contract: the [`Progress`] counters the
+//! workers write, and the report the main loop reads them into.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration as StdDuration, Instant};
 
 /// Shared progress counters, written by worker threads after every
-/// dispatch and read by the watchdog. All access is relaxed-atomic: the
-/// watchdog needs liveness signals, not a consistent cut.
+/// dispatch and read by the fleet's main loop — the one carrier of live
+/// state in a run. All access is relaxed-atomic: the reader needs
+/// liveness signals, not a consistent cut.
 #[derive(Debug)]
 pub struct Progress {
     /// Client operations completed fleet-wide (GET + PUT acks observed).
@@ -30,12 +32,19 @@ pub struct Progress {
     pub last_event_micros: Vec<AtomicU64>,
     /// Current inbox depth per node (enqueued − dispatched).
     pub inbox_depth: Vec<AtomicI64>,
-    /// Set by the watchdog when it declares a stall.
-    pub stalled: AtomicBool,
     /// Nodes the harness has *deliberately* taken down (crash schedule):
-    /// their silence is expected, and the watchdog's diagnostics must
-    /// not present them as wedged.
+    /// their silence is expected, and the stall diagnostics must not
+    /// present them as wedged.
     pub expected_down: Vec<AtomicBool>,
+    /// Per node (a client's stays 0), the sum of a server's repair
+    /// counters — AAE divergences, read repairs, handoffs, transfers in
+    /// and out: it moves while repairs are still landing, and the
+    /// quiesce phase waits for it to sit still.
+    pub repair_activity: Vec<AtomicU64>,
+    /// Per node (a client's stays 0), the AAE rounds a server has
+    /// initiated — the quiesce phase requires clean rounds, not just
+    /// elapsed quiet time.
+    pub aae_rounds: Vec<AtomicU64>,
 }
 
 impl Progress {
@@ -47,13 +56,14 @@ impl Progress {
             events: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             last_event_micros: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             inbox_depth: (0..nodes).map(|_| AtomicI64::new(0)).collect(),
-            stalled: AtomicBool::new(false),
             expected_down: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
+            repair_activity: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            aae_rounds: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     /// Marks node `i` as deliberately down (or back up): crash-schedule
-    /// bookkeeping the watchdog folds into its diagnostics.
+    /// bookkeeping that [`diagnose`] folds into its report.
     pub fn set_expected_down(&self, i: usize, down: bool) {
         self.expected_down[i].store(down, Ordering::Relaxed);
     }
@@ -79,7 +89,7 @@ pub struct NodeDiag {
 /// [`Fleet::run`](crate::fleet::Fleet::run).
 #[derive(Clone, Debug)]
 pub struct StallReport {
-    /// How long the op counter sat still before the watchdog fired.
+    /// How long the op counter sat still before the stall was declared.
     pub waited: StdDuration,
     /// Fleet-wide ops completed when the stall was declared.
     pub ops_ok: u64,
@@ -142,53 +152,9 @@ impl fmt::Display for StallReport {
     }
 }
 
-/// Supervises `progress` until all `total_clients` clients finish or a
-/// stall is declared. Runs on its own thread; returns when the run
-/// completes, stalls, or `shutdown` is pulled externally.
-///
-/// On stall: fills `report_slot`, sets `progress.stalled`, and pulls
-/// `shutdown` so workers exit.
-pub fn supervise(
-    progress: Arc<Progress>,
-    shutdown: Arc<AtomicBool>,
-    report_slot: Arc<Mutex<Option<StallReport>>>,
-    origin: Instant,
-    total_clients: u64,
-    stall_budget: StdDuration,
-    poll: StdDuration,
-) {
-    let mut last_ops = progress.ops_ok.load(Ordering::Relaxed);
-    let mut still_since = Instant::now();
-    loop {
-        std::thread::sleep(poll);
-        if shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        if progress.done_clients.load(Ordering::Relaxed) >= total_clients {
-            // Run finished; the main thread handles quiesce + shutdown.
-            return;
-        }
-        let ops = progress.ops_ok.load(Ordering::Relaxed);
-        if ops != last_ops {
-            last_ops = ops;
-            still_since = Instant::now();
-            continue;
-        }
-        let waited = still_since.elapsed();
-        if waited < stall_budget {
-            continue;
-        }
-        let report = diagnose(&progress, origin, waited);
-        *report_slot.lock().expect("watchdog slot") = Some(report);
-        progress.stalled.store(true, Ordering::Relaxed);
-        shutdown.store(true, Ordering::Relaxed);
-        return;
-    }
-}
-
 /// Snapshots the current per-node liveness diagnostics into a
-/// [`StallReport`] claiming `waited` of stillness. Also used by the
-/// fleet when the overall run budget expires.
+/// [`StallReport`] claiming `waited` of stillness: the stall budget
+/// when the op counter stopped, the run budget when that expired.
 pub fn diagnose(progress: &Progress, origin: Instant, waited: StdDuration) -> StallReport {
     let now_us = origin.elapsed().as_micros() as u64;
     let nodes = (0..progress.events.len())

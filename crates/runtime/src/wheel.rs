@@ -8,20 +8,22 @@
 //! on both drivers; the shared property test in `tests/timer_order.rs`
 //! drives both structures with one schedule and compares pop orders.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BTreeMap;
 
-/// A min-heap timer queue keyed on `(due_micros, insertion_seq)`.
+/// A timer queue ordered by `(due_micros, insertion_seq)`.
 ///
 /// Unlike the simulator's event queue, the wheel supports true
-/// cancellation: cancelled items are tombstoned and lazily skipped, so a
+/// cancellation: an index from each pending item to its queue key lets
+/// [`cancel`](Self::cancel) delete the entry there and then, so a
 /// [`NodeCtx::cancel_timer`](kvstore::ctx::NodeCtx::cancel_timer) on the
 /// runtime actually unschedules the wakeup instead of firing it into a
-/// no-op.
+/// no-op — and a request timer cancelled on every completed request
+/// leaves nothing behind.
 #[derive(Debug)]
 pub struct TimerWheel<T: Ord + Copy> {
-    heap: BinaryHeap<Reverse<(u64, u64, T)>>,
-    cancelled: BTreeSet<T>,
+    queue: BTreeMap<(u64, u64), T>,
+    /// Where each pending item sits in `queue`.
+    index: BTreeMap<T, (u64, u64)>,
     seq: u64,
 }
 
@@ -35,59 +37,55 @@ impl<T: Ord + Copy> TimerWheel<T> {
     /// An empty wheel.
     pub fn new() -> Self {
         TimerWheel {
-            heap: BinaryHeap::new(),
-            cancelled: BTreeSet::new(),
+            queue: BTreeMap::new(),
+            index: BTreeMap::new(),
             seq: 0,
         }
     }
 
     /// Schedules `item` to fire at `due_micros` (absolute, on whatever
     /// monotonic clock the caller uses). Items due at the same instant
-    /// pop in the order they were scheduled.
+    /// pop in the order they were scheduled. An item is pending at most
+    /// once: scheduling one that already is moves it.
     pub fn schedule(&mut self, due_micros: u64, item: T) {
-        // Re-scheduling a previously cancelled id revives it.
-        self.cancelled.remove(&item);
-        self.heap.push(Reverse((due_micros, self.seq, item)));
+        let key = (due_micros, self.seq);
         self.seq += 1;
+        if let Some(old) = self.index.insert(item, key) {
+            self.queue.remove(&old);
+        }
+        self.queue.insert(key, item);
     }
 
     /// Unschedules `item`; a no-op if it is not pending.
     pub fn cancel(&mut self, item: T) {
-        self.cancelled.insert(item);
-    }
-
-    /// The due time of the earliest live timer, if any. Prunes cancelled
-    /// entries from the top of the heap as a side effect.
-    pub fn next_due(&mut self) -> Option<u64> {
-        while let Some(Reverse((due, _, item))) = self.heap.peek().copied() {
-            if self.cancelled.remove(&item) {
-                self.heap.pop();
-                continue;
-            }
-            return Some(due);
+        if let Some(key) = self.index.remove(&item) {
+            self.queue.remove(&key);
         }
-        None
     }
 
-    /// Pops the earliest live timer due at or before `now_micros`.
+    /// The due time of the earliest pending timer, if any.
+    pub fn next_due(&self) -> Option<u64> {
+        self.queue.keys().next().map(|(due, _)| *due)
+    }
+
+    /// Pops the earliest pending timer due at or before `now_micros`.
     pub fn pop_due(&mut self, now_micros: u64) -> Option<T> {
-        match self.next_due() {
-            Some(due) if due <= now_micros => {
-                let Reverse((_, _, item)) = self.heap.pop().expect("peeked");
-                Some(item)
-            }
-            _ => None,
+        if self.next_due()? > now_micros {
+            return None;
         }
+        let (_, item) = self.queue.pop_first()?;
+        self.index.remove(&item);
+        Some(item)
     }
 
-    /// Number of entries in the heap, cancelled tombstones included.
+    /// Number of pending timers.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
-    /// True when no entries remain (live or tombstoned).
+    /// True when no timer is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 }
 
@@ -120,5 +118,20 @@ mod tests {
         assert_eq!(w.pop_due(100), None);
         w.schedule(5, 1);
         assert_eq!(w.pop_due(100), Some(1));
+    }
+
+    /// Regression: `cancel` used to leave the heap entry (and a
+    /// tombstone) in place until it reached the top, which a request
+    /// timer due seconds after the periodic ones never did — one leaked
+    /// entry per completed request.
+    #[test]
+    fn cancelled_timers_leave_nothing_behind() {
+        let mut w = TimerWheel::new();
+        for i in 0..10_000u64 {
+            w.schedule(10_000_000 + i, i);
+            w.cancel(i);
+        }
+        assert_eq!(w.len(), 0);
+        assert_eq!(w.next_due(), None);
     }
 }

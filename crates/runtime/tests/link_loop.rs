@@ -12,7 +12,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration as StdDuration, Instant};
 
 use dvv::mechanisms::DvvMechanism;
@@ -22,7 +22,9 @@ use kvstore::messages::Msg;
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::RingView;
 use runtime::link::deliver;
-use runtime::{ChannelLink, CrashEvent, Fleet, Link, Packet, Progress, RuntimeConfig, Wiring};
+use runtime::{
+    ChannelLink, CrashEvent, FaultPlan, Fleet, Link, Packet, Progress, RuntimeConfig, Wiring,
+};
 use simnet::{Duration, NodeId};
 
 type M = DvvMechanism;
@@ -93,25 +95,16 @@ fn await_that(what: &str, cond: impl Fn() -> bool) {
 }
 
 impl Link<M> for ScriptLink {
-    type Inbound = Packet<M>;
     type Spec = Arc<Script>;
     type Ledger = ();
 
-    fn open(spec: &Arc<Script>, wiring: Wiring<Packet<M>>) -> Self {
+    fn open(spec: &Arc<Script>, wiring: Wiring<M>) -> Self {
         ScriptLink {
             inboxes: wiring.inboxes,
             progress: wiring.progress,
             script: Arc::clone(spec),
             ticked: false,
         }
-    }
-
-    fn pack(pkt: Packet<M>) -> Packet<M> {
-        pkt
-    }
-
-    fn unpack(_owner: NodeId, item: Packet<M>) -> Packet<M> {
-        item
     }
 
     fn send(&self, pkt: Packet<M>) {
@@ -155,7 +148,6 @@ fn quiet_config(clients: usize) -> RuntimeConfig {
             handoff_interval: far,
             ..StoreConfig::default()
         },
-        watchdog_poll: StdDuration::from_millis(1),
         quiesce: StdDuration::ZERO,
         ..RuntimeConfig::default()
     }
@@ -393,6 +385,80 @@ fn a_reply_delivered_twice_counts_once_toward_the_quorum() {
     assert_eq!(
         (stats.gets_ok, stats.puts_ok, stats.quorum_timeouts),
         (0, 0, 2)
+    );
+}
+
+/// A latency-sampled packet waits on the router of the worker that
+/// routed it and is on the wire from that moment: it reaches the link
+/// no earlier than the window's lower edge, its duplicate draws a delay
+/// of its own, and both still go out after the crash schedule has
+/// killed the node that sent them. The kill runs on the schedule's wall
+/// clock, hence the wide margins: routed well before it, due well after.
+#[test]
+fn delayed_sends_keep_their_delay_and_outlive_a_kill_of_their_sender() {
+    const LO: StdDuration = StdDuration::from_millis(300);
+    const HI: StdDuration = StdDuration::from_millis(400);
+    const KILL_AFTER: StdDuration = StdDuration::from_millis(100);
+    fn micros_now() -> u64 {
+        static EPOCH: OnceLock<Instant> = OnceLock::new();
+        EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
+    }
+    fn script(link: &ScriptLink) {
+        await_that("the server to start", || link.events(SERVER) >= 1);
+        let killed = &link.progress.expected_down[0];
+        assert!(!killed.load(Ordering::Relaxed), "first pass came too late");
+        let base = link.events(SERVER);
+        link.note(micros_now());
+        link.probe(1);
+        // The answer and its duplicate are routed — held back — before
+        // this returns and lets the main loop reach the kill.
+        await_that("the probe to be answered", || link.events(SERVER) > base);
+    }
+    fn stamp(link: &ScriptLink, _: &Packet<M>) {
+        link.note(micros_now());
+        link.note(u64::from(
+            link.progress.expected_down[0].load(Ordering::Relaxed),
+        ));
+    }
+    let script = Arc::new(Script {
+        on_send: Some(stamp),
+        on_tick: Some(script),
+        ..Script::default()
+    });
+    let mut config = quiet_config(0);
+    config.faults = FaultPlan {
+        delay_micros: Some((LO.as_micros() as u64, HI.as_micros() as u64)),
+        duplicate_probability: 1.0,
+        ..FaultPlan::default()
+    };
+    config.crashes = vec![CrashEvent {
+        server: 0,
+        kill_after: KILL_AFTER,
+        respawn_after: HI + 2 * KILL_AFTER,
+    }];
+    let mut fleet = fleet(config, &script);
+    fleet.run().expect("no stall");
+
+    let notes = script.notes.lock().unwrap().clone();
+    let [routed, first, first_down, second, second_down] = notes[..] else {
+        panic!("the answer and its duplicate, nothing else: {notes:?}");
+    };
+    assert_eq!(script.sent_to(STRANGER), 2);
+    let lo = LO.as_micros() as u64;
+    assert!(
+        first - routed >= lo,
+        "sent {} µs after routing",
+        first - routed
+    );
+    assert!(
+        second - first >= 1_000,
+        "two copies, one delay: {} µs apart",
+        second - first
+    );
+    assert_eq!(
+        (first_down, second_down),
+        (1, 1),
+        "both left after the kill of their sender"
     );
 }
 

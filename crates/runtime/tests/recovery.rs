@@ -50,7 +50,6 @@ fn recovery_config() -> RuntimeConfig {
         run_budget: StdDuration::from_secs(90),
         quiesce: StdDuration::from_secs(20),
         settle_window: StdDuration::from_millis(600),
-        ..RuntimeConfig::default()
     }
 }
 

@@ -38,7 +38,6 @@ fn watchdog_fires_on_wedged_server() {
                 ..FaultPlan::default()
             },
             stall_budget: StdDuration::from_millis(300),
-            watchdog_poll: StdDuration::from_millis(25),
             run_budget: StdDuration::from_secs(30),
             quiesce: StdDuration::ZERO,
             ..RuntimeConfig::default()
@@ -106,7 +105,6 @@ fn watchdog_distinguishes_scheduled_kill_from_wedge() {
                 respawn_after: StdDuration::from_secs(60),
             }],
             stall_budget: StdDuration::from_millis(400),
-            watchdog_poll: StdDuration::from_millis(25),
             run_budget: StdDuration::from_secs(30),
             quiesce: StdDuration::ZERO,
             ..RuntimeConfig::default()

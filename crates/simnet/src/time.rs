@@ -111,12 +111,6 @@ impl SimTime {
     pub const fn as_micros(self) -> u64 {
         self.0
     }
-
-    /// Fractional milliseconds since the epoch.
-    #[must_use]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
 }
 
 impl Add<Duration> for SimTime {

@@ -19,15 +19,19 @@
 //! send redials. Both are wire loss the protocol's retries and
 //! anti-entropy absorb. A sender may wait on the kernel (a full socket
 //! buffer) but never on the destination *node*: the reader at the far
-//! end `try_send`s into the node's inbox and drops on full — wire loss
-//! again, matching the runtime — so it always drains the socket. Lock
-//! order is link → `conns`; nothing takes them the other way round.
+//! end [`deliver`]s into the node's inbox, which drops on full — wire
+//! loss again, the in-process link's own rule — so it always drains the
+//! socket. Lock order is link → `conns`; nothing takes them the other
+//! way round.
 //!
 //! Inbound, an accept thread per listener spawns a reader per
-//! connection. The reader verifies the hello tag in constant time and
-//! terminally rejects the connection on any mismatch, so a stray
-//! process dialing a listener's port cannot inject frames attributed to
-//! a cluster member. A malformed frame (torn, oversized, bad checksum)
+//! connection. A reader knows both ends of what it reads — the node it
+//! accepted for and the dialer its hello named — so what it puts in the
+//! inbox is a complete [`Packet`], the same item every link delivers.
+//! The reader verifies the hello tag in constant time and terminally
+//! rejects the connection on any mismatch, so a stray process dialing a
+//! listener's port cannot inject frames attributed to a cluster member.
+//! A malformed frame (torn, oversized, bad checksum)
 //! or an undecodable body kills that connection — a stream decoder
 //! cannot resync after corruption — and the dialer's next send takes it
 //! from there.
@@ -42,7 +46,7 @@
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration as StdDuration, Instant};
@@ -50,7 +54,8 @@ use std::time::{Duration as StdDuration, Instant};
 use dvv::mechanisms::WireMechanism;
 use kvstore::messages::Msg;
 use kvstore::value::StampedValue;
-use runtime::Progress;
+use runtime::link::deliver;
+use runtime::{Packet, Progress};
 use simnet::{NodeId, SimRng};
 use storage::fnv1a64;
 
@@ -97,10 +102,6 @@ fn tags_match(a: u64, b: u64) -> bool {
     }
     diff == 0
 }
-
-/// A message delivered into a node's inbox: the sending node plus the
-/// decoded message.
-pub type InPacket<M> = (NodeId, Msg<M>);
 
 /// Snapshot of the fabric's byte/frame ledger.
 ///
@@ -202,7 +203,7 @@ struct Conn {
 pub struct Fabric<M: WireMechanism<StampedValue>> {
     mech: M,
     addrs: Vec<SocketAddr>,
-    inboxes: Vec<SyncSender<InPacket<M>>>,
+    inboxes: Vec<SyncSender<Packet<M>>>,
     progress: Arc<Progress>,
     shutdown: Arc<AtomicBool>,
     counters: Counters,
@@ -277,7 +278,7 @@ where
     pub fn start(
         mech: M,
         nodes: usize,
-        inboxes: Vec<SyncSender<InPacket<M>>>,
+        inboxes: Vec<SyncSender<Packet<M>>>,
         progress: Arc<Progress>,
         shutdown: Arc<AtomicBool>,
         rng_root: SimRng,
@@ -537,16 +538,20 @@ where
                         .fetch_add((body.len() + HEADER_BYTES) as u64, Ordering::Relaxed);
                     match Msg::<M>::decode_transport(&self.mech, &body) {
                         Ok(msg) => {
-                            match self.inboxes[to].try_send((NodeId(from as u32), msg)) {
-                                Ok(()) => {
-                                    self.progress.inbox_depth[to].fetch_add(1, Ordering::Relaxed);
+                            let pkt = Packet {
+                                from: NodeId(from as u32),
+                                to: NodeId(to as u32),
+                                msg,
+                            };
+                            if !deliver(&self.inboxes, &self.progress, pkt.to, pkt) {
+                                // The run is over and the worker gone:
+                                // nobody is left to read for.
+                                if self.shutdown.load(Ordering::Relaxed) {
+                                    break;
                                 }
-                                Err(TrySendError::Full(_)) => {
-                                    // Wire loss at the inbox, same as the
-                                    // threaded runtime's bounded inboxes.
-                                    self.counters.inbox_drops.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(TrySendError::Disconnected(_)) => break,
+                                // Wire loss at the inbox, same as the
+                                // threaded runtime's bounded inboxes.
+                                self.counters.inbox_drops.fetch_add(1, Ordering::Relaxed);
                             }
                         }
                         Err(_) => {

@@ -1,14 +1,15 @@
 //! [`SocketFleet`]: the kvstore protocol over real TCP sockets.
 //!
 //! The third driver — and not a second fleet: node hosting (event loop,
-//! timers, self-send queue, settle/quiesce, watchdog, post-run
+//! timers, self-send queue, settle/quiesce, stall check, post-run
 //! inspection) is [`runtime::Fleet`], the one threaded fleet. This
 //! module supplies the part that differs, a [`Link`] backed by the
 //! [`Fabric`]: every inter-node message is *actually serialised*
 //! ([`Msg::encode_transport`]), framed ([`crate::frame`]) and written
 //! to a loopback TCP connection by the node's own worker thread — the
 //! send side has no thread or queue of its own — and the fabric's
-//! reader threads feed the decoded messages into the loop's inboxes.
+//! reader threads deliver the decoded messages, as the same
+//! [`Packet`]s every link delivers, into the loop's inboxes.
 //! Self-sends are delivered locally by the loop (a node does not dial
 //! itself) and only charged to the fabric's ledger.
 //!
@@ -20,10 +21,10 @@
 //!
 //! Layout matches the other drivers — node ids `0..servers` are replica
 //! servers, `servers..servers + clients` are closed-loop clients — with
-//! one worker thread per node, since a fabric inbox carries no
-//! destination. Post-run, the fleet implements
-//! [`kvstore::harness::FleetHarness`], so the same `audit_fleet` stack
-//! that gates the other drivers gates this one.
+//! one worker thread per node (a configuration choice: an inbox item
+//! names its destination, so nothing in the link requires it). Post-run,
+//! the fleet implements [`kvstore::harness::FleetHarness`], so the same
+//! `audit_fleet` stack that gates the other drivers gates this one.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -39,9 +40,9 @@ use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::RingView;
 use runtime::{FaultPlan, Fleet, Link, Packet, RuntimeConfig, Wiring};
-use simnet::{NodeId, SimRng};
+use simnet::SimRng;
 
-use crate::fabric::{Fabric, FabricStats, InPacket};
+use crate::fabric::{Fabric, FabricStats};
 use crate::frame;
 
 /// A scheduled connection fault: at `after` (wall clock from run
@@ -72,11 +73,9 @@ pub struct SocketConfig {
     /// Client session parameters (`cycles` overridden by
     /// `cycles_per_client`).
     pub client: ClientConfig,
-    /// The watchdog declares a stall after this long without a client
+    /// The run is declared stalled after this long without a client
     /// op completing.
     pub stall_budget: StdDuration,
-    /// Watchdog polling interval.
-    pub watchdog_poll: StdDuration,
     /// Hard wall-clock stop for the whole run.
     pub run_budget: StdDuration,
     /// Settling budget after the last client finishes (exits early once
@@ -103,7 +102,6 @@ impl Default for SocketConfig {
             store: StoreConfig::default(),
             client: ClientConfig::default(),
             stall_budget: StdDuration::from_secs(10),
-            watchdog_poll: StdDuration::from_millis(25),
             run_budget: StdDuration::from_secs(120),
             quiesce: StdDuration::from_millis(500),
             settle_window: StdDuration::from_millis(400),
@@ -139,13 +137,12 @@ where
     M: WireMechanism<StampedValue> + Send + Sync + 'static,
     M::Context: Send,
 {
-    type Inbound = InPacket<M>;
     type Spec = FabricSpec<M>;
     type Ledger = FabricStats;
 
     /// Binds one loopback listener per node; the fabric's readers feed
     /// the loop's inboxes.
-    fn open(spec: &FabricSpec<M>, wiring: Wiring<InPacket<M>>) -> Self {
+    fn open(spec: &FabricSpec<M>, wiring: Wiring<M>) -> Self {
         let fabric = Fabric::start(
             spec.mech.clone(),
             wiring.inboxes.len(),
@@ -162,19 +159,6 @@ where
             mech: spec.mech.clone(),
             fabric,
             conn_kills: spec.config.conn_kills.clone(),
-        }
-    }
-
-    fn pack(pkt: Packet<M>) -> InPacket<M> {
-        (pkt.from, pkt.msg)
-    }
-
-    /// A fabric inbox belongs to one node, so the item need not name it.
-    fn unpack(owner: NodeId, (from, msg): InPacket<M>) -> Packet<M> {
-        Packet {
-            from,
-            to: owner,
-            msg,
         }
     }
 
@@ -242,7 +226,7 @@ where
         let core = RuntimeConfig {
             servers: config.servers,
             clients: config.clients,
-            // One worker per client: a fabric inbox serves one node.
+            // One worker per client session.
             client_workers: config.clients.max(1),
             cycles_per_client: config.cycles_per_client,
             store: StoreConfig {
@@ -252,7 +236,6 @@ where
             client: config.client.clone(),
             faults: FaultPlan::default(),
             stall_budget: config.stall_budget,
-            watchdog_poll: config.watchdog_poll,
             run_budget: config.run_budget,
             quiesce: config.quiesce,
             settle_window: config.settle_window,

@@ -10,11 +10,12 @@
 //! byte-for-byte the same in all three drivers.
 //!
 //! There is no node loop here. Hosting nodes on threads — event loop,
-//! timers, self-send queue, settle/quiesce, watchdog, post-run
+//! timers, self-send queue, settle/quiesce, stall check, post-run
 //! inspection — is [`runtime::Fleet`], the one threaded fleet, and this
 //! crate plugs into its [`runtime::Link`] seam: [`fleet::FabricLink`]
-//! sends by encoding onto the [`Fabric`], receives through the fabric's
-//! reader threads, charges self-sends to the fabric's ledger, fires the
+//! sends by encoding onto the [`Fabric`], whose reader threads deliver
+//! what arrives as [`runtime::Packet`]s straight into the fleet's
+//! inboxes, charges self-sends to the fabric's ledger, fires the
 //! [`ConnKill`] schedule from the fleet's tick and returns
 //! [`FabricStats`] at close. [`SocketFleet`] is that fleet plus the
 //! configuration mapping (one worker per node, `header_bytes` forced to

@@ -16,6 +16,7 @@ use dvv::{ClientId, ReplicaId, VersionVector};
 use kvstore::messages::Msg;
 use kvstore::value::{StampedValue, WriteId};
 use runtime::watchdog::Progress;
+use runtime::Packet;
 use simnet::SimRng;
 use transport::fabric::Fabric;
 use transport::{read_frame, write_frame, HEADER_BYTES};
@@ -117,7 +118,7 @@ fn fabric_counts_match_ledger_on_both_ends() {
     let deadline = Instant::now() + Duration::from_secs(10);
     while got.len() < msgs.len() {
         assert!(Instant::now() < deadline, "messages never arrived");
-        if let Ok((from, msg)) = rx1.recv_timeout(Duration::from_millis(100)) {
+        if let Ok(Packet { from, msg, .. }) = rx1.recv_timeout(Duration::from_millis(100)) {
             assert_eq!(from.0, 0);
             got.push(msg);
         }

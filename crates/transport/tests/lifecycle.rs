@@ -15,7 +15,7 @@ use dvv::mechanisms::DvvMechanism;
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::audit_fleet;
 use kvstore::messages::Msg;
-use runtime::Progress;
+use runtime::{Packet, Progress};
 use simnet::{Duration, SimRng};
 use transport::{hello_body, write_frame, ConnKill, Fabric, SocketConfig, SocketFleet};
 
@@ -117,7 +117,10 @@ fn severed_link_redials_on_a_later_send_from_the_same_thread() {
         fabric.send_bytes(0, 1, ack.encode_transport(&DvvMechanism));
     };
     let recv = || match rx1.recv_timeout(StdDuration::from_secs(10)) {
-        Ok((_, Msg::RepPutAck { req })) => req,
+        Ok(Packet {
+            msg: Msg::RepPutAck { req },
+            ..
+        }) => req,
         other => panic!("expected an ack from node 0, got {other:?}"),
     };
 

@@ -11,8 +11,7 @@
 //! * [`churn::ChurnPlan`] — deterministic elastic-membership schedules
 //!   (node joins/leaves to replay while a workload runs),
 //! * [`stats::Histogram`] — log-bucketed latency/size histograms with
-//!   percentiles,
-//! * [`stats::Summary`] — streaming mean/min/max.
+//!   percentiles.
 //!
 //! The generators consume caller-supplied uniform draws (`f64` in
 //! `[0, 1)`), staying decoupled from the simulator's RNG type:
@@ -39,5 +38,5 @@ pub mod zipf;
 pub use churn::{churn_seeds, ChurnAction, ChurnEvent, ChurnPlan};
 pub use keys::{KeySpace, Popularity};
 pub use ops::{Op, OpGenerator, OpMix};
-pub use stats::{Histogram, Summary};
+pub use stats::Histogram;
 pub use zipf::Zipf;

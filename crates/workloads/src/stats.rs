@@ -1,5 +1,4 @@
-//! Result summarisation: [`Histogram`] with percentiles and streaming
-//! [`Summary`] statistics.
+//! Result summarisation: [`Histogram`] with percentiles.
 
 use core::fmt;
 
@@ -146,91 +145,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Streaming min/mean/max of `f64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use workloads::Summary;
-/// let mut s = Summary::new();
-/// s.record(1.0);
-/// s.record(3.0);
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 3.0);
-/// assert_eq!(s.count(), 2);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    #[must_use]
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Minimum (0 when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sum of all samples.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,21 +226,5 @@ mod tests {
         let s = h.to_string();
         assert!(s.contains("n=1"), "{s}");
         assert!(s.contains("mean=10.0"), "{s}");
-    }
-
-    #[test]
-    fn summary_basics() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        let mut s = Summary::new();
-        s.record(-2.0);
-        s.record(4.0);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 1.0);
-        assert_eq!(s.min(), -2.0);
-        assert_eq!(s.max(), 4.0);
-        assert_eq!(s.sum(), 2.0);
     }
 }

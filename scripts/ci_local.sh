@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
-# Mirrors every CI lane offline so a red lane can be reproduced without
-# waiting on (or having access to) the hosted runners.
+# The definition of every CI lane. Each job in .github/workflows/ci.yml
+# is a checkout, a cache and `scripts/ci_local.sh --lane <name>`, so a
+# lane is edited here and nowhere else, and a red lane is reproduced
+# offline by the command CI ran.
 #
-#   scripts/ci_local.sh              # the PR gate: build-test, elastic,
-#                                    #   examples, runtime, perfbench,
-#                                    #   socket, storage, bench lanes
+#   scripts/ci_local.sh              # the PR gate: every lane but soak
 #   scripts/ci_local.sh --soak       # additionally the nightly soak lane
 #                                    #   (PROPTEST_CASES=1024 + extra
 #                                    #   churn seeds)
 #   scripts/ci_local.sh --lane elastic   # just one lane
 #
 # Lanes: build-test, elastic, examples, runtime, perfbench, socket,
-# storage, faults, bench, soak. (`perfbench` is the tail of CI's
-# runtime lane, split out because it builds a second target directory.)
+# storage, faults, bench, soak.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,12 +45,15 @@ banner() {
     echo "━━━ lane: $1 ━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━━"
 }
 
-# The PR gate runs the suites with a cheap case count, exactly like CI;
+# The PR gate needs the suites green, not statistically exhaustive, so
+# it runs them with a cheap case count (the soak lane overrides it);
 # export PROPTEST_CASES yourself to override.
 export PROPTEST_CASES="${PROPTEST_CASES:-64}"
 
 if runs_lane build-test; then
     banner "build-test"
+    rustc --version
+    cargo --version
     cargo build --release
     cargo test -q
     cargo bench --no-run
@@ -61,6 +63,13 @@ fi
 
 if runs_lane elastic; then
     banner "elastic"
+    # The join/leave/churn scenario suites run in their own lane: they
+    # are the only suites that reshape the ring live, so a regression
+    # here should be visible at a glance rather than buried in the full
+    # run. `gossip` covers ring-view dissemination (partitioned
+    # announces, request-digest catch-up, residual-copy retirement);
+    # `overlap` covers concurrent membership changes over mergeable
+    # views and the in-band re-admission path.
     cargo test -p kvstore --test elastic -- --nocapture
     cargo test -p kvstore --test gossip -- --nocapture
     cargo test -p kvstore --test overlap -- --nocapture
@@ -69,29 +78,61 @@ fi
 
 if runs_lane examples; then
     banner "examples"
+    # Every doc-level entry point must keep running: examples rot
+    # silently otherwise, because `cargo test` only compiles them.
     ./scripts/smoke_examples.sh
     cargo run -q --release --bin figures
 fi
 
 if runs_lane runtime; then
     banner "runtime"
+    # The multi-threaded driver gets its own lane: these suites exercise
+    # real thread interleavings (not the deterministic simulator), so a
+    # failure here is a concurrency bug and should be visible at a
+    # glance. `timer_order` proves the runtime's timer wheel fires in
+    # the same (due, FIFO) order as the simulator's event queue;
+    # `watchdog` proves the main loop's stall check catches a wedged
+    # node; `link_loop` drives the one worker loop message by message
+    # through a scripted link (queued reply before due timer, local
+    # self-sends, a down server's inbox, held-back sends, full-inbox
+    # loss, prompt shutdown); `thread_census` counts a run's threads
+    # (its workers, nothing else); `conformance` runs the same seeded
+    # workload on both drivers and requires AAE-equivalent,
+    # oracle-clean end states.
     cargo test -p runtime --test timer_order -- --nocapture
     cargo test -p runtime --test watchdog -- --nocapture
     cargo test -p runtime --test link_loop -- --nocapture
+    cargo test -p runtime --test thread_census -- --nocapture
     cargo test -p runtime --test conformance -- --nocapture
 fi
 
 if runs_lane perfbench; then
     banner "perfbench"
-    # The repo benchmark (BENCHMARK.json -> perfbench/) is outside the
-    # workspace: compile it against the fleets' public API and run its
-    # own unit tests. Builds into perfbench/target (git-ignored).
+    # The repo benchmark (BENCHMARK.json -> perfbench/) is a package of
+    # its own, outside the workspace, so no other lane compiles it — and
+    # it drives the fleets through the public API of `runtime` and
+    # `transport`. Build it and run its own unit tests so an API change
+    # that breaks the benchmark turns this lane red, not the next
+    # measurement. Builds into perfbench/target (git-ignored).
     cargo build --release --manifest-path perfbench/Cargo.toml
     cargo test --release --manifest-path perfbench/Cargo.toml
 fi
 
 if runs_lane socket; then
     banner "socket"
+    # The real-TCP driver gets its own lane: these suites open actual
+    # loopback sockets, so a failure here is a transport bug (framing,
+    # reconnect, backpressure, accounting), not a protocol bug.
+    # `frame_robustness` fuzzes the frame decoder (partial reads, torn
+    # streams, bit flips, oversized lengths); `charge_parity` proves
+    # ledger bytes == socket bytes on both ends of a connection;
+    # `conformance` runs the same seeded workload on the simulator and
+    # the socket fleet (3 seeds) and requires AAE-equivalent,
+    # oracle-clean end states plus an exact fleet-wide byte-ledger
+    # identity; `lifecycle` severs live connections mid-burst and
+    # requires reconnect + unaided convergence; `thread_census` counts
+    # the fabric's threads (accept loops + accepted connections, none
+    # on the send side).
     cargo test -p transport --test frame_robustness -- --nocapture
     cargo test -p transport --test charge_parity -- --nocapture
     cargo test -p transport --test conformance -- --nocapture
@@ -101,6 +142,11 @@ fi
 
 if runs_lane storage; then
     banner "storage"
+    # The persistence stack gets its own lane: the log engine's unit
+    # and property suites (codec round-trip, torn-tail and bit-flip
+    # replay), then crash/restart recovery on BOTH drivers — the
+    # deterministic simulator and the threaded runtime — each ending
+    # in the full convergence + no-loss audit stack.
     cargo test -p storage -- --nocapture
     cargo test -p kvstore --test recovery -- --nocapture
     cargo test -p runtime --test recovery -- --nocapture
@@ -108,12 +154,17 @@ fi
 
 if runs_lane faults; then
     banner "faults"
-    # Adversarial network faults composed with crashes: the
-    # crash-mid-burst dot-uniqueness suites on both drivers (including
-    # the committed guard-disabled regression), the reservation codec
-    # properties, the hello-authentication lifecycle suite, and the
-    # churn suites re-run with every link duplicating / reordering /
-    # stale-replaying (NET_FAULTS=hostile).
+    # The robustness lane: every link duplicating, reordering and
+    # stale-replaying traffic, composed with crashes. `crash_burst`
+    # kills a replica mid write-burst under group-sync durability
+    # (unsynced log tail lost), restarts it into a half-open partition +
+    # replay storm, and audits the fleet-wide dot-uniqueness census over
+    # live states AND durable log histories — including the committed
+    # guard-disabled regression proving the epoch guard is load-bearing.
+    # Then the reservation codec properties, the hello-authentication
+    # lifecycle suite, and the churn suites re-run under
+    # NET_FAULTS=hostile: handlers must be idempotent and commutative to
+    # converge when the network is adversarial.
     cargo test -p kvstore --test crash_burst -- --nocapture
     cargo test -p runtime --test crash_burst -- --nocapture
     cargo test -p storage --test meta_record -- --nocapture
@@ -125,23 +176,34 @@ fi
 
 if runs_lane bench; then
     banner "bench-baseline"
-    CRITERION_JSON_OUT="$PWD/BENCH_membership.json" \
-        cargo bench --bench membership -- --quick
-    CRITERION_JSON_OUT="$PWD/BENCH_store.json" \
-        cargo bench --bench store -- --quick
-    CRITERION_JSON_OUT="$PWD/BENCH_aae.json" \
-        cargo bench --bench aae -- --quick
-    CRITERION_JSON_OUT="$PWD/BENCH_wire.json" \
-        cargo bench --bench wire -- --quick
-    CRITERION_JSON_OUT="$PWD/BENCH_storage.json" \
-        cargo bench --bench storage -- --quick
-    echo "baselines written to BENCH_membership.json / BENCH_store.json /" \
-         "BENCH_aae.json / BENCH_wire.json / BENCH_storage.json"
+    # Fast-mode criterion-shim runs with machine-readable output: each
+    # bench writes a JSON array of {id, mean_ns, min_ns, max_ns, ...}
+    # records (CI uploads them as artifacts — the repo's perf
+    # trajectory). `wire` holds deterministic byte counts, not timings:
+    # same seed + simulator means the numbers reproduce exactly on any
+    # machine, so a delta there is a protocol change.
+    for bench in membership store aae wire storage; do
+        CRITERION_JSON_OUT="$PWD/BENCH_$bench.json" \
+            cargo bench --bench "$bench" -- --quick
+    done
+    echo "baselines written to BENCH_{membership,store,aae,wire,storage}.json"
+    # Diff against the committed baselines, so every run prints a
+    # comparable per-bench delta. Timings only warn; the deterministic
+    # `_bytes` ids must match exactly and fail the lane otherwise.
     ./scripts/bench_compare.sh
 fi
 
 if runs_lane soak; then
     banner "soak"
+    # The nightly: the cheap PR gate above is backed by a statistically
+    # meaningful run — 1024 proptest cases, and extra deterministic
+    # seeds appended to every churn / crash scenario's base list (see
+    # workloads::churn_seeds). Covers the membership and sloppy-quorum
+    # properties, the churn suites, the incremental-AAE equivalence
+    # oracle, wire equivalence (delta vs full converge byte-identically,
+    # delta >= 5x cheaper), the message-codec fuzz and golden bytes,
+    # crash/recovery and crash-mid-burst on both drivers, and the
+    # hostile-network reruns.
     PROPTEST_CASES="${SOAK_PROPTEST_CASES:-1024}" \
     EXTRA_CHURN_SEEDS="${EXTRA_CHURN_SEEDS:-59,83,127,211,349}" \
     bash -c '
