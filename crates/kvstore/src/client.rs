@@ -10,7 +10,7 @@ use ring::{HashRing, Membership, RingView};
 use simnet::{NodeId, SimTime, TimerId};
 use workloads::{Histogram, KeySpace, Popularity};
 
-use crate::config::ClientConfig;
+use crate::config::{ClientConfig, StoreConfig};
 use crate::ctx::NodeCtx;
 use crate::messages::{Msg, ReqId, WireStats};
 use crate::value::{Key, StampedValue, WriteId};
@@ -59,6 +59,8 @@ struct InFlight<M: Mechanism<StampedValue>> {
     kind: Kind<M>,
     sent_at: SimTime,
     retries: u32,
+    /// The request's timeout timer, cancelled when its answer arrives.
+    timeout: TimerId,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +77,8 @@ pub struct ClientNode<M: Mechanism<StampedValue>> {
     node_index: u32,
     mech: M,
     config: ClientConfig,
-    replication: usize,
-    header_bytes: usize,
-    vnodes: u32,
+    /// The store's N, per-message header and ring geometry.
+    store: StoreConfig,
     /// The mergeable membership state this client routes under.
     view: RingView<ReplicaId>,
     ring: HashRing<ReplicaId>,
@@ -100,18 +101,16 @@ pub struct ClientNode<M: Mechanism<StampedValue>> {
 
 impl<M: Mechanism<StampedValue>> ClientNode<M> {
     /// Creates a client. `node_index` is its simulation node id (servers
-    /// occupy `0..server_count`); `replication` is the store's N; routing
-    /// state (ring, failure-detector membership) derives from `view`.
-    #[allow(clippy::too_many_arguments)]
+    /// occupy `0..server_count`); the store's N, per-message header and
+    /// ring geometry come from `store`; routing state (ring,
+    /// failure-detector membership) derives from `view`.
     pub fn new(
         client: ClientId,
         node_index: u32,
         mech: M,
         config: ClientConfig,
-        replication: usize,
-        header_bytes: usize,
+        store: &StoreConfig,
         view: RingView<ReplicaId>,
-        vnodes: u32,
     ) -> Self {
         let keyspace = KeySpace::new(
             "key",
@@ -122,16 +121,14 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
                 Popularity::Uniform
             },
         );
-        let ring = view.to_ring(vnodes);
+        let ring = view.to_ring(store.vnodes);
         let membership = Membership::new(view.members());
         ClientNode {
             client,
             node_index,
             mech,
             config,
-            replication,
-            header_bytes,
-            vnodes,
+            store: *store,
             view,
             ring,
             membership,
@@ -158,17 +155,6 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
     /// Completed cycles so far.
     pub fn cycles_done(&self) -> u32 {
         self.cycles_done
-    }
-
-    /// The causality mechanism this client runs (drivers clone it into
-    /// their [`NodeCtx`] impls for message sizing).
-    pub fn mech(&self) -> &M {
-        &self.mech
-    }
-
-    /// Per-message header overhead in bytes.
-    pub fn header_bytes(&self) -> usize {
-        self.header_bytes
     }
 
     /// The observation log for the oracle.
@@ -213,7 +199,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
     pub fn force_view(&mut self, view: &RingView<ReplicaId>) -> (bool, bool) {
         let (changed, sender_lacks) = self.view.absorb(view);
         if changed {
-            self.ring = self.view.to_ring(self.vnodes);
+            self.ring = self.view.to_ring(self.store.vnodes);
             self.membership.sync_members(&self.view.members());
         }
         (changed, sender_lacks)
@@ -224,35 +210,26 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         (u64::from(self.node_index) << 32) | self.next_req
     }
 
-    /// Sends through the driver and records what *it* charged (see
-    /// [`NodeCtx::send`] — the single source of truth for wire bytes).
+    /// The client's one send door: charges the message ([`Msg::charge`],
+    /// into this client's ledger) and hands the driver the same number.
     fn send(&mut self, ctx: &mut impl NodeCtx<M>, to: NodeId, msg: Msg<M>) {
-        let class = msg.class();
-        let bytes = ctx.send(to, msg);
-        self.wire.record(class, bytes);
+        let bytes = msg.charge(&self.mech, self.store.header_bytes, &mut self.wire);
+        ctx.send(to, msg, bytes);
     }
 
-    /// Cancels (advisorily) every pending timeout timer for `req` once
-    /// its flight has concluded. On the simulator the fire still arrives
-    /// and is ignored; on the threaded runtime the wheel entry is
-    /// actually removed, saving a wakeup.
-    fn cancel_timeout(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
-        let stale: Vec<TimerId> = self
-            .timers
-            .iter()
-            .filter(|(_, k)| **k == ClientTimer::Timeout(req))
-            .map(|(t, _)| *t)
-            .collect();
-        for t in stale {
-            self.timers.remove(&t);
-            ctx.cancel_timer(t);
-        }
+    /// Cancels (advisorily) the timeout timer of a flight that has
+    /// concluded. On the simulator the fire still arrives and is
+    /// ignored; on the threaded runtime the wheel entry is actually
+    /// removed, saving a wakeup.
+    fn cancel_timeout(&mut self, ctx: &mut impl NodeCtx<M>, timeout: TimerId) {
+        self.timers.remove(&timeout);
+        ctx.cancel_timer(timeout);
     }
 
     fn pick_coordinator(&mut self, ctx: &mut impl NodeCtx<M>, key: &[u8]) -> Option<NodeId> {
         let (active, _) = self
             .membership
-            .sloppy_preference_list(&self.ring, key, self.replication);
+            .sloppy_preference_list(&self.ring, key, self.store.n);
         if active.is_empty() {
             return None;
         }
@@ -260,9 +237,10 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         Some(NodeId(active[pick].0))
     }
 
-    fn arm_timeout(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
+    fn arm_timeout(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) -> TimerId {
         let t = ctx.set_timer(self.config.request_timeout);
         self.timers.insert(t, ClientTimer::Timeout(req));
+        t
     }
 
     fn begin_cycle(&mut self, ctx: &mut impl NodeCtx<M>) {
@@ -287,10 +265,10 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             kind: Kind::Get,
             sent_at: ctx.now(),
             retries,
+            timeout: self.arm_timeout(ctx, req),
         });
         let digest = self.view.digest();
         self.send(ctx, coord, Msg::ClientGet { req, key, digest });
-        self.arm_timeout(ctx, req);
     }
 
     fn issue_put(
@@ -315,6 +293,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             },
             sent_at: ctx.now(),
             retries,
+            timeout: self.arm_timeout(ctx, req),
         });
         let digest = self.view.digest();
         self.send(
@@ -328,7 +307,6 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
                 digest,
             },
         );
-        self.arm_timeout(ctx, req);
     }
 
     fn abandon_cycle(&mut self, ctx: &mut impl NodeCtx<M>) {
@@ -426,7 +404,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
                     self.current = Some(flight); // stale response
                     return;
                 }
-                self.cancel_timeout(ctx, req);
+                self.cancel_timeout(ctx, flight.timeout);
                 if !ok {
                     self.retry_or_abandon(ctx, flight);
                     return;
@@ -466,7 +444,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
                     self.current = Some(flight);
                     return;
                 }
-                self.cancel_timeout(ctx, req);
+                self.cancel_timeout(ctx, flight.timeout);
                 if !ok {
                     self.retry_or_abandon(ctx, flight);
                     return;

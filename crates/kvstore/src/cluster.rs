@@ -18,7 +18,7 @@ use workloads::Histogram;
 
 use crate::client::ClientNode;
 use crate::config::{ClientConfig, StoreConfig};
-use crate::ctx::SimCtx;
+use crate::ctx::NodeCtx;
 use crate::harness::FleetHarness;
 use crate::messages::{Msg, WireStats};
 use crate::node::StoreNode;
@@ -38,46 +38,83 @@ pub enum StoreProc<M: Mechanism<StampedValue>> {
     Client(ClientNode<M>),
 }
 
+/// The one Server/Client dispatch: every driver hands its events to
+/// these three, whatever its [`NodeCtx`].
+impl<M: Mechanism<StampedValue>> StoreProc<M> {
+    /// Entry point: the node's start-up event.
+    pub fn on_start(&mut self, ctx: &mut impl NodeCtx<M>) {
+        match self {
+            StoreProc::Server(s) => s.on_start(ctx),
+            StoreProc::Client(c) => c.on_start(ctx),
+        }
+    }
+
+    /// Entry point: dispatches one message.
+    pub fn on_message(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, msg: Msg<M>) {
+        match self {
+            StoreProc::Server(s) => s.on_message(ctx, from, msg),
+            StoreProc::Client(c) => c.on_message(ctx, from, msg),
+        }
+    }
+
+    /// Entry point: dispatches one timer.
+    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: TimerId) {
+        match self {
+            StoreProc::Server(s) => s.on_timer(ctx, timer),
+            StoreProc::Client(c) => c.on_timer(ctx, timer),
+        }
+    }
+
+    /// The replica server this process is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is a client session.
+    pub fn server(&self) -> &StoreNode<M> {
+        match self {
+            StoreProc::Server(s) => s,
+            StoreProc::Client(_) => panic!("a client session, not a server"),
+        }
+    }
+
+    /// Mutable access to the replica server this process is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is a client session.
+    pub fn server_mut(&mut self) -> &mut StoreNode<M> {
+        match self {
+            StoreProc::Server(s) => s,
+            StoreProc::Client(_) => panic!("a client session, not a server"),
+        }
+    }
+
+    /// The client session this process is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it is a replica server.
+    pub fn client(&self) -> &ClientNode<M> {
+        match self {
+            StoreProc::Client(c) => c,
+            StoreProc::Server(_) => panic!("a server, not a client session"),
+        }
+    }
+}
+
 impl<M: Mechanism<StampedValue>> Process for StoreProc<M> {
     type Msg = Msg<M>;
 
     fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>) {
-        match self {
-            StoreProc::Server(s) => {
-                let mut c = SimCtx::new(ctx, s.mech().clone(), s.header_bytes());
-                s.on_start(&mut c)
-            }
-            StoreProc::Client(c) => {
-                let mut sc = SimCtx::new(ctx, c.mech().clone(), c.header_bytes());
-                c.on_start(&mut sc)
-            }
-        }
+        StoreProc::on_start(self, ctx);
     }
 
     fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, from: NodeId, msg: Msg<M>) {
-        match self {
-            StoreProc::Server(s) => {
-                let mut c = SimCtx::new(ctx, s.mech().clone(), s.header_bytes());
-                s.on_message(&mut c, from, msg)
-            }
-            StoreProc::Client(c) => {
-                let mut sc = SimCtx::new(ctx, c.mech().clone(), c.header_bytes());
-                c.on_message(&mut sc, from, msg)
-            }
-        }
+        StoreProc::on_message(self, ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, timer: TimerId) {
-        match self {
-            StoreProc::Server(s) => {
-                let mut c = SimCtx::new(ctx, s.mech().clone(), s.header_bytes());
-                s.on_timer(&mut c, timer)
-            }
-            StoreProc::Client(c) => {
-                let mut sc = SimCtx::new(ctx, c.mech().clone(), c.header_bytes());
-                c.on_timer(&mut sc, timer)
-            }
-        }
+        StoreProc::on_timer(self, ctx, timer);
     }
 }
 
@@ -140,6 +177,120 @@ impl<M: Mechanism<StampedValue>> EngineFactory<M> {
     #[must_use]
     pub fn build(&self, slot: usize) -> Box<dyn StorageEngine<M::State>> {
         (self.build)(slot)
+    }
+}
+
+/// Builds every node of one fleet — the only place outside tests that
+/// constructs a [`StoreNode`] or a [`ClientNode`]. Holds what all of a
+/// fleet's nodes share (mechanism, store configuration, the genesis ring
+/// view servers boot with, and the per-slot storage engine builder), so
+/// a driver keeps one kit instead of those four, and a crash-recovered
+/// node is rebuilt from exactly what built its predecessor. Cloneable
+/// and thread-safe: the threaded fleet hands a clone to a worker thread
+/// for in-thread respawn.
+#[derive(Clone, Debug)]
+pub struct NodeKit<M: Mechanism<StampedValue>> {
+    mech: M,
+    store: StoreConfig,
+    genesis_view: RingView<ReplicaId>,
+    /// In-memory engines when the fleet was given no factory (a crashed
+    /// node then restarts empty — the diskless baseline).
+    engines: EngineFactory<M>,
+}
+
+impl<M: Mechanism<StampedValue>> NodeKit<M> {
+    /// A kit for a fleet whose ring starts as server slots `0..servers`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `store` is invalid or replicates wider than `servers`.
+    pub fn new(
+        mech: M,
+        store: StoreConfig,
+        servers: usize,
+        engines: Option<EngineFactory<M>>,
+    ) -> Self {
+        assert!(servers > 0, "need at least one server");
+        store.validate();
+        assert!(
+            store.n <= servers,
+            "replication factor exceeds server count"
+        );
+        NodeKit {
+            mech,
+            store,
+            genesis_view: RingView::from_members((0..servers as u32).map(ReplicaId)),
+            engines: engines.unwrap_or_else(|| EngineFactory::new(|_| Box::new(MemEngine::new()))),
+        }
+    }
+
+    /// The fleet's causality mechanism.
+    pub fn mech(&self) -> &M {
+        &self.mech
+    }
+
+    /// The fleet's store configuration.
+    pub fn store(&self) -> &StoreConfig {
+        &self.store
+    }
+
+    /// The view servers boot with — what a crash-recovered node knows
+    /// before its in-band [`Msg::Rejoin`] catches it up.
+    pub fn genesis_view(&self) -> &RingView<ReplicaId> {
+        &self.genesis_view
+    }
+
+    /// A replica for `slot` on `engine` — the slot's own or, for a husk,
+    /// a throw-away one.
+    fn replica(&self, slot: usize, engine: Box<dyn StorageEngine<M::State>>) -> StoreNode<M> {
+        StoreNode::with_engine(
+            ReplicaId(slot as u32),
+            self.mech.clone(),
+            self.store,
+            self.genesis_view.clone(),
+            engine,
+        )
+    }
+
+    /// The serving replica for `slot`, on the slot's storage engine: a
+    /// log-backed engine replays its durable prefix on open, so this
+    /// builds a member at genesis and a recovered one after a crash.
+    pub fn server(&self, slot: usize) -> StoreProc<M> {
+        StoreProc::Server(self.replica(slot, self.engines.build(slot)))
+    }
+
+    /// A dormant spare for `slot` on the slot's storage engine — so a
+    /// spare that later joins (and everything transferred to it)
+    /// persists, and a crashed ex-spare recovers like any other member.
+    pub fn spare(&self, slot: usize) -> StoreProc<M> {
+        StoreProc::Server(self.replica(slot, self.engines.build(slot)).dormant())
+    }
+
+    /// What holds a crashed server's slot: dormant, in memory, and
+    /// never touching the slot's disk — it can neither serve nor gossip.
+    pub fn husk(&self, slot: usize) -> StoreProc<M> {
+        StoreProc::Server(self.replica(slot, Box::new(MemEngine::new())).dormant())
+    }
+
+    /// Client session `j`, hosted as node `node_index`, running
+    /// `session` for `cycles` read-modify-write cycles.
+    pub fn client(
+        &self,
+        j: usize,
+        node_index: usize,
+        session: &ClientConfig,
+        cycles: u32,
+    ) -> StoreProc<M> {
+        let mut config = session.clone();
+        config.cycles = cycles;
+        StoreProc::Client(ClientNode::new(
+            ClientId(j as u64),
+            node_index as u32,
+            self.mech.clone(),
+            config,
+            &self.store,
+            self.genesis_view.clone(),
+        ))
     }
 }
 
@@ -277,7 +428,8 @@ pub struct MetadataReport {
 #[derive(Debug)]
 pub struct Cluster<M: Mechanism<StampedValue>> {
     sim: Simulation<StoreProc<M>>,
-    mech: M,
+    /// Builds (and after a crash rebuilds) this cluster's nodes.
+    kit: NodeKit<M>,
     servers: usize,
     server_slots: usize,
     clients: usize,
@@ -290,16 +442,8 @@ pub struct Cluster<M: Mechanism<StampedValue>> {
     pending_joins: BTreeSet<usize>,
     /// Leaves announced but not yet drained/retired.
     pending_leaves: BTreeSet<usize>,
-    store_n: usize,
-    store_config: StoreConfig,
     deadline: SimTime,
     settle_budget: Duration,
-    /// The view servers boot with — what a crash-recovered node knows
-    /// before its in-band [`Msg::Rejoin`] catches it up.
-    genesis_view: RingView<ReplicaId>,
-    /// Per-slot storage engine builder; `None` means in-memory engines
-    /// (a crashed node then restarts empty — the diskless baseline).
-    engine_factory: Option<EngineFactory<M>>,
     /// Declarative fault schedule, with the index of the next phase not
     /// yet applied ([`Cluster::apply_due_fault_phases`]).
     fault_schedule: Vec<FaultPhase>,
@@ -341,74 +485,31 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         config: ClusterConfig,
         engine_factory: Option<EngineFactory<M>>,
     ) -> Self {
-        assert!(config.servers > 0, "need at least one server");
-        config.store.validate();
-        assert!(
-            config.store.n <= config.servers,
-            "replication factor exceeds server count"
-        );
-        let vnodes = config.store.vnodes;
+        let kit = NodeKit::new(mech, config.store, config.servers, engine_factory);
         let server_slots = config.servers + config.spare_servers;
-        let replicas: Vec<ReplicaId> = (0..config.servers as u32).map(ReplicaId).collect();
-        let view = RingView::from_members(replicas.iter().copied());
-
-        let engine = |slot: usize| -> Box<dyn StorageEngine<M::State>> {
-            match &engine_factory {
-                Some(f) => f.build(slot),
-                None => Box::new(MemEngine::new()),
-            }
-        };
         let mut procs: Vec<StoreProc<M>> = Vec::with_capacity(server_slots + config.clients);
-        for r in &replicas {
-            procs.push(StoreProc::Server(StoreNode::with_engine(
-                *r,
-                mech.clone(),
-                config.store,
-                view.clone(),
-                engine(r.0 as usize),
-            )));
-        }
-        for spare in config.servers..server_slots {
-            procs.push(StoreProc::Server(StoreNode::dormant_with_engine(
-                ReplicaId(spare as u32),
-                mech.clone(),
-                config.store,
-                view.clone(),
-                engine(spare),
-            )));
-        }
-        for j in 0..config.clients {
-            let node_index = (server_slots + j) as u32;
-            let mut client_cfg = config.client.clone();
-            client_cfg.cycles = config.cycles_per_client;
-            procs.push(StoreProc::Client(ClientNode::new(
-                ClientId(j as u64),
-                node_index,
-                mech.clone(),
-                client_cfg,
-                config.store.n,
-                config.store.header_bytes,
-                view.clone(),
-                vnodes,
-            )));
-        }
-        let genesis_view = view.clone();
+        procs.extend((0..config.servers).map(|slot| kit.server(slot)));
+        procs.extend((config.servers..server_slots).map(|slot| kit.spare(slot)));
+        procs.extend((0..config.clients).map(|j| {
+            kit.client(
+                j,
+                server_slots + j,
+                &config.client,
+                config.cycles_per_client,
+            )
+        }));
         Cluster {
             sim: Simulation::new(seed, config.network, procs),
-            mech,
+            view: kit.genesis_view().clone(),
+            kit,
             servers: config.servers,
             server_slots,
             clients: config.clients,
             members: (0..config.servers).collect(),
-            view,
             pending_joins: BTreeSet::new(),
             pending_leaves: BTreeSet::new(),
-            store_n: config.store.n,
-            store_config: config.store,
             deadline: SimTime::ZERO + config.deadline,
             settle_budget: config.membership_settle_budget,
-            genesis_view,
-            engine_factory,
             crashed: BTreeSet::new(),
             fault_schedule: config.fault_schedule,
             fault_phase_next: 0,
@@ -431,10 +532,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     ///
     /// Panics if `i` is not a server index.
     pub fn server(&self, i: usize) -> &StoreNode<M> {
-        match self.sim.process(i) {
-            StoreProc::Server(s) => s,
-            StoreProc::Client(_) => panic!("node {i} is a client"),
-        }
+        self.sim.process(i).server()
     }
 
     /// Read access to client `j`'s session node.
@@ -443,10 +541,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     ///
     /// Panics if `j` is not a client index.
     pub fn client(&self, j: usize) -> &ClientNode<M> {
-        match self.sim.process(self.server_slots + j) {
-            StoreProc::Client(c) => c,
-            StoreProc::Server(_) => panic!("node {j} is a server"),
-        }
+        self.sim.process(self.server_slots + j).client()
     }
 
     /// Number of initial servers (spare slots excluded); with no elastic
@@ -503,17 +598,10 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
                 continue; // a crashed member cannot gossip
             }
             debug_assert_eq!(
-                self.server_node(i).view_digest(),
+                self.server(i).view_digest(),
                 self.view.digest(),
                 "server {i} did not converge to the current ring view via gossip"
             );
-        }
-    }
-
-    fn server_node(&self, slot: usize) -> &StoreNode<M> {
-        match self.sim.process(slot) {
-            StoreProc::Server(s) => s,
-            StoreProc::Client(_) => panic!("node {slot} is a client"),
         }
     }
 
@@ -588,7 +676,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     pub fn begin_leave(&mut self, slot: usize) {
         assert!(self.members.contains(&slot), "slot {slot} is not a member");
         assert!(
-            self.members.len() > self.store_n,
+            self.members.len() > self.kit.store().n,
             "removal would leave fewer members than the replication factor"
         );
         let who = ReplicaId(slot as u32);
@@ -629,12 +717,12 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
             c.pending_leaves
                 .iter()
                 .filter(|s| !c.crashed.contains(s))
-                .all(|&s| c.server_node(s).drain_complete())
+                .all(|&s| c.server(s).drain_complete())
                 && c.members
                     .iter()
                     .filter(|i| !c.crashed.contains(i))
                     .all(|&i| {
-                        let s = c.server_node(i);
+                        let s = c.server(i);
                         s.view_digest() == target && s.transfer_backlog() == 0
                     })
         });
@@ -651,12 +739,10 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
                 all_ok = false;
                 continue;
             }
-            if self.server_node(slot).drain_complete() {
+            if self.server(slot).drain_complete() {
                 // fully drained: retire the node and tombstone its entry
                 // so the departure survives every future merge
-                if let StoreProc::Server(s) = self.sim.process_mut(slot) {
-                    s.finish_leave();
-                }
+                self.sim.process_mut(slot).server_mut().finish_leave();
                 self.view
                     .bump(&ReplicaId(slot as u32), MemberStatus::Removed);
                 final_wave = true;
@@ -707,7 +793,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
                     c.members
                         .iter()
                         .filter(|i| !c.crashed.contains(i))
-                        .all(|&i| c.server_node(i).view_digest() == target)
+                        .all(|&i| c.server(i).view_digest() == target)
                 });
                 all_ok = converged;
             }
@@ -742,13 +828,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         // still in user space: that tail is genuinely lost. The husk is
         // dormant and fully disconnected — it can neither serve nor
         // gossip.
-        let husk = StoreNode::dormant(
-            who,
-            self.mech.clone(),
-            self.store_config,
-            self.genesis_view.clone(),
-        );
-        *self.sim.process_mut(slot) = StoreProc::Server(husk);
+        *self.sim.process_mut(slot) = self.kit.husk(slot);
         for other in 0..(self.server_slots + self.clients) {
             if other != slot {
                 let net = self.sim.network_mut();
@@ -774,18 +854,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     pub fn restart_node(&mut self, slot: usize) {
         assert!(self.crashed.remove(&slot), "slot {slot} is not crashed");
         let who = ReplicaId(slot as u32);
-        let engine: Box<dyn StorageEngine<M::State>> = match &self.engine_factory {
-            Some(f) => f.build(slot),
-            None => Box::new(MemEngine::new()),
-        };
-        let node = StoreNode::with_engine(
-            who,
-            self.mech.clone(),
-            self.store_config,
-            self.genesis_view.clone(),
-            engine,
-        );
-        *self.sim.process_mut(slot) = StoreProc::Server(node);
+        *self.sim.process_mut(slot) = self.kit.server(slot);
         for other in 0..(self.server_slots + self.clients) {
             if other != slot {
                 let net = self.sim.network_mut();
@@ -814,10 +883,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// drop-without-sync (tests use it to pin down exactly which prefix
     /// a recovery must replay).
     pub fn sync_server_storage(&mut self, slot: usize) {
-        match self.sim.process_mut(slot) {
-            StoreProc::Server(s) => s.sync_storage(),
-            StoreProc::Client(_) => panic!("node {slot} is a client"),
-        }
+        self.sim.process_mut(slot).server_mut().sync_storage();
     }
 
     /// Adds the spare server slot `slot` to the ring **live** and
@@ -945,7 +1011,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         match s.data().get(key) {
             None => Vec::new(),
             Some(st) => {
-                let (values, _) = self.mech.read(st);
+                let (values, _) = self.kit.mech().read(st);
                 values.into_iter().filter(StampedValue::is_live).collect()
             }
         }
@@ -957,10 +1023,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     pub fn collect_garbage(&mut self) -> Vec<usize> {
         self.member_slots()
             .into_iter()
-            .map(|i| match self.sim.process_mut(i) {
-                StoreProc::Server(s) => s.collect_garbage(),
-                StoreProc::Client(_) => 0,
-            })
+            .map(|i| self.sim.process_mut(i).server_mut().collect_garbage())
             .collect()
     }
 
@@ -1018,8 +1081,8 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         for i in self.member_slots() {
             let s = self.server(i);
             for st in s.data().values() {
-                let bytes = self.mech.metadata_size(st);
-                let siblings = self.mech.sibling_count(st);
+                let bytes = self.kit.mech().metadata_size(st);
+                let siblings = self.kit.mech().sibling_count(st);
                 out.total_bytes += bytes;
                 out.max_bytes_per_key = out.max_bytes_per_key.max(bytes);
                 out.max_siblings = out.max_siblings.max(siblings);
@@ -1037,7 +1100,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
 
 impl<M: Mechanism<StampedValue>> FleetHarness<M> for Cluster<M> {
     fn mechanism(&self) -> &M {
-        &self.mech
+        self.kit.mech()
     }
 
     fn member_servers(&self) -> Vec<usize> {
@@ -1059,10 +1122,7 @@ impl<M: Mechanism<StampedValue>> FleetHarness<M> for Cluster<M> {
     }
 
     fn server_mut_ref(&mut self, i: usize) -> &mut StoreNode<M> {
-        match self.sim.process_mut(i) {
-            StoreProc::Server(s) => s,
-            StoreProc::Client(_) => panic!("node {i} is a client"),
-        }
+        self.sim.process_mut(i).server_mut()
     }
 
     fn client_ref(&self, j: usize) -> &ClientNode<M> {

@@ -3,19 +3,23 @@
 //! [`StoreNode`](crate::node::StoreNode) and
 //! [`ClientNode`](crate::client::ClientNode) are written against this
 //! trait rather than a concrete driver, so the *same* protocol logic
-//! runs on two backends:
+//! runs on every driver. A driver is a `NodeCtx` of six forwarding
+//! methods:
 //!
-//! * [`SimCtx`] — the deterministic discrete-event simulator
-//!   ([`simnet::Simulation`]), kept as the oracle-checked harness;
-//! * the multi-threaded in-process runtime (the `runtime` crate), which
-//!   provides its own implementation over real threads, channels, and a
-//!   monotonic clock.
+//! * the deterministic discrete-event simulator — [`simnet::ProcessCtx`]
+//!   implements the trait directly (below), and
+//!   [`Cluster`](crate::cluster::Cluster) is the oracle-checked harness
+//!   over it;
+//! * the threaded fleet (the `runtime` crate), whose context writes
+//!   through to a worker's router and timer wheel — over in-process
+//!   channels or, in `transport`, TCP sockets.
 //!
-//! The trait is also the **single source of truth for wire bytes**:
-//! [`NodeCtx::send`] derives each message's size from
-//! [`Msg::wire_size`] plus the configured per-message header overhead
-//! and returns it to the caller, so the per-class accounting audited by
-//! the wire-parity suite cannot drift per call site.
+//! What a message costs is **not** decided here. The node's one send
+//! door ([`Msg::charge`]: [`Msg::wire_size`] plus the configured
+//! per-message header) sizes the message, records it in the node's
+//! per-class ledger and hands the same number to [`NodeCtx::send`], so
+//! no context carries a mechanism or a header size and the accounting
+//! audited by the wire-parity suite cannot drift per driver.
 
 use dvv::mechanisms::Mechanism;
 use simnet::{Duration, NodeId, ProcessCtx, SimRng, SimTime, TimerId};
@@ -33,9 +37,9 @@ use crate::value::StampedValue;
 ///   threaded runtime).
 /// * [`rng`](Self::rng) is a per-node seeded stream; all of a node's
 ///   nondeterminism must come from it.
-/// * [`send`](Self::send) sizes the message itself and returns the wire
-///   bytes charged (payload + header); delivery may be delayed, dropped,
-///   or reordered by the driver's network.
+/// * [`send`](Self::send) is told the wire bytes the node charged
+///   itself (payload + header) and delivers; delivery may be delayed,
+///   dropped, or reordered by the driver's network.
 /// * [`set_timer`](Self::set_timer) ids are unique per node; timers
 ///   scheduled for the same instant fire in insertion order.
 /// * [`cancel_timer`](Self::cancel_timer) is advisory: a driver may
@@ -52,10 +56,10 @@ pub trait NodeCtx<M: Mechanism<StampedValue>> {
     /// This node's private RNG stream.
     fn rng(&mut self) -> &mut SimRng;
 
-    /// Sends `msg` to `to`, deriving its wire size internally
-    /// ([`Msg::wire_size`] + header bytes). Returns the bytes charged so
-    /// the node can record them in its per-class ledger.
-    fn send(&mut self, to: NodeId, msg: Msg<M>) -> usize;
+    /// Sends `msg` to `to`. `bytes` is what the sending node charged
+    /// for it ([`Msg::charge`]): the driver's network model and byte
+    /// ledgers take it as given rather than re-deriving it.
+    fn send(&mut self, to: NodeId, msg: Msg<M>, bytes: usize);
 
     /// Schedules a timer after `delay`; the returned id is handed back to
     /// the node's `on_timer` when it fires.
@@ -67,51 +71,27 @@ pub trait NodeCtx<M: Mechanism<StampedValue>> {
     fn cancel_timer(&mut self, timer: TimerId);
 }
 
-/// [`NodeCtx`] implementation over the discrete-event simulator's
-/// [`ProcessCtx`] — the original driver, now one of two.
-///
-/// Holds a clone of the mechanism (mechanisms are cheap, usually
-/// zero-sized) and the configured header overhead so [`NodeCtx::send`]
-/// can size messages without borrowing the node.
-#[derive(Debug)]
-pub struct SimCtx<'c, 'a, M: Mechanism<StampedValue>> {
-    inner: &'c mut ProcessCtx<'a, Msg<M>>,
-    mech: M,
-    header_bytes: usize,
-}
-
-impl<'c, 'a, M: Mechanism<StampedValue>> SimCtx<'c, 'a, M> {
-    /// Wraps a simulator process context.
-    pub fn new(inner: &'c mut ProcessCtx<'a, Msg<M>>, mech: M, header_bytes: usize) -> Self {
-        SimCtx {
-            inner,
-            mech,
-            header_bytes,
-        }
-    }
-}
-
-impl<M: Mechanism<StampedValue>> NodeCtx<M> for SimCtx<'_, '_, M> {
+/// The simulator hosts a node directly: its process context already
+/// has the trait's shape.
+impl<M: Mechanism<StampedValue>> NodeCtx<M> for ProcessCtx<'_, Msg<M>> {
     fn id(&self) -> NodeId {
-        self.inner.id()
+        ProcessCtx::id(self)
     }
 
     fn now(&self) -> SimTime {
-        self.inner.now()
+        ProcessCtx::now(self)
     }
 
     fn rng(&mut self) -> &mut SimRng {
-        self.inner.rng()
+        ProcessCtx::rng(self)
     }
 
-    fn send(&mut self, to: NodeId, msg: Msg<M>) -> usize {
-        let bytes = msg.wire_size(&self.mech) + self.header_bytes;
-        self.inner.send(to, msg, bytes);
-        bytes
+    fn send(&mut self, to: NodeId, msg: Msg<M>, bytes: usize) {
+        ProcessCtx::send(self, to, msg, bytes);
     }
 
     fn set_timer(&mut self, delay: Duration) -> TimerId {
-        self.inner.set_timer(delay)
+        ProcessCtx::set_timer(self, delay)
     }
 
     fn cancel_timer(&mut self, _timer: TimerId) {
@@ -124,56 +104,100 @@ impl<M: Mechanism<StampedValue>> NodeCtx<M> for SimCtx<'_, '_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::MsgClass;
+    use crate::cluster::{NodeKit, StoreProc};
+    use crate::config::{ClientConfig, StoreConfig};
     use dvv::mechanisms::DvvMechanism;
-    use simnet::{NetworkConfig, Process, Simulation};
+    use simnet::{NetworkConfig, Process, Simulation, TraceEvent};
 
-    /// A minimal process proving the adapter charges exactly
-    /// `wire_size + header_bytes` — the single-source-of-truth property.
+    /// Not the default, so a charge that ignored the configuration
+    /// would show.
+    const HEADER: usize = 24;
+
+    /// A real node, hosted as the simulator hosts any node, that also
+    /// notes what each message it receives should have cost its sender.
     struct Probe {
-        header_bytes: usize,
-        sent_bytes: Vec<usize>,
+        node: StoreProc<DvvMechanism>,
+        expect: Vec<usize>,
     }
 
     impl Process for Probe {
         type Msg = Msg<DvvMechanism>;
 
         fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg>) {
-            let mut c = SimCtx::new(ctx, DvvMechanism, self.header_bytes);
-            if c.id() != NodeId(0) {
-                return;
-            }
-            let msg = Msg::GossipDigest { digest: 42 };
-            assert_eq!(msg.class(), MsgClass::Membership);
-            let expect = msg.wire_size(&DvvMechanism) + self.header_bytes;
-            let charged = c.send(NodeId(1), msg);
-            assert_eq!(charged, expect);
-            self.sent_bytes.push(charged);
+            self.node.on_start(ctx);
         }
 
-        fn on_message(&mut self, _: &mut ProcessCtx<'_, Self::Msg>, _: NodeId, _: Self::Msg) {}
+        fn on_message(
+            &mut self,
+            ctx: &mut ProcessCtx<'_, Self::Msg>,
+            from: NodeId,
+            msg: Self::Msg,
+        ) {
+            self.expect.push(msg.wire_size(&DvvMechanism) + HEADER);
+            self.node.on_message(ctx, from, msg);
+        }
+
+        fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg>, timer: TimerId) {
+            self.node.on_timer(ctx, timer);
+        }
     }
 
+    /// The single-source-of-truth property, end to end on the bare
+    /// simulator: what the nodes charged themselves is
+    /// `wire_size + header_bytes` of every message, and is what the
+    /// network was handed and delivered.
     #[test]
     fn sim_ctx_derives_bytes_from_wire_size() {
+        let store = StoreConfig {
+            n: 2,
+            anti_entropy_interval: Duration::ZERO,
+            gossip_interval: Duration::ZERO,
+            handoff_interval: Duration::ZERO,
+            header_bytes: HEADER,
+            ..StoreConfig::default()
+        };
+        let kit = NodeKit::new(DvvMechanism, store, 2, None);
+        let probe = |node| Probe {
+            node,
+            expect: Vec::new(),
+        };
         let mut sim = Simulation::new(
             1,
             NetworkConfig::default(),
             vec![
-                Probe {
-                    header_bytes: 16,
-                    sent_bytes: vec![],
-                },
-                Probe {
-                    header_bytes: 16,
-                    sent_bytes: vec![],
-                },
+                probe(kit.server(0)),
+                probe(kit.server(1)),
+                probe(kit.client(0, 2, &ClientConfig::default(), 3)),
             ],
         );
+        sim.trace_mut().enable();
         sim.run_to_quiescence();
-        let charged = sim.process(0).sent_bytes[0];
-        assert!(charged > 16, "payload sized, not just header");
-        // the network observed the same byte count the sender was charged
-        assert_eq!(sim.network().stats().bytes_delivered, charged as u64);
+
+        let mut charged = 0;
+        for (i, p) in sim.processes().iter().enumerate() {
+            charged += match &p.node {
+                StoreProc::Server(s) => s.wire_stats().total_bytes(),
+                StoreProc::Client(c) => {
+                    assert_eq!(c.cycles_done(), 3);
+                    c.wire_stats().total_bytes()
+                }
+            };
+            // message by message: the bytes the network delivered to
+            // this node are the bytes its size and the header come to
+            let delivered: Vec<usize> = sim
+                .trace()
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Delivered { to, bytes, .. } if to.0 as usize == i => Some(*bytes),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(delivered, p.expect, "node {i}");
+        }
+        let expected: usize = sim.processes().iter().flat_map(|p| &p.expect).sum();
+        assert!(expected > 12 * HEADER, "payloads sized, not just headers");
+        assert_eq!(charged, expected as u64);
+        assert_eq!(sim.network().stats().bytes_delivered, charged);
     }
 }

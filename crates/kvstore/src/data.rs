@@ -28,9 +28,9 @@
 //! [`StorageEngine`] seam: the mutation doors forward state changes to
 //! the engine and keep only `(point, leaf)` metadata here, so the whole
 //! Merkle/arc-summary layer is backend-agnostic — an in-memory
-//! [`MemEngine`](storage::MemEngine) by default, or a durable
-//! [`LogEngine`](storage::LogEngine) whose replay-on-open rebuilds the
-//! store after a crash (see [`DataStore::with_engine`]).
+//! [`MemEngine`] by default, or a durable [`storage::LogEngine`] whose
+//! replay-on-open rebuilds the store after a crash (see
+//! [`DataStore::with_engine`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;

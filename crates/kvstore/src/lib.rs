@@ -29,9 +29,13 @@
 //!   [`simnet::Simulation`], runs workloads, converges replicas, and
 //!   produces [`oracle::AnomalyReport`]s and metadata statistics.
 //! * [`ctx::NodeCtx`] — the driver-agnostic node↔network boundary. Both
-//!   node types are generic over it, so the same protocol logic runs on
-//!   the simulator (via [`ctx::SimCtx`]) and on the multi-threaded
-//!   `runtime` crate.
+//!   node types are generic over it and charge their own sends
+//!   ([`messages::Msg::charge`]), so the same protocol logic and the
+//!   same byte ledger run on the simulator (whose [`simnet::ProcessCtx`]
+//!   implements the trait directly) and on the threaded `runtime` and
+//!   `transport` fleets. [`cluster::StoreProc`] is the one Server/Client
+//!   dispatch and [`cluster::NodeKit`] the one node builder under all
+//!   three.
 //!
 //! ## Quick example
 //!
@@ -72,7 +76,7 @@ pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use config::{DeltaPolicy, StoreConfig};
-pub use ctx::{NodeCtx, SimCtx};
+pub use ctx::NodeCtx;
 pub use harness::FleetHarness;
 pub use oracle::{AnomalyReport, Oracle};
 pub use value::{Key, StampedValue, WriteId};

@@ -101,7 +101,7 @@ impl MerkleSummary {
 
     /// Copies every leaf of `other` into this summary — used to assemble
     /// one summary from disjoint per-arc summaries when a leaf exchange
-    /// is actually needed (roots alone combine by XOR, see [`leaf_mix`]).
+    /// is actually needed (roots alone combine by XOR, see `leaf_mix`).
     pub fn extend_from(&mut self, other: &MerkleSummary) {
         for (k, v) in &other.leaves {
             self.set(k.clone(), *v);

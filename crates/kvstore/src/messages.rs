@@ -507,6 +507,19 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
         self.walk(&mut out);
         out.n.0
     }
+
+    /// What sending this message costs its sender —
+    /// [`wire_size`](Self::wire_size) plus the per-message
+    /// `header_bytes` — recorded in the sender's `ledger` under the
+    /// message's class and returned for the driver
+    /// ([`NodeCtx::send`](crate::ctx::NodeCtx::send)).
+    /// Both node types send through this and nothing else does, so the
+    /// charge formula is written once for every driver.
+    pub fn charge(&self, mech: &M, header_bytes: usize, ledger: &mut WireStats) -> usize {
+        let bytes = self.wire_size(mech) + header_bytes;
+        ledger.record(self.class(), bytes);
+        bytes
+    }
 }
 
 /// Where [`Msg::walk`] writes: a raw [`Sink`] for every field with a

@@ -93,6 +93,8 @@ enum Pending<M: Mechanism<StampedValue>> {
     Get {
         key: Key,
         client: NodeId,
+        /// The request's timeout timer, cancelled when it retires.
+        timer: TimerId,
         acc: M::State,
         /// Fingerprint of the state `acc` started from, sent to the
         /// replicas in [`Msg::RepGetIf`]. `acc` only ever grows from
@@ -117,6 +119,8 @@ enum Pending<M: Mechanism<StampedValue>> {
     Put {
         key: Key,
         client: NodeId,
+        /// See [`Pending::Get::timer`].
+        timer: TimerId,
         /// The replicas whose write is in: this coordinator when it is an
         /// owner, then one entry per distinct acknowledging replica.
         acked: Vec<ReplicaId>,
@@ -253,20 +257,46 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
 }
 
 impl<M: Mechanism<StampedValue>> StoreNode<M> {
-    /// Creates the replica server for `replica`, routing under `view`
-    /// (ring and failure-detector membership are derived from it).
+    /// Creates the replica server for `replica` on an empty in-memory
+    /// storage engine, routing under `view` (ring and failure-detector
+    /// membership are derived from it).
     pub fn new(
         replica: ReplicaId,
         mech: M,
         config: StoreConfig,
         view: RingView<ReplicaId>,
     ) -> Self {
+        Self::with_engine(
+            replica,
+            mech,
+            config,
+            view,
+            Box::new(storage::MemEngine::new()),
+        )
+    }
+
+    /// Creates the replica server for `replica` on top of an existing
+    /// storage engine — the crash-recovery constructor. The engine
+    /// arrives pre-populated (a durable log replays itself on open);
+    /// re-partitioning fingerprints the adopted keys into the AAE
+    /// index, so the node is immediately AAE-capable over its recovered
+    /// contents. The node boots with the genesis `view` it was
+    /// originally configured with: everything newer reaches it in band,
+    /// through the [`Msg::Rejoin`] the control plane posts (which also
+    /// arms its periodic timers — a mid-run node gets no `on_start`).
+    pub fn with_engine(
+        replica: ReplicaId,
+        mech: M,
+        config: StoreConfig,
+        view: RingView<ReplicaId>,
+        engine: Box<dyn storage::StorageEngine<M::State>>,
+    ) -> Self {
         config.validate();
         let ring = view.to_ring(config.vnodes);
         let membership = Membership::new(view.members());
-        let mut data = DataStore::new();
+        let mut data = DataStore::with_engine(engine);
         data.repartition(ring.token_points().collect());
-        StoreNode {
+        let mut node = StoreNode {
             replica,
             mech,
             config,
@@ -290,29 +320,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             dot_floor: 0,
             writes_seen: BTreeSet::new(),
             writes_seen_order: VecDeque::new(),
-        }
-    }
-
-    /// Creates the replica server for `replica` on top of an existing
-    /// storage engine — the crash-recovery constructor. The engine
-    /// arrives pre-populated (a durable log replays itself on open);
-    /// re-partitioning fingerprints the adopted keys into the AAE
-    /// index, so the node is immediately AAE-capable over its recovered
-    /// contents. The node boots with the genesis `view` it was
-    /// originally configured with: everything newer reaches it in band,
-    /// through the [`Msg::Rejoin`] the control plane posts (which also
-    /// arms its periodic timers — a mid-run node gets no `on_start`).
-    pub fn with_engine(
-        replica: ReplicaId,
-        mech: M,
-        config: StoreConfig,
-        view: RingView<ReplicaId>,
-        engine: Box<dyn storage::StorageEngine<M::State>>,
-    ) -> Self {
-        let mut node = Self::new(replica, mech, config, view);
-        let mut data = DataStore::with_engine(engine);
-        data.repartition(node.ring.token_points().collect());
-        node.data = data;
+        };
         if node.config.dot_guard {
             if let Some((epoch, ceiling)) = node.data.load_reservation() {
                 // A previous incarnation reserved up to `ceiling`; under
@@ -330,50 +338,19 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         node
     }
 
-    /// Creates a dormant spare server: hosted by the simulation but not a
+    /// Turns a freshly built node into a dormant one: hosted, but not a
     /// ring member. It ignores all traffic until a join announcement
-    /// (delivered by the control plane) activates it.
-    pub fn dormant(
-        replica: ReplicaId,
-        mech: M,
-        config: StoreConfig,
-        view: RingView<ReplicaId>,
-    ) -> Self {
-        let mut node = Self::new(replica, mech, config, view);
-        node.active = false;
-        node
-    }
-
-    /// A dormant spare on an existing storage engine — so a spare that
-    /// later joins (and everything transferred to it) persists, and a
-    /// crashed ex-spare recovers like any other member.
-    pub fn dormant_with_engine(
-        replica: ReplicaId,
-        mech: M,
-        config: StoreConfig,
-        view: RingView<ReplicaId>,
-        engine: Box<dyn storage::StorageEngine<M::State>>,
-    ) -> Self {
-        let mut node = Self::with_engine(replica, mech, config, view, engine);
-        node.active = false;
-        node
+    /// (delivered by the control plane) activates it — a spare slot, or
+    /// the husk that holds a crashed server's place.
+    #[must_use]
+    pub fn dormant(mut self) -> Self {
+        self.active = false;
+        self
     }
 
     /// This server's replica id.
     pub fn replica(&self) -> ReplicaId {
         self.replica
-    }
-
-    /// The causality mechanism this node runs (drivers clone it into
-    /// their [`NodeCtx`] impls for message sizing).
-    pub fn mech(&self) -> &M {
-        &self.mech
-    }
-
-    /// Per-message header overhead in bytes (driver contexts charge it
-    /// on every send).
-    pub fn header_bytes(&self) -> usize {
-        self.config.header_bytes
     }
 
     /// The node's store configuration (quorum sizes, intervals, ring
@@ -761,14 +738,12 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         Ok(())
     }
 
-    /// Sends through the driver and records what *it* charged: the
-    /// context is the single source of truth for wire bytes
-    /// ([`NodeCtx::send`] derives them from [`Msg::wire_size`] plus the
-    /// header overhead), so accounting cannot drift per call site.
+    /// The node's one send door: charges the message ([`Msg::charge`]),
+    /// which records it in this node's ledger, and hands the driver the
+    /// same number — so accounting cannot drift per call site or driver.
     fn send(&mut self, ctx: &mut impl NodeCtx<M>, to: NodeId, msg: Msg<M>) {
-        let class = msg.class();
-        let bytes = ctx.send(to, msg);
-        self.wire.record(class, bytes);
+        let bytes = msg.charge(&self.mech, self.config.header_bytes, &mut self.wire);
+        ctx.send(to, msg, bytes);
     }
 
     fn active_replicas(&self, key: &[u8]) -> (Vec<ReplicaId>, Vec<(ReplicaId, ReplicaId)>) {
@@ -1153,25 +1128,19 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    fn arm_request_timer(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
+    /// Arms `req`'s timeout; the id goes into its [`Pending`] entry.
+    fn arm_request_timer(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) -> TimerId {
         let t = ctx.set_timer(self.config.request_timeout);
         self.timers.insert(t, TimerKind::Request(req));
+        t
     }
 
     /// Advisorily cancels the timeout timer of a request that retired
     /// with every response in (the simulator still fires it into a
     /// no-op; the threaded runtime unschedules it).
-    fn cancel_request_timer(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
-        let stale: Vec<TimerId> = self
-            .timers
-            .iter()
-            .filter(|(_, k)| **k == TimerKind::Request(req))
-            .map(|(t, _)| *t)
-            .collect();
-        for t in stale {
-            self.timers.remove(&t);
-            ctx.cancel_timer(t);
-        }
+    fn cancel_request_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: TimerId) {
+        self.timers.remove(&timer);
+        ctx.cancel_timer(timer);
     }
 
     fn handle_client_get(
@@ -1212,11 +1181,13 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             let have = fingerprint(&empty);
             (empty, have, Vec::new())
         };
+        let timer = self.arm_request_timer(ctx, req);
         self.pending.insert(
             req,
             Pending::Get {
                 key: key.clone(),
                 client: from,
+                timer,
                 acc,
                 have,
                 expected: active.len(),
@@ -1239,7 +1210,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 );
             }
         }
-        self.arm_request_timer(ctx, req);
         self.try_complete_get(ctx, req);
     }
 
@@ -1316,6 +1286,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if done {
             let Some(Pending::Get {
                 key,
+                timer,
                 acc,
                 seen,
                 owner,
@@ -1325,7 +1296,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             else {
                 return;
             };
-            self.cancel_request_timer(ctx, req);
+            self.cancel_request_timer(ctx, timer);
             self.finish_read_repair(ctx, &key, acc, &seen, owner, &subs);
         }
     }
@@ -1412,6 +1383,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
         let owner = active.contains(&self.replica);
         let expected = active.len();
+        let timer = self.arm_request_timer(ctx, req);
         let hint_for = |peer: &ReplicaId| {
             substitutions
                 .iter()
@@ -1431,6 +1403,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 Pending::Put {
                     key: key.clone(),
                     client: from,
+                    timer,
                     acked: vec![self.replica],
                     expected,
                     replied: false,
@@ -1471,6 +1444,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 Pending::Put {
                     key: key.clone(),
                     client: from,
+                    timer,
                     acked: Vec::new(),
                     expected,
                     replied: false,
@@ -1491,7 +1465,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 },
             );
         }
-        self.arm_request_timer(ctx, req);
         self.try_complete_put(ctx, req);
     }
 
@@ -1540,8 +1513,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 if acked.len() >= *expected && *replied
         );
         if retire {
-            self.pending.remove(&req);
-            self.cancel_request_timer(ctx, req);
+            if let Some(Pending::Put { timer, .. }) = self.pending.remove(&req) {
+                self.cancel_request_timer(ctx, timer);
+            }
         }
     }
 

@@ -42,10 +42,8 @@ impl NodeCtx<M> for Script {
         &mut self.rng
     }
 
-    fn send(&mut self, to: NodeId, msg: Msg<M>) -> usize {
-        let bytes = msg.wire_size(&DvvMechanism);
+    fn send(&mut self, to: NodeId, msg: Msg<M>, _bytes: usize) {
         self.sent.push((to, msg));
-        bytes
     }
 
     fn set_timer(&mut self, _delay: Duration) -> TimerId {

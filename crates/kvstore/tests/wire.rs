@@ -393,3 +393,57 @@ fn conditional_read_charges_nine_bytes_per_replica_in_sync() {
     let read_repairs: u64 = (0..3).map(|i| c.server(i).stats().read_repairs).sum();
     assert_eq!(read_repairs, 1);
 }
+
+/// Charge parity on the simulator — the counterpart of
+/// `transport/tests/charge_parity.rs`: the node charges a message and
+/// hands the driver the number, so every byte in the nodes' ledgers is
+/// a byte the simulator was handed to carry, on a static fleet and
+/// across a live join (transfer, membership and handoff traffic).
+#[test]
+fn every_byte_a_node_charged_is_a_byte_the_simulator_was_handed() {
+    use kvstore::messages::MsgClass;
+    use simnet::TraceEvent;
+
+    let traced = |spare_servers: usize| {
+        let cfg = ClusterConfig {
+            servers: 3,
+            spare_servers,
+            clients: 4,
+            cycles_per_client: 10,
+            ..ClusterConfig::default()
+        };
+        let mut c = Cluster::new(31, DvvMechanism, cfg);
+        c.sim_mut().trace_mut().set_capacity(1 << 22);
+        c.sim_mut().trace_mut().enable();
+        c
+    };
+    let assert_parity = |c: &Cluster<M>| -> WireStats {
+        let trace = c.sim().trace();
+        assert_eq!(trace.overflowed(), 0, "the trace must hold the whole run");
+        let handed: u64 = trace
+            .events()
+            .iter()
+            .map(|e| match e {
+                TraceEvent::Sent { bytes, .. } => *bytes as u64,
+                _ => 0,
+            })
+            .sum();
+        let charged = c.wire_report();
+        assert_eq!(handed, charged.total_bytes());
+        charged
+    };
+
+    let mut fixed = traced(0);
+    assert!(fixed.run(), "all clients finish");
+    fixed.run_for(Duration::from_secs(1));
+    let charged = assert_parity(&fixed);
+    assert!(charged.bytes(MsgClass::Client) > 0 && charged.bytes(MsgClass::AntiEntropy) > 0);
+
+    let mut joined = traced(1);
+    joined.run_for(Duration::from_millis(40));
+    assert!(joined.add_node_live(3), "join settles");
+    assert!(joined.run(), "all clients finish");
+    joined.run_for(Duration::from_secs(1));
+    let charged = assert_parity(&joined);
+    assert!(charged.bytes(MsgClass::Transfer) > 0, "the join moved keys");
+}

@@ -3,17 +3,20 @@
 //!
 //! Layout mirrors [`kvstore::cluster::Cluster`]: node ids `0..servers`
 //! are replica servers, `servers..servers + clients` are closed-loop
-//! client sessions, and the same [`StoreProc`] enum holds either. Each
-//! server gets a dedicated event-loop thread; clients are partitioned
-//! across `client_workers` threads (the parallelism knob the bench
-//! sweeps). Every worker owns a bounded inbox, a
-//! [`TimerWheel`](crate::wheel::TimerWheel) per hosted node, and a
-//! forked RNG stream, and dispatches the *same* generic
-//! `on_start`/`on_message`/`on_timer` code the simulator drives —
-//! [`RtCtx`](crate::rtctx::RtCtx) is the only runtime-specific layer a
-//! node ever sees.
+//! client sessions, the same [`StoreProc`] enum holds either, and the
+//! same [`NodeKit`] builds them — at construction and again when a
+//! scheduled crash respawns a server. Each server gets a dedicated
+//! event-loop thread; clients are partitioned across `client_workers`
+//! threads. Every worker owns a bounded inbox, a [`TimerWheel`] per
+//! hosted node, and a forked RNG stream, and hands its events to the
+//! *same* [`StoreProc`] entry points the simulator calls. The only
+//! runtime-specific layer a node ever sees is the per-event
+//! [`NodeCtx`] the worker stacks up, which **writes through**: a send
+//! goes straight to the worker's router, a timer arm or cancel straight
+//! to the node's wheel, so effects happen in the order the handler made
+//! them and nothing is collected to be replayed afterwards.
 //!
-//! A node's outbox goes three ways. Self-sends take the worker's local
+//! A node's sends go three ways. Self-sends take the worker's local
 //! queue: reliable, never fault-injected, never on the wire. Everything
 //! else passes the fault router — probabilistic drop, duplicate,
 //! stale replay, and an optional sampled latency the routing worker
@@ -44,20 +47,18 @@ use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration as StdDuration, Instant};
 
 use dvv::mechanisms::Mechanism;
-use dvv::{ClientId, ReplicaId};
+use dvv::ReplicaId;
 use kvstore::client::ClientNode;
-use kvstore::cluster::{EngineFactory, StoreProc};
-use kvstore::config::StoreConfig;
+use kvstore::cluster::{EngineFactory, NodeKit, StoreProc};
+use kvstore::ctx::NodeCtx;
 use kvstore::harness::FleetHarness;
 use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
-use simnet::{NodeId, SimRng, SimTime, TimerId};
-use storage::{MemEngine, StorageEngine};
+use simnet::{Duration, NodeId, SimRng, SimTime, TimerId};
 
 use crate::link::{deliver, ChannelLink, Link, Packet, Wiring};
-use crate::rtctx::RtCtx;
 use crate::watchdog::{self, Progress, StallReport};
 use crate::wheel::TimerWheel;
 use crate::{CrashEvent, FaultPlan, RuntimeConfig};
@@ -99,25 +100,15 @@ struct CrashPlane {
     phases: Vec<AtomicU8>,
 }
 
-/// Everything a server worker needs to rebuild its node from scratch
-/// after a scheduled kill: the same constructor inputs the fleet used
-/// at build time, plus the engine factory when the fleet is durable (a
-/// log-backed engine replays its durable prefix on open; without a
-/// factory the respawn comes back empty, the diskless baseline).
-struct RespawnKit<M: Mechanism<StampedValue>> {
-    replica: ReplicaId,
-    mech: M,
-    store: StoreConfig,
-    genesis_view: RingView<ReplicaId>,
-    factory: Option<EngineFactory<M>>,
-}
-
 /// A server worker's handle on the crash schedule: its slot's phase
-/// cell plus the rebuild kit.
+/// cell plus the kit that built its node, to rebuild it from scratch
+/// after a scheduled kill (a log-backed engine replays its durable
+/// prefix on open; without an engine factory the respawn comes back
+/// empty, the diskless baseline).
 struct WorkerCrash<M: Mechanism<StampedValue>> {
     server: usize,
     plane: Arc<CrashPlane>,
-    kit: RespawnKit<M>,
+    kit: NodeKit<M>,
 }
 
 /// Where one scheduled [`CrashEvent`] currently stands in the main
@@ -176,11 +167,12 @@ struct Router<M: Mechanism<StampedValue>, L> {
 }
 
 impl<M: Mechanism<StampedValue>, L: Link<M>> Router<M, L> {
-    fn route(&mut self, from: NodeId, to: NodeId, msg: Msg<M>) {
+    /// `bytes` is what the sending node charged for `msg`.
+    fn route(&mut self, from: NodeId, to: NodeId, msg: Msg<M>, bytes: usize) {
         // Self-sends are delivered locally — reliable, zero-delay and
         // exempt from fault injection, like the simulator's.
         if from == to {
-            self.link.note_self(&msg);
+            self.link.note_self(bytes);
             self.local.push_back((to, msg));
             return;
         }
@@ -270,13 +262,6 @@ struct Hosted<M: Mechanism<StampedValue>> {
     last_ops: u64,
 }
 
-/// An event to dispatch into a hosted node.
-enum Ev<M: Mechanism<StampedValue>> {
-    Start,
-    Message { from: NodeId, msg: Msg<M> },
-    Timer(TimerId),
-}
-
 /// One node's live reporting state, as [`FleetStats::snapshot`] reads
 /// it.
 #[derive(Clone, Debug, Default)]
@@ -335,10 +320,9 @@ pub struct RunReport {
 /// [`Cluster`](kvstore::cluster::Cluster) after a simulated run.
 pub struct Fleet<M: Mechanism<StampedValue>, L: Link<M>> {
     config: RuntimeConfig,
-    mech: M,
+    /// Builds (and after a scheduled crash rebuilds) this fleet's nodes.
+    kit: NodeKit<M>,
     view: RingView<ReplicaId>,
-    genesis_view: RingView<ReplicaId>,
-    factory: Option<EngineFactory<M>>,
     nodes: Vec<Hosted<M>>,
     progress: Arc<Progress>,
     net_root: SimRng,
@@ -403,13 +387,8 @@ where
         factory: Option<EngineFactory<M>>,
         link_spec: L::Spec,
     ) -> Self {
-        assert!(config.servers > 0, "need at least one server");
         assert!(config.client_workers > 0, "need at least one client worker");
-        config.store.validate();
-        assert!(
-            config.store.n <= config.servers,
-            "replication factor exceeds server count"
-        );
+        let kit = NodeKit::new(mech, config.store, config.servers, factory);
         let mut crash_targets = std::collections::BTreeSet::new();
         for c in &config.crashes {
             assert!(
@@ -428,55 +407,25 @@ where
             );
         }
         let root = SimRng::new(seed);
-        let replicas: Vec<ReplicaId> = (0..config.servers as u32).map(ReplicaId).collect();
-        let view = RingView::from_members(replicas.iter().copied());
         let total = config.servers + config.clients;
-
-        let host = |index: u32, proc_: StoreProc<M>| Hosted {
-            id: NodeId(index),
-            proc_,
-            rng: root.fork_indexed("node", u64::from(index)),
-            wheel: TimerWheel::new(),
-            next_timer: 0,
-            was_done: false,
-            last_ops: 0,
-        };
-        let mut nodes = Vec::with_capacity(total);
-        for r in &replicas {
-            let node = match &factory {
-                Some(f) => StoreNode::with_engine(
-                    *r,
-                    mech.clone(),
-                    config.store,
-                    view.clone(),
-                    f.build(r.0 as usize),
-                ),
-                None => StoreNode::new(*r, mech.clone(), config.store, view.clone()),
-            };
-            nodes.push(host(r.0, StoreProc::Server(node)));
-        }
-        for j in 0..config.clients {
-            let node_index = (config.servers + j) as u32;
-            let mut client_cfg = config.client.clone();
-            client_cfg.cycles = config.cycles_per_client;
-            let client = ClientNode::new(
-                ClientId(j as u64),
-                node_index,
-                mech.clone(),
-                client_cfg,
-                config.store.n,
-                config.store.header_bytes,
-                view.clone(),
-                config.store.vnodes,
-            );
-            nodes.push(host(node_index, StoreProc::Client(client)));
-        }
+        let nodes = (0..total)
+            .map(|i| Hosted {
+                id: NodeId(i as u32),
+                proc_: match i.checked_sub(config.servers) {
+                    None => kit.server(i),
+                    Some(j) => kit.client(j, i, &config.client, config.cycles_per_client),
+                },
+                rng: root.fork_indexed("node", i as u64),
+                wheel: TimerWheel::new(),
+                next_timer: 0,
+                was_done: false,
+                last_ops: 0,
+            })
+            .collect();
         Fleet {
             config,
-            mech,
-            view: view.clone(),
-            genesis_view: view,
-            factory,
+            view: kit.genesis_view().clone(),
+            kit,
             nodes,
             progress: Arc::new(Progress::new(total)),
             net_root: root.fork("rtnet"),
@@ -588,13 +537,7 @@ where
                 .map(|s| WorkerCrash {
                     server: s,
                     plane: Arc::clone(&plane),
-                    kit: RespawnKit {
-                        replica: ReplicaId(s as u32),
-                        mech: self.mech.clone(),
-                        store: cfg.store,
-                        genesis_view: self.genesis_view.clone(),
-                        factory: self.factory.clone(),
-                    },
+                    kit: self.kit.clone(),
                 });
             handles.push(thread::spawn(move || {
                 worker_loop(group, rx, inbox_capacity, router, hang, crash)
@@ -731,11 +674,7 @@ where
     ///
     /// Panics if `i` is not a server index.
     pub fn server(&self, i: usize) -> &StoreNode<M> {
-        assert!(i < self.config.servers, "node {i} is not a server");
-        match &self.nodes[i].proc_ {
-            StoreProc::Server(s) => s,
-            StoreProc::Client(_) => unreachable!("layout: servers first"),
-        }
+        self.nodes[i].proc_.server()
     }
 
     /// Read access to client `j`'s session node.
@@ -744,11 +683,7 @@ where
     ///
     /// Panics if `j` is not a client index.
     pub fn client(&self, j: usize) -> &ClientNode<M> {
-        assert!(j < self.config.clients, "client {j} out of range");
-        match &self.nodes[self.config.servers + j].proc_ {
-            StoreProc::Client(c) => c,
-            StoreProc::Server(_) => unreachable!("layout: clients after servers"),
-        }
+        self.nodes[self.config.servers + j].proc_.client()
     }
 
     /// Number of replica servers.
@@ -767,11 +702,7 @@ where
     ///
     /// Panics if `i` is not a server index.
     pub fn server_mut(&mut self, i: usize) -> &mut StoreNode<M> {
-        assert!(i < self.config.servers, "node {i} is not a server");
-        match &mut self.nodes[i].proc_ {
-            StoreProc::Server(s) => s,
-            StoreProc::Client(_) => unreachable!("layout: servers first"),
-        }
+        self.nodes[i].proc_.server_mut()
     }
 }
 
@@ -786,7 +717,7 @@ where
     L: Link<M>,
 {
     fn mechanism(&self) -> &M {
-        &self.mech
+        self.kit.mech()
     }
 
     fn member_servers(&self) -> Vec<usize> {
@@ -824,15 +755,9 @@ impl<M: Mechanism<StampedValue>> WorkerCrash<M> {
     /// already sent stays sent, held-back packets included.
     fn apply(&self, h: &mut Hosted<M>, local: &mut VecDeque<(NodeId, Msg<M>)>) -> bool {
         let phase = &self.plane.phases[self.server];
-        let kit = &self.kit;
         match phase.load(Ordering::Acquire) {
             PHASE_KILL => {
-                h.proc_ = StoreProc::Server(StoreNode::dormant(
-                    kit.replica,
-                    kit.mech.clone(),
-                    kit.store,
-                    kit.genesis_view.clone(),
-                ));
+                h.proc_ = self.kit.husk(self.server);
                 h.wheel = TimerWheel::new();
                 local.clear();
                 phase.store(PHASE_DOWN, Ordering::Release);
@@ -840,17 +765,7 @@ impl<M: Mechanism<StampedValue>> WorkerCrash<M> {
             }
             PHASE_DOWN => true,
             PHASE_RESPAWN => {
-                let engine: Box<dyn StorageEngine<M::State>> = match &kit.factory {
-                    Some(f) => f.build(self.server),
-                    None => Box::new(MemEngine::new()),
-                };
-                h.proc_ = StoreProc::Server(StoreNode::with_engine(
-                    kit.replica,
-                    kit.mech.clone(),
-                    kit.store,
-                    kit.genesis_view.clone(),
-                    engine,
-                ));
+                h.proc_ = self.kit.server(self.server);
                 h.wheel = TimerWheel::new();
                 phase.store(PHASE_RUNNING, Ordering::Release);
                 false
@@ -881,7 +796,7 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     }
 
     for h in &mut hosted {
-        dispatch(h, Ev::Start, &mut router);
+        dispatch(h, &mut router, |node, ctx| node.on_start(ctx));
     }
 
     loop {
@@ -912,7 +827,7 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         let mut worked = false;
         for h in &mut hosted {
             while let Some(t) = h.wheel.pop_due(now_us) {
-                dispatch(h, Ev::Timer(t), &mut router);
+                dispatch(h, &mut router, |node, ctx| node.on_timer(ctx, t));
                 worked = true;
             }
         }
@@ -966,7 +881,7 @@ fn hand_to<M: Mechanism<StampedValue>, L: Link<M>>(
     router: &mut Router<M, L>,
 ) {
     if let Some(h) = hosted.iter_mut().find(|h| h.id == to) {
-        dispatch(h, Ev::Message { from, msg }, router);
+        dispatch(h, router, |node, ctx| node.on_message(ctx, from, msg));
     }
 }
 
@@ -1043,43 +958,70 @@ fn publish(cell: &AtomicU64, value: u64) {
     }
 }
 
-/// Runs one event through a hosted node and applies its effects: armed
-/// timers to the wheel, cancelled timers out of it, outbound messages
-/// to the router, fresh counters into the progress atomics.
+/// The threaded fleet's [`NodeCtx`], stacked up per dispatched event
+/// over disjoint borrows of the hosted node's scheduling state and its
+/// worker's router. It writes through — nothing is buffered — so a
+/// handler's effects land in the order it made them: self-sends queue
+/// behind what is already in the worker's local queue, and same-instant
+/// timers keep their arm order in the wheel, as on the simulator.
+struct RtCtx<'a, M: Mechanism<StampedValue>, L> {
+    id: NodeId,
+    now: SimTime,
+    rng: &'a mut SimRng,
+    wheel: &'a mut TimerWheel<TimerId>,
+    next_timer: &'a mut u64,
+    router: &'a mut Router<M, L>,
+}
+
+impl<M: Mechanism<StampedValue>, L: Link<M>> NodeCtx<M> for RtCtx<'_, M, L> {
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn rng(&mut self) -> &mut SimRng {
+        self.rng
+    }
+
+    fn send(&mut self, to: NodeId, msg: Msg<M>, bytes: usize) {
+        self.router.route(self.id, to, msg, bytes);
+    }
+
+    fn set_timer(&mut self, delay: Duration) -> TimerId {
+        let t = TimerId::from_raw(*self.next_timer);
+        *self.next_timer += 1;
+        self.wheel
+            .schedule(self.now.as_micros() + delay.as_micros(), t);
+        t
+    }
+
+    fn cancel_timer(&mut self, timer: TimerId) {
+        self.wheel.cancel(timer);
+    }
+}
+
+/// Runs one event — `event` calls the [`StoreProc`] entry point it is
+/// for — through a hosted node, whose sends, timer arms and timer
+/// cancels take effect as it makes them ([`RtCtx`]), and publishes the
+/// node's fresh counters into the progress atomics.
 fn dispatch<M: Mechanism<StampedValue>, L: Link<M>>(
     h: &mut Hosted<M>,
-    ev: Ev<M>,
     router: &mut Router<M, L>,
+    event: impl FnOnce(&mut StoreProc<M>, &mut RtCtx<'_, M, L>),
 ) {
     let now = SimTime::from_micros(router.shared.now_us());
-    let (mech, header_bytes) = match &h.proc_ {
-        StoreProc::Server(s) => (s.mech().clone(), s.header_bytes()),
-        StoreProc::Client(c) => (c.mech().clone(), c.header_bytes()),
+    let mut ctx = RtCtx {
+        id: h.id,
+        now,
+        rng: &mut h.rng,
+        wheel: &mut h.wheel,
+        next_timer: &mut h.next_timer,
+        router,
     };
-    let mut ctx = RtCtx::new(h.id, now, &mut h.rng, mech, header_bytes, &mut h.next_timer);
-    match (&mut h.proc_, ev) {
-        (StoreProc::Server(s), Ev::Start) => s.on_start(&mut ctx),
-        (StoreProc::Server(s), Ev::Message { from, msg }) => s.on_message(&mut ctx, from, msg),
-        (StoreProc::Server(s), Ev::Timer(t)) => s.on_timer(&mut ctx, t),
-        (StoreProc::Client(c), Ev::Start) => c.on_start(&mut ctx),
-        (StoreProc::Client(c), Ev::Message { from, msg }) => c.on_message(&mut ctx, from, msg),
-        (StoreProc::Client(c), Ev::Timer(t)) => c.on_timer(&mut ctx, t),
-    }
-    let RtCtx {
-        outbox,
-        timer_sets,
-        timer_cancels,
-        ..
-    } = ctx;
-    for (due, t) in timer_sets {
-        h.wheel.schedule(due, t);
-    }
-    for t in timer_cancels {
-        h.wheel.cancel(t);
-    }
-    for (to, msg) in outbox {
-        router.route(h.id, to, msg);
-    }
+    event(&mut h.proc_, &mut ctx);
 
     // Progress bookkeeping: liveness for every node, the settle probe's
     // two numbers for a server, ops and completion for a client.

@@ -8,11 +8,16 @@
 //! runtime, nothing vendored beyond std).
 //!
 //! **One threaded fleet.** Everything about hosting a node on a thread
-//! lives in [`fleet`], once: node construction, the worker event loop
-//! and its dispatch bookkeeping, the crash plane, the fault router with
-//! its held-back packets, the main loop that watches over a run (crash
-//! and link schedules, stall check, settle/quiesce) and the post-run
-//! [`FleetHarness`](kvstore::harness::FleetHarness) surface.
+//! lives in [`fleet`], once: the worker event loop, its write-through
+//! [`NodeCtx`](kvstore::ctx::NodeCtx) and its dispatch bookkeeping, the
+//! crash plane, the fault router with its held-back packets, the main
+//! loop that watches over a run (crash and link schedules, stall check,
+//! settle/quiesce) and the post-run
+//! [`FleetHarness`](kvstore::harness::FleetHarness) surface. What is
+//! not particular to threads is `kvstore`'s, shared with the simulator:
+//! [`NodeKit`](kvstore::cluster::NodeKit) builds (and respawns) the
+//! nodes, [`StoreProc`](kvstore::cluster::StoreProc) dispatches an
+//! event into one, and the node itself charges what it sends.
 //! [`Fleet`] is generic over a [`Link`] ([`link`]), whose whole job is
 //! how an addressed message gets from one worker to another worker's
 //! inbox. A link must provide: `open` at run start (it is handed the
@@ -20,8 +25,9 @@
 //! [`Progress`] counters and the shutdown flag), a `send` of an
 //! addressed message that never waits on the destination node (see
 //! [`Link::send`]), `close` returning its ledger, and optionally a
-//! per-tick schedule hook and a note of self-sends (which the loop
-//! delivers locally and never hands to `send`). Two links exist:
+//! per-tick schedule hook and a note of the bytes charged for
+//! self-sends (which the loop delivers locally and never hands to
+//! `send`). Two links exist:
 //! [`ChannelLink`] here ([`RuntimeFleet`]), and the TCP fabric link in
 //! `transport` (`SocketFleet`).
 //!
@@ -35,7 +41,7 @@
 //! * bounded inboxes — a full inbox is wire loss, which the protocol's
 //!   timeouts, retries and anti-entropy already absorb, so no
 //!   backpressure deadlock is possible;
-//! * a per-node [`TimerWheel`](wheel::TimerWheel) on the monotonic
+//! * a per-node [`TimerWheel`] on the monotonic
 //!   clock, with the simulator's same-instant FIFO semantics (and real
 //!   cancellation, which the simulator approximates by ignoring fires),
 //!   and the simulator's order between the two event sources: what is
@@ -63,14 +69,12 @@
 
 pub mod fleet;
 pub mod link;
-pub mod rtctx;
 pub mod watchdog;
 pub mod wheel;
 
 pub use fleet::{Fleet, FleetStats, NodeSnapshot, RunReport, RuntimeFleet};
 pub use kvstore::cluster::EngineFactory;
 pub use link::{ChannelLink, ChannelStats, Link, Packet, Wiring};
-pub use rtctx::RtCtx;
 pub use watchdog::{NodeDiag, Progress, StallReport};
 pub use wheel::TimerWheel;
 

@@ -1,4 +1,4 @@
-//! The [`Link`] seam: where a hosted node's outbox goes and where its
+//! The [`Link`] seam: where a hosted node's sends go and where its
 //! inbox comes from.
 //!
 //! The threaded fleet ([`crate::fleet`]) owns everything about hosting
@@ -15,9 +15,9 @@
 //! by message.
 //!
 //! Self-sends never reach [`Link::send`]: the loop delivers them through
-//! its own local queue and only tells the link what it skipped
-//! ([`Link::note_self`]), so a link that keeps a byte ledger can still
-//! balance it.
+//! its own local queue and only tells the link the bytes the node
+//! charged for what it skipped ([`Link::note_self`]), so a link that
+//! keeps a byte ledger can still balance it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -81,8 +81,9 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// same rule and so always relieves it.
     fn send(&self, pkt: Packet<M>);
 
-    /// A self-send the loop delivered locally instead of sending.
-    fn note_self(&self, _msg: &Msg<M>) {}
+    /// A self-send the loop delivered locally instead of sending, by
+    /// the bytes its node charged for it.
+    fn note_self(&self, _bytes: usize) {}
 
     /// Called on the fleet's own handle from its main loop, on every
     /// pass, with the time since run start: fires whatever schedule the

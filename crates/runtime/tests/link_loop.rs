@@ -114,7 +114,7 @@ impl Link<M> for ScriptLink {
         }
     }
 
-    fn note_self(&self, _msg: &Msg<M>) {
+    fn note_self(&self, _bytes: usize) {
         self.script.self_sends.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -511,4 +511,141 @@ fn shutdown_is_observed_within_one_wait_cap() {
         fastest < StdDuration::from_millis(100),
         "an idle fleet took {fastest:?} to stop"
     );
+}
+
+/// The owners of [`cart_placement`]'s key, in preference order.
+fn cart_owners() -> Vec<NodeId> {
+    let view = RingView::from_members((0..4).map(ReplicaId));
+    let ring = view.to_ring(StoreConfig::default().vnodes);
+    let owners = ring.preference_list(&cart_placement().0, 3);
+    owners.iter().map(|r| NodeId(r.0)).collect()
+}
+
+/// Four quiet servers, N=3 R=W=2, with a request timeout short enough
+/// to wait out.
+fn cart_config() -> RuntimeConfig {
+    let mut config = quiet_config(0);
+    config.servers = 4;
+    config.store = StoreConfig {
+        n: 3,
+        r: 2,
+        w: 2,
+        request_timeout: Duration::from_micros(SERVER_TIMEOUT.as_micros() as u64),
+        ..config.store
+    };
+    config
+}
+
+const SERVER_TIMEOUT: StdDuration = StdDuration::from_millis(5);
+
+/// Posts a GET of the cart key to the server outside its preference
+/// list and waits for that coordinator's answer to the client.
+fn get_cart_at_outsider(link: &ScriptLink) {
+    let (key, _, outsider, digest) = cart_placement();
+    let req = 1;
+    link.inject(STRANGER, outsider, Msg::ClientGet { req, key, digest });
+    await_that("the GET to be answered", || {
+        link.script.sent_to(STRANGER) >= 1
+    });
+}
+
+/// Notes `node`'s event count before and after its request timeout's
+/// instant has passed. A timer that is still armed fires on its own at
+/// that instant (the worker sleeps no longer than until its next due
+/// timer), so equal counts mean it was unscheduled.
+fn note_events_across_the_timeout(link: &ScriptLink, node: NodeId) {
+    link.note(link.events(node));
+    std::thread::sleep(3 * SERVER_TIMEOUT);
+    link.note(link.events(node));
+}
+
+/// The node's context writes through to the router, so what one
+/// handler sends reaches the link in the order the handler sent it: a
+/// coordinator outside the preference list asks the three owners in
+/// preference order, and — no one answering — fails the GET last.
+#[test]
+fn sends_of_one_handler_reach_the_link_in_handler_order() {
+    let script = Arc::new(Script {
+        on_tick: Some(get_cart_at_outsider),
+        ..Script::default()
+    });
+    let mut fleet = fleet(cart_config(), &script);
+    fleet.run().expect("no stall");
+
+    let outsider = cart_placement().2;
+    let mut expected: Vec<(NodeId, NodeId)> =
+        cart_owners().into_iter().map(|o| (outsider, o)).collect();
+    expected.push((outsider, STRANGER));
+    assert_eq!(*script.sent.lock().unwrap(), expected);
+}
+
+/// The handler that completes a request cancels that request's timer by
+/// the id it was armed under, straight in the wheel: once all three
+/// owners have answered, the coordinator dispatches nothing more — its
+/// event count stays flat across the timeout instant.
+#[test]
+fn a_completed_requests_timer_never_dispatches() {
+    fn every_owner_answers(link: &ScriptLink, pkt: &Packet<M>) {
+        if let Msg::RepGetIf { req, .. } = &pkt.msg {
+            link.inject(pkt.to, pkt.from, Msg::RepGetSame { req: *req });
+        }
+    }
+    fn script(link: &ScriptLink) {
+        let outsider = cart_placement().2;
+        await_that("the coordinator to start", || link.events(outsider) >= 1);
+        let base = link.events(outsider);
+        get_cart_at_outsider(link);
+        await_that("the request and its three answers", || {
+            link.events(outsider) >= base + 4
+        });
+        note_events_across_the_timeout(link, outsider);
+    }
+    let script = Arc::new(Script {
+        on_send: Some(every_owner_answers),
+        on_tick: Some(script),
+        ..Script::default()
+    });
+    let mut fleet = fleet(cart_config(), &script);
+    fleet.run().expect("no stall");
+
+    let notes = script.notes.lock().unwrap().clone();
+    assert_eq!(notes[0], notes[1], "a cancelled request timer dispatched");
+    let stats = fleet.server(cart_placement().2 .0 as usize).stats();
+    assert_eq!((stats.gets_ok, stats.quorum_timeouts), (1, 0));
+}
+
+/// With N = R = W = 1 a GET is armed, answered, retired and its timer
+/// cancelled inside one dispatch: the arm and the cancel hit the wheel
+/// in that order, and nothing fires at the timeout instant.
+#[test]
+fn a_timer_armed_and_cancelled_in_one_dispatch_never_fires() {
+    fn script(link: &ScriptLink) {
+        await_that("the server to start", || link.events(SERVER) >= 1);
+        let base = link.events(SERVER);
+        let get = Msg::ClientGet {
+            req: 1,
+            key: b"k".to_vec(),
+            digest: RingView::from_members([ReplicaId(0)]).digest(),
+        };
+        link.inject(STRANGER, SERVER, get);
+        await_that("the GET to be answered", || {
+            link.script.sent_to(STRANGER) >= 1 && link.events(SERVER) > base
+        });
+        link.note(link.events(SERVER) - base);
+        note_events_across_the_timeout(link, SERVER);
+    }
+    let script = Arc::new(Script {
+        on_tick: Some(script),
+        ..Script::default()
+    });
+    let mut config = quiet_config(0);
+    config.store.request_timeout = Duration::from_micros(SERVER_TIMEOUT.as_micros() as u64);
+    let mut fleet = fleet(config, &script);
+    fleet.run().expect("no stall");
+
+    let notes = script.notes.lock().unwrap().clone();
+    assert_eq!(notes[0], 1, "the GET is one dispatch");
+    assert_eq!(notes[1], notes[2], "the timer of a retired GET fired");
+    let stats = fleet.server(0).stats();
+    assert_eq!((stats.gets_ok, stats.quorum_timeouts), (1, 0));
 }

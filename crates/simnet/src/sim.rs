@@ -68,7 +68,6 @@ pub struct ProcessCtx<'a, M> {
     outbox: &'a mut Vec<(NodeId, M, usize)>,
     timer_requests: &'a mut Vec<(Duration, TimerId)>,
     next_timer: &'a mut u64,
-    notes: &'a mut Vec<String>,
 }
 
 impl<'a, M> ProcessCtx<'a, M> {
@@ -102,11 +101,6 @@ impl<'a, M> ProcessCtx<'a, M> {
         *self.next_timer += 1;
         self.timer_requests.push((delay, id));
         id
-    }
-
-    /// Adds a free-form annotation to the trace.
-    pub fn note(&mut self, text: impl Into<String>) {
-        self.notes.push(text.into());
     }
 }
 
@@ -365,7 +359,6 @@ where
         let node = NodeId(index as u32);
         let mut outbox = Vec::new();
         let mut timer_requests = Vec::new();
-        let mut notes = Vec::new();
         {
             let mut ctx = ProcessCtx {
                 id: node,
@@ -374,7 +367,6 @@ where
                 outbox: &mut outbox,
                 timer_requests: &mut timer_requests,
                 next_timer: &mut self.next_timer,
-                notes: &mut notes,
             };
             match what {
                 Dispatch::Start => self.processes[index].on_start(&mut ctx),
@@ -383,13 +375,6 @@ where
                 }
                 Dispatch::Timer(id) => self.processes[index].on_timer(&mut ctx, id),
             }
-        }
-        for text in notes {
-            self.trace.record(TraceEvent::Note {
-                time: self.now,
-                node,
-                text,
-            });
         }
         for (to, msg, bytes) in outbox {
             self.trace.record(TraceEvent::Sent {

@@ -46,15 +46,6 @@ pub enum TraceEvent {
         /// Owning node.
         node: NodeId,
     },
-    /// Free-form application annotation.
-    Note {
-        /// Virtual time of the note.
-        time: SimTime,
-        /// Node that emitted it.
-        node: NodeId,
-        /// The annotation.
-        text: String,
-    },
 }
 
 impl TraceEvent {
@@ -65,8 +56,7 @@ impl TraceEvent {
             TraceEvent::Sent { time, .. }
             | TraceEvent::Delivered { time, .. }
             | TraceEvent::Lost { time, .. }
-            | TraceEvent::TimerFired { time, .. }
-            | TraceEvent::Note { time, .. } => *time,
+            | TraceEvent::TimerFired { time, .. } => *time,
         }
     }
 }
@@ -92,7 +82,6 @@ impl fmt::Display for TraceEvent {
             }
             TraceEvent::Lost { time, from, to } => write!(f, "{time} {from}→{to} lost"),
             TraceEvent::TimerFired { time, node } => write!(f, "{time} {node} timer"),
-            TraceEvent::Note { time, node, text } => write!(f, "{time} {node} note: {text}"),
         }
     }
 }
@@ -256,12 +245,6 @@ mod tests {
             to: NodeId(3),
         };
         assert_eq!(lost.to_string(), "t=0us n2→n3 lost");
-        let note = TraceEvent::Note {
-            time: SimTime::ZERO,
-            node: NodeId(1),
-            text: "hello".into(),
-        };
-        assert_eq!(note.to_string(), "t=0us n1 note: hello");
         let timer = TraceEvent::TimerFired {
             time: SimTime::ZERO,
             node: NodeId(4),

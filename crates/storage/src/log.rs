@@ -37,7 +37,7 @@
 //!
 //! ## Compaction
 //!
-//! The in-memory key→offset index tracks the latest durable record per
+//! The in-memory key→length index tracks the latest durable record per
 //! key, so `live_bytes` (latest records) vs `durable_bytes` (the whole
 //! file) measures garbage exactly. When the file exceeds
 //! [`LogConfig::compact_min_bytes`] and the garbage fraction exceeds
@@ -124,12 +124,9 @@ pub struct LogStats {
     pub torn_tail_bytes: u64,
 }
 
-/// Latest durable record location for one key.
+/// Latest durable record of one key: how many file bytes it occupies.
 #[derive(Clone, Copy, Debug)]
 struct RecordSpan {
-    #[allow(dead_code)]
-    // offset is the index's raison d'être for point reads; kept for debug dumps
-    offset: u64,
     len: u64,
 }
 
@@ -417,13 +414,7 @@ where
             let len = (next - at) as u64;
             match record {
                 Record::Put { key, state } => {
-                    if let Some(old) = index.insert(
-                        key.clone(),
-                        RecordSpan {
-                            offset: at as u64,
-                            len,
-                        },
-                    ) {
+                    if let Some(old) = index.insert(key.clone(), RecordSpan { len }) {
                         live_bytes -= old.len;
                     }
                     live_bytes += len;
@@ -532,7 +523,7 @@ where
         for op in self.pending_ops.drain(..) {
             match op {
                 PendingOp::Put { key, len } => {
-                    if let Some(old) = self.index.insert(key, RecordSpan { offset, len }) {
+                    if let Some(old) = self.index.insert(key, RecordSpan { len }) {
                         self.live_bytes -= old.len;
                     }
                     self.live_bytes += len;
@@ -578,11 +569,10 @@ where
             frame_meta(&mut buf, epoch, ceiling);
         }
         for (key, state) in &self.map {
-            let offset = buf.len() as u64;
             self.scratch.clear();
             (self.codec.enc)(state, &mut self.scratch);
             let len = frame_record(&mut buf, TAG_PUT, key, Some(&self.scratch));
-            index.insert(key.clone(), RecordSpan { offset, len });
+            index.insert(key.clone(), RecordSpan { len });
         }
         let tmp = self.path.with_extension("compact");
         let write = (|| -> io::Result<File> {

@@ -2,7 +2,7 @@
 //! fleet-wide byte ledger.
 //!
 //! Every node owns a loopback TCP listener; messages between distinct
-//! nodes travel as [`frame`](crate::frame)-encoded
+//! nodes travel as [`frame`]-encoded
 //! `Msg::encode_transport` bodies over per-`(sender, receiver)`
 //! connections dialed lazily on first send.
 //!
@@ -70,7 +70,7 @@ const BACKOFF_CAP_MS: u64 = 128;
 const HELLO_LEN: usize = 12;
 
 /// The authenticated hello body for `node` under `secret`: the node id
-/// plus [`hello_tag`] over it. Public so tests (and any future
+/// plus `hello_tag` over it. Public so tests (and any future
 /// out-of-process peer) can speak the handshake.
 #[must_use]
 pub fn hello_body(node: u32, secret: u64) -> [u8; HELLO_LEN] {

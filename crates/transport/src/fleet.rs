@@ -11,7 +11,10 @@
 //! reader threads deliver the decoded messages, as the same
 //! [`Packet`]s every link delivers, into the loop's inboxes.
 //! Self-sends are delivered locally by the loop (a node does not dial
-//! itself) and only charged to the fabric's ledger.
+//! itself); the bytes their node charged for them are only noted in the
+//! fabric's ledger, so its identity with the nodes' ledgers still holds.
+//!
+//! [`Msg::encode_transport`]: kvstore::messages::Msg::encode_transport
 //!
 //! `StoreConfig::header_bytes` is forced to the frame codec's real
 //! [`HEADER_BYTES`](crate::frame::HEADER_BYTES), so the per-class wire
@@ -35,7 +38,6 @@ use dvv::ReplicaId;
 use kvstore::client::ClientNode;
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::FleetHarness;
-use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::RingView;
@@ -170,9 +172,8 @@ where
 
     /// Self-traffic never touches a socket, but the bytes the node was
     /// charged for it still balance the fabric's ledger identity.
-    fn note_self(&self, msg: &Msg<M>) {
-        self.fabric
-            .note_self(msg.wire_size(&self.mech) + frame::HEADER_BYTES);
+    fn note_self(&self, bytes: usize) {
+        self.fabric.note_self(bytes);
     }
 
     /// Fires every due [`ConnKill`] exactly once.

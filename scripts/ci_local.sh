@@ -59,6 +59,9 @@ if runs_lane build-test; then
     cargo bench --no-run
     cargo clippy --all-targets -- -D warnings
     cargo fmt --all --check
+    # Docs link to items by path, and nothing else notices when a PR
+    # deletes or hides one of them.
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 fi
 
 if runs_lane elastic; then
