@@ -628,7 +628,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// posts the announcement to the joiner — and to the joiner *only*.
     /// Every other process learns the merged view by gossip; owners that
     /// merge it stream the ranges the joiner gained
-    /// ([`Msg::RangeTransfer`]). Any number of changes may be begun
+    /// (transfer-class [`Msg::Push`]es). Any number of changes may be begun
     /// before [`Cluster::await_membership`] supervises them — concurrent
     /// announcements merge.
     ///

@@ -51,13 +51,13 @@ pub struct StoreConfig {
     /// Whether coordinators push the merged state back to stale replicas
     /// after a GET.
     pub read_repair: bool,
-    /// Period of the hinted-handoff retry timer (0 disables).
+    /// How long a pushed hinted-handoff copy stays *in flight* before it
+    /// is pushed again — without that guard a slow or unreachable
+    /// intended owner would receive a duplicate on every push tick. 0
+    /// disables hinted handoff: obligations are still recorded, but no
+    /// handoff-class push is ever sent (range transfers have their own
+    /// fixed 25 ms window).
     pub handoff_interval: Duration,
-    /// How long a sent handoff stays *in flight* before the handoff
-    /// timer may re-send it. Without this guard a slow or unreachable
-    /// intended owner would receive a duplicate `Handoff` on every
-    /// handoff tick.
-    pub handoff_retry_interval: Duration,
     /// Period of the ring-view gossip timer on each server (0 disables
     /// the periodic timer; view digests still piggyback on anti-entropy
     /// roots and adopting a new view still pushes eagerly).
@@ -97,7 +97,6 @@ impl Default for StoreConfig {
             anti_entropy_interval: Duration::from_millis(500),
             read_repair: true,
             handoff_interval: Duration::from_millis(200),
-            handoff_retry_interval: Duration::from_millis(600),
             gossip_interval: Duration::from_millis(100),
             header_bytes: 16,
             vnodes: 32,

@@ -1,4 +1,5 @@
-//! The store's wire protocol, generic over the causality mechanism.
+//! The store's wire protocol, generic over the causality mechanism. The
+//! byte layout is described for outsiders in `doc/wire_format.md`.
 
 use dvv::encode::{get_key_delta, put_key_delta, put_varint, Count, Decoder, Encode, Sink};
 use dvv::mechanisms::{Mechanism, WireMechanism};
@@ -125,17 +126,35 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         /// Request id.
         req: ReqId,
     },
-    /// Coordinator → stale replica: merged state after a read.
-    ReadRepair {
-        /// Key repaired.
-        key: Key,
-        /// Merged state.
-        state: M::State,
+    /// States for the receiver to merge, outside the quorum legs — the
+    /// paper's `sync` under four triggers, told apart by `class`: read
+    /// repair (`Replication`), the answer to [`Msg::AaeStates`]' `want`
+    /// (`AntiEntropy`), a range transfer (`Transfer`: a current owner, or
+    /// a leaving node draining, streams ranges that changed owners) and
+    /// hinted handoff (`Handoff`). Merging is monotone, so the receiver
+    /// applies a push regardless of how its ring view has moved meanwhile
+    /// — refusing one could lose data (the sender drops its copy after
+    /// the ack).
+    Push {
+        /// The ledger the sender charges; the receiver acks in it.
+        class: MsgClass,
+        /// `Some` when the sender wants a [`Msg::PushAck`] (transfers
+        /// and handoffs): unique per sender incarnation, kept by resends.
+        id: Option<u64>,
+        /// The pushed `(key, state)` pairs.
+        entries: Vec<(Key, M::State)>,
         /// When the receiver is a sloppy-quorum fallback, the down
-        /// replica it stands in for — recorded as a hint obligation so
-        /// the repaired copy is handed off and retired rather than
-        /// lingering untracked (mirrors [`Msg::RepPut`]).
+        /// replica it stands in for — recorded as an obligation so the
+        /// copies are handed off and retired rather than lingering
+        /// untracked (mirrors [`Msg::RepPut`]).
         hint: Option<ReplicaId>,
+    },
+    /// Push receiver → sender: every entry of push `id` was merged.
+    PushAck {
+        /// The acknowledged push's class.
+        class: MsgClass,
+        /// The acknowledged push id.
+        id: u64,
     },
     /// Anti-entropy round 1: initiator's Merkle root, with the sender's
     /// ring-view digest piggybacked as a gossip digest.
@@ -173,17 +192,12 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         digest: u64,
     },
     /// Anti-entropy round 3: initiator pushes its divergent states and
-    /// names the keys it wants back.
+    /// names the keys it wants back, which the responder [`Msg::Push`]es.
     AaeStates {
         /// States the initiator believes the peer lacks.
         states: Vec<(Key, M::State)>,
         /// Keys the initiator wants the peer's state for.
         want: Vec<Key>,
-    },
-    /// Anti-entropy round 4: responder returns the wanted states.
-    AaeStatesResp {
-        /// The requested states.
-        states: Vec<(Key, M::State)>,
     },
     /// Non-owner coordinator → owner: apply this client write locally
     /// (minting the dot at the owner) and return the post-write state.
@@ -238,22 +252,6 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         /// The rejoining node's view, its own entry freshly bumped.
         view: RingView<ReplicaId>,
     },
-    /// Range transfer: a donor (current owner, or a leaving node
-    /// draining) streams per-key states for ranges that changed owners.
-    /// Merging is monotone, so the receiver applies a transfer
-    /// regardless of how its ring view has moved meanwhile — refusing
-    /// one could lose data (the donor drops its copy after the ack).
-    RangeTransfer {
-        /// Transfer id, unique per sender, echoed by [`Msg::TransferAck`].
-        id: u64,
-        /// The transferred `(key, state)` pairs.
-        entries: Vec<(Key, M::State)>,
-    },
-    /// Transfer receiver → donor: the whole batch was merged.
-    TransferAck {
-        /// The acknowledged transfer id.
-        id: u64,
-    },
     /// Ring-view push: the sender's full mergeable view, sent to any
     /// peer observed with a differing view digest (request headers,
     /// gossip digests, AAE piggybacks). The receiver merges it; if the
@@ -298,17 +296,6 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         /// The sender's ring-view digest.
         digest: u64,
     },
-    /// Fallback → recovered replica: hinted states handed off, batched
-    /// per recovered target.
-    Handoff {
-        /// The handed-off `(key, state)` pairs.
-        entries: Vec<(Key, M::State)>,
-    },
-    /// Recovered replica → fallback: the batch was applied.
-    HandoffAck {
-        /// Keys acknowledged.
-        keys: Vec<Key>,
-    },
 }
 
 /// Wire size of a full per-key state: causal metadata plus the values.
@@ -322,17 +309,17 @@ pub fn state_wire_size<M: Mechanism<StampedValue>>(mech: &M, state: &M::State) -
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MsgClass {
     /// Client request/response traffic.
-    Client,
+    Client = 0,
     /// Quorum replication, delegation and read repair.
-    Replication,
+    Replication = 1,
     /// Merkle anti-entropy exchanges.
-    AntiEntropy,
+    AntiEntropy = 2,
     /// Membership dissemination: gossip, views, summaries, deltas.
-    Membership,
+    Membership = 3,
     /// Range transfers (rebalance and leave-drain).
-    Transfer,
+    Transfer = 4,
     /// Hinted handoff.
-    Handoff,
+    Handoff = 5,
 }
 
 impl MsgClass {
@@ -359,15 +346,10 @@ impl MsgClass {
         }
     }
 
+    /// Position in [`MsgClass::ALL`] — and, in [`Msg::Push`] /
+    /// [`Msg::PushAck`], the class's wire byte.
     fn index(self) -> usize {
-        match self {
-            MsgClass::Client => 0,
-            MsgClass::Replication => 1,
-            MsgClass::AntiEntropy => 2,
-            MsgClass::Membership => 3,
-            MsgClass::Transfer => 4,
-            MsgClass::Handoff => 5,
-        }
+        self as usize
     }
 }
 
@@ -425,7 +407,9 @@ impl WireStats {
 }
 
 impl<M: Mechanism<StampedValue>> Msg<M> {
-    /// One-byte variant tag, the first wire byte of every message.
+    /// One-byte variant tag, the first wire byte of every message. Tags
+    /// 8, 13, 18, 19, 24 and 25 belonged to the variants [`Msg::Push`]
+    /// replaced and are never reused.
     fn tag(&self) -> u8 {
         match self {
             Msg::ClientGet { .. } => 0,
@@ -436,26 +420,22 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             Msg::RepGetResp { .. } => 5,
             Msg::RepPut { .. } => 6,
             Msg::RepPutAck { .. } => 7,
-            Msg::ReadRepair { .. } => 8,
             Msg::AaeRoot { .. } => 9,
             Msg::AaeArcRoots { .. } => 10,
             Msg::AaeLeaves { .. } => 11,
             Msg::AaeStates { .. } => 12,
-            Msg::AaeStatesResp { .. } => 13,
             Msg::RepWrite { .. } => 14,
             Msg::RepWriteResp { .. } => 15,
             Msg::JoinAnnounce { .. } => 16,
             Msg::Rejoin { .. } => 17,
-            Msg::RangeTransfer { .. } => 18,
-            Msg::TransferAck { .. } => 19,
             Msg::RingEpoch { .. } => 20,
             Msg::RingSummary { .. } => 21,
             Msg::RingDelta { .. } => 22,
             Msg::GossipDigest { .. } => 23,
-            Msg::Handoff { .. } => 24,
-            Msg::HandoffAck { .. } => 25,
             Msg::RepGetIf { .. } => 26,
             Msg::RepGetSame { .. } => 27,
+            Msg::Push { .. } => 28,
+            Msg::PushAck { .. } => 29,
         }
     }
 
@@ -473,22 +453,19 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             | Msg::RepGetSame { .. }
             | Msg::RepPut { .. }
             | Msg::RepPutAck { .. }
-            | Msg::ReadRepair { .. }
             | Msg::RepWrite { .. }
             | Msg::RepWriteResp { .. } => MsgClass::Replication,
             Msg::AaeRoot { .. }
             | Msg::AaeArcRoots { .. }
             | Msg::AaeLeaves { .. }
-            | Msg::AaeStates { .. }
-            | Msg::AaeStatesResp { .. } => MsgClass::AntiEntropy,
+            | Msg::AaeStates { .. } => MsgClass::AntiEntropy,
             Msg::JoinAnnounce { .. }
             | Msg::Rejoin { .. }
             | Msg::RingEpoch { .. }
             | Msg::RingSummary { .. }
             | Msg::RingDelta { .. }
             | Msg::GossipDigest { .. } => MsgClass::Membership,
-            Msg::RangeTransfer { .. } | Msg::TransferAck { .. } => MsgClass::Transfer,
-            Msg::Handoff { .. } | Msg::HandoffAck { .. } => MsgClass::Handoff,
+            Msg::Push { class, .. } | Msg::PushAck { class, .. } => *class,
         }
     }
 
@@ -642,8 +619,8 @@ fn get_ctx<M: WireMechanism<StampedValue>>(
     Ok(ctx)
 }
 
-/// Appends a `(key, state)` entry list — transfers, handoffs and AAE
-/// state pushes: a count, then per entry a shared-prefix-delta key
+/// Appends a `(key, state)` entry list — [`Msg::Push`] and
+/// [`Msg::AaeStates`]: a count, then per entry a shared-prefix-delta key
 /// followed by the length-prefixed state.
 fn put_keyed_states<M: Mechanism<StampedValue>>(
     out: &mut impl MsgSink<M>,
@@ -670,6 +647,18 @@ fn get_keyed_states<M: WireMechanism<StampedValue>>(
         out.push((prev.clone(), get_state(mech, d)?));
     }
     Ok(out)
+}
+
+/// Reads the class byte of a push or its ack — the class's position in
+/// [`MsgClass::ALL`] — admitting only the four classes a push is sent in.
+fn get_push_class(d: &mut Decoder<'_>) -> Result<MsgClass, DecodeError> {
+    use MsgClass::{AntiEntropy, Handoff, Replication, Transfer};
+    let class = MsgClass::ALL.get(usize::from(d.byte()?)).copied();
+    class
+        .filter(|c| matches!(c, Replication | AntiEntropy | Transfer | Handoff))
+        .ok_or(DecodeError::InvalidValue {
+            reason: "not a push class",
+        })
 }
 
 fn get_values(d: &mut Decoder<'_>) -> Result<Vec<StampedValue>, DecodeError> {
@@ -754,10 +743,23 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 wire::put_u64(buf, *have);
             }
             Msg::RepPutAck { req } | Msg::RepGetSame { req } => wire::put_u64(buf, *req),
-            Msg::ReadRepair { key, state, hint } => {
-                wire::put_key(buf, key);
-                out.state(state);
+            Msg::Push {
+                class,
+                id,
+                entries,
+                hint,
+            } => {
+                buf.byte(class.index() as u8);
+                buf.byte(u8::from(id.is_some()));
+                if let Some(id) = id {
+                    wire::put_u64(buf, *id);
+                }
+                put_keyed_states(out, entries);
                 wire::put_hint(out.raw(), *hint);
+            }
+            Msg::PushAck { class, id } => {
+                buf.byte(class.index() as u8);
+                wire::put_u64(buf, *id);
             }
             Msg::AaeRoot { root, digest } => {
                 wire::put_u64(buf, *root);
@@ -786,7 +788,6 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 put_keyed_states(out, states);
                 wire::put_key_list(out.raw(), want);
             }
-            Msg::AaeStatesResp { states } => put_keyed_states(out, states),
             Msg::RepWrite {
                 req,
                 key,
@@ -806,19 +807,12 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 buf.byte(u8::from(*joining));
             }
             Msg::Rejoin { view } | Msg::RingEpoch { view } => wire::put_view(buf, view),
-            Msg::RangeTransfer { id, entries } => {
-                wire::put_u64(buf, *id);
-                put_keyed_states(out, entries);
-            }
-            Msg::TransferAck { id } => wire::put_u64(buf, *id),
             Msg::RingSummary { entries } => wire::put_summary(buf, entries),
             Msg::RingDelta { entries, want } => {
                 wire::put_member_entries(buf, entries);
                 wire::put_replica_ids(buf, want);
             }
             Msg::GossipDigest { digest } => wire::put_u64(buf, *digest),
-            Msg::Handoff { entries } => put_keyed_states(out, entries),
-            Msg::HandoffAck { keys } => wire::put_key_list(buf, keys),
         }
     }
 }
@@ -905,11 +899,6 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
             7 => Msg::RepPutAck {
                 req: wire::get_u64(&mut d)?,
             },
-            8 => Msg::ReadRepair {
-                key: wire::get_key(&mut d)?,
-                state: get_state(mech, &mut d)?,
-                hint: wire::get_hint(&mut d)?,
-            },
             9 => Msg::AaeRoot {
                 root: wire::get_u64(&mut d)?,
                 digest: wire::get_u64(&mut d)?,
@@ -941,9 +930,6 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 states: get_keyed_states(mech, &mut d)?,
                 want: wire::get_key_list(&mut d)?,
             },
-            13 => Msg::AaeStatesResp {
-                states: get_keyed_states(mech, &mut d)?,
-            },
             14 => Msg::RepWrite {
                 req: wire::get_u64(&mut d)?,
                 key: wire::get_key(&mut d)?,
@@ -966,13 +952,6 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
             17 => Msg::Rejoin {
                 view: wire::get_view(&mut d)?,
             },
-            18 => Msg::RangeTransfer {
-                id: wire::get_u64(&mut d)?,
-                entries: get_keyed_states(mech, &mut d)?,
-            },
-            19 => Msg::TransferAck {
-                id: wire::get_u64(&mut d)?,
-            },
             20 => Msg::RingEpoch {
                 view: wire::get_view(&mut d)?,
             },
@@ -986,12 +965,6 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
             23 => Msg::GossipDigest {
                 digest: wire::get_u64(&mut d)?,
             },
-            24 => Msg::Handoff {
-                entries: get_keyed_states(mech, &mut d)?,
-            },
-            25 => Msg::HandoffAck {
-                keys: wire::get_key_list(&mut d)?,
-            },
             26 => Msg::RepGetIf {
                 req: wire::get_u64(&mut d)?,
                 key: wire::get_key(&mut d)?,
@@ -1000,6 +973,19 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
             27 => Msg::RepGetSame {
                 req: wire::get_u64(&mut d)?,
             },
+            28 => Msg::Push {
+                class: get_push_class(&mut d)?,
+                id: wire::get_bool(&mut d)?
+                    .then(|| wire::get_u64(&mut d))
+                    .transpose()?,
+                entries: get_keyed_states(mech, &mut d)?,
+                hint: wire::get_hint(&mut d)?,
+            },
+            29 => Msg::PushAck {
+                class: get_push_class(&mut d)?,
+                id: wire::get_u64(&mut d)?,
+            },
+            // retired tags (8, 13, 18, 19, 24, 25) included
             _ => {
                 return Err(DecodeError::InvalidValue {
                     reason: "unknown message tag",
@@ -1035,6 +1021,17 @@ mod tests {
             StampedValue::new(WriteId::new(ClientId(1), 1), vec![0u8; 32]),
         );
         st
+    }
+
+    fn push(class: MsgClass, id: Option<u64>, keys: &[&str], hint: Option<ReplicaId>) -> Msg<M> {
+        let entry = |k: &&str| (k.as_bytes().to_vec(), sample_state());
+        let entries = keys.iter().map(entry).collect();
+        Msg::Push {
+            class,
+            id,
+            entries,
+            hint,
+        }
     }
 
     #[test]
@@ -1101,18 +1098,14 @@ mod tests {
         };
         assert!(announce.wire_size(&mech) > small.wire_size(&mech));
 
-        let st = sample_state();
-        let transfer: Msg<M> = Msg::RangeTransfer {
-            id: 1,
-            entries: vec![(b"k".to_vec(), st.clone()), (b"k2".to_vec(), st)],
-        };
-        let empty: Msg<M> = Msg::RangeTransfer {
-            id: 1,
-            entries: Vec::new(),
-        };
+        let transfer = push(MsgClass::Transfer, Some(1), &["k", "k2"], None);
+        let empty = push(MsgClass::Transfer, Some(1), &[], None);
         assert!(transfer.wire_size(&mech) > empty.wire_size(&mech) + 64);
-        let ack: Msg<M> = Msg::TransferAck { id: 1 };
-        assert_eq!(ack.wire_size(&mech), 9);
+        // tag, class, presence + id, empty entry list, absent hint
+        assert_eq!(empty.wire_size(&mech), 1 + 1 + 9 + 1 + 1);
+        let class = MsgClass::Transfer;
+        let ack: Msg<M> = Msg::PushAck { class, id: 1 };
+        assert_eq!(ack.wire_size(&mech), 10);
         let two = RingView::from_members([ReplicaId(0), ReplicaId(1)]);
         let push: Msg<M> = Msg::RingEpoch { view: two.clone() };
         // tag, then ids (count + first + gap), two one-byte incarnations
@@ -1158,17 +1151,9 @@ mod tests {
     #[test]
     fn read_repair_hint_adds_bytes() {
         let mech = DvvMechanism;
-        let st = sample_state();
-        let plain: Msg<M> = Msg::ReadRepair {
-            key: b"k".to_vec(),
-            state: st.clone(),
-            hint: None,
-        };
-        let hinted: Msg<M> = Msg::ReadRepair {
-            key: b"k".to_vec(),
-            state: st,
-            hint: Some(ReplicaId(4)),
-        };
+        let plain = push(MsgClass::Replication, None, &["k"], None);
+        let hinted = push(MsgClass::Replication, None, &["k"], Some(ReplicaId(4)));
+        assert_eq!(plain.class(), MsgClass::Replication);
         assert_eq!(hinted.wire_size(&mech), plain.wire_size(&mech) + 1);
     }
 
@@ -1245,9 +1230,7 @@ mod tests {
         let mech = DvvMechanism;
         let digest: Msg<M> = Msg::GossipDigest { digest: 1 };
         assert_eq!(digest.class(), MsgClass::Membership);
-        let ho: Msg<M> = Msg::Handoff {
-            entries: vec![(b"k".to_vec(), sample_state())],
-        };
+        let ho = push(MsgClass::Handoff, Some(0), &["k"], None);
         assert_eq!(ho.class(), MsgClass::Handoff);
 
         let mut a = WireStats::default();
@@ -1330,12 +1313,16 @@ mod tests {
         );
         let size = state_wire_size(&mech, &st);
         assert!(size > 200, "two-byte length prefix regime, got {size}");
-        let ho: Msg<DvvSetMechanism> = Msg::Handoff {
+        let ho: Msg<DvvSetMechanism> = Msg::Push {
+            class: MsgClass::AntiEntropy,
+            id: None,
             entries: vec![(b"alpha".to_vec(), st.clone()), (b"alpine".to_vec(), st)],
+            hint: None,
         };
-        // tag, count, then per entry: lcp, suffix length, suffix, state
-        // prefix, state — "alpine" shares "alp" with "alpha".
-        let expect = 1 + 1 + (1 + 1 + 5 + 2 + size) + (1 + 1 + 3 + 2 + size);
+        // tag, class, absent id, count, then per entry: lcp, suffix
+        // length, suffix, state prefix, state — "alpine" shares "alp"
+        // with "alpha" — and the absent hint.
+        let expect = 1 + 1 + 1 + 1 + (1 + 1 + 5 + 2 + size) + (1 + 1 + 3 + 2 + size) + 1;
         assert_eq!(ho.wire_size(&mech), expect);
     }
 
@@ -1364,11 +1351,10 @@ mod tests {
             Msg::RingSummary {
                 entries: RingView::from_members([ReplicaId(0), ReplicaId(4)]).summary(),
             },
-            Msg::Handoff {
-                entries: vec![(b"k1".to_vec(), st.clone()), (b"k2".to_vec(), st)],
-            },
-            Msg::HandoffAck {
-                keys: vec![b"k1".to_vec(), b"k2".to_vec()],
+            push(MsgClass::Handoff, Some(u64::MAX), &["k1", "k2"], None),
+            Msg::PushAck {
+                class: MsgClass::Handoff,
+                id: u64::MAX,
             },
         ];
         for m in &msgs {

@@ -15,15 +15,14 @@ use crate::config::{DeltaPolicy, StoreConfig};
 use crate::ctx::NodeCtx;
 use crate::data::DataStore;
 use crate::merkle::{fingerprint, MerkleSummary};
-use crate::messages::{Msg, ReqId, WireStats};
+use crate::messages::{Msg, MsgClass, ReqId, WireStats};
 use crate::value::{Key, StampedValue};
 use crate::wire;
 
-/// Retry period for unacknowledged range transfers during a join/leave.
-const TRANSFER_RETRY_INTERVAL: simnet::Duration = simnet::Duration::from_millis(25);
-
-/// Maximum keys per hinted-handoff batch.
-const HANDOFF_BATCH_KEYS: usize = 32;
+/// Period of the push timer while anything is owed, and how long a
+/// [`MsgClass::Transfer`] push stays in flight before it is sent again
+/// (a [`MsgClass::Handoff`] push waits `StoreConfig::handoff_interval`).
+const PUSH_RETRY_INTERVAL: simnet::Duration = simnet::Duration::from_millis(25);
 
 /// Counter headroom each dot reservation covers: one reservation fsync
 /// amortises over this many mints.
@@ -76,7 +75,7 @@ pub struct NodeStats {
     /// donations, leave drains, and residual-copy retirement).
     pub transfers_out: u64,
     /// Distinct range-transfer batches received and merged (duplicate
-    /// deliveries of a retried batch are deduplicated by transfer id).
+    /// deliveries of a retried batch are deduplicated by push id).
     pub transfers_in: u64,
     /// Ring-view gossip rounds initiated (periodic digests and eager
     /// pushes after adopting a new view).
@@ -142,33 +141,33 @@ enum Pending<M: Mechanism<StampedValue>> {
 enum TimerKind {
     Request(ReqId),
     AntiEntropy,
-    Handoff,
-    Transfer,
+    Push,
     Gossip,
 }
 
-/// One unacknowledged outbound range-transfer batch.
-///
-/// Key states are fingerprinted when the batch is queued; on ack, a key
-/// is dropped (when no longer owned) only if its state is unchanged —
-/// otherwise the fresher state is re-queued, so no write merged after the
-/// snapshot can be lost to a drop.
+/// One copy this node owes a peer: the state it holds for a key must
+/// reach the target (both are the table's key) and be acknowledged.
+/// The state is fingerprinted when a push first carries it; on ack the
+/// obligation is met — and a copy this node does not own dropped — only
+/// if the state is unchanged. Otherwise the fresher state is pushed
+/// again, so no write merged after the snapshot can be lost to a drop.
 #[derive(Debug)]
-struct TransferJob {
-    to: ReplicaId,
-    keys: Vec<(Key, u64)>,
+struct Owed {
+    /// [`MsgClass::Transfer`] (the range changed owners, or this node is
+    /// draining: what a leave waits for) or [`MsgClass::Handoff`] (held
+    /// for a replica that was down, or a residual copy).
+    class: MsgClass,
+    /// The unacknowledged push carrying this key: `(sent_at, push id,
+    /// fingerprint of the state first sent under that id)`. A resend
+    /// keeps both, so an ack of either vouches for exactly that state.
+    flight: Option<(SimTime, u64, u64)>,
 }
-
-/// In-flight record for a sent handoff: `(sent_at, fingerprint of the
-/// state that was sent)`. `None` means the obligation has no handoff in
-/// flight.
-type HintFlight = Option<(SimTime, u64)>;
 
 /// Per-donor record of recently merged transfer batches, bounded by the
 /// number of keys the remembered batches covered.
 #[derive(Debug, Default)]
 struct TransferWindow {
-    /// transfer id → keys in the batch when it was first merged
+    /// push id → keys in the batch when it was first merged
     seen: BTreeMap<u64, usize>,
     /// total keys across `seen`
     keys: usize,
@@ -198,6 +197,13 @@ struct TransferWindow {
 /// sides of a partition — merge deterministically instead of racing, and
 /// a node whose leave-drain times out is re-admitted in band
 /// ([`Msg::Rejoin`]) rather than by harness fiat.
+///
+/// Every copy this node must get to a peer — a range that changed
+/// owners, a leave-drain, a hinted write held for a down replica, a
+/// residual copy to retire — is an entry of **one obligation table**,
+/// served by one flush ([`Msg::Push`] batches per target and class), one
+/// settle rule ([`Msg::PushAck`]) and one timer, armed only while
+/// something is owed. A range transfer is a hint that a leave waits for.
 #[derive(Debug)]
 pub struct StoreNode<M: Mechanism<StampedValue>> {
     replica: ReplicaId,
@@ -215,10 +221,14 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
     /// instead of a keyspace scan ([`Self::shared_summary_root`]).
     /// Re-partitioned on view changes.
     data: DataStore<M::State>,
-    /// Hinted states held for other replicas: `(key, intended)` → the
-    /// in-flight record of the last handoff attempt. The state itself
-    /// lives in `data`; this records the obligation.
-    hints: BTreeMap<(Key, ReplicaId), HintFlight>,
+    /// Copies owed to peers, by `(target, key)`. The state itself lives
+    /// in `data`; this records the obligation.
+    owed: BTreeMap<(ReplicaId, Key), Owed>,
+    /// Next push id: drawn from the node's RNG at this incarnation's
+    /// first tracked push — not restarted at 0, so an ack meant for an
+    /// earlier incarnation matches nothing — and lazily, so a node that
+    /// never owes anything draws nothing.
+    next_push: Option<u64>,
     pending: BTreeMap<ReqId, Pending<M>>,
     timers: BTreeMap<TimerId, TimerKind>,
     /// Whether this node is a serving cluster member. Spare capacity is
@@ -226,16 +236,11 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
     active: bool,
     /// Whether this node is draining its ranges prior to leaving.
     leaving: bool,
-    /// Unacknowledged outbound range transfers, by transfer id.
-    outbound: BTreeMap<u64, TransferJob>,
-    next_transfer: u64,
     /// Recently merged transfer batches, per donor — dedupes the receipt
     /// counter when a retried batch is delivered more than once. Ids are
-    /// monotone per donor, so each window is pruned to a recent span of
-    /// keys rather than growing forever.
+    /// monotone per donor incarnation, so each window is pruned to a
+    /// recent span of keys rather than growing forever.
     transfers_seen: BTreeMap<NodeId, TransferWindow>,
-    /// Keys written while leaving, awaiting (re-)drain.
-    drain_dirty: BTreeSet<Key>,
     stats: NodeStats,
     /// Per-class bytes/messages this node has put on the wire.
     wire: WireStats,
@@ -304,15 +309,13 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             ring,
             membership,
             data,
-            hints: BTreeMap::new(),
+            owed: BTreeMap::new(),
+            next_push: None,
             pending: BTreeMap::new(),
             timers: BTreeMap::new(),
             active: true,
             leaving: false,
-            outbound: BTreeMap::new(),
-            next_transfer: 0,
             transfers_seen: BTreeMap::new(),
-            drain_dirty: BTreeSet::new(),
             stats: NodeStats::default(),
             wire: WireStats::default(),
             dot_epoch: 0,
@@ -466,14 +469,20 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         self.view.digest()
     }
 
-    /// Unacknowledged outbound range-transfer batches.
+    /// The `(target, key)` obligations of one class.
+    fn owed_in(&self, class: MsgClass) -> impl Iterator<Item = &(ReplicaId, Key)> {
+        let of_class = move |(entry, o): (_, &Owed)| (o.class == class).then_some(entry);
+        self.owed.iter().filter_map(of_class)
+    }
+
+    /// Unacknowledged [`MsgClass::Transfer`] obligations (copies).
     pub fn transfer_backlog(&self) -> usize {
-        self.outbound.len() + self.drain_dirty.len()
+        self.owed_in(MsgClass::Transfer).count()
     }
 
     /// Whether a leave-drain has delivered every owed key range.
     pub fn drain_complete(&self) -> bool {
-        self.leaving && self.outbound.is_empty() && self.drain_dirty.is_empty()
+        self.leaving && self.transfer_backlog() == 0
     }
 
     /// Direct state merge — used by the test harness's `converge()`, not
@@ -501,27 +510,28 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     pub fn finish_leave(&mut self) {
         assert!(self.drain_complete(), "finish_leave before drain completed");
         self.data.clear();
-        self.hints.clear();
+        self.owed.clear();
         self.pending.clear();
         self.timers.clear();
-        self.outbound.clear();
         self.leaving = false;
         self.active = false;
     }
 
-    /// Number of hint obligations currently held.
+    /// Number of hint ([`MsgClass::Handoff`]) obligations currently held.
     pub fn hint_count(&self) -> usize {
-        self.hints.len()
+        self.owed_in(MsgClass::Handoff).count()
     }
 
     /// The keys of all currently held hint obligations.
     pub fn hinted_keys(&self) -> Vec<Key> {
-        self.hints.keys().map(|(k, _)| k.clone()).collect()
+        let keys = self.owed_in(MsgClass::Handoff).map(|(_, k)| k.clone());
+        keys.collect()
     }
 
     /// The `(key, intended owner)` pairs of all held hint obligations.
     pub fn hint_obligations(&self) -> Vec<(Key, ReplicaId)> {
-        self.hints.keys().cloned().collect()
+        let hints = self.owed_in(MsgClass::Handoff);
+        hints.map(|(to, k)| (k.clone(), *to)).collect()
     }
 
     /// Total causal-metadata bytes across all keys at this replica.
@@ -530,9 +540,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// Removes keys whose every surviving sibling is a tombstone,
-    /// returning how many keys were reclaimed. Hint obligations for
-    /// reclaimed keys are purged with them — a hint without backing data
-    /// could never be handed off and would leak forever.
+    /// returning how many keys were reclaimed. Obligations for reclaimed
+    /// keys are purged with them — one without backing data could never
+    /// be pushed and would leak forever.
     ///
     /// Dropping a tombstone is only safe once it has reached every
     /// replica (otherwise anti-entropy would resurrect the deleted data
@@ -552,15 +562,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         for k in &dead {
             self.data.remove(k);
         }
-        self.purge_orphan_hints();
-        dead.len()
-    }
-
-    /// Drops hint obligations whose backing state is gone (reclaimed by
-    /// garbage collection or moved away by a range transfer).
-    fn purge_orphan_hints(&mut self) {
         let data = &self.data;
-        self.hints.retain(|(k, _), _| data.contains_key(k));
+        self.owed.retain(|(_, k), _| data.contains_key(k));
+        dead.len()
     }
 
     /// Mean sibling count across keys (0 when no keys).
@@ -780,52 +784,70 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             .unwrap_or_else(|| fingerprint(&M::State::default()))
     }
 
-    /// Post-merge hook: a leaving node owes every newly merged key to the
-    /// new owners, even if it was queued (or acked) before.
-    fn note_data_merged(&mut self, key: &[u8]) {
-        if self.leaving {
-            self.drain_dirty.insert(key.to_vec());
+    /// Records that this node's copy of `key` must reach `to` and be
+    /// acknowledged (see [`Owed`]). An existing obligation keeps its
+    /// in-flight push. A transfer request upgrades a handoff entry, never
+    /// the reverse: a drain must not report complete while the copy
+    /// waits on the slower (or switched-off) class.
+    fn owe(&mut self, to: ReplicaId, key: &[u8], class: MsgClass) {
+        if to == self.replica {
+            return; // the copy is for us — nothing to track
+        }
+        let fresh = Owed {
+            class,
+            flight: None,
+        };
+        let owed = self.owed.entry((to, key.to_vec())).or_insert(fresh);
+        if class == MsgClass::Transfer {
+            owed.class = class;
         }
     }
 
-    /// Records who a locally held copy is really for: an explicit hint
-    /// (the sloppy-quorum substitute case), or — when this node holds a
-    /// key outside its own preference list with no hint — a self-assigned
-    /// obligation to hand the copy to the key's current primary. Every
-    /// state-bearing receive path runs through this, so no residual copy
-    /// survives unaccounted: it is either owned, or it has a handoff
-    /// obligation that retires it once acknowledged.
-    fn note_hold_obligation(&mut self, key: &[u8], hint: Option<ReplicaId>) {
-        if let Some(intended) = hint {
-            if intended == self.replica {
-                return; // the copy is for us — nothing to track
-            }
-            if self.ring.nodes().contains(&intended) {
-                self.hints.entry((key.to_vec(), intended)).or_insert(None);
-                return;
-            }
-            // the named owner is no longer a ring member (a stale
-            // coordinator's view named it): an obligation aimed at it
-            // could never be handed off — fall through to the
-            // self-assigned path instead
-        }
+    /// Residual-copy retirement: the current primary, to whom a copy held
+    /// at ring position `point` without owning it is owed (and dropped
+    /// once acknowledged, [`Self::settle_push`]), so copies acquired via
+    /// AAE, read repair, or old ownership do not persist on non-owners.
+    fn residual_target(&self, point: u64) -> Option<ReplicaId> {
+        let primary = self.ring.primary_at(point).copied();
+        primary.filter(|_| !self.owns_point(point))
+    }
+
+    /// Post-write hook of every path that puts a state into the store:
+    /// records whom the copy now held is owed to. A leaving node owes
+    /// every newly merged key to its current owners, even if it was
+    /// pushed (or acked) before. Any node holds a copy for the replica a
+    /// `hint` names (the sloppy-quorum substitute case) or, unhinted and
+    /// outside its own preference list, for the key's current primary —
+    /// so no residual copy survives unaccounted: it is owned, or an
+    /// obligation retires it once acknowledged.
+    fn note_copy_held(&mut self, key: &[u8], hint: Option<ReplicaId>) {
         let point = self.key_point(key);
-        if !self.owns_point(point) {
-            if let Some(primary) = self.ring.primary_at(point).copied() {
-                if primary != self.replica {
-                    self.hints.entry((key.to_vec(), primary)).or_insert(None);
-                }
+        if self.leaving {
+            let walk = self.ring.full_walk_at(point).iter();
+            for to in walk.take(self.config.n).copied().collect::<Vec<_>>() {
+                self.owe(to, key, MsgClass::Transfer);
             }
+        }
+        // a named owner that is no longer a ring member (a stale
+        // coordinator's view named it) could never acknowledge: treat
+        // the copy as unhinted instead
+        let intended = hint
+            .filter(|intended| self.ring.nodes().contains(intended))
+            .or_else(|| self.residual_target(point));
+        if let Some(intended) = intended {
+            self.owe(intended, key, MsgClass::Handoff);
         }
     }
 
-    /// Merges a state received from a peer and records the hold
-    /// obligation it implies (see [`Self::note_hold_obligation`]).
-    fn absorb_remote_state(&mut self, key: &Key, state: &M::State, hint: Option<ReplicaId>) {
-        let mech = &self.mech;
-        self.data.mutate(key, |local| mech.merge(local, state));
-        self.note_data_merged(key);
-        self.note_hold_obligation(key, hint);
+    /// Merges states received from a peer and records the obligations
+    /// they imply (see [`Self::note_copy_held`]; `hint` applies to every
+    /// entry) — the one routine behind every state-absorbing message.
+    fn absorb(&mut self, entries: Vec<(Key, M::State)>, hint: Option<ReplicaId>) {
+        for (key, state) in entries {
+            let mech = &self.mech;
+            self.data.mutate(&key, |local| mech.merge(local, &state));
+            self.note_copy_held(&key, hint);
+        }
     }
 
     // --- ring-view gossip --------------------------------------------------
@@ -994,8 +1016,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// Merges a learned ring view into this node's; on change, rebuilds
     /// the ring, reconciles membership (new members start up, departed
     /// members are forgotten, failure-detector marks survive) and this
-    /// node's own lifecycle ([`Self::reconcile_self_status`]), retargets
-    /// hint obligations aimed at departed nodes, queues the data motion
+    /// node's own lifecycle ([`Self::reconcile_self_status`]), re-aims
+    /// obligations aimed at departed nodes, owes the data motion
     /// the *pre/post-merge ownership diff* implies (donations to owners
     /// that gained ranges, retirement of residual copies this node holds
     /// but no longer owns), and pushes the view on eagerly. Returns
@@ -1014,7 +1036,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     /// Everything adopting a changed view implies, regardless of how the
     /// change arrived (full view push or delta): rebuild routing state,
-    /// reconcile membership and lifecycle, retarget hints, queue the
+    /// reconcile membership and lifecycle, re-aim obligations, owe the
     /// ownership-diff data motion, and gossip the news on.
     fn after_view_change(&mut self, ctx: &mut impl NodeCtx<M>) {
         let old_ring = std::mem::replace(&mut self.ring, self.view.to_ring(self.config.vnodes));
@@ -1022,30 +1044,11 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         let members = self.view.members();
         self.membership.sync_members(&members);
         self.reconcile_self_status();
-        // hints aimed at a non-member can never be handed off; retarget
-        // each such obligation to the key's new primary (scanning the
-        // hints themselves, not just the old ring's members, also cures
-        // obligations a stale coordinator aimed at an already-gone node)
-        let stale_intendeds: BTreeSet<ReplicaId> = self
-            .hints
-            .keys()
-            .map(|(_, intended)| *intended)
-            .filter(|intended| !members.contains(intended))
-            .collect();
-        for gone in stale_intendeds {
-            self.retarget_hints(gone);
-        }
+        self.reaim_owed(&members);
         if self.active {
-            // transfers aimed at a departed member can never be acked:
-            // drop those jobs — queue_rebalance below re-plans every
-            // still-held key (non-owned keys go to their current primary)
-            self.outbound.retain(|_, job| members.contains(&job.to));
-            self.queue_rebalance(ctx, &old_ring);
-            if self.leaving {
-                // the rebalance doubles as the drain plan; make sure the
-                // retry timer is armed even when nothing queued yet
-                self.ensure_transfer_timer(ctx);
-            }
+            self.queue_rebalance(&old_ring);
+            // a joiner's ranges leave now, not at the next tick
+            self.flush_owed(ctx);
             // eager epidemic push: a new view spreads at message latency,
             // with the periodic digest timer as the partition-proof
             // backstop
@@ -1053,21 +1056,22 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    /// Moves every hint obligation aimed at `gone` to the key's current
-    /// primary (dropping it when this node *is* the primary).
-    fn retarget_hints(&mut self, gone: ReplicaId) {
-        let retarget: Vec<Key> = self
-            .hints
+    /// Re-aims every obligation whose target is not among the ring's
+    /// `members` at the key's current primary (dropping it when that is
+    /// this node): one aimed at a non-member can never be acknowledged.
+    /// Scanning the table itself, not just the old ring's members, also
+    /// cures obligations a stale coordinator aimed at an already-gone node.
+    fn reaim_owed(&mut self, members: &[ReplicaId]) {
+        let stale: Vec<(ReplicaId, Key)> = self
+            .owed
             .keys()
-            .filter(|(_, intended)| *intended == gone)
-            .map(|(k, _)| k.clone())
+            .filter(|(to, _)| !members.contains(to))
+            .cloned()
             .collect();
-        for key in retarget {
-            self.hints.remove(&(key.clone(), gone));
-            if let Some(primary) = self.ring.primary_at(self.key_point(&key)).copied() {
-                if primary != self.replica {
-                    self.hints.entry((key, primary)).or_insert(None);
-                }
+        for entry in stale {
+            let class = self.owed.remove(&entry).expect("just listed").class;
+            if let Some(primary) = self.ring.primary_at(self.key_point(&entry.1)).copied() {
+                self.owe(primary, &entry.1, class);
             }
         }
     }
@@ -1075,18 +1079,17 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// Plans the data motion a view change implies, over every held key:
     ///
     /// * **donation** — owners that *gained* the key (in the new
-    ///   preference list, not in the old) are streamed a copy, so a
-    ///   joiner receives its ranges from whoever holds them;
+    ///   preference list, not in the old) are owed a copy, so a joiner
+    ///   receives its ranges from whoever holds them;
     /// * **residual retirement** — a key this node holds but no longer
-    ///   owns is additionally streamed to its current primary, and
-    ///   dropped once acknowledged ([`Self::handle_transfer_ack`]), so
-    ///   copies acquired via AAE, read repair, or old ownership do not
-    ///   persist forever on non-owners.
+    ///   owns is additionally owed to its current primary
+    ///   ([`Self::residual_target`]), guaranteeing it lands on a current
+    ///   owner even when the range's replica set is otherwise unchanged.
     ///
     /// A leaving node owns nothing under the new ring, so this doubles as
     /// the drain plan.
-    fn queue_rebalance(&mut self, ctx: &mut impl NodeCtx<M>, old_ring: &HashRing<ReplicaId>) {
-        let mut per_target: BTreeMap<ReplicaId, Vec<Key>> = BTreeMap::new();
+    fn queue_rebalance(&mut self, old_ring: &HashRing<ReplicaId>) {
+        let mut plan: Vec<(ReplicaId, Key)> = Vec::new();
         for (key, point, _) in self.data.iter_points() {
             // both rings' walks come from their arc caches: a binary
             // search plus a slice read per key, using the point stamped
@@ -1095,36 +1098,13 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             let new_owners = &new_walk[..self.config.n.min(new_walk.len())];
             let old_walk = old_ring.full_walk_at(point);
             let old_owners = &old_walk[..self.config.n.min(old_walk.len())];
-            let mut targets: Vec<ReplicaId> = new_owners
-                .iter()
-                .filter(|o| !old_owners.contains(o))
-                .copied()
-                .collect();
-            if !new_owners.contains(&self.replica) {
-                // residual copy: guarantee it lands on a current owner
-                // even when the range's replica set is otherwise
-                // unchanged
-                if let Some(primary) = new_owners.first() {
-                    if !targets.contains(primary) {
-                        targets.push(*primary);
-                    }
-                }
-            }
-            for t in targets {
-                if t != self.replica {
-                    per_target.entry(t).or_default().push(key.clone());
-                }
+            let gained = new_owners.iter().filter(|o| !old_owners.contains(o));
+            for to in gained.copied().chain(self.residual_target(point)) {
+                plan.push((to, key.clone()));
             }
         }
-        let mut queued = false;
-        for (t, keys) in per_target {
-            for id in self.queue_transfer(t, keys) {
-                self.send_transfer(ctx, id);
-                queued = true;
-            }
-        }
-        if queued {
-            self.ensure_transfer_timer(ctx);
+        for (to, key) in plan {
+            self.owe(to, &key, MsgClass::Transfer);
         }
     }
 
@@ -1323,10 +1303,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 .data
                 .mutate(key, |local| mech.merge(local, &merged))
                 .clone();
-            self.note_data_merged(key);
             // the coordinator itself may be a sloppy fallback for a down
             // owner: track that copy like any other hinted state
-            self.note_hold_obligation(key, hint_for(&self.replica));
+            self.note_copy_held(key, hint_for(&self.replica));
             folded
         } else {
             merged
@@ -1341,9 +1320,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 self.send(
                     ctx,
                     NodeId(peer.0),
-                    Msg::ReadRepair {
-                        key: key.to_vec(),
-                        state: canonical.clone(),
+                    Msg::Push {
+                        class: MsgClass::Replication,
+                        id: None,
+                        entries: vec![(key.to_vec(), canonical.clone())],
                         hint: hint_for(peer),
                     },
                 );
@@ -1394,10 +1374,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             let client = ClientId(value.id.client.0);
             let origin = WriteOrigin::new(self.replica, client);
             let state = self.mint_write(&key, origin, &put_ctx, value);
-            self.note_data_merged(&key);
             // a coordinator standing in for a down owner holds its copy
             // under a hint obligation, like any other fallback
-            self.note_hold_obligation(&key, hint_for(&self.replica));
+            self.note_copy_held(&key, hint_for(&self.replica));
             self.pending.insert(
                 req,
                 Pending::Put {
@@ -1611,49 +1590,128 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    fn handle_handoff_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
+    // --- the obligation table ----------------------------------------------
+
+    /// How long a push of `class` stays in flight before it is sent
+    /// again; `None` when the class is never pushed (a zero
+    /// `handoff_interval` turns hinted handoff off).
+    fn resend_window(&self, class: MsgClass) -> Option<simnet::Duration> {
+        match class {
+            MsgClass::Transfer => Some(PUSH_RETRY_INTERVAL),
+            _ => Some(self.config.handoff_interval).filter(|w| *w > simnet::Duration::ZERO),
+        }
+    }
+
+    /// Keeps the push timer armed exactly while something pushable is
+    /// owed. Run after every event, so a node that owes nothing never
+    /// ticks, and an obligation recorded anywhere is flushed within one
+    /// period — the wait that batches what separate messages recorded.
+    fn ensure_push_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
+        let pushable = |o: &Owed| self.resend_window(o.class).is_some();
+        if self.owed.values().any(pushable) && !self.timers.values().any(|k| *k == TimerKind::Push)
+        {
+            let t = ctx.set_timer(PUSH_RETRY_INTERVAL);
+            self.timers.insert(t, TimerKind::Push);
+        }
+    }
+
+    /// The one flush: pushes every obligation that is due — its target
+    /// routable and no push of it younger than its class's resend window
+    /// — batched per target and class. Obligations with nothing in flight
+    /// go in chunks of `transfer_batch_keys` under a fresh id each, their
+    /// states snapshotted by the cached fingerprint (no rehash);
+    /// unacknowledged ones are sent again under the id and fingerprint
+    /// they have, so the receiver can tell a retry from a new batch.
+    fn flush_owed(&mut self, ctx: &mut impl NodeCtx<M>) {
         let now = ctx.now();
-        let retry = self.config.handoff_retry_interval;
-        // a hint is due when its intended owner is up and no handoff is
-        // in flight (or the in-flight one is old enough to retry)
-        let due: Vec<(Key, ReplicaId)> = self
-            .hints
-            .iter()
-            .filter(|((_, intended), inflight)| {
-                self.membership.is_up(intended)
-                    && inflight.is_none_or(|(sent_at, _)| now >= sent_at + retry)
+        // (target, class, id already sent under) → keys
+        let mut batches: BTreeMap<(ReplicaId, MsgClass, Option<u64>), Vec<Key>> = BTreeMap::new();
+        for ((to, key), o) in &self.owed {
+            // don't flood a peer the failure detector marks down: the
+            // obligation waits, and a later tick pushes it once the peer
+            // recovers
+            let due = self.membership.is_routable(to)
+                && self.data.contains_key(key)
+                && self.resend_window(o.class).is_some_and(|window| {
+                    o.flight.is_none_or(|(sent_at, ..)| now >= sent_at + window)
+                });
+            if due {
+                let sent_as = o.flight.map(|(_, id, _)| id);
+                let batch = batches.entry((*to, o.class, sent_as)).or_default();
+                batch.push(key.clone());
+            }
+        }
+        for ((to, class, sent_as), keys) in batches {
+            for chunk in keys.chunks(self.config.transfer_batch_keys) {
+                let id = sent_as.unwrap_or_else(|| {
+                    let id = *self.next_push.get_or_insert_with(|| ctx.rng().next_u64());
+                    self.next_push = Some(id.wrapping_add(1));
+                    id
+                });
+                let mut entries = Vec::with_capacity(chunk.len());
+                for key in chunk {
+                    let held = self.data.get(key).zip(self.data.leaf_of(key));
+                    let (state, leaf) = held.expect("only held keys are batched");
+                    let entry = (to, key.clone());
+                    let owed = self.owed.get_mut(&entry).expect("batched from the table");
+                    let fp = owed.flight.map_or(leaf, |(.., sent_fp)| sent_fp);
+                    owed.flight = Some((now, id, fp));
+                    entries.push((entry.1, state.clone()));
+                }
+                if class == MsgClass::Transfer {
+                    // count the *actual* send, so retries show up and
+                    // in/out totals stay comparable under loss
+                    self.stats.transfers_out += 1;
+                }
+                let push = Msg::Push {
+                    class,
+                    id: Some(id),
+                    entries,
+                    hint: None,
+                };
+                self.send(ctx, NodeId(to.0), push);
+            }
+        }
+    }
+
+    /// The one settle: `from` acknowledged push `id`. Only obligations
+    /// aimed at `from` whose flight carries that id are touched, so an
+    /// ack that is stale, replayed or from another node settles nothing.
+    /// Per key: the push carried exactly the state still held — the
+    /// obligation is met, and a copy this node does not own is dropped
+    /// rather than lingering as an untracked residual (its owner acked
+    /// this exact state); the state advanced after the snapshot — the
+    /// obligation stands, and the next flush pushes the fresher state
+    /// under a fresh id before it can be dropped; the key is gone — moot.
+    fn settle_push(&mut self, from: ReplicaId, id: u64) {
+        let acked: Vec<(Key, u64)> = self
+            .owed
+            .range((from, Key::new())..)
+            .take_while(|((to, _), _)| *to == from)
+            .filter_map(|((_, key), o)| match o.flight {
+                Some((_, sent_as, fp)) if sent_as == id => Some((key.clone(), fp)),
+                _ => None,
             })
-            .map(|(k, _)| k.clone())
             .collect();
-        // coalesce due obligations per intended owner; the per-key
-        // in-flight records keep retry pacing per *key*, so a batch
-        // retry resends only the keys whose in-flight window expired
-        let mut per_target: BTreeMap<ReplicaId, Vec<(Key, M::State)>> = BTreeMap::new();
-        for (key, intended) in due {
-            match self.data.get(&key) {
-                Some(state) => {
-                    let state = state.clone();
-                    let fp = self.data.leaf_of(&key).expect("state just read");
-                    self.hints.insert((key.clone(), intended), Some((now, fp)));
-                    per_target.entry(intended).or_default().push((key, state));
-                }
-                None => {
-                    // the backing state is gone (GC or range transfer):
-                    // the obligation can never be fulfilled — drop it
-                    self.hints.remove(&(key, intended));
+        for (key, sent_fp) in acked {
+            let leaf = self.data.leaf_of(&key);
+            let entry = (from, key);
+            if leaf.is_some_and(|leaf| leaf != sent_fp) {
+                self.owed.get_mut(&entry).expect("just listed").flight = None;
+                continue;
+            }
+            let met = self.owed.remove(&entry).expect("just listed");
+            if leaf.is_some() {
+                self.stats.handoffs += u64::from(met.class == MsgClass::Handoff);
+                if !self.owns(&entry.1) {
+                    self.data.remove(&entry.1);
+                    // gone with the copy: what it owed anyone else (every
+                    // target is a ring member — `reaim_owed`)
+                    for to in self.ring.nodes() {
+                        self.owed.remove(&(*to, entry.1.clone()));
+                    }
                 }
             }
-        }
-        for (intended, mut entries) in per_target {
-            while !entries.is_empty() {
-                let rest = entries.split_off(entries.len().min(HANDOFF_BATCH_KEYS));
-                let chunk = std::mem::replace(&mut entries, rest);
-                self.send(ctx, NodeId(intended.0), Msg::Handoff { entries: chunk });
-            }
-        }
-        if self.config.handoff_interval > simnet::Duration::ZERO {
-            let t = ctx.set_timer(self.config.handoff_interval);
-            self.timers.insert(t, TimerKind::Handoff);
         }
     }
 
@@ -1667,10 +1725,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             );
             let t = ctx.set_timer(first);
             self.timers.insert(t, TimerKind::AntiEntropy);
-        }
-        if self.config.handoff_interval > simnet::Duration::ZERO {
-            let t = ctx.set_timer(self.config.handoff_interval);
-            self.timers.insert(t, TimerKind::Handoff);
         }
         if self.config.gossip_interval > simnet::Duration::ZERO {
             // stagger like AAE so the fleet's digests do not phase-lock
@@ -1686,76 +1740,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// path of a crash-recovered node, which was built mid-run and got
     /// no `on_start`.
     fn ensure_periodic_timers(&mut self, ctx: &mut impl NodeCtx<M>) {
-        let armed = self.timers.values().any(|k| {
-            matches!(
-                k,
-                TimerKind::AntiEntropy | TimerKind::Handoff | TimerKind::Gossip
-            )
-        });
-        if !armed {
+        let periodic = |k: &TimerKind| matches!(k, TimerKind::AntiEntropy | TimerKind::Gossip);
+        if !self.timers.values().any(periodic) {
             self.arm_periodic_timers(ctx);
         }
-    }
-
-    fn ensure_transfer_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
-        if self.timers.values().any(|k| *k == TimerKind::Transfer) {
-            return;
-        }
-        let t = ctx.set_timer(TRANSFER_RETRY_INTERVAL);
-        self.timers.insert(t, TimerKind::Transfer);
-    }
-
-    /// Queues `keys` to `to` as one or more bounded transfer batches
-    /// (states snapshotted by fingerprint; resent until acknowledged),
-    /// returning the new batch ids.
-    fn queue_transfer(&mut self, to: ReplicaId, keys: Vec<Key>) -> Vec<u64> {
-        // snapshot by the cached state fingerprint — no rehash, no clone
-        let entries: Vec<(Key, u64)> = keys
-            .into_iter()
-            .filter_map(|k| self.data.leaf_of(&k).map(|fp| (k, fp)))
-            .collect();
-        let mut ids = Vec::new();
-        for chunk in entries.chunks(self.config.transfer_batch_keys.max(1)) {
-            let id = self.next_transfer;
-            self.next_transfer += 1;
-            self.outbound.insert(
-                id,
-                TransferJob {
-                    to,
-                    keys: chunk.to_vec(),
-                },
-            );
-            ids.push(id);
-        }
-        ids
-    }
-
-    fn send_transfer(&mut self, ctx: &mut impl NodeCtx<M>, id: u64) {
-        let Some(job) = self.outbound.get(&id) else {
-            return;
-        };
-        if !self.membership.is_routable(&job.to) {
-            // don't flood a peer the failure detector marks down: the
-            // batch stays queued and the transfer timer retries it once
-            // the peer recovers (mirrors the handoff in-flight guard)
-            return;
-        }
-        let to = NodeId(job.to.0);
-        let entries: Vec<(Key, M::State)> = job
-            .keys
-            .iter()
-            .filter_map(|(k, _)| self.data.get(k).map(|s| (k.clone(), s.clone())))
-            .collect();
-        if entries.is_empty() {
-            // every key in the batch is gone (GC or a prior drop): the
-            // obligation is moot
-            self.outbound.remove(&id);
-            return;
-        }
-        // count the *actual* send, so retries show up and in/out totals
-        // stay comparable under loss
-        self.stats.transfers_out += 1;
-        self.send(ctx, to, Msg::RangeTransfer { id, entries });
     }
 
     /// Applies a control-plane membership announcement. Only the
@@ -1791,68 +1779,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         self.merge_view(ctx, &view);
     }
 
-    fn handle_transfer_ack(&mut self, ctx: &mut impl NodeCtx<M>, id: u64) {
-        let Some(job) = self.outbound.remove(&id) else {
-            return;
-        };
-        let mut requeue: Vec<Key> = Vec::new();
-        for (key, fp) in job.keys {
-            if self.owns(&key) {
-                continue; // still an owner: the copy stays either way
-            }
-            match self.data.leaf_of(&key) {
-                None => {}
-                Some(leaf) if leaf == fp => {
-                    // the range moved away and the new owner acked this
-                    // exact state: safe to drop our copy
-                    self.data.remove(&key);
-                }
-                Some(_) => {
-                    // the state advanced after the snapshot — resend the
-                    // fresher state before it can be dropped
-                    requeue.push(key);
-                }
-            }
-        }
-        self.purge_orphan_hints();
-        if !requeue.is_empty() {
-            let mut queued = false;
-            for id in self.queue_transfer(job.to, requeue) {
-                self.send_transfer(ctx, id);
-                queued = true;
-            }
-            if queued {
-                self.ensure_transfer_timer(ctx);
-            }
-        }
-    }
-
-    fn handle_transfer_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
-        // drain keys written since the last tick to their current owners
-        let dirty: Vec<Key> = std::mem::take(&mut self.drain_dirty).into_iter().collect();
-        let mut per_target: BTreeMap<ReplicaId, Vec<Key>> = BTreeMap::new();
-        for key in dirty {
-            let point = self.key_point(&key);
-            for t in self.ring.full_walk_at(point).iter().take(self.config.n) {
-                if *t != self.replica {
-                    per_target.entry(*t).or_default().push(key.clone());
-                }
-            }
-        }
-        for (t, keys) in per_target {
-            self.queue_transfer(t, keys);
-        }
-        // resend every unacked batch
-        let ids: Vec<u64> = self.outbound.keys().copied().collect();
-        for id in ids {
-            self.send_transfer(ctx, id);
-        }
-        if !self.outbound.is_empty() || !self.drain_dirty.is_empty() {
-            let t = ctx.set_timer(TRANSFER_RETRY_INTERVAL);
-            self.timers.insert(t, TimerKind::Transfer);
-        }
-    }
-
     /// Entry point: dispatches one message.
     pub fn on_message(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, msg: Msg<M>) {
         if !self.active {
@@ -1883,6 +1809,12 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             }
             return;
         }
+        self.handle(ctx, from, msg);
+        self.ensure_push_timer(ctx);
+    }
+
+    /// One message at a serving node.
+    fn handle(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, msg: Msg<M>) {
         match msg {
             Msg::ClientGet { req, key, digest } => {
                 self.handle_client_get(ctx, from, req, key, digest)
@@ -1913,7 +1845,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 state,
                 hint,
             } => {
-                self.absorb_remote_state(&key, &state, hint);
+                self.absorb(vec![(key, state)], hint);
                 self.send(ctx, from, Msg::RepPutAck { req });
             }
             Msg::RepPutAck { req } => {
@@ -1942,8 +1874,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 let client = ClientId(value.id.client.0);
                 let origin = WriteOrigin::new(self.replica, client);
                 let state = self.mint_write(&key, origin, &put_ctx, value);
-                self.note_data_merged(&key);
-                self.note_hold_obligation(&key, hint);
+                self.note_copy_held(&key, hint);
                 self.send(ctx, from, Msg::RepWriteResp { req, key, state });
             }
             Msg::RepWriteResp { req, key: _, state } => {
@@ -1980,9 +1911,36 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 }
                 self.try_complete_put(ctx, req);
             }
-            Msg::ReadRepair { key, state, hint } => {
-                self.absorb_remote_state(&key, &state, hint);
+            Msg::Push {
+                class,
+                id,
+                entries,
+                hint,
+            } => {
+                if let (MsgClass::Transfer, Some(id)) = (class, id) {
+                    let window = self.transfers_seen.entry(from).or_default();
+                    if let std::collections::btree_map::Entry::Vacant(e) = window.seen.entry(id) {
+                        e.insert(entries.len());
+                        self.stats.transfers_in += 1;
+                        window.keys += entries.len();
+                        // ids are monotone per donor: only a recent window can
+                        // still be in flight, so bound the dedupe memory — by
+                        // keys covered, not id count, since batch sizes vary
+                        // (a duplicate older than the window would merely
+                        // double-count a statistic, never corrupt state)
+                        while window.keys > TRANSFER_DEDUPE_KEYS && window.seen.len() > 8 {
+                            if let Some((_, n)) = window.seen.pop_first() {
+                                window.keys -= n;
+                            }
+                        }
+                    }
+                }
+                self.absorb(entries, hint);
+                if let Some(id) = id {
+                    self.send(ctx, from, Msg::PushAck { class, id });
+                }
             }
+            Msg::PushAck { id, .. } => self.settle_push(ReplicaId(from.0), id),
             Msg::AaeRoot { root, digest } => {
                 // the root doubles as a gossip digest carrier
                 self.note_peer_digest(ctx, from, digest);
@@ -2122,89 +2080,22 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 }
             }
             Msg::AaeStates { states, want } => {
-                for (k, s) in states {
-                    self.absorb_remote_state(&k, &s, None);
-                }
+                self.absorb(states, None);
                 let back: Vec<(Key, M::State)> = want
                     .iter()
                     .filter_map(|k| self.data.get(k).map(|s| (k.clone(), s.clone())))
                     .collect();
-                self.send(ctx, from, Msg::AaeStatesResp { states: back });
-            }
-            Msg::AaeStatesResp { states } => {
-                for (k, s) in states {
-                    self.absorb_remote_state(&k, &s, None);
-                }
-            }
-            Msg::Handoff { entries } => {
-                let keys: Vec<Key> = entries.iter().map(|(k, _)| k.clone()).collect();
-                for (k, s) in entries {
-                    self.absorb_remote_state(&k, &s, None);
-                }
-                self.send(ctx, from, Msg::HandoffAck { keys });
-            }
-            Msg::HandoffAck { keys } => {
-                let intended = ReplicaId(from.0);
-                // per-key settlement: a batch ack retires exactly the
-                // keys whose sent snapshot the owner now holds, and
-                // re-arms the rest individually
-                for key in keys {
-                    let Some(inflight) = self.hints.remove(&(key.clone(), intended)) else {
-                        continue;
-                    };
-                    match (inflight, self.data.leaf_of(&key)) {
-                        (Some((_, sent_fp)), Some(fp)) if fp == sent_fp => {
-                            // the intended owner holds exactly what we
-                            // sent: the obligation is met, and a copy we
-                            // do not own is retired rather than lingering
-                            // as an untracked residual
-                            self.stats.handoffs += 1;
-                            if !self.owns(&key) {
-                                self.data.remove(&key);
-                                self.purge_orphan_hints();
-                            }
-                        }
-                        (_, None) => {
-                            // backing data is gone (GC or a range
-                            // transfer): the obligation is moot
-                        }
-                        _ => {
-                            // the local state advanced past the sent
-                            // snapshot (or this ack matches no tracked
-                            // send): the obligation stands for the
-                            // fresher state — hand it off again later
-                            self.hints.insert((key, intended), None);
-                        }
-                    }
-                }
+                let push = Msg::Push {
+                    class: MsgClass::AntiEntropy,
+                    id: None,
+                    entries: back,
+                    hint: None,
+                };
+                self.send(ctx, from, push);
             }
             Msg::JoinAnnounce { view, who, joining } => {
                 self.handle_announce(ctx, view, who, joining)
             }
-            Msg::RangeTransfer { id, entries } => {
-                let batch_keys = entries.len();
-                for (k, s) in entries {
-                    self.absorb_remote_state(&k, &s, None);
-                }
-                let window = self.transfers_seen.entry(from).or_default();
-                if let std::collections::btree_map::Entry::Vacant(e) = window.seen.entry(id) {
-                    e.insert(batch_keys);
-                    self.stats.transfers_in += 1;
-                    window.keys += batch_keys;
-                    // ids are monotone per donor: only a recent window can
-                    // still be in flight, so bound the dedupe memory — by
-                    // keys covered, not id count, since batch sizes vary
-                    // (a duplicate older than the window would merely
-                    // double-count a statistic, never corrupt state)
-                    while window.keys > TRANSFER_DEDUPE_KEYS && window.seen.len() > 8 {
-                        if let Some((_, n)) = window.seen.pop_first() {
-                            window.keys -= n;
-                        }
-                    }
-                }
-                self.send(ctx, from, Msg::TransferAck { id });
-            }
-            Msg::TransferAck { id } => self.handle_transfer_ack(ctx, id),
             Msg::RingEpoch { view } => {
                 self.handle_ring_epoch(ctx, from, &view);
             }
@@ -2219,9 +2110,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 self.merge_view(ctx, &view);
                 // A node that (re)booted mid-run — crash recovery —
                 // never saw `on_start`: arm its periodic timers here so
-                // the recovered replica gossips, anti-entropies and
-                // hands off again. Idempotent: a live node re-admitted
-                // after a timed-out drain already has them.
+                // the recovered replica gossips and anti-entropies
+                // again. Idempotent: a live node re-admitted after a
+                // timed-out drain already has them.
                 self.ensure_periodic_timers(ctx);
             }
             Msg::RingSummary { entries } => {
@@ -2250,10 +2141,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         match self.timers.remove(&timer) {
             Some(TimerKind::Request(req)) => self.handle_request_timeout(ctx, req),
             Some(TimerKind::AntiEntropy) => self.handle_aae_timer(ctx),
-            Some(TimerKind::Handoff) => self.handle_handoff_timer(ctx),
-            Some(TimerKind::Transfer) => self.handle_transfer_timer(ctx),
+            Some(TimerKind::Push) => self.flush_owed(ctx),
             Some(TimerKind::Gossip) => self.handle_gossip_timer(ctx),
             None => {}
         }
+        self.ensure_push_timer(ctx);
     }
 }

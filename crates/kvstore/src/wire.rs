@@ -282,7 +282,7 @@ pub fn get_view(d: &mut Decoder<'_>) -> Result<RingView<ReplicaId>, DecodeError>
     Ok(view)
 }
 
-/// Appends a bare key list (want lists, batched handoff acks) as
+/// Appends a bare key list (anti-entropy want lists) as
 /// shared-prefix deltas.
 pub fn put_key_list<S: Sink>(buf: &mut S, keys: &[Key]) {
     put_varint(buf, keys.len() as u64);

@@ -8,7 +8,7 @@ use dvv::{ClientId, ReplicaId};
 use kvstore::config::StoreConfig;
 use kvstore::ctx::NodeCtx;
 use kvstore::merkle::fingerprint;
-use kvstore::messages::Msg;
+use kvstore::messages::{Msg, MsgClass};
 use kvstore::node::StoreNode;
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::RingView;
@@ -191,12 +191,13 @@ fn client_reply(sent: &[(NodeId, Msg<M>)]) -> (bool, Vec<StampedValue>, Ctx) {
 fn repaired(sent: &[(NodeId, Msg<M>)], key: &Key, state: &State) -> Vec<NodeId> {
     sent.iter()
         .map(|(to, msg)| match msg {
-            Msg::ReadRepair {
-                key: k,
-                state: s,
+            Msg::Push {
+                class: MsgClass::Replication,
+                id: None,
+                entries,
                 hint: None,
             } => {
-                assert_eq!((k, s), (key, state));
+                assert_eq!(entries[..], [(key.clone(), state.clone())]);
                 *to
             }
             other => panic!("expected read repairs only, got {other:?}"),

@@ -11,6 +11,9 @@
 //!   deliveries by transfer id;
 //! * the handoff timer must not flood duplicate `Handoff` messages at a
 //!   slow peer;
+//! * range transfers and hinted handoff are one obligation table: one
+//!   settle rule for both classes, an ack honoured only from the push's
+//!   own target, and a drain that waits for a hinted copy it holds;
 //! * after churn under partition, no active server may end up holding a
 //!   key outside its preference list, and the pre-convergence
 //!   `surviving_union` no-loss oracle must stay clean across seeds.
@@ -19,11 +22,14 @@ use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
 use kvstore::cluster::{Cluster, ClusterConfig, StoreProc};
 use kvstore::config::{ClientConfig, StoreConfig};
-use kvstore::messages::Msg;
+use kvstore::messages::{Msg, MsgClass};
 use kvstore::node::StoreNode;
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::{HashRing, MemberStatus, RingView};
-use simnet::{Duration, NetworkConfig, NodeId, Simulation, TraceEvent};
+use simnet::{
+    Duration, NetworkConfig, NodeId, Process, ProcessCtx, SimRng, SimTime, Simulation, TimerId,
+    TraceEvent,
+};
 
 type M = DvvMechanism;
 
@@ -254,7 +260,6 @@ fn read_repair_to_a_substitute_records_a_hint_and_retires_the_copy() {
             anti_entropy_interval: Duration::ZERO,
             gossip_interval: Duration::ZERO,
             handoff_interval: Duration::from_millis(20),
-            handoff_retry_interval: Duration::from_millis(200),
             ..StoreConfig::default()
         },
         ..ClusterConfig::default()
@@ -406,8 +411,7 @@ fn handoff_inflight_tracking_suppresses_duplicate_sends() {
         w: 1,
         anti_entropy_interval: Duration::ZERO,
         gossip_interval: Duration::ZERO,
-        handoff_interval: Duration::from_millis(10),
-        handoff_retry_interval: Duration::from_millis(200),
+        handoff_interval: Duration::from_millis(200),
         vnodes: 16,
         ..StoreConfig::default()
     };
@@ -459,6 +463,346 @@ fn handoff_inflight_tracking_suppresses_duplicate_sends() {
         fallback.data().contains_key(b"hinted".as_slice()),
         "with n = 2 the fallback is itself an owner: the copy stays"
     );
+}
+
+/// A server, hosted as the simulator hosts any node, that also notes the
+/// id of every push and push ack it is sent.
+struct Tap {
+    node: StoreProc<M>,
+    pushes: Vec<u64>,
+    acks: Vec<u64>,
+}
+
+impl Tap {
+    fn server(&self) -> &StoreNode<M> {
+        match &self.node {
+            StoreProc::Server(s) => s,
+            StoreProc::Client(_) => unreachable!("taps wrap servers"),
+        }
+    }
+}
+
+impl Process for Tap {
+    type Msg = Msg<M>;
+
+    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, from: NodeId, msg: Msg<M>) {
+        match &msg {
+            Msg::Push { id: Some(id), .. } => self.pushes.push(*id),
+            Msg::PushAck { id, .. } => self.acks.push(*id),
+            _ => {}
+        }
+        self.node.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, timer: TimerId) {
+        self.node.on_timer(ctx, timer);
+    }
+}
+
+/// The id of the first tracked push of node `node` in a simulation
+/// seeded `seed`: the simulator seeds node `i`'s stream as
+/// `fork_indexed("node", i)`, and a node draws its push-id counter from
+/// that stream at its first tracked push — which, with anti-entropy and
+/// gossip off, is its first draw of all.
+fn first_push_id(seed: u64, node: u64) -> u64 {
+    SimRng::new(seed).fork_indexed("node", node).next_u64()
+}
+
+/// A state that strictly dominates [`sample_state`]`(origin)`.
+fn advanced_state(origin: ReplicaId) -> <M as Mechanism<StampedValue>>::State {
+    let mech = DvvMechanism;
+    let mut st = sample_state(origin);
+    let (_, seen) = mech.read(&st);
+    mech.write(
+        &mut st,
+        WriteOrigin::new(origin, ClientId(1)),
+        &seen,
+        StampedValue::new(WriteId::new(ClientId(1), 2), vec![0xCD; 24]),
+    );
+    st
+}
+
+#[test]
+fn one_settle_rule_for_both_classes() {
+    // The donor (node 1) owes one key to the target (node 0), as a range
+    // transfer (it leaves) or as a hinted copy, holding it as an owner
+    // or not. Whatever the class:
+    //  * a push that is delivered twice under one id is merged twice,
+    //    acked twice and counted (transfers only) once;
+    //  * an ack that finds the local state advanced keeps the copy and
+    //    the obligation, and the fresher state travels under a fresh id;
+    //  * the ack of that push meets the obligation, and the copy is
+    //    retired iff the donor is not one of the key's owners.
+    const SEED: u64 = 9;
+    let (donor, target) = (NodeId(1), NodeId(0));
+    let ring = HashRing::with_vnodes([ReplicaId(0), ReplicaId(1)], 16);
+    let key = (0..1_000)
+        .map(|i| format!("key-{i}").into_bytes())
+        .find(|k| ring.preference_list(k, 1) == [ReplicaId(0)])
+        .expect("a key node 0 is primary for");
+    for (class, n) in [
+        (MsgClass::Transfer, 1),
+        (MsgClass::Handoff, 1),
+        (MsgClass::Handoff, 2),
+    ] {
+        let row = format!("{class:?}, n = {n}");
+        let mech = DvvMechanism;
+        let view = RingView::from_members([ReplicaId(0), ReplicaId(1)]);
+        let cfg = StoreConfig {
+            n,
+            r: 1,
+            w: 1,
+            anti_entropy_interval: Duration::ZERO,
+            gossip_interval: Duration::ZERO,
+            handoff_interval: Duration::from_millis(40),
+            vnodes: 16,
+            ..StoreConfig::default()
+        };
+        let tap = |replica| Tap {
+            node: StoreProc::Server(StoreNode::new(replica, mech, cfg, view.clone())),
+            pushes: Vec::new(),
+            acks: Vec::new(),
+        };
+        let mut sim = Simulation::new(
+            SEED,
+            NetworkConfig::default(),
+            vec![tap(ReplicaId(0)), tap(ReplicaId(1))],
+        );
+        let owed = |sim: &Simulation<Tap>| {
+            let d = sim.process(1).server();
+            d.transfer_backlog() + d.hint_count()
+        };
+
+        // the obligation, with the ack path cut
+        sim.network_mut().block_link(target, donor);
+        if class == MsgClass::Transfer {
+            if let StoreProc::Server(s) = &mut sim.process_mut(1).node {
+                s.merge_state_direct(&key, &sample_state(ReplicaId(0)));
+            }
+            let mut leave = view.clone();
+            leave.bump(&ReplicaId(1), MemberStatus::Leaving);
+            let announce = Msg::JoinAnnounce {
+                view: leave,
+                who: ReplicaId(1),
+                joining: false,
+            };
+            sim.post(donor, announce);
+        } else {
+            let put = Msg::RepPut {
+                req: 1,
+                key: key.clone(),
+                state: sample_state(ReplicaId(0)),
+                hint: Some(ReplicaId(0)),
+            };
+            sim.post(donor, put);
+        }
+        while sim.process(0).pushes.len() < 2 {
+            assert!(sim.step(), "{row}: the unacked push is sent again");
+        }
+        let first = sim.process(0).pushes[0];
+        assert_eq!(first, first_push_id(SEED, 1), "{row}: ids start at a draw");
+        assert_eq!(sim.process(0).pushes, [first, first], "{row}: a retry");
+        // the target sends nothing in the push's class but its acks
+        let t = sim.process(0).server();
+        assert_eq!(
+            t.wire_stats().msgs(class),
+            2,
+            "{row}: each delivery is acked"
+        );
+        let counted = u64::from(class == MsgClass::Transfer);
+        assert_eq!(t.stats().transfers_in, counted, "{row}: counted once");
+        assert_eq!(owed(&sim), 1, "{row}: unacked, so still owed");
+
+        // the ack path heals; the state advances under the next ack
+        sim.network_mut().unblock_link(target, donor);
+        while sim.process(0).pushes.len() < 3 {
+            assert!(sim.step(), "{row}: a third send");
+        }
+        let advanced = advanced_state(ReplicaId(0));
+        if let StoreProc::Server(s) = &mut sim.process_mut(1).node {
+            s.merge_state_direct(&key, &advanced);
+        }
+        while sim.process(1).acks.is_empty() {
+            assert!(sim.step(), "{row}: the ack arrives");
+        }
+        assert_eq!(sim.process(1).acks, [first]);
+        let d = sim.process(1).server();
+        assert_eq!(d.data().get(&key), Some(&advanced), "{row}: copy kept");
+        assert_eq!(owed(&sim), 1, "{row}: the obligation stands");
+
+        // the fresher state goes out under a fresh id and settles
+        sim.run_until(sim.now() + Duration::from_millis(200));
+        let (t, d) = (sim.process(0), sim.process(1));
+        let fresh = *t.pushes.last().unwrap();
+        assert_ne!(fresh, first, "{row}: re-pushed under a fresh id");
+        assert_eq!(t.pushes[..3], [first; 3], "{row}");
+        assert_eq!(d.acks, [first, fresh], "{row}: one ack per delivery");
+        assert_eq!(t.server().data().get(&key), Some(&advanced), "{row}");
+        assert_eq!(t.server().stats().transfers_in, 2 * counted, "{row}");
+        assert_eq!(owed(&sim), 0, "{row}: obligation met");
+        assert_eq!(d.server().stats().handoffs, 1 - counted, "{row}");
+        assert_eq!(
+            d.server().data().contains_key(&key),
+            n == 2,
+            "{row}: the copy is retired iff the donor is not an owner"
+        );
+    }
+}
+
+#[test]
+fn an_ack_counts_only_from_the_target_of_its_push() {
+    // Node 0 drains four keys to their new owner, node 1, over a dead
+    // link. An ack carrying the live push id — but not from node 1 — must
+    // settle nothing: pre-fix the job was looked up by id alone (and ids
+    // restarted at 0 in every incarnation), so a stale, replayed or
+    // misdirected ack dropped copies their target never received.
+    const SEED: u64 = 5;
+    let mech = DvvMechanism;
+    let view = RingView::from_members([ReplicaId(0), ReplicaId(1), ReplicaId(2)]);
+    let cfg = StoreConfig {
+        n: 1,
+        r: 1,
+        w: 1,
+        anti_entropy_interval: Duration::ZERO,
+        handoff_interval: Duration::ZERO,
+        gossip_interval: Duration::ZERO,
+        vnodes: 16,
+        ..StoreConfig::default()
+    };
+    let node = |r| StoreProc::Server(StoreNode::new(ReplicaId(r), mech, cfg, view.clone()));
+    let mut sim: Simulation<StoreProc<M>> = Simulation::new(
+        SEED,
+        NetworkConfig::default(),
+        vec![node(0), node(1), node(2)],
+    );
+    let after = HashRing::with_vnodes([ReplicaId(1), ReplicaId(2)], 16);
+    let keys: Vec<Key> = (0..1_000)
+        .map(|i| format!("key-{i}").into_bytes())
+        .filter(|k| after.preference_list(k, 1) == [ReplicaId(1)])
+        .take(4)
+        .collect();
+    for key in &keys {
+        if let StoreProc::Server(s) = sim.process_mut(0) {
+            s.merge_state_direct(key, &sample_state(ReplicaId(0)));
+        }
+    }
+    let server = |sim: &Simulation<StoreProc<M>>, i: usize| match sim.process(i) {
+        StoreProc::Server(s) => (s.transfer_backlog(), s.data().len(), s.drain_complete()),
+        StoreProc::Client(_) => unreachable!(),
+    };
+
+    sim.network_mut().block_link(NodeId(0), NodeId(1));
+    let mut leave = view;
+    leave.bump(&ReplicaId(0), MemberStatus::Leaving);
+    sim.post(
+        NodeId(0),
+        Msg::JoinAnnounce {
+            view: leave,
+            who: ReplicaId(0),
+            joining: false,
+        },
+    );
+    sim.run_until(SimTime::ZERO + Duration::from_millis(60));
+    assert_eq!(server(&sim, 0), (4, 4, false), "all four owed, unsent");
+
+    // `post` delivers as if node 0 had sent it to itself: the live id
+    // (and the id every pre-fix incarnation started at), wrong sender
+    for id in [first_push_id(SEED, 0), 0] {
+        let class = MsgClass::Transfer;
+        sim.post(NodeId(0), Msg::PushAck { class, id });
+    }
+    sim.run_until(SimTime::ZERO + Duration::from_millis(120));
+    assert_eq!(
+        server(&sim, 0),
+        (4, 4, false),
+        "an ack from anyone but the target must leave copy and obligation alone"
+    );
+
+    sim.network_mut().unblock_link(NodeId(0), NodeId(1));
+    sim.run_until(SimTime::ZERO + Duration::from_millis(300));
+    assert_eq!(server(&sim, 0), (0, 0, true), "the drain completes");
+    assert_eq!(server(&sim, 1).1, 4, "at the keys' real owner");
+}
+
+#[test]
+fn a_leave_drain_waits_for_a_hinted_copy_it_holds() {
+    // Node 0 holds a hinted copy for node 1 and then leaves, with hinted
+    // handoff off. The drain's request for the same (target, key) must
+    // upgrade the obligation to a transfer: left as a handoff it would
+    // never be pushed, the drain would report complete without it, and
+    // `finish_leave` would clear the only copy.
+    let mech = DvvMechanism;
+    let view = RingView::from_members([ReplicaId(0), ReplicaId(1), ReplicaId(2)]);
+    let cfg = StoreConfig {
+        n: 1,
+        r: 1,
+        w: 1,
+        anti_entropy_interval: Duration::ZERO,
+        handoff_interval: Duration::ZERO,
+        gossip_interval: Duration::ZERO,
+        vnodes: 16,
+        ..StoreConfig::default()
+    };
+    let node = |r| StoreProc::Server(StoreNode::new(ReplicaId(r), mech, cfg, view.clone()));
+    let mut sim: Simulation<StoreProc<M>> =
+        Simulation::new(5, NetworkConfig::default(), vec![node(0), node(1), node(2)]);
+    let ring = HashRing::with_vnodes((0..3).map(ReplicaId), 16);
+    let key = (0..1_000)
+        .map(|i| format!("key-{i}").into_bytes())
+        .find(|k| ring.preference_list(k, 1) == [ReplicaId(1)])
+        .expect("a key node 1 owns");
+    let server = |sim: &Simulation<StoreProc<M>>, i: usize| match sim.process(i) {
+        StoreProc::Server(s) => (s.hint_count(), s.transfer_backlog(), s.drain_complete()),
+        StoreProc::Client(_) => unreachable!(),
+    };
+
+    sim.post(
+        NodeId(0),
+        Msg::RepPut {
+            req: 1,
+            key: key.clone(),
+            state: sample_state(ReplicaId(1)),
+            hint: Some(ReplicaId(1)),
+        },
+    );
+    sim.run_until(SimTime::ZERO + Duration::from_millis(60));
+    assert_eq!(server(&sim, 0), (1, 0, false), "held as a hint, never sent");
+
+    sim.network_mut().block_link(NodeId(0), NodeId(1));
+    let mut leave = view;
+    leave.bump(&ReplicaId(0), MemberStatus::Leaving);
+    sim.post(
+        NodeId(0),
+        Msg::JoinAnnounce {
+            view: leave,
+            who: ReplicaId(0),
+            joining: false,
+        },
+    );
+    sim.run_until(SimTime::ZERO + Duration::from_millis(120));
+    assert_eq!(
+        server(&sim, 0),
+        (0, 1, false),
+        "the drain waits for the key"
+    );
+
+    sim.network_mut().unblock_link(NodeId(0), NodeId(1));
+    sim.run_until(SimTime::ZERO + Duration::from_millis(300));
+    assert_eq!(server(&sim, 0), (0, 0, true));
+    match (sim.process(0), sim.process(1)) {
+        (StoreProc::Server(left), StoreProc::Server(owner)) => {
+            assert!(
+                !left.data().contains_key(&key),
+                "drained copies are dropped"
+            );
+            assert!(owner.data().contains_key(&key), "the new owner holds it");
+        }
+        _ => unreachable!(),
+    }
 }
 
 #[test]
@@ -625,8 +969,7 @@ fn handoff_batches_coalesce_per_target_and_settle_per_key() {
         w: 1,
         anti_entropy_interval: Duration::ZERO,
         gossip_interval: Duration::ZERO,
-        handoff_interval: Duration::from_millis(10),
-        handoff_retry_interval: Duration::from_millis(200),
+        handoff_interval: Duration::from_millis(200),
         vnodes: 16,
         ..StoreConfig::default()
     };

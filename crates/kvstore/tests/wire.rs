@@ -373,9 +373,10 @@ fn conditional_read_charges_nine_bytes_per_replica_in_sync() {
     merge(&mut c, 0, &stale, &new);
     merge(&mut c, 1, &stale, &new);
     merge(&mut c, 2, &stale, &old);
-    let repair = size(Msg::ReadRepair {
-        key: stale.clone(),
-        state: new.clone(),
+    let repair = size(Msg::Push {
+        class: MsgClass::Replication,
+        id: None,
+        entries: vec![(stale.clone(), new.clone())],
         hint: None,
     });
     assert_eq!(

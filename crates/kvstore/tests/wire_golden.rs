@@ -5,11 +5,17 @@
 //! commit before the sink refactor (tags 0–25; the conditional-read pair,
 //! tags 26 and 27, was appended when it was introduced) and must only
 //! ever change together with a deliberate, documented wire-format change
-//! — the failure message prints the fresh table to paste.
+//! — the failure message prints the fresh table to paste. One such change
+//! is recorded here: `ReadRepair`, `AaeStatesResp`, `RangeTransfer`,
+//! `TransferAck`, `Handoff` and `HandoffAck` (tags 8, 13, 18, 19, 24, 25)
+//! became `Push` / `PushAck` (tags 28, 29); their six entries left the
+//! table, five were appended, and no surviving entry's bytes moved. The
+//! format itself is written up in `doc/wire_format.md`, which the last
+//! test here keeps honest.
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
-use kvstore::messages::Msg;
+use kvstore::messages::{Msg, MsgClass};
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::{MemberStatus, RingView};
 
@@ -164,14 +170,6 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
         ),
         ("RepPutAck", Msg::RepPutAck { req }),
         (
-            "ReadRepair",
-            Msg::ReadRepair {
-                key: key.clone(),
-                state: single(),
-                hint: None,
-            },
-        ),
-        (
             "AaeRoot",
             Msg::AaeRoot {
                 root: 0x1122_3344_5566_7788,
@@ -208,7 +206,6 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
                 want: keys(),
             },
         ),
-        ("AaeStatesResp", Msg::AaeStatesResp { states: keyed() }),
         (
             "RepWrite",
             Msg::RepWrite {
@@ -223,7 +220,7 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
             "RepWriteResp",
             Msg::RepWriteResp {
                 req,
-                key,
+                key: key.clone(),
                 state: single(),
             },
         ),
@@ -236,14 +233,6 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
             },
         ),
         ("Rejoin", Msg::Rejoin { view: view.clone() }),
-        (
-            "RangeTransfer",
-            Msg::RangeTransfer {
-                id: u64::MAX - 1,
-                entries: keyed(),
-            },
-        ),
-        ("TransferAck", Msg::TransferAck { id: 3 }),
         ("RingEpoch", Msg::RingEpoch { view: view.clone() }),
         (
             "RingSummary",
@@ -260,13 +249,6 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
         ),
         ("GossipDigest", Msg::GossipDigest { digest }),
         (
-            "Handoff",
-            Msg::Handoff {
-                entries: keyed()[..2].to_vec(),
-            },
-        ),
-        ("HandoffAck", Msg::HandoffAck { keys: keys() }),
-        (
             "RepGetIf",
             Msg::RepGetIf {
                 req,
@@ -275,6 +257,49 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
             },
         ),
         ("RepGetSame", Msg::RepGetSame { req }),
+        (
+            "Push/Replication",
+            Msg::Push {
+                class: MsgClass::Replication,
+                id: None,
+                entries: vec![(key, single())],
+                hint,
+            },
+        ),
+        (
+            "Push/AntiEntropy",
+            Msg::Push {
+                class: MsgClass::AntiEntropy,
+                id: None,
+                entries: keyed(),
+                hint: None,
+            },
+        ),
+        (
+            "Push/Transfer",
+            Msg::Push {
+                class: MsgClass::Transfer,
+                id: Some(u64::MAX - 1),
+                entries: keyed(),
+                hint: None,
+            },
+        ),
+        (
+            "Push/Handoff",
+            Msg::Push {
+                class: MsgClass::Handoff,
+                id: Some(3),
+                entries: keyed()[..2].to_vec(),
+                hint: None,
+            },
+        ),
+        (
+            "PushAck",
+            Msg::PushAck {
+                class: MsgClass::Transfer,
+                id: u64::MAX - 1,
+            },
+        ),
     ]
 }
 
@@ -291,27 +316,26 @@ const GOLDEN: &[(&str, &str)] = &[
     ("RepGetResp", "05080706050403020109757365723a30303432480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e64"),
     ("RepPut", "06080706050403020109757365723a30303432480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e6401ac02"),
     ("RepPutAck", "070807060504030201"),
-    ("ReadRepair", "0809757365723a30303432200501030003028080808020ac02810101c801000c11111111111111111111111100"),
     ("AaeRoot", "0988776655443322110df0fecacefaedfe"),
     ("AaeArcRoots", "0a0df0fecacefaedfe0400023cc306401100000000000000fecaad0befbeadde01000000000000000000000000000000"),
     ("AaeLeaves/unscoped", "0b0df0fecacefaedfe00040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
     ("AaeLeaves/scoped", "0b0df0fecacefaedfe0104010025d603040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
     ("AaeStates", "0c040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c1111111111111111111111110500000007636172743a31370701300501320003646f67"),
-    ("AaeStatesResp", "0d040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c111111111111111111111111"),
     ("RepWrite", "0e080706050403020109757365723a303034328080808080204d01000d030003028080808020ac02810101ac02"),
     ("RepWriteResp", "0f080706050403020109757365723a30303432200501030003028080808020ac02810101c801000c111111111111111111111111"),
     ("JoinAnnounce", "100600000006008503010105808080010382019003900301"),
     ("Rejoin", "110600000006008503010105808080010382019003"),
-    ("RangeTransfer", "12feffffffffffffff040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c111111111111111111111111"),
-    ("TransferAck", "130300000000000000"),
     ("RingEpoch", "140600000006008503010105808080010382019003"),
     ("RingSummary", "150600000006008503180400000400001500000200800f0000080200"),
     ("RingDelta", "160402060085030580808001038201390301004a"),
     ("GossipDigest", "170df0fecacefaedfe"),
-    ("Handoff", "18020009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e64"),
-    ("HandoffAck", "190500000007636172743a31370701300501320003646f67"),
     ("RepGetIf", "1a080706050403020109757365723a30303432efcdab8967452301"),
     ("RepGetSame", "1b0807060504030201"),
+    ("Push/Replication", "1c0100010009757365723a30303432200501030003028080808020ac02810101c801000c11111111111111111111111101ac02"),
+    ("Push/AntiEntropy", "1c0200040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c11111111111111111111111100"),
+    ("Push/Transfer", "1c0401feffffffffffffff040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c11111111111111111111111100"),
+    ("Push/Handoff", "1c05010300000000000000020009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e6400"),
+    ("PushAck", "1d04feffffffffffffff"),
 ];
 
 #[test]
@@ -332,8 +356,11 @@ fn encode_transport_matches_committed_bytes() {
     }
 }
 
+/// Tags of the six variants [`Msg::Push`] / [`Msg::PushAck`] replaced.
+const RETIRED: [u8; 6] = [8, 13, 18, 19, 24, 25];
+
 /// The corpus is only a format pin if it really spans the protocol:
-/// all 28 variant tags appear, and every message decodes back.
+/// all 24 live variant tags appear, and every message decodes back.
 #[test]
 fn corpus_covers_every_variant_and_roundtrips() {
     let mech = DvvMechanism;
@@ -348,6 +375,78 @@ fn corpus_covers_every_variant_and_roundtrips() {
     }
     assert_eq!(
         tags.into_iter().collect::<Vec<u8>>(),
-        (0..28).collect::<Vec<u8>>()
+        (0..30)
+            .filter(|tag| !RETIRED.contains(tag))
+            .collect::<Vec<u8>>()
     );
+}
+
+/// The wire change is closed: a retired tag is never parsed as
+/// anything, and the two new header bytes admit only what the sender can
+/// produce.
+#[test]
+fn retired_tags_and_malformed_push_headers_are_rejected() {
+    let mech = DvvMechanism;
+    let decode = |bytes: &[u8]| Msg::<M>::decode_transport(&mech, bytes);
+    // every retired tag, before bodies that used to parse under it
+    for (_, msg) in corpus() {
+        let mut bytes = msg.encode_transport(&mech);
+        for tag in RETIRED {
+            bytes[0] = tag;
+            assert!(decode(&bytes).is_err(), "retired tag {tag} decoded");
+        }
+    }
+    let push = |name: &str| {
+        let (_, msg) = corpus().into_iter().find(|(n, _)| *n == name).unwrap();
+        msg.encode_transport(&mech)
+    };
+    for name in ["Push/Transfer", "Push/Replication", "PushAck"] {
+        let good = push(name);
+        assert!(decode(&good).is_ok());
+        // byte 1 is the class: only replication (1), anti-entropy (2),
+        // transfer (4) and handoff (5) are push classes
+        for class in [0u8, 3, 6, 0xff] {
+            let mut bad = good.clone();
+            bad[1] = class;
+            assert!(decode(&bad).is_err(), "{name} with class byte {class}");
+        }
+    }
+    // byte 2 of a push is the id's presence byte; an unhinted push ends
+    // with the hint's
+    for name in ["Push/Transfer", "Push/AntiEntropy"] {
+        let mut bad = push(name);
+        bad[2] = 2;
+        assert!(decode(&bad).is_err(), "{name} with id presence 2");
+    }
+    let mut bad = push("Push/AntiEntropy");
+    *bad.last_mut().unwrap() = 2;
+    assert!(decode(&bad).is_err(), "hint presence 2");
+}
+
+/// `doc/wire_format.md` is the format's description for someone without
+/// this program; it stays one only if its tag table names what the
+/// encoder writes. Every corpus variant must appear in a table row
+/// beside its tag byte, and every retired tag in a row that says so.
+#[test]
+fn format_document_lists_every_tag() {
+    let doc = include_str!("../../../doc/wire_format.md");
+    let row = |tag: u8| {
+        let cell = format!("| {tag} |");
+        doc.lines()
+            .find(|line| line.starts_with(&cell))
+            .unwrap_or_else(|| panic!("no tag-table row for tag {tag}"))
+    };
+    let mech = DvvMechanism;
+    for (name, msg) in corpus() {
+        let variant = name.split('/').next().unwrap();
+        let tag = msg.encode_transport(&mech)[0];
+        assert!(
+            row(tag).contains(&format!("`{variant}`")),
+            "the row of tag {tag} does not name {variant}: {}",
+            row(tag)
+        );
+    }
+    for tag in RETIRED {
+        assert!(row(tag).contains("never reused"), "{}", row(tag));
+    }
 }

@@ -10,7 +10,7 @@
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
-use kvstore::messages::Msg;
+use kvstore::messages::{Msg, MsgClass};
 use kvstore::value::{Key, StampedValue, WriteId};
 use proptest::collection::{btree_map, vec};
 use proptest::prelude::*;
@@ -187,9 +187,10 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
                 hint,
             },
             Msg::RepPutAck { req },
-            Msg::ReadRepair {
-                key: key.clone(),
-                state: state.clone(),
+            Msg::Push {
+                class: MsgClass::Replication,
+                id: None,
+                entries: vec![(key.clone(), state.clone())],
                 hint,
             },
             Msg::AaeRoot { root, digest },
@@ -206,10 +207,13 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
             },
             Msg::AaeStates {
                 states: entries.clone(),
-                want: want_keys.clone(),
+                want: want_keys,
             },
-            Msg::AaeStatesResp {
-                states: entries.clone(),
+            Msg::Push {
+                class: MsgClass::AntiEntropy,
+                id: None,
+                entries: entries.clone(),
+                hint: None,
             },
             Msg::RepWrite {
                 req,
@@ -225,11 +229,16 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
                 joining,
             },
             Msg::Rejoin { view: view.clone() },
-            Msg::RangeTransfer {
-                id,
+            Msg::Push {
+                class: MsgClass::Transfer,
+                id: Some(id),
                 entries: entries.clone(),
+                hint: None,
             },
-            Msg::TransferAck { id },
+            Msg::PushAck {
+                class: MsgClass::Transfer,
+                id,
+            },
             Msg::RingEpoch { view },
             Msg::RingSummary { entries: summary },
             Msg::RingDelta {
@@ -237,8 +246,16 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
                 want: want_members,
             },
             Msg::GossipDigest { digest },
-            Msg::Handoff { entries },
-            Msg::HandoffAck { keys: want_keys },
+            Msg::Push {
+                class: MsgClass::Handoff,
+                id: Some(id),
+                entries,
+                hint,
+            },
+            Msg::PushAck {
+                class: MsgClass::Handoff,
+                id,
+            },
         ]
     })
 }
@@ -313,7 +330,7 @@ proptest! {
             survives(&mech, &spliced)?;
         }
         survives(&mech, &noise)?;
-        for tag in 0..=28u8 {
+        for tag in 0..=30u8 {
             let mut tagged = vec![tag];
             tagged.extend_from_slice(&noise);
             survives(&mech, &tagged)?;
