@@ -235,7 +235,7 @@ impl<M: Mechanism<StampedValue>> NodeKit<M> {
     }
 
     /// The view servers boot with — what a crash-recovered node knows
-    /// before its in-band [`Msg::Rejoin`] catches it up.
+    /// before the view that re-admits it catches it up.
     pub fn genesis_view(&self) -> &RingView<ReplicaId> {
         &self.genesis_view
     }
@@ -420,8 +420,8 @@ pub struct MetadataReport {
 /// to its *subject* only, and every other process learns it transitively
 /// by gossip (periodic digests, AAE piggybacks, eager pushes, and
 /// request-digest mismatches). A leave whose drain cannot complete
-/// within the supervision budget is re-admitted **in band**
-/// ([`Msg::Rejoin`] under a fresh incarnation); the harness never
+/// within the supervision budget is re-admitted **in band** (a fresh
+/// `Up` incarnation, posted like any other change); the harness never
 /// force-synchronises views.
 /// [`Cluster::add_node_live`] / [`Cluster::remove_node_live`] remain as
 /// single-change conveniences (begin + await).
@@ -622,10 +622,22 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         }
     }
 
+    /// The control plane's one move: posts its canonical view to server
+    /// `slot` as a [`Msg::RingEpoch`] — to the *subject* of a change
+    /// only. What the subject does about it it reads off its own entry
+    /// in the merged view, and every other process learns the change
+    /// from the subject's gossip.
+    fn post_view(&mut self, slot: usize) {
+        let view = self.view.clone();
+        self.sim.post(NodeId(slot as u32), Msg::RingEpoch { view });
+    }
+
     /// Announces a **live join** of the spare server slot `slot` without
     /// waiting for it to settle: the control plane mints a fresh
     /// `Joining` incarnation for the slot in its canonical view and
-    /// posts the announcement to the joiner — and to the joiner *only*.
+    /// posts that view to the joiner — and to the joiner *only*
+    /// (as a [`Msg::RingEpoch`]); finding itself newly on the ring is what
+    /// wakes the spare.
     /// Every other process learns the merged view by gossip; owners that
     /// merge it stream the ranges the joiner gained
     /// (transfer-class [`Msg::Push`]es). Any number of changes may be begun
@@ -649,20 +661,12 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         self.members.insert(slot);
         self.pending_joins.insert(slot);
         self.view.bump(&who, MemberStatus::Joining);
-        let view = self.view.clone();
-        self.sim.post(
-            NodeId(slot as u32),
-            Msg::JoinAnnounce {
-                view,
-                who,
-                joining: true,
-            },
-        );
+        self.post_view(slot);
     }
 
     /// Announces a **live leave** of member `slot` without waiting for
     /// the drain: the control plane mints a fresh `Leaving` incarnation
-    /// for the slot and posts the announcement to the leaver only. The
+    /// for the slot and posts the view to the leaver only. The
     /// leaver merges the view, finds itself out of the ring, and starts
     /// draining every held key range to its successors; gossip spreads
     /// the view meanwhile. Supervision, retirement and the timed-out
@@ -683,15 +687,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         self.members.remove(&slot);
         self.pending_leaves.insert(slot);
         self.view.bump(&who, MemberStatus::Leaving);
-        let view = self.view.clone();
-        self.sim.post(
-            NodeId(slot as u32),
-            Msg::JoinAnnounce {
-                view,
-                who,
-                joining: false,
-            },
-        );
+        self.post_view(slot);
     }
 
     /// Supervises every membership change begun so far to completion:
@@ -704,9 +700,10 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// final statuses are seeded at one member and gossip spreads them,
     /// with supervision waiting for that last wave too. A leave whose
     /// drain did **not** complete is re-admitted *in band*: the control
-    /// plane mints a fresh `Up` incarnation and posts [`Msg::Rejoin`] to
-    /// the subject, whose gossip spreads the re-admission once
-    /// connectivity allows — there is no forced view synchronisation.
+    /// plane mints a fresh `Up` incarnation and posts the view to the
+    /// subject, which stops draining on finding itself `Up` again and
+    /// whose gossip spreads the re-admission once connectivity allows —
+    /// there is no forced view synchronisation.
     ///
     /// Returns whether everything settled and converged within budget.
     pub fn await_membership(&mut self) -> bool {
@@ -754,9 +751,8 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
                 // connectivity allows — no forced view sync.
                 self.members.insert(slot);
                 self.view.bump(&ReplicaId(slot as u32), MemberStatus::Up);
-                let view = self.view.clone();
-                self.sim.post(NodeId(slot as u32), Msg::Rejoin { view });
-                // deliver the announcement before returning, so the
+                self.post_view(slot);
+                // deliver the view before returning, so the
                 // subject is observably re-admitted (it keeps serving and
                 // gossiping the fresh incarnation from here on)
                 let next = self.sim.now() + Duration::from_millis(1);
@@ -785,8 +781,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
             // seed the final statuses (Removed tombstones, Up
             // promotions) at one member; gossip spreads them
             let seed = *self.members.iter().next().expect("at least one member");
-            let view = self.view.clone();
-            self.sim.post(NodeId(seed as u32), Msg::RingEpoch { view });
+            self.post_view(seed);
             if all_ok {
                 let target = self.view.digest();
                 let converged = self.run_until_settled(self.settle_budget, |c| {
@@ -843,7 +838,8 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// the cluster's engine factory — a log-backed engine replays its
     /// durable record prefix on open — restores connectivity, and
     /// re-enters the fleet **in band**: the control plane mints a fresh
-    /// `Up` incarnation and posts [`Msg::Rejoin`], which re-arms the
+    /// `Up` incarnation — fresh, so the view is news to a node that booted
+    /// with the genesis one — and posts it; merging it re-arms the
     /// recovered node's periodic timers and lets gossip spread the
     /// re-admission. No harness view synchronisation. Without an engine
     /// factory the node restarts empty (diskless baseline).
@@ -869,8 +865,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         self.pending_leaves.remove(&slot);
         self.members.insert(slot);
         self.view.bump(&who, MemberStatus::Up);
-        let view = self.view.clone();
-        self.sim.post(NodeId(slot as u32), Msg::Rejoin { view });
+        self.post_view(slot);
     }
 
     /// Server slots currently crashed.
@@ -912,8 +907,8 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// lost to the departure.
     ///
     /// Returns whether the drain completed within the supervision budget
-    /// (the node is retired if it did, and re-admitted in band via
-    /// [`Msg::Rejoin`] if it did not).
+    /// (the node is retired if it did, and re-admitted in band if it did
+    /// not).
     ///
     /// # Panics
     ///

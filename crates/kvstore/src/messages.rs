@@ -228,36 +228,20 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         /// Full post-write state at the owner.
         state: M::State,
     },
-    /// Announces a membership change (join or leave): posted to the
-    /// *subject* node by the control plane. The subject merges the view
-    /// and gossip disseminates it epidemically from there — no
-    /// broadcast. Receivers that merge the view rebuild their ring from
-    /// it and, for joins, start streaming the ranges the subject gained.
-    JoinAnnounce {
-        /// The announcement's ring view (the subject's fresh entry plus
-        /// everything the announcer knew).
-        view: RingView<ReplicaId>,
-        /// The node joining or leaving.
-        who: ReplicaId,
-        /// `true` for a join, `false` for a leave.
-        joining: bool,
-    },
-    /// In-band re-admission: a node whose leave-drain could not complete
-    /// announces it is back, carrying its last-known view with its own
-    /// entry bumped to a fresh incarnation (status `Up`). Receivers
-    /// merge it like any view — the higher incarnation beats the stale
-    /// `Leaving` entry — so the recovery converges by gossip alone, with
-    /// no harness-forced view synchronisation.
-    Rejoin {
-        /// The rejoining node's view, its own entry freshly bumped.
-        view: RingView<ReplicaId>,
-    },
     /// Ring-view push: the sender's full mergeable view, sent to any
     /// peer observed with a differing view digest (request headers,
     /// gossip digests, AAE piggybacks). The receiver merges it; if the
     /// merged result still differs from what was received — the sender
     /// lacks entries the receiver holds — the receiver pushes the merged
     /// view back, so one exchange converges both ends.
+    ///
+    /// It is also the one message every membership change travels in: the
+    /// control plane posts the changed view to the change's *subject*
+    /// (join, leave, re-admission after a timed-out drain or a crash) and
+    /// gossip disseminates it from there — no broadcast. What the subject
+    /// does about it is read off its own entry in the merged view
+    /// (`StoreNode::reconcile_self_status`), so a view that reaches it
+    /// second-hand has the same effect as the post.
     RingEpoch {
         /// The sender's complete ring view.
         view: RingView<ReplicaId>,
@@ -409,7 +393,8 @@ impl WireStats {
 impl<M: Mechanism<StampedValue>> Msg<M> {
     /// One-byte variant tag, the first wire byte of every message. Tags
     /// 8, 13, 18, 19, 24 and 25 belonged to the variants [`Msg::Push`]
-    /// replaced and are never reused.
+    /// replaced, 16 and 17 to the two that carried a full view beside
+    /// [`Msg::RingEpoch`]; none is ever reused.
     fn tag(&self) -> u8 {
         match self {
             Msg::ClientGet { .. } => 0,
@@ -426,8 +411,6 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             Msg::AaeStates { .. } => 12,
             Msg::RepWrite { .. } => 14,
             Msg::RepWriteResp { .. } => 15,
-            Msg::JoinAnnounce { .. } => 16,
-            Msg::Rejoin { .. } => 17,
             Msg::RingEpoch { .. } => 20,
             Msg::RingSummary { .. } => 21,
             Msg::RingDelta { .. } => 22,
@@ -459,9 +442,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             | Msg::AaeArcRoots { .. }
             | Msg::AaeLeaves { .. }
             | Msg::AaeStates { .. } => MsgClass::AntiEntropy,
-            Msg::JoinAnnounce { .. }
-            | Msg::Rejoin { .. }
-            | Msg::RingEpoch { .. }
+            Msg::RingEpoch { .. }
             | Msg::RingSummary { .. }
             | Msg::RingDelta { .. }
             | Msg::GossipDigest { .. } => MsgClass::Membership,
@@ -801,12 +782,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 out.ctx(ctx);
                 wire::put_hint(out.raw(), *hint);
             }
-            Msg::JoinAnnounce { view, who, joining } => {
-                wire::put_view(buf, view);
-                put_varint(buf, u64::from(who.0));
-                buf.byte(u8::from(*joining));
-            }
-            Msg::Rejoin { view } | Msg::RingEpoch { view } => wire::put_view(buf, view),
+            Msg::RingEpoch { view } => wire::put_view(buf, view),
             Msg::RingSummary { entries } => wire::put_summary(buf, entries),
             Msg::RingDelta { entries, want } => {
                 wire::put_member_entries(buf, entries);
@@ -937,21 +913,6 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 ctx: get_ctx(mech, &mut d)?,
                 hint: wire::get_hint(&mut d)?,
             },
-            16 => {
-                let view = wire::get_view(&mut d)?;
-                let who = d.varint()?;
-                let who =
-                    u32::try_from(who)
-                        .map(ReplicaId)
-                        .map_err(|_| DecodeError::InvalidValue {
-                            reason: "replica id out of range",
-                        })?;
-                let joining = wire::get_bool(&mut d)?;
-                Msg::JoinAnnounce { view, who, joining }
-            }
-            17 => Msg::Rejoin {
-                view: wire::get_view(&mut d)?,
-            },
             20 => Msg::RingEpoch {
                 view: wire::get_view(&mut d)?,
             },
@@ -985,7 +946,7 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 class: get_push_class(&mut d)?,
                 id: wire::get_u64(&mut d)?,
             },
-            // retired tags (8, 13, 18, 19, 24, 25) included
+            // retired tags (8, 13, 16, 17, 18, 19, 24, 25) included
             _ => {
                 return Err(DecodeError::InvalidValue {
                     reason: "unknown message tag",
@@ -1086,15 +1047,11 @@ mod tests {
     #[test]
     fn membership_messages_scale_with_members_and_entries() {
         let mech = DvvMechanism;
-        let announce: Msg<M> = Msg::JoinAnnounce {
+        let announce: Msg<M> = Msg::RingEpoch {
             view: RingView::from_members([ReplicaId(0), ReplicaId(1), ReplicaId(2)]),
-            who: ReplicaId(2),
-            joining: true,
         };
-        let small: Msg<M> = Msg::JoinAnnounce {
+        let small: Msg<M> = Msg::RingEpoch {
             view: RingView::from_members([ReplicaId(0)]),
-            who: ReplicaId(0),
-            joining: false,
         };
         assert!(announce.wire_size(&mech) > small.wire_size(&mech));
 
@@ -1107,7 +1064,7 @@ mod tests {
         let ack: Msg<M> = Msg::PushAck { class, id: 1 };
         assert_eq!(ack.wire_size(&mech), 10);
         let two = RingView::from_members([ReplicaId(0), ReplicaId(1)]);
-        let push: Msg<M> = Msg::RingEpoch { view: two.clone() };
+        let push: Msg<M> = Msg::RingEpoch { view: two };
         // tag, then ids (count + first + gap), two one-byte incarnations
         // and both 2-bit statuses in one byte
         assert_eq!(push.wire_size(&mech), 1 + 3 + 2 + 1);
@@ -1142,10 +1099,6 @@ mod tests {
             ]),
         };
         assert!(digest.wire_size(&mech) < push.wire_size(&mech));
-        let two = RingView::from_members([ReplicaId(0), ReplicaId(1)]);
-        let rejoin: Msg<M> = Msg::Rejoin { view: two.clone() };
-        let epoch: Msg<M> = Msg::RingEpoch { view: two };
-        assert_eq!(rejoin.wire_size(&mech), epoch.wire_size(&mech));
     }
 
     #[test]

@@ -86,54 +86,63 @@ pub struct NodeStats {
     pub dup_writes_ignored: u64,
 }
 
-/// Coordinator-side bookkeeping for one in-flight request.
+/// Coordinator-side bookkeeping for one in-flight request: gather
+/// answers from the key's active replicas until a quorum of *distinct*
+/// ones is in, reply, then finish with the stragglers. Reads and writes
+/// differ only in [`Op`].
 #[derive(Debug)]
-enum Pending<M: Mechanism<StampedValue>> {
+struct Pending<M: Mechanism<StampedValue>> {
+    key: Key,
+    client: NodeId,
+    /// The request's timeout timer, cancelled when it retires.
+    timer: TimerId,
+    expected: usize,
+    replied: bool,
+    /// Whether this coordinator is in the key's active preference list
+    /// (and therefore counted its local read or write as a response).
+    owner: bool,
+    /// The distinct replicas whose answer is in — this coordinator's own
+    /// when it is an owner, then one entry per replica
+    /// ([`StoreNode::vote`]): its length is the response count R or W is
+    /// checked against. With each, the fingerprint of the state it
+    /// returned (what read repair compares; unused for a write's acks).
+    seen: Vec<(ReplicaId, u64)>,
+    op: Op<M>,
+}
+
+/// What a coordinated read and a coordinated write do not share.
+#[derive(Debug)]
+enum Op<M: Mechanism<StampedValue>> {
     Get {
-        key: Key,
-        client: NodeId,
-        /// The request's timeout timer, cancelled when it retires.
-        timer: TimerId,
         acc: M::State,
         /// Fingerprint of the state `acc` started from, sent to the
         /// replicas in [`Msg::RepGetIf`]. `acc` only ever grows from
         /// that snapshot, so a replica that holds exactly it has nothing
         /// to add.
         have: u64,
-        expected: usize,
-        replied: bool,
-        /// Whether this coordinator is in the key's active preference
-        /// list (and therefore counted its local read as a response).
-        owner: bool,
-        /// replica → fingerprint of the state it returned (for repair):
-        /// this coordinator's local read when it is an owner, then one
-        /// entry per distinct replica that answered — its length is the
-        /// response count R is checked against.
-        seen: Vec<(ReplicaId, u64)>,
-        /// The sloppy-quorum substitutions at coordination time:
-        /// `(intended, fallback)` pairs, so read repair pushed to a
-        /// fallback carries the matching hint.
-        subs: Vec<(ReplicaId, ReplicaId)>,
+        /// The substitutions at coordination time, so read repair
+        /// pushed to a fallback carries the matching hint.
+        subs: Subs,
     },
     Put {
-        key: Key,
-        client: NodeId,
-        /// See [`Pending::Get::timer`].
-        timer: TimerId,
-        /// The replicas whose write is in: this coordinator when it is an
-        /// owner, then one entry per distinct acknowledging replica.
-        acked: Vec<ReplicaId>,
-        expected: usize,
-        replied: bool,
-        /// See [`Pending::Get::owner`].
-        owner: bool,
-        /// Post-write state known to the coordinator (`return_body`
-        /// source when coordinating remotely).
+        /// Post-write state the delegated owner returned (`return_body`
+        /// source when coordinating remotely; an owner re-reads its own
+        /// store instead).
         state: M::State,
         /// Replication fan-out deferred until the delegated owner returns
         /// the post-write state (remote coordination only).
         fanout: Vec<(ReplicaId, Option<ReplicaId>)>,
     },
+}
+
+/// The sloppy-quorum substitutions of one coordination: `(intended,
+/// fallback)` pairs.
+type Subs = Vec<(ReplicaId, ReplicaId)>;
+
+/// The replica `peer` stands in for under `subs`, if any.
+fn hint_for(subs: &[(ReplicaId, ReplicaId)], peer: ReplicaId) -> Option<ReplicaId> {
+    let sub = subs.iter().find(|(_, fallback)| *fallback == peer);
+    sub.map(|(intended, _)| *intended)
 }
 
 /// What a firing timer means.
@@ -188,15 +197,20 @@ struct TransferWindow {
 /// and for elastic membership, where a node that just left the ring
 /// keeps coordinating stale client requests without polluting its store.
 ///
-/// Ring views spread by **gossip** and are *mergeable*: a membership
-/// change is announced to its subject only; every other process learns
-/// it from periodic digest exchanges ([`Msg::GossipDigest`]), digests
-/// piggybacked on anti-entropy roots, eager pushes after merging a view,
-/// and request digests. Views version each member independently
-/// ([`RingView`]), so two concurrent changes — announced on different
-/// sides of a partition — merge deterministically instead of racing, and
-/// a node whose leave-drain times out is re-admitted in band
-/// ([`Msg::Rejoin`]) rather than by harness fiat.
+/// Ring views spread by **gossip** and are *mergeable*: the control
+/// plane posts a changed view ([`Msg::RingEpoch`]) to the change's
+/// subject only; every other process learns it from periodic digest
+/// exchanges ([`Msg::GossipDigest`]), digests piggybacked on
+/// anti-entropy roots, eager pushes after merging a view, and request
+/// digests. Views version each member independently ([`RingView`]), so
+/// two concurrent changes — announced on different sides of a partition
+/// — merge deterministically instead of racing. A node's **lifecycle is
+/// a function of its own entry** in the view it merged
+/// (`reconcile_self_status`): a spare wakes when a view newly
+/// places it on the ring, a member drains when one names it `Leaving`,
+/// and a node whose leave-drain timed out, or that was rebuilt after a
+/// crash, is re-admitted in band by a fresh `Up` incarnation — whoever
+/// delivered the view, never by harness fiat.
 ///
 /// Every copy this node must get to a peer — a range that changed
 /// owners, a leave-drain, a hinted write held for a down replica, a
@@ -232,7 +246,8 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
     pending: BTreeMap<ReqId, Pending<M>>,
     timers: BTreeMap<TimerId, TimerKind>,
     /// Whether this node is a serving cluster member. Spare capacity is
-    /// hosted dormant (`false`) and activated by a join announcement.
+    /// hosted dormant (`false`) and wakes when a view newly places it on
+    /// the ring.
     active: bool,
     /// Whether this node is draining its ranges prior to leaving.
     leaving: bool,
@@ -287,8 +302,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// index, so the node is immediately AAE-capable over its recovered
     /// contents. The node boots with the genesis `view` it was
     /// originally configured with: everything newer reaches it in band,
-    /// through the [`Msg::Rejoin`] the control plane posts (which also
-    /// arms its periodic timers — a mid-run node gets no `on_start`).
+    /// starting with the view the control plane posts, which re-admits it
+    /// under a fresh incarnation (merging that also arms its periodic
+    /// timers — a mid-run node gets no `on_start`).
     pub fn with_engine(
         replica: ReplicaId,
         mech: M,
@@ -341,10 +357,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         node
     }
 
-    /// Turns a freshly built node into a dormant one: hosted, but not a
-    /// ring member. It ignores all traffic until a join announcement
-    /// (delivered by the control plane) activates it — a spare slot, or
-    /// the husk that holds a crashed server's place.
+    /// Turns a freshly built node into a dormant one: hosted, but not
+    /// serving — a spare slot, or the husk that holds a crashed server's
+    /// place. It merges views and nothing else, until one newly places it
+    /// on the ring (`reconcile_self_status`).
     #[must_use]
     pub fn dormant(mut self) -> Self {
         self.active = false;
@@ -750,7 +766,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         ctx.send(to, msg, bytes);
     }
 
-    fn active_replicas(&self, key: &[u8]) -> (Vec<ReplicaId>, Vec<(ReplicaId, ReplicaId)>) {
+    fn active_replicas(&self, key: &[u8]) -> (Vec<ReplicaId>, Subs) {
         self.membership
             .sloppy_preference_list_at(&self.ring, self.key_point(key), self.config.n)
     }
@@ -993,22 +1009,50 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    /// Reconciles this node's lifecycle flags with what the merged view
-    /// says about it: a `Leaving`/`Removed` entry starts (or keeps) the
-    /// drain; an `Up`/`Joining` entry that beat a stale `Leaving` one is
-    /// an in-band re-admission — stop draining but keep the unacked
-    /// transfer backlog. The retry machinery lets those batches finish on
-    /// their own: on ack, keys this (re-admitted) node owns again are
-    /// simply kept, while keys it holds without owning — e.g. residual
-    /// copies queued for retirement before the leave — are still dropped,
-    /// so no copy goes back to being unaccounted.
-    fn reconcile_self_status(&mut self) {
+    /// Makes this node's lifecycle what the merged view's entry for it
+    /// says, whatever carried the view — the control plane's post to the
+    /// subject of a change, or a peer's gossip: a node that learns about
+    /// its *own* change second-hand behaves identically.
+    ///
+    /// * A **dormant** node wakes — serving, not draining, periodic
+    ///   timers armed — exactly when the merge *newly* put it on the ring
+    ///   it routes under (`was_on_ring` is the ring before the merge).
+    ///   So a spare wakes for its join; the husk holding a crashed slot,
+    ///   whose genesis ring already names it, and a retired leaver handed
+    ///   a stale `Up` its `Removed` entry dominates are never woken by
+    ///   traffic.
+    /// * A serving node with a `Leaving`/`Removed` entry starts (or
+    ///   keeps) the drain.
+    /// * A serving node with an `Up`/`Joining` entry that beat a stale
+    ///   `Leaving` one is re-admitted in band: stop draining but keep the
+    ///   unacked transfer backlog. The retry machinery lets those batches
+    ///   finish on their own: on ack, keys this (re-admitted) node owns
+    ///   again are simply kept, while keys it holds without owning — e.g.
+    ///   residual copies queued for retirement before the leave — are
+    ///   still dropped, so no copy goes back to being unaccounted. Its
+    ///   periodic timers are armed if none run: a node rebuilt mid-run
+    ///   after a crash never saw `on_start`, and its re-admission (a fresh
+    ///   incarnation, so always a change) is what makes it gossip and
+    ///   anti-entropy again.
+    fn reconcile_self_status(&mut self, ctx: &mut impl NodeCtx<M>, was_on_ring: bool) {
+        let status = self.view.status(&self.replica);
         if !self.active {
-            return;
+            if was_on_ring || !status.is_some_and(MemberStatus::in_ring) {
+                return;
+            }
+            self.active = true;
+            self.membership.mark_up(&self.replica);
         }
-        match self.view.status(&self.replica) {
+        match status {
             Some(MemberStatus::Leaving | MemberStatus::Removed) => self.leaving = true,
-            Some(MemberStatus::Up | MemberStatus::Joining) => self.leaving = false,
+            Some(MemberStatus::Up | MemberStatus::Joining) => {
+                self.leaving = false;
+                let periodic =
+                    |k: &TimerKind| matches!(k, TimerKind::AntiEntropy | TimerKind::Gossip);
+                if !self.timers.values().any(periodic) {
+                    self.arm_periodic_timers(ctx);
+                }
+            }
             None => {}
         }
     }
@@ -1043,7 +1087,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         self.data.repartition(self.ring.token_points().collect());
         let members = self.view.members();
         self.membership.sync_members(&members);
-        self.reconcile_self_status();
+        self.reconcile_self_status(ctx, old_ring.nodes().contains(&self.replica));
         self.reaim_owed(&members);
         if self.active {
             self.queue_rebalance(&old_ring);
@@ -1108,19 +1152,80 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    /// Arms `req`'s timeout; the id goes into its [`Pending`] entry.
-    fn arm_request_timer(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) -> TimerId {
-        let t = ctx.set_timer(self.config.request_timeout);
-        self.timers.insert(t, TimerKind::Request(req));
-        t
+    /// The coordinator's one reply to a client: the sibling values and
+    /// context read off the quorum's state, or — `None` — the refusal a
+    /// request gets when no quorum could be assembled (no active replica
+    /// for the key, or the timeout fired first).
+    fn reply(
+        &mut self,
+        ctx: &mut impl NodeCtx<M>,
+        client: NodeId,
+        req: ReqId,
+        read: bool,
+        body: Option<(Vec<StampedValue>, M::Context)>,
+    ) {
+        let ok = body.is_some();
+        match (ok, read) {
+            (false, _) => self.stats.quorum_timeouts += 1,
+            (true, true) => self.stats.gets_ok += 1,
+            (true, false) => self.stats.puts_ok += 1,
+        }
+        let (values, read_ctx) = body.unwrap_or_default();
+        let msg = if read {
+            Msg::ClientGetResp {
+                req,
+                ok,
+                values,
+                ctx: read_ctx,
+            }
+        } else {
+            Msg::ClientPutResp {
+                req,
+                ok,
+                values,
+                ctx: read_ctx,
+            }
+        };
+        self.send(ctx, client, msg);
     }
 
-    /// Advisorily cancels the timeout timer of a request that retired
-    /// with every response in (the simulator still fires it into a
-    /// no-op; the threaded runtime unschedules it).
-    fn cancel_request_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: TimerId) {
-        self.timers.remove(&timer);
-        ctx.cancel_timer(timer);
+    /// What coordinating a read and a write start with: realign views
+    /// with the client, find the key's active replicas (refusing the
+    /// request when there are none), test ownership and arm the timeout.
+    /// Returns the active set, its sloppy-quorum substitutions, whether
+    /// this node is among it, and the timer — or `None` when the request
+    /// goes no further.
+    fn begin_request(
+        &mut self,
+        ctx: &mut impl NodeCtx<M>,
+        from: NodeId,
+        req: ReqId,
+        key: &[u8],
+        digest: u64,
+        read: bool,
+    ) -> Option<(Vec<ReplicaId>, Subs, bool, TimerId)> {
+        self.note_peer_digest(ctx, from, digest);
+        // a write is coordinated once per request id: a client's retry
+        // carries a fresh one and is a new write, so a repeat is the
+        // network's doing and must not mint again
+        if !read && !self.note_write_seen(req) {
+            return None;
+        }
+        let (active, subs) = self.active_replicas(key);
+        if active.is_empty() {
+            self.reply(ctx, from, req, read, None);
+            return None;
+        }
+        // The coordinator's own store participates only when it is an
+        // active replica of the key; a non-owner assembles the quorum
+        // purely from real owners.
+        let owner = active.contains(&self.replica);
+        if !owner {
+            self.stats.remote_coordinations += 1;
+        }
+        let timer = ctx.set_timer(self.config.request_timeout);
+        self.timers.insert(timer, TimerKind::Request(req));
+        Some((active, subs, owner, timer))
     }
 
     fn handle_client_get(
@@ -1131,52 +1236,31 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         key: Key,
         digest: u64,
     ) {
-        self.note_peer_digest(ctx, from, digest);
-        let (active, subs) = self.active_replicas(&key);
-        if active.is_empty() {
-            self.stats.quorum_timeouts += 1;
-            self.send(
-                ctx,
-                from,
-                Msg::ClientGetResp {
-                    req,
-                    ok: false,
-                    values: Vec::new(),
-                    ctx: M::Context::default(),
-                },
-            );
+        let Some((active, subs, owner, timer)) =
+            self.begin_request(ctx, from, req, &key, digest, true)
+        else {
             return;
-        }
-        let owner = active.contains(&self.replica);
-        // The coordinator's own store participates only when it is an
-        // active replica of the key; a non-owner assembles the quorum
-        // purely from real owners.
+        };
         let (acc, have, seen) = if owner {
             let local = self.data.get(&key).cloned().unwrap_or_default();
             let have = self.leaf_or_empty(&key);
             (local, have, vec![(self.replica, have)])
         } else {
-            self.stats.remote_coordinations += 1;
             let empty = M::State::default();
             let have = fingerprint(&empty);
             (empty, have, Vec::new())
         };
-        let timer = self.arm_request_timer(ctx, req);
-        self.pending.insert(
-            req,
-            Pending::Get {
-                key: key.clone(),
-                client: from,
-                timer,
-                acc,
-                have,
-                expected: active.len(),
-                replied: false,
-                owner,
-                seen,
-                subs,
-            },
-        );
+        let pending = Pending {
+            key: key.clone(),
+            client: from,
+            timer,
+            expected: active.len(),
+            replied: false,
+            owner,
+            seen,
+            op: Op::Get { acc, have, subs },
+        };
+        self.pending.insert(req, pending);
         for peer in &active {
             if *peer != self.replica {
                 self.send(
@@ -1190,94 +1274,105 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 );
             }
         }
-        self.try_complete_get(ctx, req);
+        self.try_complete(ctx, req);
     }
 
-    /// One replica's answer to a coordinated read: its full state
-    /// ([`Msg::RepGetResp`]), or `None` for [`Msg::RepGetSame`] — the
-    /// replica holds exactly the snapshot `acc` grew from, so there is
-    /// nothing to merge and its fingerprint is `have`. A replica counts
-    /// once toward R however often the network delivers its answer.
-    fn handle_replica_read(
+    /// One replica's answer to request `req`, with the state it carried:
+    /// a read's full state ([`Msg::RepGetResp`]) or `None` for
+    /// [`Msg::RepGetSame`] — the replica holds exactly the snapshot `acc`
+    /// grew from, so there is nothing to merge and its fingerprint is
+    /// `have`; a write's ack ([`Msg::RepPutAck`], `None`) or the delegated
+    /// owner's post-write state ([`Msg::RepWriteResp`]), which releases
+    /// the deferred fan-out. A replica counts once toward R or W however
+    /// often the network delivers its answer, and an answer to a request
+    /// that already retired counts for nothing.
+    fn vote(
         &mut self,
         ctx: &mut impl NodeCtx<M>,
         from: NodeId,
         req: ReqId,
-        state: Option<&M::State>,
+        state: Option<M::State>,
     ) {
-        let Some(Pending::Get {
-            acc, have, seen, ..
-        }) = self.pending.get_mut(&req)
-        else {
+        let Some(p) = self.pending.get_mut(&req) else {
             return;
         };
         let replica = ReplicaId(from.0);
-        if seen.iter().any(|(r, _)| *r == replica) {
+        if p.seen.iter().any(|(r, _)| *r == replica) {
             return;
         }
-        let fp = match state {
-            Some(state) => {
-                self.mech.merge(acc, state);
-                fingerprint(state)
+        let mut fan: Vec<(ReplicaId, Msg<M>)> = Vec::new();
+        let fp = match (&mut p.op, state) {
+            (Op::Get { acc, .. }, Some(state)) => {
+                self.mech.merge(acc, &state);
+                fingerprint(&state)
             }
-            None => *have,
+            (Op::Get { have, .. }, None) => *have,
+            (
+                Op::Put {
+                    state: held,
+                    fanout,
+                },
+                Some(state),
+            ) => {
+                for (peer, hint) in fanout.drain(..) {
+                    let put = Msg::RepPut {
+                        req,
+                        key: p.key.clone(),
+                        state: state.clone(),
+                        hint,
+                    };
+                    fan.push((peer, put));
+                }
+                *held = state;
+                0
+            }
+            (Op::Put { .. }, None) => 0,
         };
-        seen.push((replica, fp));
-        self.try_complete_get(ctx, req);
+        p.seen.push((replica, fp));
+        for (peer, put) in fan {
+            self.send(ctx, NodeId(peer.0), put);
+        }
+        self.try_complete(ctx, req);
     }
 
-    fn try_complete_get(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
-        // phase 1: reply to the client as soon as R responses are in
-        let mut reply: Option<(NodeId, Vec<StampedValue>, M::Context)> = None;
-        if let Some(Pending::Get {
-            client,
-            acc,
-            seen,
-            expected,
-            replied,
-            ..
-        }) = self.pending.get_mut(&req)
-        {
-            if !*replied && seen.len() >= self.config.r.min(*expected) {
-                *replied = true;
-                let (values, read_ctx) = self.mech.read(acc);
-                reply = Some((*client, values, read_ctx));
-            }
-        }
-        if let Some((client, values, read_ctx)) = reply {
-            self.stats.gets_ok += 1;
-            self.send(
-                ctx,
-                client,
-                Msg::ClientGetResp {
-                    req,
-                    ok: true,
-                    values,
-                    ctx: read_ctx,
-                },
-            );
-        }
-        // phase 2: once every replica answered, retire and read-repair
-        let done = matches!(
-            self.pending.get(&req),
-            Some(Pending::Get { seen, expected, replied, .. })
-                if seen.len() >= *expected && *replied
-        );
-        if done {
-            let Some(Pending::Get {
-                key,
-                timer,
-                acc,
-                seen,
-                owner,
-                subs,
-                ..
-            }) = self.pending.remove(&req)
-            else {
-                return;
+    /// The one completion rule. Phase 1: reply to the client as soon as
+    /// a quorum of distinct replicas — R for a read, W for a write, at
+    /// most every active one — has answered. Phase 2: once every active
+    /// replica answered, retire the request, cancel its timer and, for a
+    /// read, repair the replicas that returned something else.
+    fn try_complete(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
+        let Some(p) = self.pending.get_mut(&req) else {
+            return;
+        };
+        let read = matches!(p.op, Op::Get { .. });
+        let quorum = if read { self.config.r } else { self.config.w };
+        let mut body = None;
+        if !p.replied && p.seen.len() >= quorum.min(p.expected) {
+            p.replied = true;
+            let empty = M::State::default();
+            let state = match &p.op {
+                Op::Get { acc, .. } => acc,
+                // return_body: an owner reads its own (freshest) state; a
+                // remote coordinator reads the state the delegated owner
+                // returned.
+                Op::Put { .. } if p.owner => self.data.get(&p.key).unwrap_or(&empty),
+                Op::Put { state, .. } => state,
             };
-            self.cancel_request_timer(ctx, timer);
-            self.finish_read_repair(ctx, &key, acc, &seen, owner, &subs);
+            body = Some(self.mech.read(state));
+        }
+        let (client, all_in) = (p.client, p.replied && p.seen.len() >= p.expected);
+        if body.is_some() {
+            self.reply(ctx, client, req, read, body);
+        }
+        if all_in {
+            let p = self.pending.remove(&req).expect("just looked up");
+            // an advisory cancel: the simulator still fires the timer
+            // into a no-op, the threaded runtime unschedules it
+            self.timers.remove(&p.timer);
+            ctx.cancel_timer(p.timer);
+            if let Op::Get { acc, subs, .. } = p.op {
+                self.finish_read_repair(ctx, &p.key, acc, &p.seen, p.owner, &subs);
+            }
         }
     }
 
@@ -1290,11 +1385,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         owner: bool,
         subs: &[(ReplicaId, ReplicaId)],
     ) {
-        let hint_for = |peer: &ReplicaId| {
-            subs.iter()
-                .find(|(_, fallback)| fallback == peer)
-                .map(|(intended, _)| *intended)
-        };
         // An owner folds the merged state into its own store first; a
         // non-owner coordinator must not keep any state for the key.
         let canonical = if owner {
@@ -1305,7 +1395,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 .clone();
             // the coordinator itself may be a sloppy fallback for a down
             // owner: track that copy like any other hinted state
-            self.note_copy_held(key, hint_for(&self.replica));
+            self.note_copy_held(key, hint_for(subs, self.replica));
             folded
         } else {
             merged
@@ -1324,7 +1414,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                         class: MsgClass::Replication,
                         id: None,
                         entries: vec![(key.to_vec(), canonical.clone())],
-                        hint: hint_for(peer),
+                        hint: hint_for(subs, *peer),
                     },
                 );
             }
@@ -1342,57 +1432,20 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         put_ctx: M::Context,
         digest: u64,
     ) {
-        self.note_peer_digest(ctx, from, digest);
-        if !self.note_write_seen(req) {
+        let Some((active, subs, owner, timer)) =
+            self.begin_request(ctx, from, req, &key, digest, false)
+        else {
             return;
-        }
-        let (active, substitutions) = self.active_replicas(&key);
-        if active.is_empty() {
-            self.stats.quorum_timeouts += 1;
-            self.send(
-                ctx,
-                from,
-                Msg::ClientPutResp {
-                    req,
-                    ok: false,
-                    values: Vec::new(),
-                    ctx: M::Context::default(),
-                },
-            );
-            return;
-        }
-        let owner = active.contains(&self.replica);
-        let expected = active.len();
-        let timer = self.arm_request_timer(ctx, req);
-        let hint_for = |peer: &ReplicaId| {
-            substitutions
-                .iter()
-                .find(|(_, fallback)| fallback == peer)
-                .map(|(intended, _)| *intended)
         };
+        let (mut seen, mut fanout) = (Vec::new(), Vec::new());
         if owner {
             let client = ClientId(value.id.client.0);
             let origin = WriteOrigin::new(self.replica, client);
             let state = self.mint_write(&key, origin, &put_ctx, value);
             // a coordinator standing in for a down owner holds its copy
             // under a hint obligation, like any other fallback
-            self.note_copy_held(&key, hint_for(&self.replica));
-            self.pending.insert(
-                req,
-                Pending::Put {
-                    key: key.clone(),
-                    client: from,
-                    timer,
-                    acked: vec![self.replica],
-                    expected,
-                    replied: false,
-                    owner: true,
-                    // owners re-read their own store at completion; only
-                    // remote coordination needs the state carried here
-                    state: M::State::default(),
-                    fanout: Vec::new(),
-                },
-            );
+            self.note_copy_held(&key, hint_for(&subs, self.replica));
+            seen.push((self.replica, 0));
             for peer in &active {
                 if *peer == self.replica {
                     continue;
@@ -1404,7 +1457,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                         req,
                         key: key.clone(),
                         state: state.clone(),
-                        hint: hint_for(peer),
+                        hint: hint_for(&subs, *peer),
                     },
                 );
             }
@@ -1412,152 +1465,49 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             // Not an owner: the dot must be minted from an owner's
             // counter, so delegate the write to the first active owner
             // and fan its post-write state out to the rest once known.
-            self.stats.remote_coordinations += 1;
             let writer = active[0];
-            let fanout: Vec<(ReplicaId, Option<ReplicaId>)> = active[1..]
-                .iter()
-                .map(|peer| (*peer, hint_for(peer)))
-                .collect();
-            self.pending.insert(
-                req,
-                Pending::Put {
-                    key: key.clone(),
-                    client: from,
-                    timer,
-                    acked: Vec::new(),
-                    expected,
-                    replied: false,
-                    owner: false,
-                    state: M::State::default(),
-                    fanout,
-                },
-            );
+            let rest = active[1..].iter();
+            fanout = rest.map(|peer| (*peer, hint_for(&subs, *peer))).collect();
             self.send(
                 ctx,
                 NodeId(writer.0),
                 Msg::RepWrite {
                     req,
-                    key,
+                    key: key.clone(),
                     value,
                     ctx: put_ctx,
-                    hint: hint_for(&writer),
+                    hint: hint_for(&subs, writer),
                 },
             );
         }
-        self.try_complete_put(ctx, req);
-    }
-
-    fn try_complete_put(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
-        let Some(Pending::Put {
+        let pending = Pending {
             key,
-            client,
-            acked,
-            expected,
-            replied,
+            client: from,
+            timer,
+            expected: active.len(),
+            replied: false,
             owner,
-            state,
-            ..
-        }) = self.pending.get_mut(&req)
-        else {
-            return;
+            seen,
+            op: Op::Put {
+                state: M::State::default(),
+                fanout,
+            },
         };
-        if !*replied && acked.len() >= self.config.w.min(*expected) {
-            *replied = true;
-            let key = key.clone();
-            let client = *client;
-            // return_body: an owner reads its own (freshest) state; a
-            // remote coordinator reads the state the delegated owner
-            // returned.
-            let state = if *owner {
-                self.data.get(&key).cloned().unwrap_or_default()
-            } else {
-                state.clone()
-            };
-            let (values, read_ctx) = self.mech.read(&state);
-            self.stats.puts_ok += 1;
-            self.send(
-                ctx,
-                client,
-                Msg::ClientPutResp {
-                    req,
-                    ok: true,
-                    values,
-                    ctx: read_ctx,
-                },
-            );
-        }
-        let retire = matches!(
-            self.pending.get(&req),
-            Some(Pending::Put { acked, expected, replied, .. })
-                if acked.len() >= *expected && *replied
-        );
-        if retire {
-            if let Some(Pending::Put { timer, .. }) = self.pending.remove(&req) {
-                self.cancel_request_timer(ctx, timer);
-            }
-        }
+        self.pending.insert(req, pending);
+        self.try_complete(ctx, req);
     }
 
+    /// The request's timer fired before every active replica answered:
+    /// refuse it if the quorum never formed; otherwise the reply is long
+    /// sent, and a read still repairs with what arrived.
     fn handle_request_timeout(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
-        let Some(p) = self.pending.get(&req) else {
+        let Some(p) = self.pending.remove(&req) else {
             return;
         };
-        match p {
-            Pending::Get {
-                client,
-                replied,
-                key,
-                acc,
-                seen,
-                owner,
-                subs,
-                ..
-            } => {
-                let client = *client;
-                let replied = *replied;
-                let key = key.clone();
-                let merged = acc.clone();
-                let seen = seen.clone();
-                let owner = *owner;
-                let subs = subs.clone();
-                self.pending.remove(&req);
-                if replied {
-                    // reply already sent; late repair with what arrived
-                    self.finish_read_repair(ctx, &key, merged, &seen, owner, &subs);
-                } else {
-                    self.stats.quorum_timeouts += 1;
-                    self.send(
-                        ctx,
-                        client,
-                        Msg::ClientGetResp {
-                            req,
-                            ok: false,
-                            values: Vec::new(),
-                            ctx: M::Context::default(),
-                        },
-                    );
-                }
-            }
-            Pending::Put {
-                client, replied, ..
-            } => {
-                let client = *client;
-                let replied = *replied;
-                self.pending.remove(&req);
-                if !replied {
-                    self.stats.quorum_timeouts += 1;
-                    self.send(
-                        ctx,
-                        client,
-                        Msg::ClientPutResp {
-                            req,
-                            ok: false,
-                            values: Vec::new(),
-                            ctx: M::Context::default(),
-                        },
-                    );
-                }
-            }
+        if !p.replied {
+            self.reply(ctx, p.client, req, matches!(p.op, Op::Get { .. }), None);
+        } else if let Op::Get { acc, subs, .. } = p.op {
+            self.finish_read_repair(ctx, &p.key, acc, &p.seen, p.owner, &subs);
         }
     }
 
@@ -1718,93 +1668,42 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     // --- elastic membership ------------------------------------------------
 
     fn arm_periodic_timers(&mut self, ctx: &mut impl NodeCtx<M>) {
-        if self.config.anti_entropy_interval > simnet::Duration::ZERO {
-            // stagger first AAE by replica id to avoid thundering herd
-            let first = simnet::Duration::from_micros(
-                self.config.anti_entropy_interval.as_micros() + u64::from(self.replica.0) * 1_000,
-            );
-            let t = ctx.set_timer(first);
-            self.timers.insert(t, TimerKind::AntiEntropy);
+        // first fires are staggered by replica id — no thundering herd —
+        // and the two by different steps, so the fleet's digests do not
+        // phase-lock with its anti-entropy rounds
+        let periodic = [
+            (
+                self.config.anti_entropy_interval,
+                1_000,
+                TimerKind::AntiEntropy,
+            ),
+            (self.config.gossip_interval, 700, TimerKind::Gossip),
+        ];
+        for (interval, stagger, kind) in periodic {
+            if interval > simnet::Duration::ZERO {
+                let first = interval.as_micros() + u64::from(self.replica.0) * stagger;
+                let t = ctx.set_timer(simnet::Duration::from_micros(first));
+                self.timers.insert(t, kind);
+            }
         }
-        if self.config.gossip_interval > simnet::Duration::ZERO {
-            // stagger like AAE so the fleet's digests do not phase-lock
-            let first = simnet::Duration::from_micros(
-                self.config.gossip_interval.as_micros() + u64::from(self.replica.0) * 700,
-            );
-            let t = ctx.set_timer(first);
-            self.timers.insert(t, TimerKind::Gossip);
-        }
-    }
-
-    /// Arms the periodic timers only if none are running — the rejoin
-    /// path of a crash-recovered node, which was built mid-run and got
-    /// no `on_start`.
-    fn ensure_periodic_timers(&mut self, ctx: &mut impl NodeCtx<M>) {
-        let periodic = |k: &TimerKind| matches!(k, TimerKind::AntiEntropy | TimerKind::Gossip);
-        if !self.timers.values().any(periodic) {
-            self.arm_periodic_timers(ctx);
-        }
-    }
-
-    /// Applies a control-plane membership announcement. Only the
-    /// *subject* of the change receives one; every other process learns
-    /// the view transitively through gossip. Lifecycle effects — start
-    /// draining on a leave, stop on a re-admission — fall out of
-    /// [`Self::merge_view`]'s self-status reconciliation, so a node that
-    /// learns about its *own* change transitively behaves identically.
-    fn handle_announce(
-        &mut self,
-        ctx: &mut impl NodeCtx<M>,
-        view: RingView<ReplicaId>,
-        who: ReplicaId,
-        joining: bool,
-    ) {
-        let wakes = joining
-            && who == self.replica
-            && !self.active
-            && view
-                .status(&self.replica)
-                .is_some_and(MemberStatus::in_ring);
-        if !(self.active || wakes) {
-            return; // dormant spares only wake for their own join
-        }
-        if wakes {
-            self.active = true;
-            self.leaving = false;
-            self.membership.mark_up(&self.replica);
-            self.merge_view(ctx, &view);
-            self.arm_periodic_timers(ctx);
-            return;
-        }
-        self.merge_view(ctx, &view);
     }
 
     /// Entry point: dispatches one message.
     pub fn on_message(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, msg: Msg<M>) {
         if !self.active {
             // A dormant node serves no data, but it stays a good ring
-            // citizen: it wakes for its own join, passively merges views,
-            // and answers digest mismatches (e.g. clients still routing
-            // to a retired leaver) with its own view.
+            // citizen: it merges views — waking when one newly places it
+            // on the ring ([`Self::reconcile_self_status`]) — and answers
+            // digest mismatches (e.g. clients still routing to a retired
+            // leaver) with its own view.
             match msg {
-                Msg::JoinAnnounce { view, who, joining } => {
-                    self.handle_announce(ctx, view, who, joining);
-                }
-                Msg::RingEpoch { view } => {
-                    self.handle_ring_epoch(ctx, from, &view);
-                }
-                Msg::RingSummary { entries } => {
-                    self.handle_ring_summary(ctx, from, &entries);
-                }
-                Msg::RingDelta { entries, want } => {
-                    self.handle_ring_delta(ctx, from, &entries, &want);
-                }
-                Msg::GossipDigest { digest }
-                | Msg::AaeRoot { digest, .. }
+                Msg::RingEpoch { .. }
+                | Msg::RingSummary { .. }
+                | Msg::RingDelta { .. }
+                | Msg::GossipDigest { .. } => self.handle(ctx, from, msg),
+                Msg::AaeRoot { digest, .. }
                 | Msg::ClientGet { digest, .. }
-                | Msg::ClientPut { digest, .. } => {
-                    self.note_peer_digest(ctx, from, digest);
-                }
+                | Msg::ClientPut { digest, .. } => self.note_peer_digest(ctx, from, digest),
                 _ => {}
             }
             return;
@@ -1835,10 +1734,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 let state = self.data.get(&key).cloned().unwrap_or_default();
                 self.send(ctx, from, Msg::RepGetResp { req, key, state });
             }
-            Msg::RepGetResp { req, key: _, state } => {
-                self.handle_replica_read(ctx, from, req, Some(&state));
+            Msg::RepGetResp { req, state, .. } | Msg::RepWriteResp { req, state, .. } => {
+                self.vote(ctx, from, req, Some(state));
             }
-            Msg::RepGetSame { req } => self.handle_replica_read(ctx, from, req, None),
+            Msg::RepGetSame { req } | Msg::RepPutAck { req } => self.vote(ctx, from, req, None),
             Msg::RepPut {
                 req,
                 key,
@@ -1847,15 +1746,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             } => {
                 self.absorb(vec![(key, state)], hint);
                 self.send(ctx, from, Msg::RepPutAck { req });
-            }
-            Msg::RepPutAck { req } => {
-                if let Some(Pending::Put { acked, .. }) = self.pending.get_mut(&req) {
-                    let replica = ReplicaId(from.0);
-                    if !acked.contains(&replica) {
-                        acked.push(replica);
-                        self.try_complete_put(ctx, req);
-                    }
-                }
             }
             Msg::RepWrite {
                 req,
@@ -1876,40 +1766,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 let state = self.mint_write(&key, origin, &put_ctx, value);
                 self.note_copy_held(&key, hint);
                 self.send(ctx, from, Msg::RepWriteResp { req, key, state });
-            }
-            Msg::RepWriteResp { req, key: _, state } => {
-                let mut sends: Vec<(ReplicaId, Option<ReplicaId>)> = Vec::new();
-                let mut fan_key: Key = Vec::new();
-                if let Some(Pending::Put {
-                    key,
-                    acked,
-                    state: pstate,
-                    fanout,
-                    ..
-                }) = self.pending.get_mut(&req)
-                {
-                    let writer = ReplicaId(from.0);
-                    if acked.contains(&writer) {
-                        return; // the delegated write's answer, delivered twice
-                    }
-                    acked.push(writer);
-                    *pstate = state.clone();
-                    fan_key.clone_from(key);
-                    sends.append(fanout);
-                }
-                for (peer, hint) in sends {
-                    self.send(
-                        ctx,
-                        NodeId(peer.0),
-                        Msg::RepPut {
-                            req,
-                            key: fan_key.clone(),
-                            state: state.clone(),
-                            hint,
-                        },
-                    );
-                }
-                self.try_complete_put(ctx, req);
             }
             Msg::Push {
                 class,
@@ -2093,27 +1949,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 };
                 self.send(ctx, from, push);
             }
-            Msg::JoinAnnounce { view, who, joining } => {
-                self.handle_announce(ctx, view, who, joining)
-            }
             Msg::RingEpoch { view } => {
                 self.handle_ring_epoch(ctx, from, &view);
-            }
-            Msg::Rejoin { view } => {
-                // In-band re-admission of this node: the carried view
-                // holds a fresh `Up` incarnation for us that beats the
-                // stale `Leaving` entry; merge_view cancels the drain
-                // (keeping the unacked transfer backlog) and re-plans
-                // ownership, and gossip spreads the re-admission from
-                // here — no harness view synchronisation.
-                self.membership.mark_up(&self.replica);
-                self.merge_view(ctx, &view);
-                // A node that (re)booted mid-run — crash recovery —
-                // never saw `on_start`: arm its periodic timers here so
-                // the recovered replica gossips and anti-entropies
-                // again. Idempotent: a live node re-admitted after a
-                // timed-out drain already has them.
-                self.ensure_periodic_timers(ctx);
             }
             Msg::RingSummary { entries } => {
                 self.handle_ring_summary(ctx, from, &entries);

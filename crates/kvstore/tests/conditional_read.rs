@@ -1,7 +1,8 @@
-//! The conditional replica read (`RepGetIf` / `RepGetSame`), handler by
-//! handler: single `StoreNode`s driven through a scripted [`NodeCtx`]
-//! that records what they send — no simulator, no fleet, every message
-//! delivered by hand in the order the test wants.
+//! The conditional replica read (`RepGetIf` / `RepGetSame`) and the one
+//! completion rule reads and writes share, handler by handler: single
+//! `StoreNode`s driven through a scripted [`NodeCtx`] that records what
+//! they send — no simulator, no fleet, every message delivered (and every
+//! timer fired) by hand in the order the test wants.
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
@@ -21,12 +22,14 @@ type Ctx = <M as Mechanism<StampedValue>>::Context;
 const CLIENT: NodeId = NodeId(9);
 const REQ: u64 = 77;
 
-/// Records sends and hands out timer ids; delivers nothing.
+/// Records sends, timer arms (the `i`-th armed is `TimerId` `i + 1`) and
+/// timer cancels; delivers and fires nothing.
 struct Script {
     id: NodeId,
     rng: SimRng,
     sent: Vec<(NodeId, Msg<M>)>,
-    timers: u64,
+    armed: Vec<Duration>,
+    cancelled: Vec<TimerId>,
 }
 
 impl NodeCtx<M> for Script {
@@ -46,12 +49,14 @@ impl NodeCtx<M> for Script {
         self.sent.push((to, msg));
     }
 
-    fn set_timer(&mut self, _delay: Duration) -> TimerId {
-        self.timers += 1;
-        TimerId::from_raw(self.timers)
+    fn set_timer(&mut self, delay: Duration) -> TimerId {
+        self.armed.push(delay);
+        TimerId::from_raw(self.armed.len() as u64)
     }
 
-    fn cancel_timer(&mut self, _timer: TimerId) {}
+    fn cancel_timer(&mut self, timer: TimerId) {
+        self.cancelled.push(timer);
+    }
 }
 
 /// One server of a four-member ring (N=3, R=W=2) and its script.
@@ -72,7 +77,8 @@ impl Server {
                 id: NodeId(replica.0),
                 rng: SimRng::new(u64::from(replica.0)),
                 sent: Vec::new(),
-                timers: 0,
+                armed: Vec::new(),
+                cancelled: Vec::new(),
             },
         }
     }
@@ -91,6 +97,21 @@ impl Server {
     fn deliver(&mut self, from: NodeId, msg: Msg<M>) -> Vec<(NodeId, Msg<M>)> {
         self.node.on_message(&mut self.ctx, from, msg);
         std::mem::take(&mut self.ctx.sent)
+    }
+
+    /// Fires `timer` and returns what the node sent while handling it.
+    fn fire(&mut self, timer: TimerId) -> Vec<(NodeId, Msg<M>)> {
+        self.node.on_timer(&mut self.ctx, timer);
+        std::mem::take(&mut self.ctx.sent)
+    }
+
+    /// The one request timeout this node has armed.
+    fn request_timer(&self) -> TimerId {
+        let timeout = StoreConfig::default().request_timeout;
+        let mut armed = self.ctx.armed.iter().zip(1u64..);
+        let (_, id) = armed.find(|(d, _)| **d == timeout).expect("armed");
+        assert!(armed.all(|(d, _)| *d != timeout), "one request, one timer");
+        TimerId::from_raw(id)
     }
 
     /// Starts coordinating a GET of `key` for [`CLIENT`].
@@ -422,4 +443,241 @@ fn same_for_a_retired_or_unknown_request_is_ignored() {
     assert!(coord.deliver(NodeId(b.0), same(REQ + 1)).is_empty());
     assert_eq!(coord.node.stats(), before);
     assert_eq!(coord.stored(&key), state);
+}
+
+/// One coordinated request as the completion rule sees it: what the
+/// client sent, and the answers of the replicas asked, in delivery order.
+struct Row {
+    name: &'static str,
+    coord: Server,
+    start: Msg<M>,
+    /// How many of the W or R = 2 responses are the coordinator's own.
+    own: usize,
+    answers: Vec<(NodeId, Msg<M>)>,
+    /// What handling the first answer sends besides any client reply.
+    on_first_answer: Vec<(NodeId, Msg<M>)>,
+    /// Payload of the one value the `ok` reply must carry.
+    replied: &'static [u8],
+    /// What the request leaves in the coordinator's store.
+    stored: State,
+    /// Read repairs once every answer is in, and once the timeout fires
+    /// with only the quorum's answers in.
+    repairs: [Vec<NodeId>; 2],
+}
+
+/// `{GET, PUT}` x `{an owner coordinates, an outsider does}`. The
+/// outsider's PUT is the delegated write: `RepWrite` to the first owner,
+/// whose `RepWriteResp` is both its vote and the state to fan out.
+fn rows() -> Vec<Row> {
+    let (key, [a, b, c], outsider) = placement();
+    let (old, new) = old_and_new(a);
+    let put_state = written(&State::default(), a, 1, b"put");
+    let [na, nb, nc] = [a, b, c].map(|r| NodeId(r.0));
+    let digest = Server::new(a).node.view_digest();
+    let get = || Msg::ClientGet {
+        req: REQ,
+        key: key.clone(),
+        digest,
+    };
+    let put = || Msg::ClientPut {
+        req: REQ,
+        key: key.clone(),
+        value: StampedValue::new(WriteId::new(ClientId(5), 1), b"put".to_vec()),
+        ctx: Ctx::default(),
+        digest,
+    };
+    let ack = || Msg::RepPutAck { req: REQ };
+    let fan_out = |to: NodeId| {
+        let put = Msg::RepPut {
+            req: REQ,
+            key: key.clone(),
+            state: put_state.clone(),
+            hint: None,
+        };
+        (to, put)
+    };
+    vec![
+        Row {
+            name: "GET, owner",
+            coord: Server::holding(a, &key, &old),
+            start: get(),
+            own: 1,
+            answers: vec![(nb, full(&key, &new)), (nc, same(REQ))],
+            on_first_answer: Vec::new(),
+            replied: b"new",
+            stored: new.clone(),
+            repairs: [vec![nc], Vec::new()],
+        },
+        Row {
+            name: "GET, outsider",
+            coord: Server::new(outsider),
+            start: get(),
+            own: 0,
+            answers: vec![
+                (na, full(&key, &old)),
+                (nb, full(&key, &new)),
+                (nc, same(REQ)),
+            ],
+            on_first_answer: Vec::new(),
+            replied: b"new",
+            stored: State::default(),
+            repairs: [vec![na, nc], vec![na]],
+        },
+        Row {
+            name: "PUT, owner",
+            coord: Server::new(a),
+            start: put(),
+            own: 1,
+            answers: vec![(nb, ack()), (nc, ack())],
+            on_first_answer: Vec::new(),
+            replied: b"put",
+            stored: put_state.clone(),
+            repairs: [Vec::new(), Vec::new()],
+        },
+        Row {
+            name: "PUT, outsider",
+            coord: Server::new(outsider),
+            start: put(),
+            own: 0,
+            answers: vec![
+                (
+                    na,
+                    Msg::RepWriteResp {
+                        req: REQ,
+                        key: key.clone(),
+                        state: put_state.clone(),
+                    },
+                ),
+                (nb, ack()),
+                (nc, ack()),
+            ],
+            on_first_answer: vec![fan_out(nb), fan_out(nc)],
+            replied: b"put",
+            stored: State::default(),
+            repairs: [Vec::new(), Vec::new()],
+        },
+    ]
+}
+
+/// Splits `sent` into the client's replies — `(ok, payloads)`, each of
+/// the variant that answers `start` — and everything else.
+#[allow(clippy::type_complexity)]
+fn split_replies(
+    start: &Msg<M>,
+    sent: Vec<(NodeId, Msg<M>)>,
+) -> (Vec<(bool, Vec<Vec<u8>>)>, Vec<(NodeId, Msg<M>)>) {
+    let (mut replies, mut rest) = (Vec::new(), Vec::new());
+    for (to, msg) in sent {
+        let (ok, values) = match (start, msg) {
+            (Msg::ClientGet { .. }, Msg::ClientGetResp { ok, values, .. })
+            | (Msg::ClientPut { .. }, Msg::ClientPutResp { ok, values, .. }) => (ok, values),
+            (_, other) => {
+                rest.push((to, other));
+                continue;
+            }
+        };
+        assert_eq!(to, CLIENT);
+        replies.push((ok, values.into_iter().map(|v| v.payload).collect()));
+    }
+    (replies, rest)
+}
+
+/// `sent`, comparably (a `Msg` has no `PartialEq`).
+fn render(sent: &[(NodeId, Msg<M>)]) -> Vec<String> {
+    sent.iter().map(|m| format!("{m:?}")).collect()
+}
+
+/// Reads and writes complete by one rule: gather answers from the key's
+/// active replicas until R or W *distinct* ones are in, reply, retire
+/// when all are — or when the timer fires first.
+#[test]
+fn one_completion_rule_for_both_ops() {
+    let (key, [a, _, _], _) = placement();
+    let (_, new) = old_and_new(a);
+    let completions = |row: &Row| {
+        let stats = row.coord.node.stats();
+        (stats.gets_ok + stats.puts_ok, stats.quorum_timeouts)
+    };
+
+    // Every replica answers, and the network delivers each answer twice.
+    for mut row in rows() {
+        let name = row.name;
+        let quorum_at = 2 - row.own;
+        let all_at = row.answers.len();
+        row.coord.deliver(CLIENT, row.start.clone());
+        let timer = row.coord.request_timer();
+        for (i, (from, answer)) in row.answers.iter().enumerate() {
+            let sent = row.coord.deliver(*from, answer.clone());
+            let (replies, rest) = split_replies(&row.start, sent);
+            if i + 1 == quorum_at {
+                let reply = (true, vec![row.replied.to_vec()]);
+                assert_eq!(replies, [reply], "{name}: the reply leaves at the quorum");
+            } else {
+                assert!(replies.is_empty(), "{name}: answer {i} is no quorum");
+            }
+            if i + 1 == all_at {
+                assert_eq!(repaired(&rest, &key, &new), row.repairs[0], "{name}");
+                assert_eq!(row.coord.ctx.cancelled, [timer], "{name}: retired");
+            } else {
+                let expect: &[_] = if i == 0 { &row.on_first_answer } else { &[] };
+                assert_eq!(render(&rest), render(expect), "{name}: answer {i}");
+                assert!(row.coord.ctx.cancelled.is_empty(), "{name}: in flight");
+            }
+            let again = row.coord.deliver(*from, answer.clone());
+            assert!(again.is_empty(), "{name}: a replica counts once");
+        }
+        // retired: further answers and the timer's late fire are ignored
+        let before = row.coord.node.stats();
+        for (from, answer) in &row.answers {
+            assert!(row.coord.deliver(*from, answer.clone()).is_empty());
+        }
+        assert!(row.coord.fire(timer).is_empty(), "{name}");
+        assert_eq!(row.coord.node.stats(), before, "{name}");
+        assert_eq!(completions(&row), (1, 0), "{name}");
+        assert_eq!(before.read_repairs, row.repairs[0].len() as u64, "{name}");
+        assert_eq!(row.coord.stored(&key), row.stored, "{name}");
+    }
+
+    // The timer fires one answer short of the quorum.
+    for mut row in rows() {
+        let name = row.name;
+        row.coord.deliver(CLIENT, row.start.clone());
+        let timer = row.coord.request_timer();
+        for (from, answer) in &row.answers[..1 - row.own] {
+            for _ in 0..2 {
+                let sent = row.coord.deliver(*from, answer.clone());
+                assert!(split_replies(&row.start, sent).0.is_empty(), "{name}");
+            }
+        }
+        let (replies, rest) = split_replies(&row.start, row.coord.fire(timer));
+        assert_eq!(replies, [(false, Vec::new())], "{name}: one refusal");
+        assert!(
+            rest.is_empty(),
+            "{name}: an unanswered read repairs nothing"
+        );
+        for (from, answer) in &row.answers {
+            assert!(row.coord.deliver(*from, answer.clone()).is_empty());
+        }
+        assert!(row.coord.fire(timer).is_empty(), "{name}");
+        assert_eq!(completions(&row), (0, 1), "{name}");
+    }
+
+    // The timer fires after the reply, before the last answer.
+    for mut row in rows() {
+        let name = row.name;
+        row.coord.deliver(CLIENT, row.start.clone());
+        let timer = row.coord.request_timer();
+        for (from, answer) in &row.answers[..2 - row.own] {
+            row.coord.deliver(*from, answer.clone());
+        }
+        assert_eq!(completions(&row), (1, 0), "{name}");
+        let (replies, rest) = split_replies(&row.start, row.coord.fire(timer));
+        assert!(replies.is_empty(), "{name}: the client has its reply");
+        assert_eq!(repaired(&rest, &key, &new), row.repairs[1], "{name}");
+        for (from, answer) in &row.answers {
+            assert!(row.coord.deliver(*from, answer.clone()).is_empty());
+        }
+        assert_eq!(completions(&row), (1, 0), "{name}");
+        assert_eq!(row.coord.stored(&key), row.stored, "{name}");
+    }
 }

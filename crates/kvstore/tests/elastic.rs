@@ -385,7 +385,7 @@ fn live_leave_drains_ranges_without_losing_acked_writes() {
 fn failed_drain_readmits_the_leaver_in_band_under_a_fresh_incarnation() {
     // Isolate the leaver so its drain can never be acknowledged: the
     // removal must fail and re-admit the node *in band* — a fresh `Up`
-    // incarnation carried by a `Rejoin` message, not a harness-forced
+    // incarnation carried by a posted `RingEpoch`, not a harness-forced
     // view sync — keeping its data. While the partition stands, the
     // surviving members still hold the `Leaving` entry; after the heal,
     // gossip alone must merge the re-admission everywhere.
@@ -424,7 +424,7 @@ fn failed_drain_readmits_the_leaver_in_band_under_a_fresh_incarnation() {
     assert_eq!(
         c.server(0).view_digest(),
         c.view_digest(),
-        "the Rejoin carried the canonical view to the subject"
+        "the re-admission carried the canonical view to the subject"
     );
     assert!(
         c.member_slots()

@@ -20,10 +20,10 @@
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
-use kvstore::cluster::{Cluster, ClusterConfig, StoreProc};
+use kvstore::cluster::{Cluster, ClusterConfig, NodeKit, StoreProc};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::messages::{Msg, MsgClass};
-use kvstore::node::StoreNode;
+use kvstore::node::{NodeStats, StoreNode};
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::{HashRing, MemberStatus, RingView};
 use simnet::{
@@ -353,14 +353,7 @@ fn transfer_stats_count_sends_and_dedupe_duplicate_receipts() {
     sim.network_mut().block_link(NodeId(1), NodeId(0));
     let mut leave = view;
     leave.bump(&ReplicaId(0), MemberStatus::Leaving);
-    sim.post(
-        NodeId(0),
-        Msg::JoinAnnounce {
-            view: leave,
-            who: ReplicaId(0),
-            joining: false,
-        },
-    );
+    sim.post(NodeId(0), Msg::RingEpoch { view: leave });
     sim.run_until(simnet::SimTime::ZERO + Duration::from_millis(200));
 
     let (out_mid, in_mid) = match (sim.process(0), sim.process(1)) {
@@ -585,11 +578,7 @@ fn one_settle_rule_for_both_classes() {
             }
             let mut leave = view.clone();
             leave.bump(&ReplicaId(1), MemberStatus::Leaving);
-            let announce = Msg::JoinAnnounce {
-                view: leave,
-                who: ReplicaId(1),
-                joining: false,
-            };
+            let announce = Msg::RingEpoch { view: leave };
             sim.post(donor, announce);
         } else {
             let put = Msg::RepPut {
@@ -698,14 +687,7 @@ fn an_ack_counts_only_from_the_target_of_its_push() {
     sim.network_mut().block_link(NodeId(0), NodeId(1));
     let mut leave = view;
     leave.bump(&ReplicaId(0), MemberStatus::Leaving);
-    sim.post(
-        NodeId(0),
-        Msg::JoinAnnounce {
-            view: leave,
-            who: ReplicaId(0),
-            joining: false,
-        },
-    );
+    sim.post(NodeId(0), Msg::RingEpoch { view: leave });
     sim.run_until(SimTime::ZERO + Duration::from_millis(60));
     assert_eq!(server(&sim, 0), (4, 4, false), "all four owed, unsent");
 
@@ -775,14 +757,7 @@ fn a_leave_drain_waits_for_a_hinted_copy_it_holds() {
     sim.network_mut().block_link(NodeId(0), NodeId(1));
     let mut leave = view;
     leave.bump(&ReplicaId(0), MemberStatus::Leaving);
-    sim.post(
-        NodeId(0),
-        Msg::JoinAnnounce {
-            view: leave,
-            who: ReplicaId(0),
-            joining: false,
-        },
-    );
+    sim.post(NodeId(0), Msg::RingEpoch { view: leave });
     sim.run_until(SimTime::ZERO + Duration::from_millis(120));
     assert_eq!(
         server(&sim, 0),
@@ -913,14 +888,7 @@ fn batched_transfers_dedupe_by_batch_across_retries() {
     sim.network_mut().block_link(NodeId(1), NodeId(0));
     let mut leave = view;
     leave.bump(&ReplicaId(0), MemberStatus::Leaving);
-    sim.post(
-        NodeId(0),
-        Msg::JoinAnnounce {
-            view: leave,
-            who: ReplicaId(0),
-            joining: false,
-        },
-    );
+    sim.post(NodeId(0), Msg::RingEpoch { view: leave });
     sim.run_until(simnet::SimTime::ZERO + Duration::from_millis(200));
 
     let (out_mid, in_mid) = match (sim.process(0), sim.process(1)) {
@@ -1105,4 +1073,181 @@ fn churn_under_partition_leaves_no_residual_copies_across_seeds() {
         assert!(report.is_clean(), "seed {seed}: {report:?}");
         assert!(report.acked_writes > 0, "seed {seed}: no acked writes");
     }
+}
+
+// --- lifecycle is the view entry -------------------------------------------
+//
+// Two slots on a bare simulation: server 0, a member throughout, and the
+// subject in slot 1. Whatever the subject does about a membership change
+// it reads off its own entry in the view it merged — the control plane's
+// post and a peer's gossip are the same event to it.
+
+/// N = 1 on a 16-vnode ring, anti-entropy and gossip every 100 ms.
+fn lifecycle_config() -> StoreConfig {
+    StoreConfig {
+        n: 1,
+        r: 1,
+        w: 1,
+        anti_entropy_interval: Duration::from_millis(100),
+        gossip_interval: Duration::from_millis(100),
+        vnodes: 16,
+        ..StoreConfig::default()
+    }
+}
+
+/// `view` with slot 1 bumped to `status` under a fresh incarnation.
+fn with_subject(view: &RingView<ReplicaId>, status: MemberStatus) -> RingView<ReplicaId> {
+    let mut view = view.clone();
+    view.bump(&ReplicaId(1), status);
+    view
+}
+
+fn lifecycle_sim(zero: StoreProc<M>, subject: StoreProc<M>) -> Simulation<StoreProc<M>> {
+    Simulation::new(23, NetworkConfig::default(), vec![zero, subject])
+}
+
+fn at(millis: u64) -> SimTime {
+    SimTime::ZERO + Duration::from_millis(millis)
+}
+
+#[test]
+fn a_spare_wakes_for_its_join_however_the_view_reaches_it() {
+    let kit = NodeKit::new(DvvMechanism, lifecycle_config(), 1, None);
+    let joined = with_subject(kit.genesis_view(), MemberStatus::Joining);
+    let assert_woke = |sim: &mut Simulation<StoreProc<M>>, how: &str| {
+        sim.run_until(at(1_000));
+        let (zero, spare) = (sim.process(0).server(), sim.process(1).server());
+        assert!(spare.is_active(), "{how}: the joiner serves");
+        assert!(!spare.drain_complete(), "{how}: and is not draining");
+        let stats = spare.stats();
+        assert!(
+            stats.aae_rounds > 0 && stats.gossip_rounds > 0,
+            "{how}: periodic timers armed, got {stats:?}"
+        );
+        assert_eq!(zero.view_digest(), joined.digest(), "{how}");
+        assert_eq!(spare.view_digest(), joined.digest(), "{how}");
+    };
+
+    // posted by the control plane, to the joiner only
+    let mut sim = lifecycle_sim(kit.server(0), kit.spare(1));
+    sim.run_until(at(10));
+    assert!(!sim.process(1).server().is_active());
+    sim.post(
+        NodeId(1),
+        Msg::RingEpoch {
+            view: joined.clone(),
+        },
+    );
+    assert_woke(&mut sim, "posted");
+
+    // no post at all: server 0 already routes under the join, its digest
+    // reaches the spare, the spare answers with the view it has, and what
+    // wakes it is server 0's push-back
+    let ahead = StoreNode::new(
+        ReplicaId(0),
+        DvvMechanism,
+        lifecycle_config(),
+        joined.clone(),
+    );
+    let mut sim = lifecycle_sim(StoreProc::Server(ahead), kit.spare(1));
+    assert_woke(&mut sim, "second-hand");
+}
+
+#[test]
+fn a_husk_is_never_woken_by_traffic() {
+    // the husk holds a crashed member's slot: the ring it booted with
+    // already names it, so no view *newly* places it there
+    let kit = NodeKit::new(DvvMechanism, lifecycle_config(), 2, None);
+    let mut sim = lifecycle_sim(kit.server(0), kit.husk(1));
+    let mut view = kit.genesis_view().clone();
+    for status in [
+        MemberStatus::Up,
+        MemberStatus::Joining,
+        MemberStatus::Leaving,
+    ] {
+        view = with_subject(&view, status);
+        sim.post(NodeId(1), Msg::RingEpoch { view: view.clone() });
+        let get = Msg::ClientGet {
+            req: 1,
+            key: b"k".to_vec(),
+            digest: view.digest(),
+        };
+        sim.post(NodeId(1), get);
+        let next = sim.now() + Duration::from_millis(300);
+        sim.run_until(next);
+        let husk = sim.process(1).server();
+        assert!(!husk.is_active(), "woken by {status:?}");
+        assert_eq!(
+            husk.stats(),
+            NodeStats::default(),
+            "served under {status:?}"
+        );
+        assert_eq!(husk.view_digest(), view.digest(), "it still merges views");
+    }
+}
+
+#[test]
+fn a_retired_leaver_wakes_only_for_a_fresh_join() {
+    let kit = NodeKit::new(DvvMechanism, lifecycle_config(), 2, None);
+    let mut sim = lifecycle_sim(kit.server(0), kit.server(1));
+    let leave = with_subject(kit.genesis_view(), MemberStatus::Leaving);
+    sim.post(
+        NodeId(1),
+        Msg::RingEpoch {
+            view: leave.clone(),
+        },
+    );
+    sim.run_until(at(300));
+    assert!(sim.process(1).server().drain_complete(), "nothing to drain");
+    sim.process_mut(1).server_mut().finish_leave();
+    let removed = with_subject(&leave, MemberStatus::Removed);
+
+    // a stale view that names it `Up`: its own entry is the newer one
+    let stale = kit.genesis_view().clone();
+    sim.post(NodeId(1), Msg::RingEpoch { view: stale });
+    sim.post(
+        NodeId(1),
+        Msg::RingEpoch {
+            view: removed.clone(),
+        },
+    );
+    sim.run_until(at(600));
+    let leaver = sim.process(1).server();
+    assert!(!leaver.is_active(), "a stale `Up` wakes nobody");
+    let rounds = leaver.stats().aae_rounds;
+
+    let rejoin = with_subject(&removed, MemberStatus::Joining);
+    sim.post(
+        NodeId(1),
+        Msg::RingEpoch {
+            view: rejoin.clone(),
+        },
+    );
+    sim.run_until(at(1_200));
+    let leaver = sim.process(1).server();
+    assert!(leaver.is_active() && !leaver.drain_complete());
+    assert!(leaver.stats().aae_rounds > rounds, "timers armed again");
+    assert_eq!(sim.process(0).server().view_digest(), rejoin.digest());
+}
+
+#[test]
+fn a_readmission_delivered_twice_arms_one_set_of_timers() {
+    // a server rebuilt mid-run (crash recovery) gets no `on_start`: its
+    // re-admission is what arms its periodic timers — once
+    let kit = NodeKit::new(DvvMechanism, lifecycle_config(), 2, None);
+    let mut sim = lifecycle_sim(kit.server(0), kit.server(1));
+    sim.run_until(at(10));
+    *sim.process_mut(1) = kit.server(1);
+    let readmitted = with_subject(kit.genesis_view(), MemberStatus::Up);
+    for _ in 0..2 {
+        let view = readmitted.clone();
+        sim.post(NodeId(1), Msg::RingEpoch { view });
+    }
+    sim.run_until(at(10 + 1_050));
+    // one anti-entropy timer (first fire 101 ms after the re-admission,
+    // then every 100 ms) and one gossip timer (100.7 ms, then every
+    // 100 ms), plus the one eager push of the re-admission itself
+    let stats = sim.process(1).server().stats();
+    assert_eq!((stats.aae_rounds, stats.gossip_rounds), (10, 1 + 10));
+    assert_eq!(sim.process(0).server().view_digest(), readmitted.digest());
 }

@@ -8,7 +8,7 @@
 //!   must merge once the partition heals: neither announcement may
 //!   clobber the other, and the no-loss/residual audits must stay clean;
 //! * a leave whose drain is cut off by a partition must time out and be
-//!   cancelled by the **in-band re-admission path** (`Msg::Rejoin` under
+//!   cancelled by the **in-band re-admission path** (a `Msg::RingEpoch` under
 //!   a fresh incarnation) — pinning the deleted `sync_all_views`
 //!   fallback — while a join begun concurrently still completes;
 //! * a seed-parameterised churn property run asserting the
@@ -184,8 +184,8 @@ fn join_and_leave_announced_across_a_partition_merge_after_heal() {
 fn leave_cancelled_in_band_while_a_join_overlaps() {
     // Regression for the deleted `sync_all_views` fallback: a leaver cut
     // off from every drain target times out and must be re-admitted by
-    // the in-band `Rejoin` path (a fresh `Up` incarnation gossiped from
-    // the subject), while an overlapping join still completes. After the
+    // the in-band path (a posted view whose fresh `Up` incarnation the
+    // subject gossips), while an overlapping join still completes. After the
     // heal the cluster must converge by gossip alone, with clean
     // residual and no-loss audits.
     let mut c = Cluster::new(47, DvvMechanism, overlap_config(6));
@@ -216,7 +216,7 @@ fn leave_cancelled_in_band_while_a_join_overlaps() {
     assert_eq!(
         c.server(0).view_digest(),
         c.view_digest(),
-        "the Rejoin carried the canonical view to the subject"
+        "the re-admission carried the canonical view to the subject"
     );
     assert!(c.server(3).is_active(), "the overlapping join stands");
 
@@ -289,7 +289,7 @@ fn stale_pending_join_is_not_promoted_after_a_later_removal() {
 fn rejoining_a_draining_slot_is_rejected() {
     // begin_join on a slot whose leave is still draining would silently
     // cancel the drain while await_membership keeps waiting on it — the
-    // harness must reject the call instead (the in-band Rejoin path is
+    // harness must reject the call instead (the in-band re-admission is
     // the supported way to cancel a leave).
     let mut c = Cluster::new(67, DvvMechanism, overlap_config(6));
     c.run_for(Duration::from_millis(30));

@@ -5,7 +5,7 @@
 //!   state is byte-identical to the pre-crash state (the "AAE-equivalent
 //!   to pre-crash" oracle in its strongest form);
 //! * re-admission is **in band**: the restarted node re-enters the fleet
-//!   via a fresh-incarnation `Msg::Rejoin` spread by gossip — no harness
+//!   via a fresh-incarnation `Msg::RingEpoch` spread by gossip — no harness
 //!   view synchronisation;
 //! * across seeded crash/heal schedules the fleet loses no acknowledged
 //!   write (`surviving_union` audit) and re-converges through its own

@@ -224,15 +224,6 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
                 state: single(),
             },
         ),
-        (
-            "JoinAnnounce",
-            Msg::JoinAnnounce {
-                view: view.clone(),
-                who: ReplicaId(400),
-                joining: true,
-            },
-        ),
-        ("Rejoin", Msg::Rejoin { view: view.clone() }),
         ("RingEpoch", Msg::RingEpoch { view: view.clone() }),
         (
             "RingSummary",
@@ -323,8 +314,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("AaeStates", "0c040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c1111111111111111111111110500000007636172743a31370701300501320003646f67"),
     ("RepWrite", "0e080706050403020109757365723a303034328080808080204d01000d030003028080808020ac02810101ac02"),
     ("RepWriteResp", "0f080706050403020109757365723a30303432200501030003028080808020ac02810101c801000c111111111111111111111111"),
-    ("JoinAnnounce", "100600000006008503010105808080010382019003900301"),
-    ("Rejoin", "110600000006008503010105808080010382019003"),
     ("RingEpoch", "140600000006008503010105808080010382019003"),
     ("RingSummary", "150600000006008503180400000400001500000200800f0000080200"),
     ("RingDelta", "160402060085030580808001038201390301004a"),
@@ -356,11 +345,13 @@ fn encode_transport_matches_committed_bytes() {
     }
 }
 
-/// Tags of the six variants [`Msg::Push`] / [`Msg::PushAck`] replaced.
-const RETIRED: [u8; 6] = [8, 13, 18, 19, 24, 25];
+/// Tags of the six variants [`Msg::Push`] / [`Msg::PushAck`] replaced,
+/// and of `JoinAnnounce` (16) and `Rejoin` (17): every membership change
+/// travels as a [`Msg::RingEpoch`].
+const RETIRED: [u8; 8] = [8, 13, 16, 17, 18, 19, 24, 25];
 
 /// The corpus is only a format pin if it really spans the protocol:
-/// all 24 live variant tags appear, and every message decodes back.
+/// all 22 live variant tags appear, and every message decodes back.
 #[test]
 fn corpus_covers_every_variant_and_roundtrips() {
     let mech = DvvMechanism;

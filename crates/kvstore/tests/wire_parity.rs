@@ -97,7 +97,7 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
-        (any::<bool>(), any::<bool>()),
+        any::<bool>(),
         (any::<bool>(), 0u64..64),
     );
     let parts = (
@@ -117,11 +117,10 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
         btree_map(0u64..64, Just(()), 0..6),
     );
     (scalars, parts, lists).prop_map(|(scalars, parts, lists)| {
-        let (req, digest, root, id, (ok, joining), (hinted, hint_id)) = scalars;
+        let (req, digest, root, id, ok, (hinted, hint_id)) = scalars;
         let (key, value, values, state, ctx, view) = parts;
         let (entries, leaves, arcs, want_keys, summary, want_members) = lists;
         let hint = hinted.then_some(ReplicaId(hint_id as u32));
-        let who = view.members().first().copied().unwrap_or(ReplicaId(0));
         let summary: Vec<(ReplicaId, u64)> = summary
             .into_iter()
             .map(|(r, k)| (ReplicaId(r as u32), k))
@@ -223,12 +222,6 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
                 hint,
             },
             Msg::RepWriteResp { req, key, state },
-            Msg::JoinAnnounce {
-                view: view.clone(),
-                who,
-                joining,
-            },
-            Msg::Rejoin { view: view.clone() },
             Msg::Push {
                 class: MsgClass::Transfer,
                 id: Some(id),

@@ -889,11 +889,14 @@ fn hand_to<M: Mechanism<StampedValue>, L: Link<M>>(
 /// Pending → Killed → Respawning → Done stages as deadlines come due.
 /// Kills and rebuilds happen on the owning worker thread (via the
 /// phase cells); what happens *here* is the control-plane half: the
-/// expected-down flag for the stall report, and — once the worker
-/// reports the rebuilt node running — the fresh `Up` incarnation and
-/// the in-band [`Msg::Rejoin`], posted straight into the node's inbox,
-/// that re-arms its timers and lets gossip spread the re-admission. No
-/// harness view synchronisation.
+/// expected-down flag for the stall report, the fresh `Up` incarnation
+/// — minted once, when the respawn is ordered — and, once the worker
+/// reports the rebuilt node running, the view that carries it, posted
+/// straight into the node's inbox as a [`Msg::RingEpoch`]. Merging it is
+/// what re-arms the node's timers (it was built mid-run, so without
+/// `on_start`) and lets gossip spread the re-admission, so an event is
+/// done only when the inbox took the packet: a full one is tried again
+/// on the next pass. No harness view synchronisation.
 /// Returns whether every event has completed.
 fn drive_crash_schedule<M: Mechanism<StampedValue>>(
     crashes: &[CrashEvent],
@@ -926,21 +929,22 @@ fn drive_crash_schedule<M: Mechanism<StampedValue>>(
                         )
                         .is_ok() =>
             {
+                view.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
                 *stage = CrashStage::Respawning;
             }
             CrashStage::Respawning
                 if plane.phases[c.server].load(Ordering::Acquire) == PHASE_RUNNING =>
             {
-                view.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
                 let node = NodeId(c.server as u32);
-                let rejoin = Packet {
+                let readmit = Packet {
                     from: node,
                     to: node,
-                    msg: Msg::Rejoin { view: view.clone() },
+                    msg: Msg::RingEpoch { view: view.clone() },
                 };
-                deliver(inboxes, progress, node, rejoin);
-                progress.set_expected_down(c.server, false);
-                *stage = CrashStage::Done;
+                if deliver(inboxes, progress, node, readmit) {
+                    progress.set_expected_down(c.server, false);
+                    *stage = CrashStage::Done;
+                }
             }
             _ => {}
         }
@@ -1052,5 +1056,75 @@ fn dispatch<M: Mechanism<StampedValue>, L: Link<M>>(
                 router.shared.main.unpark();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc::sync_channel;
+
+    use dvv::mechanisms::DvvMechanism;
+
+    use super::*;
+
+    /// A re-admission that does not fit the respawned server's inbox is
+    /// tried again on the next pass, not dropped: the event stays open
+    /// (and the server expected down) until the inbox took the view, and
+    /// the retry carries the incarnation minted when the respawn was
+    /// ordered, not a second one.
+    #[test]
+    fn a_readmission_that_does_not_fit_the_inbox_is_retried() {
+        let at = StdDuration::ZERO;
+        let crashes = [CrashEvent {
+            server: 0,
+            kill_after: at,
+            respawn_after: at,
+        }];
+        let mut stages = [CrashStage::Respawning];
+        let plane = CrashPlane {
+            phases: vec![AtomicU8::new(PHASE_RUNNING)],
+        };
+        let progress = Progress::new(1);
+        progress.set_expected_down(0, true);
+        let mut view = RingView::from_members([ReplicaId(0)]);
+        view.bump(&ReplicaId(0), MemberStatus::Up);
+        let minted = view.version();
+        let (tx, rx) = sync_channel::<Packet<DvvMechanism>>(1);
+        let node = NodeId(0);
+        let filler = Packet {
+            from: node,
+            to: node,
+            msg: Msg::GossipDigest { digest: 0 },
+        };
+        tx.try_send(filler).expect("room for one");
+        let inboxes = [tx];
+        let pass = |stages: &mut [CrashStage], view: &mut RingView<ReplicaId>| {
+            let started = Instant::now();
+            drive_crash_schedule(&crashes, stages, started, &plane, &progress, &inboxes, view)
+        };
+
+        assert!(!pass(&mut stages, &mut view), "nothing was delivered");
+        assert_eq!(stages, [CrashStage::Respawning]);
+        assert!(progress.expected_down[0].load(Ordering::Relaxed));
+
+        assert!(matches!(rx.try_recv(), Ok(p) if matches!(p.msg, Msg::GossipDigest { .. })));
+        assert!(pass(&mut stages, &mut view), "the retry fits");
+        assert_eq!(stages, [CrashStage::Done]);
+        assert!(!progress.expected_down[0].load(Ordering::Relaxed));
+        assert_eq!(
+            view.version(),
+            minted,
+            "one incarnation, however many tries"
+        );
+        let readmission = rx.try_recv().expect("exactly one packet");
+        assert!(
+            matches!(&readmission.msg, Msg::RingEpoch { view: sent } if sent.digest() == view.digest())
+        );
+        assert!(rx.try_recv().is_err(), "and nothing else");
+        assert!(
+            pass(&mut stages, &mut view),
+            "a finished event stays finished"
+        );
+        assert!(rx.try_recv().is_err());
     }
 }

@@ -139,8 +139,9 @@ impl FaultPlan {
 /// dropped on its worker thread — in-memory state and any storage-engine
 /// buffer past the last group sync are gone, like a power cut — and at
 /// `respawn_after` it is rebuilt from its engine factory (replaying its
-/// durable log when the fleet is durable) and re-admitted **in band**
-/// via a fresh-incarnation `Rejoin`.
+/// durable log when the fleet is durable) and re-admitted **in band**:
+/// the control plane posts it a view (`Msg::RingEpoch`) naming it `Up`
+/// under a fresh incarnation.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashEvent {
     /// Server index to crash.

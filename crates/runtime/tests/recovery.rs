@@ -2,7 +2,7 @@
 //! kills a server's node on its own worker thread mid-run (dropping
 //! in-memory state and any unsynced engine buffer, like a power cut),
 //! then respawns it from its storage engine and re-admits it in band
-//! via `Msg::Rejoin` — no harness view synchronisation. The recovered
+//! via `Msg::RingEpoch` — no harness view synchronisation. The recovered
 //! fleet must pass the same audit stack as a healthy conformance run:
 //! one ring view, pairwise AAE equivalence, zero residual copies, and
 //! an oracle-clean converge (no lost acked writes, no false

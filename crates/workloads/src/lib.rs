@@ -7,7 +7,6 @@
 //!
 //! * [`zipf::Zipf`] — skewed popularity sampling,
 //! * [`keys::KeySpace`] — named keys with uniform or Zipfian popularity,
-//! * [`ops::OpGenerator`] — read/write operation streams,
 //! * [`churn::ChurnPlan`] — deterministic elastic-membership schedules
 //!   (node joins/leaves to replay while a workload runs),
 //! * [`stats::Histogram`] — log-bucketed latency/size histograms with
@@ -17,12 +16,10 @@
 //! `[0, 1)`), staying decoupled from the simulator's RNG type:
 //!
 //! ```
-//! use workloads::{KeySpace, OpGenerator, OpMix, Popularity};
+//! use workloads::{KeySpace, Popularity};
 //!
 //! let keys = KeySpace::new("cart", 1000, Popularity::Zipf(1.0));
-//! let generator = OpGenerator::new(keys, OpMix::default());
-//! let op = generator.op(0.9, 0.01); // write to a very popular key
-//! assert!(op.is_put());
+//! assert_eq!(keys.sample_key(0.01), b"cart:0".to_vec()); // a very popular key
 //! ```
 
 #![forbid(unsafe_code)]
@@ -31,12 +28,10 @@
 
 pub mod churn;
 pub mod keys;
-pub mod ops;
 pub mod stats;
 pub mod zipf;
 
 pub use churn::{churn_seeds, ChurnAction, ChurnEvent, ChurnPlan};
 pub use keys::{KeySpace, Popularity};
-pub use ops::{Op, OpGenerator, OpMix};
 pub use stats::Histogram;
 pub use zipf::Zipf;

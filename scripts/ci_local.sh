@@ -62,6 +62,8 @@ if runs_lane build-test; then
     # Docs link to items by path, and nothing else notices when a PR
     # deletes or hides one of them.
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+    # Informational, not a gate: the counts a change log quotes.
+    ./scripts/src_census.sh
 fi
 
 if runs_lane elastic; then

@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Prints the counts every CHANGES.md entry used to take by hand: `src`
+# lines per crate and in total, the size of the one file with a line
+# budget, and the sizes of the protocol's and the configuration's
+# surfaces. Informational — `ci_local.sh --lane build-test` prints it,
+# nothing gates on it.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# The body of the item whose declaration line matches $2 in file $1: the
+# lines after it, up to the first line that is just a closing brace.
+body() {
+    awk -v start="$2" '
+        inside && /^}/ { exit }
+        inside { print }
+        $0 ~ start { inside = 1 }
+    ' "$1"
+}
+
+# Fields of a struct, or members of an enum: the lines of its body that
+# open with a name at the first indentation level.
+members() {
+    body "$1" "$2" | grep -cE '^    (pub )?[A-Za-z_][A-Za-z0-9_]*( \{|\(|:|,)'
+}
+
+echo "src lines"
+total=0
+for crate in crates/*/; do
+    lines=$(find "$crate/src" -name '*.rs' -print0 | xargs -0 cat | wc -l)
+    total=$((total + lines))
+    printf '  %-12s %6d\n' "$(basename "$crate")" "$lines"
+done
+printf '  %-12s %6d\n' total "$total"
+echo "budgeted files"
+printf '  %-32s %6d  (budget 2000)\n' crates/kvstore/src/node.rs \
+    "$(wc -l < crates/kvstore/src/node.rs)"
+echo "surfaces"
+printf '  %-32s %6d\n' \
+    "Msg variants" "$(members crates/kvstore/src/messages.rs '^pub enum Msg<')" \
+    "TimerKind members" "$(members crates/kvstore/src/node.rs '^enum TimerKind ')" \
+    "StoreConfig fields" "$(members crates/kvstore/src/config.rs '^pub struct StoreConfig ')" \
+    "RuntimeConfig fields" "$(members crates/runtime/src/lib.rs '^pub struct RuntimeConfig ')" \
+    "SocketConfig fields" "$(members crates/transport/src/fleet.rs '^pub struct SocketConfig ')"
