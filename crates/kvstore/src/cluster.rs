@@ -359,22 +359,13 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Returns a copy with every link's adversarial faults set from the
-    /// `NET_FAULTS` environment variable: `hostile` switches on
-    /// [`LinkFaults::hostile`] (duplication, reordering, stale replay)
-    /// on the default link and all overrides; anything else leaves the
-    /// network as configured. The churn suites apply this — like
+    /// [`NetworkConfig::with_env_faults`] on this cluster's network
+    /// (`NET_FAULTS=hostile`). The churn suites apply this — like
     /// [`StoreConfig::with_env_delta`] — so the nightly soak lane can
     /// re-run them under a hostile network without a code change.
     #[must_use]
     pub fn with_env_net_faults(mut self) -> Self {
-        if std::env::var("NET_FAULTS").as_deref() == Ok("hostile") {
-            let faults = LinkFaults::hostile();
-            self.network.default_link.faults = faults;
-            for link in self.network.overrides.values_mut() {
-                link.faults = faults;
-            }
-        }
+        self.network = self.network.with_env_faults();
         self
     }
 }

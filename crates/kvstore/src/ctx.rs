@@ -107,7 +107,7 @@ mod tests {
     use crate::cluster::{NodeKit, StoreProc};
     use crate::config::{ClientConfig, StoreConfig};
     use dvv::mechanisms::DvvMechanism;
-    use simnet::{NetworkConfig, Process, Simulation, TraceEvent};
+    use simnet::{LinkConfig, LinkFaults, NetworkConfig, Process, Simulation, TraceEvent};
 
     /// Not the default, so a charge that ignored the configuration
     /// would show.
@@ -142,12 +142,12 @@ mod tests {
         }
     }
 
-    /// The single-source-of-truth property, end to end on the bare
-    /// simulator: what the nodes charged themselves is
-    /// `wire_size + header_bytes` of every message, and is what the
-    /// network was handed and delivered.
-    #[test]
-    fn sim_ctx_derives_bytes_from_wire_size() {
+    /// Runs two servers and a client of `cycles` cycles on the bare
+    /// simulator under `faults` and checks, message by message, that
+    /// the bytes the network delivered to each node are what that
+    /// message's size and the header come to. Returns what the nodes
+    /// charged themselves and what the deliveries add up to.
+    fn charged_and_delivered(faults: LinkFaults, cycles: u32) -> (u64, u64) {
         let store = StoreConfig {
             n: 2,
             anti_entropy_interval: Duration::ZERO,
@@ -161,13 +161,17 @@ mod tests {
             node,
             expect: Vec::new(),
         };
+        let link = LinkConfig {
+            faults,
+            ..LinkConfig::default()
+        };
         let mut sim = Simulation::new(
             1,
-            NetworkConfig::default(),
+            NetworkConfig::uniform(link),
             vec![
                 probe(kit.server(0)),
                 probe(kit.server(1)),
-                probe(kit.client(0, 2, &ClientConfig::default(), 3)),
+                probe(kit.client(0, 2, &ClientConfig::default(), cycles)),
             ],
         );
         sim.trace_mut().enable();
@@ -178,12 +182,10 @@ mod tests {
             charged += match &p.node {
                 StoreProc::Server(s) => s.wire_stats().total_bytes(),
                 StoreProc::Client(c) => {
-                    assert_eq!(c.cycles_done(), 3);
+                    assert_eq!(c.cycles_done(), cycles);
                     c.wire_stats().total_bytes()
                 }
             };
-            // message by message: the bytes the network delivered to
-            // this node are the bytes its size and the header come to
             let delivered: Vec<usize> = sim
                 .trace()
                 .events()
@@ -197,7 +199,26 @@ mod tests {
         }
         let expected: usize = sim.processes().iter().flat_map(|p| &p.expect).sum();
         assert!(expected > 12 * HEADER, "payloads sized, not just headers");
-        assert_eq!(charged, expected as u64);
-        assert_eq!(sim.network().stats().bytes_delivered, charged);
+        assert_eq!(sim.network().stats().bytes_delivered, expected as u64);
+        (charged, expected as u64)
+    }
+
+    /// The single-source-of-truth property, end to end on the bare
+    /// simulator: what the nodes charged themselves is
+    /// `wire_size + header_bytes` of every message, and is what the
+    /// network was handed and delivered.
+    #[test]
+    fn sim_ctx_derives_bytes_from_wire_size() {
+        let (charged, delivered) = charged_and_delivered(LinkFaults::default(), 3);
+        assert_eq!(charged, delivered);
+    }
+
+    /// Its hostile-network twin: every copy the network injects — a
+    /// duplicate, or a stale replay of an older, differently sized
+    /// frame — is delivered at the size *that* message was charged.
+    #[test]
+    fn sim_ctx_bytes_stay_per_message_on_a_hostile_network() {
+        let (charged, delivered) = charged_and_delivered(LinkFaults::hostile(), 40);
+        assert!(delivered > charged, "copies were injected");
     }
 }

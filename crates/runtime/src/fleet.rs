@@ -17,17 +17,20 @@
 //! them and nothing is collected to be replayed afterwards.
 //!
 //! A node's sends go three ways. Self-sends take the worker's local
-//! queue: reliable, never fault-injected, never on the wire. Everything
-//! else passes the fault router — probabilistic drop, duplicate,
-//! stale replay, and an optional sampled latency the routing worker
-//! itself holds the message back for — and then the [`Link`]:
-//! [`ChannelLink`] for [`RuntimeFleet`] (a bounded `std::sync::mpsc`
-//! inbox per worker), a TCP fabric for `transport::SocketFleet`. Either
-//! way a full inbox drops the message (wire loss; the protocol's
-//! timeouts, retries and anti-entropy absorb it), so workers can never
-//! deadlock on a send. The crash plane, the storage-engine factory and
-//! the fault plan all sit above the link, so they work the same on
-//! every link.
+//! queue: reliable, never fault-injected, never on the wire. With no
+//! network configured ([`RuntimeConfig::faults`] is `None`) everything
+//! else goes straight to the [`Link`]. Otherwise the worker's router
+//! asks the simulator's own fault plane — a [`simnet::Network`] over
+//! the worker's RNG stream — what becomes of the message: lost, or one
+//! or more copies (the original, a duplicate, a stale replay), each
+//! with the delay the routing worker itself holds it back for before
+//! the link gets it. The link is [`ChannelLink`] for [`RuntimeFleet`]
+//! (a bounded `std::sync::mpsc` inbox per worker), a TCP fabric for
+//! `transport::SocketFleet`. Either way a full inbox drops the message
+//! (wire loss; the protocol's timeouts, retries and anti-entropy absorb
+//! it), so workers can never deadlock on a send. The crash plane, the
+//! storage-engine factory and the fault plane all sit above the link,
+//! so they work the same on every link.
 //!
 //! **A run's threads are its workers.** [`Fleet::run`] spawns one
 //! thread per server and one per non-empty client group, and nothing
@@ -56,12 +59,12 @@ use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
-use simnet::{Duration, NodeId, SimRng, SimTime, TimerId};
+use simnet::{Duration, Network, NodeId, ReplayStash, SimRng, SimTime, TimerId};
 
 use crate::link::{deliver, ChannelLink, Link, Packet, Wiring};
 use crate::watchdog::{self, Progress, StallReport};
 use crate::wheel::TimerWheel;
-use crate::{CrashEvent, FaultPlan, RuntimeConfig};
+use crate::{CrashEvent, RuntimeConfig};
 
 /// Inbox slots per hosted node; a full inbox drops (wire loss).
 const INBOX_CAPACITY: usize = 1024;
@@ -127,7 +130,8 @@ enum CrashStage {
 #[derive(Debug)]
 struct Shared {
     origin: Instant,
-    faults: FaultPlan,
+    /// Whether routing consults the workers' [`Network`]s: set when the
+    /// run has one configured, cleared for the quiesce.
     faults_on: AtomicBool,
     shutdown: Arc<AtomicBool>,
     /// The thread inside [`Fleet::run`], parked between passes of its
@@ -141,25 +145,20 @@ impl Shared {
     }
 }
 
-/// Captured frames kept per directed link for stale-replay injection —
-/// same bound as the simulator driver's stash, and for the same reason:
-/// replays resurface recent-ish history without hoarding clones.
-const REPLAY_STASH_CAP: usize = 16;
-
 /// A worker thread's way out for its nodes' messages: the local queue
-/// for self-sends, and for the rest the fault plan (with its RNG stream
-/// for loss/latency sampling) in front of the link. Each worker keeps
-/// its own replay stash, so a stale replay resurfaces traffic this
-/// worker's nodes actually sent on that link.
+/// for self-sends, and for the rest the configured network in front of
+/// the link. Each worker keeps its own replay stash, so a stale replay
+/// resurfaces traffic this worker's nodes actually sent on that link.
 struct Router<M: Mechanism<StampedValue>, L> {
     shared: Arc<Shared>,
     progress: Arc<Progress>,
     link: L,
-    rng: SimRng,
-    replay_stash: BTreeMap<(NodeId, NodeId), Vec<Msg<M>>>,
-    /// Latency-sampled packets held back until their due instant, as
-    /// `(due µs, arrival seq) → packet`. They are on the wire already:
-    /// a kill of the node that sent them does not take them back.
+    network: Network,
+    stash: ReplayStash<Msg<M>>,
+    /// Packets the network gave a delay, held back until their due
+    /// instant as `(due µs, arrival seq) → packet`. They are on the wire
+    /// already: a kill of the node that sent them does not take them
+    /// back.
     delayed: BTreeMap<(u64, u64), Packet<M>>,
     delayed_seq: u64,
     /// Self-sends awaiting dispatch on this worker, as `(node, msg)`.
@@ -176,61 +175,23 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> Router<M, L> {
             self.local.push_back((to, msg));
             return;
         }
-        if self.shared.faults_on.load(Ordering::Relaxed) {
-            let (drop_p, dup_p, replay_p) = (
-                self.shared.faults.drop_probability,
-                self.shared.faults.duplicate_probability,
-                self.shared.faults.replay_probability,
-            );
-            if drop_p > 0.0 && self.rng.chance(drop_p) {
-                return;
-            }
-            if dup_p > 0.0 && self.rng.chance(dup_p) {
-                self.forward(from, to, msg.clone());
-            }
-            if replay_p > 0.0 {
-                if self.rng.chance(replay_p) {
-                    let stale = self.replay_stash.get(&(from, to)).and_then(|stash| {
-                        if stash.is_empty() {
-                            None
-                        } else {
-                            let pick = self.rng.next_u64() as usize % stash.len();
-                            Some(stash[pick].clone())
-                        }
-                    });
-                    if let Some(stale) = stale {
-                        self.forward(from, to, stale);
-                    }
-                }
-                let stash = self.replay_stash.entry((from, to)).or_default();
-                if stash.len() >= REPLAY_STASH_CAP {
-                    stash.remove(0);
-                }
-                stash.push(msg.clone());
-            }
-            self.forward(from, to, msg);
-            return;
+        if !self.shared.faults_on.load(Ordering::Relaxed) {
+            return self.link.send(Packet { from, to, msg });
         }
-        self.link.send(Packet { from, to, msg });
-    }
-
-    /// Delivers one (possibly injected) inter-node message, holding it
-    /// back for a freshly sampled delay when the plan has a latency
-    /// window — so duplicates and replays each draw their own delay,
-    /// like the simulator's independently delayed copies.
-    fn forward(&mut self, from: NodeId, to: NodeId, msg: Msg<M>) {
-        let pkt = Packet { from, to, msg };
-        let Some((lo, hi)) = self.shared.faults.delay_micros else {
-            return self.link.send(pkt);
+        // The network decides: nothing (lost), or every copy to send —
+        // at once, or held back on this worker for the copy's delay.
+        let now_us = self.shared.now_us();
+        let (link, delayed, seq) = (&self.link, &mut self.delayed, &mut self.delayed_seq);
+        let emit = |delay: Duration, msg, _bytes| {
+            let pkt = Packet { from, to, msg };
+            if delay == Duration::ZERO {
+                return link.send(pkt);
+            }
+            delayed.insert((now_us + delay.as_micros(), *seq), pkt);
+            *seq += 1;
         };
-        let d = if hi > lo {
-            self.rng.range_u64(lo, hi + 1)
-        } else {
-            lo
-        };
-        let due = self.shared.now_us() + d;
-        self.delayed.insert((due, self.delayed_seq), pkt);
-        self.delayed_seq += 1;
+        self.network
+            .route(&mut self.stash, from, to, bytes, msg, emit);
     }
 
     /// Sends every held-back packet due at or before `now_us`.
@@ -460,8 +421,7 @@ where
         let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
             origin: Instant::now(),
-            faults: cfg.faults.clone(),
-            faults_on: AtomicBool::new(!cfg.faults.is_noop()),
+            faults_on: AtomicBool::new(cfg.faults.is_some()),
             shutdown: Arc::clone(&shutdown),
             main: thread::current(),
         });
@@ -520,8 +480,11 @@ where
                 shared: Arc::clone(&shared),
                 progress: Arc::clone(&self.progress),
                 link: link.clone(),
-                rng: self.net_root.fork_indexed("worker", w as u64),
-                replay_stash: BTreeMap::new(),
+                network: Network::new(
+                    cfg.faults.clone().unwrap_or_default(),
+                    self.net_root.fork_indexed("worker", w as u64),
+                ),
+                stash: ReplayStash::new(),
                 delayed: BTreeMap::new(),
                 delayed_seq: 0,
                 local: VecDeque::new(),
@@ -529,7 +492,7 @@ where
             let inbox_capacity = INBOX_CAPACITY * group.len();
             let hang = group
                 .iter()
-                .any(|h| cfg.faults.hang_servers.contains(&(h.id.0 as usize)));
+                .any(|h| cfg.hang_servers.contains(&(h.id.0 as usize)));
             let crash = group
                 .first()
                 .map(|h| h.id.0 as usize)

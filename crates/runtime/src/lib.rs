@@ -10,7 +10,7 @@
 //! **One threaded fleet.** Everything about hosting a node on a thread
 //! lives in [`fleet`], once: the worker event loop, its write-through
 //! [`NodeCtx`](kvstore::ctx::NodeCtx) and its dispatch bookkeeping, the
-//! crash plane, the fault router with its held-back packets, the main
+//! crash plane, the router with its held-back packets, the main
 //! loop that watches over a run (crash and link schedules, stall check,
 //! settle/quiesce) and the post-run
 //! [`FleetHarness`](kvstore::harness::FleetHarness) surface. What is
@@ -48,9 +48,12 @@
 //!   already queued is handled before what is already due;
 //! * per-node seeded [`SimRng`](simnet::SimRng) streams forked exactly
 //!   like the simulator forks them;
-//! * an optional loss/latency/duplicate/replay-injecting layer
-//!   ([`FaultPlan`]) and scheduled crash/respawn ([`CrashEvent`]) so
-//!   fault scenarios carry over from the simulated suites;
+//! * the simulator's own fault plane: [`RuntimeConfig::faults`] is a
+//!   [`simnet::NetworkConfig`] — loss, latency model, bandwidth,
+//!   reorder, duplicate, stale replay, per-link overrides — and each
+//!   worker's router asks a [`simnet::Network`] built from it for every
+//!   copy's fate, so one scenario value drives both drivers; plus
+//!   scheduled crash/respawn ([`CrashEvent`]);
 //! * a stall check in the main loop that fails a wedged run fast with
 //!   per-node inbox depths and last-event timestamps ([`watchdog`]).
 //!
@@ -79,60 +82,8 @@ pub use watchdog::{NodeDiag, Progress, StallReport};
 pub use wheel::TimerWheel;
 
 use kvstore::config::{ClientConfig, StoreConfig};
+use simnet::NetworkConfig;
 use std::time::Duration as StdDuration;
-
-/// Network fault injection for the threaded runtime: the runtime
-/// analogue of `simnet::NetworkConfig`'s loss/latency knobs, applied at
-/// routing time while a run is active (faults are switched off for the
-/// quiesce phase so the fleet can settle).
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    /// Probability of dropping each inter-node message.
-    pub drop_probability: f64,
-    /// When set, each inter-node message is held back for a uniform
-    /// random delay in `[lo, hi]` microseconds.
-    pub delay_micros: Option<(u64, u64)>,
-    /// Probability a routed inter-node message is delivered *twice*
-    /// (the runtime analogue of `simnet::LinkFaults::duplicate_probability`;
-    /// with a delay window active, the copy samples its own delay and
-    /// usually also arrives out of order).
-    pub duplicate_probability: f64,
-    /// Probability that, on a routed delivery, one previously captured
-    /// frame from the same directed link is re-delivered — a *stale
-    /// replay* of arbitrarily old traffic (the runtime analogue of
-    /// `simnet::LinkFaults::replay_probability`).
-    pub replay_probability: f64,
-    /// Server node indices whose worker threads wedge on purpose —
-    /// never start, never drain their inbox. For stall-report tests.
-    pub hang_servers: Vec<usize>,
-}
-
-impl FaultPlan {
-    /// True when the plan injects nothing (routing can skip the fault
-    /// path entirely).
-    pub fn is_noop(&self) -> bool {
-        self.drop_probability <= 0.0
-            && self.delay_micros.is_none()
-            && self.duplicate_probability <= 0.0
-            && self.replay_probability <= 0.0
-            && self.hang_servers.is_empty()
-    }
-
-    /// The runtime counterpart of `simnet::LinkFaults::hostile()`:
-    /// heavy duplication and stale replay, plus a small delay window so
-    /// copies land out of order. Used by the `NET_FAULTS=hostile`
-    /// suites and the crash-mid-burst oracles.
-    #[must_use]
-    pub fn hostile() -> Self {
-        FaultPlan {
-            drop_probability: 0.0,
-            delay_micros: Some((0, 4_000)),
-            duplicate_probability: 0.15,
-            replay_probability: 0.05,
-            hang_servers: Vec::new(),
-        }
-    }
-}
 
 /// One scheduled crash/respawn of a server during a [`RuntimeFleet`]
 /// run: at `kill_after` (wall clock from run start) the server's node is
@@ -169,8 +120,17 @@ pub struct RuntimeConfig {
     /// Client session parameters (its `cycles` field is overridden by
     /// `cycles_per_client`).
     pub client: ClientConfig,
-    /// Network fault injection while the run is active.
-    pub faults: FaultPlan,
+    /// The network between the nodes while the run is active: `None`
+    /// (the default) hands every message straight to the link; `Some`
+    /// asks a [`simnet::Network`] of this configuration — the
+    /// simulator's fault model, its delays served on the monotonic
+    /// clock — for every copy's fate. (`None`, not a default
+    /// `NetworkConfig`: that one's link carries 500 µs of latency.)
+    /// Faults go off for the quiesce phase so the fleet can settle.
+    pub faults: Option<NetworkConfig>,
+    /// Server node indices whose worker threads wedge on purpose —
+    /// never start, never drain their inbox. For stall-report tests.
+    pub hang_servers: Vec<usize>,
     /// The run is declared stalled after this long without a single
     /// client op completing.
     pub stall_budget: StdDuration,
@@ -189,25 +149,6 @@ pub struct RuntimeConfig {
     pub crashes: Vec<CrashEvent>,
 }
 
-impl RuntimeConfig {
-    /// Returns a copy whose fault plan is set from the `NET_FAULTS`
-    /// environment variable: `hostile` switches on
-    /// [`FaultPlan::hostile`] (duplication, stale replay, a small delay
-    /// window); anything else leaves the plan as configured. The
-    /// runtime counterpart of `ClusterConfig::with_env_net_faults`.
-    #[must_use]
-    pub fn with_env_net_faults(mut self) -> Self {
-        if std::env::var("NET_FAULTS").as_deref() == Ok("hostile") {
-            let hang = std::mem::take(&mut self.faults.hang_servers);
-            self.faults = FaultPlan {
-                hang_servers: hang,
-                ..FaultPlan::hostile()
-            };
-        }
-        self
-    }
-}
-
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
@@ -217,7 +158,8 @@ impl Default for RuntimeConfig {
             cycles_per_client: 20,
             store: StoreConfig::default(),
             client: ClientConfig::default(),
-            faults: FaultPlan::default(),
+            faults: None,
+            hang_servers: Vec::new(),
             stall_budget: StdDuration::from_secs(10),
             run_budget: StdDuration::from_secs(120),
             quiesce: StdDuration::from_millis(500),

@@ -2,7 +2,7 @@
 //! inbox comes from.
 //!
 //! The threaded fleet ([`crate::fleet`]) owns everything about hosting
-//! a node — the event loop, timers, crash plane, fault router, settle
+//! a node — the event loop, timers, crash plane, fault plane, settle
 //! probe, stall check — and is generic over this one trait for the part
 //! that differs between drivers: how an addressed message travels from
 //! one worker thread to another. Every link ends the same way: a

@@ -8,7 +8,10 @@
 //! driver-agnostic surface both fleets implement
 //! ([`kvstore::harness::FleetHarness`]): [`audit_fleet`] checks one
 //! ring view, pairwise AAE leaf equivalence, zero residual copies, and
-//! an oracle-clean converge — the same function, both drivers.
+//! an oracle-clean converge — the same function, both drivers. And the
+//! adversary is the same too: one [`network`] value configures the
+//! simulated cluster and the threaded fleet alike (`NET_FAULTS=hostile`
+//! makes it hostile on both).
 //!
 //! `RUNTIME_CONFORMANCE_SEEDS` widens the seed sweep for soak lanes.
 
@@ -18,8 +21,8 @@ use dvv::mechanisms::DvvMechanism;
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::{audit_fleet, FleetHarness};
-use runtime::{FaultPlan, RuntimeConfig, RuntimeFleet};
-use simnet::Duration;
+use runtime::{RuntimeConfig, RuntimeFleet};
+use simnet::{Duration, LatencyModel, LinkConfig, NetworkConfig, NodeId};
 
 const SERVERS: usize = 4;
 const CLIENTS: usize = 12;
@@ -42,6 +45,20 @@ fn client_config() -> ClientConfig {
     }
 }
 
+/// The one scenario both drivers run under: 3 % loss and 100–400 µs of
+/// latency on every link, plus whatever `NET_FAULTS` asks for.
+fn network() -> NetworkConfig {
+    NetworkConfig::uniform(LinkConfig {
+        latency: LatencyModel::Uniform {
+            lo: Duration::from_micros(100),
+            hi: Duration::from_micros(400),
+        },
+        drop_probability: 0.03,
+        ..LinkConfig::default()
+    })
+    .with_env_faults()
+}
+
 fn runtime_config() -> RuntimeConfig {
     RuntimeConfig {
         servers: SERVERS,
@@ -50,11 +67,7 @@ fn runtime_config() -> RuntimeConfig {
         cycles_per_client: CYCLES,
         store: store_config(),
         client: client_config(),
-        faults: FaultPlan {
-            drop_probability: 0.03,
-            delay_micros: Some((100, 400)),
-            ..FaultPlan::default()
-        },
+        faults: Some(network()),
         stall_budget: StdDuration::from_secs(10),
         run_budget: StdDuration::from_secs(60),
         // Settle budget, not a fixed sleep: the fleet exits early once
@@ -105,6 +118,7 @@ fn audit_sim(seed: u64) {
             cycles_per_client: CYCLES,
             store: store_config(),
             client: client_config(),
+            network: network(),
             ..ClusterConfig::default()
         },
     );
@@ -119,4 +133,41 @@ fn threaded_runtime_matches_simulator_audits() {
         audit_sim(seed);
         audit_runtime(seed);
     }
+}
+
+/// What only the simulator could do before the drivers shared a fault
+/// plane: a per-link override makes `s0 → s1` a dead link, one way,
+/// while the clients run (faults go off for the quiesce, as always).
+/// Quorums form through `s2`, so no client cycle fails; what `s1`
+/// missed from `s0` reaches it by read repair and anti-entropy, and the
+/// audit stack is clean.
+#[test]
+fn a_one_way_dead_link_fails_no_cycle_and_audits_clean() {
+    let mut net = NetworkConfig::uniform(LinkConfig {
+        latency: LatencyModel::Constant(Duration::from_micros(100)),
+        ..LinkConfig::default()
+    });
+    let dead = LinkConfig {
+        drop_probability: 1.0,
+        ..LinkConfig::default()
+    };
+    net.set_link(NodeId(0), NodeId(1), dead);
+    let config = RuntimeConfig {
+        servers: 3,
+        faults: Some(net),
+        ..runtime_config()
+    };
+    let mut fleet = RuntimeFleet::new(0xDEAD, DvvMechanism, config);
+    let report = match fleet.run() {
+        Ok(r) => r,
+        Err(stall) => panic!("runtime stalled:\n{stall}"),
+    };
+    assert!(report.all_done, "clients left unfinished");
+    assert_eq!(fleet.latency_report().failed_cycles, 0);
+    assert_eq!(report.ops_ok, 2 * u64::from(CYCLES) * CLIENTS as u64);
+    assert!(
+        fleet.server(0).stats().read_repairs > 0,
+        "every read s0 coordinates retires with s1 unheard, and repairs it"
+    );
+    audit_fleet(&mut fleet, "one-way dead link (runtime)");
 }

@@ -4,9 +4,9 @@
 //! A server is killed on its own worker thread in the middle of a write
 //! burst under *group-sync* durability (`LogConfig::default()` — the
 //! power cut loses the engine's un-synced record tail) while every
-//! routed message risks duplication, random delay (reordering) and
-//! stale replay ([`FaultPlan::hostile`]). The victim respawns from its
-//! truncated log, re-admits itself in band, and the fleet must converge
+//! routed message risks duplication, reordering and stale replay
+//! ([`LinkFaults::hostile`], the simulator suite's profile). The victim
+//! respawns from its truncated log, re-admits itself in band, and the fleet must converge
 //! unaided and pass the full conformance audit stack — which includes
 //! the fleet-wide dot-uniqueness census over the live states, plus the
 //! *historical* census over the durable log files: append-only logs
@@ -25,8 +25,8 @@ use dvv::ReplicaId;
 use kvstore::config::ClientConfig;
 use kvstore::harness::{assert_dot_unique_in_logs, audit_fleet};
 use kvstore::StoreConfig;
-use runtime::{CrashEvent, EngineFactory, FaultPlan, RuntimeConfig, RuntimeFleet};
-use simnet::Duration;
+use runtime::{CrashEvent, EngineFactory, RuntimeConfig, RuntimeFleet};
+use simnet::{Duration, LinkConfig, LinkFaults, NetworkConfig};
 use storage::LogConfig;
 
 const SERVERS: usize = 3;
@@ -52,7 +52,11 @@ fn burst_config() -> RuntimeConfig {
             request_timeout: Duration::from_millis(40),
             ..ClientConfig::default()
         },
-        faults: FaultPlan::hostile(),
+        faults: Some(NetworkConfig::uniform(LinkConfig {
+            faults: LinkFaults::hostile(),
+            ..LinkConfig::default()
+        })),
+        hang_servers: Vec::new(),
         crashes: vec![CrashEvent {
             server: VICTIM,
             kill_after: StdDuration::from_millis(150),

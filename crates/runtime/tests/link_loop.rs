@@ -22,10 +22,8 @@ use kvstore::messages::Msg;
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::RingView;
 use runtime::link::deliver;
-use runtime::{
-    ChannelLink, CrashEvent, FaultPlan, Fleet, Link, Packet, Progress, RuntimeConfig, Wiring,
-};
-use simnet::{Duration, NodeId};
+use runtime::{ChannelLink, CrashEvent, Fleet, Link, Packet, Progress, RuntimeConfig, Wiring};
+use simnet::{Duration, LatencyModel, LinkConfig, LinkFaults, NetworkConfig, NodeId};
 
 type M = DvvMechanism;
 
@@ -426,11 +424,17 @@ fn delayed_sends_keep_their_delay_and_outlive_a_kill_of_their_sender() {
         ..Script::default()
     });
     let mut config = quiet_config(0);
-    config.faults = FaultPlan {
-        delay_micros: Some((LO.as_micros() as u64, HI.as_micros() as u64)),
-        duplicate_probability: 1.0,
-        ..FaultPlan::default()
-    };
+    config.faults = Some(NetworkConfig::uniform(LinkConfig {
+        latency: LatencyModel::Uniform {
+            lo: Duration::from_micros(LO.as_micros() as u64),
+            hi: Duration::from_micros(HI.as_micros() as u64),
+        },
+        faults: LinkFaults {
+            duplicate_probability: 1.0,
+            ..LinkFaults::default()
+        },
+        ..LinkConfig::default()
+    }));
     config.crashes = vec![CrashEvent {
         server: 0,
         kill_after: KILL_AFTER,

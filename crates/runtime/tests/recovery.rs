@@ -15,7 +15,7 @@ use dvv::ReplicaId;
 use kvstore::config::ClientConfig;
 use kvstore::harness::audit_fleet;
 use kvstore::StoreConfig;
-use runtime::{CrashEvent, EngineFactory, FaultPlan, RuntimeConfig, RuntimeFleet};
+use runtime::{CrashEvent, EngineFactory, RuntimeConfig, RuntimeFleet};
 use simnet::Duration;
 use storage::LogConfig;
 
@@ -40,7 +40,8 @@ fn recovery_config() -> RuntimeConfig {
             request_timeout: Duration::from_millis(40),
             ..ClientConfig::default()
         },
-        faults: FaultPlan::default(),
+        faults: None,
+        hang_servers: Vec::new(),
         crashes: vec![CrashEvent {
             server: VICTIM,
             kill_after: StdDuration::from_millis(150),

@@ -1,6 +1,6 @@
 //! Thread census: a fleet run's threads are its workers — one per
-//! server, one per non-empty client group — with or without a delay
-//! window in the fault plan, and the caller of `run` is the only
+//! server, one per non-empty client group — with or without a network
+//! that delays what it delivers, and the caller of `run` is the only
 //! supervisor. Counted from the kernel's own list of this process's
 //! threads, so the numbers cannot drift from what actually runs. One
 //! test per process: any other test in this binary would put its own
@@ -12,8 +12,8 @@ use std::time::{Duration as StdDuration, Instant};
 
 use dvv::mechanisms::DvvMechanism;
 use kvstore::config::ClientConfig;
-use runtime::{FaultPlan, RuntimeConfig, RuntimeFleet};
-use simnet::Duration;
+use runtime::{RuntimeConfig, RuntimeFleet};
+use simnet::{Duration, LinkConfig, LinkFaults, NetworkConfig};
 
 const SERVERS: usize = 3;
 const CLIENT_WORKERS: usize = 2;
@@ -28,7 +28,7 @@ fn threads() -> usize {
 /// seen above `baseline` while it ran, that runner excluded. Every
 /// thread of a run is spawned before its first event and lives until
 /// shutdown, so the peak is the run's thread count.
-fn peak_threads_during_run(baseline: usize, faults: FaultPlan) -> usize {
+fn peak_threads_during_run(baseline: usize, faults: Option<NetworkConfig>) -> usize {
     let mut fleet = RuntimeFleet::new(
         0xCE05,
         DvvMechanism,
@@ -66,9 +66,12 @@ fn run_threads_are_the_workers_and_nothing_else() {
     let baseline = threads();
     let workers = SERVERS + CLIENT_WORKERS;
     for (faults, what) in [
-        (FaultPlan::default(), "no supervisor thread"),
+        (None, "no supervisor thread"),
         (
-            FaultPlan::hostile(),
+            Some(NetworkConfig::uniform(LinkConfig {
+                faults: LinkFaults::hostile(),
+                ..LinkConfig::default()
+            })),
             "no delayer thread under a delay window",
         ),
     ] {

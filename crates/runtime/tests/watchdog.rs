@@ -5,7 +5,7 @@ use std::time::Duration as StdDuration;
 
 use dvv::mechanisms::DvvMechanism;
 use kvstore::config::{ClientConfig, StoreConfig};
-use runtime::{CrashEvent, FaultPlan, RuntimeConfig, RuntimeFleet};
+use runtime::{CrashEvent, RuntimeConfig, RuntimeFleet};
 use simnet::Duration;
 
 /// A single-server fleet whose only server is deliberately wedged
@@ -33,10 +33,7 @@ fn watchdog_fires_on_wedged_server() {
                 request_timeout: Duration::from_millis(20),
                 ..ClientConfig::default()
             },
-            faults: FaultPlan {
-                hang_servers: vec![0],
-                ..FaultPlan::default()
-            },
+            hang_servers: vec![0],
             stall_budget: StdDuration::from_millis(300),
             run_budget: StdDuration::from_secs(30),
             quiesce: StdDuration::ZERO,
@@ -95,10 +92,7 @@ fn watchdog_distinguishes_scheduled_kill_from_wedge() {
                 request_timeout: Duration::from_millis(20),
                 ..ClientConfig::default()
             },
-            faults: FaultPlan {
-                hang_servers: vec![0],
-                ..FaultPlan::default()
-            },
+            hang_servers: vec![0],
             crashes: vec![CrashEvent {
                 server: 1,
                 kill_after: StdDuration::from_millis(50),

@@ -9,7 +9,11 @@
 //! * an event queue with stable FIFO tie-breaking ([`queue::EventQueue`]),
 //! * a message-passing [`Network`] with pluggable latency distributions,
 //!   bandwidth (so *metadata size translates into latency* — the E7
-//!   experiment), loss, and partitions,
+//!   experiment), loss, partitions and adversarial [`LinkFaults`];
+//!   [`Network::route`] is the one place a message's fate is decided —
+//!   lost, or which copies arrive when, stale replays drawn from a
+//!   driver-owned [`ReplayStash`] — and the threaded `runtime` asks it
+//!   too, so a [`NetworkConfig`] means the same on every driver,
 //! * seeded, splittable randomness ([`rng::SimRng`]) so every run is
 //!   reproducible from one `u64` seed, and
 //! * a [`Simulation`] driver hosting user-defined [`Process`]es.
@@ -56,7 +60,10 @@ pub mod time;
 pub mod trace;
 
 pub use latency::LatencyModel;
-pub use net::{FaultVerdict, LinkConfig, LinkFaults, Network, NetworkConfig, NetworkStats, NodeId};
+pub use net::{
+    LinkConfig, LinkFaults, Network, NetworkConfig, NetworkStats, NodeId, ReplayStash,
+    REPLAY_STASH_CAP,
+};
 pub use rng::SimRng;
 pub use sim::{Process, ProcessCtx, Simulation, TimerId};
 pub use time::{Duration, SimTime};

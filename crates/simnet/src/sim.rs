@@ -1,19 +1,11 @@
 //! The [`Simulation`] driver: hosts [`Process`]es, routes their messages
 //! through the [`Network`], and advances virtual time deterministically.
 
-use std::collections::BTreeMap;
-
-use crate::net::{Network, NetworkConfig, NodeId, Transmit};
+use crate::net::{Network, NetworkConfig, NodeId, ReplayStash};
 use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
 use crate::trace::{Trace, TraceEvent};
-
-/// Captured frames kept per directed link for stale-replay injection.
-/// Small and bounded: replays should resurface *recent-ish* history, and
-/// an unbounded stash would make hostile runs balloon with cloned
-/// messages.
-const REPLAY_STASH_CAP: usize = 16;
 
 /// Handle to a pending timer, returned by [`ProcessCtx::set_timer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -145,10 +137,8 @@ pub struct Simulation<P: Process> {
     events_processed: u64,
     max_events: u64,
     started: bool,
-    /// Per-directed-link frames captured for stale replay (bounded by
-    /// [`REPLAY_STASH_CAP`]); only links whose [`crate::LinkFaults`]
-    /// enable replay ever populate this.
-    replay_stash: BTreeMap<(NodeId, NodeId), Vec<P::Msg>>,
+    /// Frames the network captured for stale replay.
+    replay_stash: ReplayStash<P::Msg>,
 }
 
 impl<P: Process> Simulation<P> {
@@ -175,7 +165,7 @@ impl<P: Process> Simulation<P> {
             events_processed: 0,
             max_events: Self::DEFAULT_MAX_EVENTS,
             started: false,
-            replay_stash: BTreeMap::new(),
+            replay_stash: ReplayStash::new(),
         }
     }
 
@@ -287,7 +277,7 @@ where
         }
         self.started = true;
         for i in 0..self.processes.len() {
-            self.dispatch(i, Dispatch::Start);
+            self.dispatch(i, |p, ctx| p.on_start(ctx));
         }
     }
 
@@ -324,11 +314,11 @@ where
                     to,
                     bytes,
                 });
-                self.dispatch(to.0 as usize, Dispatch::Message { from, msg });
+                self.dispatch(to.0 as usize, |p, ctx| p.on_message(ctx, from, msg));
             }
             Event::Timer { node, id } => {
                 self.trace.record(TraceEvent::TimerFired { time, node });
-                self.dispatch(node.0 as usize, Dispatch::Timer(id));
+                self.dispatch(node.0 as usize, |p, ctx| p.on_timer(ctx, id));
             }
         }
         true
@@ -355,27 +345,21 @@ where
         }
     }
 
-    fn dispatch(&mut self, index: usize, what: Dispatch<P::Msg>) {
+    /// Runs one event — `event` calls the [`Process`] entry point it is
+    /// for — and turns what the process asked for into queued events.
+    fn dispatch(&mut self, index: usize, event: impl FnOnce(&mut P, &mut ProcessCtx<'_, P::Msg>)) {
         let node = NodeId(index as u32);
         let mut outbox = Vec::new();
         let mut timer_requests = Vec::new();
-        {
-            let mut ctx = ProcessCtx {
-                id: node,
-                now: self.now,
-                rng: &mut self.rngs[index],
-                outbox: &mut outbox,
-                timer_requests: &mut timer_requests,
-                next_timer: &mut self.next_timer,
-            };
-            match what {
-                Dispatch::Start => self.processes[index].on_start(&mut ctx),
-                Dispatch::Message { from, msg } => {
-                    self.processes[index].on_message(&mut ctx, from, msg)
-                }
-                Dispatch::Timer(id) => self.processes[index].on_timer(&mut ctx, id),
-            }
-        }
+        let mut ctx = ProcessCtx {
+            id: node,
+            now: self.now,
+            rng: &mut self.rngs[index],
+            outbox: &mut outbox,
+            timer_requests: &mut timer_requests,
+            next_timer: &mut self.next_timer,
+        };
+        event(&mut self.processes[index], &mut ctx);
         for (to, msg, bytes) in outbox {
             self.trace.record(TraceEvent::Sent {
                 time: self.now,
@@ -383,86 +367,32 @@ where
                 to,
                 bytes,
             });
+            let (now, queue) = (self.now, &mut self.queue);
+            let mut deliver = |delay, msg, bytes| {
+                let copy = Event::Deliver {
+                    from: node,
+                    to,
+                    msg,
+                    bytes,
+                };
+                queue.push(now + delay, copy);
+            };
+            let stash = &mut self.replay_stash;
             if to == node {
                 // self-sends bypass the network, zero delay
-                self.queue.push(
-                    self.now,
-                    Event::Deliver {
-                        from: node,
-                        to,
-                        msg,
-                        bytes,
-                    },
-                );
-                continue;
-            }
-            match self.network.transmit(node, to, bytes) {
-                Transmit::Deliver(delay) => {
-                    let verdict = self.network.fault_verdict(node, to, bytes);
-                    if let Some(dup_delay) = verdict.duplicate_delay {
-                        self.queue.push(
-                            self.now + dup_delay,
-                            Event::Deliver {
-                                from: node,
-                                to,
-                                msg: msg.clone(),
-                                bytes,
-                            },
-                        );
-                    }
-                    if let Some((pick, replay_delay)) = verdict.replay {
-                        if let Some(stash) = self.replay_stash.get(&(node, to)) {
-                            if !stash.is_empty() {
-                                let stale = stash[pick as usize % stash.len()].clone();
-                                self.network.record_replay();
-                                self.queue.push(
-                                    self.now + replay_delay,
-                                    Event::Deliver {
-                                        from: node,
-                                        to,
-                                        msg: stale,
-                                        bytes,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    if verdict.capture {
-                        let stash = self.replay_stash.entry((node, to)).or_default();
-                        if stash.len() >= REPLAY_STASH_CAP {
-                            stash.remove(0);
-                        }
-                        stash.push(msg.clone());
-                    }
-                    self.queue.push(
-                        self.now + delay,
-                        Event::Deliver {
-                            from: node,
-                            to,
-                            msg,
-                            bytes,
-                        },
-                    );
-                }
-                Transmit::Dropped | Transmit::Unreachable => {
-                    self.trace.record(TraceEvent::Lost {
-                        time: self.now,
-                        from: node,
-                        to,
-                    });
-                }
+                deliver(Duration::ZERO, msg, bytes);
+            } else if !self.network.route(stash, node, to, bytes, msg, deliver) {
+                self.trace.record(TraceEvent::Lost {
+                    time: self.now,
+                    from: node,
+                    to,
+                });
             }
         }
         for (delay, id) in timer_requests {
             self.queue.push(self.now + delay, Event::Timer { node, id });
         }
     }
-}
-
-enum Dispatch<M> {
-    Start,
-    Message { from: NodeId, msg: M },
-    Timer(TimerId),
 }
 
 #[cfg(test)]
@@ -624,9 +554,10 @@ mod tests {
         sim.run_to_quiescence();
     }
 
-    /// One-shot sender: n0 fires `count` distinct messages at n1, which
-    /// only tallies what it sees (no replies — so every extra delivery
-    /// is fault-injected, not protocol echo).
+    /// One-shot sender: n0 fires `count` distinct messages — each of
+    /// its own size, [`frame_bytes`] — at n1, which only tallies what it
+    /// sees (no replies — so every extra delivery is fault-injected, not
+    /// protocol echo).
     struct Tally {
         to_send: u32,
         seen: Vec<u32>,
@@ -638,7 +569,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut ProcessCtx<'_, u32>) {
             if ctx.id() == NodeId(0) {
                 for i in 0..self.to_send {
-                    ctx.send(NodeId(1), i, 16);
+                    ctx.send(NodeId(1), i, frame_bytes(i));
                 }
             }
         }
@@ -646,6 +577,10 @@ mod tests {
         fn on_message(&mut self, _: &mut ProcessCtx<'_, u32>, _: NodeId, msg: u32) {
             self.seen.push(msg);
         }
+    }
+
+    fn frame_bytes(frame: u32) -> usize {
+        100 + frame as usize
     }
 
     fn tally_sim(seed: u64, count: u32, faults: LinkFaults) -> Simulation<Tally> {
@@ -713,6 +648,64 @@ mod tests {
             400 + stats.replayed,
             "each replay is one extra delivery of an already-sent frame"
         );
+    }
+
+    /// Regression: the stash held messages only, so a stale replay was
+    /// delivered — and counted — at the size of the frame that
+    /// triggered it.
+    #[test]
+    fn stale_replay_is_delivered_at_its_own_size() {
+        let faults = LinkFaults {
+            replay_probability: 0.3,
+            ..LinkFaults::default()
+        };
+        let mut sim = tally_sim(3, 200, faults);
+        sim.trace_mut().enable();
+        sim.run_to_quiescence();
+        let delivered = sim.trace().events().iter().filter_map(|e| match e {
+            TraceEvent::Delivered { bytes, .. } => Some(*bytes),
+            _ => None,
+        });
+        let sent_at: Vec<usize> = sim
+            .process(1)
+            .seen
+            .iter()
+            .map(|i| frame_bytes(*i))
+            .collect();
+        assert!(sim.network().stats().replayed > 50);
+        assert_eq!(delivered.collect::<Vec<_>>(), sent_at, "message by message");
+        let total: usize = sent_at.iter().sum();
+        assert_eq!(sim.network().stats().bytes_delivered, total as u64);
+    }
+
+    /// Golden pin: delivery order and counters of this run as they were
+    /// on the commit before [`Network::route`] replaced the separate
+    /// transmit and fault-verdict rolls — "bit-for-bit" as a test.
+    #[test]
+    fn hostile_run_is_what_it_was_before_route() {
+        let mut sim = tally_sim(42, 300, LinkFaults::hostile());
+        sim.run_to_quiescence();
+        let seen = &sim.process(1).seen;
+        let fnv = seen.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+            (h ^ u64::from(*v)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((seen.len(), fnv), (360, 0x030a_3789_7c8f_e2ae));
+        let head = [0, 0, 1, 2, 2, 5, 7, 8, 9, 9, 10, 11, 12, 13, 13, 14];
+        assert_eq!(
+            (&seen[..16], &seen[356..]),
+            (&head[..], &[177, 190, 205, 275][..])
+        );
+        let s = sim.network().stats();
+        let counters = [
+            s.sent,
+            s.delivered,
+            s.dropped,
+            s.duplicated,
+            s.reordered,
+            s.replayed,
+        ];
+        assert_eq!(counters, [300, 360, 0, 44, 78, 16]);
+        assert_eq!(sim.now(), SimTime::from_micros(8000));
     }
 
     #[test]

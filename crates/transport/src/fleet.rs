@@ -41,7 +41,7 @@ use kvstore::harness::FleetHarness;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::RingView;
-use runtime::{FaultPlan, Fleet, Link, Packet, RuntimeConfig, Wiring};
+use runtime::{Fleet, Link, Packet, RuntimeConfig, Wiring};
 use simnet::SimRng;
 
 use crate::fabric::{Fabric, FabricStats};
@@ -235,7 +235,8 @@ where
                 ..config.store
             },
             client: config.client.clone(),
-            faults: FaultPlan::default(),
+            faults: None,
+            hang_servers: Vec::new(),
             stall_budget: config.stall_budget,
             run_budget: config.run_budget,
             quiesce: config.quiesce,

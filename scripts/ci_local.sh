@@ -169,7 +169,9 @@ if runs_lane faults; then
     # Then the reservation codec properties, the hello-authentication
     # lifecycle suite, and the churn suites re-run under
     # NET_FAULTS=hostile: handlers must be idempotent and commutative to
-    # converge when the network is adversarial.
+    # converge when the network is adversarial. The same variable, read
+    # by the same `NetworkConfig::with_env_faults`, turns the threaded
+    # conformance run (simulator baseline included) hostile too.
     cargo test -p kvstore --test crash_burst -- --nocapture
     cargo test -p runtime --test crash_burst -- --nocapture
     cargo test -p storage --test meta_record -- --nocapture
@@ -177,6 +179,7 @@ if runs_lane faults; then
     NET_FAULTS=hostile cargo test -p kvstore --test elastic -- --nocapture
     NET_FAULTS=hostile cargo test -p kvstore --test gossip -- --nocapture
     NET_FAULTS=hostile cargo test -p kvstore --test overlap -- --nocapture
+    NET_FAULTS=hostile cargo test -p runtime --test conformance -- --nocapture
 fi
 
 if runs_lane bench; then
@@ -230,6 +233,7 @@ if runs_lane soak; then
         NET_FAULTS=hostile cargo test -p kvstore --test elastic -- --nocapture
         NET_FAULTS=hostile cargo test -p kvstore --test gossip -- --nocapture
         NET_FAULTS=hostile cargo test -p kvstore --test overlap -- --nocapture
+        NET_FAULTS=hostile cargo test -p runtime --test conformance -- --nocapture
     '
     # the same churn suites again with the delta protocols forced on:
     # the equivalence oracle must stay green when every reconciliation

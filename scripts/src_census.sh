@@ -41,3 +41,12 @@ printf '  %-32s %6d\n' \
     "StoreConfig fields" "$(members crates/kvstore/src/config.rs '^pub struct StoreConfig ')" \
     "RuntimeConfig fields" "$(members crates/runtime/src/lib.rs '^pub struct RuntimeConfig ')" \
     "SocketConfig fields" "$(members crates/transport/src/fleet.rs '^pub struct SocketConfig ')"
+# The fault plane: how many times each of its pieces is written.
+src_count() {
+    { grep -rhE "$1" crates/*/src --include='*.rs' || true; } | wc -l
+}
+echo "fault surface (crates/*/src)"
+printf '  %-32s %6d\n' \
+    "hostile() profiles" "$(src_count 'pub fn hostile\(')" \
+    "NET_FAULTS readers" "$(src_count '"NET_FAULTS"')" \
+    "REPLAY_STASH_CAP definitions" "$(src_count 'const REPLAY_STASH_CAP')"
