@@ -41,10 +41,29 @@
 //! sees a client session finish. Everything it knows about the live
 //! fleet it reads from [`Progress`], which the workers write with
 //! relaxed atomics: no lock is taken on the dispatch path.
+//!
+//! **A worker with nothing to do polls before it parks — while that
+//! pays.** A worker blocked on an empty inbox lets its vCPU halt, and
+//! the packet that ends the wait pays a futex wake, an IPI and the exit
+//! from the halt: on the in-process link that was ~30 of
+//! `threaded_rmw`'s 42 µs of CPU per operation, 6.7 times per
+//! operation — the gap to the thread-free simulator's 10.9 µs that had
+//! been filed under "the host is bimodal". So the loop's idle arm first
+//! looks at its inbox for up to [`Link::SPIN`], yielding the CPU between
+//! looks and never past the next due timer or held-back packet; only
+//! then does it park, as it always did, for what is left of the wait.
+//! A gate decides whether to poll at all, from what the last idle gap
+//! was (`SpinGate`): a saturated fleet holds itself in the cheap regime
+//! and an idle one pays a window per worker and then sleeps. `SPIN` is
+//! the link's, not a setting: 50 µs on [`ChannelLink`]; zero — this
+//! paragraph does not apply, the arm is one `recv_timeout` — on the
+//! socket link, whose numbers are at [`Link::SPIN`]. Which regime a run
+//! was in is [`FleetStats::idle`]: `parks / ops_ok` reads 6–7 when every
+//! message woke a sleeper and under 1 when it did not.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration as StdDuration, Instant};
@@ -231,6 +250,21 @@ pub struct NodeSnapshot {
     pub events: u64,
 }
 
+/// How the run's workers spent their idle moments, fleet-wide: which
+/// regime the run was in. `parks / ops_ok` of 6–7 is the expensive one
+/// — every message woke a sleeper; near 0, messages found their worker
+/// awake.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IdleStats {
+    /// Times a worker went to sleep on an empty inbox.
+    pub parks: u64,
+    /// Idle polls ([`Link::SPIN`]) a packet ended.
+    pub spin_hits: u64,
+    /// Idle polls that ran their whole window and found nothing; each
+    /// burnt at most one `SPIN` of CPU.
+    pub spin_misses: u64,
+}
+
 /// Clonable live-stats handle: a view over the run's [`Progress`]
 /// counters, readable without pausing worker threads. What a node
 /// counted itself — its wire ledger, its server or session stats — is
@@ -247,6 +281,17 @@ impl FleetStats {
     pub fn snapshot(&self, i: usize) -> NodeSnapshot {
         NodeSnapshot {
             events: self.progress.events[i].load(Ordering::Relaxed),
+        }
+    }
+
+    /// The idle counters, as of each worker's latest park (exact once
+    /// the run has returned).
+    pub fn idle(&self) -> IdleStats {
+        let p = &self.progress;
+        IdleStats {
+            parks: p.parks.load(Ordering::Relaxed),
+            spin_hits: p.spin_hits.load(Ordering::Relaxed),
+            spin_misses: p.spin_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -440,6 +485,8 @@ where
             }
         }
         groups.extend(client_groups.into_iter().filter(|g| !g.is_empty()));
+        // One node per worker: where teardown posts that worker's wake.
+        let wake: Vec<NodeId> = groups.iter().map(|g| g[0].id).collect();
 
         // One bounded inbox per worker; `inboxes[j]` routes to the
         // worker hosting node j.
@@ -592,6 +639,18 @@ where
             }
         }
         shared.shutdown.store(true, Ordering::Relaxed);
+        // A parked worker would sit out its wait (the 20 ms cap, when no
+        // timer is nearer) before it saw the flag: wake each with one
+        // packet put straight into its inbox. Not `deliver`ed — no depth
+        // is counted for it, because `receive` drops what it takes once
+        // the flag is up. A full inbox means the worker is awake anyway.
+        for node in wake {
+            let _ = inboxes[node.0 as usize].try_send(Packet {
+                from: node,
+                to: node,
+                msg: Msg::GossipDigest { digest: 0 },
+            });
+        }
 
         let mut returned: Vec<Hosted<M>> = Vec::with_capacity(total);
         for h in handles {
@@ -738,6 +797,81 @@ impl<M: Mechanism<StampedValue>> WorkerCrash<M> {
     }
 }
 
+/// Whether an idle worker polls its inbox before it parks, and the
+/// worker's idle counters. The rule is "the last idle gap predicts the
+/// next": the gate starts open (on a link whose [`Link::SPIN`] is not
+/// zero), a poll that finds nothing closes it, and a packet that ends a
+/// *parked* wait within `SPIN` of the worker going idle re-opens it. So
+/// a saturated fleet stays in the cheap regime — packets find their
+/// worker awake — and an idle or thinking one pays one missed window
+/// per burst. Two smoother rules were measured and lost, and should not
+/// be tried again blind: an EWMA of the gaps against `SPIN / 2`, and
+/// "6 of the last 8 gaps ≤ `SPIN / 2`". Neither ever engages on
+/// `durable_rmw` — a server's 0.4 ms fsync starves its peers, their
+/// gaps grow past the threshold, and in the parked regime a hop is
+/// ~27 µs, so they never come back — and the second halves the
+/// `threaded_rmw` gain.
+#[derive(Debug)]
+struct SpinGate {
+    spin_us: u64,
+    open: bool,
+    /// Counted since the last [`fold`](Self::fold).
+    tally: IdleStats,
+}
+
+impl SpinGate {
+    fn new(spin: StdDuration) -> Self {
+        let spin_us = spin.as_micros() as u64;
+        SpinGate {
+            spin_us,
+            open: spin_us > 0,
+            tally: IdleStats::default(),
+        }
+    }
+
+    fn open(&self) -> bool {
+        self.open
+    }
+
+    /// A packet ended the poll; the gate stays open.
+    fn on_hit(&mut self) {
+        self.tally.spin_hits += 1;
+    }
+
+    /// The poll ran its whole window and found nothing.
+    fn on_miss(&mut self) {
+        self.tally.spin_misses += 1;
+        self.open = false;
+    }
+
+    /// A packet ended a parked wait, `gap_us()` after the worker went
+    /// idle (the clock is not read on a link that never polls).
+    fn on_wake(&mut self, gap_us: impl FnOnce() -> u64) {
+        self.open = self.spin_us > 0 && gap_us() <= self.spin_us;
+    }
+
+    /// The worker is about to sleep: the one moment a few shared writes
+    /// cost nothing next to what follows.
+    fn on_park(&mut self, progress: &Progress) {
+        self.tally.parks += 1;
+        self.fold(progress);
+    }
+
+    /// Adds the tally to the run's counters and zeroes it.
+    fn fold(&mut self, progress: &Progress) {
+        let t = std::mem::take(&mut self.tally);
+        for (cell, n) in [
+            (&progress.parks, t.parks),
+            (&progress.spin_hits, t.spin_hits),
+            (&progress.spin_misses, t.spin_misses),
+        ] {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// One worker thread's event loop over the nodes it hosts: messages
 /// from its inbox and its local self-send queue, timers from each
 /// node's wheel, held-back packets from its router.
@@ -762,10 +896,8 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         dispatch(h, &mut router, |node, ctx| node.on_start(ctx));
     }
 
-    loop {
-        if router.shared.shutdown.load(Ordering::Relaxed) {
-            return hosted;
-        }
+    let mut gate = SpinGate::new(L::SPIN);
+    'run: loop {
         let down = crash
             .as_ref()
             .is_some_and(|c| c.apply(&mut hosted[0], &mut router.local));
@@ -780,6 +912,12 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         for _ in 0..inbox_capacity {
             let Ok(pkt) = rx.try_recv() else { break };
             receive(&mut hosted, pkt, down, &mut router);
+        }
+        // The stop check comes after the drain, not before it: the
+        // drain may be what takes teardown's wake, and a worker that
+        // went on to park would sleep through the flag it was sent for.
+        if router.shared.shutdown.load(Ordering::Relaxed) {
+            break;
         }
 
         // Fire what is due now and deliver the self-sends. A handler
@@ -802,22 +940,62 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
             continue;
         }
 
-        // Nothing is due at `now_us` any more: sleep until the next
-        // timer, the next held-back packet's due instant or the next
-        // inbound packet, whichever comes first (capped so shutdown is
-        // noticed promptly).
+        // Nothing is due at `now_us` any more: wait for the next timer,
+        // the next held-back packet's due instant or the next inbound
+        // packet, whichever comes first (capped so a stop is noticed
+        // even if its wake found the inbox full).
         let next = hosted
             .iter()
             .filter_map(|h| h.wheel.next_due())
             .chain(router.next_due())
             .min();
         let wait_us = next.map_or(20_000, |d| d.saturating_sub(now_us).min(20_000));
-        match rx.recv_timeout(StdDuration::from_micros(wait_us)) {
-            Ok(pkt) => receive(&mut hosted, pkt, down, &mut router),
+
+        // While the gate is open, poll before parking — never past the
+        // next due instant, so timers stay punctual. There are more
+        // workers than cores, so the poll steps aside for runnable work
+        // between looks: a bare spin would hold the very CPU the reply
+        // it waits for needs.
+        let mut idle_us = 0;
+        if gate.open() {
+            let window_us = wait_us.min(gate.spin_us);
+            let polled = loop {
+                match rx.try_recv() {
+                    Ok(pkt) => break Some(pkt),
+                    Err(TryRecvError::Empty) => {}
+                    Err(TryRecvError::Disconnected) => break 'run,
+                }
+                idle_us = router.shared.now_us().saturating_sub(now_us);
+                if idle_us >= window_us {
+                    break None;
+                }
+                thread::yield_now();
+            };
+            match polled {
+                Some(pkt) => {
+                    gate.on_hit();
+                    receive(&mut hosted, pkt, down, &mut router);
+                    continue;
+                }
+                // Cut short by a due instant: there is work, and
+                // nothing was learnt about the gap.
+                None if window_us < gate.spin_us => continue,
+                None => gate.on_miss(),
+            }
+        }
+
+        gate.on_park(&router.progress);
+        match rx.recv_timeout(StdDuration::from_micros(wait_us.saturating_sub(idle_us))) {
+            Ok(pkt) => {
+                gate.on_wake(|| router.shared.now_us().saturating_sub(now_us));
+                receive(&mut hosted, pkt, down, &mut router);
+            }
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return hosted,
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
+    gate.fold(&router.progress);
+    hosted
 }
 
 /// Takes one packet off the inbox. A dead server's inbox drains onto
@@ -829,6 +1007,12 @@ fn receive<M: Mechanism<StampedValue>, L: Link<M>>(
     down: bool,
     router: &mut Router<M, L>,
 ) {
+    // Once the run is over whatever is still queued is dropped where
+    // it is, teardown's wake included: nothing more is dispatched into
+    // a node the audit is about to read.
+    if router.shared.shutdown.load(Ordering::Relaxed) {
+        return;
+    }
     router.progress.inbox_depth[to.0 as usize].fetch_sub(1, Ordering::Relaxed);
     if !down {
         hand_to(hosted, from, to, msg, router);
@@ -1029,6 +1213,57 @@ mod tests {
     use dvv::mechanisms::DvvMechanism;
 
     use super::*;
+
+    /// The gate, row by row: `(SPIN in µs, what happened, open after)`.
+    #[test]
+    fn the_spin_gate_as_a_table() {
+        #[derive(Debug)]
+        enum Step {
+            Hit,
+            Miss,
+            Wake(u64),
+            Park,
+        }
+        use Step::*;
+        let rows: &[(u64, &[Step], bool)] = &[
+            (50, &[], true),
+            (0, &[], false),
+            (50, &[Hit, Hit], true),
+            (50, &[Miss], false),
+            (50, &[Miss, Park, Wake(50)], true),
+            (50, &[Miss, Park, Wake(51)], false),
+            (50, &[Miss, Park, Wake(7), Hit, Miss], false),
+            (50, &[Miss, Park, Wake(51), Park, Wake(3)], true),
+            (0, &[Park, Wake(0)], false),
+        ];
+        for (spin_us, steps, open) in rows {
+            let progress = Progress::new(0);
+            let mut gate = SpinGate::new(StdDuration::from_micros(*spin_us));
+            for step in *steps {
+                match step {
+                    Hit => gate.on_hit(),
+                    Miss => gate.on_miss(),
+                    Wake(gap) => gate.on_wake(|| *gap),
+                    Park => gate.on_park(&progress),
+                }
+            }
+            assert_eq!(gate.open(), *open, "SPIN {spin_us}: {steps:?}");
+            // Every step is counted once, wherever the fold fell.
+            gate.fold(&progress);
+            let count = |f: fn(&Step) -> bool| steps.iter().filter(|s| f(s)).count() as u64;
+            let stats = FleetStats {
+                progress: Arc::new(progress),
+            };
+            let want = IdleStats {
+                parks: count(|s| matches!(s, Park)),
+                spin_hits: count(|s| matches!(s, Hit)),
+                spin_misses: count(|s| matches!(s, Miss)),
+            };
+            assert_eq!(stats.idle(), want, "SPIN {spin_us}: {steps:?}");
+        }
+        // A link that never polls never reads the clock for the gate.
+        SpinGate::new(StdDuration::ZERO).on_wake(|| unreachable!("SPIN is zero"));
+    }
 
     /// A re-admission that does not fit the respawned server's inbox is
     /// tried again on the next pass, not dropped: the event stays open

@@ -75,7 +75,7 @@ pub mod link;
 pub mod watchdog;
 pub mod wheel;
 
-pub use fleet::{Fleet, FleetStats, NodeSnapshot, RunReport, RuntimeFleet};
+pub use fleet::{Fleet, FleetStats, IdleStats, NodeSnapshot, RunReport, RuntimeFleet};
 pub use kvstore::cluster::EngineFactory;
 pub use link::{ChannelLink, ChannelStats, Link, Packet, Wiring};
 pub use watchdog::{NodeDiag, Progress, StallReport};

@@ -69,6 +69,30 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// The link's own accounting of a run.
     type Ledger;
 
+    /// How long a worker that has run out of work polls its inbox
+    /// before it parks (the gate and the loop are in [`crate::fleet`]).
+    /// A parked worker's vCPU halts, and the next packet pays a futex
+    /// wake, an IPI and the exit from the halt to bring it back — about
+    /// 30 µs of a 42 µs operation on the in-process link, some 6.7
+    /// times per operation. Polling for a moment first skips all of
+    /// that whenever the next packet is close behind the last.
+    ///
+    /// This is a property of the transport, not an option: nothing sets
+    /// it but the link's own `impl`. Zero, the default, is the plain
+    /// `recv_timeout` and is right unless the link has *measured*, on
+    /// paired benchmark runs, that (a) a reply can be back within the
+    /// window — a peer's [`send`](Link::send) is itself the delivery,
+    /// with no thread of the link's own in between — and (b) no
+    /// workload of the link pays for the polling. [`ChannelLink`] meets
+    /// both at 50 µs (`threaded_rmw` 36 k → 150 k+ ops/s). The socket
+    /// link is the worked counter-example: the sleeper that matters
+    /// there is the fabric's reader inside `read(2)`, not the worker,
+    /// and the same poll on the worker read, 3 runs of 3 each way,
+    /// 50 µs → `socket_rmw` 14.5 k → 12.2 k ops/s and 121 → 150 µs
+    /// CPU/op; 200 µs → `socket_rmw` +27 % ops/s but `socket_hot_mixed`
+    /// CPU/op 206 → 250 µs and wire bytes/op +6 %. So it keeps zero.
+    const SPIN: StdDuration = StdDuration::ZERO;
+
     /// Opens the link at run start.
     fn open(spec: &Self::Spec, wiring: Wiring<M>) -> Self;
 
@@ -133,6 +157,9 @@ where
 {
     type Spec = ();
     type Ledger = ChannelStats;
+
+    /// A peer's `send` is the delivery: a reply can be back in a few µs.
+    const SPIN: StdDuration = StdDuration::from_micros(50);
 
     fn open(_spec: &(), wiring: Wiring<M>) -> Self {
         ChannelLink {

@@ -45,6 +45,15 @@ pub struct Progress {
     /// initiated — the quiesce phase requires clean rounds, not just
     /// elapsed quiet time.
     pub aae_rounds: Vec<AtomicU64>,
+    /// Times a worker went to sleep on an empty inbox, fleet-wide. The
+    /// three idle counters are kept in worker-local integers and folded
+    /// in here only when a worker parks or exits — dispatch writes
+    /// nothing shared for them (read through `FleetStats::idle`).
+    pub parks: AtomicU64,
+    /// Idle polls ([`Link::SPIN`](crate::Link::SPIN)) a packet ended.
+    pub spin_hits: AtomicU64,
+    /// Idle polls that ran their whole window and found nothing.
+    pub spin_misses: AtomicU64,
 }
 
 impl Progress {
@@ -59,6 +68,9 @@ impl Progress {
             expected_down: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             repair_activity: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             aae_rounds: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            parks: AtomicU64::new(0),
+            spin_hits: AtomicU64::new(0),
+            spin_misses: AtomicU64::new(0),
         }
     }
 

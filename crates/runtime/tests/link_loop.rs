@@ -653,3 +653,150 @@ fn a_timer_armed_and_cancelled_in_one_dispatch_never_fires() {
     let stats = fleet.server(0).stats();
     assert_eq!((stats.gets_ok, stats.quorum_timeouts), (1, 0));
 }
+
+/// [`ScriptLink`] with a poll window ([`Link::SPIN`]) no test outlasts:
+/// a worker of this link that has gone idle is still polling — has
+/// neither missed nor parked — whenever a script acts.
+#[derive(Clone)]
+struct Spinning(ScriptLink);
+
+impl Link<M> for Spinning {
+    type Spec = Arc<Script>;
+    type Ledger = ();
+
+    const SPIN: StdDuration = StdDuration::from_secs(30);
+
+    fn open(spec: &Arc<Script>, wiring: Wiring<M>) -> Self {
+        Spinning(ScriptLink::open(spec, wiring))
+    }
+
+    fn send(&self, pkt: Packet<M>) {
+        self.0.send(pkt);
+    }
+
+    fn note_self(&self, bytes: usize) {
+        self.0.note_self(bytes);
+    }
+
+    fn tick(&mut self, elapsed: StdDuration) -> bool {
+        self.0.tick(elapsed)
+    }
+
+    fn close(self) {}
+}
+
+/// Waits for the quiet server to go idle, then posts it one probe and
+/// waits for the dispatch.
+fn probe_an_idle_server(link: &ScriptLink) {
+    await_that("the server to start", || link.events(SERVER) >= 1);
+    let base = link.events(SERVER);
+    link.probe(1);
+    await_that("the probe to be dispatched", || link.events(SERVER) > base);
+}
+
+/// A packet that arrives while the worker polls is dispatched from the
+/// poll — counted as a hit — and the worker has not parked before it,
+/// for it, or after it.
+#[test]
+fn a_packet_inside_the_poll_window_is_dispatched_without_a_park() {
+    let script = Arc::new(Script {
+        on_tick: Some(probe_an_idle_server),
+        ..Script::default()
+    });
+    let mut fleet: Fleet<M, Spinning> = Fleet::with_link(
+        0x11AC,
+        DvvMechanism,
+        quiet_config(0),
+        None,
+        Arc::clone(&script),
+    );
+    fleet.run().expect("no stall");
+
+    let idle = fleet.stats().idle();
+    assert_eq!((idle.parks, idle.spin_misses), (0, 0), "{idle:?}");
+    // The probe — unless the start-up drain got to it first — and
+    // teardown's wake.
+    assert!(idle.spin_hits >= 1, "{idle:?}");
+    assert_eq!(script.sent_to(STRANGER), 1, "the probe was answered");
+}
+
+/// On a link that leaves [`Link::SPIN`] at zero the worker never polls:
+/// its idle arm is the one `recv_timeout` it always was.
+#[test]
+fn a_link_without_a_window_never_polls() {
+    let script = Arc::new(Script {
+        on_tick: Some(probe_an_idle_server),
+        ..Script::default()
+    });
+    let mut fleet = fleet(quiet_config(0), &script);
+    fleet.run().expect("no stall");
+
+    let idle = fleet.stats().idle();
+    assert_eq!((idle.spin_hits, idle.spin_misses), (0, 0), "{idle:?}");
+    assert_eq!(script.sent_to(STRANGER), 1, "the probe was answered");
+}
+
+/// The poll never outlasts the next due instant: a request timer that
+/// comes due [`SERVER_TIMEOUT`] into a window six thousand times as
+/// long fires on time, not when the window ends.
+#[test]
+fn the_poll_window_is_cut_at_the_next_due_timer() {
+    fn script(link: &ScriptLink) {
+        let asked = Instant::now();
+        // No owner answers: the coordinator's reply is its timeout.
+        get_cart_at_outsider(link);
+        link.note(asked.elapsed().as_millis() as u64);
+    }
+    let script = Arc::new(Script {
+        on_tick: Some(script),
+        ..Script::default()
+    });
+    let mut fleet: Fleet<M, Spinning> = Fleet::with_link(
+        0x11AC,
+        DvvMechanism,
+        cart_config(),
+        None,
+        Arc::clone(&script),
+    );
+    fleet.run().expect("no stall");
+
+    let took_ms = script.notes.lock().unwrap()[0];
+    assert!(
+        took_ms < Spinning::SPIN.as_millis() as u64 / 2,
+        "a {SERVER_TIMEOUT:?} timer fired after {took_ms} ms"
+    );
+    let stats = fleet.server(cart_placement().2 .0 as usize).stats();
+    assert_eq!((stats.gets_ok, stats.quorum_timeouts), (0, 1));
+    assert_eq!(fleet.stats().idle().spin_misses, 0, "no window ran out");
+}
+
+/// Teardown wakes the workers it is about to join: `run` returns
+/// moments after the run's own clock stopped, not one 20 ms wait cap
+/// later.
+#[test]
+fn teardown_does_not_wait_out_a_parked_worker() {
+    fn script(link: &ScriptLink) {
+        // Started, and with nothing to do: parked by the time `run`
+        // gets to its teardown (or about to be — the wake is queued
+        // either way).
+        await_that("the server to start", || link.events(SERVER) >= 1);
+    }
+    // A frozen host can stretch any single attempt.
+    let fastest = (0..3)
+        .map(|_| {
+            let script = Arc::new(Script {
+                on_tick: Some(script),
+                ..Script::default()
+            });
+            let mut fleet = fleet(quiet_config(0), &script);
+            let started = Instant::now();
+            let report = fleet.run().expect("no stall");
+            started.elapsed().saturating_sub(report.elapsed)
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < StdDuration::from_millis(8),
+        "teardown took {fastest:?}"
+    );
+}

@@ -100,13 +100,17 @@ if runs_lane runtime; then
     # node; `link_loop` drives the one worker loop message by message
     # through a scripted link (queued reply before due timer, local
     # self-sends, a down server's inbox, held-back sends, full-inbox
-    # loss, prompt shutdown); `thread_census` counts a run's threads
+    # loss, prompt shutdown and teardown, the idle poll's hits and its
+    # cut at the next due timer); `idle` bounds what that poll costs a
+    # quiet or thinking fleet, on the fleet's own counters;
+    # `thread_census` counts a run's threads
     # (its workers, nothing else); `conformance` runs the same seeded
     # workload on both drivers and requires AAE-equivalent,
     # oracle-clean end states.
     cargo test -p runtime --test timer_order -- --nocapture
     cargo test -p runtime --test watchdog -- --nocapture
     cargo test -p runtime --test link_loop -- --nocapture
+    cargo test -p runtime --test idle -- --nocapture
     cargo test -p runtime --test thread_census -- --nocapture
     cargo test -p runtime --test conformance -- --nocapture
 fi
