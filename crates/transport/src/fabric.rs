@@ -44,6 +44,7 @@
 //! socket driver measures.
 
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -65,6 +66,9 @@ use crate::frame::{self, HEADER_BYTES};
 const BACKOFF_BASE_MS: u64 = 1;
 /// Backoff cap (before jitter).
 const BACKOFF_CAP_MS: u64 = 128;
+
+/// A reader's buffer in front of its socket.
+const READ_BUFFER: usize = 64 << 10;
 
 /// Bytes in an authenticated hello body: 4-byte node id + 8-byte tag.
 const HELLO_LEN: usize = 12;
@@ -507,8 +511,15 @@ where
     /// decode error — is terminal for the connection: no retry
     /// negotiation, the socket is shut down and the (legitimate)
     /// dialer's next send owns recovery.
-    fn reader_loop(&self, to: usize, mut stream: TcpStream) {
+    fn reader_loop(&self, to: usize, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
+        // A frame is three reads (first byte, rest of the header, body):
+        // buffered, most of them are copies instead of `recv` calls, and
+        // frames that arrived together cost one.
+        let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
+        let shut = |stream: &BufReader<TcpStream>| {
+            let _ = stream.get_ref().shutdown(Shutdown::Both);
+        };
         // The hello attributes the connection to its dialer.
         let from = match frame::read_frame(&mut stream, self.max_frame) {
             // Closed before introducing itself (e.g. the shutdown
@@ -518,17 +529,17 @@ where
                 Some(id) => id,
                 None => {
                     self.counters.hello_rejects.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.shutdown(Shutdown::Both);
+                    shut(&stream);
                     return;
                 }
             },
             Err(_) => {
                 self.counters.hello_rejects.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.shutdown(Shutdown::Both);
+                shut(&stream);
                 return;
             }
         };
-        let token = self.register_conn((from, to), &stream);
+        let token = self.register_conn((from, to), stream.get_ref());
         loop {
             match frame::read_frame(&mut stream, self.max_frame) {
                 Ok(Some(body)) => {
@@ -558,7 +569,7 @@ where
                             // Undecodable body: the stream can no longer
                             // be trusted. Drop the connection.
                             self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            let _ = stream.shutdown(Shutdown::Both);
+                            shut(&stream);
                             break;
                         }
                     }
@@ -566,7 +577,7 @@ where
                 Ok(None) => break,
                 Err(_) => {
                     self.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.shutdown(Shutdown::Both);
+                    shut(&stream);
                     break;
                 }
             }

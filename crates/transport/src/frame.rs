@@ -98,11 +98,13 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>, FrameError> {
     let mut header = [0u8; HEADER_BYTES];
     // First byte decides clean-close vs torn frame.
-    match r.read(&mut header[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == ErrorKind::Interrupted => return read_frame(r, max_frame),
-        Err(e) => return Err(e.into()),
+    loop {
+        match r.read(&mut header[..1]) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
     r.read_exact(&mut header[1..])?;
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
@@ -136,6 +138,30 @@ mod tests {
         assert_eq!(read_frame(&mut r, 1024).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r, 1024).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r, 1024).unwrap().unwrap(), vec![0xAB; 300]);
+        assert!(read_frame(&mut r, 1024).unwrap().is_none());
+    }
+
+    /// A signal storm costs iterations, not stack: the retry of an
+    /// interrupted first read is a loop.
+    #[test]
+    fn interrupted_reads_are_retried_in_place() {
+        struct Stormy<R>(u32, R);
+        impl<R: Read> Read for Stormy<R> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if self.0 > 0 {
+                    self.0 -= 1;
+                    return Err(ErrorKind::Interrupted.into());
+                }
+                self.1.read(buf)
+            }
+        }
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"after the storm").unwrap();
+        let mut r = Stormy(10_000, Cursor::new(buf));
+        assert_eq!(
+            read_frame(&mut r, 1024).unwrap().unwrap(),
+            b"after the storm"
+        );
         assert!(read_frame(&mut r, 1024).unwrap().is_none());
     }
 
