@@ -45,8 +45,8 @@
 //! **A worker with nothing to do polls before it parks — while that
 //! pays.** A worker blocked on an empty inbox lets its vCPU halt, and
 //! the packet that ends the wait pays a futex wake, an IPI and the exit
-//! from the halt: on the in-process link that was ~30 of
-//! `threaded_rmw`'s 42 µs of CPU per operation, 6.7 times per
+//! from the halt: on the in-process link that was ~31 of
+//! `threaded_rmw`'s 42 µs of CPU per operation, at 1.8 parks per
 //! operation — the gap to the thread-free simulator's 10.9 µs that had
 //! been filed under "the host is bimodal". So the loop's idle arm first
 //! looks at its inbox for up to [`Link::SPIN`], yielding the CPU between
@@ -58,8 +58,9 @@
 //! the link's, not a setting: 50 µs on [`ChannelLink`]; zero — this
 //! paragraph does not apply, the arm is one `recv_timeout` — on the
 //! socket link, whose numbers are at [`Link::SPIN`]. Which regime a run
-//! was in is [`FleetStats::idle`]: `parks / ops_ok` reads 6–7 when every
-//! message woke a sleeper and under 1 when it did not.
+//! was in is [`FleetStats::idle`]: on the benchmark's read-modify-write
+//! shape `parks / ops_ok` reads 1.8 when every idle moment ends in a
+//! sleep, and 0.00 (in memory) or 0.2 (a durable log under it) now.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -251,9 +252,10 @@ pub struct NodeSnapshot {
 }
 
 /// How the run's workers spent their idle moments, fleet-wide: which
-/// regime the run was in. `parks / ops_ok` of 6–7 is the expensive one
-/// — every message woke a sleeper; near 0, messages found their worker
-/// awake.
+/// regime the run was in. On the benchmark's read-modify-write shape
+/// `parks / ops_ok` ≈ 1.8 is the expensive one — a worker that runs
+/// out of work sleeps, and the next message pays to wake it; near 0,
+/// messages find their worker awake.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IdleStats {
     /// Times a worker went to sleep on an empty inbox.
@@ -829,10 +831,6 @@ impl SpinGate {
         }
     }
 
-    fn open(&self) -> bool {
-        self.open
-    }
-
     /// A packet ended the poll; the gate stays open.
     fn on_hit(&mut self) {
         self.tally.spin_hits += 1;
@@ -957,7 +955,7 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         // between looks: a bare spin would hold the very CPU the reply
         // it waits for needs.
         let mut idle_us = 0;
-        if gate.open() {
+        if gate.open {
             let window_us = wait_us.min(gate.spin_us);
             let polled = loop {
                 match rx.try_recv() {
@@ -1247,7 +1245,7 @@ mod tests {
                     Park => gate.on_park(&progress),
                 }
             }
-            assert_eq!(gate.open(), *open, "SPIN {spin_us}: {steps:?}");
+            assert_eq!(gate.open, *open, "SPIN {spin_us}: {steps:?}");
             // Every step is counted once, wherever the fold fell.
             gate.fold(&progress);
             let count = |f: fn(&Step) -> bool| steps.iter().filter(|s| f(s)).count() as u64;

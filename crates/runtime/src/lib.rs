@@ -27,7 +27,9 @@
 //! [`Link::send`]), `close` returning its ledger, and optionally a
 //! per-tick schedule hook and a note of the bytes charged for
 //! self-sends (which the loop delivers locally and never hands to
-//! `send`). Two links exist:
+//! `send`); and it may say, as [`Link::SPIN`], how long an idle worker
+//! of its fleet polls its inbox before parking — zero unless the link
+//! has measured otherwise. Two links exist:
 //! [`ChannelLink`] here ([`RuntimeFleet`]), and the TCP fabric link in
 //! `transport` (`SocketFleet`).
 //!
@@ -38,6 +40,10 @@
 //!   caller of [`Fleet::run`] is the supervisor, [`Progress`] is the
 //!   one live carrier between it and the workers, and nothing on the
 //!   dispatch path takes a lock;
+//! * an idle arm that keeps a busy fleet awake: a worker out of work
+//!   polls for at most [`Link::SPIN`] before it parks, gated on its last
+//!   idle gap, and [`FleetStats::idle`] reports parks, hits and misses
+//!   (the mechanism and its numbers are in [`fleet`]'s docs);
 //! * bounded inboxes — a full inbox is wire loss, which the protocol's
 //!   timeouts, retries and anti-entropy already absorb, so no
 //!   backpressure deadlock is possible;

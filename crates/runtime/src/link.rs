@@ -70,12 +70,9 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     type Ledger;
 
     /// How long a worker that has run out of work polls its inbox
-    /// before it parks (the gate and the loop are in [`crate::fleet`]).
-    /// A parked worker's vCPU halts, and the next packet pays a futex
-    /// wake, an IPI and the exit from the halt to bring it back — about
-    /// 30 µs of a 42 µs operation on the in-process link, some 6.7
-    /// times per operation. Polling for a moment first skips all of
-    /// that whenever the next packet is close behind the last.
+    /// before it parks, so that a packet close behind the last one does
+    /// not have to wake a halted vCPU (what that costs, the loop and
+    /// its gate are in [`crate::fleet`]'s docs).
     ///
     /// This is a property of the transport, not an option: nothing sets
     /// it but the link's own `impl`. Zero, the default, is the plain
@@ -84,7 +81,8 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// window — a peer's [`send`](Link::send) is itself the delivery,
     /// with no thread of the link's own in between — and (b) no
     /// workload of the link pays for the polling. [`ChannelLink`] meets
-    /// both at 50 µs (`threaded_rmw` 36 k → 150 k+ ops/s). The socket
+    /// both at 50 µs (`threaded_rmw` 36.0 k → 172.7 k ops/s and
+    /// `durable_rmw` 27.4 k → 49.6 k, each in 10 of 10 pairs). The socket
     /// link is the worked counter-example: the sleeper that matters
     /// there is the fabric's reader inside `read(2)`, not the worker,
     /// and the same poll on the worker read, 3 runs of 3 each way,

@@ -685,6 +685,10 @@ impl Link<M> for Spinning {
     fn close(self) {}
 }
 
+fn spinning_fleet(config: RuntimeConfig, script: &Arc<Script>) -> Fleet<M, Spinning> {
+    Fleet::with_link(0x11AC, DvvMechanism, config, None, Arc::clone(script))
+}
+
 /// Waits for the quiet server to go idle, then posts it one probe and
 /// waits for the dispatch.
 fn probe_an_idle_server(link: &ScriptLink) {
@@ -703,13 +707,7 @@ fn a_packet_inside_the_poll_window_is_dispatched_without_a_park() {
         on_tick: Some(probe_an_idle_server),
         ..Script::default()
     });
-    let mut fleet: Fleet<M, Spinning> = Fleet::with_link(
-        0x11AC,
-        DvvMechanism,
-        quiet_config(0),
-        None,
-        Arc::clone(&script),
-    );
+    let mut fleet = spinning_fleet(quiet_config(0), &script);
     fleet.run().expect("no stall");
 
     let idle = fleet.stats().idle();
@@ -751,13 +749,7 @@ fn the_poll_window_is_cut_at_the_next_due_timer() {
         on_tick: Some(script),
         ..Script::default()
     });
-    let mut fleet: Fleet<M, Spinning> = Fleet::with_link(
-        0x11AC,
-        DvvMechanism,
-        cart_config(),
-        None,
-        Arc::clone(&script),
-    );
+    let mut fleet = spinning_fleet(cart_config(), &script);
     fleet.run().expect("no stall");
 
     let took_ms = script.notes.lock().unwrap()[0];

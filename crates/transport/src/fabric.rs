@@ -517,9 +517,6 @@ where
         // buffered, most of them are copies instead of `recv` calls, and
         // frames that arrived together cost one.
         let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
-        let shut = |stream: &BufReader<TcpStream>| {
-            let _ = stream.get_ref().shutdown(Shutdown::Both);
-        };
         // The hello attributes the connection to its dialer.
         let from = match frame::read_frame(&mut stream, self.max_frame) {
             // Closed before introducing itself (e.g. the shutdown
@@ -529,13 +526,13 @@ where
                 Some(id) => id,
                 None => {
                     self.counters.hello_rejects.fetch_add(1, Ordering::Relaxed);
-                    shut(&stream);
+                    let _ = stream.get_ref().shutdown(Shutdown::Both);
                     return;
                 }
             },
             Err(_) => {
                 self.counters.hello_rejects.fetch_add(1, Ordering::Relaxed);
-                shut(&stream);
+                let _ = stream.get_ref().shutdown(Shutdown::Both);
                 return;
             }
         };
@@ -569,7 +566,7 @@ where
                             // Undecodable body: the stream can no longer
                             // be trusted. Drop the connection.
                             self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            shut(&stream);
+                            let _ = stream.get_ref().shutdown(Shutdown::Both);
                             break;
                         }
                     }
@@ -577,7 +574,7 @@ where
                 Ok(None) => break,
                 Err(_) => {
                     self.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
-                    shut(&stream);
+                    let _ = stream.get_ref().shutdown(Shutdown::Both);
                     break;
                 }
             }

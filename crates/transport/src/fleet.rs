@@ -125,7 +125,11 @@ pub struct FabricSpec<M> {
 }
 
 /// The socket [`Link`]: messages leave through the [`Fabric`]'s framed
-/// TCP connections and arrive through its reader threads.
+/// TCP connections and arrive through its reader threads. It leaves
+/// [`Link::SPIN`] at zero — its workers park as soon as they are idle:
+/// the sleeper a packet has to wake first is a fabric reader inside
+/// `read(2)`, and a worker polling meanwhile only took CPU from it
+/// (the measurements are at [`Link::SPIN`]).
 #[derive(Clone, Debug)]
 pub struct FabricLink<M: WireMechanism<StampedValue>> {
     mech: M,
