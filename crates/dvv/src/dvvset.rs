@@ -197,6 +197,14 @@ impl<A: Actor, V> DvvSet<A, V> {
         Dot::new(server, e.counter)
     }
 
+    /// (crate-internal) every entry as `(actor, counter, live values
+    /// newest first)`, actors ascending — what the binary encoding writes.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&A, u64, &[V])> {
+        self.entries
+            .iter()
+            .map(|(a, e)| (a, e.counter, e.values.as_slice()))
+    }
+
     /// (crate-internal) installs a raw entry; used when rebuilding a clock
     /// from its binary encoding. `values` are newest-first and must be no
     /// more numerous than `counter`.

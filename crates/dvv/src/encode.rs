@@ -403,111 +403,193 @@ impl<A: Actor + Encode> Encode for CausalHistory<A> {
     }
 }
 
-impl<A: Actor + Encode, V: Encode + Clone> Encode for DvvSet<A, V> {
+impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode<S: Sink>(&self, buf: &mut S) {
-        // context entries, then per live value: (dot, value)
-        self.context().encode(buf);
-        put_varint(buf, self.sibling_count() as u64);
-        for (dot, v) in self.dotted_values() {
-            dot.encode(buf);
-            v.encode(buf);
-        }
+        self.0.encode(buf);
+        self.1.encode(buf);
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let ctx = VersionVector::<A>::decode(d)?;
+        Ok((A::decode(d)?, B::decode(d)?))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Mechanism states
+//
+// Every layout starts with a count or a presence byte, so a state needs
+// no length prefix inside a message or a log record. Decoders never
+// reserve more elements than the remaining input could hold.
+
+/// A mechanism's per-key state: causal metadata interleaved with the
+/// values it versions.
+///
+/// [`put`](StateLayout::put) is the state's one byte layout, generic over
+/// the [`Sink`] and over how a value is written. The state's [`Encode`]
+/// passes each value its own encoder; [`metadata_len`](StateLayout::metadata_len)
+/// passes none. So a state's encoding is its metadata plus its values'
+/// encodings by construction, and its metadata size is defined for any
+/// value type, encodable or not.
+pub trait StateLayout {
+    /// The application value type.
+    type Value;
+
+    /// Writes the state to `buf`, each value through `value`.
+    fn put<S: Sink>(&self, buf: &mut S, value: impl FnMut(&Self::Value, &mut S));
+
+    /// Bytes of causal metadata: the layout with the values left out.
+    fn metadata_len(&self) -> usize {
+        let mut n = Count(0);
+        self.put(&mut n, |_, _| {});
+        n.0
+    }
+}
+
+// The five list states (client-VV, server-VV, causal histories, ordered
+// VV, VVE): a sibling count, then per sibling its clock and its value.
+impl<C: Encode, V> StateLayout for Vec<(C, V)> {
+    type Value = V;
+
+    fn put<S: Sink>(&self, buf: &mut S, mut value: impl FnMut(&V, &mut S)) {
+        put_varint(buf, self.len() as u64);
+        for (clock, v) in self {
+            clock.encode(buf);
+            value(v, buf);
+        }
+    }
+}
+
+impl<C: Encode, V: Encode> Encode for Vec<(C, V)> {
+    fn encode<S: Sink>(&self, buf: &mut S) {
+        self.put(buf, V::encode);
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let n = d.varint()? as usize;
-        // never trust a length prefix for pre-allocation: a malformed input
-        // could claim exabytes. Each pair consumes at least 3 input bytes.
-        let mut pairs = Vec::with_capacity(n.min(d.remaining() / 3 + 1));
+        // a clock and a value take at least a byte each
+        let mut out = Vec::with_capacity(n.min(d.remaining() / 2 + 1));
         for _ in 0..n {
-            let dot = Dot::<A>::decode(d)?;
-            let v = V::decode(d)?;
-            pairs.push((dot, v));
+            out.push((C::decode(d)?, V::decode(d)?));
         }
-        rebuild_dvvset(&ctx, pairs)
+        Ok(out)
     }
 }
 
-/// Reconstructs a [`DvvSet`] from its context and live `(dot, value)`
-/// pairs. Fails if the pairs are inconsistent with the context (a live dot
-/// above the known counter, a gap, or duplicate dots).
-fn rebuild_dvvset<A: Actor, V>(
-    ctx: &VersionVector<A>,
-    pairs: Vec<(Dot<A>, V)>,
-) -> Result<DvvSet<A, V>, DecodeError> {
-    let mut by_actor: std::collections::BTreeMap<A, Vec<(u64, V)>> =
-        std::collections::BTreeMap::new();
-    for (dot, v) in pairs {
-        let (a, c) = dot.into_parts();
-        by_actor.entry(a).or_default().push((c, v));
-    }
-    let mut out = DvvSet::new();
-    for (actor, counter) in ctx.iter() {
-        // Live dots per actor must be the topmost counters, contiguous from
-        // the context's counter downward (newest first after sorting).
-        let mut items = by_actor.remove(actor).unwrap_or_default();
-        items.sort_by(|(a, _), (b, _)| b.cmp(a));
-        let contiguous_topmost = items
-            .iter()
-            .enumerate()
-            .all(|(i, (c, _))| *c == counter - i as u64 && *c > 0);
-        if !contiguous_topmost || items.len() as u64 > counter {
-            return Err(DecodeError::InvalidValue {
-                reason: "dvvset live dots must be the topmost contiguous counters",
-            });
-        }
-        let values: Vec<V> = items.into_iter().map(|(_, v)| v).collect();
-        out.insert_entry(actor.clone(), counter, values);
-    }
-    if !by_actor.is_empty() {
-        return Err(DecodeError::InvalidValue {
-            reason: "dvvset live dot for an actor missing from the context",
-        });
-    }
-    Ok(out)
-}
+// `DvvMechanism`'s state: a sibling count, then per sibling its Dvv and
+// its value, in canonical dot order.
+impl<A: Actor + Encode, V> StateLayout for Vec<Tagged<A, V>> {
+    type Value = V;
 
-impl<A: Actor + Encode, V: Encode + Clone> Encode for Tagged<A, V> {
-    fn encode<S: Sink>(&self, buf: &mut S) {
-        self.clock.encode(buf);
-        self.value.encode(buf);
-    }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let clock = Dvv::<A>::decode(d)?;
-        let value = V::decode(d)?;
-        Ok(Tagged { clock, value })
-    }
-}
-
-// `DvvMechanism`'s state (one Dvv-tagged sibling per live value), as the
-// storage engines persist it. A count prefix keeps the list
-// self-delimiting inside a larger record.
-impl<A: Actor + Encode, V: Encode + Clone> Encode for Vec<Tagged<A, V>> {
-    fn encode<S: Sink>(&self, buf: &mut S) {
+    fn put<S: Sink>(&self, buf: &mut S, mut value: impl FnMut(&V, &mut S)) {
         put_varint(buf, self.len() as u64);
         for t in self {
-            t.encode(buf);
+            t.clock.encode(buf);
+            value(&t.value, buf);
         }
+    }
+}
+
+impl<A: Actor + Encode, V: Encode> Encode for Vec<Tagged<A, V>> {
+    fn encode<S: Sink>(&self, buf: &mut S) {
+        self.put(buf, V::encode);
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let n = d.varint()? as usize;
+        // a dot, a past and a value take at least three bytes
         let mut out: Vec<Tagged<A, V>> = Vec::with_capacity(n.min(d.remaining() / 3 + 1));
         for _ in 0..n {
-            let t = Tagged::<A, V>::decode(d)?;
-            if out.iter().any(|s| s.clock.dot() == t.clock.dot()) {
+            let clock = Dvv::<A>::decode(d)?;
+            let value = V::decode(d)?;
+            if out.iter().any(|s| s.clock.dot() == clock.dot()) {
                 return Err(DecodeError::InvalidValue {
                     reason: "duplicate sibling dot in dvv state",
                 });
             }
-            out.push(t);
+            out.push(Tagged { clock, value });
         }
         // Canonical dot order is a protocol invariant (AAE fingerprints
         // hash the state); restore it rather than trusting the input.
         server::canonicalize(&mut out);
         Ok(out)
+    }
+}
+
+// `DvvSetMechanism`'s state: an entry count, then per entry the actor, its
+// counter and its live-value count, then those values newest first. The
+// dots are implied: value `j` of an entry is dot `(actor, counter - j)`.
+impl<A: Actor + Encode, V> StateLayout for DvvSet<A, V> {
+    type Value = V;
+
+    fn put<S: Sink>(&self, buf: &mut S, mut value: impl FnMut(&V, &mut S)) {
+        put_varint(buf, self.actor_count() as u64);
+        for (actor, counter, values) in self.entries() {
+            actor.encode(buf);
+            put_varint(buf, counter);
+            put_varint(buf, values.len() as u64);
+            for v in values {
+                value(v, buf);
+            }
+        }
+    }
+}
+
+impl<A: Actor + Encode, V: Encode> Encode for DvvSet<A, V> {
+    fn encode<S: Sink>(&self, buf: &mut S) {
+        self.put(buf, V::encode);
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let n = d.varint()?;
+        let mut out = DvvSet::new();
+        for _ in 0..n {
+            let actor = A::decode(d)?;
+            let counter = d.varint()?;
+            let live = d.varint()?;
+            if live > counter {
+                return Err(DecodeError::InvalidValue {
+                    reason: "dvvset entry has more live values than its counter",
+                });
+            }
+            let live = live as usize;
+            let mut values = Vec::with_capacity(live.min(d.remaining() + 1));
+            for _ in 0..live {
+                values.push(V::decode(d)?);
+            }
+            out.insert_entry(actor, counter, values);
+        }
+        Ok(out)
+    }
+}
+
+// `LamportMechanism`'s state: a presence byte, then the winner's
+// timestamp, writer and value.
+impl<V> StateLayout for Option<(u64, ClientId, V)> {
+    type Value = V;
+
+    fn put<S: Sink>(&self, buf: &mut S, mut value: impl FnMut(&V, &mut S)) {
+        buf.byte(u8::from(self.is_some()));
+        if let Some((ts, client, v)) = self {
+            put_varint(buf, *ts);
+            client.encode(buf);
+            value(v, buf);
+        }
+    }
+}
+
+impl<V: Encode> Encode for Option<(u64, ClientId, V)> {
+    fn encode<S: Sink>(&self, buf: &mut S) {
+        self.put(buf, V::encode);
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        match d.byte()? {
+            0 => Ok(None),
+            1 => Ok(Some((d.varint()?, ClientId::decode(d)?, V::decode(d)?))),
+            _ => Err(DecodeError::InvalidValue {
+                reason: "lamport state presence byte must be 0 or 1",
+            }),
+        }
     }
 }
 

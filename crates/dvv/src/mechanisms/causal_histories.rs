@@ -3,11 +3,11 @@
 
 use crate::causal_history::CausalHistory;
 use crate::dot::Dot;
-use crate::encode::Encode;
+use crate::encode::{Encode, StateLayout};
 use crate::ids::ReplicaId;
 use crate::order::CausalOrder;
 
-use super::{merge_siblings, Mechanism, WriteOrigin};
+use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// Tracks causality with explicit [`CausalHistory`] sets: always correct,
 /// but metadata grows linearly with the total number of writes — the cost
@@ -66,7 +66,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     }
 
     fn metadata_size(&self, state: &Self::State) -> usize {
-        state.iter().map(|(h, _)| h.encoded_len()).sum()
+        state.metadata_len()
     }
 
     fn context_size(&self, ctx: &Self::Context) -> usize {
@@ -76,6 +76,11 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     fn sibling_count(&self, state: &Self::State) -> usize {
         state.len()
     }
+}
+
+impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode> WireMechanism<V>
+    for CausalHistoryMechanism
+{
 }
 
 #[cfg(test)]

@@ -1,9 +1,7 @@
 //! [`DvvMechanism`]: the paper's design — one dotted version vector per
 //! sibling, dots assigned at replica servers.
 
-use crate::dotted::Dvv;
-use crate::encode::{Decoder, Encode};
-use crate::error::DecodeError;
+use crate::encode::{Encode, StateLayout};
 use crate::ids::ReplicaId;
 use crate::server::{self, Tagged};
 use crate::version_vector::VersionVector;
@@ -82,7 +80,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     }
 
     fn metadata_size(&self, state: &Self::State) -> usize {
-        state.iter().map(|t| t.clock.encoded_len()).sum()
+        state.metadata_len()
     }
 
     fn context_size(&self, ctx: &Self::Context) -> usize {
@@ -94,53 +92,15 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     }
 }
 
-impl<V> WireMechanism<V> for DvvMechanism
-where
-    V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode,
+impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode> WireMechanism<V>
+    for DvvMechanism
 {
-    fn encode_state(&self, state: &Self::State, buf: &mut Vec<u8>) {
-        // Per sibling: clock then value, in canonical dot order. Both are
-        // self-delimiting, so the list needs no count — which is exactly
-        // why the output length equals metadata_size + Σ value lengths.
-        for t in state {
-            t.clock.encode(buf);
-            t.value.encode(buf);
-        }
-    }
-
-    fn decode_state(&self, d: &mut Decoder<'_>) -> Result<Self::State, DecodeError> {
-        let mut out: Self::State = Vec::new();
-        while d.remaining() > 0 {
-            let clock = Dvv::<ReplicaId>::decode(d)?;
-            let value = V::decode(d)?;
-            if out
-                .iter()
-                .any(|t: &Tagged<ReplicaId, V>| t.clock.dot() == clock.dot())
-            {
-                return Err(DecodeError::InvalidValue {
-                    reason: "duplicate sibling dot in dvv state",
-                });
-            }
-            out.push(Tagged { clock, value });
-        }
-        // Canonical dot order is a protocol invariant (AAE fingerprints
-        // hash the state); restore it rather than trusting the sender.
-        server::canonicalize(&mut out);
-        Ok(out)
-    }
-
-    fn encode_context(&self, ctx: &Self::Context, buf: &mut Vec<u8>) {
-        ctx.encode(buf);
-    }
-
-    fn decode_context(&self, d: &mut Decoder<'_>) -> Result<Self::Context, DecodeError> {
-        VersionVector::<ReplicaId>::decode(d)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::Decoder;
     use crate::ids::ClientId;
 
     fn origin(s: u32, c: u64) -> WriteOrigin {
@@ -200,9 +160,11 @@ mod tests {
     fn metadata_size_counts_clocks_only() {
         let m = DvvMechanism;
         let mut st: State = Vec::new();
-        assert_eq!(Mechanism::<&str>::metadata_size(&m, &st), 0);
+        // the empty state is its sibling count, one byte
+        assert_eq!(Mechanism::<&str>::metadata_size(&m, &st), 1);
         m.write(&mut st, origin(0, 1), &VersionVector::new(), "v");
-        assert!(Mechanism::<&str>::metadata_size(&m, &st) > 0);
+        // count, dot (replica, counter), empty past: no value bytes
+        assert_eq!(Mechanism::<&str>::metadata_size(&m, &st), 4);
         let (_, ctx) = Mechanism::<&str>::read(&m, &st);
         assert!(Mechanism::<&str>::context_size(&m, &ctx) > 0);
     }
@@ -237,7 +199,7 @@ mod tests {
         m.encode_state(&st, &mut buf);
         let modeled = Mechanism::<String>::metadata_size(&m, &st)
             + st.iter().map(|t| t.value.encoded_len()).sum::<usize>();
-        assert_eq!(buf.len(), modeled, "real bytes must equal the model");
+        assert_eq!(buf.len(), modeled, "bytes are metadata plus values");
         let mut d = Decoder::new(&buf);
         let back = m.decode_state(&mut d).unwrap();
         assert_eq!(d.remaining(), 0);
@@ -271,10 +233,11 @@ mod tests {
         assert_eq!(back, st);
 
         // a repeated sibling dot is malformed, not a panic
-        let mut twice = Vec::new();
-        m.encode_state(&st, &mut twice);
-        m.encode_state(&st, &mut twice);
-        let mut d = Decoder::new(&twice);
+        let mut twice = st.clone();
+        twice.push(st[0].clone());
+        let mut buf = Vec::new();
+        m.encode_state(&twice, &mut buf);
+        let mut d = Decoder::new(&buf);
         assert!(WireMechanism::<String>::decode_state(&m, &mut d).is_err());
     }
 
@@ -284,13 +247,14 @@ mod tests {
         let st = wire_sample();
         let mut buf = Vec::new();
         m.encode_state(&st, &mut buf);
-        for cut in 1..buf.len() {
+        for cut in 0..buf.len() {
             let mut d = Decoder::new(&buf[..cut]);
-            // either a clean error or (never) a short parse; a torn tail
-            // must not round-trip to the full state
-            if let Ok(short) = m.decode_state(&mut d) {
-                assert_ne!(short, st, "torn input parsed as the full state");
-            }
+            // the sibling count up front says how much must follow: a
+            // torn state is a clean error, never a short parse
+            assert!(
+                WireMechanism::<String>::decode_state(&m, &mut d).is_err(),
+                "torn input parsed at cut {cut}"
+            );
         }
     }
 }

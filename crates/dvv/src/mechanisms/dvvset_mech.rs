@@ -1,11 +1,11 @@
 //! [`DvvSetMechanism`]: the compact sibling-set clock as a store mechanism.
 
 use crate::dvvset::DvvSet;
-use crate::encode::Encode;
+use crate::encode::{Encode, StateLayout};
 use crate::ids::ReplicaId;
 use crate::version_vector::VersionVector;
 
-use super::{Mechanism, WriteOrigin};
+use super::{Mechanism, WireMechanism, WriteOrigin};
 
 /// The DVVSet variant: the whole sibling set shares one clock, so causal
 /// metadata costs one version vector total instead of one per sibling.
@@ -16,7 +16,7 @@ use super::{Mechanism, WriteOrigin};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DvvSetMechanism;
 
-impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode> Mechanism<V>
+impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mechanism<V>
     for DvvSetMechanism
 {
     type State = DvvSet<ReplicaId, V>;
@@ -43,9 +43,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Enco
     }
 
     fn metadata_size(&self, state: &Self::State) -> usize {
-        // Clock metadata: the per-server counters plus one varint position
-        // per live value (the dots are positional, values excluded).
-        state.context().encoded_len() + crate::encode::varint_len(state.sibling_count() as u64)
+        state.metadata_len()
     }
 
     fn context_size(&self, ctx: &Self::Context) -> usize {
@@ -55,6 +53,11 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Enco
     fn sibling_count(&self, state: &Self::State) -> usize {
         state.sibling_count()
     }
+}
+
+impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode> WireMechanism<V>
+    for DvvSetMechanism
+{
 }
 
 #[cfg(test)]

@@ -1,17 +1,18 @@
 //! [`LamportMechanism`]: last-writer-wins on a Lamport clock — the
 //! strawman that keeps no concurrency information at all.
 
-use crate::encode::varint_len;
+use crate::encode::{Encode, StateLayout};
 use crate::ids::ClientId;
 
-use super::{Mechanism, WriteOrigin};
+use super::{Mechanism, WireMechanism, WriteOrigin};
 
 /// A single Lamport timestamp per key, ties broken by client id; the store
 /// keeps exactly one version and every concurrent write silently loses.
 ///
-/// This is the floor of the design space: minimal metadata (one varint),
-/// zero sibling maintenance, and maximal data loss. It anchors the E8
-/// anomaly table — every mechanism should beat it.
+/// This is the floor of the design space: minimal metadata (a presence
+/// byte and two varints), zero sibling maintenance, and maximal data
+/// loss. It anchors the E8 anomaly table — every mechanism should beat
+/// it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LamportMechanism;
 
@@ -63,19 +64,21 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     }
 
     fn metadata_size(&self, state: &Self::State) -> usize {
-        state
-            .as_ref()
-            .map(|(ts, c, _)| varint_len(*ts) + varint_len(c.0))
-            .unwrap_or(0)
+        state.metadata_len()
     }
 
     fn context_size(&self, ctx: &Self::Context) -> usize {
-        varint_len(*ctx)
+        ctx.encoded_len()
     }
 
     fn sibling_count(&self, state: &Self::State) -> usize {
         usize::from(state.is_some())
     }
+}
+
+impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode> WireMechanism<V>
+    for LamportMechanism
+{
 }
 
 #[cfg(test)]
@@ -144,8 +147,10 @@ mod tests {
     fn metadata_is_tiny() {
         let m = LamportMechanism;
         let mut st: LamportState<&str> = None;
-        assert_eq!(m.metadata_size(&st), 0);
+        // the presence byte alone
+        assert_eq!(m.metadata_size(&st), 1);
         m.write(&mut st, origin(1), &0, "v");
-        assert!(m.metadata_size(&st) <= 3);
+        // presence, timestamp 1, client 1
+        assert_eq!(m.metadata_size(&st), 3);
     }
 }

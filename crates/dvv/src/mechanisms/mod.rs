@@ -38,7 +38,7 @@ pub use vve_mech::{VveClock, VveMechanism};
 
 use core::fmt::Debug;
 
-use crate::encode::{Decoder, Encode};
+use crate::encode::{Decoder, Encode, StateLayout};
 use crate::error::DecodeError;
 use crate::ids::{ClientId, ReplicaId};
 
@@ -80,16 +80,26 @@ impl WriteOrigin {
 /// * [`merge`](Mechanism::merge) is a join: commutative, associative and
 ///   idempotent over states, used for replication and anti-entropy.
 /// * [`metadata_size`](Mechanism::metadata_size) is the wire size in bytes
-///   of the causal metadata only (no application values), measured with
-///   the crate's [`encode`](crate::encode) format.
+///   of the causal metadata only: the state's one byte layout
+///   ([`StateLayout`]) run over a counter with the values left out.
+///   [`context_size`](Mechanism::context_size) is the context's
+///   [`Encode::encoded_len`]. A state's bytes on any wire are therefore
+///   its metadata size plus its values' encodings, exactly.
 pub trait Mechanism<V: Clone>: Clone + Debug {
     /// Complete per-key state at one replica (clocks and values).
     /// `Hash`/`Eq` support anti-entropy fingerprints and read repair.
     /// `Send + 'static` lets states cross thread boundaries in the
     /// threaded runtime driver and live behind boxed storage engines.
-    type State: Clone + Debug + Default + PartialEq + core::hash::Hash + Send + 'static;
+    type State: Clone
+        + Debug
+        + Default
+        + PartialEq
+        + core::hash::Hash
+        + Send
+        + 'static
+        + StateLayout<Value = V>;
     /// What a reader gets besides the values, and must echo on write.
-    type Context: Clone + Debug + Default;
+    type Context: Clone + Debug + Default + Send + Encode;
 
     /// Short stable name for reports and tables (e.g. `"dvv"`).
     fn name(&self) -> &'static str;
@@ -145,10 +155,11 @@ pub trait Mechanism<V: Clone>: Clone + Debug {
     /// an earlier read's.
     fn merge_contexts(&self, into: &mut Self::Context, from: &Self::Context);
 
-    /// Wire size in bytes of the causal metadata in `state`.
+    /// Wire size in bytes of the causal metadata in `state`: its
+    /// [`StateLayout::metadata_len`].
     fn metadata_size(&self, state: &Self::State) -> usize;
 
-    /// Wire size in bytes of a read context.
+    /// Wire size in bytes of a read context: its [`Encode::encoded_len`].
     fn context_size(&self, ctx: &Self::Context) -> usize;
 
     /// Number of live sibling values in `state`.
@@ -160,60 +171,44 @@ pub trait Mechanism<V: Clone>: Clone + Debug {
     }
 }
 
-/// A mechanism whose states and contexts have a *real* byte codec whose
-/// output length equals the modeled accounting exactly.
+/// A mechanism whose states can also be read back from bytes — what a
+/// socket or a log needs on top of [`Mechanism`], which can already write
+/// them.
 ///
-/// [`Mechanism::metadata_size`] and [`Mechanism::context_size`] model what
-/// causal metadata costs on the wire, and every driver charges its byte
-/// ledger from that model: the store sizes a message by walking its
-/// fields over a counting [`Sink`](crate::encode::Sink), where a state or
-/// context counts as a length prefix plus its modeled size. That works
-/// for all mechanisms, codec or not — the in-process drivers pass message
-/// values through and never serialise them. A network driver walks the
-/// same fields over a byte buffer and ships this codec's bytes — and for
-/// the byte ledger to remain ground truth across drivers, the encoding
-/// must cost **exactly** what the model charges:
-///
-/// * `encode_state` output length `== metadata_size(state)` plus the sum
-///   of the values' [`Encode::encoded_len`]s;
-/// * `encode_context` output length `== context_size(ctx)`.
-///
-/// The message encoder debug-asserts both on every state and context it
-/// writes; they are the only two places where a size and a byte layout
-/// are still stated separately.
-///
-/// Implement this only where the equality is exact. [`DvvMechanism`]
-/// qualifies (its metadata model *is* the sum of per-sibling clock
-/// encodings). [`DvvSetMechanism`] does not: its model treats live dots as
-/// positional (context + one varint), but a parseable codec needs the
-/// per-actor live-value count to partition the values, which costs bytes
-/// the model excludes — a real driver for it would need a model revision
-/// first.
-///
-/// `decode_state` consumes the decoder's entire remaining input: states
-/// travel length-prefixed, so the caller scopes the decoder to the state's
-/// bytes. Decoders must never panic on malformed input — a driver maps
-/// any [`DecodeError`] to a dropped connection.
-pub trait WireMechanism<V: Clone + Encode>: Mechanism<V> {
-    /// Appends the real wire form of `state` (clocks and values).
-    fn encode_state(&self, state: &Self::State, buf: &mut Vec<u8>);
+/// A state's [`Encode`] is its [`StateLayout`] with each value's own
+/// encoder, and a context is its own [`Encode`]; the four methods are those
+/// codecs, nothing else. Every layout is self-delimiting, so a decoder
+/// reads exactly one state or context and stops. Decoders never panic on
+/// malformed input — a driver maps any [`DecodeError`] to a dropped
+/// connection. All eight mechanisms implement this with an empty impl.
+pub trait WireMechanism<V: Clone + Encode>: Mechanism<V, State: Encode> {
+    /// Appends the wire form of `state` (clocks and values).
+    fn encode_state(&self, state: &Self::State, buf: &mut Vec<u8>) {
+        state.encode(buf);
+    }
 
-    /// Parses a state back, consuming all remaining decoder input.
+    /// Parses one state back.
     ///
     /// # Errors
     ///
     /// Any [`DecodeError`] on malformed input.
-    fn decode_state(&self, d: &mut Decoder<'_>) -> Result<Self::State, DecodeError>;
+    fn decode_state(&self, d: &mut Decoder<'_>) -> Result<Self::State, DecodeError> {
+        Self::State::decode(d)
+    }
 
-    /// Appends the real wire form of a read context.
-    fn encode_context(&self, ctx: &Self::Context, buf: &mut Vec<u8>);
+    /// Appends the wire form of a read context.
+    fn encode_context(&self, ctx: &Self::Context, buf: &mut Vec<u8>) {
+        ctx.encode(buf);
+    }
 
-    /// Parses a context back.
+    /// Parses one context back.
     ///
     /// # Errors
     ///
     /// Any [`DecodeError`] on malformed input.
-    fn decode_context(&self, d: &mut Decoder<'_>) -> Result<Self::Context, DecodeError>;
+    fn decode_context(&self, d: &mut Decoder<'_>) -> Result<Self::Context, DecodeError> {
+        Self::Context::decode(d)
+    }
 }
 
 /// Generic sibling-set merge for mechanisms whose state is a flat list of

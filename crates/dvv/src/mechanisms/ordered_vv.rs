@@ -16,13 +16,13 @@ use core::fmt;
 
 use crate::actor::Actor;
 use crate::dot::Dot;
-use crate::encode::{Decoder, Encode, Sink};
+use crate::encode::{Decoder, Encode, Sink, StateLayout};
 use crate::error::DecodeError;
 use crate::ids::ReplicaId;
 use crate::order::CausalOrder;
 use crate::version_vector::VersionVector;
 
-use super::{merge_siblings, Mechanism, WriteOrigin};
+use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// A version vector that caches its most recent event for an O(1) fast
 /// dominance path.
@@ -220,7 +220,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     }
 
     fn metadata_size(&self, state: &Self::State) -> usize {
-        state.iter().map(|(c, _)| c.encoded_len()).sum()
+        state.metadata_len()
     }
 
     fn context_size(&self, ctx: &Self::Context) -> usize {
@@ -230,6 +230,11 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     fn sibling_count(&self, state: &Self::State) -> usize {
         state.len()
     }
+}
+
+impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode> WireMechanism<V>
+    for OrderedVvMechanism
+{
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! [`VvClientMechanism`]: the classic Riak baseline — one version-vector
 //! entry per **client**, with optional (unsafe) optimistic pruning.
 
-use crate::encode::Encode;
+use crate::encode::{Encode, StateLayout};
 use crate::ids::ClientId;
 use crate::version_vector::VersionVector;
 
-use super::{merge_siblings, Mechanism, WriteOrigin};
+use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// Configuration for optimistic pruning of per-client version vectors.
 ///
@@ -130,7 +130,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     }
 
     fn metadata_size(&self, state: &Self::State) -> usize {
-        state.iter().map(|(vv, _)| vv.encoded_len()).sum()
+        state.metadata_len()
     }
 
     fn context_size(&self, ctx: &Self::Context) -> usize {
@@ -140,6 +140,11 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     fn sibling_count(&self, state: &Self::State) -> usize {
         state.len()
     }
+}
+
+impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode> WireMechanism<V>
+    for VvClientMechanism
+{
 }
 
 #[cfg(test)]

@@ -2,11 +2,11 @@
 //! with one entry per **server**, which cannot represent concurrent client
 //! writes through the same server (the paper's Figure 1b).
 
-use crate::encode::Encode;
+use crate::encode::{Encode, StateLayout};
 use crate::ids::ReplicaId;
 use crate::version_vector::VersionVector;
 
-use super::{merge_siblings, Mechanism, WriteOrigin};
+use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// One version-vector entry per replica server.
 ///
@@ -62,7 +62,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     }
 
     fn metadata_size(&self, state: &Self::State) -> usize {
-        state.iter().map(|(vv, _)| vv.encoded_len()).sum()
+        state.metadata_len()
     }
 
     fn context_size(&self, ctx: &Self::Context) -> usize {
@@ -72,6 +72,11 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     fn sibling_count(&self, state: &Self::State) -> usize {
         state.len()
     }
+}
+
+impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode> WireMechanism<V>
+    for VvServerMechanism
+{
 }
 
 #[cfg(test)]

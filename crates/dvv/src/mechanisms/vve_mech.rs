@@ -12,11 +12,11 @@
 //! histories are gapped.
 
 use crate::dot::Dot;
-use crate::encode::Encode;
+use crate::encode::{Encode, StateLayout};
 use crate::ids::ReplicaId;
 use crate::vve::Vve;
 
-use super::{merge_siblings, Mechanism, WriteOrigin};
+use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// One sibling's clock: its dot plus an exact (exception-capable) past.
 pub type VveClock = (Dot<ReplicaId>, Vve<ReplicaId>);
@@ -95,10 +95,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     }
 
     fn metadata_size(&self, state: &Self::State) -> usize {
-        state
-            .iter()
-            .map(|((dot, past), _)| dot.encoded_len() + past.encoded_len())
-            .sum()
+        state.metadata_len()
     }
 
     fn context_size(&self, ctx: &Self::Context) -> usize {
@@ -108,6 +105,11 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
     fn sibling_count(&self, state: &Self::State) -> usize {
         state.len()
     }
+}
+
+impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static + Encode> WireMechanism<V>
+    for VveMechanism
+{
 }
 
 #[cfg(test)]

@@ -6,8 +6,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dvv::encode::Encode;
-use dvv::mechanisms::Mechanism;
+use dvv::mechanisms::{Mechanism, WireMechanism};
 use dvv::{ClientId, ReplicaId};
 use ring::{MemberStatus, RingView};
 use simnet::{
@@ -162,7 +161,7 @@ impl<M: Mechanism<StampedValue>> EngineFactory<M> {
     /// context: an unopenable disk is a test-environment failure).
     pub fn log_in(dir: impl Into<PathBuf>, cfg: LogConfig) -> Self
     where
-        M::State: Encode,
+        M: WireMechanism<StampedValue>,
     {
         let dir = dir.into();
         Self::new(move |slot| {

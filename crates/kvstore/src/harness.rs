@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dvv::mechanisms::Mechanism;
+use dvv::mechanisms::{Mechanism, WireMechanism};
 use dvv::ReplicaId;
 use ring::RingView;
 
@@ -394,8 +394,7 @@ pub fn dot_census_in_logs<M>(
     slots: impl IntoIterator<Item = usize>,
 ) -> std::io::Result<BTreeMap<(Key, ReplicaId, u64), BTreeSet<WriteId>>>
 where
-    M: Mechanism<StampedValue>,
-    M::State: dvv::encode::Encode,
+    M: WireMechanism<StampedValue>,
 {
     let mut census: BTreeMap<(Key, ReplicaId, u64), BTreeSet<WriteId>> = BTreeMap::new();
     for slot in slots {
@@ -427,8 +426,7 @@ pub fn assert_dot_unique_in_logs<M>(
     slots: impl IntoIterator<Item = usize>,
     label: &str,
 ) where
-    M: Mechanism<StampedValue>,
-    M::State: dvv::encode::Encode,
+    M: WireMechanism<StampedValue>,
 {
     let census = dot_census_in_logs(mech, dir, slots).expect("scan log histories");
     let collisions: Vec<String> = census

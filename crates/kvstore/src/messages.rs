@@ -1,7 +1,9 @@
 //! The store's wire protocol, generic over the causality mechanism. The
 //! byte layout is described for outsiders in `doc/wire_format.md`.
 
-use dvv::encode::{get_key_delta, put_key_delta, put_varint, Count, Decoder, Encode, Sink};
+use dvv::encode::{
+    get_key_delta, put_key_delta, put_varint, Count, Decoder, Encode, Sink, StateLayout,
+};
 use dvv::mechanisms::{Mechanism, WireMechanism};
 use dvv::{DecodeError, ReplicaId};
 use ring::{MemberEntry, RingView};
@@ -282,12 +284,6 @@ pub enum Msg<M: Mechanism<StampedValue>> {
     },
 }
 
-/// Wire size of a full per-key state: causal metadata plus the values.
-pub fn state_wire_size<M: Mechanism<StampedValue>>(mech: &M, state: &M::State) -> usize {
-    let (values, _) = mech.read(state);
-    mech.metadata_size(state) + values.iter().map(Encode::encoded_len).sum::<usize>()
-}
-
 /// Coarse classification of the wire protocol, for per-class byte
 /// accounting: each message belongs to exactly one class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -451,19 +447,18 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
     }
 
     /// Bytes this message occupies on the wire (plus the fixed envelope
-    /// the caller adds), for *every* mechanism: the one field walk
-    /// (`Msg::walk`) run over the counting sink, which charges states and
-    /// contexts a length prefix plus their modeled size
-    /// ([`Mechanism::metadata_size`] / [`Mechanism::context_size`]) and
-    /// every other field whatever its [`crate::wire`] encoder writes. For
-    /// a [`WireMechanism`] this equals
+    /// the caller adds), for every mechanism: the one field walk
+    /// (`Msg::walk`) run over the counting sink [`Count`]. It equals
     /// [`encode_transport`](Msg::encode_transport)`().len()` by
-    /// construction — the same walk produces both. This is where metadata
-    /// size becomes latency.
-    pub fn wire_size(&self, mech: &M) -> usize {
-        let mut out = CountSink { n: Count(0), mech };
-        self.walk(&mut out);
-        out.n.0
+    /// construction — the same walk produces both — and a state in it
+    /// costs its [`Mechanism::metadata_size`] plus its values' encodings,
+    /// a context its [`Mechanism::context_size`]. This is where metadata
+    /// size becomes latency. A message's bytes depend on its fields
+    /// alone; the mechanism argument is not consulted.
+    pub fn wire_size(&self, _mech: &M) -> usize {
+        let mut n = Count(0);
+        self.walk(&mut n);
+        n.0
     }
 
     /// What sending this message costs its sender —
@@ -478,186 +473,13 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
         ledger.record(self.class(), bytes);
         bytes
     }
-}
 
-/// Where [`Msg::walk`] writes: a raw [`Sink`] for every field with a
-/// [`crate::wire`] codec, plus the two fields whose bytes only some
-/// mechanisms can produce. The split between "real bytes" and "modeled
-/// size" for states and contexts lives in the two impls below and
-/// nowhere else.
-trait MsgSink<M: Mechanism<StampedValue>> {
-    type Raw: Sink;
-
-    fn raw(&mut self) -> &mut Self::Raw;
-
-    /// Appends a length-prefixed per-key state.
-    fn state(&mut self, state: &M::State);
-
-    /// Appends a length-prefixed read context.
-    fn ctx(&mut self, ctx: &M::Context);
-}
-
-/// The counting sink, for every [`Mechanism`]: a state or context costs
-/// a length prefix plus its modeled size, so the simulator charges all
-/// eight mechanisms without a codec for each.
-struct CountSink<'a, M> {
-    n: Count,
-    mech: &'a M,
-}
-
-impl<M> CountSink<'_, M> {
-    fn blob(&mut self, size: usize) {
-        self.n.varint(size as u64);
-        self.n.0 += size;
-    }
-}
-
-impl<M: Mechanism<StampedValue>> MsgSink<M> for CountSink<'_, M> {
-    type Raw = Count;
-
-    fn raw(&mut self) -> &mut Count {
-        &mut self.n
-    }
-
-    fn state(&mut self, state: &M::State) {
-        self.blob(state_wire_size(self.mech, state));
-    }
-
-    fn ctx(&mut self, ctx: &M::Context) {
-        self.blob(self.mech.context_size(ctx));
-    }
-}
-
-/// The byte sink, for a [`WireMechanism`]: the length prefix is the
-/// modeled size and the body the mechanism's real codec. The
-/// [`WireMechanism`] length contract says the two agree; the
-/// `debug_assert`s are where that contract is checked, so ledgers
-/// charged from [`Msg::wire_size`] are exact for socket frames.
-struct ByteSink<'a, M> {
-    buf: Vec<u8>,
-    mech: &'a M,
-}
-
-impl<M: WireMechanism<StampedValue>> MsgSink<M> for ByteSink<'_, M> {
-    type Raw = Vec<u8>;
-
-    fn raw(&mut self) -> &mut Vec<u8> {
-        &mut self.buf
-    }
-
-    fn state(&mut self, state: &M::State) {
-        let size = state_wire_size(self.mech, state);
-        put_varint(&mut self.buf, size as u64);
-        let start = self.buf.len();
-        self.mech.encode_state(state, &mut self.buf);
-        debug_assert_eq!(
-            self.buf.len() - start,
-            size,
-            "WireMechanism encoding drifted from the modeled state size"
-        );
-    }
-
-    fn ctx(&mut self, ctx: &M::Context) {
-        let size = self.mech.context_size(ctx);
-        put_varint(&mut self.buf, size as u64);
-        let start = self.buf.len();
-        self.mech.encode_context(ctx, &mut self.buf);
-        debug_assert_eq!(
-            self.buf.len() - start,
-            size,
-            "WireMechanism encoding drifted from the modeled context size"
-        );
-    }
-}
-
-fn get_state<M: WireMechanism<StampedValue>>(
-    mech: &M,
-    d: &mut Decoder<'_>,
-) -> Result<M::State, DecodeError> {
-    let len = d.varint()? as usize;
-    let mut sub = Decoder::new(d.bytes(len)?);
-    let state = mech.decode_state(&mut sub)?;
-    if sub.remaining() != 0 {
-        return Err(DecodeError::TrailingBytes {
-            remaining: sub.remaining(),
-        });
-    }
-    Ok(state)
-}
-
-fn get_ctx<M: WireMechanism<StampedValue>>(
-    mech: &M,
-    d: &mut Decoder<'_>,
-) -> Result<M::Context, DecodeError> {
-    let len = d.varint()? as usize;
-    let mut sub = Decoder::new(d.bytes(len)?);
-    let ctx = mech.decode_context(&mut sub)?;
-    if sub.remaining() != 0 {
-        return Err(DecodeError::TrailingBytes {
-            remaining: sub.remaining(),
-        });
-    }
-    Ok(ctx)
-}
-
-/// Appends a `(key, state)` entry list — [`Msg::Push`] and
-/// [`Msg::AaeStates`]: a count, then per entry a shared-prefix-delta key
-/// followed by the length-prefixed state.
-fn put_keyed_states<M: Mechanism<StampedValue>>(
-    out: &mut impl MsgSink<M>,
-    entries: &[(Key, M::State)],
-) {
-    put_varint(out.raw(), entries.len() as u64);
-    let mut prev: &[u8] = &[];
-    for (k, s) in entries {
-        put_key_delta(out.raw(), prev, k);
-        out.state(s);
-        prev = k;
-    }
-}
-
-fn get_keyed_states<M: WireMechanism<StampedValue>>(
-    mech: &M,
-    d: &mut Decoder<'_>,
-) -> Result<Vec<(Key, M::State)>, DecodeError> {
-    let n = d.varint()? as usize;
-    let mut out: Vec<(Key, M::State)> = Vec::with_capacity(n.min(d.remaining() / 2 + 1));
-    let mut prev: Vec<u8> = Vec::new();
-    for _ in 0..n {
-        get_key_delta(d, &mut prev)?;
-        out.push((prev.clone(), get_state(mech, d)?));
-    }
-    Ok(out)
-}
-
-/// Reads the class byte of a push or its ack — the class's position in
-/// [`MsgClass::ALL`] — admitting only the four classes a push is sent in.
-fn get_push_class(d: &mut Decoder<'_>) -> Result<MsgClass, DecodeError> {
-    use MsgClass::{AntiEntropy, Handoff, Replication, Transfer};
-    let class = MsgClass::ALL.get(usize::from(d.byte()?)).copied();
-    class
-        .filter(|c| matches!(c, Replication | AntiEntropy | Transfer | Handoff))
-        .ok_or(DecodeError::InvalidValue {
-            reason: "not a push class",
-        })
-}
-
-fn get_values(d: &mut Decoder<'_>) -> Result<Vec<StampedValue>, DecodeError> {
-    let n = d.varint()? as usize;
-    let mut values = Vec::with_capacity(n.min(d.remaining() / 2 + 1));
-    for _ in 0..n {
-        values.push(StampedValue::decode(d)?);
-    }
-    Ok(values)
-}
-
-impl<M: Mechanism<StampedValue>> Msg<M> {
     /// The wire layout of every variant, written once: the tag byte, then
-    /// the fields in order. [`encode_transport`](Msg::encode_transport)
-    /// walks it into bytes, [`wire_size`](Msg::wire_size) into a count;
+    /// the fields in order, states and contexts in their own codecs.
+    /// [`encode_transport`](Msg::encode_transport) walks it into bytes,
+    /// [`wire_size`](Msg::wire_size) into a count;
     /// [`decode_transport`](Msg::decode_transport) is its inverse.
-    fn walk<K: MsgSink<M>>(&self, out: &mut K) {
-        let buf = out.raw();
+    fn walk<S: Sink>(&self, buf: &mut S) {
         buf.byte(self.tag());
         match self {
             Msg::ClientGet { req, key, digest } => {
@@ -683,7 +505,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 for v in values {
                     v.encode(buf);
                 }
-                out.ctx(ctx);
+                ctx.encode(buf);
             }
             Msg::ClientPut {
                 req,
@@ -695,8 +517,8 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 wire::put_u64(buf, *req);
                 wire::put_key(buf, key);
                 value.encode(buf);
-                out.ctx(ctx);
-                wire::put_u64(out.raw(), *digest);
+                ctx.encode(buf);
+                wire::put_u64(buf, *digest);
             }
             Msg::RepGet { req, key } => {
                 wire::put_u64(buf, *req);
@@ -705,7 +527,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             Msg::RepGetResp { req, key, state } | Msg::RepWriteResp { req, key, state } => {
                 wire::put_u64(buf, *req);
                 wire::put_key(buf, key);
-                out.state(state);
+                put_state(buf, state);
             }
             Msg::RepPut {
                 req,
@@ -715,8 +537,8 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             } => {
                 wire::put_u64(buf, *req);
                 wire::put_key(buf, key);
-                out.state(state);
-                wire::put_hint(out.raw(), *hint);
+                put_state(buf, state);
+                wire::put_hint(buf, *hint);
             }
             Msg::RepGetIf { req, key, have } => {
                 wire::put_u64(buf, *req);
@@ -735,8 +557,8 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 if let Some(id) = id {
                     wire::put_u64(buf, *id);
                 }
-                put_keyed_states(out, entries);
-                wire::put_hint(out.raw(), *hint);
+                put_keyed_states(buf, entries);
+                wire::put_hint(buf, *hint);
             }
             Msg::PushAck { class, id } => {
                 buf.byte(class.index() as u8);
@@ -766,8 +588,8 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 dvv::encode::put_leaf_set(buf, leaves);
             }
             Msg::AaeStates { states, want } => {
-                put_keyed_states(out, states);
-                wire::put_key_list(out.raw(), want);
+                put_keyed_states(buf, states);
+                wire::put_key_list(buf, want);
             }
             Msg::RepWrite {
                 req,
@@ -779,8 +601,8 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 wire::put_u64(buf, *req);
                 wire::put_key(buf, key);
                 value.encode(buf);
-                out.ctx(ctx);
-                wire::put_hint(out.raw(), *hint);
+                ctx.encode(buf);
+                wire::put_hint(buf, *hint);
             }
             Msg::RingEpoch { view } => wire::put_view(buf, view),
             Msg::RingSummary { entries } => wire::put_summary(buf, entries),
@@ -791,31 +613,34 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             Msg::GossipDigest { digest } => wire::put_u64(buf, *digest),
         }
     }
-}
 
-impl<M: WireMechanism<StampedValue>> Msg<M> {
     /// Encodes the message — the store's one byte codec: a variant tag
     /// byte, then the fields through the codecs in [`crate::wire`], with
-    /// mechanism states and contexts as length-prefixed
-    /// [`WireMechanism`] bytes. It is `Msg::walk` run over a byte buffer,
-    /// exactly as [`Msg::wire_size`] is the same walk run over a counter.
+    /// mechanism states and contexts in their own self-delimiting codecs.
+    /// It is `Msg::walk` run over a byte buffer, exactly as
+    /// [`Msg::wire_size`] is the same walk run over a counter.
     #[must_use]
     pub fn encode_transport(&self, mech: &M) -> Vec<u8> {
-        let buf = Vec::with_capacity(self.wire_size(mech));
-        let mut out = ByteSink { buf, mech };
-        self.walk(&mut out);
-        out.buf
+        let mut buf = Vec::with_capacity(self.wire_size(mech));
+        self.walk(&mut buf);
+        buf
     }
 
     /// Parses a message produced by [`Msg::encode_transport`]. Strict:
     /// every byte must be consumed, every invariant the codecs check must
     /// hold. A transport maps any error to a dropped connection.
     ///
+    /// Reading needs the one thing writing does not: a decoder for the
+    /// mechanism's states, which is what [`WireMechanism`] adds.
+    ///
     /// # Errors
     ///
     /// Any [`DecodeError`] on malformed input, including an unknown
     /// variant tag or trailing bytes.
-    pub fn decode_transport(mech: &M, bytes: &[u8]) -> Result<Self, DecodeError> {
+    pub fn decode_transport(mech: &M, bytes: &[u8]) -> Result<Self, DecodeError>
+    where
+        M: WireMechanism<StampedValue>,
+    {
         let mut d = Decoder::new(bytes);
         let tag = d.byte()?;
         let msg = match tag {
@@ -828,7 +653,7 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 let req = wire::get_u64(&mut d)?;
                 let ok = wire::get_bool(&mut d)?;
                 let values = get_values(&mut d)?;
-                let ctx = get_ctx(mech, &mut d)?;
+                let ctx = mech.decode_context(&mut d)?;
                 if tag == 1 {
                     Msg::ClientGetResp {
                         req,
@@ -849,7 +674,7 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 req: wire::get_u64(&mut d)?,
                 key: wire::get_key(&mut d)?,
                 value: StampedValue::decode(&mut d)?,
-                ctx: get_ctx(mech, &mut d)?,
+                ctx: mech.decode_context(&mut d)?,
                 digest: wire::get_u64(&mut d)?,
             },
             4 => Msg::RepGet {
@@ -859,7 +684,7 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
             5 | 15 => {
                 let req = wire::get_u64(&mut d)?;
                 let key = wire::get_key(&mut d)?;
-                let state = get_state(mech, &mut d)?;
+                let state = mech.decode_state(&mut d)?;
                 if tag == 5 {
                     Msg::RepGetResp { req, key, state }
                 } else {
@@ -869,7 +694,7 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
             6 => Msg::RepPut {
                 req: wire::get_u64(&mut d)?,
                 key: wire::get_key(&mut d)?,
-                state: get_state(mech, &mut d)?,
+                state: mech.decode_state(&mut d)?,
                 hint: wire::get_hint(&mut d)?,
             },
             7 => Msg::RepPutAck {
@@ -910,7 +735,7 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
                 req: wire::get_u64(&mut d)?,
                 key: wire::get_key(&mut d)?,
                 value: StampedValue::decode(&mut d)?,
-                ctx: get_ctx(mech, &mut d)?,
+                ctx: mech.decode_context(&mut d)?,
                 hint: wire::get_hint(&mut d)?,
             },
             20 => Msg::RingEpoch {
@@ -962,6 +787,64 @@ impl<M: WireMechanism<StampedValue>> Msg<M> {
     }
 }
 
+/// Appends a per-key state: its own self-delimiting layout, each value
+/// through [`StampedValue`]'s codec — byte for byte the state's
+/// [`Encode`], which [`WireMechanism::decode_state`] reads back.
+fn put_state<S: Sink>(buf: &mut S, state: &impl StateLayout<Value = StampedValue>) {
+    state.put(buf, StampedValue::encode);
+}
+
+/// Appends a `(key, state)` entry list — [`Msg::Push`] and
+/// [`Msg::AaeStates`]: a count, then per entry a shared-prefix-delta key
+/// followed by the state.
+fn put_keyed_states<S: Sink>(
+    buf: &mut S,
+    entries: &[(Key, impl StateLayout<Value = StampedValue>)],
+) {
+    put_varint(buf, entries.len() as u64);
+    let mut prev: &[u8] = &[];
+    for (k, s) in entries {
+        put_key_delta(buf, prev, k);
+        put_state(buf, s);
+        prev = k;
+    }
+}
+
+fn get_keyed_states<M: WireMechanism<StampedValue>>(
+    mech: &M,
+    d: &mut Decoder<'_>,
+) -> Result<Vec<(Key, M::State)>, DecodeError> {
+    let n = d.varint()? as usize;
+    let mut out: Vec<(Key, M::State)> = Vec::with_capacity(n.min(d.remaining() / 2 + 1));
+    let mut prev: Vec<u8> = Vec::new();
+    for _ in 0..n {
+        get_key_delta(d, &mut prev)?;
+        out.push((prev.clone(), mech.decode_state(d)?));
+    }
+    Ok(out)
+}
+
+/// Reads the class byte of a push or its ack — the class's position in
+/// [`MsgClass::ALL`] — admitting only the four classes a push is sent in.
+fn get_push_class(d: &mut Decoder<'_>) -> Result<MsgClass, DecodeError> {
+    use MsgClass::{AntiEntropy, Handoff, Replication, Transfer};
+    let class = MsgClass::ALL.get(usize::from(d.byte()?)).copied();
+    class
+        .filter(|c| matches!(c, Replication | AntiEntropy | Transfer | Handoff))
+        .ok_or(DecodeError::InvalidValue {
+            reason: "not a push class",
+        })
+}
+
+fn get_values(d: &mut Decoder<'_>) -> Result<Vec<StampedValue>, DecodeError> {
+    let n = d.varint()? as usize;
+    let mut values = Vec::with_capacity(n.min(d.remaining() / 2 + 1));
+    for _ in 0..n {
+        values.push(StampedValue::decode(d)?);
+    }
+    Ok(values)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -996,10 +879,12 @@ mod tests {
     }
 
     #[test]
-    fn state_wire_size_counts_metadata_and_values() {
+    fn state_bytes_are_metadata_plus_values() {
         let mech = DvvMechanism;
         let st = sample_state();
-        let sz = state_wire_size(&mech, &st);
+        let sz = dvv::encode::to_bytes(&st).len();
+        let values: usize = mech.read(&st).0.iter().map(Encode::encoded_len).sum();
+        assert_eq!(sz, mech.metadata_size(&st) + values);
         assert!(sz > 32, "must include the 32-byte payload, got {sz}");
         assert!(sz < 128, "should stay small, got {sz}");
     }
@@ -1251,10 +1136,10 @@ mod tests {
     }
 
     #[test]
-    fn codec_less_mechanisms_are_charged_their_modeled_size() {
-        // DvvSetMechanism has no WireMechanism codec: the counting walk
-        // must charge each state a length prefix plus the modeled size,
-        // next to the real prefix-delta key bytes.
+    fn dvvset_states_are_charged_their_encoded_bytes() {
+        // Every mechanism's state travels in its own codec with no length
+        // prefix: a push costs its header, the prefix-delta keys and the
+        // states' encodings, and decodes back to the same states.
         use dvv::mechanisms::DvvSetMechanism;
         let mech = DvvSetMechanism;
         let mut st = <DvvSetMechanism as Mechanism<StampedValue>>::State::default();
@@ -1264,8 +1149,9 @@ mod tests {
             &VersionVector::new(),
             StampedValue::new(WriteId::new(ClientId(1), 1), vec![0u8; 200]),
         );
-        let size = state_wire_size(&mech, &st);
-        assert!(size > 200, "two-byte length prefix regime, got {size}");
+        let size = dvv::encode::to_bytes(&st).len();
+        let values: usize = mech.read(&st).0.iter().map(Encode::encoded_len).sum();
+        assert_eq!(size, mech.metadata_size(&st) + values);
         let ho: Msg<DvvSetMechanism> = Msg::Push {
             class: MsgClass::AntiEntropy,
             id: None,
@@ -1273,10 +1159,14 @@ mod tests {
             hint: None,
         };
         // tag, class, absent id, count, then per entry: lcp, suffix
-        // length, suffix, state prefix, state — "alpine" shares "alp"
-        // with "alpha" — and the absent hint.
-        let expect = 1 + 1 + 1 + 1 + (1 + 1 + 5 + 2 + size) + (1 + 1 + 3 + 2 + size) + 1;
+        // length, suffix, state — "alpine" shares "alp" with "alpha" —
+        // and the absent hint.
+        let expect = 1 + 1 + 1 + 1 + (1 + 1 + 5 + size) + (1 + 1 + 3 + size) + 1;
         assert_eq!(ho.wire_size(&mech), expect);
+        let bytes = ho.encode_transport(&mech);
+        assert_eq!(bytes.len(), expect);
+        let back = Msg::<DvvSetMechanism>::decode_transport(&mech, &bytes).unwrap();
+        assert_eq!(back.encode_transport(&mech), bytes);
     }
 
     #[test]

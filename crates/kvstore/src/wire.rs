@@ -7,13 +7,12 @@
 //! sink [`dvv::encode::Count`], so `wire_size == encode_transport().len()`
 //! holds by construction and there is no size formula to keep in step.
 //!
-//! Mechanism states and contexts travel length-prefixed. Their bytes
-//! come from the mechanism's own `dvv::mechanisms::WireMechanism` codec;
-//! their *size* is charged from the model the paper's evaluation uses
-//! (`Mechanism::metadata_size` / `Mechanism::context_size`) — which
-//! every mechanism has, so the simulator accounts bytes for all eight
-//! without needing a codec for each. That one split lives in
-//! `messages.rs`, next to the message walk.
+//! Mechanism states and contexts are written by their own
+//! self-delimiting codecs in [`dvv::encode`] — a state's
+//! [`dvv::encode::StateLayout`], a context's [`dvv::encode::Encode`] —
+//! with no length prefix. The same codec over a `Count` is every byte
+//! count: a frame, a ledger charge, and the paper's
+//! `Mechanism::metadata_size` (the state's layout without its values).
 //!
 //! Composite fields reuse the delta codecs in [`dvv::encode`]: sorted-id
 //! gap deltas for member/arc/want lists, bit-packed value runs for

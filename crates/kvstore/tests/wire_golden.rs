@@ -9,11 +9,21 @@
 //! is recorded here: `ReadRepair`, `AaeStatesResp`, `RangeTransfer`,
 //! `TransferAck`, `Handoff` and `HandoffAck` (tags 8, 13, 18, 19, 24, 25)
 //! became `Push` / `PushAck` (tags 28, 29); their six entries left the
-//! table, five were appended, and no surviving entry's bytes moved. The
+//! table, five were appended, and no surviving entry's bytes moved. A
+//! second was the move to one codec per clock: a state stopped being a
+//! length prefix plus the mechanism's bytes and became its own
+//! self-delimiting layout (for DVV, a sibling count where the length
+//! byte was), and a context lost its length byte. Every state- or
+//! context-bearing entry was regenerated then, and `MECHANISMS` was
+//! added to pin all eight mechanisms' layouts, not only DVV's. The
 //! format itself is written up in `doc/wire_format.md`, which the last
 //! test here keeps honest.
 
-use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
+use dvv::mechanisms::{
+    CausalHistoryMechanism, DvvMechanism, DvvSetMechanism, LamportMechanism, Mechanism,
+    OrderedVvMechanism, VvClientMechanism, VvServerMechanism, VveMechanism, WireMechanism,
+    WriteOrigin,
+};
 use dvv::{ClientId, ReplicaId, VersionVector};
 use kvstore::messages::{Msg, MsgClass};
 use kvstore::value::{Key, StampedValue, WriteId};
@@ -300,30 +310,30 @@ fn hex(bytes: &[u8]) -> String {
 
 const GOLDEN: &[(&str, &str)] = &[
     ("ClientGet", "00080706050403020109757365723a303034320df0fecacefaedfe"),
-    ("ClientGetResp", "01080706050403020101020701000566697273748080808080204d01000d030003028080808020ac028101"),
-    ("ClientPut", "02080706050403020109757365723a3030343203090082015a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a0d030003028080808020ac0281010df0fecacefaedfe"),
-    ("ClientPutResp", "03080706050403020100020701000566697273748080808080204d01000100"),
+    ("ClientGetResp", "01080706050403020101020701000566697273748080808080204d0100030003028080808020ac028101"),
+    ("ClientPut", "02080706050403020109757365723a3030343203090082015a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a030003028080808020ac0281010df0fecacefaedfe"),
+    ("ClientPutResp", "03080706050403020100020701000566697273748080808080204d010000"),
     ("RepGet", "04080706050403020109757365723a30303432"),
-    ("RepGetResp", "05080706050403020109757365723a30303432480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e64"),
-    ("RepPut", "06080706050403020109757365723a30303432480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e6401ac02"),
+    ("RepGetResp", "05080706050403020109757365723a30303432030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e64"),
+    ("RepPut", "06080706050403020109757365723a30303432030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e6401ac02"),
     ("RepPutAck", "070807060504030201"),
     ("AaeRoot", "0988776655443322110df0fecacefaedfe"),
     ("AaeArcRoots", "0a0df0fecacefaedfe0400023cc306401100000000000000fecaad0befbeadde01000000000000000000000000000000"),
     ("AaeLeaves/unscoped", "0b0df0fecacefaedfe00040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
     ("AaeLeaves/scoped", "0b0df0fecacefaedfe0104010025d603040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
-    ("AaeStates", "0c040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c1111111111111111111111110500000007636172743a31370701300501320003646f67"),
-    ("RepWrite", "0e080706050403020109757365723a303034328080808080204d01000d030003028080808020ac02810101ac02"),
-    ("RepWriteResp", "0f080706050403020109757365723a30303432200501030003028080808020ac02810101c801000c111111111111111111111111"),
+    ("AaeStates", "0c040009757365723a30303031010501030003028080808020ac02810101c801000c111111111111111111111111080132030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261010501030003028080808020ac02810101c801000c1111111111111111111111110500000007636172743a31370701300501320003646f67"),
+    ("RepWrite", "0e080706050403020109757365723a303034328080808080204d0100030003028080808020ac02810101ac02"),
+    ("RepWriteResp", "0f080706050403020109757365723a30303432010501030003028080808020ac02810101c801000c111111111111111111111111"),
     ("RingEpoch", "140600000006008503010105808080010382019003"),
     ("RingSummary", "150600000006008503180400000400001500000200800f0000080200"),
     ("RingDelta", "160402060085030580808001038201390301004a"),
     ("GossipDigest", "170df0fecacefaedfe"),
     ("RepGetIf", "1a080706050403020109757365723a30303432efcdab8967452301"),
     ("RepGetSame", "1b0807060504030201"),
-    ("Push/Replication", "1c0100010009757365723a30303432200501030003028080808020ac02810101c801000c11111111111111111111111101ac02"),
-    ("Push/AntiEntropy", "1c0200040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c11111111111111111111111100"),
-    ("Push/Transfer", "1c0401feffffffffffffff040009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261200501030003028080808020ac02810101c801000c11111111111111111111111100"),
-    ("Push/Handoff", "1c05010300000000000000020009757365723a30303031200501030003028080808020ac02810101c801000c111111111111111111111111080132480002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e6400"),
+    ("Push/Replication", "1c0100010009757365723a30303432010501030003028080808020ac02810101c801000c11111111111111111111111101ac02"),
+    ("Push/AntiEntropy", "1c0200040009757365723a30303031010501030003028080808020ac02810101c801000c111111111111111111111111080132030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261010501030003028080808020ac02810101c801000c11111111111111111111111100"),
+    ("Push/Transfer", "1c0401feffffffffffffff040009757365723a30303031010501030003028080808020ac02810101c801000c111111111111111111111111080132030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261010501030003028080808020ac02810101c801000c11111111111111111111111100"),
+    ("Push/Handoff", "1c05010300000000000000020009757365723a30303031010501030003028080808020ac02810101c801000c111111111111111111111111080132030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e6400"),
     ("PushAck", "1d04feffffffffffffff"),
 ];
 
@@ -342,6 +352,119 @@ fn encode_transport_matches_committed_bytes() {
     for ((name, got), (gold_name, gold)) in fresh.iter().zip(GOLDEN) {
         assert_eq!(name, gold_name, "corpus reordered:\n{table}");
         assert_eq!(got, gold, "wire format of {name} changed:\n{table}");
+    }
+}
+
+/// A state-bearing and a context-bearing message under `mech`, both
+/// after the same three writes: a blind one at replica 0, one at replica
+/// 300 that read it, and a concurrent blind one at replica 2. Returns the
+/// mechanism's name and the two messages' hex, after checking each
+/// decodes back and costs what it encodes to.
+fn mechanism_entry<M: WireMechanism<StampedValue>>(mech: M) -> (&'static str, String, String) {
+    let mut st = <M as Mechanism<StampedValue>>::State::default();
+    let w = |r, c| WriteOrigin::new(ReplicaId(r), ClientId(c));
+    let blind = <M as Mechanism<StampedValue>>::Context::default();
+    mech.write(&mut st, w(0, 7), &blind, value(7, 1, b"a"));
+    let (_, seen) = mech.read(&st);
+    mech.write(&mut st, w(300, 7), &seen, value(7, 2, b"b"));
+    mech.write(&mut st, w(2, 9), &blind, value(9, 3, b"c"));
+    let (values, ctx) = mech.read(&st);
+    let [state, context] = [
+        Msg::<M>::RepWriteResp {
+            req: 1,
+            key: b"k".to_vec(),
+            state: st,
+        },
+        Msg::<M>::ClientGetResp {
+            req: 1,
+            ok: true,
+            values,
+            ctx,
+        },
+    ]
+    .map(|msg| {
+        let bytes = msg.encode_transport(&mech);
+        assert_eq!(msg.wire_size(&mech), bytes.len(), "{}", mech.name());
+        let back = Msg::<M>::decode_transport(&mech, &bytes).expect("decodes");
+        assert_eq!(back.encode_transport(&mech), bytes, "{}", mech.name());
+        hex(&bytes)
+    });
+    (mech.name(), state, context)
+}
+
+/// `(mechanism, RepWriteResp hex, ClientGetResp hex)` for all eight
+/// mechanisms — every state and context layout, pinned.
+const MECHANISMS: &[(&str, &str, &str)] = &[
+    (
+        "dvv",
+        "0f0100000000000000016b020201000903000163ac02010100010702000162",
+        "0101000000000000000102090300016307020001620300010201ac0201",
+    ),
+    (
+        "dvvset",
+        "0f0100000000000000016b030001000201010903000163ac0201010702000162",
+        "0101000000000000000102090300016307020001620300010201ac0201",
+    ),
+    (
+        "causal-histories",
+        "0f0100000000000000016b02020001ac020107020001620102010903000163",
+        "0101000000000000000102070200016209030001630300010201ac0201",
+    ),
+    (
+        "vv-client",
+        "0f0100000000000000016b0201070207020001620109010903000163",
+        "0101000000000000000102070200016209030001630207020901",
+    ),
+    (
+        "vv-server",
+        "0f0100000000000000016b02020001ac020107020001620102010903000163",
+        "0101000000000000000102070200016209030001630300010201ac0201",
+    ),
+    (
+        "lamport-lww",
+        "0f0100000000000000016b0103090903000163",
+        "0101000000000000000101090300016303",
+    ),
+    (
+        "ordered-vv",
+        "0f0100000000000000016b02020001ac020101ac020107020001620102010102010903000163",
+        "0101000000000000000102070200016209030001630300010201ac020101ac0201",
+    ),
+    (
+        "vve",
+        "0f0100000000000000016b02ac0201010001000702000162020100000903000163",
+        "0101000000000000000102070200016209030001630300010201ac020100",
+    ),
+];
+
+#[test]
+fn every_mechanism_layout_matches_committed_bytes() {
+    let fresh = [
+        mechanism_entry(DvvMechanism),
+        mechanism_entry(DvvSetMechanism),
+        mechanism_entry(CausalHistoryMechanism),
+        mechanism_entry(VvClientMechanism::unbounded()),
+        mechanism_entry(VvServerMechanism),
+        mechanism_entry(LamportMechanism),
+        mechanism_entry(OrderedVvMechanism),
+        mechanism_entry(VveMechanism),
+    ];
+    let table: String = fresh
+        .iter()
+        .map(|(name, state, ctx)| format!("    ({name:?}, {state:?}, {ctx:?}),\n"))
+        .collect();
+    assert_eq!(
+        fresh.len(),
+        MECHANISMS.len(),
+        "mechanisms changed:\n{table}"
+    );
+    for ((name, state, ctx), (gold_name, gold_state, gold_ctx)) in fresh.iter().zip(MECHANISMS) {
+        assert_eq!(name, gold_name, "mechanisms reordered:\n{table}");
+        assert_eq!(
+            state, gold_state,
+            "state layout of {name} changed:\n{table}"
+        );
+        assert_eq!(ctx, gold_ctx, "context layout of {name} changed:\n{table}");
     }
 }
 

@@ -353,7 +353,6 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> std::fmt::Debug for Fleet<M, L> {
 impl<M> RuntimeFleet<M>
 where
     M: Mechanism<StampedValue> + Send + 'static,
-    M::Context: Send,
 {
     /// Builds a fleet. All protocol randomness derives from `seed`
     /// through the same `fork_indexed("node", i)` scheme the simulator
@@ -381,7 +380,6 @@ where
 impl<M, L> Fleet<M, L>
 where
     M: Mechanism<StampedValue> + Send + 'static,
-    M::Context: Send,
     L: Link<M>,
 {
     /// Builds a fleet whose messages travel on `L`, opened from
@@ -737,7 +735,6 @@ where
 impl<M, L> FleetHarness<M> for Fleet<M, L>
 where
     M: Mechanism<StampedValue> + Send + 'static,
-    M::Context: Send,
     L: Link<M>,
 {
     fn mechanism(&self) -> &M {

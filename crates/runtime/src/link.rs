@@ -151,7 +151,6 @@ pub struct ChannelStats {
 impl<M> Link<M> for ChannelLink<M>
 where
     M: Mechanism<StampedValue> + Send + 'static,
-    M::Context: Send,
 {
     type Spec = ();
     type Ledger = ChannelStats;

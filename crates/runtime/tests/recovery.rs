@@ -10,11 +10,11 @@
 
 use std::time::Duration as StdDuration;
 
-use dvv::mechanisms::DvvSetMechanism;
+use dvv::mechanisms::{DvvSetMechanism, Mechanism, VvClientMechanism, WireMechanism};
 use dvv::ReplicaId;
 use kvstore::config::ClientConfig;
 use kvstore::harness::audit_fleet;
-use kvstore::StoreConfig;
+use kvstore::{StampedValue, StoreConfig};
 use runtime::{CrashEvent, EngineFactory, RuntimeConfig, RuntimeFleet};
 use simnet::Duration;
 use storage::LogConfig;
@@ -59,7 +59,10 @@ fn recovery_config() -> RuntimeConfig {
 /// view, pairwise AAE equivalence — recovered node included — zero
 /// residual copies, oracle-clean converge), plus the recovery-specific
 /// check that the victim is a full member again in its peers' eyes.
-fn audit(fleet: &mut RuntimeFleet<DvvSetMechanism>, label: &str) {
+fn audit<M>(fleet: &mut RuntimeFleet<M>, label: &str)
+where
+    M: Mechanism<StampedValue> + Send + 'static,
+{
     assert!(
         fleet
             .server(0)
@@ -73,27 +76,38 @@ fn audit(fleet: &mut RuntimeFleet<DvvSetMechanism>, label: &str) {
 
 /// Durable fleet, write-through log engines: the victim is killed
 /// mid-run and respawned *from its disk* — the rebuilt engine replays
-/// every record it acked — and the fleet audits clean.
+/// every record it acked — and the fleet audits clean. Run for the
+/// compact DVVSet and for per-client VVs, a list state, each logged in
+/// its own codec.
 #[test]
 fn scheduled_crash_respawns_from_disk_and_audits_clean() {
+    crash_from_disk(DvvSetMechanism);
+    crash_from_disk(VvClientMechanism::unbounded());
+}
+
+fn crash_from_disk<M>(mech: M)
+where
+    M: WireMechanism<StampedValue> + Send + 'static,
+{
+    let label = format!("durable {}", mech.name());
     let dir = storage::scratch_dir("rt-recovery-durable");
     let mut fleet = RuntimeFleet::new_durable(
         0xD15C,
-        DvvSetMechanism,
+        mech,
         recovery_config(),
         EngineFactory::log_in(&dir, LogConfig::write_through()),
     );
     let report = match fleet.run() {
         Ok(r) => r,
-        Err(stall) => panic!("durable recovery run stalled:\n{stall}"),
+        Err(stall) => panic!("{label} recovery run stalled:\n{stall}"),
     };
-    assert!(report.all_done, "clients left unfinished");
+    assert!(report.all_done, "{label}: clients left unfinished");
     assert_eq!(
         fleet.server(VICTIM).data().engine_kind(),
         "log",
-        "victim must be running on its rebuilt log engine"
+        "{label}: victim must be running on its rebuilt log engine"
     );
-    audit(&mut fleet, "durable");
+    audit(&mut fleet, &label);
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -43,7 +43,10 @@
 //! [`LogConfig::compact_min_bytes`] and the garbage fraction exceeds
 //! [`LogConfig::compact_garbage_ratio`], the engine rewrites the live
 //! records to a fresh file and atomically renames it over the log —
-//! rewriting the live set, truncating the dead tail.
+//! rewriting the live set, truncating the dead tail. A file's *name* is
+//! directory data: the directory is synced after that rename, and — for
+//! a log `open` created — at its first group sync, before any record in
+//! it counts as durable, so a crash cannot lose either name.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -173,6 +176,16 @@ fn dec_state<S: Encode>(bytes: &[u8]) -> Option<S> {
     dvv::encode::from_bytes(bytes).ok()
 }
 
+/// Makes a new name for `path` durable: a created or renamed file's
+/// directory entry is only on disk once its directory is synced.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
+}
+
 /// The append-only durable engine. See the module docs for the format
 /// and the durability/compaction model.
 pub struct LogEngine<S> {
@@ -194,6 +207,10 @@ pub struct LogEngine<S> {
     live_bytes: u64,
     /// Recovered/stored dot-mint reservation `(epoch, ceiling)`.
     reservation: Option<(u64, u64)>,
+    /// Whether the file's name is durable in its directory. `open` that
+    /// creates the file leaves it `false`; the first group sync syncs the
+    /// directory before any record counts as durable.
+    name_durable: bool,
     stats: LogStats,
     scratch: Vec<u8>,
 }
@@ -388,6 +405,7 @@ where
         S: Encode,
     {
         let path = path.into();
+        let name_durable = path.exists();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -460,6 +478,7 @@ where
             durable_bytes: at as u64,
             live_bytes,
             reservation,
+            name_durable,
             stats,
             scratch: Vec::new(),
         })
@@ -518,6 +537,10 @@ where
             .write_all(&self.pending)
             .expect("log append write");
         self.file.sync_data().expect("log append sync");
+        if !self.name_durable {
+            sync_parent_dir(&self.path).expect("log directory sync");
+            self.name_durable = true;
+        }
         self.stats.syncs += 1;
         let mut offset = self.durable_bytes;
         for op in self.pending_ops.drain(..) {
@@ -585,6 +608,7 @@ where
             f.write_all(&buf)?;
             f.sync_data()?;
             std::fs::rename(&tmp, &self.path)?;
+            sync_parent_dir(&self.path)?;
             f.seek(SeekFrom::End(0))?;
             Ok(f)
         })();

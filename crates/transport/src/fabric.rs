@@ -269,8 +269,6 @@ impl<M: WireMechanism<StampedValue>> Fabric<M> {
 impl<M> Fabric<M>
 where
     M: WireMechanism<StampedValue> + Send + Sync + 'static,
-    M::State: Send,
-    M::Context: Send,
 {
     /// Binds one loopback listener per node, spawns the accept threads,
     /// and returns the shared fabric. `inboxes[i]` receives decoded

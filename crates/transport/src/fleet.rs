@@ -141,7 +141,6 @@ pub struct FabricLink<M: WireMechanism<StampedValue>> {
 impl<M> Link<M> for FabricLink<M>
 where
     M: WireMechanism<StampedValue> + Send + Sync + 'static,
-    M::Context: Send,
 {
     type Spec = FabricSpec<M>;
     type Ledger = FabricStats;
@@ -207,14 +206,11 @@ where
 #[derive(Debug)]
 pub struct SocketFleet<M: WireMechanism<StampedValue> + Send + Sync + 'static>(
     Fleet<M, FabricLink<M>>,
-)
-where
-    M::Context: Send;
+);
 
 impl<M> SocketFleet<M>
 where
     M: WireMechanism<StampedValue> + Send + Sync + 'static,
-    M::Context: Send,
 {
     /// Builds a fleet. Protocol randomness derives from `seed` through
     /// the same `fork_indexed("node", i)` scheme the other drivers use;
@@ -268,7 +264,6 @@ where
 impl<M> Deref for SocketFleet<M>
 where
     M: WireMechanism<StampedValue> + Send + Sync + 'static,
-    M::Context: Send,
 {
     type Target = Fleet<M, FabricLink<M>>;
 
@@ -280,7 +275,6 @@ where
 impl<M> DerefMut for SocketFleet<M>
 where
     M: WireMechanism<StampedValue> + Send + Sync + 'static,
-    M::Context: Send,
 {
     fn deref_mut(&mut self) -> &mut Self::Target {
         &mut self.0
@@ -291,7 +285,6 @@ where
 impl<M> FleetHarness<M> for SocketFleet<M>
 where
     M: WireMechanism<StampedValue> + Send + Sync + 'static,
-    M::Context: Send,
 {
     fn mechanism(&self) -> &M {
         self.0.mechanism()

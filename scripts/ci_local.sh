@@ -141,12 +141,15 @@ if runs_lane socket; then
     # identity; `lifecycle` severs live connections mid-burst and
     # requires reconnect + unaided convergence; `thread_census` counts
     # the fabric's threads (accept loops + accepted connections, none
-    # on the send side).
+    # on the send side); `mechanisms` runs the paper's comparison over
+    # TCP, every clock in its own codec (ledger identity for all eight,
+    # the precise ones clean, the deficient ones anomalous).
     cargo test -p transport --test frame_robustness -- --nocapture
     cargo test -p transport --test charge_parity -- --nocapture
     cargo test -p transport --test conformance -- --nocapture
     cargo test -p transport --test lifecycle -- --nocapture
     cargo test -p transport --test thread_census -- --nocapture
+    cargo test -p transport --test mechanisms -- --nocapture
 fi
 
 if runs_lane storage; then

@@ -50,3 +50,14 @@ printf '  %-32s %6d\n' \
     "hostile() profiles" "$(src_count 'pub fn hostile\(')" \
     "NET_FAULTS readers" "$(src_count '"NET_FAULTS"')" \
     "REPLAY_STASH_CAP definitions" "$(src_count 'const REPLAY_STASH_CAP')"
+# The codec surface: every mechanism's states and contexts are written by
+# their own codec, reached through one trait whose bodies are defaults in
+# dvv/src/mechanisms/mod.rs — no mechanism writes its own.
+echo "codec surface (crates/*/src)"
+printf '  %-32s %6d\n' \
+    "mechanisms with WireMechanism" "$({ grep -rhzoE 'WireMechanism<V>\s+for [A-Za-z]+Mechanism' \
+        crates/*/src --include='*.rs' || true; } | tr '\0' '\n' \
+        | grep -cE 'for [A-Za-z]+Mechanism' || true)" \
+    "MsgSink impls" "$(src_count 'impl<.*> MsgSink<')" \
+    "encode_state outside the trait" "$({ grep -rE 'fn encode_state' crates/*/src --include='*.rs' \
+        | grep -v '^crates/dvv/src/mechanisms/mod.rs:' || true; } | wc -l)"
