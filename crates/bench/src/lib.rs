@@ -1,10 +1,9 @@
 //! # dvv-bench — experiment runners behind every table and figure
 //!
 //! Each `eN_*` function regenerates one row set of the paper
-//! reproduction's experiment index (see `DESIGN.md` §5). The `figures`
-//! binary prints them; `EXPERIMENTS.md` records a captured run; the
-//! Criterion benches in `benches/` measure the hot operations with
-//! statistical rigour.
+//! reproduction's experiment index (E1–E9); the `figures` binary prints
+//! them. The store's hot operations are timed by the repo benchmark
+//! (`perfbench/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1052,8 +1052,8 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
 
     /// Sums every node's per-class wire counters — servers (dormant
     /// spares included, since a retired leaver keeps gossiping) and
-    /// clients. The cluster-wide bytes-on-the-wire ledger the wire
-    /// bench reports from.
+    /// clients. The cluster-wide bytes-on-the-wire ledger;
+    /// `tests/wire.rs` pins its per-class totals for one scripted run.
     /// (Generic implementation: [`FleetHarness::wire_report`].)
     pub fn wire_report(&self) -> WireStats {
         FleetHarness::wire_report(self)

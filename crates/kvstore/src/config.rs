@@ -22,14 +22,26 @@ pub enum DeltaPolicy {
 impl DeltaPolicy {
     /// Reads a policy from the `DELTA_PROTOCOLS` environment variable
     /// (`full` | `auto` | `force`), defaulting to `Auto` when unset or
-    /// unrecognised. Churn suites apply this so the nightly soak lane
-    /// can force the delta paths on without a code change.
+    /// empty. Churn suites apply this so the nightly soak lane can force
+    /// the delta paths on without a code change.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value, so a misspelt lane fails instead of
+    /// running the default.
     #[must_use]
     pub fn from_env() -> Self {
-        match std::env::var("DELTA_PROTOCOLS").as_deref() {
-            Ok("full") => DeltaPolicy::Full,
-            Ok("force") => DeltaPolicy::Force,
-            _ => DeltaPolicy::Auto,
+        Self::parse(std::env::var("DELTA_PROTOCOLS").ok().as_deref())
+    }
+
+    fn parse(value: Option<&str>) -> Self {
+        match value.unwrap_or_default() {
+            "" | "auto" => DeltaPolicy::Auto,
+            "full" => DeltaPolicy::Full,
+            "force" => DeltaPolicy::Force,
+            other => {
+                panic!("DELTA_PROTOCOLS={other:?}: expected `full`, `auto` or `force`, or unset")
+            }
         }
     }
 }
@@ -227,6 +239,25 @@ mod tests {
             ..StoreConfig::default()
         }
         .validate();
+    }
+
+    #[test]
+    fn delta_policy_parses_each_accepted_value() {
+        for (value, policy) in [
+            (None, DeltaPolicy::Auto),
+            (Some(""), DeltaPolicy::Auto),
+            (Some("auto"), DeltaPolicy::Auto),
+            (Some("full"), DeltaPolicy::Full),
+            (Some("force"), DeltaPolicy::Force),
+        ] {
+            assert_eq!(DeltaPolicy::parse(value), policy, "{value:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "expected `full`, `auto` or `force`, or unset")]
+    fn delta_policy_rejects_a_typo() {
+        DeltaPolicy::parse(Some("forse"));
     }
 
     #[test]

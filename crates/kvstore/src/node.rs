@@ -603,20 +603,12 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         prefs.contains(&self.replica) && prefs.contains(&peer)
     }
 
-    /// Applies the data store's pending AAE refreshes (see
-    /// [`DataStore::flush`]). The protocol runs this before every
-    /// summary read; public so benches and tests can reach a flushed
-    /// state explicitly.
-    pub fn flush_aae_index(&mut self) {
-        self.data.flush();
-    }
-
     /// Root of the Merkle summary over the keys this node and `peer`
     /// both replicate: the XOR of the cached per-arc roots of the shared
     /// arcs — O(arcs), no keyspace scan, no state rehash. Reads the
-    /// flushed index ([`Self::flush_aae_index`]); public so the AAE
-    /// benchmarks can measure the per-tick cost directly.
-    pub fn shared_summary_root(&self, peer: ReplicaId) -> u64 {
+    /// flushed index: its two callers, the AAE tick and the `AaeRoot`
+    /// handler, run [`DataStore::flush`] first.
+    fn shared_summary_root(&self, peer: ReplicaId) -> u64 {
         let mut root = 0u64;
         for idx in 0..self.ring.arc_count() {
             if self.arc_shared_with(idx, peer) {
@@ -680,7 +672,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// From-scratch reference implementation of the shared summary: the
     /// pre-cache keyspace scan (per-key hash, uncached ring walk, state
     /// rehash). Used by [`Self::audit_aae_index`] as the equivalence
-    /// oracle and by the AAE benchmarks as the before/after baseline.
+    /// oracle and by [`crate::harness::assert_aae_equivalent`] as the
+    /// convergence check every driver's suites end on.
     pub fn rebuild_shared_summary(&self, peer: ReplicaId) -> MerkleSummary {
         let mut m = MerkleSummary::new();
         for (k, s) in self.data.iter() {

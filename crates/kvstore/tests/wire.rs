@@ -3,12 +3,12 @@
 //! states as the full-push protocols — while spending a small fraction
 //! of the reconciliation bytes.
 //!
-//! The scenario is clientless and fully scripted so both runs see an
-//! identical write set: a preloaded keyspace, three
-//! partition/divergence/heal waves against one member, live churn (a
-//! join and a leave), then a long AAE quiesce. Nothing here calls
-//! `converge()` before reading the wire report — the bytes measured are
-//! the bytes the protocols actually spent converging.
+//! The scenario is clientless and fully scripted so every run sees an
+//! identical write set: a preloaded keyspace, live churn (a join and a
+//! leave), then four partition/divergence/heal waves against one
+//! member, then a long AAE quiesce. Nothing here calls `converge()`
+//! before reading the wire report — the bytes measured are the bytes
+//! the protocols actually spent converging.
 
 use std::collections::BTreeMap;
 
@@ -16,7 +16,7 @@ use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
 use kvstore::cluster::{Cluster, ClusterConfig, StoreProc};
 use kvstore::config::{ClientConfig, StoreConfig};
-use kvstore::messages::WireStats;
+use kvstore::messages::{Msg, MsgClass, WireStats};
 use kvstore::value::{Key, StampedValue, WriteId};
 use kvstore::DeltaPolicy;
 use ring::HashRing;
@@ -32,6 +32,17 @@ const N: usize = 3;
 const KEYS: usize = 20_000;
 /// Kept small so divergence stays concentrated in a few arcs.
 const DIVERGENT: usize = 10;
+
+/// Bytes-to-convergence of the scenario at `PINNED_SEED`, as
+/// (reconciliation, anti-entropy, membership, total): the full-push
+/// protocols, then the delta protocols (`Auto` and `Force` agree here).
+/// Same seed, same simulator, same count on every machine, so any
+/// difference is a wire-format or protocol change. A deliberate one
+/// updates these numbers in the same change and records the before and
+/// after in CHANGES.md.
+const PINNED_SEED: u64 = 31;
+const FULL_BYTES: [u64; 4] = [445_450, 438_299, 7_151, 2_496_748];
+const DELTA_BYTES: [u64; 4] = [32_602, 25_878, 6_724, 2_083_900];
 
 fn preload_state(origin: ReplicaId, key_idx: usize) -> State {
     let mech = DvvMechanism;
@@ -116,7 +127,7 @@ fn run_scenario(seed: u64, policy: DeltaPolicy) -> Cluster<M> {
 
     // live churn first: the spare joins, a founding member drains out.
     // The join's transfer/AAE interleaving is paid here, before the
-    // measurement-relevant divergence waves, under both policies alike.
+    // measurement-relevant divergence waves, under every policy alike.
     assert!(c.add_node_live(SERVERS as usize), "join settles");
     assert!(c.remove_node_live(0), "leave settles");
     c.run_for(Duration::from_secs(1));
@@ -190,67 +201,106 @@ fn slot_contents(c: &Cluster<M>) -> BTreeMap<usize, BTreeMap<Key, State>> {
         .collect()
 }
 
-#[test]
-fn delta_protocols_converge_identically_and_shrink_reconciliation_bytes() {
-    for seed in workloads::churn_seeds(&[31]) {
-        let full = run_scenario(seed, DeltaPolicy::Full);
-        let force = run_scenario(seed, DeltaPolicy::Force);
+/// The pinned quantities of one run, in `FULL_BYTES`' order.
+fn byte_counts(c: &Cluster<M>) -> [u64; 4] {
+    let r = c.wire_report();
+    [
+        r.reconciliation_bytes(),
+        r.bytes(MsgClass::AntiEntropy),
+        r.bytes(MsgClass::Membership),
+        r.total_bytes(),
+    ]
+}
 
-        // both runs converged on their own (no harness converge)
-        for c in [&full, &force] {
-            for i in c.member_slots() {
-                assert_eq!(
-                    c.server(i).view_digest(),
-                    c.view_digest(),
-                    "seed {seed}: server {i} view diverged"
-                );
-            }
-            let residuals = c.residual_copies();
-            assert!(
-                residuals.is_empty(),
-                "seed {seed}: residual copies: {residuals:?}"
+const POLICIES: [(&str, DeltaPolicy); 3] = [
+    ("full", DeltaPolicy::Full),
+    ("auto", DeltaPolicy::Auto),
+    ("force", DeltaPolicy::Force),
+];
+
+/// Runs the scenario at `seed` under every policy, in `POLICIES`' order,
+/// and checks what must hold at any seed: each run converged on its own,
+/// all converged to identical states, and the delta runs spent at least
+/// 5x fewer reconciliation bytes than the full-push run.
+fn converge_under_every_policy(seed: u64) -> [Cluster<M>; 3] {
+    let runs = POLICIES.map(|(_, policy)| run_scenario(seed, policy));
+    let [full, auto, force] = &runs;
+
+    // every run converged on its own (no harness converge)
+    for c in &runs {
+        for i in c.member_slots() {
+            assert_eq!(
+                c.server(i).view_digest(),
+                c.view_digest(),
+                "seed {seed}: server {i} view diverged"
             );
         }
+        let residuals = c.residual_copies();
+        assert!(
+            residuals.is_empty(),
+            "seed {seed}: residual copies: {residuals:?}"
+        );
+    }
 
-        // equivalence oracle: byte-identical membership, byte-identical
-        // per-slot key states — the delta protocols are an encoding
-        // change, not a behaviour change
+    // equivalence oracle: byte-identical membership, byte-identical
+    // per-slot key states — the delta protocols are an encoding
+    // change, not a behaviour change
+    let full_slots = slot_contents(full);
+    for (name, delta) in [("auto", auto), ("force", force)] {
         assert_eq!(
             full.view_digest(),
-            force.view_digest(),
-            "seed {seed}: final views must be identical"
+            delta.view_digest(),
+            "seed {seed} {name}: final views must be identical"
         );
         assert_eq!(
-            slot_contents(&full),
-            slot_contents(&force),
-            "seed {seed}: delta and full runs must converge to identical states"
+            full_slots,
+            slot_contents(delta),
+            "seed {seed} {name}: delta and full runs must converge to identical states"
         );
+    }
 
-        // the headline: reconciliation traffic (membership + AAE) drops
-        // by at least 5x; transfers/handoff move the same key states
-        // under either protocol and are excluded by construction.
-        // (captured unless the assert below fails — diagnostics)
-        for (name, c) in [("full", &full), ("force", &force)] {
-            let r = c.wire_report();
-            for class in kvstore::messages::MsgClass::ALL {
-                eprintln!(
-                    "seed {seed} {name}: {} = {} bytes / {} msgs",
-                    class.name(),
-                    r.bytes(class),
-                    r.msgs(class)
-                );
-            }
+    // the headline: reconciliation traffic (membership + AAE) drops
+    // by at least 5x; transfers/handoff move the same key states
+    // under either protocol and are excluded by construction.
+    // (captured unless an assert below fails — diagnostics)
+    for ((name, _), c) in POLICIES.iter().zip(&runs) {
+        let r = c.wire_report();
+        for class in MsgClass::ALL {
+            eprintln!(
+                "seed {seed} {name}: {} = {} bytes / {} msgs",
+                class.name(),
+                r.bytes(class),
+                r.msgs(class)
+            );
         }
-        let (fb, db) = (
-            full.wire_report().reconciliation_bytes(),
-            force.wire_report().reconciliation_bytes(),
-        );
-        assert!(db > 0, "seed {seed}: delta run must have reconciled");
+    }
+    let fb = full.wire_report().reconciliation_bytes();
+    for (name, delta) in [("auto", auto), ("force", force)] {
+        let db = delta.wire_report().reconciliation_bytes();
+        assert!(db > 0, "seed {seed} {name}: delta run must have reconciled");
         assert!(
             fb >= 5 * db,
-            "seed {seed}: expected >= 5x reconciliation savings, got {fb} vs {db} ({:.1}x)",
+            "seed {seed} {name}: expected >= 5x reconciliation savings, got {fb} vs {db} ({:.1}x)",
             fb as f64 / db as f64
         );
+    }
+    runs
+}
+
+#[test]
+fn delta_protocols_converge_identically_and_shrink_reconciliation_bytes() {
+    let runs = converge_under_every_policy(PINNED_SEED);
+    let pinned = [FULL_BYTES, DELTA_BYTES, DELTA_BYTES];
+    for (((name, _), c), bytes) in POLICIES.iter().zip(&runs).zip(pinned) {
+        assert_eq!(
+            byte_counts(c),
+            bytes,
+            "seed {PINNED_SEED} {name}: (reconciliation, anti-entropy, membership, total) bytes"
+        );
+    }
+    // the soak lane's EXTRA_CHURN_SEEDS
+    for seed in workloads::churn_seeds(&[]) {
+        converge_under_every_policy(seed);
     }
 }
 
@@ -261,7 +311,6 @@ fn delta_protocols_converge_identically_and_shrink_reconciliation_bytes() {
 fn wire_report_attributes_bytes_per_class() {
     let c = run_scenario(97, DeltaPolicy::Auto);
     let report: WireStats = c.wire_report();
-    use kvstore::messages::MsgClass;
     for class in [
         MsgClass::AntiEntropy,
         MsgClass::Membership,
@@ -288,8 +337,6 @@ fn wire_report_attributes_bytes_per_class() {
 /// to server 0 is the only Replication-class traffic there is.
 #[test]
 fn conditional_read_charges_nine_bytes_per_replica_in_sync() {
-    use kvstore::messages::{Msg, MsgClass};
-
     let mech = DvvMechanism;
     let store = StoreConfig {
         anti_entropy_interval: Duration::ZERO,
@@ -402,7 +449,6 @@ fn conditional_read_charges_nine_bytes_per_replica_in_sync() {
 /// across a live join (transfer, membership and handoff traffic).
 #[test]
 fn every_byte_a_node_charged_is_a_byte_the_simulator_was_handed() {
-    use kvstore::messages::MsgClass;
     use simnet::TraceEvent;
 
     let traced = |spare_servers: usize| {

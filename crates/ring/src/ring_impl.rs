@@ -320,9 +320,10 @@ impl<N: Clone + Ord + Debug> HashRing<N> {
 
     /// Reference implementation of [`HashRing::preference_list_at`]: the
     /// uncached clockwise `BTreeMap` range walk with linear dedup. Kept
-    /// for the cache-equivalence property tests and as the pre-cache
-    /// baseline in the AAE benchmarks; protocol paths use the cached
-    /// variant.
+    /// for the cache-equivalence property tests and for the store's
+    /// from-scratch AAE summary (`StoreNode::rebuild_shared_summary`),
+    /// which must not share the cache it audits; protocol paths use the
+    /// cached variant.
     #[must_use]
     pub fn walk_preference_list_at(&self, point: u64, n: usize) -> Vec<N> {
         let want = n.min(self.nodes.len());

@@ -140,16 +140,31 @@ impl NetworkConfig {
     /// Returns a copy with every link's adversarial faults set from the
     /// `NET_FAULTS` environment variable — the one reader of it, for
     /// every driver: `hostile` switches on [`LinkFaults::hostile`]
-    /// everywhere; anything else leaves the network as configured (its
+    /// everywhere; unset or empty leaves the network as configured (its
     /// loss, latency and bandwidth are kept either way). The churn and
     /// conformance suites apply this so the faults and soak lanes re-run
     /// them under a hostile network without a code change.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other value, so a misspelt lane fails instead of
+    /// running calm.
     #[must_use]
     pub fn with_env_faults(mut self) -> Self {
-        if std::env::var("NET_FAULTS").as_deref() == Ok("hostile") {
+        if hostile_requested(std::env::var("NET_FAULTS").ok().as_deref()) {
             self.set_faults(LinkFaults::hostile());
         }
         self
+    }
+}
+
+/// Parses a `NET_FAULTS` value: `hostile` is true, unset or empty false,
+/// anything else a panic naming what is accepted.
+fn hostile_requested(value: Option<&str>) -> bool {
+    match value.unwrap_or_default() {
+        "" => false,
+        "hostile" => true,
+        other => panic!("NET_FAULTS={other:?}: expected `hostile`, or unset"),
     }
 }
 
@@ -397,6 +412,19 @@ mod tests {
             let delivered = self.0.route(&mut self.1, from, to, bytes, bytes, emit);
             delivered.then_some(copies)
         }
+    }
+
+    #[test]
+    fn hostile_requested_accepts_hostile_or_nothing() {
+        for (value, hostile) in [(None, false), (Some(""), false), (Some("hostile"), true)] {
+            assert_eq!(hostile_requested(value), hostile, "{value:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "expected `hostile`, or unset")]
+    fn hostile_requested_rejects_a_typo() {
+        hostile_requested(Some("hostle"));
     }
 
     #[test]

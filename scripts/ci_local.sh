@@ -11,7 +11,7 @@
 #   scripts/ci_local.sh --lane elastic   # just one lane
 #
 # Lanes: build-test, elastic, examples, runtime, perfbench, socket,
-# storage, faults, bench, soak.
+# storage, faults, soak.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,7 +56,6 @@ if runs_lane build-test; then
     cargo --version
     cargo build --release
     cargo test -q
-    cargo bench --no-run
     cargo clippy --all-targets -- -D warnings
     cargo fmt --all --check
     # Docs link to items by path, and nothing else notices when a PR
@@ -189,25 +188,6 @@ if runs_lane faults; then
     NET_FAULTS=hostile cargo test -p runtime --test conformance -- --nocapture
 fi
 
-if runs_lane bench; then
-    banner "bench-baseline"
-    # Fast-mode criterion-shim runs with machine-readable output: each
-    # bench writes a JSON array of {id, mean_ns, min_ns, max_ns, ...}
-    # records (CI uploads them as artifacts — the repo's perf
-    # trajectory). `wire` holds deterministic byte counts, not timings:
-    # same seed + simulator means the numbers reproduce exactly on any
-    # machine, so a delta there is a protocol change.
-    for bench in membership store aae wire storage; do
-        CRITERION_JSON_OUT="$PWD/BENCH_$bench.json" \
-            cargo bench --bench "$bench" -- --quick
-    done
-    echo "baselines written to BENCH_{membership,store,aae,wire,storage}.json"
-    # Diff against the committed baselines, so every run prints a
-    # comparable per-bench delta. Timings only warn; the deterministic
-    # `_bytes` ids must match exactly and fail the lane otherwise.
-    ./scripts/bench_compare.sh
-fi
-
 if runs_lane soak; then
     banner "soak"
     # The nightly: the cheap PR gate above is backed by a statistically
@@ -216,7 +196,8 @@ if runs_lane soak; then
     # workloads::churn_seeds). Covers the membership and sloppy-quorum
     # properties, the churn suites, the incremental-AAE equivalence
     # oracle, wire equivalence (delta vs full converge byte-identically,
-    # delta >= 5x cheaper), the message-codec fuzz and golden bytes,
+    # delta >= 5x cheaper, seed 31's byte counts exact), the
+    # message-codec fuzz and golden bytes,
     # crash/recovery and crash-mid-burst on both drivers, and the
     # hostile-network reruns.
     PROPTEST_CASES="${SOAK_PROPTEST_CASES:-1024}" \

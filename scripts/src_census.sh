@@ -61,3 +61,14 @@ printf '  %-32s %6d\n' \
     "MsgSink impls" "$(src_count 'impl<.*> MsgSink<')" \
     "encode_state outside the trait" "$({ grep -rE 'fn encode_state' crates/*/src --include='*.rs' \
         | grep -v '^crates/dvv/src/mechanisms/mod.rs:' || true; } | wc -l)"
+# The measuring instruments: `figures` and `perfbench` are the two, and
+# nothing else should grow back beside them.
+echo "instrument surface"
+printf '  %-32s %6d\n' \
+    "[[bench]] targets" "$(cat Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml \
+        | grep -c '^\[\[bench\]\]' || true)" \
+    "vendored shim crates" "$(find vendor -mindepth 2 -maxdepth 2 -name Cargo.toml | wc -l)" \
+    "committed baseline files" "$(find . \( -name target -o -name .git \) -prune \
+        -o -type f -name 'BENCH_*.json' -print | wc -l)" \
+    "jobs in ci.yml" "$(awk '/^jobs:/ { inside = 1; next } inside && /^  [A-Za-z0-9_-]+:/' \
+        .github/workflows/ci.yml | wc -l)"
