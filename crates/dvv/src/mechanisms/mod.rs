@@ -214,7 +214,13 @@ pub trait WireMechanism<V: Clone + Encode>: Mechanism<V, State: Encode> {
 /// Generic sibling-set merge for mechanisms whose state is a flat list of
 /// `(clock, value)` pairs: a version survives iff no version on the other
 /// side strictly dominates it (per `dominated`), deduplicated by `same`.
-pub(crate) fn merge_siblings<C: Clone, V: Clone>(
+///
+/// The merged list is in one canonical order — by each clock's encoding —
+/// whichever side it arrived from: two replicas holding one sibling set
+/// in two orders would fingerprint differently, find every merge a no-op,
+/// and exchange the set by anti-entropy forever (DVV's own state keeps
+/// the same rule in [`crate::server::canonicalize`]).
+pub(crate) fn merge_siblings<C: Clone + Encode, V: Clone>(
     local: &mut Vec<(C, V)>,
     remote: &[(C, V)],
     dominated: impl Fn(&C, &C) -> bool,
@@ -233,6 +239,7 @@ pub(crate) fn merge_siblings<C: Clone, V: Clone>(
             out.push(y.clone());
         }
     }
+    out.sort_by_cached_key(|(c, _)| crate::encode::to_bytes(c));
     *local = out;
 }
 

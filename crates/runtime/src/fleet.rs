@@ -30,11 +30,17 @@
 //! (wire loss; the protocol's timeouts, retries and anti-entropy absorb
 //! it), so workers can never deadlock on a send. The crash plane, the
 //! storage-engine factory and the fault plane all sit above the link,
-//! so they work the same on every link.
+//! so they work the same on every link. Where a worker's inbox is fed
+//! from is the link's too: [`Link::worker`] gives each worker a handle
+//! of its own, and the idle arm waits in [`Link::wait`] — on the
+//! channel itself for [`ChannelLink`], in `epoll` on the worker's own
+//! sockets for the socket link, which reads them into the inbox there.
 //!
-//! **A run's threads are its workers.** [`Fleet::run`] spawns one
-//! thread per server and one per non-empty client group, and nothing
-//! else. The thread that called `run` is the one supervisor: it drives
+//! **A run's threads are its workers**, on every link. [`Fleet::run`]
+//! spawns one thread per server and one per non-empty client group, and
+//! nothing else — and neither does the socket link, whose accepting and
+//! reading happens on the workers. The thread that called `run` is the
+//! one supervisor: it drives
 //! the crash schedule and the link's schedule, declares a stall when
 //! the op counter sits still for the stall budget, and decides when the
 //! run is over — parked in between, and unparked by the worker that
@@ -56,7 +62,7 @@
 //! was (`SpinGate`): a saturated fleet holds itself in the cheap regime
 //! and an idle one pays a window per worker and then sleeps. `SPIN` is
 //! the link's, not a setting: 50 µs on [`ChannelLink`]; zero — this
-//! paragraph does not apply, the arm is one `recv_timeout` — on the
+//! paragraph does not apply, the arm is one [`Link::wait`] — on the
 //! socket link, whose numbers are at [`Link::SPIN`]. Which regime a run
 //! was in is [`FleetStats::idle`]: on the benchmark's read-modify-write
 //! shape `parks / ops_ok` reads 1.8 when every idle moment ends in a
@@ -523,10 +529,11 @@ where
         // Worker threads — the only threads a run spawns.
         let mut handles: Vec<JoinHandle<Vec<Hosted<M>>>> = Vec::new();
         for (w, (group, rx)) in groups.into_iter().zip(receivers).enumerate() {
+            let hosts: Vec<NodeId> = group.iter().map(|h| h.id).collect();
             let router = Router {
                 shared: Arc::clone(&shared),
                 progress: Arc::clone(&self.progress),
-                link: link.clone(),
+                link: link.worker(&hosts),
                 network: Network::new(
                     cfg.faults.clone().unwrap_or_default(),
                     self.net_root.fork_indexed("worker", w as u64),
@@ -568,6 +575,7 @@ where
                 &self.progress,
                 &inboxes,
                 view,
+                |node| link.wake(node),
             );
             let link_done = link.tick(started.elapsed());
             crashes_done && link_done
@@ -641,15 +649,17 @@ where
         shared.shutdown.store(true, Ordering::Relaxed);
         // A parked worker would sit out its wait (the 20 ms cap, when no
         // timer is nearer) before it saw the flag: wake each with one
-        // packet put straight into its inbox. Not `deliver`ed — no depth
-        // is counted for it, because `receive` drops what it takes once
-        // the flag is up. A full inbox means the worker is awake anyway.
+        // packet put straight into its inbox, and tell the link. Not
+        // `deliver`ed — no depth is counted for it, because `receive`
+        // drops what it takes once the flag is up. A full inbox means
+        // the worker is awake anyway.
         for node in wake {
             let _ = inboxes[node.0 as usize].try_send(Packet {
                 from: node,
                 to: node,
                 msg: Msg::GossipDigest { digest: 0 },
             });
+            link.wake(node);
         }
 
         let mut returned: Vec<Hosted<M>> = Vec::with_capacity(total);
@@ -892,6 +902,8 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     }
 
     let mut gate = SpinGate::new(L::SPIN);
+    // Whether this pass follows the pull ahead of a due timer (below).
+    let mut pulled = false;
     'run: loop {
         let down = crash
             .as_ref()
@@ -915,10 +927,26 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
             break;
         }
 
+        // What the link holds but has not delivered yet — a socket's
+        // frames in the kernel — is queued too: before a due timer
+        // fires, one pull that waits for nothing, and what it brings goes
+        // round through the drain first. Once per due moment, so a stream
+        // of arrivals cannot hold the timers off.
+        let now_us = router.shared.now_us();
+        let timer_due = hosted
+            .iter()
+            .any(|h| h.wheel.next_due().is_some_and(|due| due <= now_us));
+        if timer_due && !std::mem::replace(&mut pulled, true) {
+            if let Ok(pkt) = router.link.wait(&rx, StdDuration::ZERO) {
+                receive(&mut hosted, pkt, down, &mut router);
+                continue;
+            }
+        }
+        pulled = false;
+
         // Fire what is due now and deliver the self-sends. A handler
         // may arm another timer already due, self-send, or take long
         // enough for replies to arrive: go round again, inbox first.
-        let now_us = router.shared.now_us();
         router.send_due(now_us);
         let mut worked = false;
         for h in &mut hosted {
@@ -980,7 +1008,8 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         }
 
         gate.on_park(&router.progress);
-        match rx.recv_timeout(StdDuration::from_micros(wait_us.saturating_sub(idle_us))) {
+        let left = StdDuration::from_micros(wait_us.saturating_sub(idle_us));
+        match router.link.wait(&rx, left) {
             Ok(pkt) => {
                 gate.on_wake(|| router.shared.now_us().saturating_sub(now_us));
                 receive(&mut hosted, pkt, down, &mut router);
@@ -1034,12 +1063,14 @@ fn hand_to<M: Mechanism<StampedValue>, L: Link<M>>(
 /// expected-down flag for the stall report, the fresh `Up` incarnation
 /// — minted once, when the respawn is ordered — and, once the worker
 /// reports the rebuilt node running, the view that carries it, posted
-/// straight into the node's inbox as a [`Msg::RingEpoch`]. Merging it is
-/// what re-arms the node's timers (it was built mid-run, so without
-/// `on_start`) and lets gossip spread the re-admission, so an event is
-/// done only when the inbox took the packet: a full one is tried again
-/// on the next pass. No harness view synchronisation.
+/// straight into the node's inbox as a [`Msg::RingEpoch`] (and `wake`
+/// tells the link, whose worker may not be waiting on the inbox itself).
+/// Merging it is what re-arms the node's timers (it was built mid-run,
+/// so without `on_start`) and lets gossip spread the re-admission, so an
+/// event is done only when the inbox took the packet: a full one is
+/// tried again on the next pass. No harness view synchronisation.
 /// Returns whether every event has completed.
+#[allow(clippy::too_many_arguments)] // one call site, in `Fleet::run`
 fn drive_crash_schedule<M: Mechanism<StampedValue>>(
     crashes: &[CrashEvent],
     stages: &mut [CrashStage],
@@ -1048,6 +1079,7 @@ fn drive_crash_schedule<M: Mechanism<StampedValue>>(
     progress: &Progress,
     inboxes: &[SyncSender<Packet<M>>],
     view: &mut RingView<ReplicaId>,
+    wake: impl Fn(NodeId),
 ) -> bool {
     let elapsed = started.elapsed();
     for (c, stage) in crashes.iter().zip(stages.iter_mut()) {
@@ -1084,6 +1116,7 @@ fn drive_crash_schedule<M: Mechanism<StampedValue>>(
                     msg: Msg::RingEpoch { view: view.clone() },
                 };
                 if deliver(inboxes, progress, node, readmit) {
+                    wake(node);
                     progress.set_expected_down(c.server, false);
                     *stage = CrashStage::Done;
                 }
@@ -1293,7 +1326,10 @@ mod tests {
         let inboxes = [tx];
         let pass = |stages: &mut [CrashStage], view: &mut RingView<ReplicaId>| {
             let started = Instant::now();
-            drive_crash_schedule(&crashes, stages, started, &plane, &progress, &inboxes, view)
+            let wake = |_| {};
+            drive_crash_schedule(
+                &crashes, stages, started, &plane, &progress, &inboxes, view, wake,
+            )
         };
 
         assert!(!pass(&mut stages, &mut view), "nothing was delivered");

@@ -27,11 +27,15 @@
 //! [`Link::send`]), `close` returning its ledger, and optionally a
 //! per-tick schedule hook and a note of the bytes charged for
 //! self-sends (which the loop delivers locally and never hands to
-//! `send`); and it may say, as [`Link::SPIN`], how long an idle worker
-//! of its fleet polls its inbox before parking — zero unless the link
-//! has measured otherwise. Two links exist:
-//! [`ChannelLink`] here ([`RuntimeFleet`]), and the TCP fabric link in
-//! `transport` (`SocketFleet`).
+//! `send`). A link that receives on the workers' own threads also
+//! gives each worker its own handle ([`Link::worker`]), does its
+//! receiving in the worker's wait ([`Link::wait`]) and hears of what
+//! the main loop posts into an inbox ([`Link::wake`]); the defaults are
+//! a clone, the inbox's `recv_timeout` and nothing. And a link may say,
+//! as [`Link::SPIN`], how long an idle worker of its fleet polls its
+//! inbox before parking — zero unless the link has measured otherwise.
+//! Two links exist: [`ChannelLink`] here ([`RuntimeFleet`]), and the
+//! TCP fabric link in `transport` (`SocketFleet`).
 //!
 //! What the fleet gives every link:
 //!

@@ -10,9 +10,10 @@
 //! worker's bounded inbox. [`ChannelLink`] does just that with the `Msg`
 //! value itself; the socket driver's link (`transport::FabricLink`)
 //! encodes it, frames it and writes it — on the sending worker's own
-//! thread — to a TCP connection whose reader decodes it and delivers
-//! it. A test can substitute a scripted link and drive the loop message
-//! by message.
+//! thread — to a TCP connection, and the destination worker, waiting on
+//! its own sockets in [`Link::wait`], decodes it and delivers it. A test
+//! can substitute a scripted link and drive the loop message by
+//! message.
 //!
 //! Self-sends never reach [`Link::send`]: the loop delivers them through
 //! its own local queue and only tells the link the bytes the node
@@ -20,7 +21,7 @@
 //! keeps a byte ledger can still balance it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
@@ -59,10 +60,12 @@ pub struct Wiring<M: Mechanism<StampedValue>> {
 /// The transport between worker threads of one fleet run.
 ///
 /// A link is a cheap handle: the fleet opens one, keeps it for the main
-/// loop ([`tick`](Link::tick), [`close`](Link::close)) and gives every
-/// worker a clone to [`send`](Link::send) on, so no sender state is
+/// loop ([`tick`](Link::tick), [`wake`](Link::wake),
+/// [`close`](Link::close)) and gives every worker a handle of its own
+/// ([`worker`](Link::worker); a clone by default) to
+/// [`send`](Link::send) and [`wait`](Link::wait) on, so no state is
 /// shared between threads that the link does not choose to share. It is
-/// a generic parameter of the fleet, so `send` is a direct call.
+/// a generic parameter of the fleet, so each of these is a direct call.
 pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// What the fleet keeps from construction until `open`.
     type Spec;
@@ -76,19 +79,27 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     ///
     /// This is a property of the transport, not an option: nothing sets
     /// it but the link's own `impl`. Zero, the default, is the plain
-    /// `recv_timeout` and is right unless the link has *measured*, on
-    /// paired benchmark runs, that (a) a reply can be back within the
+    /// [`wait`](Link::wait) and is right unless the link has *measured*,
+    /// on paired benchmark runs, that (a) a reply can be back within the
     /// window — a peer's [`send`](Link::send) is itself the delivery,
     /// with no thread of the link's own in between — and (b) no
     /// workload of the link pays for the polling. [`ChannelLink`] meets
     /// both at 50 µs (`threaded_rmw` 36.0 k → 172.7 k ops/s and
     /// `durable_rmw` 27.4 k → 49.6 k, each in 10 of 10 pairs). The socket
-    /// link is the worked counter-example: the sleeper that matters
-    /// there is the fabric's reader inside `read(2)`, not the worker,
-    /// and the same poll on the worker read, 3 runs of 3 each way,
-    /// 50 µs → `socket_rmw` 14.5 k → 12.2 k ops/s and 121 → 150 µs
-    /// CPU/op; 200 µs → `socket_rmw` +27 % ops/s but `socket_hot_mixed`
-    /// CPU/op 206 → 250 µs and wire bytes/op +6 %. So it keeps zero.
+    /// link keeps zero. It used to fail (a): the sleeper a frame had to
+    /// wake first was a fabric reader thread inside `read(2)`, and
+    /// polling the worker's inbox only took CPU from it (50 µs:
+    /// `socket_rmw` 14.5 k → 12.2 k ops/s, 121 → 150 µs CPU/op; 200 µs:
+    /// `socket_rmw` +27 % ops/s but `socket_hot_mixed` CPU/op 206 →
+    /// 250 µs). The reader is gone — a frame now wakes the worker itself,
+    /// waiting in `epoll` on its own sockets — but that does not make a
+    /// window pay: the loop's poll looks at the inbox, which on sockets
+    /// only the worker's own wait fills, and on a standalone ping-pong of
+    /// 300 B frames over loopback (2 vCPUs, 4 pairs: 8.3–10.0 µs of CPU
+    /// a hop waiting in `poll(2)`, against 12.8–16.6 µs through a reader
+    /// thread) a 50 µs spin before the wait gave no consistent gain. A
+    /// socket window would have to poll the sockets, and needs paired
+    /// runs of its own.
     const SPIN: StdDuration = StdDuration::ZERO;
 
     /// Opens the link at run start.
@@ -99,9 +110,46 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// inbox is wire loss, which the protocol's timeouts, retries and
     /// anti-entropy absorb — two workers sending to each other with
     /// full inboxes must both return. It may wait on the kernel (a full
-    /// socket buffer), because whatever drains the other end obeys the
-    /// same rule and so always relieves it.
+    /// socket buffer) only while it keeps taking in what its own worker
+    /// is sent: then two workers writing into each other's full buffers
+    /// both get on.
     fn send(&self, pkt: Packet<M>);
+
+    /// The handle the worker hosting `hosts` sends and
+    /// [`wait`](Link::wait)s on, made from the fleet's own handle before
+    /// that worker starts. A link whose receiving needs state — a socket
+    /// link's listeners, streams and wake socket — hands each worker its
+    /// own here, so none of it is shared between threads. The default is
+    /// a clone.
+    fn worker(&mut self, _hosts: &[NodeId]) -> Self {
+        self.clone()
+    }
+
+    /// The worker's wait for its next packet: at most `timeout`, from an
+    /// `inbox` the worker has just found empty. A zero `timeout` is the
+    /// loop's pull of what the link already holds, ahead of a due timer.
+    /// The default is the inbox's own `recv_timeout`; a link that
+    /// receives on the worker's thread does that here and delivers into
+    /// `inbox` like any other sender.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Timeout`] when nothing came,
+    /// [`RecvTimeoutError::Disconnected`] when nothing can.
+    fn wait(
+        &mut self,
+        inbox: &Receiver<Packet<M>>,
+        timeout: StdDuration,
+    ) -> Result<Packet<M>, RecvTimeoutError> {
+        inbox.recv_timeout(timeout)
+    }
+
+    /// Called on the fleet's own handle after it put a packet into `to`'s
+    /// inbox from outside the worker hosting it — teardown's wake-up, a
+    /// respawned server's re-admission: makes sure that worker looks.
+    /// The default does nothing; a worker waiting on the inbox itself
+    /// is woken by the channel.
+    fn wake(&self, _to: NodeId) {}
 
     /// A self-send the loop delivered locally instead of sending, by
     /// the bytes its node charged for it.

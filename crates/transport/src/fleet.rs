@@ -7,9 +7,11 @@
 //! [`Fabric`]: every inter-node message is *actually serialised*
 //! ([`Msg::encode_transport`]), framed ([`crate::frame`]) and written
 //! to a loopback TCP connection by the node's own worker thread — the
-//! send side has no thread or queue of its own — and the fabric's
-//! reader threads deliver the decoded messages, as the same
-//! [`Packet`]s every link delivers, into the loop's inboxes.
+//! send side has no thread or queue of its own — and read back by the
+//! destination node's own worker: its idle wait is an `epoll` on its
+//! listener and accepted connections, and it delivers the decoded
+//! messages, as the same [`Packet`]s every link delivers, into its own
+//! inbox. The receive side has no thread of its own either.
 //! Self-sends are delivered locally by the loop (a node does not dial
 //! itself); the bytes their node charged for them are only noted in the
 //! fabric's ledger, so its identity with the nodes' ledgers still holds.
@@ -29,9 +31,11 @@
 //! the fleet implements [`kvstore::harness::FleetHarness`], so the same
 //! `audit_fleet` stack that gates the other drivers gates this one.
 
+use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant};
 
 use dvv::mechanisms::WireMechanism;
 use dvv::ReplicaId;
@@ -42,9 +46,9 @@ use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::RingView;
 use runtime::{Fleet, Link, Packet, RuntimeConfig, Wiring};
-use simnet::SimRng;
+use simnet::{NodeId, SimRng};
 
-use crate::fabric::{Fabric, FabricStats};
+use crate::fabric::{Fabric, FabricStats, Inlet, Poller};
 use crate::frame;
 
 /// A scheduled connection fault: at `after` (wall clock from run
@@ -124,18 +128,59 @@ pub struct FabricSpec<M> {
     config: SocketConfig,
 }
 
+impl<M> FabricSpec<M> {
+    /// The spec a [`SocketFleet`] of `seed` opens its link from.
+    pub fn new(seed: u64, mech: M, config: SocketConfig) -> Self {
+        FabricSpec {
+            mech,
+            rng: SimRng::new(seed).fork("socknet").fork("fabric"),
+            config,
+        }
+    }
+}
+
 /// The socket [`Link`]: messages leave through the [`Fabric`]'s framed
-/// TCP connections and arrive through its reader threads. It leaves
-/// [`Link::SPIN`] at zero — its workers park as soon as they are idle:
-/// the sleeper a packet has to wake first is a fabric reader inside
-/// `read(2)`, and a worker polling meanwhile only took CPU from it
-/// (the measurements are at [`Link::SPIN`]).
-#[derive(Clone, Debug)]
+/// TCP connections, and each worker receives its own nodes' frames
+/// itself. [`worker`](Link::worker) hands the worker a poller over its
+/// nodes' listeners, accepted streams and wake sockets, and the worker's
+/// idle arm ([`wait`](Link::wait)) is an `epoll` wait on them: a frame
+/// goes from the kernel to the worker that handles it with no thread in
+/// between, and opening the link spawns none. A clone sends but
+/// receives nothing: the receive state is one worker's alone.
+///
+/// It leaves [`Link::SPIN`] at zero (why, and the numbers, are at
+/// [`Link::SPIN`]).
+#[derive(Debug)]
 pub struct FabricLink<M: WireMechanism<StampedValue>> {
     mech: M,
     fabric: Arc<Fabric<M>>,
     /// The kill schedule still to fire (used on the fleet's own handle).
     conn_kills: Vec<ConnKill>,
+    /// On the fleet's own handle, node `i`'s way in until the worker
+    /// hosting it claims it.
+    unclaimed: Vec<Option<Inlet>>,
+    /// On a worker's handle, its nodes' receive state: polled by the
+    /// idle arm, and by a send that waits for socket room.
+    poller: RefCell<Option<Poller>>,
+}
+
+impl<M: WireMechanism<StampedValue>> FabricLink<M> {
+    /// The fabric under the link: its listen addresses and its ledger.
+    pub fn fabric(&self) -> &Fabric<M> {
+        &self.fabric
+    }
+}
+
+impl<M: WireMechanism<StampedValue>> Clone for FabricLink<M> {
+    fn clone(&self) -> Self {
+        FabricLink {
+            mech: self.mech.clone(),
+            fabric: Arc::clone(&self.fabric),
+            conn_kills: self.conn_kills.clone(),
+            unclaimed: Vec::new(),
+            poller: RefCell::new(None),
+        }
+    }
 }
 
 impl<M> Link<M> for FabricLink<M>
@@ -145,17 +190,12 @@ where
     type Spec = FabricSpec<M>;
     type Ledger = FabricStats;
 
-    /// Binds one loopback listener per node; the fabric's readers feed
-    /// the loop's inboxes.
+    /// Binds one loopback listener and one wake socket per node.
     fn open(spec: &FabricSpec<M>, wiring: Wiring<M>) -> Self {
-        let fabric = Fabric::start(
+        let (fabric, inlets) = Fabric::bind(
             spec.mech.clone(),
-            wiring.inboxes.len(),
-            wiring.inboxes,
-            wiring.progress,
-            wiring.shutdown,
+            wiring,
             spec.rng.clone(),
-            0, // the ignored `_queue_capacity`
             frame::DEFAULT_MAX_FRAME,
             spec.config.cluster_secret,
         )
@@ -164,13 +204,64 @@ where
             mech: spec.mech.clone(),
             fabric,
             conn_kills: spec.config.conn_kills.clone(),
+            unclaimed: inlets.into_iter().map(Some).collect(),
+            poller: RefCell::new(None),
+        }
+    }
+
+    /// Hands the worker one poller over its nodes' inlets.
+    fn worker(&mut self, hosts: &[NodeId]) -> Self {
+        let inlets = hosts
+            .iter()
+            .filter_map(|n| self.unclaimed[n.0 as usize].take())
+            .collect();
+        let poller = Poller::new(inlets).expect("create an epoll set");
+        FabricLink {
+            poller: RefCell::new(Some(poller)),
+            ..self.clone()
         }
     }
 
     fn send(&self, pkt: Packet<M>) {
         let body = pkt.msg.encode_transport(&self.mech);
-        self.fabric
-            .send_bytes(pkt.from.0 as usize, pkt.to.0 as usize, body);
+        self.fabric.send(
+            pkt.from.0 as usize,
+            pkt.to.0 as usize,
+            &body,
+            self.poller.borrow_mut().as_mut(),
+        );
+    }
+
+    /// Polls the worker's sockets into its inbox until a packet is there
+    /// or `timeout` has passed (a zero `timeout` still polls once).
+    fn wait(
+        &mut self,
+        inbox: &Receiver<Packet<M>>,
+        timeout: StdDuration,
+    ) -> Result<Packet<M>, RecvTimeoutError> {
+        let Some(poller) = self.poller.get_mut() else {
+            return inbox.recv_timeout(timeout);
+        };
+        let deadline = Instant::now() + timeout;
+        let mut polled = false;
+        loop {
+            match inbox.try_recv() {
+                Ok(pkt) => return Ok(pkt),
+                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+                Err(TryRecvError::Empty) => {}
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if polled && left.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            poller.round(&self.fabric, Some(left), None);
+            polled = true;
+        }
+    }
+
+    /// Writes the wake socket of the worker hosting `to`.
+    fn wake(&self, to: NodeId) {
+        self.fabric.wake(to.0 as usize);
     }
 
     /// Self-traffic never touches a socket, but the bytes the node was
@@ -243,11 +334,7 @@ where
             settle_window: config.settle_window,
             crashes: Vec::new(),
         };
-        let spec = FabricSpec {
-            mech: mech.clone(),
-            rng: SimRng::new(seed).fork("socknet").fork("fabric"),
-            config,
-        };
+        let spec = FabricSpec::new(seed, mech.clone(), config);
         SocketFleet(Fleet::with_link(seed, mech, core, None, spec))
     }
 

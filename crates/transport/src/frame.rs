@@ -78,15 +78,20 @@ fn checksum(body: &[u8]) -> u32 {
     fnv1a64(body) as u32
 }
 
-/// Writes one frame (header + body) to `w`. A single buffered
-/// `write_all`, so a frame is either queued to the OS in full or the
-/// write fails — there is no partial-frame success path.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+/// One frame, header and body, as the bytes that go on the wire.
+pub(crate) fn frame_bytes(body: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_BYTES + body.len());
     buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
     buf.extend_from_slice(&checksum(body).to_le_bytes());
     buf.extend_from_slice(body);
-    w.write_all(&buf)
+    buf
+}
+
+/// Writes one frame (header + body) to `w`. A single buffered
+/// `write_all`, so a frame is either queued to the OS in full or the
+/// write fails — there is no partial-frame success path.
+pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+    w.write_all(&frame_bytes(body))
 }
 
 /// Reads one frame body from `r`.
@@ -121,6 +126,121 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>
         return Err(FrameError::BadChecksum);
     }
     Ok(Some(body))
+}
+
+/// What a [`FrameParser`] reads per call while its frames fit.
+const READ_CHUNK: usize = 16 << 10;
+
+/// [`read_frame`] for a stream that is read whenever it has bytes, not
+/// when a frame is wanted: a non-blocking socket's reads fill this
+/// buffer, and complete frames are parsed out of it in place. Over the
+/// same bytes it yields what [`read_frame`] yields — the same bodies, and
+/// the same error at the same frame: [`FrameError::TooLarge`] from the
+/// header alone (a body beyond the cap is never buffered),
+/// [`FrameError::BadChecksum`], and a torn tail as
+/// [`FrameError::Io`]`(UnexpectedEof)` from [`finish`](Self::finish).
+#[derive(Default)]
+pub struct FrameParser {
+    buf: Vec<u8>,
+    /// Parsed up to here.
+    start: usize,
+    /// Filled up to here.
+    end: usize,
+}
+
+impl fmt::Debug for FrameParser {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrameParser")
+            .field("buffered", &(self.end - self.start))
+            .finish_non_exhaustive()
+    }
+}
+
+impl FrameParser {
+    /// An empty parser; its buffer is allocated by the first read.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// One `read` from `r` into the free end of the buffer, after making
+    /// room: parsed bytes are reclaimed, and a frame longer than the
+    /// buffer grows it. Returns what `read` returned — `Ok(0)` is the end
+    /// of the stream, to be judged by [`finish`](Self::finish).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `r.read` returns, `WouldBlock` included.
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        if self.end == self.buf.len() {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            } else {
+                let grown = (2 * self.buf.len()).max(READ_CHUNK);
+                self.buf.resize(grown, 0);
+            }
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next complete frame's body, borrowed from the buffer until the
+    /// next call; `Ok(None)` while the buffer holds less than a frame.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::TooLarge`] as soon as a header announces a body over
+    /// `max_frame`, [`FrameError::BadChecksum`] for a body that does not
+    /// match its header. Both are terminal for the stream.
+    pub fn next_frame(&mut self, max_frame: usize) -> Result<Option<&[u8]>, FrameError> {
+        let held = &self.buf[self.start..self.end];
+        let Some(header) = held.get(..HEADER_BYTES) else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
+        let want = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        if len > max_frame {
+            return Err(FrameError::TooLarge {
+                len,
+                max: max_frame,
+            });
+        }
+        if held.len() < HEADER_BYTES + len {
+            return Ok(None);
+        }
+        let body_at = self.start + HEADER_BYTES;
+        self.start = body_at + len;
+        let body = &self.buf[body_at..self.start];
+        if checksum(body) != want {
+            return Err(FrameError::BadChecksum);
+        }
+        Ok(Some(body))
+    }
+
+    /// Whether the buffer has no free space left — after a read, that the
+    /// read took all it was offered and the stream may hold more.
+    pub(crate) fn is_full(&self) -> bool {
+        self.end == self.buf.len()
+    }
+
+    /// Judges the end of the stream: clean at a frame boundary.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Io`] with [`ErrorKind::UnexpectedEof`] when the
+    /// stream ended inside a frame — a torn frame.
+    pub fn finish(&self) -> Result<(), FrameError> {
+        if self.start == self.end {
+            Ok(())
+        } else {
+            Err(FrameError::Io(ErrorKind::UnexpectedEof.into()))
+        }
+    }
 }
 
 #[cfg(test)]

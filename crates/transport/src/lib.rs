@@ -13,13 +13,15 @@
 //! timers, self-send queue, settle/quiesce, stall check, post-run
 //! inspection — is [`runtime::Fleet`], the one threaded fleet, and this
 //! crate plugs into its [`runtime::Link`] seam: [`fleet::FabricLink`]
-//! sends by encoding onto the [`Fabric`], whose reader threads deliver
-//! what arrives as [`runtime::Packet`]s straight into the fleet's
-//! inboxes, charges self-sends to the fabric's ledger, fires the
-//! [`ConnKill`] schedule from the fleet's tick and returns
-//! [`FabricStats`] at close. [`SocketFleet`] is that fleet plus the
-//! configuration mapping (one worker per node, `header_bytes` forced to
-//! the frame header's real size).
+//! sends by encoding onto the [`Fabric`], hands each worker its nodes'
+//! listeners and accepted connections, so that the worker's idle wait
+//! is an `epoll` on them and what arrives goes as [`runtime::Packet`]s
+//! into its inbox with no thread in between, charges self-sends to the
+//! fabric's ledger, fires the [`ConnKill`] schedule from the fleet's
+//! tick and returns [`FabricStats`] at close. [`SocketFleet`] is that
+//! fleet plus the configuration mapping (one worker per node,
+//! `header_bytes` forced to the frame header's real size); a run's
+//! threads are its workers and nothing else.
 //!
 //! Failure semantics deliberately mirror the in-process link: a link
 //! that is down or a full inbox drops the message (wire loss the
@@ -32,14 +34,20 @@
 //! oracle-clean converge) that gates the simulator and the threaded
 //! runtime gates the socket driver too.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod fabric;
 pub mod fleet;
 pub mod frame;
+// The workspace's one foreign interface (`epoll`), and the one module
+// allowed `unsafe`: its invariants are the module's docs.
+#[allow(unsafe_code)]
+mod poll;
 
 pub use fabric::{hello_body, Fabric, FabricStats};
-pub use fleet::{ConnKill, FabricLink, SocketConfig, SocketFleet};
-pub use frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME, HEADER_BYTES};
+pub use fleet::{ConnKill, FabricLink, FabricSpec, SocketConfig, SocketFleet};
+pub use frame::{
+    read_frame, write_frame, FrameError, FrameParser, DEFAULT_MAX_FRAME, HEADER_BYTES,
+};

@@ -10,7 +10,7 @@ use std::io::Read;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use transport::{read_frame, write_frame, FrameError, HEADER_BYTES};
+use transport::{read_frame, write_frame, FrameError, FrameParser, HEADER_BYTES};
 
 const MAX_FRAME: usize = 1 << 16;
 
@@ -132,6 +132,116 @@ proptest! {
                 prop_assert_eq!(max, MAX_FRAME);
             }
             other => prop_assert!(false, "expected TooLarge, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// The in-place parser a poller reads with agrees with `read_frame`
+    /// over the whole stream, however the stream is split into reads:
+    /// the same frames, then the same end — clean, torn, oversized or a
+    /// failed checksum, at the same frame. An oversized length is caught
+    /// from the header alone: here no byte of its body is ever sent.
+    #[test]
+    fn split_reads_parse_in_place_as_read_frame_does(
+        bodies in arb_bodies(),
+        damage in 0u8..4,
+        seed in any::<u64>(),
+        bit in 0u8..8,
+        big in (MAX_FRAME as u32 + 1)..u32::MAX,
+        splits in vec(1usize..40, 1..8),
+    ) {
+        let mut stream = encode_stream(&bodies);
+        match damage {
+            0 => {}
+            1 => stream.truncate(seed as usize % (stream.len() + 1)),
+            2 => {
+                let pos = seed as usize % stream.len();
+                stream[pos] ^= 1 << bit;
+            }
+            _ => {
+                stream.extend_from_slice(&big.to_le_bytes());
+                stream.extend_from_slice(&0u32.to_le_bytes());
+            }
+        }
+        prop_assert_eq!(in_place(&stream, &splits), whole(&stream));
+    }
+}
+
+/// What a decoder made of a stream: its frames, then how it ended.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Frame(Vec<u8>),
+    End,
+    Torn,
+    TooLarge(usize),
+    BadChecksum,
+}
+
+fn ending(e: FrameError) -> Seen {
+    match e {
+        FrameError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Seen::Torn,
+        FrameError::Io(e) => panic!("no other i/o error is possible here: {e}"),
+        FrameError::TooLarge { len, max } => {
+            assert_eq!(max, MAX_FRAME);
+            Seen::TooLarge(len)
+        }
+        FrameError::BadChecksum => Seen::BadChecksum,
+    }
+}
+
+/// `read_frame` over the whole stream.
+fn whole(stream: &[u8]) -> Vec<Seen> {
+    let mut r = stream;
+    let mut seen = Vec::new();
+    loop {
+        match read_frame(&mut r, MAX_FRAME) {
+            Ok(Some(body)) => seen.push(Seen::Frame(body)),
+            Ok(None) => break seen.push(Seen::End),
+            Err(e) => break seen.push(ending(e)),
+        }
+    }
+    seen
+}
+
+/// A [`FrameParser`] fed by reads of the sizes in `splits`, in turn.
+fn in_place(stream: &[u8], splits: &[usize]) -> Vec<Seen> {
+    struct Split<'a> {
+        data: &'a [u8],
+        splits: &'a [usize],
+        reads: usize,
+    }
+    impl Read for Split<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf
+                .len()
+                .min(self.splits[self.reads % self.splits.len()])
+                .min(self.data.len());
+            self.reads += 1;
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+    let mut r = Split {
+        data: stream,
+        splits,
+        reads: 0,
+    };
+    let mut parser = FrameParser::new();
+    let mut seen = Vec::new();
+    loop {
+        if parser.read_from(&mut r).expect("reads from memory") == 0 {
+            seen.push(parser.finish().map_or_else(ending, |()| Seen::End));
+            return seen;
+        }
+        loop {
+            match parser.next_frame(MAX_FRAME) {
+                Ok(Some(body)) => seen.push(Seen::Frame(body.to_vec())),
+                Ok(None) => break,
+                Err(e) => {
+                    seen.push(ending(e));
+                    return seen;
+                }
+            }
         }
     }
 }

@@ -1,9 +1,12 @@
-//! Thread census: the fabric runs one accept loop per node and one
-//! reader per accepted connection — and nothing on the send side, where
-//! frames are written by whoever calls `send_bytes`. Counted from the
-//! kernel's own list of this process's threads, so the numbers cannot
-//! drift from what actually runs. One test per process: any other test
-//! in this binary would put its own threads in the count.
+//! Thread census: `Fabric::start` runs one poller thread per node —
+//! its listener, every connection accepted on it and its wake socket,
+//! in one `epoll` loop — so accepting a connection adds no thread, and
+//! nothing runs on the send side, where frames are written by whoever
+//! calls `send_bytes`. (A fleet runs even those pollers on its workers:
+//! `fleet_thread_census.rs`.) Counted from the kernel's own list of this
+//! process's threads, so the numbers cannot drift from what actually
+//! runs. One test per process: any other test in this binary would put
+//! its own threads in the count.
 
 #![cfg(target_os = "linux")]
 
@@ -44,10 +47,10 @@ fn fabric_threads_are_accept_loops_plus_accepted_connections() {
         0xCE05,
     )
     .expect("bind loopback listeners");
-    assert_eq!(threads(), baseline + NODES, "one accept loop per node");
+    assert_eq!(threads(), baseline + NODES, "one poller per node");
 
     // One frame over every ordered pair, and wait until each has come
-    // out of its reader: from then on the thread set is fixed.
+    // out of its poller: every link is dialed and accepted by then.
     for from in 0..NODES {
         for to in (0..NODES).filter(|to| *to != from) {
             let ack = Msg::<DvvMechanism>::RepPutAck { req: from as u64 };
@@ -63,8 +66,8 @@ fn fabric_threads_are_accept_loops_plus_accepted_connections() {
     assert_eq!(fabric.stats().connects, LINKS as u64);
     assert_eq!(
         threads(),
-        baseline + NODES + LINKS,
-        "one reader per accepted connection, no thread per sending link"
+        baseline + NODES,
+        "no thread per accepted connection, none per sending link"
     );
 
     shutdown.store(true, Ordering::Relaxed);

@@ -61,6 +61,21 @@ if runs_lane build-test; then
     # Docs link to items by path, and nothing else notices when a PR
     # deletes or hides one of them.
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+    # `unsafe` lives in one module, the transport's `epoll` interface:
+    # every other crate forbids it, and no block, fn, impl or extern
+    # appears anywhere else.
+    stray=$(grep -rnE '\bunsafe[[:space:]]*(\{|fn|impl|extern)' crates/*/src \
+        | grep -v '^crates/transport/src/poll.rs:' || true)
+    if [ -n "$stray" ]; then
+        echo "unsafe outside crates/transport/src/poll.rs:" >&2
+        echo "$stray" >&2
+        exit 1
+    fi
+    for lib in crates/*/src/lib.rs; do
+        [ "$lib" = crates/transport/src/lib.rs ] && continue
+        grep -q '^#!\[forbid(unsafe_code)\]' "$lib" \
+            || { echo "$lib lacks #![forbid(unsafe_code)]" >&2; exit 1; }
+    done
     # Informational, not a gate: the counts a change log quotes.
     ./scripts/src_census.sh
 fi
@@ -131,23 +146,31 @@ if runs_lane socket; then
     # The real-TCP driver gets its own lane: these suites open actual
     # loopback sockets, so a failure here is a transport bug (framing,
     # reconnect, backpressure, accounting), not a protocol bug.
-    # `frame_robustness` fuzzes the frame decoder (partial reads, torn
-    # streams, bit flips, oversized lengths); `charge_parity` proves
+    # `frame_robustness` fuzzes the frame decoders (partial reads, torn
+    # streams, bit flips, oversized lengths, and the in-place parser
+    # against `read_frame` at any read split); `charge_parity` proves
     # ledger bytes == socket bytes on both ends of a connection;
     # `conformance` runs the same seeded workload on the simulator and
     # the socket fleet (3 seeds) and requires AAE-equivalent,
     # oracle-clean end states plus an exact fleet-wide byte-ledger
     # identity; `lifecycle` severs live connections mid-burst and
     # requires reconnect + unaided convergence; `thread_census` counts
-    # the fabric's threads (accept loops + accepted connections, none
-    # on the send side); `mechanisms` runs the paper's comparison over
-    # TCP, every clock in its own codec (ledger identity for all eight,
-    # the precise ones clean, the deficient ones anomalous).
+    # the fabric's threads (one poller per node on `Fabric::start`, none
+    # per connection, none on the send side) and `fleet_thread_census` a
+    # socket fleet's (its workers, nothing else); `receive_path` holds
+    # the worker-hosted receive side to what reader threads gave (a
+    # stalled connection holds up no other, two workers bursting at
+    # each other both return, teardown wakes a waiting worker);
+    # `mechanisms` runs the paper's comparison over TCP, every clock in
+    # its own codec (ledger identity for all eight, the precise ones
+    # clean, the deficient ones anomalous).
     cargo test -p transport --test frame_robustness -- --nocapture
     cargo test -p transport --test charge_parity -- --nocapture
     cargo test -p transport --test conformance -- --nocapture
     cargo test -p transport --test lifecycle -- --nocapture
     cargo test -p transport --test thread_census -- --nocapture
+    cargo test -p transport --test fleet_thread_census -- --nocapture
+    cargo test -p transport --test receive_path -- --nocapture
     cargo test -p transport --test mechanisms -- --nocapture
 fi
 

@@ -72,3 +72,32 @@ printf '  %-32s %6d\n' \
         -o -type f -name 'BENCH_*.json' -print | wc -l)" \
     "jobs in ci.yml" "$(awk '/^jobs:/ { inside = 1; next } inside && /^  [A-Za-z0-9_-]+:/' \
         .github/workflows/ci.yml | wc -l)"
+# Where `unsafe` may live: one module of one crate (`ci_local.sh
+# --lane build-test` fails on any other), and the threads the socket
+# fabric spawns — on a fleet none, every node's accepting and reading is
+# its worker's; only `Fabric::start` hosts pollers on threads of its own.
+echo "unsafe surface (blocks, fns, impls, externs per crate)"
+for crate in crates/*/; do
+    printf '  %-32s %6d\n' "$(basename "$crate")" \
+        "$({ grep -rhE '\bunsafe[[:space:]]*(\{|fn|impl|extern)' "$crate/src" || true; } | wc -l)"
+done
+# A method's body: the lines after its declaration in $1 matching $2, up
+# to its closing brace at the impl's indentation.
+method() {
+    awk -v start="$2" '
+        inside && /^    }$/ { exit }
+        inside { print }
+        $0 ~ start { inside = 1 }
+    ' "$1"
+}
+spawns=$({ grep -rhE 'thread::spawn' crates/transport/src || true; } | wc -l)
+start_spawns=$(method crates/transport/src/fabric.rs '^    pub fn start\(' | grep -c 'thread::spawn' || true)
+fleet_spawns=$((spawns - start_spawns))
+# The fleet's link either hosts its own pollers or starts the fabric's.
+if method crates/transport/src/fleet.rs '^    fn open\(' | grep -q 'Fabric::start('; then
+    fleet_spawns=$spawns
+fi
+echo "socket fabric threads (thread::spawn sites in crates/transport/src)"
+printf '  %-32s %6d\n' \
+    "on a fleet (FabricLink)" "$fleet_spawns" \
+    "in Fabric::start" "$start_spawns"
