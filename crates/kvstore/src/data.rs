@@ -1,20 +1,23 @@
 //! [`DataStore`]: a replica's per-key states with a persistent,
 //! ownership-partitioned anti-entropy index.
 //!
-//! Every stored key is stamped once with its ring hash point and the
-//! fingerprint of its current state, and every mutation updates one
-//! per-arc [`MerkleSummary`] in place — so building the summary a peer
-//! exchange needs is a matter of *selecting* arcs, not scanning the
-//! keyspace. The arcs are the ring's token arcs ([`ring::HashRing::
-//! arc_bounds`]): on every arc a key's preference list is constant, so
-//! "the keys this node and peer both replicate" is a union of whole
-//! arcs, and (because Merkle roots XOR-combine, see
-//! [`crate::merkle::MerkleSummary::root`]) its root is the XOR of the
-//! selected arcs' cached roots.
+//! Every mutation updates one per-arc [`MerkleSummary`] in place — so
+//! building the summary a peer exchange needs is a matter of
+//! *selecting* arcs, not scanning the keyspace. The arcs are the ring's
+//! token arcs ([`ring::HashRing::arc_bounds`]): on every arc a key's
+//! preference list is constant, so "the keys this node and peer both
+//! replicate" is a union of whole arcs, and (because Merkle roots
+//! XOR-combine, see [`crate::merkle::MerkleSummary::root`]) its root is
+//! the XOR of the selected arcs' cached roots.
+//!
+//! The store keeps no per-key metadata of its own. A key's ring point
+//! is [`ring::hash_key`] of the key, hashed whenever it is needed (a
+//! short key hashes faster than a tree lookup finds it), and the
+//! fingerprint of its state is its leaf in its arc's summary.
 //!
 //! All mutation goes through [`DataStore::mutate`] / [`DataStore::
-//! remove`] / [`DataStore::clear`], which keep the index consistent by
-//! construction. Mutations are cheap: a write only marks its key
+//! remove`] / [`DataStore::clear`], which keep the summaries consistent
+//! by construction. Mutations are cheap: a write only marks its key
 //! *dirty*; the fingerprint refresh and summary update are deferred to
 //! [`DataStore::flush`], which the read points (anti-entropy tick/root
 //! receipt, transfer snapshots, re-partition) run first — so a hot key
@@ -24,15 +27,15 @@
 //! dirty refreshes, whose invariant it checks too), and is exercised by
 //! the incremental-vs-rebuild proptest oracle.
 //!
-//! The states themselves live *below* this index, behind the
+//! The states themselves live *below* the summaries, behind the
 //! [`StorageEngine`] seam: the mutation doors forward state changes to
-//! the engine and keep only `(point, leaf)` metadata here, so the whole
-//! Merkle/arc-summary layer is backend-agnostic — an in-memory
+//! the engine, which is also what answers for the stored keys, so the
+//! whole Merkle/arc-summary layer is backend-agnostic — an in-memory
 //! [`MemEngine`] by default, or a durable [`storage::LogEngine`] whose
 //! replay-on-open rebuilds the store after a crash (see
 //! [`DataStore::with_engine`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::hash::Hash;
 
 use ring::{arc_index, hash_key};
@@ -41,24 +44,11 @@ use storage::{MemEngine, StorageEngine};
 use crate::merkle::{fingerprint, MerkleSummary};
 use crate::value::Key;
 
-/// The cached derivatives of one stored key that every hot path would
-/// otherwise recompute: the ring hash point for ownership lookups, and
-/// the state fingerprint for AAE leaves and transfer/handoff guards.
-/// The state itself lives in the storage engine.
-#[derive(Clone, Copy, Debug)]
-struct KeyMeta {
-    /// `hash_key(key)` — stamped once when the key is first stored.
-    point: u64,
-    /// `fingerprint(state)` as of the last [`DataStore::flush`]; stale
-    /// while the key sits in the dirty set.
-    leaf: u64,
-}
-
-/// Index of the arc containing `point` — [`ring::arc_index`], the one
-/// shared boundary/wrap convention, so this index buckets exactly like
-/// the ring's own arc lookups.
-fn arc_of(bounds: &[u64], point: u64) -> usize {
-    arc_index(bounds, point)
+/// Index of the arc containing `key`'s ring point — [`ring::arc_index`],
+/// the one shared boundary/wrap convention, so the summaries bucket
+/// exactly like the ring's own arc lookups.
+fn arc_of(bounds: &[u64], key: &[u8]) -> usize {
+    arc_index(bounds, hash_key(key))
 }
 
 /// A replica's per-key states plus the incrementally maintained per-arc
@@ -67,19 +57,17 @@ fn arc_of(bounds: &[u64], point: u64) -> usize {
 pub struct DataStore<S: 'static> {
     /// Where the states live; all state mutation goes through here.
     engine: Box<dyn StorageEngine<S>>,
-    /// Per-key `(point, leaf)` metadata, parallel to the engine's keys.
-    index: BTreeMap<Key, KeyMeta>,
     /// The arc partition the summaries are keyed by — a copy of the
     /// current ring's [`ring::HashRing::arc_bounds`] (empty ⇒ one
     /// catch-all arc).
     bounds: Vec<u64>,
     /// One summary per arc, parallel to `bounds` (at least one).
     summaries: Vec<MerkleSummary>,
-    /// Keys written since the last [`DataStore::flush`]: their cached
-    /// `leaf` and summary entry are pending refresh. Keeping the write
-    /// path to a set insert (instead of a state hash + summary update
-    /// per write) is what lets the AAE index ride the client hot path
-    /// for free — hot keys coalesce.
+    /// Keys written since the last [`DataStore::flush`]: their summary
+    /// leaf is pending refresh. Keeping the write path to a set insert
+    /// (instead of a state hash + summary update per write) is what lets
+    /// the AAE index ride the client hot path for free — hot keys
+    /// coalesce.
     dirty: BTreeSet<Key>,
 }
 
@@ -91,7 +79,6 @@ impl<S> Clone for DataStore<S> {
     fn clone(&self) -> Self {
         DataStore {
             engine: self.engine.snapshot(),
-            index: self.index.clone(),
             bounds: self.bounds.clone(),
             summaries: self.summaries.clone(),
             dirty: self.dirty.clone(),
@@ -116,26 +103,13 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
 impl<S: Clone + Send + 'static> DataStore<S> {
     /// Builds a store on top of `engine`, adopting whatever it already
     /// holds (a durable engine arrives pre-populated from replay): all
-    /// adopted keys are stamped with their ring point and marked dirty,
-    /// so the first [`DataStore::flush`] — which re-partition runs —
-    /// fingerprints them into the summaries.
+    /// adopted keys are marked dirty, so the first [`DataStore::flush`]
+    /// — which re-partition runs — fingerprints them into the summaries.
     #[must_use]
     pub fn with_engine(engine: Box<dyn StorageEngine<S>>) -> Self {
-        let mut index = BTreeMap::new();
-        let mut dirty = BTreeSet::new();
-        for (key, _) in engine.iter() {
-            index.insert(
-                key.clone(),
-                KeyMeta {
-                    point: hash_key(key),
-                    leaf: 0,
-                },
-            );
-            dirty.insert(key.clone());
-        }
+        let dirty = engine.iter().map(|(key, _)| key.clone()).collect();
         DataStore {
             engine,
-            index,
             bounds: Vec::new(),
             summaries: vec![MerkleSummary::new()],
             dirty,
@@ -178,24 +152,24 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
     /// Whether `key` is stored.
     #[must_use]
     pub fn contains_key(&self, key: &[u8]) -> bool {
-        self.index.contains_key(key)
+        self.engine.contains(key)
     }
 
     /// Number of stored keys.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.engine.len()
     }
 
     /// Whether no keys are stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.engine.is_empty()
     }
 
     /// The stored keys, in order.
     pub fn keys(&self) -> impl Iterator<Item = &Key> {
-        self.index.keys()
+        self.engine.iter().map(|(k, _)| k)
     }
 
     /// The stored states, in key order.
@@ -208,24 +182,15 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
         self.engine.iter()
     }
 
-    /// The cached ring hash point of `key`, if stored.
-    #[must_use]
-    pub fn point_of(&self, key: &[u8]) -> Option<u64> {
-        self.index.get(key).map(|m| m.point)
-    }
-
-    /// The state fingerprint of `key`, if stored: the cached leaf, or a
-    /// fresh `fingerprint(state)` when the key has a refresh pending —
-    /// either way equal to `fingerprint(self.get(key))`.
+    /// The state fingerprint of `key`, if stored: its leaf in its arc's
+    /// summary, or a fresh `fingerprint(state)` when the key has a
+    /// refresh pending — either way equal to `fingerprint(self.get(key))`.
     #[must_use]
     pub fn leaf_of(&self, key: &[u8]) -> Option<u64> {
-        self.index.get(key).map(|m| {
-            if self.dirty.contains(key) {
-                fingerprint(self.engine.get(key).expect("indexed key is stored"))
-            } else {
-                m.leaf
-            }
-        })
+        if self.dirty.contains(key) {
+            return self.engine.get(key).map(fingerprint);
+        }
+        self.summaries[arc_of(&self.bounds, key)].get(key)
     }
 
     /// Mutates (inserting a default first if absent) the state for
@@ -236,10 +201,6 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
     where
         S: Default,
     {
-        self.index.entry(key.to_vec()).or_insert_with(|| KeyMeta {
-            point: hash_key(key),
-            leaf: 0,
-        });
         if !self.dirty.contains(key) {
             self.dirty.insert(key.to_vec());
         }
@@ -249,15 +210,6 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
                 f(state);
             }
         })
-    }
-
-    /// `(key, cached point, state)` triples in key order — lets range
-    /// planning read every key's ring position without per-key lookups
-    /// or rehashing.
-    pub fn iter_points(&self) -> impl Iterator<Item = (&Key, u64, &S)> {
-        self.engine
-            .iter()
-            .map(move |(k, s)| (k, self.index[k].point, s))
     }
 
     /// Applies every pending dirty refresh: re-fingerprints each dirty
@@ -274,12 +226,7 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
                 continue;
             };
             let leaf = fingerprint(state);
-            let Some(meta) = self.index.get_mut(&key) else {
-                continue;
-            };
-            meta.leaf = leaf;
-            let point = meta.point;
-            self.summaries[arc_of(&self.bounds, point)].set(key, leaf);
+            self.summaries[arc_of(&self.bounds, &key)].set(key, leaf);
         }
     }
 
@@ -292,39 +239,36 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
     /// Removes `key` (and its summary leaf). Returns whether it was
     /// stored.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        match self.index.remove(key) {
-            Some(meta) => {
-                self.engine.remove(key);
-                self.dirty.remove(key);
-                self.summaries[arc_of(&self.bounds, meta.point)].remove(key);
-                true
-            }
-            None => false,
+        if !self.engine.remove(key) {
+            return false;
         }
+        self.dirty.remove(key);
+        self.summaries[arc_of(&self.bounds, key)].remove(key);
+        true
     }
 
     /// Drops every key and empties all summaries (the arc partition is
     /// kept).
     pub fn clear(&mut self) {
         self.engine.clear();
-        self.index.clear();
         self.dirty.clear();
         for s in &mut self.summaries {
             *s = MerkleSummary::new();
         }
     }
 
-    /// Re-partitions the index for a new ring: adopts `bounds` (the new
-    /// ring's arc boundaries) and re-buckets every stored key's cached
-    /// `(point, leaf)` into the new per-arc summaries. O(keys · log
-    /// arcs) after flushing the pending refreshes, paid only on view
-    /// changes — no key is re-pointed.
+    /// Re-partitions the summaries for a new ring: adopts `bounds` (the
+    /// new ring's arc boundaries) and re-buckets every leaf of the old
+    /// summaries into the new ones. O(keys · log arcs) after flushing
+    /// the pending refreshes, paid only on view changes — no state is
+    /// re-fingerprinted.
     pub fn repartition(&mut self, bounds: Vec<u64>) {
         self.flush();
         self.bounds = bounds;
-        self.summaries = vec![MerkleSummary::new(); self.bounds.len().max(1)];
-        for (k, meta) in &self.index {
-            self.summaries[arc_of(&self.bounds, meta.point)].set(k.clone(), meta.leaf);
+        let fresh = vec![MerkleSummary::new(); self.bounds.len().max(1)];
+        let old = std::mem::replace(&mut self.summaries, fresh);
+        for (k, leaf) in old.iter().flat_map(MerkleSummary::leaves) {
+            self.summaries[arc_of(&self.bounds, &k)].set(k, leaf);
         }
     }
 
@@ -347,52 +291,31 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
         self.summaries.get(idx)
     }
 
-    /// Rebuilds every cached derivative from scratch — key points, state
-    /// fingerprints, per-arc summaries, roots — and compares them with
-    /// the incrementally maintained ones (after functionally applying
-    /// the pending dirty refreshes, whose own invariants are checked
-    /// too). This is the safety net for the whole incremental-AAE
-    /// refactor: any mutation path that forgets to mark its key dirty,
-    /// or any flush that misses one, shows up here. It also audits the
-    /// engine seam: the index and the engine must hold the same keys.
+    /// Rebuilds the per-arc summaries and roots from scratch — every
+    /// stored state fingerprinted into its key's arc — and compares them
+    /// with the incrementally maintained ones (after functionally
+    /// applying the pending dirty refreshes, whose own invariant — a
+    /// dirty key is stored — is checked too). This is the safety net for
+    /// the whole incremental-AAE refactor: any mutation path that forgets
+    /// to mark its key dirty, or any flush that misses one, shows up
+    /// here. It also audits the engine seam: the summaries and the
+    /// engine must hold the same keys.
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency found.
     pub fn audit_index(&self) -> Result<(), String> {
-        if self.engine.len() != self.index.len() {
-            return Err(format!(
-                "engine holds {} keys but index holds {}",
-                self.engine.len(),
-                self.index.len()
-            ));
-        }
         // what flush() would produce, computed without mutating self
         let mut maintained_after_flush = self.summaries.clone();
         for key in &self.dirty {
-            let (Some(meta), Some(state)) = (self.index.get(key), self.engine.get(key)) else {
+            let Some(state) = self.engine.get(key) else {
                 return Err(format!("dirty key {key:?} is not stored"));
             };
-            maintained_after_flush[arc_of(&self.bounds, meta.point)]
-                .set_ref(key, fingerprint(state));
+            maintained_after_flush[arc_of(&self.bounds, key)].set_ref(key, fingerprint(state));
         }
         let mut fresh = vec![MerkleSummary::new(); self.summaries.len()];
         for (k, state) in self.engine.iter() {
-            let Some(meta) = self.index.get(k) else {
-                return Err(format!("stored key {k:?} is not indexed"));
-            };
-            let point = hash_key(k);
-            if meta.point != point {
-                return Err(format!("key {k:?}: cached point {} != {point}", meta.point));
-            }
-            let leaf = fingerprint(state);
-            if !self.dirty.contains(k) && meta.leaf != leaf {
-                return Err(format!(
-                    "clean key {k:?}: cached leaf {} != {leaf}",
-                    meta.leaf
-                ));
-            }
-            fresh[arc_of(&self.bounds, point)].set(k.clone(), leaf);
+            fresh[arc_of(&self.bounds, k)].set(k.clone(), fingerprint(state));
         }
         for (idx, (maintained, rebuilt)) in maintained_after_flush.iter().zip(&fresh).enumerate() {
             if maintained.leaves() != rebuilt.leaves() {
@@ -460,7 +383,6 @@ mod tests {
         assert!(!d.has_pending_refresh());
         assert_eq!(d.get(b"x"), Some(&9));
         assert_eq!(d.leaf_of(b"x"), Some(fingerprint(&9u64)));
-        assert_eq!(d.point_of(b"x"), Some(hash_key(b"x")));
         d.clear();
         assert!(d.is_empty());
         assert!(!d.has_pending_refresh());

@@ -688,9 +688,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// Audits the incrementally maintained AAE state against a
-    /// from-scratch rebuild: the data store's per-arc summaries, cached
-    /// key points and state fingerprints ([`DataStore::audit_index`]),
-    /// and the arc partition's agreement with the current ring. The
+    /// from-scratch rebuild: the data store's per-arc summaries and
+    /// their leaves ([`DataStore::audit_index`]), and the arc
+    /// partition's agreement with the current ring. The
     /// incremental-vs-rebuild proptest oracle runs this on every member
     /// after arbitrary interleavings of puts/deletes/GC/transfers/view
     /// merges.
@@ -765,9 +765,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// The key's ring position. Hashing a (short) key is cheaper than a
-    /// tree lookup, so per-request paths hash; bulk paths that already
-    /// iterate the store read the cached per-slot point instead
-    /// ([`DataStore::iter_points`]).
+    /// tree lookup, so every path hashes: nothing caches a key's point
+    /// (see the [`crate::data`] module docs).
     fn key_point(&self, key: &[u8]) -> u64 {
         ring::hash_key(key)
     }
@@ -1127,10 +1126,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// the drain plan.
     fn queue_rebalance(&mut self, old_ring: &HashRing<ReplicaId>) {
         let mut plan: Vec<(ReplicaId, Key)> = Vec::new();
-        for (key, point, _) in self.data.iter_points() {
+        for key in self.data.keys() {
             // both rings' walks come from their arc caches: a binary
-            // search plus a slice read per key, using the point stamped
-            // when the key was stored (no per-key rehash or token walk)
+            // search plus a slice read per key (no token walk)
+            let point = self.key_point(key);
             let new_walk = self.ring.full_walk_at(point);
             let new_owners = &new_walk[..self.config.n.min(new_walk.len())];
             let old_walk = old_ring.full_walk_at(point);

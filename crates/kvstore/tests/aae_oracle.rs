@@ -5,9 +5,9 @@
 //! safety net of the incremental-AAE refactor:
 //!
 //! * a proptest drives a [`kvstore::data::DataStore`] through arbitrary
-//!   interleavings of sets, overwrites, removes, re-partitions and
-//!   clears, auditing the index after every step (and cross-checking
-//!   lookups against a naive model);
+//!   interleavings of sets, overwrites, removes, flushes, re-partitions
+//!   and clears, auditing the index after every step and checking every
+//!   key's leaf and presence against a naive model;
 //! * deterministic cluster scenarios drive the full protocol stack —
 //!   puts, deletes, read repair, AAE, hinted handoff, range transfers,
 //!   partitions, live join/leave churn, GC — and audit every member's
@@ -21,6 +21,7 @@ use dvv::ReplicaId;
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::data::DataStore;
+use kvstore::merkle::fingerprint;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simnet::{Duration, NodeId};
@@ -37,6 +38,8 @@ enum Op {
     Repartition(u8),
     /// Drop everything (what `finish_leave` does).
     Clear,
+    /// Apply the pending leaf refreshes (what an AAE tick does first).
+    Flush,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -51,6 +54,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(|k| Op::Remove(k % 24)),
         any::<u8>().prop_map(|k| Op::Remove(k % 24)),
         (1u8..12).prop_map(Op::Repartition),
+        Just(Op::Flush),
         (10u8..70).prop_map(|s| {
             if s % 9 == 0 {
                 Op::Clear
@@ -98,10 +102,18 @@ proptest! {
                     d.clear();
                     model.clear();
                 }
+                Op::Flush => d.flush(),
             }
             // the refactor's core invariant, checked after *every* step
             d.audit_index().map_err(TestCaseError::fail)?;
             prop_assert_eq!(d.len(), model.len());
+            // both leaf paths against the model: a dirty key is
+            // fingerprinted, a clean one read from its arc's summary
+            for k in 0..24u8 {
+                let held = model.get(&[k] as &[u8]);
+                prop_assert_eq!(d.leaf_of(&[k]), held.map(fingerprint));
+                prop_assert_eq!(d.contains_key(&[k]), held.is_some());
+            }
         }
         for (k, v) in &model {
             prop_assert_eq!(d.get(k), Some(v));
@@ -110,8 +122,8 @@ proptest! {
 }
 
 /// Audits every current member's incremental AAE index against a
-/// from-scratch rebuild (per-arc summaries, cached points/fingerprints,
-/// and the assembled shared summary for every peer).
+/// from-scratch rebuild (per-arc summaries and their leaves, and the
+/// assembled shared summary for every peer).
 fn audit_all(c: &Cluster<DvvMechanism>, seed: u64, stage: &str) {
     for i in c.member_slots() {
         c.server(i)

@@ -11,11 +11,14 @@
 //!   nothing survives a crash;
 //! * [`LogEngine`]: an append-only record log in the spirit of bitcask —
 //!   varint-framed, checksummed records reusing the [`dvv::encode`]
-//!   codecs, an in-memory key→offset index, batched group-sync with a
+//!   codecs, every state held in memory (one map, each key's slot also
+//!   carrying its latest record's length, so reads never touch the
+//!   disk and no second index exists), batched group-sync with a
 //!   configurable durability interval, and size-triggered compaction
 //!   that rewrites live records and truncates the dead tail. Opening a
 //!   log replays it (tolerating a torn final record) so a crashed
-//!   replica comes back with everything it had durably synced.
+//!   replica comes back with everything it had durably synced. The file
+//!   format is `doc/log_format.md`.
 //!
 //! The engines are deliberately *behaviour-identical* from the protocol
 //! layer's point of view: the same workload driven over a `MemEngine`-
@@ -47,6 +50,11 @@ pub type Key = Vec<u8>;
 ///
 /// `Send` is a supertrait because engines travel with their node across
 /// the threaded runtime's worker threads.
+///
+/// The repo benchmark (`perfbench/`, a package of its own) implements
+/// this trait — its `TracedEngine` times every call into a `LogEngine` —
+/// so the method set is frozen with `perfbench/`: adding, removing or
+/// re-signing a method breaks the benchmark build.
 pub trait StorageEngine<S>: fmt::Debug + Send {
     /// The state stored for `key`, if any.
     fn get(&self, key: &[u8]) -> Option<&S>;

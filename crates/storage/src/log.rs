@@ -1,5 +1,9 @@
 //! [`LogEngine`]: an append-only, checksummed, compacting record log.
 //!
+//! The file format is written up for readers who will not use this
+//! crate in `doc/log_format.md` (a hand-decoded file included), pinned
+//! by `tests/log_golden.rs`.
+//!
 //! ## On-disk format
 //!
 //! The log is a flat sequence of records, each framed as
@@ -37,16 +41,20 @@
 //!
 //! ## Compaction
 //!
-//! The in-memory key→length index tracks the latest durable record per
-//! key, so `live_bytes` (latest records) vs `durable_bytes` (the whole
-//! file) measures garbage exactly. When the file exceeds
+//! Each key's slot in the working set carries the framed length of its
+//! latest record, and `live_bytes` (their sum) moves as records are
+//! appended. Garbage is judged only right after a group sync, when
+//! nothing is pending: then `live_bytes` is the file's latest-per-key
+//! records and `durable_bytes − live_bytes` (the rest of the file) is
+//! garbage, exactly. When the file exceeds
 //! [`LogConfig::compact_min_bytes`] and the garbage fraction exceeds
-//! [`LogConfig::compact_garbage_ratio`], the engine rewrites the live
-//! records to a fresh file and atomically renames it over the log —
-//! rewriting the live set, truncating the dead tail. A file's *name* is
-//! directory data: the directory is synced after that rename, and — for
-//! a log `open` created — at its first group sync, before any record in
-//! it counts as durable, so a crash cannot lose either name.
+//! [`LogConfig::compact_garbage_ratio`], the engine writes the
+//! reservation and then every live key's put to a fresh file and
+//! atomically renames it over the log — rewriting the live set,
+//! truncating the dead tail. A file's *name* is directory data: the
+//! directory is synced after that rename, and — for a log `open`
+//! created — at its first group sync, before any record in it counts as
+//! durable, so a crash cannot lose either name.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -128,30 +136,11 @@ pub struct LogStats {
     pub torn_tail_bytes: u64,
 }
 
-/// Latest durable record of one key: how many file bytes it occupies.
-#[derive(Clone, Copy, Debug)]
-struct RecordSpan {
+/// One live key: its current state and the framed length of its latest
+/// put record, buffered or durable.
+struct Slot<S> {
+    state: S,
     len: u64,
-}
-
-/// What a buffered (not yet durable) record will do to the index once
-/// its group sync lands.
-enum PendingOp {
-    Put {
-        key: Key,
-        len: u64,
-    },
-    Remove {
-        key: Key,
-        len: u64,
-    },
-    Clear {
-        len: u64,
-    },
-    /// A reservation record: affects no key, only advances the offset.
-    Meta {
-        len: u64,
-    },
 }
 
 /// Typed record codec: monomorphised `dvv::encode` entry points, taken
@@ -192,19 +181,19 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
 pub struct LogEngine<S> {
     /// The working set: every live key's current state, always in sync
     /// with the durable log plus the pending buffer.
-    map: BTreeMap<Key, S>,
-    /// key → latest *durable* record (drives garbage accounting).
-    index: BTreeMap<Key, RecordSpan>,
+    map: BTreeMap<Key, Slot<S>>,
     file: File,
     path: PathBuf,
     cfg: LogConfig,
     codec: Codec<S>,
     /// Framed records written but not yet synced; lost on crash.
     pending: Vec<u8>,
-    pending_ops: Vec<PendingOp>,
+    /// How many records `pending` holds.
+    pending_records: usize,
     /// Valid bytes in the file (everything synced).
     durable_bytes: u64,
-    /// Bytes of latest-per-key durable records.
+    /// Bytes of latest-per-key records, buffered ones included: the
+    /// file's live set whenever nothing is pending.
     live_bytes: u64,
     /// Recovered/stored dot-mint reservation `(epoch, ceiling)`.
     reservation: Option<(u64, u64)>,
@@ -421,7 +410,6 @@ where
             dec: dec_state::<S>,
         };
         let mut map = BTreeMap::new();
-        let mut index = BTreeMap::new();
         let mut live_bytes = 0u64;
         let mut reservation: Option<(u64, u64)> = None;
         let mut stats = LogStats::default();
@@ -433,21 +421,18 @@ where
             let len = (next - at) as u64;
             match record {
                 Record::Put { key, state } => {
-                    if let Some(old) = index.insert(key.clone(), RecordSpan { len }) {
+                    if let Some(old) = map.insert(key, Slot { state, len }) {
                         live_bytes -= old.len;
                     }
                     live_bytes += len;
-                    map.insert(key, state);
                 }
                 Record::Remove { key } => {
-                    if let Some(old) = index.remove(&key) {
+                    if let Some(old) = map.remove(&key) {
                         live_bytes -= old.len;
                     }
-                    map.remove(&key);
                 }
                 Record::Clear => {
                     live_bytes = 0;
-                    index.clear();
                     map.clear();
                 }
                 Record::Meta { epoch, ceiling } => {
@@ -469,13 +454,12 @@ where
 
         Ok(LogEngine {
             map,
-            index,
             file,
             path,
             cfg,
             codec,
             pending: Vec::new(),
-            pending_ops: Vec::new(),
+            pending_records: 0,
             durable_bytes: at as u64,
             live_bytes,
             reservation,
@@ -503,7 +487,8 @@ where
         self.durable_bytes
     }
 
-    /// Bytes of latest-per-key durable records (the live set).
+    /// Bytes of latest-per-key records, buffered ones included — the
+    /// file's live set whenever [`LogEngine::pending_bytes`] is 0.
     #[must_use]
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes
@@ -518,18 +503,18 @@ where
 
     /// Buffers one framed record and group-syncs if the durability
     /// interval is reached.
-    fn push_record(&mut self, op: PendingOp) {
+    fn push_record(&mut self) {
         self.stats.appends += 1;
-        self.pending_ops.push(op);
-        if self.pending_ops.len() >= self.cfg.sync_every_records
+        self.pending_records += 1;
+        if self.pending_records >= self.cfg.sync_every_records
             || self.pending.len() >= self.cfg.sync_every_bytes
         {
             self.group_sync();
         }
     }
 
-    /// Writes + syncs the pending buffer and folds its ops into the
-    /// durable index, then compacts if the garbage threshold is hit.
+    /// Writes + syncs the pending buffer, then compacts if the garbage
+    /// threshold is hit.
     fn group_sync(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -543,35 +528,9 @@ where
             self.name_durable = true;
         }
         self.stats.syncs += 1;
-        let mut offset = self.durable_bytes;
-        for op in self.pending_ops.drain(..) {
-            match op {
-                PendingOp::Put { key, len } => {
-                    if let Some(old) = self.index.insert(key, RecordSpan { len }) {
-                        self.live_bytes -= old.len;
-                    }
-                    self.live_bytes += len;
-                    offset += len;
-                }
-                PendingOp::Remove { key, len } => {
-                    if let Some(old) = self.index.remove(&key) {
-                        self.live_bytes -= old.len;
-                    }
-                    offset += len;
-                }
-                PendingOp::Clear { len } => {
-                    self.index.clear();
-                    self.live_bytes = 0;
-                    offset += len;
-                }
-                PendingOp::Meta { len } => {
-                    offset += len;
-                }
-            }
-        }
         self.durable_bytes += self.pending.len() as u64;
-        debug_assert_eq!(offset, self.durable_bytes);
         self.pending.clear();
+        self.pending_records = 0;
         self.maybe_compact();
     }
 
@@ -586,17 +545,15 @@ where
             return;
         }
         let mut buf = Vec::new();
-        let mut index = BTreeMap::new();
         // The reservation must survive compaction: rewrite it first, so
         // even a crash mid-rename leaves one file carrying it intact.
         if let Some((epoch, ceiling)) = self.reservation {
             frame_meta(&mut buf, epoch, ceiling);
         }
-        for (key, state) in &self.map {
+        for (key, slot) in &mut self.map {
             self.scratch.clear();
-            (self.codec.enc)(state, &mut self.scratch);
-            let len = frame_record(&mut buf, TAG_PUT, key, Some(&self.scratch));
-            index.insert(key.clone(), RecordSpan { len });
+            (self.codec.enc)(&slot.state, &mut self.scratch);
+            slot.len = frame_record(&mut buf, TAG_PUT, key, Some(&self.scratch));
         }
         let tmp = self.path.with_extension("compact");
         let write = (|| -> io::Result<File> {
@@ -614,8 +571,8 @@ where
             Ok(f)
         })();
         self.file = write.expect("log compaction rewrite");
-        self.index = index;
         self.durable_bytes = buf.len() as u64;
+        // the whole rewritten file counts as live, its reservation too
         self.live_bytes = self.durable_bytes;
         self.stats.compactions += 1;
     }
@@ -626,7 +583,7 @@ where
     S: Clone + Send + 'static,
 {
     fn get(&self, key: &[u8]) -> Option<&S> {
-        self.map.get(key)
+        self.map.get(key).map(|slot| &slot.state)
     }
 
     fn len(&self) -> usize {
@@ -639,48 +596,47 @@ where
         init: &mut dyn FnMut() -> S,
         mutate: &mut dyn FnMut(&mut S),
     ) -> &S {
-        let enc = self.codec.enc;
+        let slot = self.map.entry(key.to_vec()).or_insert_with(|| Slot {
+            state: init(),
+            len: 0,
+        });
+        mutate(&mut slot.state);
         self.scratch.clear();
-        {
-            let state = self.map.entry(key.to_vec()).or_insert_with(&mut *init);
-            mutate(state);
-            let mut state_bytes = std::mem::take(&mut self.scratch);
-            enc(state, &mut state_bytes);
-            let len = frame_record(&mut self.pending, TAG_PUT, key, Some(&state_bytes));
-            state_bytes.clear();
-            self.scratch = state_bytes;
-            self.push_record(PendingOp::Put {
-                key: key.to_vec(),
-                len,
-            });
-        }
-        &self.map[key]
+        (self.codec.enc)(&slot.state, &mut self.scratch);
+        let len = frame_record(&mut self.pending, TAG_PUT, key, Some(&self.scratch));
+        self.live_bytes = self.live_bytes + len - slot.len;
+        slot.len = len;
+        self.push_record();
+        &self.map[key].state
     }
 
     fn remove(&mut self, key: &[u8]) -> bool {
-        if self.map.remove(key).is_none() {
+        let Some(old) = self.map.remove(key) else {
             return false;
-        }
-        let len = frame_record(&mut self.pending, TAG_REMOVE, key, None);
-        self.push_record(PendingOp::Remove {
-            key: key.to_vec(),
-            len,
-        });
+        };
+        self.live_bytes -= old.len;
+        frame_record(&mut self.pending, TAG_REMOVE, key, None);
+        self.push_record();
         true
     }
 
     fn clear(&mut self) {
         self.map.clear();
-        let len = frame_record(&mut self.pending, TAG_CLEAR, &[], None);
-        self.push_record(PendingOp::Clear { len });
+        self.live_bytes = 0;
+        frame_record(&mut self.pending, TAG_CLEAR, &[], None);
+        self.push_record();
     }
 
     fn iter(&self) -> Box<dyn Iterator<Item = (&Key, &S)> + '_> {
-        Box::new(self.map.iter())
+        Box::new(self.map.iter().map(|(key, slot)| (key, &slot.state)))
     }
 
     fn snapshot(&self) -> Box<dyn StorageEngine<S>> {
-        Box::new(MemEngine::from_map(self.map.clone()))
+        let states = self
+            .map
+            .iter()
+            .map(|(k, slot)| (k.clone(), slot.state.clone()));
+        Box::new(MemEngine::from_map(states.collect()))
     }
 
     fn sync(&mut self) {
@@ -695,12 +651,12 @@ where
         // Monotone in-memory view, matching the replay fold.
         let (e0, c0) = self.reservation.unwrap_or((0, 0));
         self.reservation = Some((e0.max(epoch), c0.max(ceiling)));
-        let len = frame_meta(&mut self.pending, epoch, ceiling);
-        self.stats.appends += 1;
-        self.pending_ops.push(PendingOp::Meta { len });
+        frame_meta(&mut self.pending, epoch, ceiling);
+        self.push_record();
         // Reservations ignore the group-sync cadence: they must be
         // durable before the caller mints into the reserved range (see
-        // the `LogConfig` docs). Any buffered data records ride along.
+        // the `LogConfig` docs). Any buffered data records ride along;
+        // if the cadence already synced them, this is a no-op.
         self.group_sync();
     }
 

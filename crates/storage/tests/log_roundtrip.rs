@@ -8,10 +8,16 @@
 //!   prefix, and reports the discarded remainder as torn-tail bytes;
 //! * a log with an arbitrary bit flipped replays cleanly: never
 //!   panics, recovers exactly the records before the corrupt one, and
-//!   discards the rest (the log trusts nothing past a bad checksum).
+//!   discards the rest (the log trusts nothing past a bad checksum);
+//! * compaction judges garbage exactly: under any group-sync cadence,
+//!   whenever nothing is buffered the engine's live bytes are the sum of
+//!   every live key's latest put as `doc/log_format.md` frames it, its
+//!   durable bytes are the file, and it has compacted exactly when a
+//!   model applying the garbage ratio at each sync says so.
 
 use std::collections::BTreeMap;
 
+use dvv::encode::{varint_len, Encode};
 use dvv::{DvvSet, ReplicaId, VersionVector};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -154,6 +160,23 @@ fn write_script(path: &std::path::Path, ops: &[Op]) -> (Vec<u64>, Vec<u64>) {
     (ends, recs)
 }
 
+/// The file bytes of a record whose body is `body_len` bytes, by the
+/// document's formula: `varint_len(body_len) + body_len + 8`.
+fn framed(body_len: usize) -> u64 {
+    (varint_len(body_len as u64) + body_len + 8) as u64
+}
+
+/// The framed length of the put record that stores `state` under `key`.
+fn put_len(key: &[u8], state: &State) -> u64 {
+    let mut bytes = Vec::new();
+    state.encode(&mut bytes);
+    framed(1 + varint_len(key.len() as u64) + key.len() + bytes.len())
+}
+
+fn live_len(reference: &Reference) -> u64 {
+    reference.iter().map(|(k, s)| put_len(k, s)).sum()
+}
+
 proptest! {
     #[test]
     fn reopen_replays_exactly_the_reference_contents(ops in arb_ops()) {
@@ -232,6 +255,63 @@ proptest! {
         prop_assert_eq!(contents(&back), reference_after(&ops, survivors));
         prop_assert_eq!(back.durable_bytes(), boundary);
         prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), boundary);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn compaction_judges_garbage_exactly_at_every_sync(
+        ops in arb_ops(),
+        sync_every in 1usize..8,
+    ) {
+        let dir = storage::scratch_dir("prop-compact");
+        let path = dir.join("log");
+        let cfg = LogConfig {
+            sync_every_records: sync_every,
+            sync_every_bytes: usize::MAX,
+            compact_min_bytes: 0,
+            ..LogConfig::default()
+        };
+        let mut engine: LogEngine<State> = LogEngine::open(&path, cfg).unwrap();
+        let mut reference = Reference::new();
+        // the model: file bytes, buffered bytes and records, compactions
+        let (mut file, mut buffered, mut records, mut compactions) = (0u64, 0u64, 0usize, 0u64);
+        for (i, op) in ops.iter().enumerate() {
+            let stored = |r: &Reference, key: u8| r.contains_key(&vec![key]);
+            let removes = matches!(op, Op::Remove { key } if stored(&reference, *key));
+            apply_ref(&mut reference, i, op);
+            apply_engine(&mut engine, i, op);
+            let record = match op {
+                Op::Put { key, .. } => Some(put_len(&[*key], &reference[&vec![*key]])),
+                // tag, key length, one-byte key
+                Op::Remove { .. } => removes.then(|| framed(3)),
+                Op::Clear => Some(framed(1)),
+            };
+            if let Some(len) = record {
+                buffered += len;
+                records += 1;
+            }
+            if records == sync_every {
+                file += buffered;
+                (buffered, records) = (0, 0);
+                let live = live_len(&reference);
+                if (file - live) as f64 / file as f64 > cfg.compact_garbage_ratio {
+                    compactions += 1;
+                    file = live;
+                }
+            }
+            prop_assert_eq!(engine.pending_bytes() as u64, buffered);
+            if buffered > 0 {
+                continue;
+            }
+            prop_assert_eq!(engine.live_bytes(), live_len(&reference));
+            prop_assert_eq!(engine.durable_bytes(), file);
+            prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), file);
+            prop_assert_eq!(engine.stats().compactions, compactions);
+            let copy = dir.join("copy");
+            std::fs::copy(&path, &copy).unwrap();
+            let back: LogEngine<State> = LogEngine::open(&copy, plain_config()).unwrap();
+            prop_assert_eq!(&contents(&back), &reference);
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 }

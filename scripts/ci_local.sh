@@ -134,9 +134,11 @@ if runs_lane perfbench; then
     # The repo benchmark (BENCHMARK.json -> perfbench/) is a package of
     # its own, outside the workspace, so no other lane compiles it — and
     # it drives the fleets through the public API of `runtime` and
-    # `transport`. Build it and run its own unit tests so an API change
-    # that breaks the benchmark turns this lane red, not the next
-    # measurement. Builds into perfbench/target (git-ignored).
+    # `transport`, and implements `storage::StorageEngine` itself (its
+    # `TracedEngine` wraps a `LogEngine`), so that trait's method set is
+    # frozen with `perfbench/`. Build it and run its own unit tests so
+    # an API change that breaks the benchmark turns this lane red, not
+    # the next measurement. Builds into perfbench/target (git-ignored).
     cargo build --release --manifest-path perfbench/Cargo.toml
     cargo test --release --manifest-path perfbench/Cargo.toml
 fi

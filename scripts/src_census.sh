@@ -34,6 +34,13 @@ printf '  %-12s %6d\n' total "$total"
 echo "budgeted files"
 printf '  %-32s %6d  (budget 2000)\n' crates/kvstore/src/node.rs \
     "$(wc -l < crates/kvstore/src/node.rs)"
+# How many ordered maps and sets keyed by a stored key each storage layer
+# keeps: one per layer holds every key once.
+echo "per-key maps (BTreeMap<Key…> / BTreeSet<Key…> fields)"
+for file in crates/kvstore/src/data.rs crates/storage/src/log.rs crates/storage/src/mem.rs; do
+    printf '  %-32s %6d\n' "$file" \
+        "$(grep -cE '^ +(pub )?[a-z_][a-z0-9_]*: BTree(Map|Set)<Key\b' "$file" || true)"
+done
 echo "surfaces"
 printf '  %-32s %6d\n' \
     "Msg variants" "$(members crates/kvstore/src/messages.rs '^pub enum Msg<')" \
