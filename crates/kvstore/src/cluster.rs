@@ -359,9 +359,9 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// [`NetworkConfig::with_env_faults`] on this cluster's network
-    /// (`NET_FAULTS=hostile`). The churn suites apply this — like
-    /// [`StoreConfig::with_env_delta`] — so the nightly soak lane can
-    /// re-run them under a hostile network without a code change.
+    /// (`NET_FAULTS=hostile`). The churn suites apply this so the faults
+    /// and soak lanes can re-run them under a hostile network without a
+    /// code change.
     #[must_use]
     pub fn with_env_net_faults(mut self) -> Self {
         self.network = self.network.with_env_faults();

@@ -2,50 +2,6 @@
 
 use simnet::Duration;
 
-/// How eagerly a node uses the incremental (delta) form of a wire
-/// protocol that also has a full-push form.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DeltaPolicy {
-    /// Always push full state (the pre-delta wire protocol).
-    Full,
-    /// Use the delta form when its size heuristics say it will pay off;
-    /// fall back to the full push otherwise.
-    #[default]
-    Auto,
-    /// Always use the delta form when it is *correct* to do so —
-    /// size heuristics are ignored, but correctness guards (e.g. the
-    /// view-alignment digest check before comparing arc indices) still
-    /// apply. Soak lanes run this to pin delta/full equivalence.
-    Force,
-}
-
-impl DeltaPolicy {
-    /// Reads a policy from the `DELTA_PROTOCOLS` environment variable
-    /// (`full` | `auto` | `force`), defaulting to `Auto` when unset or
-    /// empty. Churn suites apply this so the nightly soak lane can force
-    /// the delta paths on without a code change.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any other value, so a misspelt lane fails instead of
-    /// running the default.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("DELTA_PROTOCOLS").ok().as_deref())
-    }
-
-    fn parse(value: Option<&str>) -> Self {
-        match value.unwrap_or_default() {
-            "" | "auto" => DeltaPolicy::Auto,
-            "full" => DeltaPolicy::Full,
-            "force" => DeltaPolicy::Force,
-            other => {
-                panic!("DELTA_PROTOCOLS={other:?}: expected `full`, `auto` or `force`, or unset")
-            }
-        }
-    }
-}
-
 /// Replication and protocol parameters of the store (Riak's N/R/W model).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StoreConfig {
@@ -79,13 +35,6 @@ pub struct StoreConfig {
     /// Virtual nodes per server on the hash ring a node rebuilds from an
     /// adopted ring view.
     pub vnodes: u32,
-    /// How ring-view gossip reconciles digest mismatches: full view
-    /// pushes, or two-step summary/delta exchanges.
-    pub delta_views: DeltaPolicy,
-    /// How anti-entropy narrows a shared-root mismatch: a full leaf
-    /// push, or per-arc root exchange first and leaves only for the
-    /// arcs that differ.
-    pub delta_aae: DeltaPolicy,
     /// Maximum keys per range-transfer batch.
     pub transfer_batch_keys: usize,
     /// Whether the dot-reuse epoch guard is active: before minting a dot
@@ -112,8 +61,6 @@ impl Default for StoreConfig {
             gossip_interval: Duration::from_millis(100),
             header_bytes: 16,
             vnodes: 32,
-            delta_views: DeltaPolicy::default(),
-            delta_aae: DeltaPolicy::default(),
             transfer_batch_keys: 64,
             dot_guard: true,
         }
@@ -141,18 +88,6 @@ impl StoreConfig {
             self.transfer_batch_keys > 0,
             "transfer batches must hold at least one key"
         );
-    }
-
-    /// Returns a copy with both delta policies set from the
-    /// `DELTA_PROTOCOLS` environment variable ([`DeltaPolicy::from_env`]).
-    /// Applied explicitly by the churn suites rather than centrally, so
-    /// tests that pin a specific policy stay pinned.
-    #[must_use]
-    pub fn with_env_delta(mut self) -> Self {
-        let policy = DeltaPolicy::from_env();
-        self.delta_views = policy;
-        self.delta_aae = policy;
-        self
     }
 }
 
@@ -239,25 +174,6 @@ mod tests {
             ..StoreConfig::default()
         }
         .validate();
-    }
-
-    #[test]
-    fn delta_policy_parses_each_accepted_value() {
-        for (value, policy) in [
-            (None, DeltaPolicy::Auto),
-            (Some(""), DeltaPolicy::Auto),
-            (Some("auto"), DeltaPolicy::Auto),
-            (Some("full"), DeltaPolicy::Full),
-            (Some("force"), DeltaPolicy::Force),
-        ] {
-            assert_eq!(DeltaPolicy::parse(value), policy, "{value:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "expected `full`, `auto` or `force`, or unset")]
-    fn delta_policy_rejects_a_typo() {
-        DeltaPolicy::parse(Some("forse"));
     }
 
     #[test]

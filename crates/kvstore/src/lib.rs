@@ -75,7 +75,7 @@ pub mod value;
 pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig};
-pub use config::{DeltaPolicy, StoreConfig};
+pub use config::StoreConfig;
 pub use ctx::NodeCtx;
 pub use harness::FleetHarness;
 pub use oracle::{AnomalyReport, Oracle};

@@ -6,7 +6,7 @@ use dvv::encode::{
 };
 use dvv::mechanisms::{Mechanism, WireMechanism};
 use dvv::{DecodeError, ReplicaId};
-use ring::{MemberEntry, RingView};
+use ring::RingView;
 
 use crate::value::{Key, StampedValue};
 use crate::wire;
@@ -179,18 +179,18 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         /// The sender's ring-view digest: scope guard + gossip piggyback.
         digest: u64,
     },
-    /// Anti-entropy leaf exchange (roots differed).
+    /// Anti-entropy leaf exchange: the initiator's answer to
+    /// [`Msg::AaeArcRoots`], scoped to the shared arcs whose roots
+    /// differed.
     AaeLeaves {
-        /// `(key, leaf hash)` pairs.
+        /// `(key, leaf hash)` pairs of the sender's keys in `arcs`.
         leaves: Vec<(Key, u64)>,
-        /// `None`: the full-push protocol — every shared leaf travels.
-        /// `Some(arcs)`: the delta protocol — only leaves in the listed
-        /// differing arcs travel, and the receiver diffs against the
-        /// same scope. Arc-scoped exchanges are only meaningful under
-        /// identical views (see `digest`).
-        arcs: Option<Vec<u32>>,
+        /// The differing arcs, sorted: the receiver diffs `leaves`
+        /// against its own leaves in the same arcs. Arc indices are only
+        /// meaningful under identical views (see `digest`).
+        arcs: Vec<u32>,
         /// The sender's ring-view digest: gossip piggyback, and the
-        /// validity guard for arc-scoped exchanges.
+        /// validity guard for the arc indices.
         digest: u64,
     },
     /// Anti-entropy round 3: initiator pushes its divergent states and
@@ -232,10 +232,11 @@ pub enum Msg<M: Mechanism<StampedValue>> {
     },
     /// Ring-view push: the sender's full mergeable view, sent to any
     /// peer observed with a differing view digest (request headers,
-    /// gossip digests, AAE piggybacks). The receiver merges it; if the
-    /// merged result still differs from what was received — the sender
-    /// lacks entries the receiver holds — the receiver pushes the merged
-    /// view back, so one exchange converges both ends.
+    /// gossip digests, AAE piggybacks) — the one way views reconcile.
+    /// The receiver merges it; if the merged result still differs from
+    /// what was received — the sender lacks entries the receiver holds —
+    /// the receiver pushes the merged view back, so one exchange
+    /// converges both ends.
     ///
     /// It is also the one message every membership change travels in: the
     /// control plane posts the changed view to the change's *subject*
@@ -248,34 +249,10 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         /// The sender's complete ring view.
         view: RingView<ReplicaId>,
     },
-    /// Delta-view step 1 (reply to a mismatched digest): the sender's
-    /// per-member summary — each entry's `(member, summary key)`, where
-    /// the key is order-isomorphic to the merge order. The receiver
-    /// compares per member and answers with a [`Msg::RingDelta`]
-    /// carrying exactly the entries the summary proves missing or
-    /// dominated, or falls back to a full [`Msg::RingEpoch`] when the
-    /// delta would not be smaller.
-    RingSummary {
-        /// Every entry's `(member, summary key)`, tombstones included.
-        entries: Vec<(ReplicaId, u64)>,
-    },
-    /// Delta-view step 2: the entries the peer provably lacks, plus the
-    /// members this sender wants back (where the peer's summary proved
-    /// domination). Merged through the same per-member join as
-    /// [`Msg::RingEpoch`] (`RingView::absorb_delta` beside `absorb`);
-    /// the receiver answers `want` — and any entry it dominates — with
-    /// a further `RingDelta`, which terminates because only strictly
-    /// newer entries ever travel back.
-    RingDelta {
-        /// Entries the receiver provably lacks or holds dominated.
-        entries: Vec<(ReplicaId, MemberEntry)>,
-        /// Members whose entries the sender wants back.
-        want: Vec<ReplicaId>,
-    },
     /// Periodic gossip: the sender's ring-view digest (a 64-bit hash of
     /// its merged membership state). A receiver whose own digest differs
-    /// pushes its full view ([`Msg::RingEpoch`]) or opens a delta
-    /// exchange ([`Msg::RingSummary`]); equal digests end the round.
+    /// pushes its full view ([`Msg::RingEpoch`]); equal digests end the
+    /// round.
     /// Digests carry no order — merging, not comparison, decides what
     /// changes.
     GossipDigest {
@@ -294,7 +271,7 @@ pub enum MsgClass {
     Replication = 1,
     /// Merkle anti-entropy exchanges.
     AntiEntropy = 2,
-    /// Membership dissemination: gossip, views, summaries, deltas.
+    /// Membership dissemination: gossip digests and views.
     Membership = 3,
     /// Range transfers (rebalance and leave-drain).
     Transfer = 4,
@@ -335,7 +312,7 @@ impl MsgClass {
 
 /// Per-class wire counters a node accumulates for every message it
 /// sends (payload plus envelope). Bytes-on-the-wire as a first-class
-/// metric: what the delta protocols exist to shrink.
+/// metric.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
     msgs: [u64; 6],
@@ -368,10 +345,8 @@ impl WireStats {
     }
 
     /// Bytes spent *reconciling state* rather than serving clients or
-    /// moving data: membership dissemination plus anti-entropy. This is
-    /// the headline bytes-to-convergence metric — exactly the traffic
-    /// the delta protocols address (transfers and handoff move the same
-    /// key states under either protocol).
+    /// moving data: membership dissemination plus anti-entropy — the
+    /// bytes-to-convergence metric.
     #[must_use]
     pub fn reconciliation_bytes(&self) -> u64 {
         self.bytes(MsgClass::Membership) + self.bytes(MsgClass::AntiEntropy)
@@ -390,7 +365,8 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
     /// One-byte variant tag, the first wire byte of every message. Tags
     /// 8, 13, 18, 19, 24 and 25 belonged to the variants [`Msg::Push`]
     /// replaced, 16 and 17 to the two that carried a full view beside
-    /// [`Msg::RingEpoch`]; none is ever reused.
+    /// [`Msg::RingEpoch`], 21 and 22 to the summary/delta view exchange
+    /// it also replaced; none is ever reused.
     fn tag(&self) -> u8 {
         match self {
             Msg::ClientGet { .. } => 0,
@@ -408,8 +384,6 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             Msg::RepWrite { .. } => 14,
             Msg::RepWriteResp { .. } => 15,
             Msg::RingEpoch { .. } => 20,
-            Msg::RingSummary { .. } => 21,
-            Msg::RingDelta { .. } => 22,
             Msg::GossipDigest { .. } => 23,
             Msg::RepGetIf { .. } => 26,
             Msg::RepGetSame { .. } => 27,
@@ -438,10 +412,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             | Msg::AaeArcRoots { .. }
             | Msg::AaeLeaves { .. }
             | Msg::AaeStates { .. } => MsgClass::AntiEntropy,
-            Msg::RingEpoch { .. }
-            | Msg::RingSummary { .. }
-            | Msg::RingDelta { .. }
-            | Msg::GossipDigest { .. } => MsgClass::Membership,
+            Msg::RingEpoch { .. } | Msg::GossipDigest { .. } => MsgClass::Membership,
             Msg::Push { class, .. } | Msg::PushAck { class, .. } => *class,
         }
     }
@@ -578,13 +549,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 digest,
             } => {
                 wire::put_u64(buf, *digest);
-                match arcs {
-                    None => buf.byte(0),
-                    Some(list) => {
-                        buf.byte(1);
-                        wire::put_arc_list(buf, list);
-                    }
-                }
+                wire::put_arc_list(buf, arcs);
                 dvv::encode::put_leaf_set(buf, leaves);
             }
             Msg::AaeStates { states, want } => {
@@ -605,11 +570,6 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 wire::put_hint(buf, *hint);
             }
             Msg::RingEpoch { view } => wire::put_view(buf, view),
-            Msg::RingSummary { entries } => wire::put_summary(buf, entries),
-            Msg::RingDelta { entries, want } => {
-                wire::put_member_entries(buf, entries);
-                wire::put_replica_ids(buf, want);
-            }
             Msg::GossipDigest { digest } => wire::put_u64(buf, *digest),
         }
     }
@@ -711,15 +671,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             }
             11 => {
                 let digest = wire::get_u64(&mut d)?;
-                let arcs = match d.byte()? {
-                    0 => None,
-                    1 => Some(wire::get_arc_list(&mut d)?),
-                    _ => {
-                        return Err(DecodeError::InvalidValue {
-                            reason: "arc-scope presence byte must be 0 or 1",
-                        })
-                    }
-                };
+                let arcs = wire::get_arc_list(&mut d)?;
                 let leaves = dvv::encode::get_leaf_set(&mut d)?;
                 Msg::AaeLeaves {
                     leaves,
@@ -740,13 +692,6 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             },
             20 => Msg::RingEpoch {
                 view: wire::get_view(&mut d)?,
-            },
-            21 => Msg::RingSummary {
-                entries: wire::get_summary(&mut d)?,
-            },
-            22 => Msg::RingDelta {
-                entries: wire::get_member_entries(&mut d)?,
-                want: wire::get_replica_ids(&mut d)?,
             },
             23 => Msg::GossipDigest {
                 digest: wire::get_u64(&mut d)?,
@@ -771,7 +716,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 class: get_push_class(&mut d)?,
                 id: wire::get_u64(&mut d)?,
             },
-            // retired tags (8, 13, 16, 17, 18, 19, 24, 25) included
+            // retired tags (8, 13, 16–19, 21, 22, 24, 25) included
             _ => {
                 return Err(DecodeError::InvalidValue {
                     reason: "unknown message tag",
@@ -1027,8 +972,8 @@ mod tests {
 
     #[test]
     fn arc_roots_beat_full_leaf_push() {
-        // The whole point of delta-AAE: (arc, root) pairs for the shared
-        // arcs cost far less than pushing every leaf.
+        // The point of narrowing by arc: (arc, root) pairs for the shared
+        // arcs cost far less than pushing every leaf of all 64.
         let mech = DvvMechanism;
         let arcs: Vec<(u32, u64)> = (0..64).map(|i| (i, 0x1234_5678 + u64::from(i))).collect();
         let roots: Msg<M> = Msg::AaeArcRoots { arcs, digest: 1 };
@@ -1037,30 +982,10 @@ mod tests {
             .collect();
         let full: Msg<M> = Msg::AaeLeaves {
             leaves,
-            arcs: None,
+            arcs: (0..64).collect(),
             digest: 1,
         };
         assert!(roots.wire_size(&mech) * 4 < full.wire_size(&mech));
-    }
-
-    #[test]
-    fn ring_delta_beats_full_view_for_single_change() {
-        let mech = DvvMechanism;
-        let members: Vec<ReplicaId> = (0..20).map(ReplicaId).collect();
-        let view = RingView::from_members(members);
-        let full: Msg<M> = Msg::RingEpoch { view: view.clone() };
-        let entry = *view.entry(&ReplicaId(3)).unwrap();
-        let delta: Msg<M> = Msg::RingDelta {
-            entries: vec![(ReplicaId(3), entry)],
-            want: Vec::new(),
-        };
-        assert!(delta.wire_size(&mech) < full.wire_size(&mech));
-        let summary: Msg<M> = Msg::RingSummary {
-            entries: view.summary(),
-        };
-        // summaries are cheap relative to full entries, but not free
-        assert!(summary.wire_size(&mech) <= full.wire_size(&mech));
-        assert!(summary.wire_size(&mech) > 9);
     }
 
     #[test]
@@ -1188,11 +1113,11 @@ mod tests {
             },
             Msg::AaeLeaves {
                 leaves: vec![(b"a".to_vec(), 1), (b"ab".to_vec(), 2)],
-                arcs: Some(vec![1, 5, 9]),
+                arcs: vec![1, 5, 9],
                 digest: 11,
             },
-            Msg::RingSummary {
-                entries: RingView::from_members([ReplicaId(0), ReplicaId(4)]).summary(),
+            Msg::RingEpoch {
+                view: RingView::from_members([ReplicaId(0), ReplicaId(4)]),
             },
             push(MsgClass::Handoff, Some(u64::MAX), &["k1", "k2"], None),
             Msg::PushAck {

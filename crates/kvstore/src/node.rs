@@ -5,19 +5,17 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dvv::encode::Count;
 use dvv::mechanisms::{Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
 use ring::{HashRing, MemberStatus, Membership, RingView};
 use simnet::{NodeId, SimTime, TimerId};
 
-use crate::config::{DeltaPolicy, StoreConfig};
+use crate::config::StoreConfig;
 use crate::ctx::NodeCtx;
 use crate::data::DataStore;
 use crate::merkle::{fingerprint, MerkleSummary};
 use crate::messages::{Msg, MsgClass, ReqId, WireStats};
 use crate::value::{Key, StampedValue};
-use crate::wire;
 
 /// Period of the push timer while anything is owed, and how long a
 /// [`MsgClass::Transfer`] push stays in flight before it is sent again
@@ -64,7 +62,7 @@ pub struct NodeStats {
     pub rep_reads_full: u64,
     /// Anti-entropy exchanges initiated.
     pub aae_rounds: u64,
-    /// Initiated anti-entropy exchanges that found divergent keys.
+    /// Initiated anti-entropy exchanges whose per-arc roots differed.
     pub aae_divergent: u64,
     /// Hinted states handed off to their intended owner.
     pub handoffs: u64,
@@ -618,23 +616,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         root
     }
 
-    /// The full Merkle summary shared with `peer`, assembled from the
-    /// maintained per-arc summaries. Only built when roots already
-    /// disagreed and a leaf exchange is actually needed.
-    fn shared_summary(&self, peer: ReplicaId) -> MerkleSummary {
-        let mut m = MerkleSummary::new();
-        for idx in 0..self.ring.arc_count() {
-            if self.arc_shared_with(idx, peer) {
-                if let Some(s) = self.data.arc_summary(idx) {
-                    m.extend_from(s);
-                }
-            }
-        }
-        m
-    }
-
-    /// The non-empty shared arcs and their cached roots — the first,
-    /// cheap step of a delta anti-entropy exchange. Empty arcs are
+    /// The non-empty shared arcs and their cached roots — the answer to
+    /// a shared-root mismatch ([`Msg::AaeArcRoots`]). Empty arcs are
     /// omitted: the receiver iterates its *own* shared arcs and treats a
     /// missing entry as root 0, which is exactly what an empty arc
     /// hashes to, so the comparison stays symmetric under aligned views.
@@ -652,10 +635,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// The Merkle summary shared with `peer`, restricted to `arcs` —
-    /// the leaves a delta exchange sends once per-arc roots have
-    /// narrowed the divergence down. Out-of-range or non-shared arc
-    /// indices are skipped (they cannot occur under the digest guard,
-    /// but a malformed index must not panic the node).
+    /// the leaves an exchange sends once per-arc roots have narrowed the
+    /// divergence down ([`Msg::AaeLeaves`]). Out-of-range or non-shared
+    /// arc indices are skipped (they cannot occur under the digest
+    /// guard, but a malformed index must not panic the node).
     fn shared_summary_scoped(&self, peer: ReplicaId, arcs: &[u32]) -> MerkleSummary {
         let mut m = MerkleSummary::new();
         for &idx in arcs {
@@ -862,110 +845,32 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     /// Reacts to a peer's observed ring-view digest (request header,
     /// gossip digest, or AAE piggyback). Digests carry no order, so
-    /// "behind" and "ahead" are meaningless — a mismatch starts a
-    /// reconciliation that merges both ways:
-    ///
-    /// * **delta** (ring members, unless configured `Full`): send a
-    ///   per-member summary ([`Msg::RingSummary`]); the peer answers
-    ///   with only the entries the summary proves missing or dominated
-    ///   ([`Msg::RingDelta`]), plus the members it wants back.
-    /// * **full push** (clients and non-members, or `delta_views:
-    ///   Full`): send the whole view; the receiver merges and pushes
-    ///   back iff the sender's copy was incomplete
-    ///   ([`Self::handle_ring_epoch`]).
-    ///
-    /// Either way both ends converge in at most one round-trip.
+    /// "behind" and "ahead" are meaningless — a mismatch pushes this
+    /// node's whole view ([`Msg::RingEpoch`]); the receiver merges it and
+    /// pushes the merged view back iff the sender's copy was incomplete
+    /// ([`Self::handle_ring_epoch`]), so both ends converge in at most
+    /// one round-trip.
     fn note_peer_digest(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, digest: u64) {
-        if digest == self.view.digest() {
-            return;
-        }
-        // A summary is only useful to a peer that speaks the delta
-        // protocol — clients (never ring members) only absorb full
-        // views, so they keep getting the push.
-        let peer = ReplicaId(from.0);
-        let use_summary = self.view.entry(&peer).is_some()
-            && match self.config.delta_views {
-                DeltaPolicy::Full => false,
-                DeltaPolicy::Force => true,
-                // below a handful of members the full view is at most a
-                // few bytes larger than the summary — skip the extra
-                // round-trip
-                DeltaPolicy::Auto => self.view.entry_count() >= 3,
-            };
-        if use_summary {
-            let entries = self.view.summary();
-            self.send(ctx, from, Msg::RingSummary { entries });
-        } else {
+        if digest != self.view.digest() {
             let view = self.view.clone();
             self.send(ctx, from, Msg::RingEpoch { view });
         }
     }
 
-    /// Answers a peer's per-member summary with the delta it proves
-    /// necessary: entries the peer lacks or holds dominated, plus the
-    /// members this node wants back. Falls back to a full view push when
-    /// the delta would not be smaller (unless the policy forces deltas).
-    fn handle_ring_summary(
-        &mut self,
-        ctx: &mut impl NodeCtx<M>,
-        from: NodeId,
-        summary: &[(ReplicaId, u64)],
-    ) {
-        let (entries, want) = self.view.delta_against(summary);
-        if entries.is_empty() && want.is_empty() {
-            return; // summaries matched: views already identical
-        }
-        let (mut delta_bytes, mut view_bytes) = (Count(0), Count(0));
-        wire::put_member_entries(&mut delta_bytes, &entries);
-        wire::put_replica_ids(&mut delta_bytes, &want);
-        wire::put_view(&mut view_bytes, &self.view);
-        if self.config.delta_views != DeltaPolicy::Force && delta_bytes.0 >= view_bytes.0 {
-            let view = self.view.clone();
-            self.send(ctx, from, Msg::RingEpoch { view });
-        } else {
-            self.send(ctx, from, Msg::RingDelta { entries, want });
-        }
-    }
-
-    /// Merges a delta's entries through the same per-member join a full
-    /// view merge uses ([`RingView::absorb_delta`]); entries where the
-    /// *sender's* copy is the dominated one — plus any it asked for —
-    /// are pushed back as a further delta, converging both ends.
-    /// Push-backs only ever carry strictly dominating entries, so the
-    /// exchange terminates.
-    fn handle_ring_delta(
-        &mut self,
-        ctx: &mut impl NodeCtx<M>,
-        from: NodeId,
-        entries: &[(ReplicaId, ring::MemberEntry)],
-        want: &[ReplicaId],
-    ) {
-        let (changed, push_back) = self.view.absorb_delta(entries, want);
-        if changed {
-            self.after_view_change(ctx);
-        }
-        if !push_back.is_empty() {
-            self.send(
-                ctx,
-                from,
-                Msg::RingDelta {
-                    entries: push_back,
-                    want: Vec::new(),
-                },
-            );
-        }
-    }
-
-    /// Merges a pushed full view; if the sender's copy was missing
-    /// entries this node holds ([`RingView::absorb`]), pushes the merged
-    /// view back so the exchange leaves both ends identical.
+    /// Merges a pushed full view ([`RingView::absorb`]), adopting it if
+    /// it changed anything ([`Self::after_view_change`]); if the sender's
+    /// copy was missing entries this node holds, pushes the merged view
+    /// back so the exchange leaves both ends identical.
     fn handle_ring_epoch(
         &mut self,
         ctx: &mut impl NodeCtx<M>,
         from: NodeId,
         view: &RingView<ReplicaId>,
     ) {
-        let sender_lacks = self.merge_view(ctx, view).1;
+        let (changed, sender_lacks) = self.view.absorb(view);
+        if changed {
+            self.after_view_change(ctx);
+        }
         if sender_lacks {
             let merged = self.view.clone();
             self.send(ctx, from, Msg::RingEpoch { view: merged });
@@ -1049,31 +954,14 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    /// Merges a learned ring view into this node's; on change, rebuilds
-    /// the ring, reconciles membership (new members start up, departed
-    /// members are forgotten, failure-detector marks survive) and this
-    /// node's own lifecycle ([`Self::reconcile_self_status`]), re-aims
-    /// obligations aimed at departed nodes, owes the data motion
-    /// the *pre/post-merge ownership diff* implies (donations to owners
-    /// that gained ranges, retirement of residual copies this node holds
-    /// but no longer owns), and pushes the view on eagerly. Returns
-    /// `(changed, sender_lacks)` as reported by [`RingView::absorb`].
-    fn merge_view(
-        &mut self,
-        ctx: &mut impl NodeCtx<M>,
-        view: &RingView<ReplicaId>,
-    ) -> (bool, bool) {
-        let (changed, sender_lacks) = self.view.absorb(view);
-        if changed {
-            self.after_view_change(ctx);
-        }
-        (changed, sender_lacks)
-    }
-
-    /// Everything adopting a changed view implies, regardless of how the
-    /// change arrived (full view push or delta): rebuild routing state,
-    /// reconcile membership and lifecycle, re-aim obligations, owe the
-    /// ownership-diff data motion, and gossip the news on.
+    /// Adopts a changed view: rebuilds the ring, reconciles membership
+    /// (new members start up, departed members are forgotten,
+    /// failure-detector marks survive) and this node's own lifecycle
+    /// ([`Self::reconcile_self_status`]), re-aims obligations aimed at
+    /// departed nodes, owes the data motion the *pre/post-merge ownership
+    /// diff* implies (donations to owners that gained ranges, retirement
+    /// of residual copies this node holds but no longer owns), and pushes
+    /// the view on eagerly.
     fn after_view_change(&mut self, ctx: &mut impl NodeCtx<M>) {
         let old_ring = std::mem::replace(&mut self.ring, self.view.to_ring(self.config.vnodes));
         self.data.repartition(self.ring.token_points().collect());
@@ -1689,10 +1577,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             // digest mismatches (e.g. clients still routing to a retired
             // leaver) with its own view.
             match msg {
-                Msg::RingEpoch { .. }
-                | Msg::RingSummary { .. }
-                | Msg::RingDelta { .. }
-                | Msg::GossipDigest { .. } => self.handle(ctx, from, msg),
+                Msg::RingEpoch { .. } | Msg::GossipDigest { .. } => self.handle(ctx, from, msg),
                 Msg::AaeRoot { digest, .. }
                 | Msg::ClientGet { digest, .. }
                 | Msg::ClientPut { digest, .. } => self.note_peer_digest(ctx, from, digest),
@@ -1794,46 +1679,21 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 self.note_peer_digest(ctx, from, digest);
                 let peer = ReplicaId(from.0);
                 // cached per-arc roots XOR-combine: comparing costs
-                // O(dirty + arcs), the full summary is only assembled on
+                // O(dirty + arcs), the arc roots are only listed on
                 // mismatch
                 self.data.flush();
                 if self.shared_summary_root(peer) != root {
-                    // "Shared" is only well-defined under identical
-                    // views: answering a misaligned root with leaves
-                    // built under OUR view makes the initiator diff them
-                    // under ITS view — in the worst case (peer absent
-                    // from our ring mid-churn) an empty push that the
-                    // initiator answers by shipping every key it thinks
-                    // we share. Skip the round; note_peer_digest above
-                    // already started the realignment and the next AAE
-                    // tick retries with aligned views.
+                    // "Shared" and arc indices are only well-defined
+                    // under identical views: arc roots listed under OUR
+                    // view would be compared under ITS view. Skip the
+                    // round; note_peer_digest above already started the
+                    // realignment and the next AAE tick retries with
+                    // aligned views.
                     if digest != self.view.digest() {
                         return;
                     }
-                    let use_arcs = match self.config.delta_aae {
-                        DeltaPolicy::Full => false,
-                        DeltaPolicy::Force => true,
-                        // with only a handful of arcs the root list
-                        // saves little over the leaves themselves
-                        DeltaPolicy::Auto => self.ring.arc_count() >= 8,
-                    };
-                    if use_arcs {
-                        let arcs = self.shared_arc_roots(peer);
-                        let digest = self.view.digest();
-                        self.send(ctx, from, Msg::AaeArcRoots { arcs, digest });
-                    } else {
-                        let leaves = self.shared_summary(peer).leaves();
-                        let digest = self.view.digest();
-                        self.send(
-                            ctx,
-                            from,
-                            Msg::AaeLeaves {
-                                leaves,
-                                arcs: None,
-                                digest,
-                            },
-                        );
-                    }
+                    let arcs = self.shared_arc_roots(peer);
+                    self.send(ctx, from, Msg::AaeArcRoots { arcs, digest });
                 }
             }
             Msg::AaeArcRoots { arcs, digest } => {
@@ -1865,8 +1725,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                     // next round settles it
                     return;
                 }
-                // divergence is an initiator-side statistic, counted here
-                // on the delta path (and on receiving full leaves below)
+                // divergence is an initiator-side statistic
                 self.stats.aae_divergent += 1;
                 // send even when our scoped summary is empty: the peer
                 // may hold keys in these arcs that we lack entirely
@@ -1876,7 +1735,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                     from,
                     Msg::AaeLeaves {
                         leaves,
-                        arcs: Some(differing),
+                        arcs: differing,
                         digest,
                     },
                 );
@@ -1887,21 +1746,15 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 digest,
             } => {
                 if digest != self.view.digest() {
-                    // leaves (scoped or full) are only meaningful under
-                    // the view they were built by; realign and retry
-                    // next tick
+                    // arc indices are only meaningful under the view the
+                    // leaves were built by; realign and retry next tick
                     self.note_peer_digest(ctx, from, digest);
                     return;
                 }
-                self.note_peer_digest(ctx, from, digest);
                 self.data.flush();
-                let peer = ReplicaId(from.0);
-                let mine = match &arcs {
-                    // delta exchange: compare only within the arcs the
-                    // initiator proved divergent
-                    Some(list) => self.shared_summary_scoped(peer, list),
-                    None => self.shared_summary(peer),
-                };
+                // compare only within the arcs the initiator proved
+                // divergent
+                let mine = self.shared_summary_scoped(ReplicaId(from.0), &arcs);
                 let mut theirs = MerkleSummary::new();
                 for (k, h) in leaves {
                     theirs.set(k, h);
@@ -1912,12 +1765,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                     if !keys.contains(&k) {
                         keys.push(k);
                     }
-                }
-                if !keys.is_empty() && arcs.is_none() {
-                    // full-push form: this node initiated the round, so
-                    // the divergence is counted here (the delta form
-                    // counts it when the arc roots differ)
-                    self.stats.aae_divergent += 1;
                 }
                 let states: Vec<(Key, M::State)> = keys
                     .iter()
@@ -1943,12 +1790,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             }
             Msg::RingEpoch { view } => {
                 self.handle_ring_epoch(ctx, from, &view);
-            }
-            Msg::RingSummary { entries } => {
-                self.handle_ring_summary(ctx, from, &entries);
-            }
-            Msg::RingDelta { entries, want } => {
-                self.handle_ring_delta(ctx, from, &entries, &want);
             }
             Msg::GossipDigest { digest } => {
                 self.note_peer_digest(ctx, from, digest);

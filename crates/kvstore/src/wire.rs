@@ -15,9 +15,8 @@
 //! `Mechanism::metadata_size` (the state's layout without its values).
 //!
 //! Composite fields reuse the delta codecs in [`dvv::encode`]: sorted-id
-//! gap deltas for member/arc/want lists, bit-packed value runs for
-//! summaries and roots, and shared-prefix key deltas for leaf and entry
-//! lists.
+//! gap deltas for member and arc lists, bit-packed value runs for arc
+//! roots, and shared-prefix key deltas for leaf and entry lists.
 
 use dvv::encode::{
     get_id_value_pairs, get_key_delta, get_sorted_ids, put_id_value_pairs, put_key_delta,
@@ -115,30 +114,6 @@ pub fn get_bool(d: &mut Decoder<'_>) -> Result<bool, DecodeError> {
     }
 }
 
-/// Appends a sorted replica-id list as gap deltas.
-pub fn put_replica_ids<S: Sink>(buf: &mut S, ids: &[ReplicaId]) {
-    let raw: Vec<u64> = ids.iter().map(|r| u64::from(r.0)).collect();
-    put_sorted_ids(buf, &raw);
-}
-
-/// Reads back a [`put_replica_ids`] list.
-///
-/// # Errors
-///
-/// Any [`DecodeError`] on malformed input.
-pub fn get_replica_ids(d: &mut Decoder<'_>) -> Result<Vec<ReplicaId>, DecodeError> {
-    get_sorted_ids(d)?
-        .into_iter()
-        .map(|id| {
-            u32::try_from(id)
-                .map(ReplicaId)
-                .map_err(|_| DecodeError::InvalidValue {
-                    reason: "replica id out of range",
-                })
-        })
-        .collect()
-}
-
 /// Appends a sorted arc-index list as gap deltas.
 pub fn put_arc_list<S: Sink>(buf: &mut S, arcs: &[u32]) {
     let raw: Vec<u64> = arcs.iter().map(|a| u64::from(*a)).collect();
@@ -157,31 +132,6 @@ pub fn get_arc_list(d: &mut Decoder<'_>) -> Result<Vec<u32>, DecodeError> {
             u32::try_from(id).map_err(|_| DecodeError::InvalidValue {
                 reason: "arc index out of range",
             })
-        })
-        .collect()
-}
-
-/// Appends sorted `(replica, summary-key)` pairs — a view summary — as
-/// gap-delta ids plus a bit-packed key run.
-pub fn put_summary<S: Sink>(buf: &mut S, summary: &[(ReplicaId, u64)]) {
-    let pairs: Vec<(u64, u64)> = summary.iter().map(|(r, k)| (u64::from(r.0), *k)).collect();
-    put_id_value_pairs(buf, &pairs);
-}
-
-/// Reads back a [`put_summary`] summary.
-///
-/// # Errors
-///
-/// Any [`DecodeError`] on malformed input.
-pub fn get_summary(d: &mut Decoder<'_>) -> Result<Vec<(ReplicaId, u64)>, DecodeError> {
-    get_id_value_pairs(d)?
-        .into_iter()
-        .map(|(id, k)| {
-            u32::try_from(id)
-                .map(|r| (ReplicaId(r), k))
-                .map_err(|_| DecodeError::InvalidValue {
-                    reason: "replica id out of range",
-                })
         })
         .collect()
 }
@@ -211,9 +161,8 @@ pub fn get_arc_roots(d: &mut Decoder<'_>) -> Result<Vec<(u32, u64)>, DecodeError
         .collect()
 }
 
-/// Appends member entries — the ring-view body and the `RingDelta`
-/// payload share this form: gap-delta member ids, per-member varint
-/// incarnations, and 2-bit-packed statuses.
+/// Appends member entries — the ring-view body: gap-delta member ids,
+/// per-member varint incarnations, and 2-bit-packed statuses.
 pub fn put_member_entries<S: Sink>(buf: &mut S, entries: &[(ReplicaId, MemberEntry)]) {
     let ids: Vec<u64> = entries.iter().map(|(r, _)| u64::from(r.0)).collect();
     put_sorted_ids(buf, &ids);
@@ -358,13 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_and_arc_roots_roundtrip() {
-        let summary = vec![(ReplicaId(0), 5u64), (ReplicaId(2), 9), (ReplicaId(9), 4)];
-        let mut buf = Vec::new();
-        put_summary(&mut buf, &summary);
-        let mut d = Decoder::new(&buf);
-        assert_eq!(get_summary(&mut d).unwrap(), summary);
-
+    fn arc_roots_roundtrip() {
         let arcs = vec![(3u32, 0xdead_beef_u64), (17, 42), (900, u64::MAX)];
         let mut buf = Vec::new();
         put_arc_roots(&mut buf, &arcs);

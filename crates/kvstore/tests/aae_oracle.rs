@@ -11,20 +11,28 @@
 //! * deterministic cluster scenarios drive the full protocol stack —
 //!   puts, deletes, read repair, AAE, hinted handoff, range transfers,
 //!   partitions, live join/leave churn, GC — and audit every member's
-//!   index at multiple observation points, mid-flight included.
+//!   index at multiple observation points, mid-flight included;
+//! * arc indices a peer sends past the ring's end, or for an arc the two
+//!   do not share, neither panic the receiver nor widen the exchange.
 //!
 //! The nightly soak lane runs this at high `PROPTEST_CASES` and with the
 //! extra churn seeds (`workloads::churn_seeds`).
 
-use dvv::mechanisms::DvvMechanism;
-use dvv::ReplicaId;
-use kvstore::cluster::{Cluster, ClusterConfig};
+use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
+use dvv::{ClientId, ReplicaId, VersionVector};
+use kvstore::cluster::{Cluster, ClusterConfig, StoreProc};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::data::DataStore;
 use kvstore::merkle::fingerprint;
+use kvstore::messages::Msg;
+use kvstore::node::StoreNode;
+use kvstore::value::{Key, StampedValue, WriteId};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use simnet::{Duration, NodeId};
+use ring::RingView;
+use simnet::{Duration, NetworkConfig, NodeId, Process, ProcessCtx, Simulation, TimerId};
+
+type M = DvvMechanism;
 
 /// One abstract mutation of a data store / its AAE index.
 #[derive(Clone, Debug)]
@@ -150,9 +158,7 @@ fn cluster_churn_keeps_incremental_summaries_equal_to_rebuild() {
                 w: 2,
                 anti_entropy_interval: Duration::from_millis(50),
                 ..StoreConfig::default()
-            }
-            // the soak lane re-runs this suite with DELTA_PROTOCOLS=force
-            .with_env_delta(),
+            },
             client: ClientConfig {
                 key_count: 8,
                 delete_fraction: 0.15,
@@ -247,4 +253,158 @@ fn aae_repair_behaviour_is_unchanged_by_the_incremental_summaries() {
         c.anomaly_report()
     };
     assert!(report.is_clean(), "{report:?}");
+}
+
+/// A server that records the `AaeLeaves` and `AaeStates` it receives,
+/// and relays anything posted to it on to `peer` — so the peer sees the
+/// message arrive from this server, as a hostile or buggy peer would send
+/// it.
+struct Relay {
+    node: StoreProc<M>,
+    peer: NodeId,
+    received: Vec<Msg<M>>,
+}
+
+impl Process for Relay {
+    type Msg = Msg<M>;
+
+    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, from: NodeId, msg: Msg<M>) {
+        if from == ctx.id() {
+            ctx.send(self.peer, msg, 0);
+            return;
+        }
+        if matches!(msg, Msg::AaeLeaves { .. } | Msg::AaeStates { .. }) {
+            self.received.push(msg.clone());
+        }
+        self.node.on_message(ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, timer: TimerId) {
+        self.node.on_timer(ctx, timer);
+    }
+}
+
+#[test]
+fn hostile_arc_indices_are_skipped_not_trusted() {
+    // Arc indices are positions in the ring's token order, meaningful only
+    // under the view both ends hold. A peer with a matching digest can
+    // still name arcs past the end of the ring, or a real arc the two do
+    // not share. Such indices must neither panic the receiver nor widen
+    // the exchange: node 1 holds a key in an arc it shares with node 0 and
+    // one in an arc node 0 does not replicate, and only the first may
+    // travel.
+    let mech = DvvMechanism;
+    let view = RingView::from_members([ReplicaId(0), ReplicaId(1), ReplicaId(2)]);
+    let cfg = StoreConfig {
+        n: 2,
+        r: 1,
+        w: 1,
+        anti_entropy_interval: Duration::ZERO,
+        gossip_interval: Duration::ZERO,
+        handoff_interval: Duration::ZERO,
+        vnodes: 16,
+        ..StoreConfig::default()
+    };
+    let ring = view.to_ring(cfg.vnodes);
+    let arc_of = |key: &Key| ring::arc_index(ring.arc_bounds(), ring::hash_key(key));
+    let shared = |arc: usize| {
+        let prefs = ring.arc_prefs(arc, cfg.n);
+        prefs.contains(&ReplicaId(0)) && prefs.contains(&ReplicaId(1))
+    };
+    let keys: Vec<Key> = (0..1_000)
+        .map(|i| format!("key-{i}").into_bytes())
+        .collect();
+    let in_shared = keys.iter().find(|k| shared(arc_of(k))).unwrap().clone();
+    let outside = keys
+        .iter()
+        .find(|k| {
+            let prefs = ring.arc_prefs(arc_of(k), cfg.n);
+            prefs.contains(&ReplicaId(1)) && !prefs.contains(&ReplicaId(0))
+        })
+        .unwrap()
+        .clone();
+    let (s, x) = (arc_of(&in_shared) as u32, arc_of(&outside) as u32);
+    let hostile = {
+        let mut arcs = vec![s, x, ring.arc_count() as u32, u32::MAX];
+        arcs.sort_unstable();
+        arcs
+    };
+
+    let relay = |replica: u32, peer: u32| Relay {
+        node: StoreProc::Server(StoreNode::new(ReplicaId(replica), mech, cfg, view.clone())),
+        peer: NodeId(peer),
+        received: Vec::new(),
+    };
+    let mut sim = Simulation::new(
+        5,
+        NetworkConfig::default(),
+        vec![relay(0, 1), relay(1, 0), relay(2, 0)],
+    );
+    let mut st = <M as Mechanism<StampedValue>>::State::default();
+    mech.write(
+        &mut st,
+        WriteOrigin::new(ReplicaId(1), ClientId(1)),
+        &VersionVector::new(),
+        StampedValue::new(WriteId::new(ClientId(1), 1), vec![0xAB; 24]),
+    );
+    if let StoreProc::Server(node) = &mut sim.process_mut(1).node {
+        node.merge_state_direct(&in_shared, &st);
+        node.merge_state_direct(&outside, &st);
+    }
+    let digest = view.digest();
+    let settle = |sim: &mut Simulation<Relay>| {
+        let until = sim.now() + Duration::from_millis(50);
+        sim.run_until(until);
+    };
+
+    // node 1 → node 0: per-arc roots, every listed arc claiming data
+    let arcs = hostile.iter().map(|&a| (a, u64::from(a) + 1)).collect();
+    sim.post(NodeId(1), Msg::AaeArcRoots { arcs, digest });
+    settle(&mut sim);
+    // node 0 answered the roots by narrowing to the one shared arc
+    let narrowed: Vec<Vec<u32>> = sim
+        .process(1)
+        .received
+        .iter()
+        .filter_map(|m| match m {
+            Msg::AaeLeaves { arcs, .. } => Some(arcs.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(narrowed, vec![vec![s]]);
+    // node 0 → node 1: leaves scoped to every hostile arc, listing no key
+    sim.post(
+        NodeId(0),
+        Msg::AaeLeaves {
+            leaves: Vec::new(),
+            arcs: hostile,
+            digest,
+        },
+    );
+    settle(&mut sim);
+    // each of node 1's two replies stayed inside the shared arc
+    let replies: Vec<Vec<Key>> = sim
+        .process(0)
+        .received
+        .iter()
+        .filter_map(|m| match m {
+            Msg::AaeStates { states, want } => Some(
+                states
+                    .iter()
+                    .map(|(k, _)| k.clone())
+                    .chain(want.clone())
+                    .collect(),
+            ),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replies.len(), 2, "one reply per leaf exchange");
+    for keys in replies {
+        assert!(!keys.is_empty());
+        assert!(keys.iter().all(|k| *k == in_shared), "{keys:?}");
+    }
 }

@@ -467,9 +467,7 @@ fn elastic_churn_with_partition_is_oracle_clean_across_seeds() {
                 w: 2,
                 anti_entropy_interval: Duration::from_millis(50),
                 ..StoreConfig::default()
-            }
-            // the soak lane re-runs this suite with DELTA_PROTOCOLS=force
-            .with_env_delta(),
+            },
             client: ClientConfig {
                 key_count: 6,
                 ..ClientConfig::default()

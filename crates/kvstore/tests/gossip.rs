@@ -781,15 +781,13 @@ fn a_leave_drain_waits_for_a_hinted_copy_it_holds() {
 }
 
 #[test]
-fn forced_delta_gossip_converges_incomparable_views_with_tombstones() {
+fn gossip_converges_incomparable_views_with_tombstones() {
     // Two members whose views are *incomparable*: node 0 holds a newer
     // incarnation of its own entry, node 1 holds a tombstone node 0 has
-    // never seen. Under `DeltaPolicy::Force` every reconciliation runs
-    // the summary/delta protocol — this pins the push-back half: a
-    // receiver that merges a delta and finds the sender lacked entries
-    // must send those entries back (through the same centralized merge
-    // as a full push), or the tombstone side never learns the bump and
-    // the digests never meet.
+    // never seen. This pins the push-back half of the view push: a
+    // receiver that merges a view and finds the sender lacked entries
+    // must push the merged view back, or the side that spoke first never
+    // learns what it lacked and the digests never meet.
     let mech = DvvMechanism;
     let base = RingView::from_members([ReplicaId(0), ReplicaId(1)]);
     let mut va = base.clone();
@@ -808,7 +806,6 @@ fn forced_delta_gossip_converges_incomparable_views_with_tombstones() {
         anti_entropy_interval: Duration::ZERO,
         handoff_interval: Duration::ZERO,
         gossip_interval: Duration::from_millis(20),
-        delta_views: kvstore::DeltaPolicy::Force,
         vnodes: 16,
         ..StoreConfig::default()
     };
@@ -829,7 +826,7 @@ fn forced_delta_gossip_converges_incomparable_views_with_tombstones() {
     assert_eq!(
         a.view_digest(),
         expected.digest(),
-        "node 0 must have merged the tombstone via the delta exchange"
+        "node 0 must have merged the tombstone"
     );
     assert_eq!(
         b.view_digest(),
@@ -1013,9 +1010,7 @@ fn churn_under_partition_leaves_no_residual_copies_across_seeds() {
                 w: 2,
                 anti_entropy_interval: Duration::from_millis(50),
                 ..StoreConfig::default()
-            }
-            // the soak lane re-runs this suite with DELTA_PROTOCOLS=force
-            .with_env_delta(),
+            },
             client: ClientConfig {
                 key_count: 6,
                 ..ClientConfig::default()

@@ -35,9 +35,7 @@ fn overlap_config(seed_keys: usize) -> ClusterConfig {
             w: 2,
             anti_entropy_interval: Duration::from_millis(50),
             ..StoreConfig::default()
-        }
-        // the soak lane re-runs this suite with DELTA_PROTOCOLS=force
-        .with_env_delta(),
+        },
         client: ClientConfig {
             key_count: seed_keys,
             ..ClientConfig::default()

@@ -43,8 +43,7 @@ fn durable_config(servers: usize, clients: usize, cycles: u32) -> ClusterConfig 
             w: 2,
             anti_entropy_interval: Duration::from_millis(50),
             ..StoreConfig::default()
-        }
-        .with_env_delta(),
+        },
         client: ClientConfig {
             key_count: 6,
             ..ClientConfig::default()

@@ -1,7 +1,7 @@
-//! Bytes-on-the-wire: the delta protocols (summary/delta view gossip,
-//! arc-scoped anti-entropy) must converge the SAME scenario to the SAME
-//! states as the full-push protocols — while spending a small fraction
-//! of the reconciliation bytes.
+//! Bytes-on-the-wire: the reconciliation protocols (full ring-view
+//! pushes, arc-scoped anti-entropy) must converge a scripted scenario to
+//! the states the script implies — and spend exactly the bytes pinned
+//! here doing it.
 //!
 //! The scenario is clientless and fully scripted so every run sees an
 //! identical write set: a preloaded keyspace, live churn (a join and a
@@ -18,7 +18,6 @@ use kvstore::cluster::{Cluster, ClusterConfig, StoreProc};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::messages::{Msg, MsgClass, WireStats};
 use kvstore::value::{Key, StampedValue, WriteId};
-use kvstore::DeltaPolicy;
 use ring::HashRing;
 use simnet::{Duration, NodeId};
 
@@ -27,22 +26,20 @@ type State = <M as Mechanism<StampedValue>>::State;
 
 const SERVERS: u32 = 6;
 const N: usize = 3;
-/// Large enough that a full leaf push (every shared key) dwarfs the
-/// per-arc root exchange — the regime the delta protocol targets.
+/// Large enough that a full leaf push (every shared key) would dwarf the
+/// per-arc root exchange — the regime arc-scoped anti-entropy targets.
 const KEYS: usize = 20_000;
 /// Kept small so divergence stays concentrated in a few arcs.
 const DIVERGENT: usize = 10;
 
-/// Bytes-to-convergence of the scenario at `PINNED_SEED`, as
-/// (reconciliation, anti-entropy, membership, total): the full-push
-/// protocols, then the delta protocols (`Auto` and `Force` agree here).
-/// Same seed, same simulator, same count on every machine, so any
-/// difference is a wire-format or protocol change. A deliberate one
-/// updates these numbers in the same change and records the before and
-/// after in CHANGES.md.
+/// Bytes-to-convergence of the scenario at `PINNED_SEED`, per message
+/// class in `MsgClass::ALL` order (client, replication, anti-entropy,
+/// membership, transfer, handoff). Same seed, same simulator, same count
+/// on every machine, so any difference is a wire-format or protocol
+/// change. A deliberate one updates these numbers in the same change and
+/// records the before and after in CHANGES.md.
 const PINNED_SEED: u64 = 31;
-const FULL_BYTES: [u64; 4] = [445_450, 438_299, 7_151, 2_496_748];
-const DELTA_BYTES: [u64; 4] = [32_602, 25_878, 6_724, 2_083_900];
+const BYTES: [u64; 6] = [0, 0, 25_867, 7_151, 1_793_777, 257_521];
 
 fn preload_state(origin: ReplicaId, key_idx: usize) -> State {
     let mech = DvvMechanism;
@@ -60,11 +57,12 @@ fn preload_state(origin: ReplicaId, key_idx: usize) -> State {
 }
 
 /// A read-modify-write at `origin`'s replica: reads the node's current
-/// state and context, writes a superseding value on top. Minting the
-/// dot against the live state (rather than an empty one) is what makes
-/// the write a NEW event — a write built on an empty state would reuse
-/// dot `(origin, 1)` and vanish into the preload on merge.
-fn inject_write(c: &mut Cluster<M>, origin: ReplicaId, key: &Key, wave: u64, i: u64) {
+/// state and context, writes a superseding value on top, and returns the
+/// state written. Minting the dot against the live state (rather than an
+/// empty one) is what makes the write a NEW event — a write built on an
+/// empty state would reuse dot `(origin, 1)` and vanish into the preload
+/// on merge.
+fn inject_write(c: &mut Cluster<M>, origin: ReplicaId, key: &Key, wave: u64, i: u64) -> State {
     let mech = DvvMechanism;
     let client = ClientId(7_000 + wave);
     let mut st = c
@@ -83,11 +81,16 @@ fn inject_write(c: &mut Cluster<M>, origin: ReplicaId, key: &Key, wave: u64, i: 
     if let StoreProc::Server(s) = c.sim_mut().process_mut(origin.0 as usize) {
         s.merge_state_direct(key, &st);
     }
+    st
 }
 
-/// Runs the scripted churn+heal+AAE scenario under `policy` and returns
-/// the cluster (quiesced, NOT harness-converged) for inspection.
-fn run_scenario(seed: u64, policy: DeltaPolicy) -> Cluster<M> {
+/// Runs the scripted churn+heal+AAE scenario and returns the cluster
+/// (quiesced, NOT harness-converged) with the model the script implies:
+/// every key's final state. A key that never diverged keeps its preload;
+/// a divergent key ends at its last wave's write, whose causal past
+/// holds every earlier wave's write (each wave reads the origin's state,
+/// and only the origin writes).
+fn run_scenario(seed: u64) -> (Cluster<M>, BTreeMap<Key, State>) {
     let mut cfg = ClusterConfig {
         servers: SERVERS as usize,
         spare_servers: 1,
@@ -99,8 +102,6 @@ fn run_scenario(seed: u64, policy: DeltaPolicy) -> Cluster<M> {
             w: 2,
             anti_entropy_interval: Duration::from_millis(100),
             gossip_interval: Duration::from_millis(300),
-            delta_views: policy,
-            delta_aae: policy,
             ..StoreConfig::default()
         },
         client: ClientConfig::default(),
@@ -114,6 +115,7 @@ fn run_scenario(seed: u64, policy: DeltaPolicy) -> Cluster<M> {
     let keys: Vec<Key> = (0..KEYS)
         .map(|i| format!("user:{i:04}").into_bytes())
         .collect();
+    let mut model = BTreeMap::new();
     for (i, key) in keys.iter().enumerate() {
         let prefs = ring.preference_list(key, N);
         let st = preload_state(prefs[0], i);
@@ -122,12 +124,13 @@ fn run_scenario(seed: u64, policy: DeltaPolicy) -> Cluster<M> {
                 s.merge_state_direct(key, &st);
             }
         }
+        model.insert(key.clone(), st);
     }
     c.run_for(Duration::from_millis(150));
 
     // live churn first: the spare joins, a founding member drains out.
     // The join's transfer/AAE interleaving is paid here, before the
-    // measurement-relevant divergence waves, under every policy alike.
+    // measurement-relevant divergence waves.
     assert!(c.add_node_live(SERVERS as usize), "join settles");
     assert!(c.remove_node_live(0), "leave settles");
     c.run_for(Duration::from_secs(1));
@@ -140,14 +143,9 @@ fn run_scenario(seed: u64, policy: DeltaPolicy) -> Cluster<M> {
     let victim = ReplicaId(1);
     let post_ring = HashRing::with_vnodes((1..=SERVERS).map(ReplicaId), Cluster::<M>::VNODES);
     let bounds = post_ring.arc_bounds();
-    let arc_of = |key: &Key| -> usize {
-        let p = ring::hash_key(key);
-        // arc i covers (bounds[i-1], bounds[i]]; arc 0 wraps
-        bounds.partition_point(|b| *b < p) % bounds.len()
-    };
     let mut by_arc: BTreeMap<usize, Vec<Key>> = BTreeMap::new();
     for k in &keys {
-        let idx = arc_of(k);
+        let idx = ring::arc_index(bounds, ring::hash_key(k));
         if post_ring.arc_prefs(idx, N).contains(&victim) {
             by_arc.entry(idx).or_default().push(k.clone());
         }
@@ -171,9 +169,9 @@ fn run_scenario(seed: u64, policy: DeltaPolicy) -> Cluster<M> {
         let others: Vec<NodeId> = (0..SERVERS + 1).map(NodeId).filter(|n| n.0 != 1).collect();
         c.sim_mut().network_mut().partition_two(others, [NodeId(1)]);
         c.set_replica_status(victim, false);
-        let writes = divergent.clone();
-        for (i, key) in writes.iter().enumerate() {
-            inject_write(&mut c, origin, key, wave, i as u64);
+        for (i, key) in divergent.iter().enumerate() {
+            let written = inject_write(&mut c, origin, key, wave, i as u64);
+            model.insert(key.clone(), written);
         }
         c.run_for(Duration::from_millis(400));
         c.sim_mut().network_mut().heal();
@@ -183,9 +181,10 @@ fn run_scenario(seed: u64, policy: DeltaPolicy) -> Cluster<M> {
 
     // quiesce: AAE, handoff and transfer retries finish their work
     c.run_for(Duration::from_secs(3));
-    c
+    (c, model)
 }
 
+/// Every member slot's stored keys and states.
 fn slot_contents(c: &Cluster<M>) -> BTreeMap<usize, BTreeMap<Key, State>> {
     c.member_slots()
         .into_iter()
@@ -201,106 +200,76 @@ fn slot_contents(c: &Cluster<M>) -> BTreeMap<usize, BTreeMap<Key, State>> {
         .collect()
 }
 
-/// The pinned quantities of one run, in `FULL_BYTES`' order.
-fn byte_counts(c: &Cluster<M>) -> [u64; 4] {
-    let r = c.wire_report();
-    [
-        r.reconciliation_bytes(),
-        r.bytes(MsgClass::AntiEntropy),
-        r.bytes(MsgClass::Membership),
-        r.total_bytes(),
-    ]
+/// What every member slot must hold once the scenario converged: each
+/// key's modelled state at each of its final owners, nothing anywhere
+/// else.
+fn model_contents(
+    c: &Cluster<M>,
+    model: &BTreeMap<Key, State>,
+) -> BTreeMap<usize, BTreeMap<Key, State>> {
+    let ring = c.view().to_ring(Cluster::<M>::VNODES);
+    let mut slots: BTreeMap<usize, BTreeMap<Key, State>> = c
+        .member_slots()
+        .into_iter()
+        .map(|i| (i, BTreeMap::new()))
+        .collect();
+    for (key, st) in model {
+        for owner in ring.preference_list(key, N) {
+            let slot = slots
+                .get_mut(&(owner.0 as usize))
+                .expect("owners are members");
+            slot.insert(key.clone(), st.clone());
+        }
+    }
+    slots
 }
 
-const POLICIES: [(&str, DeltaPolicy); 3] = [
-    ("full", DeltaPolicy::Full),
-    ("auto", DeltaPolicy::Auto),
-    ("force", DeltaPolicy::Force),
-];
-
-/// Runs the scenario at `seed` under every policy, in `POLICIES`' order,
-/// and checks what must hold at any seed: each run converged on its own,
-/// all converged to identical states, and the delta runs spent at least
-/// 5x fewer reconciliation bytes than the full-push run.
-fn converge_under_every_policy(seed: u64) -> [Cluster<M>; 3] {
-    let runs = POLICIES.map(|(_, policy)| run_scenario(seed, policy));
-    let [full, auto, force] = &runs;
-
-    // every run converged on its own (no harness converge)
-    for c in &runs {
-        for i in c.member_slots() {
-            assert_eq!(
-                c.server(i).view_digest(),
-                c.view_digest(),
-                "seed {seed}: server {i} view diverged"
-            );
-        }
-        let residuals = c.residual_copies();
-        assert!(
-            residuals.is_empty(),
-            "seed {seed}: residual copies: {residuals:?}"
+/// Runs the scenario at `seed` and checks what must hold at any seed: it
+/// converged on its own (no harness converge) — one view everywhere, no
+/// copy outside its preference list — to exactly the model's states.
+fn converges_to_the_model(seed: u64) -> Cluster<M> {
+    let (c, model) = run_scenario(seed);
+    for i in c.member_slots() {
+        assert_eq!(
+            c.server(i).view_digest(),
+            c.view_digest(),
+            "seed {seed}: server {i} view diverged"
         );
     }
-
-    // equivalence oracle: byte-identical membership, byte-identical
-    // per-slot key states — the delta protocols are an encoding
-    // change, not a behaviour change
-    let full_slots = slot_contents(full);
-    for (name, delta) in [("auto", auto), ("force", force)] {
-        assert_eq!(
-            full.view_digest(),
-            delta.view_digest(),
-            "seed {seed} {name}: final views must be identical"
-        );
-        assert_eq!(
-            full_slots,
-            slot_contents(delta),
-            "seed {seed} {name}: delta and full runs must converge to identical states"
-        );
-    }
-
-    // the headline: reconciliation traffic (membership + AAE) drops
-    // by at least 5x; transfers/handoff move the same key states
-    // under either protocol and are excluded by construction.
+    let residuals = c.residual_copies();
+    assert!(
+        residuals.is_empty(),
+        "seed {seed}: residual copies: {residuals:?}"
+    );
     // (captured unless an assert below fails — diagnostics)
-    for ((name, _), c) in POLICIES.iter().zip(&runs) {
-        let r = c.wire_report();
-        for class in MsgClass::ALL {
-            eprintln!(
-                "seed {seed} {name}: {} = {} bytes / {} msgs",
-                class.name(),
-                r.bytes(class),
-                r.msgs(class)
-            );
-        }
-    }
-    let fb = full.wire_report().reconciliation_bytes();
-    for (name, delta) in [("auto", auto), ("force", force)] {
-        let db = delta.wire_report().reconciliation_bytes();
-        assert!(db > 0, "seed {seed} {name}: delta run must have reconciled");
-        assert!(
-            fb >= 5 * db,
-            "seed {seed} {name}: expected >= 5x reconciliation savings, got {fb} vs {db} ({:.1}x)",
-            fb as f64 / db as f64
+    let r = c.wire_report();
+    for class in MsgClass::ALL {
+        eprintln!(
+            "seed {seed}: {} = {} bytes / {} msgs",
+            class.name(),
+            r.bytes(class),
+            r.msgs(class)
         );
     }
-    runs
+    assert!(
+        slot_contents(&c) == model_contents(&c, &model),
+        "seed {seed}: final states differ from the scripted model"
+    );
+    c
 }
 
 #[test]
-fn delta_protocols_converge_identically_and_shrink_reconciliation_bytes() {
-    let runs = converge_under_every_policy(PINNED_SEED);
-    let pinned = [FULL_BYTES, DELTA_BYTES, DELTA_BYTES];
-    for (((name, _), c), bytes) in POLICIES.iter().zip(&runs).zip(pinned) {
-        assert_eq!(
-            byte_counts(c),
-            bytes,
-            "seed {PINNED_SEED} {name}: (reconciliation, anti-entropy, membership, total) bytes"
-        );
-    }
+fn churn_converges_to_the_scripted_model_at_the_pinned_bytes() {
+    let c = converges_to_the_model(PINNED_SEED);
+    let r = c.wire_report();
+    assert_eq!(
+        MsgClass::ALL.map(|class| r.bytes(class)),
+        BYTES,
+        "seed {PINNED_SEED}: bytes per class"
+    );
     // the soak lane's EXTRA_CHURN_SEEDS
     for seed in workloads::churn_seeds(&[]) {
-        converge_under_every_policy(seed);
+        converges_to_the_model(seed);
     }
 }
 
@@ -309,7 +278,7 @@ fn delta_protocols_converge_identically_and_shrink_reconciliation_bytes() {
 /// parts.
 #[test]
 fn wire_report_attributes_bytes_per_class() {
-    let c = run_scenario(97, DeltaPolicy::Auto);
+    let (c, _) = run_scenario(97);
     let report: WireStats = c.wire_report();
     for class in [
         MsgClass::AntiEntropy,

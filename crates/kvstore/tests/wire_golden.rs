@@ -15,9 +15,12 @@
 //! self-delimiting layout (for DVV, a sibling count where the length
 //! byte was), and a context lost its length byte. Every state- or
 //! context-bearing entry was regenerated then, and `MECHANISMS` was
-//! added to pin all eight mechanisms' layouts, not only DVV's. The
-//! format itself is written up in `doc/wire_format.md`, which the last
-//! test here keeps honest.
+//! added to pin all eight mechanisms' layouts, not only DVV's. A third
+//! retired the summary/delta view exchange (tags 21, 22) and the
+//! unscoped `AaeLeaves` form: their three entries left the table, the
+//! scoped `AaeLeaves` entry lost its presence byte, and no other entry's
+//! bytes moved. The format itself is written up in `doc/wire_format.md`,
+//! which the last test here keeps honest.
 
 use dvv::mechanisms::{
     CausalHistoryMechanism, DvvMechanism, DvvSetMechanism, LamportMechanism, Mechanism,
@@ -116,7 +119,6 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
     let tomb = StampedValue::tombstone(WriteId::new(ClientId(1 << 40), 77));
     let values = vec![value(7, 1, b"first"), tomb.clone()];
     let view = view();
-    let delta: Vec<_> = view.iter().skip(2).map(|(r, e)| (*r, *e)).collect();
     vec![
         (
             "ClientGet",
@@ -194,18 +196,10 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
             },
         ),
         (
-            "AaeLeaves/unscoped",
-            Msg::AaeLeaves {
-                leaves: leaves(),
-                arcs: None,
-                digest,
-            },
-        ),
-        (
             "AaeLeaves/scoped",
             Msg::AaeLeaves {
                 leaves: leaves(),
-                arcs: Some(vec![1, 2, 40, 511]),
+                arcs: vec![1, 2, 40, 511],
                 digest,
             },
         ),
@@ -234,20 +228,7 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
                 state: single(),
             },
         ),
-        ("RingEpoch", Msg::RingEpoch { view: view.clone() }),
-        (
-            "RingSummary",
-            Msg::RingSummary {
-                entries: view.summary(),
-            },
-        ),
-        (
-            "RingDelta",
-            Msg::RingDelta {
-                entries: delta,
-                want: vec![ReplicaId(1), ReplicaId(2), ReplicaId(77)],
-            },
-        ),
+        ("RingEpoch", Msg::RingEpoch { view }),
         ("GossipDigest", Msg::GossipDigest { digest }),
         (
             "RepGetIf",
@@ -319,14 +300,11 @@ const GOLDEN: &[(&str, &str)] = &[
     ("RepPutAck", "070807060504030201"),
     ("AaeRoot", "0988776655443322110df0fecacefaedfe"),
     ("AaeArcRoots", "0a0df0fecacefaedfe0400023cc306401100000000000000fecaad0befbeadde01000000000000000000000000000000"),
-    ("AaeLeaves/unscoped", "0b0df0fecacefaedfe00040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
-    ("AaeLeaves/scoped", "0b0df0fecacefaedfe0104010025d603040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
+    ("AaeLeaves/scoped", "0b0df0fecacefaedfe04010025d603040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
     ("AaeStates", "0c040009757365723a30303031010501030003028080808020ac02810101c801000c111111111111111111111111080132030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261010501030003028080808020ac02810101c801000c1111111111111111111111110500000007636172743a31370701300501320003646f67"),
     ("RepWrite", "0e080706050403020109757365723a303034328080808080204d0100030003028080808020ac02810101ac02"),
     ("RepWriteResp", "0f080706050403020109757365723a30303432010501030003028080808020ac02810101c801000c111111111111111111111111"),
     ("RingEpoch", "140600000006008503010105808080010382019003"),
-    ("RingSummary", "150600000006008503180400000400001500000200800f0000080200"),
-    ("RingDelta", "160402060085030580808001038201390301004a"),
     ("GossipDigest", "170df0fecacefaedfe"),
     ("RepGetIf", "1a080706050403020109757365723a30303432efcdab8967452301"),
     ("RepGetSame", "1b0807060504030201"),
@@ -469,12 +447,13 @@ fn every_mechanism_layout_matches_committed_bytes() {
 }
 
 /// Tags of the six variants [`Msg::Push`] / [`Msg::PushAck`] replaced,
-/// and of `JoinAnnounce` (16) and `Rejoin` (17): every membership change
-/// travels as a [`Msg::RingEpoch`].
-const RETIRED: [u8; 8] = [8, 13, 16, 17, 18, 19, 24, 25];
+/// of `JoinAnnounce` (16) and `Rejoin` (17) — every membership change
+/// travels as a [`Msg::RingEpoch`] — and of `RingSummary` (21) and
+/// `RingDelta` (22): views reconcile by a full `RingEpoch` push alone.
+const RETIRED: [u8; 10] = [8, 13, 16, 17, 18, 19, 21, 22, 24, 25];
 
 /// The corpus is only a format pin if it really spans the protocol:
-/// all 22 live variant tags appear, and every message decodes back.
+/// all 20 live variant tags appear, and every message decodes back.
 #[test]
 fn corpus_covers_every_variant_and_roundtrips() {
     let mech = DvvMechanism;

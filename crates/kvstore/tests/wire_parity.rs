@@ -89,8 +89,7 @@ fn arb_arcs() -> impl Strategy<Value = Vec<(u32, u64)>> {
         .prop_map(|m| m.into_iter().map(|(a, r)| (a as u32, r)).collect())
 }
 
-/// One message of every variant (both `AaeLeaves` scopes), sharing a
-/// pool of generated parts.
+/// One message of every variant, sharing a pool of generated parts.
 fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
     let scalars = (
         any::<u64>(),
@@ -113,31 +112,16 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
         arb_leaves(),
         arb_arcs(),
         btree_map(arb_key(), Just(()), 0..5),
-        btree_map(0u64..64, any::<u64>(), 0..10),
-        btree_map(0u64..64, Just(()), 0..6),
     );
     (scalars, parts, lists).prop_map(|(scalars, parts, lists)| {
         let (req, digest, root, id, ok, (hinted, hint_id)) = scalars;
         let (key, value, values, state, ctx, view) = parts;
-        let (entries, leaves, arcs, want_keys, summary, want_members) = lists;
+        let (entries, leaves, arcs, want_keys) = lists;
         let hint = hinted.then_some(ReplicaId(hint_id as u32));
-        let summary: Vec<(ReplicaId, u64)> = summary
-            .into_iter()
-            .map(|(r, k)| (ReplicaId(r as u32), k))
-            .collect();
-        let delta_entries: Vec<(ReplicaId, ring::MemberEntry)> = view
-            .members()
-            .into_iter()
-            .filter_map(|m| view.entry(&m).map(|e| (m, *e)))
-            .collect();
         // id and key lists ride the gap-delta / prefix codecs, which
         // (like every call site in the protocol) require sorted,
         // duplicate-free input
         let want_keys: Vec<Key> = want_keys.into_keys().collect();
-        let want_members: Vec<ReplicaId> = want_members
-            .into_keys()
-            .map(|r| ReplicaId(r as u32))
-            .collect();
         let scoped_arcs: Vec<u32> = arcs.iter().map(|&(a, _)| a).collect();
         vec![
             Msg::ClientGet {
@@ -195,13 +179,8 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
             Msg::AaeRoot { root, digest },
             Msg::AaeArcRoots { arcs, digest },
             Msg::AaeLeaves {
-                leaves: leaves.clone(),
-                arcs: None,
-                digest,
-            },
-            Msg::AaeLeaves {
                 leaves,
-                arcs: Some(scoped_arcs),
+                arcs: scoped_arcs,
                 digest,
             },
             Msg::AaeStates {
@@ -233,11 +212,6 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
                 id,
             },
             Msg::RingEpoch { view },
-            Msg::RingSummary { entries: summary },
-            Msg::RingDelta {
-                entries: delta_entries,
-                want: want_members,
-            },
             Msg::GossipDigest { digest },
             Msg::Push {
                 class: MsgClass::Handoff,

@@ -342,17 +342,10 @@ impl<N: Clone + Ord + Debug> HashRing<N> {
         out
     }
 
-    /// The full distinct-node walk for `key`: every member, in preference
-    /// order. Any `n`-replica preference list is a prefix of this slice —
-    /// borrowed from the arc cache, so sloppy-quorum routing allocates
-    /// nothing to consult it.
-    #[must_use]
-    pub fn full_walk(&self, key: &[u8]) -> &[N] {
-        self.full_walk_at(hash_key(key))
-    }
-
-    /// The full distinct-node walk from ring position `point` (see
-    /// [`HashRing::full_walk`]).
+    /// The full distinct-node walk from ring position `point`: every
+    /// member, in preference order. Any `n`-replica preference list is a
+    /// prefix of this slice — borrowed from the arc cache, so
+    /// sloppy-quorum routing allocates nothing to consult it.
     #[must_use]
     pub fn full_walk_at(&self, point: u64) -> &[N] {
         self.arc_table().walk_at(point)

@@ -93,16 +93,6 @@ impl MemberEntry {
     pub fn beats(&self, other: &MemberEntry) -> bool {
         (self.incarnation, self.status.rank()) > (other.incarnation, other.status.rank())
     }
-
-    /// The entry's position in the merge order as one integer:
-    /// `(incarnation << 2) | status rank`. Equal keys mean equal entries
-    /// and a greater key means [`MemberEntry::beats`], so exchanging
-    /// per-member keys lets two peers *prove* which side dominates each
-    /// entry — the substrate of delta view reconciliation.
-    #[must_use]
-    pub fn summary_key(&self) -> u64 {
-        (self.incarnation << 2) | u64::from(self.status.rank())
-    }
 }
 
 /// A mergeable ring-membership state: member → `(incarnation, status)`.
@@ -236,11 +226,11 @@ impl<N: Clone + Ord + Debug> RingView<N> {
         changed
     }
 
-    /// The one per-member join everything funnels through — full-view
-    /// merges ([`RingView::merge`]/[`RingView::absorb`]) and delta
-    /// merges ([`RingView::absorb_delta`]) alike: take `theirs` iff it
-    /// beats the local entry. Returns whether the local entry changed.
-    /// Does not refresh the digest; callers do, once per batch.
+    /// The per-member join [`RingView::merge`] (and so
+    /// [`RingView::absorb`]) applies to every incoming entry: take
+    /// `theirs` iff it beats the local entry. Returns whether the local
+    /// entry changed. Does not refresh the digest; the caller does, once
+    /// per merge.
     fn merge_entry(&mut self, n: &N, theirs: &MemberEntry) -> bool {
         match self.entries.get_mut(n) {
             None => {
@@ -261,90 +251,13 @@ impl<N: Clone + Ord + Debug> RingView<N> {
     /// copy was missing entries this view holds (the merged state
     /// differs from what was received), so the receiver should push the
     /// merged view back — the rule that makes one digest-mismatch
-    /// exchange converge both ends. Both server and client receive paths
-    /// go through here, so the protocol-critical inequality lives in
-    /// exactly one place.
+    /// exchange converge both ends. Views only ever reconcile by such a
+    /// full push, and both server and client receive paths go through
+    /// here, so the protocol-critical inequality lives in exactly one
+    /// place.
     pub fn absorb(&mut self, incoming: &Self) -> (bool, bool) {
         let changed = self.merge(incoming);
         (changed, *self != *incoming)
-    }
-
-    /// The per-member digest a delta exchange opens with: every entry's
-    /// `(member, summary_key)`. Because [`MemberEntry::summary_key`] is
-    /// order-isomorphic to the merge order, comparing keys per member
-    /// tells a peer *exactly* which of its entries the summary's sender
-    /// lacks or holds a dominated version of — no probabilistic hashing,
-    /// no false transfers.
-    #[must_use]
-    pub fn summary(&self) -> Vec<(N, u64)> {
-        self.entries
-            .iter()
-            .map(|(n, e)| (n.clone(), e.summary_key()))
-            .collect()
-    }
-
-    /// Compares this view against a peer's [`RingView::summary`] and
-    /// returns `(entries, want)`: the local entries the peer provably
-    /// lacks or holds dominated versions of (these should travel to it),
-    /// and the members where the peer provably dominates or is unknown
-    /// here (the peer should send those back).
-    #[must_use]
-    pub fn delta_against(&self, summary: &[(N, u64)]) -> (Vec<(N, MemberEntry)>, Vec<N>) {
-        let theirs: BTreeMap<&N, u64> = summary.iter().map(|(n, k)| (n, *k)).collect();
-        let mut entries = Vec::new();
-        let mut want = Vec::new();
-        for (n, mine) in &self.entries {
-            match theirs.get(n) {
-                None => entries.push((n.clone(), *mine)),
-                Some(&k) if k < mine.summary_key() => entries.push((n.clone(), *mine)),
-                Some(&k) if k > mine.summary_key() => want.push(n.clone()),
-                Some(_) => {}
-            }
-        }
-        for (n, _) in summary {
-            if !self.entries.contains_key(n) {
-                want.push(n.clone());
-            }
-        }
-        want.sort();
-        want.dedup();
-        (entries, want)
-    }
-
-    /// Merges a peer's delta `entries` through the same per-member join
-    /// as [`RingView::absorb`], and answers its `want` list. Returns
-    /// `(changed, push_back)`: whether the local view changed, and the
-    /// entries the *sender* still lacks — its requested `want` members
-    /// plus any incoming entry the local view dominates (the
-    /// merge-then-push-back-iff-sender-lacks rule, in delta form).
-    /// Push-backs are exact, so the exchange terminates: an entry only
-    /// travels back when it strictly beats what the sender proved it
-    /// holds.
-    pub fn absorb_delta(
-        &mut self,
-        entries: &[(N, MemberEntry)],
-        want: &[N],
-    ) -> (bool, Vec<(N, MemberEntry)>) {
-        let mut changed = false;
-        let mut push_back: BTreeMap<N, MemberEntry> = BTreeMap::new();
-        for (n, theirs) in entries {
-            if self.merge_entry(n, theirs) {
-                changed = true;
-            } else if let Some(mine) = self.entries.get(n) {
-                if mine.beats(theirs) {
-                    push_back.insert(n.clone(), *mine);
-                }
-            }
-        }
-        for n in want {
-            if let Some(mine) = self.entries.get(n) {
-                push_back.insert(n.clone(), *mine);
-            }
-        }
-        if changed {
-            self.refresh_digest();
-        }
-        (changed, push_back.into_iter().collect())
     }
 
     /// Whether this view already contains everything in `other` (merging
@@ -585,38 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_key_is_order_isomorphic_to_beats() {
-        let entries = [
-            MemberEntry {
-                incarnation: 1,
-                status: MemberStatus::Up,
-            },
-            MemberEntry {
-                incarnation: 1,
-                status: MemberStatus::Removed,
-            },
-            MemberEntry {
-                incarnation: 2,
-                status: MemberStatus::Up,
-            },
-            MemberEntry {
-                incarnation: 3,
-                status: MemberStatus::Leaving,
-            },
-        ];
-        for a in &entries {
-            for b in &entries {
-                assert_eq!(
-                    a.beats(b),
-                    a.summary_key() > b.summary_key(),
-                    "{a:?} vs {b:?}"
-                );
-                assert_eq!(a == b, a.summary_key() == b.summary_key());
-            }
-        }
-    }
-
-    #[test]
     fn wire_tag_round_trips_every_status() {
         for s in [
             MemberStatus::Up,
@@ -629,80 +510,27 @@ mod tests {
         assert_eq!(MemberStatus::from_wire_tag(4), None);
     }
 
-    /// One summary → delta → push-back exchange converges both ends,
-    /// even against an incomplete sender: A (missing an entry, holding a
-    /// stale one and a dominating one) sends its summary; B answers with
-    /// exactly the entries A lacks plus a want-list; A merges and pushes
-    /// back exactly what B lacks.
+    /// One push each way converges two incomparable views: A holds a
+    /// newer incarnation B lacks, B a tombstone and a member A has never
+    /// seen. B absorbs A's view, finds A lacked entries, and pushes its
+    /// merged view back; A absorbs that and owes nothing further.
     #[test]
-    fn delta_exchange_converges_incomparable_views_in_one_round_trip() {
+    fn one_absorb_each_way_converges_incomparable_views_with_a_tombstone() {
         let base: RingView<u32> = RingView::from_members(0..3);
         let mut a = base.clone();
         let mut b = base.clone();
         a.bump(&0, MemberStatus::Leaving); // A ahead on 0
-        b.bump(&1, MemberStatus::Leaving); // B ahead on 1
+        b.bump(&1, MemberStatus::Removed); // B holds a tombstone for 1
         b.bump(&7, MemberStatus::Joining); // B knows a member A lacks
 
-        // A → B: summary; B computes the delta
-        let (entries, want) = b.delta_against(&a.summary());
-        let sent: Vec<u32> = entries.iter().map(|(n, _)| *n).collect();
-        assert_eq!(sent, vec![1, 7], "only B's provable wins travel");
-        assert_eq!(want, vec![0], "B asks only for A's provable win");
-
-        // B → A: delta; A merges and answers the want list
-        let (changed, push_back) = a.absorb_delta(&entries, &want);
-        assert!(changed);
-        assert_eq!(push_back.len(), 1);
-        assert_eq!(push_back[0].0, 0);
-
-        // A → B: push-back; B merges, nothing further to say
-        let (changed, reply) = b.absorb_delta(&push_back, &[]);
-        assert!(changed);
-        assert!(reply.is_empty(), "exchange terminates");
+        // A → B: B merges and must push back
+        assert_eq!(b.absorb(&a), (true, true));
+        // B → A: A merges, nothing further to say
+        assert_eq!(a.absorb(&b), (true, false));
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn delta_against_identical_views_is_empty() {
-        let view: RingView<u32> = RingView::from_members(0..4);
-        let (entries, want) = view.delta_against(&view.summary());
-        assert!(entries.is_empty() && want.is_empty());
-    }
-
-    #[test]
-    fn absorb_delta_pushes_back_dominating_local_entries() {
-        // sender ships a stale entry it believes is news: receiver must
-        // not regress and must push its dominating entry back
-        let mut receiver: RingView<u32> = RingView::new();
-        receiver.set(5, 3, MemberStatus::Leaving);
-        let stale = [(
-            5u32,
-            MemberEntry {
-                incarnation: 2,
-                status: MemberStatus::Up,
-            },
-        )];
-        let before = receiver.digest();
-        let (changed, push_back) = receiver.absorb_delta(&stale, &[]);
-        assert!(!changed);
-        assert_eq!(receiver.digest(), before);
-        assert_eq!(
-            push_back,
-            vec![(
-                5,
-                MemberEntry {
-                    incarnation: 3,
-                    status: MemberStatus::Leaving
-                }
-            )]
-        );
-        // the push-back is itself a delta the sender absorbs silently
-        let mut sender: RingView<u32> = RingView::new();
-        sender.set(5, 2, MemberStatus::Up);
-        let (changed, reply) = sender.absorb_delta(&push_back, &[]);
-        assert!(changed && reply.is_empty());
-        assert_eq!(sender, receiver);
+        assert_eq!(a.status(&1), Some(MemberStatus::Removed));
+        assert_eq!(a.members(), vec![2, 7]);
     }
 
     #[test]

@@ -52,6 +52,11 @@ printf '  %-32s %6d\n' \
 src_count() {
     { grep -rhE "$1" crates/*/src --include='*.rs' || true; } | wc -l
 }
+# Environment variables the crates themselves read: each one is a switch
+# a run can flip without a code change.
+echo "env knobs read in crates/*/src"
+printf '  %-32s %6d\n' \
+    "std::env::var( sites" "$(src_count 'std::env::var\(')"
 echo "fault surface (crates/*/src)"
 printf '  %-32s %6d\n' \
     "hostile() profiles" "$(src_count 'pub fn hostile\(')" \
