@@ -638,25 +638,11 @@ fn collect_exceptions<A: Actor>(v: &Vve<A>) -> Vec<Dot<A>> {
 // Delta codecs
 //
 // The wire protocols above ship *values*; the codecs below ship *runs*:
-// sorted id sequences as gap deltas, counter sequences as zigzag deltas,
-// hash sequences bit-packed at the run's maximum significant width, and
-// sorted key sets as shared-prefix deltas. Runs of correlated values
-// (adjacent replica ids, adjacent counters, keys under a common prefix)
-// collapse to a byte or two per element where the plain encodings spend
-// ten.
-
-/// Maps a signed delta onto small unsigned values: 0, -1, 1, -2, …
-/// become 0, 1, 2, 3, …, keeping varints short for deltas near zero.
-#[must_use]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[must_use]
-pub fn unzigzag(u: u64) -> i64 {
-    ((u >> 1) as i64) ^ -((u & 1) as i64)
-}
+// sorted id sequences as gap deltas, hash sequences bit-packed at the
+// run's maximum significant width, and sorted key sets as shared-prefix
+// deltas. Runs of correlated values (adjacent replica ids, keys under a
+// common prefix) collapse to a byte or two per element where the plain
+// encodings spend ten.
 
 /// Number of significant bits in `v` (0 for 0).
 #[must_use]
@@ -832,53 +818,6 @@ pub fn get_id_value_pairs(d: &mut Decoder<'_>) -> Result<Vec<(u64, u64)>, Decode
         out.push((id, r.read(width)?));
     }
     Ok(out)
-}
-
-/// Appends a delta encoding of a version vector over [`ReplicaId`]
-/// actors: actor ids as sorted gap deltas, counters as a raw first value
-/// followed by zigzag-varint deltas (replicas of one key tend to hold
-/// nearby counters, so deltas stay within a byte or two).
-pub fn put_vv_delta<S: Sink>(buf: &mut S, vv: &VersionVector<ReplicaId>) {
-    let ids: Vec<u64> = vv.iter().map(|(a, _)| u64::from(a.0)).collect();
-    put_sorted_ids(buf, &ids);
-    let mut prev: Option<u64> = None;
-    for (_, c) in vv.iter() {
-        match prev {
-            None => put_varint(buf, c),
-            Some(p) => put_varint(buf, zigzag(c.wrapping_sub(p) as i64)),
-        }
-        prev = Some(c);
-    }
-}
-
-/// Reads back a [`put_vv_delta`] version vector.
-///
-/// # Errors
-///
-/// Any [`DecodeError`] on malformed input; zero counters are rejected as
-/// in the plain [`Encode`] decoder.
-pub fn get_vv_delta(d: &mut Decoder<'_>) -> Result<VersionVector<ReplicaId>, DecodeError> {
-    let ids = get_sorted_ids(d)?;
-    let mut vv = VersionVector::new();
-    let mut prev: Option<u64> = None;
-    for id in ids {
-        let raw = d.varint()?;
-        let c = match prev {
-            None => raw,
-            Some(p) => p.wrapping_add(unzigzag(raw) as u64),
-        };
-        if c == 0 {
-            return Err(DecodeError::InvalidValue {
-                reason: "version vector entries must be non-zero",
-            });
-        }
-        let a = u32::try_from(id).map_err(|_| DecodeError::InvalidValue {
-            reason: "replica id out of range",
-        })?;
-        vv.set(ReplicaId(a), c);
-        prev = Some(c);
-    }
-    Ok(vv)
 }
 
 /// Appends `key` as a shared-prefix delta against `prev`, the key before
@@ -1148,16 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_is_involutive_at_extremes() {
-        for v in [0i64, 1, -1, 2, -2, i64::MAX, i64::MIN, 1 << 40, -(1 << 40)] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-    }
-
-    #[test]
     fn bitpack_roundtrips_boundary_widths() {
         for width in [0u32, 1, 2, 7, 8, 9, 31, 63, 64] {
             let max = if width == 64 {
@@ -1241,43 +1170,6 @@ mod tests {
         let mut buf = Vec::new();
         put_id_value_pairs(&mut buf, &pairs);
         assert_eq!(buf.len(), 5);
-    }
-
-    #[test]
-    fn vv_delta_roundtrip_and_compression() {
-        let mut vv: VersionVector<ReplicaId> = VersionVector::new();
-        for i in 0..8u32 {
-            vv.set(ReplicaId(i), 1000 + u64::from(i % 3));
-        }
-        let mut buf = Vec::new();
-        put_vv_delta(&mut buf, &vv);
-        let mut d = Decoder::new(&buf);
-        assert_eq!(get_vv_delta(&mut d).unwrap(), vv);
-        assert_eq!(d.remaining(), 0);
-        assert!(
-            buf.len() < vv.encoded_len(),
-            "delta form must beat the plain encoding on dense nearby counters: {} vs {}",
-            buf.len(),
-            vv.encoded_len()
-        );
-
-        let empty = VersionVector::<ReplicaId>::new();
-        let mut buf = Vec::new();
-        put_vv_delta(&mut buf, &empty);
-        let mut d = Decoder::new(&buf);
-        assert_eq!(get_vv_delta(&mut d).unwrap(), empty);
-    }
-
-    #[test]
-    fn vv_delta_rejects_zero_counters() {
-        let mut buf = Vec::new();
-        put_sorted_ids(&mut buf, &[0]);
-        put_varint(&mut buf, 0); // zero counter
-        let mut d = Decoder::new(&buf);
-        assert!(matches!(
-            get_vv_delta(&mut d),
-            Err(DecodeError::InvalidValue { .. })
-        ));
     }
 
     #[test]

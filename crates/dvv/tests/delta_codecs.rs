@@ -1,6 +1,6 @@
 //! Property coverage for the delta codecs in `dvv::encode`: sorted-id
-//! gap deltas, bit-packed `(id, value)` runs, the delta version-vector
-//! form and the shared-prefix leaf-set form. Mirrors
+//! gap deltas, bit-packed `(id, value)` runs and the shared-prefix
+//! leaf-set form. Mirrors
 //! `encode_roundtrip.rs`: decode∘encode = id and truncation always
 //! errors instead of panicking — plus the bit-pack boundary widths that
 //! unit tests can only spot-check. Sizes need no property of their own:
@@ -10,10 +10,9 @@
 use std::collections::BTreeMap;
 
 use dvv::encode::{
-    bit_width, get_id_value_pairs, get_leaf_set, get_sorted_ids, get_vv_delta, put_id_value_pairs,
-    put_leaf_set, put_sorted_ids, put_vv_delta, BitReader, BitWriter, Count, Decoder,
+    bit_width, get_id_value_pairs, get_leaf_set, get_sorted_ids, put_id_value_pairs, put_leaf_set,
+    put_sorted_ids, BitReader, BitWriter, Count, Decoder,
 };
-use dvv::{ReplicaId, VersionVector};
 use proptest::collection::{btree_map, vec};
 use proptest::prelude::*;
 
@@ -35,11 +34,6 @@ fn arb_leaves() -> impl Strategy<Value = Vec<(Vec<u8>, u64)>> {
         .prop_map(|m: BTreeMap<Vec<u8>, u64>| m.into_iter().collect())
 }
 
-fn arb_vv() -> impl Strategy<Value = VersionVector<ReplicaId>> {
-    btree_map(0u32..64, 1u64..1 << 40, 0..16)
-        .prop_map(|m: BTreeMap<u32, u64>| m.into_iter().map(|(a, c)| (ReplicaId(a), c)).collect())
-}
-
 /// Counting is encoding: each codec run over [`Count`] reports exactly
 /// the bytes it appends to a `Vec<u8>`.
 #[test]
@@ -58,10 +52,6 @@ fn counting_sink_agrees_with_byte_sink() {
         put_id_value_pairs,
         &[(1u64, 0x1ff_u64), (2, 3), (70, 1 << 33)]
     );
-    let vv: VersionVector<ReplicaId> = [(ReplicaId(1), 500), (ReplicaId(9), 498)]
-        .into_iter()
-        .collect();
-    same_len!(put_vv_delta, &vv);
     same_len!(
         put_leaf_set,
         &[(b"user:1".to_vec(), 77u64), (b"user:22".to_vec(), 1 << 50)]
@@ -118,15 +108,6 @@ proptest! {
     }
 
     #[test]
-    fn roundtrip_vv_delta(vv in arb_vv()) {
-        let mut buf = Vec::new();
-        put_vv_delta(&mut buf, &vv);
-        let mut d = Decoder::new(&buf);
-        prop_assert_eq!(get_vv_delta(&mut d).unwrap(), vv);
-        prop_assert_eq!(d.remaining(), 0);
-    }
-
-    #[test]
     fn roundtrip_leaf_set(leaves in arb_leaves()) {
         let mut buf = Vec::new();
         put_leaf_set(&mut buf, &leaves);
@@ -141,7 +122,6 @@ proptest! {
     fn truncation_always_errors(
         pairs in arb_pairs(),
         leaves in arb_leaves(),
-        vv in arb_vv(),
         cut in 0usize..4096,
     ) {
         let mut buf = Vec::new();
@@ -158,14 +138,6 @@ proptest! {
             let cut = cut % buf.len();
             let mut d = Decoder::new(&buf[..cut]);
             prop_assert!(get_leaf_set(&mut d).is_err());
-        }
-
-        let mut buf = Vec::new();
-        put_vv_delta(&mut buf, &vv);
-        if !vv.is_empty() {
-            let cut = cut % buf.len();
-            let mut d = Decoder::new(&buf[..cut]);
-            prop_assert!(get_vv_delta(&mut d).is_err());
         }
     }
 }

@@ -2,11 +2,11 @@
 //! cycles, with timeouts, retries, and the observation log the oracle
 //! needs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dvv::mechanisms::Mechanism;
 use dvv::{ClientId, ReplicaId};
-use ring::{HashRing, Membership, RingView};
+use ring::{HashRing, RingView};
 use simnet::{NodeId, SimTime, TimerId};
 use workloads::{Histogram, KeySpace, Popularity};
 
@@ -82,7 +82,8 @@ pub struct ClientNode<M: Mechanism<StampedValue>> {
     /// The mergeable membership state this client routes under.
     view: RingView<ReplicaId>,
     ring: HashRing<ReplicaId>,
-    membership: Membership<ReplicaId>,
+    /// Replicas marked down; routing skips them.
+    down: BTreeSet<ReplicaId>,
     keyspace: KeySpace,
     contexts: BTreeMap<Key, M::Context>,
     observed: BTreeMap<Key, Vec<WriteId>>,
@@ -102,8 +103,8 @@ pub struct ClientNode<M: Mechanism<StampedValue>> {
 impl<M: Mechanism<StampedValue>> ClientNode<M> {
     /// Creates a client. `node_index` is its simulation node id (servers
     /// occupy `0..server_count`); the store's N, per-message header and
-    /// ring geometry come from `store`; routing state (ring,
-    /// failure-detector membership) derives from `view`.
+    /// ring geometry come from `store`; the ring it routes over derives
+    /// from `view`, and no replica starts marked down.
     pub fn new(
         client: ClientId,
         node_index: u32,
@@ -122,7 +123,6 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             },
         );
         let ring = view.to_ring(store.vnodes);
-        let membership = Membership::new(view.members());
         ClientNode {
             client,
             node_index,
@@ -131,7 +131,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             store: *store,
             view,
             ring,
-            membership,
+            down: BTreeSet::new(),
             keyspace,
             contexts: BTreeMap::new(),
             observed: BTreeMap::new(),
@@ -175,9 +175,9 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
     /// Marks a replica up/down in this client's routing view.
     pub fn set_peer_status(&mut self, peer: ReplicaId, up: bool) {
         if up {
-            self.membership.mark_up(&peer);
+            self.down.remove(&peer);
         } else {
-            self.membership.mark_down(&peer);
+            self.down.insert(peer);
         }
     }
 
@@ -193,14 +193,15 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
 
     /// Merges a learned ring view (from a [`Msg::RingEpoch`] push or the
     /// control plane's force-sync safety valve): on change, rebuilds the
-    /// ring and reconciles the membership view, keeping failure-detector
-    /// marks for known members. Returns `(changed, sender_lacks)` as
+    /// ring and forgets the down marks of replicas that left it. Returns
+    /// `(changed, sender_lacks)` as
     /// reported by [`RingView::absorb`].
     pub fn force_view(&mut self, view: &RingView<ReplicaId>) -> (bool, bool) {
         let (changed, sender_lacks) = self.view.absorb(view);
         if changed {
             self.ring = self.view.to_ring(self.store.vnodes);
-            self.membership.sync_members(&self.view.members());
+            let members = self.ring.nodes();
+            self.down.retain(|r| members.contains(r));
         }
         (changed, sender_lacks)
     }
@@ -227,9 +228,10 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
     }
 
     fn pick_coordinator(&mut self, ctx: &mut impl NodeCtx<M>, key: &[u8]) -> Option<NodeId> {
-        let (active, _) = self
-            .membership
-            .sloppy_preference_list(&self.ring, key, self.store.n);
+        let routable = |r: &ReplicaId| !self.down.contains(r);
+        let (active, _) =
+            self.ring
+                .sloppy_preference_list_at(ring::hash_key(key), self.store.n, routable);
         if active.is_empty() {
             return None;
         }

@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dvv::mechanisms::{Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
-use ring::{HashRing, MemberStatus, Membership, RingView};
+use ring::{HashRing, MemberStatus, RingView};
 use simnet::{NodeId, SimTime, TimerId};
 
 use crate::config::StoreConfig;
@@ -225,7 +225,9 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
     view: RingView<ReplicaId>,
     /// The hash ring derived from `view` (rebuilt on every view change).
     ring: HashRing<ReplicaId>,
-    membership: Membership<ReplicaId>,
+    /// The failure detector's marks: replicas believed down. A replica is
+    /// routable iff it is on `ring` and not in here.
+    down: BTreeSet<ReplicaId>,
     /// Per-key states plus the persistent ownership-partitioned AAE
     /// index: every mutation marks its key dirty, and the per-arc
     /// Merkle summaries are refreshed at the AAE read points
@@ -276,8 +278,8 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
 
 impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// Creates the replica server for `replica` on an empty in-memory
-    /// storage engine, routing under `view` (ring and failure-detector
-    /// membership are derived from it).
+    /// storage engine, routing under `view` (the ring is derived from it;
+    /// no replica starts marked down).
     pub fn new(
         replica: ReplicaId,
         mech: M,
@@ -312,7 +314,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     ) -> Self {
         config.validate();
         let ring = view.to_ring(config.vnodes);
-        let membership = Membership::new(view.members());
         let mut data = DataStore::with_engine(engine);
         data.repartition(ring.token_points().collect());
         let mut node = StoreNode {
@@ -321,7 +322,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             config,
             view,
             ring,
-            membership,
+            down: BTreeSet::new(),
             data,
             owed: BTreeMap::new(),
             next_push: None,
@@ -506,13 +507,26 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         self.data.mutate(key, |local| mech.merge(local, state));
     }
 
-    /// Marks a peer down/up in this node's failure-detector view.
+    /// Marks a peer down/up in this node's failure detector.
     pub fn set_peer_status(&mut self, peer: ReplicaId, up: bool) {
         if up {
-            self.membership.mark_up(&peer);
+            self.down.remove(&peer);
         } else {
-            self.membership.mark_down(&peer);
+            self.down.insert(peer);
         }
+    }
+
+    /// Whether `replica` can be routed to: on the ring and not marked
+    /// down.
+    fn is_routable(&self, replica: &ReplicaId) -> bool {
+        self.ring.nodes().binary_search(replica).is_ok() && !self.down.contains(replica)
+    }
+
+    /// The ring's other routable members, ascending — the gossip and
+    /// anti-entropy peer candidates.
+    fn routable_peers(&self) -> Vec<ReplicaId> {
+        let others = self.ring.nodes().iter().filter(|p| **p != self.replica);
+        others.filter(|p| !self.down.contains(p)).copied().collect()
     }
 
     /// Completes a leave after the drain: clears the (fully drained)
@@ -743,8 +757,11 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     fn active_replicas(&self, key: &[u8]) -> (Vec<ReplicaId>, Subs) {
-        self.membership
-            .sloppy_preference_list_at(&self.ring, self.key_point(key), self.config.n)
+        // the walk names ring members only, so a mark is all it consults
+        let routable = |r: &ReplicaId| !self.down.contains(r);
+        let point = self.key_point(key);
+        self.ring
+            .sloppy_preference_list_at(point, self.config.n, routable)
     }
 
     /// The key's ring position. Hashing a (short) key is cheaper than a
@@ -878,14 +895,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// One gossip round: sends this node's view digest to up to `fanout`
-    /// distinct random up ring peers.
+    /// distinct random routable ring peers.
     fn gossip_once(&mut self, ctx: &mut impl NodeCtx<M>, fanout: usize) {
-        let mut peers: Vec<ReplicaId> = self
-            .membership
-            .up_nodes()
-            .into_iter()
-            .filter(|p| *p != self.replica && self.ring.nodes().contains(p))
-            .collect();
+        let mut peers = self.routable_peers();
         if peers.is_empty() {
             return;
         }
@@ -938,7 +950,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 return;
             }
             self.active = true;
-            self.membership.mark_up(&self.replica);
+            self.down.remove(&self.replica);
         }
         match status {
             Some(MemberStatus::Leaving | MemberStatus::Removed) => self.leaving = true,
@@ -954,9 +966,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    /// Adopts a changed view: rebuilds the ring, reconciles membership
-    /// (new members start up, departed members are forgotten,
-    /// failure-detector marks survive) and this node's own lifecycle
+    /// Adopts a changed view: rebuilds the ring, forgets the down marks of
+    /// replicas that left it (marks of those still on it survive),
+    /// reconciles this node's own lifecycle
     /// ([`Self::reconcile_self_status`]), re-aims obligations aimed at
     /// departed nodes, owes the data motion the *pre/post-merge ownership
     /// diff* implies (donations to owners that gained ranges, retirement
@@ -966,7 +978,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         let old_ring = std::mem::replace(&mut self.ring, self.view.to_ring(self.config.vnodes));
         self.data.repartition(self.ring.token_points().collect());
         let members = self.view.members();
-        self.membership.sync_members(&members);
+        self.down.retain(|r| members.contains(r));
         self.reconcile_self_status(ctx, old_ring.nodes().contains(&self.replica));
         self.reaim_owed(&members);
         if self.active {
@@ -1392,13 +1404,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     fn handle_aae_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
-        // pick a random up peer and start an exchange
-        let peers: Vec<ReplicaId> = self
-            .membership
-            .up_nodes()
-            .into_iter()
-            .filter(|p| *p != self.replica && self.ring.nodes().contains(p))
-            .collect();
+        // pick a random routable peer and start an exchange
+        let peers = self.routable_peers();
         if !peers.is_empty() {
             let peer = *ctx.rng().pick(&peers);
             self.stats.aae_rounds += 1;
@@ -1460,7 +1467,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             // don't flood a peer the failure detector marks down: the
             // obligation waits, and a later tick pushes it once the peer
             // recovers
-            let due = self.membership.is_routable(to)
+            let due = self.is_routable(to)
                 && self.data.contains_key(key)
                 && self.resend_window(o.class).is_some_and(|window| {
                     o.flight.is_none_or(|(sent_at, ..)| now >= sent_at + window)

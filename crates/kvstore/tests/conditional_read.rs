@@ -1,8 +1,11 @@
-//! The conditional replica read (`RepGetIf` / `RepGetSame`) and the one
-//! completion rule reads and writes share, handler by handler: single
+//! The conditional replica read (`RepGetIf` / `RepGetSame`), the one
+//! completion rule reads and writes share, and the failure detector's
+//! down marks as routing sees them, handler by handler: single
 //! `StoreNode`s driven through a scripted [`NodeCtx`] that records what
 //! they send — no simulator, no fleet, every message delivered (and every
 //! timer fired) by hand in the order the test wants.
+
+use std::collections::BTreeSet;
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
@@ -12,7 +15,7 @@ use kvstore::merkle::fingerprint;
 use kvstore::messages::{Msg, MsgClass};
 use kvstore::node::StoreNode;
 use kvstore::value::{Key, StampedValue, WriteId};
-use ring::RingView;
+use ring::{MemberStatus, RingView};
 use simnet::{Duration, NodeId, SimRng, SimTime, TimerId};
 
 type M = DvvMechanism;
@@ -116,9 +119,14 @@ impl Server {
 
     /// Starts coordinating a GET of `key` for [`CLIENT`].
     fn client_get(&mut self, key: &Key) -> Vec<(NodeId, Msg<M>)> {
+        self.client_get_as(REQ, key)
+    }
+
+    /// [`Server::client_get`] under request id `req`.
+    fn client_get_as(&mut self, req: u64, key: &Key) -> Vec<(NodeId, Msg<M>)> {
         let digest = self.node.view_digest();
         let get = Msg::ClientGet {
-            req: REQ,
+            req,
             key: key.clone(),
             digest,
         };
@@ -680,4 +688,44 @@ fn one_completion_rule_for_both_ops() {
         assert_eq!(completions(&row), (1, 0), "{name}");
         assert_eq!(row.coord.stored(&key), row.stored, "{name}");
     }
+}
+
+/// The failure detector's marks as routing sees them: a replica marked
+/// down is routed around; its mark survives a view change that keeps it
+/// on the ring and is forgotten once a view drops it, so a re-join routes
+/// to it again.
+#[test]
+fn a_down_mark_lasts_as_long_as_the_replica_stays_on_the_ring() {
+    let (key, [a, b, c], outsider) = placement();
+    let mut coord = Server::new(a);
+    let asked = |sent: &[(NodeId, Msg<M>)]| -> BTreeSet<NodeId> {
+        let reads = conditional_reads(sent, &key).into_iter();
+        reads.map(|(to, ..)| to).collect()
+    };
+    let ids = |rs: &[ReplicaId]| -> BTreeSet<NodeId> { rs.iter().map(|r| NodeId(r.0)).collect() };
+    let mut view = members();
+    let adopt = |coord: &mut Server, view: &RingView<ReplicaId>| {
+        coord.deliver(NodeId(c.0), Msg::RingEpoch { view: view.clone() });
+        assert_eq!(coord.node.view(), view);
+    };
+
+    coord.node.set_peer_status(b, false);
+    let sent = coord.client_get_as(101, &key);
+    assert_eq!(asked(&sent), ids(&[c, outsider]), "a fallback reads for b");
+
+    // a view change that keeps b on the ring keeps its mark
+    view.bump(&outsider, MemberStatus::Up);
+    adopt(&mut coord, &view);
+    let sent = coord.client_get_as(102, &key);
+    assert_eq!(asked(&sent), ids(&[c, outsider]), "b is still down");
+
+    // a view that drops b forgets its mark, so its re-join routes to it
+    view.bump(&b, MemberStatus::Leaving);
+    adopt(&mut coord, &view);
+    let sent = coord.client_get_as(103, &key);
+    assert_eq!(asked(&sent), ids(&[c, outsider]), "a three-member ring");
+    view.bump(&b, MemberStatus::Up);
+    adopt(&mut coord, &view);
+    let sent = coord.client_get_as(104, &key);
+    assert_eq!(asked(&sent), ids(&[b, c]), "the re-joined b is asked again");
 }

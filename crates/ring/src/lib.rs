@@ -6,35 +6,39 @@
 //!
 //! * [`hash`]: a dependency-free 64-bit key hash,
 //! * [`HashRing`]: virtual-node consistent hashing with N-replica
-//!   preference lists and **ring epochs** (every membership change bumps
-//!   an epoch, and [`HashRing::owned_ranges_diff`] reports exactly which
-//!   key ranges changed owners — the planning substrate for live
-//!   join/leave range transfer),
-//! * [`Membership`]: node liveness and lifecycle tracking (up / down /
-//!   joining / leaving), yielding *sloppy* preference lists (fallback
-//!   nodes stand in for down primaries, the precondition for hinted
-//!   handoff),
+//!   preference lists — an immutable function of the member set — and
+//!   *sloppy* preference lists
+//!   ([`HashRing::sloppy_preference_list_at`]: fallback nodes stand in
+//!   for unroutable ones, the precondition for hinted handoff),
 //! * [`RingView`]: a *mergeable* membership state (member →
-//!   `(incarnation, status)`, last-writer-wins per member) a ring can be
-//!   rebuilt from — the unit of state exchanged by gossip-based ring
+//!   `(incarnation, status)`, last-writer-wins per member) a ring is
+//!   built from — the unit of state exchanged by gossip-based ring
 //!   dissemination. Its merge is a join-semilattice join, so concurrent
 //!   membership changes announced on different sides of a partition
 //!   merge instead of racing.
 //!
-//! ```
-//! use ring::{HashRing, Membership};
+//! A process's one membership truth is its merged [`RingView`]; the ring
+//! it routes under is [`RingView::to_ring`], and whatever it believes
+//! about liveness is a predicate the sloppy list consults.
 //!
-//! let ring: HashRing<u32> = HashRing::with_vnodes([0, 1, 2, 3], 16);
+//! ```
+//! use std::collections::BTreeSet;
+//! use ring::{hash_key, MemberStatus, RingView};
+//!
+//! let mut view: RingView<u32> = RingView::from_members([0, 1, 2, 3]);
+//! let ring = view.to_ring(16);
 //! let prefs = ring.preference_list(b"shopping-cart", 3);
 //! assert_eq!(prefs.len(), 3);
 //!
-//! let mut members = Membership::new([0u32, 1, 2, 3]);
-//! members.mark_down(&prefs[0]);
+//! let down = BTreeSet::from([prefs[0]]);
 //! let (active, substituted) =
-//!     members.sloppy_preference_list(&ring, b"shopping-cart", 3);
+//!     ring.sloppy_preference_list_at(hash_key(b"shopping-cart"), 3, |n| !down.contains(n));
 //! assert_eq!(active.len(), 3, "a fallback stands in for the down node");
 //! assert_eq!(substituted.len(), 1);
 //! assert_eq!(substituted[0].0, prefs[0]);
+//!
+//! view.bump(&prefs[0], MemberStatus::Leaving);
+//! assert!(!view.to_ring(16).nodes().contains(&prefs[0]), "a leaver is off the ring");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,11 +46,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod hash;
-mod membership;
 mod ring_impl;
 mod view;
 
 pub use hash::hash_key;
-pub use membership::{Membership, NodeStatus};
-pub use ring_impl::{arc_index, HashRing, RangeDiff};
+pub use ring_impl::{arc_index, HashRing};
 pub use view::{MemberEntry, MemberStatus, RingView};

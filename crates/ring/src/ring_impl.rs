@@ -1,5 +1,5 @@
-//! [`HashRing`]: virtual-node consistent hashing with ring epochs and an
-//! arc-indexed preference-list cache.
+//! [`HashRing`]: virtual-node consistent hashing over a fixed member set,
+//! with an arc-indexed preference-list cache and sloppy-quorum routing.
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -31,9 +31,8 @@ pub fn arc_index(bounds: &[u64], point: u64) -> usize {
 /// stored per arc, so a lookup is a binary search plus a slice read
 /// instead of a `BTreeMap` range walk with linear dedup.
 ///
-/// Built lazily on first lookup and dropped by every membership change
-/// (ring merges rebuild the ring, so invalidation happens exactly on
-/// view changes).
+/// Built lazily on first lookup. A ring is never mutated (a view change
+/// builds a new one), so the table is built at most once per ring.
 #[derive(Clone, Debug)]
 struct ArcTable<N> {
     /// Arc upper boundaries: the token points, sorted ascending. Arc `i`
@@ -104,45 +103,6 @@ impl<N: Clone + Ord> ArcTable<N> {
     }
 }
 
-/// A key range on the ring together with its replica sets before and
-/// after a membership change, as produced by
-/// [`HashRing::owned_ranges_diff`].
-///
-/// The range covers every ring position `h` with `start < h <= end`,
-/// wrapping around zero when `start > end`; when `start == end` the range
-/// is the whole ring (a one-boundary ring).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RangeDiff<N> {
-    /// Exclusive lower boundary of the arc.
-    pub start: u64,
-    /// Inclusive upper boundary of the arc.
-    pub end: u64,
-    /// The preference list of the arc before the change.
-    pub old_owners: Vec<N>,
-    /// The preference list of the arc after the change.
-    pub new_owners: Vec<N>,
-}
-
-impl<N> RangeDiff<N> {
-    /// Whether ring position `h` falls inside this arc.
-    #[must_use]
-    pub fn contains(&self, h: u64) -> bool {
-        if self.start == self.end {
-            true // single-boundary ring: the arc is the full circle
-        } else if self.start < self.end {
-            h > self.start && h <= self.end
-        } else {
-            h > self.start || h <= self.end
-        }
-    }
-
-    /// Whether `key` hashes inside this arc.
-    #[must_use]
-    pub fn contains_key(&self, key: &[u8]) -> bool {
-        self.contains(hash_key(key))
-    }
-}
-
 /// A consistent-hashing ring with virtual nodes.
 ///
 /// Each physical node owns `vnodes` tokens on a 64-bit ring; a key is
@@ -151,9 +111,9 @@ impl<N> RangeDiff<N> {
 /// load distribution and bound the data movement when membership changes,
 /// exactly as in Dynamo/Riak.
 ///
-/// Every membership change ([`HashRing::add_node`],
-/// [`HashRing::remove_node`]) bumps the ring's **epoch**, so replicas and
-/// clients can detect stale routing views and resynchronise.
+/// A ring is an immutable function of its member *set*: a membership
+/// change (a merged [`crate::RingView`]) builds a new ring, and every
+/// process that holds the same members routes identically.
 ///
 /// # Examples
 ///
@@ -163,16 +123,15 @@ impl<N> RangeDiff<N> {
 /// let prefs = ring.preference_list(b"k", 2);
 /// assert_eq!(prefs.len(), 2);
 /// assert_ne!(prefs[0], prefs[1]);
-/// assert_eq!(ring.epoch(), 3, "one epoch per membership change");
+/// let same: HashRing<&str> = HashRing::with_vnodes(["c", "a", "b", "a"], 32);
+/// assert_eq!(same.preference_list(b"k", 2), prefs, "placement ignores input order");
 /// ```
 #[derive(Clone, Debug)]
 pub struct HashRing<N: Ord> {
     tokens: BTreeMap<u64, N>,
     nodes: Vec<N>,
     vnodes: u32,
-    epoch: u64,
-    /// Lazily built arc → preference-walk table; reset by every
-    /// membership change so it can never serve a stale walk.
+    /// Lazily built arc → preference-walk table.
     arcs: OnceCell<ArcTable<N>>,
 }
 
@@ -188,92 +147,36 @@ impl<N: Clone + Ord + Debug> HashRing<N> {
 
     /// Creates a ring with `vnodes` tokens per node.
     ///
+    /// Token placement is a pure function of the member *set*: members
+    /// are sorted and deduplicated before placement, so every process
+    /// that learns the same members — e.g. from a merged view —
+    /// reconstructs an identical ring.
+    ///
     /// # Panics
     ///
     /// Panics if `vnodes` is zero.
     #[must_use]
     pub fn with_vnodes(nodes: impl IntoIterator<Item = N>, vnodes: u32) -> Self {
         assert!(vnodes > 0, "a node must own at least one token");
-        let mut ring = HashRing {
-            tokens: BTreeMap::new(),
-            nodes: Vec::new(),
-            vnodes,
-            epoch: 0,
-            arcs: OnceCell::new(),
-        };
-        for n in nodes {
-            ring.add_node(n);
+        let mut nodes: Vec<N> = nodes.into_iter().collect();
+        nodes.sort();
+        nodes.dedup();
+        let mut tokens = BTreeMap::new();
+        for node in &nodes {
+            place_tokens(&mut tokens, node, vnodes);
         }
-        ring
-    }
-
-    /// Rebuilds the ring a given member set and epoch describe.
-    ///
-    /// Token placement is a pure function of the member *set* (members are
-    /// sorted before placement), so every node that learns `(members,
-    /// epoch)` — e.g. from a membership announcement — reconstructs an
-    /// identical ring.
-    #[must_use]
-    pub fn from_members(members: impl IntoIterator<Item = N>, vnodes: u32, epoch: u64) -> Self {
-        let mut members: Vec<N> = members.into_iter().collect();
-        members.sort();
-        members.dedup();
-        let mut ring = Self::with_vnodes(members, vnodes);
-        ring.epoch = epoch;
-        ring
-    }
-
-    /// The ring's membership epoch: bumped once per effective
-    /// [`HashRing::add_node`] / [`HashRing::remove_node`].
-    #[must_use]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        HashRing {
+            tokens,
+            nodes,
+            vnodes,
+            arcs: OnceCell::new(),
+        }
     }
 
     /// Virtual nodes per physical node.
     #[must_use]
     pub fn vnodes(&self) -> u32 {
         self.vnodes
-    }
-
-    /// Adds a node (idempotent; a no-op does not bump the epoch).
-    pub fn add_node(&mut self, node: N) {
-        if self.nodes.contains(&node) {
-            return;
-        }
-        for v in 0..self.vnodes {
-            // Probe for a free token: a raw `insert` would silently stomp
-            // another node's vnode on a (rare but possible) 64-bit hash
-            // collision, and removing the stomping node later would drop
-            // the stomped node's coverage entirely.
-            let mut attempt: u64 = 0;
-            loop {
-                let seed = u64::from(v) | (attempt << 32);
-                let token = hash_with_seed(format!("{node:?}").as_bytes(), seed);
-                if let std::collections::btree_map::Entry::Vacant(slot) = self.tokens.entry(token) {
-                    slot.insert(node.clone());
-                    break;
-                }
-                attempt += 1;
-            }
-        }
-        self.nodes.push(node);
-        self.nodes.sort();
-        self.epoch += 1;
-        self.arcs = OnceCell::new();
-    }
-
-    /// Removes a node and its tokens. Returns whether it was present (the
-    /// epoch is bumped only when it was).
-    pub fn remove_node(&mut self, node: &N) -> bool {
-        let present = self.nodes.iter().any(|n| n == node);
-        if present {
-            self.tokens.retain(|_, n| n != node);
-            self.nodes.retain(|n| n != node);
-            self.epoch += 1;
-            self.arcs = OnceCell::new();
-        }
-        present
     }
 
     /// All member nodes in sorted order.
@@ -359,6 +262,44 @@ impl<N: Clone + Ord + Debug> HashRing<N> {
         walk[..n.min(walk.len())].contains(node)
     }
 
+    /// The first `n` *routable* nodes at ring position `point`, plus the
+    /// substitutions made: the sloppy-quorum preference list. Each
+    /// `(intended, fallback)` pair records a preferred replica that is
+    /// not `routable` and the next routable node clockwise standing in
+    /// for it (the hinted-handoff target and holder, respectively).
+    ///
+    /// Returns fewer than `n` active nodes when fewer are routable. The
+    /// walk is borrowed from the arc cache, so consulting it allocates
+    /// nothing beyond the two returned lists.
+    #[must_use]
+    pub fn sloppy_preference_list_at(
+        &self,
+        point: u64,
+        n: usize,
+        routable: impl Fn(&N) -> bool,
+    ) -> (Vec<N>, Vec<(N, N)>) {
+        let extended = self.full_walk_at(point);
+        let ideal = &extended[..n.min(extended.len())];
+        let mut active: Vec<N> = Vec::with_capacity(n);
+        let mut substitutions: Vec<(N, N)> = Vec::new();
+        let mut fallbacks = extended.iter().skip(ideal.len());
+        for node in ideal {
+            if routable(node) {
+                active.push(node.clone());
+            } else {
+                // next routable node not already used
+                let fallback = fallbacks
+                    .by_ref()
+                    .find(|f| routable(f) && !active.contains(*f));
+                if let Some(f) = fallback {
+                    active.push(f.clone());
+                    substitutions.push((node.clone(), f.clone()));
+                }
+            }
+        }
+        (active, substitutions)
+    }
+
     /// The primary (first preference) node for a key, if any.
     #[must_use]
     pub fn primary(&self, key: &[u8]) -> Option<N> {
@@ -406,54 +347,31 @@ impl<N: Clone + Ord + Debug> HashRing<N> {
     pub fn token_points(&self) -> impl Iterator<Item = u64> + '_ {
         self.tokens.keys().copied()
     }
+}
 
-    /// The key ranges whose `n`-replica preference list differs between
-    /// `old` and `new` — exactly the `(key-range, replica set)` pairs a
-    /// membership change moved.
-    ///
-    /// The union of both rings' tokens partitions the ring into arcs on
-    /// which both preference lists are constant; one [`RangeDiff`] is
-    /// emitted per arc whose old and new owner lists differ. Joining
-    /// nodes use this to learn which ranges to stream from current
-    /// owners; leaving nodes use it to plan their drain.
-    #[must_use]
-    pub fn owned_ranges_diff(old: &Self, new: &Self, n: usize) -> Vec<RangeDiff<N>> {
-        let mut bounds: Vec<u64> = old
-            .tokens
-            .keys()
-            .chain(new.tokens.keys())
-            .copied()
-            .collect();
-        bounds.sort_unstable();
-        bounds.dedup();
-        let Some(&last) = bounds.last() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut prev = last;
-        for &end in &bounds {
-            // No token of either ring lies strictly inside (prev, end], so
-            // every position in the arc shares the walk starting at `end`.
-            let old_owners = old.preference_list_at(end, n);
-            let new_owners = new.preference_list_at(end, n);
-            if old_owners != new_owners {
-                out.push(RangeDiff {
-                    start: prev,
-                    end,
-                    old_owners,
-                    new_owners,
-                });
+/// Places `node`'s `vnodes` tokens into `tokens`, probing past occupied
+/// points: a raw `insert` would silently stomp another node's vnode on a
+/// (rare but possible) 64-bit hash collision, taking that node's coverage
+/// of the arc with it.
+fn place_tokens<N: Clone + Debug>(tokens: &mut BTreeMap<u64, N>, node: &N, vnodes: u32) {
+    for v in 0..vnodes {
+        let mut attempt: u64 = 0;
+        loop {
+            let seed = u64::from(v) | (attempt << 32);
+            let token = hash_with_seed(format!("{node:?}").as_bytes(), seed);
+            if let std::collections::btree_map::Entry::Vacant(slot) = tokens.entry(token) {
+                slot.insert(node.clone());
+                break;
             }
-            prev = end;
+            attempt += 1;
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap as Map;
+    use std::collections::{BTreeMap as Map, BTreeSet};
 
     #[test]
     fn preference_list_has_distinct_nodes() {
@@ -488,34 +406,18 @@ mod tests {
     }
 
     #[test]
-    fn add_node_is_idempotent() {
-        let mut ring: HashRing<u32> = HashRing::with_vnodes([1, 2], 8);
-        let epoch = ring.epoch();
-        ring.add_node(1);
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.nodes(), &[1, 2]);
-        assert_eq!(ring.epoch(), epoch, "no-op add must not bump the epoch");
-    }
-
-    #[test]
     fn remove_node_reroutes_only_its_keys() {
-        let mut ring: HashRing<u32> = HashRing::with_vnodes(0..4, 32);
-        let before: Map<String, u32> = (0..500)
-            .map(|i| {
-                let k = format!("k{i}");
-                let p = ring.primary(k.as_bytes()).unwrap();
-                (k, p)
-            })
-            .collect();
-        assert!(ring.remove_node(&3));
-        assert!(!ring.remove_node(&3), "second removal is a no-op");
+        let with: HashRing<u32> = HashRing::with_vnodes(0..4, 32);
+        let without: HashRing<u32> = HashRing::with_vnodes(0..3, 32);
         let mut moved = 0;
-        for (k, old_primary) in &before {
-            let new_primary = ring.primary(k.as_bytes()).unwrap();
-            if *old_primary != 3 {
+        for i in 0..500 {
+            let k = format!("k{i}");
+            let old_primary = with.primary(k.as_bytes()).unwrap();
+            let new_primary = without.primary(k.as_bytes()).unwrap();
+            if old_primary != 3 {
                 assert_eq!(
-                    new_primary, *old_primary,
-                    "key {k} moved although its primary stayed up"
+                    new_primary, old_primary,
+                    "key {k} moved although its primary stayed"
                 );
             } else {
                 moved += 1;
@@ -547,53 +449,40 @@ mod tests {
     }
 
     #[test]
-    fn epochs_count_membership_changes() {
-        let mut ring: HashRing<u32> = HashRing::with_vnodes(0..3, 8);
-        assert_eq!(ring.epoch(), 3, "one bump per constructed member");
-        ring.add_node(7);
-        assert_eq!(ring.epoch(), 4);
-        assert!(ring.remove_node(&0));
-        assert_eq!(ring.epoch(), 5);
-        assert!(!ring.remove_node(&0));
-        assert_eq!(ring.epoch(), 5, "failed removal must not bump");
-    }
-
-    #[test]
-    fn from_members_is_order_independent_and_matches_incremental() {
-        let a: HashRing<u32> = HashRing::from_members([3, 1, 2], 16, 9);
-        let b: HashRing<u32> = HashRing::from_members([2, 3, 1], 16, 9);
+    fn with_vnodes_is_order_independent_and_dedups() {
+        let a: HashRing<u32> = HashRing::with_vnodes([3, 1, 2], 16);
+        let b: HashRing<u32> = HashRing::with_vnodes([2, 3, 1, 3, 1], 16);
         assert_eq!(a.tokens, b.tokens);
-        assert_eq!(a.nodes(), b.nodes());
-        assert_eq!(a.epoch(), 9);
-
-        // incremental growth from the same sorted set places identically
-        let mut inc: HashRing<u32> = HashRing::with_vnodes([1u32, 2], 16);
-        inc.add_node(3);
-        assert_eq!(inc.tokens, a.tokens);
+        assert_eq!(a.nodes(), &[1, 2, 3]);
+        assert_eq!(b.nodes(), &[1, 2, 3]);
+        assert_eq!(
+            b.arc_count(),
+            3 * 16,
+            "a repeated member places no extra tokens"
+        );
     }
 
     #[test]
     fn token_collision_probes_instead_of_stomping() {
-        let mut ring: HashRing<u32> = HashRing::with_vnodes([1], 4);
+        let mut tokens: BTreeMap<u64, u32> = BTreeMap::new();
+        place_tokens(&mut tokens, &1, 4);
         // Occupy node 2's first-choice token with node 1's ownership,
         // simulating a 64-bit hash collision between the two nodes.
         let stolen = hash_with_seed(format!("{:?}", 2u32).as_bytes(), 0);
         assert!(
-            ring.tokens.insert(stolen, 1).is_none(),
+            tokens.insert(stolen, 1).is_none(),
             "the forced token must not already exist"
         );
-        ring.add_node(2);
+        place_tokens(&mut tokens, &2, 4);
         // Node 2 still placed all its vnodes (one probed to a new seed).
-        assert_eq!(ring.tokens.values().filter(|n| **n == 2).count(), 4);
+        assert_eq!(tokens.values().filter(|n| **n == 2).count(), 4);
+        assert_eq!(tokens.get(&stolen), Some(&1), "occupant keeps its token");
+        let probed = hash_with_seed(format!("{:?}", 2u32).as_bytes(), 1 << 32);
         assert_eq!(
-            ring.tokens.get(&stolen),
-            Some(&1),
-            "occupant keeps its token"
+            tokens.get(&probed),
+            Some(&2),
+            "the next seed took its place"
         );
-        // Removing the occupant must leave node 2's coverage intact.
-        assert!(ring.remove_node(&1));
-        assert_eq!(ring.tokens.values().filter(|n| **n == 2).count(), 4);
-        assert_eq!(ring.preference_list(b"k", 1), vec![2]);
     }
 
     #[test]
@@ -605,37 +494,6 @@ mod tests {
                 ring.preference_list(key.as_bytes(), 3),
                 ring.preference_list_at(hash_key(key.as_bytes()), 3)
             );
-        }
-    }
-
-    #[test]
-    fn owned_ranges_diff_covers_exactly_the_moved_keys() {
-        let old: HashRing<u32> = HashRing::with_vnodes(0..4, 16);
-        let mut new = old.clone();
-        new.add_node(4);
-        let diffs = HashRing::owned_ranges_diff(&old, &new, 3);
-        assert!(!diffs.is_empty(), "adding a node must move some ranges");
-        for d in &diffs {
-            assert_ne!(d.old_owners, d.new_owners);
-            assert!(
-                d.new_owners.contains(&4) || d.old_owners.len() != d.new_owners.len(),
-                "every moved arc involves the joiner: {d:?}"
-            );
-        }
-        // Ground truth: per-key preference lists changed iff some diff
-        // arc contains the key — checked over many keys.
-        for i in 0..500 {
-            let key = format!("key-{i}");
-            let h = hash_key(key.as_bytes());
-            let moved =
-                old.preference_list(key.as_bytes(), 3) != new.preference_list(key.as_bytes(), 3);
-            let in_diff = diffs.iter().any(|d| d.contains(h));
-            assert_eq!(moved, in_diff, "key {key} misclassified");
-            if moved {
-                let d = diffs.iter().find(|d| d.contains(h)).unwrap();
-                assert_eq!(d.old_owners, old.preference_list(key.as_bytes(), 3));
-                assert_eq!(d.new_owners, new.preference_list(key.as_bytes(), 3));
-            }
         }
     }
 
@@ -674,23 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn arc_cache_invalidates_on_membership_change() {
-        let mut ring: HashRing<u32> = HashRing::with_vnodes(0..3, 8);
-        let p = hash_key(b"probe");
-        let before = ring.preference_list_at(p, 3); // builds the cache
-        ring.add_node(9);
-        assert_eq!(
-            ring.preference_list_at(p, 4),
-            ring.walk_preference_list_at(p, 4),
-            "stale cache survived add_node"
-        );
-        assert!(ring.full_walk_at(p).contains(&9));
-        ring.remove_node(&9);
-        assert_eq!(ring.preference_list_at(p, 3), before);
-        assert_eq!(ring.arc_count(), 3 * 8);
-    }
-
-    #[test]
     fn arc_prefs_agree_with_point_lookups() {
         let ring: HashRing<u32> = HashRing::with_vnodes(0..5, 16);
         let bounds = ring.arc_bounds().to_vec();
@@ -706,34 +547,68 @@ mod tests {
         assert!(!empty.preference_list_contains(7, 3, &1));
     }
 
-    #[test]
-    fn owned_ranges_diff_identical_rings_is_empty() {
-        let ring: HashRing<u32> = HashRing::with_vnodes(0..4, 16);
-        assert!(HashRing::owned_ranges_diff(&ring, &ring, 3).is_empty());
-        let empty: HashRing<u32> = HashRing::with_vnodes(std::iter::empty(), 8);
-        assert!(HashRing::owned_ranges_diff(&empty, &empty, 3).is_empty());
+    // --- sloppy routing ------------------------------------------------------
+
+    fn ring() -> HashRing<u32> {
+        HashRing::with_vnodes(0..5, 16)
+    }
+
+    /// The sloppy list for key `k` with the nodes in `down` unroutable.
+    fn sloppy(r: &HashRing<u32>, k: &[u8], down: &BTreeSet<u32>) -> (Vec<u32>, Vec<(u32, u32)>) {
+        r.sloppy_preference_list_at(hash_key(k), 3, |n| !down.contains(n))
     }
 
     #[test]
-    fn range_diff_contains_handles_wrap_and_full_circle() {
-        let wrap = RangeDiff::<u32> {
-            start: u64::MAX - 10,
-            end: 10,
-            old_owners: vec![],
-            new_owners: vec![],
-        };
-        assert!(wrap.contains(5));
-        assert!(wrap.contains(u64::MAX));
-        assert!(!wrap.contains(11));
-        assert!(!wrap.contains(u64::MAX - 10), "start is exclusive");
-        let full = RangeDiff::<u32> {
-            start: 42,
-            end: 42,
-            old_owners: vec![],
-            new_owners: vec![],
-        };
-        assert!(full.contains(0));
-        assert!(full.contains(42));
-        assert!(full.contains(u64::MAX));
+    fn all_up_no_substitutions() {
+        let (active, subs) = sloppy(&ring(), b"k", &BTreeSet::new());
+        assert_eq!(active.len(), 3);
+        assert!(subs.is_empty());
+        assert_eq!(active, ring().preference_list(b"k", 3));
+    }
+
+    #[test]
+    fn down_primary_is_substituted() {
+        let r = ring();
+        let ideal = r.preference_list(b"k", 3);
+        let (active, subs) = sloppy(&r, b"k", &BTreeSet::from([ideal[0]]));
+        assert_eq!(active.len(), 3);
+        assert!(!active.contains(&ideal[0]));
+        assert_eq!(subs.len(), 1);
+        assert_eq!(subs[0].0, ideal[0]);
+        assert!(active.contains(&subs[0].1));
+    }
+
+    #[test]
+    fn too_many_down_yields_short_list() {
+        let (active, _) = sloppy(&ring(), b"k", &(0..4).collect());
+        assert_eq!(active, vec![4], "only one node is routable");
+    }
+
+    #[test]
+    fn recovery_restores_routing() {
+        let r = ring();
+        let ideal = r.preference_list(b"k", 3);
+        let mut down = BTreeSet::from([ideal[1]]);
+        let (with_down, _) = sloppy(&r, b"k", &down);
+        assert!(!with_down.contains(&ideal[1]));
+        down.remove(&ideal[1]);
+        let (healed, subs) = sloppy(&r, b"k", &down);
+        assert_eq!(healed, ideal);
+        assert!(subs.is_empty());
+    }
+
+    #[test]
+    fn fallbacks_never_duplicate_active_nodes() {
+        let r = ring();
+        for key in 0..50u32 {
+            let k = format!("key{key}");
+            let ideal = r.preference_list(k.as_bytes(), 3);
+            let down = BTreeSet::from([ideal[0], ideal[2]]);
+            let (active, _) = sloppy(&r, k.as_bytes(), &down);
+            let mut sorted = active.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), active.len(), "duplicate in {active:?}");
+        }
     }
 }

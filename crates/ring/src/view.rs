@@ -98,7 +98,7 @@ impl MemberEntry {
 /// A mergeable ring-membership state: member → `(incarnation, status)`.
 ///
 /// Because a [`HashRing`] is a pure function of the in-ring member set
-/// (see [`HashRing::from_members`]), a `RingView` is all a process needs
+/// (see [`HashRing::with_vnodes`]), a `RingView` is all a process needs
 /// to reconstruct the full routing state it describes — which makes it
 /// the natural payload for gossip: peers exchange *digests* (a 64-bit
 /// hash of the merged state) cheaply and push the full view only on
@@ -328,19 +328,19 @@ impl<N: Clone + Ord + Debug> RingView<N> {
 
     /// Monotone progress scalar: the sum of all incarnations. Every
     /// announcement merged in raises it by at least one, so it serves as
-    /// the rebuilt ring's epoch (and a human-readable "how many changes
-    /// has this process seen" counter) — but unlike the digest it does
-    /// not identify the state: compare digests to test convergence.
+    /// a human-readable "how many changes has this process seen" counter
+    /// (a node's `ring_epoch`) — but unlike the digest it does not
+    /// identify the state: compare digests to test convergence.
     #[must_use]
     pub fn version(&self) -> u64 {
         self.entries.values().map(|e| e.incarnation).sum()
     }
 
-    /// Rebuilds the [`HashRing`] this view describes from its in-ring
-    /// members, with [`RingView::version`] as the ring epoch.
+    /// Builds the [`HashRing`] this view describes from its in-ring
+    /// members.
     #[must_use]
     pub fn to_ring(&self, vnodes: u32) -> HashRing<N> {
-        HashRing::from_members(self.members(), vnodes, self.version())
+        HashRing::with_vnodes(self.members(), vnodes)
     }
 }
 
@@ -357,8 +357,7 @@ mod tests {
         assert_eq!(view.version(), 4, "four incarnation-1 members");
         let ring = view.to_ring(16);
         assert_eq!(ring.nodes(), &[0, 1, 2, 3]);
-        assert_eq!(ring.epoch(), view.version());
-        let direct: HashRing<u32> = HashRing::from_members(0..4, 16, view.version());
+        let direct: HashRing<u32> = HashRing::with_vnodes(0..4, 16);
         for i in 0..50 {
             let k = format!("k{i}");
             assert_eq!(

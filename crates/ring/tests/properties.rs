@@ -1,26 +1,20 @@
-//! Property tests for sloppy preference lists: whatever the mix of node
-//! statuses, routing must name `n` distinct routable nodes whenever that
+//! Property tests for sloppy preference lists: whatever the set of down
+//! nodes, routing must name `n` distinct routable nodes whenever that
 //! many exist, never route to a down node, and every substitution must
 //! stand in for a genuinely down preferred replica.
+
+use std::collections::BTreeSet;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use ring::{HashRing, Membership, NodeStatus};
+use ring::{hash_key, HashRing};
 
-/// A membership scenario: `member_count` nodes, a status draw per node.
-fn arb_scenario() -> impl Strategy<Value = (u32, Vec<u8>, Vec<u8>)> {
-    (2u32..9, vec(0u8..4, 8), vec(any::<u8>(), 1..24))
-        .prop_map(|(count, statuses, key)| (count, statuses, key))
-}
-
-fn status_from(code: u8) -> NodeStatus {
-    match code {
-        0 => NodeStatus::Up,
-        1 => NodeStatus::Down,
-        2 => NodeStatus::Joining,
-        _ => NodeStatus::Leaving,
-    }
+/// A routing scenario: `member_count` nodes, a down-or-routable draw per
+/// node, and a key.
+fn arb_scenario() -> impl Strategy<Value = (u32, Vec<bool>, Vec<u8>)> {
+    (2u32..9, vec(any::<bool>(), 8), vec(any::<u8>(), 1..24))
+        .prop_map(|(count, down, key)| (count, down, key))
 }
 
 proptest! {
@@ -29,15 +23,13 @@ proptest! {
         scenario in arb_scenario(),
         n in 1usize..5,
     ) {
-        let (count, statuses, key) = scenario;
+        let (count, draws, key) = scenario;
         let ring: HashRing<u32> = HashRing::with_vnodes(0..count, 16);
-        let mut m = Membership::new(0..count);
-        for node in 0..count {
-            m.set_status(&node, status_from(statuses[node as usize % statuses.len()]));
-        }
-        let routable = (0..count).filter(|x| m.is_routable(x)).count();
+        let down: BTreeSet<u32> = (0..count).filter(|x| draws[*x as usize % draws.len()]).collect();
+        let routable_node = |x: &u32| !down.contains(x);
+        let routable = (0..count).filter(routable_node).count();
 
-        let (active, subs) = m.sloppy_preference_list(&ring, &key, n);
+        let (active, subs) = ring.sloppy_preference_list_at(hash_key(&key), n, routable_node);
 
         // n distinct routable nodes whenever that many are available
         prop_assert_eq!(active.len(), n.min(routable), "short list despite capacity");
@@ -46,14 +38,14 @@ proptest! {
         dedup.dedup();
         prop_assert_eq!(dedup.len(), active.len(), "duplicate active node");
         for node in &active {
-            prop_assert!(m.is_routable(node), "routed to non-routable {}", node);
+            prop_assert!(routable_node(node), "routed to down node {}", node);
         }
 
         // every substitution replaces a genuinely down preferred replica,
         // and its fallback actually serves
         let ideal = ring.preference_list(&key, n);
         for (intended, fallback) in &subs {
-            prop_assert!(!m.is_routable(intended), "substituted a routable node");
+            prop_assert!(!routable_node(intended), "substituted a routable node");
             prop_assert!(ideal.contains(intended), "intended not in the ideal list");
             prop_assert!(active.contains(fallback), "fallback not active");
             prop_assert!(!ideal.contains(fallback), "fallback was already preferred");
@@ -61,7 +53,7 @@ proptest! {
 
         // routable preferred replicas are always used directly
         for node in &ideal {
-            if m.is_routable(node) {
+            if routable_node(node) {
                 prop_assert!(active.contains(node), "skipped a routable owner");
             }
         }

@@ -48,6 +48,13 @@ printf '  %-32s %6d\n' \
     "StoreConfig fields" "$(members crates/kvstore/src/config.rs '^pub struct StoreConfig ')" \
     "RuntimeConfig fields" "$(members crates/runtime/src/lib.rs '^pub struct RuntimeConfig ')" \
     "SocketConfig fields" "$(members crates/transport/src/fleet.rs '^pub struct SocketConfig ')"
+# One membership truth per node: the mergeable view's status enum is the
+# ring crate's only one, and no store type keeps a membership table
+# beside its view (failure-detector marks are a plain set of replicas).
+echo "membership surface"
+printf '  %-32s %6d\n' \
+    "ring: pub enum *Status" "$({ grep -rhE '^pub enum [A-Za-z]*Status\b' crates/ring/src || true; } | wc -l)" \
+    "kvstore: Membership< fields" "$({ grep -rhE '^ +(pub )?[a-z_][a-z0-9_]*: Membership<' crates/kvstore/src || true; } | wc -l)"
 # The fault plane: how many times each of its pieces is written.
 src_count() {
     { grep -rhE "$1" crates/*/src --include='*.rs' || true; } | wc -l
