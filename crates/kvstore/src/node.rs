@@ -1277,6 +1277,11 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         owner: bool,
         subs: &[(ReplicaId, ReplicaId)],
     ) {
+        // A replica is stale iff it answered with something other than
+        // what the read merged. Judged against the folded copy instead, a
+        // write that reached this coordinator before the last answer would
+        // make every replica look stale.
+        let read_fp = fingerprint(&merged);
         // An owner folds the merged state into its own store first; a
         // non-owner coordinator must not keep any state for the key.
         let canonical = if owner {
@@ -1295,9 +1300,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if !self.config.read_repair {
             return;
         }
-        let target_fp = fingerprint(&canonical);
         for (peer, fp) in seen {
-            if *peer != self.replica && *fp != target_fp {
+            if *peer != self.replica && *fp != read_fp {
                 self.stats.read_repairs += 1;
                 self.send(
                     ctx,

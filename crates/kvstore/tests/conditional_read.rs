@@ -362,6 +362,8 @@ fn coordinator_copy_moving_mid_read_changes_nothing_about_the_read() {
     // the coordinator. `have` names the snapshot the quorum started
     // from, not the live copy: the accumulated state, the client reply
     // and the repair targets must equal those of a full-state read.
+    // Neither replica is repaired: each answered with what the read
+    // merged, so neither was stale when it answered.
     let (key, [a, b, c], _) = placement();
     let (old, new) = old_and_new(b);
     let run = |answer: &dyn Fn() -> Msg<M>| {
@@ -393,10 +395,40 @@ fn coordinator_copy_moving_mid_read_changes_nothing_about_the_read() {
     );
     assert_eq!(
         repairs,
-        vec![NodeId(b.0), NodeId(c.0)],
-        "both replicas reported the snapshot, which the folded copy has left behind"
+        Vec::<NodeId>::new(),
+        "both replicas reported the snapshot the read merged"
     );
     assert_eq!(stored, new);
+}
+
+/// The race a read used to lose: the coordinator's copy moves on (a
+/// replicated write for the key) between the first and the last answer.
+/// Both answers equal what the read merged, so no replica is stale and
+/// none is repaired; the write stays applied.
+#[test]
+fn a_write_between_the_answers_repairs_no_one() {
+    let (key, [a, b, c], _) = placement();
+    let (old, new) = old_and_new(a);
+    let mut coord = Server::holding(a, &key, &old);
+    let reads = conditional_reads(&coord.client_get(&key), &key);
+    assert!(reads.iter().all(|(.., have)| *have == fingerprint(&old)));
+
+    let (ok, values, _) = client_reply(&coord.deliver(NodeId(b.0), same(REQ)));
+    assert!(ok);
+    assert_eq!(values[0].payload, b"old".to_vec());
+    let put = Msg::RepPut {
+        req: 1,
+        key: key.clone(),
+        state: new.clone(),
+        hint: None,
+    };
+    let acked = coord.deliver(NodeId(b.0), put);
+    assert!(matches!(acked[..], [(_, Msg::RepPutAck { req: 1 })]));
+
+    let sent = coord.deliver(NodeId(c.0), same(REQ));
+    assert!(sent.is_empty(), "no replica is stale, got {sent:?}");
+    assert_eq!(coord.node.stats().read_repairs, 0);
+    assert_eq!(coord.stored(&key), new);
 }
 
 #[test]

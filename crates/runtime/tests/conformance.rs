@@ -140,7 +140,9 @@ fn threaded_runtime_matches_simulator_audits() {
 /// while the clients run (faults go off for the quiesce, as always).
 /// Quorums form through `s2`, so no client cycle fails; what `s1`
 /// missed from `s0` reaches it by read repair and anti-entropy, and the
-/// audit stack is clean.
+/// audit stack is clean. The repairs are `s2`'s: it is the one
+/// coordinator that hears `s1` answer while `s1` lacks what `s0` wrote
+/// (`s0` never hears `s1`, and `s1` hears only `s2`, which is not behind).
 #[test]
 fn a_one_way_dead_link_fails_no_cycle_and_audits_clean() {
     let mut net = NetworkConfig::uniform(LinkConfig {
@@ -166,8 +168,8 @@ fn a_one_way_dead_link_fails_no_cycle_and_audits_clean() {
     assert_eq!(fleet.latency_report().failed_cycles, 0);
     assert_eq!(report.ops_ok, 2 * u64::from(CYCLES) * CLIENTS as u64);
     assert!(
-        fleet.server(0).stats().read_repairs > 0,
-        "every read s0 coordinates retires with s1 unheard, and repairs it"
+        fleet.server(2).stats().read_repairs > 0,
+        "s2 hears s1 answer without s0's writes, and repairs it"
     );
     audit_fleet(&mut fleet, "one-way dead link (runtime)");
 }
