@@ -194,8 +194,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
     /// Merges a learned ring view (from a [`Msg::RingEpoch`] push or the
     /// control plane's force-sync safety valve): on change, rebuilds the
     /// ring and forgets the down marks of replicas that left it. Returns
-    /// `(changed, sender_lacks)` as
-    /// reported by [`RingView::absorb`].
+    /// `(changed, sender_lacks)` as reported by [`RingView::absorb`].
     pub fn force_view(&mut self, view: &RingView<ReplicaId>) -> (bool, bool) {
         let (changed, sender_lacks) = self.view.absorb(view);
         if changed {

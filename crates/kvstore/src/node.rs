@@ -525,8 +525,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// The ring's other routable members, ascending — the gossip and
     /// anti-entropy peer candidates.
     fn routable_peers(&self) -> Vec<ReplicaId> {
-        let others = self.ring.nodes().iter().filter(|p| **p != self.replica);
-        others.filter(|p| !self.down.contains(p)).copied().collect()
+        let nodes = self.ring.nodes().iter();
+        let others = nodes.filter(|p| **p != self.replica && self.is_routable(p));
+        others.copied().collect()
     }
 
     /// Completes a leave after the drain: clears the (fully drained)
@@ -757,11 +758,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     fn active_replicas(&self, key: &[u8]) -> (Vec<ReplicaId>, Subs) {
-        // the walk names ring members only, so a mark is all it consults
-        let routable = |r: &ReplicaId| !self.down.contains(r);
         let point = self.key_point(key);
         self.ring
-            .sloppy_preference_list_at(point, self.config.n, routable)
+            .sloppy_preference_list_at(point, self.config.n, |r| self.is_routable(r))
     }
 
     /// The key's ring position. Hashing a (short) key is cheaper than a
@@ -1278,9 +1277,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         subs: &[(ReplicaId, ReplicaId)],
     ) {
         // A replica is stale iff it answered with something other than
-        // what the read merged. Judged against the folded copy instead, a
-        // write that reached this coordinator before the last answer would
-        // make every replica look stale.
+        // what the read merged — not the folded copy, which a write that
+        // reached this coordinator before the last answer has moved on,
+        // making every replica look stale.
         let read_fp = fingerprint(&merged);
         // An owner folds the merged state into its own store first; a
         // non-owner coordinator must not keep any state for the key.
