@@ -449,11 +449,19 @@ mod tests {
     }
 
     #[test]
-    fn with_vnodes_is_order_independent_and_dedups() {
+    fn with_vnodes_is_order_independent() {
         let a: HashRing<u32> = HashRing::with_vnodes([3, 1, 2], 16);
-        let b: HashRing<u32> = HashRing::with_vnodes([2, 3, 1, 3, 1], 16);
+        let b: HashRing<u32> = HashRing::with_vnodes([2, 1, 3], 16);
         assert_eq!(a.tokens, b.tokens);
         assert_eq!(a.nodes(), &[1, 2, 3]);
+        assert_eq!(b.nodes(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn with_vnodes_dedups_repeated_members() {
+        let a: HashRing<u32> = HashRing::with_vnodes([1, 2, 3], 16);
+        let b: HashRing<u32> = HashRing::with_vnodes([2, 3, 1, 3, 1], 16);
+        assert_eq!(a.tokens, b.tokens);
         assert_eq!(b.nodes(), &[1, 2, 3]);
         assert_eq!(
             b.arc_count(),
