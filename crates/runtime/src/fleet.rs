@@ -7,14 +7,16 @@
 //! same [`NodeKit`] builds them — at construction and again when a
 //! scheduled crash respawns a server. Each server gets a dedicated
 //! event-loop thread; clients are partitioned across `client_workers`
-//! threads. Every worker owns a bounded inbox, a [`TimerWheel`] per
-//! hosted node, and a forked RNG stream, and hands its events to the
-//! *same* [`StoreProc`] entry points the simulator calls. The only
-//! runtime-specific layer a node ever sees is the per-event
-//! [`NodeCtx`] the worker stacks up, which **writes through**: a send
-//! goes straight to the worker's router, a timer arm or cancel straight
-//! to the node's wheel, so effects happen in the order the handler made
-//! them and nothing is collected to be replayed afterwards.
+//! threads. Every worker owns a bounded inbox, one **agenda** — a
+//! [`TimerWheel`] of everything it will do at a future instant: its
+//! nodes' timers, its held-back packets and, on a server's worker, that
+//! server's scheduled kill and respawn — and a forked RNG stream per
+//! node, and hands its events to the *same* [`StoreProc`] entry points
+//! the simulator calls. The only runtime-specific layer a node ever sees
+//! is the per-event [`NodeCtx`] the worker stacks up, which **writes
+//! through**: a send goes straight to the worker's router, a timer arm
+//! or cancel straight to its agenda, so effects happen in the order the
+//! handler made them and nothing is collected to be replayed afterwards.
 //!
 //! A node's sends go three ways. Self-sends take the worker's local
 //! queue: reliable, never fault-injected, never on the wire. With no
@@ -23,12 +25,19 @@
 //! asks the simulator's own fault plane — a [`simnet::Network`] over
 //! the worker's RNG stream — what becomes of the message: lost, or one
 //! or more copies (the original, a duplicate, a stale replay), each
-//! with the delay the routing worker itself holds it back for before
-//! the link gets it. The link is [`ChannelLink`] for [`RuntimeFleet`]
-//! (a bounded `std::sync::mpsc` inbox per worker), a TCP fabric for
-//! `transport::SocketFleet`. Either way a full inbox drops the message
-//! (wire loss; the protocol's timeouts, retries and anti-entropy absorb
-//! it), so workers can never deadlock on a send. The crash plane, the
+//! with the delay the routing worker itself holds it back for, on its
+//! agenda, before the link gets it. The link is [`ChannelLink`] for
+//! [`RuntimeFleet`] (a bounded `std::sync::mpsc` inbox per worker), a
+//! TCP fabric for `transport::SocketFleet`. Either way a full inbox
+//! drops the message (wire loss; the protocol's timeouts, retries and
+//! anti-entropy absorb it), so workers can never deadlock on a send.
+//!
+//! A scheduled crash ([`CrashEvent`](crate::CrashEvent)) is two agenda entries on its
+//! server's own worker, both known when the fleet is built: the kill
+//! swaps in an inert husk and drops the node's timers and queued
+//! self-sends, the respawn rebuilds the node from its [`NodeKit`] and
+//! queues it, on the worker's local queue, the view that re-admits it.
+//! Nothing crosses threads to order either. The crash schedule, the
 //! storage-engine factory and the fault plane all sit above the link,
 //! so they work the same on every link. Where a worker's inbox is fed
 //! from is the link's too: [`Link::worker`] gives each worker a handle
@@ -40,13 +49,14 @@
 //! spawns one thread per server and one per non-empty client group, and
 //! nothing else — and neither does the socket link, whose accepting and
 //! reading happens on the workers. The thread that called `run` is the
-//! one supervisor: it drives
-//! the crash schedule and the link's schedule, declares a stall when
+//! one supervisor: it drives the link's schedule, declares a stall when
 //! the op counter sits still for the stall budget, and decides when the
 //! run is over — parked in between, and unparked by the worker that
 //! sees a client session finish. Everything it knows about the live
 //! fleet it reads from [`Progress`], which the workers write with
-//! relaxed atomics: no lock is taken on the dispatch path.
+//! relaxed atomics — that the crash schedule is over included: the run
+//! is past its last respawn and no server is down. No lock is taken on
+//! the dispatch path.
 //!
 //! **A worker with nothing to do polls before it parks — while that
 //! pays.** A worker blocked on an empty inbox lets its vCPU halt, and
@@ -56,7 +66,7 @@
 //! operation — the gap to the thread-free simulator's 10.9 µs that had
 //! been filed under "the host is bimodal". So the loop's idle arm first
 //! looks at its inbox for up to [`Link::SPIN`], yielding the CPU between
-//! looks and never past the next due timer or held-back packet; only
+//! looks and never past its agenda's next due instant; only
 //! then does it park, as it always did, for what is left of the wait.
 //! A gate decides whether to poll at all, from what the last idle gap
 //! was (`SpinGate`): a saturated fleet holds itself in the cheap regime
@@ -68,8 +78,8 @@
 //! shape `parks / ops_ok` reads 1.8 when every idle moment ends in a
 //! sleep, and 0.00 (in memory) or 0.2 (a durable log under it) now.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle, Thread};
@@ -87,15 +97,15 @@ use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
 use simnet::{Duration, Network, NodeId, ReplayStash, SimRng, SimTime, TimerId};
 
-use crate::link::{deliver, ChannelLink, Link, Packet, Wiring};
+use crate::link::{ChannelLink, Link, Packet, Wiring};
 use crate::watchdog::{self, Progress, StallReport};
-use crate::wheel::TimerWheel;
-use crate::{CrashEvent, RuntimeConfig};
+use crate::wheel::{Entry, TimerWheel};
+use crate::RuntimeConfig;
 
 /// Inbox slots per hosted node; a full inbox drops (wire loss).
 const INBOX_CAPACITY: usize = 1024;
 
-/// The main loop's park between passes while a crash or link schedule
+/// The main loop's park between passes while the crash or link schedule
 /// still has a deadline to meet.
 const SCHEDULE_PARK: StdDuration = StdDuration::from_millis(2);
 
@@ -110,44 +120,75 @@ const IDLE_PARK: StdDuration = StdDuration::from_millis(25);
 /// to detect leftover divergence).
 const SETTLE_CLEAN_ROUNDS: u64 = 8;
 
-/// Crash-plane phases: the handshake between the main loop (which
-/// drives the crash schedule) and a crashed server's worker thread
-/// (which performs the kill and the rebuild in-thread, so the node is
-/// never touched from two threads).
-const PHASE_RUNNING: u8 = 0;
-/// Main loop ordered a kill; the worker has not executed it yet.
-const PHASE_KILL: u8 = 1;
-/// Worker dropped the node; an inert husk holds the slot.
-const PHASE_DOWN: u8 = 2;
-/// Main loop ordered a respawn; the worker has not rebuilt yet.
-const PHASE_RESPAWN: u8 = 3;
-
-/// One atomic phase per server, shared between the main loop and the
-/// server workers (see the `PHASE_*` constants).
+/// One entry of a worker's agenda: something it will do at a future
+/// instant.
 #[derive(Debug)]
-struct CrashPlane {
-    phases: Vec<AtomicU8>,
+enum Due<M: Mechanism<StampedValue>> {
+    /// A hosted node's timer, cancellable by `(node, timer)`.
+    Timer(NodeId, TimerId),
+    /// A packet the network gave a delay. It is on the wire already: a
+    /// kill of the node that sent it does not take it back.
+    Send(Packet<M>),
+    /// The worker's server is killed ([`CrashEvent::kill_after`](crate::CrashEvent::kill_after)).
+    Kill,
+    /// The worker's server is rebuilt ([`CrashEvent::respawn_after`](crate::CrashEvent::respawn_after)).
+    Respawn,
 }
 
-/// A server worker's handle on the crash schedule: its slot's phase
-/// cell plus the kit that built its node, to rebuild it from scratch
-/// after a scheduled kill (a log-backed engine replays its durable
-/// prefix on open; without an engine factory the respawn comes back
-/// empty, the diskless baseline).
-struct WorkerCrash<M: Mechanism<StampedValue>> {
-    server: usize,
-    plane: Arc<CrashPlane>,
+impl<M: Mechanism<StampedValue>> Entry for Due<M> {
+    type Id = (NodeId, TimerId);
+
+    fn id(&self) -> Option<(NodeId, TimerId)> {
+        match self {
+            Due::Timer(node, timer) => Some((*node, *timer)),
+            _ => None,
+        }
+    }
+}
+
+/// A server worker's scheduled crash: the kit that built its node, to
+/// rebuild it from scratch at the respawn (a log-backed engine replays
+/// its durable prefix on open; without an engine factory the respawn
+/// comes back empty, the diskless baseline), the view that re-admits it,
+/// and whether it is down now.
+struct Crash<M: Mechanism<StampedValue>> {
     kit: NodeKit<M>,
+    /// The genesis view with this server's fresh `Up` incarnation.
+    readmit: RingView<ReplicaId>,
+    down: bool,
 }
 
-/// Where one scheduled [`CrashEvent`] currently stands in the main
-/// loop's state machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CrashStage {
-    Pending,
-    Killed,
-    Respawning,
-    Done,
+impl<M: Mechanism<StampedValue>> Crash<M> {
+    /// The kill, on the server's own worker: the node is dropped —
+    /// in-memory state, armed timers, queued self-sends and the engine's
+    /// unsynced buffer are gone, like a power cut — and an inert husk
+    /// holds the slot. What the node had already sent stays sent,
+    /// held-back packets included.
+    fn kill<L: Link<M>>(&mut self, h: &mut Hosted<M>, router: &mut Router<M, L>) {
+        let slot = h.id.0 as usize;
+        router.progress.set_expected_down(slot, true);
+        h.proc_ = self.kit.husk(slot);
+        router
+            .agenda
+            .retain(|due| !matches!(due, Due::Timer(node, _) if *node == h.id));
+        router.local.clear();
+        self.down = true;
+    }
+
+    /// The respawn, on the same worker: the node is rebuilt from the kit
+    /// and re-admitted in band — its re-admission view goes on the local
+    /// queue, which cannot be full. Merging it is what re-arms the node's
+    /// timers (it was built mid-run, so without `on_start`) and lets
+    /// gossip spread the re-admission; the other servers' ones reach it
+    /// by gossip too.
+    fn respawn<L: Link<M>>(&mut self, h: &mut Hosted<M>, router: &mut Router<M, L>) {
+        let slot = h.id.0 as usize;
+        h.proc_ = self.kit.server(slot);
+        self.down = false;
+        let view = self.readmit.clone();
+        router.local.push_back((h.id, Msg::RingEpoch { view }));
+        router.progress.set_expected_down(slot, false);
+    }
 }
 
 /// State shared by every thread of a run (mechanism-independent).
@@ -181,12 +222,9 @@ struct Router<M: Mechanism<StampedValue>, L> {
     link: L,
     network: Network,
     stash: ReplayStash<Msg<M>>,
-    /// Packets the network gave a delay, held back until their due
-    /// instant as `(due µs, arrival seq) → packet`. They are on the wire
-    /// already: a kill of the node that sent them does not take them
-    /// back.
-    delayed: BTreeMap<(u64, u64), Packet<M>>,
-    delayed_seq: u64,
+    /// Everything the worker will do at a future instant, in
+    /// `(due µs, arrival seq)` order.
+    agenda: TimerWheel<Due<M>>,
     /// Self-sends awaiting dispatch on this worker, as `(node, msg)`.
     local: VecDeque<(NodeId, Msg<M>)>,
 }
@@ -207,43 +245,26 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> Router<M, L> {
         // The network decides: nothing (lost), or every copy to send —
         // at once, or held back on this worker for the copy's delay.
         let now_us = self.shared.now_us();
-        let (link, delayed, seq) = (&self.link, &mut self.delayed, &mut self.delayed_seq);
+        let (link, agenda) = (&self.link, &mut self.agenda);
         let emit = |delay: Duration, msg, _bytes| {
             let pkt = Packet { from, to, msg };
             if delay == Duration::ZERO {
                 return link.send(pkt);
             }
-            delayed.insert((now_us + delay.as_micros(), *seq), pkt);
-            *seq += 1;
+            agenda.schedule(now_us + delay.as_micros(), Due::Send(pkt));
         };
         self.network
             .route(&mut self.stash, from, to, bytes, msg, emit);
     }
-
-    /// Sends every held-back packet due at or before `now_us`.
-    fn send_due(&mut self, now_us: u64) {
-        while let Some(entry) = self.delayed.first_entry() {
-            if entry.key().0 > now_us {
-                break;
-            }
-            self.link.send(entry.remove());
-        }
-    }
-
-    /// When the earliest held-back packet is due, if any is held.
-    fn next_due(&self) -> Option<u64> {
-        self.delayed.keys().next().map(|(due, _)| *due)
-    }
 }
 
 /// One node hosted on a worker thread: the protocol state machine plus
-/// its runtime-side scheduling state.
+/// its runtime-side state (its timers are on the worker's agenda).
 #[derive(Debug)]
 struct Hosted<M: Mechanism<StampedValue>> {
     id: NodeId,
     proc_: StoreProc<M>,
     rng: SimRng,
-    wheel: TimerWheel<TimerId>,
     next_timer: u64,
     was_done: bool,
     last_ops: u64,
@@ -336,6 +357,8 @@ pub struct Fleet<M: Mechanism<StampedValue>, L: Link<M>> {
     config: RuntimeConfig,
     /// Builds (and after a scheduled crash rebuilds) this fleet's nodes.
     kit: NodeKit<M>,
+    /// The genesis view with one `Up` bump per scheduled crash: what
+    /// the fleet's views converge to once every respawn is re-admitted.
     view: RingView<ReplicaId>,
     nodes: Vec<Hosted<M>>,
     progress: Arc<Progress>,
@@ -372,7 +395,7 @@ where
     /// [`Cluster::new_durable`](kvstore::cluster::Cluster::new_durable).
     /// Opening an engine replays whatever a previous incarnation (or a
     /// previous fleet over the same directory) durably synced, and a
-    /// scheduled [`CrashEvent`] respawn rebuilds from the same factory.
+    /// scheduled [`CrashEvent`](crate::CrashEvent) respawn rebuilds from the same factory.
     pub fn new_durable(
         seed: u64,
         mech: M,
@@ -401,6 +424,7 @@ where
     ) -> Self {
         assert!(config.client_workers > 0, "need at least one client worker");
         let kit = NodeKit::new(mech, config.store, config.servers, factory);
+        let mut view = kit.genesis_view().clone();
         let mut crash_targets = std::collections::BTreeSet::new();
         for c in &config.crashes {
             assert!(
@@ -417,6 +441,7 @@ where
                 "server {} crashed twice in one schedule",
                 c.server
             );
+            view.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
         }
         let root = SimRng::new(seed);
         let total = config.servers + config.clients;
@@ -428,7 +453,6 @@ where
                     Some(j) => kit.client(j, i, &config.client, config.cycles_per_client),
                 },
                 rng: root.fork_indexed("node", i as u64),
-                wheel: TimerWheel::new(),
                 next_timer: 0,
                 was_done: false,
                 last_ops: 0,
@@ -436,7 +460,7 @@ where
             .collect();
         Fleet {
             config,
-            view: kit.genesis_view().clone(),
+            view,
             kit,
             nodes,
             progress: Arc::new(Progress::new(total)),
@@ -518,19 +542,13 @@ where
             },
         );
 
-        // Crash schedule plumbing: one phase cell per server, a rebuild
-        // kit for each worker whose server is scheduled to crash.
-        let plane = Arc::new(CrashPlane {
-            phases: (0..cfg.servers)
-                .map(|_| AtomicU8::new(PHASE_RUNNING))
-                .collect(),
-        });
-
-        // Worker threads — the only threads a run spawns.
+        // Worker threads — the only threads a run spawns. A server
+        // scheduled to crash has its kill and respawn on its worker's
+        // agenda from the start.
         let mut handles: Vec<JoinHandle<Vec<Hosted<M>>>> = Vec::new();
         for (w, (group, rx)) in groups.into_iter().zip(receivers).enumerate() {
             let hosts: Vec<NodeId> = group.iter().map(|h| h.id).collect();
-            let router = Router {
+            let mut router = Router {
                 shared: Arc::clone(&shared),
                 progress: Arc::clone(&self.progress),
                 link: link.worker(&hosts),
@@ -539,53 +557,56 @@ where
                     self.net_root.fork_indexed("worker", w as u64),
                 ),
                 stash: ReplayStash::new(),
-                delayed: BTreeMap::new(),
-                delayed_seq: 0,
+                agenda: TimerWheel::new(),
                 local: VecDeque::new(),
             };
             let inbox_capacity = INBOX_CAPACITY * group.len();
             let hang = group
                 .iter()
                 .any(|h| cfg.hang_servers.contains(&(h.id.0 as usize)));
-            let crash = group
-                .first()
-                .map(|h| h.id.0 as usize)
-                .filter(|s| *s < cfg.servers && cfg.crashes.iter().any(|c| c.server == *s))
-                .map(|s| WorkerCrash {
-                    server: s,
-                    plane: Arc::clone(&plane),
+            let event = cfg.crashes.iter().find(|c| hosts[0].0 as usize == c.server);
+            let crash = event.map(|c| {
+                let at = |after: StdDuration| after.as_micros() as u64;
+                router.agenda.schedule(at(c.kill_after), Due::Kill);
+                router.agenda.schedule(at(c.respawn_after), Due::Respawn);
+                let mut readmit = self.kit.genesis_view().clone();
+                readmit.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
+                Crash {
                     kit: self.kit.clone(),
-                });
+                    readmit,
+                    down: false,
+                }
+            });
             handles.push(thread::spawn(move || {
                 worker_loop(group, rx, inbox_capacity, router, hang, crash)
             }));
         }
 
         // Wait for completion, a stall, or the run budget, driving the
-        // crash schedule and the link's own schedule as their deadlines
-        // come due. `schedules` returns whether both are finished.
+        // link's own schedule as its deadlines come due. `schedules`
+        // returns whether it and the crash schedule are finished: the
+        // workers run the crashes, so theirs is over once the run is
+        // past the last respawn and no server is down.
         let started = shared.origin;
-        let mut stages = vec![CrashStage::Pending; cfg.crashes.len()];
-        let mut schedules = |view: &mut RingView<ReplicaId>| {
-            let crashes_done = drive_crash_schedule(
-                &cfg.crashes,
-                &mut stages,
-                started,
-                &plane,
-                &self.progress,
-                &inboxes,
-                view,
-                |node| link.wake(node),
-            );
+        let last_respawn = cfg
+            .crashes
+            .iter()
+            .map(|c| c.respawn_after)
+            .max()
+            .unwrap_or_default();
+        let down = &self.progress.expected_down;
+        let mut schedules = || {
             let link_done = link.tick(started.elapsed());
-            crashes_done && link_done
+            let crashes_done = started.elapsed() >= last_respawn
+                && !down.iter().any(|d| d.load(Ordering::Relaxed));
+            link_done && crashes_done
         };
         // Progress is completed client ops: while any client is still
         // working the counter must move at least once per stall budget.
         let mut last_ops = self.progress.ops_ok.load(Ordering::Relaxed);
         let mut still_since = Instant::now();
         let outcome = loop {
-            let schedules_done = schedules(&mut self.view);
+            let schedules_done = schedules();
             if self.progress.done_clients.load(Ordering::Relaxed) >= cfg.clients as u64 {
                 break Ok(started.elapsed());
             }
@@ -624,12 +645,12 @@ where
             // landing after the last client finished) keeps the quiesce
             // open past its nominal budget — the fault must land and be
             // repaired before the fleet is inspected.
-            let mut schedules_done = schedules(&mut self.view);
+            let mut schedules_done = schedules();
             while (settle_started.elapsed() < cfg.quiesce || !schedules_done)
                 && started.elapsed() <= cfg.run_budget
             {
                 thread::sleep(StdDuration::from_millis(50));
-                schedules_done = schedules(&mut self.view);
+                schedules_done = schedules();
                 let (sig, rounds) = self.settle_probe();
                 if sig != last_sig {
                     last_sig = sig;
@@ -776,36 +797,6 @@ where
     }
 }
 
-impl<M: Mechanism<StampedValue>> WorkerCrash<M> {
-    /// Executes any pending crash-schedule order on this worker's
-    /// server (server groups host exactly one node) and returns whether
-    /// the server is down. The kill drops the node — in-memory state,
-    /// queued self-sends and the engine's unsynced buffer are gone, like
-    /// a power cut — and parks an inert husk in the slot; the respawn
-    /// rebuilds from the kit in this same thread. What the node had
-    /// already sent stays sent, held-back packets included.
-    fn apply(&self, h: &mut Hosted<M>, local: &mut VecDeque<(NodeId, Msg<M>)>) -> bool {
-        let phase = &self.plane.phases[self.server];
-        match phase.load(Ordering::Acquire) {
-            PHASE_KILL => {
-                h.proc_ = self.kit.husk(self.server);
-                h.wheel = TimerWheel::new();
-                local.clear();
-                phase.store(PHASE_DOWN, Ordering::Release);
-                true
-            }
-            PHASE_DOWN => true,
-            PHASE_RESPAWN => {
-                h.proc_ = self.kit.server(self.server);
-                h.wheel = TimerWheel::new();
-                phase.store(PHASE_RUNNING, Ordering::Release);
-                false
-            }
-            _ => false,
-        }
-    }
-}
-
 /// Whether an idle worker polls its inbox before it parks, and the
 /// worker's idle counters. The rule is "the last idle gap predicts the
 /// next": the gate starts open (on a link whose [`Link::SPIN`] is not
@@ -878,15 +869,15 @@ impl SpinGate {
 }
 
 /// One worker thread's event loop over the nodes it hosts: messages
-/// from its inbox and its local self-send queue, timers from each
-/// node's wheel, held-back packets from its router.
+/// from its inbox and its local self-send queue, and its agenda —
+/// timers, held-back packets, its server's kill and respawn.
 fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     mut hosted: Vec<Hosted<M>>,
     rx: Receiver<Packet<M>>,
     inbox_capacity: usize,
     mut router: Router<M, L>,
     hang: bool,
-    crash: Option<WorkerCrash<M>>,
+    mut crash: Option<Crash<M>>,
 ) -> Vec<Hosted<M>> {
     if hang {
         // A wedged worker: never starts its nodes, never drains its
@@ -902,12 +893,10 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     }
 
     let mut gate = SpinGate::new(L::SPIN);
-    // Whether this pass follows the pull ahead of a due timer (below).
+    // Whether this pass follows the pull ahead of a due entry (below).
     let mut pulled = false;
     'run: loop {
-        let down = crash
-            .as_ref()
-            .is_some_and(|c| c.apply(&mut hosted[0], &mut router.local));
+        let down = crash.as_ref().is_some_and(|c| c.down);
 
         // What is already queued goes before what is already due — the
         // simulator's order, where an earlier-delivered message precedes
@@ -928,15 +917,13 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         }
 
         // What the link holds but has not delivered yet — a socket's
-        // frames in the kernel — is queued too: before a due timer
-        // fires, one pull that waits for nothing, and what it brings goes
+        // frames in the kernel — is queued too: before a due entry is
+        // done, one pull that waits for nothing, and what it brings goes
         // round through the drain first. Once per due moment, so a stream
-        // of arrivals cannot hold the timers off.
+        // of arrivals cannot hold the agenda off.
         let now_us = router.shared.now_us();
-        let timer_due = hosted
-            .iter()
-            .any(|h| h.wheel.next_due().is_some_and(|due| due <= now_us));
-        if timer_due && !std::mem::replace(&mut pulled, true) {
+        let next = router.agenda.next_due();
+        if next.is_some_and(|due| due <= now_us) && !std::mem::replace(&mut pulled, true) {
             if let Ok(pkt) = router.link.wait(&rx, StdDuration::ZERO) {
                 receive(&mut hosted, pkt, down, &mut router);
                 continue;
@@ -944,16 +931,28 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         }
         pulled = false;
 
-        // Fire what is due now and deliver the self-sends. A handler
-        // may arm another timer already due, self-send, or take long
-        // enough for replies to arrive: go round again, inbox first.
-        router.send_due(now_us);
+        // Do what is due now and deliver the self-sends. A handler may
+        // arm another timer already due, self-send, or take long enough
+        // for replies to arrive: go round again, inbox first.
         let mut worked = false;
-        for h in &mut hosted {
-            while let Some(t) = h.wheel.pop_due(now_us) {
-                dispatch(h, &mut router, |node, ctx| node.on_timer(ctx, t));
-                worked = true;
+        while let Some(due) = router.agenda.pop_due(now_us) {
+            match due {
+                Due::Timer(id, t) => {
+                    if let Some(h) = hosted.iter_mut().find(|h| h.id == id) {
+                        dispatch(h, &mut router, |node, ctx| node.on_timer(ctx, t));
+                    }
+                }
+                Due::Send(pkt) => router.link.send(pkt),
+                Due::Kill | Due::Respawn => {
+                    let c = crash.as_mut().expect("only a crash schedules these");
+                    if matches!(due, Due::Kill) {
+                        c.kill(&mut hosted[0], &mut router);
+                    } else {
+                        c.respawn(&mut hosted[0], &mut router);
+                    }
+                }
             }
+            worked = true;
         }
         while let Some((to, msg)) = router.local.pop_front() {
             hand_to(&mut hosted, to, to, msg, &mut router);
@@ -963,15 +962,10 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
             continue;
         }
 
-        // Nothing is due at `now_us` any more: wait for the next timer,
-        // the next held-back packet's due instant or the next inbound
-        // packet, whichever comes first (capped so a stop is noticed
-        // even if its wake found the inbox full).
-        let next = hosted
-            .iter()
-            .filter_map(|h| h.wheel.next_due())
-            .chain(router.next_due())
-            .min();
+        // Nothing is due at `now_us` any more: wait for the agenda's
+        // next due instant or the next inbound packet, whichever comes
+        // first (capped so a stop is noticed even if its wake found the
+        // inbox full).
         let wait_us = next.map_or(20_000, |d| d.saturating_sub(now_us).min(20_000));
 
         // While the gate is open, poll before parking — never past the
@@ -1056,77 +1050,6 @@ fn hand_to<M: Mechanism<StampedValue>, L: Link<M>>(
     }
 }
 
-/// Advances every scheduled crash through its
-/// Pending → Killed → Respawning → Done stages as deadlines come due.
-/// Kills and rebuilds happen on the owning worker thread (via the
-/// phase cells); what happens *here* is the control-plane half: the
-/// expected-down flag for the stall report, the fresh `Up` incarnation
-/// — minted once, when the respawn is ordered — and, once the worker
-/// reports the rebuilt node running, the view that carries it, posted
-/// straight into the node's inbox as a [`Msg::RingEpoch`] (and `wake`
-/// tells the link, whose worker may not be waiting on the inbox itself).
-/// Merging it is what re-arms the node's timers (it was built mid-run,
-/// so without `on_start`) and lets gossip spread the re-admission, so an
-/// event is done only when the inbox took the packet: a full one is
-/// tried again on the next pass. No harness view synchronisation.
-/// Returns whether every event has completed.
-#[allow(clippy::too_many_arguments)] // one call site, in `Fleet::run`
-fn drive_crash_schedule<M: Mechanism<StampedValue>>(
-    crashes: &[CrashEvent],
-    stages: &mut [CrashStage],
-    started: Instant,
-    plane: &CrashPlane,
-    progress: &Progress,
-    inboxes: &[SyncSender<Packet<M>>],
-    view: &mut RingView<ReplicaId>,
-    wake: impl Fn(NodeId),
-) -> bool {
-    let elapsed = started.elapsed();
-    for (c, stage) in crashes.iter().zip(stages.iter_mut()) {
-        match *stage {
-            CrashStage::Pending if elapsed >= c.kill_after => {
-                progress.set_expected_down(c.server, true);
-                plane.phases[c.server].store(PHASE_KILL, Ordering::Release);
-                *stage = CrashStage::Killed;
-            }
-            // Only order the respawn once the worker has actually
-            // performed the kill (DOWN), so the two orders cannot
-            // collapse into none.
-            CrashStage::Killed
-                if elapsed >= c.respawn_after
-                    && plane.phases[c.server]
-                        .compare_exchange(
-                            PHASE_DOWN,
-                            PHASE_RESPAWN,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok() =>
-            {
-                view.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
-                *stage = CrashStage::Respawning;
-            }
-            CrashStage::Respawning
-                if plane.phases[c.server].load(Ordering::Acquire) == PHASE_RUNNING =>
-            {
-                let node = NodeId(c.server as u32);
-                let readmit = Packet {
-                    from: node,
-                    to: node,
-                    msg: Msg::RingEpoch { view: view.clone() },
-                };
-                if deliver(inboxes, progress, node, readmit) {
-                    wake(node);
-                    progress.set_expected_down(c.server, false);
-                    *stage = CrashStage::Done;
-                }
-            }
-            _ => {}
-        }
-    }
-    stages.iter().all(|s| *s == CrashStage::Done)
-}
-
 /// Stores `value` into `cell` if it moved. The settle probe's cells sit
 /// next to the other servers' in one cache line and change only when a
 /// repair or an AAE round happens, so a store per dispatch would bounce
@@ -1142,12 +1065,11 @@ fn publish(cell: &AtomicU64, value: u64) {
 /// worker's router. It writes through — nothing is buffered — so a
 /// handler's effects land in the order it made them: self-sends queue
 /// behind what is already in the worker's local queue, and same-instant
-/// timers keep their arm order in the wheel, as on the simulator.
+/// timers keep their arm order on the agenda, as on the simulator.
 struct RtCtx<'a, M: Mechanism<StampedValue>, L> {
     id: NodeId,
     now: SimTime,
     rng: &'a mut SimRng,
-    wheel: &'a mut TimerWheel<TimerId>,
     next_timer: &'a mut u64,
     router: &'a mut Router<M, L>,
 }
@@ -1172,13 +1094,13 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> NodeCtx<M> for RtCtx<'_, M, L> {
     fn set_timer(&mut self, delay: Duration) -> TimerId {
         let t = TimerId::from_raw(*self.next_timer);
         *self.next_timer += 1;
-        self.wheel
-            .schedule(self.now.as_micros() + delay.as_micros(), t);
+        let due = self.now.as_micros() + delay.as_micros();
+        self.router.agenda.schedule(due, Due::Timer(self.id, t));
         t
     }
 
     fn cancel_timer(&mut self, timer: TimerId) {
-        self.wheel.cancel(timer);
+        self.router.agenda.cancel((self.id, timer));
     }
 }
 
@@ -1196,7 +1118,6 @@ fn dispatch<M: Mechanism<StampedValue>, L: Link<M>>(
         id: h.id,
         now,
         rng: &mut h.rng,
-        wheel: &mut h.wheel,
         next_timer: &mut h.next_timer,
         router,
     };
@@ -1236,10 +1157,6 @@ fn dispatch<M: Mechanism<StampedValue>, L: Link<M>>(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::mpsc::sync_channel;
-
-    use dvv::mechanisms::DvvMechanism;
-
     use super::*;
 
     /// The gate, row by row: `(SPIN in µs, what happened, open after)`.
@@ -1291,69 +1208,5 @@ mod tests {
         }
         // A link that never polls never reads the clock for the gate.
         SpinGate::new(StdDuration::ZERO).on_wake(|| unreachable!("SPIN is zero"));
-    }
-
-    /// A re-admission that does not fit the respawned server's inbox is
-    /// tried again on the next pass, not dropped: the event stays open
-    /// (and the server expected down) until the inbox took the view, and
-    /// the retry carries the incarnation minted when the respawn was
-    /// ordered, not a second one.
-    #[test]
-    fn a_readmission_that_does_not_fit_the_inbox_is_retried() {
-        let at = StdDuration::ZERO;
-        let crashes = [CrashEvent {
-            server: 0,
-            kill_after: at,
-            respawn_after: at,
-        }];
-        let mut stages = [CrashStage::Respawning];
-        let plane = CrashPlane {
-            phases: vec![AtomicU8::new(PHASE_RUNNING)],
-        };
-        let progress = Progress::new(1);
-        progress.set_expected_down(0, true);
-        let mut view = RingView::from_members([ReplicaId(0)]);
-        view.bump(&ReplicaId(0), MemberStatus::Up);
-        let minted = view.version();
-        let (tx, rx) = sync_channel::<Packet<DvvMechanism>>(1);
-        let node = NodeId(0);
-        let filler = Packet {
-            from: node,
-            to: node,
-            msg: Msg::GossipDigest { digest: 0 },
-        };
-        tx.try_send(filler).expect("room for one");
-        let inboxes = [tx];
-        let pass = |stages: &mut [CrashStage], view: &mut RingView<ReplicaId>| {
-            let started = Instant::now();
-            let wake = |_| {};
-            drive_crash_schedule(
-                &crashes, stages, started, &plane, &progress, &inboxes, view, wake,
-            )
-        };
-
-        assert!(!pass(&mut stages, &mut view), "nothing was delivered");
-        assert_eq!(stages, [CrashStage::Respawning]);
-        assert!(progress.expected_down[0].load(Ordering::Relaxed));
-
-        assert!(matches!(rx.try_recv(), Ok(p) if matches!(p.msg, Msg::GossipDigest { .. })));
-        assert!(pass(&mut stages, &mut view), "the retry fits");
-        assert_eq!(stages, [CrashStage::Done]);
-        assert!(!progress.expected_down[0].load(Ordering::Relaxed));
-        assert_eq!(
-            view.version(),
-            minted,
-            "one incarnation, however many tries"
-        );
-        let readmission = rx.try_recv().expect("exactly one packet");
-        assert!(
-            matches!(&readmission.msg, Msg::RingEpoch { view: sent } if sent.digest() == view.digest())
-        );
-        assert!(rx.try_recv().is_err(), "and nothing else");
-        assert!(
-            pass(&mut stages, &mut view),
-            "a finished event stays finished"
-        );
-        assert!(rx.try_recv().is_err());
     }
 }

@@ -10,9 +10,10 @@
 //! **One threaded fleet.** Everything about hosting a node on a thread
 //! lives in [`fleet`], once: the worker event loop, its write-through
 //! [`NodeCtx`](kvstore::ctx::NodeCtx) and its dispatch bookkeeping, the
-//! crash plane, the router with its held-back packets, the main
-//! loop that watches over a run (crash and link schedules, stall check,
-//! settle/quiesce) and the post-run
+//! worker's one agenda (its nodes' timers, its held-back packets, its
+//! server's scheduled kill and respawn), the router, the main loop that
+//! watches over a run (link schedule, stall check, settle/quiesce) and
+//! the post-run
 //! [`FleetHarness`](kvstore::harness::FleetHarness) surface. What is
 //! not particular to threads is `kvstore`'s, shared with the simulator:
 //! [`NodeKit`](kvstore::cluster::NodeKit) builds (and respawns) the
@@ -51,8 +52,8 @@
 //! * bounded inboxes — a full inbox is wire loss, which the protocol's
 //!   timeouts, retries and anti-entropy already absorb, so no
 //!   backpressure deadlock is possible;
-//! * a per-node [`TimerWheel`] on the monotonic
-//!   clock, with the simulator's same-instant FIFO semantics (and real
+//! * one agenda per worker, a [`TimerWheel`] on the monotonic clock,
+//!   with the simulator's same-instant FIFO semantics (and real
 //!   cancellation, which the simulator approximates by ignoring fires),
 //!   and the simulator's order between the two event sources: what is
 //!   already queued is handled before what is already due;
@@ -96,13 +97,14 @@ use simnet::NetworkConfig;
 use std::time::Duration as StdDuration;
 
 /// One scheduled crash/respawn of a server during a [`RuntimeFleet`]
-/// run: at `kill_after` (wall clock from run start) the server's node is
-/// dropped on its worker thread — in-memory state and any storage-engine
-/// buffer past the last group sync are gone, like a power cut — and at
-/// `respawn_after` it is rebuilt from its engine factory (replaying its
-/// durable log when the fleet is durable) and re-admitted **in band**:
-/// the control plane posts it a view (`Msg::RingEpoch`) naming it `Up`
-/// under a fresh incarnation.
+/// run, carried out by the server's own worker from its agenda: at
+/// `kill_after` (wall clock from run start) the server's node is dropped
+/// — in-memory state, armed timers, queued self-sends and any
+/// storage-engine buffer past the last group sync are gone, like a power
+/// cut — and at `respawn_after` it is rebuilt from its engine factory
+/// (replaying its durable log when the fleet is durable) and re-admitted
+/// **in band**: its worker queues it a view (`Msg::RingEpoch`) naming it
+/// `Up` under a fresh incarnation, minted when the fleet was built.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashEvent {
     /// Server index to crash.

@@ -2,7 +2,7 @@
 //! inbox comes from.
 //!
 //! The threaded fleet ([`crate::fleet`]) owns everything about hosting
-//! a node — the event loop, timers, crash plane, fault plane, settle
+//! a node — the event loop, agenda, crash schedule, fault plane, settle
 //! probe, stall check — and is generic over this one trait for the part
 //! that differs between drivers: how an addressed message travels from
 //! one worker thread to another. Every link ends the same way: a
@@ -145,8 +145,8 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     }
 
     /// Called on the fleet's own handle after it put a packet into `to`'s
-    /// inbox from outside the worker hosting it — teardown's wake-up, a
-    /// respawned server's re-admission: makes sure that worker looks.
+    /// inbox from outside the worker hosting it — teardown's wake-up:
+    /// makes sure that worker looks.
     /// The default does nothing; a worker waiting on the inbox itself
     /// is woken by the channel.
     fn wake(&self, _to: NodeId) {}

@@ -1,5 +1,5 @@
-//! [`TimerWheel`]: a monotonic-clock timer queue with simulator-matching
-//! same-instant semantics.
+//! [`TimerWheel`]: a monotonic-clock queue of timed entries with
+//! simulator-matching same-instant semantics — each worker's agenda.
 //!
 //! The deterministic simulator documents (and tests, in `simnet`'s
 //! `queue.rs`) that events scheduled for the same instant fire in
@@ -9,31 +9,51 @@
 //! drives both structures with one schedule and compares pop orders.
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 
-/// A timer queue ordered by `(due_micros, insertion_seq)`.
+/// What a [`TimerWheel`] holds: an entry, and the name it can be
+/// cancelled by, if it has one. A plain `Ord + Copy` value — a timer
+/// handle — is its own name.
+pub trait Entry {
+    /// What names a pending entry.
+    type Id: Ord + Copy + Debug;
+
+    /// This entry's name; `None` for one that cannot be cancelled.
+    fn id(&self) -> Option<Self::Id>;
+}
+
+impl<T: Ord + Copy + Debug> Entry for T {
+    type Id = T;
+
+    fn id(&self) -> Option<T> {
+        Some(*self)
+    }
+}
+
+/// A queue of timed entries ordered by `(due_micros, insertion_seq)`.
 ///
 /// Unlike the simulator's event queue, the wheel supports true
-/// cancellation: an index from each pending item to its queue key lets
-/// [`cancel`](Self::cancel) delete the entry there and then, so a
+/// cancellation: an index from each named pending entry to its queue key
+/// lets [`cancel`](Self::cancel) delete it there and then, so a
 /// [`NodeCtx::cancel_timer`](kvstore::ctx::NodeCtx::cancel_timer) on the
 /// runtime actually unschedules the wakeup instead of firing it into a
 /// no-op — and a request timer cancelled on every completed request
 /// leaves nothing behind.
 #[derive(Debug)]
-pub struct TimerWheel<T: Ord + Copy> {
+pub struct TimerWheel<T: Entry> {
     queue: BTreeMap<(u64, u64), T>,
-    /// Where each pending item sits in `queue`.
-    index: BTreeMap<T, (u64, u64)>,
+    /// Where each named pending entry sits in `queue`.
+    index: BTreeMap<T::Id, (u64, u64)>,
     seq: u64,
 }
 
-impl<T: Ord + Copy> Default for TimerWheel<T> {
+impl<T: Entry> Default for TimerWheel<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Ord + Copy> TimerWheel<T> {
+impl<T: Entry> TimerWheel<T> {
     /// An empty wheel.
     pub fn new() -> Self {
         TimerWheel {
@@ -45,45 +65,59 @@ impl<T: Ord + Copy> TimerWheel<T> {
 
     /// Schedules `item` to fire at `due_micros` (absolute, on whatever
     /// monotonic clock the caller uses). Items due at the same instant
-    /// pop in the order they were scheduled. An item is pending at most
-    /// once: scheduling one that already is moves it.
+    /// pop in the order they were scheduled. A named item is pending at
+    /// most once: scheduling one that already is moves it.
     pub fn schedule(&mut self, due_micros: u64, item: T) {
         let key = (due_micros, self.seq);
         self.seq += 1;
-        if let Some(old) = self.index.insert(item, key) {
+        if let Some(old) = item.id().and_then(|id| self.index.insert(id, key)) {
             self.queue.remove(&old);
         }
         self.queue.insert(key, item);
     }
 
-    /// Unschedules `item`; a no-op if it is not pending.
-    pub fn cancel(&mut self, item: T) {
-        if let Some(key) = self.index.remove(&item) {
+    /// Unschedules the item named `id`; a no-op if none is pending.
+    pub fn cancel(&mut self, id: T::Id) {
+        if let Some(key) = self.index.remove(&id) {
             self.queue.remove(&key);
         }
     }
 
-    /// The due time of the earliest pending timer, if any.
+    /// Unschedules every pending item `keep` rejects.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let index = &mut self.index;
+        self.queue.retain(|_, item| {
+            let kept = keep(item);
+            if let Some(id) = item.id().filter(|_| !kept) {
+                index.remove(&id);
+            }
+            kept
+        });
+    }
+
+    /// The due time of the earliest pending item, if any.
     pub fn next_due(&self) -> Option<u64> {
         self.queue.keys().next().map(|(due, _)| *due)
     }
 
-    /// Pops the earliest pending timer due at or before `now_micros`.
+    /// Pops the earliest pending item due at or before `now_micros`.
     pub fn pop_due(&mut self, now_micros: u64) -> Option<T> {
         if self.next_due()? > now_micros {
             return None;
         }
         let (_, item) = self.queue.pop_first()?;
-        self.index.remove(&item);
+        if let Some(id) = item.id() {
+            self.index.remove(&id);
+        }
         Some(item)
     }
 
-    /// Number of pending timers.
+    /// Number of pending items.
     pub fn len(&self) -> usize {
         self.queue.len()
     }
 
-    /// True when no timer is pending.
+    /// True when no item is pending.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
@@ -133,5 +167,41 @@ mod tests {
         }
         assert_eq!(w.len(), 0);
         assert_eq!(w.next_due(), None);
+    }
+
+    /// Entries without a name share the order with named ones and are
+    /// never moved by a reschedule; `retain` unschedules either kind,
+    /// and the name of a dropped one is free again.
+    #[test]
+    fn unnamed_entries_queue_beside_named_ones() {
+        #[derive(Debug, PartialEq)]
+        enum Item {
+            Timer(u32),
+            Note(&'static str),
+        }
+        impl Entry for Item {
+            type Id = u32;
+            fn id(&self) -> Option<u32> {
+                match self {
+                    Item::Timer(t) => Some(*t),
+                    Item::Note(_) => None,
+                }
+            }
+        }
+        let mut w = TimerWheel::new();
+        w.schedule(10, Item::Note("a"));
+        w.schedule(10, Item::Timer(1));
+        w.schedule(10, Item::Note("a"));
+        w.schedule(20, Item::Timer(2));
+        w.retain(|item| *item != Item::Timer(1));
+        w.cancel(1);
+        assert_eq!(w.len(), 3);
+        w.schedule(5, Item::Timer(1));
+        assert_eq!(w.pop_due(10), Some(Item::Timer(1)));
+        assert_eq!(w.pop_due(10), Some(Item::Note("a")));
+        assert_eq!(w.pop_due(10), Some(Item::Note("a")));
+        assert_eq!(w.pop_due(10), None);
+        w.cancel(2);
+        assert!(w.is_empty());
     }
 }

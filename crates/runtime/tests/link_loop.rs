@@ -6,7 +6,8 @@
 //! on its own, and lets each test post exactly the packets it wants —
 //! from the link's `send` (on the worker thread, so the worker is
 //! provably not looking at its inbox meanwhile) or from its `tick` (on
-//! the fleet's main thread, sequenced after the crash schedule).
+//! the fleet's main thread, which a crash schedule never waits on: the
+//! workers carry it out on their own clocks).
 //! Interleavings are forced through the inbox channel and the progress
 //! counters, never through sleeps longer than the loop's 20 ms wait cap.
 
@@ -18,6 +19,7 @@ use std::time::{Duration as StdDuration, Instant};
 use dvv::mechanisms::DvvMechanism;
 use dvv::{ClientId, ReplicaId};
 use kvstore::config::{ClientConfig, StoreConfig};
+use kvstore::harness::FleetHarness;
 use kvstore::messages::Msg;
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::RingView;
@@ -250,14 +252,15 @@ fn self_send_is_delivered_locally_exactly_once() {
 #[test]
 fn down_server_discards_inbound_and_keeps_depth_honest() {
     fn script(link: &ScriptLink) {
-        // `tick` follows the crash schedule on the main thread, so the
-        // kill is already ordered; the worker executes it the next time
-        // it comes round its loop — at the latest after one more packet.
-        assert!(link.progress.expected_down[0].load(Ordering::Relaxed));
+        // The kill is due at once, and the server's own worker carries
+        // it out: it marks the server down as it does.
+        await_that("the kill", || {
+            link.progress.expected_down[0].load(Ordering::Relaxed)
+        });
         link.probe(1);
         await_that("the first probe to be taken", || link.depth(SERVER) == 0);
-        // The second probe is taken only after the first was handled
-        // and the kill executed, so counters read now are final.
+        // The second probe is taken only after the first was handled,
+        // so counters read now are final.
         link.probe(2);
         await_that("the second probe to be taken", || link.depth(SERVER) == 0);
         let (events, answers) = (link.events(SERVER), link.sent_count());
@@ -273,10 +276,12 @@ fn down_server_discards_inbound_and_keeps_depth_honest() {
         ..Script::default()
     });
     let mut config = quiet_config(0);
+    // The respawn is on the worker's clock too, and must come after the
+    // script is done.
     config.crashes = vec![CrashEvent {
         server: 0,
         kill_after: StdDuration::ZERO,
-        respawn_after: StdDuration::from_millis(5),
+        respawn_after: StdDuration::from_secs(1),
     }];
     let mut fleet = fleet(config, &script);
     fleet.run().expect("no stall");
@@ -287,6 +292,57 @@ fn down_server_discards_inbound_and_keeps_depth_honest() {
         script.sent_to(STRANGER) <= 1,
         "only the probe that raced the kill may have been answered"
     );
+}
+
+/// A scheduled crash is carried out by its server's own worker, from
+/// its agenda: with no packet arriving and nothing posted from outside,
+/// the server goes down at its kill instant — its timers go with it —
+/// and comes back at its respawn instant, merges the re-admission view
+/// its worker queued for it, at the incarnation the audit view names,
+/// and runs its periodic timers again.
+#[test]
+fn a_crash_runs_on_its_servers_own_clock() {
+    const GOSSIP: StdDuration = StdDuration::from_millis(5);
+    fn script(link: &ScriptLink) {
+        let down = &link.progress.expected_down[0];
+        await_that("the kill", || down.load(Ordering::Relaxed));
+        let at_kill = link.events(SERVER);
+        // Two gossip intervals into a 40 ms outage: a timer that had
+        // outlived the kill would have fired into the husk by now.
+        std::thread::sleep(2 * GOSSIP);
+        let later = link.events(SERVER);
+        if down.load(Ordering::Relaxed) {
+            link.note(later - at_kill);
+        }
+        await_that("the respawn", || !down.load(Ordering::Relaxed));
+        await_that("the re-admission and two gossip timers", || {
+            link.events(SERVER) >= at_kill + 3
+        });
+    }
+    let script = Arc::new(Script {
+        on_tick: Some(script),
+        ..Script::default()
+    });
+    let mut config = quiet_config(0);
+    config.store.gossip_interval = Duration::from_micros(GOSSIP.as_micros() as u64);
+    config.crashes = vec![CrashEvent {
+        server: 0,
+        kill_after: StdDuration::from_millis(20),
+        respawn_after: StdDuration::from_millis(60),
+    }];
+    let mut fleet = fleet(config, &script);
+    fleet.run().expect("no stall");
+
+    let notes = script.notes.lock().unwrap().clone();
+    assert!(notes.iter().all(|n| *n == 0), "a down server dispatched");
+    assert_eq!(*script.sent.lock().unwrap(), vec![], "nothing on the link");
+    assert_eq!(script.self_sends.load(Ordering::Relaxed), 0);
+    let me = ReplicaId(0);
+    let audit = fleet.audit_view().entry(&me).map(|e| e.incarnation);
+    assert_eq!(audit, Some(2), "genesis, then the crash's one Up bump");
+    let merged = fleet.server(0).view();
+    assert_eq!(merged.entry(&me).map(|e| e.incarnation), audit);
+    assert_eq!(merged.digest(), fleet.audit_view().digest());
 }
 
 impl Script {
@@ -386,11 +442,11 @@ fn a_reply_delivered_twice_counts_once_toward_the_quorum() {
     );
 }
 
-/// A latency-sampled packet waits on the router of the worker that
+/// A latency-sampled packet waits on the agenda of the worker that
 /// routed it and is on the wire from that moment: it reaches the link
 /// no earlier than the window's lower edge, its duplicate draws a delay
 /// of its own, and both still go out after the crash schedule has
-/// killed the node that sent them. The kill runs on the schedule's wall
+/// killed the node that sent them. The kill runs on the worker's wall
 /// clock, hence the wide margins: routed well before it, due well after.
 #[test]
 fn delayed_sends_keep_their_delay_and_outlive_a_kill_of_their_sender() {
@@ -408,8 +464,8 @@ fn delayed_sends_keep_their_delay_and_outlive_a_kill_of_their_sender() {
         let base = link.events(SERVER);
         link.note(micros_now());
         link.probe(1);
-        // The answer and its duplicate are routed — held back — before
-        // this returns and lets the main loop reach the kill.
+        // The answer and its duplicate are routed — held back — well
+        // before the kill is due.
         await_that("the probe to be answered", || link.events(SERVER) > base);
     }
     fn stamp(link: &ScriptLink, _: &Packet<M>) {

@@ -55,6 +55,15 @@ echo "membership surface"
 printf '  %-32s %6d\n' \
     "ring: pub enum *Status" "$({ grep -rhE '^pub enum [A-Za-z]*Status\b' crates/ring/src || true; } | wc -l)" \
     "kvstore: Membership< fields" "$({ grep -rhE '^ +(pub )?[a-z_][a-z0-9_]*: Membership<' crates/kvstore/src || true; } | wc -l)"
+# One agenda per worker: the runtime keeps one due-ordered queue (the
+# timer wheel each worker's timers, held-back packets and scheduled
+# crashes share), and no atomic cell passes orders from the main loop to
+# a worker.
+echo "runtime schedule surface (crates/runtime/src)"
+printf '  %-32s %6d\n' \
+    "BTreeMap<(u64, u64) fields" "$({ grep -rhE '^ +(pub )?[a-z_][a-z0-9_]*: BTreeMap<\(u64, u64\)' \
+        crates/runtime/src || true; } | wc -l)" \
+    "AtomicU8 mentions" "$({ grep -rh 'AtomicU8' crates/runtime/src || true; } | wc -l)"
 # The fault plane: how many times each of its pieces is written.
 src_count() {
     { grep -rhE "$1" crates/*/src --include='*.rs' || true; } | wc -l
