@@ -638,16 +638,32 @@ fn collect_exceptions<A: Actor>(v: &Vve<A>) -> Vec<Dot<A>> {
 // Delta codecs
 //
 // The wire protocols above ship *values*; the codecs below ship *runs*:
-// sorted id sequences as gap deltas, hash sequences bit-packed at the
-// run's maximum significant width, and sorted key sets as shared-prefix
-// deltas. Runs of correlated values (adjacent replica ids, keys under a
-// common prefix) collapse to a byte or two per element where the plain
-// encodings spend ten.
+// sorted id sequences as gap deltas, hash sequences as fixed 8-byte
+// words, and sorted key sets as shared-prefix deltas. Runs of correlated
+// values (adjacent replica ids, keys under a common prefix) collapse to
+// a byte or two per element where the plain encodings spend ten. Hashes
+// are uniform 64-bit values with nothing to collapse: a varint would
+// spend ten bytes on most, and a run packed at its widest value is 64
+// bits wide with probability 1 − 2⁻ⁿ.
 
-/// Number of significant bits in `v` (0 for 0).
-#[must_use]
-pub fn bit_width(v: u64) -> u32 {
-    64 - v.leading_zeros()
+/// Width of a fixed-width word: request ids, digests and hashes — uniform
+/// 64-bit values (hashes, or ids with high bits set), where a varint
+/// would cost more than it saves.
+pub const U64_LEN: usize = 8;
+
+/// Appends a fixed-width little-endian u64.
+pub fn put_u64<S: Sink>(buf: &mut S, v: u64) {
+    buf.put(&v.to_le_bytes());
+}
+
+/// Reads back a [`put_u64`] value.
+///
+/// # Errors
+///
+/// [`DecodeError::UnexpectedEnd`] if fewer than 8 bytes remain.
+pub fn get_u64(d: &mut Decoder<'_>) -> Result<u64, DecodeError> {
+    let bytes = d.bytes(U64_LEN)?;
+    Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
 }
 
 /// Packs fixed-width values into a byte stream, LSB first.
@@ -778,22 +794,14 @@ pub fn get_sorted_ids(d: &mut Decoder<'_>) -> Result<Vec<u64>, DecodeError> {
     Ok(out)
 }
 
-/// Appends sorted `(id, value)` pairs: ids as gap deltas, values as a
-/// one-byte bit width followed by a bit-packed run at that width — the
-/// pcodec chunk-metadata shape. An empty slice writes only the count.
+/// Appends sorted `(id, hash)` pairs: ids as gap deltas, then each hash
+/// as a fixed 8-byte word ([`put_u64`]).
 pub fn put_id_value_pairs<S: Sink>(buf: &mut S, pairs: &[(u64, u64)]) {
     let ids: Vec<u64> = pairs.iter().map(|p| p.0).collect();
     put_sorted_ids(buf, &ids);
-    if pairs.is_empty() {
-        return;
-    }
-    let width = pairs.iter().map(|p| bit_width(p.1)).max().unwrap_or(0);
-    buf.byte(width as u8);
-    let mut w = BitWriter::new(buf);
     for &(_, v) in pairs {
-        w.write(v, width);
+        put_u64(buf, v);
     }
-    w.finish();
 }
 
 /// Reads back a [`put_id_value_pairs`] sequence.
@@ -803,21 +811,7 @@ pub fn put_id_value_pairs<S: Sink>(buf: &mut S, pairs: &[(u64, u64)]) {
 /// Any [`DecodeError`] on malformed input.
 pub fn get_id_value_pairs(d: &mut Decoder<'_>) -> Result<Vec<(u64, u64)>, DecodeError> {
     let ids = get_sorted_ids(d)?;
-    if ids.is_empty() {
-        return Ok(Vec::new());
-    }
-    let width = u32::from(d.byte()?);
-    if width > 64 {
-        return Err(DecodeError::InvalidValue {
-            reason: "bit width above 64",
-        });
-    }
-    let mut r = BitReader::new(d);
-    let mut out = Vec::with_capacity(ids.len());
-    for id in ids {
-        out.push((id, r.read(width)?));
-    }
-    Ok(out)
+    ids.into_iter().map(|id| Ok((id, get_u64(d)?))).collect()
 }
 
 /// Appends `key` as a shared-prefix delta against `prev`, the key before
@@ -854,8 +848,8 @@ pub fn get_key_delta(d: &mut Decoder<'_>, prev: &mut Vec<u8>) -> Result<(), Deco
 
 /// Appends a Merkle leaf set — `(key, hash)` pairs — with keys as
 /// shared-prefix deltas against the previous key (prefix length +
-/// suffix) and hashes bit-packed at the run's maximum width. Any key
-/// order round-trips; sorted keys compress best.
+/// suffix), then each hash as a fixed 8-byte word ([`put_u64`]). Any
+/// key order round-trips; sorted keys compress best.
 pub fn put_leaf_set<S: Sink>(buf: &mut S, leaves: &[(Vec<u8>, u64)]) {
     put_varint(buf, leaves.len() as u64);
     let mut prev: &[u8] = &[];
@@ -863,16 +857,9 @@ pub fn put_leaf_set<S: Sink>(buf: &mut S, leaves: &[(Vec<u8>, u64)]) {
         put_key_delta(buf, prev, k);
         prev = k;
     }
-    if leaves.is_empty() {
-        return;
-    }
-    let width = leaves.iter().map(|(_, h)| bit_width(*h)).max().unwrap_or(0);
-    buf.byte(width as u8);
-    let mut w = BitWriter::new(buf);
     for &(_, h) in leaves {
-        w.write(h, width);
+        put_u64(buf, h);
     }
-    w.finish();
 }
 
 /// Reads back a [`put_leaf_set`] leaf set.
@@ -889,17 +876,7 @@ pub fn get_leaf_set(d: &mut Decoder<'_>) -> Result<Vec<(Vec<u8>, u64)>, DecodeEr
         get_key_delta(d, &mut prev)?;
         keys.push(prev.clone());
     }
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let width = u32::from(d.byte()?);
-    if width > 64 {
-        return Err(DecodeError::InvalidValue {
-            reason: "bit width above 64",
-        });
-    }
-    let mut r = BitReader::new(d);
-    keys.into_iter().map(|k| Ok((k, r.read(width)?))).collect()
+    keys.into_iter().map(|k| Ok((k, get_u64(d)?))).collect()
 }
 
 #[cfg(test)]
@@ -1153,7 +1130,7 @@ mod tests {
             vec![],
             vec![(3u64, 0u64)],
             vec![(0, u64::MAX), (7, 1), (8, 0xdead_beef)],
-            vec![(1, 0), (2, 0), (9, 0)], // all-zero values: width 0, no payload
+            vec![(1, 0), (2, 0), (9, 0)],
         ] {
             let mut buf = Vec::new();
             put_id_value_pairs(&mut buf, &pairs);
@@ -1164,12 +1141,12 @@ mod tests {
     }
 
     #[test]
-    fn id_value_pairs_zero_width_has_no_packed_payload() {
+    fn id_value_pairs_spend_one_word_per_value() {
         let pairs = vec![(1u64, 0u64), (2, 0), (3, 0)];
-        // count + first + 2 gaps + width byte, no packed payload
+        // count + first + 2 gaps, then a word per value, zeros included
         let mut buf = Vec::new();
         put_id_value_pairs(&mut buf, &pairs);
-        assert_eq!(buf.len(), 5);
+        assert_eq!(buf.len(), 4 + 3 * U64_LEN);
     }
 
     #[test]
@@ -1182,11 +1159,12 @@ mod tests {
         let mut d = Decoder::new(&buf);
         assert_eq!(get_leaf_set(&mut d).unwrap(), leaves);
         assert_eq!(d.remaining(), 0);
-        // flat cost would be ≥ (9-byte key + 8-byte hash) each
+        // a flat key list would spend ≥ 9 bytes a key; the hashes are a
+        // word each whatever the keys
+        let key_bytes = buf.len() - 1 - leaves.len() * U64_LEN;
         assert!(
-            buf.len() < leaves.len() * 17 / 2,
-            "prefix+bitpack must at least halve the flat cost, got {}",
-            buf.len()
+            key_bytes < leaves.len() * 9 / 2,
+            "prefix deltas must at least halve the keys' flat cost, got {key_bytes}"
         );
 
         let empty: Vec<(Vec<u8>, u64)> = Vec::new();

@@ -1,6 +1,6 @@
 //! Property coverage for the delta codecs in `dvv::encode`: sorted-id
-//! gap deltas, bit-packed `(id, value)` runs and the shared-prefix
-//! leaf-set form. Mirrors
+//! gap deltas, `(id, hash)` runs and the shared-prefix leaf-set form.
+//! Mirrors
 //! `encode_roundtrip.rs`: decode∘encode = id and truncation always
 //! errors instead of panicking — plus the bit-pack boundary widths that
 //! unit tests can only spot-check. Sizes need no property of their own:
@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use dvv::encode::{
-    bit_width, get_id_value_pairs, get_leaf_set, get_sorted_ids, put_id_value_pairs, put_leaf_set,
+    get_id_value_pairs, get_leaf_set, get_sorted_ids, put_id_value_pairs, put_leaf_set,
     put_sorted_ids, BitReader, BitWriter, Count, Decoder,
 };
 use proptest::collection::{btree_map, vec};
@@ -75,17 +75,6 @@ proptest! {
         let mut r = BitReader::new(&mut d);
         for &v in &values {
             prop_assert_eq!(r.read(width).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn bit_width_is_tight(v in any::<u64>()) {
-        let w = bit_width(v);
-        if w < 64 {
-            prop_assert!(v < 1 << w);
-        }
-        if w > 0 {
-            prop_assert!(v >= 1 << (w - 1));
         }
     }
 

@@ -15,8 +15,9 @@
 //! `Mechanism::metadata_size` (the state's layout without its values).
 //!
 //! Composite fields reuse the delta codecs in [`dvv::encode`]: sorted-id
-//! gap deltas for member and arc lists, bit-packed value runs for arc
-//! roots, and shared-prefix key deltas for leaf and entry lists.
+//! gap deltas for member and arc lists, fixed 8-byte words for arc
+//! roots and leaf hashes, and shared-prefix key deltas for leaf and
+//! entry lists.
 
 use dvv::encode::{
     get_id_value_pairs, get_key_delta, get_sorted_ids, put_id_value_pairs, put_key_delta,
@@ -28,25 +29,9 @@ use ring::{MemberEntry, MemberStatus, RingView};
 
 use crate::value::Key;
 
-/// Fixed width of request ids, digests, Merkle roots and transfer ids:
-/// these are uniform 64-bit values (hashes, or ids with high bits set),
-/// where a varint would cost more than it saves.
-pub const U64_LEN: usize = 8;
-
-/// Appends a fixed-width little-endian u64.
-pub fn put_u64<S: Sink>(buf: &mut S, v: u64) {
-    buf.put(&v.to_le_bytes());
-}
-
-/// Reads back a [`put_u64`] value.
-///
-/// # Errors
-///
-/// [`DecodeError::UnexpectedEnd`] if fewer than 8 bytes remain.
-pub fn get_u64(d: &mut Decoder<'_>) -> Result<u64, DecodeError> {
-    let bytes = d.bytes(U64_LEN)?;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
-}
+/// Request ids, digests, Merkle roots and transfer ids travel as fixed
+/// 8-byte words, like the hash runs of the delta codecs.
+pub use dvv::encode::{get_u64, put_u64, U64_LEN};
 
 /// Appends a length-prefixed key.
 pub fn put_key<S: Sink>(buf: &mut S, key: &[u8]) {
@@ -136,8 +121,8 @@ pub fn get_arc_list(d: &mut Decoder<'_>) -> Result<Vec<u32>, DecodeError> {
         .collect()
 }
 
-/// Appends sorted `(arc, root)` pairs as gap-delta indices plus a
-/// bit-packed root run.
+/// Appends sorted `(arc, root)` pairs as gap-delta indices, then one
+/// 8-byte word per root.
 pub fn put_arc_roots<S: Sink>(buf: &mut S, arcs: &[(u32, u64)]) {
     let pairs: Vec<(u64, u64)> = arcs.iter().map(|(a, r)| (u64::from(*a), *r)).collect();
     put_id_value_pairs(buf, &pairs);

@@ -39,7 +39,7 @@ const DIVERGENT: usize = 10;
 /// change. A deliberate one updates these numbers in the same change and
 /// records the before and after in CHANGES.md.
 const PINNED_SEED: u64 = 31;
-const BYTES: [u64; 6] = [0, 0, 25_867, 7_151, 1_793_777, 257_521];
+const BYTES: [u64; 6] = [0, 0, 25_845, 7_151, 1_793_777, 257_521];
 
 fn preload_state(origin: ReplicaId, key_idx: usize) -> State {
     let mech = DvvMechanism;

@@ -299,8 +299,8 @@ const GOLDEN: &[(&str, &str)] = &[
     ("RepPut", "06080706050403020109757365723a30303432030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e6401ac02"),
     ("RepPutAck", "070807060504030201"),
     ("AaeRoot", "0988776655443322110df0fecacefaedfe"),
-    ("AaeArcRoots", "0a0df0fecacefaedfe0400023cc306401100000000000000fecaad0befbeadde01000000000000000000000000000000"),
-    ("AaeLeaves/scoped", "0b0df0fecacefaedfe04010025d603040009757365723a3030303108013205013100017640efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
+    ("AaeArcRoots", "0a0df0fecacefaedfe0400023cc3061100000000000000fecaad0befbeadde01000000000000000000000000000000"),
+    ("AaeLeaves/scoped", "0b0df0fecacefaedfe04010025d603040009757365723a30303031080132050131000176efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
     ("AaeStates", "0c040009757365723a30303031010501030003028080808020ac02810101c801000c111111111111111111111111080132030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261010501030003028080808020ac02810101c801000c1111111111111111111111110500000007636172743a31370701300501320003646f67"),
     ("RepWrite", "0e080706050403020109757365723a303034328080808080204d0100030003028080808020ac02810101ac02"),
     ("RepWriteResp", "0f080706050403020109757365723a30303432010501030003028080808020ac02810101c801000c111111111111111111111111"),
