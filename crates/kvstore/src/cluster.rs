@@ -444,11 +444,6 @@ pub struct Cluster<M: Mechanism<StampedValue>> {
 }
 
 impl<M: Mechanism<StampedValue>> Cluster<M> {
-    /// Default virtual nodes per server on the cluster's hash ring
-    /// (the actual count comes from [`StoreConfig::vnodes`], whose
-    /// default matches this constant).
-    pub const VNODES: u32 = 32;
-
     /// Builds a cluster on in-memory storage engines. All randomness
     /// derives from `seed`.
     pub fn new(seed: u64, mech: M, config: ClusterConfig) -> Self {

@@ -220,7 +220,7 @@ fn a_duplicated_reply_is_not_a_quorum() {
     let mut c = Cluster::new(77, DvvMechanism, cfg);
 
     let key = b"cart:17".to_vec();
-    let ring = c.view().to_ring(Cluster::<DvvMechanism>::VNODES);
+    let ring = c.view().to_ring(StoreConfig::default().vnodes);
     let owners = ring.preference_list(&key, 3);
     let outsider = (0..4)
         .find(|i| !owners.contains(&ReplicaId(*i)))

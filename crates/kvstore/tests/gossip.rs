@@ -36,7 +36,7 @@ type M = DvvMechanism;
 /// Finds a key together with a server that is *not* in its preference
 /// list (requires more servers than the replication factor).
 fn key_with_outsider(servers: u32, n: usize) -> (Key, ReplicaId, Vec<ReplicaId>) {
-    let ring = HashRing::with_vnodes((0..servers).map(ReplicaId), Cluster::<M>::VNODES);
+    let ring = HashRing::with_vnodes((0..servers).map(ReplicaId), StoreConfig::default().vnodes);
     for i in 0..10_000 {
         let key = format!("key-{i}").into_bytes();
         let prefs = ring.preference_list(&key, n);

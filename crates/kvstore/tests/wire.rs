@@ -111,7 +111,7 @@ fn run_scenario(seed: u64) -> (Cluster<M>, BTreeMap<Key, State>) {
     let mut c = Cluster::new(seed, DvvMechanism, cfg);
 
     // preload: every key replicated at its full preference list
-    let ring = HashRing::with_vnodes((0..SERVERS).map(ReplicaId), Cluster::<M>::VNODES);
+    let ring = HashRing::with_vnodes((0..SERVERS).map(ReplicaId), StoreConfig::default().vnodes);
     let keys: Vec<Key> = (0..KEYS)
         .map(|i| format!("user:{i:04}").into_bytes())
         .collect();
@@ -141,7 +141,8 @@ fn run_scenario(seed: u64) -> (Cluster<M>, BTreeMap<Key, State>) {
     // covers the ranges they co-own, not the whole keyspace — and a
     // single arc is the unit the arc-scoped exchange can isolate.
     let victim = ReplicaId(1);
-    let post_ring = HashRing::with_vnodes((1..=SERVERS).map(ReplicaId), Cluster::<M>::VNODES);
+    let post_ring =
+        HashRing::with_vnodes((1..=SERVERS).map(ReplicaId), StoreConfig::default().vnodes);
     let bounds = post_ring.arc_bounds();
     let mut by_arc: BTreeMap<usize, Vec<Key>> = BTreeMap::new();
     for k in &keys {
@@ -207,7 +208,7 @@ fn model_contents(
     c: &Cluster<M>,
     model: &BTreeMap<Key, State>,
 ) -> BTreeMap<usize, BTreeMap<Key, State>> {
-    let ring = c.view().to_ring(Cluster::<M>::VNODES);
+    let ring = c.view().to_ring(StoreConfig::default().vnodes);
     let mut slots: BTreeMap<usize, BTreeMap<Key, State>> = c
         .member_slots()
         .into_iter()
