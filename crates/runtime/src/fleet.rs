@@ -32,12 +32,12 @@
 //! drops the message (wire loss; the protocol's timeouts, retries and
 //! anti-entropy absorb it), so workers can never deadlock on a send.
 //!
-//! A scheduled crash ([`CrashEvent`](crate::CrashEvent)) is two agenda entries on its
-//! server's own worker, both known when the fleet is built: the kill
-//! swaps in an inert husk and drops the node's timers and queued
-//! self-sends, the respawn rebuilds the node from its [`NodeKit`] and
-//! queues it, on the worker's local queue, the view that re-admits it.
-//! Nothing crosses threads to order either. The crash schedule, the
+//! A scheduled crash ([`CrashEvent`](crate::CrashEvent)) is two agenda
+//! entries on its server's own worker, both known when the fleet is
+//! built: the kill swaps in an inert husk and drops the node's timers
+//! and queued self-sends, the respawn rebuilds the node from its
+//! [`NodeKit`] and queues it, on the worker's local queue, the view that
+//! re-admits it. Nothing crosses threads to order either. The crash schedule, the
 //! storage-engine factory and the fault plane all sit above the link,
 //! so they work the same on every link. Where a worker's inbox is fed
 //! from is the link's too: [`Link::worker`] gives each worker a handle
@@ -129,9 +129,11 @@ enum Due<M: Mechanism<StampedValue>> {
     /// A packet the network gave a delay. It is on the wire already: a
     /// kill of the node that sent it does not take it back.
     Send(Packet<M>),
-    /// The worker's server is killed ([`CrashEvent::kill_after`](crate::CrashEvent::kill_after)).
+    /// The worker's server is killed
+    /// ([`CrashEvent::kill_after`](crate::CrashEvent::kill_after)).
     Kill,
-    /// The worker's server is rebuilt ([`CrashEvent::respawn_after`](crate::CrashEvent::respawn_after)).
+    /// The worker's server is rebuilt
+    /// ([`CrashEvent::respawn_after`](crate::CrashEvent::respawn_after)).
     Respawn,
 }
 
@@ -395,7 +397,8 @@ where
     /// [`Cluster::new_durable`](kvstore::cluster::Cluster::new_durable).
     /// Opening an engine replays whatever a previous incarnation (or a
     /// previous fleet over the same directory) durably synced, and a
-    /// scheduled [`CrashEvent`](crate::CrashEvent) respawn rebuilds from the same factory.
+    /// scheduled [`CrashEvent`](crate::CrashEvent) respawn rebuilds from
+    /// the same factory.
     pub fn new_durable(
         seed: u64,
         mech: M,
