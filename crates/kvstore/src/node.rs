@@ -1102,6 +1102,12 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if !read && !self.note_write_seen(req) {
             return None;
         }
+        // nor is a request coordinated twice at once: a network copy
+        // arriving while the first is in flight would fan out again and
+        // reply twice
+        if self.pending.contains_key(&req) {
+            return None;
+        }
         let (active, subs) = self.active_replicas(key);
         if active.is_empty() {
             self.reply(ctx, from, req, read, None);

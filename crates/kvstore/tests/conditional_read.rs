@@ -485,6 +485,25 @@ fn same_for_a_retired_or_unknown_request_is_ignored() {
     assert_eq!(coord.stored(&key), state);
 }
 
+/// Regression: only writes were deduplicated, so a network copy of a
+/// GET arriving while the first was in flight fanned out again, armed a
+/// second timeout and answered the client twice.
+#[test]
+fn a_get_delivered_twice_in_flight_is_coordinated_once() {
+    let (key, [a, b, c], _) = placement();
+    let (_, state) = old_and_new(a);
+    let mut coord = Server::holding(a, &key, &state);
+    assert_eq!(conditional_reads(&coord.client_get(&key), &key).len(), 2);
+    let armed = coord.ctx.armed.len();
+    assert!(coord.client_get(&key).is_empty(), "the copy sends nothing");
+    assert_eq!(coord.ctx.armed.len(), armed, "and arms nothing");
+
+    let mut sent = coord.deliver(NodeId(b.0), same(REQ));
+    sent.extend(coord.deliver(NodeId(c.0), same(REQ)));
+    client_reply(&sent);
+    assert_eq!(coord.node.stats().gets_ok, 1);
+}
+
 /// One coordinated request as the completion rule sees it: what the
 /// client sent, and the answers of the replicas asked, in delivery order.
 struct Row {
