@@ -7,11 +7,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use dvv::mechanisms::Mechanism;
 use dvv::{ClientId, ReplicaId};
 use ring::{HashRing, RingView};
-use simnet::{NodeId, SimTime, TimerId};
+use simnet::{NodeId, SimTime};
 use workloads::{Histogram, KeySpace, Popularity};
 
 use crate::config::{ClientConfig, StoreConfig};
-use crate::ctx::NodeCtx;
+use crate::ctx::{NodeCtx, Timer};
 use crate::messages::{Msg, ReqId, WireStats};
 use crate::value::{Key, StampedValue, WriteId};
 
@@ -59,14 +59,6 @@ struct InFlight<M: Mechanism<StampedValue>> {
     kind: Kind<M>,
     sent_at: SimTime,
     retries: u32,
-    /// The request's timeout timer, cancelled when its answer arrives.
-    timeout: TimerId,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClientTimer {
-    Think,
-    Timeout(ReqId),
 }
 
 /// A closed-loop client process: `GET key → PUT key (with context) →
@@ -91,7 +83,6 @@ pub struct ClientNode<M: Mechanism<StampedValue>> {
     cycles_done: u32,
     next_req: u64,
     current: Option<InFlight<M>>,
-    timers: BTreeMap<TimerId, ClientTimer>,
     /// Public write log for the oracle.
     write_log: Vec<WriteLogEntry>,
     stats: ClientStats,
@@ -139,7 +130,6 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             cycles_done: 0,
             next_req: 0,
             current: None,
-            timers: BTreeMap::new(),
             write_log: Vec::new(),
             stats: ClientStats::default(),
             wire: WireStats::default(),
@@ -191,11 +181,11 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         self.view.digest()
     }
 
-    /// Merges a learned ring view (from a [`Msg::RingEpoch`] push or the
-    /// control plane's force-sync safety valve): on change, rebuilds the
-    /// ring and forgets the down marks of replicas that left it. Returns
-    /// `(changed, sender_lacks)` as reported by [`RingView::absorb`].
-    pub fn force_view(&mut self, view: &RingView<ReplicaId>) -> (bool, bool) {
+    /// Merges a view a server pushed ([`Msg::RingEpoch`]): on change,
+    /// rebuilds the ring and forgets the down marks of replicas that left
+    /// it. Returns `(changed, sender_lacks)` as reported by
+    /// [`RingView::absorb`].
+    fn force_view(&mut self, view: &RingView<ReplicaId>) -> (bool, bool) {
         let (changed, sender_lacks) = self.view.absorb(view);
         if changed {
             self.ring = self.view.to_ring(self.store.vnodes);
@@ -217,15 +207,6 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         ctx.send(to, msg, bytes);
     }
 
-    /// Cancels (advisorily) the timeout timer of a flight that has
-    /// concluded. On the simulator the fire still arrives and is
-    /// ignored; on the threaded runtime the wheel entry is actually
-    /// removed, saving a wakeup.
-    fn cancel_timeout(&mut self, ctx: &mut impl NodeCtx<M>, timeout: TimerId) {
-        self.timers.remove(&timeout);
-        ctx.cancel_timer(timeout);
-    }
-
     fn pick_coordinator(&mut self, ctx: &mut impl NodeCtx<M>, key: &[u8]) -> Option<NodeId> {
         let routable = |r: &ReplicaId| !self.down.contains(r);
         let (active, _) =
@@ -236,12 +217,6 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         }
         let pick = ctx.rng().range_u64(0, active.len() as u64) as usize;
         Some(NodeId(active[pick].0))
-    }
-
-    fn arm_timeout(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) -> TimerId {
-        let t = ctx.set_timer(self.config.request_timeout);
-        self.timers.insert(t, ClientTimer::Timeout(req));
-        t
     }
 
     fn begin_cycle(&mut self, ctx: &mut impl NodeCtx<M>) {
@@ -260,13 +235,14 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             self.abandon_cycle(ctx);
             return;
         };
+        // the timeout is cancelled when the answer arrives
+        ctx.set_timer(self.config.request_timeout, Timer::Request(req));
         self.current = Some(InFlight {
             req,
             key: key.clone(),
             kind: Kind::Get,
             sent_at: ctx.now(),
             retries,
-            timeout: self.arm_timeout(ctx, req),
         });
         let digest = self.view.digest();
         self.send(ctx, coord, Msg::ClientGet { req, key, digest });
@@ -285,6 +261,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             self.abandon_cycle(ctx);
             return;
         };
+        ctx.set_timer(self.config.request_timeout, Timer::Request(req));
         self.current = Some(InFlight {
             req,
             key: key.clone(),
@@ -294,7 +271,6 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             },
             sent_at: ctx.now(),
             retries,
-            timeout: self.arm_timeout(ctx, req),
         });
         let digest = self.view.digest();
         self.send(
@@ -322,8 +298,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             self.done = true;
             return;
         }
-        let t = ctx.set_timer(self.config.think_time);
-        self.timers.insert(t, ClientTimer::Think);
+        ctx.set_timer(self.config.think_time, Timer::Think);
     }
 
     fn record_observation(&mut self, key: &Key, values: &[StampedValue], read_ctx: M::Context) {
@@ -405,7 +380,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
                     self.current = Some(flight); // stale response
                     return;
                 }
-                self.cancel_timeout(ctx, flight.timeout);
+                ctx.cancel_timer(Timer::Request(req));
                 if !ok {
                     self.retry_or_abandon(ctx, flight);
                     return;
@@ -445,7 +420,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
                     self.current = Some(flight);
                     return;
                 }
-                self.cancel_timeout(ctx, flight.timeout);
+                ctx.cancel_timer(Timer::Request(req));
                 if !ok {
                     self.retry_or_abandon(ctx, flight);
                     return;
@@ -485,27 +460,20 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
     pub fn on_start(&mut self, ctx: &mut impl NodeCtx<M>) {
         // Stagger session starts a little so clients do not phase-lock.
         let jitter = simnet::Duration::from_micros(ctx.rng().range_u64(0, 500));
-        let t = ctx.set_timer(jitter);
-        self.timers.insert(t, ClientTimer::Think);
+        ctx.set_timer(jitter, Timer::Think);
     }
 
     /// Entry point: dispatches one timer.
-    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: TimerId) {
-        match self.timers.remove(&timer) {
-            Some(ClientTimer::Think) if self.current.is_none() && !self.done => {
-                self.begin_cycle(ctx);
-            }
-            Some(ClientTimer::Think) => {}
-            Some(ClientTimer::Timeout(req)) => {
-                if let Some(flight) = self.current.take() {
-                    if flight.req == req {
-                        self.retry_or_abandon(ctx, flight);
-                    } else {
-                        self.current = Some(flight);
-                    }
+    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: Timer) {
+        match timer {
+            Timer::Think if self.current.is_none() && !self.done => self.begin_cycle(ctx),
+            Timer::Request(req) => {
+                if let Some(flight) = self.current.take_if(|f| f.req == req) {
+                    self.retry_or_abandon(ctx, flight);
                 }
             }
-            None => {}
+            // a server's timers are never armed by a client
+            _ => {}
         }
     }
 }

@@ -10,14 +10,14 @@ use dvv::mechanisms::{Mechanism, WireMechanism};
 use dvv::{ClientId, ReplicaId};
 use ring::{MemberStatus, RingView};
 use simnet::{
-    Duration, LinkFaults, NetworkConfig, NodeId, Process, ProcessCtx, SimTime, Simulation, TimerId,
+    Duration, LinkFaults, NetworkConfig, NodeId, Process, ProcessCtx, SimTime, Simulation,
 };
 use storage::{LogConfig, LogEngine, MemEngine, StorageEngine};
 use workloads::Histogram;
 
 use crate::client::ClientNode;
 use crate::config::{ClientConfig, StoreConfig};
-use crate::ctx::NodeCtx;
+use crate::ctx::{NodeCtx, Timer};
 use crate::harness::FleetHarness;
 use crate::messages::{Msg, WireStats};
 use crate::node::StoreNode;
@@ -57,7 +57,7 @@ impl<M: Mechanism<StampedValue>> StoreProc<M> {
     }
 
     /// Entry point: dispatches one timer.
-    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: TimerId) {
+    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: Timer) {
         match self {
             StoreProc::Server(s) => s.on_timer(ctx, timer),
             StoreProc::Client(c) => c.on_timer(ctx, timer),
@@ -103,16 +103,17 @@ impl<M: Mechanism<StampedValue>> StoreProc<M> {
 
 impl<M: Mechanism<StampedValue>> Process for StoreProc<M> {
     type Msg = Msg<M>;
+    type Timer = Timer;
 
-    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>) {
+    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>) {
         StoreProc::on_start(self, ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, from: NodeId, msg: Msg<M>) {
+    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>, from: NodeId, msg: Msg<M>) {
         StoreProc::on_message(self, ctx, from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, timer: TimerId) {
+    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>, timer: Timer) {
         StoreProc::on_timer(self, ctx, timer);
     }
 }
@@ -725,6 +726,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
                 // fully drained: retire the node and tombstone its entry
                 // so the departure survives every future merge
                 self.sim.process_mut(slot).server_mut().finish_leave();
+                self.sim.drop_timers(NodeId(slot as u32));
                 self.view
                     .bump(&ReplicaId(slot as u32), MemberStatus::Removed);
                 final_wave = true;
@@ -809,6 +811,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         // dormant and fully disconnected — it can neither serve nor
         // gossip.
         *self.sim.process_mut(slot) = self.kit.husk(slot);
+        self.sim.drop_timers(NodeId(slot as u32));
         for other in 0..(self.server_slots + self.clients) {
             if other != slot {
                 let net = self.sim.network_mut();
@@ -836,6 +839,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         assert!(self.crashed.remove(&slot), "slot {slot} is not crashed");
         let who = ReplicaId(slot as u32);
         *self.sim.process_mut(slot) = self.kit.server(slot);
+        self.sim.drop_timers(NodeId(slot as u32));
         for other in 0..(self.server_slots + self.clients) {
             if other != slot {
                 let net = self.sim.network_mut();

@@ -11,8 +11,13 @@
 //!   [`Cluster`](crate::cluster::Cluster) is the oracle-checked harness
 //!   over it;
 //! * the threaded fleet (the `runtime` crate), whose context writes
-//!   through to a worker's router and timer wheel — over in-process
+//!   through to a worker's router and agenda — over in-process
 //!   channels or, in `transport`, TCP sockets.
+//!
+//! A timer is named by what it is for, a [`Timer`]: the node arms one,
+//! may cancel it, and is handed it back when it fires. Both drivers
+//! queue timers on the same [`simnet::TimerWheel`], so cancellation is
+//! exact on every driver: a cancelled timer never fires.
 //!
 //! What a message costs is **not** decided here. The node's one send
 //! door ([`Msg::charge`]: [`Msg::wire_size`] plus the configured
@@ -22,10 +27,27 @@
 //! audited by the wire-parity suite cannot drift per driver.
 
 use dvv::mechanisms::Mechanism;
-use simnet::{Duration, NodeId, ProcessCtx, SimRng, SimTime, TimerId};
+use simnet::{Duration, NodeId, ProcessCtx, SimRng, SimTime};
 
-use crate::messages::Msg;
+use crate::messages::{Msg, ReqId};
 use crate::value::StampedValue;
+
+/// What a pending timer is for. A node has at most one pending timer of
+/// each value: it arms one only when none is pending.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Timer {
+    /// A request's timeout: the coordinator's for a request it
+    /// coordinates, the client's for the one it has in flight.
+    Request(ReqId),
+    /// A server's next anti-entropy round.
+    AntiEntropy,
+    /// A server's next gossip digest.
+    Gossip,
+    /// A server's next push of what it owes.
+    Push,
+    /// A client's pause before its next cycle.
+    Think,
+}
 
 /// The capabilities a store or client node sees while handling an event,
 /// independent of which driver is hosting it.
@@ -40,12 +62,11 @@ use crate::value::StampedValue;
 /// * [`send`](Self::send) is told the wire bytes the node charged
 ///   itself (payload + header) and delivers; delivery may be delayed,
 ///   dropped, or reordered by the driver's network.
-/// * [`set_timer`](Self::set_timer) ids are unique per node; timers
-///   scheduled for the same instant fire in insertion order.
-/// * [`cancel_timer`](Self::cancel_timer) is advisory: a driver may
-///   still fire a cancelled timer (the simulator does), so nodes must
-///   ignore unknown timer ids — which they already do by keeping their
-///   own `TimerId → kind` maps.
+/// * [`set_timer`](Self::set_timer) arms a [`Timer`] that is not
+///   pending; timers scheduled for the same instant fire in insertion
+///   order.
+/// * [`cancel_timer`](Self::cancel_timer) is exact: a cancelled timer
+///   never fires.
 pub trait NodeCtx<M: Mechanism<StampedValue>> {
     /// The hosting node's id.
     fn id(&self) -> NodeId;
@@ -61,19 +82,17 @@ pub trait NodeCtx<M: Mechanism<StampedValue>> {
     /// ledgers take it as given rather than re-deriving it.
     fn send(&mut self, to: NodeId, msg: Msg<M>, bytes: usize);
 
-    /// Schedules a timer after `delay`; the returned id is handed back to
-    /// the node's `on_timer` when it fires.
-    fn set_timer(&mut self, delay: Duration) -> TimerId;
+    /// Schedules `timer` after `delay`; it is handed back to the node's
+    /// `on_timer` when it fires.
+    fn set_timer(&mut self, delay: Duration, timer: Timer);
 
-    /// Best-effort cancellation of a pending timer. Drivers that cannot
-    /// unschedule (the simulator) may still deliver the fire; nodes must
-    /// treat an unknown id as a no-op.
-    fn cancel_timer(&mut self, timer: TimerId);
+    /// Unschedules `timer`; a no-op if it is not pending.
+    fn cancel_timer(&mut self, timer: Timer);
 }
 
 /// The simulator hosts a node directly: its process context already
 /// has the trait's shape.
-impl<M: Mechanism<StampedValue>> NodeCtx<M> for ProcessCtx<'_, Msg<M>> {
+impl<M: Mechanism<StampedValue>> NodeCtx<M> for ProcessCtx<'_, Msg<M>, Timer> {
     fn id(&self) -> NodeId {
         ProcessCtx::id(self)
     }
@@ -90,14 +109,12 @@ impl<M: Mechanism<StampedValue>> NodeCtx<M> for ProcessCtx<'_, Msg<M>> {
         ProcessCtx::send(self, to, msg, bytes);
     }
 
-    fn set_timer(&mut self, delay: Duration) -> TimerId {
-        ProcessCtx::set_timer(self, delay)
+    fn set_timer(&mut self, delay: Duration, timer: Timer) {
+        ProcessCtx::set_timer(self, delay, timer);
     }
 
-    fn cancel_timer(&mut self, _timer: TimerId) {
-        // The simulator's event queue has no removal; the fire is
-        // delivered and ignored by the node's own timer map. Keeping the
-        // event preserves bit-for-bit determinism of existing runs.
+    fn cancel_timer(&mut self, timer: Timer) {
+        ProcessCtx::cancel_timer(self, timer);
     }
 }
 
@@ -122,14 +139,15 @@ mod tests {
 
     impl Process for Probe {
         type Msg = Msg<DvvMechanism>;
+        type Timer = Timer;
 
-        fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg>) {
+        fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg, Timer>) {
             self.node.on_start(ctx);
         }
 
         fn on_message(
             &mut self,
-            ctx: &mut ProcessCtx<'_, Self::Msg>,
+            ctx: &mut ProcessCtx<'_, Self::Msg, Timer>,
             from: NodeId,
             msg: Self::Msg,
         ) {
@@ -137,7 +155,7 @@ mod tests {
             self.node.on_message(ctx, from, msg);
         }
 
-        fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg>, timer: TimerId) {
+        fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg, Timer>, timer: Timer) {
             self.node.on_timer(ctx, timer);
         }
     }

@@ -8,10 +8,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use dvv::mechanisms::{Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
 use ring::{HashRing, MemberStatus, RingView};
-use simnet::{NodeId, SimTime, TimerId};
+use simnet::{NodeId, SimTime};
 
 use crate::config::StoreConfig;
-use crate::ctx::NodeCtx;
+use crate::ctx::{NodeCtx, Timer};
 use crate::data::DataStore;
 use crate::merkle::{fingerprint, MerkleSummary};
 use crate::messages::{Msg, MsgClass, ReqId, WireStats};
@@ -92,8 +92,6 @@ pub struct NodeStats {
 struct Pending<M: Mechanism<StampedValue>> {
     key: Key,
     client: NodeId,
-    /// The request's timeout timer, cancelled when it retires.
-    timer: TimerId,
     expected: usize,
     replied: bool,
     /// Whether this coordinator is in the key's active preference list
@@ -141,15 +139,6 @@ type Subs = Vec<(ReplicaId, ReplicaId)>;
 fn hint_for(subs: &[(ReplicaId, ReplicaId)], peer: ReplicaId) -> Option<ReplicaId> {
     let sub = subs.iter().find(|(_, fallback)| *fallback == peer);
     sub.map(|(intended, _)| *intended)
-}
-
-/// What a firing timer means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TimerKind {
-    Request(ReqId),
-    AntiEntropy,
-    Push,
-    Gossip,
 }
 
 /// One copy this node owes a peer: the state it holds for a key must
@@ -244,7 +233,11 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
     /// never owes anything draws nothing.
     next_push: Option<u64>,
     pending: BTreeMap<ReqId, Pending<M>>,
-    timers: BTreeMap<TimerId, TimerKind>,
+    /// Whether the anti-entropy and gossip timers run: armed at start or
+    /// at the (re-)admission that wakes the node, each re-arms itself.
+    periodic_armed: bool,
+    /// Whether the push timer is pending.
+    push_armed: bool,
     /// Whether this node is a serving cluster member. Spare capacity is
     /// hosted dormant (`false`) and wakes when a view newly places it on
     /// the ring.
@@ -327,7 +320,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             owed: BTreeMap::new(),
             next_push: None,
             pending: BTreeMap::new(),
-            timers: BTreeMap::new(),
+            periodic_armed: false,
+            push_armed: false,
             active: true,
             leaving: false,
             transfers_seen: BTreeMap::new(),
@@ -541,7 +535,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         self.data.clear();
         self.owed.clear();
         self.pending.clear();
-        self.timers.clear();
+        self.periodic_armed = false;
+        self.push_armed = false;
         self.leaving = false;
         self.active = false;
     }
@@ -912,8 +907,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     fn handle_gossip_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
         self.gossip_once(ctx, 1);
         if self.config.gossip_interval > simnet::Duration::ZERO {
-            let t = ctx.set_timer(self.config.gossip_interval);
-            self.timers.insert(t, TimerKind::Gossip);
+            ctx.set_timer(self.config.gossip_interval, Timer::Gossip);
         }
     }
 
@@ -955,9 +949,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             Some(MemberStatus::Leaving | MemberStatus::Removed) => self.leaving = true,
             Some(MemberStatus::Up | MemberStatus::Joining) => {
                 self.leaving = false;
-                let periodic =
-                    |k: &TimerKind| matches!(k, TimerKind::AntiEntropy | TimerKind::Gossip);
-                if !self.timers.values().any(periodic) {
+                if !self.periodic_armed {
                     self.arm_periodic_timers(ctx);
                 }
             }
@@ -1083,9 +1075,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// What coordinating a read and a write start with: realign views
     /// with the client, find the key's active replicas (refusing the
     /// request when there are none), test ownership and arm the timeout.
-    /// Returns the active set, its sloppy-quorum substitutions, whether
-    /// this node is among it, and the timer — or `None` when the request
-    /// goes no further.
+    /// Returns the active set, its sloppy-quorum substitutions and
+    /// whether this node is among it — or `None` when the request goes no
+    /// further.
     fn begin_request(
         &mut self,
         ctx: &mut impl NodeCtx<M>,
@@ -1094,7 +1086,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         key: &[u8],
         digest: u64,
         read: bool,
-    ) -> Option<(Vec<ReplicaId>, Subs, bool, TimerId)> {
+    ) -> Option<(Vec<ReplicaId>, Subs, bool)> {
         self.note_peer_digest(ctx, from, digest);
         // a write is coordinated once per request id: a client's retry
         // carries a fresh one and is a new write, so a repeat is the
@@ -1120,9 +1112,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if !owner {
             self.stats.remote_coordinations += 1;
         }
-        let timer = ctx.set_timer(self.config.request_timeout);
-        self.timers.insert(timer, TimerKind::Request(req));
-        Some((active, subs, owner, timer))
+        ctx.set_timer(self.config.request_timeout, Timer::Request(req));
+        Some((active, subs, owner))
     }
 
     fn handle_client_get(
@@ -1133,8 +1124,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         key: Key,
         digest: u64,
     ) {
-        let Some((active, subs, owner, timer)) =
-            self.begin_request(ctx, from, req, &key, digest, true)
+        let Some((active, subs, owner)) = self.begin_request(ctx, from, req, &key, digest, true)
         else {
             return;
         };
@@ -1150,7 +1140,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         let pending = Pending {
             key: key.clone(),
             client: from,
-            timer,
             expected: active.len(),
             replied: false,
             owner,
@@ -1263,10 +1252,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
         if all_in {
             let p = self.pending.remove(&req).expect("just looked up");
-            // an advisory cancel: the simulator still fires the timer
-            // into a no-op, the threaded runtime unschedules it
-            self.timers.remove(&p.timer);
-            ctx.cancel_timer(p.timer);
+            ctx.cancel_timer(Timer::Request(req));
             if let Op::Get { acc, subs, .. } = p.op {
                 self.finish_read_repair(ctx, &p.key, acc, &p.seen, p.owner, &subs);
             }
@@ -1333,8 +1319,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         put_ctx: M::Context,
         digest: u64,
     ) {
-        let Some((active, subs, owner, timer)) =
-            self.begin_request(ctx, from, req, &key, digest, false)
+        let Some((active, subs, owner)) = self.begin_request(ctx, from, req, &key, digest, false)
         else {
             return;
         };
@@ -1384,7 +1369,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         let pending = Pending {
             key,
             client: from,
-            timer,
             expected: active.len(),
             replied: false,
             owner,
@@ -1431,8 +1415,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
         // re-arm
         if self.config.anti_entropy_interval > simnet::Duration::ZERO {
-            let t = ctx.set_timer(self.config.anti_entropy_interval);
-            self.timers.insert(t, TimerKind::AntiEntropy);
+            ctx.set_timer(self.config.anti_entropy_interval, Timer::AntiEntropy);
         }
     }
 
@@ -1454,10 +1437,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// period — the wait that batches what separate messages recorded.
     fn ensure_push_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
         let pushable = |o: &Owed| self.resend_window(o.class).is_some();
-        if self.owed.values().any(pushable) && !self.timers.values().any(|k| *k == TimerKind::Push)
-        {
-            let t = ctx.set_timer(PUSH_RETRY_INTERVAL);
-            self.timers.insert(t, TimerKind::Push);
+        if !self.push_armed && self.owed.values().any(pushable) {
+            ctx.set_timer(PUSH_RETRY_INTERVAL, Timer::Push);
+            self.push_armed = true;
         }
     }
 
@@ -1568,20 +1550,16 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         // and the two by different steps, so the fleet's digests do not
         // phase-lock with its anti-entropy rounds
         let periodic = [
-            (
-                self.config.anti_entropy_interval,
-                1_000,
-                TimerKind::AntiEntropy,
-            ),
-            (self.config.gossip_interval, 700, TimerKind::Gossip),
+            (self.config.anti_entropy_interval, 1_000, Timer::AntiEntropy),
+            (self.config.gossip_interval, 700, Timer::Gossip),
         ];
-        for (interval, stagger, kind) in periodic {
+        for (interval, stagger, timer) in periodic {
             if interval > simnet::Duration::ZERO {
                 let first = interval.as_micros() + u64::from(self.replica.0) * stagger;
-                let t = ctx.set_timer(simnet::Duration::from_micros(first));
-                self.timers.insert(t, kind);
+                ctx.set_timer(simnet::Duration::from_micros(first), timer);
             }
         }
+        self.periodic_armed = true;
     }
 
     /// Entry point: dispatches one message.
@@ -1823,13 +1801,17 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// Entry point: dispatches one timer.
-    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: TimerId) {
-        match self.timers.remove(&timer) {
-            Some(TimerKind::Request(req)) => self.handle_request_timeout(ctx, req),
-            Some(TimerKind::AntiEntropy) => self.handle_aae_timer(ctx),
-            Some(TimerKind::Push) => self.flush_owed(ctx),
-            Some(TimerKind::Gossip) => self.handle_gossip_timer(ctx),
-            None => {}
+    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: Timer) {
+        match timer {
+            Timer::Request(req) => self.handle_request_timeout(ctx, req),
+            Timer::AntiEntropy => self.handle_aae_timer(ctx),
+            Timer::Push => {
+                self.push_armed = false;
+                self.flush_owed(ctx);
+            }
+            Timer::Gossip => self.handle_gossip_timer(ctx),
+            // a client's timer: never armed by a server
+            Timer::Think => {}
         }
         self.ensure_push_timer(ctx);
     }

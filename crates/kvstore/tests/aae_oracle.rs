@@ -22,6 +22,7 @@ use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
 use kvstore::cluster::{Cluster, ClusterConfig, StoreProc};
 use kvstore::config::{ClientConfig, StoreConfig};
+use kvstore::ctx::Timer;
 use kvstore::data::DataStore;
 use kvstore::merkle::fingerprint;
 use kvstore::messages::Msg;
@@ -30,7 +31,7 @@ use kvstore::value::{Key, StampedValue, WriteId};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ring::RingView;
-use simnet::{Duration, NetworkConfig, NodeId, Process, ProcessCtx, Simulation, TimerId};
+use simnet::{Duration, NetworkConfig, NodeId, Process, ProcessCtx, Simulation};
 
 type M = DvvMechanism;
 
@@ -267,12 +268,13 @@ struct Relay {
 
 impl Process for Relay {
     type Msg = Msg<M>;
+    type Timer = Timer;
 
-    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>) {
+    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>) {
         self.node.on_start(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, from: NodeId, msg: Msg<M>) {
+    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>, from: NodeId, msg: Msg<M>) {
         if from == ctx.id() {
             ctx.send(self.peer, msg, 0);
             return;
@@ -283,7 +285,7 @@ impl Process for Relay {
         self.node.on_message(ctx, from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, timer: TimerId) {
+    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>, timer: Timer) {
         self.node.on_timer(ctx, timer);
     }
 }

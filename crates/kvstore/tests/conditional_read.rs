@@ -10,13 +10,13 @@ use std::collections::BTreeSet;
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
 use kvstore::config::StoreConfig;
-use kvstore::ctx::NodeCtx;
+use kvstore::ctx::{NodeCtx, Timer};
 use kvstore::merkle::fingerprint;
 use kvstore::messages::{Msg, MsgClass};
 use kvstore::node::StoreNode;
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::{MemberStatus, RingView};
-use simnet::{Duration, NodeId, SimRng, SimTime, TimerId};
+use simnet::{Duration, NodeId, SimRng, SimTime};
 
 type M = DvvMechanism;
 type State = <M as Mechanism<StampedValue>>::State;
@@ -25,14 +25,14 @@ type Ctx = <M as Mechanism<StampedValue>>::Context;
 const CLIENT: NodeId = NodeId(9);
 const REQ: u64 = 77;
 
-/// Records sends, timer arms (the `i`-th armed is `TimerId` `i + 1`) and
-/// timer cancels; delivers and fires nothing.
+/// Records sends, timer arms and timer cancels; delivers and fires
+/// nothing.
 struct Script {
     id: NodeId,
     rng: SimRng,
     sent: Vec<(NodeId, Msg<M>)>,
-    armed: Vec<Duration>,
-    cancelled: Vec<TimerId>,
+    armed: Vec<Timer>,
+    cancelled: Vec<Timer>,
 }
 
 impl NodeCtx<M> for Script {
@@ -52,12 +52,11 @@ impl NodeCtx<M> for Script {
         self.sent.push((to, msg));
     }
 
-    fn set_timer(&mut self, delay: Duration) -> TimerId {
-        self.armed.push(delay);
-        TimerId::from_raw(self.armed.len() as u64)
+    fn set_timer(&mut self, _delay: Duration, timer: Timer) {
+        self.armed.push(timer);
     }
 
-    fn cancel_timer(&mut self, timer: TimerId) {
+    fn cancel_timer(&mut self, timer: Timer) {
         self.cancelled.push(timer);
     }
 }
@@ -103,18 +102,9 @@ impl Server {
     }
 
     /// Fires `timer` and returns what the node sent while handling it.
-    fn fire(&mut self, timer: TimerId) -> Vec<(NodeId, Msg<M>)> {
+    fn fire(&mut self, timer: Timer) -> Vec<(NodeId, Msg<M>)> {
         self.node.on_timer(&mut self.ctx, timer);
         std::mem::take(&mut self.ctx.sent)
-    }
-
-    /// The one request timeout this node has armed.
-    fn request_timer(&self) -> TimerId {
-        let timeout = StoreConfig::default().request_timeout;
-        let mut armed = self.ctx.armed.iter().zip(1u64..);
-        let (_, id) = armed.find(|(d, _)| **d == timeout).expect("armed");
-        assert!(armed.all(|(d, _)| *d != timeout), "one request, one timer");
-        TimerId::from_raw(id)
     }
 
     /// Starts coordinating a GET of `key` for [`CLIENT`].
@@ -494,9 +484,8 @@ fn a_get_delivered_twice_in_flight_is_coordinated_once() {
     let (_, state) = old_and_new(a);
     let mut coord = Server::holding(a, &key, &state);
     assert_eq!(conditional_reads(&coord.client_get(&key), &key).len(), 2);
-    let armed = coord.ctx.armed.len();
     assert!(coord.client_get(&key).is_empty(), "the copy sends nothing");
-    assert_eq!(coord.ctx.armed.len(), armed, "and arms nothing");
+    assert_eq!(coord.ctx.armed, [Timer::Request(REQ)], "and arms nothing");
 
     let mut sent = coord.deliver(NodeId(b.0), same(REQ));
     sent.extend(coord.deliver(NodeId(c.0), same(REQ)));
@@ -664,7 +653,12 @@ fn one_completion_rule_for_both_ops() {
         let quorum_at = 2 - row.own;
         let all_at = row.answers.len();
         row.coord.deliver(CLIENT, row.start.clone());
-        let timer = row.coord.request_timer();
+        let timer = Timer::Request(REQ);
+        assert_eq!(
+            row.coord.ctx.armed,
+            [timer],
+            "{name}: one request, one timer"
+        );
         for (i, (from, answer)) in row.answers.iter().enumerate() {
             let sent = row.coord.deliver(*from, answer.clone());
             let (replies, rest) = split_replies(&row.start, sent);
@@ -701,7 +695,7 @@ fn one_completion_rule_for_both_ops() {
     for mut row in rows() {
         let name = row.name;
         row.coord.deliver(CLIENT, row.start.clone());
-        let timer = row.coord.request_timer();
+        let timer = Timer::Request(REQ);
         for (from, answer) in &row.answers[..1 - row.own] {
             for _ in 0..2 {
                 let sent = row.coord.deliver(*from, answer.clone());
@@ -725,7 +719,7 @@ fn one_completion_rule_for_both_ops() {
     for mut row in rows() {
         let name = row.name;
         row.coord.deliver(CLIENT, row.start.clone());
-        let timer = row.coord.request_timer();
+        let timer = Timer::Request(REQ);
         for (from, answer) in &row.answers[..2 - row.own] {
             row.coord.deliver(*from, answer.clone());
         }

@@ -22,13 +22,13 @@ use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
 use kvstore::cluster::{Cluster, ClusterConfig, NodeKit, StoreProc};
 use kvstore::config::{ClientConfig, StoreConfig};
+use kvstore::ctx::Timer;
 use kvstore::messages::{Msg, MsgClass};
 use kvstore::node::{NodeStats, StoreNode};
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::{HashRing, MemberStatus, RingView};
 use simnet::{
-    Duration, NetworkConfig, NodeId, Process, ProcessCtx, SimRng, SimTime, Simulation, TimerId,
-    TraceEvent,
+    Duration, NetworkConfig, NodeId, Process, ProcessCtx, SimRng, SimTime, Simulation, TraceEvent,
 };
 
 type M = DvvMechanism;
@@ -477,12 +477,13 @@ impl Tap {
 
 impl Process for Tap {
     type Msg = Msg<M>;
+    type Timer = Timer;
 
-    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>) {
+    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>) {
         self.node.on_start(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, from: NodeId, msg: Msg<M>) {
+    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>, from: NodeId, msg: Msg<M>) {
         match &msg {
             Msg::Push { id: Some(id), .. } => self.pushes.push(*id),
             Msg::PushAck { id, .. } => self.acks.push(*id),
@@ -491,7 +492,7 @@ impl Process for Tap {
         self.node.on_message(ctx, from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>>, timer: TimerId) {
+    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>, timer: Timer) {
         self.node.on_timer(ctx, timer);
     }
 }
@@ -1195,6 +1196,7 @@ fn a_retired_leaver_wakes_only_for_a_fresh_join() {
     sim.run_until(at(300));
     assert!(sim.process(1).server().drain_complete(), "nothing to drain");
     sim.process_mut(1).server_mut().finish_leave();
+    sim.drop_timers(NodeId(1));
     let removed = with_subject(&leave, MemberStatus::Removed);
 
     // a stale view that names it `Up`: its own entry is the newer one
@@ -1233,6 +1235,7 @@ fn a_readmission_delivered_twice_arms_one_set_of_timers() {
     let mut sim = lifecycle_sim(kit.server(0), kit.server(1));
     sim.run_until(at(10));
     *sim.process_mut(1) = kit.server(1);
+    sim.drop_timers(NodeId(1));
     let readmitted = with_subject(kit.genesis_view(), MemberStatus::Up);
     for _ in 0..2 {
         let view = readmitted.clone();

@@ -367,3 +367,28 @@ fn replica_ids_survive_recovery() {
     }
     std::fs::remove_dir_all(dir).ok();
 }
+
+#[test]
+fn a_restarted_server_runs_one_anti_entropy_chain() {
+    // The crashed incarnation's pending timers go with it: the restarted
+    // node's re-admission arms the only anti-entropy chain it runs. A
+    // chain leaked from the old incarnation would about double its
+    // rounds.
+    let config = durable_config(3, 2, 5);
+    let interval = config.store.anti_entropy_interval;
+    let mut c = Cluster::new(5, DvvSetMechanism, config);
+    c.run_for(Duration::from_millis(30));
+    c.crash_node(1);
+    c.run_for(Duration::from_millis(30));
+    c.restart_node(1);
+    c.run_for(Duration::from_millis(10));
+    let before = c.server(1).stats().aae_rounds;
+    let window = Duration::from_secs(2);
+    c.run_for(window);
+    let rounds = c.server(1).stats().aae_rounds - before;
+    let expect = window.as_micros() / interval.as_micros();
+    assert!(
+        rounds.abs_diff(expect) <= 1,
+        "{rounds} rounds in {window:?}, one chain makes {expect}"
+    );
+}

@@ -89,17 +89,16 @@ use dvv::mechanisms::Mechanism;
 use dvv::ReplicaId;
 use kvstore::client::ClientNode;
 use kvstore::cluster::{EngineFactory, NodeKit, StoreProc};
-use kvstore::ctx::NodeCtx;
+use kvstore::ctx::{NodeCtx, Timer};
 use kvstore::harness::FleetHarness;
 use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
-use simnet::{Duration, Network, NodeId, ReplayStash, SimRng, SimTime, TimerId};
+use simnet::{Duration, Entry, Network, NodeId, ReplayStash, SimRng, SimTime, TimerWheel};
 
 use crate::link::{ChannelLink, Link, Packet, Wiring};
 use crate::watchdog::{self, Progress, StallReport};
-use crate::wheel::{Entry, TimerWheel};
 use crate::RuntimeConfig;
 
 /// Inbox slots per hosted node; a full inbox drops (wire loss).
@@ -125,7 +124,7 @@ const SETTLE_CLEAN_ROUNDS: u64 = 8;
 #[derive(Debug)]
 enum Due<M: Mechanism<StampedValue>> {
     /// A hosted node's timer, cancellable by `(node, timer)`.
-    Timer(NodeId, TimerId),
+    Timer(NodeId, Timer),
     /// A packet the network gave a delay. It is on the wire already: a
     /// kill of the node that sent it does not take it back.
     Send(Packet<M>),
@@ -138,9 +137,9 @@ enum Due<M: Mechanism<StampedValue>> {
 }
 
 impl<M: Mechanism<StampedValue>> Entry for Due<M> {
-    type Id = (NodeId, TimerId);
+    type Id = (NodeId, Timer);
 
-    fn id(&self) -> Option<(NodeId, TimerId)> {
+    fn id(&self) -> Option<(NodeId, Timer)> {
         match self {
             Due::Timer(node, timer) => Some((*node, *timer)),
             _ => None,
@@ -267,7 +266,6 @@ struct Hosted<M: Mechanism<StampedValue>> {
     id: NodeId,
     proc_: StoreProc<M>,
     rng: SimRng,
-    next_timer: u64,
     was_done: bool,
     last_ops: u64,
 }
@@ -456,7 +454,6 @@ where
                     Some(j) => kit.client(j, i, &config.client, config.cycles_per_client),
                 },
                 rng: root.fork_indexed("node", i as u64),
-                next_timer: 0,
                 was_done: false,
                 last_ops: 0,
             })
@@ -1073,7 +1070,6 @@ struct RtCtx<'a, M: Mechanism<StampedValue>, L> {
     id: NodeId,
     now: SimTime,
     rng: &'a mut SimRng,
-    next_timer: &'a mut u64,
     router: &'a mut Router<M, L>,
 }
 
@@ -1094,15 +1090,12 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> NodeCtx<M> for RtCtx<'_, M, L> {
         self.router.route(self.id, to, msg, bytes);
     }
 
-    fn set_timer(&mut self, delay: Duration) -> TimerId {
-        let t = TimerId::from_raw(*self.next_timer);
-        *self.next_timer += 1;
+    fn set_timer(&mut self, delay: Duration, timer: Timer) {
         let due = self.now.as_micros() + delay.as_micros();
-        self.router.agenda.schedule(due, Due::Timer(self.id, t));
-        t
+        self.router.agenda.schedule(due, Due::Timer(self.id, timer));
     }
 
-    fn cancel_timer(&mut self, timer: TimerId) {
+    fn cancel_timer(&mut self, timer: Timer) {
         self.router.agenda.cancel((self.id, timer));
     }
 }
@@ -1121,7 +1114,6 @@ fn dispatch<M: Mechanism<StampedValue>, L: Link<M>>(
         id: h.id,
         now,
         rng: &mut h.rng,
-        next_timer: &mut h.next_timer,
         router,
     };
     event(&mut h.proc_, &mut ctx);

@@ -52,11 +52,11 @@
 //! * bounded inboxes — a full inbox is wire loss, which the protocol's
 //!   timeouts, retries and anti-entropy already absorb, so no
 //!   backpressure deadlock is possible;
-//! * one agenda per worker, a [`TimerWheel`] on the monotonic clock,
-//!   with the simulator's same-instant FIFO semantics (and real
-//!   cancellation, which the simulator approximates by ignoring fires),
-//!   and the simulator's order between the two event sources: what is
-//!   already queued is handled before what is already due;
+//! * one agenda per worker on the monotonic clock, the simulator's own
+//!   queue ([`simnet::TimerWheel`]) — so timers keep the simulator's
+//!   same-instant FIFO order and a cancelled one never fires on either
+//!   driver — and the simulator's order between the two event sources:
+//!   what is already queued is handled before what is already due;
 //! * per-node seeded [`SimRng`](simnet::SimRng) streams forked exactly
 //!   like the simulator forks them;
 //! * the simulator's own fault plane: [`RuntimeConfig::faults`] is a
@@ -84,13 +84,11 @@
 pub mod fleet;
 pub mod link;
 pub mod watchdog;
-pub mod wheel;
 
 pub use fleet::{Fleet, FleetStats, IdleStats, NodeSnapshot, RunReport, RuntimeFleet};
 pub use kvstore::cluster::EngineFactory;
 pub use link::{ChannelLink, ChannelStats, Link, Packet, Wiring};
 pub use watchdog::{NodeDiag, Progress, StallReport};
-pub use wheel::TimerWheel;
 
 use kvstore::config::{ClientConfig, StoreConfig};
 use simnet::NetworkConfig;

@@ -6,7 +6,8 @@
 //! simulator with
 //!
 //! * virtual time ([`SimTime`]) with microsecond resolution,
-//! * an event queue with stable FIFO tie-breaking ([`queue::EventQueue`]),
+//! * one event queue, a [`TimerWheel`]: due order with stable FIFO
+//!   tie-breaking, and exact cancellation of a process's named timers,
 //! * a message-passing [`Network`] with pluggable latency distributions,
 //!   bandwidth (so *metadata size translates into latency* — the E7
 //!   experiment), loss, partitions and adversarial [`LinkFaults`];
@@ -30,12 +31,13 @@
 //! struct Ping;
 //! impl Process for Ping {
 //!     type Msg = u64;
-//!     fn on_start(&mut self, ctx: &mut ProcessCtx<'_, u64>) {
+//!     type Timer = ();
+//!     fn on_start(&mut self, ctx: &mut ProcessCtx<'_, u64, ()>) {
 //!         if ctx.id() == NodeId(0) {
 //!             ctx.send(NodeId(1), 1, 8);
 //!         }
 //!     }
-//!     fn on_message(&mut self, ctx: &mut ProcessCtx<'_, u64>, from: NodeId, msg: u64) {
+//!     fn on_message(&mut self, ctx: &mut ProcessCtx<'_, u64, ()>, from: NodeId, msg: u64) {
 //!         if msg < 4 {
 //!             ctx.send(from, msg + 1, 8);
 //!         }
@@ -53,11 +55,11 @@
 
 pub mod latency;
 pub mod net;
-pub mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;
 pub mod trace;
+pub mod wheel;
 
 pub use latency::LatencyModel;
 pub use net::{
@@ -65,6 +67,7 @@ pub use net::{
     REPLAY_STASH_CAP,
 };
 pub use rng::SimRng;
-pub use sim::{Process, ProcessCtx, Simulation, TimerId};
+pub use sim::{Process, ProcessCtx, Simulation};
 pub use time::{Duration, SimTime};
 pub use trace::{Trace, TraceEvent};
+pub use wheel::{Entry, TimerWheel};

@@ -1,32 +1,13 @@
 //! The [`Simulation`] driver: hosts [`Process`]es, routes their messages
 //! through the [`Network`], and advances virtual time deterministically.
 
+use core::fmt::Debug;
+
 use crate::net::{Network, NetworkConfig, NodeId, ReplayStash};
-use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
 use crate::trace::{Trace, TraceEvent};
-
-/// Handle to a pending timer, returned by [`ProcessCtx::set_timer`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(u64);
-
-impl TimerId {
-    /// Constructs a timer id from its raw counter value. Timer ids only
-    /// need to be unique per node, so drivers other than [`Simulation`]
-    /// (which allocates from a global counter via
-    /// [`ProcessCtx::set_timer`]) can mint them from per-node counters.
-    #[must_use]
-    pub fn from_raw(raw: u64) -> Self {
-        TimerId(raw)
-    }
-
-    /// The raw counter value behind this id.
-    #[must_use]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
+use crate::wheel::{Entry, TimerWheel};
 
 /// A deterministic state machine hosted by the simulation.
 ///
@@ -37,32 +18,44 @@ pub trait Process {
     /// The message type exchanged between processes.
     type Msg;
 
+    /// What names a timer: the value [`ProcessCtx::set_timer`] arms,
+    /// [`ProcessCtx::cancel_timer`] cancels and [`Process::on_timer`]
+    /// receives. A process has at most one pending timer per name.
+    type Timer: Ord + Copy + Debug;
+
     /// Called once at time zero, before any message.
-    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg>) {
+    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg, Self::Timer>) {
         let _ = ctx;
     }
 
     /// Called when a message addressed to this process arrives.
-    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg>, from: NodeId, msg: Self::Msg);
+    fn on_message(
+        &mut self,
+        ctx: &mut ProcessCtx<'_, Self::Msg, Self::Timer>,
+        from: NodeId,
+        msg: Self::Msg,
+    );
 
     /// Called when a timer set by this process fires.
-    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg>, timer: TimerId) {
+    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg, Self::Timer>, timer: Self::Timer) {
         let _ = (ctx, timer);
     }
 }
 
-/// The capabilities a process sees while handling an event.
+/// The capabilities a process sees while handling an event. What it
+/// asks for takes effect when the handler returns: its sends first, then
+/// its timer arms and cancels in the order it made them.
 #[derive(Debug)]
-pub struct ProcessCtx<'a, M> {
+pub struct ProcessCtx<'a, M, T> {
     id: NodeId,
     now: SimTime,
     rng: &'a mut SimRng,
     outbox: &'a mut Vec<(NodeId, M, usize)>,
-    timer_requests: &'a mut Vec<(Duration, TimerId)>,
-    next_timer: &'a mut u64,
+    /// Timer arms (`Some(delay)`) and cancels (`None`), in call order.
+    timers: &'a mut Vec<(T, Option<Duration>)>,
 }
 
-impl<'a, M> ProcessCtx<'a, M> {
+impl<'a, M, T> ProcessCtx<'a, M, T> {
     /// This process's node id.
     #[must_use]
     pub fn id(&self) -> NodeId {
@@ -86,17 +79,19 @@ impl<'a, M> ProcessCtx<'a, M> {
         self.outbox.push((to, msg, bytes));
     }
 
-    /// Schedules [`Process::on_timer`] after `delay`. Returns the id the
-    /// callback will receive.
-    pub fn set_timer(&mut self, delay: Duration) -> TimerId {
-        let id = TimerId(*self.next_timer);
-        *self.next_timer += 1;
-        self.timer_requests.push((delay, id));
-        id
+    /// Schedules [`Process::on_timer`] with `timer` after `delay`.
+    /// `timer` must not be pending already.
+    pub fn set_timer(&mut self, delay: Duration, timer: T) {
+        self.timers.push((timer, Some(delay)));
+    }
+
+    /// Unschedules the pending `timer`, if there is one: it never fires.
+    pub fn cancel_timer(&mut self, timer: T) {
+        self.timers.push((timer, None));
     }
 }
 
-enum Event<M> {
+enum Event<M, T> {
     Deliver {
         from: NodeId,
         to: NodeId,
@@ -105,11 +100,23 @@ enum Event<M> {
     },
     Timer {
         node: NodeId,
-        id: TimerId,
+        timer: T,
     },
 }
 
-impl<M> core::fmt::Debug for Event<M> {
+/// A timer is named by its node and its own name; a delivery has none.
+impl<M, T: Ord + Copy + Debug> Entry for Event<M, T> {
+    type Id = (NodeId, T);
+
+    fn id(&self) -> Option<(NodeId, T)> {
+        match self {
+            Event::Timer { node, timer } => Some((*node, *timer)),
+            Event::Deliver { .. } => None,
+        }
+    }
+}
+
+impl<M, T: Debug> Debug for Event<M, T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             Event::Deliver {
@@ -117,7 +124,7 @@ impl<M> core::fmt::Debug for Event<M> {
             } => {
                 write!(f, "Deliver({from}→{to}, {bytes}B)")
             }
-            Event::Timer { node, id } => write!(f, "Timer({node}, {id:?})"),
+            Event::Timer { node, timer } => write!(f, "Timer({node}, {timer:?})"),
         }
     }
 }
@@ -130,9 +137,8 @@ pub struct Simulation<P: Process> {
     processes: Vec<P>,
     rngs: Vec<SimRng>,
     network: Network,
-    queue: EventQueue<Event<P::Msg>>,
+    queue: TimerWheel<Event<P::Msg, P::Timer>>,
     now: SimTime,
-    next_timer: u64,
     trace: Trace,
     events_processed: u64,
     max_events: u64,
@@ -158,9 +164,8 @@ impl<P: Process> Simulation<P> {
             processes,
             rngs,
             network: Network::new(net_config, root.fork("network")),
-            queue: EventQueue::new(),
+            queue: TimerWheel::new(),
             now: SimTime::ZERO,
-            next_timer: 0,
             trace: Trace::new(),
             events_processed: 0,
             max_events: Self::DEFAULT_MAX_EVENTS,
@@ -230,15 +235,20 @@ impl<P: Process> Simulation<P> {
     /// control-plane events (e.g. membership changes) and protocol-level
     /// tests, bypassing the network.
     pub fn post(&mut self, to: NodeId, msg: P::Msg) {
-        self.queue.push(
-            self.now,
-            Event::Deliver {
-                from: to,
-                to,
-                msg,
-                bytes: 0,
-            },
-        );
+        let post = Event::Deliver {
+            from: to,
+            to,
+            msg,
+            bytes: 0,
+        };
+        self.queue.schedule(self.now.as_micros(), post);
+    }
+
+    /// Unschedules every pending timer of `node` — for a harness that
+    /// drops or replaces the process there, whose successor must not
+    /// receive its predecessor's timers.
+    pub fn drop_timers(&mut self, node: NodeId) {
+        self.queue.retain(|e| e.id().is_none_or(|(n, _)| n != node));
     }
 
     /// The execution trace (enable it before running).
@@ -289,9 +299,11 @@ where
     /// loops are bugs, not workloads).
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some((time, event)) = self.queue.pop() else {
+        let Some(due) = self.queue.next_due() else {
             return false;
         };
+        let event = self.queue.pop_due(due).expect("the earliest entry is due");
+        let time = SimTime::from_micros(due);
         assert!(
             self.events_processed < self.max_events,
             "simulation exceeded {} events — livelock?",
@@ -316,9 +328,9 @@ where
                 });
                 self.dispatch(to.0 as usize, |p, ctx| p.on_message(ctx, from, msg));
             }
-            Event::Timer { node, id } => {
+            Event::Timer { node, timer } => {
                 self.trace.record(TraceEvent::TimerFired { time, node });
-                self.dispatch(node.0 as usize, |p, ctx| p.on_timer(ctx, id));
+                self.dispatch(node.0 as usize, |p, ctx| p.on_timer(ctx, timer));
             }
         }
         true
@@ -334,8 +346,8 @@ where
     /// are processed) or the queue empties.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
+        while let Some(due) = self.queue.next_due() {
+            if due > deadline.as_micros() {
                 break;
             }
             self.step();
@@ -347,17 +359,20 @@ where
 
     /// Runs one event — `event` calls the [`Process`] entry point it is
     /// for — and turns what the process asked for into queued events.
-    fn dispatch(&mut self, index: usize, event: impl FnOnce(&mut P, &mut ProcessCtx<'_, P::Msg>)) {
+    fn dispatch(
+        &mut self,
+        index: usize,
+        event: impl FnOnce(&mut P, &mut ProcessCtx<'_, P::Msg, P::Timer>),
+    ) {
         let node = NodeId(index as u32);
         let mut outbox = Vec::new();
-        let mut timer_requests = Vec::new();
+        let mut timers = Vec::new();
         let mut ctx = ProcessCtx {
             id: node,
             now: self.now,
             rng: &mut self.rngs[index],
             outbox: &mut outbox,
-            timer_requests: &mut timer_requests,
-            next_timer: &mut self.next_timer,
+            timers: &mut timers,
         };
         event(&mut self.processes[index], &mut ctx);
         for (to, msg, bytes) in outbox {
@@ -375,7 +390,7 @@ where
                     msg,
                     bytes,
                 };
-                queue.push(now + delay, copy);
+                queue.schedule((now + delay).as_micros(), copy);
             };
             let stash = &mut self.replay_stash;
             if to == node {
@@ -389,8 +404,14 @@ where
                 });
             }
         }
-        for (delay, id) in timer_requests {
-            self.queue.push(self.now + delay, Event::Timer { node, id });
+        for (timer, delay) in timers {
+            match delay {
+                Some(delay) => {
+                    let due = (self.now + delay).as_micros();
+                    self.queue.schedule(due, Event::Timer { node, timer });
+                }
+                None => self.queue.cancel((node, timer)),
+            }
         }
     }
 }
@@ -409,14 +430,15 @@ mod tests {
 
     impl Process for Echo {
         type Msg = u32;
+        type Timer = ();
 
-        fn on_start(&mut self, ctx: &mut ProcessCtx<'_, u32>) {
+        fn on_start(&mut self, ctx: &mut ProcessCtx<'_, u32, ()>) {
             if ctx.id() == NodeId(0) {
                 ctx.send(NodeId(1), 0, 16);
             }
         }
 
-        fn on_message(&mut self, ctx: &mut ProcessCtx<'_, u32>, from: NodeId, msg: u32) {
+        fn on_message(&mut self, ctx: &mut ProcessCtx<'_, u32, ()>, from: NodeId, msg: u32) {
             self.received += 1;
             if self.budget > 0 {
                 self.budget -= 1;
@@ -473,34 +495,80 @@ mod tests {
         assert_eq!(sim.network().stats().delivered, 4);
     }
 
+    /// Arms the timers its script names at start and cancels the ones
+    /// it names for then; a message `k` makes it cancel timer `k`. It
+    /// notes every fire.
+    struct Timed {
+        arm: Vec<(u64, u8)>,
+        cancel_at_once: Vec<u8>,
+        fired: Vec<(u64, u8)>,
+    }
+
+    impl Process for Timed {
+        type Msg = u8;
+        type Timer = u8;
+        fn on_start(&mut self, ctx: &mut ProcessCtx<'_, u8, u8>) {
+            for &(after, timer) in &self.arm {
+                ctx.set_timer(Duration::from_micros(after), timer);
+            }
+            for &timer in &self.cancel_at_once {
+                ctx.cancel_timer(timer);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut ProcessCtx<'_, u8, u8>, _: NodeId, timer: u8) {
+            ctx.cancel_timer(timer);
+        }
+        fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, u8, u8>, timer: u8) {
+            self.fired.push((ctx.now().as_micros(), timer));
+        }
+    }
+
+    fn timed(arm: &[(u64, u8)], cancel_at_once: &[u8]) -> Timed {
+        Timed {
+            arm: arm.to_vec(),
+            cancel_at_once: cancel_at_once.to_vec(),
+            fired: vec![],
+        }
+    }
+
     #[test]
     fn timers_fire_in_order() {
-        struct Timed {
-            fired: Vec<u64>,
-            ids: Vec<TimerId>,
-        }
-        impl Process for Timed {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut ProcessCtx<'_, ()>) {
-                self.ids.push(ctx.set_timer(Duration::from_micros(30)));
-                self.ids.push(ctx.set_timer(Duration::from_micros(10)));
-            }
-            fn on_message(&mut self, _: &mut ProcessCtx<'_, ()>, _: NodeId, _: ()) {}
-            fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, ()>, timer: TimerId) {
-                assert!(self.ids.contains(&timer));
-                self.fired.push(ctx.now().as_micros());
-            }
-        }
-        let mut sim = Simulation::new(
-            1,
-            NetworkConfig::default(),
-            vec![Timed {
-                fired: vec![],
-                ids: vec![],
-            }],
-        );
+        let node = timed(&[(30, 1), (10, 2), (10, 3)], &[]);
+        let mut sim = Simulation::new(1, NetworkConfig::default(), vec![node]);
         sim.run_to_quiescence();
-        assert_eq!(sim.process(0).fired, vec![10, 30]);
+        assert_eq!(sim.process(0).fired, vec![(10, 2), (10, 3), (30, 1)]);
+    }
+
+    #[test]
+    fn a_timer_armed_and_cancelled_in_one_dispatch_never_fires() {
+        let node = timed(&[(10, 1), (20, 2)], &[1]);
+        let mut sim = Simulation::new(1, NetworkConfig::default(), vec![node]);
+        sim.run_to_quiescence();
+        assert_eq!(sim.process(0).fired, vec![(20, 2)]);
+        assert_eq!(sim.events_processed(), 1, "no fire was queued for 1");
+    }
+
+    #[test]
+    fn a_timer_cancelled_in_a_later_dispatch_never_fires() {
+        let node = timed(&[(10, 1), (20, 2)], &[]);
+        let mut sim = Simulation::new(1, NetworkConfig::default(), vec![node]);
+        sim.run_until(SimTime::from_micros(5));
+        sim.post(NodeId(0), 2);
+        sim.run_to_quiescence();
+        assert_eq!(sim.process(0).fired, vec![(10, 1)]);
+        assert_eq!(sim.events_processed(), 2, "the post and one fire");
+    }
+
+    #[test]
+    fn drop_timers_takes_only_that_nodes_timers() {
+        let script = [(10, 1), (20, 2)];
+        let nodes = vec![timed(&script, &[]), timed(&script, &[])];
+        let mut sim = Simulation::new(1, NetworkConfig::default(), nodes);
+        sim.run_until(SimTime::from_micros(15));
+        sim.drop_timers(NodeId(1));
+        sim.run_to_quiescence();
+        assert_eq!(sim.process(0).fired, vec![(10, 1), (20, 2)]);
+        assert_eq!(sim.process(1).fired, vec![(10, 1)]);
     }
 
     #[test]
@@ -519,10 +587,11 @@ mod tests {
         }
         impl Process for SelfSender {
             type Msg = ();
-            fn on_start(&mut self, ctx: &mut ProcessCtx<'_, ()>) {
+            type Timer = ();
+            fn on_start(&mut self, ctx: &mut ProcessCtx<'_, (), ()>) {
                 ctx.send(ctx.id(), (), 0);
             }
-            fn on_message(&mut self, ctx: &mut ProcessCtx<'_, ()>, from: NodeId, _: ()) {
+            fn on_message(&mut self, ctx: &mut ProcessCtx<'_, (), ()>, from: NodeId, _: ()) {
                 assert_eq!(from, ctx.id());
                 assert_eq!(ctx.now(), SimTime::ZERO);
                 self.got = true;
@@ -565,8 +634,9 @@ mod tests {
 
     impl Process for Tally {
         type Msg = u32;
+        type Timer = ();
 
-        fn on_start(&mut self, ctx: &mut ProcessCtx<'_, u32>) {
+        fn on_start(&mut self, ctx: &mut ProcessCtx<'_, u32, ()>) {
             if ctx.id() == NodeId(0) {
                 for i in 0..self.to_send {
                     ctx.send(NodeId(1), i, frame_bytes(i));
@@ -574,7 +644,7 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, _: &mut ProcessCtx<'_, u32>, _: NodeId, msg: u32) {
+        fn on_message(&mut self, _: &mut ProcessCtx<'_, u32, ()>, _: NodeId, msg: u32) {
             self.seen.push(msg);
         }
     }
@@ -749,12 +819,13 @@ mod tests {
         struct Big;
         impl Process for Big {
             type Msg = ();
-            fn on_start(&mut self, ctx: &mut ProcessCtx<'_, ()>) {
+            type Timer = ();
+            fn on_start(&mut self, ctx: &mut ProcessCtx<'_, (), ()>) {
                 if ctx.id() == NodeId(0) {
                     ctx.send(NodeId(1), (), 9_900); // 9.9ms at 1MB/s
                 }
             }
-            fn on_message(&mut self, _: &mut ProcessCtx<'_, ()>, _: NodeId, _: ()) {}
+            fn on_message(&mut self, _: &mut ProcessCtx<'_, (), ()>, _: NodeId, _: ()) {}
         }
         let mut sim = Simulation::new(1, NetworkConfig::uniform(link), vec![Big, Big]);
         sim.run_to_quiescence();

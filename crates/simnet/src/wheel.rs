@@ -1,12 +1,15 @@
-//! [`TimerWheel`]: a monotonic-clock queue of timed entries with
-//! simulator-matching same-instant semantics — each worker's agenda.
+//! [`TimerWheel`]: a queue of timed entries, popped in due order with
+//! same-instant entries in insertion order — the [`Simulation`]'s event
+//! queue, and each threaded worker's agenda in the `runtime` crate.
 //!
-//! The deterministic simulator documents (and tests, in `simnet`'s
-//! `queue.rs`) that events scheduled for the same instant fire in
-//! insertion order. The threaded runtime must preserve that contract so
-//! node logic written against [`kvstore::ctx::NodeCtx`] behaves the same
-//! on both drivers; the shared property test in `tests/timer_order.rs`
-//! drives both structures with one schedule and compares pop orders.
+//! Pops follow `(due, insertion seq)`: entries due at the same instant
+//! pop in the order they were scheduled, which is what makes a seeded
+//! run reproducible bit for bit and what lets node logic see the same
+//! timer order on every driver (`tests/timer_order.rs` checks it against
+//! a stable sort). A named entry — a node's timer — can be cancelled:
+//! it is gone there and then, and never pops.
+//!
+//! [`Simulation`]: crate::Simulation
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -32,13 +35,27 @@ impl<T: Ord + Copy + Debug> Entry for T {
 
 /// A queue of timed entries ordered by `(due_micros, insertion_seq)`.
 ///
-/// Unlike the simulator's event queue, the wheel supports true
-/// cancellation: an index from each named pending entry to its queue key
-/// lets [`cancel`](Self::cancel) delete it there and then, so a
-/// [`NodeCtx::cancel_timer`](kvstore::ctx::NodeCtx::cancel_timer) on the
-/// runtime actually unschedules the wakeup instead of firing it into a
-/// no-op — and a request timer cancelled on every completed request
-/// leaves nothing behind.
+/// An index from each named pending entry to its queue key lets
+/// [`cancel`](Self::cancel) delete it there and then, so a cancelled
+/// timer never fires and a request timer cancelled on every completed
+/// request leaves nothing behind.
+///
+/// # Examples
+///
+/// ```
+/// use simnet::TimerWheel;
+///
+/// let mut w = TimerWheel::new();
+/// w.schedule(5, 'z');
+/// w.schedule(1, 'a');
+/// w.schedule(1, 'b');
+/// w.cancel('b');
+/// assert_eq!(w.next_due(), Some(1));
+/// assert_eq!(w.pop_due(1), Some('a'));
+/// assert_eq!(w.pop_due(1), None);
+/// assert_eq!(w.pop_due(5), Some('z'));
+/// assert!(w.is_empty());
+/// ```
 #[derive(Debug)]
 pub struct TimerWheel<T: Entry> {
     queue: BTreeMap<(u64, u64), T>,
@@ -66,12 +83,14 @@ impl<T: Entry> TimerWheel<T> {
     /// Schedules `item` to fire at `due_micros` (absolute, on whatever
     /// monotonic clock the caller uses). Items due at the same instant
     /// pop in the order they were scheduled. A named item is pending at
-    /// most once: scheduling one that already is moves it.
+    /// most once: the caller cancels or awaits one before naming it
+    /// again.
     pub fn schedule(&mut self, due_micros: u64, item: T) {
         let key = (due_micros, self.seq);
         self.seq += 1;
-        if let Some(old) = item.id().and_then(|id| self.index.insert(id, key)) {
-            self.queue.remove(&old);
+        if let Some(id) = item.id() {
+            let old = self.index.insert(id, key);
+            debug_assert!(old.is_none(), "{id:?} is already pending");
         }
         self.queue.insert(key, item);
     }
@@ -154,6 +173,34 @@ mod tests {
         assert_eq!(w.pop_due(100), Some(1));
     }
 
+    #[test]
+    fn next_due_len_empty() {
+        let mut w = TimerWheel::default();
+        assert!(w.is_empty());
+        assert_eq!(w.next_due(), None);
+        w.schedule(5, 'x');
+        assert_eq!((w.len(), w.next_due()), (1, Some(5)));
+        assert!(!w.is_empty());
+        w.pop_due(5);
+        assert!(w.is_empty());
+    }
+
+    /// What the simulator does all run long: an entry scheduled after a
+    /// pop, due earlier than what is pending, still pops first, and
+    /// same-instant entries keep their order across the pop.
+    #[test]
+    fn interleaved_schedule_and_pop_stay_stable() {
+        let mut w = TimerWheel::new();
+        w.schedule(1, "a");
+        w.schedule(2, "b1");
+        assert_eq!(w.pop_due(u64::MAX), Some("a"));
+        w.schedule(2, "b2");
+        w.schedule(1, "late-but-earlier");
+        assert_eq!(w.pop_due(u64::MAX), Some("late-but-earlier"));
+        assert_eq!(w.pop_due(u64::MAX), Some("b1"));
+        assert_eq!(w.pop_due(u64::MAX), Some("b2"));
+    }
+
     /// Regression: `cancel` used to leave the heap entry (and a
     /// tombstone) in place until it reached the top, which a request
     /// timer due seconds after the periodic ones never did — one leaked
@@ -169,9 +216,9 @@ mod tests {
         assert_eq!(w.next_due(), None);
     }
 
-    /// Entries without a name share the order with named ones and are
-    /// never moved by a reschedule; `retain` unschedules either kind,
-    /// and the name of a dropped one is free again.
+    /// Entries without a name share the order with named ones; `retain`
+    /// unschedules either kind, and the name of a dropped one is free
+    /// again.
     #[test]
     fn unnamed_entries_queue_beside_named_ones() {
         #[derive(Debug, PartialEq)]

@@ -108,8 +108,9 @@ if runs_lane runtime; then
     # The multi-threaded driver gets its own lane: these suites exercise
     # real thread interleavings (not the deterministic simulator), so a
     # failure here is a concurrency bug and should be visible at a
-    # glance. `timer_order` proves the runtime's timer wheel fires in
-    # the same (due, FIFO) order as the simulator's event queue;
+    # glance. `timer_order` (simnet's) proves the one timer wheel both
+    # drivers queue on pops in stable (due, FIFO) order and never pops
+    # a cancelled timer;
     # `watchdog` proves the main loop's stall check catches a wedged
     # node; `link_loop` drives the one worker loop message by message
     # through a scripted link (queued reply before due timer, local
@@ -121,7 +122,7 @@ if runs_lane runtime; then
     # (its workers, nothing else); `conformance` runs the same seeded
     # workload on both drivers and requires AAE-equivalent,
     # oracle-clean end states.
-    cargo test -p runtime --test timer_order -- --nocapture
+    cargo test -p simnet --test timer_order -- --nocapture
     cargo test -p runtime --test watchdog -- --nocapture
     cargo test -p runtime --test link_loop -- --nocapture
     cargo test -p runtime --test idle -- --nocapture

@@ -44,7 +44,7 @@ done
 echo "surfaces"
 printf '  %-32s %6d\n' \
     "Msg variants" "$(members crates/kvstore/src/messages.rs '^pub enum Msg<')" \
-    "TimerKind members" "$(members crates/kvstore/src/node.rs '^enum TimerKind ')" \
+    "Timer members" "$(members crates/kvstore/src/ctx.rs '^pub enum Timer ')" \
     "StoreConfig fields" "$(members crates/kvstore/src/config.rs '^pub struct StoreConfig ')" \
     "RuntimeConfig fields" "$(members crates/runtime/src/lib.rs '^pub struct RuntimeConfig ')" \
     "SocketConfig fields" "$(members crates/transport/src/fleet.rs '^pub struct SocketConfig ')"
@@ -55,19 +55,25 @@ echo "membership surface"
 printf '  %-32s %6d\n' \
     "ring: pub enum *Status" "$({ grep -rhE '^pub enum [A-Za-z]*Status\b' crates/ring/src || true; } | wc -l)" \
     "kvstore: Membership< fields" "$({ grep -rhE '^ +(pub )?[a-z_][a-z0-9_]*: Membership<' crates/kvstore/src || true; } | wc -l)"
-# One agenda per worker: the runtime keeps one due-ordered queue (the
-# timer wheel each worker's timers, held-back packets and scheduled
-# crashes share), and no atomic cell passes orders from the main loop to
-# a worker.
+# One agenda per worker: each worker's timers, held-back packets and
+# scheduled crashes share one queue (counted below), and no atomic cell
+# passes orders from the main loop to a worker.
 echo "runtime schedule surface (crates/runtime/src)"
 printf '  %-32s %6d\n' \
-    "BTreeMap<(u64, u64) fields" "$({ grep -rhE '^ +(pub )?[a-z_][a-z0-9_]*: BTreeMap<\(u64, u64\)' \
-        crates/runtime/src || true; } | wc -l)" \
     "AtomicU8 mentions" "$({ grep -rh 'AtomicU8' crates/runtime/src || true; } | wc -l)"
-# The fault plane: how many times each of its pieces is written.
+# Lines of crates/*/src matching the extended regex $1.
 src_count() {
     { grep -rhE "$1" crates/*/src --include='*.rs' || true; } | wc -l
 }
+# One queue for everything due: the simulator's event queue and each
+# worker's agenda are the same type, a timer is named by what it is for
+# rather than by a minted id, and no node keeps a map from ids to kinds.
+echo "timer surface (crates/*/src)"
+printf '  %-32s %6d\n' \
+    "due-ordered queue types" "$(src_count 'struct (EventQueue|TimerWheel)\b')" \
+    "TimerId mentions" "$(src_count 'TimerId')" \
+    "node timers: BTreeMap< fields" "$(src_count '^ +timers: BTreeMap<')"
+# The fault plane: how many times each of its pieces is written.
 # Environment variables the crates themselves read: each one is a switch
 # a run can flip without a code change.
 echo "env knobs read in crates/*/src"
