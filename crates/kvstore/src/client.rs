@@ -472,7 +472,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
                     self.retry_or_abandon(ctx, flight);
                 }
             }
-            // a server's timers are never armed by a client
+            // a Think mid-request or after the last cycle, or a server's kind
             _ => {}
         }
     }
