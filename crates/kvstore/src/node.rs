@@ -525,7 +525,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// Completes a leave after the drain: clears the (fully drained)
-    /// store, hint obligations and timers, and returns to dormancy.
+    /// store and hint obligations, forgets that its timers run, and
+    /// returns to dormancy. The hosting harness drops the pending timers
+    /// themselves (`Simulation::drop_timers`).
     ///
     /// # Panics
     ///
