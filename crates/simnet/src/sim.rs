@@ -42,20 +42,29 @@ pub trait Process {
     }
 }
 
-/// The capabilities a process sees while handling an event. What it
-/// asks for takes effect when the handler returns: its sends first, then
-/// its timer arms and cancels in the order it made them.
-#[derive(Debug)]
-pub struct ProcessCtx<'a, M, T> {
+/// The capabilities a process sees while handling an event. It writes
+/// through: each send and each timer arm or cancel takes effect at the
+/// moment the handler makes it, so effects land in call order.
+pub struct ProcessCtx<'a, M, T: Ord + Copy + Debug> {
     id: NodeId,
     now: SimTime,
     rng: &'a mut SimRng,
-    outbox: &'a mut Vec<(NodeId, M, usize)>,
-    /// Timer arms (`Some(delay)`) and cancels (`None`), in call order.
-    timers: &'a mut Vec<(T, Option<Duration>)>,
+    queue: &'a mut TimerWheel<Event<M, T>>,
+    network: &'a mut Network,
+    stash: &'a mut ReplayStash<M>,
+    trace: &'a mut Trace,
 }
 
-impl<'a, M, T> ProcessCtx<'a, M, T> {
+impl<M, T: Ord + Copy + Debug> Debug for ProcessCtx<'_, M, T> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("ProcessCtx")
+            .field("id", &self.id)
+            .field("now", &self.now)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a, M: Clone, T: Ord + Copy + Debug> ProcessCtx<'a, M, T> {
     /// This process's node id.
     #[must_use]
     pub fn id(&self) -> NodeId {
@@ -76,18 +85,49 @@ impl<'a, M, T> ProcessCtx<'a, M, T> {
     /// Sends `msg` (`bytes` long on the wire) to `to`. Delivery is decided
     /// by the network; self-sends are delivered with zero delay.
     pub fn send(&mut self, to: NodeId, msg: M, bytes: usize) {
-        self.outbox.push((to, msg, bytes));
+        let (node, now) = (self.id, self.now);
+        self.trace.record(TraceEvent::Sent {
+            time: now,
+            from: node,
+            to,
+            bytes,
+        });
+        let queue = &mut *self.queue;
+        let mut deliver = |delay, msg, bytes| {
+            let copy = Event::Deliver {
+                from: node,
+                to,
+                msg,
+                bytes,
+            };
+            queue.schedule((now + delay).as_micros(), copy);
+        };
+        if to == node {
+            // self-sends bypass the network, zero delay
+            deliver(Duration::ZERO, msg, bytes);
+        } else if !self
+            .network
+            .route(self.stash, node, to, bytes, msg, deliver)
+        {
+            self.trace.record(TraceEvent::Lost {
+                time: now,
+                from: node,
+                to,
+            });
+        }
     }
 
     /// Schedules [`Process::on_timer`] with `timer` after `delay`.
     /// `timer` must not be pending already.
     pub fn set_timer(&mut self, delay: Duration, timer: T) {
-        self.timers.push((timer, Some(delay)));
+        let due = (self.now + delay).as_micros();
+        let node = self.id;
+        self.queue.schedule(due, Event::Timer { node, timer });
     }
 
     /// Unschedules the pending `timer`, if there is one: it never fires.
     pub fn cancel_timer(&mut self, timer: T) {
-        self.timers.push((timer, None));
+        self.queue.cancel((self.id, timer));
     }
 }
 
@@ -358,61 +398,23 @@ where
     }
 
     /// Runs one event — `event` calls the [`Process`] entry point it is
-    /// for — and turns what the process asked for into queued events.
+    /// for — through a context that writes what the process asks for
+    /// straight into the queue.
     fn dispatch(
         &mut self,
         index: usize,
         event: impl FnOnce(&mut P, &mut ProcessCtx<'_, P::Msg, P::Timer>),
     ) {
-        let node = NodeId(index as u32);
-        let mut outbox = Vec::new();
-        let mut timers = Vec::new();
         let mut ctx = ProcessCtx {
-            id: node,
+            id: NodeId(index as u32),
             now: self.now,
             rng: &mut self.rngs[index],
-            outbox: &mut outbox,
-            timers: &mut timers,
+            queue: &mut self.queue,
+            network: &mut self.network,
+            stash: &mut self.replay_stash,
+            trace: &mut self.trace,
         };
         event(&mut self.processes[index], &mut ctx);
-        for (to, msg, bytes) in outbox {
-            self.trace.record(TraceEvent::Sent {
-                time: self.now,
-                from: node,
-                to,
-                bytes,
-            });
-            let (now, queue) = (self.now, &mut self.queue);
-            let mut deliver = |delay, msg, bytes| {
-                let copy = Event::Deliver {
-                    from: node,
-                    to,
-                    msg,
-                    bytes,
-                };
-                queue.schedule((now + delay).as_micros(), copy);
-            };
-            let stash = &mut self.replay_stash;
-            if to == node {
-                // self-sends bypass the network, zero delay
-                deliver(Duration::ZERO, msg, bytes);
-            } else if !self.network.route(stash, node, to, bytes, msg, deliver) {
-                self.trace.record(TraceEvent::Lost {
-                    time: self.now,
-                    from: node,
-                    to,
-                });
-            }
-        }
-        for (timer, delay) in timers {
-            match delay {
-                Some(delay) => {
-                    let due = (self.now + delay).as_micros();
-                    self.queue.schedule(due, Event::Timer { node, timer });
-                }
-                None => self.queue.cancel((node, timer)),
-            }
-        }
     }
 }
 
@@ -600,6 +602,34 @@ mod tests {
         let mut sim = Simulation::new(1, NetworkConfig::default(), vec![SelfSender { got: false }]);
         sim.run_to_quiescence();
         assert!(sim.process(0).got);
+    }
+
+    /// A handler's effects land in the order it made them: a zero-delay
+    /// timer armed before a self-send fires before that send arrives.
+    #[test]
+    fn effects_land_in_call_order() {
+        #[derive(Default)]
+        struct ArmThenSend {
+            seen: Vec<&'static str>,
+        }
+        impl Process for ArmThenSend {
+            type Msg = ();
+            type Timer = ();
+            fn on_start(&mut self, ctx: &mut ProcessCtx<'_, (), ()>) {
+                ctx.set_timer(Duration::ZERO, ());
+                ctx.send(ctx.id(), (), 0);
+            }
+            fn on_message(&mut self, _: &mut ProcessCtx<'_, (), ()>, _: NodeId, _: ()) {
+                self.seen.push("message");
+            }
+            fn on_timer(&mut self, _: &mut ProcessCtx<'_, (), ()>, _: ()) {
+                self.seen.push("timer");
+            }
+        }
+        let node = ArmThenSend::default();
+        let mut sim = Simulation::new(1, NetworkConfig::default(), vec![node]);
+        sim.run_to_quiescence();
+        assert_eq!(sim.process(0).seen, ["timer", "message"]);
     }
 
     #[test]
