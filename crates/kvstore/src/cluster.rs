@@ -789,9 +789,13 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// Crashes server `slot` **with its disk**: the hosted node is
     /// dropped on the spot — taking with it every in-memory structure
     /// *and* whatever its storage engine had buffered past the last
-    /// group sync, exactly like a real power cut — an inert husk holds
-    /// the slot, every network link to it is severed, and the global
-    /// failure detector marks it down. The slot stays a ring member
+    /// group sync, exactly like a real power cut — by the host's one
+    /// kill ([`Simulation::kill`], the threaded fleet's too): an inert
+    /// husk holds the slot, the node's timers and the messages it had
+    /// queued to itself are gone, and nothing is dispatched into the
+    /// slot until the restart. On top of that — harness decisions —
+    /// every network link to it is severed and the global failure
+    /// detector marks it down. The slot stays a ring member
     /// (crash ≠ leave): its entry ages in peers' views until
     /// [`Cluster::restart_node`] brings it back.
     ///
@@ -807,11 +811,9 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         assert!(self.crashed.insert(slot), "slot {slot} is already crashed");
         let who = ReplicaId(slot as u32);
         // Dropping the node drops its engine with the un-synced tail
-        // still in user space: that tail is genuinely lost. The husk is
-        // dormant and fully disconnected — it can neither serve nor
-        // gossip.
-        *self.sim.process_mut(slot) = self.kit.husk(slot);
-        self.sim.drop_timers(NodeId(slot as u32));
+        // still in user space: that tail is genuinely lost. The slot is
+        // down, so the husk is handed nothing, and disconnected.
+        self.sim.kill(NodeId(slot as u32), self.kit.husk(slot));
         for other in 0..(self.server_slots + self.clients) {
             if other != slot {
                 let net = self.sim.network_mut();
@@ -838,8 +840,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     pub fn restart_node(&mut self, slot: usize) {
         assert!(self.crashed.remove(&slot), "slot {slot} is not crashed");
         let who = ReplicaId(slot as u32);
-        *self.sim.process_mut(slot) = self.kit.server(slot);
-        self.sim.drop_timers(NodeId(slot as u32));
+        self.sim.revive(NodeId(slot as u32), self.kit.server(slot));
         for other in 0..(self.server_slots + self.clients) {
             if other != slot {
                 let net = self.sim.network_mut();

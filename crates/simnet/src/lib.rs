@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod host;
 pub mod latency;
 pub mod net;
 pub mod rng;
@@ -61,13 +62,14 @@ pub mod time;
 pub mod trace;
 pub mod wheel;
 
+pub use host::{Due, Host, Outlet, Process, ProcessCtx};
 pub use latency::LatencyModel;
 pub use net::{
     LinkConfig, LinkFaults, Network, NetworkConfig, NetworkStats, NodeId, ReplayStash,
     REPLAY_STASH_CAP,
 };
 pub use rng::SimRng;
-pub use sim::{Process, ProcessCtx, Simulation};
+pub use sim::Simulation;
 pub use time::{Duration, SimTime};
 pub use trace::{Trace, TraceEvent};
 pub use wheel::{Entry, TimerWheel};

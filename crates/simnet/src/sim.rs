@@ -1,190 +1,23 @@
-//! The [`Simulation`] driver: hosts [`Process`]es, routes their messages
-//! through the [`Network`], and advances virtual time deterministically.
+//! The [`Simulation`] driver: one [`Host`] holding every node, on a
+//! virtual clock that jumps to the next due entry.
 
-use core::fmt::Debug;
-
-use crate::net::{Network, NetworkConfig, NodeId, ReplayStash};
+use crate::host::{Due, Host, Process};
+use crate::net::{Network, NetworkConfig, NodeId};
 use crate::rng::SimRng;
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
-use crate::wheel::{Entry, TimerWheel};
-
-/// A deterministic state machine hosted by the simulation.
-///
-/// Processes communicate only through messages and timers; all
-/// nondeterminism must come from the provided RNG so that runs are
-/// reproducible from the seed.
-pub trait Process {
-    /// The message type exchanged between processes.
-    type Msg;
-
-    /// What names a timer: the value [`ProcessCtx::set_timer`] arms,
-    /// [`ProcessCtx::cancel_timer`] cancels and [`Process::on_timer`]
-    /// receives. A process has at most one pending timer per name.
-    type Timer: Ord + Copy + Debug;
-
-    /// Called once at time zero, before any message.
-    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg, Self::Timer>) {
-        let _ = ctx;
-    }
-
-    /// Called when a message addressed to this process arrives.
-    fn on_message(
-        &mut self,
-        ctx: &mut ProcessCtx<'_, Self::Msg, Self::Timer>,
-        from: NodeId,
-        msg: Self::Msg,
-    );
-
-    /// Called when a timer set by this process fires.
-    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Self::Msg, Self::Timer>, timer: Self::Timer) {
-        let _ = (ctx, timer);
-    }
-}
-
-/// The capabilities a process sees while handling an event. It writes
-/// through: each send and each timer arm or cancel takes effect at the
-/// moment the handler makes it, so effects land in call order.
-pub struct ProcessCtx<'a, M, T: Ord + Copy + Debug> {
-    id: NodeId,
-    now: SimTime,
-    rng: &'a mut SimRng,
-    queue: &'a mut TimerWheel<Event<M, T>>,
-    network: &'a mut Network,
-    stash: &'a mut ReplayStash<M>,
-    trace: &'a mut Trace,
-}
-
-impl<M, T: Ord + Copy + Debug> Debug for ProcessCtx<'_, M, T> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ProcessCtx")
-            .field("id", &self.id)
-            .field("now", &self.now)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a, M: Clone, T: Ord + Copy + Debug> ProcessCtx<'a, M, T> {
-    /// This process's node id.
-    #[must_use]
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Current virtual time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// This process's private RNG stream.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    /// Sends `msg` (`bytes` long on the wire) to `to`. Delivery is decided
-    /// by the network; self-sends are delivered with zero delay.
-    pub fn send(&mut self, to: NodeId, msg: M, bytes: usize) {
-        let (node, now) = (self.id, self.now);
-        self.trace.record(TraceEvent::Sent {
-            time: now,
-            from: node,
-            to,
-            bytes,
-        });
-        let queue = &mut *self.queue;
-        let mut deliver = |delay, msg, bytes| {
-            let copy = Event::Deliver {
-                from: node,
-                to,
-                msg,
-                bytes,
-            };
-            queue.schedule((now + delay).as_micros(), copy);
-        };
-        if to == node {
-            // self-sends bypass the network, zero delay
-            deliver(Duration::ZERO, msg, bytes);
-        } else if !self
-            .network
-            .route(self.stash, node, to, bytes, msg, deliver)
-        {
-            self.trace.record(TraceEvent::Lost {
-                time: now,
-                from: node,
-                to,
-            });
-        }
-    }
-
-    /// Schedules [`Process::on_timer`] with `timer` after `delay`.
-    /// `timer` must not be pending already.
-    pub fn set_timer(&mut self, delay: Duration, timer: T) {
-        let due = (self.now + delay).as_micros();
-        let node = self.id;
-        self.queue.schedule(due, Event::Timer { node, timer });
-    }
-
-    /// Unschedules the pending `timer`, if there is one: it never fires.
-    pub fn cancel_timer(&mut self, timer: T) {
-        self.queue.cancel((self.id, timer));
-    }
-}
-
-enum Event<M, T> {
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        bytes: usize,
-    },
-    Timer {
-        node: NodeId,
-        timer: T,
-    },
-}
-
-/// A timer is named by its node and its own name; a delivery has none.
-impl<M, T: Ord + Copy + Debug> Entry for Event<M, T> {
-    type Id = (NodeId, T);
-
-    fn id(&self) -> Option<(NodeId, T)> {
-        match self {
-            Event::Timer { node, timer } => Some((*node, *timer)),
-            Event::Deliver { .. } => None,
-        }
-    }
-}
-
-impl<M, T: Debug> Debug for Event<M, T> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Event::Deliver {
-                from, to, bytes, ..
-            } => {
-                write!(f, "Deliver({from}→{to}, {bytes}B)")
-            }
-            Event::Timer { node, timer } => write!(f, "Timer({node}, {timer:?})"),
-        }
-    }
-}
 
 /// A deterministic discrete-event simulation over a set of processes.
 ///
 /// See the crate docs for an end-to-end example.
 #[derive(Debug)]
 pub struct Simulation<P: Process> {
-    processes: Vec<P>,
-    rngs: Vec<SimRng>,
-    network: Network,
-    queue: TimerWheel<Event<P::Msg, P::Timer>>,
+    host: Host<P>,
     now: SimTime,
     trace: Trace,
     events_processed: u64,
     max_events: u64,
     started: bool,
-    /// Frames the network captured for stale replay.
-    replay_stash: ReplayStash<P::Msg>,
 }
 
 impl<P: Process> Simulation<P> {
@@ -197,33 +30,31 @@ impl<P: Process> Simulation<P> {
     #[must_use]
     pub fn new(seed: u64, net_config: NetworkConfig, processes: Vec<P>) -> Self {
         let root = SimRng::new(seed);
-        let rngs = (0..processes.len())
-            .map(|i| root.fork_indexed("node", i as u64))
-            .collect();
+        let nodes = processes.into_iter().enumerate().map(|(i, p)| {
+            let rng = root.fork_indexed("node", i as u64);
+            (NodeId(i as u32), p, rng)
+        });
+        let network = Network::new(net_config, root.fork("network"));
         Simulation {
-            processes,
-            rngs,
-            network: Network::new(net_config, root.fork("network")),
-            queue: TimerWheel::new(),
+            host: Host::new(network, nodes.collect()),
             now: SimTime::ZERO,
             trace: Trace::new(),
             events_processed: 0,
             max_events: Self::DEFAULT_MAX_EVENTS,
             started: false,
-            replay_stash: ReplayStash::new(),
         }
     }
 
     /// Number of hosted processes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.processes.len()
+        self.host.len()
     }
 
     /// Whether the simulation hosts no processes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.processes.is_empty()
+        self.host.is_empty()
     }
 
     /// Current virtual time.
@@ -235,12 +66,12 @@ impl<P: Process> Simulation<P> {
     /// Read access to the network (stats, reachability).
     #[must_use]
     pub fn network(&self) -> &Network {
-        &self.network
+        self.host.network()
     }
 
     /// Mutable access to the network (partitions, blocked links).
     pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
+        self.host.network_mut()
     }
 
     /// Read access to process `i`.
@@ -250,7 +81,7 @@ impl<P: Process> Simulation<P> {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn process(&self, i: usize) -> &P {
-        &self.processes[i]
+        self.host.node(i)
     }
 
     /// Mutable access to process `i` — for test-harness fault injection
@@ -261,13 +92,13 @@ impl<P: Process> Simulation<P> {
     ///
     /// Panics if `i` is out of range.
     pub fn process_mut(&mut self, i: usize) -> &mut P {
-        &mut self.processes[i]
+        self.host.node_mut(i)
     }
 
     /// Read access to all processes.
     #[must_use]
     pub fn processes(&self) -> &[P] {
-        &self.processes
+        self.host.nodes()
     }
 
     /// Enqueues `msg` for delivery to `to` at the current instant, as if
@@ -275,20 +106,25 @@ impl<P: Process> Simulation<P> {
     /// control-plane events (e.g. membership changes) and protocol-level
     /// tests, bypassing the network.
     pub fn post(&mut self, to: NodeId, msg: P::Msg) {
-        let post = Event::Deliver {
-            from: to,
-            to,
-            msg,
-            bytes: 0,
-        };
-        self.queue.schedule(self.now.as_micros(), post);
+        self.host.post(self.now, to, msg);
+    }
+
+    /// Kills `node`: `husk` holds its slot until [`revive`](Self::revive)
+    /// ([`Host::kill`]).
+    pub fn kill(&mut self, node: NodeId, husk: P) {
+        self.host.kill(node, husk);
+    }
+
+    /// Brings `node` back as `process` ([`Host::revive`]).
+    pub fn revive(&mut self, node: NodeId, process: P) {
+        self.host.revive(node, process);
     }
 
     /// Unschedules every pending timer of `node` — for a harness that
-    /// drops or replaces the process there, whose successor must not
-    /// receive its predecessor's timers.
+    /// resets the process there, which must not receive its own old
+    /// timers.
     pub fn drop_timers(&mut self, node: NodeId) {
-        self.queue.retain(|e| e.id().is_none_or(|(n, _)| n != node));
+        self.host.drop_timers(node);
     }
 
     /// The execution trace (enable it before running).
@@ -322,12 +158,8 @@ where
     P::Msg: Clone,
 {
     fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.processes.len() {
-            self.dispatch(i, |p, ctx| p.on_start(ctx));
+        if !std::mem::replace(&mut self.started, true) {
+            self.host.start(self.now, &mut self.trace);
         }
     }
 
@@ -339,10 +171,10 @@ where
     /// loops are bugs, not workloads).
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some(due) = self.queue.next_due() else {
+        let Some(due) = self.host.next_due() else {
             return false;
         };
-        let event = self.queue.pop_due(due).expect("the earliest entry is due");
+        let entry = self.host.pop_due(due).expect("the earliest entry is due");
         let time = SimTime::from_micros(due);
         assert!(
             self.events_processed < self.max_events,
@@ -352,27 +184,25 @@ where
         self.events_processed += 1;
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
-        match event {
-            Event::Deliver {
-                from,
-                to,
-                msg,
-                bytes,
+        match &entry {
+            Due::Deliver {
+                from, to, bytes, ..
             } => {
-                self.network.record_delivery(bytes);
+                self.host.network_mut().record_delivery(*bytes);
                 self.trace.record(TraceEvent::Delivered {
                     time,
-                    from,
-                    to,
-                    bytes,
+                    from: *from,
+                    to: *to,
+                    bytes: *bytes,
                 });
-                self.dispatch(to.0 as usize, |p, ctx| p.on_message(ctx, from, msg));
             }
-            Event::Timer { node, timer } => {
-                self.trace.record(TraceEvent::TimerFired { time, node });
-                self.dispatch(node.0 as usize, |p, ctx| p.on_timer(ctx, timer));
+            Due::Timer(node, _) => {
+                self.trace
+                    .record(TraceEvent::TimerFired { time, node: *node });
             }
+            Due::Kill(_) | Due::Revive(_) => {}
         }
+        self.host.dispatch(time, entry, &mut self.trace);
         true
     }
 
@@ -386,7 +216,7 @@ where
     /// are processed) or the queue empties.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.ensure_started();
-        while let Some(due) = self.queue.next_due() {
+        while let Some(due) = self.host.next_due() {
             if due > deadline.as_micros() {
                 break;
             }
@@ -396,33 +226,15 @@ where
             self.now = deadline;
         }
     }
-
-    /// Runs one event — `event` calls the [`Process`] entry point it is
-    /// for — through a context that writes what the process asks for
-    /// straight into the queue.
-    fn dispatch(
-        &mut self,
-        index: usize,
-        event: impl FnOnce(&mut P, &mut ProcessCtx<'_, P::Msg, P::Timer>),
-    ) {
-        let mut ctx = ProcessCtx {
-            id: NodeId(index as u32),
-            now: self.now,
-            rng: &mut self.rngs[index],
-            queue: &mut self.queue,
-            network: &mut self.network,
-            stash: &mut self.replay_stash,
-            trace: &mut self.trace,
-        };
-        event(&mut self.processes[index], &mut ctx);
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::host::ProcessCtx;
     use crate::latency::LatencyModel;
     use crate::net::{LinkConfig, LinkFaults};
+    use crate::time::Duration;
 
     /// Counts messages; replies until a budget is exhausted.
     struct Echo {
@@ -500,10 +312,10 @@ mod tests {
     /// Arms the timers its script names at start and cancels the ones
     /// it names for then; a message `k` makes it cancel timer `k`. It
     /// notes every fire.
-    struct Timed {
+    pub(crate) struct Timed {
         arm: Vec<(u64, u8)>,
         cancel_at_once: Vec<u8>,
-        fired: Vec<(u64, u8)>,
+        pub(crate) fired: Vec<(u64, u8)>,
     }
 
     impl Process for Timed {
@@ -525,7 +337,7 @@ mod tests {
         }
     }
 
-    fn timed(arm: &[(u64, u8)], cancel_at_once: &[u8]) -> Timed {
+    pub(crate) fn timed(arm: &[(u64, u8)], cancel_at_once: &[u8]) -> Timed {
         Timed {
             arm: arm.to_vec(),
             cancel_at_once: cancel_at_once.to_vec(),
@@ -657,9 +469,9 @@ mod tests {
     /// its own size, [`frame_bytes`] — at n1, which only tallies what it
     /// sees (no replies — so every extra delivery is fault-injected, not
     /// protocol echo).
-    struct Tally {
-        to_send: u32,
-        seen: Vec<u32>,
+    pub(crate) struct Tally {
+        pub(crate) to_send: u32,
+        pub(crate) seen: Vec<u32>,
     }
 
     impl Process for Tally {
@@ -683,7 +495,7 @@ mod tests {
         100 + frame as usize
     }
 
-    fn tally_sim(seed: u64, count: u32, faults: LinkFaults) -> Simulation<Tally> {
+    pub(crate) fn tally_sim(seed: u64, count: u32, faults: LinkFaults) -> Simulation<Tally> {
         let link = LinkConfig {
             faults,
             ..LinkConfig::default()

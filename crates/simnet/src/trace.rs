@@ -2,6 +2,7 @@
 
 use core::fmt;
 
+use crate::host::Outlet;
 use crate::net::NodeId;
 use crate::time::SimTime;
 
@@ -167,6 +168,27 @@ impl Trace {
     pub fn clear(&mut self) {
         self.events.clear();
         self.overflowed = 0;
+    }
+}
+
+/// The simulator's outlet: it hosts every node, so nothing is forwarded,
+/// and a send or a loss is a trace event.
+impl<M> Outlet<M> for Trace {
+    fn forward(&mut self, _: NodeId, to: NodeId, _: M, _: usize) {
+        panic!("the simulation hosts every node, and not {to}");
+    }
+
+    fn sent(&mut self, time: SimTime, from: NodeId, to: NodeId, bytes: usize) {
+        self.record(TraceEvent::Sent {
+            time,
+            from,
+            to,
+            bytes,
+        });
+    }
+
+    fn lost(&mut self, time: SimTime, from: NodeId, to: NodeId) {
+        self.record(TraceEvent::Lost { time, from, to });
     }
 }
 

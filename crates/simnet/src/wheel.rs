@@ -131,6 +131,11 @@ impl<T: Entry> TimerWheel<T> {
         Some(item)
     }
 
+    /// The pending items, in pop order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.queue.values()
+    }
+
     /// Number of pending items.
     pub fn len(&self) -> usize {
         self.queue.len()
