@@ -7,39 +7,41 @@
 //! same [`NodeKit`] builds them — at construction and again when a
 //! scheduled crash respawns a server. Each server gets a dedicated
 //! event-loop thread; clients are partitioned across `client_workers`
-//! threads. Every worker owns a bounded inbox, one **agenda** — a
-//! [`TimerWheel`] of everything it will do at a future instant: its
-//! nodes' timers, its held-back packets and, on a server's worker, that
-//! server's scheduled kill and respawn — and a forked RNG stream per
-//! node, and hands its events to the *same* [`StoreProc`] entry points
-//! the simulator calls. The only runtime-specific layer a node ever sees
-//! is the per-event [`NodeCtx`] the worker stacks up, which **writes
-//! through**: a send goes straight to the worker's router, a timer arm
-//! or cancel straight to its agenda, so effects happen in the order the
-//! handler made them and nothing is collected to be replayed afterwards.
+//! threads. Every worker is a bounded inbox and a [`simnet::Host`] of
+//! its nodes on the wall clock — the simulator is one on a virtual
+//! clock — so a node is hosted here exactly as it is there: the same
+//! [`StoreProc`] entry points, the same write-through
+//! [`simnet::ProcessCtx`] (effects land in the order the handler made
+//! them), a forked RNG stream per node, and one **agenda**, the host's
+//! [`simnet::TimerWheel`] of everything the worker will do at a future
+//! instant: its nodes' timers, their messages on their way and, on a
+//! server's worker, that server's scheduled kill and respawn.
 //!
-//! A node's sends go three ways. Self-sends take the worker's local
-//! queue: reliable, never fault-injected, never on the wire. With no
-//! network configured ([`RuntimeConfig::faults`] is `None`) everything
-//! else goes straight to the [`Link`]. Otherwise the worker's router
-//! asks the simulator's own fault plane — a [`simnet::Network`] over
-//! the worker's RNG stream — what becomes of the message: lost, or one
-//! or more copies (the original, a duplicate, a stale replay), each
-//! with the delay the routing worker itself holds it back for, on its
-//! agenda, before the link gets it. The link is [`ChannelLink`] for
-//! [`RuntimeFleet`] (a bounded `std::sync::mpsc` inbox per worker), a
-//! TCP fabric for `transport::SocketFleet`. Either way a full inbox
-//! drops the message (wire loss; the protocol's timeouts, retries and
-//! anti-entropy absorb it), so workers can never deadlock on a send.
+//! A node's sends go the host's three ways. A message to itself is an
+//! agenda entry due at once: reliable, never fault-injected, never on
+//! the wire (the link is only told its bytes, [`Link::note_self`]).
+//! With no network configured ([`RuntimeConfig::faults`] is `None`),
+//! and during the quiesce, everything else goes straight to the
+//! [`Link`]. Otherwise the host asks the simulator's own fault plane —
+//! a [`simnet::Network`] over the worker's RNG stream — what becomes of
+//! the message: lost, or one or more copies (the original, a duplicate,
+//! a stale replay), each held back on the agenda for its delay before
+//! the link gets it. The link is [`ChannelLink`] for [`RuntimeFleet`]
+//! (a bounded `std::sync::mpsc` inbox per worker), a TCP fabric for
+//! `transport::SocketFleet`. Either way a full inbox drops the message
+//! (wire loss; the protocol's timeouts, retries and anti-entropy absorb
+//! it), so workers can never deadlock on a send.
 //!
 //! A scheduled crash ([`CrashEvent`](crate::CrashEvent)) is two agenda
 //! entries on its server's own worker, both known when the fleet is
-//! built: the kill swaps in an inert husk and drops the node's timers
-//! and queued self-sends, the respawn rebuilds the node from its
-//! [`NodeKit`] and queues it, on the worker's local queue, the view that
-//! re-admits it. Nothing crosses threads to order either. The crash schedule, the
-//! storage-engine factory and the fault plane all sit above the link,
-//! so they work the same on every link. Where a worker's inbox is fed
+//! built, and the host's own kill and revive — the ones the simulator's
+//! `Cluster` calls: the kill swaps in an inert husk, drops the node's
+//! timers and queued self-sends and marks it down (what reaches it is
+//! dropped), the respawn rebuilds the node from its [`NodeKit`] and
+//! posts it the view that re-admits it. Nothing crosses threads to order
+//! either. The crash schedule, the storage-engine factory and the fault
+//! plane all sit above the link, so they work the same on every link.
+//! Where a worker's inbox is fed
 //! from is the link's too: [`Link::worker`] gives each worker a handle
 //! of its own, and the idle arm waits in [`Link::wait`] — on the
 //! channel itself for [`ChannelLink`], in `epoll` on the worker's own
@@ -78,7 +80,6 @@
 //! shape `parks / ops_ok` reads 1.8 when every idle moment ends in a
 //! sleep, and 0.00 (in memory) or 0.2 (a durable log under it) now.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
@@ -89,13 +90,13 @@ use dvv::mechanisms::Mechanism;
 use dvv::ReplicaId;
 use kvstore::client::ClientNode;
 use kvstore::cluster::{EngineFactory, NodeKit, StoreProc};
-use kvstore::ctx::{NodeCtx, Timer};
+use kvstore::ctx::Timer;
 use kvstore::harness::FleetHarness;
 use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
-use simnet::{Duration, Entry, Network, NodeId, ReplayStash, SimRng, SimTime, TimerWheel};
+use simnet::{Due, Host, Network, NodeId, Outlet, SimRng, SimTime};
 
 use crate::link::{ChannelLink, Link, Packet, Wiring};
 use crate::watchdog::{self, Progress, StallReport};
@@ -119,79 +120,6 @@ const IDLE_PARK: StdDuration = StdDuration::from_millis(25);
 /// to detect leftover divergence).
 const SETTLE_CLEAN_ROUNDS: u64 = 8;
 
-/// One entry of a worker's agenda: something it will do at a future
-/// instant.
-#[derive(Debug)]
-enum Due<M: Mechanism<StampedValue>> {
-    /// A hosted node's timer, cancellable by `(node, timer)`.
-    Timer(NodeId, Timer),
-    /// A packet the network gave a delay. It is on the wire already: a
-    /// kill of the node that sent it does not take it back.
-    Send(Packet<M>),
-    /// The worker's server is killed
-    /// ([`CrashEvent::kill_after`](crate::CrashEvent::kill_after)).
-    Kill,
-    /// The worker's server is rebuilt
-    /// ([`CrashEvent::respawn_after`](crate::CrashEvent::respawn_after)).
-    Respawn,
-}
-
-impl<M: Mechanism<StampedValue>> Entry for Due<M> {
-    type Id = (NodeId, Timer);
-
-    fn id(&self) -> Option<(NodeId, Timer)> {
-        match self {
-            Due::Timer(node, timer) => Some((*node, *timer)),
-            _ => None,
-        }
-    }
-}
-
-/// A server worker's scheduled crash: the kit that built its node, to
-/// rebuild it from scratch at the respawn (a log-backed engine replays
-/// its durable prefix on open; without an engine factory the respawn
-/// comes back empty, the diskless baseline), the view that re-admits it,
-/// and whether it is down now.
-struct Crash<M: Mechanism<StampedValue>> {
-    kit: NodeKit<M>,
-    /// The genesis view with this server's fresh `Up` incarnation.
-    readmit: RingView<ReplicaId>,
-    down: bool,
-}
-
-impl<M: Mechanism<StampedValue>> Crash<M> {
-    /// The kill, on the server's own worker: the node is dropped —
-    /// in-memory state, armed timers, queued self-sends and the engine's
-    /// unsynced buffer are gone, like a power cut — and an inert husk
-    /// holds the slot. What the node had already sent stays sent,
-    /// held-back packets included.
-    fn kill<L: Link<M>>(&mut self, h: &mut Hosted<M>, router: &mut Router<M, L>) {
-        let slot = h.id.0 as usize;
-        router.progress.set_expected_down(slot, true);
-        h.proc_ = self.kit.husk(slot);
-        router
-            .agenda
-            .retain(|due| !matches!(due, Due::Timer(node, _) if *node == h.id));
-        router.local.clear();
-        self.down = true;
-    }
-
-    /// The respawn, on the same worker: the node is rebuilt from the kit
-    /// and re-admitted in band — its re-admission view goes on the local
-    /// queue, which cannot be full. Merging it is what re-arms the node's
-    /// timers (it was built mid-run, so without `on_start`) and lets
-    /// gossip spread the re-admission; the other servers' ones reach it
-    /// by gossip too.
-    fn respawn<L: Link<M>>(&mut self, h: &mut Hosted<M>, router: &mut Router<M, L>) {
-        let slot = h.id.0 as usize;
-        h.proc_ = self.kit.server(slot);
-        self.down = false;
-        let view = self.readmit.clone();
-        router.local.push_back((h.id, Msg::RingEpoch { view }));
-        router.progress.set_expected_down(slot, false);
-    }
-}
-
 /// State shared by every thread of a run (mechanism-independent).
 /// `shutdown` is its own `Arc` so the link can hold the flag without
 /// the rest of the struct.
@@ -211,63 +139,6 @@ impl Shared {
     fn now_us(&self) -> u64 {
         self.origin.elapsed().as_micros() as u64
     }
-}
-
-/// A worker thread's way out for its nodes' messages: the local queue
-/// for self-sends, and for the rest the configured network in front of
-/// the link. Each worker keeps its own replay stash, so a stale replay
-/// resurfaces traffic this worker's nodes actually sent on that link.
-struct Router<M: Mechanism<StampedValue>, L> {
-    shared: Arc<Shared>,
-    progress: Arc<Progress>,
-    link: L,
-    network: Network,
-    stash: ReplayStash<Msg<M>>,
-    /// Everything the worker will do at a future instant, in
-    /// `(due µs, arrival seq)` order.
-    agenda: TimerWheel<Due<M>>,
-    /// Self-sends awaiting dispatch on this worker, as `(node, msg)`.
-    local: VecDeque<(NodeId, Msg<M>)>,
-}
-
-impl<M: Mechanism<StampedValue>, L: Link<M>> Router<M, L> {
-    /// `bytes` is what the sending node charged for `msg`.
-    fn route(&mut self, from: NodeId, to: NodeId, msg: Msg<M>, bytes: usize) {
-        // Self-sends are delivered locally — reliable, zero-delay and
-        // exempt from fault injection, like the simulator's.
-        if from == to {
-            self.link.note_self(bytes);
-            self.local.push_back((to, msg));
-            return;
-        }
-        if !self.shared.faults_on.load(Ordering::Relaxed) {
-            return self.link.send(Packet { from, to, msg });
-        }
-        // The network decides: nothing (lost), or every copy to send —
-        // at once, or held back on this worker for the copy's delay.
-        let now_us = self.shared.now_us();
-        let (link, agenda) = (&self.link, &mut self.agenda);
-        let emit = |delay: Duration, msg, _bytes| {
-            let pkt = Packet { from, to, msg };
-            if delay == Duration::ZERO {
-                return link.send(pkt);
-            }
-            agenda.schedule(now_us + delay.as_micros(), Due::Send(pkt));
-        };
-        self.network
-            .route(&mut self.stash, from, to, bytes, msg, emit);
-    }
-}
-
-/// One node hosted on a worker thread: the protocol state machine plus
-/// its runtime-side state (its timers are on the worker's agenda).
-#[derive(Debug)]
-struct Hosted<M: Mechanism<StampedValue>> {
-    id: NodeId,
-    proc_: StoreProc<M>,
-    rng: SimRng,
-    was_done: bool,
-    last_ops: u64,
 }
 
 /// One node's live reporting state, as [`FleetStats::snapshot`] reads
@@ -360,7 +231,9 @@ pub struct Fleet<M: Mechanism<StampedValue>, L: Link<M>> {
     /// The genesis view with one `Up` bump per scheduled crash: what
     /// the fleet's views converge to once every respawn is re-admitted.
     view: RingView<ReplicaId>,
-    nodes: Vec<Hosted<M>>,
+    /// Every node between runs — its id, process and RNG stream — in id
+    /// order; a run hands them to its workers' hosts.
+    nodes: Vec<(NodeId, StoreProc<M>, SimRng)>,
     progress: Arc<Progress>,
     net_root: SimRng,
     link_spec: L::Spec,
@@ -447,15 +320,12 @@ where
         let root = SimRng::new(seed);
         let total = config.servers + config.clients;
         let nodes = (0..total)
-            .map(|i| Hosted {
-                id: NodeId(i as u32),
-                proc_: match i.checked_sub(config.servers) {
+            .map(|i| {
+                let node = match i.checked_sub(config.servers) {
                     None => kit.server(i),
                     Some(j) => kit.client(j, i, &config.client, config.cycles_per_client),
-                },
-                rng: root.fork_indexed("node", i as u64),
-                was_done: false,
-                last_ops: 0,
+                };
+                (NodeId(i as u32), node, root.fork_indexed("node", i as u64))
             })
             .collect();
         Fleet {
@@ -504,19 +374,18 @@ where
         // Partition nodes onto workers: one per server, then clients
         // chunked across `client_workers` threads.
         let nodes = std::mem::take(&mut self.nodes);
-        let mut groups: Vec<Vec<Hosted<M>>> = Vec::new();
-        let mut client_groups: Vec<Vec<Hosted<M>>> =
-            (0..cfg.client_workers).map(|_| Vec::new()).collect();
-        for (i, h) in nodes.into_iter().enumerate() {
+        let mut groups: Vec<Vec<_>> = Vec::new();
+        let mut client_groups: Vec<Vec<_>> = (0..cfg.client_workers).map(|_| Vec::new()).collect();
+        for (i, node) in nodes.into_iter().enumerate() {
             if i < cfg.servers {
-                groups.push(vec![h]);
+                groups.push(vec![node]);
             } else {
-                client_groups[(i - cfg.servers) % cfg.client_workers].push(h);
+                client_groups[(i - cfg.servers) % cfg.client_workers].push(node);
             }
         }
         groups.extend(client_groups.into_iter().filter(|g| !g.is_empty()));
         // One node per worker: where teardown posts that worker's wake.
-        let wake: Vec<NodeId> = groups.iter().map(|g| g[0].id).collect();
+        let wake: Vec<NodeId> = groups.iter().map(|g| g[0].0).collect();
 
         // One bounded inbox per worker; `inboxes[j]` routes to the
         // worker hosting node j.
@@ -525,8 +394,8 @@ where
         for g in &groups {
             let (tx, rx) = mpsc::sync_channel(INBOX_CAPACITY * g.len());
             receivers.push(rx);
-            for h in g {
-                inboxes[h.id.0 as usize] = Some(tx.clone());
+            for (id, ..) in g {
+                inboxes[id.0 as usize] = Some(tx.clone());
             }
         }
         let inboxes: Vec<SyncSender<Packet<M>>> = inboxes
@@ -545,40 +414,34 @@ where
         // Worker threads — the only threads a run spawns. A server
         // scheduled to crash has its kill and respawn on its worker's
         // agenda from the start.
-        let mut handles: Vec<JoinHandle<Vec<Hosted<M>>>> = Vec::new();
+        let mut handles: Vec<JoinHandle<Vec<_>>> = Vec::new();
         for (w, (group, rx)) in groups.into_iter().zip(receivers).enumerate() {
-            let hosts: Vec<NodeId> = group.iter().map(|h| h.id).collect();
-            let mut router = Router {
+            let hosts: Vec<NodeId> = group.iter().map(|(id, ..)| *id).collect();
+            let network = Network::new(
+                cfg.faults.clone().unwrap_or_default(),
+                self.net_root.fork_indexed("worker", w as u64),
+            );
+            let mut host = Host::new(network, group);
+            let event = cfg.crashes.iter().find(|c| hosts[0].0 as usize == c.server);
+            if let Some(c) = event {
+                let at = |after: StdDuration| after.as_micros() as u64;
+                host.schedule(at(c.kill_after), Due::Kill(hosts[0]));
+                host.schedule(at(c.respawn_after), Due::Revive(hosts[0]));
+            }
+            let inbox_capacity = INBOX_CAPACITY * hosts.len();
+            let hang = hosts
+                .iter()
+                .any(|id| cfg.hang_servers.contains(&(id.0 as usize)));
+            let worker = Worker {
+                tallies: vec![Tally::default(); hosts.len()],
+                host,
+                link: link.worker(&hosts),
                 shared: Arc::clone(&shared),
                 progress: Arc::clone(&self.progress),
-                link: link.worker(&hosts),
-                network: Network::new(
-                    cfg.faults.clone().unwrap_or_default(),
-                    self.net_root.fork_indexed("worker", w as u64),
-                ),
-                stash: ReplayStash::new(),
-                agenda: TimerWheel::new(),
-                local: VecDeque::new(),
+                kit: self.kit.clone(),
             };
-            let inbox_capacity = INBOX_CAPACITY * group.len();
-            let hang = group
-                .iter()
-                .any(|h| cfg.hang_servers.contains(&(h.id.0 as usize)));
-            let event = cfg.crashes.iter().find(|c| hosts[0].0 as usize == c.server);
-            let crash = event.map(|c| {
-                let at = |after: StdDuration| after.as_micros() as u64;
-                router.agenda.schedule(at(c.kill_after), Due::Kill);
-                router.agenda.schedule(at(c.respawn_after), Due::Respawn);
-                let mut readmit = self.kit.genesis_view().clone();
-                readmit.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
-                Crash {
-                    kit: self.kit.clone(),
-                    readmit,
-                    down: false,
-                }
-            });
             handles.push(thread::spawn(move || {
-                worker_loop(group, rx, inbox_capacity, router, hang, crash)
+                worker_loop(worker, rx, inbox_capacity, hang)
             }));
         }
 
@@ -683,12 +546,12 @@ where
             link.wake(node);
         }
 
-        let mut returned: Vec<Hosted<M>> = Vec::with_capacity(total);
+        let mut returned = Vec::with_capacity(total);
         for h in handles {
             returned.extend(h.join().expect("worker thread panicked"));
         }
         self.link_ledger = Some(link.close());
-        returned.sort_by_key(|h| h.id.0);
+        returned.sort_by_key(|(id, ..)| id.0);
         self.nodes = returned;
 
         outcome.map(|elapsed| RunReport {
@@ -727,7 +590,7 @@ where
     ///
     /// Panics if `i` is not a server index.
     pub fn server(&self, i: usize) -> &StoreNode<M> {
-        self.nodes[i].proc_.server()
+        self.nodes[i].1.server()
     }
 
     /// Read access to client `j`'s session node.
@@ -736,7 +599,7 @@ where
     ///
     /// Panics if `j` is not a client index.
     pub fn client(&self, j: usize) -> &ClientNode<M> {
-        self.nodes[self.config.servers + j].proc_.client()
+        self.nodes[self.config.servers + j].1.client()
     }
 
     /// Number of replica servers.
@@ -755,7 +618,7 @@ where
     ///
     /// Panics if `i` is not a server index.
     pub fn server_mut(&mut self, i: usize) -> &mut StoreNode<M> {
-        self.nodes[i].proc_.server_mut()
+        self.nodes[i].1.server_mut()
     }
 }
 
@@ -868,35 +731,183 @@ impl SpinGate {
     }
 }
 
-/// One worker thread's event loop over the nodes it hosts: messages
-/// from its inbox and its local self-send queue, and its agenda —
-/// timers, held-back packets, its server's kill and respawn.
+/// One worker thread: a [`Host`] of its nodes on the wall clock, the
+/// link they send on, and what the worker reports of them.
+struct Worker<M: Mechanism<StampedValue>, L> {
+    host: Host<StoreProc<M>>,
+    link: L,
+    shared: Arc<Shared>,
+    progress: Arc<Progress>,
+    /// Rebuilds the worker's server at a scheduled respawn (a log-backed
+    /// engine replays its durable prefix on open; without an engine
+    /// factory the respawn comes back empty, the diskless baseline).
+    kit: NodeKit<M>,
+    /// Slot by slot, what [`Worker::publish`] has already counted.
+    tallies: Vec<Tally>,
+}
+
+/// A client's share of the run's counters, as published so far.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    ops: u64,
+    done: bool,
+}
+
+/// The link as a host's outlet: a message for a node on another worker
+/// goes on the link; of a message a node sends itself, which never
+/// does, the link is told the bytes.
+struct Wire<'a, L>(&'a L);
+
+impl<M: Mechanism<StampedValue>, L: Link<M>> Outlet<Msg<M>> for Wire<'_, L> {
+    fn forward(&mut self, from: NodeId, to: NodeId, msg: Msg<M>, _bytes: usize) {
+        self.0.send(Packet { from, to, msg });
+    }
+
+    fn sent(&mut self, _now: SimTime, from: NodeId, to: NodeId, bytes: usize) {
+        if from == to {
+            self.0.note_self(bytes);
+        }
+    }
+}
+
+impl<M: Mechanism<StampedValue>, L: Link<M>> Worker<M, L> {
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.shared.now_us())
+    }
+
+    /// Takes one packet off the inbox. Once the run is over whatever is
+    /// still queued is dropped where it is, teardown's wake included:
+    /// nothing more is dispatched into a node the audit is about to
+    /// read. A packet for a down server is dropped by the host (a
+    /// crashed box answers nothing), and the depth accounting stays
+    /// honest either way.
+    fn receive(&mut self, Packet { from, to, msg }: Packet<M>) {
+        if self.shared.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        self.progress.inbox_depth[to.0 as usize].fetch_sub(1, Ordering::Relaxed);
+        self.run(Due::Deliver {
+            from,
+            to,
+            msg,
+            bytes: 0,
+        });
+    }
+
+    /// Carries out one agenda entry or inbound message, now. A scheduled
+    /// kill is the host's, on the server's own worker: the node is
+    /// dropped like a power cut — in-memory state, armed timers, queued
+    /// self-sends and the engine's unsynced buffer — and an inert husk
+    /// holds the slot. The respawn rebuilds it from the kit and posts it
+    /// the view that re-admits it: the genesis view with its fresh `Up`
+    /// incarnation. Merging that view re-arms the node's timers (it was
+    /// built mid-run, so without `on_start`) and lets gossip spread the
+    /// re-admission; the other servers' ones reach it by gossip too.
+    fn run(&mut self, due: Due<Msg<M>, Timer>) {
+        let now = self.now();
+        match due {
+            Due::Kill(node) => {
+                let slot = node.0 as usize;
+                self.progress.set_expected_down(slot, true);
+                self.host.kill(node, self.kit.husk(slot));
+            }
+            Due::Revive(node) => {
+                let slot = node.0 as usize;
+                self.host.revive(node, self.kit.server(slot));
+                let mut view = self.kit.genesis_view().clone();
+                view.bump(&ReplicaId(node.0), MemberStatus::Up);
+                self.host.post(now, node, Msg::RingEpoch { view });
+                self.progress.set_expected_down(slot, false);
+            }
+            due => {
+                if let Some(slot) = self.host.dispatch(now, due, &mut Wire(&self.link)) {
+                    self.publish(slot, now);
+                }
+            }
+        }
+    }
+
+    /// Publishes what the node in `slot` did at `now` into the progress
+    /// atomics: liveness for every node, the settle probe's two numbers
+    /// for a server, ops and completion for a client.
+    fn publish(&mut self, slot: usize, now: SimTime) {
+        let id = self.host.id(slot).0 as usize;
+        let progress = &self.progress;
+        progress.events[id].fetch_add(1, Ordering::Relaxed);
+        progress.last_event_micros[id].store(now.as_micros().max(1), Ordering::Relaxed);
+        match self.host.node(slot) {
+            StoreProc::Server(s) => {
+                let s = s.stats();
+                let repairs = s.aae_divergent
+                    + s.read_repairs
+                    + s.handoffs
+                    + s.transfers_in
+                    + s.transfers_out;
+                store_if_moved(&progress.repair_activity[id], repairs);
+                store_if_moved(&progress.aae_rounds[id], s.aae_rounds);
+            }
+            StoreProc::Client(c) => {
+                let tally = &mut self.tallies[slot];
+                let stats = c.stats();
+                let ops = stats.get_latency.count() + stats.put_latency.count();
+                if ops > tally.ops {
+                    progress
+                        .ops_ok
+                        .fetch_add(ops - tally.ops, Ordering::Relaxed);
+                    tally.ops = ops;
+                }
+                if c.is_done() && !tally.done {
+                    tally.done = true;
+                    progress.done_clients.fetch_add(1, Ordering::Relaxed);
+                    self.shared.main.unpark();
+                }
+            }
+        }
+    }
+}
+
+/// Stores `value` into `cell` if it moved. The settle probe's cells sit
+/// next to the other servers' in one cache line and change only when a
+/// repair or an AAE round happens, so a store per dispatch would bounce
+/// that line between the server threads for nothing.
+fn store_if_moved(cell: &AtomicU64, value: u64) {
+    if cell.load(Ordering::Relaxed) != value {
+        cell.store(value, Ordering::Relaxed);
+    }
+}
+
+/// One worker thread's event loop over its host: messages from its
+/// inbox, and its agenda — timers, messages on their way (held back, or
+/// to the node itself), its server's kill and respawn.
 fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
-    mut hosted: Vec<Hosted<M>>,
+    mut w: Worker<M, L>,
     rx: Receiver<Packet<M>>,
     inbox_capacity: usize,
-    mut router: Router<M, L>,
     hang: bool,
-    mut crash: Option<Crash<M>>,
-) -> Vec<Hosted<M>> {
+) -> Vec<(NodeId, StoreProc<M>, SimRng)> {
     if hang {
         // A wedged worker: never starts its nodes, never drains its
         // inbox. Exists to prove the stall check fires.
-        while !router.shared.shutdown.load(Ordering::Relaxed) {
+        while !w.shared.shutdown.load(Ordering::Relaxed) {
             thread::sleep(StdDuration::from_millis(5));
         }
-        return hosted;
+        return w.host.into_nodes();
     }
 
-    for h in &mut hosted {
-        dispatch(h, &mut router, |node, ctx| node.on_start(ctx));
+    let now = w.now();
+    w.host.start(now, &mut Wire(&w.link));
+    for slot in 0..w.host.len() {
+        w.publish(slot, now);
     }
 
     let mut gate = SpinGate::new(L::SPIN);
     // Whether this pass follows the pull ahead of a due entry (below).
     let mut pulled = false;
     'run: loop {
-        let down = crash.as_ref().is_some_and(|c| c.down);
+        // The quiesce switches the network off for messages sent from
+        // here on.
+        w.host
+            .set_faults(w.shared.faults_on.load(Ordering::Relaxed));
 
         // What is already queued goes before what is already due — the
         // simulator's order, where an earlier-delivered message precedes
@@ -907,12 +918,12 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         // bounds the drain and timers cannot starve under load.
         for _ in 0..inbox_capacity {
             let Ok(pkt) = rx.try_recv() else { break };
-            receive(&mut hosted, pkt, down, &mut router);
+            w.receive(pkt);
         }
         // The stop check comes after the drain, not before it: the
         // drain may be what takes teardown's wake, and a worker that
         // went on to park would sleep through the flag it was sent for.
-        if router.shared.shutdown.load(Ordering::Relaxed) {
+        if w.shared.shutdown.load(Ordering::Relaxed) {
             break;
         }
 
@@ -921,41 +932,22 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         // done, one pull that waits for nothing, and what it brings goes
         // round through the drain first. Once per due moment, so a stream
         // of arrivals cannot hold the agenda off.
-        let now_us = router.shared.now_us();
-        let next = router.agenda.next_due();
+        let now_us = w.shared.now_us();
+        let next = w.host.next_due();
         if next.is_some_and(|due| due <= now_us) && !std::mem::replace(&mut pulled, true) {
-            if let Ok(pkt) = router.link.wait(&rx, StdDuration::ZERO) {
-                receive(&mut hosted, pkt, down, &mut router);
+            if let Ok(pkt) = w.link.wait(&rx, StdDuration::ZERO) {
+                w.receive(pkt);
                 continue;
             }
         }
         pulled = false;
 
-        // Do what is due now and deliver the self-sends. A handler may
-        // arm another timer already due, self-send, or take long enough
-        // for replies to arrive: go round again, inbox first.
+        // Do what is due now. A handler may arm another timer already
+        // due, send to itself, or take long enough for replies to
+        // arrive: go round again, inbox first.
         let mut worked = false;
-        while let Some(due) = router.agenda.pop_due(now_us) {
-            match due {
-                Due::Timer(id, t) => {
-                    if let Some(h) = hosted.iter_mut().find(|h| h.id == id) {
-                        dispatch(h, &mut router, |node, ctx| node.on_timer(ctx, t));
-                    }
-                }
-                Due::Send(pkt) => router.link.send(pkt),
-                Due::Kill | Due::Respawn => {
-                    let c = crash.as_mut().expect("only a crash schedules these");
-                    if matches!(due, Due::Kill) {
-                        c.kill(&mut hosted[0], &mut router);
-                    } else {
-                        c.respawn(&mut hosted[0], &mut router);
-                    }
-                }
-            }
-            worked = true;
-        }
-        while let Some((to, msg)) = router.local.pop_front() {
-            hand_to(&mut hosted, to, to, msg, &mut router);
+        while let Some(due) = w.host.pop_due(now_us) {
+            w.run(due);
             worked = true;
         }
         if worked {
@@ -982,7 +974,7 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
                     Err(TryRecvError::Empty) => {}
                     Err(TryRecvError::Disconnected) => break 'run,
                 }
-                idle_us = router.shared.now_us().saturating_sub(now_us);
+                idle_us = w.shared.now_us().saturating_sub(now_us);
                 if idle_us >= window_us {
                     break None;
                 }
@@ -991,7 +983,7 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
             match polled {
                 Some(pkt) => {
                     gate.on_hit();
-                    receive(&mut hosted, pkt, down, &mut router);
+                    w.receive(pkt);
                     continue;
                 }
                 // Cut short by a due instant: there is work, and
@@ -1001,153 +993,19 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
             }
         }
 
-        gate.on_park(&router.progress);
+        gate.on_park(&w.progress);
         let left = StdDuration::from_micros(wait_us.saturating_sub(idle_us));
-        match router.link.wait(&rx, left) {
+        match w.link.wait(&rx, left) {
             Ok(pkt) => {
-                gate.on_wake(|| router.shared.now_us().saturating_sub(now_us));
-                receive(&mut hosted, pkt, down, &mut router);
+                gate.on_wake(|| w.shared.now_us().saturating_sub(now_us));
+                w.receive(pkt);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    gate.fold(&router.progress);
-    hosted
-}
-
-/// Takes one packet off the inbox. A dead server's inbox drains onto
-/// the floor: the depth accounting stays honest, the packet is lost (a
-/// crashed box answers nothing).
-fn receive<M: Mechanism<StampedValue>, L: Link<M>>(
-    hosted: &mut [Hosted<M>],
-    Packet { from, to, msg }: Packet<M>,
-    down: bool,
-    router: &mut Router<M, L>,
-) {
-    // Once the run is over whatever is still queued is dropped where
-    // it is, teardown's wake included: nothing more is dispatched into
-    // a node the audit is about to read.
-    if router.shared.shutdown.load(Ordering::Relaxed) {
-        return;
-    }
-    router.progress.inbox_depth[to.0 as usize].fetch_sub(1, Ordering::Relaxed);
-    if !down {
-        hand_to(hosted, from, to, msg, router);
-    }
-}
-
-/// Dispatches a message into the hosted node it is addressed to.
-fn hand_to<M: Mechanism<StampedValue>, L: Link<M>>(
-    hosted: &mut [Hosted<M>],
-    from: NodeId,
-    to: NodeId,
-    msg: Msg<M>,
-    router: &mut Router<M, L>,
-) {
-    if let Some(h) = hosted.iter_mut().find(|h| h.id == to) {
-        dispatch(h, router, |node, ctx| node.on_message(ctx, from, msg));
-    }
-}
-
-/// Stores `value` into `cell` if it moved. The settle probe's cells sit
-/// next to the other servers' in one cache line and change only when a
-/// repair or an AAE round happens, so a store per dispatch would bounce
-/// that line between the server threads for nothing.
-fn publish(cell: &AtomicU64, value: u64) {
-    if cell.load(Ordering::Relaxed) != value {
-        cell.store(value, Ordering::Relaxed);
-    }
-}
-
-/// The threaded fleet's [`NodeCtx`], stacked up per dispatched event
-/// over disjoint borrows of the hosted node's scheduling state and its
-/// worker's router. It writes through — nothing is buffered — so a
-/// handler's effects land in the order it made them: self-sends queue
-/// behind what is already in the worker's local queue, and same-instant
-/// timers keep their arm order on the agenda, as on the simulator.
-struct RtCtx<'a, M: Mechanism<StampedValue>, L> {
-    id: NodeId,
-    now: SimTime,
-    rng: &'a mut SimRng,
-    router: &'a mut Router<M, L>,
-}
-
-impl<M: Mechanism<StampedValue>, L: Link<M>> NodeCtx<M> for RtCtx<'_, M, L> {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    fn send(&mut self, to: NodeId, msg: Msg<M>, bytes: usize) {
-        self.router.route(self.id, to, msg, bytes);
-    }
-
-    fn set_timer(&mut self, delay: Duration, timer: Timer) {
-        let due = self.now.as_micros() + delay.as_micros();
-        self.router.agenda.schedule(due, Due::Timer(self.id, timer));
-    }
-
-    fn cancel_timer(&mut self, timer: Timer) {
-        self.router.agenda.cancel((self.id, timer));
-    }
-}
-
-/// Runs one event — `event` calls the [`StoreProc`] entry point it is
-/// for — through a hosted node, whose sends, timer arms and timer
-/// cancels take effect as it makes them ([`RtCtx`]), and publishes the
-/// node's fresh counters into the progress atomics.
-fn dispatch<M: Mechanism<StampedValue>, L: Link<M>>(
-    h: &mut Hosted<M>,
-    router: &mut Router<M, L>,
-    event: impl FnOnce(&mut StoreProc<M>, &mut RtCtx<'_, M, L>),
-) {
-    let now = SimTime::from_micros(router.shared.now_us());
-    let mut ctx = RtCtx {
-        id: h.id,
-        now,
-        rng: &mut h.rng,
-        router,
-    };
-    event(&mut h.proc_, &mut ctx);
-
-    // Progress bookkeeping: liveness for every node, the settle probe's
-    // two numbers for a server, ops and completion for a client.
-    let id = h.id.0 as usize;
-    let progress = &router.progress;
-    progress.events[id].fetch_add(1, Ordering::Relaxed);
-    progress.last_event_micros[id].store(now.as_micros().max(1), Ordering::Relaxed);
-    match &h.proc_ {
-        StoreProc::Server(s) => {
-            let s = s.stats();
-            let repairs =
-                s.aae_divergent + s.read_repairs + s.handoffs + s.transfers_in + s.transfers_out;
-            publish(&progress.repair_activity[id], repairs);
-            publish(&progress.aae_rounds[id], s.aae_rounds);
-        }
-        StoreProc::Client(c) => {
-            let stats = c.stats();
-            let ops = stats.get_latency.count() + stats.put_latency.count();
-            if ops > h.last_ops {
-                progress
-                    .ops_ok
-                    .fetch_add(ops - h.last_ops, Ordering::Relaxed);
-                h.last_ops = ops;
-            }
-            if c.is_done() && !h.was_done {
-                h.was_done = true;
-                progress.done_clients.fetch_add(1, Ordering::Relaxed);
-                router.shared.main.unpark();
-            }
-        }
-    }
+    gate.fold(&w.progress);
+    w.host.into_nodes()
 }
 
 #[cfg(test)]

@@ -3,22 +3,25 @@
 //! The deterministic simulator (`simnet`) is one driver for the store's
 //! protocol logic; this crate is the other. The *same*
 //! [`StoreNode`](kvstore::node::StoreNode) and
-//! [`ClientNode`](kvstore::client::ClientNode) code — written against
-//! [`kvstore::ctx::NodeCtx`] — runs here on std threads (no async
-//! runtime, nothing vendored beyond std).
+//! [`ClientNode`](kvstore::client::ClientNode) code, hosted by the
+//! *same* [`simnet::Host`], runs here on std threads (no async runtime,
+//! nothing vendored beyond std).
 //!
-//! **One threaded fleet.** Everything about hosting a node on a thread
-//! lives in [`fleet`], once: the worker event loop, its write-through
-//! [`NodeCtx`](kvstore::ctx::NodeCtx) and its dispatch bookkeeping, the
-//! worker's one agenda (its nodes' timers, its held-back packets, its
-//! server's scheduled kill and respawn), the router, the main loop that
-//! watches over a run (link schedule, stall check, settle/quiesce) and
-//! the post-run
+//! **One threaded fleet, one host.** Each worker thread is a
+//! [`simnet::Host`] of its nodes on the wall clock — the simulator is
+//! one on a virtual clock — so the node's context
+//! ([`simnet::ProcessCtx`]), its agenda (timers, messages on their way,
+//! the server's scheduled kill and respawn), its fault plane and its
+//! kill and revive are the simulator's own. What is particular to
+//! threads lives in [`fleet`], once: the worker event loop, its
+//! per-dispatch progress publishing, the main loop that watches over a
+//! run (link schedule, stall check, settle/quiesce) and the post-run
 //! [`FleetHarness`](kvstore::harness::FleetHarness) surface. What is
 //! not particular to threads is `kvstore`'s, shared with the simulator:
 //! [`NodeKit`](kvstore::cluster::NodeKit) builds (and respawns) the
-//! nodes, [`StoreProc`](kvstore::cluster::StoreProc) dispatches an
-//! event into one, and the node itself charges what it sends.
+//! nodes, [`StoreProc`](kvstore::cluster::StoreProc) is the one
+//! [`simnet::Process`] either kind of node is, and the node itself
+//! charges what it sends.
 //! [`Fleet`] is generic over a [`Link`] ([`link`]), whose whole job is
 //! how an addressed message gets from one worker to another worker's
 //! inbox. A link must provide: `open` at run start (it is handed the
@@ -27,7 +30,7 @@
 //! addressed message that never waits on the destination node (see
 //! [`Link::send`]), `close` returning its ledger, and optionally a
 //! per-tick schedule hook and a note of the bytes charged for
-//! self-sends (which the loop delivers locally and never hands to
+//! self-sends (which the host delivers itself and never hands to
 //! `send`). A link that receives on the workers' own threads also
 //! gives each worker its own handle ([`Link::worker`]), does its
 //! receiving in the worker's wait ([`Link::wait`]) and hears of what
@@ -62,7 +65,7 @@
 //! * the simulator's own fault plane: [`RuntimeConfig::faults`] is a
 //!   [`simnet::NetworkConfig`] — loss, latency model, bandwidth,
 //!   reorder, duplicate, stale replay, per-link overrides — and each
-//!   worker's router asks a [`simnet::Network`] built from it for every
+//!   worker's host asks a [`simnet::Network`] built from it for every
 //!   copy's fate, so one scenario value drives both drivers; plus
 //!   scheduled crash/respawn ([`CrashEvent`]);
 //! * a stall check in the main loop that fails a wedged run fast with
@@ -101,8 +104,9 @@ use std::time::Duration as StdDuration;
 /// storage-engine buffer past the last group sync are gone, like a power
 /// cut — and at `respawn_after` it is rebuilt from its engine factory
 /// (replaying its durable log when the fleet is durable) and re-admitted
-/// **in band**: its worker queues it a view (`Msg::RingEpoch`) naming it
-/// `Up` under a fresh incarnation, minted when the fleet was built.
+/// **in band**: its worker's host posts it a view (`Msg::RingEpoch`)
+/// naming it `Up` under a fresh incarnation, the one the fleet's audit
+/// view names.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashEvent {
     /// Server index to crash.

@@ -15,10 +15,10 @@
 //! can substitute a scripted link and drive the loop message by
 //! message.
 //!
-//! Self-sends never reach [`Link::send`]: the loop delivers them through
-//! its own local queue and only tells the link the bytes the node
-//! charged for what it skipped ([`Link::note_self`]), so a link that
-//! keeps a byte ledger can still balance it.
+//! Self-sends never reach [`Link::send`]: the worker's host delivers
+//! them itself, as entries of its agenda, and only tells the link the
+//! bytes the node charged for what it skipped ([`Link::note_self`]), so
+//! a link that keeps a byte ledger can still balance it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -151,7 +151,7 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// is woken by the channel.
     fn wake(&self, _to: NodeId) {}
 
-    /// A self-send the loop delivered locally instead of sending, by
+    /// A self-send the host delivers itself instead of sending, by
     /// the bytes its node charged for it.
     fn note_self(&self, _bytes: usize) {}
 

@@ -1,7 +1,7 @@
 //! [`SocketFleet`]: the kvstore protocol over real TCP sockets.
 //!
 //! The third driver — and not a second fleet: node hosting (event loop,
-//! timers, self-send queue, settle/quiesce, stall check, post-run
+//! timers, self-sends, settle/quiesce, stall check, post-run
 //! inspection) is [`runtime::Fleet`], the one threaded fleet. This
 //! module supplies the part that differs, a [`Link`] backed by the
 //! [`Fabric`]: every inter-node message is *actually serialised*
@@ -12,7 +12,7 @@
 //! listener and accepted connections, and it delivers the decoded
 //! messages, as the same [`Packet`]s every link delivers, into its own
 //! inbox. The receive side has no thread of its own either.
-//! Self-sends are delivered locally by the loop (a node does not dial
+//! Self-sends are delivered by the worker's host (a node does not dial
 //! itself); the bytes their node charged for them are only noted in the
 //! fabric's ledger, so its identity with the nodes' ledgers still holds.
 //!

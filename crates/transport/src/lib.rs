@@ -10,7 +10,7 @@
 //! byte-for-byte the same in all three drivers.
 //!
 //! There is no node loop here. Hosting nodes on threads — event loop,
-//! timers, self-send queue, settle/quiesce, stall check, post-run
+//! timers, self-sends, settle/quiesce, stall check, post-run
 //! inspection — is [`runtime::Fleet`], the one threaded fleet, and this
 //! crate plugs into its [`runtime::Link`] seam: [`fleet::FabricLink`]
 //! sends by encoding onto the [`Fabric`], hands each worker its nodes'
