@@ -11,7 +11,7 @@ use simnet::{NodeId, SimTime};
 use workloads::{Histogram, KeySpace, Popularity};
 
 use crate::config::{ClientConfig, StoreConfig};
-use crate::ctx::{NodeCtx, Timer};
+use crate::ctx::{Ctx, Timer};
 use crate::messages::{Msg, ReqId, WireStats};
 use crate::value::{Key, StampedValue, WriteId};
 
@@ -202,12 +202,12 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
 
     /// The client's one send door: charges the message ([`Msg::charge`],
     /// into this client's ledger) and hands the driver the same number.
-    fn send(&mut self, ctx: &mut impl NodeCtx<M>, to: NodeId, msg: Msg<M>) {
+    fn send(&mut self, ctx: &mut Ctx<'_, M>, to: NodeId, msg: Msg<M>) {
         let bytes = msg.charge(&self.mech, self.store.header_bytes, &mut self.wire);
         ctx.send(to, msg, bytes);
     }
 
-    fn pick_coordinator(&mut self, ctx: &mut impl NodeCtx<M>, key: &[u8]) -> Option<NodeId> {
+    fn pick_coordinator(&mut self, ctx: &mut Ctx<'_, M>, key: &[u8]) -> Option<NodeId> {
         let routable = |r: &ReplicaId| !self.down.contains(r);
         let (active, _) =
             self.ring
@@ -219,7 +219,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         Some(NodeId(active[pick].0))
     }
 
-    fn begin_cycle(&mut self, ctx: &mut impl NodeCtx<M>) {
+    fn begin_cycle(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.cycles_done >= self.config.cycles {
             self.done = true;
             return;
@@ -229,7 +229,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         self.issue_get(ctx, key, 0);
     }
 
-    fn issue_get(&mut self, ctx: &mut impl NodeCtx<M>, key: Key, retries: u32) {
+    fn issue_get(&mut self, ctx: &mut Ctx<'_, M>, key: Key, retries: u32) {
         let req = self.fresh_req();
         let Some(coord) = self.pick_coordinator(ctx, &key) else {
             self.abandon_cycle(ctx);
@@ -250,7 +250,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
 
     fn issue_put(
         &mut self,
-        ctx: &mut impl NodeCtx<M>,
+        ctx: &mut Ctx<'_, M>,
         key: Key,
         value: StampedValue,
         put_ctx: M::Context,
@@ -286,14 +286,14 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         );
     }
 
-    fn abandon_cycle(&mut self, ctx: &mut impl NodeCtx<M>) {
+    fn abandon_cycle(&mut self, ctx: &mut Ctx<'_, M>) {
         self.stats.failed_cycles += 1;
         self.current = None;
         self.cycles_done += 1; // the cycle is spent even though it failed
         self.think_then_continue(ctx);
     }
 
-    fn think_then_continue(&mut self, ctx: &mut impl NodeCtx<M>) {
+    fn think_then_continue(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.cycles_done >= self.config.cycles {
             self.done = true;
             return;
@@ -320,7 +320,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         }
     }
 
-    fn retry_or_abandon(&mut self, ctx: &mut impl NodeCtx<M>, flight: InFlight<M>) {
+    fn retry_or_abandon(&mut self, ctx: &mut Ctx<'_, M>, flight: InFlight<M>) {
         if flight.retries >= self.config.max_retries {
             self.abandon_cycle(ctx);
             return;
@@ -365,7 +365,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
     }
 
     /// Entry point: dispatches one message.
-    pub fn on_message(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, msg: Msg<M>) {
+    pub fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: Msg<M>) {
         match msg {
             Msg::ClientGetResp {
                 req,
@@ -457,14 +457,14 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
     }
 
     /// Entry point: kicks off the first cycle.
-    pub fn on_start(&mut self, ctx: &mut impl NodeCtx<M>) {
+    pub fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
         // Stagger session starts a little so clients do not phase-lock.
         let jitter = simnet::Duration::from_micros(ctx.rng().range_u64(0, 500));
         ctx.set_timer(jitter, Timer::Think);
     }
 
     /// Entry point: dispatches one timer.
-    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: Timer) {
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, timer: Timer) {
         match timer {
             Timer::Think if self.current.is_none() && !self.done => self.begin_cycle(ctx),
             Timer::Request(req) => {

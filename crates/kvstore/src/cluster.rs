@@ -9,15 +9,13 @@ use std::sync::Arc;
 use dvv::mechanisms::{Mechanism, WireMechanism};
 use dvv::{ClientId, ReplicaId};
 use ring::{MemberStatus, RingView};
-use simnet::{
-    Duration, LinkFaults, NetworkConfig, NodeId, Process, ProcessCtx, SimTime, Simulation,
-};
+use simnet::{Duration, LinkFaults, NetworkConfig, NodeId, Process, SimTime, Simulation};
 use storage::{LogConfig, LogEngine, MemEngine, StorageEngine};
 use workloads::Histogram;
 
 use crate::client::ClientNode;
 use crate::config::{ClientConfig, StoreConfig};
-use crate::ctx::{NodeCtx, Timer};
+use crate::ctx::{Ctx, Timer};
 use crate::harness::FleetHarness;
 use crate::messages::{Msg, WireStats};
 use crate::node::StoreNode;
@@ -37,33 +35,7 @@ pub enum StoreProc<M: Mechanism<StampedValue>> {
     Client(ClientNode<M>),
 }
 
-/// The one Server/Client dispatch: every driver hands its events to
-/// these three, whatever its [`NodeCtx`].
 impl<M: Mechanism<StampedValue>> StoreProc<M> {
-    /// Entry point: the node's start-up event.
-    pub fn on_start(&mut self, ctx: &mut impl NodeCtx<M>) {
-        match self {
-            StoreProc::Server(s) => s.on_start(ctx),
-            StoreProc::Client(c) => c.on_start(ctx),
-        }
-    }
-
-    /// Entry point: dispatches one message.
-    pub fn on_message(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, msg: Msg<M>) {
-        match self {
-            StoreProc::Server(s) => s.on_message(ctx, from, msg),
-            StoreProc::Client(c) => c.on_message(ctx, from, msg),
-        }
-    }
-
-    /// Entry point: dispatches one timer.
-    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: Timer) {
-        match self {
-            StoreProc::Server(s) => s.on_timer(ctx, timer),
-            StoreProc::Client(c) => c.on_timer(ctx, timer),
-        }
-    }
-
     /// The replica server this process is.
     ///
     /// # Panics
@@ -101,20 +73,31 @@ impl<M: Mechanism<StampedValue>> StoreProc<M> {
     }
 }
 
+/// The one Server/Client dispatch: every driver hosts a node as this
+/// process.
 impl<M: Mechanism<StampedValue>> Process for StoreProc<M> {
     type Msg = Msg<M>;
     type Timer = Timer;
 
-    fn on_start(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>) {
-        StoreProc::on_start(self, ctx);
+    fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
+        match self {
+            StoreProc::Server(s) => s.on_start(ctx),
+            StoreProc::Client(c) => c.on_start(ctx),
+        }
     }
 
-    fn on_message(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>, from: NodeId, msg: Msg<M>) {
-        StoreProc::on_message(self, ctx, from, msg);
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: Msg<M>) {
+        match self {
+            StoreProc::Server(s) => s.on_message(ctx, from, msg),
+            StoreProc::Client(c) => c.on_message(ctx, from, msg),
+        }
     }
 
-    fn on_timer(&mut self, ctx: &mut ProcessCtx<'_, Msg<M>, Timer>, timer: Timer) {
-        StoreProc::on_timer(self, ctx, timer);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, timer: Timer) {
+        match self {
+            StoreProc::Server(s) => s.on_timer(ctx, timer),
+            StoreProc::Client(c) => c.on_timer(ctx, timer),
+        }
     }
 }
 

@@ -1,36 +1,41 @@
-//! [`NodeCtx`]: the driver-agnostic node↔network boundary.
+//! [`Ctx`]: what a node sees of its driver — the one context every
+//! driver hands it.
 //!
 //! [`StoreNode`](crate::node::StoreNode) and
-//! [`ClientNode`](crate::client::ClientNode) are written against this
-//! trait rather than a concrete driver, so the *same* protocol logic
-//! runs on every driver. A driver is a `NodeCtx` of six forwarding
-//! methods:
+//! [`ClientNode`](crate::client::ClientNode) take a [`Ctx`], which *is*
+//! [`simnet::ProcessCtx`] over this crate's message and timer types, so
+//! the same protocol logic runs on every driver because every driver
+//! hosts it in the same [`simnet::Host`]:
 //!
-//! * the deterministic discrete-event simulator — [`simnet::ProcessCtx`]
-//!   implements the trait directly (below), and
-//!   [`Cluster`](crate::cluster::Cluster) is the oracle-checked harness
-//!   over it;
-//! * the threaded fleet (the `runtime` crate), whose context writes
-//!   through to a worker's router and agenda — over in-process
-//!   channels or, in `transport`, TCP sockets.
+//! * the deterministic discrete-event simulator — one host holding every
+//!   node on a virtual clock — with [`Cluster`](crate::cluster::Cluster)
+//!   the oracle-checked harness over it;
+//! * the threaded fleet (the `runtime` crate), one host per worker
+//!   thread on the wall clock, over in-process channels or, in
+//!   `transport`, TCP sockets.
 //!
-//! A timer is named by what it is for, a [`Timer`]: the node arms one,
-//! may cancel it, and is handed it back when it fires. Both drivers
-//! queue timers on the same [`simnet::TimerWheel`], so cancellation is
-//! exact on every driver: a cancelled timer never fires.
+//! The context's contract (time, RNG, sends, exact timers) is
+//! [`simnet::ProcessCtx`]'s. A timer is named by what it is for, a
+//! [`Timer`]: the node arms one, may cancel it, and is handed it back
+//! when it fires. Both drivers queue timers on the host's
+//! [`simnet::TimerWheel`], so cancellation is exact on every driver: a
+//! cancelled timer never fires.
 //!
 //! What a message costs is **not** decided here. The node's one send
 //! door ([`Msg::charge`]: [`Msg::wire_size`] plus the configured
 //! per-message header) sizes the message, records it in the node's
-//! per-class ledger and hands the same number to [`NodeCtx::send`], so
-//! no context carries a mechanism or a header size and the accounting
-//! audited by the wire-parity suite cannot drift per driver.
+//! per-class ledger and hands the same number to
+//! [`ProcessCtx::send`](simnet::ProcessCtx::send), so no context carries
+//! a mechanism or a header size and the accounting audited by the
+//! wire-parity suite cannot drift per driver.
 
-use dvv::mechanisms::Mechanism;
-use simnet::{Duration, NodeId, ProcessCtx, SimRng, SimTime};
+use simnet::ProcessCtx;
 
 use crate::messages::{Msg, ReqId};
-use crate::value::StampedValue;
+
+/// The context a store or client node handles an event through, on
+/// every driver.
+pub type Ctx<'a, M> = ProcessCtx<'a, Msg<M>, Timer>;
 
 /// What a pending timer is for. A node has at most one pending timer of
 /// each value: it arms one only when none is pending.
@@ -49,82 +54,15 @@ pub enum Timer {
     Think,
 }
 
-/// The capabilities a store or client node sees while handling an event,
-/// independent of which driver is hosting it.
-///
-/// Contract, shared by all drivers:
-///
-/// * [`now`](Self::now) is monotone non-decreasing across a node's
-///   events (virtual time on the simulator, a monotonic clock on the
-///   threaded runtime).
-/// * [`rng`](Self::rng) is a per-node seeded stream; all of a node's
-///   nondeterminism must come from it.
-/// * [`send`](Self::send) is told the wire bytes the node charged
-///   itself (payload + header) and delivers; delivery may be delayed,
-///   dropped, or reordered by the driver's network.
-/// * [`set_timer`](Self::set_timer) arms a [`Timer`] that is not
-///   pending; timers scheduled for the same instant fire in insertion
-///   order.
-/// * [`cancel_timer`](Self::cancel_timer) is exact: a cancelled timer
-///   never fires.
-pub trait NodeCtx<M: Mechanism<StampedValue>> {
-    /// The hosting node's id.
-    fn id(&self) -> NodeId;
-
-    /// Current time (virtual or monotonic-wall, driver-dependent).
-    fn now(&self) -> SimTime;
-
-    /// This node's private RNG stream.
-    fn rng(&mut self) -> &mut SimRng;
-
-    /// Sends `msg` to `to`. `bytes` is what the sending node charged
-    /// for it ([`Msg::charge`]): the driver's network model and byte
-    /// ledgers take it as given rather than re-deriving it.
-    fn send(&mut self, to: NodeId, msg: Msg<M>, bytes: usize);
-
-    /// Schedules `timer` after `delay`; it is handed back to the node's
-    /// `on_timer` when it fires.
-    fn set_timer(&mut self, delay: Duration, timer: Timer);
-
-    /// Unschedules `timer`; a no-op if it is not pending.
-    fn cancel_timer(&mut self, timer: Timer);
-}
-
-/// The simulator hosts a node directly: its process context already
-/// has the trait's shape.
-impl<M: Mechanism<StampedValue>> NodeCtx<M> for ProcessCtx<'_, Msg<M>, Timer> {
-    fn id(&self) -> NodeId {
-        ProcessCtx::id(self)
-    }
-
-    fn now(&self) -> SimTime {
-        ProcessCtx::now(self)
-    }
-
-    fn rng(&mut self) -> &mut SimRng {
-        ProcessCtx::rng(self)
-    }
-
-    fn send(&mut self, to: NodeId, msg: Msg<M>, bytes: usize) {
-        ProcessCtx::send(self, to, msg, bytes);
-    }
-
-    fn set_timer(&mut self, delay: Duration, timer: Timer) {
-        ProcessCtx::set_timer(self, delay, timer);
-    }
-
-    fn cancel_timer(&mut self, timer: Timer) {
-        ProcessCtx::cancel_timer(self, timer);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{NodeKit, StoreProc};
     use crate::config::{ClientConfig, StoreConfig};
     use dvv::mechanisms::DvvMechanism;
-    use simnet::{LinkConfig, LinkFaults, NetworkConfig, Process, Simulation, TraceEvent};
+    use simnet::{
+        Duration, LinkConfig, LinkFaults, NetworkConfig, NodeId, Process, Simulation, TraceEvent,
+    };
 
     /// Not the default, so a charge that ignored the configuration
     /// would show.

@@ -1,7 +1,7 @@
 //! [`FleetHarness`]: one measurement-and-audit surface for every driver.
 //!
-//! Three drivers run the same protocol logic behind [`crate::ctx::NodeCtx`]
-//! — the deterministic simulator ([`crate::cluster::Cluster`]), the
+//! Three drivers host the same protocol logic in one [`simnet::Host`] —
+//! the deterministic simulator ([`crate::cluster::Cluster`]), the
 //! threaded in-process runtime (`runtime::RuntimeFleet`) and the socket
 //! driver (`transport::SocketFleet`). Each used to hand-copy the
 //! measurement surface (`oracle` / `converge` / `anomaly_report` / …),

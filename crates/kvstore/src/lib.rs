@@ -28,14 +28,14 @@
 //! * [`cluster::Cluster`] — wires servers + clients into a
 //!   [`simnet::Simulation`], runs workloads, converges replicas, and
 //!   produces [`oracle::AnomalyReport`]s and metadata statistics.
-//! * [`ctx::NodeCtx`] — the driver-agnostic node↔network boundary. Both
-//!   node types are generic over it and charge their own sends
+//! * [`ctx::Ctx`] — what a node sees of its driver: the one
+//!   [`simnet::ProcessCtx`] every driver's [`simnet::Host`] hands it.
+//!   Both node types take it and charge their own sends
 //!   ([`messages::Msg::charge`]), so the same protocol logic and the
-//!   same byte ledger run on the simulator (whose [`simnet::ProcessCtx`]
-//!   implements the trait directly) and on the threaded `runtime` and
-//!   `transport` fleets. [`cluster::StoreProc`] is the one Server/Client
-//!   dispatch and [`cluster::NodeKit`] the one node builder under all
-//!   three.
+//!   same byte ledger run on the simulator and on the threaded `runtime`
+//!   and `transport` fleets. [`cluster::StoreProc`] is the one
+//!   Server/Client dispatch and [`cluster::NodeKit`] the one node
+//!   builder under all three.
 //!
 //! ## Quick example
 //!
@@ -76,7 +76,7 @@ pub mod wire;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use config::StoreConfig;
-pub use ctx::NodeCtx;
+pub use ctx::Ctx;
 pub use harness::FleetHarness;
 pub use oracle::{AnomalyReport, Oracle};
 pub use value::{Key, StampedValue, WriteId};

@@ -436,7 +436,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
     /// [`wire_size`](Self::wire_size) plus the per-message
     /// `header_bytes` — recorded in the sender's `ledger` under the
     /// message's class and returned for the driver
-    /// ([`NodeCtx::send`](crate::ctx::NodeCtx::send)).
+    /// ([`ProcessCtx::send`](simnet::ProcessCtx::send)).
     /// Both node types send through this and nothing else does, so the
     /// charge formula is written once for every driver.
     pub fn charge(&self, mech: &M, header_bytes: usize, ledger: &mut WireStats) -> usize {

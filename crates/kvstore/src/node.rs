@@ -11,7 +11,7 @@ use ring::{HashRing, MemberStatus, RingView};
 use simnet::{NodeId, SimTime};
 
 use crate::config::StoreConfig;
-use crate::ctx::{NodeCtx, Timer};
+use crate::ctx::{Ctx, Timer};
 use crate::data::DataStore;
 use crate::merkle::{fingerprint, MerkleSummary};
 use crate::messages::{Msg, MsgClass, ReqId, WireStats};
@@ -526,8 +526,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     /// Completes a leave after the drain: clears the (fully drained)
     /// store and hint obligations, forgets that its timers run, and
-    /// returns to dormancy. The hosting harness drops the pending timers
-    /// themselves (`Simulation::drop_timers`).
+    /// returns to dormancy. The pending timers themselves are the
+    /// host's to drop (`simnet::Host::drop_timers`, which the cluster
+    /// reaches through `Simulation::drop_timers`).
     ///
     /// # Panics
     ///
@@ -749,7 +750,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// The node's one send door: charges the message ([`Msg::charge`]),
     /// which records it in this node's ledger, and hands the driver the
     /// same number — so accounting cannot drift per call site or driver.
-    fn send(&mut self, ctx: &mut impl NodeCtx<M>, to: NodeId, msg: Msg<M>) {
+    fn send(&mut self, ctx: &mut Ctx<'_, M>, to: NodeId, msg: Msg<M>) {
         let bytes = msg.charge(&self.mech, self.config.header_bytes, &mut self.wire);
         ctx.send(to, msg, bytes);
     }
@@ -863,7 +864,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// pushes the merged view back iff the sender's copy was incomplete
     /// ([`Self::handle_ring_epoch`]), so both ends converge in at most
     /// one round-trip.
-    fn note_peer_digest(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, digest: u64) {
+    fn note_peer_digest(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, digest: u64) {
         if digest != self.view.digest() {
             let view = self.view.clone();
             self.send(ctx, from, Msg::RingEpoch { view });
@@ -876,7 +877,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// back so the exchange leaves both ends identical.
     fn handle_ring_epoch(
         &mut self,
-        ctx: &mut impl NodeCtx<M>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         view: &RingView<ReplicaId>,
     ) {
@@ -892,7 +893,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     /// One gossip round: sends this node's view digest to up to `fanout`
     /// distinct random routable ring peers.
-    fn gossip_once(&mut self, ctx: &mut impl NodeCtx<M>, fanout: usize) {
+    fn gossip_once(&mut self, ctx: &mut Ctx<'_, M>, fanout: usize) {
         let mut peers = self.routable_peers();
         if peers.is_empty() {
             return;
@@ -906,7 +907,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    fn handle_gossip_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
+    fn handle_gossip_timer(&mut self, ctx: &mut Ctx<'_, M>) {
         self.gossip_once(ctx, 1);
         if self.config.gossip_interval > simnet::Duration::ZERO {
             ctx.set_timer(self.config.gossip_interval, Timer::Gossip);
@@ -938,7 +939,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     ///   after a crash never saw `on_start`, and its re-admission (a fresh
     ///   incarnation, so always a change) is what makes it gossip and
     ///   anti-entropy again.
-    fn reconcile_self_status(&mut self, ctx: &mut impl NodeCtx<M>, was_on_ring: bool) {
+    fn reconcile_self_status(&mut self, ctx: &mut Ctx<'_, M>, was_on_ring: bool) {
         let status = self.view.status(&self.replica);
         if !self.active {
             if was_on_ring || !status.is_some_and(MemberStatus::in_ring) {
@@ -967,7 +968,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// diff* implies (donations to owners that gained ranges, retirement
     /// of residual copies this node holds but no longer owns), and pushes
     /// the view on eagerly.
-    fn after_view_change(&mut self, ctx: &mut impl NodeCtx<M>) {
+    fn after_view_change(&mut self, ctx: &mut Ctx<'_, M>) {
         let old_ring = std::mem::replace(&mut self.ring, self.view.to_ring(self.config.vnodes));
         self.data.repartition(self.ring.token_points().collect());
         let members = self.view.members();
@@ -1043,7 +1044,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// for the key, or the timeout fired first).
     fn reply(
         &mut self,
-        ctx: &mut impl NodeCtx<M>,
+        ctx: &mut Ctx<'_, M>,
         client: NodeId,
         req: ReqId,
         read: bool,
@@ -1082,7 +1083,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// further.
     fn begin_request(
         &mut self,
-        ctx: &mut impl NodeCtx<M>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         req: ReqId,
         key: &[u8],
@@ -1120,7 +1121,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     fn handle_client_get(
         &mut self,
-        ctx: &mut impl NodeCtx<M>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         req: ReqId,
         key: Key,
@@ -1174,13 +1175,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// the deferred fan-out. A replica counts once toward R or W however
     /// often the network delivers its answer, and an answer to a request
     /// that already retired counts for nothing.
-    fn vote(
-        &mut self,
-        ctx: &mut impl NodeCtx<M>,
-        from: NodeId,
-        req: ReqId,
-        state: Option<M::State>,
-    ) {
+    fn vote(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, req: ReqId, state: Option<M::State>) {
         let Some(p) = self.pending.get_mut(&req) else {
             return;
         };
@@ -1228,7 +1223,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// most every active one — has answered. Phase 2: once every active
     /// replica answered, retire the request, cancel its timer and, for a
     /// read, repair the replicas that returned something else.
-    fn try_complete(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
+    fn try_complete(&mut self, ctx: &mut Ctx<'_, M>, req: ReqId) {
         let Some(p) = self.pending.get_mut(&req) else {
             return;
         };
@@ -1263,7 +1258,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     fn finish_read_repair(
         &mut self,
-        ctx: &mut impl NodeCtx<M>,
+        ctx: &mut Ctx<'_, M>,
         key: &[u8],
         merged: M::State,
         seen: &[(ReplicaId, u64)],
@@ -1313,7 +1308,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     #[allow(clippy::too_many_arguments)]
     fn handle_client_put(
         &mut self,
-        ctx: &mut impl NodeCtx<M>,
+        ctx: &mut Ctx<'_, M>,
         from: NodeId,
         req: ReqId,
         key: Key,
@@ -1387,7 +1382,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// The request's timer fired before every active replica answered:
     /// refuse it if the quorum never formed; otherwise the reply is long
     /// sent, and a read still repairs with what arrived.
-    fn handle_request_timeout(&mut self, ctx: &mut impl NodeCtx<M>, req: ReqId) {
+    fn handle_request_timeout(&mut self, ctx: &mut Ctx<'_, M>, req: ReqId) {
         let Some(p) = self.pending.remove(&req) else {
             return;
         };
@@ -1398,7 +1393,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
-    fn handle_aae_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
+    fn handle_aae_timer(&mut self, ctx: &mut Ctx<'_, M>) {
         // pick a random routable peer and start an exchange
         let peers = self.routable_peers();
         if !peers.is_empty() {
@@ -1437,7 +1432,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// owed. Run after every event, so a node that owes nothing never
     /// ticks, and an obligation recorded anywhere is flushed within one
     /// period — the wait that batches what separate messages recorded.
-    fn ensure_push_timer(&mut self, ctx: &mut impl NodeCtx<M>) {
+    fn ensure_push_timer(&mut self, ctx: &mut Ctx<'_, M>) {
         let pushable = |o: &Owed| self.resend_window(o.class).is_some();
         if !self.push_armed && self.owed.values().any(pushable) {
             ctx.set_timer(PUSH_RETRY_INTERVAL, Timer::Push);
@@ -1452,7 +1447,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// states snapshotted by the cached fingerprint (no rehash);
     /// unacknowledged ones are sent again under the id and fingerprint
     /// they have, so the receiver can tell a retry from a new batch.
-    fn flush_owed(&mut self, ctx: &mut impl NodeCtx<M>) {
+    fn flush_owed(&mut self, ctx: &mut Ctx<'_, M>) {
         let now = ctx.now();
         // (target, class, id already sent under) → keys
         let mut batches: BTreeMap<(ReplicaId, MsgClass, Option<u64>), Vec<Key>> = BTreeMap::new();
@@ -1547,7 +1542,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     // --- elastic membership ------------------------------------------------
 
-    fn arm_periodic_timers(&mut self, ctx: &mut impl NodeCtx<M>) {
+    fn arm_periodic_timers(&mut self, ctx: &mut Ctx<'_, M>) {
         // first fires are staggered by replica id — no thundering herd —
         // and the two by different steps, so the fleet's digests do not
         // phase-lock with its anti-entropy rounds
@@ -1565,7 +1560,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// Entry point: dispatches one message.
-    pub fn on_message(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, msg: Msg<M>) {
+    pub fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: Msg<M>) {
         if !self.active {
             // A dormant node serves no data, but it stays a good ring
             // citizen: it merges views — waking when one newly places it
@@ -1586,7 +1581,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// One message at a serving node.
-    fn handle(&mut self, ctx: &mut impl NodeCtx<M>, from: NodeId, msg: Msg<M>) {
+    fn handle(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: Msg<M>) {
         match msg {
             Msg::ClientGet { req, key, digest } => {
                 self.handle_client_get(ctx, from, req, key, digest)
@@ -1796,14 +1791,14 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// Entry point: starts periodic timers.
-    pub fn on_start(&mut self, ctx: &mut impl NodeCtx<M>) {
+    pub fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
         if self.active {
             self.arm_periodic_timers(ctx);
         }
     }
 
     /// Entry point: dispatches one timer.
-    pub fn on_timer(&mut self, ctx: &mut impl NodeCtx<M>, timer: Timer) {
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, timer: Timer) {
         match timer {
             Timer::Request(req) => self.handle_request_timeout(ctx, req),
             Timer::AntiEntropy => self.handle_aae_timer(ctx),

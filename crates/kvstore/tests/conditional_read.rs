@@ -1,22 +1,24 @@
 //! The conditional replica read (`RepGetIf` / `RepGetSame`), the one
 //! completion rule reads and writes share, and the failure detector's
 //! down marks as routing sees them, handler by handler: single
-//! `StoreNode`s driven through a scripted [`NodeCtx`] that records what
-//! they send — no simulator, no fleet, every message delivered (and every
-//! timer fired) by hand in the order the test wants.
+//! `StoreNode`s, each alone in a `simnet::Host` with the network off, so
+//! what a node sends to another node leaves through the host's outlet at
+//! once and is recorded there — no simulator, no fleet, every message
+//! delivered (and every timer fired) by hand in the order the test wants.
 
 use std::collections::BTreeSet;
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
+use kvstore::cluster::StoreProc;
 use kvstore::config::StoreConfig;
-use kvstore::ctx::{NodeCtx, Timer};
+use kvstore::ctx::Timer;
 use kvstore::merkle::fingerprint;
 use kvstore::messages::{Msg, MsgClass};
 use kvstore::node::StoreNode;
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::{MemberStatus, RingView};
-use simnet::{Duration, NodeId, SimRng, SimTime};
+use simnet::{Due, Host, Network, NetworkConfig, NodeId, Outlet, SimRng, SimTime};
 
 type M = DvvMechanism;
 type State = <M as Mechanism<StampedValue>>::State;
@@ -25,46 +27,22 @@ type Ctx = <M as Mechanism<StampedValue>>::Context;
 const CLIENT: NodeId = NodeId(9);
 const REQ: u64 = 77;
 
-/// Records sends, timer arms and timer cancels; delivers and fires
-/// nothing.
-struct Script {
-    id: NodeId,
-    rng: SimRng,
-    sent: Vec<(NodeId, Msg<M>)>,
-    armed: Vec<Timer>,
-    cancelled: Vec<Timer>,
-}
+/// What a hosted node sent to other nodes, in send order.
+#[derive(Default)]
+struct Sent(Vec<(NodeId, Msg<M>)>);
 
-impl NodeCtx<M> for Script {
-    fn id(&self) -> NodeId {
-        self.id
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime::ZERO
-    }
-
-    fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
-    fn send(&mut self, to: NodeId, msg: Msg<M>, _bytes: usize) {
-        self.sent.push((to, msg));
-    }
-
-    fn set_timer(&mut self, _delay: Duration, timer: Timer) {
-        self.armed.push(timer);
-    }
-
-    fn cancel_timer(&mut self, timer: Timer) {
-        self.cancelled.push(timer);
+impl Outlet<Msg<M>> for Sent {
+    fn forward(&mut self, _from: NodeId, to: NodeId, msg: Msg<M>, _bytes: usize) {
+        self.0.push((to, msg));
     }
 }
 
-/// One server of a four-member ring (N=3, R=W=2) and its script.
+/// One server of a four-member ring (N=3, R=W=2), hosted alone: what
+/// it arms waits on the host's agenda, and nothing there runs unless
+/// the test runs it.
 struct Server {
-    node: StoreNode<M>,
-    ctx: Script,
+    host: Host<StoreProc<M>>,
+    sent: Sent,
 }
 
 fn members() -> RingView<ReplicaId> {
@@ -73,38 +51,62 @@ fn members() -> RingView<ReplicaId> {
 
 impl Server {
     fn new(replica: ReplicaId) -> Self {
+        let node = StoreNode::new(replica, DvvMechanism, StoreConfig::default(), members());
+        let rng = SimRng::new(u64::from(replica.0));
+        let network = Network::new(NetworkConfig::default(), rng.fork("network"));
+        let id = NodeId(replica.0);
+        let mut host = Host::new(network, vec![(id, StoreProc::Server(node), rng)]);
+        host.set_faults(false);
         Server {
-            node: StoreNode::new(replica, DvvMechanism, StoreConfig::default(), members()),
-            ctx: Script {
-                id: NodeId(replica.0),
-                rng: SimRng::new(u64::from(replica.0)),
-                sent: Vec::new(),
-                armed: Vec::new(),
-                cancelled: Vec::new(),
-            },
+            host,
+            sent: Sent::default(),
         }
     }
 
     fn holding(replica: ReplicaId, key: &Key, state: &State) -> Self {
         let mut s = Server::new(replica);
-        s.node.merge_state_direct(key, state);
+        s.node_mut().merge_state_direct(key, state);
         s
     }
 
+    fn node(&self) -> &StoreNode<M> {
+        self.host.node(0).server()
+    }
+
+    fn node_mut(&mut self) -> &mut StoreNode<M> {
+        self.host.node_mut(0).server_mut()
+    }
+
     fn id(&self) -> NodeId {
-        self.ctx.id
+        self.host.id(0)
+    }
+
+    /// The timers the node has pending.
+    fn armed(&self) -> Vec<Timer> {
+        self.host.timers(self.id())
+    }
+
+    /// Runs `due` and returns what the node sent while handling it.
+    fn run(&mut self, due: Due<Msg<M>, Timer>) -> Vec<(NodeId, Msg<M>)> {
+        self.host.dispatch(SimTime::ZERO, due, &mut self.sent);
+        std::mem::take(&mut self.sent.0)
     }
 
     /// Delivers `msg` and returns what the node sent while handling it.
     fn deliver(&mut self, from: NodeId, msg: Msg<M>) -> Vec<(NodeId, Msg<M>)> {
-        self.node.on_message(&mut self.ctx, from, msg);
-        std::mem::take(&mut self.ctx.sent)
+        let to = self.id();
+        self.run(Due::Deliver {
+            from,
+            to,
+            msg,
+            bytes: 0,
+        })
     }
 
-    /// Fires `timer` and returns what the node sent while handling it.
+    /// Fires `timer`, pending or not, and returns what the node sent
+    /// while handling it.
     fn fire(&mut self, timer: Timer) -> Vec<(NodeId, Msg<M>)> {
-        self.node.on_timer(&mut self.ctx, timer);
-        std::mem::take(&mut self.ctx.sent)
+        self.run(Due::Timer(self.id(), timer))
     }
 
     /// Starts coordinating a GET of `key` for [`CLIENT`].
@@ -114,7 +116,7 @@ impl Server {
 
     /// [`Server::client_get`] under request id `req`.
     fn client_get_as(&mut self, req: u64, key: &Key) -> Vec<(NodeId, Msg<M>)> {
-        let digest = self.node.view_digest();
+        let digest = self.node().view_digest();
         let get = Msg::ClientGet {
             req,
             key: key.clone(),
@@ -124,7 +126,7 @@ impl Server {
     }
 
     fn stored(&self, key: &Key) -> State {
-        self.node.data().get(key).cloned().unwrap_or_default()
+        self.node().data().get(key).cloned().unwrap_or_default()
     }
 }
 
@@ -254,7 +256,7 @@ fn replica_in_sync_answers_same_and_the_client_sees_what_a_full_read_gives() {
             matches!(sent[..], [(to, Msg::RepGetSame { req: REQ })] if to == coord.id()),
             "an in-sync replica ships nothing, got {sent:?}"
         );
-        let stats = replica.node.stats();
+        let stats = replica.node().stats();
         assert_eq!((stats.rep_reads_same, stats.rep_reads_full), (1, 0));
     }
     let reply = client_reply(&coord.deliver(replicas[0].id(), same(REQ)));
@@ -295,7 +297,7 @@ fn replica_ahead_answers_in_full_and_is_merged_and_folded() {
         }
         other => panic!("a replica that differs answers in full, got {other:?}"),
     }
-    let stats = ahead.node.stats();
+    let stats = ahead.node().stats();
     assert_eq!((stats.rep_reads_same, stats.rep_reads_full), (0, 1));
 
     let (_, answer) = sent.into_iter().next().unwrap();
@@ -417,7 +419,7 @@ fn a_write_between_the_answers_repairs_no_one() {
 
     let sent = coord.deliver(NodeId(c.0), same(REQ));
     assert!(sent.is_empty(), "no replica is stale, got {sent:?}");
-    assert_eq!(coord.node.stats().read_repairs, 0);
+    assert_eq!(coord.node().stats().read_repairs, 0);
     assert_eq!(coord.stored(&key), new);
 }
 
@@ -453,8 +455,8 @@ fn outsider_coordinator_reads_an_empty_key_from_two_sames() {
     assert!(values.is_empty());
     assert_eq!(ctx, Ctx::default());
     assert!(coord.deliver(reads[2].0, same(REQ)).is_empty());
-    assert!(coord.node.data().is_empty(), "a non-owner keeps no state");
-    assert_eq!(coord.node.stats().read_repairs, 0);
+    assert!(coord.node().data().is_empty(), "a non-owner keeps no state");
+    assert_eq!(coord.node().stats().read_repairs, 0);
 }
 
 #[test]
@@ -465,13 +467,13 @@ fn same_for_a_retired_or_unknown_request_is_ignored() {
     coord.client_get(&key);
     client_reply(&coord.deliver(NodeId(b.0), same(REQ)));
     assert!(coord.deliver(NodeId(c.0), same(REQ)).is_empty());
-    let before = coord.node.stats();
+    let before = coord.node().stats();
 
     for from in [b, c] {
         assert!(coord.deliver(NodeId(from.0), same(REQ)).is_empty());
     }
     assert!(coord.deliver(NodeId(b.0), same(REQ + 1)).is_empty());
-    assert_eq!(coord.node.stats(), before);
+    assert_eq!(coord.node().stats(), before);
     assert_eq!(coord.stored(&key), state);
 }
 
@@ -485,12 +487,12 @@ fn a_get_delivered_twice_in_flight_is_coordinated_once() {
     let mut coord = Server::holding(a, &key, &state);
     assert_eq!(conditional_reads(&coord.client_get(&key), &key).len(), 2);
     assert!(coord.client_get(&key).is_empty(), "the copy sends nothing");
-    assert_eq!(coord.ctx.armed, [Timer::Request(REQ)], "and arms nothing");
+    assert_eq!(coord.armed(), [Timer::Request(REQ)], "and arms nothing");
 
     let mut sent = coord.deliver(NodeId(b.0), same(REQ));
     sent.extend(coord.deliver(NodeId(c.0), same(REQ)));
     client_reply(&sent);
-    assert_eq!(coord.node.stats().gets_ok, 1);
+    assert_eq!(coord.node().stats().gets_ok, 1);
 }
 
 /// One coordinated request as the completion rule sees it: what the
@@ -521,7 +523,7 @@ fn rows() -> Vec<Row> {
     let (old, new) = old_and_new(a);
     let put_state = written(&State::default(), a, 1, b"put");
     let [na, nb, nc] = [a, b, c].map(|r| NodeId(r.0));
-    let digest = Server::new(a).node.view_digest();
+    let digest = Server::new(a).node().view_digest();
     let get = || Msg::ClientGet {
         req: REQ,
         key: key.clone(),
@@ -643,7 +645,7 @@ fn one_completion_rule_for_both_ops() {
     let (key, [a, _, _], _) = placement();
     let (_, new) = old_and_new(a);
     let completions = |row: &Row| {
-        let stats = row.coord.node.stats();
+        let stats = row.coord.node().stats();
         (stats.gets_ok + stats.puts_ok, stats.quorum_timeouts)
     };
 
@@ -654,11 +656,7 @@ fn one_completion_rule_for_both_ops() {
         let all_at = row.answers.len();
         row.coord.deliver(CLIENT, row.start.clone());
         let timer = Timer::Request(REQ);
-        assert_eq!(
-            row.coord.ctx.armed,
-            [timer],
-            "{name}: one request, one timer"
-        );
+        assert_eq!(row.coord.armed(), [timer], "{name}: one request, one timer");
         for (i, (from, answer)) in row.answers.iter().enumerate() {
             let sent = row.coord.deliver(*from, answer.clone());
             let (replies, rest) = split_replies(&row.start, sent);
@@ -670,22 +668,22 @@ fn one_completion_rule_for_both_ops() {
             }
             if i + 1 == all_at {
                 assert_eq!(repaired(&rest, &key, &new), row.repairs[0], "{name}");
-                assert_eq!(row.coord.ctx.cancelled, [timer], "{name}: retired");
+                assert_eq!(row.coord.armed(), [], "{name}: retired");
             } else {
                 let expect: &[_] = if i == 0 { &row.on_first_answer } else { &[] };
                 assert_eq!(render(&rest), render(expect), "{name}: answer {i}");
-                assert!(row.coord.ctx.cancelled.is_empty(), "{name}: in flight");
+                assert_eq!(row.coord.armed(), [timer], "{name}: in flight");
             }
             let again = row.coord.deliver(*from, answer.clone());
             assert!(again.is_empty(), "{name}: a replica counts once");
         }
         // retired: further answers and the timer's late fire are ignored
-        let before = row.coord.node.stats();
+        let before = row.coord.node().stats();
         for (from, answer) in &row.answers {
             assert!(row.coord.deliver(*from, answer.clone()).is_empty());
         }
         assert!(row.coord.fire(timer).is_empty(), "{name}");
-        assert_eq!(row.coord.node.stats(), before, "{name}");
+        assert_eq!(row.coord.node().stats(), before, "{name}");
         assert_eq!(completions(&row), (1, 0), "{name}");
         assert_eq!(before.read_repairs, row.repairs[0].len() as u64, "{name}");
         assert_eq!(row.coord.stored(&key), row.stored, "{name}");
@@ -751,10 +749,10 @@ fn a_down_mark_lasts_as_long_as_the_replica_stays_on_the_ring() {
     let mut view = members();
     let adopt = |coord: &mut Server, view: &RingView<ReplicaId>| {
         coord.deliver(NodeId(c.0), Msg::RingEpoch { view: view.clone() });
-        assert_eq!(coord.node.view(), view);
+        assert_eq!(coord.node().view(), view);
     };
 
-    coord.node.set_peer_status(b, false);
+    coord.node_mut().set_peer_status(b, false);
     let sent = coord.client_get_as(101, &key);
     assert_eq!(asked(&sent), ids(&[c, outsider]), "a fallback reads for b");
 
