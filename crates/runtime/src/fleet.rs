@@ -96,7 +96,7 @@ use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
-use simnet::{Due, Host, Network, NodeId, Outlet, SimRng, SimTime};
+use simnet::{Due, Host, Network, NodeId, Outlet, SimRng, SimTime, TraceEvent};
 
 use crate::link::{ChannelLink, Link, Packet, Wiring};
 use crate::watchdog::{self, Progress, StallReport};
@@ -763,9 +763,12 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> Outlet<Msg<M>> for Wire<'_, L> {
         self.0.send(Packet { from, to, msg });
     }
 
-    fn sent(&mut self, _now: SimTime, from: NodeId, to: NodeId, bytes: usize) {
-        if from == to {
-            self.0.note_self(bytes);
+    fn note(&mut self, event: TraceEvent) {
+        match event {
+            TraceEvent::Sent {
+                from, to, bytes, ..
+            } if from == to => self.0.note_self(bytes),
+            _ => {}
         }
     }
 }
@@ -896,7 +899,7 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
 
     let now = w.now();
     w.host.start(now, &mut Wire(&w.link));
-    for slot in 0..w.host.len() {
+    for slot in 0..w.host.nodes().len() {
         w.publish(slot, now);
     }
 

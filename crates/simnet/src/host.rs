@@ -1,28 +1,22 @@
-//! [`Host`]: the one place a [`Process`] is hosted, on every driver.
+//! [`Host`]: the one place a [`Process`] runs. The [`Simulation`] is a
+//! host of every node on a virtual clock; a `runtime` worker thread is a
+//! host of its own nodes on the wall clock. A host owns its nodes and
+//! their RNG streams, one agenda of [`Due`] entries, and the [`Network`]
+//! with its [`ReplayStash`]; the node's one [`ProcessCtx`] writes through
+//! to them. The driver keeps the clock — every call that runs a node is
+//! told `now` — and an [`Outlet`].
 //!
-//! The [`Simulation`](crate::Simulation) is one host holding every node
-//! on a virtual clock; each worker thread of the `runtime` crate's fleet
-//! is one holding its own nodes on the wall clock. A host owns
-//!
-//! * its nodes, each with its own RNG stream and an up/down mark;
-//! * one agenda, a [`TimerWheel`] of [`Due`] entries: the nodes' timers,
-//!   the messages on their way (held back by the network, or a node's
-//!   message to itself) and a driver's scheduled kills and revives;
-//! * the [`Network`] fault plane and its [`ReplayStash`];
-//!
-//! and hands a node the one [`ProcessCtx`], which writes through to all
-//! of the above. The driver keeps the clock — every call that runs a
-//! node is told `now` — and an [`Outlet`]: where a message for a node
-//! hosted elsewhere leaves, and what the driver notes of every send.
+//! [`Simulation`]: crate::Simulation
 
 use core::fmt::Debug;
 
 use crate::net::{Network, NodeId, ReplayStash};
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
+use crate::trace::TraceEvent;
 use crate::wheel::{Entry, TimerWheel};
 
-/// A deterministic state machine hosted by a [`Host`].
+/// A deterministic state machine run by a [`Host`].
 ///
 /// Processes communicate only through messages and timers; all
 /// nondeterminism must come from the provided RNG so that runs are
@@ -57,31 +51,23 @@ pub trait Process {
 
 /// Where a host's traffic meets its driver.
 pub trait Outlet<M> {
-    /// `msg` from `from`, `bytes` long, is due now at `to`, a node this
-    /// host does not hold.
+    /// `msg`, `bytes` long, is due now at `to`, a node hosted elsewhere.
     fn forward(&mut self, from: NodeId, to: NodeId, msg: M, bytes: usize);
 
-    /// A hosted node sent `bytes` to `to` at `now` — itself included —
-    /// before the network had its say. The default does nothing.
-    fn sent(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: usize) {
-        let _ = (now, from, to, bytes);
-    }
-
-    /// The network lost what `from` sent `to` at `now`. The default does
-    /// nothing.
-    fn lost(&mut self, now: SimTime, from: NodeId, to: NodeId) {
-        let _ = (now, from, to);
+    /// What just happened: a node sent (to itself too), the network lost
+    /// a message, a timer fired or a message is being delivered.
+    fn note(&mut self, event: TraceEvent) {
+        let _ = event;
     }
 }
 
-/// One entry of a host's agenda: something due at an instant.
+/// One entry of a host's agenda.
+#[derive(Debug)]
 pub enum Due<M, T> {
-    /// A hosted node's timer, cancellable by `(node, timer)`.
+    /// A node's timer, cancellable by `(node, timer)`.
     Timer(NodeId, T),
     /// A message on its way: dispatched into `to` if the host holds it,
-    /// handed to the [`Outlet`] otherwise. On the agenda it is sent
-    /// already: a kill of its sender does not take it back, unless the
-    /// sender is also the node it is for.
+    /// forwarded to the [`Outlet`] otherwise.
     Deliver {
         /// The sending node.
         from: NodeId,
@@ -92,11 +78,10 @@ pub enum Due<M, T> {
         /// What the sender charged for it.
         bytes: usize,
     },
-    /// A driver's scheduled [`Host::kill`] of a hosted node. The host
-    /// hands it back from [`Host::pop_due`]: only the driver knows what
-    /// holds the slot.
+    /// A scheduled [`Host::kill`], which [`Host::pop_due`] hands back to
+    /// the driver: only the driver knows what holds the slot.
     Kill(NodeId),
-    /// A driver's scheduled [`Host::revive`], handed back likewise.
+    /// A scheduled [`Host::revive`], handed back likewise.
     Revive(NodeId),
 }
 
@@ -112,40 +97,16 @@ impl<M, T: Ord + Copy + Debug> Entry for Due<M, T> {
     }
 }
 
-impl<M, T: Debug> Debug for Due<M, T> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Due::Timer(node, timer) => write!(f, "Timer({node}, {timer:?})"),
-            Due::Deliver {
-                from, to, bytes, ..
-            } => write!(f, "Deliver({from}→{to}, {bytes}B)"),
-            Due::Kill(node) => write!(f, "Kill({node})"),
-            Due::Revive(node) => write!(f, "Revive({node})"),
-        }
-    }
-}
-
-/// What a node's context writes through to: everything of the host's
-/// but the nodes.
+/// What a node's context writes through to: the host but its nodes.
 struct Plane<M, T: Ord + Copy + Debug> {
     agenda: TimerWheel<Due<M, T>>,
     network: Network,
     stash: ReplayStash<M>,
-    /// Whether messages between nodes go through `network`; off, each
-    /// is one copy due at once.
+    /// Off, a message between nodes bypasses `network`: one copy, due
+    /// at once.
     faults: bool,
     /// `slots[id]`: the slot of node `id`, if this host holds it.
     slots: Vec<Option<usize>>,
-}
-
-impl<M, T: Ord + Copy + Debug> Debug for Plane<M, T> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Plane")
-            .field("agenda", &self.agenda.len())
-            .field("network", &self.network)
-            .field("faults", &self.faults)
-            .finish_non_exhaustive()
-    }
 }
 
 impl<M, T: Ord + Copy + Debug> Plane<M, T> {
@@ -154,12 +115,9 @@ impl<M, T: Ord + Copy + Debug> Plane<M, T> {
     }
 }
 
-/// The capabilities a process sees while handling an event, on every
-/// driver. It writes through: each send and each timer arm or cancel
-/// takes effect at the moment the handler makes it, so effects land in
-/// call order.
-///
-/// Contract:
+/// What a process sees while handling an event, on every driver. It
+/// writes through: each send, timer arm and cancel takes effect when the
+/// handler makes it, so effects land in call order.
 ///
 /// * [`now`](Self::now) is monotone non-decreasing across a node's
 ///   events (virtual time on the simulator, a monotonic clock on a
@@ -168,8 +126,7 @@ impl<M, T: Ord + Copy + Debug> Plane<M, T> {
 ///   nondeterminism must come from it.
 /// * [`send`](Self::send) is told the wire bytes the node charged itself
 ///   and takes them as given; delivery may be delayed, dropped,
-///   duplicated or reordered by the host's network. A message to itself
-///   is delivered once, with zero delay, after what is already due.
+///   duplicated or reordered by the host's network.
 /// * [`set_timer`](Self::set_timer) arms a timer that is not pending;
 ///   timers due at the same instant fire in arm order.
 /// * [`cancel_timer`](Self::cancel_timer) is exact: a cancelled timer
@@ -184,10 +141,7 @@ pub struct ProcessCtx<'a, M, T: Ord + Copy + Debug> {
 
 impl<M, T: Ord + Copy + Debug> Debug for ProcessCtx<'_, M, T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ProcessCtx")
-            .field("id", &self.id)
-            .field("now", &self.now)
-            .finish_non_exhaustive()
+        write!(f, "ProcessCtx({} at {})", self.id, self.now)
     }
 }
 
@@ -209,19 +163,23 @@ impl<M: Clone, T: Ord + Copy + Debug> ProcessCtx<'_, M, T> {
         self.rng
     }
 
-    /// Sends `msg` (`bytes` long on the wire) to `to`. The network
-    /// decides the fate of a message to another node; each copy it lets
-    /// through is due after its delay, and one due at once for a node
-    /// hosted elsewhere leaves through the outlet there and then. A
-    /// message to itself bypasses the network.
+    /// Sends `msg` (`bytes` long on the wire) to `to`. A message to
+    /// itself bypasses the network and is due at once. Each copy the
+    /// network lets through is due after its delay; one due at once for
+    /// a node hosted elsewhere goes to the outlet there and then.
     pub fn send(&mut self, to: NodeId, msg: M, bytes: usize) {
-        let (from, now) = (self.id, self.now);
-        self.outlet.sent(now, from, to, bytes);
+        let (from, time) = (self.id, self.now);
+        self.outlet.note(TraceEvent::Sent {
+            time,
+            from,
+            to,
+            bytes,
+        });
         let plane = &mut *self.plane;
-        let hosted = to == from || plane.slot(to).is_some();
+        let elsewhere = to != from && plane.slot(to).is_none();
         let (agenda, outlet) = (&mut plane.agenda, &mut *self.outlet);
         let mut emit = |delay: Duration, msg, bytes| {
-            if delay == Duration::ZERO && !hosted {
+            if delay == Duration::ZERO && elsewhere {
                 return outlet.forward(from, to, msg, bytes);
             }
             let copy = Due::Deliver {
@@ -230,7 +188,7 @@ impl<M: Clone, T: Ord + Copy + Debug> ProcessCtx<'_, M, T> {
                 msg,
                 bytes,
             };
-            agenda.schedule((now + delay).as_micros(), copy);
+            agenda.schedule((time + delay).as_micros(), copy);
         };
         if to == from || !plane.faults {
             emit(Duration::ZERO, msg, bytes);
@@ -238,7 +196,7 @@ impl<M: Clone, T: Ord + Copy + Debug> ProcessCtx<'_, M, T> {
             .network
             .route(&mut plane.stash, from, to, bytes, msg, emit)
         {
-            self.outlet.lost(now, from, to);
+            self.outlet.note(TraceEvent::Lost { time, from, to });
         }
     }
 
@@ -255,10 +213,11 @@ impl<M: Clone, T: Ord + Copy + Debug> ProcessCtx<'_, M, T> {
     }
 }
 
-/// A set of nodes, their agenda and their network. See the module docs.
+/// A set of nodes, their agenda and their network (see the module docs).
 pub struct Host<P: Process> {
+    /// Slot by slot: each node, its id, its RNG stream and whether it
+    /// is down.
     nodes: Vec<P>,
-    /// Slot by slot: each node's id, RNG stream and down mark.
     ids: Vec<NodeId>,
     rngs: Vec<SimRng>,
     down: Vec<bool>,
@@ -267,61 +226,41 @@ pub struct Host<P: Process> {
 
 impl<P: Process + Debug> Debug for Host<P> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let up = self.down.iter().map(|down| !down);
+        let nodes: Vec<_> = self.ids.iter().zip(&self.nodes).zip(up).collect();
         f.debug_struct("Host")
-            .field("nodes", &self.nodes)
-            .field("ids", &self.ids)
-            .field("down", &self.down)
-            .field("plane", &self.plane)
+            .field("nodes", &nodes)
             .finish_non_exhaustive()
     }
 }
 
 impl<P: Process> Host<P> {
-    /// A host of `nodes` — each its id, its process and its RNG stream,
-    /// in slot order — whose messages to one another go through
-    /// `network`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two nodes share an id.
+    /// A host of `nodes` — each its id, process and RNG stream — whose
+    /// messages to one another go through `network`.
     pub fn new(network: Network, nodes: Vec<(NodeId, P, SimRng)>) -> Self {
-        let mut host = Host {
-            nodes: Vec::with_capacity(nodes.len()),
-            ids: Vec::with_capacity(nodes.len()),
-            rngs: Vec::with_capacity(nodes.len()),
-            down: vec![false; nodes.len()],
-            plane: Plane {
-                agenda: TimerWheel::new(),
-                network,
-                stash: ReplayStash::new(),
-                faults: true,
-                slots: Vec::new(),
-            },
-        };
-        for (slot, (id, node, rng)) in nodes.into_iter().enumerate() {
+        let mut slots = Vec::new();
+        for (slot, (id, ..)) in nodes.iter().enumerate() {
             let at = id.0 as usize;
-            let slots = &mut host.plane.slots;
-            if slots.len() <= at {
-                slots.resize(at + 1, None);
-            }
+            slots.resize(slots.len().max(at + 1), None);
             assert!(slots[at].replace(slot).is_none(), "{id} hosted twice");
-            host.nodes.push(node);
-            host.ids.push(id);
-            host.rngs.push(rng);
         }
-        host
-    }
-
-    /// Number of hosted nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the host holds no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        let down = vec![false; nodes.len()];
+        let parts = nodes.into_iter().map(|(id, node, rng)| ((id, node), rng));
+        let ((ids, nodes), rngs): ((Vec<_>, Vec<_>), Vec<_>) = parts.unzip();
+        let plane = Plane {
+            agenda: TimerWheel::new(),
+            network,
+            stash: ReplayStash::new(),
+            faults: true,
+            slots,
+        };
+        Host {
+            nodes,
+            ids,
+            rngs,
+            down,
+            plane,
+        }
     }
 
     /// The id of the node in `slot`.
@@ -336,20 +275,18 @@ impl<P: Process> Host<P> {
         &self.nodes[slot]
     }
 
-    /// Mutable access to the process in `slot` — for a harness, not for
-    /// use from within a run.
+    /// Mutable access to the process in `slot`, for a harness.
     pub fn node_mut(&mut self, slot: usize) -> &mut P {
         &mut self.nodes[slot]
     }
 
-    /// Every hosted process, in slot order.
+    /// Every process, in slot order.
     #[must_use]
     pub fn nodes(&self) -> &[P] {
         &self.nodes
     }
 
-    /// Takes the host apart: each node's id, process and RNG stream, in
-    /// slot order.
+    /// Each node's id, process and RNG stream, in slot order.
     pub fn into_nodes(self) -> Vec<(NodeId, P, SimRng)> {
         let parts = self.ids.into_iter().zip(self.nodes).zip(self.rngs);
         parts.map(|((id, node), rng)| (id, node, rng)).collect()
@@ -366,9 +303,8 @@ impl<P: Process> Host<P> {
         &mut self.plane.network
     }
 
-    /// Switches the network on or off for messages between nodes. Off,
-    /// each is one copy, due at once: no loss, delay or injected copy.
-    /// A host starts with it on.
+    /// Whether messages between nodes go through the network (on when
+    /// the host is built). Off, each is one copy, due at once.
     pub fn set_faults(&mut self, on: bool) {
         self.plane.faults = on;
     }
@@ -376,22 +312,21 @@ impl<P: Process> Host<P> {
     /// The timers `node` has pending, in due order.
     #[must_use]
     pub fn timers(&self, node: NodeId) -> Vec<P::Timer> {
-        let mine = self.plane.agenda.iter().filter_map(|due| match due {
+        let timers = self.plane.agenda.iter().filter_map(|due| match due {
             Due::Timer(n, timer) if *n == node => Some(*timer),
             _ => None,
         });
-        mine.collect()
+        timers.collect()
     }
 
-    /// Puts `entry` on the agenda, due at `due_micros` — a driver's
-    /// scheduled [`Due::Kill`] or [`Due::Revive`].
-    pub fn schedule(&mut self, due_micros: u64, entry: Due<P::Msg, P::Timer>) {
-        self.plane.agenda.schedule(due_micros, entry);
+    /// Puts `due` on the agenda at `at_micros`: a driver's scheduled
+    /// [`Due::Kill`] or [`Due::Revive`].
+    pub fn schedule(&mut self, at_micros: u64, due: Due<P::Msg, P::Timer>) {
+        self.plane.agenda.schedule(at_micros, due);
     }
 
-    /// Queues `msg` for `node` at `now`, as if `node` had sent it to
-    /// itself — the way in for a driver's control-plane posts. The
-    /// outlet hears nothing of it.
+    /// Queues `msg` for `node` at `now` as if `node` had sent it to
+    /// itself, unheard by the outlet: a driver's control-plane post.
     pub fn post(&mut self, now: SimTime, node: NodeId, msg: P::Msg) {
         let post = Due::Deliver {
             from: node,
@@ -402,15 +337,10 @@ impl<P: Process> Host<P> {
         self.plane.agenda.schedule(now.as_micros(), post);
     }
 
-    /// Kills `node` like a power cut: the process is dropped there and
-    /// then and `husk` holds its slot, its timers and the messages it
-    /// had queued to itself are gone, and it is down — whatever is
-    /// delivered to it is dropped — until [`revive`](Self::revive). What
-    /// it sent to other nodes stays sent, held-back copies included.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host does not hold `node`.
+    /// Kills `node` like a power cut: the process is dropped and `husk`
+    /// holds its slot, its timers and what it queued to itself are gone,
+    /// and until [`revive`](Self::revive) it is down: what is delivered
+    /// to it is dropped. What it sent to other nodes stays sent.
     pub fn kill(&mut self, node: NodeId, husk: P) {
         let slot = self.slot(node);
         self.nodes[slot] = husk;
@@ -422,23 +352,17 @@ impl<P: Process> Host<P> {
         });
     }
 
-    /// Brings `node` back as `process`, up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host does not hold `node`.
+    /// Brings `node` back, up, as `process`.
     pub fn revive(&mut self, node: NodeId, process: P) {
         let slot = self.slot(node);
         self.nodes[slot] = process;
         self.down[slot] = false;
     }
 
-    /// Unschedules every pending timer of `node` — for a harness that
-    /// resets the process there, which must not receive its own old
-    /// timers.
+    /// Unschedules every pending timer of `node`.
     pub fn drop_timers(&mut self, node: NodeId) {
-        let mine = |due: &Due<P::Msg, P::Timer>| matches!(due, Due::Timer(n, _) if *n == node);
-        self.plane.agenda.retain(|due| !mine(due));
+        let agenda = &mut self.plane.agenda;
+        agenda.retain(|due| !matches!(due, Due::Timer(n, _) if *n == node));
     }
 
     /// The due time of the earliest agenda entry, if any.
@@ -458,8 +382,7 @@ impl<P: Process> Host<P> {
     }
 }
 
-/// Running nodes needs `P::Msg: Clone`: the network may copy a message
-/// (duplication, stale replay).
+/// Running nodes needs `P::Msg: Clone`: the network may copy a message.
 impl<P: Process> Host<P>
 where
     P::Msg: Clone,
@@ -471,15 +394,14 @@ where
         }
     }
 
-    /// Carries out `due` at `now`: a timer, or a delivery to a node this
-    /// host holds, is dispatched into that node unless it is down; a
-    /// delivery to any other node is handed to `outlet`. Returns the slot
-    /// of the node that ran, if one did.
+    /// Carries out a timer or a delivery at `now`: into the hosted node
+    /// it is for unless that node is down, or to `outlet` if another
+    /// host holds it. Returns the slot of the node that ran, if one did.
+    /// A delivery here counts in the network's stats, down node or not.
     ///
     /// # Panics
     ///
-    /// Panics on a [`Due::Kill`] or [`Due::Revive`]: those are the
-    /// driver's to carry out.
+    /// Panics on a [`Due::Kill`] or [`Due::Revive`], the driver's to do.
     pub fn dispatch(
         &mut self,
         now: SimTime,
@@ -488,6 +410,7 @@ where
     ) -> Option<usize> {
         match due {
             Due::Timer(node, timer) => {
+                outlet.note(TraceEvent::TimerFired { time: now, node });
                 let slot = self.slot(node);
                 self.enter(slot, now, outlet, |p, ctx| p.on_timer(ctx, timer))
             }
@@ -497,18 +420,29 @@ where
                 msg,
                 bytes,
             } => match self.plane.slot(to) {
-                Some(slot) => self.enter(slot, now, outlet, |p, ctx| p.on_message(ctx, from, msg)),
+                Some(slot) => {
+                    self.plane.network.record_delivery(bytes);
+                    outlet.note(TraceEvent::Delivered {
+                        time: now,
+                        from,
+                        to,
+                        bytes,
+                    });
+                    self.enter(slot, now, outlet, |p, ctx| p.on_message(ctx, from, msg))
+                }
                 None => {
                     outlet.forward(from, to, msg, bytes);
                     None
                 }
             },
-            Due::Kill(_) | Due::Revive(_) => panic!("{due:?} is the driver's to carry out"),
+            Due::Kill(node) | Due::Revive(node) => {
+                panic!("{node}'s kill or revive is the driver's")
+            }
         }
     }
 
-    /// Runs one event in the node in `slot`, unless it is down: `event`
-    /// calls the [`Process`] entry point it is for.
+    /// Runs `event` — a call of the [`Process`] entry point it is for —
+    /// in the node in `slot`, unless it is down.
     fn enter(
         &mut self,
         slot: usize,
@@ -541,15 +475,16 @@ mod tests {
     const N0: NodeId = NodeId(0);
     const N1: NodeId = NodeId(1);
 
-    fn idle() -> Tally {
-        Tally {
-            to_send: 0,
-            seen: vec![],
-        }
+    fn tally(to_send: u32) -> Tally {
+        let seen = vec![];
+        Tally { to_send, seen }
     }
 
+    /// After a kill none of the node's timers fire, what it had queued to
+    /// itself is dropped, and nothing delivered while it is down reaches
+    /// it; after the revive a post does.
     #[test]
-    fn a_killed_nodes_timers_never_fire() {
+    fn a_killed_node_runs_nothing_until_revived() {
         let script = [(10, 1), (20, 2)];
         let nodes = vec![timed(&script, &[]), timed(&script, &[])];
         let mut sim = Simulation::new(1, NetworkConfig::default(), nodes);
@@ -557,39 +492,26 @@ mod tests {
         sim.kill(N1, timed(&[], &[]));
         sim.run_to_quiescence();
         assert_eq!(sim.process(0).fired, [(10, 1), (20, 2)]);
-        assert_eq!(sim.process(1).fired, [], "the husk");
-        assert_eq!(sim.events_processed(), 3, "n1's second timer was dropped");
-    }
+        assert_eq!(
+            (&sim.process(1).fired[..], sim.events_processed()),
+            (&[][..], 3)
+        );
 
-    /// A post is queued the way a node's message to itself is.
-    #[test]
-    fn a_kill_drops_what_the_node_queued_for_itself() {
-        let mut sim = tally_sim(1, 0, LinkFaults::default());
-        sim.post(N1, 7);
-        sim.kill(N1, idle());
-        sim.revive(N1, idle());
-        sim.post(N1, 8);
-        sim.run_to_quiescence();
-        assert_eq!(sim.process(1).seen, [8]);
-    }
-
-    /// n0 sends five frames at start, each due 500 µs later; n1 is down
-    /// when they land, and up again for the post.
-    #[test]
-    fn a_down_node_is_dispatched_nothing_until_revived() {
+        // n0 sends five frames at start, each due 500 µs later.
         let mut sim = tally_sim(1, 5, LinkFaults::default());
         sim.run_until(SimTime::ZERO);
-        sim.kill(N1, idle());
+        sim.post(N1, 7);
+        sim.kill(N1, tally(0));
         sim.run_to_quiescence();
         assert_eq!(sim.process(1).seen, []);
         assert_eq!(sim.network().stats().delivered, 5, "the wire delivered");
-        sim.revive(N1, idle());
+        sim.revive(N1, tally(0));
         sim.post(N1, 9);
         sim.run_to_quiescence();
         assert_eq!(sim.process(1).seen, [9]);
     }
 
-    /// Every copy a hostile network held back arrives as if the sender
+    /// Every copy a hostile network held back arrives as if its sender
     /// had lived.
     #[test]
     fn what_a_killed_node_sent_still_arrives() {
@@ -597,7 +519,7 @@ mod tests {
             let mut sim = tally_sim(3, 100, LinkFaults::hostile());
             sim.run_until(SimTime::ZERO);
             if kill {
-                sim.kill(N0, idle());
+                sim.kill(N0, tally(0));
             }
             sim.run_to_quiescence();
             sim.process(1).seen.clone()
@@ -607,7 +529,7 @@ mod tests {
         assert_eq!(seen, run(false));
     }
 
-    /// The outlet a worker's host sends through: what leaves, in order.
+    /// What leaves a host for a node it does not hold, in order.
     struct Wire(Vec<(NodeId, u32)>);
 
     impl Outlet<u32> for Wire {
@@ -617,41 +539,27 @@ mod tests {
     }
 
     /// n0 hosted without n1, as a worker hosts its own nodes: a copy the
-    /// network holds back waits on the agenda and leaves through the
-    /// outlet when due, after a kill of its sender too; with the network
-    /// off each leaves at once.
+    /// network holds back leaves through the outlet when due, after a
+    /// kill of its sender too; with the network off, at once.
     #[test]
     fn copies_for_a_node_hosted_elsewhere_leave_through_the_outlet() {
-        let host = |faults: bool| {
+        let sent = [(N1, 0), (N1, 1), (N1, 2)];
+        for faults in [true, false] {
             let rng = SimRng::new(1);
             let network = Network::new(NetworkConfig::default(), rng.fork("network"));
-            let sender = Tally {
-                to_send: 3,
-                seen: vec![],
-            };
-            let mut host = Host::new(network, vec![(N0, sender, rng.fork("n0"))]);
+            let mut host = Host::new(network, vec![(N0, tally(3), rng.fork("n0"))]);
             host.set_faults(faults);
-            host
-        };
-        let sent = [(N1, 0), (N1, 1), (N1, 2)];
-
-        let mut held = host(true);
-        let mut wire = Wire(vec![]);
-        held.start(SimTime::ZERO, &mut wire);
-        assert_eq!(wire.0, [], "each copy is held back 500 µs");
-        held.kill(N0, idle());
-        assert_eq!(held.next_due(), Some(500));
-        while let Some(due) = held.pop_due(500) {
-            assert_eq!(
-                held.dispatch(SimTime::from_micros(500), due, &mut wire),
-                None
-            );
+            let mut wire = Wire(vec![]);
+            host.start(SimTime::ZERO, &mut wire);
+            if faults {
+                assert_eq!(wire.0, [], "each copy is held back 500 µs");
+                host.kill(N0, tally(0));
+                while let Some(due) = host.pop_due(500) {
+                    let now = SimTime::from_micros(500);
+                    assert_eq!(host.dispatch(now, due, &mut wire), None);
+                }
+            }
+            assert_eq!((&wire.0[..], host.next_due()), (&sent[..], None));
         }
-        assert_eq!(wire.0, sent);
-
-        let mut direct = host(false);
-        let mut wire = Wire(vec![]);
-        direct.start(SimTime::ZERO, &mut wire);
-        assert_eq!((wire.0, direct.next_due()), (sent.to_vec(), None));
     }
 }

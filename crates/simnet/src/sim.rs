@@ -1,11 +1,11 @@
 //! The [`Simulation`] driver: one [`Host`] holding every node, on a
 //! virtual clock that jumps to the next due entry.
 
-use crate::host::{Due, Host, Process};
+use crate::host::{Host, Process};
 use crate::net::{Network, NetworkConfig, NodeId};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::Trace;
 
 /// A deterministic discrete-event simulation over a set of processes.
 ///
@@ -43,18 +43,6 @@ impl<P: Process> Simulation<P> {
             max_events: Self::DEFAULT_MAX_EVENTS,
             started: false,
         }
-    }
-
-    /// Number of hosted processes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.host.len()
-    }
-
-    /// Whether the simulation hosts no processes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.host.is_empty()
     }
 
     /// Current virtual time.
@@ -109,20 +97,20 @@ impl<P: Process> Simulation<P> {
         self.host.post(self.now, to, msg);
     }
 
-    /// Kills `node`: `husk` holds its slot until [`revive`](Self::revive)
-    /// ([`Host::kill`]).
+    /// [`Host::kill`]: `husk` holds `node`'s slot, down, until
+    /// [`revive`](Self::revive).
     pub fn kill(&mut self, node: NodeId, husk: P) {
         self.host.kill(node, husk);
     }
 
-    /// Brings `node` back as `process` ([`Host::revive`]).
+    /// [`Host::revive`]: `node` is up again, as `process`.
     pub fn revive(&mut self, node: NodeId, process: P) {
         self.host.revive(node, process);
     }
 
     /// Unschedules every pending timer of `node` — for a harness that
-    /// resets the process there, which must not receive its own old
-    /// timers.
+    /// drops or replaces the process there, whose successor must not
+    /// receive its predecessor's timers.
     pub fn drop_timers(&mut self, node: NodeId) {
         self.host.drop_timers(node);
     }
@@ -184,24 +172,6 @@ where
         self.events_processed += 1;
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
-        match &entry {
-            Due::Deliver {
-                from, to, bytes, ..
-            } => {
-                self.host.network_mut().record_delivery(*bytes);
-                self.trace.record(TraceEvent::Delivered {
-                    time,
-                    from: *from,
-                    to: *to,
-                    bytes: *bytes,
-                });
-            }
-            Due::Timer(node, _) => {
-                self.trace
-                    .record(TraceEvent::TimerFired { time, node: *node });
-            }
-            Due::Kill(_) | Due::Revive(_) => {}
-        }
         self.host.dispatch(time, entry, &mut self.trace);
         true
     }
@@ -235,6 +205,7 @@ pub(crate) mod tests {
     use crate::latency::LatencyModel;
     use crate::net::{LinkConfig, LinkFaults};
     use crate::time::Duration;
+    use crate::trace::TraceEvent;
 
     /// Counts messages; replies until a budget is exhausted.
     struct Echo {

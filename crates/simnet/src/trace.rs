@@ -172,23 +172,14 @@ impl Trace {
 }
 
 /// The simulator's outlet: it hosts every node, so nothing is forwarded,
-/// and a send or a loss is a trace event.
+/// and what happens is recorded.
 impl<M> Outlet<M> for Trace {
     fn forward(&mut self, _: NodeId, to: NodeId, _: M, _: usize) {
         panic!("the simulation hosts every node, and not {to}");
     }
 
-    fn sent(&mut self, time: SimTime, from: NodeId, to: NodeId, bytes: usize) {
-        self.record(TraceEvent::Sent {
-            time,
-            from,
-            to,
-            bytes,
-        });
-    }
-
-    fn lost(&mut self, time: SimTime, from: NodeId, to: NodeId) {
-        self.record(TraceEvent::Lost { time, from, to });
+    fn note(&mut self, event: TraceEvent) {
+        self.record(event);
     }
 }
 
