@@ -422,6 +422,7 @@ where
                 self.net_root.fork_indexed("worker", w as u64),
             );
             let mut host = Host::new(network, group);
+            host.set_faults(cfg.faults.is_some());
             let event = cfg.crashes.iter().find(|c| hosts[0].0 as usize == c.server);
             if let Some(c) = event {
                 let at = |after: StdDuration| after.as_micros() as u64;
