@@ -12,6 +12,11 @@
 #
 # Lanes: build-test, elastic, examples, runtime, perfbench, socket,
 # storage, faults, soak.
+#
+# Not a lane: a change that claims no behaviour change is checked
+# against its parent with `scripts/bit_for_bit.sh <parent-rev>` (the
+# seeded pins and the deterministic `figures` output, ROADMAP's
+# bit-for-bit rule).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,14 +113,16 @@ if runs_lane runtime; then
     # The multi-threaded driver gets its own lane: these suites exercise
     # real thread interleavings (not the deterministic simulator), so a
     # failure here is a concurrency bug and should be visible at a
-    # glance. `timer_order` (simnet's) proves the one timer wheel both
-    # drivers queue on pops in stable (due, FIFO) order and never pops
-    # a cancelled timer;
+    # glance. Each worker runs its nodes through a `simnet::Host`, the
+    # simulator's own: `timer_order` (simnet's) proves the one timer
+    # wheel every host queues on pops in stable (due, FIFO) order and
+    # never pops a cancelled timer;
     # `watchdog` proves the main loop's stall check catches a wedged
     # node; `link_loop` drives the one worker loop message by message
-    # through a scripted link (queued reply before due timer, local
-    # self-sends, a down server's inbox, held-back sends, full-inbox
-    # loss, prompt shutdown and teardown, the idle poll's hits and its
+    # through a scripted link (queued reply before due timer,
+    # self-sends on the host's agenda, a down server's inbox, held-back
+    # sends, full-inbox loss, prompt shutdown and teardown, the idle
+    # poll's hits and its
     # cut at the next due timer); `idle` bounds what that poll costs a
     # quiet or thinking fleet, on the fleet's own counters;
     # `thread_census` counts a run's threads

@@ -73,6 +73,17 @@ printf '  %-32s %6d\n' \
     "due-ordered queue types" "$(src_count 'struct (EventQueue|TimerWheel)\b')" \
     "TimerId mentions" "$(src_count 'TimerId')" \
     "node timers: BTreeMap< fields" "$(src_count '^ +timers: BTreeMap<')"
+# One host for every driver: the simulator and each threaded worker run
+# their nodes through `simnet::Host`, whose one context every node sees
+# and whose one `dispatch` runs every event.
+echo "host surface (crates/*/src)"
+printf '  %-32s %6d\n' \
+    "node context types (*Ctx<)" "$(src_count '^(pub )?struct [A-Za-z]*Ctx<')" \
+    "NodeCtx impls" "$(src_count 'impl<.*> NodeCtx<M> for')" \
+    "fn dispatch definitions" "$(src_count '^ *(pub )?fn dispatch\b')" \
+    "runtime hosting types" "$({ grep -rhE '^(pub )?(struct|enum) (Router|Crash|Hosted|Due|RtCtx)\b' \
+        crates/runtime/src || true; } | wc -l)" \
+    "impl NodeCtx<M> parameters" "$(src_count '&mut impl NodeCtx<M>')"
 # The fault plane: how many times each of its pieces is written.
 # Environment variables the crates themselves read: each one is a switch
 # a run can flip without a code change.
