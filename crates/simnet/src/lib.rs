@@ -13,11 +13,14 @@
 //!   experiment), loss, partitions and adversarial [`LinkFaults`];
 //!   [`Network::route`] is the one place a message's fate is decided —
 //!   lost, or which copies arrive when, stale replays drawn from a
-//!   driver-owned [`ReplayStash`] — and the threaded `runtime` asks it
-//!   too, so a [`NetworkConfig`] means the same on every driver,
+//!   host-owned [`ReplayStash`] — on every driver, so a
+//!   [`NetworkConfig`] means the same on each,
 //! * seeded, splittable randomness ([`rng::SimRng`]) so every run is
 //!   reproducible from one `u64` seed, and
-//! * a [`Simulation`] driver hosting user-defined [`Process`]es.
+//! * one [`Host`] that runs user-defined [`Process`]es through one
+//!   write-through [`ProcessCtx`] — the [`Simulation`] is a host of
+//!   every node on a virtual clock, and the threaded `runtime` runs one
+//!   host per worker thread on the wall clock.
 //!
 //! Determinism policy: no wall-clock, no `HashMap` iteration in scheduling
 //! paths, one RNG stream per concern, and total ordering of simultaneous

@@ -194,10 +194,10 @@ pub struct NetworkStats {
 /// The simulated network fabric: the one place where the fate of an
 /// inter-node message is decided, on every driver.
 ///
-/// The network stores no messages. A driver hands each one to
-/// [`Network::route`] together with the [`ReplayStash`] it owns, and is
-/// handed back every copy to deliver (the simulator pushes them on its
-/// event queue, the threaded router holds them back on its worker).
+/// The network stores no messages. A [`Host`](crate::Host) hands each
+/// one to [`Network::route`] together with the [`ReplayStash`] it owns,
+/// and is handed back every copy to deliver, which it puts on its
+/// agenda for the copy's delay.
 /// Partitions and blocked links are dynamic.
 #[derive(Debug)]
 pub struct Network {
@@ -219,7 +219,7 @@ pub const REPLAY_STASH_CAP: usize = 16;
 /// The frames [`Network::route`] captured for stale replay, per directed
 /// link, each with the size it was sent at (a replayed frame is
 /// delivered at its own size, not the size of the frame that triggered
-/// it). The driver owns it — so [`Network`] need not know the message
+/// it). The host owns it — so [`Network`] need not know the message
 /// type — and only links whose [`LinkFaults`] enable replay populate it.
 pub type ReplayStash<T> = BTreeMap<(NodeId, NodeId), Vec<(T, usize)>>;
 
@@ -245,8 +245,8 @@ impl Network {
     }
 
     /// Decides everything about one inter-node message of `bytes` from
-    /// `from` to `to` (self-sends never come here: every driver delivers
-    /// them locally, reliable and zero-delay — a node talking to itself
+    /// `from` to `to` (self-sends never come here: the host delivers
+    /// them itself, reliable and zero-delay — a node talking to itself
     /// is not on the wire, so no fault may touch it).
     ///
     /// Returns `false` when the message is lost (no route, or the loss
@@ -311,7 +311,7 @@ impl Network {
         true
     }
 
-    /// Records a completed delivery (called by the simulation driver).
+    /// Records a completed delivery (called by the host).
     pub fn record_delivery(&mut self, bytes: usize) {
         self.stats.delivered += 1;
         self.stats.bytes_delivered += bytes as u64;

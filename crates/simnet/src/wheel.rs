@@ -1,6 +1,7 @@
 //! [`TimerWheel`]: a queue of timed entries, popped in due order with
-//! same-instant entries in insertion order — the [`Simulation`]'s event
-//! queue, and each threaded worker's agenda in the `runtime` crate.
+//! same-instant entries in insertion order — every [`Host`]'s agenda,
+//! the [`Simulation`]'s and each threaded worker's in the `runtime`
+//! crate alike.
 //!
 //! Pops follow `(due, insertion seq)`: entries due at the same instant
 //! pop in the order they were scheduled, which is what makes a seeded
@@ -9,6 +10,7 @@
 //! a stable sort). A named entry — a node's timer — can be cancelled:
 //! it is gone there and then, and never pops.
 //!
+//! [`Host`]: crate::Host
 //! [`Simulation`]: crate::Simulation
 
 use std::collections::BTreeMap;
