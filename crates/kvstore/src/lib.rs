@@ -12,9 +12,9 @@
 //! ## Architecture
 //!
 //! * [`node::StoreNode`] — replica server: coordinates GETs (R-quorum,
-//!   read repair) and PUTs (W-quorum, `return_body` contexts) with
-//!   ownership-aware quorum accounting (a non-owner coordinator counts
-//!   only true owner responses), serves replica traffic, runs
+//!   read repair) and PUTs (W-quorum, `return_body` contexts) for the
+//!   keys it replicates (any other request it relays to the key's first
+//!   active owner and passes the answer back), serves replica traffic, runs
 //!   Merkle-based anti-entropy, performs hinted handoff for down peers,
 //!   and takes part in elastic membership: joins stream newly-owned key
 //!   ranges in, leaves drain held ranges out, all over the simulated

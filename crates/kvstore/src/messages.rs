@@ -11,8 +11,9 @@ use ring::RingView;
 use crate::value::{Key, StampedValue};
 use crate::wire;
 
-/// Request identifier: unique per originating client (`client_index << 32
-/// | sequence`), echoed through coordinator and replica traffic.
+/// Request identifier: unique per originating client (`node_id << 32 |
+/// sequence`, where `node_id` is the client's own node id on its host),
+/// echoed through coordinator and replica traffic.
 pub type ReqId = u64;
 
 /// Every message exchanged in the store.
@@ -102,7 +103,7 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         key: Key,
         /// Fingerprint ([`crate::merkle::fingerprint`]) of the state the
         /// coordinator already holds: its own copy, or the empty state
-        /// when it is not one of the key's replicas.
+        /// when it holds none.
         have: u64,
     },
     /// Replica → coordinator: the replica's state for the key hashes to
@@ -201,35 +202,6 @@ pub enum Msg<M: Mechanism<StampedValue>> {
         /// Keys the initiator wants the peer's state for.
         want: Vec<Key>,
     },
-    /// Non-owner coordinator → owner: apply this client write locally
-    /// (minting the dot at the owner) and return the post-write state.
-    ///
-    /// An ownership-aware coordinator that is *not* in the key's
-    /// preference list must not write into its own store or mint dots
-    /// from its own (meaningless) counter; it delegates the write to the
-    /// first active owner and fans the resulting state out to the rest.
-    RepWrite {
-        /// Request id.
-        req: ReqId,
-        /// Key written.
-        key: Key,
-        /// The stamped value to store.
-        value: StampedValue,
-        /// Context from the client's last read of this key.
-        ctx: M::Context,
-        /// When the receiver is a fallback, the down replica it stands in
-        /// for (hinted handoff).
-        hint: Option<ReplicaId>,
-    },
-    /// Owner → non-owner coordinator: the post-write state to replicate.
-    RepWriteResp {
-        /// Request id.
-        req: ReqId,
-        /// Key written.
-        key: Key,
-        /// Full post-write state at the owner.
-        state: M::State,
-    },
     /// Ring-view push: the sender's full mergeable view, sent to any
     /// peer observed with a differing view digest (request headers,
     /// gossip digests, AAE piggybacks) — the one way views reconcile.
@@ -267,7 +239,7 @@ pub enum Msg<M: Mechanism<StampedValue>> {
 pub enum MsgClass {
     /// Client request/response traffic.
     Client = 0,
-    /// Quorum replication, delegation and read repair.
+    /// Quorum replication and read repair.
     Replication = 1,
     /// Merkle anti-entropy exchanges.
     AntiEntropy = 2,
@@ -366,7 +338,9 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
     /// 8, 13, 18, 19, 24 and 25 belonged to the variants [`Msg::Push`]
     /// replaced, 16 and 17 to the two that carried a full view beside
     /// [`Msg::RingEpoch`], 21 and 22 to the summary/delta view exchange
-    /// it also replaced; none is ever reused.
+    /// it also replaced, 14 and 15 to the delegated write a coordinator
+    /// outside the key's preference list ran before it relayed instead;
+    /// none is ever reused.
     fn tag(&self) -> u8 {
         match self {
             Msg::ClientGet { .. } => 0,
@@ -381,8 +355,6 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             Msg::AaeArcRoots { .. } => 10,
             Msg::AaeLeaves { .. } => 11,
             Msg::AaeStates { .. } => 12,
-            Msg::RepWrite { .. } => 14,
-            Msg::RepWriteResp { .. } => 15,
             Msg::RingEpoch { .. } => 20,
             Msg::GossipDigest { .. } => 23,
             Msg::RepGetIf { .. } => 26,
@@ -405,9 +377,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             | Msg::RepGetIf { .. }
             | Msg::RepGetSame { .. }
             | Msg::RepPut { .. }
-            | Msg::RepPutAck { .. }
-            | Msg::RepWrite { .. }
-            | Msg::RepWriteResp { .. } => MsgClass::Replication,
+            | Msg::RepPutAck { .. } => MsgClass::Replication,
             Msg::AaeRoot { .. }
             | Msg::AaeArcRoots { .. }
             | Msg::AaeLeaves { .. }
@@ -495,7 +465,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 wire::put_u64(buf, *req);
                 wire::put_key(buf, key);
             }
-            Msg::RepGetResp { req, key, state } | Msg::RepWriteResp { req, key, state } => {
+            Msg::RepGetResp { req, key, state } => {
                 wire::put_u64(buf, *req);
                 wire::put_key(buf, key);
                 put_state(buf, state);
@@ -555,19 +525,6 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
             Msg::AaeStates { states, want } => {
                 put_keyed_states(buf, states);
                 wire::put_key_list(buf, want);
-            }
-            Msg::RepWrite {
-                req,
-                key,
-                value,
-                ctx,
-                hint,
-            } => {
-                wire::put_u64(buf, *req);
-                wire::put_key(buf, key);
-                value.encode(buf);
-                ctx.encode(buf);
-                wire::put_hint(buf, *hint);
             }
             Msg::RingEpoch { view } => wire::put_view(buf, view),
             Msg::GossipDigest { digest } => wire::put_u64(buf, *digest),
@@ -641,16 +598,11 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 req: wire::get_u64(&mut d)?,
                 key: wire::get_key(&mut d)?,
             },
-            5 | 15 => {
-                let req = wire::get_u64(&mut d)?;
-                let key = wire::get_key(&mut d)?;
-                let state = mech.decode_state(&mut d)?;
-                if tag == 5 {
-                    Msg::RepGetResp { req, key, state }
-                } else {
-                    Msg::RepWriteResp { req, key, state }
-                }
-            }
+            5 => Msg::RepGetResp {
+                req: wire::get_u64(&mut d)?,
+                key: wire::get_key(&mut d)?,
+                state: mech.decode_state(&mut d)?,
+            },
             6 => Msg::RepPut {
                 req: wire::get_u64(&mut d)?,
                 key: wire::get_key(&mut d)?,
@@ -683,13 +635,6 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 states: get_keyed_states(mech, &mut d)?,
                 want: wire::get_key_list(&mut d)?,
             },
-            14 => Msg::RepWrite {
-                req: wire::get_u64(&mut d)?,
-                key: wire::get_key(&mut d)?,
-                value: StampedValue::decode(&mut d)?,
-                ctx: mech.decode_context(&mut d)?,
-                hint: wire::get_hint(&mut d)?,
-            },
             20 => Msg::RingEpoch {
                 view: wire::get_view(&mut d)?,
             },
@@ -716,7 +661,7 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
                 class: get_push_class(&mut d)?,
                 id: wire::get_u64(&mut d)?,
             },
-            // retired tags (8, 13, 16–19, 21, 22, 24, 25) included
+            // retired tags (8, 13–19, 21, 22, 24, 25) included
             _ => {
                 return Err(DecodeError::InvalidValue {
                     reason: "unknown message tag",
@@ -938,25 +883,6 @@ mod tests {
         let hinted = push(MsgClass::Replication, None, &["k"], Some(ReplicaId(4)));
         assert_eq!(plain.class(), MsgClass::Replication);
         assert_eq!(hinted.wire_size(&mech), plain.wire_size(&mech) + 1);
-    }
-
-    #[test]
-    fn remote_write_carries_value_and_context() {
-        let mech = DvvMechanism;
-        let w: Msg<M> = Msg::RepWrite {
-            req: 1,
-            key: b"k".to_vec(),
-            value: StampedValue::new(WriteId::new(ClientId(1), 1), vec![0u8; 32]),
-            ctx: VersionVector::new(),
-            hint: None,
-        };
-        assert!(w.wire_size(&mech) > 32);
-        let resp: Msg<M> = Msg::RepWriteResp {
-            req: 1,
-            key: b"k".to_vec(),
-            state: sample_state(),
-        };
-        assert!(resp.wire_size(&mech) > 32);
     }
 
     #[test]

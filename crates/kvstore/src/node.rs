@@ -35,13 +35,14 @@ const _: () = assert!(
 /// horizon by the batch factor.
 const TRANSFER_DEDUPE_KEYS: usize = 4096;
 
-/// How many recently coordinated write request ids a node remembers
-/// ([`StoreNode::note_write_seen`]). Minting is not idempotent — a
-/// re-coordinated request would get a *fresh* dot, resurrecting an
-/// already-superseded value as a sibling — so duplicated or
-/// stale-replayed `ClientPut`/`RepWrite` frames must be recognised and
-/// ignored. Client retries always carry a fresh request id, so a repeat
-/// within this window is definitively network-injected.
+/// How many recently coordinated or relayed write request ids a node
+/// remembers ([`StoreNode::note_write_seen`]). Minting is not idempotent
+/// — a re-coordinated request would get a *fresh* dot, resurrecting an
+/// already-superseded value as a sibling — so a duplicated or
+/// stale-replayed `ClientPut`, or a relayed one that comes back, must be
+/// recognised and ignored. Client retries always carry a fresh request
+/// id, so a repeat within this window is the network's doing or a relay
+/// loop's.
 const WRITE_DEDUPE_REQS: usize = 256;
 
 /// Counters a server maintains for reporting.
@@ -66,8 +67,8 @@ pub struct NodeStats {
     pub aae_divergent: u64,
     /// Hinted states handed off to their intended owner.
     pub handoffs: u64,
-    /// Requests coordinated without local participation because this node
-    /// was not in the key's preference list.
+    /// Requests relayed to the key's first active owner because this
+    /// node was not in the key's active preference list.
     pub remote_coordinations: u64,
     /// Range-transfer batches actually sent, retries included (join
     /// donations, leave drains, and residual-copy retirement).
@@ -84,24 +85,23 @@ pub struct NodeStats {
     pub dup_writes_ignored: u64,
 }
 
-/// Coordinator-side bookkeeping for one in-flight request: gather
-/// answers from the key's active replicas until a quorum of *distinct*
-/// ones is in, reply, then finish with the stragglers. Reads and writes
-/// differ only in [`Op`].
+/// Bookkeeping for one in-flight request. Its coordinator, one of the
+/// key's active replicas, gathers answers until a quorum of *distinct*
+/// ones is in, replies, then finishes with the stragglers; reads and
+/// writes differ only in [`Op`]. A node outside the key's active
+/// preference list keeps one too, while it waits for the owner it
+/// relayed the request to ([`Op::Relay`]).
 #[derive(Debug)]
 struct Pending<M: Mechanism<StampedValue>> {
     key: Key,
     client: NodeId,
     expected: usize,
     replied: bool,
-    /// Whether this coordinator is in the key's active preference list
-    /// (and therefore counted its local read or write as a response).
-    owner: bool,
-    /// The distinct replicas whose answer is in — this coordinator's own
-    /// when it is an owner, then one entry per replica
-    /// ([`StoreNode::vote`]): its length is the response count R or W is
-    /// checked against. With each, the fingerprint of the state it
-    /// returned (what read repair compares; unused for a write's acks).
+    /// The distinct replicas whose answer is in — the coordinator's own
+    /// first, then one entry per replica ([`StoreNode::vote`]): its
+    /// length is the response count R or W is checked against. With
+    /// each, the fingerprint of the state it returned (what read repair
+    /// compares; unused for a write's acks).
     seen: Vec<(ReplicaId, u64)>,
     op: Op<M>,
 }
@@ -120,14 +120,12 @@ enum Op<M: Mechanism<StampedValue>> {
         /// pushed to a fallback carries the matching hint.
         subs: Subs,
     },
-    Put {
-        /// Post-write state the delegated owner returned (`return_body`
-        /// source when coordinating remotely; an owner re-reads its own
-        /// store instead).
-        state: M::State,
-        /// Replication fan-out deferred until the delegated owner returns
-        /// the post-write state (remote coordination only).
-        fanout: Vec<(ReplicaId, Option<ReplicaId>)>,
+    Put,
+    /// No quorum here: the request went on to the key's first active
+    /// owner, whose answer is passed back ([`StoreNode::relay`]).
+    Relay {
+        /// Whether the relayed request is a GET.
+        read: bool,
     },
 }
 
@@ -175,14 +173,14 @@ struct TransferWindow {
 /// on higher node ids. All request coordination follows the Dynamo/Riak
 /// pattern; the causality mechanism `M` is the only pluggable part.
 ///
-/// Coordination is **ownership-aware**: the node counts its own local
-/// read/write toward R/W quorums only when it appears in the key's
-/// active preference list. Otherwise it coordinates purely remotely — no
-/// local write, no self-response — delegating the dot-minting write to
-/// the first active owner ([`Msg::RepWrite`]). This matters both for
-/// quorum strength (a non-owner must not substitute for a real replica)
-/// and for elastic membership, where a node that just left the ring
-/// keeps coordinating stale client requests without polluting its store.
+/// **Only an owner coordinates**: a node runs a request's quorum, its own
+/// copy counting toward R/W, only when it appears in the key's active
+/// preference list — a dot must be minted from the counter of a replica
+/// that stores the key. Any other node relays the request once to the
+/// key's first active owner, under its own view digest, and passes that
+/// owner's answer back unchanged — so it never substitutes for a real
+/// replica, and a node that just left the ring keeps serving stale
+/// client requests without polluting its store.
 ///
 /// Ring views spread by **gossip** and are *mergeable*: the control
 /// plane posts a changed view ([`Msg::RingEpoch`]) to the change's
@@ -1077,10 +1075,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     /// What coordinating a read and a write start with: realign views
     /// with the client, find the key's active replicas (refusing the
-    /// request when there are none), test ownership and arm the timeout.
-    /// Returns the active set, its sloppy-quorum substitutions and
-    /// whether this node is among it — or `None` when the request goes no
-    /// further.
+    /// request when there are none) and arm the timeout. Returns the
+    /// active set and its sloppy-quorum substitutions — or `None` when
+    /// the request goes no further.
     fn begin_request(
         &mut self,
         ctx: &mut Ctx<'_, M>,
@@ -1089,7 +1086,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         key: &[u8],
         digest: u64,
         read: bool,
-    ) -> Option<(Vec<ReplicaId>, Subs, bool)> {
+    ) -> Option<(Vec<ReplicaId>, Subs)> {
         self.note_peer_digest(ctx, from, digest);
         // a write is coordinated once per request id: a client's retry
         // carries a fresh one and is a new write, so a repeat is the
@@ -1108,15 +1105,49 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             self.reply(ctx, from, req, read, None);
             return None;
         }
-        // The coordinator's own store participates only when it is an
-        // active replica of the key; a non-owner assembles the quorum
-        // purely from real owners.
-        let owner = active.contains(&self.replica);
-        if !owner {
-            self.stats.remote_coordinations += 1;
-        }
         ctx.set_timer(self.config.request_timeout, Timer::Request(req));
-        Some((active, subs, owner))
+        Some((active, subs))
+    }
+
+    /// Hands a client's request for a key this node does not own to
+    /// `owner`, the key's first active replica, which coordinates it (a
+    /// dot must come from an owner's counter). `msg` carries this node's
+    /// view digest, so the owner realigns views with the node that asked
+    /// it. The request's timer is already armed: the owner's answer is
+    /// passed on unchanged ([`Self::pass_back`]), or the timeout refuses.
+    /// A relay that comes back — two stale views each routing the key to
+    /// the other — is a repeat that `begin_request` drops.
+    fn relay(&mut self, ctx: &mut Ctx<'_, M>, client: NodeId, owner: ReplicaId, msg: Msg<M>) {
+        let (Msg::ClientGet { req, key, .. } | Msg::ClientPut { req, key, .. }) = &msg else {
+            return;
+        };
+        self.stats.remote_coordinations += 1;
+        let pending = Pending {
+            key: key.clone(),
+            client,
+            expected: 1,
+            replied: false,
+            seen: Vec::new(),
+            op: Op::Relay {
+                read: matches!(msg, Msg::ClientGet { .. }),
+            },
+        };
+        self.pending.insert(*req, pending);
+        self.send(ctx, NodeId(owner.0), msg);
+    }
+
+    /// The answer to a request this node relayed ([`Self::relay`]): it
+    /// goes to the client unchanged and retires the relay. A reply this
+    /// node is not waiting for — unsolicited, duplicated, or late after
+    /// the timeout — is dropped.
+    fn pass_back(&mut self, ctx: &mut Ctx<'_, M>, req: ReqId, msg: Msg<M>) {
+        let read = matches!(msg, Msg::ClientGetResp { .. });
+        let relayed = |p: &&Pending<M>| matches!(p.op, Op::Relay { read: r } if r == read);
+        if let Some(client) = self.pending.get(&req).filter(relayed).map(|p| p.client) {
+            self.pending.remove(&req);
+            ctx.cancel_timer(Timer::Request(req));
+            self.send(ctx, client, msg);
+        }
     }
 
     fn handle_client_get(
@@ -1127,26 +1158,21 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         key: Key,
         digest: u64,
     ) {
-        let Some((active, subs, owner)) = self.begin_request(ctx, from, req, &key, digest, true)
-        else {
+        let Some((active, subs)) = self.begin_request(ctx, from, req, &key, digest, true) else {
             return;
         };
-        let (acc, have, seen) = if owner {
-            let local = self.data.get(&key).cloned().unwrap_or_default();
-            let have = self.leaf_or_empty(&key);
-            (local, have, vec![(self.replica, have)])
-        } else {
-            let empty = M::State::default();
-            let have = fingerprint(&empty);
-            (empty, have, Vec::new())
-        };
+        if !active.contains(&self.replica) {
+            let digest = self.view.digest();
+            return self.relay(ctx, from, active[0], Msg::ClientGet { req, key, digest });
+        }
+        let acc = self.data.get(&key).cloned().unwrap_or_default();
+        let have = self.leaf_or_empty(&key);
         let pending = Pending {
             key: key.clone(),
             client: from,
             expected: active.len(),
             replied: false,
-            owner,
-            seen,
+            seen: vec![(self.replica, have)],
             op: Op::Get { acc, have, subs },
         };
         self.pending.insert(req, pending);
@@ -1170,11 +1196,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// a read's full state ([`Msg::RepGetResp`]) or `None` for
     /// [`Msg::RepGetSame`] — the replica holds exactly the snapshot `acc`
     /// grew from, so there is nothing to merge and its fingerprint is
-    /// `have`; a write's ack ([`Msg::RepPutAck`], `None`) or the delegated
-    /// owner's post-write state ([`Msg::RepWriteResp`]), which releases
-    /// the deferred fan-out. A replica counts once toward R or W however
-    /// often the network delivers its answer, and an answer to a request
-    /// that already retired counts for nothing.
+    /// `have`; a write's ack ([`Msg::RepPutAck`], `None`). A replica
+    /// counts once toward R or W however often the network delivers its
+    /// answer, and an answer to a request that already retired, or that
+    /// this node relayed, counts for nothing.
     fn vote(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, req: ReqId, state: Option<M::State>) {
         let Some(p) = self.pending.get_mut(&req) else {
             return;
@@ -1183,38 +1208,16 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if p.seen.iter().any(|(r, _)| *r == replica) {
             return;
         }
-        let mut fan: Vec<(ReplicaId, Msg<M>)> = Vec::new();
         let fp = match (&mut p.op, state) {
             (Op::Get { acc, .. }, Some(state)) => {
                 self.mech.merge(acc, &state);
                 fingerprint(&state)
             }
             (Op::Get { have, .. }, None) => *have,
-            (
-                Op::Put {
-                    state: held,
-                    fanout,
-                },
-                Some(state),
-            ) => {
-                for (peer, hint) in fanout.drain(..) {
-                    let put = Msg::RepPut {
-                        req,
-                        key: p.key.clone(),
-                        state: state.clone(),
-                        hint,
-                    };
-                    fan.push((peer, put));
-                }
-                *held = state;
-                0
-            }
-            (Op::Put { .. }, None) => 0,
+            (Op::Put, _) => 0,
+            (Op::Relay { .. }, _) => return,
         };
         p.seen.push((replica, fp));
-        for (peer, put) in fan {
-            self.send(ctx, NodeId(peer.0), put);
-        }
         self.try_complete(ctx, req);
     }
 
@@ -1235,11 +1238,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             let empty = M::State::default();
             let state = match &p.op {
                 Op::Get { acc, .. } => acc,
-                // return_body: an owner reads its own (freshest) state; a
-                // remote coordinator reads the state the delegated owner
-                // returned.
-                Op::Put { .. } if p.owner => self.data.get(&p.key).unwrap_or(&empty),
-                Op::Put { state, .. } => state,
+                // return_body: the coordinator reads its own (freshest)
+                // state; a relay takes no votes, so never gets here
+                Op::Put | Op::Relay { .. } => self.data.get(&p.key).unwrap_or(&empty),
             };
             body = Some(self.mech.read(state));
         }
@@ -1251,7 +1252,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             let p = self.pending.remove(&req).expect("just looked up");
             ctx.cancel_timer(Timer::Request(req));
             if let Op::Get { acc, subs, .. } = p.op {
-                self.finish_read_repair(ctx, &p.key, acc, &p.seen, p.owner, &subs);
+                self.finish_read_repair(ctx, &p.key, acc, &p.seen, &subs);
             }
         }
     }
@@ -1262,7 +1263,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         key: &[u8],
         merged: M::State,
         seen: &[(ReplicaId, u64)],
-        owner: bool,
         subs: &[(ReplicaId, ReplicaId)],
     ) {
         // A replica is stale iff it answered with something other than
@@ -1270,21 +1270,14 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         // reached this coordinator before the last answer has moved on,
         // making every replica look stale.
         let read_fp = fingerprint(&merged);
-        // An owner folds the merged state into its own store first; a
-        // non-owner coordinator must not keep any state for the key.
-        let canonical = if owner {
-            let mech = &self.mech;
-            let folded = self
-                .data
-                .mutate(key, |local| mech.merge(local, &merged))
-                .clone();
-            // the coordinator itself may be a sloppy fallback for a down
-            // owner: track that copy like any other hinted state
-            self.note_copy_held(key, hint_for(subs, self.replica));
-            folded
-        } else {
-            merged
-        };
+        let mech = &self.mech;
+        let canonical = self
+            .data
+            .mutate(key, |local| mech.merge(local, &merged))
+            .clone();
+        // the coordinator itself may be a sloppy fallback for a down
+        // owner: track that copy like any other hinted state
+        self.note_copy_held(key, hint_for(subs, self.replica));
         if !self.config.read_repair {
             return;
         }
@@ -1316,50 +1309,38 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         put_ctx: M::Context,
         digest: u64,
     ) {
-        let Some((active, subs, owner)) = self.begin_request(ctx, from, req, &key, digest, false)
-        else {
+        let Some((active, subs)) = self.begin_request(ctx, from, req, &key, digest, false) else {
             return;
         };
-        let (mut seen, mut fanout) = (Vec::new(), Vec::new());
-        if owner {
-            let client = ClientId(value.id.client.0);
-            let origin = WriteOrigin::new(self.replica, client);
-            let state = self.mint_write(&key, origin, &put_ctx, value);
-            // a coordinator standing in for a down owner holds its copy
-            // under a hint obligation, like any other fallback
-            self.note_copy_held(&key, hint_for(&subs, self.replica));
-            seen.push((self.replica, 0));
-            for peer in &active {
-                if *peer == self.replica {
-                    continue;
-                }
-                self.send(
-                    ctx,
-                    NodeId(peer.0),
-                    Msg::RepPut {
-                        req,
-                        key: key.clone(),
-                        state: state.clone(),
-                        hint: hint_for(&subs, *peer),
-                    },
-                );
+        if !active.contains(&self.replica) {
+            let digest = self.view.digest();
+            let put = Msg::ClientPut {
+                req,
+                key,
+                value,
+                ctx: put_ctx,
+                digest,
+            };
+            return self.relay(ctx, from, active[0], put);
+        }
+        let client = ClientId(value.id.client.0);
+        let origin = WriteOrigin::new(self.replica, client);
+        let state = self.mint_write(&key, origin, &put_ctx, value);
+        // a coordinator standing in for a down owner holds its copy
+        // under a hint obligation, like any other fallback
+        self.note_copy_held(&key, hint_for(&subs, self.replica));
+        for peer in &active {
+            if *peer == self.replica {
+                continue;
             }
-        } else {
-            // Not an owner: the dot must be minted from an owner's
-            // counter, so delegate the write to the first active owner
-            // and fan its post-write state out to the rest once known.
-            let writer = active[0];
-            let rest = active[1..].iter();
-            fanout = rest.map(|peer| (*peer, hint_for(&subs, *peer))).collect();
             self.send(
                 ctx,
-                NodeId(writer.0),
-                Msg::RepWrite {
+                NodeId(peer.0),
+                Msg::RepPut {
                     req,
                     key: key.clone(),
-                    value,
-                    ctx: put_ctx,
-                    hint: hint_for(&subs, writer),
+                    state: state.clone(),
+                    hint: hint_for(&subs, *peer),
                 },
             );
         }
@@ -1368,12 +1349,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             client: from,
             expected: active.len(),
             replied: false,
-            owner,
-            seen,
-            op: Op::Put {
-                state: M::State::default(),
-                fanout,
-            },
+            seen: vec![(self.replica, 0)],
+            op: Op::Put,
         };
         self.pending.insert(req, pending);
         self.try_complete(ctx, req);
@@ -1387,9 +1364,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             return;
         };
         if !p.replied {
-            self.reply(ctx, p.client, req, matches!(p.op, Op::Get { .. }), None);
+            let read = matches!(p.op, Op::Get { .. } | Op::Relay { read: true });
+            self.reply(ctx, p.client, req, read, None);
         } else if let Op::Get { acc, subs, .. } = p.op {
-            self.finish_read_repair(ctx, &p.key, acc, &p.seen, p.owner, &subs);
+            self.finish_read_repair(ctx, &p.key, acc, &p.seen, &subs);
         }
     }
 
@@ -1602,9 +1580,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 let state = self.data.get(&key).cloned().unwrap_or_default();
                 self.send(ctx, from, Msg::RepGetResp { req, key, state });
             }
-            Msg::RepGetResp { req, state, .. } | Msg::RepWriteResp { req, state, .. } => {
-                self.vote(ctx, from, req, Some(state));
-            }
+            Msg::RepGetResp { req, state, .. } => self.vote(ctx, from, req, Some(state)),
             Msg::RepGetSame { req } | Msg::RepPutAck { req } => self.vote(ctx, from, req, None),
             Msg::RepPut {
                 req,
@@ -1614,26 +1590,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             } => {
                 self.absorb(vec![(key, state)], hint);
                 self.send(ctx, from, Msg::RepPutAck { req });
-            }
-            Msg::RepWrite {
-                req,
-                key,
-                value,
-                ctx: put_ctx,
-                hint,
-            } => {
-                // delegated write from a non-owner coordinator: mint the
-                // dot here and hand the post-write state back — once per
-                // request id (a duplicated or replayed delegation must
-                // not mint again)
-                if !self.note_write_seen(req) {
-                    return;
-                }
-                let client = ClientId(value.id.client.0);
-                let origin = WriteOrigin::new(self.replica, client);
-                let state = self.mint_write(&key, origin, &put_ctx, value);
-                self.note_copy_held(&key, hint);
-                self.send(ctx, from, Msg::RepWriteResp { req, key, state });
             }
             Msg::Push {
                 class,
@@ -1785,8 +1741,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             Msg::GossipDigest { digest } => {
                 self.note_peer_digest(ctx, from, digest);
             }
-            // client-facing responses never arrive at servers
-            Msg::ClientGetResp { .. } | Msg::ClientPutResp { .. } => {}
+            Msg::ClientGetResp { req, .. } | Msg::ClientPutResp { req, .. } => {
+                self.pass_back(ctx, req, msg);
+            }
         }
     }
 

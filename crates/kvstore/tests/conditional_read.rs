@@ -1,6 +1,7 @@
 //! The conditional replica read (`RepGetIf` / `RepGetSame`), the one
-//! completion rule reads and writes share, and the failure detector's
-//! down marks as routing sees them, handler by handler: single
+//! completion rule reads and writes share, the relay of a request a
+//! server does not own, and the failure detector's down marks as routing
+//! sees them, handler by handler: single
 //! `StoreNode`s, each alone in a `simnet::Host` with the network off, so
 //! what a node sends to another node leaves through the host's outlet at
 //! once and is recorded there — no simulator, no fleet, every message
@@ -51,7 +52,12 @@ fn members() -> RingView<ReplicaId> {
 
 impl Server {
     fn new(replica: ReplicaId) -> Self {
-        let node = StoreNode::new(replica, DvvMechanism, StoreConfig::default(), members());
+        Server::with_view(replica, members())
+    }
+
+    /// A server that routes under `view` instead of the four members'.
+    fn with_view(replica: ReplicaId, view: RingView<ReplicaId>) -> Self {
+        let node = StoreNode::new(replica, DvvMechanism, StoreConfig::default(), view);
         let rng = SimRng::new(u64::from(replica.0));
         let network = Network::new(NetworkConfig::default(), rng.fork("network"));
         let id = NodeId(replica.0);
@@ -424,42 +430,6 @@ fn a_write_between_the_answers_repairs_no_one() {
 }
 
 #[test]
-fn outsider_coordinator_reads_an_empty_key_from_two_sames() {
-    let (key, owners, outsider) = placement();
-    let mut coord = Server::new(outsider);
-    let empty = fingerprint(&State::default());
-
-    let reads = conditional_reads(&coord.client_get(&key), &key);
-    assert_eq!(
-        reads,
-        owners.map(|r| (NodeId(r.0), REQ, empty)).to_vec(),
-        "a non-owner starts from the empty state and asks every owner"
-    );
-    for (to, req, have) in &reads {
-        let mut replica = Server::new(ReplicaId(to.0));
-        let get = Msg::RepGetIf {
-            req: *req,
-            key: key.clone(),
-            have: *have,
-        };
-        let sent = replica.deliver(coord.id(), get);
-        assert!(matches!(sent[..], [(_, Msg::RepGetSame { req: REQ })]));
-    }
-
-    assert!(
-        coord.deliver(reads[0].0, same(REQ)).is_empty(),
-        "one answer is not a read quorum for a coordinator that holds no copy"
-    );
-    let (ok, values, ctx) = client_reply(&coord.deliver(reads[1].0, same(REQ)));
-    assert!(ok);
-    assert!(values.is_empty());
-    assert_eq!(ctx, Ctx::default());
-    assert!(coord.deliver(reads[2].0, same(REQ)).is_empty());
-    assert!(coord.node().data().is_empty(), "a non-owner keeps no state");
-    assert_eq!(coord.node().stats().read_repairs, 0);
-}
-
-#[test]
 fn same_for_a_retired_or_unknown_request_is_ignored() {
     let (key, [a, b, c], _) = placement();
     let (_, state) = old_and_new(a);
@@ -495,29 +465,53 @@ fn a_get_delivered_twice_in_flight_is_coordinated_once() {
     assert_eq!(coord.node().stats().gets_ok, 1);
 }
 
-/// One coordinated request as the completion rule sees it: what the
-/// client sent, and the answers of the replicas asked, in delivery order.
+/// The client's reply to `start`: `ok`, with what `state` reads as, or
+/// — `None` — the refusal.
+fn reply_to(start: &Msg<M>, state: Option<&State>) -> Msg<M> {
+    let ok = state.is_some();
+    let (values, ctx) = state.map(|st| DvvMechanism.read(st)).unwrap_or_default();
+    match start {
+        Msg::ClientGet { .. } => Msg::ClientGetResp {
+            req: REQ,
+            ok,
+            values,
+            ctx,
+        },
+        _ => Msg::ClientPutResp {
+            req: REQ,
+            ok,
+            values,
+            ctx,
+        },
+    }
+}
+
+/// One request as the node the client asked sees it: what the client
+/// sent, what that sends on, and the answers that come back, in delivery
+/// order. R = W = 2, so an owner coordinating has its quorum at the first
+/// replica's answer (its own copy counts); a relay has its one answer.
 struct Row {
     name: &'static str,
     coord: Server,
     start: Msg<M>,
-    /// How many of the W or R = 2 responses are the coordinator's own.
-    own: usize,
+    /// Everything handling the client's request sends.
+    on_start: Vec<(NodeId, Msg<M>)>,
     answers: Vec<(NodeId, Msg<M>)>,
-    /// What handling the first answer sends besides any client reply.
-    on_first_answer: Vec<(NodeId, Msg<M>)>,
-    /// Payload of the one value the `ok` reply must carry.
-    replied: &'static [u8],
-    /// What the request leaves in the coordinator's store.
+    /// The one `ok` reply the client gets.
+    reply: Msg<M>,
+    /// Whether the node runs the quorum itself, counting the success in
+    /// its own `gets_ok` / `puts_ok`, rather than relaying it.
+    coordinates: bool,
+    /// What the request leaves in the node's store.
     stored: State,
     /// Read repairs once every answer is in, and once the timeout fires
     /// with only the quorum's answers in.
     repairs: [Vec<NodeId>; 2],
 }
 
-/// `{GET, PUT}` x `{an owner coordinates, an outsider does}`. The
-/// outsider's PUT is the delegated write: `RepWrite` to the first owner,
-/// whose `RepWriteResp` is both its vote and the state to fan out.
+/// `{GET, PUT}` x `{an owner coordinates, an outsider relays}`. The
+/// outsider hands the client's request on, under its own view digest,
+/// to the first owner, and that owner's reply, whatever it says, back.
 fn rows() -> Vec<Row> {
     let (key, [a, b, c], outsider) = placement();
     let (old, new) = old_and_new(a);
@@ -537,6 +531,15 @@ fn rows() -> Vec<Row> {
         digest,
     };
     let ack = || Msg::RepPutAck { req: REQ };
+    let read_from = |to: NodeId| {
+        let have = fingerprint(&old);
+        let get = Msg::RepGetIf {
+            req: REQ,
+            key: key.clone(),
+            have,
+        };
+        (to, get)
+    };
     let fan_out = |to: NodeId| {
         let put = Msg::RepPut {
             req: REQ,
@@ -546,90 +549,60 @@ fn rows() -> Vec<Row> {
         };
         (to, put)
     };
+    let got = reply_to(&get(), Some(&new));
+    let put_done = reply_to(&put(), Some(&put_state));
     vec![
         Row {
             name: "GET, owner",
             coord: Server::holding(a, &key, &old),
             start: get(),
-            own: 1,
+            on_start: vec![read_from(nb), read_from(nc)],
             answers: vec![(nb, full(&key, &new)), (nc, same(REQ))],
-            on_first_answer: Vec::new(),
-            replied: b"new",
+            reply: got.clone(),
+            coordinates: true,
             stored: new.clone(),
             repairs: [vec![nc], Vec::new()],
         },
         Row {
-            name: "GET, outsider",
+            name: "GET, relayed",
             coord: Server::new(outsider),
             start: get(),
-            own: 0,
-            answers: vec![
-                (na, full(&key, &old)),
-                (nb, full(&key, &new)),
-                (nc, same(REQ)),
-            ],
-            on_first_answer: Vec::new(),
-            replied: b"new",
+            on_start: vec![(na, get())],
+            answers: vec![(na, got.clone())],
+            reply: got,
+            coordinates: false,
             stored: State::default(),
-            repairs: [vec![na, nc], vec![na]],
+            repairs: [Vec::new(), Vec::new()],
         },
         Row {
             name: "PUT, owner",
             coord: Server::new(a),
             start: put(),
-            own: 1,
+            on_start: vec![fan_out(nb), fan_out(nc)],
             answers: vec![(nb, ack()), (nc, ack())],
-            on_first_answer: Vec::new(),
-            replied: b"put",
+            reply: put_done.clone(),
+            coordinates: true,
             stored: put_state.clone(),
             repairs: [Vec::new(), Vec::new()],
         },
         Row {
-            name: "PUT, outsider",
+            name: "PUT, relayed",
             coord: Server::new(outsider),
             start: put(),
-            own: 0,
-            answers: vec![
-                (
-                    na,
-                    Msg::RepWriteResp {
-                        req: REQ,
-                        key: key.clone(),
-                        state: put_state.clone(),
-                    },
-                ),
-                (nb, ack()),
-                (nc, ack()),
-            ],
-            on_first_answer: vec![fan_out(nb), fan_out(nc)],
-            replied: b"put",
+            on_start: vec![(na, put())],
+            answers: vec![(na, put_done.clone())],
+            reply: put_done,
+            coordinates: false,
             stored: State::default(),
             repairs: [Vec::new(), Vec::new()],
         },
     ]
 }
 
-/// Splits `sent` into the client's replies — `(ok, payloads)`, each of
-/// the variant that answers `start` — and everything else.
+/// Splits `sent` into what went to the client and everything else.
 #[allow(clippy::type_complexity)]
-fn split_replies(
-    start: &Msg<M>,
-    sent: Vec<(NodeId, Msg<M>)>,
-) -> (Vec<(bool, Vec<Vec<u8>>)>, Vec<(NodeId, Msg<M>)>) {
-    let (mut replies, mut rest) = (Vec::new(), Vec::new());
-    for (to, msg) in sent {
-        let (ok, values) = match (start, msg) {
-            (Msg::ClientGet { .. }, Msg::ClientGetResp { ok, values, .. })
-            | (Msg::ClientPut { .. }, Msg::ClientPutResp { ok, values, .. }) => (ok, values),
-            (_, other) => {
-                rest.push((to, other));
-                continue;
-            }
-        };
-        assert_eq!(to, CLIENT);
-        replies.push((ok, values.into_iter().map(|v| v.payload).collect()));
-    }
-    (replies, rest)
+fn split_replies(sent: Vec<(NodeId, Msg<M>)>) -> (Vec<(NodeId, Msg<M>)>, Vec<(NodeId, Msg<M>)>) {
+    sent.into_iter().partition(|(to, _)| *to == CLIENT)
 }
 
 /// `sent`, comparably (a `Msg` has no `PartialEq`).
@@ -639,7 +612,9 @@ fn render(sent: &[(NodeId, Msg<M>)]) -> Vec<String> {
 
 /// Reads and writes complete by one rule: gather answers from the key's
 /// active replicas until R or W *distinct* ones are in, reply, retire
-/// when all are — or when the timer fires first.
+/// when all are — or when the timer fires first. A node outside the
+/// key's preference list runs no quorum: it relays the request and passes
+/// the owner's reply back, under the same one reply, one timer.
 #[test]
 fn one_completion_rule_for_both_ops() {
     let (key, [a, _, _], _) = placement();
@@ -648,34 +623,37 @@ fn one_completion_rule_for_both_ops() {
         let stats = row.coord.node().stats();
         (stats.gets_ok + stats.puts_ok, stats.quorum_timeouts)
     };
+    let timer = Timer::Request(REQ);
 
-    // Every replica answers, and the network delivers each answer twice.
+    // Every answer comes, and the network delivers each one twice.
     for mut row in rows() {
         let name = row.name;
-        let quorum_at = 2 - row.own;
-        let all_at = row.answers.len();
-        row.coord.deliver(CLIENT, row.start.clone());
-        let timer = Timer::Request(REQ);
+        let sent = row.coord.deliver(CLIENT, row.start.clone());
+        assert_eq!(
+            render(&sent),
+            render(&row.on_start),
+            "{name}: what goes out"
+        );
         assert_eq!(row.coord.armed(), [timer], "{name}: one request, one timer");
+        let all_at = row.answers.len();
         for (i, (from, answer)) in row.answers.iter().enumerate() {
             let sent = row.coord.deliver(*from, answer.clone());
-            let (replies, rest) = split_replies(&row.start, sent);
-            if i + 1 == quorum_at {
-                let reply = (true, vec![row.replied.to_vec()]);
-                assert_eq!(replies, [reply], "{name}: the reply leaves at the quorum");
+            let (replies, rest) = split_replies(sent);
+            if i == 0 {
+                let reply = [(CLIENT, row.reply.clone())];
+                assert_eq!(render(&replies), render(&reply), "{name}: one reply");
             } else {
-                assert!(replies.is_empty(), "{name}: answer {i} is no quorum");
+                assert!(replies.is_empty(), "{name}: answer {i} replies again");
             }
             if i + 1 == all_at {
                 assert_eq!(repaired(&rest, &key, &new), row.repairs[0], "{name}");
                 assert_eq!(row.coord.armed(), [], "{name}: retired");
             } else {
-                let expect: &[_] = if i == 0 { &row.on_first_answer } else { &[] };
-                assert_eq!(render(&rest), render(expect), "{name}: answer {i}");
+                assert!(rest.is_empty(), "{name}: answer {i} sent {rest:?}");
                 assert_eq!(row.coord.armed(), [timer], "{name}: in flight");
             }
             let again = row.coord.deliver(*from, answer.clone());
-            assert!(again.is_empty(), "{name}: a replica counts once");
+            assert!(again.is_empty(), "{name}: an answer counts once");
         }
         // retired: further answers and the timer's late fire are ignored
         let before = row.coord.node().stats();
@@ -684,24 +662,24 @@ fn one_completion_rule_for_both_ops() {
         }
         assert!(row.coord.fire(timer).is_empty(), "{name}");
         assert_eq!(row.coord.node().stats(), before, "{name}");
-        assert_eq!(completions(&row), (1, 0), "{name}");
+        let ok = u64::from(row.coordinates);
+        assert_eq!(completions(&row), (ok, 0), "{name}");
         assert_eq!(before.read_repairs, row.repairs[0].len() as u64, "{name}");
+        assert_eq!(before.remote_coordinations, 1 - ok, "{name}");
         assert_eq!(row.coord.stored(&key), row.stored, "{name}");
+        if !row.coordinates {
+            let minted = row.coord.node().dot_guard_state();
+            assert_eq!(minted, (0, 0, 0), "{name}: a relay mints nothing");
+        }
     }
 
-    // The timer fires one answer short of the quorum.
+    // No answer comes before the timer fires.
     for mut row in rows() {
         let name = row.name;
         row.coord.deliver(CLIENT, row.start.clone());
-        let timer = Timer::Request(REQ);
-        for (from, answer) in &row.answers[..1 - row.own] {
-            for _ in 0..2 {
-                let sent = row.coord.deliver(*from, answer.clone());
-                assert!(split_replies(&row.start, sent).0.is_empty(), "{name}");
-            }
-        }
-        let (replies, rest) = split_replies(&row.start, row.coord.fire(timer));
-        assert_eq!(replies, [(false, Vec::new())], "{name}: one refusal");
+        let (replies, rest) = split_replies(row.coord.fire(timer));
+        let refusal = [(CLIENT, reply_to(&row.start, None))];
+        assert_eq!(render(&replies), render(&refusal), "{name}: one refusal");
         assert!(
             rest.is_empty(),
             "{name}: an unanswered read repairs nothing"
@@ -716,21 +694,126 @@ fn one_completion_rule_for_both_ops() {
     // The timer fires after the reply, before the last answer.
     for mut row in rows() {
         let name = row.name;
+        let ok = u64::from(row.coordinates);
         row.coord.deliver(CLIENT, row.start.clone());
-        let timer = Timer::Request(REQ);
-        for (from, answer) in &row.answers[..2 - row.own] {
-            row.coord.deliver(*from, answer.clone());
-        }
-        assert_eq!(completions(&row), (1, 0), "{name}");
-        let (replies, rest) = split_replies(&row.start, row.coord.fire(timer));
+        let (from, answer) = &row.answers[0];
+        row.coord.deliver(*from, answer.clone());
+        assert_eq!(completions(&row), (ok, 0), "{name}");
+        let (replies, rest) = split_replies(row.coord.fire(timer));
         assert!(replies.is_empty(), "{name}: the client has its reply");
         assert_eq!(repaired(&rest, &key, &new), row.repairs[1], "{name}");
         for (from, answer) in &row.answers {
             assert!(row.coord.deliver(*from, answer.clone()).is_empty());
         }
-        assert_eq!(completions(&row), (1, 0), "{name}");
+        assert_eq!(completions(&row), (ok, 0), "{name}");
         assert_eq!(row.coord.stored(&key), row.stored, "{name}");
     }
+}
+
+/// Two stale views that each route the key to the other: `a` and `b`,
+/// its first two owners, each route under a view without themselves. The
+/// relay that comes back is a repeat and is dropped, each timer refuses,
+/// and the client hears once — the refusal of the node it asked. Nothing
+/// is minted anywhere.
+#[test]
+fn a_relay_that_comes_back_is_dropped_and_the_client_hears_once() {
+    let (key, [a, b, c], outsider) = placement();
+    let view_without = |me: ReplicaId| {
+        let others = [a, b, c, outsider].into_iter().filter(|r| *r != me);
+        RingView::from_members(others)
+    };
+    let value = StampedValue::new(WriteId::new(ClientId(5), 1), b"put".to_vec());
+    for read in [true, false] {
+        let mut sa = Server::with_view(a, view_without(a));
+        let mut sb = Server::with_view(b, view_without(b));
+        let [da, db] = [&sa, &sb].map(|s| s.node().view_digest());
+        let request = |digest: u64| {
+            let key = key.clone();
+            match read {
+                true => Msg::ClientGet {
+                    req: REQ,
+                    key,
+                    digest,
+                },
+                false => Msg::ClientPut {
+                    req: REQ,
+                    key,
+                    value: value.clone(),
+                    ctx: Ctx::default(),
+                    digest,
+                },
+            }
+        };
+        let sent = sa.deliver(CLIENT, request(da));
+        assert_eq!(render(&sent), render(&[(sb.id(), request(da))]));
+        // b realigns views with a, then relays under its own digest
+        let mut sent = sb.deliver(sa.id(), request(da));
+        assert!(matches!(sent.remove(0), (to, Msg::RingEpoch { .. }) if to == sa.id()));
+        assert_eq!(render(&sent), render(&[(sa.id(), request(db))]));
+        // the copy that comes back to a is a repeat
+        let sent = sa.deliver(sb.id(), request(db));
+        assert!(
+            matches!(sent[..], [(to, Msg::RingEpoch { .. })] if to == sb.id()),
+            "a repeat is only realigned with, got {sent:?}"
+        );
+        let (replies, rest) = split_replies(sa.fire(Timer::Request(REQ)));
+        let refusal = reply_to(&request(da), None);
+        assert_eq!(render(&replies), render(&[(CLIENT, refusal.clone())]));
+        assert!(rest.is_empty());
+        // b's refusal goes to a, which is no longer waiting for it
+        let sent = sb.fire(Timer::Request(REQ));
+        assert_eq!(render(&sent), render(&[(sa.id(), refusal.clone())]));
+        assert!(sa.deliver(sb.id(), refusal).is_empty());
+        for s in [&sa, &sb] {
+            assert!(s.node().data().is_empty(), "a relay stores nothing");
+            assert_eq!(s.node().dot_guard_state(), (0, 0, 0));
+            assert_eq!(s.node().stats().remote_coordinations, 1);
+        }
+        let dups = sa.node().stats().dup_writes_ignored;
+        assert_eq!(dups, u64::from(!read), "a write is refused as a repeat");
+    }
+}
+
+/// A client reply that reaches a server which relayed nothing under its
+/// id is dropped: the server sends nothing and changes nothing — also
+/// while it coordinates a request of that id itself.
+#[test]
+fn an_unsolicited_client_reply_sends_nothing_and_changes_nothing() {
+    let (key, [a, b, c], _) = placement();
+    let (_, state) = old_and_new(a);
+    let mut coord = Server::holding(a, &key, &state);
+    let get = Msg::ClientGet {
+        req: REQ,
+        key: key.clone(),
+        digest: coord.node().view_digest(),
+    };
+    let put = Msg::ClientPut {
+        req: REQ,
+        key: key.clone(),
+        value: StampedValue::new(WriteId::new(ClientId(5), 1), b"put".to_vec()),
+        ctx: Ctx::default(),
+        digest: 0,
+    };
+    let strays = [&get, &put].map(|start| [Some(&state), None].map(|st| reply_to(start, st)));
+    for in_flight in [false, true] {
+        if in_flight {
+            coord.deliver(CLIENT, get.clone());
+        }
+        let before = (coord.node().stats(), coord.armed(), coord.stored(&key));
+        for stray in strays.iter().flatten() {
+            for from in [NodeId(b.0), CLIENT] {
+                let sent = coord.deliver(from, stray.clone());
+                assert!(sent.is_empty(), "a stray {stray:?} sent {sent:?}");
+            }
+        }
+        let after = (coord.node().stats(), coord.armed(), coord.stored(&key));
+        assert_eq!(after, before, "in flight: {in_flight}");
+    }
+    // the GET in flight is untouched: its quorum still forms as ever
+    let (ok, values, _) = client_reply(&coord.deliver(NodeId(b.0), same(REQ)));
+    assert!(ok);
+    assert_eq!(values[0].payload, b"new".to_vec());
+    assert!(coord.deliver(NodeId(c.0), same(REQ)).is_empty());
 }
 
 /// The failure detector's marks as routing sees them: a replica marked

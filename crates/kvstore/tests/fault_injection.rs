@@ -195,11 +195,10 @@ fn quorum_timeouts_surface_as_failed_or_retried_requests() {
 }
 
 /// One replica counts once toward R and W, however often the network
-/// delivers its reply. A coordinator outside the key's preference list
-/// starts both counts at zero; with two of the three owners silently
-/// unreachable and every delivered message duplicated, the one
-/// reachable owner's reply arrives twice — which must not pass for a
-/// quorum of two.
+/// delivers its reply. With N = R = W = 3 the first owner coordinates and
+/// counts itself; the third owner is silently unreachable and every
+/// delivered message is duplicated, so the second owner's answer arrives
+/// twice — which must not pass for the two answers the quorum lacks.
 #[test]
 fn a_duplicated_reply_is_not_a_quorum() {
     use dvv::ClientId;
@@ -213,6 +212,8 @@ fn a_duplicated_reply_is_not_a_quorum() {
         cycles_per_client: 0,
         ..ClusterConfig::default()
     };
+    cfg.store.r = 3;
+    cfg.store.w = 3;
     cfg.network.default_link.faults = LinkFaults {
         duplicate_probability: 1.0,
         ..LinkFaults::default()
@@ -222,16 +223,12 @@ fn a_duplicated_reply_is_not_a_quorum() {
     let key = b"cart:17".to_vec();
     let ring = c.view().to_ring(StoreConfig::default().vnodes);
     let owners = ring.preference_list(&key, 3);
-    let outsider = (0..4)
-        .find(|i| !owners.contains(&ReplicaId(*i)))
-        .expect("four servers, three owners");
-    let coordinator = NodeId(outsider);
+    let first = owners[0].0;
+    let coordinator = NodeId(first);
     // failure-detector lag: nobody is told, the replies just never come
-    for lost in &owners[1..] {
-        c.sim_mut()
-            .network_mut()
-            .block_link(NodeId(lost.0), coordinator);
-    }
+    c.sim_mut()
+        .network_mut()
+        .block_link(NodeId(owners[2].0), coordinator);
 
     let digest = c.view_digest();
     let get = Msg::ClientGet {
@@ -241,11 +238,11 @@ fn a_duplicated_reply_is_not_a_quorum() {
     };
     c.sim_mut().post(coordinator, get);
     c.run_for(Duration::from_millis(200));
-    let stats = c.server(outsider as usize).stats();
+    let stats = c.server(first as usize).stats();
     assert_eq!(
         (stats.gets_ok, stats.quorum_timeouts),
         (0, 1),
-        "R=2 was assembled from one replica's answer"
+        "R=3 was assembled from the coordinator and one replica's answer"
     );
 
     let put = Msg::ClientPut {
@@ -257,11 +254,12 @@ fn a_duplicated_reply_is_not_a_quorum() {
     };
     c.sim_mut().post(coordinator, put);
     c.run_for(Duration::from_millis(200));
-    let stats = c.server(outsider as usize).stats();
+    let stats = c.server(first as usize).stats();
     assert_eq!(
         (stats.puts_ok, stats.quorum_timeouts),
         (0, 2),
-        "W=2 was assembled from one replica's acknowledgement"
+        "W=3 was assembled from the coordinator and one replica's ack"
     );
+    assert_eq!(stats.remote_coordinations, 0, "an owner coordinated");
     assert!(c.sim().network().stats().duplicated > 0);
 }

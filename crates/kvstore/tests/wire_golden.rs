@@ -19,8 +19,12 @@
 //! retired the summary/delta view exchange (tags 21, 22) and the
 //! unscoped `AaeLeaves` form: their three entries left the table, the
 //! scoped `AaeLeaves` entry lost its presence byte, and no other entry's
-//! bytes moved. The format itself is written up in `doc/wire_format.md`,
-//! which the last test here keeps honest.
+//! bytes moved. A fourth retired the delegated write (tags 14, 15): its
+//! two entries left the table, no other entry's bytes moved, and
+//! `MECHANISMS` carries each state in a `RepGetResp` (the same layout)
+//! instead of a `RepWriteResp`, which changed only each state's tag
+//! byte. The format itself is written up in `doc/wire_format.md`, which
+//! the last test here keeps honest.
 
 use dvv::mechanisms::{
     CausalHistoryMechanism, DvvMechanism, DvvSetMechanism, LamportMechanism, Mechanism,
@@ -117,7 +121,7 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
     let digest = 0xfeed_face_cafe_f00d;
     let hint = Some(ReplicaId(300));
     let tomb = StampedValue::tombstone(WriteId::new(ClientId(1 << 40), 77));
-    let values = vec![value(7, 1, b"first"), tomb.clone()];
+    let values = vec![value(7, 1, b"first"), tomb];
     let view = view();
     vec![
         (
@@ -210,24 +214,6 @@ fn corpus() -> Vec<(&'static str, Msg<M>)> {
                 want: keys(),
             },
         ),
-        (
-            "RepWrite",
-            Msg::RepWrite {
-                req,
-                key: key.clone(),
-                value: tomb,
-                ctx: ctx(),
-                hint,
-            },
-        ),
-        (
-            "RepWriteResp",
-            Msg::RepWriteResp {
-                req,
-                key: key.clone(),
-                state: single(),
-            },
-        ),
         ("RingEpoch", Msg::RingEpoch { view }),
         ("GossipDigest", Msg::GossipDigest { digest }),
         (
@@ -302,8 +288,6 @@ const GOLDEN: &[(&str, &str)] = &[
     ("AaeArcRoots", "0a0df0fecacefaedfe0400023cc3061100000000000000fecaad0befbeadde01000000000000000000000000000000"),
     ("AaeLeaves/scoped", "0b0df0fecacefaedfe04010025d603040009757365723a30303031080132050131000176efbeadde000000000100000000000000f9ffffffffffffff0000000000000000"),
     ("AaeStates", "0c040009757365723a30303031010501030003028080808020ac02810101c801000c111111111111111111111111080132030002000b030100020100098080400028a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5ac0201010001070200067365636f6e640601310000057a65627261010501030003028080808020ac02810101c801000c1111111111111111111111110500000007636172743a31370701300501320003646f67"),
-    ("RepWrite", "0e080706050403020109757365723a303034328080808080204d0100030003028080808020ac02810101ac02"),
-    ("RepWriteResp", "0f080706050403020109757365723a30303432010501030003028080808020ac02810101c801000c111111111111111111111111"),
     ("RingEpoch", "140600000006008503010105808080010382019003"),
     ("GossipDigest", "170df0fecacefaedfe"),
     ("RepGetIf", "1a080706050403020109757365723a30303432efcdab8967452301"),
@@ -348,7 +332,7 @@ fn mechanism_entry<M: WireMechanism<StampedValue>>(mech: M) -> (&'static str, St
     mech.write(&mut st, w(2, 9), &blind, value(9, 3, b"c"));
     let (values, ctx) = mech.read(&st);
     let [state, context] = [
-        Msg::<M>::RepWriteResp {
+        Msg::<M>::RepGetResp {
             req: 1,
             key: b"k".to_vec(),
             state: st,
@@ -370,47 +354,47 @@ fn mechanism_entry<M: WireMechanism<StampedValue>>(mech: M) -> (&'static str, St
     (mech.name(), state, context)
 }
 
-/// `(mechanism, RepWriteResp hex, ClientGetResp hex)` for all eight
+/// `(mechanism, RepGetResp hex, ClientGetResp hex)` for all eight
 /// mechanisms — every state and context layout, pinned.
 const MECHANISMS: &[(&str, &str, &str)] = &[
     (
         "dvv",
-        "0f0100000000000000016b020201000903000163ac02010100010702000162",
+        "050100000000000000016b020201000903000163ac02010100010702000162",
         "0101000000000000000102090300016307020001620300010201ac0201",
     ),
     (
         "dvvset",
-        "0f0100000000000000016b030001000201010903000163ac0201010702000162",
+        "050100000000000000016b030001000201010903000163ac0201010702000162",
         "0101000000000000000102090300016307020001620300010201ac0201",
     ),
     (
         "causal-histories",
-        "0f0100000000000000016b02020001ac020107020001620102010903000163",
+        "050100000000000000016b02020001ac020107020001620102010903000163",
         "0101000000000000000102070200016209030001630300010201ac0201",
     ),
     (
         "vv-client",
-        "0f0100000000000000016b0201070207020001620109010903000163",
+        "050100000000000000016b0201070207020001620109010903000163",
         "0101000000000000000102070200016209030001630207020901",
     ),
     (
         "vv-server",
-        "0f0100000000000000016b02020001ac020107020001620102010903000163",
+        "050100000000000000016b02020001ac020107020001620102010903000163",
         "0101000000000000000102070200016209030001630300010201ac0201",
     ),
     (
         "lamport-lww",
-        "0f0100000000000000016b0103090903000163",
+        "050100000000000000016b0103090903000163",
         "0101000000000000000101090300016303",
     ),
     (
         "ordered-vv",
-        "0f0100000000000000016b02020001ac020101ac020107020001620102010102010903000163",
+        "050100000000000000016b02020001ac020101ac020107020001620102010102010903000163",
         "0101000000000000000102070200016209030001630300010201ac020101ac0201",
     ),
     (
         "vve",
-        "0f0100000000000000016b02ac0201010001000702000162020100000903000163",
+        "050100000000000000016b02ac0201010001000702000162020100000903000163",
         "0101000000000000000102070200016209030001630300010201ac020100",
     ),
 ];
@@ -448,12 +432,14 @@ fn every_mechanism_layout_matches_committed_bytes() {
 
 /// Tags of the six variants [`Msg::Push`] / [`Msg::PushAck`] replaced,
 /// of `JoinAnnounce` (16) and `Rejoin` (17) — every membership change
-/// travels as a [`Msg::RingEpoch`] — and of `RingSummary` (21) and
-/// `RingDelta` (22): views reconcile by a full `RingEpoch` push alone.
-const RETIRED: [u8; 10] = [8, 13, 16, 17, 18, 19, 21, 22, 24, 25];
+/// travels as a [`Msg::RingEpoch`] — of `RingSummary` (21) and
+/// `RingDelta` (22): views reconcile by a full `RingEpoch` push alone —
+/// and of `RepWrite` (14) and `RepWriteResp` (15): a server outside a
+/// key's preference list relays the client's request to an owner.
+const RETIRED: [u8; 12] = [8, 13, 14, 15, 16, 17, 18, 19, 21, 22, 24, 25];
 
 /// The corpus is only a format pin if it really spans the protocol:
-/// all 20 live variant tags appear, and every message decodes back.
+/// all 18 live variant tags appear, and every message decodes back.
 #[test]
 fn corpus_covers_every_variant_and_roundtrips() {
     let mech = DvvMechanism;

@@ -138,7 +138,7 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
             Msg::ClientPut {
                 req,
                 key: key.clone(),
-                value: value.clone(),
+                value,
                 ctx: ctx.clone(),
                 digest,
             },
@@ -146,7 +146,7 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
                 req,
                 ok,
                 values,
-                ctx: ctx.clone(),
+                ctx,
             },
             Msg::RepGet {
                 req,
@@ -193,14 +193,6 @@ fn arb_msgs() -> impl Strategy<Value = Vec<Msg<M>>> {
                 entries: entries.clone(),
                 hint: None,
             },
-            Msg::RepWrite {
-                req,
-                key: key.clone(),
-                value,
-                ctx,
-                hint,
-            },
-            Msg::RepWriteResp { req, key, state },
             Msg::Push {
                 class: MsgClass::Transfer,
                 id: Some(id),

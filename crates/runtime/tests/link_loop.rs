@@ -210,9 +210,9 @@ fn queued_reply_is_handled_before_a_due_timer() {
     );
 }
 
-/// A message a node addresses to itself goes through the worker's
-/// local queue: the link is told, never asked to carry it, and the
-/// node handles it once.
+/// A message a node addresses to itself is an agenda entry due at once
+/// on its worker's host: the link is told, never asked to carry it, and
+/// the node handles it once.
 #[test]
 fn self_send_is_delivered_locally_exactly_once() {
     fn script(link: &ScriptLink) {
@@ -352,51 +352,53 @@ impl Script {
     }
 }
 
-/// A key on a four-server fleet: its first owner, and the one server
-/// outside its preference list.
-fn cart_placement() -> (Key, NodeId, NodeId, u64) {
+/// A key on a four-server fleet and its three owners, in preference
+/// order, under the fleet's genesis view (whose digest comes last).
+fn cart_placement() -> (Key, [NodeId; 3], u64) {
     let view = RingView::from_members((0..4).map(ReplicaId));
     let key: Key = b"cart:17".to_vec();
     let owners = view
         .to_ring(StoreConfig::default().vnodes)
         .preference_list(&key, 3);
-    let outsider = (0..4).find(|i| !owners.contains(&ReplicaId(*i))).unwrap();
-    (key, NodeId(owners[0].0), NodeId(outsider), view.digest())
+    let owners = [0, 1, 2].map(|i| NodeId(owners[i].0));
+    (key, owners, view.digest())
+}
+
+/// The node that coordinates the cart key: its first owner.
+fn cart_coordinator() -> NodeId {
+    cart_placement().1[0]
 }
 
 /// Regression: replies were counted, not attributed, so a link that
-/// delivers one replica's answer twice handed a coordinator outside the
-/// preference list (which starts at zero) its R=2 or W=2 from a single
-/// replica. Here only the first owner ever answers, always twice; both
-/// requests must time out.
+/// delivers one replica's answer twice could hand a coordinator its
+/// quorum from too few replicas. With N = R = W = 3 the first owner
+/// coordinates and counts itself; only the second owner ever answers,
+/// always twice, and the third never does, so both requests must time
+/// out.
 #[test]
 fn a_reply_delivered_twice_counts_once_toward_the_quorum() {
-    fn first_owner_answers_twice(link: &ScriptLink, pkt: &Packet<M>) {
+    fn second_owner_answers_twice(link: &ScriptLink, pkt: &Packet<M>) {
         let reply = match &pkt.msg {
             Msg::RepGetIf { req, .. } => Msg::RepGetSame { req: *req },
-            Msg::RepWrite { req, key, .. } => Msg::RepWriteResp {
-                req: *req,
-                key: key.clone(),
-                state: Default::default(),
-            },
+            Msg::RepPut { req, .. } => Msg::RepPutAck { req: *req },
             Msg::ClientGetResp { ok, .. } | Msg::ClientPutResp { ok, .. } => {
                 return link.note(u64::from(*ok));
             }
             _ => return,
         };
-        if pkt.to == cart_placement().1 {
+        if pkt.to == cart_placement().1[1] {
             link.inject(pkt.to, pkt.from, reply.clone());
             link.inject(pkt.to, pkt.from, reply);
         }
     }
     fn script(link: &ScriptLink) {
-        let (key, _, outsider, digest) = cart_placement();
+        let (key, _, digest) = cart_placement();
         let get = Msg::ClientGet {
             req: 1,
             key: key.clone(),
             digest,
         };
-        link.inject(STRANGER, outsider, get);
+        link.inject(STRANGER, cart_coordinator(), get);
         await_that("the GET to be answered", || {
             link.script.sent_to(STRANGER) >= 1
         });
@@ -407,13 +409,13 @@ fn a_reply_delivered_twice_counts_once_toward_the_quorum() {
             ctx: Default::default(),
             digest,
         };
-        link.inject(STRANGER, outsider, put);
+        link.inject(STRANGER, cart_coordinator(), put);
         await_that("the PUT to be answered", || {
             link.script.sent_to(STRANGER) >= 2
         });
     }
     let script = Arc::new(Script {
-        on_send: Some(first_owner_answers_twice),
+        on_send: Some(second_owner_answers_twice),
         on_tick: Some(script),
         ..Script::default()
     });
@@ -421,8 +423,8 @@ fn a_reply_delivered_twice_counts_once_toward_the_quorum() {
     config.servers = 4;
     config.store = StoreConfig {
         n: 3,
-        r: 2,
-        w: 2,
+        r: 3,
+        w: 3,
         request_timeout: Duration::from_millis(10),
         ..config.store
     };
@@ -432,10 +434,10 @@ fn a_reply_delivered_twice_counts_once_toward_the_quorum() {
     assert_eq!(
         *script.notes.lock().unwrap(),
         vec![0, 0],
-        "one replica's answer, delivered twice, passed for a quorum of two"
+        "one replica's answer, delivered twice, passed for two"
     );
-    let stats = fleet.server(cart_placement().2 .0 as usize).stats();
-    assert_eq!(stats.remote_coordinations, 2);
+    let stats = fleet.server(cart_coordinator().0 as usize).stats();
+    assert_eq!(stats.remote_coordinations, 0, "an owner coordinated");
     assert_eq!(
         (stats.gets_ok, stats.puts_ok, stats.quorum_timeouts),
         (0, 0, 2)
@@ -573,14 +575,6 @@ fn shutdown_is_observed_within_one_wait_cap() {
     );
 }
 
-/// The owners of [`cart_placement`]'s key, in preference order.
-fn cart_owners() -> Vec<NodeId> {
-    let view = RingView::from_members((0..4).map(ReplicaId));
-    let ring = view.to_ring(StoreConfig::default().vnodes);
-    let owners = ring.preference_list(&cart_placement().0, 3);
-    owners.iter().map(|r| NodeId(r.0)).collect()
-}
-
 /// Four quiet servers, N=3 R=W=2, with a request timeout short enough
 /// to wait out.
 fn cart_config() -> RuntimeConfig {
@@ -598,12 +592,16 @@ fn cart_config() -> RuntimeConfig {
 
 const SERVER_TIMEOUT: StdDuration = StdDuration::from_millis(5);
 
-/// Posts a GET of the cart key to the server outside its preference
-/// list and waits for that coordinator's answer to the client.
-fn get_cart_at_outsider(link: &ScriptLink) {
-    let (key, _, outsider, digest) = cart_placement();
+/// Posts a GET of the cart key to its coordinator and waits for the
+/// answer to the client.
+fn get_cart(link: &ScriptLink) {
+    let (key, _, digest) = cart_placement();
     let req = 1;
-    link.inject(STRANGER, outsider, Msg::ClientGet { req, key, digest });
+    link.inject(
+        STRANGER,
+        cart_coordinator(),
+        Msg::ClientGet { req, key, digest },
+    );
     await_that("the GET to be answered", || {
         link.script.sent_to(STRANGER) >= 1
     });
@@ -620,27 +618,29 @@ fn note_events_across_the_timeout(link: &ScriptLink, node: NodeId) {
 }
 
 /// The node's context writes through to the router, so what one
-/// handler sends reaches the link in the order the handler sent it: a
-/// coordinator outside the preference list asks the three owners in
+/// handler sends reaches the link in the order the handler sent it: the
+/// coordinator, the key's first owner, asks the other two owners in
 /// preference order, and — no one answering — fails the GET last.
 #[test]
 fn sends_of_one_handler_reach_the_link_in_handler_order() {
     let script = Arc::new(Script {
-        on_tick: Some(get_cart_at_outsider),
+        on_tick: Some(get_cart),
         ..Script::default()
     });
     let mut fleet = fleet(cart_config(), &script);
     fleet.run().expect("no stall");
 
-    let outsider = cart_placement().2;
-    let mut expected: Vec<(NodeId, NodeId)> =
-        cart_owners().into_iter().map(|o| (outsider, o)).collect();
-    expected.push((outsider, STRANGER));
+    let [coordinator, second, third] = cart_placement().1;
+    let expected = vec![
+        (coordinator, second),
+        (coordinator, third),
+        (coordinator, STRANGER),
+    ];
     assert_eq!(*script.sent.lock().unwrap(), expected);
 }
 
 /// The handler that completes a request cancels that request's timer by
-/// the id it was armed under, straight in the wheel: once all three
+/// the id it was armed under, straight in the wheel: once both other
 /// owners have answered, the coordinator dispatches nothing more — its
 /// event count stays flat across the timeout instant.
 #[test]
@@ -651,14 +651,14 @@ fn a_completed_requests_timer_never_dispatches() {
         }
     }
     fn script(link: &ScriptLink) {
-        let outsider = cart_placement().2;
-        await_that("the coordinator to start", || link.events(outsider) >= 1);
-        let base = link.events(outsider);
-        get_cart_at_outsider(link);
-        await_that("the request and its three answers", || {
-            link.events(outsider) >= base + 4
+        let coordinator = cart_coordinator();
+        await_that("the coordinator to start", || link.events(coordinator) >= 1);
+        let base = link.events(coordinator);
+        get_cart(link);
+        await_that("the request and its two answers", || {
+            link.events(coordinator) >= base + 3
         });
-        note_events_across_the_timeout(link, outsider);
+        note_events_across_the_timeout(link, coordinator);
     }
     let script = Arc::new(Script {
         on_send: Some(every_owner_answers),
@@ -670,7 +670,7 @@ fn a_completed_requests_timer_never_dispatches() {
 
     let notes = script.notes.lock().unwrap().clone();
     assert_eq!(notes[0], notes[1], "a cancelled request timer dispatched");
-    let stats = fleet.server(cart_placement().2 .0 as usize).stats();
+    let stats = fleet.server(cart_coordinator().0 as usize).stats();
     assert_eq!((stats.gets_ok, stats.quorum_timeouts), (1, 0));
 }
 
@@ -797,8 +797,8 @@ fn a_link_without_a_window_never_polls() {
 fn the_poll_window_is_cut_at_the_next_due_timer() {
     fn script(link: &ScriptLink) {
         let asked = Instant::now();
-        // No owner answers: the coordinator's reply is its timeout.
-        get_cart_at_outsider(link);
+        // No other owner answers: the coordinator's reply is its timeout.
+        get_cart(link);
         link.note(asked.elapsed().as_millis() as u64);
     }
     let script = Arc::new(Script {
@@ -813,7 +813,7 @@ fn the_poll_window_is_cut_at_the_next_due_timer() {
         took_ms < Spinning::SPIN.as_millis() as u64 / 2,
         "a {SERVER_TIMEOUT:?} timer fired after {took_ms} ms"
     );
-    let stats = fleet.server(cart_placement().2 .0 as usize).stats();
+    let stats = fleet.server(cart_coordinator().0 as usize).stats();
     assert_eq!((stats.gets_ok, stats.quorum_timeouts), (0, 1));
     assert_eq!(fleet.stats().idle().spin_misses, 0, "no window ran out");
 }
