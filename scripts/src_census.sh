@@ -84,6 +84,13 @@ printf '  %-32s %6d\n' \
     "runtime hosting types" "$({ grep -rhE '^(pub )?(struct|enum) (Router|Crash|Hosted|Due|RtCtx)\b' \
         crates/runtime/src || true; } | wc -l)" \
     "impl NodeCtx<M> parameters" "$(src_count '&mut impl NodeCtx<M>')"
+# Only an owner coordinates: a server outside a key's preference list
+# relays the request to an owner instead of running a second coordinator
+# role (no delegated-write message, no ownership flag on a request).
+echo "coordination surface"
+printf '  %-32s %6d\n' \
+    "RepWrite lines (crates/*/src)" "$(src_count 'RepWrite')" \
+    "Pending fields (node.rs)" "$(members crates/kvstore/src/node.rs '^struct Pending<')"
 # The fault plane: how many times each of its pieces is written.
 # Environment variables the crates themselves read: each one is a switch
 # a run can flip without a code change.
