@@ -539,8 +539,15 @@ impl<M: Mechanism<StampedValue>> Msg<M> {
     #[must_use]
     pub fn encode_transport(&self, mech: &M) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.wire_size(mech));
-        self.walk(&mut buf);
+        self.encode_into(&mut buf);
         buf
+    }
+
+    /// [`encode_transport`](Msg::encode_transport) appended to `buf` in
+    /// place: the one walk, with no sizing pass and no buffer of its
+    /// own, for a transport that frames messages back to back into one.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        self.walk(buf);
     }
 
     /// Parses a message produced by [`Msg::encode_transport`]. Strict:
@@ -1061,5 +1068,27 @@ mod tests {
             let back = Msg::<M>::decode_transport(&mech, &bytes).expect("decodes");
             assert_eq!(back.encode_transport(&mech), bytes, "round trip of {m:?}");
         }
+    }
+
+    /// Appended in place after what a buffer already holds, a message is
+    /// its `encode_transport` bytes, and nothing before them moves.
+    #[test]
+    fn encode_into_appends_the_encoding() {
+        let mech = DvvMechanism;
+        let msgs: Vec<Msg<M>> = vec![
+            Msg::RepPutAck { req: 9 },
+            Msg::RepGetResp {
+                req: 7,
+                key: b"alpha".to_vec(),
+                state: sample_state(),
+            },
+        ];
+        let mut buf = b"held".to_vec();
+        let mut want = buf.clone();
+        for m in &msgs {
+            m.encode_into(&mut buf);
+            want.extend(m.encode_transport(&mech));
+        }
+        assert_eq!(buf, want);
     }
 }

@@ -6,16 +6,22 @@
 //! `Msg::encode_transport` bodies over per-`(sender, receiver)`
 //! connections dialed lazily on first send.
 //!
-//! **Outbound there is no thread and no queue.**
-//! [`send_bytes`](Fabric::send_bytes) writes the frame on the thread
-//! that called it, under that link's own lock. A link without a
-//! connection dials on the same thread and introduces itself with an
+//! **Outbound there is no thread and no queue of the fabric's own.** A
+//! fleet worker frames what its nodes send in place, into an outbox per
+//! `(from, to)` in its own link handle (`FabricLink`), and hands each
+//! non-empty outbox to the fabric as one write of all its frames when
+//! it goes to wait — at every poll and before it blocks — or as soon
+//! as one holds 64 KiB; [`send_bytes`](Fabric::send_bytes) writes one
+//! frame at once. Either way the write happens on the thread that asked
+//! for it, under that link's own lock, so a destination gets one
+//! `write(2)`, and its poller one wake-up, per worker pass rather than
+//! per message. A link without a connection dials on the same thread and introduces itself with an
 //! *authenticated* hello frame — its node id plus a keyed FNV-1a tag
 //! over the fleet's shared cluster secret ([`hello_body`]). A failed
 //! dial arms a jittered, doubling backoff as a *deadline*: until it
 //! passes, sends on that link are dropped without touching the network,
 //! so a dead peer costs its callers a clock read, never a sleep. A
-//! failed write loses that frame and closes the connection; the next
+//! failed write loses its frames and closes the connection; the next
 //! send redials. Both are wire loss the protocol's retries and
 //! anti-entropy absorb. A sender may wait on the kernel (a full socket
 //! buffer) but never on the destination *node*: the far end's poller
@@ -128,8 +134,11 @@ fn tags_match(a: u64, b: u64) -> bool {
 /// `ctx.send` charged is accounted exactly once as `enqueued`,
 /// `dropped` or `self_delivered`, so `enqueued_bytes + dropped_bytes +
 /// self_bytes` equals the fleet's summed wire ledgers; and a frame
-/// handed to a connection is written or lost before `send_bytes`
-/// returns, so at rest `enqueued == written + io_lost` in frames.
+/// handed to a connection is written or lost before the flush that
+/// handed it returns, so at rest `enqueued == written + io_lost` in
+/// frames. A write carries one or more whole frames, so `1 ≤ writes ≤
+/// written_frames` once anything was written, and `written_frames /
+/// writes` is frames per write.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
     /// Frames handed to a live connection.
@@ -140,6 +149,9 @@ pub struct FabricStats {
     pub written_frames: u64,
     /// Bytes (header included) the socket took in full.
     pub written_bytes: u64,
+    /// Writes the socket took in full, each one or more whole frames
+    /// to one destination: one per flushed outbox.
+    pub writes: u64,
     /// Frames dropped unwritten: link in redial backoff, or shutdown.
     pub dropped_frames: u64,
     /// Bytes dropped unwritten.
@@ -181,6 +193,7 @@ struct Counters {
     enqueued_bytes: AtomicU64,
     written_frames: AtomicU64,
     written_bytes: AtomicU64,
+    writes: AtomicU64,
     dropped_frames: AtomicU64,
     dropped_bytes: AtomicU64,
     io_lost_frames: AtomicU64,
@@ -284,14 +297,12 @@ impl Poller {
     /// ready connection and hands each complete frame on. A connection
     /// accepted in this round is read in it too, so a frame that was in
     /// the kernel when the round began is in its inbox when it ends.
-    pub(crate) fn round<M>(
+    pub(crate) fn round<M: WireMechanism<StampedValue>>(
         &mut self,
         fabric: &Fabric<M>,
         timeout: Option<StdDuration>,
         out: Option<&TcpStream>,
-    ) where
-        M: WireMechanism<StampedValue> + Send + Sync + 'static,
-    {
+    ) {
         let Poller {
             epoll,
             inlets,
@@ -407,6 +418,7 @@ impl<M: WireMechanism<StampedValue>> Fabric<M> {
             enqueued_bytes: ld(&c.enqueued_bytes),
             written_frames: ld(&c.written_frames),
             written_bytes: ld(&c.written_bytes),
+            writes: ld(&c.writes),
             dropped_frames: ld(&c.dropped_frames),
             dropped_bytes: ld(&c.dropped_bytes),
             io_lost_frames: ld(&c.io_lost_frames),
@@ -423,12 +435,7 @@ impl<M: WireMechanism<StampedValue>> Fabric<M> {
             inbox_drops: ld(&c.inbox_drops),
         }
     }
-}
 
-impl<M> Fabric<M>
-where
-    M: WireMechanism<StampedValue> + Send + Sync + 'static,
-{
     /// Binds one loopback listener per node, starts one poller thread
     /// per node to feed its inbox, and returns the shared fabric.
     /// `inboxes[i]` receives decoded messages addressed to node `i`;
@@ -447,7 +454,10 @@ where
         _queue_capacity: usize,
         max_frame: usize,
         secret: u64,
-    ) -> io::Result<Arc<Self>> {
+    ) -> io::Result<Arc<Self>>
+    where
+        M: Send + Sync + 'static,
+    {
         assert_eq!(inboxes.len(), nodes, "one inbox per node");
         let wiring = Wiring {
             inboxes,
@@ -527,26 +537,30 @@ where
         Ok((fabric, inlets))
     }
 
-    /// Writes an encoded message body to the `from → to` connection on
-    /// the calling thread, dialing first if the link is down and its
-    /// backoff has passed. A link that may not dial yet, or a fabric
-    /// shutting down, drops the frame — wire loss, charged as `dropped`;
-    /// a write the socket refuses is `io_lost` and closes the connection.
+    /// Frames an encoded message body and writes it to the `from → to`
+    /// connection on the calling thread, dialing first if the link is
+    /// down and its backoff has passed. A link that may not dial yet, or
+    /// a fabric shutting down, drops the frame — wire loss, charged as
+    /// `dropped`; a write the socket refuses is `io_lost` and closes the
+    /// connection.
     pub fn send_bytes(&self, from: usize, to: usize, body: Vec<u8>) {
-        self.send(from, to, &body, None);
+        self.send(from, to, &frame::frame_bytes(&body), 1, None);
     }
 
-    /// [`send_bytes`](Self::send_bytes) from the thread that hosts
-    /// `poller`, which it services while a full socket buffer holds the
-    /// write up.
+    /// [`send_bytes`](Self::send_bytes) for `frames` whole frames laid
+    /// back to back in `framed`, in one write, from the thread that
+    /// hosts `poller`, which it services while a full socket buffer
+    /// holds the write up. The ledger counts them frame by frame, as if
+    /// each had been sent alone, and the write once.
     pub(crate) fn send(
         &self,
         from: usize,
         to: usize,
-        body: &[u8],
+        framed: &[u8],
+        frames: u64,
         mut poller: Option<&mut Poller>,
     ) {
-        let bytes = (body.len() + HEADER_BYTES) as u64;
+        let bytes = framed.len() as u64;
         let c = &self.counters;
         let mut link = self.links[from * self.addrs.len() + to]
             .lock()
@@ -554,21 +568,19 @@ where
         if self.shutdown.load(Ordering::Relaxed)
             || (link.conn.is_none() && !self.dial(from, to, &mut link, poller.as_deref_mut()))
         {
-            c.dropped_frames.fetch_add(1, Ordering::Relaxed);
+            c.dropped_frames.fetch_add(frames, Ordering::Relaxed);
             c.dropped_bytes.fetch_add(bytes, Ordering::Relaxed);
             return;
         }
-        c.enqueued_frames.fetch_add(1, Ordering::Relaxed);
+        c.enqueued_frames.fetch_add(frames, Ordering::Relaxed);
         c.enqueued_bytes.fetch_add(bytes, Ordering::Relaxed);
         let (token, stream) = link.conn.as_mut().expect("live or just dialed");
-        if self
-            .write_all(stream, &frame::frame_bytes(body), poller)
-            .is_ok()
-        {
-            c.written_frames.fetch_add(1, Ordering::Relaxed);
+        if self.write_all(stream, framed, poller).is_ok() {
+            c.written_frames.fetch_add(frames, Ordering::Relaxed);
             c.written_bytes.fetch_add(bytes, Ordering::Relaxed);
+            c.writes.fetch_add(1, Ordering::Relaxed);
         } else {
-            c.io_lost_frames.fetch_add(1, Ordering::Relaxed);
+            c.io_lost_frames.fetch_add(frames, Ordering::Relaxed);
             self.unregister_conn(*token);
             link.conn = None;
         }

@@ -5,10 +5,12 @@
 //! inspection) is [`runtime::Fleet`], the one threaded fleet. This
 //! module supplies the part that differs, a [`Link`] backed by the
 //! [`Fabric`]: every inter-node message is *actually serialised*
-//! ([`Msg::encode_transport`]), framed ([`crate::frame`]) and written
-//! to a loopback TCP connection by the node's own worker thread — the
-//! send side has no thread or queue of its own — and read back by the
-//! destination node's own worker: its idle wait is an `epoll` on its
+//! ([`Msg::encode_into`]), framed in place ([`crate::frame`]) into the
+//! sending worker's outbox for its destination, and written to a
+//! loopback TCP connection by that worker's own thread — every outbox
+//! in one write each when the worker goes to wait, so the send side has
+//! no thread of its own and holds nothing past the worker's next poll —
+//! and read back by the destination node's own worker: its idle wait is an `epoll` on its
 //! listener and accepted connections, and it delivers the decoded
 //! messages, as the same [`Packet`]s every link delivers, into its own
 //! inbox. The receive side has no thread of its own either.
@@ -16,7 +18,7 @@
 //! itself); the bytes their node charged for them are only noted in the
 //! fabric's ledger, so its identity with the nodes' ledgers still holds.
 //!
-//! [`Msg::encode_transport`]: kvstore::messages::Msg::encode_transport
+//! [`Msg::encode_into`]: kvstore::messages::Msg::encode_into
 //!
 //! `StoreConfig::header_bytes` is forced to the frame codec's real
 //! [`HEADER_BYTES`](crate::frame::HEADER_BYTES), so the per-class wire
@@ -50,6 +52,11 @@ use simnet::{NodeId, SimRng};
 
 use crate::fabric::{Fabric, FabricStats, Inlet, Poller};
 use crate::frame;
+
+/// What an outbox holds before a send writes it out at once rather
+/// than at the worker's next wait: a burst between two waits goes out
+/// in writes about this big.
+const OUTBOX_FLUSH_BYTES: usize = 64 << 10;
 
 /// A scheduled connection fault: at `after` (wall clock from run
 /// start), every live TCP connection touching `node` is severed. The
@@ -148,11 +155,19 @@ impl<M> FabricSpec<M> {
 /// between, and opening the link spawns none. A clone sends but
 /// receives nothing: the receive state is one worker's alone.
 ///
+/// A [`send`](Link::send) frames the message in place into the handle's
+/// outbox for its `(from, to)` link, and [`flush`](Self::flush) writes
+/// each non-empty outbox in one write: at the top of every
+/// [`wait`](Link::wait) — each poll and each block of the worker — from
+/// inside a send once an outbox holds 64 KiB, and when the handle is
+/// dropped. So a destination gets one `write(2)` per worker pass, not
+/// one per message. A handle that is sent on but never waits on
+/// flushes itself.
+///
 /// It leaves [`Link::SPIN`] at zero (why, and the numbers, are at
 /// [`Link::SPIN`]).
 #[derive(Debug)]
 pub struct FabricLink<M: WireMechanism<StampedValue>> {
-    mech: M,
     fabric: Arc<Fabric<M>>,
     /// The kill schedule still to fire (used on the fleet's own handle).
     conn_kills: Vec<ConnKill>,
@@ -160,8 +175,21 @@ pub struct FabricLink<M: WireMechanism<StampedValue>> {
     /// hosting it claims it.
     unclaimed: Vec<Option<Inlet>>,
     /// On a worker's handle, its nodes' receive state: polled by the
-    /// idle arm, and by a send that waits for socket room.
+    /// idle arm, and by a write that waits for socket room.
     poller: RefCell<Option<Poller>>,
+    /// What this handle was sent since its last flush, one outbox per
+    /// `(from, to)` it has sent on; kept, emptied, between flushes.
+    outboxes: RefCell<Vec<Outbox>>,
+}
+
+/// The frames one handle holds for one `from → to` link: whole frames
+/// back to back, written in one go.
+#[derive(Debug)]
+struct Outbox {
+    from: usize,
+    to: usize,
+    framed: Vec<u8>,
+    frames: u64,
 }
 
 impl<M: WireMechanism<StampedValue>> FabricLink<M> {
@@ -169,17 +197,49 @@ impl<M: WireMechanism<StampedValue>> FabricLink<M> {
     pub fn fabric(&self) -> &Fabric<M> {
         &self.fabric
     }
+
+    /// Hands every non-empty outbox to the fabric, each as one write of
+    /// all its frames, in the order they were sent.
+    pub fn flush(&self) {
+        let mut poller = self.poller.borrow_mut();
+        for outbox in self.outboxes.borrow_mut().iter_mut() {
+            if outbox.frames > 0 {
+                self.write_out(outbox, poller.as_mut());
+            }
+        }
+    }
+
+    fn write_out(&self, outbox: &mut Outbox, poller: Option<&mut Poller>) {
+        let Outbox {
+            from,
+            to,
+            framed,
+            frames,
+        } = outbox;
+        self.fabric.send(*from, *to, framed, *frames, poller);
+        framed.clear();
+        *frames = 0;
+    }
 }
 
 impl<M: WireMechanism<StampedValue>> Clone for FabricLink<M> {
     fn clone(&self) -> Self {
         FabricLink {
-            mech: self.mech.clone(),
             fabric: Arc::clone(&self.fabric),
             conn_kills: self.conn_kills.clone(),
             unclaimed: Vec::new(),
             poller: RefCell::new(None),
+            outboxes: RefCell::new(Vec::new()),
         }
+    }
+}
+
+/// What the handle still holds goes to the fabric, which writes it — or,
+/// once the run is shutting down, counts it `dropped` — so every frame
+/// is in the ledger when the link closes and the charge identity holds.
+impl<M: WireMechanism<StampedValue>> Drop for FabricLink<M> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -201,11 +261,11 @@ where
         )
         .expect("bind loopback listeners");
         FabricLink {
-            mech: spec.mech.clone(),
             fabric,
             conn_kills: spec.config.conn_kills.clone(),
             unclaimed: inlets.into_iter().map(Some).collect(),
             poller: RefCell::new(None),
+            outboxes: RefCell::new(Vec::new()),
         }
     }
 
@@ -215,30 +275,45 @@ where
             .iter()
             .filter_map(|n| self.unclaimed[n.0 as usize].take())
             .collect();
-        let poller = Poller::new(inlets).expect("create an epoll set");
-        FabricLink {
-            poller: RefCell::new(Some(poller)),
-            ..self.clone()
+        let worker = self.clone();
+        *worker.poller.borrow_mut() = Some(Poller::new(inlets).expect("create an epoll set"));
+        worker
+    }
+
+    /// Frames the message into the outbox for its link; writes that
+    /// outbox out at once if it has reached 64 KiB.
+    fn send(&self, pkt: Packet<M>) {
+        let (from, to) = (pkt.from.0 as usize, pkt.to.0 as usize);
+        let mut outboxes = self.outboxes.borrow_mut();
+        let at = match outboxes.iter().position(|o| (o.from, o.to) == (from, to)) {
+            Some(at) => at,
+            None => {
+                outboxes.push(Outbox {
+                    from,
+                    to,
+                    framed: Vec::new(),
+                    frames: 0,
+                });
+                outboxes.len() - 1
+            }
+        };
+        let outbox = &mut outboxes[at];
+        frame::append_frame(&mut outbox.framed, |buf| pkt.msg.encode_into(buf));
+        outbox.frames += 1;
+        if outbox.framed.len() >= OUTBOX_FLUSH_BYTES {
+            self.write_out(outbox, self.poller.borrow_mut().as_mut());
         }
     }
 
-    fn send(&self, pkt: Packet<M>) {
-        let body = pkt.msg.encode_transport(&self.mech);
-        self.fabric.send(
-            pkt.from.0 as usize,
-            pkt.to.0 as usize,
-            &body,
-            self.poller.borrow_mut().as_mut(),
-        );
-    }
-
-    /// Polls the worker's sockets into its inbox until a packet is there
-    /// or `timeout` has passed (a zero `timeout` still polls once).
+    /// Flushes the outboxes, then polls the worker's sockets into its
+    /// inbox until a packet is there or `timeout` has passed (a zero
+    /// `timeout` still polls once).
     fn wait(
         &mut self,
         inbox: &Receiver<Packet<M>>,
         timeout: StdDuration,
     ) -> Result<Packet<M>, RecvTimeoutError> {
+        self.flush();
         let Some(poller) = self.poller.get_mut() else {
             return inbox.recv_timeout(timeout);
         };
@@ -399,5 +474,139 @@ where
 
     fn audit_view(&self) -> &RingView<ReplicaId> {
         self.0.audit_view()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dvv::mechanisms::DvvMechanism;
+    use kvstore::messages::Msg;
+    use runtime::Progress;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::sync_channel;
+    use std::thread;
+
+    type M = DvvMechanism;
+
+    const WAIT: StdDuration = StdDuration::from_secs(10);
+
+    /// A link over `nodes` nodes opened outside a fleet — the test plays
+    /// the workers — with its inboxes and its shutdown flag.
+    fn open(nodes: usize) -> (FabricLink<M>, Vec<Receiver<Packet<M>>>, Arc<AtomicBool>) {
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (inboxes, receivers) = (0..nodes).map(|_| sync_channel(1024)).unzip();
+        let link = FabricLink::open(
+            &FabricSpec::new(11, DvvMechanism, SocketConfig::default()),
+            Wiring {
+                inboxes,
+                progress: Arc::new(Progress::new(nodes)),
+                shutdown: Arc::clone(&shutdown),
+            },
+        );
+        (link, receivers, shutdown)
+    }
+
+    fn ack(from: u32, to: u32, req: u64) -> Packet<M> {
+        Packet {
+            from: NodeId(from),
+            to: NodeId(to),
+            msg: Msg::RepPutAck { req },
+        }
+    }
+
+    /// What `count` packets from `worker`'s inbox carry, in arrival order.
+    fn receive(worker: &mut FabricLink<M>, inbox: &Receiver<Packet<M>>, count: usize) -> Vec<u64> {
+        (0..count)
+            .map(|_| match worker.wait(inbox, WAIT).expect("a frame").msg {
+                Msg::RepPutAck { req } => req,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Sends wait in the outbox for the flush, which writes each
+    /// destination's frames in one write, in send order.
+    #[test]
+    fn a_flush_is_one_write_per_destination() {
+        let (mut link, receivers, _shutdown) = open(3);
+        let sender = link.worker(&[NodeId(0)]);
+        let mut one = link.worker(&[NodeId(1)]);
+        let mut two = link.worker(&[NodeId(2)]);
+        for (to, req) in [(1, 10), (2, 20), (1, 11), (1, 12), (2, 21)] {
+            sender.send(ack(0, to, req));
+        }
+        assert_eq!(link.fabric().stats(), FabricStats::default(), "sent early");
+
+        sender.flush();
+        assert_eq!(receive(&mut one, &receivers[1], 3), [10, 11, 12]);
+        assert_eq!(receive(&mut two, &receivers[2], 2), [20, 21]);
+        let s = link.fabric().stats();
+        assert_eq!((s.written_frames, s.writes), (5, 2), "{s:#?}");
+        assert_eq!(s.enqueued_frames, s.written_frames, "{s:#?}");
+    }
+
+    /// Frames still in an outbox when its handle drops at shutdown are
+    /// counted `dropped`, to the byte, so the charge identity balances.
+    #[test]
+    fn frames_left_at_teardown_are_counted_dropped() {
+        let (mut link, _receivers, shutdown) = open(2);
+        let sender = link.worker(&[NodeId(0)]);
+        let mut charged = 0;
+        for req in 0..4 {
+            let pkt = ack(0, 1, req);
+            charged += pkt.msg.wire_size(&DvvMechanism) + frame::HEADER_BYTES;
+            sender.send(pkt);
+        }
+        shutdown.store(true, Ordering::Relaxed);
+        drop(sender);
+        let s = link.fabric().stats();
+        let want = FabricStats {
+            dropped_frames: 4,
+            dropped_bytes: charged as u64,
+            ..FabricStats::default()
+        };
+        assert_eq!(s, want);
+    }
+
+    /// A burst between two waits is written from inside the sends, in
+    /// pieces of about 64 KiB: an outbox never holds much more.
+    #[test]
+    fn a_burst_is_written_before_any_wait() {
+        let (mut link, mut receivers, _shutdown) = open(2);
+        let sender = link.worker(&[NodeId(0)]);
+        let mut reader = link.worker(&[NodeId(1)]);
+        let inbox = receivers.pop().expect("node 1's inbox");
+        const SENT: u64 = 200;
+        let bulky = |req| Packet {
+            from: NodeId(0),
+            to: NodeId(1),
+            msg: Msg::<M>::ClientGet {
+                req,
+                key: vec![0x5A; 2 << 10],
+                digest: 0,
+            },
+        };
+        let frame = bulky(0).msg.wire_size(&DvvMechanism) + frame::HEADER_BYTES;
+        // The far end reads as a fleet worker would, so no write waits.
+        let reading = thread::spawn(move || {
+            for _ in 0..SENT {
+                reader.wait(&inbox, WAIT).expect("a frame");
+            }
+        });
+        for req in 0..SENT {
+            sender.send(bulky(req));
+            let held = sender.outboxes.borrow()[0].framed.len();
+            assert!(held < OUTBOX_FLUSH_BYTES, "outbox holds {held} B");
+        }
+        let s = link.fabric().stats();
+        let flushed = SENT as usize * frame / OUTBOX_FLUSH_BYTES;
+        assert!(s.writes as usize >= flushed, "{s:#?}");
+        assert!(s.written_frames / s.writes <= (OUTBOX_FLUSH_BYTES / frame + 1) as u64);
+
+        sender.flush();
+        reading.join().expect("all frames read");
+        let s = link.fabric().stats();
+        assert_eq!(s.written_frames, SENT, "{s:#?}");
     }
 }

@@ -124,6 +124,11 @@ fn audit_socket(seed: u64) {
         fabric.written_frames + fabric.io_lost_frames,
         "seed {seed}: write ledger does not close\n{fabric:#?}"
     );
+    // Each write carried one or more whole frames.
+    assert!(
+        1 <= fabric.writes && fabric.writes <= fabric.written_frames,
+        "seed {seed}: writes out of range\n{fabric:#?}"
+    );
 }
 
 /// Runs the same seeded workload shape on the simulator — the baseline

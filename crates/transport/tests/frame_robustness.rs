@@ -10,6 +10,7 @@ use std::io::Read;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use transport::frame::append_frame;
 use transport::{read_frame, write_frame, FrameError, FrameParser, HEADER_BYTES};
 
 const MAX_FRAME: usize = 1 << 16;
@@ -163,6 +164,29 @@ proptest! {
             }
         }
         prop_assert_eq!(in_place(&stream, &splits), whole(&stream));
+    }
+
+    /// Frames appended back to back into one buffer, each body written
+    /// in place behind its reserved header, are the stream `write_frame`
+    /// writes: `read_frame` yields the bodies, and so does the parser
+    /// under any read split.
+    #[test]
+    fn appended_frames_parse_as_written_ones(
+        bodies in arb_bodies(),
+        splits in vec(1usize..40, 1..8),
+    ) {
+        let mut stream = b"ahead".to_vec();
+        for body in &bodies {
+            let len = append_frame(&mut stream, |buf| buf.extend_from_slice(body));
+            prop_assert_eq!(len, HEADER_BYTES + body.len());
+        }
+        prop_assert_eq!(&stream[..5], b"ahead");
+        let stream = &stream[5..];
+        prop_assert_eq!(stream, &encode_stream(&bodies)[..]);
+        let mut want: Vec<Seen> = bodies.iter().cloned().map(Seen::Frame).collect();
+        want.push(Seen::End);
+        prop_assert_eq!(&whole(stream), &want);
+        prop_assert_eq!(in_place(stream, &splits), want);
     }
 }
 

@@ -89,6 +89,11 @@ fn severed_connections_reconnect_and_converge() {
         fabric.written_frames + fabric.io_lost_frames,
         "write ledger does not close\n{fabric:#?}"
     );
+    // Each write carried one or more whole frames.
+    assert!(
+        1 <= fabric.writes && fabric.writes <= fabric.written_frames,
+        "writes out of range\n{fabric:#?}"
+    );
 }
 
 /// The sender is its own dialer: after a link's connection is severed,
@@ -155,6 +160,11 @@ fn severed_link_redials_on_a_later_send_from_the_same_thread() {
         stats.enqueued_frames,
         stats.written_frames + stats.io_lost_frames,
         "write ledger does not close\n{stats:#?}"
+    );
+    // Each write carried one or more whole frames.
+    assert!(
+        1 <= stats.writes && stats.writes <= stats.written_frames,
+        "writes out of range\n{stats:#?}"
     );
 }
 

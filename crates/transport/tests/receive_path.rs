@@ -111,6 +111,7 @@ fn a_stalled_connection_holds_up_no_other_on_a_worker() {
             msg: ack(req),
         });
     }
+    node1.flush();
     for req in 0..10 {
         let pkt = node0.wait(&receivers[0], WAIT).expect("a frame");
         assert_eq!(req_of(pkt), req);
