@@ -9,9 +9,11 @@
 //! [`Packet`] — the one inbox item — [`deliver`]ed into the destination
 //! worker's bounded inbox. [`ChannelLink`] does just that with the `Msg`
 //! value itself; the socket driver's link (`transport::FabricLink`)
-//! encodes it, frames it and writes it — on the sending worker's own
-//! thread — to a TCP connection, and the destination worker, waiting on
-//! its own sockets in [`Link::wait`], decodes it and delivers it. A test
+//! encodes and frames it into the sending worker's outbox for that
+//! destination and writes the outbox — on that worker's own thread, one
+//! write per destination when it next goes to [`Link::wait`] — to a TCP
+//! connection, and the destination worker, waiting on its own sockets
+//! in [`Link::wait`], decodes it and delivers it. A test
 //! can substitute a scripted link and drive the loop message by
 //! message.
 //!
@@ -97,9 +99,12 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// only the worker's own wait fills, and on a standalone ping-pong of
     /// 300 B frames over loopback (2 vCPUs, 4 pairs: 8.3–10.0 µs of CPU
     /// a hop waiting in `poll(2)`, against 12.8–16.6 µs through a reader
-    /// thread) a 50 µs spin before the wait gave no consistent gain. A
-    /// socket window would have to poll the sockets, and needs paired
-    /// runs of its own.
+    /// thread) a 50 µs spin before the wait gave no consistent gain. Since
+    /// then the socket link writes once per destination per worker pass
+    /// (its outboxes, flushed at [`wait`](Link::wait)), which took the
+    /// per-message write out of the gap but left `SPIN` at zero: the next
+    /// step is a window that polls the worker's *sockets* (a zero-timeout
+    /// `epoll` wait), not its inbox, and it needs paired runs of its own.
     const SPIN: StdDuration = StdDuration::ZERO;
 
     /// Opens the link at run start.
@@ -113,6 +118,11 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// socket buffer) only while it keeps taking in what its own worker
     /// is sent: then two workers writing into each other's full buffers
     /// both get on.
+    ///
+    /// A link may hold what it is sent, and ship it later in one go, but
+    /// no later than that worker's next [`wait`](Link::wait): it must
+    /// flush before it polls or blocks there, so nothing sent waits on
+    /// the sender going idle for longer than one pass of its loop.
     fn send(&self, pkt: Packet<M>);
 
     /// The handle the worker hosting `hosts` sends and

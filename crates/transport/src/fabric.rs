@@ -2,9 +2,8 @@
 //! fleet-wide byte ledger.
 //!
 //! Every node owns a loopback TCP listener; messages between distinct
-//! nodes travel as [`frame`]-encoded
-//! `Msg::encode_transport` bodies over per-`(sender, receiver)`
-//! connections dialed lazily on first send.
+//! nodes travel as [`frame`]-encoded `Msg` bodies over
+//! per-`(sender, receiver)` connections dialed lazily on first send.
 //!
 //! **Outbound there is no thread and no queue of the fabric's own.** A
 //! fleet worker frames what its nodes send in place, into an outbox per
@@ -15,14 +14,14 @@
 //! frame at once. Either way the write happens on the thread that asked
 //! for it, under that link's own lock, so a destination gets one
 //! `write(2)`, and its poller one wake-up, per worker pass rather than
-//! per message. A link without a connection dials on the same thread and introduces itself with an
-//! *authenticated* hello frame — its node id plus a keyed FNV-1a tag
-//! over the fleet's shared cluster secret ([`hello_body`]). A failed
-//! dial arms a jittered, doubling backoff as a *deadline*: until it
-//! passes, sends on that link are dropped without touching the network,
-//! so a dead peer costs its callers a clock read, never a sleep. A
-//! failed write loses its frames and closes the connection; the next
-//! send redials. Both are wire loss the protocol's retries and
+//! per message. A link without a connection dials on the same thread
+//! and introduces itself with an *authenticated* hello frame — its node
+//! id plus a keyed FNV-1a tag over the fleet's shared cluster secret
+//! ([`hello_body`]). A failed dial arms a jittered, doubling backoff as
+//! a *deadline*: until it passes, writes on that link are dropped
+//! without touching the network, so a dead peer costs its callers a
+//! clock read, never a sleep. A failed write loses its frames and
+//! closes the connection; the next write redials. Both are wire loss the protocol's retries and
 //! anti-entropy absorb. A sender may wait on the kernel (a full socket
 //! buffer) but never on the destination *node*: the far end's poller
 //! [`deliver`]s into the node's inbox, which drops on full — wire loss

@@ -7,13 +7,13 @@
 //! [`Fabric`]: every inter-node message is *actually serialised*
 //! ([`Msg::encode_into`]), framed in place ([`crate::frame`]) into the
 //! sending worker's outbox for its destination, and written to a
-//! loopback TCP connection by that worker's own thread — every outbox
-//! in one write each when the worker goes to wait, so the send side has
-//! no thread of its own and holds nothing past the worker's next poll —
-//! and read back by the destination node's own worker: its idle wait is an `epoll` on its
-//! listener and accepted connections, and it delivers the decoded
-//! messages, as the same [`Packet`]s every link delivers, into its own
-//! inbox. The receive side has no thread of its own either.
+//! loopback TCP connection by that worker's own thread — each outbox in
+//! one write when the worker goes to wait, so the send side has no
+//! thread of its own and holds nothing past the worker's next poll —
+//! and read back by the destination node's own worker: its idle wait is
+//! an `epoll` on its listener and accepted connections, and it delivers
+//! the decoded messages, as the same [`Packet`]s every link delivers,
+//! into its own inbox. The receive side has no thread of its own either.
 //! Self-sends are delivered by the worker's host (a node does not dial
 //! itself); the bytes their node charged for them are only noted in the
 //! fabric's ledger, so its identity with the nodes' ledgers still holds.
@@ -161,8 +161,8 @@ impl<M> FabricSpec<M> {
 /// [`wait`](Link::wait) — each poll and each block of the worker — from
 /// inside a send once an outbox holds 64 KiB, and when the handle is
 /// dropped. So a destination gets one `write(2)` per worker pass, not
-/// one per message. A handle that is sent on but never waits on
-/// flushes itself.
+/// one per message. A handle driven by hand that sends but never waits
+/// calls [`flush`](Self::flush) itself.
 ///
 /// It leaves [`Link::SPIN`] at zero (why, and the numbers, are at
 /// [`Link::SPIN`]).
@@ -210,15 +210,11 @@ impl<M: WireMechanism<StampedValue>> FabricLink<M> {
     }
 
     fn write_out(&self, outbox: &mut Outbox, poller: Option<&mut Poller>) {
-        let Outbox {
-            from,
-            to,
-            framed,
-            frames,
-        } = outbox;
-        self.fabric.send(*from, *to, framed, *frames, poller);
-        framed.clear();
-        *frames = 0;
+        let Outbox { from, to, .. } = *outbox;
+        self.fabric
+            .send(from, to, &outbox.framed, outbox.frames, poller);
+        outbox.framed.clear();
+        outbox.frames = 0;
     }
 }
 
@@ -237,9 +233,13 @@ impl<M: WireMechanism<StampedValue>> Clone for FabricLink<M> {
 /// What the handle still holds goes to the fabric, which writes it — or,
 /// once the run is shutting down, counts it `dropped` — so every frame
 /// is in the ledger when the link closes and the charge identity holds.
+/// Not while a panic unwinds the worker: a second panic there (a lock
+/// the first one poisoned) would abort the process.
 impl<M: WireMechanism<StampedValue>> Drop for FabricLink<M> {
     fn drop(&mut self) {
-        self.flush();
+        if !std::thread::panicking() {
+            self.flush();
+        }
     }
 }
 
@@ -285,9 +285,10 @@ where
     fn send(&self, pkt: Packet<M>) {
         let (from, to) = (pkt.from.0 as usize, pkt.to.0 as usize);
         let mut outboxes = self.outboxes.borrow_mut();
-        let at = match outboxes.iter().position(|o| (o.from, o.to) == (from, to)) {
-            Some(at) => at,
-            None => {
+        let at = outboxes
+            .iter()
+            .position(|o| (o.from, o.to) == (from, to))
+            .unwrap_or_else(|| {
                 outboxes.push(Outbox {
                     from,
                     to,
@@ -295,8 +296,7 @@ where
                     frames: 0,
                 });
                 outboxes.len() - 1
-            }
-        };
+            });
         let outbox = &mut outboxes[at];
         frame::append_frame(&mut outbox.framed, |buf| pkt.msg.encode_into(buf));
         outbox.frames += 1;
@@ -588,24 +588,25 @@ mod tests {
             },
         };
         let frame = bulky(0).msg.wire_size(&DvvMechanism) + frame::HEADER_BYTES;
-        // The far end reads as a fleet worker would, so no write waits.
-        let reading = thread::spawn(move || {
-            for _ in 0..SENT {
-                reader.wait(&inbox, WAIT).expect("a frame");
+        thread::scope(|scope| {
+            // The far end reads as a fleet worker would, so no write
+            // waits for room.
+            scope.spawn(move || {
+                for _ in 0..SENT {
+                    reader.wait(&inbox, WAIT).expect("a frame");
+                }
+            });
+            for req in 0..SENT {
+                sender.send(bulky(req));
+                let held = sender.outboxes.borrow()[0].framed.len();
+                assert!(held < OUTBOX_FLUSH_BYTES, "outbox holds {held} B");
             }
+            let s = link.fabric().stats();
+            let flushed = SENT as usize * frame / OUTBOX_FLUSH_BYTES;
+            assert!(s.writes as usize >= flushed, "{s:#?}");
+            assert!(s.written_frames / s.writes <= (OUTBOX_FLUSH_BYTES / frame + 1) as u64);
+            sender.flush();
         });
-        for req in 0..SENT {
-            sender.send(bulky(req));
-            let held = sender.outboxes.borrow()[0].framed.len();
-            assert!(held < OUTBOX_FLUSH_BYTES, "outbox holds {held} B");
-        }
-        let s = link.fabric().stats();
-        let flushed = SENT as usize * frame / OUTBOX_FLUSH_BYTES;
-        assert!(s.writes as usize >= flushed, "{s:#?}");
-        assert!(s.written_frames / s.writes <= (OUTBOX_FLUSH_BYTES / frame + 1) as u64);
-
-        sender.flush();
-        reading.join().expect("all frames read");
         let s = link.fabric().stats();
         assert_eq!(s.written_frames, SENT, "{s:#?}");
     }

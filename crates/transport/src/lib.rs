@@ -13,8 +13,9 @@
 //! timers, self-sends, settle/quiesce, stall check, post-run
 //! inspection — is [`runtime::Fleet`], the one threaded fleet, and this
 //! crate plugs into its [`runtime::Link`] seam: [`fleet::FabricLink`]
-//! sends by encoding onto the [`Fabric`], hands each worker its nodes'
-//! listeners and accepted connections, so that the worker's idle wait
+//! sends by framing into an outbox per destination that the worker
+//! writes onto the [`Fabric`] in one write each at its next wait, hands
+//! each worker its nodes' listeners and accepted connections, so that the worker's idle wait
 //! is an `epoll` on them and what arrives goes as [`runtime::Packet`]s
 //! into its inbox with no thread in between, charges self-sends to the
 //! fabric's ledger, fires the [`ConnKill`] schedule from the fleet's

@@ -153,3 +153,10 @@ echo "socket fabric threads (thread::spawn sites in crates/transport/src)"
 printf '  %-32s %6d\n' \
     "on a fleet (FabricLink)" "$fleet_spawns" \
     "in Fabric::start" "$start_spawns"
+# The socket send path: a fleet worker's send encodes and frames in place
+# into its outbox (`Msg::encode_into`, `frame::append_frame`), so neither
+# the allocating encoder nor the copying framer is called from the link.
+echo "socket send path (call sites in crates/transport/src/fleet.rs)"
+printf '  %-32s %6d\n' \
+    "encode_transport(" "$({ grep -E 'encode_transport\(' crates/transport/src/fleet.rs || true; } | wc -l)" \
+    "frame_bytes(" "$({ grep -E 'frame_bytes\(' crates/transport/src/fleet.rs || true; } | wc -l)"
