@@ -119,10 +119,10 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// is sent: then two workers writing into each other's full buffers
     /// both get on.
     ///
-    /// A link may hold what it is sent, and ship it later in one go, but
+    /// A link may hold what it is sent and ship it later in one go, but
     /// no later than that worker's next [`wait`](Link::wait): it must
-    /// flush before it polls or blocks there, so nothing sent waits on
-    /// the sender going idle for longer than one pass of its loop.
+    /// flush before it polls or blocks there, so what a worker sent is
+    /// on its way by the time that worker looks for more work.
     fn send(&self, pkt: Packet<M>);
 
     /// The handle the worker hosting `hosts` sends and

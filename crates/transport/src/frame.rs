@@ -81,13 +81,12 @@ fn checksum(body: &[u8]) -> u32 {
 /// Appends one frame to `buf` in place: reserves the header, lets
 /// `body` write the body straight after it, then patches in the body's
 /// length and checksum. Frames appended back to back are a stream
-/// [`read_frame`] and [`FrameParser`] read one by one. Returns the
-/// frame's length, header included.
+/// [`read_frame`] and [`FrameParser`] read one by one.
 ///
 /// # Panics
 ///
 /// Panics if the body `body` wrote is longer than a `u32` can count.
-pub fn append_frame(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
+pub fn append_frame(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let at = buf.len();
     buf.extend_from_slice(&[0; HEADER_BYTES]);
     body(buf);
@@ -95,7 +94,6 @@ pub fn append_frame(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize
     let len = u32::try_from(body.len()).expect("a frame body fits a u32 length");
     header[..4].copy_from_slice(&len.to_le_bytes());
     header[4..].copy_from_slice(&checksum(body).to_le_bytes());
-    buf.len() - at
 }
 
 /// One frame, header and body, as the bytes that go on the wire.
