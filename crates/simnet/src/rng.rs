@@ -167,6 +167,32 @@ mod tests {
         }
     }
 
+    /// The exact stream is part of what a seeded run promises: the
+    /// `figures` tables and every byte pin are drawn from it.
+    #[test]
+    fn the_stream_is_pinned() {
+        let root = SimRng::new(31);
+        let mut a = root.clone();
+        let first: Vec<u64> = (0..4).map(|_| a.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                1_608_199_006_042_769_680,
+                17_846_835_057_330_237_361,
+                15_144_820_562_852_230_907,
+                16_179_594_942_972_196_105,
+            ]
+        );
+        assert_eq!(root.fork("network").next_u64(), 11_530_872_215_767_005_006);
+        assert_eq!(
+            root.fork_indexed("node", 3).next_u64(),
+            11_501_594_042_152_464_492
+        );
+        assert_eq!(a.unit_f64().to_bits(), 4_605_533_476_510_592_481);
+        assert_eq!(a.range_u64(10, 1_000_003), 263_834);
+        assert_eq!(SimRng::new(0).next_u64(), 5_987_356_902_031_041_503);
+    }
+
     #[test]
     fn different_seeds_differ() {
         let mut a = SimRng::new(1);
