@@ -1,16 +1,16 @@
 //! Seeded, splittable randomness: every simulation run is a pure function
 //! of one `u64` seed.
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-
 /// The simulator's random-number generator.
 ///
-/// Wraps a seeded [`StdRng`] and adds [`SimRng::fork`], which derives an
-/// independent stream for a sub-concern (one per node, one for the
-/// network, one for the workload…). Forking keeps event-order changes in
-/// one component from perturbing the random choices of another — the key
-/// to debuggable, reproducible simulations.
+/// xoshiro256++, its state expanded from the seed by SplitMix64. The
+/// exact stream is part of what a seeded run promises (the `figures`
+/// tables and every byte pin are drawn from it), so it is written here
+/// and pinned by a test. [`SimRng::fork`] derives an independent stream
+/// for a sub-concern (one per node, one for the network, one for the
+/// workload…). Forking keeps event-order changes in one component from
+/// perturbing the random choices of another — the key to debuggable,
+/// reproducible simulations.
 ///
 /// # Examples
 ///
@@ -26,17 +26,28 @@ use rand::{Rng, RngCore, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct SimRng {
     seed: u64,
-    inner: StdRng,
+    s: [u64; 4],
 }
 
 impl SimRng {
     /// Creates a generator from a seed.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        SimRng {
-            seed,
-            inner: StdRng::seed_from_u64(seed),
+        let (mut s, mut state) = ([0; 4], seed);
+        for word in &mut s {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            *word = mix(state, 0);
         }
+        // xoshiro must not start from the all-zero state
+        if s == [0; 4] {
+            s = [
+                0x9e37_79b9_7f4a_7c15,
+                0xbf58_476d_1ce4_e5b9,
+                0x94d0_49bb_1331_11eb,
+                0x2545_f491_4f6c_dd1d,
+            ];
+        }
+        SimRng { seed, s }
     }
 
     /// The seed this stream was created from.
@@ -62,14 +73,23 @@ impl SimRng {
         SimRng::new(mix(mix(self.seed, hash_label(label)), index))
     }
 
-    /// Next `u64` from the stream.
+    /// Next `u64` from the stream: one xoshiro256++ step.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Uniform draw in `[0, 1)`.
+    /// Uniform draw in `[0, 1)`, with 53 bits of precision.
     pub fn unit_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform draw in `[lo, hi)`.
@@ -79,7 +99,9 @@ impl SimRng {
     /// Panics if `lo >= hi`.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range");
-        self.inner.gen_range(lo..hi)
+        // widening multiply: the high word of `x * span` is in `[0, span)`
+        let x = u128::from(self.next_u64());
+        lo + ((x * u128::from(hi - lo)) >> 64) as u64
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -118,24 +140,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.inner.try_fill_bytes(dest)
-    }
-}
-
 /// FNV-1a over the label bytes.
 fn hash_label(label: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -146,7 +150,8 @@ fn hash_label(label: &str) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer: decorrelates related seeds.
+/// SplitMix64 finalizer: decorrelates related seeds, and with `b = 0`
+/// finishes one SplitMix64 step of [`SimRng::new`].
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -248,6 +253,15 @@ mod tests {
     }
 
     #[test]
+    fn range_u64_mean_is_centred() {
+        let mut r = SimRng::new(11);
+        let n = 100_000u64;
+        let sum: u64 = (0..n).map(|_| r.range_u64(0, 100)).sum();
+        let mean = sum as f64 / n as f64;
+        assert!((mean - 49.5).abs() < 0.5, "mean {mean}");
+    }
+
+    #[test]
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
         SimRng::new(0).range_u64(5, 5);
@@ -277,13 +291,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
-    fn rngcore_fill_bytes_works() {
-        let mut r = SimRng::new(8);
-        let mut buf = [0u8; 32];
-        r.fill_bytes(&mut buf);
-        assert_ne!(buf, [0u8; 32]);
     }
 }
