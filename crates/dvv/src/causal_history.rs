@@ -32,7 +32,6 @@ use crate::version_vector::VersionVector;
 /// assert_eq!(a.causal_cmp(&b), CausalOrder::Before);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CausalHistory<A: Ord> {
     events: BTreeSet<Dot<A>>,
 }

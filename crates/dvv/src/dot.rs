@@ -25,7 +25,6 @@ use crate::actor::Actor;
 /// assert_eq!(d.to_string(), "(A,3)");
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dot<A> {
     actor: A,
     counter: u64,

@@ -38,7 +38,6 @@ use crate::version_vector::VersionVector;
 /// assert_eq!(v3.causal_cmp(&v2), CausalOrder::Concurrent);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dvv<A: Ord> {
     dot: Dot<A>,
     vv: VersionVector<A>,

@@ -23,7 +23,6 @@ use crate::version_vector::VersionVector;
 /// in the causal history; of those, dot `(a, n-j)` is live with value `vj`
 /// for `j < k`; dots `(a, m)` with `m ≤ n-k` are known and obsolete.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Entry<V> {
     counter: u64,
     /// Values newest-first: `values[j]` belongs to dot `(actor, counter - j)`.
@@ -59,7 +58,6 @@ impl<V> Entry<V> {
 /// assert_eq!(s.values().collect::<Vec<_>>(), vec![&"v3"]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DvvSet<A: Ord, V> {
     entries: BTreeMap<A, Entry<V>>,
 }

@@ -20,7 +20,6 @@ use core::fmt;
 /// assert_eq!(a.to_string(), "s0");
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReplicaId(pub u32);
 
 impl fmt::Display for ReplicaId {
@@ -44,7 +43,6 @@ impl From<u32> for ReplicaId {
 /// assert_eq!(ClientId(42).to_string(), "c42");
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClientId(pub u64);
 
 impl fmt::Display for ClientId {
@@ -75,7 +73,6 @@ impl From<u64> for ClientId {
 /// assert_eq!(c.to_string(), "c9");
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WriterId {
     /// A replica server.
     Replica(ReplicaId),

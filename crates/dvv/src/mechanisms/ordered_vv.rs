@@ -40,7 +40,6 @@ use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
 /// assert_eq!(a.fast_dominated_by(&b), Some(true));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OrderedVv<A: Ord> {
     vv: VersionVector<A>,
     /// The most recent event recorded into this vector, if any.

@@ -20,7 +20,6 @@ use core::fmt;
 /// assert_eq!(CausalOrder::Before.reverse(), CausalOrder::After);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CausalOrder {
     /// The two versions are the same event (identical causal histories).
     Equal,

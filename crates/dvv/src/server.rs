@@ -26,7 +26,6 @@ use crate::version_vector::VersionVector;
 /// assert_eq!(t.value, "v1");
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tagged<A: Ord, V> {
     /// The version's clock.
     pub clock: Dvv<A>,

@@ -41,7 +41,6 @@ use crate::order::CausalOrder;
 /// assert!(!b.contains(&Dot::new("B", 2)));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VersionVector<A: Ord> {
     entries: BTreeMap<A, u64>,
 }

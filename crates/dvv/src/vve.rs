@@ -21,7 +21,6 @@ use crate::version_vector::VersionVector;
 /// Per-actor state: everything up to `base` is included, except the
 /// counters listed in `exceptions` (all of which are `≤ base`).
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct ActorState {
     base: u64,
     exceptions: BTreeSet<u64>,
@@ -44,7 +43,6 @@ struct ActorState {
 /// assert!(h.contains(&Dot::new("A", 3)));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vve<A: Ord> {
     entries: BTreeMap<A, ActorState>,
 }
