@@ -6,11 +6,11 @@
 /// xoshiro256++, its state expanded from the seed by SplitMix64. The
 /// exact stream is part of what a seeded run promises (the `figures`
 /// tables and every byte pin are drawn from it), so it is written here
-/// and pinned by a test. [`SimRng::fork`] derives an independent stream
-/// for a sub-concern (one per node, one for the network, one for the
-/// workload…). Forking keeps event-order changes in one component from
-/// perturbing the random choices of another — the key to debuggable,
-/// reproducible simulations.
+/// and pinned by `rng::tests::the_stream_is_pinned`. [`SimRng::fork`]
+/// derives an independent stream for a sub-concern (one per node, one
+/// for the network, one for the workload…). Forking keeps event-order
+/// changes in one component from perturbing the random choices of
+/// another — the key to debuggable, reproducible simulations.
 ///
 /// # Examples
 ///
