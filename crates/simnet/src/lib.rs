@@ -76,3 +76,47 @@ pub use sim::Simulation;
 pub use time::{Duration, SimTime};
 pub use trace::{Trace, TraceEvent};
 pub use wheel::{Entry, TimerWheel};
+
+#[cfg(test)]
+mod tests {
+    use super::SimRng;
+
+    #[test]
+    fn seeds_decorrelate() {
+        // SplitMix64 seeding: even adjacent seeds start on distinct draws
+        let mut firsts: Vec<u64> = (0..64).map(|s| SimRng::new(s).next_u64()).collect();
+        firsts.sort_unstable();
+        firsts.dedup();
+        assert_eq!(firsts.len(), 64);
+    }
+
+    #[test]
+    fn gen_f64_in_unit_interval() {
+        let mut r = SimRng::new(7);
+        let (mut low, mut high) = (false, false);
+        for _ in 0..10_000 {
+            let x = r.unit_f64();
+            assert!((0.0..1.0).contains(&x));
+            low |= x < 0.5;
+            high |= x >= 0.5;
+        }
+        assert!(low && high);
+    }
+
+    #[test]
+    fn gen_range_bounds_respected() {
+        let mut r = SimRng::new(9);
+        let mut seen = [false; 10];
+        for _ in 0..10_000 {
+            let v = r.range_u64(10, 20);
+            assert!((10..20).contains(&v));
+            seen[(v - 10) as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "some value of 10..20 never drawn");
+        // a range at the top of u64 neither overflows nor leaves its bounds
+        for _ in 0..1000 {
+            let v = r.range_u64(u64::MAX - 5, u64::MAX);
+            assert!((u64::MAX - 5..u64::MAX).contains(&v));
+        }
+    }
+}
