@@ -12,7 +12,7 @@ use dvv::server::{self, Tagged};
 use dvv::{CausalHistory, ClientId, Dot, Dvv, DvvSet, ReplicaId, VersionVector};
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::ClientConfig;
-use kvstore::StampedValue;
+use kvstore::{FleetHarness, StampedValue};
 use simnet::{Duration, LatencyModel, LinkConfig, NetworkConfig};
 
 use crate::table::Table;

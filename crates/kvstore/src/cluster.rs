@@ -9,7 +9,7 @@ use std::sync::Arc;
 use dvv::mechanisms::{Mechanism, WireMechanism};
 use dvv::{ClientId, ReplicaId};
 use ring::{MemberStatus, RingView};
-use simnet::{Duration, LinkFaults, NetworkConfig, NodeId, Process, SimTime, Simulation};
+use simnet::{Duration, NetworkConfig, NodeId, Process, Scenario, SimTime, Simulation, Step};
 use storage::{LogConfig, LogEngine, MemEngine, StorageEngine};
 use workloads::Histogram;
 
@@ -17,10 +17,9 @@ use crate::client::ClientNode;
 use crate::config::{ClientConfig, StoreConfig};
 use crate::ctx::{Ctx, Timer};
 use crate::harness::FleetHarness;
-use crate::messages::{Msg, WireStats};
+use crate::messages::Msg;
 use crate::node::StoreNode;
-use crate::oracle::{AnomalyReport, Oracle};
-use crate::value::{Key, StampedValue, WriteId};
+use crate::value::{StampedValue, WriteId};
 
 /// A simulation process: either a replica server or a client session.
 ///
@@ -277,20 +276,6 @@ impl<M: Mechanism<StampedValue>> NodeKit<M> {
     }
 }
 
-/// One phase of a declarative network-fault schedule: at virtual time
-/// `at` (from run start) every link in the fleet switches to `faults`.
-/// The counterpart of a scheduled crash (`runtime::CrashEvent`) or
-/// connection kill (`transport`'s `ConnKill`) for the adversarial
-/// message faults — a suite declares *when* the network turns hostile
-/// (or clean again) instead of hand-driving the simulation.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultPhase {
-    /// Virtual time from run start at which the phase takes effect.
-    pub at: Duration,
-    /// Fault knobs every link runs with from `at` until the next phase.
-    pub faults: LinkFaults,
-}
-
 /// Complete experiment configuration.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -312,11 +297,11 @@ pub struct ClusterConfig {
     pub client: ClientConfig,
     /// Network characteristics.
     pub network: NetworkConfig,
-    /// Declarative fault schedule, applied in order as virtual time
-    /// passes each phase's `at` (see [`FaultPhase`]). Phases must be
-    /// sorted by `at`; an empty schedule leaves the configured network
-    /// untouched.
-    pub fault_schedule: Vec<FaultPhase>,
+    /// The run schedule: each step lands as virtual time reaches its
+    /// instant, after every event due at or before it. `Kill` and
+    /// `Revive` are [`Cluster::crash_node`] and [`Cluster::restart_node`];
+    /// `CutConn` does nothing, the simulator has no connections.
+    pub scenario: Scenario,
     /// Hard stop on virtual time (guards against misconfigured runs).
     pub deadline: Duration,
     /// How long a live membership change is supervised before it is
@@ -334,7 +319,7 @@ impl Default for ClusterConfig {
             store: StoreConfig::default(),
             client: ClientConfig::default(),
             network: NetworkConfig::default(),
-            fault_schedule: Vec::new(),
+            scenario: Scenario::default(),
             deadline: Duration::from_secs(600),
             membership_settle_budget: Duration::from_secs(30),
         }
@@ -418,10 +403,10 @@ pub struct Cluster<M: Mechanism<StampedValue>> {
     pending_leaves: BTreeSet<usize>,
     deadline: SimTime,
     settle_budget: Duration,
-    /// Declarative fault schedule, with the index of the next phase not
-    /// yet applied ([`Cluster::apply_due_fault_phases`]).
-    fault_schedule: Vec<FaultPhase>,
-    fault_phase_next: usize,
+    /// The run schedule, with the index of the next step not yet taken
+    /// ([`Cluster::take_due_steps`]).
+    scenario: Scenario,
+    next_step: usize,
     /// Server slots currently crashed: an inert husk holds the slot and
     /// every link to it is severed until [`Cluster::restart_node`].
     crashed: BTreeSet<usize>,
@@ -456,7 +441,9 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     ) -> Self {
         let kit = NodeKit::new(mech, config.store, config.servers, engine_factory);
         let server_slots = config.servers + config.spare_servers;
-        let mut procs: Vec<StoreProc<M>> = Vec::with_capacity(server_slots + config.clients);
+        let nodes = server_slots + config.clients;
+        config.scenario.check(server_slots, nodes, true);
+        let mut procs: Vec<StoreProc<M>> = Vec::with_capacity(nodes);
         procs.extend((0..config.servers).map(|slot| kit.server(slot)));
         procs.extend((config.servers..server_slots).map(|slot| kit.spare(slot)));
         procs.extend((0..config.clients).map(|j| {
@@ -480,8 +467,8 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
             deadline: SimTime::ZERO + config.deadline,
             settle_budget: config.membership_settle_budget,
             crashed: BTreeSet::new(),
-            fault_schedule: config.fault_schedule,
-            fault_phase_next: 0,
+            scenario: config.scenario,
+            next_step: 0,
         }
     }
 
@@ -892,31 +879,35 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         self.await_membership() && !self.members.contains(&slot)
     }
 
-    /// Applies every scheduled [`FaultPhase`] whose instant has been
-    /// reached, in order.
-    fn apply_due_fault_phases(&mut self) {
-        while let Some(p) = self.fault_schedule.get(self.fault_phase_next) {
-            if SimTime::ZERO + p.at > self.sim.now() {
+    /// Takes every step of the scenario whose instant has been reached,
+    /// in order.
+    fn take_due_steps(&mut self) {
+        while let Some(&(at, step)) = self.scenario.steps().get(self.next_step) {
+            if SimTime::ZERO + at > self.sim.now() {
                 return;
             }
-            self.sim.network_mut().set_faults(p.faults);
-            self.fault_phase_next += 1;
+            self.next_step += 1;
+            match step {
+                Step::Kill(slot) => self.crash_node(slot),
+                Step::Revive(slot) => self.restart_node(slot),
+                Step::Faults(faults) => self.sim.network_mut().set_faults(faults),
+                Step::CutConn(_) => {}
+            }
         }
     }
 
-    /// The instant of the next not-yet-applied fault phase, if any —
-    /// run loops stop there so a phase lands exactly on time.
-    fn next_fault_boundary(&self) -> Option<SimTime> {
-        self.fault_schedule
-            .get(self.fault_phase_next)
-            .map(|p| SimTime::ZERO + p.at)
+    /// The instant of the next step not yet taken, if any — run loops
+    /// stop there so a step lands exactly on time.
+    fn next_step_at(&self) -> Option<SimTime> {
+        let next = self.scenario.steps().get(self.next_step);
+        next.map(|(at, _)| SimTime::ZERO + *at)
     }
 
     /// Runs until every client finishes its session (or the deadline).
     /// Returns whether all clients finished.
     pub fn run(&mut self) -> bool {
         loop {
-            self.apply_due_fault_phases();
+            self.take_due_steps();
             let all_done = (0..self.clients).all(|j| self.client(j).is_done());
             if all_done {
                 return true;
@@ -925,7 +916,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
                 return false;
             }
             let mut next = self.sim.now() + Duration::from_millis(100);
-            if let Some(b) = self.next_fault_boundary() {
+            if let Some(b) = self.next_step_at() {
                 next = next.min(b);
             }
             self.sim.run_until(next.min(self.deadline));
@@ -934,42 +925,21 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
 
     /// Runs the simulation for `span` of virtual time (e.g. to let AAE
     /// converge replicas through the protocol itself), honouring the
-    /// fault schedule.
+    /// scenario.
     pub fn run_for(&mut self, span: Duration) {
         let target = self.sim.now() + span;
         loop {
-            self.apply_due_fault_phases();
-            let next = match self.next_fault_boundary() {
+            self.take_due_steps();
+            let next = match self.next_step_at() {
                 Some(b) if b < target => b,
                 _ => target,
             };
             self.sim.run_until(next);
             if self.sim.now() >= target {
-                self.apply_due_fault_phases();
+                self.take_due_steps();
                 return;
             }
         }
-    }
-
-    /// Deterministically merges every key across all servers until a
-    /// fixpoint — the "infinite anti-entropy" end state the audits are
-    /// defined against. Bypasses the network (test-harness operation).
-    /// (Generic implementation: [`FleetHarness::converge`].)
-    pub fn converge(&mut self) {
-        FleetHarness::converge(self);
-    }
-
-    /// Builds the ground-truth oracle from all client logs.
-    /// (Generic implementation: [`FleetHarness::oracle`].)
-    pub fn oracle(&self) -> Oracle {
-        FleetHarness::oracle(self)
-    }
-
-    /// The surviving write ids for `key` at server `i` (tombstones
-    /// included — they are writes).
-    /// (Generic implementation: [`FleetHarness::surviving_at`].)
-    pub fn surviving_at(&self, i: usize, key: &[u8]) -> BTreeSet<WriteId> {
-        FleetHarness::surviving_at(self, i, key)
     }
 
     /// The application-visible (non-tombstone) values for `key` at
@@ -986,20 +956,13 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     }
 
     /// Reclaims fully-deleted keys on every server. Call only after
-    /// [`Cluster::converge`]: premature collection would let anti-entropy
+    /// [`FleetHarness::converge`]: premature collection would let anti-entropy
     /// resurrect deleted data. Returns keys reclaimed per server.
     pub fn collect_garbage(&mut self) -> Vec<usize> {
         self.member_slots()
             .into_iter()
             .map(|i| self.sim.process_mut(i).server_mut().collect_garbage())
             .collect()
-    }
-
-    /// Audits the converged store against the oracle. Call after
-    /// [`Cluster::run`] + [`Cluster::converge`].
-    /// (Generic implementation: [`FleetHarness::anomaly_report`].)
-    pub fn anomaly_report(&self) -> AnomalyReport {
-        FleetHarness::anomaly_report(self)
     }
 
     /// The union of surviving write ids for `key` across every current
@@ -1016,30 +979,11 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         union
     }
 
-    /// The residual-copy audit: every `(member slot, key)` pair where a
-    /// member holds a key outside the key's current preference list.
-    /// After a quiescent period (transfers acknowledged, hints handed
-    /// off, no client traffic in flight) this must be empty — residual
-    /// copies are either retired on transfer/handoff ack or carry a hint
-    /// obligation that will retire them.
-    /// (Generic implementation: [`FleetHarness::residual_copies`].)
-    pub fn residual_copies(&self) -> Vec<(usize, Key)> {
-        FleetHarness::residual_copies(self)
-    }
-
     /// Aggregates all clients' latency statistics.
-    /// (Generic implementation: [`FleetHarness::latency_report`].)
+    /// (Generic implementation: [`FleetHarness::latency_report`]; kept
+    /// because the benchmark calls it without the trait in scope.)
     pub fn latency_report(&self) -> LatencyReport {
         FleetHarness::latency_report(self)
-    }
-
-    /// Sums every node's per-class wire counters — servers (dormant
-    /// spares included, since a retired leaver keeps gossiping) and
-    /// clients. The cluster-wide bytes-on-the-wire ledger;
-    /// `tests/wire.rs` pins its per-class totals for one scripted run.
-    /// (Generic implementation: [`FleetHarness::wire_report`].)
-    pub fn wire_report(&self) -> WireStats {
-        FleetHarness::wire_report(self)
     }
 
     /// Measures causal metadata across the (ideally converged) store.
@@ -1181,6 +1125,25 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7).2, 0);
+    }
+
+    /// Steps land in due order whatever order they are listed in: a
+    /// revive listed before its kill neither holds the kill back nor
+    /// undoes it early.
+    #[test]
+    fn steps_listed_out_of_order_land_in_due_order() {
+        let cfg = ClusterConfig {
+            scenario: Scenario::new([
+                (Duration::from_millis(200), Step::Revive(1)),
+                (Duration::from_millis(100), Step::Kill(1)),
+            ]),
+            ..small()
+        };
+        let mut c = Cluster::new(5, DvvMechanism, cfg);
+        c.run_for(Duration::from_millis(150));
+        assert_eq!(c.crashed_slots(), [1]);
+        c.run_for(Duration::from_millis(100));
+        assert_eq!(c.crashed_slots(), []);
     }
 
     #[test]

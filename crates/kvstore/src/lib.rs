@@ -42,6 +42,7 @@
 //! ```
 //! use dvv::mechanisms::DvvMechanism;
 //! use kvstore::cluster::{Cluster, ClusterConfig};
+//! use kvstore::FleetHarness;
 //!
 //! let config = ClusterConfig {
 //!     servers: 3,

@@ -28,6 +28,7 @@ use kvstore::merkle::fingerprint;
 use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::{Key, StampedValue, WriteId};
+use kvstore::FleetHarness;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ring::RingView;

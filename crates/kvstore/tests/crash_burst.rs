@@ -3,8 +3,8 @@
 //! A replica is killed in the middle of a write burst under *group-sync*
 //! durability (`LogConfig::default()` — the crash loses the un-synced
 //! log tail) while every link duplicates, reorders and stale-replays
-//! traffic ([`LinkFaults::hostile`], installed through the declarative
-//! fault schedule). The victim restarts from its truncated log and the
+//! traffic ([`LinkFaults::hostile`], installed through the run's
+//! scenario). The victim restarts from its truncated log and the
 //! fleet must converge unaided and pass the full audit stack — one ring
 //! view, pairwise AAE equivalence, zero residuals, a no-loss
 //! `surviving_union`, an anomaly-free oracle, **and the fleet-wide
@@ -52,12 +52,12 @@
 //! and the guard closes precisely this hole.
 
 use dvv::mechanisms::DvvMechanism;
-use kvstore::cluster::{Cluster, ClusterConfig, EngineFactory, FaultPhase};
+use kvstore::cluster::{Cluster, ClusterConfig, EngineFactory};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::{
     assert_dot_unique, assert_dot_unique_in_logs, audit_fleet, dot_census_in_logs, FleetHarness,
 };
-use simnet::{Duration, LinkFaults, NodeId};
+use simnet::{Duration, LinkFaults, NodeId, Scenario, Step};
 use storage::LogConfig;
 use workloads::churn_seeds;
 
@@ -125,24 +125,15 @@ fn burst_config() -> ClusterConfig {
         // Hostile from the first event; the replay storm brackets the
         // restart instant; clean again at 10s so the post-burst quiesce
         // also exercises a multi-phase schedule.
-        fault_schedule: vec![
-            FaultPhase {
-                at: Duration::ZERO,
-                faults: LinkFaults::hostile(),
-            },
-            FaultPhase {
-                at: Duration::from_millis(69),
-                faults: recovery_storm(),
-            },
-            FaultPhase {
-                at: Duration::from_millis(300),
-                faults: LinkFaults::hostile(),
-            },
-            FaultPhase {
-                at: Duration::from_secs(10),
-                faults: LinkFaults::default(),
-            },
-        ],
+        scenario: Scenario::new([
+            (Duration::ZERO, Step::Faults(LinkFaults::hostile())),
+            (Duration::from_millis(69), Step::Faults(recovery_storm())),
+            (
+                Duration::from_millis(300),
+                Step::Faults(LinkFaults::hostile()),
+            ),
+            (Duration::from_secs(10), Step::Faults(LinkFaults::default())),
+        ]),
         deadline: Duration::from_secs(2_000),
         ..ClusterConfig::default()
     }

@@ -6,7 +6,7 @@ use dvv::mechanisms::{DvvMechanism, DvvSetMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::ClientConfig;
-use kvstore::{StampedValue, WriteId};
+use kvstore::{FleetHarness, StampedValue, WriteId};
 use simnet::Duration;
 
 #[test]

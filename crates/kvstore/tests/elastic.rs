@@ -18,6 +18,7 @@ use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::{Key, StampedValue, WriteId};
+use kvstore::FleetHarness;
 use ring::{HashRing, RingView};
 use simnet::{Duration, NetworkConfig, NodeId, SimTime, Simulation};
 use workloads::{churn_seeds, ChurnAction, ChurnPlan};

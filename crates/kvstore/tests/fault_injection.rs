@@ -8,6 +8,7 @@ use dvv::mechanisms::DvvMechanism;
 use dvv::ReplicaId;
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::{ClientConfig, StoreConfig};
+use kvstore::FleetHarness;
 use simnet::{Duration, LatencyModel, LinkConfig, NetworkConfig, NodeId};
 
 fn base_config() -> ClusterConfig {

@@ -26,6 +26,7 @@ use kvstore::ctx::Timer;
 use kvstore::messages::{Msg, MsgClass};
 use kvstore::node::{NodeStats, StoreNode};
 use kvstore::value::{Key, StampedValue, WriteId};
+use kvstore::FleetHarness;
 use ring::{HashRing, MemberStatus, RingView};
 use simnet::{
     Duration, NetworkConfig, NodeId, Process, ProcessCtx, SimRng, SimTime, Simulation, TraceEvent,

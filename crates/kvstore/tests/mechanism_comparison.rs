@@ -13,7 +13,7 @@ use dvv::mechanisms::{
 };
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::ClientConfig;
-use kvstore::StampedValue;
+use kvstore::{FleetHarness, StampedValue};
 
 /// A contention-heavy configuration: few keys, many clients, so
 /// concurrent writes through the same coordinator are common.

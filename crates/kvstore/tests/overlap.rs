@@ -19,6 +19,7 @@ use dvv::mechanisms::DvvMechanism;
 use dvv::ReplicaId;
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::{ClientConfig, StoreConfig};
+use kvstore::FleetHarness;
 use ring::MemberStatus;
 use simnet::{Duration, NodeId};
 use workloads::churn_seeds;

@@ -26,6 +26,7 @@ use dvv::ReplicaId;
 use kvstore::cluster::{Cluster, ClusterConfig, EngineFactory};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::value::{Key, WriteId};
+use kvstore::FleetHarness;
 use simnet::Duration;
 use storage::LogConfig;
 use workloads::churn_seeds;

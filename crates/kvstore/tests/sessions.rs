@@ -5,6 +5,7 @@
 use dvv::mechanisms::DvvMechanism;
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::ClientConfig;
+use kvstore::FleetHarness;
 use simnet::{Duration, LatencyModel, LinkConfig, NetworkConfig};
 
 #[test]

@@ -5,6 +5,7 @@ use dvv::mechanisms::{DvvMechanism, DvvSetMechanism};
 use dvv::ReplicaId;
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::ClientConfig;
+use kvstore::FleetHarness;
 use proptest::prelude::*;
 use simnet::{Duration, NodeId};
 

@@ -18,6 +18,7 @@ use kvstore::cluster::{Cluster, ClusterConfig, StoreProc};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::messages::{Msg, MsgClass, WireStats};
 use kvstore::value::{Key, StampedValue, WriteId};
+use kvstore::FleetHarness;
 use ring::HashRing;
 use simnet::{Duration, NodeId};
 

@@ -5,7 +5,7 @@
 //! are replica servers, `servers..servers + clients` are closed-loop
 //! client sessions, the same [`StoreProc`] enum holds either, and the
 //! same [`NodeKit`] builds them — at construction and again when a
-//! scheduled crash respawns a server. Each server gets a dedicated
+//! scenario revives a killed server. Each server gets a dedicated
 //! event-loop thread; clients are partitioned across `client_workers`
 //! threads. Every worker is a bounded inbox and a [`simnet::Host`] of
 //! its nodes on the wall clock — the simulator is one on a virtual
@@ -14,8 +14,8 @@
 //! [`simnet::ProcessCtx`] (effects land in the order the handler made
 //! them), a forked RNG stream per node, and one **agenda**, the host's
 //! [`simnet::TimerWheel`] of everything the worker will do at a future
-//! instant: its nodes' timers, their messages on their way and, on a
-//! server's worker, that server's scheduled kill and respawn.
+//! instant: its nodes' timers, their messages on their way and the
+//! steps of the run's scenario that are its to carry out.
 //!
 //! A node's sends go the host's three ways. A message to itself is an
 //! agenda entry due at once: reliable, never fault-injected, never on
@@ -32,15 +32,19 @@
 //! (wire loss; the protocol's timeouts, retries and anti-entropy absorb
 //! it), so workers can never deadlock on a send.
 //!
-//! A scheduled crash ([`CrashEvent`](crate::CrashEvent)) is two agenda
-//! entries on its server's own worker, both known when the fleet is
-//! built, and the host's own kill and revive — the ones the simulator's
-//! `Cluster` calls: the kill swaps in an inert husk, drops the node's
-//! timers and queued self-sends and marks it down (what reaches it is
-//! dropped), the respawn rebuilds the node from its [`NodeKit`] and
-//! posts it the view that re-admits it. Nothing crosses threads to order
-//! either. The crash schedule, the storage-engine factory and the fault
-//! plane all sit above the link, so they work the same on every link.
+//! The run's [`Scenario`](simnet::Scenario) ([`RuntimeConfig::scenario`])
+//! is agenda entries, all known when the fleet runs: each step goes on
+//! the agenda of the worker hosting its node, a `Faults` step on every
+//! worker's. A `Kill` and a `Revive` are the host's own kill and revive
+//! — the ones the simulator's `Cluster` calls: the kill swaps in an
+//! inert husk, drops the node's timers and queued self-sends and marks
+//! it down (what reaches it is dropped), the revive rebuilds the node
+//! from its [`NodeKit`] and posts it the view that re-admits it. A
+//! `Faults` step switches the worker's network's fault knobs, a
+//! `CutConn` is [`Link::cut`] on the worker's handle. Nothing crosses
+//! threads to order any of them. The scenario, the storage-engine
+//! factory and the fault plane all sit above the link, so they work the
+//! same on every link.
 //! Where a worker's inbox is fed
 //! from is the link's too: [`Link::worker`] gives each worker a handle
 //! of its own, and the idle arm waits in [`Link::wait`] — on the
@@ -51,14 +55,13 @@
 //! spawns one thread per server and one per non-empty client group, and
 //! nothing else — and neither does the socket link, whose accepting and
 //! reading happens on the workers. The thread that called `run` is the
-//! one supervisor: it drives the link's schedule, declares a stall when
-//! the op counter sits still for the stall budget, and decides when the
-//! run is over — parked in between, and unparked by the worker that
-//! sees a client session finish. Everything it knows about the live
-//! fleet it reads from [`Progress`], which the workers write with
-//! relaxed atomics — that the crash schedule is over included: the run
-//! is past its last respawn and no server is down. No lock is taken on
-//! the dispatch path.
+//! one supervisor: it declares a stall when the op counter sits still
+//! for the stall budget, and decides when the run is over — parked in
+//! between, and unparked by the worker that sees a client session
+//! finish. Everything it knows about the live fleet it reads from
+//! [`Progress`], which the workers write with relaxed atomics — that the
+//! scenario is over included: the run is past its last step and no
+//! server is down. No lock is taken on the dispatch path.
 //!
 //! **A worker with nothing to do polls before it parks — while that
 //! pays.** A worker blocked on an empty inbox lets its vCPU halt, and
@@ -96,7 +99,7 @@ use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
-use simnet::{Due, Host, Network, NodeId, Outlet, SimRng, SimTime, TraceEvent};
+use simnet::{Due, Host, Network, NodeId, Outlet, SimRng, SimTime, Step, TraceEvent};
 
 use crate::link::{ChannelLink, Link, Packet, Wiring};
 use crate::watchdog::{self, Progress, StallReport};
@@ -105,11 +108,10 @@ use crate::RuntimeConfig;
 /// Inbox slots per hosted node; a full inbox drops (wire loss).
 const INBOX_CAPACITY: usize = 1024;
 
-/// The main loop's park between passes while the crash or link schedule
-/// still has a deadline to meet.
+/// The main loop's park between passes while the scenario is not over.
 const SCHEDULE_PARK: StdDuration = StdDuration::from_millis(2);
 
-/// The main loop's park once the schedules are finished: all that is
+/// The main loop's park once the scenario is over: all that is
 /// left to notice by polling is a stall or the run budget (a finishing
 /// client unparks it).
 const IDLE_PARK: StdDuration = StdDuration::from_millis(25);
@@ -226,10 +228,10 @@ pub struct RunReport {
 /// [`Cluster`](kvstore::cluster::Cluster) after a simulated run.
 pub struct Fleet<M: Mechanism<StampedValue>, L: Link<M>> {
     config: RuntimeConfig,
-    /// Builds (and after a scheduled crash rebuilds) this fleet's nodes.
+    /// Builds (and at a scenario's revive rebuilds) this fleet's nodes.
     kit: NodeKit<M>,
-    /// The genesis view with one `Up` bump per scheduled crash: what
-    /// the fleet's views converge to once every respawn is re-admitted.
+    /// The genesis view with one `Up` bump per killed server: what the
+    /// fleet's views converge to once every revive is re-admitted.
     view: RingView<ReplicaId>,
     /// Every node between runs — its id, process and RNG stream — in id
     /// order; a run hands them to its workers' hosts.
@@ -268,8 +270,7 @@ where
     /// [`Cluster::new_durable`](kvstore::cluster::Cluster::new_durable).
     /// Opening an engine replays whatever a previous incarnation (or a
     /// previous fleet over the same directory) durably synced, and a
-    /// scheduled [`CrashEvent`](crate::CrashEvent) respawn rebuilds from
-    /// the same factory.
+    /// scenario's `Revive` rebuilds from the same factory.
     pub fn new_durable(
         seed: u64,
         mech: M,
@@ -298,27 +299,16 @@ where
     ) -> Self {
         assert!(config.client_workers > 0, "need at least one client worker");
         let kit = NodeKit::new(mech, config.store, config.servers, factory);
+        let total = config.servers + config.clients;
+        let scenario = &config.scenario;
+        scenario.check(config.servers, total, config.faults.is_some());
         let mut view = kit.genesis_view().clone();
-        let mut crash_targets = std::collections::BTreeSet::new();
-        for c in &config.crashes {
-            assert!(
-                c.server < config.servers,
-                "crash of non-server {}",
-                c.server
-            );
-            assert!(
-                c.respawn_after > c.kill_after,
-                "respawn must come after the kill"
-            );
-            assert!(
-                crash_targets.insert(c.server),
-                "server {} crashed twice in one schedule",
-                c.server
-            );
-            view.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
+        for (_, step) in scenario.steps() {
+            if let Step::Kill(slot) = step {
+                view.bump(&ReplicaId(*slot as u32), MemberStatus::Up);
+            }
         }
         let root = SimRng::new(seed);
-        let total = config.servers + config.clients;
         let nodes = (0..total)
             .map(|i| {
                 let node = match i.checked_sub(config.servers) {
@@ -361,6 +351,17 @@ where
     /// Returns `Err` with per-node diagnostics if no client op completes
     /// for the stall budget, or the run budget expires first.
     pub fn run(&mut self) -> Result<RunReport, StallReport> {
+        self.run_during(|| {})
+    }
+
+    /// [`run`](Self::run), calling `during` on this thread once every
+    /// worker is up; the run does not end before it returns. A test that
+    /// drives the workers from outside does it here.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_during(&mut self, during: impl FnOnce()) -> Result<RunReport, StallReport> {
         let cfg = self.config.clone();
         let total = cfg.servers + cfg.clients;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -411,9 +412,8 @@ where
             },
         );
 
-        // Worker threads — the only threads a run spawns. A server
-        // scheduled to crash has its kill and respawn on its worker's
-        // agenda from the start.
+        // Worker threads — the only threads a run spawns. Each has the
+        // scenario's steps for its nodes on its agenda from the start.
         let mut handles: Vec<JoinHandle<Vec<_>>> = Vec::new();
         for (w, (group, rx)) in groups.into_iter().zip(receivers).enumerate() {
             let hosts: Vec<NodeId> = group.iter().map(|(id, ..)| *id).collect();
@@ -423,11 +423,16 @@ where
             );
             let mut host = Host::new(network, group);
             host.set_faults(cfg.faults.is_some());
-            let event = cfg.crashes.iter().find(|c| hosts[0].0 as usize == c.server);
-            if let Some(c) = event {
-                let at = |after: StdDuration| after.as_micros() as u64;
-                host.schedule(at(c.kill_after), Due::Kill(hosts[0]));
-                host.schedule(at(c.respawn_after), Due::Revive(hosts[0]));
+            for &(at, step) in cfg.scenario.steps() {
+                let here = match step {
+                    Step::Kill(node) | Step::Revive(node) | Step::CutConn(node) => {
+                        hosts.contains(&NodeId(node as u32))
+                    }
+                    Step::Faults(_) => true,
+                };
+                if here {
+                    host.schedule(at.as_micros(), Due::Step(step));
+                }
             }
             let inbox_capacity = INBOX_CAPACITY * hosts.len();
             let hang = hosts
@@ -446,31 +451,22 @@ where
             }));
         }
 
-        // Wait for completion, a stall, or the run budget, driving the
-        // link's own schedule as its deadlines come due. `schedules`
-        // returns whether it and the crash schedule are finished: the
-        // workers run the crashes, so theirs is over once the run is
-        // past the last respawn and no server is down.
+        during();
+
+        // Wait for completion, a stall, or the run budget. The workers
+        // carry out the scenario, so it is over once the run is past its
+        // last step and no server is down.
         let started = shared.origin;
-        let last_respawn = cfg
-            .crashes
-            .iter()
-            .map(|c| c.respawn_after)
-            .max()
-            .unwrap_or_default();
+        let last_step = StdDuration::from_micros(cfg.scenario.end().as_micros());
         let down = &self.progress.expected_down;
-        let mut schedules = || {
-            let link_done = link.tick(started.elapsed());
-            let crashes_done = started.elapsed() >= last_respawn
-                && !down.iter().any(|d| d.load(Ordering::Relaxed));
-            link_done && crashes_done
-        };
+        let over =
+            || started.elapsed() >= last_step && !down.iter().any(|d| d.load(Ordering::Relaxed));
         // Progress is completed client ops: while any client is still
         // working the counter must move at least once per stall budget.
         let mut last_ops = self.progress.ops_ok.load(Ordering::Relaxed);
         let mut still_since = Instant::now();
         let outcome = loop {
-            let schedules_done = schedules();
+            let scenario_over = over();
             if self.progress.done_clients.load(Ordering::Relaxed) >= cfg.clients as u64 {
                 break Ok(started.elapsed());
             }
@@ -488,7 +484,7 @@ where
             }
             // A spurious or left-over wake-up only brings the next pass
             // forward.
-            thread::park_timeout(if schedules_done {
+            thread::park_timeout(if scenario_over {
                 IDLE_PARK
             } else {
                 SCHEDULE_PARK
@@ -505,22 +501,22 @@ where
             let settle_started = Instant::now();
             let (mut last_sig, mut rounds_floor) = self.settle_probe();
             let mut still_since = Instant::now();
-            // A schedule still in flight (a respawn or a connection cut
+            // A scenario still in flight (a revive or a connection cut
             // landing after the last client finished) keeps the quiesce
             // open past its nominal budget — the fault must land and be
             // repaired before the fleet is inspected.
-            let mut schedules_done = schedules();
-            while (settle_started.elapsed() < cfg.quiesce || !schedules_done)
+            let mut scenario_over = over();
+            while (settle_started.elapsed() < cfg.quiesce || !scenario_over)
                 && started.elapsed() <= cfg.run_budget
             {
                 thread::sleep(StdDuration::from_millis(50));
-                schedules_done = schedules();
+                scenario_over = over();
                 let (sig, rounds) = self.settle_probe();
                 if sig != last_sig {
                     last_sig = sig;
                     rounds_floor = rounds;
                     still_since = Instant::now();
-                } else if schedules_done
+                } else if scenario_over
                     && still_since.elapsed() >= cfg.settle_window
                     && rounds >= rounds_floor + SETTLE_CLEAN_ROUNDS
                 {
@@ -739,9 +735,9 @@ struct Worker<M: Mechanism<StampedValue>, L> {
     link: L,
     shared: Arc<Shared>,
     progress: Arc<Progress>,
-    /// Rebuilds the worker's server at a scheduled respawn (a log-backed
+    /// Rebuilds the worker's server at a scenario's revive (a log-backed
     /// engine replays its durable prefix on open; without an engine
-    /// factory the respawn comes back empty, the diskless baseline).
+    /// factory the revive comes back empty, the diskless baseline).
     kit: NodeKit<M>,
     /// Slot by slot, what [`Worker::publish`] has already counted.
     tallies: Vec<Tally>,
@@ -798,11 +794,11 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> Worker<M, L> {
         });
     }
 
-    /// Carries out one agenda entry or inbound message, now. A scheduled
+    /// Carries out one agenda entry or inbound message, now. A scenario's
     /// kill is the host's, on the server's own worker: the node is
     /// dropped like a power cut — in-memory state, armed timers, queued
     /// self-sends and the engine's unsynced buffer — and an inert husk
-    /// holds the slot. The respawn rebuilds it from the kit and posts it
+    /// holds the slot. The revive rebuilds it from the kit and posts it
     /// the view that re-admits it: the genesis view with its fresh `Up`
     /// incarnation. Merging that view re-arms the node's timers (it was
     /// built mid-run, so without `on_start`) and lets gossip spread the
@@ -810,19 +806,20 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> Worker<M, L> {
     fn run(&mut self, due: Due<Msg<M>, Timer>) {
         let now = self.now();
         match due {
-            Due::Kill(node) => {
-                let slot = node.0 as usize;
+            Due::Step(Step::Kill(slot)) => {
                 self.progress.set_expected_down(slot, true);
-                self.host.kill(node, self.kit.husk(slot));
+                self.host.kill(NodeId(slot as u32), self.kit.husk(slot));
             }
-            Due::Revive(node) => {
-                let slot = node.0 as usize;
+            Due::Step(Step::Revive(slot)) => {
+                let node = NodeId(slot as u32);
                 self.host.revive(node, self.kit.server(slot));
                 let mut view = self.kit.genesis_view().clone();
                 view.bump(&ReplicaId(node.0), MemberStatus::Up);
                 self.host.post(now, node, Msg::RingEpoch { view });
                 self.progress.set_expected_down(slot, false);
             }
+            Due::Step(Step::Faults(faults)) => self.host.network_mut().set_faults(faults),
+            Due::Step(Step::CutConn(node)) => self.link.cut(NodeId(node as u32)),
             due => {
                 if let Some(slot) = self.host.dispatch(now, due, &mut Wire(&self.link)) {
                     self.publish(slot, now);
@@ -882,7 +879,7 @@ fn store_if_moved(cell: &AtomicU64, value: u64) {
 
 /// One worker thread's event loop over its host: messages from its
 /// inbox, and its agenda — timers, messages on their way (held back, or
-/// to the node itself), its server's kill and respawn.
+/// to the node itself), its scenario steps.
 fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     mut w: Worker<M, L>,
     rx: Receiver<Packet<M>>,
@@ -1020,14 +1017,14 @@ mod tests {
     #[test]
     fn the_spin_gate_as_a_table() {
         #[derive(Debug)]
-        enum Step {
+        enum Event {
             Hit,
             Miss,
             Wake(u64),
             Park,
         }
-        use Step::*;
-        let rows: &[(u64, &[Step], bool)] = &[
+        use Event::*;
+        let rows: &[(u64, &[Event], bool)] = &[
             (50, &[], true),
             (0, &[], false),
             (50, &[Hit, Hit], true),
@@ -1052,7 +1049,7 @@ mod tests {
             assert_eq!(gate.open, *open, "SPIN {spin_us}: {steps:?}");
             // Every step is counted once, wherever the fold fell.
             gate.fold(&progress);
-            let count = |f: fn(&Step) -> bool| steps.iter().filter(|s| f(s)).count() as u64;
+            let count = |f: fn(&Event) -> bool| steps.iter().filter(|s| f(s)).count() as u64;
             let stats = FleetStats {
                 progress: Arc::new(progress),
             };

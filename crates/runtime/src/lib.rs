@@ -11,11 +11,11 @@
 //! [`simnet::Host`] of its nodes on the wall clock — the simulator is
 //! one on a virtual clock — so the node's context
 //! ([`simnet::ProcessCtx`]), its agenda (timers, messages on their way,
-//! the server's scheduled kill and respawn), its fault plane and its
+//! the scenario's steps for its nodes), its fault plane and its
 //! kill and revive are the simulator's own. What is particular to
 //! threads lives in [`fleet`], once: the worker event loop, its
 //! per-dispatch progress publishing, the main loop that watches over a
-//! run (link schedule, stall check, settle/quiesce) and the post-run
+//! run (stall check, settle/quiesce) and the post-run
 //! [`FleetHarness`](kvstore::harness::FleetHarness) surface. What is
 //! not particular to threads is `kvstore`'s, shared with the simulator:
 //! [`NodeKit`](kvstore::cluster::NodeKit) builds (and respawns) the
@@ -29,9 +29,9 @@
 //! [`Progress`] counters and the shutdown flag), a `send` of an
 //! addressed message that never waits on the destination node (see
 //! [`Link::send`]), `close` returning its ledger, and optionally a
-//! per-tick schedule hook and a note of the bytes charged for
-//! self-sends (which the host delivers itself and never hands to
-//! `send`). A link that receives on the workers' own threads also
+//! cut of a node's connections ([`Link::cut`], a scenario's `CutConn`)
+//! and a note of the bytes charged for self-sends (which the host
+//! delivers itself and never hands to `send`). A link that receives on the workers' own threads also
 //! gives each worker its own handle ([`Link::worker`]), does its
 //! receiving in the worker's wait ([`Link::wait`]) and hears of what
 //! the main loop posts into an inbox ([`Link::wake`]); the defaults are
@@ -66,8 +66,10 @@
 //!   [`simnet::NetworkConfig`] — loss, latency model, bandwidth,
 //!   reorder, duplicate, stale replay, per-link overrides — and each
 //!   worker's host asks a [`simnet::Network`] built from it for every
-//!   copy's fate, so one scenario value drives both drivers; plus
-//!   scheduled crash/respawn ([`CrashEvent`]);
+//!   copy's fate, so one network value drives both drivers;
+//! * the simulator's own run schedule: [`RuntimeConfig::scenario`] is a
+//!   [`simnet::Scenario`], whose kills, revives, fault switches and
+//!   connection cuts the workers carry out from their agendas;
 //! * a stall check in the main loop that fails a wedged run fast with
 //!   per-node inbox depths and last-event timestamps ([`watchdog`]).
 //!
@@ -94,29 +96,8 @@ pub use link::{ChannelLink, ChannelStats, Link, Packet, Wiring};
 pub use watchdog::{NodeDiag, Progress, StallReport};
 
 use kvstore::config::{ClientConfig, StoreConfig};
-use simnet::NetworkConfig;
+use simnet::{NetworkConfig, Scenario};
 use std::time::Duration as StdDuration;
-
-/// One scheduled crash/respawn of a server during a [`RuntimeFleet`]
-/// run, carried out by the server's own worker from its agenda: at
-/// `kill_after` (wall clock from run start) the server's node is dropped
-/// — in-memory state, armed timers, queued self-sends and any
-/// storage-engine buffer past the last group sync are gone, like a power
-/// cut — and at `respawn_after` it is rebuilt from its engine factory
-/// (replaying its durable log when the fleet is durable) and re-admitted
-/// **in band**: its worker's host posts it a view (`Msg::RingEpoch`)
-/// naming it `Up` under a fresh incarnation, the one the fleet's audit
-/// view names.
-#[derive(Clone, Copy, Debug)]
-pub struct CrashEvent {
-    /// Server index to crash.
-    pub server: usize,
-    /// Wall clock from run start to the kill.
-    pub kill_after: StdDuration,
-    /// Wall clock from run start to the respawn (must exceed
-    /// `kill_after`).
-    pub respawn_after: StdDuration,
-}
 
 /// Complete configuration of a [`RuntimeFleet`] run.
 #[derive(Clone, Debug)]
@@ -159,8 +140,16 @@ pub struct RuntimeConfig {
     /// repairs, handoffs, transfers) must sit still before the quiesce
     /// is considered settled.
     pub settle_window: StdDuration,
-    /// Scheduled server crash/respawn events (see [`CrashEvent`]).
-    pub crashes: Vec<CrashEvent>,
+    /// The run schedule, in wall time from run start: each step is
+    /// carried out by the worker hosting its node, a `Faults` step by
+    /// every worker, which needs `faults` to be `Some`. A killed server
+    /// is dropped like a power cut — in-memory state, armed timers,
+    /// queued self-sends and any storage-engine buffer past the last
+    /// group sync — and its revive rebuilds it from its engine factory
+    /// and re-admits it **in band**: its worker's host posts it a view
+    /// (`Msg::RingEpoch`) naming it `Up` under a fresh incarnation, the
+    /// one the fleet's audit view names.
+    pub scenario: Scenario,
 }
 
 impl Default for RuntimeConfig {
@@ -178,7 +167,7 @@ impl Default for RuntimeConfig {
             run_budget: StdDuration::from_secs(120),
             quiesce: StdDuration::from_millis(500),
             settle_window: StdDuration::from_millis(400),
-            crashes: Vec::new(),
+            scenario: Scenario::default(),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! inbox comes from.
 //!
 //! The threaded fleet ([`crate::fleet`]) owns everything about hosting
-//! a node — the event loop, agenda, crash schedule, fault plane, settle
+//! a node — the event loop, agenda, run schedule, fault plane, settle
 //! probe, stall check — and is generic over this one trait for the part
 //! that differs between drivers: how an addressed message travels from
 //! one worker thread to another. Every link ends the same way: a
@@ -62,12 +62,12 @@ pub struct Wiring<M: Mechanism<StampedValue>> {
 /// The transport between worker threads of one fleet run.
 ///
 /// A link is a cheap handle: the fleet opens one, keeps it for the main
-/// loop ([`tick`](Link::tick), [`wake`](Link::wake),
-/// [`close`](Link::close)) and gives every worker a handle of its own
-/// ([`worker`](Link::worker); a clone by default) to
-/// [`send`](Link::send) and [`wait`](Link::wait) on, so no state is
-/// shared between threads that the link does not choose to share. It is
-/// a generic parameter of the fleet, so each of these is a direct call.
+/// loop ([`wake`](Link::wake), [`close`](Link::close)) and gives every
+/// worker a handle of its own ([`worker`](Link::worker); a clone by
+/// default) to [`send`](Link::send), [`wait`](Link::wait) and
+/// [`cut`](Link::cut) on, so no state is shared between threads that
+/// the link does not choose to share. It is a generic parameter of the
+/// fleet, so each of these is a direct call.
 pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// What the fleet keeps from construction until `open`.
     type Spec;
@@ -165,13 +165,11 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// the bytes its node charged for it.
     fn note_self(&self, _bytes: usize) {}
 
-    /// Called on the fleet's own handle from its main loop, on every
-    /// pass, with the time since run start: fires whatever schedule the
-    /// link carries. Returns whether that schedule is finished — the
-    /// quiesce phase does not end before it is.
-    fn tick(&mut self, _elapsed: StdDuration) -> bool {
-        true
-    }
+    /// Severs every live connection touching `node`, on the handle of
+    /// the worker hosting it, when a scenario's `CutConn` step is due.
+    /// The default does nothing: a link without connections has nothing
+    /// to cut.
+    fn cut(&self, _node: NodeId) {}
 
     /// Tears the link down after every worker has exited (and dropped
     /// its handle) and returns the ledger of the whole run.

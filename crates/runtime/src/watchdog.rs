@@ -32,7 +32,7 @@ pub struct Progress {
     pub last_event_micros: Vec<AtomicU64>,
     /// Current inbox depth per node (enqueued − dispatched).
     pub inbox_depth: Vec<AtomicI64>,
-    /// Nodes the harness has *deliberately* taken down (crash schedule):
+    /// Nodes the harness has *deliberately* taken down (a scenario's kill):
     /// their silence is expected, and the stall diagnostics must not
     /// present them as wedged.
     pub expected_down: Vec<AtomicBool>,
@@ -92,7 +92,7 @@ pub struct NodeDiag {
     pub events: u64,
     /// µs since the node last dispatched anything (u64::MAX = never).
     pub last_event_age_micros: u64,
-    /// The harness deliberately took this node down (crash schedule):
+    /// The harness deliberately took this node down (a scenario's kill):
     /// its silence is expected, not a wedge.
     pub expected_down: bool,
 }
@@ -112,7 +112,7 @@ pub struct StallReport {
 }
 
 impl StallReport {
-    /// Nodes the crash schedule had deliberately down when the stall
+    /// Nodes the scenario had deliberately down when the stall
     /// was declared.
     #[must_use]
     pub fn expected_down(&self) -> Vec<usize> {

@@ -25,8 +25,8 @@ use dvv::ReplicaId;
 use kvstore::config::ClientConfig;
 use kvstore::harness::{assert_dot_unique_in_logs, audit_fleet};
 use kvstore::StoreConfig;
-use runtime::{CrashEvent, EngineFactory, RuntimeConfig, RuntimeFleet};
-use simnet::{Duration, LinkConfig, LinkFaults, NetworkConfig};
+use runtime::{EngineFactory, RuntimeConfig, RuntimeFleet};
+use simnet::{Duration, LinkConfig, LinkFaults, NetworkConfig, Scenario, Step};
 use storage::LogConfig;
 
 const SERVERS: usize = 3;
@@ -57,11 +57,10 @@ fn burst_config() -> RuntimeConfig {
             ..LinkConfig::default()
         })),
         hang_servers: Vec::new(),
-        crashes: vec![CrashEvent {
-            server: VICTIM,
-            kill_after: StdDuration::from_millis(150),
-            respawn_after: StdDuration::from_millis(600),
-        }],
+        scenario: Scenario::new([
+            (Duration::from_millis(150), Step::Kill(VICTIM)),
+            (Duration::from_millis(600), Step::Revive(VICTIM)),
+        ]),
         stall_budget: StdDuration::from_secs(15),
         run_budget: StdDuration::from_secs(90),
         quiesce: StdDuration::from_secs(20),

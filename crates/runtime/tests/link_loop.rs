@@ -5,9 +5,9 @@
 //! in-memory link records what the hosted nodes send, delivers nothing
 //! on its own, and lets each test post exactly the packets it wants —
 //! from the link's `send` (on the worker thread, so the worker is
-//! provably not looking at its inbox meanwhile) or from its `tick` (on
-//! the fleet's main thread, which a crash schedule never waits on: the
-//! workers carry it out on their own clocks).
+//! provably not looking at its inbox meanwhile) or from the fleet's main
+//! thread while the run is live ([`Fleet::run_during`], which a crash
+//! never waits on: the workers carry it out on their own clocks).
 //! Interleavings are forced through the inbox channel and the progress
 //! counters, never through sleeps longer than the loop's 20 ms wait cap.
 
@@ -24,8 +24,10 @@ use kvstore::messages::Msg;
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::RingView;
 use runtime::link::deliver;
-use runtime::{ChannelLink, CrashEvent, Fleet, Link, Packet, Progress, RuntimeConfig, Wiring};
-use simnet::{Duration, LatencyModel, LinkConfig, LinkFaults, NetworkConfig, NodeId};
+use runtime::{ChannelLink, Fleet, Link, Packet, Progress, RuntimeConfig, Wiring};
+use simnet::{
+    Duration, LatencyModel, LinkConfig, LinkFaults, NetworkConfig, NodeId, Scenario, Step,
+};
 
 type M = DvvMechanism;
 
@@ -38,8 +40,11 @@ const STRANGER: NodeId = NodeId(7);
 struct Script {
     /// Runs inside `send`, on the sending worker's thread.
     on_send: Option<fn(&ScriptLink, &Packet<M>)>,
-    /// Runs inside the first `tick`, on the fleet's main thread.
-    on_tick: Option<fn(&ScriptLink)>,
+    /// Runs on the fleet's main thread once its workers are up
+    /// ([`Script::main`]).
+    on_main: Option<fn(&ScriptLink)>,
+    /// The link the run opened, for `on_main`.
+    opened: Mutex<Option<ScriptLink>>,
     /// `(from, to)` of everything the loop handed to `send`.
     sent: Mutex<Vec<(NodeId, NodeId)>>,
     self_sends: AtomicU64,
@@ -52,7 +57,6 @@ struct ScriptLink {
     inboxes: Vec<SyncSender<Packet<M>>>,
     progress: Arc<Progress>,
     script: Arc<Script>,
-    ticked: bool,
 }
 
 impl ScriptLink {
@@ -99,12 +103,15 @@ impl Link<M> for ScriptLink {
     type Ledger = ();
 
     fn open(spec: &Arc<Script>, wiring: Wiring<M>) -> Self {
-        ScriptLink {
+        let link = ScriptLink {
             inboxes: wiring.inboxes,
             progress: wiring.progress,
             script: Arc::clone(spec),
-            ticked: false,
+        };
+        if spec.on_main.is_some() {
+            *spec.opened.lock().unwrap() = Some(link.clone());
         }
+        link
     }
 
     fn send(&self, pkt: Packet<M>) {
@@ -116,15 +123,6 @@ impl Link<M> for ScriptLink {
 
     fn note_self(&self, _bytes: usize) {
         self.script.self_sends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn tick(&mut self, _elapsed: StdDuration) -> bool {
-        if !std::mem::replace(&mut self.ticked, true) {
-            if let Some(f) = self.script.on_tick {
-                f(self);
-            }
-        }
-        true
     }
 
     fn close(self) {}
@@ -228,11 +226,11 @@ fn self_send_is_delivered_locally_exactly_once() {
         link.note(link.depth(SERVER) as u64);
     }
     let script = Arc::new(Script {
-        on_tick: Some(script),
+        on_main: Some(script),
         ..Script::default()
     });
     let mut fleet = fleet(quiet_config(0), &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let notes = script.notes.lock().unwrap().clone();
     let (base, depth) = (notes[0], notes[1]);
@@ -272,19 +270,18 @@ fn down_server_discards_inbound_and_keeps_depth_honest() {
         link.note(link.sent_count() - answers);
     }
     let script = Arc::new(Script {
-        on_tick: Some(script),
+        on_main: Some(script),
         ..Script::default()
     });
     let mut config = quiet_config(0);
     // The respawn is on the worker's clock too, and must come after the
     // script is done.
-    config.crashes = vec![CrashEvent {
-        server: 0,
-        kill_after: StdDuration::ZERO,
-        respawn_after: StdDuration::from_secs(1),
-    }];
+    config.scenario = Scenario::new([
+        (Duration::ZERO, Step::Kill(0)),
+        (Duration::from_secs(1), Step::Revive(0)),
+    ]);
     let mut fleet = fleet(config, &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let notes = script.notes.lock().unwrap().clone();
     assert_eq!(notes, vec![0, 0], "a down server dispatched or answered");
@@ -320,18 +317,17 @@ fn a_crash_runs_on_its_servers_own_clock() {
         });
     }
     let script = Arc::new(Script {
-        on_tick: Some(script),
+        on_main: Some(script),
         ..Script::default()
     });
     let mut config = quiet_config(0);
     config.store.gossip_interval = Duration::from_micros(GOSSIP.as_micros() as u64);
-    config.crashes = vec![CrashEvent {
-        server: 0,
-        kill_after: StdDuration::from_millis(20),
-        respawn_after: StdDuration::from_millis(60),
-    }];
+    config.scenario = Scenario::new([
+        (Duration::from_millis(20), Step::Kill(0)),
+        (Duration::from_millis(60), Step::Revive(0)),
+    ]);
     let mut fleet = fleet(config, &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let notes = script.notes.lock().unwrap().clone();
     assert!(notes.iter().all(|n| *n == 0), "a down server dispatched");
@@ -346,6 +342,17 @@ fn a_crash_runs_on_its_servers_own_clock() {
 }
 
 impl Script {
+    /// What the fleet's main thread runs once its workers are up:
+    /// `on_main`, on the link the run opened.
+    fn main(&self) -> impl FnOnce() + '_ {
+        move || {
+            let link = self.opened.lock().unwrap().take();
+            if let (Some(f), Some(link)) = (self.on_main, link) {
+                f(&link);
+            }
+        }
+    }
+
     fn sent_to(&self, to: NodeId) -> usize {
         let sent = self.sent.lock().unwrap();
         sent.iter().filter(|(_, t)| *t == to).count()
@@ -416,7 +423,7 @@ fn a_reply_delivered_twice_counts_once_toward_the_quorum() {
     }
     let script = Arc::new(Script {
         on_send: Some(second_owner_answers_twice),
-        on_tick: Some(script),
+        on_main: Some(script),
         ..Script::default()
     });
     let mut config = quiet_config(0);
@@ -429,7 +436,7 @@ fn a_reply_delivered_twice_counts_once_toward_the_quorum() {
         ..config.store
     };
     let mut fleet = fleet(config, &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     assert_eq!(
         *script.notes.lock().unwrap(),
@@ -478,7 +485,7 @@ fn delayed_sends_keep_their_delay_and_outlive_a_kill_of_their_sender() {
     }
     let script = Arc::new(Script {
         on_send: Some(stamp),
-        on_tick: Some(script),
+        on_main: Some(script),
         ..Script::default()
     });
     let mut config = quiet_config(0);
@@ -493,13 +500,13 @@ fn delayed_sends_keep_their_delay_and_outlive_a_kill_of_their_sender() {
         },
         ..LinkConfig::default()
     }));
-    config.crashes = vec![CrashEvent {
-        server: 0,
-        kill_after: KILL_AFTER,
-        respawn_after: HI + 2 * KILL_AFTER,
-    }];
+    let micros = |d: StdDuration| Duration::from_micros(d.as_micros() as u64);
+    config.scenario = Scenario::new([
+        (micros(KILL_AFTER), Step::Kill(0)),
+        (micros(HI + 2 * KILL_AFTER), Step::Revive(0)),
+    ]);
     let mut fleet = fleet(config, &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let notes = script.notes.lock().unwrap().clone();
     let [routed, first, first_down, second, second_down] = notes[..] else {
@@ -624,11 +631,11 @@ fn note_events_across_the_timeout(link: &ScriptLink, node: NodeId) {
 #[test]
 fn sends_of_one_handler_reach_the_link_in_handler_order() {
     let script = Arc::new(Script {
-        on_tick: Some(get_cart),
+        on_main: Some(get_cart),
         ..Script::default()
     });
     let mut fleet = fleet(cart_config(), &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let [coordinator, second, third] = cart_placement().1;
     let expected = vec![
@@ -662,11 +669,11 @@ fn a_completed_requests_timer_never_dispatches() {
     }
     let script = Arc::new(Script {
         on_send: Some(every_owner_answers),
-        on_tick: Some(script),
+        on_main: Some(script),
         ..Script::default()
     });
     let mut fleet = fleet(cart_config(), &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let notes = script.notes.lock().unwrap().clone();
     assert_eq!(notes[0], notes[1], "a cancelled request timer dispatched");
@@ -695,13 +702,13 @@ fn a_timer_armed_and_cancelled_in_one_dispatch_never_fires() {
         note_events_across_the_timeout(link, SERVER);
     }
     let script = Arc::new(Script {
-        on_tick: Some(script),
+        on_main: Some(script),
         ..Script::default()
     });
     let mut config = quiet_config(0);
     config.store.request_timeout = Duration::from_micros(SERVER_TIMEOUT.as_micros() as u64);
     let mut fleet = fleet(config, &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let notes = script.notes.lock().unwrap().clone();
     assert_eq!(notes[0], 1, "the GET is one dispatch");
@@ -734,10 +741,6 @@ impl Link<M> for Spinning {
         self.0.note_self(bytes);
     }
 
-    fn tick(&mut self, elapsed: StdDuration) -> bool {
-        self.0.tick(elapsed)
-    }
-
     fn close(self) {}
 }
 
@@ -760,11 +763,11 @@ fn probe_an_idle_server(link: &ScriptLink) {
 #[test]
 fn a_packet_inside_the_poll_window_is_dispatched_without_a_park() {
     let script = Arc::new(Script {
-        on_tick: Some(probe_an_idle_server),
+        on_main: Some(probe_an_idle_server),
         ..Script::default()
     });
     let mut fleet = spinning_fleet(quiet_config(0), &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let idle = fleet.stats().idle();
     assert_eq!((idle.parks, idle.spin_misses), (0, 0), "{idle:?}");
@@ -779,11 +782,11 @@ fn a_packet_inside_the_poll_window_is_dispatched_without_a_park() {
 #[test]
 fn a_link_without_a_window_never_polls() {
     let script = Arc::new(Script {
-        on_tick: Some(probe_an_idle_server),
+        on_main: Some(probe_an_idle_server),
         ..Script::default()
     });
     let mut fleet = fleet(quiet_config(0), &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let idle = fleet.stats().idle();
     assert_eq!((idle.spin_hits, idle.spin_misses), (0, 0), "{idle:?}");
@@ -802,11 +805,11 @@ fn the_poll_window_is_cut_at_the_next_due_timer() {
         link.note(asked.elapsed().as_millis() as u64);
     }
     let script = Arc::new(Script {
-        on_tick: Some(script),
+        on_main: Some(script),
         ..Script::default()
     });
     let mut fleet = spinning_fleet(cart_config(), &script);
-    fleet.run().expect("no stall");
+    fleet.run_during(script.main()).expect("no stall");
 
     let took_ms = script.notes.lock().unwrap()[0];
     assert!(
@@ -833,12 +836,12 @@ fn teardown_does_not_wait_out_a_parked_worker() {
     let fastest = (0..3)
         .map(|_| {
             let script = Arc::new(Script {
-                on_tick: Some(script),
+                on_main: Some(script),
                 ..Script::default()
             });
             let mut fleet = fleet(quiet_config(0), &script);
             let started = Instant::now();
-            let report = fleet.run().expect("no stall");
+            let report = fleet.run_during(script.main()).expect("no stall");
             started.elapsed().saturating_sub(report.elapsed)
         })
         .min()

@@ -1,4 +1,4 @@
-//! Crash/recovery on the *threaded* driver: a scheduled [`CrashEvent`]
+//! Crash/recovery on the *threaded* driver: a scenario's `Kill` step
 //! kills a server's node on its own worker thread mid-run (dropping
 //! in-memory state and any unsynced engine buffer, like a power cut),
 //! then respawns it from its storage engine and re-admits it in band
@@ -15,8 +15,8 @@ use dvv::ReplicaId;
 use kvstore::config::ClientConfig;
 use kvstore::harness::audit_fleet;
 use kvstore::{StampedValue, StoreConfig};
-use runtime::{CrashEvent, EngineFactory, RuntimeConfig, RuntimeFleet};
-use simnet::Duration;
+use runtime::{EngineFactory, RuntimeConfig, RuntimeFleet};
+use simnet::{Duration, Scenario, Step};
 use storage::LogConfig;
 
 const SERVERS: usize = 3;
@@ -42,11 +42,10 @@ fn recovery_config() -> RuntimeConfig {
         },
         faults: None,
         hang_servers: Vec::new(),
-        crashes: vec![CrashEvent {
-            server: VICTIM,
-            kill_after: StdDuration::from_millis(150),
-            respawn_after: StdDuration::from_millis(600),
-        }],
+        scenario: Scenario::new([
+            (Duration::from_millis(150), Step::Kill(VICTIM)),
+            (Duration::from_millis(600), Step::Revive(VICTIM)),
+        ]),
         stall_budget: StdDuration::from_secs(15),
         run_budget: StdDuration::from_secs(90),
         quiesce: StdDuration::from_secs(20),

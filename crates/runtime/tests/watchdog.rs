@@ -5,8 +5,8 @@ use std::time::Duration as StdDuration;
 
 use dvv::mechanisms::DvvMechanism;
 use kvstore::config::{ClientConfig, StoreConfig};
-use runtime::{CrashEvent, RuntimeConfig, RuntimeFleet};
-use simnet::Duration;
+use runtime::{RuntimeConfig, RuntimeFleet};
+use simnet::{Duration, Scenario, Step};
 
 /// A single-server fleet whose only server is deliberately wedged
 /// (thread never starts the node, never drains its inbox): no client op
@@ -93,11 +93,10 @@ fn watchdog_distinguishes_scheduled_kill_from_wedge() {
                 ..ClientConfig::default()
             },
             hang_servers: vec![0],
-            crashes: vec![CrashEvent {
-                server: 1,
-                kill_after: StdDuration::from_millis(50),
-                respawn_after: StdDuration::from_secs(60),
-            }],
+            scenario: Scenario::new([
+                (Duration::from_millis(50), Step::Kill(1)),
+                (Duration::from_secs(60), Step::Revive(1)),
+            ]),
             stall_budget: StdDuration::from_millis(400),
             run_budget: StdDuration::from_secs(30),
             quiesce: StdDuration::ZERO,

@@ -12,6 +12,7 @@ use core::fmt::Debug;
 
 use crate::net::{Network, NodeId, ReplayStash};
 use crate::rng::SimRng;
+use crate::scenario::Step;
 use crate::time::{Duration, SimTime};
 use crate::trace::TraceEvent;
 use crate::wheel::{Entry, TimerWheel};
@@ -78,11 +79,10 @@ pub enum Due<M, T> {
         /// What the sender charged for it.
         bytes: usize,
     },
-    /// A scheduled [`Host::kill`], which [`Host::pop_due`] hands back to
-    /// the driver: only the driver knows what holds the slot.
-    Kill(NodeId),
-    /// A scheduled [`Host::revive`], handed back likewise.
-    Revive(NodeId),
+    /// A [`Scenario`](crate::Scenario) step, which [`Host::pop_due`]
+    /// hands back to the driver: only the driver knows what holds a
+    /// slot or a connection.
+    Step(Step),
 }
 
 /// A timer is named by its node and its own name; nothing else has one.
@@ -320,7 +320,7 @@ impl<P: Process> Host<P> {
     }
 
     /// Puts `due` on the agenda at `at_micros`: a driver's scheduled
-    /// [`Due::Kill`] or [`Due::Revive`].
+    /// [`Due::Step`].
     pub fn schedule(&mut self, at_micros: u64, due: Due<P::Msg, P::Timer>) {
         self.plane.agenda.schedule(at_micros, due);
     }
@@ -348,7 +348,7 @@ impl<P: Process> Host<P> {
         self.plane.agenda.retain(|due| match due {
             Due::Timer(n, _) => *n != node,
             Due::Deliver { from, to, .. } => (*from, *to) != (node, node),
-            Due::Kill(_) | Due::Revive(_) => true,
+            Due::Step(_) => true,
         });
     }
 
@@ -401,7 +401,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics on a [`Due::Kill`] or [`Due::Revive`], the driver's to do.
+    /// Panics on a [`Due::Step`], the driver's to do.
     pub fn dispatch(
         &mut self,
         now: SimTime,
@@ -435,9 +435,7 @@ where
                     None
                 }
             },
-            Due::Kill(node) | Due::Revive(node) => {
-                panic!("{node}'s kill or revive is the driver's")
-            }
+            Due::Step(step) => panic!("{step:?} is the driver's"),
         }
     }
 

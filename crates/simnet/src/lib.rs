@@ -16,11 +16,13 @@
 //!   host-owned [`ReplayStash`] — on every driver, so a
 //!   [`NetworkConfig`] means the same on each,
 //! * seeded, splittable randomness ([`rng::SimRng`]) so every run is
-//!   reproducible from one `u64` seed, and
+//!   reproducible from one `u64` seed,
 //! * one [`Host`] that runs user-defined [`Process`]es through one
 //!   write-through [`ProcessCtx`] — the [`Simulation`] is a host of
 //!   every node on a virtual clock, and the threaded `runtime` runs one
-//!   host per worker thread on the wall clock.
+//!   host per worker thread on the wall clock, and
+//! * one run schedule, a [`Scenario`] of kills, revives, fault switches
+//!   and connection cuts, that every driver takes.
 //!
 //! Determinism policy: no wall-clock, no `HashMap` iteration in scheduling
 //! paths, one RNG stream per concern, and total ordering of simultaneous
@@ -60,6 +62,7 @@ pub mod host;
 pub mod latency;
 pub mod net;
 pub mod rng;
+pub mod scenario;
 pub mod sim;
 pub mod time;
 pub mod trace;
@@ -72,6 +75,7 @@ pub use net::{
     REPLAY_STASH_CAP,
 };
 pub use rng::SimRng;
+pub use scenario::{Scenario, Step};
 pub use sim::Simulation;
 pub use time::{Duration, SimTime};
 pub use trace::{Trace, TraceEvent};

@@ -356,8 +356,8 @@ impl Network {
     }
 
     /// [`NetworkConfig::set_faults`] on the live network. This is how a
-    /// declarative fault schedule flips the whole fleet hostile (or
-    /// clean) mid-run without rebuilding the network.
+    /// scenario's `Faults` step flips the whole fleet hostile (or clean)
+    /// mid-run without rebuilding the network.
     pub fn set_faults(&mut self, faults: LinkFaults) {
         self.config.set_faults(faults);
     }

@@ -48,7 +48,7 @@ use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::RingView;
 use runtime::{Fleet, Link, Packet, RuntimeConfig, Wiring};
-use simnet::{NodeId, SimRng};
+use simnet::{NodeId, Scenario, SimRng};
 
 use crate::fabric::{Fabric, FabricStats, Inlet, Poller};
 use crate::frame;
@@ -57,19 +57,6 @@ use crate::frame;
 /// than at the worker's next wait: a burst between two waits goes out
 /// in writes about this big.
 const OUTBOX_FLUSH_BYTES: usize = 64 << 10;
-
-/// A scheduled connection fault: at `after` (wall clock from run
-/// start), every live TCP connection touching `node` is severed. The
-/// frames in flight are wire loss; each link redials on a later send
-/// and anti-entropy repairs whatever the outage cost — the run must
-/// still audit clean.
-#[derive(Clone, Copy, Debug)]
-pub struct ConnKill {
-    /// Wall clock from run start to the cut.
-    pub after: StdDuration,
-    /// Node whose connections are severed (both directions).
-    pub node: usize,
-}
 
 /// Complete configuration of a [`SocketFleet`] run.
 #[derive(Clone, Debug)]
@@ -97,8 +84,13 @@ pub struct SocketConfig {
     /// How long the repair counters must sit still before the quiesce
     /// is settled.
     pub settle_window: StdDuration,
-    /// Scheduled connection faults (see [`ConnKill`]).
-    pub conn_kills: Vec<ConnKill>,
+    /// The run schedule, in wall time from run start (see
+    /// `RuntimeConfig::scenario`). A `CutConn` severs every live TCP
+    /// connection touching its node, both directions: the frames in
+    /// flight are wire loss, each link redials on a later send and
+    /// anti-entropy repairs whatever the outage cost. A `Faults` step is
+    /// refused: the socket fleet has no fault plane.
+    pub scenario: Scenario,
     /// Shared cluster secret keying the hello challenge every inbound
     /// connection must answer (see [`crate::fabric::hello_body`]). All
     /// nodes of one fleet must agree on it; a dialer with the wrong
@@ -118,7 +110,7 @@ impl Default for SocketConfig {
             run_budget: StdDuration::from_secs(120),
             quiesce: StdDuration::from_millis(500),
             settle_window: StdDuration::from_millis(400),
-            conn_kills: Vec::new(),
+            scenario: Scenario::default(),
             cluster_secret: 0xd077_edc1_0057_e2ab, // any agreed-upon value
         }
     }
@@ -126,13 +118,12 @@ impl Default for SocketConfig {
 
 /// What a [`FabricLink`] is opened from: the mechanism whose codec the
 /// frames use, the RNG stream seeding the links' backoff jitter, and
-/// the fleet's configuration (for the cluster secret and the
-/// connection-kill schedule).
+/// the fleet's cluster secret.
 #[derive(Debug)]
 pub struct FabricSpec<M> {
     mech: M,
     rng: SimRng,
-    config: SocketConfig,
+    cluster_secret: u64,
 }
 
 impl<M> FabricSpec<M> {
@@ -141,7 +132,7 @@ impl<M> FabricSpec<M> {
         FabricSpec {
             mech,
             rng: SimRng::new(seed).fork("socknet").fork("fabric"),
-            config,
+            cluster_secret: config.cluster_secret,
         }
     }
 }
@@ -169,8 +160,6 @@ impl<M> FabricSpec<M> {
 #[derive(Debug)]
 pub struct FabricLink<M: WireMechanism<StampedValue>> {
     fabric: Arc<Fabric<M>>,
-    /// The kill schedule still to fire (used on the fleet's own handle).
-    conn_kills: Vec<ConnKill>,
     /// On the fleet's own handle, node `i`'s way in until the worker
     /// hosting it claims it.
     unclaimed: Vec<Option<Inlet>>,
@@ -222,7 +211,6 @@ impl<M: WireMechanism<StampedValue>> Clone for FabricLink<M> {
     fn clone(&self) -> Self {
         FabricLink {
             fabric: Arc::clone(&self.fabric),
-            conn_kills: self.conn_kills.clone(),
             unclaimed: Vec::new(),
             poller: RefCell::new(None),
             outboxes: RefCell::new(Vec::new()),
@@ -257,12 +245,11 @@ where
             wiring,
             spec.rng.clone(),
             frame::DEFAULT_MAX_FRAME,
-            spec.config.cluster_secret,
+            spec.cluster_secret,
         )
         .expect("bind loopback listeners");
         FabricLink {
             fabric,
-            conn_kills: spec.config.conn_kills.clone(),
             unclaimed: inlets.into_iter().map(Some).collect(),
             poller: RefCell::new(None),
             outboxes: RefCell::new(Vec::new()),
@@ -345,17 +332,9 @@ where
         self.fabric.note_self(bytes);
     }
 
-    /// Fires every due [`ConnKill`] exactly once.
-    fn tick(&mut self, elapsed: StdDuration) -> bool {
-        let fabric = &self.fabric;
-        self.conn_kills.retain(|k| {
-            let due = elapsed >= k.after;
-            if due {
-                fabric.kill_node_connections(k.node);
-            }
-            !due
-        });
-        self.conn_kills.is_empty()
+    /// Severs every live connection touching `node`, both directions.
+    fn cut(&self, node: NodeId) {
+        self.fabric.kill_node_connections(node.0 as usize);
     }
 
     fn close(self) -> FabricStats {
@@ -383,13 +362,6 @@ where
     /// `store.header_bytes` is replaced with the frame codec's real
     /// header size so the wire ledgers account actual socket bytes.
     pub fn new(seed: u64, mech: M, config: SocketConfig) -> Self {
-        for k in &config.conn_kills {
-            assert!(
-                k.node < config.servers + config.clients,
-                "connection kill on unknown node {}",
-                k.node
-            );
-        }
         let core = RuntimeConfig {
             servers: config.servers,
             clients: config.clients,
@@ -407,7 +379,7 @@ where
             run_budget: config.run_budget,
             quiesce: config.quiesce,
             settle_window: config.settle_window,
-            crashes: Vec::new(),
+            scenario: config.scenario.clone(),
         };
         let spec = FabricSpec::new(seed, mech.clone(), config);
         SocketFleet(Fleet::with_link(seed, mech, core, None, spec))

@@ -18,8 +18,9 @@
 //! each worker its nodes' listeners and accepted connections, so that the worker's idle wait
 //! is an `epoll` on them and what arrives goes as [`runtime::Packet`]s
 //! into its inbox with no thread in between, charges self-sends to the
-//! fabric's ledger, fires the [`ConnKill`] schedule from the fleet's
-//! tick and returns [`FabricStats`] at close. [`SocketFleet`] is that
+//! fabric's ledger, cuts a node's connections when a scenario's
+//! `CutConn` step is due on its worker and returns [`FabricStats`] at
+//! close. [`SocketFleet`] is that
 //! fleet plus the configuration mapping (one worker per node,
 //! `header_bytes` forced to the frame header's real size); a run's
 //! threads are its workers and nothing else.
@@ -48,7 +49,7 @@ pub mod frame;
 mod poll;
 
 pub use fabric::{hello_body, Fabric, FabricStats};
-pub use fleet::{ConnKill, FabricLink, FabricSpec, SocketConfig, SocketFleet};
+pub use fleet::{FabricLink, FabricSpec, SocketConfig, SocketFleet};
 pub use frame::{
     read_frame, write_frame, FrameError, FrameParser, DEFAULT_MAX_FRAME, HEADER_BYTES,
 };

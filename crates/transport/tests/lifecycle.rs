@@ -16,8 +16,8 @@ use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::audit_fleet;
 use kvstore::messages::Msg;
 use runtime::{Packet, Progress};
-use simnet::{Duration, SimRng};
-use transport::{hello_body, write_frame, ConnKill, Fabric, SocketConfig, SocketFleet};
+use simnet::{Duration, Scenario, SimRng, Step};
+use transport::{hello_body, write_frame, Fabric, SocketConfig, SocketFleet};
 
 #[test]
 fn severed_connections_reconnect_and_converge() {
@@ -42,20 +42,11 @@ fn severed_connections_reconnect_and_converge() {
         settle_window: StdDuration::from_millis(600),
         // Cut server 1's links twice while clients are mid-burst, and
         // server 2's once for good measure.
-        conn_kills: vec![
-            ConnKill {
-                after: StdDuration::from_millis(30),
-                node: 1,
-            },
-            ConnKill {
-                after: StdDuration::from_millis(60),
-                node: 2,
-            },
-            ConnKill {
-                after: StdDuration::from_millis(90),
-                node: 1,
-            },
-        ],
+        scenario: Scenario::new([
+            (Duration::from_millis(30), Step::CutConn(1)),
+            (Duration::from_millis(60), Step::CutConn(2)),
+            (Duration::from_millis(90), Step::CutConn(1)),
+        ]),
         ..SocketConfig::default()
     };
     let mut fleet = SocketFleet::new(0x51CC, DvvMechanism, config);

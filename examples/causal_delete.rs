@@ -8,7 +8,7 @@ use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId, VersionVector};
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::ClientConfig;
-use kvstore::{StampedValue, WriteId};
+use kvstore::{FleetHarness, StampedValue, WriteId};
 use simnet::Duration;
 
 fn main() {

@@ -16,6 +16,7 @@ use dvv::mechanisms::DvvMechanism;
 use dvv::ReplicaId;
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::{ClientConfig, StoreConfig};
+use kvstore::FleetHarness;
 use ring::HashRing;
 use simnet::Duration;
 

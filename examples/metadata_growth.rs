@@ -7,7 +7,7 @@
 use dvv::mechanisms::{DvvMechanism, DvvSetMechanism, Mechanism, VvClientMechanism};
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::ClientConfig;
-use kvstore::StampedValue;
+use kvstore::{FleetHarness, StampedValue};
 use simnet::Duration;
 
 fn run_one<M: Mechanism<StampedValue>>(mech: M, clients: usize) -> (f64, u64, u64) {

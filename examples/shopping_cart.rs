@@ -6,6 +6,7 @@
 use dvv::mechanisms::DvvMechanism;
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::ClientConfig;
+use kvstore::FleetHarness;
 use simnet::Duration;
 
 fn main() {

@@ -1,6 +1,7 @@
 //! Each quantitative claim of the paper, asserted as a cross-crate
 //! integration test (operation-count and byte-level shapes; the timing
-//! shapes live in the Criterion benches and EXPERIMENTS.md).
+//! shapes are measured by the `figures` binary, E4 and E9, and the repo
+//! benchmark, `perfbench/`).
 
 use dvv::encode::Encode;
 use dvv::mechanisms::{DvvMechanism, Mechanism, VvClientMechanism, VvServerMechanism};
@@ -8,6 +9,7 @@ use dvv::server::{context, update, Tagged};
 use dvv::{CausalOrder, ClientId, Dot, Dvv, ReplicaId, VersionVector};
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::ClientConfig;
+use kvstore::FleetHarness;
 use simnet::Duration;
 
 /// Claim 2 (O(1) verification): a DVV comparison touches one map entry
