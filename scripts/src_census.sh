@@ -65,6 +65,21 @@ printf '  %-32s %6d\n' \
 src_count() {
     { grep -rhE "$1" crates/*/src --include='*.rs' || true; } | wc -l
 }
+# One run schedule for every driver: a `simnet::Scenario` of steps, each
+# carried out by the host of its node, so no driver keeps a schedule type
+# of its own and no link a schedule hook; and `Cluster` keeps no method
+# that only forwards to `FleetHarness`.
+link_methods=$(body crates/runtime/src/link.rs '^pub trait Link<' \
+    | sed -nE 's/^    fn ([a-z_]+).*/\1/p' | paste -sd ' ')
+echo "run schedule surface (crates/*/src)"
+printf '  %-32s %6d\n' \
+    "schedule types (pub struct)" "$(src_count '^pub struct (FaultPhase|CrashEvent|ConnKill|Scenario)\b')" \
+    "Step members" "$(for f in $({ grep -rlE '^pub enum Step\b' crates/*/src || true; }); do
+        members "$f" '^pub enum Step '; done | awk '{ n += $1 } END { print n + 0 }')" \
+    "Link trait methods" "$(echo "$link_methods" | wc -w)" \
+    "fn tick( definitions" "$(src_count 'fn tick\(')" \
+    "Cluster forwarding methods" "$(grep -c 'Generic implementation' crates/kvstore/src/cluster.rs || true)"
+printf '  %-32s %s\n' "Link trait method names" "$link_methods"
 # One queue for everything due: the simulator's event queue and each
 # worker's agenda are the same type, a timer is named by what it is for
 # rather than by a minted id, and no node keeps a map from ids to kinds.
