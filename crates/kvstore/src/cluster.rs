@@ -301,6 +301,8 @@ pub struct ClusterConfig {
     /// instant, after every event due at or before it. `Kill` and
     /// `Revive` are [`Cluster::crash_node`] and [`Cluster::restart_node`];
     /// `CutConn` does nothing, the simulator has no connections.
+    /// [`Cluster::run`] returns once the clients are done, whatever steps
+    /// are left; [`Cluster::run_for`] takes them.
     pub scenario: Scenario,
     /// Hard stop on virtual time (guards against misconfigured runs).
     pub deadline: Duration,
