@@ -31,10 +31,11 @@
 //! [`Link::send`]), `close` returning its ledger, and optionally a
 //! cut of a node's connections ([`Link::cut`], a scenario's `CutConn`)
 //! and a note of the bytes charged for self-sends (which the host
-//! delivers itself and never hands to `send`). A link that receives on the workers' own threads also
-//! gives each worker its own handle ([`Link::worker`]), does its
-//! receiving in the worker's wait ([`Link::wait`]) and hears of what
-//! the main loop posts into an inbox ([`Link::wake`]); the defaults are
+//! delivers itself and never hands to `send`). A link that receives on
+//! the workers' own threads also gives each worker its own handle
+//! ([`Link::worker`]), does its receiving in the worker's wait
+//! ([`Link::wait`]) and hears of what the main loop posts into an inbox
+//! ([`Link::wake`]); the defaults are
 //! a clone, the inbox's `recv_timeout` and nothing. And a link may say,
 //! as [`Link::SPIN`], how long an idle worker of its fleet polls its
 //! inbox before parking — zero unless the link has measured otherwise.
