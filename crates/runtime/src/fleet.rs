@@ -457,7 +457,8 @@ where
         // carry out the scenario, so it is over once the run is past its
         // last step and no server is down.
         let started = shared.origin;
-        let last_step = StdDuration::from_micros(cfg.scenario.end().as_micros());
+        let last_step = cfg.scenario.steps().last().map(|(at, _)| at.as_micros());
+        let last_step = StdDuration::from_micros(last_step.unwrap_or(0));
         let down = &self.progress.expected_down;
         let over =
             || started.elapsed() >= last_step && !down.iter().any(|d| d.load(Ordering::Relaxed));

@@ -141,15 +141,10 @@ pub struct RuntimeConfig {
     /// repairs, handoffs, transfers) must sit still before the quiesce
     /// is considered settled.
     pub settle_window: StdDuration,
-    /// The run schedule, in wall time from run start: each step is
-    /// carried out by the worker hosting its node, a `Faults` step by
-    /// every worker, which needs `faults` to be `Some`. A killed server
-    /// is dropped like a power cut — in-memory state, armed timers,
-    /// queued self-sends and any storage-engine buffer past the last
-    /// group sync — and its revive rebuilds it from its engine factory
-    /// and re-admits it **in band**: its worker's host posts it a view
-    /// (`Msg::RingEpoch`) naming it `Up` under a fresh incarnation, the
-    /// one the fleet's audit view names.
+    /// The run schedule, in wall time from run start. Each step is done
+    /// by the worker hosting its node (a `Faults` step, which needs
+    /// `faults`, by every worker); a revived server re-admits itself in
+    /// band under the fresh `Up` incarnation the fleet's audit view names.
     pub scenario: Scenario,
 }
 

@@ -48,12 +48,6 @@ impl Scenario {
         &self.steps
     }
 
-    /// When the last step is due (zero for an empty scenario).
-    #[must_use]
-    pub fn end(&self) -> Duration {
-        self.steps.last().map_or(Duration::ZERO, |(at, _)| *at)
-    }
-
     /// Checks the scenario against the shape of the fleet it is to run
     /// on: `servers` servers, `nodes` nodes in all (servers first), and
     /// whether the fleet has a `network` to set faults on.

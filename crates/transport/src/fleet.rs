@@ -17,10 +17,8 @@
 //! Self-sends are delivered by the worker's host (a node does not dial
 //! itself); the bytes their node charged for them are only noted in the
 //! fabric's ledger, so its identity with the nodes' ledgers still holds.
-//! A run's [`Scenario`] is the threaded fleet's too: its kills and
-//! revives crash and rebuild a server on its own worker, and a
-//! `CutConn` step is [`Link::cut`] on the handle of the worker hosting
-//! its node, which severs that node's connections both ways.
+//! A [`Scenario`]'s `CutConn` step is [`Link::cut`] on the worker
+//! hosting its node: it severs that node's connections both ways.
 //!
 //! [`Msg::encode_into`]: kvstore::messages::Msg::encode_into
 //!

@@ -120,7 +120,8 @@ fn one_scenario_on_the_simulator() {
         let mut cluster = Cluster::new(seed, DvvSetMechanism, cluster_config());
         assert!(cluster.run(), "seed {seed}: clients left unfinished");
         // Past the last step, with time to re-admit and repair.
-        let past = scenario().end() + Duration::from_secs(2);
+        let (last, _) = *scenario().steps().last().expect("a step");
+        let past = last + Duration::from_secs(2);
         let now = cluster.sim().now().as_micros();
         cluster.run_for(Duration::from_micros(past.as_micros().saturating_sub(now)));
         assert_eq!(cluster.crashed_slots(), [], "seed {seed}");
