@@ -70,21 +70,23 @@
 //! `threaded_rmw`'s 42 µs of CPU per operation, at 1.8 parks per
 //! operation — the gap to the thread-free simulator's 10.9 µs that had
 //! been filed under "the host is bimodal". So the loop's idle arm first
-//! looks at its inbox for up to [`Link::SPIN`], yielding the CPU between
-//! looks and never past its agenda's next due instant; only
+//! looks through its link for up to [`Link::SPIN`] — each look a
+//! [`Link::wait`] of zero: the inbox on [`ChannelLink`], the worker's
+//! sockets and then its inbox on the socket link — yielding the CPU
+//! between looks and never past its agenda's next due instant; only
 //! then does it park, as it always did, for what is left of the wait.
 //! A gate decides whether to poll at all, from what the last idle gap
 //! was (`SpinGate`): a saturated fleet holds itself in the cheap regime
 //! and an idle one pays a window per worker and then sleeps. `SPIN` is
-//! the link's, not a setting: 50 µs on [`ChannelLink`]; zero — this
-//! paragraph does not apply, the arm is one [`Link::wait`] — on the
+//! the link's, not a setting: 50 µs on [`ChannelLink`] and on the
 //! socket link, whose numbers are at [`Link::SPIN`]. Which regime a run
 //! was in is [`FleetStats::idle`]: on the benchmark's read-modify-write
 //! shape `parks / ops_ok` reads 1.8 when every idle moment ends in a
-//! sleep, and 0.00 (in memory) or 0.2 (a durable log under it) now.
+//! sleep, and 0.00 (in memory), 0.2 (a durable log under it) or 0.5
+//! (over sockets, 3.2 before their poll) now.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration as StdDuration, Instant};
@@ -658,7 +660,7 @@ where
     }
 }
 
-/// Whether an idle worker polls its inbox before it parks, and the
+/// Whether an idle worker polls its link before it parks, and the
 /// worker's idle counters. The rule is "the last idle gap predicts the
 /// next": the gate starts open (on a link whose [`Link::SPIN`] is not
 /// zero), a poll that finds nothing closes it, and a packet that ends a
@@ -962,19 +964,20 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         // inbox full).
         let wait_us = next.map_or(20_000, |d| d.saturating_sub(now_us).min(20_000));
 
-        // While the gate is open, poll before parking — never past the
-        // next due instant, so timers stay punctual. There are more
-        // workers than cores, so the poll steps aside for runnable work
-        // between looks: a bare spin would hold the very CPU the reply
-        // it waits for needs.
+        // While the gate is open, poll before parking — each look a
+        // wait of zero, so a link that receives on this thread is read,
+        // not only the inbox — never past the next due instant, so
+        // timers stay punctual. There are more workers than cores, so
+        // the poll steps aside for runnable work between looks: a bare
+        // spin would hold the very CPU the reply it waits for needs.
         let mut idle_us = 0;
         if gate.open {
             let window_us = wait_us.min(gate.spin_us);
             let polled = loop {
-                match rx.try_recv() {
+                match w.link.wait(&rx, StdDuration::ZERO) {
                     Ok(pkt) => break Some(pkt),
-                    Err(TryRecvError::Empty) => {}
-                    Err(TryRecvError::Disconnected) => break 'run,
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => break 'run,
                 }
                 idle_us = w.shared.now_us().saturating_sub(now_us);
                 if idle_us >= window_us {

@@ -36,9 +36,10 @@
 //! ([`Link::worker`]), does its receiving in the worker's wait
 //! ([`Link::wait`]) and hears of what the main loop posts into an inbox
 //! ([`Link::wake`]); the defaults are
-//! a clone, the inbox's `recv_timeout` and nothing. And a link may say,
-//! as [`Link::SPIN`], how long an idle worker of its fleet polls its
-//! inbox before parking — zero unless the link has measured otherwise.
+//! a clone, the inbox's `try_recv` (a zero timeout) or `recv_timeout`,
+//! and nothing. And a link may say, as [`Link::SPIN`], how long an idle
+//! worker of its fleet looks through it — a [`Link::wait`] of zero a
+//! look — before parking: zero unless the link has measured otherwise.
 //! Two links exist: [`ChannelLink`] here ([`RuntimeFleet`]), and the
 //! TCP fabric link in `transport` (`SocketFleet`).
 //!

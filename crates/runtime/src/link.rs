@@ -23,7 +23,7 @@
 //! a link that keeps a byte ledger can still balance it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
@@ -74,37 +74,35 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// The link's own accounting of a run.
     type Ledger;
 
-    /// How long a worker that has run out of work polls its inbox
+    /// How long a worker that has run out of work polls its link
     /// before it parks, so that a packet close behind the last one does
     /// not have to wake a halted vCPU (what that costs, the loop and
     /// its gate are in [`crate::fleet`]'s docs).
     ///
     /// This is a property of the transport, not an option: nothing sets
-    /// it but the link's own `impl`. Zero, the default, is the plain
+    /// it but the link's own `impl`. Each look of the poll is a
+    /// [`wait`](Link::wait) with a zero timeout, so a link that receives
+    /// on the worker's thread is looked at where its packets come from,
+    /// not only at the inbox. Zero, the default, is the plain
     /// [`wait`](Link::wait) and is right unless the link has *measured*,
     /// on paired benchmark runs, that (a) a reply can be back within the
-    /// window — a peer's [`send`](Link::send) is itself the delivery,
-    /// with no thread of the link's own in between — and (b) no
+    /// window — nothing but the kernel between a peer's
+    /// [`send`](Link::send) and the worker's next look — and (b) no
     /// workload of the link pays for the polling. [`ChannelLink`] meets
     /// both at 50 µs (`threaded_rmw` 36.0 k → 172.7 k ops/s and
     /// `durable_rmw` 27.4 k → 49.6 k, each in 10 of 10 pairs). The socket
-    /// link keeps zero. It used to fail (a): the sleeper a frame had to
-    /// wake first was a fabric reader thread inside `read(2)`, and
-    /// polling the worker's inbox only took CPU from it (50 µs:
-    /// `socket_rmw` 14.5 k → 12.2 k ops/s, 121 → 150 µs CPU/op; 200 µs:
-    /// `socket_rmw` +27 % ops/s but `socket_hot_mixed` CPU/op 206 →
-    /// 250 µs). The reader is gone — a frame now wakes the worker itself,
-    /// waiting in `epoll` on its own sockets — but that does not make a
-    /// window pay: the loop's poll looks at the inbox, which on sockets
-    /// only the worker's own wait fills, and on a standalone ping-pong of
-    /// 300 B frames over loopback (2 vCPUs, 4 pairs: 8.3–10.0 µs of CPU
-    /// a hop waiting in `poll(2)`, against 12.8–16.6 µs through a reader
-    /// thread) a 50 µs spin before the wait gave no consistent gain. Since
-    /// then the socket link writes once per destination per worker pass
-    /// (its outboxes, flushed at [`wait`](Link::wait)), which took the
-    /// per-message write out of the gap but left `SPIN` at zero: the next
-    /// step is a window that polls the worker's *sockets* (a zero-timeout
-    /// `epoll` wait), not its inbox, and it needs paired runs of its own.
+    /// link meets them at 50 µs too, a look being one zero-timeout
+    /// `epoll` round over the worker's sockets, with every client session
+    /// on one worker as on `threaded_rmw`: `socket_rmw` 19.1 k → 23.6 k
+    /// ops/s alone (9 of 10 pairs) and 18.4 k → 21.5 k beside the other
+    /// workloads (10 of 10), CPU/op 84 → 81 µs; `socket_hot_mixed`, bound
+    /// by think time, 3.50 k ops/s either way at 133 → 129 µs of CPU/op.
+    /// It failed (a) while a reader thread stood between the kernel and
+    /// the inbox (50 µs: `socket_rmw` 14.5 k → 12.2 k ops/s, 121 →
+    /// 150 µs CPU/op) and while a look read the inbox alone, which on
+    /// sockets only the worker's own wait fills. With a thread per client
+    /// session, seven threads on two vCPUs, a prototype failed (b): ~5 %
+    /// more `socket_rmw` ops/s for ~8 % more `socket_hot_mixed` CPU/op.
     const SPIN: StdDuration = StdDuration::ZERO;
 
     /// Opens the link at run start.
@@ -136,11 +134,13 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     }
 
     /// The worker's wait for its next packet: at most `timeout`, from an
-    /// `inbox` the worker has just found empty. A zero `timeout` is the
-    /// loop's pull of what the link already holds, ahead of a due timer.
-    /// The default is the inbox's own `recv_timeout`; a link that
-    /// receives on the worker's thread does that here and delivers into
-    /// `inbox` like any other sender.
+    /// `inbox` the worker has just found empty. A zero `timeout` is one
+    /// look that waits for nothing — the loop's pull of what the link
+    /// already holds ahead of a due timer, and each look of its idle
+    /// poll. The default is the inbox's own `try_recv` for a zero
+    /// `timeout` and its `recv_timeout` otherwise; a link that receives
+    /// on the worker's thread does that here and delivers into `inbox`
+    /// like any other sender.
     ///
     /// # Errors
     ///
@@ -151,7 +151,13 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
         inbox: &Receiver<Packet<M>>,
         timeout: StdDuration,
     ) -> Result<Packet<M>, RecvTimeoutError> {
-        inbox.recv_timeout(timeout)
+        if !timeout.is_zero() {
+            return inbox.recv_timeout(timeout);
+        }
+        inbox.try_recv().map_err(|e| match e {
+            TryRecvError::Empty => RecvTimeoutError::Timeout,
+            TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+        })
     }
 
     /// Called on the fleet's own handle after it put a packet into `to`'s

@@ -30,8 +30,10 @@
 //!
 //! Layout matches the other drivers — node ids `0..servers` are replica
 //! servers, `servers..servers + clients` are closed-loop clients — with
-//! one worker thread per node (a configuration choice: an inbox item
-//! names its destination, so nothing in the link requires it). Post-run,
+//! one worker thread per server and one for every client session, the
+//! partition the in-process fleet runs the benchmark with (a
+//! configuration choice: an inbox item names its destination, so
+//! nothing in the link requires it). Post-run,
 //! the fleet implements [`kvstore::harness::FleetHarness`], so the same
 //! `audit_fleet` stack that gates the other drivers gates this one.
 
@@ -65,7 +67,7 @@ const OUTBOX_FLUSH_BYTES: usize = 64 << 10;
 pub struct SocketConfig {
     /// Number of replica servers (one event-loop thread each).
     pub servers: usize,
-    /// Number of closed-loop client sessions (one thread each).
+    /// Number of closed-loop client sessions (all on one worker thread).
     pub clients: usize,
     /// Read-modify-write cycles per client.
     pub cycles_per_client: u32,
@@ -157,8 +159,11 @@ impl<M> FabricSpec<M> {
 /// one per message. A handle driven by hand that sends but never waits
 /// calls [`flush`](Self::flush) itself.
 ///
-/// It leaves [`Link::SPIN`] at zero (why, and the numbers, are at
-/// [`Link::SPIN`]).
+/// Its idle poll ([`Link::SPIN`], 50 µs) is that same
+/// [`wait`](Link::wait) at a zero timeout: each look flushes the
+/// outboxes, runs one zero-timeout `epoll` round over the worker's
+/// sockets and reads the inbox, so a frame the kernel already holds
+/// ends the poll (the numbers are at [`Link::SPIN`]).
 #[derive(Debug)]
 pub struct FabricLink<M: WireMechanism<StampedValue>> {
     fabric: Arc<Fabric<M>>,
@@ -239,6 +244,10 @@ where
 {
     type Spec = FabricSpec<M>;
     type Ledger = FabricStats;
+
+    /// Only the kernel is between a peer's send and the worker's next
+    /// look: a reply can be back within the window.
+    const SPIN: StdDuration = StdDuration::from_micros(50);
 
     /// Binds one loopback listener and one wake socket per node.
     fn open(spec: &FabricSpec<M>, wiring: Wiring<M>) -> Self {
@@ -367,8 +376,10 @@ where
         let core = RuntimeConfig {
             servers: config.servers,
             clients: config.clients,
-            // One worker per client session.
-            client_workers: config.clients.max(1),
+            // Every client session on one worker: the partition the
+            // benchmark runs the in-process fleet with, so the two
+            // differ by their link alone.
+            client_workers: 1,
             cycles_per_client: config.cycles_per_client,
             store: StoreConfig {
                 header_bytes: frame::HEADER_BYTES,

@@ -20,8 +20,8 @@
 //! into its inbox with no thread in between, charges self-sends to the
 //! fabric's ledger, cuts a node's connections when a scenario's
 //! `CutConn` step is due on its worker and returns [`FabricStats`] at
-//! close. [`SocketFleet`] is that
-//! fleet plus the configuration mapping (one worker per node,
+//! close. [`SocketFleet`] is that fleet plus the configuration mapping
+//! (one worker per server and one for every client session,
 //! `header_bytes` forced to the frame header's real size); a run's
 //! threads are its workers and nothing else.
 //!

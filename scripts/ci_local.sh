@@ -173,7 +173,11 @@ if runs_lane socket; then
     # each other both return, teardown wakes a waiting worker);
     # `mechanisms` runs the paper's comparison over TCP, every clock in
     # its own codec (ledger identity for all eight, the precise ones
-    # clean, the deficient ones anomalous).
+    # clean, the deficient ones anomalous); `scenario` runs one kill,
+    # cut and revive on all three drivers, the first socket run with a
+    # server crash, and holds a refusal test per rule of `Scenario::check`;
+    # `idle` bounds what the socket link's idle poll costs an idle or a
+    # thinking fleet and checks that a busy fleet's poll reads sockets.
     cargo test -p transport --test frame_robustness -- --nocapture
     cargo test -p transport --test charge_parity -- --nocapture
     cargo test -p transport --test conformance -- --nocapture
@@ -182,6 +186,8 @@ if runs_lane socket; then
     cargo test -p transport --test fleet_thread_census -- --nocapture
     cargo test -p transport --test receive_path -- --nocapture
     cargo test -p transport --test mechanisms -- --nocapture
+    cargo test -p transport --test scenario -- --nocapture
+    cargo test -p transport --test idle -- --nocapture
 fi
 
 if runs_lane storage; then
