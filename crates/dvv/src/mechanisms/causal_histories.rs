@@ -7,7 +7,7 @@ use crate::encode::{Encode, StateLayout};
 use crate::ids::ReplicaId;
 use crate::order::CausalOrder;
 
-use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
+use super::{merge_siblings, sort_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// Tracks causality with explicit [`CausalHistory`] sets: always correct,
 /// but metadata grows linearly with the total number of writes — the cost
@@ -50,6 +50,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
         history.insert(dot);
         state.retain(|(h, _)| !h.is_subset(ctx));
         state.push((history, value));
+        sort_siblings(state);
     }
 
     fn merge(&self, local: &mut Self::State, remote: &Self::State) {

@@ -239,8 +239,16 @@ pub(crate) fn merge_siblings<C: Clone + Encode, V: Clone>(
             out.push(y.clone());
         }
     }
-    out.sort_by_cached_key(|(c, _)| crate::encode::to_bytes(c));
+    sort_siblings(&mut out);
     *local = out;
+}
+
+/// Puts a flat sibling list in its one canonical order, by each clock's
+/// encoding: the order [`merge_siblings`] leaves, which every `write` of
+/// a flat-list mechanism leaves too, so a freshly written state is
+/// already what merging it with itself (or with the empty state) gives.
+pub(crate) fn sort_siblings<C: Encode, V>(siblings: &mut [(C, V)]) {
+    siblings.sort_by_cached_key(|(c, _)| crate::encode::to_bytes(c));
 }
 
 #[cfg(test)]

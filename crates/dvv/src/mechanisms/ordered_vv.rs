@@ -22,7 +22,7 @@ use crate::ids::ReplicaId;
 use crate::order::CausalOrder;
 use crate::version_vector::VersionVector;
 
-use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
+use super::{merge_siblings, sort_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// A version vector that caches its most recent event for an O(1) fast
 /// dominance path.
@@ -203,6 +203,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
         clock.latest = Some(Dot::new(origin.server, bumped));
         state.retain(|(old, _)| !(old.dominated_by(&clock) && old != &clock));
         state.push((clock, value));
+        sort_siblings(state);
     }
 
     fn merge(&self, local: &mut Self::State, remote: &Self::State) {

@@ -5,7 +5,7 @@ use crate::encode::{Encode, StateLayout};
 use crate::ids::ClientId;
 use crate::version_vector::VersionVector;
 
-use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
+use super::{merge_siblings, sort_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// Configuration for optimistic pruning of per-client version vectors.
 ///
@@ -119,6 +119,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
         self.prune_vv(&mut vv, origin.client);
         state.retain(|(old, _)| !vv.strictly_dominates(old));
         state.push((vv, value));
+        sort_siblings(state);
     }
 
     fn merge(&self, local: &mut Self::State, remote: &Self::State) {

@@ -6,7 +6,7 @@ use crate::encode::{Encode, StateLayout};
 use crate::ids::ReplicaId;
 use crate::version_vector::VersionVector;
 
-use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
+use super::{merge_siblings, sort_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// One version-vector entry per replica server.
 ///
@@ -51,6 +51,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
         // covers concurrent writes from other clients (the Figure 1b flaw).
         state.retain(|(old, _)| !vv.strictly_dominates(old));
         state.push((vv, value));
+        sort_siblings(state);
     }
 
     fn merge(&self, local: &mut Self::State, remote: &Self::State) {

@@ -16,7 +16,7 @@ use crate::encode::{Encode, StateLayout};
 use crate::ids::ReplicaId;
 use crate::vve::Vve;
 
-use super::{merge_siblings, Mechanism, WireMechanism, WriteOrigin};
+use super::{merge_siblings, sort_siblings, Mechanism, WireMechanism, WriteOrigin};
 
 /// One sibling's clock: its dot plus an exact (exception-capable) past.
 pub type VveClock = (Dot<ReplicaId>, Vve<ReplicaId>);
@@ -79,6 +79,7 @@ impl<V: Clone + core::fmt::Debug + Eq + core::hash::Hash + Send + 'static> Mecha
         // sibling test as DVV, but on the exact event set
         state.retain(|((old_dot, _), _)| !ctx.contains(old_dot));
         state.push(((dot, ctx.clone()), value));
+        sort_siblings(state);
     }
 
     fn merge(&self, local: &mut Self::State, remote: &Self::State) {

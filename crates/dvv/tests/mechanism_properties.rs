@@ -1,7 +1,8 @@
 //! Property tests over the [`Mechanism`] abstraction itself: every
 //! implementation — correct or deliberately deficient — must satisfy the
 //! replication-lattice laws (merge commutative/associative/idempotent up
-//! to sibling order), and the precise ones must collapse a fully-informed
+//! to sibling order), every state a replica can hold must be a merge
+//! fixpoint exactly, and the precise ones must collapse a fully-informed
 //! write to a single sibling.
 
 use dvv::mechanisms::{
@@ -136,6 +137,30 @@ fn check_lattice<M: Mechanism<u64>>(
     Ok(())
 }
 
+/// Every state a replica can hold — one written from empty, and the
+/// merge of two divergent ones — is a fixpoint of merging with itself and
+/// with the empty state, exactly by `==` and not just up to sibling
+/// order: a store that finds its own state changed by such a merge would
+/// fingerprint it differently from a replica holding the same siblings.
+fn check_stored_states_are_merge_fixpoints<M: Mechanism<u64>>(
+    mech: &M,
+    a: &[Step],
+    b: &[Step],
+) -> Result<(), TestCaseError> {
+    let written = build_branch(mech, a, 0, 0);
+    let mut merged = written.clone();
+    mech.merge(&mut merged, &build_branch(mech, b, 3, 1000));
+    for st in [written, merged] {
+        let mut twice = st.clone();
+        mech.merge(&mut twice, &st);
+        prop_assert_eq!(&twice, &st, "{}: merge(x, x) == x", mech.name());
+        let mut with_empty = st.clone();
+        mech.merge(&mut with_empty, &M::State::default());
+        prop_assert_eq!(&with_empty, &st, "{}: merge(x, empty) == x", mech.name());
+    }
+    Ok(())
+}
+
 /// Precise mechanisms: a write whose context came from a full read of the
 /// state must leave exactly one sibling.
 fn check_informed_write_collapses<M: Mechanism<u64>>(
@@ -172,6 +197,18 @@ proptest! {
         check_lattice(&VvServerMechanism, &a, &b, &c)?;
         check_lattice(&OrderedVvMechanism, &a, &b, &c)?;
         check_lattice(&LamportMechanism, &a, &b, &c)?;
+    }
+
+    #[test]
+    fn stored_states_are_merge_fixpoints_all_mechanisms(a in arb_script(), b in arb_script()) {
+        check_stored_states_are_merge_fixpoints(&DvvMechanism, &a, &b)?;
+        check_stored_states_are_merge_fixpoints(&DvvSetMechanism, &a, &b)?;
+        check_stored_states_are_merge_fixpoints(&CausalHistoryMechanism, &a, &b)?;
+        check_stored_states_are_merge_fixpoints(&VveMechanism, &a, &b)?;
+        check_stored_states_are_merge_fixpoints(&VvClientMechanism::unbounded(), &a, &b)?;
+        check_stored_states_are_merge_fixpoints(&VvServerMechanism, &a, &b)?;
+        check_stored_states_are_merge_fixpoints(&OrderedVvMechanism, &a, &b)?;
+        check_stored_states_are_merge_fixpoints(&LamportMechanism, &a, &b)?;
     }
 
     #[test]

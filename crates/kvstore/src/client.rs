@@ -2,6 +2,7 @@
 //! cycles, with timeouts, retries, and the observation log the oracle
 //! needs.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use dvv::mechanisms::Mechanism;
@@ -52,6 +53,16 @@ enum Kind<M: Mechanism<StampedValue>> {
     },
 }
 
+/// What this session has read of one key: the join of every read
+/// context it got for the key, and each write id it saw there, once, in
+/// first-seen order. One entry per key, so a response updates both with
+/// one lookup.
+#[derive(Debug)]
+struct Seen<C> {
+    ctx: C,
+    ids: Vec<WriteId>,
+}
+
 #[derive(Debug)]
 struct InFlight<M: Mechanism<StampedValue>> {
     req: ReqId,
@@ -77,8 +88,7 @@ pub struct ClientNode<M: Mechanism<StampedValue>> {
     /// Replicas marked down; routing skips them.
     down: BTreeSet<ReplicaId>,
     keyspace: KeySpace,
-    contexts: BTreeMap<Key, M::Context>,
-    observed: BTreeMap<Key, Vec<WriteId>>,
+    seen: BTreeMap<Key, Seen<M::Context>>,
     write_seq: u64,
     cycles_done: u32,
     next_req: u64,
@@ -124,8 +134,7 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
             ring,
             down: BTreeSet::new(),
             keyspace,
-            contexts: BTreeMap::new(),
-            observed: BTreeMap::new(),
+            seen: BTreeMap::new(),
             write_seq: 0,
             cycles_done: 0,
             next_req: 0,
@@ -301,23 +310,35 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
         ctx.set_timer(self.config.think_time, Timer::Think);
     }
 
-    fn record_observation(&mut self, key: &Key, values: &[StampedValue], read_ctx: M::Context) {
+    /// Folds one read of `key` into the session's entry for it and
+    /// returns the entry.
+    fn record_observation(
+        &mut self,
+        key: &Key,
+        values: &[StampedValue],
+        read_ctx: M::Context,
+    ) -> &Seen<M::Context> {
         // Session causality: contexts and observations *accumulate* — a
         // later quorum read may return less than an earlier one saw, and
         // replacing would regress the session (and could make this
         // client's next write falsely concurrent with its own past).
-        match self.contexts.get_mut(key) {
-            Some(existing) => self.mech.merge_contexts(existing, &read_ctx),
-            None => {
-                self.contexts.insert(key.clone(), read_ctx);
+        let seen = match self.seen.entry(key.clone()) {
+            Entry::Occupied(entry) => {
+                let seen = entry.into_mut();
+                self.mech.merge_contexts(&mut seen.ctx, &read_ctx);
+                seen
             }
-        }
-        let observed = self.observed.entry(key.clone()).or_default();
+            Entry::Vacant(entry) => entry.insert(Seen {
+                ctx: read_ctx,
+                ids: Vec::new(),
+            }),
+        };
         for v in values {
-            if !observed.contains(&v.id) {
-                observed.push(v.id);
+            if !seen.ids.contains(&v.id) {
+                seen.ids.push(v.id);
             }
         }
+        seen
     }
 
     fn retry_or_abandon(&mut self, ctx: &mut Ctx<'_, M>, flight: InFlight<M>) {
@@ -338,21 +359,32 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
                 // versions (at-least-once delivery). Give the retry a
                 // fresh identity and its own log entry so the oracle
                 // models exactly that.
-                let value = self.stamp_new_write(&flight.key, value.tombstone);
+                let observed = self.seen.get(&flight.key).map(|s| s.ids.clone());
+                let value = self.stamp_new_write(
+                    &flight.key,
+                    observed.unwrap_or_default(),
+                    value.tombstone,
+                );
                 self.issue_put(ctx, flight.key, value, put_ctx, flight.retries + 1)
             }
         }
     }
 
     /// Mints a fresh stamped value (or tombstone) for `key` and logs the
-    /// write against the client's current observations of that key.
-    fn stamp_new_write(&mut self, key: &Key, tombstone: bool) -> StampedValue {
+    /// write against `observed`, the client's current observations of
+    /// that key.
+    fn stamp_new_write(
+        &mut self,
+        key: &Key,
+        observed: Vec<WriteId>,
+        tombstone: bool,
+    ) -> StampedValue {
         self.write_seq += 1;
         let id = WriteId::new(self.client, self.write_seq);
         self.write_log.push(WriteLogEntry {
             key: key.clone(),
             id,
-            observed: self.observed.get(key).cloned().unwrap_or_default(),
+            observed,
             acked: false,
         });
         if tombstone {
@@ -388,23 +420,22 @@ impl<M: Mechanism<StampedValue>> ClientNode<M> {
                 self.stats
                     .get_latency
                     .record((ctx.now() - flight.sent_at).as_micros());
-                self.record_observation(&flight.key, &values, read_ctx);
-
                 // per the workload mix, some cycles are read-only
-                if self.config.read_only_fraction > 0.0
-                    && ctx.rng().chance(self.config.read_only_fraction)
-                {
+                let read_only = self.config.read_only_fraction > 0.0
+                    && ctx.rng().chance(self.config.read_only_fraction);
+                // the rest read-modify-write: they issue the put (or, per
+                // the workload mix, a causal delete) under the fresh context
+                let tombstone = !read_only
+                    && self.config.delete_fraction > 0.0
+                    && ctx.rng().chance(self.config.delete_fraction);
+                let seen = self.record_observation(&flight.key, &values, read_ctx);
+                if read_only {
                     self.cycles_done += 1;
                     self.think_then_continue(ctx);
                     return;
                 }
-
-                // read-modify-write: issue the put (or, per the workload
-                // mix, a causal delete) under the fresh context
-                let tombstone = self.config.delete_fraction > 0.0
-                    && ctx.rng().chance(self.config.delete_fraction);
-                let value = self.stamp_new_write(&flight.key, tombstone);
-                let put_ctx = self.contexts.get(&flight.key).cloned().unwrap_or_default();
+                let (put_ctx, observed) = (seen.ctx.clone(), seen.ids.clone());
+                let value = self.stamp_new_write(&flight.key, observed, tombstone);
                 self.issue_put(ctx, flight.key, value, put_ctx, 0);
             }
             Msg::ClientPutResp {

@@ -22,7 +22,12 @@
 //! [`DataStore::flush`], which the read points (anti-entropy tick/root
 //! receipt, transfer snapshots, re-partition) run first — so a hot key
 //! written a thousand times between AAE ticks is fingerprinted once,
-//! and the write path never hashes a state. [`DataStore::audit_index`]
+//! and the write path never hashes a state. A read writes only what it
+//! changes: the read doors ([`DataStore::get`], [`DataStore::leaf_of`])
+//! touch neither the engine's log nor the dirty set, and a coordinator
+//! calls [`DataStore::mutate`] at the end of a read only when the read
+//! brought something its copy lacks — a GET of a key no replica holds
+//! stores nothing. [`DataStore::audit_index`]
 //! rebuilds everything from scratch and compares (modulo the pending
 //! dirty refreshes, whose invariant it checks too), and is exercised by
 //! the incremental-vs-rebuild proptest oracle.
@@ -182,15 +187,15 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
         self.engine.iter()
     }
 
-    /// The state fingerprint of `key`, if stored: its leaf in its arc's
-    /// summary, or a fresh `fingerprint(state)` when the key has a
-    /// refresh pending — either way equal to `fingerprint(self.get(key))`.
+    /// The state fingerprint of `key`, if stored: `fingerprint` of the
+    /// stored state, read once from the engine — what its summary leaf
+    /// holds once the pending refreshes are flushed, and what it already
+    /// holds for a clean key. A read writes only what it changes, so
+    /// this is a read door too: it neither marks the key dirty nor
+    /// refreshes its leaf.
     #[must_use]
     pub fn leaf_of(&self, key: &[u8]) -> Option<u64> {
-        if self.dirty.contains(key) {
-            return self.engine.get(key).map(fingerprint);
-        }
-        self.summaries[arc_of(&self.bounds, key)].get(key)
+        self.engine.get(key).map(fingerprint)
     }
 
     /// Mutates (inserting a default first if absent) the state for

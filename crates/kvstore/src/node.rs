@@ -1166,7 +1166,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             return self.relay(ctx, from, active[0], Msg::ClientGet { req, key, digest });
         }
         let acc = self.data.get(&key).cloned().unwrap_or_default();
-        let have = self.leaf_or_empty(&key);
+        let have = fingerprint(&acc);
         let pending = Pending {
             key: key.clone(),
             client: from,
@@ -1257,6 +1257,13 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
     }
 
+    /// The end of a read: folds what it merged into this coordinator's
+    /// copy, then pushes the result to every replica that answered with
+    /// something else. A read writes only what it changes: when the copy
+    /// already equals the merge (merging a stored state with itself is a
+    /// no-op), or nothing is held and the merge is the empty state — a
+    /// read of a key no replica holds — the store is not touched, so the
+    /// read costs no log record and creates no key.
     fn finish_read_repair(
         &mut self,
         ctx: &mut Ctx<'_, M>,
@@ -1270,14 +1277,20 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         // reached this coordinator before the last answer has moved on,
         // making every replica look stale.
         let read_fp = fingerprint(&merged);
-        let mech = &self.mech;
-        let canonical = self
-            .data
-            .mutate(key, |local| mech.merge(local, &merged))
-            .clone();
+        let (canonical, held) = match self.data.get(key) {
+            Some(stored) if *stored == merged => (merged, true),
+            None if merged == M::State::default() => (merged, false),
+            _ => {
+                let mech = &self.mech;
+                let folded = self.data.mutate(key, |local| mech.merge(local, &merged));
+                (folded.clone(), true)
+            }
+        };
         // the coordinator itself may be a sloppy fallback for a down
         // owner: track that copy like any other hinted state
-        self.note_copy_held(key, hint_for(subs, self.replica));
+        if held {
+            self.note_copy_held(key, hint_for(subs, self.replica));
+        }
         if !self.config.read_repair {
             return;
         }

@@ -1,4 +1,5 @@
-//! The conditional replica read (`RepGetIf` / `RepGetSame`), the one
+//! The conditional replica read (`RepGetIf` / `RepGetSame`), what a read
+//! writes to the coordinator's store (only what it changes), the one
 //! completion rule reads and writes share, the relay of a request a
 //! server does not own, and the failure detector's down marks as routing
 //! sees them, handler by handler: single
@@ -8,6 +9,7 @@
 //! delivered (and every timer fired) by hand in the order the test wants.
 
 use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
@@ -20,6 +22,7 @@ use kvstore::node::StoreNode;
 use kvstore::value::{Key, StampedValue, WriteId};
 use ring::{MemberStatus, RingView};
 use simnet::{Due, Host, Network, NetworkConfig, NodeId, Outlet, SimRng, SimTime};
+use storage::{LogConfig, LogEngine};
 
 type M = DvvMechanism;
 type State = <M as Mechanism<StampedValue>>::State;
@@ -58,6 +61,18 @@ impl Server {
     /// A server that routes under `view` instead of the four members'.
     fn with_view(replica: ReplicaId, view: RingView<ReplicaId>) -> Self {
         let node = StoreNode::new(replica, DvvMechanism, StoreConfig::default(), view);
+        Server::hosting(replica, node)
+    }
+
+    /// [`Server::new`] over a durable log at `path` instead of memory.
+    fn on_log(replica: ReplicaId, path: &Path) -> Self {
+        let log = LogEngine::open(path, LogConfig::default()).expect("open the log");
+        let config = StoreConfig::default();
+        let node = StoreNode::with_engine(replica, DvvMechanism, config, members(), Box::new(log));
+        Server::hosting(replica, node)
+    }
+
+    fn hosting(replica: ReplicaId, node: StoreNode<M>) -> Self {
         let rng = SimRng::new(u64::from(replica.0));
         let network = Network::new(NetworkConfig::default(), rng.fork("network"));
         let id = NodeId(replica.0);
@@ -463,6 +478,94 @@ fn a_get_delivered_twice_in_flight_is_coordinated_once() {
     sent.extend(coord.deliver(NodeId(c.0), same(REQ)));
     client_reply(&sent);
     assert_eq!(coord.node().stats().gets_ok, 1);
+}
+
+/// A coordinator over a durable log, for counting what a read writes.
+struct Logged {
+    coord: Server,
+    dir: PathBuf,
+    path: PathBuf,
+}
+
+impl Logged {
+    /// Replica `replica` on a fresh log, holding `state` for `key` if
+    /// given (which writes one record).
+    fn new(replica: ReplicaId, key: &Key, state: Option<&State>) -> Self {
+        let dir = storage::scratch_dir("read-writes");
+        let path = dir.join("coord.log");
+        let mut coord = Server::on_log(replica, &path);
+        if let Some(state) = state {
+            coord.node_mut().merge_state_direct(key, state);
+        }
+        Logged { coord, dir, path }
+    }
+
+    /// Every put record the log holds for `key`, oldest first, once the
+    /// buffered ones are synced.
+    fn records(&mut self, key: &Key) -> Vec<State> {
+        self.coord.node_mut().sync_storage();
+        let history = storage::scan_history::<State>(&self.path).expect("read the log");
+        let mine = history.into_iter().filter(|(k, _)| k == key);
+        mine.map(|(_, state)| state).collect()
+    }
+}
+
+impl Drop for Logged {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
+/// A read of a key no replica holds stores nothing: no key, no record,
+/// no repair.
+#[test]
+fn a_get_of_a_key_nobody_holds_writes_nothing() {
+    let (key, [a, b, c], _) = placement();
+    let mut log = Logged::new(a, &key, None);
+    let reads = conditional_reads(&log.coord.client_get(&key), &key);
+    assert!(reads
+        .iter()
+        .all(|(.., have)| *have == fingerprint(&State::default())));
+    let (ok, values, _) = client_reply(&log.coord.deliver(NodeId(b.0), same(REQ)));
+    assert!(ok && values.is_empty());
+    assert!(log.coord.deliver(NodeId(c.0), same(REQ)).is_empty());
+
+    assert!(!log.coord.node().data().contains_key(&key), "no key");
+    assert_eq!(log.records(&key), Vec::<State>::new(), "no record");
+}
+
+/// A read every replica answers with `RepGetSame` brought nothing new:
+/// the coordinator's copy is left as it was, with no further record.
+#[test]
+fn a_get_every_replica_answers_same_writes_nothing() {
+    let (key, [a, b, c], _) = placement();
+    let (_, state) = old_and_new(a);
+    let mut log = Logged::new(a, &key, Some(&state));
+    assert_eq!(log.records(&key), std::slice::from_ref(&state));
+
+    log.coord.client_get(&key);
+    client_reply(&log.coord.deliver(NodeId(b.0), same(REQ)));
+    assert!(log.coord.deliver(NodeId(c.0), same(REQ)).is_empty());
+
+    assert_eq!(log.coord.stored(&key), state);
+    assert_eq!(log.records(&key), [state], "no record for the read");
+}
+
+/// A read that brings a newer state advances the coordinator with
+/// exactly one record, and the replica still behind is repaired.
+#[test]
+fn a_get_that_brings_a_newer_state_writes_it_once_and_repairs_the_stale() {
+    let (key, [a, b, c], _) = placement();
+    let (old, new) = old_and_new(a);
+    let mut log = Logged::new(a, &key, Some(&old));
+
+    log.coord.client_get(&key);
+    client_reply(&log.coord.deliver(NodeId(b.0), full(&key, &new)));
+    let sent = log.coord.deliver(NodeId(c.0), same(REQ));
+    assert_eq!(repaired(&sent, &key, &new), vec![NodeId(c.0)]);
+
+    assert_eq!(log.coord.stored(&key), new);
+    assert_eq!(log.records(&key), [old, new], "one record for the read");
 }
 
 /// The client's reply to `start`: `ok`, with what `state` reads as, or

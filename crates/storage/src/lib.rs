@@ -23,7 +23,15 @@
 //! The engines are deliberately *behaviour-identical* from the protocol
 //! layer's point of view: the same workload driven over a `MemEngine`-
 //! and a `LogEngine`-backed replica must produce byte-identical per-key
-//! states (an equivalence the kvstore recovery suite asserts).
+//! states (an equivalence the kvstore recovery suite asserts). Both keep
+//! their states in one ordered map of stable slots, so a write looks its
+//! key up once and copies the key only when it is new.
+//!
+//! [`StorageEngine::apply`] is the only door that writes, and a read
+//! writes only what it changes: the protocol layer calls it for a GET
+//! only when the read brought the coordinator something new, so a read
+//! of a key that is in sync, or that no replica holds, costs no record
+//! and creates no key.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +39,7 @@
 
 pub mod log;
 pub mod mem;
+mod slots;
 
 pub use log::{scan_history, LogConfig, LogEngine, LogStats};
 pub use mem::MemEngine;

@@ -56,7 +56,6 @@
 //! created — at its first group sync, before any record in it counts as
 //! durable, so a crash cannot lose either name.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -64,6 +63,7 @@ use std::path::{Path, PathBuf};
 
 use dvv::encode::{put_varint, Decoder, Encode};
 
+use crate::slots::Slots;
 use crate::{fnv1a64, Key, MemEngine, StorageEngine};
 
 const TAG_PUT: u8 = 1;
@@ -181,7 +181,7 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
 pub struct LogEngine<S> {
     /// The working set: every live key's current state, always in sync
     /// with the durable log plus the pending buffer.
-    map: BTreeMap<Key, Slot<S>>,
+    map: Slots<Slot<S>>,
     file: File,
     path: PathBuf,
     cfg: LogConfig,
@@ -409,7 +409,7 @@ where
             enc: enc_state::<S>,
             dec: dec_state::<S>,
         };
-        let mut map = BTreeMap::new();
+        let mut map = Slots::default();
         let mut live_bytes = 0u64;
         let mut reservation: Option<(u64, u64)> = None;
         let mut stats = LogStats::default();
@@ -550,10 +550,13 @@ where
         if let Some((epoch, ceiling)) = self.reservation {
             frame_meta(&mut buf, epoch, ceiling);
         }
-        for (key, slot) in &mut self.map {
+        // each key's record here is the one its slot already measures:
+        // the same key and state, framed the same way
+        for (key, slot) in self.map.iter() {
             self.scratch.clear();
             (self.codec.enc)(&slot.state, &mut self.scratch);
-            slot.len = frame_record(&mut buf, TAG_PUT, key, Some(&self.scratch));
+            let len = frame_record(&mut buf, TAG_PUT, key, Some(&self.scratch));
+            debug_assert_eq!(len, slot.len, "a live slot measures its latest record");
         }
         let tmp = self.path.with_extension("compact");
         let write = (|| -> io::Result<File> {
@@ -596,10 +599,11 @@ where
         init: &mut dyn FnMut() -> S,
         mutate: &mut dyn FnMut(&mut S),
     ) -> &S {
-        let slot = self.map.entry(key.to_vec()).or_insert_with(|| Slot {
+        let at = self.map.slot(key, || Slot {
             state: init(),
             len: 0,
         });
+        let slot = self.map.at_mut(at);
         mutate(&mut slot.state);
         self.scratch.clear();
         (self.codec.enc)(&slot.state, &mut self.scratch);
@@ -607,7 +611,7 @@ where
         self.live_bytes = self.live_bytes + len - slot.len;
         slot.len = len;
         self.push_record();
-        &self.map[key].state
+        &self.map.at(at).state
     }
 
     fn remove(&mut self, key: &[u8]) -> bool {

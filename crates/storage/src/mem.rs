@@ -1,16 +1,17 @@
-//! [`MemEngine`]: the original in-memory backend — a plain ordered map.
+//! [`MemEngine`]: the original in-memory backend — an ordered map.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::slots::Slots;
 use crate::{Key, StorageEngine};
 
-/// Purely in-memory storage: exactly the `BTreeMap` the store used
-/// before the engine seam existed. Nothing survives a crash; `sync` is
-/// a no-op.
+/// Purely in-memory storage: one ordered per-key map of stable slots,
+/// the one [`crate::LogEngine`] keeps too. Nothing survives a crash;
+/// `sync` is a no-op.
 #[derive(Clone, Default)]
 pub struct MemEngine<S> {
-    map: BTreeMap<Key, S>,
+    map: Slots<S>,
     reservation: Option<(u64, u64)>,
 }
 
@@ -19,7 +20,7 @@ impl<S> MemEngine<S> {
     #[must_use]
     pub fn new() -> Self {
         MemEngine {
-            map: BTreeMap::new(),
+            map: Slots::default(),
             reservation: None,
         }
     }
@@ -28,7 +29,7 @@ impl<S> MemEngine<S> {
     #[must_use]
     pub fn from_map(map: BTreeMap<Key, S>) -> Self {
         MemEngine {
-            map,
+            map: map.into_iter().collect(),
             reservation: None,
         }
     }
@@ -57,7 +58,8 @@ impl<S: Clone + Send + 'static> StorageEngine<S> for MemEngine<S> {
         init: &mut dyn FnMut() -> S,
         mutate: &mut dyn FnMut(&mut S),
     ) -> &S {
-        let state = self.map.entry(key.to_vec()).or_insert_with(&mut *init);
+        let slot = self.map.slot(key, init);
+        let state = self.map.at_mut(slot);
         mutate(state);
         state
     }
@@ -77,7 +79,10 @@ impl<S: Clone + Send + 'static> StorageEngine<S> for MemEngine<S> {
     fn snapshot(&self) -> Box<dyn StorageEngine<S>> {
         // Detached audit copy: contents only, no reservation (snapshots
         // never mint dots) — matching `LogEngine::snapshot`.
-        Box::new(MemEngine::from_map(self.map.clone()))
+        Box::new(MemEngine {
+            map: self.map.clone(),
+            reservation: None,
+        })
     }
 
     fn sync(&mut self) {}

@@ -196,10 +196,14 @@ if runs_lane storage; then
     # and property suites (codec round-trip, torn-tail and bit-flip
     # replay), then crash/restart recovery on BOTH drivers — the
     # deterministic simulator and the threaded runtime — each ending
-    # in the full convergence + no-loss audit stack.
+    # in the full convergence + no-loss audit stack. `conditional_read`
+    # counts the records a GET leaves in its coordinator's log: a read
+    # writes only what it changes, so a read of a key no replica holds,
+    # or one every replica answers `RepGetSame`, must log nothing.
     cargo test -p storage -- --nocapture
     cargo test -p kvstore --test recovery -- --nocapture
     cargo test -p runtime --test recovery -- --nocapture
+    cargo test -p kvstore --test conditional_read -- --nocapture
 fi
 
 if runs_lane faults; then
