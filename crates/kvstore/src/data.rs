@@ -16,21 +16,19 @@
 //! fingerprint of its state is its leaf in its arc's summary.
 //!
 //! All mutation goes through [`DataStore::mutate`] / [`DataStore::
-//! remove`] / [`DataStore::clear`], which keep the summaries consistent
-//! by construction. Mutations are cheap: a write only marks its key
-//! *dirty*; the fingerprint refresh and summary update are deferred to
-//! [`DataStore::flush`], which the read points (anti-entropy tick/root
-//! receipt, transfer snapshots, re-partition) run first — so a hot key
-//! written a thousand times between AAE ticks is fingerprinted once,
-//! and the write path never hashes a state. A read writes only what it
-//! changes: the read doors ([`DataStore::get`], [`DataStore::leaf_of`])
-//! touch neither the engine's log nor the dirty set, and a coordinator
-//! calls [`DataStore::mutate`] at the end of a read only when the read
-//! brought something its copy lacks — a GET of a key no replica holds
-//! stores nothing. [`DataStore::audit_index`]
-//! rebuilds everything from scratch and compares (modulo the pending
-//! dirty refreshes, whose invariant it checks too), and is exercised by
-//! the incremental-vs-rebuild proptest oracle.
+//! remove`] / [`DataStore::clear`], which keep the summaries current by
+//! construction: a write fingerprints its key's new state and sets the
+//! key's leaf before it returns, so every reader of the index — the AAE
+//! tick, the AAE handlers, re-partition, [`DataStore::leaf_of`] — sees
+//! it as of the last write, with nothing to reconcile first. A read
+//! writes only what it changes: the read doors ([`DataStore::get`],
+//! [`DataStore::leaf_of`]) touch neither the engine's log nor the
+//! summaries, and a coordinator calls [`DataStore::mutate`] at the end
+//! of a read only when the read brought something its copy lacks — a
+//! GET of a key no replica holds stores nothing.
+//! [`DataStore::audit_index`] rebuilds everything from scratch and
+//! compares, and is exercised by the incremental-vs-rebuild proptest
+//! oracle.
 //!
 //! The states themselves live *below* the summaries, behind the
 //! [`StorageEngine`] seam: the mutation doors forward state changes to
@@ -40,7 +38,6 @@
 //! replay-on-open rebuilds the store after a crash (see
 //! [`DataStore::with_engine`]).
 
-use std::collections::BTreeSet;
 use std::hash::Hash;
 
 use ring::{arc_index, hash_key};
@@ -66,32 +63,12 @@ pub struct DataStore<S: 'static> {
     /// current ring's [`ring::HashRing::arc_bounds`] (empty ⇒ one
     /// catch-all arc).
     bounds: Vec<u64>,
-    /// One summary per arc, parallel to `bounds` (at least one).
+    /// One summary per arc, parallel to `bounds` (at least one); each
+    /// stored key's leaf is the fingerprint of its current state.
     summaries: Vec<MerkleSummary>,
-    /// Keys written since the last [`DataStore::flush`]: their summary
-    /// leaf is pending refresh. Keeping the write path to a set insert
-    /// (instead of a state hash + summary update per write) is what lets
-    /// the AAE index ride the client hot path for free — hot keys
-    /// coalesce.
-    dirty: BTreeSet<Key>,
 }
 
-/// Cloning snapshots the engine ([`StorageEngine::snapshot`]): the copy
-/// is a detached in-memory image of the states — audits clone a store
-/// to flush it hypothetically — and shares no durability with the
-/// original.
-impl<S> Clone for DataStore<S> {
-    fn clone(&self) -> Self {
-        DataStore {
-            engine: self.engine.snapshot(),
-            bounds: self.bounds.clone(),
-            summaries: self.summaries.clone(),
-            dirty: self.dirty.clone(),
-        }
-    }
-}
-
-impl<S: Clone + Send + 'static> Default for DataStore<S> {
+impl<S: Clone + Hash + Send + 'static> Default for DataStore<S> {
     fn default() -> Self {
         Self::with_engine(Box::new(MemEngine::new()))
     }
@@ -103,21 +80,21 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl<S: Clone + Send + 'static> DataStore<S> {
     /// Builds a store on top of `engine`, adopting whatever it already
-    /// holds (a durable engine arrives pre-populated from replay): all
-    /// adopted keys are marked dirty, so the first [`DataStore::flush`]
-    /// — which re-partition runs — fingerprints them into the summaries.
+    /// holds (a durable engine arrives pre-populated from replay): every
+    /// adopted key is fingerprinted into the catch-all summary, which
+    /// the first re-partition re-buckets.
     #[must_use]
     pub fn with_engine(engine: Box<dyn StorageEngine<S>>) -> Self {
-        let dirty = engine.iter().map(|(key, _)| key.clone()).collect();
+        let mut catch_all = MerkleSummary::new();
+        for (key, state) in engine.iter() {
+            catch_all.set(key.clone(), fingerprint(state));
+        }
         DataStore {
             engine,
             bounds: Vec::new(),
-            summaries: vec![MerkleSummary::new()],
-            dirty,
+            summaries: vec![catch_all],
         }
     }
 
@@ -145,9 +122,7 @@ impl<S: Clone + Send + 'static> DataStore<S> {
     pub fn store_reservation(&mut self, epoch: u64, ceiling: u64) {
         self.engine.store_reservation(epoch, ceiling);
     }
-}
 
-impl<S: Clone + Hash + Send + 'static> DataStore<S> {
     /// The state stored for `key`, if any.
     #[must_use]
     pub fn get(&self, key: &[u8]) -> Option<&S> {
@@ -187,59 +162,35 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
         self.engine.iter()
     }
 
-    /// The state fingerprint of `key`, if stored: `fingerprint` of the
-    /// stored state, read once from the engine — what its summary leaf
-    /// holds once the pending refreshes are flushed, and what it already
-    /// holds for a clean key. A read writes only what it changes, so
-    /// this is a read door too: it neither marks the key dirty nor
-    /// refreshes its leaf.
+    /// The state fingerprint of `key`, if stored: its leaf in its arc's
+    /// summary, which every write keeps equal to `fingerprint` of the
+    /// stored state. A read door: it hashes nothing and writes nothing.
     #[must_use]
     pub fn leaf_of(&self, key: &[u8]) -> Option<u64> {
-        self.engine.get(key).map(fingerprint)
+        self.summaries[arc_of(&self.bounds, key)].get(key)
     }
 
     /// Mutates (inserting a default first if absent) the state for
-    /// `key` and marks it dirty; the fingerprint and summary refresh is
-    /// deferred to [`DataStore::flush`]. Returns the post-mutation
-    /// state.
+    /// `key`, then sets the key's leaf in its arc's summary to the new
+    /// state's fingerprint. Returns the post-mutation state.
     pub fn mutate(&mut self, key: &[u8], f: impl FnOnce(&mut S)) -> &S
     where
         S: Default,
     {
-        if !self.dirty.contains(key) {
-            self.dirty.insert(key.to_vec());
-        }
         let mut f = Some(f);
-        self.engine.apply(key, &mut S::default, &mut |state| {
+        let state = self.engine.apply(key, &mut S::default, &mut |state| {
             if let Some(f) = f.take() {
                 f(state);
             }
-        })
+        });
+        self.summaries[arc_of(&self.bounds, key)].set_ref(key, fingerprint(state));
+        state
     }
 
-    /// Applies every pending dirty refresh: re-fingerprints each dirty
-    /// key and updates its arc summary. Run by every reader of the
-    /// per-arc summaries (AAE tick and root receipt, re-partition) and
-    /// O(dirty keys) — a hot key written many times between flushes is
-    /// hashed once.
-    pub fn flush(&mut self) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        for key in std::mem::take(&mut self.dirty) {
-            let Some(state) = self.engine.get(&key) else {
-                continue;
-            };
-            let leaf = fingerprint(state);
-            self.summaries[arc_of(&self.bounds, &key)].set(key, leaf);
-        }
-    }
-
-    /// Whether any dirty refresh is pending (test/audit hook).
-    #[must_use]
-    pub fn has_pending_refresh(&self) -> bool {
-        !self.dirty.is_empty()
-    }
+    /// Does nothing: every write already keeps the summaries current.
+    /// Kept for callers outside the workspace's crates that still run it
+    /// before reading the index.
+    pub fn flush(&mut self) {}
 
     /// Removes `key` (and its summary leaf). Returns whether it was
     /// stored.
@@ -247,7 +198,6 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
         if !self.engine.remove(key) {
             return false;
         }
-        self.dirty.remove(key);
         self.summaries[arc_of(&self.bounds, key)].remove(key);
         true
     }
@@ -256,7 +206,6 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
     /// kept).
     pub fn clear(&mut self) {
         self.engine.clear();
-        self.dirty.clear();
         for s in &mut self.summaries {
             *s = MerkleSummary::new();
         }
@@ -264,11 +213,9 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
 
     /// Re-partitions the summaries for a new ring: adopts `bounds` (the
     /// new ring's arc boundaries) and re-buckets every leaf of the old
-    /// summaries into the new ones. O(keys · log arcs) after flushing
-    /// the pending refreshes, paid only on view changes — no state is
-    /// re-fingerprinted.
+    /// summaries into the new ones. O(keys · log arcs), paid only on
+    /// view changes — no state is re-fingerprinted.
     pub fn repartition(&mut self, bounds: Vec<u64>) {
-        self.flush();
         self.bounds = bounds;
         let fresh = vec![MerkleSummary::new(); self.bounds.len().max(1)];
         let old = std::mem::replace(&mut self.summaries, fresh);
@@ -298,31 +245,21 @@ impl<S: Clone + Hash + Send + 'static> DataStore<S> {
 
     /// Rebuilds the per-arc summaries and roots from scratch — every
     /// stored state fingerprinted into its key's arc — and compares them
-    /// with the incrementally maintained ones (after functionally
-    /// applying the pending dirty refreshes, whose own invariant — a
-    /// dirty key is stored — is checked too). This is the safety net for
-    /// the whole incremental-AAE refactor: any mutation path that forgets
-    /// to mark its key dirty, or any flush that misses one, shows up
-    /// here. It also audits the engine seam: the summaries and the
-    /// engine must hold the same keys.
+    /// with the incrementally maintained ones. This is the safety net
+    /// for the whole incremental-AAE index: any mutation path that
+    /// forgets to set or drop its key's leaf shows up here. It also
+    /// audits the engine seam: the summaries and the engine must hold
+    /// the same keys.
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency found.
     pub fn audit_index(&self) -> Result<(), String> {
-        // what flush() would produce, computed without mutating self
-        let mut maintained_after_flush = self.summaries.clone();
-        for key in &self.dirty {
-            let Some(state) = self.engine.get(key) else {
-                return Err(format!("dirty key {key:?} is not stored"));
-            };
-            maintained_after_flush[arc_of(&self.bounds, key)].set_ref(key, fingerprint(state));
-        }
         let mut fresh = vec![MerkleSummary::new(); self.summaries.len()];
         for (k, state) in self.engine.iter() {
             fresh[arc_of(&self.bounds, k)].set(k.clone(), fingerprint(state));
         }
-        for (idx, (maintained, rebuilt)) in maintained_after_flush.iter().zip(&fresh).enumerate() {
+        for (idx, (maintained, rebuilt)) in self.summaries.iter().zip(&fresh).enumerate() {
             if maintained.leaves() != rebuilt.leaves() {
                 return Err(format!(
                     "arc {idx}: maintained leaves {:?} != rebuilt {:?}",
@@ -366,11 +303,7 @@ mod tests {
         d.repartition(bounds4());
         for i in 0..50u8 {
             d.mutate(&[i], |s| *s += u64::from(i) + 1);
-            assert!(d.audit_index().is_ok());
-            if i % 7 == 0 {
-                d.flush(); // audit must hold flushed and unflushed alike
-                assert!(d.audit_index().is_ok());
-            }
+            d.audit_index().expect("consistent after mutate");
         }
         assert_eq!(d.len(), 50);
         for i in (0..50u8).step_by(3) {
@@ -379,47 +312,32 @@ mod tests {
         }
         assert!(!d.remove(b"absent"));
         d.mutate(b"x", |s| *s = 9);
-        assert_eq!(
-            d.leaf_of(b"x"),
-            Some(fingerprint(&9u64)),
-            "leaf_of computes on demand while the key is dirty"
-        );
-        d.flush();
-        assert!(!d.has_pending_refresh());
         assert_eq!(d.get(b"x"), Some(&9));
         assert_eq!(d.leaf_of(b"x"), Some(fingerprint(&9u64)));
+        assert_eq!(d.leaf_of(b"absent"), None);
         d.clear();
         assert!(d.is_empty());
-        assert!(!d.has_pending_refresh());
         d.audit_index().expect("consistent after clear");
     }
 
     #[test]
-    fn flush_coalesces_repeated_writes_and_refreshes_summaries() {
+    fn every_write_sets_its_leaf_and_every_remove_drops_it() {
         let mut d: DataStore<u64> = DataStore::new();
-        for round in 1..=5u64 {
-            d.mutate(b"hot", |s| *s = round);
-        }
-        assert!(d.has_pending_refresh());
-        assert_eq!(
-            d.arc_summary(0).unwrap().len(),
-            0,
-            "summary refresh is deferred until flush"
-        );
-        d.flush();
-        assert_eq!(d.arc_summary(0).unwrap().len(), 1);
-        assert_eq!(d.leaf_of(b"hot"), Some(fingerprint(&5u64)));
-        d.audit_index().expect("consistent after flush");
-        // flushing with nothing pending is a no-op
-        let root = d.arc_root(0);
-        d.flush();
-        assert_eq!(d.arc_root(0), root);
-        // a dirty key removed before the flush leaves no leaf behind
-        d.mutate(b"gone", |s| *s = 1);
-        d.remove(b"gone");
-        d.flush();
-        assert_eq!(d.arc_summary(0).unwrap().len(), 1);
-        d.audit_index().expect("consistent after dirty remove");
+        let empty_root = d.arc_root(0);
+        d.mutate(b"hot", |s| *s = 1);
+        let summary = d.arc_summary(0).unwrap();
+        assert_eq!(summary.get(b"hot"), Some(fingerprint(&1u64)));
+        assert_eq!(d.leaf_of(b"hot"), Some(fingerprint(&1u64)));
+        let first_root = d.arc_root(0);
+        assert_ne!(first_root, empty_root, "one write moves the arc root");
+        d.mutate(b"hot", |s| *s = 2);
+        assert_eq!(d.leaf_of(b"hot"), Some(fingerprint(&2u64)));
+        assert_ne!(d.arc_root(0), first_root, "an overwrite moves it again");
+        d.audit_index().expect("consistent after overwrite");
+        assert!(d.remove(b"hot"));
+        assert!(d.arc_summary(0).unwrap().is_empty());
+        assert_eq!(d.leaf_of(b"hot"), None);
+        assert_eq!(d.arc_root(0), empty_root);
     }
 
     #[test]
@@ -428,7 +346,6 @@ mod tests {
         for i in 0..30u8 {
             d.mutate(&[i], |s| *s = u64::from(i));
         }
-        d.flush();
         let single_root: u64 = d.arc_root(0);
         d.repartition(bounds4());
         d.audit_index().expect("consistent after repartition");
@@ -439,11 +356,10 @@ mod tests {
         );
         d.repartition(Vec::new());
         assert_eq!(d.arc_root(0), single_root);
-        // repartition flushes pending refreshes before re-bucketing
         d.mutate(&[0], |s| *s = 99);
         d.repartition(bounds4());
-        d.audit_index().expect("consistent after dirty repartition");
-        assert!(!d.has_pending_refresh());
+        d.audit_index()
+            .expect("consistent after a write and repartition");
     }
 
     #[test]
@@ -451,22 +367,9 @@ mod tests {
         let mut d: DataStore<u64> = DataStore::new();
         assert!(d.arc_bounds().is_empty());
         d.mutate(b"k", |s| *s = 1);
-        d.flush();
         assert_eq!(d.arc_summary(0).unwrap().len(), 1);
         assert_eq!(d.arc_root(7), 0, "out-of-range arcs read as empty");
         assert!(d.arc_summary(7).is_none());
-    }
-
-    #[test]
-    fn clone_is_a_detached_snapshot() {
-        let mut d: DataStore<u64> = DataStore::new();
-        d.mutate(b"k", |s| *s = 1);
-        let mut snap = d.clone();
-        d.mutate(b"k", |s| *s = 2);
-        assert_eq!(snap.get(b"k"), Some(&1));
-        snap.flush();
-        snap.audit_index().expect("snapshot flushes independently");
-        assert!(d.has_pending_refresh(), "original dirtiness untouched");
     }
 
     #[test]
@@ -484,9 +387,10 @@ mod tests {
         let mut d = DataStore::with_engine(Box::new(engine));
         assert_eq!(d.engine_kind(), "log");
         assert_eq!(d.len(), 20);
-        assert!(d.has_pending_refresh(), "adopted keys await fingerprinting");
+        d.audit_index()
+            .expect("adopted keys are fingerprinted at once");
         d.repartition(bounds4());
-        d.audit_index().expect("consistent after adoption flush");
+        d.audit_index().expect("consistent after repartition");
         assert_eq!(d.get(&[7u8]), Some(&21));
         // an equivalent store built by replaying the same writes in
         // memory has identical leaves, roots and contents

@@ -99,6 +99,12 @@ impl MerkleSummary {
         }
     }
 
+    /// The leaf hash of `key`, if summarised.
+    #[must_use]
+    pub fn get(&self, key: &[u8]) -> Option<u64> {
+        self.leaves.get(key).copied()
+    }
+
     /// Copies every leaf of `other` into this summary — used to assemble
     /// one summary from disjoint per-arc summaries when a leaf exchange
     /// is actually needed (roots alone combine by XOR, see `leaf_mix`).
@@ -162,6 +168,8 @@ mod tests {
         assert_ne!(a.root(), empty_root);
         assert_eq!(a.len(), 1);
         assert_eq!(a.leaves(), [(b"x".to_vec(), 1)]);
+        assert_eq!(a.get(b"x"), Some(1));
+        assert_eq!(a.get(b"y"), None);
     }
 
     #[test]

@@ -216,11 +216,10 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
     /// routable iff it is on `ring` and not in here.
     down: BTreeSet<ReplicaId>,
     /// Per-key states plus the persistent ownership-partitioned AAE
-    /// index: every mutation marks its key dirty, and the per-arc
-    /// Merkle summaries are refreshed at the AAE read points
-    /// ([`DataStore::flush`]) — so anti-entropy costs O(dirty + arcs)
-    /// instead of a keyspace scan ([`Self::shared_summary_root`]).
-    /// Re-partitioned on view changes.
+    /// index: every mutation sets its key's leaf in its arc's Merkle
+    /// summary, so the index is current after every write and
+    /// anti-entropy costs O(arcs) instead of a keyspace scan
+    /// ([`Self::shared_summary_root`]). Re-partitioned on view changes.
     data: DataStore<M::State>,
     /// Copies owed to peers, by `(target, key)`. The state itself lives
     /// in `data`; this records the obligation.
@@ -614,9 +613,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     /// Root of the Merkle summary over the keys this node and `peer`
     /// both replicate: the XOR of the cached per-arc roots of the shared
-    /// arcs — O(arcs), no keyspace scan, no state rehash. Reads the
-    /// flushed index: its two callers, the AAE tick and the `AaeRoot`
-    /// handler, run [`DataStore::flush`] first.
+    /// arcs — O(arcs), no keyspace scan, no state rehash.
     fn shared_summary_root(&self, peer: ReplicaId) -> u64 {
         let mut root = 0u64;
         for idx in 0..self.ring.arc_count() {
@@ -683,11 +680,15 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
 
     /// Audits the incrementally maintained AAE state against a
     /// from-scratch rebuild: the data store's per-arc summaries and
-    /// their leaves ([`DataStore::audit_index`]), and the arc
-    /// partition's agreement with the current ring. The
-    /// incremental-vs-rebuild proptest oracle runs this on every member
-    /// after arbitrary interleavings of puts/deletes/GC/transfers/view
-    /// merges.
+    /// their leaves ([`DataStore::audit_index`]), the arc partition's
+    /// agreement with the current ring, and, for every peer, the shared
+    /// summary and root the AAE handlers read (`shared_summary_scoped`
+    /// over every arc, `shared_summary_root`) against
+    /// [`Self::rebuild_shared_summary`]. The index is current after
+    /// every write, so this reads the node as it is, at any observation
+    /// point. The incremental-vs-rebuild proptest oracle runs this on
+    /// every member after arbitrary interleavings of
+    /// puts/deletes/GC/transfers/view merges.
     ///
     /// # Errors
     ///
@@ -704,33 +705,14 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         self.data
             .audit_index()
             .map_err(|e| format!("replica {:?}: {e}", self.replica))?;
-        // the shared-summary comparison reads per-arc summaries, which
-        // are only current after a flush; audit a flushed copy so the
-        // check holds at any observation point without mutating the node
-        let flushed = {
-            let mut d = self.data.clone();
-            d.flush();
-            d
-        };
-        let assemble = |peer: ReplicaId| {
-            let mut m = MerkleSummary::new();
-            let mut root = 0u64;
-            for idx in 0..self.ring.arc_count() {
-                if self.arc_shared_with(idx, peer) {
-                    root ^= flushed.arc_root(idx);
-                    if let Some(s) = flushed.arc_summary(idx) {
-                        m.extend_from(s);
-                    }
-                }
-            }
-            (m, root)
-        };
+        let every_arc: Vec<u32> = (0..self.ring.arc_count() as u32).collect();
         for peer in self.ring.nodes() {
             if *peer == self.replica {
                 continue;
             }
             let rebuilt = self.rebuild_shared_summary(*peer);
-            let (assembled, root) = assemble(*peer);
+            let assembled = self.shared_summary_scoped(*peer, &every_arc);
+            let root = self.shared_summary_root(*peer);
             if assembled.leaves() != rebuilt.leaves() || root != rebuilt.root() {
                 return Err(format!(
                     "replica {:?}: shared summary with {peer:?} diverged \
@@ -1166,7 +1148,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             return self.relay(ctx, from, active[0], Msg::ClientGet { req, key, digest });
         }
         let acc = self.data.get(&key).cloned().unwrap_or_default();
-        let have = fingerprint(&acc);
+        let have = self.leaf_or_empty(&key);
         let pending = Pending {
             key: key.clone(),
             client: from,
@@ -1390,7 +1372,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         if !peers.is_empty() {
             let peer = *ctx.rng().pick(&peers);
             self.stats.aae_rounds += 1;
-            self.data.flush();
             let root = self.shared_summary_root(peer);
             self.send(
                 ctx,
@@ -1639,9 +1620,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 self.note_peer_digest(ctx, from, digest);
                 let peer = ReplicaId(from.0);
                 // cached per-arc roots XOR-combine: comparing costs
-                // O(dirty + arcs), the arc roots are only listed on
-                // mismatch
-                self.data.flush();
+                // O(arcs), the arc roots are only listed on mismatch
                 if self.shared_summary_root(peer) != root {
                     // "Shared" and arc indices are only well-defined
                     // under identical views: arc roots listed under OUR
@@ -1667,7 +1646,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                     return;
                 }
                 let peer = ReplicaId(from.0);
-                self.data.flush();
                 let theirs: BTreeMap<u32, u64> = arcs.into_iter().collect();
                 let mut differing: Vec<u32> = Vec::new();
                 for idx in 0..self.ring.arc_count() {
@@ -1681,8 +1659,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 }
                 if differing.is_empty() {
                     // shared roots differed but every arc agrees — can
-                    // only happen transiently (e.g. flush timing); the
-                    // next round settles it
+                    // only happen transiently (e.g. a write landed on
+                    // either side between the two steps); the next
+                    // round settles it
                     return;
                 }
                 // divergence is an initiator-side statistic
@@ -1711,7 +1690,6 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                     self.note_peer_digest(ctx, from, digest);
                     return;
                 }
-                self.data.flush();
                 // compare only within the arcs the initiator proved
                 // divergent
                 let mine = self.shared_summary_scoped(ReplicaId(from.0), &arcs);

@@ -5,8 +5,8 @@
 //! safety net of the incremental-AAE refactor:
 //!
 //! * a proptest drives a [`kvstore::data::DataStore`] through arbitrary
-//!   interleavings of sets, overwrites, removes, flushes, re-partitions
-//!   and clears, auditing the index after every step and checking every
+//!   interleavings of sets, overwrites, removes, re-partitions and
+//!   clears, auditing the index after every step and checking every
 //!   key's leaf and presence against a naive model;
 //! * deterministic cluster scenarios drive the full protocol stack —
 //!   puts, deletes, read repair, AAE, hinted handoff, range transfers,
@@ -48,8 +48,6 @@ enum Op {
     Repartition(u8),
     /// Drop everything (what `finish_leave` does).
     Clear,
-    /// Apply the pending leaf refreshes (what an AAE tick does first).
-    Flush,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -64,7 +62,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(|k| Op::Remove(k % 24)),
         any::<u8>().prop_map(|k| Op::Remove(k % 24)),
         (1u8..12).prop_map(Op::Repartition),
-        Just(Op::Flush),
         (10u8..70).prop_map(|s| {
             if s % 9 == 0 {
                 Op::Clear
@@ -112,13 +109,12 @@ proptest! {
                     d.clear();
                     model.clear();
                 }
-                Op::Flush => d.flush(),
             }
             // the refactor's core invariant, checked after *every* step
             d.audit_index().map_err(TestCaseError::fail)?;
             prop_assert_eq!(d.len(), model.len());
-            // both leaf paths against the model: a dirty key is
-            // fingerprinted, a clean one read from its arc's summary
+            // every key's leaf, read from its arc's summary, against
+            // the model
             for k in 0..24u8 {
                 let held = model.get(&[k] as &[u8]);
                 prop_assert_eq!(d.leaf_of(&[k]), held.map(fingerprint));

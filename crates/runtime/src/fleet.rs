@@ -110,12 +110,9 @@ use crate::RuntimeConfig;
 /// Inbox slots per hosted node; a full inbox drops (wire loss).
 const INBOX_CAPACITY: usize = 1024;
 
-/// The main loop's park between passes while the scenario is not over.
-const SCHEDULE_PARK: StdDuration = StdDuration::from_millis(2);
-
-/// The main loop's park once the scenario is over: all that is
-/// left to notice by polling is a stall or the run budget (a finishing
-/// client unparks it).
+/// The main loop's park between passes. The workers carry out the
+/// scenario, so all the loop has to notice by polling is a stall or the
+/// run budget (a finishing client unparks it).
 const IDLE_PARK: StdDuration = StdDuration::from_millis(25);
 
 /// Clean AAE rounds every server must initiate, after the last observed
@@ -469,7 +466,6 @@ where
         let mut last_ops = self.progress.ops_ok.load(Ordering::Relaxed);
         let mut still_since = Instant::now();
         let outcome = loop {
-            let scenario_over = over();
             if self.progress.done_clients.load(Ordering::Relaxed) >= cfg.clients as u64 {
                 break Ok(started.elapsed());
             }
@@ -487,11 +483,7 @@ where
             }
             // A spurious or left-over wake-up only brings the next pass
             // forward.
-            thread::park_timeout(if scenario_over {
-                IDLE_PARK
-            } else {
-                SCHEDULE_PARK
-            });
+            thread::park_timeout(IDLE_PARK);
         };
 
         if outcome.is_ok() {

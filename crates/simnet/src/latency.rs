@@ -6,9 +6,9 @@ use crate::time::Duration;
 
 /// A distribution of one-way network propagation delays.
 ///
-/// The store experiments use [`LatencyModel::LogNormal`] for a realistic
-/// long-tailed intra-datacenter profile; unit tests mostly use
-/// [`LatencyModel::Constant`] for exact reasoning.
+/// Most runs use [`LatencyModel::Constant`] for exact reasoning (the
+/// bandwidth experiment E7 runs `Constant(200 µs)` on 1 MB/s links);
+/// [`LatencyModel::Uniform`] spreads delays enough to reorder messages.
 ///
 /// # Examples
 ///
@@ -29,24 +29,6 @@ pub enum LatencyModel {
         /// Maximum delay (exclusive).
         hi: Duration,
     },
-    /// Exponential with the given mean, shifted by a floor (propagation
-    /// can never be faster than `floor`).
-    Exponential {
-        /// Minimum physical delay added to every sample.
-        floor: Duration,
-        /// Mean of the exponential component.
-        mean: Duration,
-    },
-    /// Log-normal: `floor + exp(N(mu, sigma))` microseconds — heavy-tailed,
-    /// the shape seen in real datacenter RPC latencies.
-    LogNormal {
-        /// Minimum physical delay added to every sample.
-        floor: Duration,
-        /// Mean of the underlying normal (of ln-microseconds).
-        mu: f64,
-        /// Standard deviation of the underlying normal.
-        sigma: f64,
-    },
 }
 
 impl LatencyModel {
@@ -60,35 +42,6 @@ impl LatencyModel {
                 }
                 Duration::from_micros(rng.range_u64(lo.as_micros(), hi.as_micros()))
             }
-            LatencyModel::Exponential { floor, mean } => {
-                let extra = rng.exponential(mean.as_micros() as f64);
-                floor + Duration::from_micros(extra as u64)
-            }
-            LatencyModel::LogNormal { floor, mu, sigma } => {
-                let ln = rng.normal(mu, sigma);
-                let us = ln.exp().min(1e12);
-                floor + Duration::from_micros(us as u64)
-            }
-        }
-    }
-
-    /// A typical intra-datacenter profile: 250µs floor with a log-normal
-    /// body centred near 500µs and an occasional multi-millisecond tail.
-    #[must_use]
-    pub fn datacenter() -> Self {
-        LatencyModel::LogNormal {
-            floor: Duration::from_micros(250),
-            mu: 5.5, // e^5.5 ≈ 245µs body
-            sigma: 0.8,
-        }
-    }
-
-    /// A wide-area profile: 20ms floor, exponential tail with 10ms mean.
-    #[must_use]
-    pub fn wan() -> Self {
-        LatencyModel::Exponential {
-            floor: Duration::from_millis(20),
-            mean: Duration::from_millis(10),
         }
     }
 }
@@ -137,36 +90,8 @@ mod tests {
     }
 
     #[test]
-    fn exponential_respects_floor_and_mean() {
-        let mut rng = SimRng::new(2);
-        let m = LatencyModel::Exponential {
-            floor: Duration::from_micros(100),
-            mean: Duration::from_micros(400),
-        };
-        let n = 20_000;
-        let mut sum = 0u64;
-        for _ in 0..n {
-            let d = m.sample(&mut rng);
-            assert!(d >= Duration::from_micros(100));
-            sum += d.as_micros();
-        }
-        let mean = sum as f64 / f64::from(n);
-        assert!((mean - 500.0).abs() < 25.0, "sample mean {mean}");
-    }
-
-    #[test]
-    fn lognormal_respects_floor() {
-        let mut rng = SimRng::new(3);
-        let m = LatencyModel::datacenter();
-        for _ in 0..1000 {
-            assert!(m.sample(&mut rng) >= Duration::from_micros(250));
-        }
-    }
-
-    #[test]
     fn presets_are_sane() {
         let mut rng = SimRng::new(4);
-        assert!(LatencyModel::wan().sample(&mut rng) >= Duration::from_millis(20));
         assert_eq!(
             LatencyModel::default().sample(&mut rng),
             Duration::from_micros(500)

@@ -124,20 +124,6 @@ impl SimRng {
         assert!(!items.is_empty(), "cannot pick from an empty slice");
         &items[self.range_u64(0, items.len() as u64) as usize]
     }
-
-    /// Standard exponential draw with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.unit_f64(); // (0, 1]
-        -mean * u.ln()
-    }
-
-    /// Standard normal draw (Box–Muller).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = 1.0 - self.unit_f64();
-        let u2 = self.unit_f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
 }
 
 /// FNV-1a over the label bytes.
@@ -271,25 +257,5 @@ mod tests {
     #[should_panic(expected = "empty slice")]
     fn empty_pick_panics() {
         SimRng::new(0).pick::<u8>(&[]);
-    }
-
-    #[test]
-    fn exponential_mean_roughly_right() {
-        let mut r = SimRng::new(6);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(5.0)).sum();
-        let mean = sum / f64::from(n);
-        assert!((mean - 5.0).abs() < 0.3, "sample mean {mean}");
-    }
-
-    #[test]
-    fn normal_moments_roughly_right() {
-        let mut r = SimRng::new(7);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.3, "var {var}");
     }
 }

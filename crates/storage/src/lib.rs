@@ -100,9 +100,9 @@ pub trait StorageEngine<S>: fmt::Debug + Send {
     /// `(key, state)` pairs in key order.
     fn iter(&self) -> Box<dyn Iterator<Item = (&Key, &S)> + '_>;
 
-    /// A detached, purely in-memory copy of the current contents (used
-    /// by audits that clone a store to flush it hypothetically; the
-    /// copy shares no durability with the original).
+    /// A detached, purely in-memory copy of the current contents (the
+    /// copy shares no durability with the original). No crate of the
+    /// workspace calls it; `perfbench`'s traced engine implements it.
     fn snapshot(&self) -> Box<dyn StorageEngine<S>>;
 
     /// Forces any buffered writes to durable storage. No-op for purely

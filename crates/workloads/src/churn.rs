@@ -30,24 +30,6 @@ pub struct ChurnPlan {
 }
 
 impl ChurnPlan {
-    /// A plan that joins every spare slot and then leaves every listed
-    /// member, with `gap_micros` of workload between consecutive events.
-    ///
-    /// The canonical elastic smoke scenario: grow, then shrink back.
-    #[must_use]
-    pub fn grow_then_shrink(spares: &[usize], leavers: &[usize], gap_micros: u64) -> Self {
-        let events = spares
-            .iter()
-            .map(|s| ChurnAction::Join(*s))
-            .chain(leavers.iter().map(|l| ChurnAction::Leave(*l)))
-            .map(|action| ChurnEvent {
-                after_micros: gap_micros,
-                action,
-            })
-            .collect();
-        ChurnPlan { events }
-    }
-
     /// Builds a randomized plan from uniform draws in `[0, 1)`: each draw
     /// either joins the lowest dormant spare (draw < `join_bias`) or
     /// retires the highest removable member. Slots that cannot move (no
@@ -98,12 +80,6 @@ impl ChurnPlan {
         &self.events
     }
 
-    /// Number of scheduled events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Whether the plan schedules nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -145,23 +121,6 @@ mod tests {
             "parsed seeds append, duplicates and garbage are dropped"
         );
         assert_eq!(extend_seeds(&[], Some("")), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn grow_then_shrink_orders_joins_first() {
-        let plan = ChurnPlan::grow_then_shrink(&[3, 4], &[0], 50_000);
-        let actions: Vec<ChurnAction> = plan.events().iter().map(|e| e.action).collect();
-        assert_eq!(
-            actions,
-            vec![
-                ChurnAction::Join(3),
-                ChurnAction::Join(4),
-                ChurnAction::Leave(0)
-            ]
-        );
-        assert!(plan.events().iter().all(|e| e.after_micros == 50_000));
-        assert_eq!(plan.len(), 3);
-        assert!(!plan.is_empty());
     }
 
     #[test]

@@ -200,10 +200,15 @@ if runs_lane storage; then
     # counts the records a GET leaves in its coordinator's log: a read
     # writes only what it changes, so a read of a key no replica holds,
     # or one every replica answers `RepGetSame`, must log nothing.
+    # `aae_oracle` is the AAE index's equivalence oracle: every write
+    # keeps the per-arc summaries above the engine current, and it
+    # audits them against a from-scratch rebuild after every step —
+    # a storage change that skips a leaf update fails here first.
     cargo test -p storage -- --nocapture
     cargo test -p kvstore --test recovery -- --nocapture
     cargo test -p runtime --test recovery -- --nocapture
     cargo test -p kvstore --test conditional_read -- --nocapture
+    cargo test -p kvstore --test aae_oracle -- --nocapture
 fi
 
 if runs_lane faults; then

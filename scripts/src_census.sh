@@ -41,6 +41,13 @@ for file in crates/kvstore/src/data.rs crates/storage/src/log.rs crates/storage/
     printf '  %-32s %6d\n' "$file" \
         "$(grep -cE '^ +(pub )?[a-z_][a-z0-9_]*: BTree(Map|Set)<Key\b' "$file" || true)"
 done
+# The AAE index is current after every write: nothing reconciles it
+# before a read. `DataStore` lives in kvstore, whose `src` defines no
+# other `flush`, so every `.flush()` there would be one of its callers.
+echo "AAE index (crates/*/src)"
+printf '  %-32s %6d\n' \
+    "DataStore::flush callers" \
+    "$({ grep -rhE '\.flush\(\)' crates/kvstore/src || true; } | wc -l)"
 echo "surfaces"
 printf '  %-32s %6d\n' \
     "Msg variants" "$(members crates/kvstore/src/messages.rs '^pub enum Msg<')" \
