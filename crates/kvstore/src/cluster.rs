@@ -761,8 +761,9 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// Crashes server `slot` **with its disk**: the hosted node is
     /// dropped on the spot — taking with it every in-memory structure
     /// *and* whatever its storage engine had buffered past the last
-    /// group sync, exactly like a real power cut — by the host's one
-    /// kill ([`Simulation::kill`], the threaded fleet's too): an inert
+    /// group it handed off to be synced, exactly like a real power cut
+    /// (a log's drop lets its writer finish that group) — by the host's
+    /// one kill ([`Simulation::kill`], the threaded fleet's too): an inert
     /// husk holds the slot, the node's timers and the messages it had
     /// queued to itself are gone, and nothing is dispatched into the
     /// slot until the restart. On top of that — harness decisions —

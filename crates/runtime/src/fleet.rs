@@ -54,8 +54,13 @@
 //! **A run's threads are its workers**, on every link. [`Fleet::run`]
 //! spawns one thread per server and one per non-empty client group, and
 //! nothing else — and neither does the socket link, whose accepting and
-//! reading happens on the workers. The thread that called `run` is the
-//! one supervisor: it declares a stall when the op counter sits still
+//! reading happens on the workers. The one other thread a fleet can own
+//! is a durable server's log writer: each `storage::LogEngine` spawns
+//! one at its first group hand-off, so a worker does not wait on each
+//! group's `fsync`, and joins it when the engine drops — at a `Kill`,
+//! or with the fleet (`cargo test -p runtime --test
+//! thread_census_durable`). The thread that called `run` is the one
+//! supervisor: it declares a stall when the op counter sits still
 //! for the stall budget, and decides when the run is over — parked in
 //! between, and unparked by the worker that sees a client session
 //! finish. Everything it knows about the live fleet it reads from
@@ -82,8 +87,9 @@
 //! socket link, whose numbers are at [`Link::SPIN`]. Which regime a run
 //! was in is [`FleetStats::idle`]: on the benchmark's read-modify-write
 //! shape `parks / ops_ok` reads 1.8 when every idle moment ends in a
-//! sleep, and 0.00 (in memory), 0.2 (a durable log under it) or 0.5
-//! (over sockets, 3.2 before their poll) now.
+//! sleep, and 0.00 (in memory), 0.01–0.02 (a durable log under it,
+//! 0.07–0.10 while each worker ran its own log's `fsync`) or 0.5 (over
+//! sockets, 3.2 before their poll) now.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
@@ -661,11 +667,13 @@ where
 /// worker awake — and an idle or thinking one pays one missed window
 /// per burst. Two smoother rules were measured and lost, and should not
 /// be tried again blind: an EWMA of the gaps against `SPIN / 2`, and
-/// "6 of the last 8 gaps ≤ `SPIN / 2`". Neither ever engages on
-/// `durable_rmw` — a server's 0.4 ms fsync starves its peers, their
-/// gaps grow past the threshold, and in the parked regime a hop is
-/// ~27 µs, so they never come back — and the second halves the
-/// `threaded_rmw` gain.
+/// "6 of the last 8 gaps ≤ `SPIN / 2`". Neither engaged on
+/// `durable_rmw` while each server ran its log's `fsync` (0.15–0.4 ms)
+/// on its own worker: that stall starved its peers, their gaps grew
+/// past the threshold, and in the parked regime a hop is ~27 µs, so
+/// they never came back. The fsync now runs on the log's writer thread,
+/// so nothing on a worker stalls that long — but the second rule also
+/// halves the `threaded_rmw` gain.
 #[derive(Debug)]
 struct SpinGate {
     spin_us: u64,

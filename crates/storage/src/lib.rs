@@ -14,8 +14,10 @@
 //!   codecs, every state held in memory (one map, each key's slot also
 //!   carrying its latest record's length, so reads never touch the
 //!   disk and no second index exists), batched group-sync with a
-//!   configurable durability interval, and size-triggered compaction
-//!   that rewrites live records and truncates the dead tail. Opening a
+//!   configurable durability interval — each group written and synced
+//!   by the log's own writer thread while the caller goes on appending —
+//!   and size-triggered compaction that rewrites live records and
+//!   truncates the dead tail. Opening a
 //!   log replays it (tolerating a torn final record) so a crashed
 //!   replica comes back with everything it had durably synced. The file
 //!   format is `doc/log_format.md`.

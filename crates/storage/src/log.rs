@@ -31,35 +31,51 @@
 //!
 //! ## Durability interval
 //!
-//! Appends buffer in user space and reach the file (with `sync_data`)
-//! as a group, every [`LogConfig::sync_every_records`] records or
-//! [`LogConfig::sync_every_bytes`] bytes, whichever comes first — so a
-//! crash genuinely loses the un-synced tail, which is exactly the
-//! durability/throughput trade the knob expresses. Replication is the
-//! recovery story for that tail: the protocol layer re-fetches it from
-//! peers via rejoin + anti-entropy.
+//! Appends buffer in user space. Every [`LogConfig::sync_every_records`]
+//! records or [`LogConfig::sync_every_bytes`] bytes, whichever comes
+//! first, the buffer is handed as one *group* to the log's writer thread
+//! (spawned at the first hand-off, joined when the engine drops), which
+//! writes it and `sync_data`s it while the appender goes on filling the
+//! next group. At most one group is in flight: an appender whose next
+//! group is due before the last one is durable waits for it. So a crash
+//! of the process loses the unsent tail plus at most the one group in
+//! flight — at most two groups — which is exactly the durability /
+//! throughput trade the knob expresses. Replication is the recovery
+//! story for that tail: the protocol layer re-fetches it from peers via
+//! rejoin + anti-entropy.
+//!
+//! Every call that needs the file to be current waits for the writer
+//! first: [`StorageEngine::store_reservation`] (its record is durable
+//! before it returns), [`StorageEngine::sync`], compaction,
+//! [`LogEngine::durable_bytes`] and `Drop`, which joins the writer — so
+//! dropping an engine (a node's kill) leaves the file holding every
+//! group handed off, and no buffered tail. A writer I/O error is not
+//! swallowed: the next call that appends or waits panics with it.
 //!
 //! ## Compaction
 //!
 //! Each key's slot in the working set carries the framed length of its
 //! latest record, and `live_bytes` (their sum) moves as records are
-//! appended. Garbage is judged only right after a group sync, when
-//! nothing is pending: then `live_bytes` is the file's latest-per-key
-//! records and `durable_bytes − live_bytes` (the rest of the file) is
-//! garbage, exactly. When the file exceeds
+//! appended. Garbage is judged only right after a group hand-off, when
+//! nothing is pending: then `live_bytes` is the latest-per-key records of
+//! the file as the writer will leave it, and `durable_bytes − live_bytes`
+//! (the rest of it) is garbage, exactly. When the file exceeds
 //! [`LogConfig::compact_min_bytes`] and the garbage fraction exceeds
-//! [`LogConfig::compact_garbage_ratio`], the engine writes the
-//! reservation and then every live key's put to a fresh file and
-//! atomically renames it over the log — rewriting the live set,
+//! [`LogConfig::compact_garbage_ratio`], the engine waits for the writer,
+//! then writes the reservation and every live key's put to a fresh file
+//! and atomically renames it over the log — rewriting the live set,
 //! truncating the dead tail. A file's *name* is directory data: the
 //! directory is synced after that rename, and — for a log `open`
-//! created — at its first group sync, before any record in it counts as
-//! durable, so a crash cannot lose either name.
+//! created — by the writer at its first group, before any record in it
+//! counts as durable, so a crash cannot lose either name.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::mem;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::{self, JoinHandle};
 
 use dvv::encode::{put_varint, Decoder, Encode};
 
@@ -73,10 +89,16 @@ const TAG_META: u8 = 4;
 
 /// Durability and compaction knobs for a [`LogEngine`].
 ///
+/// **Group cadence.** A group of records goes to the log's writer thread
+/// when it reaches either bound; the appender does not wait for the
+/// `fsync` unless the group before it is still in flight. A crash of the
+/// process loses the records not yet handed off plus at most the one
+/// group in flight (see the module docs for which calls wait).
+///
 /// **Reservation fsync cadence.** Dot-mint reservations
 /// ([`StorageEngine::store_reservation`]) deliberately ignore the
-/// group-sync interval: each one syncs immediately (flushing any
-/// buffered data records with it), because the caller is about to mint
+/// group-sync interval: each one is durable before the call returns
+/// (flushing any buffered data records with it), because the caller is about to mint
 /// dots up to the new ceiling and let them escape to peers — a
 /// reservation lost to a crash would defeat the epoch guard entirely.
 /// The store amortises that cost by reserving counter *headroom*
@@ -86,8 +108,9 @@ const TAG_META: u8 = 4;
 /// `storage.reserve_us` and `storage.reserve_calls` on `durable_rmw`).
 #[derive(Clone, Copy, Debug)]
 pub struct LogConfig {
-    /// Group-sync after this many buffered records (1 = write-through:
-    /// every append is durable before the call returns).
+    /// Hand a group to the writer after this many buffered records
+    /// (1 = write-through: every append is handed off at once, and the
+    /// next one waits until it is durable).
     pub sync_every_records: usize,
     /// ... or after this many buffered bytes, whichever comes first.
     pub sync_every_bytes: usize,
@@ -109,9 +132,11 @@ impl Default for LogConfig {
 }
 
 impl LogConfig {
-    /// Write-through configuration: every record is synced before its
-    /// mutation returns. The strongest durability the engine offers —
-    /// a crash loses nothing that was acknowledged.
+    /// Write-through configuration: every record is handed to the
+    /// writer as it is appended, and the next append waits until it is
+    /// durable. The strongest durability the engine offers — a crash of
+    /// the process loses at most the one record in flight, and dropping
+    /// the engine loses nothing.
     #[must_use]
     pub fn write_through() -> Self {
         LogConfig {
@@ -126,7 +151,7 @@ impl LogConfig {
 pub struct LogStats {
     /// Records appended (buffered) since open.
     pub appends: u64,
-    /// Group syncs performed.
+    /// Groups handed to the writer to write and sync.
     pub syncs: u64,
     /// Compactions performed.
     pub compactions: u64,
@@ -176,21 +201,171 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// One group on its way to the file.
+struct Group {
+    bytes: Vec<u8>,
+    file: Arc<File>,
+    /// The log's path while its name is not durable: the writer syncs
+    /// its directory after the group's data.
+    name_of: Option<PathBuf>,
+}
+
+/// The hand-off state between an engine and its writer thread.
+#[derive(Default)]
+struct Hand {
+    /// A group handed off and not yet taken up by the writer.
+    group: Option<Group>,
+    /// From a hand-off until the writer has written and synced it.
+    in_flight: bool,
+    /// The last group's buffer, emptied, for the engine to fill next.
+    spare: Vec<u8>,
+    /// Set by `Drop`: finish the group in flight, then exit.
+    closing: bool,
+}
+
+/// What an engine shares with its writer thread.
+#[derive(Default)]
+struct Shared {
+    hand: Mutex<Hand>,
+    /// Signalled on every hand-off, every finished group and the close.
+    turn: Condvar,
+    /// The first I/O error, as the panic message the engine raises.
+    failed: OnceLock<String>,
+}
+
+impl Shared {
+    /// A poisoned lock is still the hand-off state: whoever panicked
+    /// holding it left every field meaningful.
+    fn lock(&self) -> MutexGuard<'_, Hand> {
+        self.hand.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn wait<'a>(&self, hand: MutexGuard<'a, Hand>) -> MutexGuard<'a, Hand> {
+        self.turn.wait(hand).unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn check(&self) {
+        if let Some(msg) = self.failed.get() {
+            panic!("{msg}");
+        }
+    }
+}
+
+/// A log's writer thread, which writes and syncs one group at a time.
+struct Writer {
+    shared: Arc<Shared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Writer {
+    fn spawn() -> Self {
+        let shared = Arc::new(Shared::default());
+        let theirs = Arc::clone(&shared);
+        let thread = thread::Builder::new()
+            .name("log-writer".into())
+            .spawn(move || write_groups(&theirs))
+            .expect("spawn the log writer");
+        Writer {
+            shared,
+            thread: Some(thread),
+        }
+    }
+
+    /// Waits for the group in flight, then hands `group` over and
+    /// returns the buffer to fill next.
+    fn hand_off(&self, group: Group) -> Vec<u8> {
+        let mut hand = self.idle();
+        hand.group = Some(group);
+        hand.in_flight = true;
+        let spare = mem::take(&mut hand.spare);
+        drop(hand);
+        self.shared.turn.notify_all();
+        spare
+    }
+
+    /// Waits until no group is in flight, panicking with the writer's
+    /// error if one failed.
+    fn idle(&self) -> MutexGuard<'_, Hand> {
+        let mut hand = self.shared.lock();
+        while hand.in_flight {
+            hand = self.shared.wait(hand);
+        }
+        if let Some(msg) = self.shared.failed.get() {
+            // unlocked first, so `Drop` can still close the writer
+            drop(hand);
+            panic!("{msg}");
+        }
+        hand
+    }
+}
+
+impl Drop for Writer {
+    fn drop(&mut self) {
+        self.shared.lock().closing = true;
+        self.shared.turn.notify_all();
+        if let Some(thread) = self.thread.take() {
+            thread.join().ok();
+        }
+    }
+}
+
+/// The writer thread's loop: take a group, write and sync it (and the
+/// directory on the first), hand its buffer back, until closed.
+fn write_groups(shared: &Shared) {
+    let mut hand = shared.lock();
+    loop {
+        if let Some(Group {
+            mut bytes,
+            file,
+            name_of,
+        }) = hand.group.take()
+        {
+            drop(hand);
+            if let Err(msg) = write_group(&bytes, &file, name_of.as_deref()) {
+                shared.failed.set(msg).ok();
+            }
+            bytes.clear();
+            hand = shared.lock();
+            hand.spare = bytes;
+            hand.in_flight = false;
+            shared.turn.notify_all();
+        } else if hand.closing {
+            return;
+        } else {
+            hand = shared.wait(hand);
+        }
+    }
+}
+
+/// Appends one group to the file and makes it durable; the error is the
+/// message the engine panics with.
+fn write_group(bytes: &[u8], mut file: &File, name_of: Option<&Path>) -> Result<(), String> {
+    file.write_all(bytes)
+        .map_err(|e| format!("log append write: {e:?}"))?;
+    file.sync_data()
+        .map_err(|e| format!("log append sync: {e:?}"))?;
+    if let Some(path) = name_of {
+        sync_parent_dir(path).map_err(|e| format!("log directory sync: {e:?}"))?;
+    }
+    Ok(())
+}
+
 /// The append-only durable engine. See the module docs for the format
 /// and the durability/compaction model.
 pub struct LogEngine<S> {
     /// The working set: every live key's current state, always in sync
     /// with the durable log plus the pending buffer.
     map: Slots<Slot<S>>,
-    file: File,
+    /// Shared with the writer, which appends to it.
+    file: Arc<File>,
     path: PathBuf,
     cfg: LogConfig,
     codec: Codec<S>,
-    /// Framed records written but not yet synced; lost on crash.
+    /// Framed records not yet handed to the writer; lost on crash.
     pending: Vec<u8>,
     /// How many records `pending` holds.
     pending_records: usize,
-    /// Valid bytes in the file (everything synced).
+    /// Bytes in the file once the writer is idle: everything handed off.
     durable_bytes: u64,
     /// Bytes of latest-per-key records, buffered ones included: the
     /// file's live set whenever nothing is pending.
@@ -198,11 +373,13 @@ pub struct LogEngine<S> {
     /// Recovered/stored dot-mint reservation `(epoch, ceiling)`.
     reservation: Option<(u64, u64)>,
     /// Whether the file's name is durable in its directory. `open` that
-    /// creates the file leaves it `false`; the first group sync syncs the
-    /// directory before any record counts as durable.
+    /// creates the file leaves it `false`; the writer syncs the directory
+    /// after the first group's data, before any record counts as durable.
     name_durable: bool,
     stats: LogStats,
     scratch: Vec<u8>,
+    /// Spawned at the first hand-off; dropping it joins the thread.
+    writer: Option<Writer>,
 }
 
 impl<S> fmt::Debug for LogEngine<S> {
@@ -454,7 +631,7 @@ where
 
         Ok(LogEngine {
             map,
-            file,
+            file: Arc::new(file),
             path,
             cfg,
             codec,
@@ -466,6 +643,7 @@ where
             name_durable,
             stats,
             scratch: Vec::new(),
+            writer: None,
         })
     }
 
@@ -481,9 +659,11 @@ where
         self.stats
     }
 
-    /// Valid (synced) bytes in the log file.
+    /// Valid (synced) bytes in the log file. Waits for the group in
+    /// flight, so the file is this long when it returns.
     #[must_use]
     pub fn durable_bytes(&self) -> u64 {
+        self.wait_for_writer();
         self.durable_bytes
     }
 
@@ -494,16 +674,19 @@ where
         self.live_bytes
     }
 
-    /// Bytes buffered but not yet durable (lost if the process dies
-    /// before the next group sync).
+    /// Bytes buffered and not yet handed to the writer (lost if the
+    /// process dies or the engine drops before the next group).
     #[must_use]
     pub fn pending_bytes(&self) -> usize {
         self.pending.len()
     }
 
-    /// Buffers one framed record and group-syncs if the durability
-    /// interval is reached.
+    /// Buffers one framed record and hands the group to the writer if
+    /// the durability interval is reached.
     fn push_record(&mut self) {
+        if let Some(writer) = &self.writer {
+            writer.shared.check();
+        }
         self.stats.appends += 1;
         self.pending_records += 1;
         if self.pending_records >= self.cfg.sync_every_records
@@ -513,25 +696,33 @@ where
         }
     }
 
-    /// Writes + syncs the pending buffer, then compacts if the garbage
-    /// threshold is hit.
+    /// Hands the pending buffer to the writer — once the group before it
+    /// is durable — then compacts if the garbage threshold is hit.
     fn group_sync(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        self.file
-            .write_all(&self.pending)
-            .expect("log append write");
-        self.file.sync_data().expect("log append sync");
-        if !self.name_durable {
-            sync_parent_dir(&self.path).expect("log directory sync");
-            self.name_durable = true;
-        }
+        let group = Group {
+            bytes: mem::take(&mut self.pending),
+            file: Arc::clone(&self.file),
+            name_of: (!self.name_durable).then(|| self.path.clone()),
+        };
+        self.durable_bytes += group.bytes.len() as u64;
+        self.pending = self
+            .writer
+            .get_or_insert_with(Writer::spawn)
+            .hand_off(group);
+        self.name_durable = true;
         self.stats.syncs += 1;
-        self.durable_bytes += self.pending.len() as u64;
-        self.pending.clear();
         self.pending_records = 0;
         self.maybe_compact();
+    }
+
+    /// Returns once every group handed off is on disk.
+    fn wait_for_writer(&self) {
+        if let Some(writer) = &self.writer {
+            drop(writer.idle());
+        }
     }
 
     /// Rewrites the live records to a fresh file and renames it over
@@ -558,6 +749,8 @@ where
             let len = frame_record(&mut buf, TAG_PUT, key, Some(&self.scratch));
             debug_assert_eq!(len, slot.len, "a live slot measures its latest record");
         }
+        // the rename must not overtake the group in flight
+        self.wait_for_writer();
         let tmp = self.path.with_extension("compact");
         let write = (|| -> io::Result<File> {
             let mut f = OpenOptions::new()
@@ -573,7 +766,7 @@ where
             f.seek(SeekFrom::End(0))?;
             Ok(f)
         })();
-        self.file = write.expect("log compaction rewrite");
+        self.file = Arc::new(write.expect("log compaction rewrite"));
         self.durable_bytes = buf.len() as u64;
         // the whole rewritten file counts as live, its reservation too
         self.live_bytes = self.durable_bytes;
@@ -645,6 +838,7 @@ where
 
     fn sync(&mut self) {
         self.group_sync();
+        self.wait_for_writer();
     }
 
     fn load_reservation(&self) -> Option<(u64, u64)> {
@@ -660,8 +854,8 @@ where
         // Reservations ignore the group-sync cadence: they must be
         // durable before the caller mints into the reserved range (see
         // the `LogConfig` docs). Any buffered data records ride along;
-        // if the cadence already synced them, this is a no-op.
-        self.group_sync();
+        // if the cadence already handed them off, this only waits.
+        self.sync();
     }
 
     fn kind(&self) -> &'static str {
@@ -762,6 +956,65 @@ mod tests {
         let back: LogEngine<u64> = LogEngine::open(&path, cfg).unwrap();
         assert_eq!(back.len(), 13);
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_reservation_is_in_the_file_when_store_reservation_returns() {
+        let dir = scratch_dir("resv-copy");
+        let path = dir.join("store.log");
+        let cfg = LogConfig {
+            sync_every_records: 4,
+            ..LogConfig::default()
+        };
+        let mut log: LogEngine<u64> = LogEngine::open(&path, cfg).unwrap();
+        // two groups handed off, one record still buffered
+        for i in 0..9u64 {
+            log.apply(&[i as u8], &mut || 0, &mut |s| *s = i);
+        }
+        log.store_reservation(3, 777);
+        // no sync(): the file as it stands, opened by a second engine
+        let copy = dir.join("copy.log");
+        std::fs::copy(&path, &copy).unwrap();
+        let other: LogEngine<u64> = LogEngine::open(&copy, cfg).unwrap();
+        assert_eq!(other.load_reservation(), Some((3, 777)));
+        assert_eq!(other.len(), 9, "buffered data rode along");
+        drop(log);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn drop_keeps_every_group_handed_off() {
+        let dir = scratch_dir("handed-off");
+        let path = dir.join("store.log");
+        let cfg = LogConfig {
+            sync_every_records: 2,
+            ..LogConfig::default()
+        };
+        let mut log: LogEngine<u64> = LogEngine::open(&path, cfg).unwrap();
+        for i in 0..501u64 {
+            log.apply(&i.to_be_bytes(), &mut || 0, &mut |s| *s = i);
+        }
+        assert_eq!(log.stats().syncs, 250, "every second record hands off");
+        drop(log); // no sync(): the last group may still be in flight
+        let back: LogEngine<u64> = LogEngine::open(&path, cfg).unwrap();
+        assert_eq!(back.len(), 500);
+        for i in 0..500u64 {
+            assert_eq!(back.get(&i.to_be_bytes()), Some(&i));
+        }
+        assert_eq!(back.get(&500u64.to_be_bytes()), None, "the unsent tail");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "log append write")]
+    fn a_writer_error_panics_the_next_call() {
+        let dir = scratch_dir("writer-error");
+        let path = dir.join("store.log");
+        let mut log: LogEngine<u64> = LogEngine::open(&path, LogConfig::write_through()).unwrap();
+        // a read-only handle: the writer's next append fails
+        log.file = Arc::new(File::open(&path).unwrap());
+        log.apply(b"a", &mut || 0, &mut |s| *s = 1);
+        log.sync();
     }
 
     #[test]

@@ -126,7 +126,8 @@ if runs_lane runtime; then
     # cut at the next due timer); `idle` bounds what that poll costs a
     # quiet or thinking fleet, on the fleet's own counters;
     # `thread_census` counts a run's threads
-    # (its workers, nothing else); `conformance` runs the same seeded
+    # (its workers, nothing else), `thread_census_durable` a durable
+    # run's (plus one log writer per server); `conformance` runs the same seeded
     # workload on both drivers and requires AAE-equivalent,
     # oracle-clean end states.
     cargo test -p simnet --test timer_order -- --nocapture
@@ -134,6 +135,9 @@ if runs_lane runtime; then
     cargo test -p runtime --test link_loop -- --nocapture
     cargo test -p runtime --test idle -- --nocapture
     cargo test -p runtime --test thread_census -- --nocapture
+    # A log writer that outlives its engine, or a second one per log,
+    # shows only in a durable run's thread count.
+    cargo test -p runtime --test thread_census_durable -- --nocapture
     cargo test -p runtime --test conformance -- --nocapture
 fi
 
@@ -271,6 +275,12 @@ if runs_lane soak; then
         NET_FAULTS=hostile cargo test -p kvstore --test overlap -- --nocapture
         NET_FAULTS=hostile cargo test -p runtime --test conformance -- --nocapture
     '
+    # The log round-trip properties at soak breadth, named on their own:
+    # every group the compaction property syncs goes through the log
+    # writer's hand-off and is waited for, so a writer that reorders,
+    # drops or half-writes a group fails here first.
+    PROPTEST_CASES="${SOAK_PROPTEST_CASES:-1024}" \
+        cargo test -p storage --test log_roundtrip -- --nocapture
     # cross-backend conformance at soak breadth: several seeds so rare
     # thread interleavings get real coverage
     RUNTIME_CONFORMANCE_SEEDS="${RUNTIME_CONFORMANCE_SEEDS:-8}" \
