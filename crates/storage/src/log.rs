@@ -98,10 +98,10 @@ const TAG_META: u8 = 4;
 /// **Reservation fsync cadence.** Dot-mint reservations
 /// ([`StorageEngine::store_reservation`]) deliberately ignore the
 /// group-sync interval: each one is durable before the call returns
-/// (flushing any buffered data records with it), because the caller is about to mint
-/// dots up to the new ceiling and let them escape to peers — a
-/// reservation lost to a crash would defeat the epoch guard entirely.
-/// The store amortises that cost by reserving counter *headroom*
+/// (flushing any buffered data records with it), because the caller is
+/// about to mint dots up to the new ceiling and let them escape to
+/// peers — a reservation lost to a crash would defeat the epoch guard
+/// entirely. The store amortises that cost by reserving counter *headroom*
 /// (`kvstore::node::DOT_HEADROOM` upstream), so one reservation fsync
 /// covers many mints and the group-sync write path stays within a few
 /// percent of its unguarded cost (the repo benchmark reports it as
@@ -217,8 +217,6 @@ struct Hand {
     group: Option<Group>,
     /// From a hand-off until the writer has written and synced it.
     in_flight: bool,
-    /// The last group's buffer, emptied, for the engine to fill next.
-    spare: Vec<u8>,
     /// Set by `Drop`: finish the group in flight, then exit.
     closing: bool,
 }
@@ -271,16 +269,13 @@ impl Writer {
         }
     }
 
-    /// Waits for the group in flight, then hands `group` over and
-    /// returns the buffer to fill next.
-    fn hand_off(&self, group: Group) -> Vec<u8> {
+    /// Waits for the group in flight, then hands `group` over.
+    fn hand_off(&self, group: Group) {
         let mut hand = self.idle();
         hand.group = Some(group);
         hand.in_flight = true;
-        let spare = mem::take(&mut hand.spare);
         drop(hand);
         self.shared.turn.notify_all();
-        spare
     }
 
     /// Waits until no group is in flight, panicking with the writer's
@@ -310,23 +305,16 @@ impl Drop for Writer {
 }
 
 /// The writer thread's loop: take a group, write and sync it (and the
-/// directory on the first), hand its buffer back, until closed.
+/// directory on the first), until closed.
 fn write_groups(shared: &Shared) {
     let mut hand = shared.lock();
     loop {
-        if let Some(Group {
-            mut bytes,
-            file,
-            name_of,
-        }) = hand.group.take()
-        {
+        if let Some(group) = hand.group.take() {
             drop(hand);
-            if let Err(msg) = write_group(&bytes, &file, name_of.as_deref()) {
+            if let Err(msg) = write_group(&group) {
                 shared.failed.set(msg).ok();
             }
-            bytes.clear();
             hand = shared.lock();
-            hand.spare = bytes;
             hand.in_flight = false;
             shared.turn.notify_all();
         } else if hand.closing {
@@ -339,12 +327,13 @@ fn write_groups(shared: &Shared) {
 
 /// Appends one group to the file and makes it durable; the error is the
 /// message the engine panics with.
-fn write_group(bytes: &[u8], mut file: &File, name_of: Option<&Path>) -> Result<(), String> {
-    file.write_all(bytes)
+fn write_group(group: &Group) -> Result<(), String> {
+    let mut file = &*group.file;
+    file.write_all(&group.bytes)
         .map_err(|e| format!("log append write: {e:?}"))?;
     file.sync_data()
         .map_err(|e| format!("log append sync: {e:?}"))?;
-    if let Some(path) = name_of {
+    if let Some(path) = &group.name_of {
         sync_parent_dir(path).map_err(|e| format!("log directory sync: {e:?}"))?;
     }
     Ok(())
@@ -702,14 +691,14 @@ where
         if self.pending.is_empty() {
             return;
         }
+        let next = Vec::with_capacity(self.pending.len());
         let group = Group {
-            bytes: mem::take(&mut self.pending),
+            bytes: mem::replace(&mut self.pending, next),
             file: Arc::clone(&self.file),
             name_of: (!self.name_durable).then(|| self.path.clone()),
         };
         self.durable_bytes += group.bytes.len() as u64;
-        self.pending = self
-            .writer
+        self.writer
             .get_or_insert_with(Writer::spawn)
             .hand_off(group);
         self.name_durable = true;
