@@ -3,7 +3,7 @@
 //! and elastic membership (live join/leave with key-range transfer,
 //! disseminated by epidemic ring-view gossip).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use dvv::mechanisms::{Mechanism, WriteOrigin};
 use dvv::{ClientId, ReplicaId};
@@ -15,7 +15,7 @@ use crate::ctx::{Ctx, Timer};
 use crate::data::DataStore;
 use crate::merkle::{fingerprint, MerkleSummary};
 use crate::messages::{Msg, MsgClass, ReqId, WireStats};
-use crate::value::{Key, StampedValue};
+use crate::value::{Key, StampedValue, WriteId};
 
 /// Period of the push timer while anything is owed, and how long a
 /// [`MsgClass::Transfer`] push stays in flight before it is sent again
@@ -29,21 +29,6 @@ const _: () = assert!(
     DOT_HEADROOM > 0,
     "the dot guard needs positive counter headroom"
 );
-
-/// Dedupe window per donor, in *keys* (not transfer ids): batching makes
-/// ids coarser, so an id-count window would shrink the covered key
-/// horizon by the batch factor.
-const TRANSFER_DEDUPE_KEYS: usize = 4096;
-
-/// How many recently coordinated or relayed write request ids a node
-/// remembers ([`StoreNode::note_write_seen`]). Minting is not idempotent
-/// — a re-coordinated request would get a *fresh* dot, resurrecting an
-/// already-superseded value as a sibling — so a duplicated or
-/// stale-replayed `ClientPut`, or a relayed one that comes back, must be
-/// recognised and ignored. Client retries always carry a fresh request
-/// id, so a repeat within this window is the network's doing or a relay
-/// loop's.
-const WRITE_DEDUPE_REQS: usize = 256;
 
 /// Counters a server maintains for reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -73,15 +58,15 @@ pub struct NodeStats {
     /// Range-transfer batches actually sent, retries included (join
     /// donations, leave drains, and residual-copy retirement).
     pub transfers_out: u64,
-    /// Distinct range-transfer batches received and merged (duplicate
-    /// deliveries of a retried batch are deduplicated by push id).
+    /// Range-transfer batches received and merged, duplicate deliveries
+    /// of a retried batch included (merging one again changes nothing).
     pub transfers_in: u64,
     /// Ring-view gossip rounds initiated (periodic digests and eager
     /// pushes after adopting a new view).
     pub gossip_rounds: u64,
-    /// Duplicated or stale-replayed write coordinations ignored by the
-    /// request-id dedupe window (each would otherwise have minted a
-    /// spurious fresh dot).
+    /// Client writes refused because their client's write mark already
+    /// covers them: a duplicate, a stale replay or a relay that came back
+    /// (each would otherwise have minted a spurious fresh dot).
     pub dup_writes_ignored: u64,
 }
 
@@ -157,16 +142,6 @@ struct Owed {
     flight: Option<(SimTime, u64, u64)>,
 }
 
-/// Per-donor record of recently merged transfer batches, bounded by the
-/// number of keys the remembered batches covered.
-#[derive(Debug, Default)]
-struct TransferWindow {
-    /// push id → keys in the batch when it was first merged
-    seen: BTreeMap<u64, usize>,
-    /// total keys across `seen`
-    keys: usize,
-}
-
 /// A replica server process.
 ///
 /// Node `i` of the simulation hosts replica `ReplicaId(i)`; clients live
@@ -222,13 +197,17 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
     /// ([`Self::shared_summary_root`]). Re-partitioned on view changes.
     data: DataStore<M::State>,
     /// Copies owed to peers, by `(target, key)`. The state itself lives
-    /// in `data`; this records the obligation.
+    /// in `data`; this records the obligation. A crash forgets it: the
+    /// revived node's re-admission rebuilds it over the keys its log
+    /// replayed ([`Self::queue_rebalance`]).
     owed: BTreeMap<(ReplicaId, Key), Owed>,
     /// Next push id: drawn from the node's RNG at this incarnation's
     /// first tracked push — not restarted at 0, so an ack meant for an
     /// earlier incarnation matches nothing — and lazily, so a node that
     /// never owes anything draws nothing.
     next_push: Option<u64>,
+    /// Requests in flight, coordinated or relayed. A crash forgets them:
+    /// each client's request timeout covers the reply that never comes.
     pending: BTreeMap<ReqId, Pending<M>>,
     /// Whether the anti-entropy and gossip timers run: armed at start or
     /// at the (re-)admission that wakes the node, each re-arms itself.
@@ -241,29 +220,28 @@ pub struct StoreNode<M: Mechanism<StampedValue>> {
     active: bool,
     /// Whether this node is draining its ranges prior to leaving.
     leaving: bool,
-    /// Recently merged transfer batches, per donor — dedupes the receipt
-    /// counter when a retried batch is delivered more than once. Ids are
-    /// monotone per donor incarnation, so each window is pruned to a
-    /// recent span of keys rather than growing forever.
-    transfers_seen: BTreeMap<NodeId, TransferWindow>,
     stats: NodeStats,
     /// Per-class bytes/messages this node has put on the wire.
     wire: WireStats,
     /// Dot-reuse epoch guard — this incarnation's number (bumped on
-    /// every crash recovery and durably recorded with the reservation).
+    /// every crash recovery and durably recorded with the reservation):
+    /// survives a crash.
     dot_epoch: u64,
     /// Highest dot counter this node has durably reserved: minting past
     /// it fsyncs a new reservation (with headroom) first, so no dot that
-    /// escaped to a peer can outlive what the log knows about.
+    /// escaped to a peer can outlive what the log knows about. Survives a
+    /// crash.
     dot_ceiling: u64,
     /// Mint floor: non-zero only after a crash recovery, where it is the
     /// recovered ceiling — every subsequent mint is strictly above it,
     /// making the lost unsynced tail's dots unreachable.
     dot_floor: u64,
-    /// Recently coordinated write request ids, with FIFO eviction order
-    /// (see [`WRITE_DEDUPE_REQS`]).
-    writes_seen: BTreeSet<ReqId>,
-    writes_seen_order: VecDeque<ReqId>,
+    /// Per client, the highest [`WriteId::seq`] this node has coordinated
+    /// or relayed ([`Self::note_write`]). Volatile: a crash forgets it,
+    /// so a pre-crash `ClientPut` the network replays into the revived
+    /// node is coordinated again — the open at-most-once-across-a-crash
+    /// hole.
+    write_marks: BTreeMap<ClientId, u64>,
 }
 
 impl<M: Mechanism<StampedValue>> StoreNode<M> {
@@ -321,14 +299,12 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             push_armed: false,
             active: true,
             leaving: false,
-            transfers_seen: BTreeMap::new(),
             stats: NodeStats::default(),
             wire: WireStats::default(),
             dot_epoch: 0,
             dot_ceiling: 0,
             dot_floor: 0,
-            writes_seen: BTreeSet::new(),
-            writes_seen_order: VecDeque::new(),
+            write_marks: BTreeMap::new(),
         };
         if node.config.dot_guard {
             if let Some((epoch, ceiling)) = node.data.load_reservation() {
@@ -397,21 +373,22 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         (self.dot_epoch, self.dot_ceiling, self.dot_floor)
     }
 
-    /// Records `req` as a coordinated write; returns `false` when it
-    /// was already seen within the dedupe window — the frame is a
-    /// network-injected duplicate or stale replay and must be ignored,
-    /// never re-minted (client retries always carry a fresh id).
-    fn note_write_seen(&mut self, req: ReqId) -> bool {
-        if !self.writes_seen.insert(req) {
+    /// Raises `id`'s client mark to `id.seq`; returns `false`, counting a
+    /// refusal, when the mark already covers it. Minting is not
+    /// idempotent — a write coordinated again would get a *fresh* dot,
+    /// resurrecting a superseded value as a sibling — so each client
+    /// write is coordinated or relayed at most once, in increasing order.
+    /// The mark is exact: a client numbers its writes with one counter,
+    /// has one request in flight and stamps a retry with a fresh id, so a
+    /// write at or below its mark is a duplicate, a stale replay or a
+    /// relay that came back.
+    fn note_write(&mut self, id: WriteId) -> bool {
+        let mark = self.write_marks.entry(id.client).or_default();
+        if id.seq <= *mark {
             self.stats.dup_writes_ignored += 1;
             return false;
         }
-        self.writes_seen_order.push_back(req);
-        if self.writes_seen_order.len() > WRITE_DEDUPE_REQS {
-            if let Some(old) = self.writes_seen_order.pop_front() {
-                self.writes_seen.remove(&old);
-            }
-        }
+        *mark = id.seq;
         true
     }
 
@@ -1056,8 +1033,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// What coordinating a read and a write start with: realign views
-    /// with the client, find the key's active replicas (refusing the
-    /// request when there are none) and arm the timeout. Returns the
+    /// with the client, refuse a write its client's mark covers
+    /// ([`Self::note_write`]), find the key's active replicas (refusing
+    /// the request when there are none) and arm the timeout. `write` is
+    /// the id of the value a PUT carries, `None` for a GET. Returns the
     /// active set and its sloppy-quorum substitutions — or `None` when
     /// the request goes no further.
     fn begin_request(
@@ -1067,16 +1046,13 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         req: ReqId,
         key: &[u8],
         digest: u64,
-        read: bool,
+        write: Option<WriteId>,
     ) -> Option<(Vec<ReplicaId>, Subs)> {
         self.note_peer_digest(ctx, from, digest);
-        // a write is coordinated once per request id: a client's retry
-        // carries a fresh one and is a new write, so a repeat is the
-        // network's doing and must not mint again
-        if !read && !self.note_write_seen(req) {
+        if write.is_some_and(|id| !self.note_write(id)) {
             return None;
         }
-        // nor is a request coordinated twice at once: a network copy
+        // nor is any request coordinated twice at once: a network copy
         // arriving while the first is in flight would fan out again and
         // reply twice
         if self.pending.contains_key(&req) {
@@ -1084,7 +1060,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         }
         let (active, subs) = self.active_replicas(key);
         if active.is_empty() {
-            self.reply(ctx, from, req, read, None);
+            self.reply(ctx, from, req, write.is_none(), None);
             return None;
         }
         ctx.set_timer(self.config.request_timeout, Timer::Request(req));
@@ -1140,7 +1116,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         key: Key,
         digest: u64,
     ) {
-        let Some((active, subs)) = self.begin_request(ctx, from, req, &key, digest, true) else {
+        let Some((active, subs)) = self.begin_request(ctx, from, req, &key, digest, None) else {
             return;
         };
         if !active.contains(&self.replica) {
@@ -1304,7 +1280,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         put_ctx: M::Context,
         digest: u64,
     ) {
-        let Some((active, subs)) = self.begin_request(ctx, from, req, &key, digest, false) else {
+        let write = Some(value.id);
+        let Some((active, subs)) = self.begin_request(ctx, from, req, &key, digest, write) else {
             return;
         };
         if !active.contains(&self.replica) {
@@ -1318,8 +1295,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
             };
             return self.relay(ctx, from, active[0], put);
         }
-        let client = ClientId(value.id.client.0);
-        let origin = WriteOrigin::new(self.replica, client);
+        let origin = WriteOrigin::new(self.replica, value.id.client);
         let state = self.mint_write(&key, origin, &put_ctx, value);
         // a coordinator standing in for a down owner holds its copy
         // under a hint obligation, like any other fallback
@@ -1591,23 +1567,8 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
                 entries,
                 hint,
             } => {
-                if let (MsgClass::Transfer, Some(id)) = (class, id) {
-                    let window = self.transfers_seen.entry(from).or_default();
-                    if let std::collections::btree_map::Entry::Vacant(e) = window.seen.entry(id) {
-                        e.insert(entries.len());
-                        self.stats.transfers_in += 1;
-                        window.keys += entries.len();
-                        // ids are monotone per donor: only a recent window can
-                        // still be in flight, so bound the dedupe memory — by
-                        // keys covered, not id count, since batch sizes vary
-                        // (a duplicate older than the window would merely
-                        // double-count a statistic, never corrupt state)
-                        while window.keys > TRANSFER_DEDUPE_KEYS && window.seen.len() > 8 {
-                            if let Some((_, n)) = window.seen.pop_first() {
-                                window.keys -= n;
-                            }
-                        }
-                    }
+                if class == MsgClass::Transfer && id.is_some() {
+                    self.stats.transfers_in += 1;
                 }
                 self.absorb(entries, hint);
                 if let Some(id) = id {

@@ -877,6 +877,77 @@ fn a_relay_that_comes_back_is_dropped_and_the_client_hears_once() {
     }
 }
 
+/// Write `seq` of client 5's session to `key`, on top of `ctx`, as it
+/// reaches `to` under request id `req` (under `to`'s own view digest).
+fn client_put(to: &Server, req: u64, key: &Key, seq: u64, ctx: Ctx) -> Msg<M> {
+    Msg::ClientPut {
+        req,
+        key: key.clone(),
+        value: StampedValue::new(WriteId::new(ClientId(5), seq), b"put".to_vec()),
+        ctx,
+        digest: to.node().view_digest(),
+    }
+}
+
+/// A client write is coordinated at most once however late a copy of it
+/// comes: one the network replays after 256 later writes of its client —
+/// more than a window of recent request ids remembers — is refused, with
+/// no new dot and no new log record.
+#[test]
+fn a_write_replayed_after_256_later_ones_is_refused() {
+    let (key, [a, b, c], _) = placement();
+    let mut log = Logged::new(a, &key, None);
+    let put = |coord: &Server, seq: u64| {
+        let (_, ctx) = DvvMechanism.read(&coord.stored(&key));
+        client_put(coord, REQ + seq, &key, seq, ctx)
+    };
+    // coordinated, acked by both other owners, retired
+    let write = |coord: &mut Server, put: Msg<M>, req: u64| {
+        coord.deliver(CLIENT, put);
+        for peer in [b, c] {
+            coord.deliver(NodeId(peer.0), Msg::RepPutAck { req });
+        }
+    };
+    let first = put(&log.coord, 1);
+    write(&mut log.coord, first.clone(), REQ + 1);
+    for seq in 2..=257 {
+        let later = put(&log.coord, seq);
+        write(&mut log.coord, later, REQ + seq);
+    }
+    assert!(log.coord.armed().is_empty(), "every write retired");
+    let (stored, records) = (log.coord.stored(&key), log.records(&key).len());
+    assert_eq!(records, 257);
+
+    assert!(
+        log.coord.deliver(CLIENT, first).is_empty(),
+        "the replay sends nothing"
+    );
+    assert_eq!(log.coord.stored(&key), stored, "no new dot");
+    assert_eq!(log.records(&key).len(), records, "no new record");
+    let stats = log.coord.node().stats();
+    assert_eq!((stats.puts_ok, stats.dup_writes_ignored), (257, 1));
+}
+
+/// A client numbers its writes with one counter and has one request in
+/// flight, so its write 1 arriving after its write 2 is a stale copy:
+/// refused, not coordinated.
+#[test]
+fn a_client_write_older_than_one_coordinated_is_refused() {
+    let (key, [a, ..], _) = placement();
+    let mut coord = Server::new(a);
+    let [older, newer] = [1, 2].map(|seq| client_put(&coord, REQ + seq, &key, seq, Ctx::default()));
+    assert_eq!(coord.deliver(CLIENT, newer).len(), 2, "write 2 fans out");
+    let stored = coord.stored(&key);
+
+    assert!(
+        coord.deliver(CLIENT, older).is_empty(),
+        "write 1 sends nothing"
+    );
+    assert_eq!(coord.stored(&key), stored, "and mints nothing");
+    assert_eq!(coord.armed(), [Timer::Request(REQ + 2)], "nor arms a timer");
+    assert_eq!(coord.node().stats().dup_writes_ignored, 1);
+}
+
 /// A client reply that reaches a server which relayed nothing under its
 /// id is dropped: the server sends nothing and changes nothing — also
 /// while it coordinates a request of that id itself.

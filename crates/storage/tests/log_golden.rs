@@ -10,7 +10,8 @@ use storage::{LogConfig, LogEngine, StorageEngine};
 
 /// The file `script` leaves: put `key` = 1, overwrite it with 300,
 /// remove it, reserve dots up to 4096 in epoch 1, clear — one record
-/// each, every one synced before its call returns.
+/// each, every one handed to the writer as its own group when its call
+/// returns, and synced before the next call goes on.
 const GOLDEN: &str = concat!(
     "0601036b6579014f59d80c017f2cd807",
     "01036b6579ac027e74dad1c891df2905",

@@ -68,7 +68,7 @@ fn main() {
     assert!(settled, "overlapping join + leave must settle");
     let joiner = cluster.server(3);
     println!(
-        "  joiner s3: transfers_in={} keys={} status={:?}",
+        "  joiner s3: transfer_deliveries={} keys={} status={:?}",
         joiner.stats().transfers_in,
         joiner.data().len(),
         cluster.view().status(&ReplicaId(3))

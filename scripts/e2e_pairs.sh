@@ -18,6 +18,8 @@
 # target/pairs/ (git-ignored): the parent's sources (a `git archive` of
 # the revision — nothing is registered in .git), both target
 # directories, and runs/{parent,change}.jsonl, which are started afresh.
+# The parent's target directory records the commit it was built for and
+# is rebuilt from scratch for any other.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -52,8 +54,16 @@ mkdir -p "$out/parent-src" "$out/runs"
 git archive "$commit" | tar -x -C "$out/parent-src"
 
 echo "[pairs] parent $commit, change: working tree of $(git rev-parse --short HEAD)"
+# `git archive` stamps every file with the commit's time, so cargo can
+# take an older parent's sources for fresh and keep the last revision's
+# binary: a target directory built for another commit starts over.
+stamp="$out/parent-target/commit"
+if [ "$(cat "$stamp" 2>/dev/null)" != "$commit" ]; then
+    rm -rf "$out/parent-target"
+fi
 CARGO_TARGET_DIR="$out/parent-target" \
     cargo build --release --quiet --manifest-path "$out/parent-src/perfbench/Cargo.toml"
+echo "$commit" >"$stamp"
 CARGO_TARGET_DIR="$out/change-target" \
     cargo build --release --quiet --manifest-path "$root/perfbench/Cargo.toml"
 

@@ -113,6 +113,13 @@ echo "coordination surface"
 printf '  %-32s %6d\n' \
     "RepWrite lines (crates/*/src)" "$(src_count 'RepWrite')" \
     "Pending fields (node.rs)" "$(members crates/kvstore/src/node.rs '^struct Pending<')"
+# Each client's writes are coordinated at most once by one exact
+# per-client mark (`StoreNode::write_marks`), so no bounded window of
+# recent ids — a FIFO queue and its size — should come back beside it.
+echo "node dedupe state (node.rs)"
+printf '  %-32s %6d\n' \
+    "VecDeque fields" "$(grep -cE '^ +[a-z_][a-z0-9_]*: VecDeque<' crates/kvstore/src/node.rs || true)" \
+    "_DEDUPE_ consts" "$(grep -cE '^ *(pub )?const [A-Z_]*_DEDUPE_' crates/kvstore/src/node.rs || true)"
 # The fault plane: how many times each of its pieces is written.
 # Environment variables the crates themselves read: each one is a switch
 # a run can flip without a code change.
