@@ -33,24 +33,25 @@
 //!
 //! Appends buffer in user space. Every [`LogConfig::sync_every_records`]
 //! records or [`LogConfig::sync_every_bytes`] bytes, whichever comes
-//! first, the buffer is handed as one *group* to the log's writer thread
-//! (spawned at the first hand-off, joined when the engine drops), which
-//! writes it and `sync_data`s it while the appender goes on filling the
-//! next group. At most one group is in flight: an appender whose next
-//! group is due before the last one is durable waits for it. So a crash
-//! of the process loses the unsent tail plus at most the one group in
-//! flight — at most two groups — which is exactly the durability /
-//! throughput trade the knob expresses. Replication is the recovery
-//! story for that tail: the protocol layer re-fetches it from peers via
-//! rejoin + anti-entropy.
+//! first, the buffer is handed as one *group* to the log's writer thread,
+//! which writes it and `sync_data`s it while the appender goes on filling
+//! the next group. After [`LogEngine::open`] the writer is the only thread
+//! that touches the file: the first hand-off spawns it and moves the file
+//! to it. At most one job is in flight: an appender whose next group is
+//! due before the last job is done waits for it. So a crash of the process
+//! loses the unsent tail plus at most the one group in flight — at most
+//! two groups — which is exactly the durability / throughput trade the
+//! knob expresses. Replication is the recovery story for that tail: the
+//! protocol layer re-fetches it from peers via rejoin + anti-entropy.
 //!
 //! Every call that needs the file to be current waits for the writer
 //! first: [`StorageEngine::store_reservation`] (its record is durable
-//! before it returns), [`StorageEngine::sync`], compaction,
-//! [`LogEngine::durable_bytes`] and `Drop`, which joins the writer — so
-//! dropping an engine (a node's kill) leaves the file holding every
-//! group handed off, and no buffered tail. A writer I/O error is not
-//! swallowed: the next call that appends or waits panics with it.
+//! before it returns), [`StorageEngine::sync`],
+//! [`LogEngine::durable_bytes`] and `Drop`, which closes the job channel
+//! and joins the writer once its job is done — so dropping an engine (a
+//! node's kill) leaves the file holding every job handed off, and no
+//! buffered tail. A writer I/O error is not swallowed: the writer stops,
+//! and the next call that appends or waits panics with it.
 //!
 //! ## Compaction
 //!
@@ -61,20 +62,24 @@
 //! the file as the writer will leave it, and `durable_bytes − live_bytes`
 //! (the rest of it) is garbage, exactly. When the file exceeds
 //! [`LogConfig::compact_min_bytes`] and the garbage fraction exceeds
-//! [`LogConfig::compact_garbage_ratio`], the engine waits for the writer,
-//! then writes the reservation and every live key's put to a fresh file
-//! and atomically renames it over the log — rewriting the live set,
+//! [`LogConfig::COMPACT_GARBAGE_RATIO`], the engine hands the writer the
+//! reservation and every live key's put as its next job, a *rewrite*: the
+//! writer writes them to `<log>.compact`, syncs it, atomically renames it
+//! over the log and appends later groups to it — rewriting the live set,
 //! truncating the dead tail. A file's *name* is directory data: the
-//! directory is synced after that rename, and — for a log `open`
-//! created — by the writer at its first group, before any record in it
-//! counts as durable, so a crash cannot lose either name.
+//! writer syncs the directory after that rename, and — for a log `open`
+//! created — after its first group's data, before any record in it counts
+//! as durable, so a crash cannot lose either name. `open` never reads a
+//! `<log>.compact` that a crash mid-rewrite left; the next rewrite
+//! truncates it.
 
+use std::cell::Cell;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::mem;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::thread::{self, JoinHandle};
 
 use dvv::encode::{put_varint, Decoder, Encode};
@@ -116,8 +121,6 @@ pub struct LogConfig {
     pub sync_every_bytes: usize,
     /// Never compact while the file is smaller than this.
     pub compact_min_bytes: u64,
-    /// Compact when `(durable - live) / durable` exceeds this fraction.
-    pub compact_garbage_ratio: f64,
 }
 
 impl Default for LogConfig {
@@ -126,12 +129,15 @@ impl Default for LogConfig {
             sync_every_records: 64,
             sync_every_bytes: 64 * 1024,
             compact_min_bytes: 256 * 1024,
-            compact_garbage_ratio: 0.5,
         }
     }
 }
 
 impl LogConfig {
+    /// Compact when `(durable - live) / durable` exceeds this fraction
+    /// (and the file is at least [`LogConfig::compact_min_bytes`] long).
+    pub const COMPACT_GARBAGE_RATIO: f64 = 0.5;
+
     /// Write-through configuration: every record is handed to the
     /// writer as it is appended, and the next append waits until it is
     /// durable. The strongest durability the engine offers — a crash of
@@ -153,7 +159,7 @@ pub struct LogStats {
     pub appends: u64,
     /// Groups handed to the writer to write and sync.
     pub syncs: u64,
-    /// Compactions performed.
+    /// Rewrites handed to the writer.
     pub compactions: u64,
     /// Valid records replayed at open.
     pub replayed_records: u64,
@@ -201,142 +207,135 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// One group on its way to the file.
-struct Group {
-    bytes: Vec<u8>,
-    file: Arc<File>,
-    /// The log's path while its name is not durable: the writer syncs
-    /// its directory after the group's data.
-    name_of: Option<PathBuf>,
+/// What the writer owns. The first hand-off moves it to the writer
+/// thread, and from then on no other thread touches the file.
+struct LogFile {
+    file: File,
+    path: PathBuf,
+    /// Whether the file's name is durable in its directory. `open` that
+    /// creates the file leaves it `false`; the first append syncs the
+    /// directory after its data, before any record counts as durable.
+    name_durable: bool,
 }
 
-/// The hand-off state between an engine and its writer thread.
-#[derive(Default)]
-struct Hand {
-    /// A group handed off and not yet taken up by the writer.
-    group: Option<Group>,
-    /// From a hand-off until the writer has written and synced it.
-    in_flight: bool,
-    /// Set by `Drop`: finish the group in flight, then exit.
-    closing: bool,
+/// One job for the writer.
+enum Job {
+    /// Append a group and make it durable.
+    Append(Vec<u8>),
+    /// Replace the log with a file of these bytes: its live set.
+    Rewrite(Vec<u8>),
 }
 
-/// What an engine shares with its writer thread.
-#[derive(Default)]
-struct Shared {
-    hand: Mutex<Hand>,
-    /// Signalled on every hand-off, every finished group and the close.
-    turn: Condvar,
-    /// The first I/O error, as the panic message the engine raises.
-    failed: OnceLock<String>,
+/// Names a failed step of the writer's: the message the engine panics with.
+fn failed(step: &'static str) -> impl Fn(io::Error) -> String {
+    move |e| format!("{step}: {e:?}")
 }
 
-impl Shared {
-    /// A poisoned lock is still the hand-off state: whoever panicked
-    /// holding it left every field meaningful.
-    fn lock(&self) -> MutexGuard<'_, Hand> {
-        self.hand.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn wait<'a>(&self, hand: MutexGuard<'a, Hand>) -> MutexGuard<'a, Hand> {
-        self.turn.wait(hand).unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn check(&self) {
-        if let Some(msg) = self.failed.get() {
-            panic!("{msg}");
+impl LogFile {
+    fn run(&mut self, job: Job) -> Result<(), String> {
+        match job {
+            Job::Append(bytes) => {
+                self.file
+                    .write_all(&bytes)
+                    .map_err(failed("log append write"))?;
+                self.file.sync_data().map_err(failed("log append sync"))?;
+                if !self.name_durable {
+                    sync_parent_dir(&self.path).map_err(failed("log directory sync"))?;
+                    self.name_durable = true;
+                }
+                Ok(())
+            }
+            Job::Rewrite(bytes) => self
+                .rewrite(&bytes)
+                .map_err(failed("log compaction rewrite")),
         }
     }
+
+    /// Writes `bytes` to `<log>.compact`, syncs it, renames it over the
+    /// log and syncs the directory, so a crash at any point leaves one
+    /// complete file under the log's name. Later appends go to the new
+    /// file.
+    fn rewrite(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let tmp = self.path.with_extension("compact");
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_data()?;
+        std::fs::rename(&tmp, &self.path)?;
+        sync_parent_dir(&self.path)?;
+        self.file = file;
+        Ok(())
+    }
 }
 
-/// A log's writer thread, which writes and syncs one group at a time.
+/// The engine's end of its writer thread, which runs one job at a time
+/// and answers each with its result.
 struct Writer {
-    shared: Arc<Shared>,
-    thread: Option<JoinHandle<()>>,
+    jobs: SyncSender<Job>,
+    done: Receiver<Result<(), String>>,
+    /// From a hand-off until its result is taken from `done`.
+    in_flight: Cell<bool>,
+    thread: JoinHandle<()>,
 }
 
 impl Writer {
-    fn spawn() -> Self {
-        let shared = Arc::new(Shared::default());
-        let theirs = Arc::clone(&shared);
+    fn spawn(mut log: LogFile) -> Self {
+        let (jobs, inbox) = mpsc::sync_channel::<Job>(1);
+        let (results, done) = mpsc::channel();
         let thread = thread::Builder::new()
             .name("log-writer".into())
-            .spawn(move || write_groups(&theirs))
+            .spawn(move || {
+                // a closed channel ends the loop; so does the first error,
+                // after which nothing more is written
+                for job in inbox {
+                    let result = log.run(job);
+                    let failed = result.is_err();
+                    if results.send(result).is_err() || failed {
+                        return;
+                    }
+                }
+            })
             .expect("spawn the log writer");
         Writer {
-            shared,
-            thread: Some(thread),
+            jobs,
+            done,
+            in_flight: Cell::new(false),
+            thread,
         }
     }
 
-    /// Waits for the group in flight, then hands `group` over.
-    fn hand_off(&self, group: Group) {
-        let mut hand = self.idle();
-        hand.group = Some(group);
-        hand.in_flight = true;
-        drop(hand);
-        self.shared.turn.notify_all();
+    /// Waits for the job in flight, then hands `job` over.
+    fn hand_off(&self, job: Job) {
+        self.settle(true);
+        self.jobs.send(job).expect("log writer stopped");
+        self.in_flight.set(true);
     }
 
-    /// Waits until no group is in flight, panicking with the writer's
-    /// error if one failed.
-    fn idle(&self) -> MutexGuard<'_, Hand> {
-        let mut hand = self.shared.lock();
-        while hand.in_flight {
-            hand = self.shared.wait(hand);
-        }
-        if let Some(msg) = self.shared.failed.get() {
-            // unlocked first, so `Drop` can still close the writer
-            drop(hand);
-            panic!("{msg}");
-        }
-        hand
-    }
-}
-
-impl Drop for Writer {
-    fn drop(&mut self) {
-        self.shared.lock().closing = true;
-        self.shared.turn.notify_all();
-        if let Some(thread) = self.thread.take() {
-            thread.join().ok();
-        }
-    }
-}
-
-/// The writer thread's loop: take a group, write and sync it (and the
-/// directory on the first), until closed.
-fn write_groups(shared: &Shared) {
-    let mut hand = shared.lock();
-    loop {
-        if let Some(group) = hand.group.take() {
-            drop(hand);
-            if let Err(msg) = write_group(&group) {
-                shared.failed.set(msg).ok();
-            }
-            hand = shared.lock();
-            hand.in_flight = false;
-            shared.turn.notify_all();
-        } else if hand.closing {
+    /// Takes the result of the job in flight, if there is one: waiting
+    /// for it if `block`, only looking if not. A failed job panics with
+    /// its error, and every later look with "log writer stopped".
+    fn settle(&self, block: bool) {
+        if !self.in_flight.get() {
             return;
+        }
+        let result = if block {
+            self.done.recv().map_err(|_| TryRecvError::Disconnected)
         } else {
-            hand = shared.wait(hand);
+            self.done.try_recv()
+        };
+        match result {
+            Ok(Ok(())) => self.in_flight.set(false),
+            Ok(Err(msg)) => panic!("{msg}"),
+            Err(TryRecvError::Empty) => {}
+            Err(TryRecvError::Disconnected) => panic!("log writer stopped"),
         }
     }
-}
 
-/// Appends one group to the file and makes it durable; the error is the
-/// message the engine panics with.
-fn write_group(group: &Group) -> Result<(), String> {
-    let mut file = &*group.file;
-    file.write_all(&group.bytes)
-        .map_err(|e| format!("log append write: {e:?}"))?;
-    file.sync_data()
-        .map_err(|e| format!("log append sync: {e:?}"))?;
-    if let Some(path) = &group.name_of {
-        sync_parent_dir(path).map_err(|e| format!("log directory sync: {e:?}"))?;
+    /// Closes the job channel and joins the thread, which finishes the
+    /// job it holds first.
+    fn close(self) {
+        drop(self.jobs);
+        self.thread.join().ok();
     }
-    Ok(())
 }
 
 /// The append-only durable engine. See the module docs for the format
@@ -345,8 +344,6 @@ pub struct LogEngine<S> {
     /// The working set: every live key's current state, always in sync
     /// with the durable log plus the pending buffer.
     map: Slots<Slot<S>>,
-    /// Shared with the writer, which appends to it.
-    file: Arc<File>,
     path: PathBuf,
     cfg: LogConfig,
     codec: Codec<S>,
@@ -361,14 +358,20 @@ pub struct LogEngine<S> {
     live_bytes: u64,
     /// Recovered/stored dot-mint reservation `(epoch, ceiling)`.
     reservation: Option<(u64, u64)>,
-    /// Whether the file's name is durable in its directory. `open` that
-    /// creates the file leaves it `false`; the writer syncs the directory
-    /// after the first group's data, before any record counts as durable.
-    name_durable: bool,
     stats: LogStats,
     scratch: Vec<u8>,
-    /// Spawned at the first hand-off; dropping it joins the thread.
+    /// The file, until the first hand-off moves it to the writer.
+    file: Option<LogFile>,
+    /// Spawned at the first hand-off; joined when the engine drops.
     writer: Option<Writer>,
+}
+
+impl<S> Drop for LogEngine<S> {
+    fn drop(&mut self) {
+        if let Some(writer) = self.writer.take() {
+            writer.close();
+        }
+    }
 }
 
 impl<S> fmt::Debug for LogEngine<S> {
@@ -620,8 +623,7 @@ where
 
         Ok(LogEngine {
             map,
-            file: Arc::new(file),
-            path,
+            path: path.clone(),
             cfg,
             codec,
             pending: Vec::new(),
@@ -629,9 +631,13 @@ where
             durable_bytes: at as u64,
             live_bytes,
             reservation,
-            name_durable,
             stats,
             scratch: Vec::new(),
+            file: Some(LogFile {
+                file,
+                path,
+                name_durable,
+            }),
             writer: None,
         })
     }
@@ -674,7 +680,7 @@ where
     /// the durability interval is reached.
     fn push_record(&mut self) {
         if let Some(writer) = &self.writer {
-            writer.shared.check();
+            writer.settle(false);
         }
         self.stats.appends += 1;
         self.pending_records += 1;
@@ -685,43 +691,47 @@ where
         }
     }
 
-    /// Hands the pending buffer to the writer — once the group before it
-    /// is durable — then compacts if the garbage threshold is hit.
+    /// Hands the pending buffer to the writer — once the job before it
+    /// is done — then compacts if the garbage threshold is hit.
     fn group_sync(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let next = Vec::with_capacity(self.pending.len());
-        let group = Group {
-            bytes: mem::replace(&mut self.pending, next),
-            file: Arc::clone(&self.file),
-            name_of: (!self.name_durable).then(|| self.path.clone()),
-        };
-        self.durable_bytes += group.bytes.len() as u64;
-        self.writer
-            .get_or_insert_with(Writer::spawn)
-            .hand_off(group);
-        self.name_durable = true;
+        let group = mem::replace(&mut self.pending, next);
+        self.durable_bytes += group.len() as u64;
+        self.hand_off(Job::Append(group));
         self.stats.syncs += 1;
         self.pending_records = 0;
         self.maybe_compact();
     }
 
-    /// Returns once every group handed off is on disk.
+    /// Hands `job` to the writer once the job before it is done, the
+    /// first time spawning the writer and moving the file to it.
+    fn hand_off(&mut self, job: Job) {
+        let file = &mut self.file;
+        self.writer
+            .get_or_insert_with(|| {
+                Writer::spawn(file.take().expect("only the first hand-off spawns"))
+            })
+            .hand_off(job);
+    }
+
+    /// Returns once every job handed off is done.
     fn wait_for_writer(&self) {
         if let Some(writer) = &self.writer {
-            drop(writer.idle());
+            writer.settle(true);
         }
     }
 
-    /// Rewrites the live records to a fresh file and renames it over
-    /// the log when the garbage fraction warrants it.
+    /// Hands the writer a rewrite of the live records when the garbage
+    /// fraction warrants it.
     fn maybe_compact(&mut self) {
         if self.durable_bytes < self.cfg.compact_min_bytes {
             return;
         }
         let garbage = self.durable_bytes.saturating_sub(self.live_bytes) as f64;
-        if garbage / self.durable_bytes as f64 <= self.cfg.compact_garbage_ratio {
+        if garbage / self.durable_bytes as f64 <= LogConfig::COMPACT_GARBAGE_RATIO {
             return;
         }
         let mut buf = Vec::new();
@@ -738,27 +748,10 @@ where
             let len = frame_record(&mut buf, TAG_PUT, key, Some(&self.scratch));
             debug_assert_eq!(len, slot.len, "a live slot measures its latest record");
         }
-        // the rename must not overtake the group in flight
-        self.wait_for_writer();
-        let tmp = self.path.with_extension("compact");
-        let write = (|| -> io::Result<File> {
-            let mut f = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-            std::fs::rename(&tmp, &self.path)?;
-            sync_parent_dir(&self.path)?;
-            f.seek(SeekFrom::End(0))?;
-            Ok(f)
-        })();
-        self.file = Arc::new(write.expect("log compaction rewrite"));
         self.durable_bytes = buf.len() as u64;
         // the whole rewritten file counts as live, its reservation too
         self.live_bytes = self.durable_bytes;
+        self.hand_off(Job::Rewrite(buf));
         self.stats.compactions += 1;
     }
 }
@@ -1001,7 +994,7 @@ mod tests {
         let path = dir.join("store.log");
         let mut log: LogEngine<u64> = LogEngine::open(&path, LogConfig::write_through()).unwrap();
         // a read-only handle: the writer's next append fails
-        log.file = Arc::new(File::open(&path).unwrap());
+        log.file.as_mut().unwrap().file = File::open(&path).unwrap();
         log.apply(b"a", &mut || 0, &mut |s| *s = 1);
         log.sync();
     }
@@ -1010,12 +1003,7 @@ mod tests {
     fn compaction_truncates_garbage_and_preserves_contents() {
         let dir = scratch_dir("compact");
         let path = dir.join("store.log");
-        let cfg = LogConfig {
-            sync_every_records: 1,
-            compact_min_bytes: 512,
-            compact_garbage_ratio: 0.5,
-            ..LogConfig::default()
-        };
+        let cfg = compacting();
         let mut log: LogEngine<u64> = LogEngine::open(&path, cfg).unwrap();
         for round in 0..200u64 {
             for k in 0..4u8 {
@@ -1040,6 +1028,91 @@ mod tests {
             assert_eq!(back.get(&[k]), Some(&199));
         }
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    fn compacting() -> LogConfig {
+        LogConfig {
+            sync_every_records: 1,
+            compact_min_bytes: 512,
+            ..LogConfig::default()
+        }
+    }
+
+    #[test]
+    fn drop_finishes_a_handed_off_rewrite() {
+        let dir = scratch_dir("rewrite-drop");
+        let path = dir.join("store.log");
+        let mut log: LogEngine<u64> = LogEngine::open(&path, compacting()).unwrap();
+        let mut last = [0u64; 4];
+        let mut n = 0u64;
+        while log.stats().compactions == 0 {
+            let k = (n % 4) as usize;
+            log.apply(&[k as u8], &mut || 0, &mut |s| *s = n);
+            last[k] = n;
+            n += 1;
+        }
+        drop(log); // no sync(): the rewrite is the last job handed off
+        assert!(!path.with_extension("compact").exists());
+        let back: LogEngine<u64> = LogEngine::open(&path, compacting()).unwrap();
+        assert_eq!(back.stats().replayed_records, 4, "exactly the live set");
+        for (k, v) in last.iter().enumerate() {
+            assert_eq!(back.get(&[k as u8]), Some(v));
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_leftover_rewrite_is_never_replayed() {
+        let dir = scratch_dir("rewrite-leftover");
+        let path = dir.join("store.log");
+        let leftover = path.with_extension("compact");
+        let mut log: LogEngine<u64> = LogEngine::open(&path, compacting()).unwrap();
+        log.apply(b"a", &mut || 0, &mut |s| *s = 1);
+        drop(log);
+        // what a crash mid-rewrite leaves: an intact record, then a torn one
+        let mut state = Vec::new();
+        9u64.encode(&mut state);
+        let mut junk = Vec::new();
+        frame_record(&mut junk, TAG_PUT, b"z", Some(&state));
+        junk.extend_from_slice(&junk.clone()[..5]);
+        std::fs::write(&leftover, &junk).unwrap();
+        let mut log: LogEngine<u64> = LogEngine::open(&path, compacting()).unwrap();
+        assert_eq!(log.stats().replayed_records, 1, "only the log is replayed");
+        assert_eq!(log.stats().torn_tail_bytes, 0);
+        assert_eq!(log.get(b"z"), None);
+        for round in 0..200u64 {
+            for k in 0..4u8 {
+                log.apply(&[k], &mut || 0, &mut |s| *s = round);
+            }
+        }
+        assert!(log.stats().compactions > 0);
+        log.sync();
+        assert!(
+            !leftover.exists(),
+            "a rewrite renames its file over the log"
+        );
+        drop(log);
+        let back: LogEngine<u64> = LogEngine::open(&path, compacting()).unwrap();
+        assert_eq!(back.len(), 5);
+        assert_eq!(back.get(b"a"), Some(&1));
+        assert_eq!(back.get(b"z"), None);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "log compaction rewrite")]
+    fn a_rewrite_error_panics_a_later_call() {
+        let dir = scratch_dir("rewrite-error");
+        let path = dir.join("store.log");
+        // a directory where the rewrite would create its file
+        std::fs::create_dir(path.with_extension("compact")).unwrap();
+        let mut log: LogEngine<u64> = LogEngine::open(&path, compacting()).unwrap();
+        for round in 0..200u64 {
+            for k in 0..4u8 {
+                log.apply(&[k], &mut || 0, &mut |s| *s = round);
+            }
+        }
+        log.sync();
     }
 
     #[test]
@@ -1086,12 +1159,7 @@ mod tests {
     fn reservation_recovers_monotone_and_survives_compaction() {
         let dir = scratch_dir("resv-compact");
         let path = dir.join("store.log");
-        let cfg = LogConfig {
-            sync_every_records: 1,
-            compact_min_bytes: 512,
-            compact_garbage_ratio: 0.5,
-            ..LogConfig::default()
-        };
+        let cfg = compacting();
         let mut log: LogEngine<u64> = LogEngine::open(&path, cfg).unwrap();
         log.store_reservation(1, 1024);
         log.store_reservation(2, 8192);

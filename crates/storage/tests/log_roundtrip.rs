@@ -269,7 +269,6 @@ proptest! {
             sync_every_records: sync_every,
             sync_every_bytes: usize::MAX,
             compact_min_bytes: 0,
-            ..LogConfig::default()
         };
         let mut engine: LogEngine<State> = LogEngine::open(&path, cfg).unwrap();
         let mut reference = Reference::new();
@@ -294,7 +293,7 @@ proptest! {
                 file += buffered;
                 (buffered, records) = (0, 0);
                 let live = live_len(&reference);
-                if (file - live) as f64 / file as f64 > cfg.compact_garbage_ratio {
+                if (file - live) as f64 / file as f64 > LogConfig::COMPACT_GARBAGE_RATIO {
                     compactions += 1;
                     file = live;
                 }

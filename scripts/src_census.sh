@@ -120,6 +120,14 @@ echo "node dedupe state (node.rs)"
 printf '  %-32s %6d\n' \
     "VecDeque fields" "$(grep -cE '^ +[a-z_][a-z0-9_]*: VecDeque<' crates/kvstore/src/node.rs || true)" \
     "_DEDUPE_ consts" "$(grep -cE '^ *(pub )?const [A-Z_]*_DEDUPE_' crates/kvstore/src/node.rs || true)"
+# After `LogEngine::open` a log's file belongs to its writer thread, which
+# the engine reaches over `std::sync::mpsc` channels, so no lock,
+# condition variable or shared file handle should come back for a
+# hand-rolled hand-off.
+echo "log writer (crates/storage/src)"
+printf '  %-32s %6d\n' \
+    "Mutex|Condvar|OnceLock lines" "$({ grep -rhE 'Mutex|Condvar|OnceLock' crates/storage/src || true; } | wc -l)" \
+    "Arc<File> lines" "$({ grep -rh 'Arc<File>' crates/storage/src || true; } | wc -l)"
 # The fault plane: how many times each of its pieces is written.
 # Environment variables the crates themselves read: each one is a switch
 # a run can flip without a code change.
