@@ -101,14 +101,16 @@ use kvstore::config::{ClientConfig, StoreConfig};
 use simnet::{NetworkConfig, Scenario};
 use std::time::Duration as StdDuration;
 
-/// Complete configuration of a [`RuntimeFleet`] run.
+/// Complete configuration of a threaded fleet's run, on any link: a
+/// [`RuntimeFleet`] or a `transport::SocketFleet`.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Number of replica servers (one event-loop thread each).
     pub servers: usize,
     /// Number of closed-loop client sessions.
     pub clients: usize,
-    /// Worker threads the client sessions are partitioned across.
+    /// Worker threads the client sessions are partitioned across. One
+    /// by default: the partition the benchmark runs both links with.
     pub client_workers: usize,
     /// Read-modify-write cycles per client.
     pub cycles_per_client: u32,
@@ -123,6 +125,8 @@ pub struct RuntimeConfig {
     /// simulator's fault model, its delays served on the monotonic
     /// clock — for every copy's fate. (`None`, not a default
     /// `NetworkConfig`: that one's link carries 500 µs of latency.)
+    /// The plane sits above the link, so it works the same on every
+    /// link, TCP included; a scenario's `Faults` step needs it `Some`.
     /// Faults go off for the quiesce phase so the fleet can settle.
     pub faults: Option<NetworkConfig>,
     /// Server node indices whose worker threads wedge on purpose —
@@ -154,7 +158,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             servers: 3,
             clients: 8,
-            client_workers: 2,
+            client_workers: 1,
             cycles_per_client: 20,
             store: StoreConfig::default(),
             client: ClientConfig::default(),

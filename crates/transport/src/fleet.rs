@@ -17,8 +17,9 @@
 //! Self-sends are delivered by the worker's host (a node does not dial
 //! itself); the bytes their node charged for them are only noted in the
 //! fabric's ledger, so its identity with the nodes' ledgers still holds.
-//! A [`Scenario`]'s `CutConn` step is [`Link::cut`] on the worker
-//! hosting its node: it severs that node's connections both ways.
+//! A [`Scenario`](simnet::Scenario)'s `CutConn` step is [`Link::cut`]
+//! on the worker hosting its node: it severs that node's connections
+//! both ways.
 //!
 //! [`Msg::encode_into`]: kvstore::messages::Msg::encode_into
 //!
@@ -26,16 +27,22 @@
 //! [`HEADER_BYTES`](crate::frame::HEADER_BYTES), so the per-class wire
 //! ledgers charge exactly the bytes written to the sockets — the
 //! accounting the paper's evaluation models is measured here, not
-//! assumed. The conformance suite asserts the identity to the byte.
+//! assumed. The conformance suite asserts the identity to the byte on
+//! a run with `faults: None`; with the fault plane on, a dropped copy
+//! was charged but never written and a duplicate is written twice.
 //!
-//! Layout matches the other drivers — node ids `0..servers` are replica
-//! servers, `servers..servers + clients` are closed-loop clients — with
-//! one worker thread per server and one for every client session, the
-//! partition the in-process fleet runs the benchmark with (a
-//! configuration choice: an inbox item names its destination, so
-//! nothing in the link requires it). Post-run,
-//! the fleet implements [`kvstore::harness::FleetHarness`], so the same
-//! `audit_fleet` stack that gates the other drivers gates this one.
+//! The fleet runs the in-process fleet's own [`RuntimeConfig`], so the
+//! two differ by their link alone. Layout matches the other drivers —
+//! node ids `0..servers` are replica servers, `servers..servers +
+//! clients` are closed-loop clients — with one worker thread per server
+//! and the client sessions partitioned across `client_workers` threads
+//! (one by default). The fault plane ([`RuntimeConfig::faults`]), the
+//! scenario and the wedged workers of `hang_servers` sit above the
+//! link, so each works here as it does in process: a copy the network
+//! holds back or duplicates is decided before the link frames it.
+//! Post-run, the fleet implements [`kvstore::harness::FleetHarness`],
+//! so the same `audit_fleet` stack that gates the other drivers gates
+//! this one.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -46,13 +53,12 @@ use std::time::{Duration as StdDuration, Instant};
 use dvv::mechanisms::WireMechanism;
 use dvv::ReplicaId;
 use kvstore::client::ClientNode;
-use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::FleetHarness;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::RingView;
 use runtime::{Fleet, Link, Packet, RuntimeConfig, Wiring};
-use simnet::{NodeId, Scenario, SimRng};
+use simnet::{NodeId, SimRng};
 
 use crate::fabric::{Fabric, FabricStats, Inlet, Poller};
 use crate::frame;
@@ -62,63 +68,16 @@ use crate::frame;
 /// in writes about this big.
 const OUTBOX_FLUSH_BYTES: usize = 64 << 10;
 
-/// Complete configuration of a [`SocketFleet`] run.
-#[derive(Clone, Debug)]
-pub struct SocketConfig {
-    /// Number of replica servers (one event-loop thread each).
-    pub servers: usize,
-    /// Number of closed-loop client sessions (all on one worker thread).
-    pub clients: usize,
-    /// Read-modify-write cycles per client.
-    pub cycles_per_client: u32,
-    /// Store protocol parameters. `header_bytes` is overridden with the
-    /// frame codec's real header size at build time.
-    pub store: StoreConfig,
-    /// Client session parameters (`cycles` overridden by
-    /// `cycles_per_client`).
-    pub client: ClientConfig,
-    /// The run is declared stalled after this long without a client
-    /// op completing.
-    pub stall_budget: StdDuration,
-    /// Hard wall-clock stop for the whole run.
-    pub run_budget: StdDuration,
-    /// Settling budget after the last client finishes (exits early once
-    /// repairs sit still for [`settle_window`](Self::settle_window)).
-    pub quiesce: StdDuration,
-    /// How long the repair counters must sit still before the quiesce
-    /// is settled.
-    pub settle_window: StdDuration,
-    /// The run schedule, in wall time from run start (see
-    /// `RuntimeConfig::scenario`). A `CutConn` severs every live TCP
-    /// connection touching its node, both directions: the frames in
-    /// flight are wire loss, each link redials on a later send and
-    /// anti-entropy repairs whatever the outage cost. A `Faults` step is
-    /// refused: the socket fleet has no fault plane.
-    pub scenario: Scenario,
-    /// Shared cluster secret keying the hello challenge every inbound
-    /// connection must answer (see [`crate::fabric::hello_body`]). All
-    /// nodes of one fleet must agree on it; a dialer with the wrong
-    /// secret is terminally rejected at the handshake.
-    pub cluster_secret: u64,
-}
+/// A [`SocketFleet`]'s configuration: the threaded fleet's own.
+///
+/// Kept only because the benchmark (`perfbench/src/shapes.rs`) names
+/// it; it goes when that code does.
+pub type SocketConfig = RuntimeConfig;
 
-impl Default for SocketConfig {
-    fn default() -> Self {
-        SocketConfig {
-            servers: 3,
-            clients: 8,
-            cycles_per_client: 20,
-            store: StoreConfig::default(),
-            client: ClientConfig::default(),
-            stall_budget: StdDuration::from_secs(10),
-            run_budget: StdDuration::from_secs(120),
-            quiesce: StdDuration::from_millis(500),
-            settle_window: StdDuration::from_millis(400),
-            scenario: Scenario::default(),
-            cluster_secret: 0xd077_edc1_0057_e2ab, // any agreed-upon value
-        }
-    }
-}
+/// The secret a [`SocketFleet`]'s nodes key the hello challenge with
+/// (see [`crate::fabric::hello_body`]): every node of one fleet agrees
+/// on it, and a dialer with another one is rejected at the handshake.
+const CLUSTER_SECRET: u64 = 0xd077_edc1_0057_e2ab;
 
 /// What a [`FabricLink`] is opened from: the mechanism whose codec the
 /// frames use, the RNG stream seeding the links' backoff jitter, and
@@ -131,12 +90,13 @@ pub struct FabricSpec<M> {
 }
 
 impl<M> FabricSpec<M> {
-    /// The spec a [`SocketFleet`] of `seed` opens its link from.
-    pub fn new(seed: u64, mech: M, config: SocketConfig) -> Self {
+    /// The spec a fleet of `seed` opens its link from; `cluster_secret`
+    /// keys the hello challenge every inbound connection must answer.
+    pub fn new(seed: u64, mech: M, cluster_secret: u64) -> Self {
         FabricSpec {
             mech,
             rng: SimRng::new(seed).fork("socknet").fork("fabric"),
-            cluster_secret: config.cluster_secret,
+            cluster_secret,
         }
     }
 }
@@ -372,30 +332,10 @@ where
     /// the same `fork_indexed("node", i)` scheme the other drivers use;
     /// `store.header_bytes` is replaced with the frame codec's real
     /// header size so the wire ledgers account actual socket bytes.
-    pub fn new(seed: u64, mech: M, config: SocketConfig) -> Self {
-        let core = RuntimeConfig {
-            servers: config.servers,
-            clients: config.clients,
-            // Every client session on one worker: the partition the
-            // benchmark runs the in-process fleet with, so the two
-            // differ by their link alone.
-            client_workers: 1,
-            cycles_per_client: config.cycles_per_client,
-            store: StoreConfig {
-                header_bytes: frame::HEADER_BYTES,
-                ..config.store
-            },
-            client: config.client.clone(),
-            faults: None,
-            hang_servers: Vec::new(),
-            stall_budget: config.stall_budget,
-            run_budget: config.run_budget,
-            quiesce: config.quiesce,
-            settle_window: config.settle_window,
-            scenario: config.scenario.clone(),
-        };
-        let spec = FabricSpec::new(seed, mech.clone(), config);
-        SocketFleet(Fleet::with_link(seed, mech, core, None, spec))
+    pub fn new(seed: u64, mech: M, mut config: RuntimeConfig) -> Self {
+        config.store.header_bytes = frame::HEADER_BYTES;
+        let spec = FabricSpec::new(seed, mech.clone(), CLUSTER_SECRET);
+        SocketFleet(Fleet::with_link(seed, mech, config, None, spec))
     }
 
     /// The fabric's byte/frame ledger from the last completed run.
@@ -482,7 +422,7 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let (inboxes, receivers) = (0..nodes).map(|_| sync_channel(1024)).unzip();
         let link = FabricLink::open(
-            &FabricSpec::new(11, DvvMechanism, SocketConfig::default()),
+            &FabricSpec::new(11, DvvMechanism, CLUSTER_SECRET),
             Wiring {
                 inboxes,
                 progress: Arc::new(Progress::new(nodes)),

@@ -20,10 +20,9 @@
 //! into its inbox with no thread in between, charges self-sends to the
 //! fabric's ledger, cuts a node's connections when a scenario's
 //! `CutConn` step is due on its worker and returns [`FabricStats`] at
-//! close. [`SocketFleet`] is that fleet plus the configuration mapping
-//! (one worker per server and one for every client session,
-//! `header_bytes` forced to the frame header's real size); a run's
-//! threads are its workers and nothing else.
+//! close. [`SocketFleet`] is that fleet over the threaded fleet's own
+//! `RuntimeConfig`, with `header_bytes` forced to the frame header's
+//! real size; a run's threads are its workers and nothing else.
 //!
 //! Failure semantics deliberately mirror the in-process link: a link
 //! that is down or a full inbox drops the message (wire loss the

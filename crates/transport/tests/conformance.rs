@@ -11,6 +11,10 @@
 //! dropped at a full queue, lost to a dead connection, or delivered
 //! locally (self-sends) — no modeled bytes, no unaccounted bytes.
 //!
+//! Then the simulator's fault plane over TCP: the same workload with
+//! loss, latency and the hostile duplicate / reorder / replay profile
+//! decided above the link, still audit-clean.
+//!
 //! Three seeds by default; `SOCKET_CONFORMANCE_SEEDS` widens the sweep.
 
 use std::time::Duration as StdDuration;
@@ -19,8 +23,9 @@ use dvv::mechanisms::DvvMechanism;
 use kvstore::cluster::{Cluster, ClusterConfig};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::{audit_fleet, FleetHarness};
-use simnet::Duration;
-use transport::{SocketConfig, SocketFleet, HEADER_BYTES};
+use runtime::RuntimeConfig;
+use simnet::{Duration, LatencyModel, LinkConfig, LinkFaults, NetworkConfig};
+use transport::{SocketFleet, HEADER_BYTES};
 
 const SERVERS: usize = 4;
 const CLIENTS: usize = 12;
@@ -43,8 +48,8 @@ fn client_config() -> ClientConfig {
     }
 }
 
-fn socket_config() -> SocketConfig {
-    SocketConfig {
+fn runtime_config() -> RuntimeConfig {
+    RuntimeConfig {
         servers: SERVERS,
         clients: CLIENTS,
         cycles_per_client: CYCLES,
@@ -54,7 +59,7 @@ fn socket_config() -> SocketConfig {
         run_budget: StdDuration::from_secs(60),
         quiesce: StdDuration::from_secs(12),
         settle_window: StdDuration::from_millis(600),
-        ..SocketConfig::default()
+        ..RuntimeConfig::default()
     }
 }
 
@@ -71,7 +76,7 @@ fn seeds() -> Vec<u64> {
 /// Runs the seeded workload over real TCP and applies the full audit
 /// stack plus the transport byte-ledger identity.
 fn audit_socket(seed: u64) {
-    let mut fleet = SocketFleet::new(seed, DvvMechanism, socket_config());
+    let mut fleet = SocketFleet::new(seed, DvvMechanism, runtime_config());
     let report = match fleet.run() {
         Ok(r) => r,
         Err(stall) => panic!("seed {seed}: socket fleet stalled:\n{stall}"),
@@ -156,5 +161,65 @@ fn socket_fleet_matches_simulator_audits() {
     for seed in seeds() {
         audit_sim(seed);
         audit_socket(seed);
+    }
+}
+
+/// The threaded conformance suite's network: 3 % loss and 100–400 µs of
+/// latency on every link, with `faults` on top.
+fn network(faults: LinkFaults) -> NetworkConfig {
+    NetworkConfig::uniform(LinkConfig {
+        latency: LatencyModel::Uniform {
+            lo: Duration::from_micros(100),
+            hi: Duration::from_micros(400),
+        },
+        drop_probability: 0.03,
+        faults,
+        ..LinkConfig::default()
+    })
+}
+
+/// The fault plane sits above the link, so a socket fleet takes it as
+/// the in-process fleet does: every copy's fate is decided on the
+/// sending worker before the link frames it. Calm, then hostile, with
+/// two client workers; the audit stack must be clean. No `Kill` step:
+/// a write replayed across a crash can still read as false concurrency
+/// (ROADMAP item 15).
+///
+/// The byte-ledger identity of [`audit_socket`] does not hold here: a
+/// copy the plane drops was charged but never enqueued, and a duplicate
+/// or replay was enqueued but charged once. The identity holds where
+/// `faults` is `None`; here its failing is the sign that the plane
+/// decided what the link carried.
+#[test]
+fn the_fault_plane_over_sockets_audits_clean() {
+    for (name, faults) in [
+        ("calm", LinkFaults::default()),
+        ("hostile", LinkFaults::hostile()),
+    ] {
+        for seed in seeds() {
+            let label = format!("seed {seed} ({name} faults, socket)");
+            let config = RuntimeConfig {
+                client_workers: 2,
+                faults: Some(network(faults)),
+                ..runtime_config()
+            };
+            let mut fleet = SocketFleet::new(seed, DvvMechanism, config);
+            let report = fleet
+                .run()
+                .unwrap_or_else(|stall| panic!("{label}: stalled:\n{stall}"));
+            assert!(report.all_done, "{label}: clients left unfinished");
+            let fabric = fleet.fabric_report();
+            assert!(
+                fabric.connects > 0,
+                "{label}: no TCP connection was ever dialed"
+            );
+            let charged = FleetHarness::wire_report(&fleet).total_bytes();
+            assert_ne!(
+                charged,
+                fabric.enqueued_bytes + fabric.dropped_bytes + fabric.self_bytes,
+                "{label}: the fault plane never touched a copy\n{fabric:#?}"
+            );
+            audit_fleet(&mut fleet, &label);
+        }
     }
 }

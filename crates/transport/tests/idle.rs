@@ -10,9 +10,9 @@ use std::time::Duration as StdDuration;
 
 use dvv::mechanisms::DvvMechanism;
 use kvstore::config::{ClientConfig, StoreConfig};
-use runtime::{IdleStats, Link};
+use runtime::{IdleStats, Link, RuntimeConfig};
 use simnet::Duration;
-use transport::{FabricLink, SocketConfig, SocketFleet};
+use transport::{FabricLink, SocketFleet};
 
 const SERVERS: usize = 3;
 const SPIN: StdDuration = <FabricLink<DvvMechanism> as Link<DvvMechanism>>::SPIN;
@@ -33,7 +33,7 @@ fn an_idle_socket_fleet_does_not_spin() {
     let mut fleet = SocketFleet::new(
         0x1D1E,
         DvvMechanism,
-        SocketConfig {
+        RuntimeConfig {
             servers: SERVERS,
             clients: 0,
             store: StoreConfig {
@@ -44,7 +44,7 @@ fn an_idle_socket_fleet_does_not_spin() {
             // The settle rule cannot end the quiesce before its budget.
             quiesce: QUIESCE,
             settle_window: QUIESCE,
-            ..SocketConfig::default()
+            ..RuntimeConfig::default()
         },
     );
     fleet.run().expect("no stall");
@@ -75,7 +75,7 @@ fn a_thinking_socket_fleet_pays_a_bounded_tax() {
     let mut fleet = SocketFleet::new(
         0x7A11,
         DvvMechanism,
-        SocketConfig {
+        RuntimeConfig {
             servers: SERVERS,
             clients: 4,
             cycles_per_client: 25,
@@ -84,7 +84,7 @@ fn a_thinking_socket_fleet_pays_a_bounded_tax() {
                 ..ClientConfig::default()
             },
             quiesce: StdDuration::ZERO,
-            ..SocketConfig::default()
+            ..RuntimeConfig::default()
         },
     );
     let report = fleet.run().expect("no stall");
@@ -112,7 +112,7 @@ fn a_busy_socket_fleet_polls_its_sockets() {
     let mut fleet = SocketFleet::new(
         0xB057,
         DvvMechanism,
-        SocketConfig {
+        RuntimeConfig {
             servers: SERVERS,
             clients: 4,
             cycles_per_client: 100,
@@ -121,7 +121,7 @@ fn a_busy_socket_fleet_polls_its_sockets() {
                 ..ClientConfig::default()
             },
             quiesce: StdDuration::ZERO,
-            ..SocketConfig::default()
+            ..RuntimeConfig::default()
         },
     );
     let report = fleet.run().expect("no stall");

@@ -15,13 +15,13 @@ use dvv::mechanisms::DvvMechanism;
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::audit_fleet;
 use kvstore::messages::Msg;
-use runtime::{Packet, Progress};
+use runtime::{Packet, Progress, RuntimeConfig};
 use simnet::{Duration, Scenario, SimRng, Step};
-use transport::{hello_body, write_frame, Fabric, SocketConfig, SocketFleet};
+use transport::{hello_body, write_frame, Fabric, SocketFleet};
 
 #[test]
 fn severed_connections_reconnect_and_converge() {
-    let config = SocketConfig {
+    let config = RuntimeConfig {
         servers: 4,
         clients: 12,
         cycles_per_client: 8,
@@ -47,7 +47,7 @@ fn severed_connections_reconnect_and_converge() {
             (Duration::from_millis(60), Step::CutConn(2)),
             (Duration::from_millis(90), Step::CutConn(1)),
         ]),
-        ..SocketConfig::default()
+        ..RuntimeConfig::default()
     };
     let mut fleet = SocketFleet::new(0x51CC, DvvMechanism, config);
     let report = match fleet.run() {

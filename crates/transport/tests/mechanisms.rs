@@ -19,16 +19,17 @@ use dvv::mechanisms::{
 use kvstore::config::ClientConfig;
 use kvstore::harness::FleetHarness;
 use kvstore::{AnomalyReport, StampedValue};
+use runtime::RuntimeConfig;
 use simnet::Duration;
-use transport::{SocketConfig, SocketFleet};
+use transport::SocketFleet;
 
 /// The seed sweep every mechanism runs.
 const SEEDS: [u64; 3] = [0x3EC4, 0x3EC5, 0x3EC6];
 
 /// `mechanism_comparison.rs`'s `contended()` on sockets: few keys, many
 /// clients, so concurrent writes through one coordinator are common.
-fn contended() -> SocketConfig {
-    SocketConfig {
+fn contended() -> RuntimeConfig {
+    RuntimeConfig {
         servers: 3,
         clients: 8,
         cycles_per_client: 15,
@@ -37,7 +38,7 @@ fn contended() -> SocketConfig {
             think_time: Duration::from_micros(200),
             ..ClientConfig::default()
         },
-        ..SocketConfig::default()
+        ..RuntimeConfig::default()
     }
 }
 

@@ -17,11 +17,10 @@ use std::time::{Duration as StdDuration, Instant};
 use dvv::mechanisms::DvvMechanism;
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::messages::Msg;
-use runtime::{Link, Packet, Progress, Wiring};
+use runtime::{Link, Packet, Progress, RuntimeConfig, Wiring};
 use simnet::{Duration, NodeId, SimRng};
 use transport::{
-    hello_body, write_frame, Fabric, FabricLink, FabricSpec, SocketConfig, SocketFleet,
-    HEADER_BYTES,
+    hello_body, write_frame, Fabric, FabricLink, FabricSpec, SocketFleet, HEADER_BYTES,
 };
 
 type M = DvvMechanism;
@@ -55,12 +54,8 @@ fn lorises(fabric: &Fabric<M>) -> [TcpStream; 2] {
 /// outside a fleet: the test plays the workers.
 fn open_link(nodes: usize, capacity: usize) -> (FabricLink<M>, Vec<Receiver<Packet<M>>>) {
     let (inboxes, receivers) = (0..nodes).map(|_| mpsc::sync_channel(capacity)).unzip();
-    let config = SocketConfig {
-        cluster_secret: SECRET,
-        ..SocketConfig::default()
-    };
     let link = FabricLink::open(
-        &FabricSpec::new(7, DvvMechanism, config),
+        &FabricSpec::new(7, DvvMechanism, SECRET),
         Wiring {
             inboxes,
             progress: Arc::new(Progress::new(nodes)),
@@ -215,7 +210,7 @@ fn two_workers_bursting_at_each_other_both_return() {
 #[test]
 fn teardown_does_not_wait_out_a_polling_worker() {
     let far = Duration::from_secs(600);
-    let config = SocketConfig {
+    let config = RuntimeConfig {
         servers: 1,
         clients: 1,
         cycles_per_client: 1,
@@ -233,7 +228,7 @@ fn teardown_does_not_wait_out_a_polling_worker() {
             ..ClientConfig::default()
         },
         quiesce: StdDuration::ZERO,
-        ..SocketConfig::default()
+        ..RuntimeConfig::default()
     };
     // A frozen host can stretch any single attempt.
     let fastest = (0..3)

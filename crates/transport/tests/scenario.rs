@@ -1,7 +1,7 @@
 //! One [`Scenario`] on every driver: the same kill, connection cut and
-//! revive run on the simulator's `Cluster`, the threaded `RuntimeFleet`
-//! and the `SocketFleet`, and each run must audit clean with the revived
-//! server back in its peers' view. Then the scenario check's refusals,
+//! revive run on the simulator's `Cluster`, and from one `RuntimeConfig`
+//! on the threaded `RuntimeFleet` and the `SocketFleet`, and each run
+//! must audit clean with the revived server back in its peers' view. Then the scenario check's refusals,
 //! one test per rule, each through a driver's constructor.
 
 use std::time::Duration as StdDuration;
@@ -13,7 +13,7 @@ use kvstore::harness::audit_fleet;
 use kvstore::{Cluster, ClusterConfig, FleetHarness, StoreConfig};
 use runtime::{RuntimeConfig, RuntimeFleet};
 use simnet::{Duration, LinkFaults, Scenario, Step};
-use transport::{SocketConfig, SocketFleet};
+use transport::SocketFleet;
 use workloads::churn_seeds;
 
 type M = DvvSetMechanism;
@@ -65,22 +65,6 @@ fn runtime_config() -> RuntimeConfig {
         quiesce: StdDuration::from_secs(20),
         settle_window: StdDuration::from_millis(600),
         ..RuntimeConfig::default()
-    }
-}
-
-fn socket_config() -> SocketConfig {
-    SocketConfig {
-        servers: SERVERS,
-        clients: CLIENTS,
-        cycles_per_client: CYCLES,
-        store: store(),
-        client: client(),
-        scenario: scenario(),
-        stall_budget: StdDuration::from_secs(15),
-        run_budget: StdDuration::from_secs(90),
-        quiesce: StdDuration::from_secs(20),
-        settle_window: StdDuration::from_millis(600),
-        ..SocketConfig::default()
     }
 }
 
@@ -147,7 +131,7 @@ fn one_scenario_on_threads() {
 fn one_scenario_on_sockets() {
     for seed in seeds() {
         let label = format!("sockets seed {seed}");
-        let mut fleet = SocketFleet::new(seed, DvvSetMechanism, socket_config());
+        let mut fleet = SocketFleet::new(seed, DvvSetMechanism, runtime_config());
         let report = fleet
             .run()
             .unwrap_or_else(|stall| panic!("{label} stalled:\n{stall}"));
@@ -167,9 +151,9 @@ fn threads_with(steps: impl IntoIterator<Item = (Duration, Step)>) {
 }
 
 fn sockets_with(steps: impl IntoIterator<Item = (Duration, Step)>) {
-    let config = SocketConfig {
+    let config = RuntimeConfig {
         scenario: Scenario::new(steps),
-        ..SocketConfig::default()
+        ..RuntimeConfig::default()
     };
     let _ = SocketFleet::new(1, DvvSetMechanism, config);
 }
@@ -227,6 +211,6 @@ fn faults_on_threads_without_a_network_are_refused() {
 
 #[test]
 #[should_panic(expected = "without a network")]
-fn faults_on_sockets_are_refused() {
+fn faults_on_sockets_without_a_network_are_refused() {
     sockets_with([(MS_10, Step::Faults(LinkFaults::hostile()))]);
 }

@@ -167,11 +167,15 @@ if runs_lane socket; then
     # `conformance` runs the same seeded workload on the simulator and
     # the socket fleet (3 seeds) and requires AAE-equivalent,
     # oracle-clean end states plus an exact fleet-wide byte-ledger
-    # identity; `lifecycle` severs live connections mid-burst and
-    # requires reconnect + unaided convergence; `thread_census` counts
+    # identity, then the fault plane over TCP (calm and hostile, which
+    # the faults lane runs again on its own); `lifecycle` severs live
+    # connections mid-burst and requires reconnect + unaided
+    # convergence; `thread_census` counts
     # the fabric's threads (one poller per node on `Fabric::start`, none
     # per connection, none on the send side) and `fleet_thread_census` a
-    # socket fleet's (its workers, nothing else); `receive_path` holds
+    # socket fleet's (its workers, nothing else, on one client worker
+    # and on two); `watchdog` wedges a socket fleet's only server and
+    # requires the stall check to name it; `receive_path` holds
     # the worker-hosted receive side to what reader threads gave (a
     # stalled connection holds up no other, two workers bursting at
     # each other both return, teardown wakes a waiting worker);
@@ -188,6 +192,7 @@ if runs_lane socket; then
     cargo test -p transport --test lifecycle -- --nocapture
     cargo test -p transport --test thread_census -- --nocapture
     cargo test -p transport --test fleet_thread_census -- --nocapture
+    cargo test -p transport --test watchdog -- --nocapture
     cargo test -p transport --test receive_path -- --nocapture
     cargo test -p transport --test mechanisms -- --nocapture
     cargo test -p transport --test scenario -- --nocapture
@@ -229,11 +234,14 @@ if runs_lane faults; then
     # NET_FAULTS=hostile: handlers must be idempotent and commutative to
     # converge when the network is adversarial. The same variable, read
     # by the same `NetworkConfig::with_env_faults`, turns the threaded
-    # conformance run (simulator baseline included) hostile too.
+    # conformance run (simulator baseline included) hostile too. The
+    # fault plane over TCP runs calm and hostile by itself: it sits
+    # above the link, so the socket fleet takes the same network value.
     cargo test -p kvstore --test crash_burst -- --nocapture
     cargo test -p runtime --test crash_burst -- --nocapture
     cargo test -p storage --test meta_record -- --nocapture
     cargo test -p transport --test lifecycle -- --nocapture
+    cargo test -p transport --test conformance the_fault_plane_over_sockets -- --nocapture
     NET_FAULTS=hostile cargo test -p kvstore --test elastic -- --nocapture
     NET_FAULTS=hostile cargo test -p kvstore --test gossip -- --nocapture
     NET_FAULTS=hostile cargo test -p kvstore --test overlap -- --nocapture

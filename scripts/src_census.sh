@@ -54,7 +54,12 @@ printf '  %-32s %6d\n' \
     "Timer members" "$(members crates/kvstore/src/ctx.rs '^pub enum Timer ')" \
     "StoreConfig fields" "$(members crates/kvstore/src/config.rs '^pub struct StoreConfig ')" \
     "RuntimeConfig fields" "$(members crates/runtime/src/lib.rs '^pub struct RuntimeConfig ')" \
-    "SocketConfig fields" "$(members crates/transport/src/fleet.rs '^pub struct SocketConfig ')"
+    "fleet config structs" "$({ grep -rhE '^pub struct [A-Za-z]*Config\b' \
+        crates/runtime/src crates/transport/src || true; } | wc -l)"
+# Both threaded fleets run one `RuntimeConfig`; the socket driver's old
+# name survives only as an alias, named here so it is not forgotten.
+printf '  %-32s %s\n' "fleet config aliases" "$({ grep -rhoE '^pub type [A-Za-z]*Config = [A-Za-z]+' \
+    crates/runtime/src crates/transport/src || true; } | sed 's/^pub type //' | paste -sd ' ')"
 # One membership truth per node: the mergeable view's status enum is the
 # ring crate's only one, and no store type keeps a membership table
 # beside its view (failure-detector marks are a plain set of replicas).
