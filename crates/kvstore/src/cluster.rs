@@ -222,15 +222,14 @@ impl<M: Mechanism<StampedValue>> NodeKit<M> {
         &self.genesis_view
     }
 
-    /// A replica for `slot` on `engine` — the slot's own or, for a husk,
-    /// a throw-away one.
-    fn replica(&self, slot: usize, engine: Box<dyn StorageEngine<M::State>>) -> StoreNode<M> {
+    /// A replica for `slot` on the slot's storage engine.
+    fn replica(&self, slot: usize) -> StoreNode<M> {
         StoreNode::with_engine(
             ReplicaId(slot as u32),
             self.mech.clone(),
             self.store,
             self.genesis_view.clone(),
-            engine,
+            self.engines.build(slot),
         )
     }
 
@@ -238,20 +237,14 @@ impl<M: Mechanism<StampedValue>> NodeKit<M> {
     /// log-backed engine replays its durable prefix on open, so this
     /// builds a member at genesis and a recovered one after a crash.
     pub fn server(&self, slot: usize) -> StoreProc<M> {
-        StoreProc::Server(self.replica(slot, self.engines.build(slot)))
+        StoreProc::Server(self.replica(slot))
     }
 
     /// A dormant spare for `slot` on the slot's storage engine — so a
     /// spare that later joins (and everything transferred to it)
     /// persists, and a crashed ex-spare recovers like any other member.
     pub fn spare(&self, slot: usize) -> StoreProc<M> {
-        StoreProc::Server(self.replica(slot, self.engines.build(slot)).dormant())
-    }
-
-    /// What holds a crashed server's slot: dormant, in memory, and
-    /// never touching the slot's disk — it can neither serve nor gossip.
-    pub fn husk(&self, slot: usize) -> StoreProc<M> {
-        StoreProc::Server(self.replica(slot, Box::new(MemEngine::new())).dormant())
+        StoreProc::Server(self.replica(slot).dormant())
     }
 
     /// Client session `j`, hosted as node `node_index`, running
@@ -409,9 +402,6 @@ pub struct Cluster<M: Mechanism<StampedValue>> {
     /// ([`Cluster::take_due_steps`]).
     scenario: Scenario,
     next_step: usize,
-    /// Server slots currently crashed: an inert husk holds the slot and
-    /// every link to it is severed until [`Cluster::restart_node`].
-    crashed: BTreeSet<usize>,
 }
 
 impl<M: Mechanism<StampedValue>> Cluster<M> {
@@ -468,7 +458,6 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
             pending_leaves: BTreeSet::new(),
             deadline: SimTime::ZERO + config.deadline,
             settle_budget: config.membership_settle_budget,
-            crashed: BTreeSet::new(),
             scenario: config.scenario,
             next_step: 0,
         }
@@ -488,9 +477,17 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not a server index.
+    /// Panics if `i` is not a server index, or the server is down.
     pub fn server(&self, i: usize) -> &StoreNode<M> {
-        self.sim.process(i).server()
+        match &self.sim.processes()[i] {
+            Some(node) => node.server(),
+            None => panic!("server {i} is down"),
+        }
+    }
+
+    /// Whether server `slot` is crashed: its host holds no node there.
+    fn is_crashed(&self, slot: usize) -> bool {
+        self.sim.processes()[slot].is_none()
     }
 
     /// Read access to client `j`'s session node.
@@ -540,6 +537,9 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// deterministic.
     pub fn set_replica_status(&mut self, replica: ReplicaId, up: bool) {
         for i in 0..(self.server_slots + self.clients) {
+            if self.is_crashed(i) {
+                continue;
+            }
             match self.sim.process_mut(i) {
                 StoreProc::Server(s) => s.set_peer_status(replica, up),
                 StoreProc::Client(c) => c.set_peer_status(replica, up),
@@ -552,7 +552,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// membership change.
     fn debug_assert_views_converged(&self) {
         for &i in &self.members {
-            if self.crashed.contains(&i) {
+            if self.is_crashed(i) {
                 continue; // a crashed member cannot gossip
             }
             debug_assert_eq!(
@@ -671,15 +671,12 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
             // converge until restarted
             c.pending_leaves
                 .iter()
-                .filter(|s| !c.crashed.contains(s))
+                .filter(|&&s| !c.is_crashed(s))
                 .all(|&s| c.server(s).drain_complete())
-                && c.members
-                    .iter()
-                    .filter(|i| !c.crashed.contains(i))
-                    .all(|&i| {
-                        let s = c.server(i);
-                        s.view_digest() == target && s.transfer_backlog() == 0
-                    })
+                && c.members.iter().filter(|&&i| !c.is_crashed(i)).all(|&i| {
+                    let s = c.server(i);
+                    s.view_digest() == target && s.transfer_backlog() == 0
+                })
         });
         let leaves: Vec<usize> = std::mem::take(&mut self.pending_leaves)
             .into_iter()
@@ -687,7 +684,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
         let mut all_ok = settled;
         let mut final_wave = false;
         for slot in leaves {
-            if self.crashed.contains(&slot) {
+            if self.is_crashed(slot) {
                 // a crashed leaver can neither drain nor be re-admitted
                 // until it restarts; keep the leave pending
                 self.pending_leaves.insert(slot);
@@ -746,7 +743,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
                 let converged = self.run_until_settled(self.settle_budget, |c| {
                     c.members
                         .iter()
-                        .filter(|i| !c.crashed.contains(i))
+                        .filter(|&&i| !c.is_crashed(i))
                         .all(|&i| c.server(i).view_digest() == target)
                 });
                 all_ok = converged;
@@ -763,10 +760,10 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// *and* whatever its storage engine had buffered past the last
     /// group it handed off to be synced, exactly like a real power cut
     /// (a log's drop lets its writer finish that group) — by the host's
-    /// one kill ([`Simulation::kill`], the threaded fleet's too): an inert
-    /// husk holds the slot, the node's timers and the messages it had
-    /// queued to itself are gone, and nothing is dispatched into the
-    /// slot until the restart. On top of that — harness decisions —
+    /// one kill ([`Simulation::kill`], the threaded fleet's too): the slot
+    /// is empty, the node's timers and the messages it had queued to
+    /// itself are gone, and nothing is dispatched into the slot until
+    /// the restart. On top of that — harness decisions —
     /// every network link to it is severed and the global failure
     /// detector marks it down. The slot stays a ring member
     /// (crash ≠ leave): its entry ages in peers' views until
@@ -781,12 +778,11 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
             self.members.contains(&slot) || self.pending_leaves.contains(&slot),
             "slot {slot} is not a serving member"
         );
-        assert!(self.crashed.insert(slot), "slot {slot} is already crashed");
+        assert!(!self.is_crashed(slot), "slot {slot} is already crashed");
         let who = ReplicaId(slot as u32);
         // Dropping the node drops its engine with the un-synced tail
-        // still in user space: that tail is genuinely lost. The slot is
-        // down, so the husk is handed nothing, and disconnected.
-        self.sim.kill(NodeId(slot as u32), self.kit.husk(slot));
+        // still in user space: that tail is genuinely lost.
+        self.sim.kill(NodeId(slot as u32));
         for other in 0..(self.server_slots + self.clients) {
             if other != slot {
                 let net = self.sim.network_mut();
@@ -811,7 +807,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     ///
     /// Panics if `slot` is not crashed.
     pub fn restart_node(&mut self, slot: usize) {
-        assert!(self.crashed.remove(&slot), "slot {slot} is not crashed");
+        assert!(self.is_crashed(slot), "slot {slot} is not crashed");
         let who = ReplicaId(slot as u32);
         self.sim.revive(NodeId(slot as u32), self.kit.server(slot));
         for other in 0..(self.server_slots + self.clients) {
@@ -833,7 +829,9 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
 
     /// Server slots currently crashed.
     pub fn crashed_slots(&self) -> Vec<usize> {
-        self.crashed.iter().copied().collect()
+        (0..self.server_slots)
+            .filter(|&i| self.is_crashed(i))
+            .collect()
     }
 
     /// Forces server `slot`'s storage engine to sync its buffered
@@ -962,7 +960,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// [`FleetHarness::converge`]: premature collection would let anti-entropy
     /// resurrect deleted data. Returns keys reclaimed per server.
     pub fn collect_garbage(&mut self) -> Vec<usize> {
-        self.member_slots()
+        self.member_servers()
             .into_iter()
             .map(|i| self.sim.process_mut(i).server_mut().collect_garbage())
             .collect()
@@ -976,7 +974,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     /// member still has.
     pub fn surviving_union(&self, key: &[u8]) -> BTreeSet<WriteId> {
         let mut union = BTreeSet::new();
-        for i in self.member_slots() {
+        for i in self.member_servers() {
             union.extend(self.surviving_at(i, key));
         }
         union
@@ -993,7 +991,7 @@ impl<M: Mechanism<StampedValue>> Cluster<M> {
     pub fn metadata_report(&self) -> MetadataReport {
         let mut out = MetadataReport::default();
         let mut key_instances = 0usize;
-        for i in self.member_slots() {
+        for i in self.member_servers() {
             let s = self.server(i);
             for st in s.data().values() {
                 let bytes = self.kit.mech().metadata_size(st);
@@ -1018,14 +1016,19 @@ impl<M: Mechanism<StampedValue>> FleetHarness<M> for Cluster<M> {
         self.kit.mech()
     }
 
+    /// The members that are up: a crashed member's slot holds no node.
     fn member_servers(&self) -> Vec<usize> {
-        self.member_slots()
+        let mut members = self.member_slots();
+        members.retain(|&i| !self.is_crashed(i));
+        members
     }
 
-    /// All server slots, dormant spares included — a retired leaver
-    /// keeps gossiping, so its ledger still counts.
+    /// All server slots that are up, dormant spares included — a
+    /// retired leaver keeps gossiping, so its ledger still counts.
     fn ledger_servers(&self) -> Vec<usize> {
-        (0..self.server_slots).collect()
+        (0..self.server_slots)
+            .filter(|&i| !self.is_crashed(i))
+            .collect()
     }
 
     fn client_count(&self) -> usize {

@@ -101,8 +101,9 @@ mod tests {
     /// Runs two servers and a client of `cycles` cycles on the bare
     /// simulator under `faults` and checks, message by message, that
     /// the bytes the network delivered to each node are what that
-    /// message's size and the header come to. Returns what the nodes
-    /// charged themselves and what the deliveries add up to.
+    /// message's size and the header come to, and that the network
+    /// counted every byte the nodes charged as sent. Returns what the
+    /// nodes charged themselves and what the deliveries add up to.
     fn charged_and_delivered(faults: LinkFaults, cycles: u32) -> (u64, u64) {
         let store = StoreConfig {
             n: 2,
@@ -134,7 +135,7 @@ mod tests {
         sim.run_to_quiescence();
 
         let mut charged = 0;
-        for (i, p) in sim.processes().iter().enumerate() {
+        for (i, p) in sim.processes().iter().flatten().enumerate() {
             charged += match &p.node {
                 StoreProc::Server(s) => s.wire_stats().total_bytes(),
                 StoreProc::Client(c) => {
@@ -153,9 +154,20 @@ mod tests {
                 .collect();
             assert_eq!(delivered, p.expect, "node {i}");
         }
-        let expected: usize = sim.processes().iter().flat_map(|p| &p.expect).sum();
+        let expected: usize = sim
+            .processes()
+            .iter()
+            .flatten()
+            .flat_map(|p| &p.expect)
+            .sum();
         assert!(expected > 12 * HEADER, "payloads sized, not just headers");
-        assert_eq!(sim.network().stats().bytes_delivered, expected as u64);
+        let stats = sim.network().stats();
+        assert_eq!(stats.bytes_delivered, expected as u64);
+        assert_eq!(
+            charged,
+            stats.bytes_sent + stats.self_bytes,
+            "every send counted"
+        );
         (charged, expected as u64)
     }
 

@@ -46,14 +46,15 @@ pub trait FleetHarness<M: Mechanism<StampedValue>> {
     /// The causality mechanism the fleet runs.
     fn mechanism(&self) -> &M;
 
-    /// The server slots currently in the ring, ascending. Audits span
-    /// exactly these.
+    /// The server slots currently in the ring and up, ascending: a
+    /// crashed server's slot holds no node to read. Audits span exactly
+    /// these.
     fn member_servers(&self) -> Vec<usize>;
 
-    /// The server slots whose wire ledgers [`FleetHarness::wire_report`]
-    /// folds. Defaults to the members; a driver that keeps retired
-    /// nodes' ledgers around (the simulator's dormant spares still
-    /// gossip) widens this.
+    /// The server slots, up, whose wire ledgers
+    /// [`FleetHarness::wire_report`] folds. Defaults to the members; a
+    /// driver that keeps retired nodes' ledgers around (the simulator's
+    /// dormant spares still gossip) widens this.
     fn ledger_servers(&self) -> Vec<usize> {
         self.member_servers()
     }

@@ -324,9 +324,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     }
 
     /// Turns a freshly built node into a dormant one: hosted, but not
-    /// serving — a spare slot, or the husk that holds a crashed server's
-    /// place. It merges views and nothing else, until one newly places it
-    /// on the ring (`reconcile_self_status`).
+    /// serving — a spare slot. It merges views and nothing else, until
+    /// one places it on the ring (`reconcile_self_status`). A crashed
+    /// server is no node at all: its host's slot is empty until the
+    /// revive.
     #[must_use]
     pub fn dormant(mut self) -> Self {
         self.active = false;
@@ -877,11 +878,9 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     /// its *own* change second-hand behaves identically.
     ///
     /// * A **dormant** node wakes — serving, not draining, periodic
-    ///   timers armed — exactly when the merge *newly* put it on the ring
-    ///   it routes under (`was_on_ring` is the ring before the merge).
-    ///   So a spare wakes for its join; the husk holding a crashed slot,
-    ///   whose genesis ring already names it, and a retired leaver handed
-    ///   a stale `Up` its `Removed` entry dominates are never woken by
+    ///   timers armed — exactly when the merged view puts it on the
+    ///   ring. So a spare wakes for its join; a retired leaver handed a
+    ///   stale `Up` its `Removed` entry dominates is never woken by
     ///   traffic.
     /// * A serving node with a `Leaving`/`Removed` entry starts (or
     ///   keeps) the drain.
@@ -896,10 +895,10 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
     ///   after a crash never saw `on_start`, and its re-admission (a fresh
     ///   incarnation, so always a change) is what makes it gossip and
     ///   anti-entropy again.
-    fn reconcile_self_status(&mut self, ctx: &mut Ctx<'_, M>, was_on_ring: bool) {
+    fn reconcile_self_status(&mut self, ctx: &mut Ctx<'_, M>) {
         let status = self.view.status(&self.replica);
         if !self.active {
-            if was_on_ring || !status.is_some_and(MemberStatus::in_ring) {
+            if !status.is_some_and(MemberStatus::in_ring) {
                 return;
             }
             self.active = true;
@@ -930,7 +929,7 @@ impl<M: Mechanism<StampedValue>> StoreNode<M> {
         self.data.repartition(self.ring.token_points().collect());
         let members = self.view.members();
         self.down.retain(|r| members.contains(r));
-        self.reconcile_self_status(ctx, old_ring.nodes().contains(&self.replica));
+        self.reconcile_self_status(ctx);
         self.reaim_owed(&members);
         if self.active {
             self.queue_rebalance(&old_ring);

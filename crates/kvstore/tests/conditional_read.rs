@@ -76,7 +76,7 @@ impl Server {
         let rng = SimRng::new(u64::from(replica.0));
         let network = Network::new(NetworkConfig::default(), rng.fork("network"));
         let id = NodeId(replica.0);
-        let mut host = Host::new(network, vec![(id, StoreProc::Server(node), rng)]);
+        let mut host = Host::new(network, vec![(id, Some(StoreProc::Server(node)), rng)]);
         host.set_faults(false);
         Server {
             host,

@@ -24,7 +24,7 @@ use kvstore::cluster::{Cluster, ClusterConfig, NodeKit, StoreProc};
 use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::ctx::Timer;
 use kvstore::messages::{Msg, MsgClass};
-use kvstore::node::{NodeStats, StoreNode};
+use kvstore::node::StoreNode;
 use kvstore::value::{Key, StampedValue, WriteId};
 use kvstore::FleetHarness;
 use ring::{HashRing, MemberStatus, RingView};
@@ -1160,39 +1160,6 @@ fn a_spare_wakes_for_its_join_however_the_view_reaches_it() {
     );
     let mut sim = lifecycle_sim(StoreProc::Server(ahead), kit.spare(1));
     assert_woke(&mut sim, "second-hand");
-}
-
-#[test]
-fn a_husk_is_never_woken_by_traffic() {
-    // the husk holds a crashed member's slot: the ring it booted with
-    // already names it, so no view *newly* places it there
-    let kit = NodeKit::new(DvvMechanism, lifecycle_config(), 2, None);
-    let mut sim = lifecycle_sim(kit.server(0), kit.husk(1));
-    let mut view = kit.genesis_view().clone();
-    for status in [
-        MemberStatus::Up,
-        MemberStatus::Joining,
-        MemberStatus::Leaving,
-    ] {
-        view = with_subject(&view, status);
-        sim.post(NodeId(1), Msg::RingEpoch { view: view.clone() });
-        let get = Msg::ClientGet {
-            req: 1,
-            key: b"k".to_vec(),
-            digest: view.digest(),
-        };
-        sim.post(NodeId(1), get);
-        let next = sim.now() + Duration::from_millis(300);
-        sim.run_until(next);
-        let husk = sim.process(1).server();
-        assert!(!husk.is_active(), "woken by {status:?}");
-        assert_eq!(
-            husk.stats(),
-            NodeStats::default(),
-            "served under {status:?}"
-        );
-        assert_eq!(husk.view_digest(), view.digest(), "it still merges views");
-    }
 }
 
 #[test]

@@ -43,7 +43,10 @@ impl Session {
         let client = ClientNode::new(ClientId(1), 5, DvvMechanism, config, &store, view);
         let rng = SimRng::new(5);
         let network = Network::new(NetworkConfig::default(), rng.fork("network"));
-        let mut host = Host::new(network, vec![(NodeId(5), StoreProc::Client(client), rng)]);
+        let mut host = Host::new(
+            network,
+            vec![(NodeId(5), Some(StoreProc::Client(client)), rng)],
+        );
         host.set_faults(false);
         Session {
             host,

@@ -19,9 +19,8 @@
 //!
 //! A node's sends go the host's three ways. A message to itself is an
 //! agenda entry due at once: reliable, never fault-injected, never on
-//! the wire (the link is only told its bytes, [`Link::note_self`]).
-//! With no network configured ([`RuntimeConfig::faults`] is `None`),
-//! and during the quiesce, everything else goes straight to the
+//! the wire. With no network configured ([`RuntimeConfig::faults`] is
+//! `None`), and during the quiesce, everything else goes straight to the
 //! [`Link`]. Otherwise the host asks the simulator's own fault plane —
 //! a [`simnet::Network`] over the worker's RNG stream — what becomes of
 //! the message: lost, or one or more copies (the original, a duplicate,
@@ -30,15 +29,16 @@
 //! (a bounded `std::sync::mpsc` inbox per worker), a TCP fabric for
 //! `transport::SocketFleet`. Either way a full inbox drops the message
 //! (wire loss; the protocol's timeouts, retries and anti-entropy absorb
-//! it), so workers can never deadlock on a send.
+//! it), so workers can never deadlock on a send. Each worker's host
+//! counts every send and its fate; [`Fleet::network_report`] sums them.
 //!
 //! The run's [`Scenario`](simnet::Scenario) ([`RuntimeConfig::scenario`])
 //! is agenda entries, all known when the fleet runs: each step goes on
 //! the agenda of the worker hosting its node, a `Faults` step on every
 //! worker's. A `Kill` and a `Revive` are the host's own kill and revive
-//! — the ones the simulator's `Cluster` calls: the kill swaps in an
-//! inert husk, drops the node's timers and queued self-sends and marks
-//! it down (what reaches it is dropped), the revive rebuilds the node
+//! — the ones the simulator's `Cluster` calls: the kill empties the
+//! node's slot and drops its timers and queued self-sends (what reaches
+//! it is dropped until the revive), the revive rebuilds the node
 //! from its [`NodeKit`] and posts it the view that re-admits it. A
 //! `Faults` step switches the worker's network's fault knobs, a
 //! `CutConn` is [`Link::cut`] on the worker's handle. Nothing crosses
@@ -107,7 +107,7 @@ use kvstore::messages::Msg;
 use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
-use simnet::{Due, Host, Network, NodeId, Outlet, SimRng, SimTime, Step, TraceEvent};
+use simnet::{Due, Host, Network, NetworkStats, NodeId, Outlet, SimRng, SimTime, Step};
 
 use crate::link::{ChannelLink, Link, Packet, Wiring};
 use crate::watchdog::{self, Progress, StallReport};
@@ -223,7 +223,9 @@ pub struct RunReport {
     pub elapsed: StdDuration,
     /// Client operations completed fleet-wide.
     pub ops_ok: u64,
-    /// All clients finished within the run budget.
+    /// All clients finished within the run budget: `true` on every
+    /// report, because a run that does not finish returns a
+    /// [`StallReport`] instead.
     pub all_done: bool,
 }
 
@@ -238,13 +240,14 @@ pub struct Fleet<M: Mechanism<StampedValue>, L: Link<M>> {
     /// The genesis view with one `Up` bump per killed server: what the
     /// fleet's views converge to once every revive is re-admitted.
     view: RingView<ReplicaId>,
-    /// Every node between runs — its id, process and RNG stream — in id
-    /// order; a run hands them to its workers' hosts.
-    nodes: Vec<(NodeId, StoreProc<M>, SimRng)>,
+    /// Every node between runs — its id, process (`None` if a run left
+    /// it down) and RNG stream — in id order; a run hosts them.
+    nodes: Vec<(NodeId, Option<StoreProc<M>>, SimRng)>,
     progress: Arc<Progress>,
     net_root: SimRng,
     link_spec: L::Spec,
     link_ledger: Option<L::Ledger>,
+    network_report: Option<NetworkStats>,
 }
 
 /// The threaded fleet over in-process channels ([`ChannelLink`]).
@@ -320,7 +323,8 @@ where
                     None => kit.server(i),
                     Some(j) => kit.client(j, i, &config.client, config.cycles_per_client),
                 };
-                (NodeId(i as u32), node, root.fork_indexed("node", i as u64))
+                let rng = root.fork_indexed("node", i as u64);
+                (NodeId(i as u32), Some(node), rng)
             })
             .collect();
         Fleet {
@@ -332,12 +336,19 @@ where
             net_root: root.fork("rtnet"),
             link_spec,
             link_ledger: None,
+            network_report: None,
         }
     }
 
     /// The link's ledger from the completed run; `None` before it.
     pub fn link_ledger(&self) -> Option<&L::Ledger> {
         self.link_ledger.as_ref()
+    }
+
+    /// The workers' hosts' network stats from the completed run, summed;
+    /// `None` before it. A packet off the link is delivered at 0 bytes.
+    pub fn network_report(&self) -> Option<NetworkStats> {
+        self.network_report
     }
 
     /// A clonable handle for observing the fleet while (or after) it
@@ -419,7 +430,7 @@ where
 
         // Worker threads — the only threads a run spawns. Each has the
         // scenario's steps for its nodes on its agenda from the start.
-        let mut handles: Vec<JoinHandle<Vec<_>>> = Vec::new();
+        let mut handles: Vec<JoinHandle<Host<StoreProc<M>>>> = Vec::new();
         for (w, (group, rx)) in groups.into_iter().zip(receivers).enumerate() {
             let hosts: Vec<NodeId> = group.iter().map(|(id, ..)| *id).collect();
             let network = Network::new(
@@ -545,10 +556,14 @@ where
         }
 
         let mut returned = Vec::with_capacity(total);
+        let mut network = NetworkStats::default();
         for h in handles {
-            returned.extend(h.join().expect("worker thread panicked"));
+            let host = h.join().expect("worker thread panicked");
+            network.absorb(&host.network().stats());
+            returned.extend(host.into_nodes());
         }
         self.link_ledger = Some(link.close());
+        self.network_report = Some(network);
         returned.sort_by_key(|(id, ..)| id.0);
         self.nodes = returned;
 
@@ -586,9 +601,9 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not a server index.
+    /// Panics if `i` is not a server index, or the run left it down.
     pub fn server(&self, i: usize) -> &StoreNode<M> {
-        self.nodes[i].1.server()
+        self.node(i).server()
     }
 
     /// Read access to client `j`'s session node.
@@ -597,7 +612,13 @@ where
     ///
     /// Panics if `j` is not a client index.
     pub fn client(&self, j: usize) -> &ClientNode<M> {
-        self.nodes[self.config.servers + j].1.client()
+        self.node(self.config.servers + j).client()
+    }
+
+    /// Node `i`; only a server can be down.
+    fn node(&self, i: usize) -> &StoreProc<M> {
+        let node = self.nodes[i].1.as_ref();
+        node.unwrap_or_else(|| panic!("server {i} is down"))
     }
 
     /// Number of replica servers.
@@ -614,9 +635,11 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not a server index.
+    /// Panics if `i` is not a server index, or the run left it down.
     pub fn server_mut(&mut self, i: usize) -> &mut StoreNode<M> {
-        self.nodes[i].1.server_mut()
+        let node = self.nodes[i].1.as_mut();
+        node.unwrap_or_else(|| panic!("server {i} is down"))
+            .server_mut()
     }
 }
 
@@ -633,8 +656,10 @@ where
         self.kit.mech()
     }
 
+    /// The servers a run did not leave down.
     fn member_servers(&self) -> Vec<usize> {
-        (0..self.config.servers).collect()
+        let up = |&i: &usize| self.nodes[i].1.is_some();
+        (0..self.config.servers).filter(up).collect()
     }
 
     fn client_count(&self) -> usize {
@@ -754,22 +779,12 @@ struct Tally {
 }
 
 /// The link as a host's outlet: a message for a node on another worker
-/// goes on the link; of a message a node sends itself, which never
-/// does, the link is told the bytes.
+/// goes on the link.
 struct Wire<'a, L>(&'a L);
 
 impl<M: Mechanism<StampedValue>, L: Link<M>> Outlet<Msg<M>> for Wire<'_, L> {
     fn forward(&mut self, from: NodeId, to: NodeId, msg: Msg<M>, _bytes: usize) {
         self.0.send(Packet { from, to, msg });
-    }
-
-    fn note(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::Sent {
-                from, to, bytes, ..
-            } if from == to => self.0.note_self(bytes),
-            _ => {}
-        }
     }
 }
 
@@ -800,8 +815,8 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> Worker<M, L> {
     /// Carries out one agenda entry or inbound message, now. A scenario's
     /// kill is the host's, on the server's own worker: the node is
     /// dropped like a power cut — in-memory state, armed timers, queued
-    /// self-sends and the engine's unsynced buffer — and an inert husk
-    /// holds the slot. The revive rebuilds it from the kit and posts it
+    /// self-sends and the engine's unsynced buffer — and its slot left
+    /// empty. The revive rebuilds it from the kit and posts it
     /// the view that re-admits it: the genesis view with its fresh `Up`
     /// incarnation. Merging that view re-arms the node's timers (it was
     /// built mid-run, so without `on_start`) and lets gossip spread the
@@ -811,7 +826,7 @@ impl<M: Mechanism<StampedValue>, L: Link<M>> Worker<M, L> {
         match due {
             Due::Step(Step::Kill(slot)) => {
                 self.progress.set_expected_down(slot, true);
-                self.host.kill(NodeId(slot as u32), self.kit.husk(slot));
+                self.host.kill(NodeId(slot as u32));
             }
             Due::Step(Step::Revive(slot)) => {
                 let node = NodeId(slot as u32);
@@ -882,25 +897,25 @@ fn store_if_moved(cell: &AtomicU64, value: u64) {
 
 /// One worker thread's event loop over its host: messages from its
 /// inbox, and its agenda — timers, messages on their way (held back, or
-/// to the node itself), its scenario steps.
+/// to the node itself), its scenario steps. Returns the host: its nodes,
+/// and its network's count of their sends.
 fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
     mut w: Worker<M, L>,
     rx: Receiver<Packet<M>>,
     inbox_capacity: usize,
     hang: bool,
-) -> Vec<(NodeId, StoreProc<M>, SimRng)> {
+) -> Host<StoreProc<M>> {
     if hang {
         // A wedged worker: never starts its nodes, never drains its
         // inbox. Exists to prove the stall check fires.
         while !w.shared.shutdown.load(Ordering::Relaxed) {
             thread::sleep(StdDuration::from_millis(5));
         }
-        return w.host.into_nodes();
+        return w.host;
     }
 
     let now = w.now();
-    w.host.start(now, &mut Wire(&w.link));
-    for slot in 0..w.host.nodes().len() {
+    for slot in w.host.start(now, &mut Wire(&w.link)) {
         w.publish(slot, now);
     }
 
@@ -1010,7 +1025,7 @@ fn worker_loop<M: Mechanism<StampedValue>, L: Link<M>>(
         }
     }
     gate.fold(&w.progress);
-    w.host.into_nodes()
+    w.host
 }
 
 #[cfg(test)]

@@ -29,9 +29,10 @@
 //! [`Progress`] counters and the shutdown flag), a `send` of an
 //! addressed message that never waits on the destination node (see
 //! [`Link::send`]), `close` returning its ledger, and optionally a
-//! cut of a node's connections ([`Link::cut`], a scenario's `CutConn`)
-//! and a note of the bytes charged for self-sends (which the host
-//! delivers itself and never hands to `send`). A link that receives on
+//! cut of a node's connections ([`Link::cut`], a scenario's `CutConn`).
+//! Self-sends never reach a link: the host delivers them itself and
+//! counts them, with every other send, in its network's stats, which a
+//! run sums into [`Fleet::network_report`]. A link that receives on
 //! the workers' own threads also gives each worker its own handle
 //! ([`Link::worker`]), does its receiving in the worker's wait
 //! ([`Link::wait`]) and hears of what the main loop posts into an inbox

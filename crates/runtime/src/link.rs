@@ -18,9 +18,10 @@
 //! message.
 //!
 //! Self-sends never reach [`Link::send`]: the worker's host delivers
-//! them itself, as entries of its agenda, and only tells the link the
-//! bytes the node charged for what it skipped ([`Link::note_self`]), so
-//! a link that keeps a byte ledger can still balance it.
+//! them itself, as entries of its agenda, and counts them in its
+//! network's stats (`self_sent`, `self_bytes`), with everything else its
+//! nodes sent. A link's ledger is of what it was handed; the fleet's
+//! [`network_report`](crate::Fleet::network_report) is of what was sent.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
@@ -166,10 +167,6 @@ pub trait Link<M: Mechanism<StampedValue>>: Clone + Send + 'static {
     /// The default does nothing; a worker waiting on the inbox itself
     /// is woken by the channel.
     fn wake(&self, _to: NodeId) {}
-
-    /// A self-send the host delivers itself instead of sending, by
-    /// the bytes its node charged for it.
-    fn note_self(&self, _bytes: usize) {}
 
     /// Severs every live connection touching `node`, on the handle of
     /// the worker hosting it, when a scenario's `CutConn` step is due.

@@ -102,6 +102,19 @@ fn audit_runtime(seed: u64) {
         fleet.latency_report().get.count() + fleet.latency_report().put.count(),
         "seed {seed}: live op counter diverged from client histograms"
     );
+    // Every byte the nodes charged is a byte their hosts counted sent,
+    // whatever the fault plane then did with it.
+    let net = fleet.network_report().expect("a run");
+    let charged = FleetHarness::wire_report(&fleet).total_bytes();
+    assert_eq!(
+        charged,
+        net.bytes_sent + net.self_bytes,
+        "seed {seed}: {net:#?}"
+    );
+    assert!(
+        net.dropped > 0,
+        "seed {seed}: the plane never dropped\n{net:#?}"
+    );
 
     audit_fleet(&mut fleet, &format!("seed {seed} (runtime)"));
 }

@@ -11,7 +11,7 @@
 //! Interleavings are forced through the inbox channel and the progress
 //! counters, never through sleeps longer than the loop's 20 ms wait cap.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration as StdDuration, Instant};
@@ -47,7 +47,6 @@ struct Script {
     opened: Mutex<Option<ScriptLink>>,
     /// `(from, to)` of everything the loop handed to `send`.
     sent: Mutex<Vec<(NodeId, NodeId)>>,
-    self_sends: AtomicU64,
     /// Numbers a script wants the test body to assert on.
     notes: Mutex<Vec<u64>>,
 }
@@ -119,10 +118,6 @@ impl Link<M> for ScriptLink {
         if let Some(f) = self.script.on_send {
             f(self, &pkt);
         }
-    }
-
-    fn note_self(&self, _bytes: usize) {
-        self.script.self_sends.fetch_add(1, Ordering::Relaxed);
     }
 
     fn close(self) {}
@@ -209,8 +204,8 @@ fn queued_reply_is_handled_before_a_due_timer() {
 }
 
 /// A message a node addresses to itself is an agenda entry due at once
-/// on its worker's host: the link is told, never asked to carry it, and
-/// the node handles it once.
+/// on its worker's host: the host counts it, the link never carries it,
+/// and the node handles it once.
 #[test]
 fn self_send_is_delivered_locally_exactly_once() {
     fn script(link: &ScriptLink) {
@@ -234,7 +229,8 @@ fn self_send_is_delivered_locally_exactly_once() {
 
     let notes = script.notes.lock().unwrap().clone();
     let (base, depth) = (notes[0], notes[1]);
-    assert_eq!(script.self_sends.load(Ordering::Relaxed), 1);
+    let network = fleet.network_report().expect("a run");
+    assert_eq!(network.self_sent, 1, "{network:?}");
     assert_eq!(*script.sent.lock().unwrap(), vec![], "nothing on the link");
     assert_eq!(depth, 0, "a self-send does not count as inbox depth");
     assert_eq!(
@@ -305,7 +301,7 @@ fn a_crash_runs_on_its_servers_own_clock() {
         await_that("the kill", || down.load(Ordering::Relaxed));
         let at_kill = link.events(SERVER);
         // Two gossip intervals into a 40 ms outage: a timer that had
-        // outlived the kill would have fired into the husk by now.
+        // outlived the kill would have come due by now.
         std::thread::sleep(2 * GOSSIP);
         let later = link.events(SERVER);
         if down.load(Ordering::Relaxed) {
@@ -332,7 +328,8 @@ fn a_crash_runs_on_its_servers_own_clock() {
     let notes = script.notes.lock().unwrap().clone();
     assert!(notes.iter().all(|n| *n == 0), "a down server dispatched");
     assert_eq!(*script.sent.lock().unwrap(), vec![], "nothing on the link");
-    assert_eq!(script.self_sends.load(Ordering::Relaxed), 0);
+    let network = fleet.network_report().expect("a run");
+    assert_eq!(network.self_sent, 0, "{network:?}");
     let me = ReplicaId(0);
     let audit = fleet.audit_view().entry(&me).map(|e| e.incarnation);
     assert_eq!(audit, Some(2), "genesis, then the crash's one Up bump");
@@ -735,10 +732,6 @@ impl Link<M> for Spinning {
 
     fn send(&self, pkt: Packet<M>) {
         self.0.send(pkt);
-    }
-
-    fn note_self(&self, bytes: usize) {
-        self.0.note_self(bytes);
     }
 
     fn close(self) {}

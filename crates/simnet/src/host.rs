@@ -6,6 +6,10 @@
 //! to them. The driver keeps the clock — every call that runs a node is
 //! told `now` — and an [`Outlet`].
 //!
+//! It is the one record of its nodes' fate and of their sends: a killed
+//! node's slot is empty until revived, and every send is counted in the
+//! network's stats, self-sends and unrouted ones included.
+//!
 //! [`Simulation`]: crate::Simulation
 
 use core::fmt::Debug;
@@ -166,7 +170,8 @@ impl<M: Clone, T: Ord + Copy + Debug> ProcessCtx<'_, M, T> {
     /// Sends `msg` (`bytes` long on the wire) to `to`. A message to
     /// itself bypasses the network and is due at once. Each copy the
     /// network lets through is due after its delay; one due at once for
-    /// a node hosted elsewhere goes to the outlet there and then.
+    /// a node hosted elsewhere goes to the outlet there and then. The
+    /// network's stats count the send whichever way it goes.
     pub fn send(&mut self, to: NodeId, msg: M, bytes: usize) {
         let (from, time) = (self.id, self.now);
         self.outlet.note(TraceEvent::Sent {
@@ -191,6 +196,7 @@ impl<M: Clone, T: Ord + Copy + Debug> ProcessCtx<'_, M, T> {
             agenda.schedule((time + delay).as_micros(), copy);
         };
         if to == from || !plane.faults {
+            plane.network.record_unrouted(from, to, bytes);
             emit(Duration::ZERO, msg, bytes);
         } else if !plane
             .network
@@ -215,19 +221,17 @@ impl<M: Clone, T: Ord + Copy + Debug> ProcessCtx<'_, M, T> {
 
 /// A set of nodes, their agenda and their network (see the module docs).
 pub struct Host<P: Process> {
-    /// Slot by slot: each node, its id, its RNG stream and whether it
-    /// is down.
-    nodes: Vec<P>,
+    /// Slot by slot: each node — none while it is down — its id and
+    /// its RNG stream.
+    nodes: Vec<Option<P>>,
     ids: Vec<NodeId>,
     rngs: Vec<SimRng>,
-    down: Vec<bool>,
     plane: Plane<P::Msg, P::Timer>,
 }
 
 impl<P: Process + Debug> Debug for Host<P> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let up = self.down.iter().map(|down| !down);
-        let nodes: Vec<_> = self.ids.iter().zip(&self.nodes).zip(up).collect();
+        let nodes: Vec<_> = self.ids.iter().zip(&self.nodes).collect();
         f.debug_struct("Host")
             .field("nodes", &nodes)
             .finish_non_exhaustive()
@@ -235,16 +239,16 @@ impl<P: Process + Debug> Debug for Host<P> {
 }
 
 impl<P: Process> Host<P> {
-    /// A host of `nodes` — each its id, process and RNG stream — whose
-    /// messages to one another go through `network`.
-    pub fn new(network: Network, nodes: Vec<(NodeId, P, SimRng)>) -> Self {
+    /// A host of `nodes` — each its id, process (`None` for one that is
+    /// down) and RNG stream — whose messages to one another go through
+    /// `network`.
+    pub fn new(network: Network, nodes: Vec<(NodeId, Option<P>, SimRng)>) -> Self {
         let mut slots = Vec::new();
         for (slot, (id, ..)) in nodes.iter().enumerate() {
             let at = id.0 as usize;
             slots.resize(slots.len().max(at + 1), None);
             assert!(slots[at].replace(slot).is_none(), "{id} hosted twice");
         }
-        let down = vec![false; nodes.len()];
         let parts = nodes.into_iter().map(|(id, node, rng)| ((id, node), rng));
         let ((ids, nodes), rngs): ((Vec<_>, Vec<_>), Vec<_>) = parts.unzip();
         let plane = Plane {
@@ -258,7 +262,6 @@ impl<P: Process> Host<P> {
             nodes,
             ids,
             rngs,
-            down,
             plane,
         }
     }
@@ -269,25 +272,28 @@ impl<P: Process> Host<P> {
         self.ids[slot]
     }
 
-    /// The process in `slot`.
+    /// The process in `slot`; panics if it is down.
     #[must_use]
     pub fn node(&self, slot: usize) -> &P {
-        &self.nodes[slot]
+        let node = self.nodes[slot].as_ref();
+        node.unwrap_or_else(|| panic!("{} is down", self.ids[slot]))
     }
 
-    /// Mutable access to the process in `slot`, for a harness.
+    /// Mutable access to the process in `slot`, for a harness; panics
+    /// if it is down.
     pub fn node_mut(&mut self, slot: usize) -> &mut P {
-        &mut self.nodes[slot]
+        let node = self.nodes[slot].as_mut();
+        node.unwrap_or_else(|| panic!("{} is down", self.ids[slot]))
     }
 
-    /// Every process, in slot order.
+    /// Every slot's process, in slot order; `None` where it is down.
     #[must_use]
-    pub fn nodes(&self) -> &[P] {
+    pub fn nodes(&self) -> &[Option<P>] {
         &self.nodes
     }
 
-    /// Each node's id, process and RNG stream, in slot order.
-    pub fn into_nodes(self) -> Vec<(NodeId, P, SimRng)> {
+    /// Each node's id, process (`None` if down) and RNG stream.
+    pub fn into_nodes(self) -> Vec<(NodeId, Option<P>, SimRng)> {
         let parts = self.ids.into_iter().zip(self.nodes).zip(self.rngs);
         parts.map(|((id, node), rng)| (id, node, rng)).collect()
     }
@@ -337,14 +343,13 @@ impl<P: Process> Host<P> {
         self.plane.agenda.schedule(now.as_micros(), post);
     }
 
-    /// Kills `node` like a power cut: the process is dropped and `husk`
-    /// holds its slot, its timers and what it queued to itself are gone,
-    /// and until [`revive`](Self::revive) it is down: what is delivered
-    /// to it is dropped. What it sent to other nodes stays sent.
-    pub fn kill(&mut self, node: NodeId, husk: P) {
+    /// Kills `node` like a power cut: its slot is emptied, its timers
+    /// and what it queued to itself are gone, and until
+    /// [`revive`](Self::revive) what is delivered to it is dropped. What
+    /// it sent to other nodes stays sent.
+    pub fn kill(&mut self, node: NodeId) {
         let slot = self.slot(node);
-        self.nodes[slot] = husk;
-        self.down[slot] = true;
+        self.nodes[slot] = None;
         self.plane.agenda.retain(|due| match due {
             Due::Timer(n, _) => *n != node,
             Due::Deliver { from, to, .. } => (*from, *to) != (node, node),
@@ -355,8 +360,7 @@ impl<P: Process> Host<P> {
     /// Brings `node` back, up, as `process`.
     pub fn revive(&mut self, node: NodeId, process: P) {
         let slot = self.slot(node);
-        self.nodes[slot] = process;
-        self.down[slot] = false;
+        self.nodes[slot] = Some(process);
     }
 
     /// Unschedules every pending timer of `node`.
@@ -387,11 +391,13 @@ impl<P: Process> Host<P>
 where
     P::Msg: Clone,
 {
-    /// Starts every node that is up ([`Process::on_start`]) at `now`.
-    pub fn start(&mut self, now: SimTime, outlet: &mut dyn Outlet<P::Msg>) {
-        for slot in 0..self.nodes.len() {
-            self.enter(slot, now, outlet, |p, ctx| p.on_start(ctx));
-        }
+    /// Starts every node that is up ([`Process::on_start`]) at `now`,
+    /// and returns their slots.
+    pub fn start(&mut self, now: SimTime, outlet: &mut dyn Outlet<P::Msg>) -> Vec<usize> {
+        let slots = 0..self.nodes.len();
+        slots
+            .filter_map(|slot| self.enter(slot, now, outlet, |p, ctx| p.on_start(ctx)))
+            .collect()
     }
 
     /// Carries out a timer or a delivery at `now`: into the hosted node
@@ -448,9 +454,7 @@ where
         outlet: &mut dyn Outlet<P::Msg>,
         event: impl FnOnce(&mut P, &mut ProcessCtx<'_, P::Msg, P::Timer>),
     ) -> Option<usize> {
-        if self.down[slot] {
-            return None;
-        }
+        let node = self.nodes[slot].as_mut()?;
         let mut ctx = ProcessCtx {
             id: self.ids[slot],
             now,
@@ -458,7 +462,7 @@ where
             plane: &mut self.plane,
             outlet,
         };
-        event(&mut self.nodes[slot], &mut ctx);
+        event(node, &mut ctx);
         Some(slot)
     }
 }
@@ -466,7 +470,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{LinkFaults, NetworkConfig};
+    use crate::net::{LinkConfig, LinkFaults, NetworkConfig};
     use crate::sim::tests::{tally_sim, timed, Tally};
     use crate::Simulation;
 
@@ -478,35 +482,64 @@ mod tests {
         Tally { to_send, seen }
     }
 
-    /// After a kill none of the node's timers fire, what it had queued to
-    /// itself is dropped, and nothing delivered while it is down reaches
-    /// it; after the revive a post does.
+    /// A kill empties the slot: none of the node's timers fire, what it
+    /// had queued to itself is dropped, and what is delivered while it
+    /// is down is counted and dropped; the revive fills the slot, and
+    /// after it a post arrives.
     #[test]
     fn a_killed_node_runs_nothing_until_revived() {
         let script = [(10, 1), (20, 2)];
         let nodes = vec![timed(&script, &[]), timed(&script, &[])];
         let mut sim = Simulation::new(1, NetworkConfig::default(), nodes);
         sim.run_until(SimTime::from_micros(15));
-        sim.kill(N1, timed(&[], &[]));
+        sim.kill(N1);
+        assert!(sim.processes()[1].is_none(), "the slot is empty");
         sim.run_to_quiescence();
         assert_eq!(sim.process(0).fired, [(10, 1), (20, 2)]);
-        assert_eq!(
-            (&sim.process(1).fired[..], sim.events_processed()),
-            (&[][..], 3)
-        );
+        assert_eq!(sim.events_processed(), 3, "n1's second timer is gone");
 
         // n0 sends five frames at start, each due 500 µs later.
         let mut sim = tally_sim(1, 5, LinkFaults::default());
         sim.run_until(SimTime::ZERO);
         sim.post(N1, 7);
-        sim.kill(N1, tally(0));
+        sim.kill(N1);
         sim.run_to_quiescence();
-        assert_eq!(sim.process(1).seen, []);
+        assert_eq!(sim.events_processed(), 5, "the post is gone");
         assert_eq!(sim.network().stats().delivered, 5, "the wire delivered");
         sim.revive(N1, tally(0));
         sim.post(N1, 9);
         sim.run_to_quiescence();
         assert_eq!(sim.process(1).seen, [9]);
+    }
+
+    /// What reads a killed node's process names the node that is down.
+    #[test]
+    #[should_panic(expected = "n1 is down")]
+    fn a_killed_node_cannot_be_read() {
+        let mut sim = tally_sim(1, 0, LinkFaults::default());
+        sim.kill(N1);
+        let _ = sim.process(1);
+    }
+
+    /// A node's messages to itself bypass the fault plane — each arrives
+    /// once, in order, on a hostile network — and are counted as
+    /// self-sends, never as routed ones.
+    #[test]
+    fn a_self_send_is_counted_and_never_routed() {
+        let link = LinkConfig {
+            faults: LinkFaults::hostile(),
+            ..LinkConfig::default()
+        };
+        let nodes = vec![tally(0), tally(3)];
+        let mut sim = Simulation::new(1, NetworkConfig::uniform(link), nodes);
+        sim.run_to_quiescence();
+        assert_eq!(sim.process(1).seen, [0, 1, 2]);
+        let s = sim.network().stats();
+        assert_eq!((s.self_sent, s.self_bytes), (3, 303));
+        assert_eq!(
+            (s.sent, s.bytes_sent, s.duplicated, s.replayed),
+            (0, 0, 0, 0)
+        );
     }
 
     /// Every copy a hostile network held back arrives as if its sender
@@ -517,7 +550,7 @@ mod tests {
             let mut sim = tally_sim(3, 100, LinkFaults::hostile());
             sim.run_until(SimTime::ZERO);
             if kill {
-                sim.kill(N0, tally(0));
+                sim.kill(N0);
             }
             sim.run_to_quiescence();
             sim.process(1).seen.clone()
@@ -538,26 +571,29 @@ mod tests {
 
     /// n0 hosted without n1, as a worker hosts its own nodes: a copy the
     /// network holds back leaves through the outlet when due, after a
-    /// kill of its sender too; with the network off, at once.
+    /// kill of its sender too; with the network off, at once. Either
+    /// way the network counts each send.
     #[test]
     fn copies_for_a_node_hosted_elsewhere_leave_through_the_outlet() {
         let sent = [(N1, 0), (N1, 1), (N1, 2)];
         for faults in [true, false] {
             let rng = SimRng::new(1);
             let network = Network::new(NetworkConfig::default(), rng.fork("network"));
-            let mut host = Host::new(network, vec![(N0, tally(3), rng.fork("n0"))]);
+            let mut host = Host::new(network, vec![(N0, Some(tally(3)), rng.fork("n0"))]);
             host.set_faults(faults);
             let mut wire = Wire(vec![]);
             host.start(SimTime::ZERO, &mut wire);
             if faults {
                 assert_eq!(wire.0, [], "each copy is held back 500 µs");
-                host.kill(N0, tally(0));
+                host.kill(N0);
                 while let Some(due) = host.pop_due(500) {
                     let now = SimTime::from_micros(500);
                     assert_eq!(host.dispatch(now, due, &mut wire), None);
                 }
             }
             assert_eq!((&wire.0[..], host.next_due()), (&sent[..], None));
+            let s = host.network().stats();
+            assert_eq!((s.sent, s.bytes_sent, s.self_sent), (3, 303, 0));
         }
     }
 }

@@ -168,10 +168,11 @@ fn hostile_requested(value: Option<&str>) -> bool {
     }
 }
 
-/// Counters the network maintains across a run.
+/// Counters of what a host's nodes sent and what became of it: every
+/// send lands in exactly one of `sent` and `self_sent`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetworkStats {
-    /// Messages accepted for transmission.
+    /// Messages a node sent to another node, routed or not.
     pub sent: u64,
     /// Messages delivered to their destination.
     pub delivered: u64,
@@ -179,7 +180,7 @@ pub struct NetworkStats {
     pub dropped: u64,
     /// Messages refused because of a partition or blocked link.
     pub unreachable: u64,
-    /// Total payload bytes accepted for transmission.
+    /// Total payload bytes of `sent`.
     pub bytes_sent: u64,
     /// Total payload bytes delivered.
     pub bytes_delivered: u64,
@@ -189,6 +190,39 @@ pub struct NetworkStats {
     pub reordered: u64,
     /// Stale captured frames re-delivered by replay faults.
     pub replayed: u64,
+    /// Payload bytes of `dropped`.
+    pub dropped_bytes: u64,
+    /// Payload bytes of `unreachable`.
+    pub unreachable_bytes: u64,
+    /// Payload bytes of `duplicated`.
+    pub duplicated_bytes: u64,
+    /// Payload bytes of `replayed`, each stale frame at its own size.
+    pub replayed_bytes: u64,
+    /// Messages a node sent to itself (never routed).
+    pub self_sent: u64,
+    /// Payload bytes of `self_sent`.
+    pub self_bytes: u64,
+}
+
+impl NetworkStats {
+    /// Adds `other`'s counters to these: one report of several hosts.
+    pub fn absorb(&mut self, other: &NetworkStats) {
+        self.sent += other.sent;
+        self.delivered += other.delivered;
+        self.dropped += other.dropped;
+        self.unreachable += other.unreachable;
+        self.bytes_sent += other.bytes_sent;
+        self.bytes_delivered += other.bytes_delivered;
+        self.duplicated += other.duplicated;
+        self.reordered += other.reordered;
+        self.replayed += other.replayed;
+        self.dropped_bytes += other.dropped_bytes;
+        self.unreachable_bytes += other.unreachable_bytes;
+        self.duplicated_bytes += other.duplicated_bytes;
+        self.replayed_bytes += other.replayed_bytes;
+        self.self_sent += other.self_sent;
+        self.self_bytes += other.self_bytes;
+    }
 }
 
 /// The simulated network fabric: the one place where the fate of an
@@ -265,15 +299,18 @@ impl Network {
         msg: T,
         mut emit: impl FnMut(Duration, T, usize),
     ) -> bool {
+        let size = bytes as u64;
         self.stats.sent += 1;
-        self.stats.bytes_sent += bytes as u64;
+        self.stats.bytes_sent += size;
         if !self.reachable(from, to) {
             self.stats.unreachable += 1;
+            self.stats.unreachable_bytes += size;
             return false;
         }
         let link = self.link(from, to);
         if self.rng.chance(link.drop_probability) {
             self.stats.dropped += 1;
+            self.stats.dropped_bytes += size;
             return false;
         }
         let mut delay = link.delay(bytes, &mut self.rng);
@@ -289,6 +326,7 @@ impl Network {
         }
         if self.rng.chance(faults.duplicate_probability) {
             self.stats.duplicated += 1;
+            self.stats.duplicated_bytes += size;
             emit(link.delay(bytes, &mut self.rng), msg.clone(), bytes);
         }
         if faults.replay_probability > 0.0 {
@@ -299,6 +337,7 @@ impl Network {
                 if !frames.is_empty() {
                     let (stale, stale_bytes) = frames[pick % frames.len()].clone();
                     self.stats.replayed += 1;
+                    self.stats.replayed_bytes += stale_bytes as u64;
                     emit(faults.replay_delay, stale, stale_bytes);
                 }
             }
@@ -309,6 +348,18 @@ impl Network {
         }
         emit(delay, msg, bytes);
         true
+    }
+
+    /// Counts a send the host does not route: a self-send, or one made
+    /// while the host's fault plane is off.
+    pub(crate) fn record_unrouted(&mut self, from: NodeId, to: NodeId, bytes: usize) {
+        if from == to {
+            self.stats.self_sent += 1;
+            self.stats.self_bytes += bytes as u64;
+        } else {
+            self.stats.sent += 1;
+            self.stats.bytes_sent += bytes as u64;
+        }
     }
 
     /// Records a completed delivery (called by the host).
@@ -452,8 +503,8 @@ mod tests {
             drop_probability: 1.0,
             ..LinkConfig::default()
         });
-        assert_eq!(w.send(0, 1, 1), None);
-        assert_eq!(w.0.stats().dropped, 1);
+        assert_eq!(w.send(0, 1, 7), None);
+        assert_eq!((w.0.stats().dropped, w.0.stats().dropped_bytes), (1, 7));
     }
 
     #[test]
@@ -462,8 +513,9 @@ mod tests {
         w.0.partition_two([NodeId(0), NodeId(1)], [NodeId(2)]);
         assert!(w.0.reachable(NodeId(0), NodeId(1)));
         assert!(!w.0.reachable(NodeId(0), NodeId(2)));
-        assert_eq!(w.send(0, 2, 1), None);
-        assert_eq!(w.0.stats().unreachable, 1);
+        assert_eq!(w.send(0, 2, 5), None);
+        let s = w.0.stats();
+        assert_eq!((s.unreachable, s.unreachable_bytes), (1, 5));
         w.0.heal();
         assert!(w.0.reachable(NodeId(0), NodeId(2)));
     }
@@ -528,7 +580,8 @@ mod tests {
             assert_eq!(copies.len(), 2, "a duplicate, no replay, the original");
             assert!(w.1.is_empty(), "no replay configured, nothing to stash");
         }
-        assert_eq!(w.0.stats().duplicated, 10);
+        let s = w.0.stats();
+        assert_eq!((s.duplicated, s.duplicated_bytes), (10, 80));
     }
 
     #[test]
@@ -571,7 +624,8 @@ mod tests {
         // the captured frame resurfaces — at its own size, after the
         // replay delay — and the frame that triggered it is captured too
         assert_eq!(w.send(0, 1, 9), micros(&[(8_000, 8), (500, 9)]));
-        assert_eq!(w.0.stats().replayed, 1);
+        let s = w.0.stats();
+        assert_eq!((s.replayed, s.replayed_bytes), (1, 8));
         assert_eq!(w.1[&LINK], [(8, 8), (9, 9)]);
         for frame in 0..2 * REPLAY_STASH_CAP {
             w.send(0, 1, frame);

@@ -32,7 +32,7 @@ impl<P: Process> Simulation<P> {
         let root = SimRng::new(seed);
         let nodes = processes.into_iter().enumerate().map(|(i, p)| {
             let rng = root.fork_indexed("node", i as u64);
-            (NodeId(i as u32), p, rng)
+            (NodeId(i as u32), Some(p), rng)
         });
         let network = Network::new(net_config, root.fork("network"));
         Simulation {
@@ -66,7 +66,7 @@ impl<P: Process> Simulation<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// Panics if `i` is out of range or its node is down.
     #[must_use]
     pub fn process(&self, i: usize) -> &P {
         self.host.node(i)
@@ -78,14 +78,14 @@ impl<P: Process> Simulation<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// Panics if `i` is out of range or its node is down.
     pub fn process_mut(&mut self, i: usize) -> &mut P {
         self.host.node_mut(i)
     }
 
-    /// Read access to all processes.
+    /// Every node's process, in node order; `None` while it is down.
     #[must_use]
-    pub fn processes(&self) -> &[P] {
+    pub fn processes(&self) -> &[Option<P>] {
         self.host.nodes()
     }
 
@@ -97,10 +97,10 @@ impl<P: Process> Simulation<P> {
         self.host.post(self.now, to, msg);
     }
 
-    /// [`Host::kill`]: `husk` holds `node`'s slot, down, until
+    /// [`Host::kill`]: `node`'s slot is empty, and `node` down, until
     /// [`revive`](Self::revive).
-    pub fn kill(&mut self, node: NodeId, husk: P) {
-        self.host.kill(node, husk);
+    pub fn kill(&mut self, node: NodeId) {
+        self.host.kill(node);
     }
 
     /// [`Host::revive`]: `node` is up again, as `process`.
@@ -450,10 +450,8 @@ pub(crate) mod tests {
         type Timer = ();
 
         fn on_start(&mut self, ctx: &mut ProcessCtx<'_, u32, ()>) {
-            if ctx.id() == NodeId(0) {
-                for i in 0..self.to_send {
-                    ctx.send(NodeId(1), i, frame_bytes(i));
-                }
+            for i in 0..self.to_send {
+                ctx.send(NodeId(1), i, frame_bytes(i));
             }
         }
 

@@ -54,11 +54,13 @@
 //! holds nothing up: its bytes wait in its own buffer.
 //!
 //! The fabric keeps an atomic ledger of every byte it handles, split by
-//! fate (written / dropped / lost / self-delivered / hello), so the
-//! conformance suite can assert *charge parity*: the bytes the nodes'
-//! wire ledgers charged equal the bytes the fabric accepted, to the
+//! fate (written / dropped / lost / hello), so the conformance suite can
+//! assert *charge parity*: the bytes the nodes' wire ledgers charged
+//! equal the bytes the fabric accepted plus those of the self-sends the
+//! hosts delivered themselves (their network's `self_bytes`), to the
 //! byte — the accounting the simulator models is the accounting the
-//! socket driver measures.
+//! socket driver measures. Under the fault plane the fabric accepted
+//! every copy the hosts' networks let through.
 
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
@@ -129,13 +131,15 @@ fn tags_match(a: u64, b: u64) -> bool {
 
 /// Snapshot of the fabric's byte/frame ledger.
 ///
-/// Invariants (asserted by the conformance suite): every byte a node's
-/// `ctx.send` charged is accounted exactly once as `enqueued`,
-/// `dropped` or `self_delivered`, so `enqueued_bytes + dropped_bytes +
-/// self_bytes` equals the fleet's summed wire ledgers; and a frame
-/// handed to a connection is written or lost before the flush that
-/// handed it returns, so at rest `enqueued == written + io_lost` in
-/// frames. A write carries one or more whole frames, so `1 ≤ writes ≤
+/// Invariants (asserted by the conformance suite): every byte the
+/// fabric is handed is accounted exactly once as `enqueued` or
+/// `dropped`, so on a fleet `enqueued_bytes + dropped_bytes` is the
+/// bytes of every copy its hosts' networks let through — with the fault
+/// plane off, the fleet's summed wire ledgers less the self-sends the
+/// hosts delivered themselves (`simnet::NetworkStats::self_bytes`); and
+/// a frame handed to a connection is written or lost before the flush
+/// that handed it returns, so at rest `enqueued == written + io_lost`
+/// in frames. A write carries one or more whole frames, so `1 ≤ writes ≤
 /// written_frames` once anything was written, and `written_frames /
 /// writes` is frames per write.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -157,10 +161,6 @@ pub struct FabricStats {
     pub dropped_bytes: u64,
     /// Frames lost to a failed socket write.
     pub io_lost_frames: u64,
-    /// Self-sends delivered locally, bypassing the sockets.
-    pub self_frames: u64,
-    /// Bytes (header included) self-delivered locally.
-    pub self_bytes: u64,
     /// Bytes spent on hello frames (connection setup, not message
     /// traffic — kept out of the data ledger on purpose).
     pub hello_bytes: u64,
@@ -196,8 +196,6 @@ struct Counters {
     dropped_frames: AtomicU64,
     dropped_bytes: AtomicU64,
     io_lost_frames: AtomicU64,
-    self_frames: AtomicU64,
-    self_bytes: AtomicU64,
     hello_bytes: AtomicU64,
     connects: AtomicU64,
     reconnects: AtomicU64,
@@ -421,8 +419,6 @@ impl<M: WireMechanism<StampedValue>> Fabric<M> {
             dropped_frames: ld(&c.dropped_frames),
             dropped_bytes: ld(&c.dropped_bytes),
             io_lost_frames: ld(&c.io_lost_frames),
-            self_frames: ld(&c.self_frames),
-            self_bytes: ld(&c.self_bytes),
             hello_bytes: ld(&c.hello_bytes),
             connects: ld(&c.connects),
             reconnects: ld(&c.reconnects),
@@ -660,16 +656,6 @@ impl<M: WireMechanism<StampedValue>> Fabric<M> {
         link.backoff_ms = BACKOFF_BASE_MS;
         link.conn = Some((self.register_conn((from, to), &stream), stream));
         true
-    }
-
-    /// Records a self-send delivered locally (self-traffic never
-    /// touches a socket, but its charged bytes must still balance the
-    /// ledger identity).
-    pub fn note_self(&self, wire_bytes: usize) {
-        self.counters.self_frames.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .self_bytes
-            .fetch_add(wire_bytes as u64, Ordering::Relaxed);
     }
 
     /// Makes node `node`'s poller return from its wait, for a packet put

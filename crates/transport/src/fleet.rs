@@ -15,8 +15,8 @@
 //! the decoded messages, as the same [`Packet`]s every link delivers,
 //! into its own inbox. The receive side has no thread of its own either.
 //! Self-sends are delivered by the worker's host (a node does not dial
-//! itself); the bytes their node charged for them are only noted in the
-//! fabric's ledger, so its identity with the nodes' ledgers still holds.
+//! itself), which counts them in its network's stats; the fleet's
+//! [`network_report`](runtime::Fleet::network_report) sums those.
 //! A [`Scenario`](simnet::Scenario)'s `CutConn` step is [`Link::cut`]
 //! on the worker hosting its node: it severs that node's connections
 //! both ways.
@@ -27,9 +27,11 @@
 //! [`HEADER_BYTES`](crate::frame::HEADER_BYTES), so the per-class wire
 //! ledgers charge exactly the bytes written to the sockets — the
 //! accounting the paper's evaluation models is measured here, not
-//! assumed. The conformance suite asserts the identity to the byte on
-//! a run with `faults: None`; with the fault plane on, a dropped copy
-//! was charged but never written and a duplicate is written twice.
+//! assumed. The conformance suite asserts to the byte that what the
+//! nodes charged is what their hosts counted sent, the self-sends'
+//! `self_bytes` included, and that the fabric was handed what was sent,
+//! less the bytes the fault plane dropped or found unreachable, plus
+//! those it duplicated or replayed — calm, hostile, or with no plane.
 //!
 //! The fleet runs the in-process fleet's own [`RuntimeConfig`], so the
 //! two differ by their link alone. Layout matches the other drivers —
@@ -295,12 +297,6 @@ where
     /// Writes the wake socket of the worker hosting `to`.
     fn wake(&self, to: NodeId) {
         self.fabric.wake(to.0 as usize);
-    }
-
-    /// Self-traffic never touches a socket, but the bytes the node was
-    /// charged for it still balance the fabric's ledger identity.
-    fn note_self(&self, bytes: usize) {
-        self.fabric.note_self(bytes);
     }
 
     /// Severs every live connection touching `node`, both directions.

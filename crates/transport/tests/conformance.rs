@@ -8,12 +8,14 @@
 //! On top of the shared audit stack, the socket run asserts the
 //! transport's byte-ledger identity: every byte the protocol charged to
 //! a node's wire ledger is a byte the fabric either wrote to a socket,
-//! dropped at a full queue, lost to a dead connection, or delivered
-//! locally (self-sends) — no modeled bytes, no unaccounted bytes.
+//! dropped at a full queue or lost to a dead connection, or a self-send
+//! its host delivered locally and counted — no modeled bytes, no
+//! unaccounted bytes.
 //!
 //! Then the simulator's fault plane over TCP: the same workload with
 //! loss, latency and the hostile duplicate / reorder / replay profile
-//! decided above the link, still audit-clean.
+//! decided above the link, still audit-clean, and the identity with
+//! each fate the plane gave a copy counted in.
 //!
 //! Three seeds by default; `SOCKET_CONFORMANCE_SEEDS` widens the sweep.
 
@@ -94,14 +96,9 @@ fn audit_socket(seed: u64) {
 
     // Ledger identity: bytes charged by the protocol == bytes the
     // fabric enqueued for sockets + dropped at full queues + delivered
-    // locally. Exact, fleet-wide, to the byte.
+    // locally by the hosts. Exact, fleet-wide, to the byte.
     let fabric = fleet.fabric_report();
-    let charged = FleetHarness::wire_report(&fleet).total_bytes();
-    assert_eq!(
-        charged,
-        fabric.enqueued_bytes + fabric.dropped_bytes + fabric.self_bytes,
-        "seed {seed}: wire ledger diverged from fabric accounting\n{fabric:#?}"
-    );
+    assert_ledgers_balance(&fleet, &format!("seed {seed}"));
     // The socket side of the ledger is conserved too: what was written
     // is what was enqueued minus queue-resident/io-lost frames, and the
     // readers never counted more than the writers produced.
@@ -178,18 +175,37 @@ fn network(faults: LinkFaults) -> NetworkConfig {
     })
 }
 
+/// What the nodes charged is what their hosts counted sent, self-sends
+/// included; and the fabric was handed every copy the fault plane let
+/// through: what was sent, less what it dropped or found unreachable,
+/// plus what it duplicated or replayed (each stale frame at its own
+/// size). With no plane, or with it off, nothing is dropped or copied,
+/// and the fabric was handed exactly what was sent.
+fn assert_ledgers_balance(fleet: &SocketFleet<DvvMechanism>, label: &str) {
+    let fabric = fleet.fabric_report();
+    let net = fleet.network_report().expect("a run");
+    let charged = FleetHarness::wire_report(fleet).total_bytes();
+    assert_eq!(
+        charged,
+        net.bytes_sent + net.self_bytes,
+        "{label}: wire ledger diverged from what the hosts counted sent\n{net:#?}"
+    );
+    assert_eq!(
+        net.bytes_sent - net.dropped_bytes - net.unreachable_bytes
+            + net.duplicated_bytes
+            + net.replayed_bytes,
+        fabric.enqueued_bytes + fabric.dropped_bytes,
+        "{label}: the fabric was not handed what the plane let through\n{net:#?}\n{fabric:#?}"
+    );
+}
+
 /// The fault plane sits above the link, so a socket fleet takes it as
 /// the in-process fleet does: every copy's fate is decided on the
 /// sending worker before the link frames it. Calm, then hostile, with
-/// two client workers; the audit stack must be clean. No `Kill` step:
-/// a write replayed across a crash can still read as false concurrency
-/// (ROADMAP item 15).
-///
-/// The byte-ledger identity of [`audit_socket`] does not hold here: a
-/// copy the plane drops was charged but never enqueued, and a duplicate
-/// or replay was enqueued but charged once. The identity holds where
-/// `faults` is `None`; here its failing is the sign that the plane
-/// decided what the link carried.
+/// two client workers; the audit stack must be clean, and the ledgers
+/// balance with every fate the plane gave a copy counted in. No `Kill`
+/// step: a write replayed across a crash can still read as false
+/// concurrency (ROADMAP item 15).
 #[test]
 fn the_fault_plane_over_sockets_audits_clean() {
     for (name, faults) in [
@@ -213,12 +229,11 @@ fn the_fault_plane_over_sockets_audits_clean() {
                 fabric.connects > 0,
                 "{label}: no TCP connection was ever dialed"
             );
-            let charged = FleetHarness::wire_report(&fleet).total_bytes();
-            assert_ne!(
-                charged,
-                fabric.enqueued_bytes + fabric.dropped_bytes + fabric.self_bytes,
-                "{label}: the fault plane never touched a copy\n{fabric:#?}"
+            assert!(
+                fleet.network_report().expect("a run").dropped > 0,
+                "{label}: the fault plane never dropped a copy"
             );
+            assert_ledgers_balance(&fleet, &label);
             audit_fleet(&mut fleet, &label);
         }
     }

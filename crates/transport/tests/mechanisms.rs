@@ -62,10 +62,11 @@ where
                 "{name} seed {seed}: clients left unfinished"
             );
             let fabric = fleet.fabric_report();
+            let self_bytes = fleet.network_report().expect("a run").self_bytes;
             let charged = FleetHarness::wire_report(&fleet).total_bytes();
             assert_eq!(
                 charged,
-                fabric.enqueued_bytes + fabric.dropped_bytes + fabric.self_bytes,
+                fabric.enqueued_bytes + fabric.dropped_bytes + self_bytes,
                 "{name} seed {seed}: wire ledger diverged from fabric accounting\n{fabric:#?}"
             );
             fleet.converge();

@@ -167,8 +167,11 @@ if runs_lane socket; then
     # `conformance` runs the same seeded workload on the simulator and
     # the socket fleet (3 seeds) and requires AAE-equivalent,
     # oracle-clean end states plus an exact fleet-wide byte-ledger
-    # identity, then the fault plane over TCP (calm and hostile, which
-    # the faults lane runs again on its own); `lifecycle` severs live
+    # identity (charged == fabric enqueued + dropped + the self-send
+    # bytes the hosts counted), then the fault plane over TCP (calm and
+    # hostile, which the faults lane runs again on its own), where the
+    # identity also counts each copy the plane dropped, found
+    # unreachable, duplicated or replayed; `lifecycle` severs live
     # connections mid-burst and requires reconnect + unaided
     # convergence; `thread_census` counts
     # the fabric's threads (one poller per node on `Fabric::start`, none

@@ -102,7 +102,9 @@ printf '  %-32s %6d\n' \
     "node timers: BTreeMap< fields" "$(src_count '^ +timers: BTreeMap<')"
 # One host for every driver: the simulator and each threaded worker run
 # their nodes through `simnet::Host`, whose one context every node sees
-# and whose one `dispatch` runs every event.
+# and whose one `dispatch` runs every event. The host is also the one
+# record of a crash (an empty slot, no placeholder node) and of a send
+# (its network's stats, self-sends included, not a link's ledger).
 echo "host surface (crates/*/src)"
 printf '  %-32s %6d\n' \
     "node context types (*Ctx<)" "$(src_count '^(pub )?struct [A-Za-z]*Ctx<')" \
@@ -110,7 +112,9 @@ printf '  %-32s %6d\n' \
     "fn dispatch definitions" "$(src_count '^ *(pub )?fn dispatch\b')" \
     "runtime hosting types" "$({ grep -rhE '^(pub )?(struct|enum) (Router|Crash|Hosted|Due|RtCtx)\b' \
         crates/runtime/src || true; } | wc -l)" \
-    "impl NodeCtx<M> parameters" "$(src_count '&mut impl NodeCtx<M>')"
+    "impl NodeCtx<M> parameters" "$(src_count '&mut impl NodeCtx<M>')" \
+    "crash placeholders (fn husk)" "$(src_count 'fn husk\b')" \
+    "self-send ledgers (note_self)" "$(src_count 'note_self')"
 # Only an owner coordinates: a server outside a key's preference list
 # relays the request to an owner instead of running a second coordinator
 # role (no delegated-write message, no ownership flag on a request).
